@@ -347,6 +347,27 @@ var classOf = [NumOps]OpClass{
 	OpThrow: ClassBranch,
 }
 
+// MemShape reports the operand-stack shape of the seven array, field
+// and static access opcodes: how many operands the op pops and whether
+// it pushes a loaded value.
+func (o Op) MemShape() (pops int, loads bool) {
+	switch o {
+	case OpGetStatic:
+		return 0, true
+	case OpGetField, OpArrayLen:
+		return 1, true
+	case OpALoad:
+		return 2, true
+	case OpPutStatic:
+		return 1, false
+	case OpPutField:
+		return 2, false
+	case OpAStore:
+		return 3, false
+	}
+	return 0, false
+}
+
 // Class returns the static operation class of an opcode.
 func (o Op) Class() OpClass {
 	if int(o) < NumOps {

@@ -18,29 +18,50 @@ import (
 // `LoadLocal a; LoadLocal b; MulI; StoreLocal c` sequence becomes the
 // single micro-op `local c <- local a * local b`.
 //
-// The replay contract is the same byte-identical one runPure honours:
+// The replay contract is byte-identity with the reference interpreter:
 // after a block replays, frame state (locals, operand stack and both
 // reference maps up to the final SP) must equal what per-instruction
 // stepping produces. Patterns the lowering cannot prove equivalent —
 // consuming operands the block did not push, Swap/DupX reordering of
 // symbolic values, more than a handful of deferred flag writes — make
-// compileMicro report ok=false and the executor falls back to the
-// stack-walking replay; correctness never depends on lowering success.
+// compileMicro report ok=false; discovery then emits no block at that
+// index and the interpreter steps those instructions, so correctness
+// never depends on lowering success.
 
-// MicroOp is one slot-addressed operation. D, A and B address frame
-// storage: a non-negative value is an operand-stack slot relative to
-// the block's entry SP, a negative value -(i+1) is local variable i,
-// and the sentinel MicroImm (operands only) selects the Imm field.
-// At most one of A/B is MicroImm, so one Imm field serves both; the
-// compare ops repurpose Imm for their NaN result and never take
-// immediate operands.
+// MicroOp is one slot-addressed operation. Code is the isa opcode the
+// replay applies — an arithmetic op (evaluated by isa.Eval, so lowering
+// adds no second definition of any op's semantics), one of the seven
+// absorbable memory ops, or the two pseudo-ops below. D, A and B
+// address frame storage: a non-negative value is an operand-stack slot
+// relative to the block's entry SP, a negative value -(i+1) is local
+// variable i, and the sentinel MicroImm (operands only) selects the Imm
+// field. At most one of A/B is MicroImm, so one Imm field serves both;
+// the float compares repurpose Imm for their NaN result and never take
+// immediate operands. One-operand arithmetic carries B = A, so the
+// replay reads both operands without testing the arity.
+//
+// Each memory micro-op is paired in order with a MemBound entry on the
+// superblock; the executor charges the instruction's static cost, runs
+// the interpreter's own access helper on the micro-op's operands (the
+// instruction's stack operands in push order in A, B and — for the
+// three-operand array store only — D, which is a source there; an
+// operand the op lacks is MicroImm), and then charges the following
+// pure segment. Loads write their result (value and reference flag) at
+// D, always a stack slot: the result must sit at its stepped stack
+// position in case the replay hands back at the next instruction.
 type MicroOp struct {
-	Code uint8
+	Code isa.Op
 	D    int32
 	A    int32
 	B    int32
 	Imm  uint64
 }
+
+// Pseudo-ops, numbered past the isa opcodes.
+const (
+	MMov    = isa.Op(isa.NumOps) + iota // D <- A (raw 64-bit copy)
+	MMovImm                             // D <- Imm
+)
 
 // MicroImm marks an operand that reads MicroOp.Imm.
 const MicroImm int32 = math.MinInt32
@@ -60,123 +81,6 @@ type FlagWrite struct {
 // maxFlagWrites bounds each deferred flag list so the replayer can
 // resolve sources into a fixed-size buffer without allocating.
 const maxFlagWrites = 8
-
-// Micro-op codes. The arithmetic codes mirror the isa ops of the same
-// name exactly — each replay case must be semantically identical to the
-// corresponding step/runPure case, including shift masking, divide
-// MinInt/-1 behaviour and float NaN handling.
-const (
-	MMov uint8 = iota // D <- A (raw 64-bit copy)
-	MMovImm
-	MAddI
-	MSubI
-	MMulI
-	MDivI
-	MRemI
-	MNegI
-	MAndI
-	MOrI
-	MXorI
-	MShlI
-	MShrI
-	MUShrI
-	MAddL
-	MSubL
-	MMulL
-	MDivL
-	MRemL
-	MNegL
-	MAndL
-	MOrL
-	MXorL
-	MShlL
-	MShrL
-	MUShrL
-	MCmpL
-	MAddF
-	MSubF
-	MMulF
-	MDivF
-	MNegF
-	MRemF
-	MCmpF
-	MAddD
-	MSubD
-	MMulD
-	MDivD
-	MNegD
-	MRemD
-	MCmpD
-	MI2L
-	MI2F
-	MI2D
-	ML2I
-	ML2F
-	ML2D
-	MF2I
-	MF2L
-	MF2D
-	MD2I
-	MD2L
-	MD2F
-	MI2B
-	MI2C
-	MI2S
-
-	// Memory micro-ops, one per absorbable memory instruction. Each is
-	// paired in order with a MemBound entry on the superblock; the
-	// executor charges the instruction's static cost, runs the
-	// step-identical cache/heap semantics with the micro-op's operands,
-	// and then charges the following pure segment. Loads write their
-	// result (value and reference flag) directly at D, always a stack
-	// slot: the result must sit at its stepped stack position in case
-	// the replay hands back at the next instruction.
-	MALoad     // D <- Kind-typed element of array A at index B
-	MAStore    // array A at index B <- D (D is a source here)
-	MArrayLen  // D <- length of array A
-	MGetField  // D <- field Kind of object A
-	MPutField  // field Kind of object A <- B
-	MGetStatic // D <- static slot Kind
-	MPutStatic // static slot Kind <- A
-)
-
-// microForOp maps a pure isa op to its micro-op code (valid only for
-// the stack-neutral arithmetic/conversion ops; stack-shape ops are
-// handled structurally by the compiler).
-var microForOp = map[isa.Op]uint8{
-	isa.OpAddI: MAddI, isa.OpSubI: MSubI, isa.OpMulI: MMulI,
-	isa.OpDivI: MDivI, isa.OpRemI: MRemI, isa.OpNegI: MNegI,
-	isa.OpAndI: MAndI, isa.OpOrI: MOrI, isa.OpXorI: MXorI,
-	isa.OpShlI: MShlI, isa.OpShrI: MShrI, isa.OpUShrI: MUShrI,
-	isa.OpAddL: MAddL, isa.OpSubL: MSubL, isa.OpMulL: MMulL,
-	isa.OpDivL: MDivL, isa.OpRemL: MRemL, isa.OpNegL: MNegL,
-	isa.OpAndL: MAndL, isa.OpOrL: MOrL, isa.OpXorL: MXorL,
-	isa.OpShlL: MShlL, isa.OpShrL: MShrL, isa.OpUShrL: MUShrL,
-	isa.OpCmpL: MCmpL,
-	isa.OpAddF: MAddF, isa.OpSubF: MSubF, isa.OpMulF: MMulF,
-	isa.OpDivF: MDivF, isa.OpNegF: MNegF, isa.OpRemF: MRemF,
-	isa.OpCmpF: MCmpF,
-	isa.OpAddD: MAddD, isa.OpSubD: MSubD, isa.OpMulD: MMulD,
-	isa.OpDivD: MDivD, isa.OpNegD: MNegD, isa.OpRemD: MRemD,
-	isa.OpCmpD: MCmpD,
-	isa.OpI2L:  MI2L, isa.OpI2F: MI2F, isa.OpI2D: MI2D,
-	isa.OpL2I: ML2I, isa.OpL2F: ML2F, isa.OpL2D: ML2D,
-	isa.OpF2I: MF2I, isa.OpF2L: MF2L, isa.OpF2D: MF2D,
-	isa.OpD2I: MD2I, isa.OpD2L: MD2L, isa.OpD2F: MD2F,
-	isa.OpI2B: MI2B, isa.OpI2C: MI2C, isa.OpI2S: MI2S,
-}
-
-// unaryOp reports whether the isa op pops one value and pushes one.
-func unaryOp(op isa.Op) bool {
-	switch op {
-	case isa.OpNegI, isa.OpNegL, isa.OpNegF, isa.OpNegD,
-		isa.OpI2L, isa.OpI2F, isa.OpI2D, isa.OpL2I, isa.OpL2F, isa.OpL2D,
-		isa.OpF2I, isa.OpF2L, isa.OpF2D, isa.OpD2I, isa.OpD2L, isa.OpD2F,
-		isa.OpI2B, isa.OpI2C, isa.OpI2S:
-		return true
-	}
-	return false
-}
 
 // Symbolic value kinds tracked on the compile-time stack.
 const (
@@ -261,8 +165,8 @@ func (c *microCompiler) push(v sym) {
 }
 
 // pop fails the compile when the block would consume operands it did
-// not push (suffix blocks entered mid-expression do this; they keep
-// the stack-walking replay).
+// not push (suffix blocks entered mid-expression do this; they get no
+// block and are stepped).
 func (c *microCompiler) pop() sym {
 	if len(c.vstack) == 0 {
 		c.fail()
@@ -325,72 +229,25 @@ func (c *microCompiler) materialise(v sym, at int32) sym {
 	return sym{kind: symSlot, idx: at, flag: v.flag}
 }
 
-// foldInt32 evaluates two-operand int ops over constants, mirroring
-// the step cases exactly. Only non-trapping integer ops fold; floats
-// never fold so their bit-exact behaviour stays in one place (replay).
-func foldInt32(op isa.Op, a, b int32) (int32, bool) {
-	switch op {
-	case isa.OpAddI:
-		return a + b, true
-	case isa.OpSubI:
-		return a - b, true
-	case isa.OpMulI:
-		return a * b, true
-	case isa.OpAndI:
-		return a & b, true
-	case isa.OpOrI:
-		return a | b, true
-	case isa.OpXorI:
-		return a ^ b, true
-	case isa.OpShlI:
-		return a << (uint32(b) & 31), true
-	case isa.OpShrI:
-		return a >> (uint32(b) & 31), true
-	case isa.OpUShrI:
-		return int32(uint32(a) >> (uint32(b) & 31)), true
+// arith lowers a one- or two-operand arithmetic op (n is its
+// isa.Arity). Constant operands fold through isa.Eval, the same
+// function the replay calls, so a folded result is bit-identical to a
+// replayed one. The float compares pass their NaN result through Imm,
+// so immediate operands are materialised for them.
+func (c *microCompiler) arith(in isa.Instr, n int) {
+	// A one-operand op folds with a constant-zero b, which Eval ignores;
+	// its micro-op carries B = A.
+	b := sym{kind: symImm}
+	if n == 2 {
+		b = c.pop()
 	}
-	return 0, false
-}
-
-func foldInt64(op isa.Op, a, b int64) (int64, bool) {
-	switch op {
-	case isa.OpAddL:
-		return a + b, true
-	case isa.OpSubL:
-		return a - b, true
-	case isa.OpMulL:
-		return a * b, true
-	case isa.OpAndL:
-		return a & b, true
-	case isa.OpOrL:
-		return a | b, true
-	case isa.OpXorL:
-		return a ^ b, true
-	}
-	return 0, false
-}
-
-// binary lowers a two-operand arithmetic op. NaN-sensitive compares
-// pass their nan result through Imm, so immediate operands are
-// materialised for them.
-func (c *microCompiler) binary(in isa.Instr) {
-	code, okOp := microForOp[in.Op]
-	if !okOp {
-		c.fail()
-		return
-	}
-	b := c.pop()
 	a := c.pop()
 	if !c.ok {
 		return
 	}
 	if a.kind == symImm && b.kind == symImm {
-		if v, did := foldInt32(in.Op, int32(uint32(a.imm)), int32(uint32(b.imm))); did {
-			c.push(sym{kind: symImm, imm: uint64(uint32(v))})
-			return
-		}
-		if v, did := foldInt64(in.Op, int64(a.imm), int64(b.imm)); did {
-			c.push(sym{kind: symImm, imm: uint64(v)})
+		if v, ok := isa.Eval(in.Op, a.imm, b.imm, in.A); ok {
+			c.push(sym{kind: symImm, imm: v})
 			return
 		}
 	}
@@ -402,54 +259,17 @@ func (c *microCompiler) binary(in isa.Instr) {
 	if b.kind == symImm && cmpNaN {
 		b = c.materialise(b, d+1)
 	}
-	oa, immA := operand(a)
-	ob, immB := operand(b)
-	imm := immA | immB
+	oa, imm := operand(a)
+	ob := oa
+	if n == 2 {
+		var immB uint64
+		ob, immB = operand(b)
+		imm |= immB
+	}
 	if cmpNaN {
 		imm = uint64(uint32(in.A))
 	}
-	c.micro = append(c.micro, MicroOp{Code: code, D: d, A: oa, B: ob, Imm: imm})
-	c.push(sym{kind: symSlot, idx: d})
-}
-
-func (c *microCompiler) unary(in isa.Instr) {
-	code, okOp := microForOp[in.Op]
-	if !okOp {
-		c.fail()
-		return
-	}
-	a := c.pop()
-	if !c.ok {
-		return
-	}
-	if a.kind == symImm {
-		switch in.Op {
-		case isa.OpNegI:
-			c.push(sym{kind: symImm, imm: uint64(uint32(-int32(uint32(a.imm))))})
-			return
-		case isa.OpNegL:
-			c.push(sym{kind: symImm, imm: uint64(-int64(a.imm))})
-			return
-		case isa.OpI2B:
-			c.push(sym{kind: symImm, imm: uint64(uint32(int32(int8(int32(uint32(a.imm))))))})
-			return
-		case isa.OpI2C:
-			c.push(sym{kind: symImm, imm: uint64(uint32(int32(uint16(int32(uint32(a.imm))))))})
-			return
-		case isa.OpI2S:
-			c.push(sym{kind: symImm, imm: uint64(uint32(int32(int16(int32(uint32(a.imm))))))})
-			return
-		case isa.OpI2L:
-			c.push(sym{kind: symImm, imm: uint64(int64(int32(uint32(a.imm))))})
-			return
-		case isa.OpL2I:
-			c.push(sym{kind: symImm, imm: uint64(uint32(int32(int64(a.imm))))})
-			return
-		}
-	}
-	d := int32(len(c.vstack))
-	oa, imm := operand(a)
-	c.micro = append(c.micro, MicroOp{Code: code, D: d, A: oa, Imm: imm})
+	c.micro = append(c.micro, MicroOp{Code: in.Op, D: d, A: oa, B: ob, Imm: imm})
 	c.push(sym{kind: symSlot, idx: d})
 }
 
@@ -510,24 +330,7 @@ func (c *microCompiler) closeSeg() {
 // symbolic operands (the happy path never round-trips them through
 // their stack slots).
 func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
-	var npops, npush int
-	var mcode uint8
-	switch in.Op {
-	case isa.OpALoad:
-		npops, npush, mcode = 2, 1, MALoad
-	case isa.OpAStore:
-		npops, npush, mcode = 3, 0, MAStore
-	case isa.OpArrayLen:
-		npops, npush, mcode = 1, 1, MArrayLen
-	case isa.OpGetField:
-		npops, npush, mcode = 1, 1, MGetField
-	case isa.OpPutField:
-		npops, npush, mcode = 2, 0, MPutField
-	case isa.OpGetStatic:
-		npops, npush, mcode = 0, 1, MGetStatic
-	case isa.OpPutStatic:
-		npops, npush, mcode = 1, 0, MPutStatic
-	}
+	npops, loads := in.Op.MemShape()
 	if len(c.vstack) < npops {
 		c.fail() // operands from before the block entry: suffix bails
 		return
@@ -599,7 +402,7 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	for i := npops - 1; i >= 0; i-- {
 		ops[i] = c.pop()
 	}
-	m := MicroOp{Code: mcode, D: int32(opStart)}
+	m := MicroOp{Code: in.Op, D: int32(opStart), A: MicroImm, B: MicroImm}
 	enc := func(v sym) int32 {
 		o, im := operand(v)
 		if o == MicroImm {
@@ -607,22 +410,20 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 		}
 		return o
 	}
-	switch in.Op {
-	case isa.OpALoad, isa.OpAStore:
-		m.A, m.B = enc(ops[0]), enc(ops[1])
-		if in.Op == isa.OpAStore {
-			m.D = enc(ops[2])
-		}
-	case isa.OpArrayLen, isa.OpGetField:
+	if npops >= 1 {
 		m.A = enc(ops[0])
-	case isa.OpPutField:
-		m.A, m.B = enc(ops[0]), enc(ops[1])
-	case isa.OpPutStatic:
-		m.A = enc(ops[0])
+	}
+	if npops >= 2 {
+		m.B = enc(ops[1])
+	}
+	if npops == 3 {
+		m.D = enc(ops[2]) // the stored element: D is a source here
 	}
 	c.micro = append(c.micro, m)
 	c.noSink = len(c.micro)
-	if npush == 1 {
+	npush := 0
+	if loads {
+		npush = 1
 		flag := int32(0)
 		switch in.Op {
 		case isa.OpALoad:
@@ -652,7 +453,7 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 // contributes cost and an instruction to the final segment but emits
 // no micro-op — the executor applies its effect from Target. It
 // returns ok=false when the block contains a pattern the lowering does
-// not model; a memory-free block then replays with runPure.
+// not model.
 func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 	c := microCompiler{localFlag: make(map[int32]int32), ok: true}
 	for idx, in := range code {
@@ -684,11 +485,11 @@ func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 		case isa.OpIncLocal:
 			c.matLocal(in.A)
 			c.micro = append(c.micro, MicroOp{
-				Code: MAddI, D: -(in.A + 1), A: -(in.A + 1),
+				Code: isa.OpAddI, D: -(in.A + 1), A: -(in.A + 1),
 				B: MicroImm, Imm: uint64(uint32(in.B)),
 			})
-			// IncLocal leaves the local's reference flag untouched
-			// (mirroring step), so localFlag is deliberately not updated.
+			// IncLocal leaves the local's reference flag untouched, so
+			// localFlag is deliberately not updated.
 		case isa.OpPop:
 			c.pop()
 		case isa.OpPop2:
@@ -716,10 +517,8 @@ func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 			c.fail()
 
 		default:
-			if unaryOp(in.Op) {
-				c.unary(in)
-			} else if _, isBin := microForOp[in.Op]; isBin {
-				c.binary(in)
+			if n := in.Op.Arity(); n != 0 {
+				c.arith(in, n)
 			} else {
 				c.fail() // not a pure op: discovery should never admit it
 			}

@@ -16,15 +16,16 @@ import (
 // trap; a control transfer may terminate a block inclusively — an
 // unconditional goto (static target, fixed cost) or one conditional
 // branch, whose outcome the executor evaluates from the block's own
-// final stack and whose branch-model bookkeeping (predictor update,
-// penalty) it mirrors exactly. Division by a preceding nonzero constant
+// final stack and feeds to the interpreter's own branch model
+// (predictor update, penalty). Division by a preceding nonzero constant
 // is admitted (it cannot trap), but such an instruction can never
 // *start* a block: a branch could land on it with a computed divisor on
 // the stack, losing the guarantee.
 type Superblock struct {
 	// Len is the number of instructions the block covers. 0 means no
-	// block starts at this index (the instruction is impure, or is a
-	// guarded divide whose no-trap proof needs its predecessor).
+	// block starts at this index: the instruction is impure, is a
+	// guarded divide whose no-trap proof needs its predecessor, or
+	// begins a suffix the micro lowering could not model.
 	Len int32
 	// Target is the Code index execution continues at after the block:
 	// the trailing goto's destination, or entry+Len for fallthrough.
@@ -33,8 +34,8 @@ type Superblock struct {
 	Target int32
 	// End classifies the block's terminal control transfer: EndFall for
 	// fallthrough or a trailing goto (Target is static either way), or
-	// the conditional-branch kind whose outcome the replay must decide.
-	End uint8
+	// the conditional-branch opcode whose outcome the replay must decide.
+	End isa.Op
 	// Cond is a conditional terminal's condition code (the branch
 	// instruction's A operand).
 	Cond int32
@@ -58,15 +59,9 @@ type Superblock struct {
 	// that follows it (Segs) as the replay crosses it.
 	FirstLen int32
 
-	// MicroOK reports that the block lowered to slot-addressed
-	// micro-ops (Micro/LFlags/SFlags/MaxDepth); the executor replays
-	// those instead of walking the stack ops. When false the executor
-	// uses the stack-walking replay — same semantics, slower host path.
-	// A block that absorbs memory instructions always has MicroOK set
-	// (the stack-walking replay handles only pure code); when the
-	// extended lowering bails, discovery falls back to the memory-free
-	// prefix as the block.
-	MicroOK  bool
+	// Micro is the block lowered to slot-addressed micro-ops, LFlags and
+	// SFlags the deferred reference-flag writes that follow them, and
+	// MaxDepth the operand-stack depth the replay needs above entry SP.
 	Micro    []MicroOp
 	LFlags   []FlagWrite
 	SFlags   []FlagWrite
@@ -122,17 +117,17 @@ type MemBound struct {
 	LfLo, LfHi, SfLo, SfHi int32
 }
 
-// End kinds. EndFall covers plain fallthrough and the trailing
-// unconditional goto; the conditional kinds match the four
-// conditional-branch opcodes. A block never *contains* a branch — a
-// conditional terminal is always its last instruction, counted in Len,
-// Cycles and StackDelta (the branch pops its operands).
+// End kinds. EndFall (the zero value) covers plain fallthrough and the
+// trailing unconditional goto; the conditional kinds are the four
+// conditional-branch opcodes themselves. A block never *contains* a
+// branch — a conditional terminal is always its last instruction,
+// counted in Len, Cycles and StackDelta (the branch pops its operands).
 const (
-	EndFall uint8 = iota
-	EndIf
-	EndIfCmpI
-	EndIfCmpRef
-	EndIfNull
+	EndFall     = isa.OpNop
+	EndIf       = isa.OpIf
+	EndIfCmpI   = isa.OpIfCmpI
+	EndIfCmpRef = isa.OpIfCmpRef
+	EndIfNull   = isa.OpIfNull
 )
 
 // ResMaskAll marks a block valid under every cache-residency class
@@ -180,8 +175,7 @@ func guardedDivOp(op isa.Op) bool {
 
 // guardedDiv reports whether the divide/remainder at index i provably
 // cannot trap: its divisor is the immediately preceding pushconst and
-// is nonzero. (The executor's guarded fast path still mirrors the
-// MinInt/-1 special cases exactly.)
+// is nonzero. (MinValue/-1 does not trap; isa.Eval defines its result.)
 func guardedDiv(code []isa.Instr, i int) bool {
 	if i == 0 || code[i-1].Op != isa.OpPushConst {
 		return false
@@ -249,10 +243,10 @@ func stackDeltaOf(op isa.Op) int32 {
 // instructions — optionally extended through one terminating goto or
 // conditional branch — every index gets the suffix block reaching the
 // run's end, so a thread whose quantum expired mid-run resumes with a
-// (shorter) block at its exact PC. When the extended micro lowering of
-// a suffix bails (typically a memory instruction consuming operands
-// the suffix did not push), the suffix falls back to its memory-free
-// prefix, which the stack-walking replay can always handle.
+// (shorter) block at its exact PC. When the micro lowering of a suffix
+// bails (typically an instruction consuming operands the suffix did not
+// push), no block starts there: the interpreter steps until the next
+// index whose suffix does lower.
 func discoverSuperblocks(code []isa.Instr) []Superblock {
 	sb := make([]Superblock, len(code))
 	for s := 0; s < len(code); {
@@ -269,53 +263,20 @@ func discoverSuperblocks(code []isa.Instr) []Superblock {
 		// A trailing control transfer joins the run: an unconditional
 		// goto (static target, fixed cost) or one conditional branch,
 		// whose outcome the executor decides from the replayed stack.
-		gotoEnd := false
-		end := EndFall
-		if e < len(code) {
-			switch code[e].Op {
-			case isa.OpGoto:
-				gotoEnd = true
-				e++
-			case isa.OpIf:
-				end = EndIf
-				e++
-			case isa.OpIfCmpI:
-				end = EndIfCmpI
-				e++
-			case isa.OpIfCmpRef:
-				end = EndIfCmpRef
-				e++
-			case isa.OpIfNull:
-				end = EndIfNull
-				e++
-			}
-		}
-		// The replayable (micro-compilable) prefix excludes the terminal:
-		// a goto has no data effect, and a conditional branch reads the
-		// operands the replay leaves just above the block's final SP. The
-		// terminal's cost and instruction count still belong to the
-		// block's final segment, so the compiler receives it separately.
+		//
+		// The replayable (micro-compilable) prefix [s, pe) excludes that
+		// terminal: a goto has no data effect, and a conditional branch
+		// reads the operands the replay leaves just above the block's
+		// final SP. The terminal's cost and instruction count still belong
+		// to the block's final segment, so the compiler receives it
+		// separately.
 		pe := e
 		var term *isa.Instr
-		if gotoEnd || end != EndFall {
-			pe = e - 1
-			term = &code[e-1]
-		}
-		setTerminal := func(b *Superblock, q int) {
-			// q is the block's exclusive end within [s, pe]; the terminal
-			// applies only when the block reaches the full prefix.
-			if q == pe && term != nil {
-				b.Len++
-				b.StackDelta += stackDeltaOf(term.Op)
-				b.End = end
-				if gotoEnd {
-					b.Target = term.A
-				} else {
-					b.Target = term.B
-					b.Cond = term.A
-				}
-			} else {
-				b.Target = int32(q)
+		if e < len(code) {
+			switch code[e].Op {
+			case isa.OpGoto, isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull:
+				term = &code[e]
+				e++
 			}
 		}
 		for p := e - 1; p >= s; p-- {
@@ -327,52 +288,28 @@ func discoverSuperblocks(code []isa.Instr) []Superblock {
 				// neither starts one.
 				continue
 			}
-			var b Superblock
-			b.ResMask = ResMaskAll
 			mb, ok := compileMicro(code[p:pe], term)
-			if ok {
-				for q := p; q < pe; q++ {
-					b.Len++
-					b.StackDelta += stackDeltaOf(code[q].Op)
-				}
-				setTerminal(&b, pe)
-				b.Cycles, b.ClassCycles, b.FirstLen = mb.FirstCycles, mb.FirstClass, mb.FirstLen
-				b.MicroOK = true
-				b.Micro, b.LFlags, b.SFlags, b.MaxDepth = mb.Micro, mb.LFlags, mb.SFlags, mb.MaxDepth
-				b.Bounds, b.Segs, b.Mats = mb.Bounds, mb.Segs, mb.Mats
-				b.BLFlags, b.BSFlags = mb.BLFlags, mb.BSFlags
-				sb[p] = b
+			if !ok {
 				continue
 			}
-			// Fallback: the longest memory-free prefix from p. Its whole
-			// cost is static, so it charges in one step and the
-			// stack-walking replay covers a second lowering bail.
-			q := p
-			for q < pe && !memOp(code[q].Op) {
-				q++
+			b := Superblock{
+				Len: int32(pe - p), Target: int32(pe), ResMask: ResMaskAll,
+				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
+				Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
+				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
+				BLFlags: mb.BLFlags, BSFlags: mb.BSFlags,
 			}
-			if q == p {
-				continue
+			for q := p; q < pe; q++ {
+				b.StackDelta += stackDeltaOf(code[q].Op)
 			}
-			for r := p; r < q; r++ {
+			if term != nil {
 				b.Len++
-				b.Cycles += uint64(code[r].Cost)
-				b.ClassCycles[code[r].Op.Class()] += uint64(code[r].Cost)
-				b.StackDelta += stackDeltaOf(code[r].Op)
-			}
-			setTerminal(&b, q)
-			if q == pe && term != nil {
-				b.Cycles += uint64(term.Cost)
-				b.ClassCycles[term.Op.Class()] += uint64(term.Cost)
-			}
-			b.FirstLen = b.Len
-			var fterm *isa.Instr
-			if q == pe {
-				fterm = term
-			}
-			if fmb, fok := compileMicro(code[p:q], fterm); fok {
-				b.MicroOK = true
-				b.Micro, b.LFlags, b.SFlags, b.MaxDepth = fmb.Micro, fmb.LFlags, fmb.SFlags, fmb.MaxDepth
+				b.StackDelta += stackDeltaOf(term.Op)
+				if term.Op == isa.OpGoto {
+					b.Target = term.A
+				} else {
+					b.End, b.Target, b.Cond = term.Op, term.B, term.A
+				}
 			}
 			sb[p] = b
 		}

@@ -28,32 +28,41 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 	return cm
 }
 
-// TestSuperblockSuffixRuns checks that a pure straight-line prefix gets
-// a suffix block at every index, with cost vectors that sum the
+// TestSuperblockSuffixRuns checks which indices of a pure straight-line
+// run get a block. A suffix the micro lowering cannot model — here,
+// one that consumes operands pushed before its entry — gets Len == 0
+// (the interpreter steps it); every index whose suffix does lower gets
+// a block reaching the run's end, with a cost vector that sums the
 // instructions' static costs and a stack delta matching the net effect.
 func TestSuperblockSuffixRuns(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
-		a.ConstI(3) // pure
-		a.ConstI(4) // pure
-		a.AddI()    // pure
+		a.ConstI(3) // lowers: the whole run
+		a.ConstI(4) // the add below pops the 3 pushed before this entry
+		a.AddI()    // pops both operands from before its entry
+		a.StoreI(0) // pops the sum from before its entry
+		a.LoadI(0)  // the first index after them whose suffix lowers
+		a.ConstI(1) // the add below pops the load from before this entry
+		a.AddI()    //
 		a.Ret()     // ends the run
 	})
-	if len(cm.SB) != len(cm.Code) {
-		t.Fatalf("SB length %d != code length %d", len(cm.SB), len(cm.Code))
+	ops := []isa.Op{isa.OpPushConst, isa.OpPushConst, isa.OpAddI, isa.OpStoreLocal,
+		isa.OpLoadLocal, isa.OpPushConst, isa.OpAddI, isa.OpReturn}
+	lowers := []bool{true, false, false, false, true, false, false, false}
+	if len(cm.SB) != len(cm.Code) || len(cm.Code) != len(ops) {
+		t.Fatalf("SB length %d, code length %d, want both %d", len(cm.SB), len(cm.Code), len(ops))
 	}
-	// Find the run end: the OpReturn.
-	end := -1
-	for i, in := range cm.Code {
-		if in.Op == isa.OpReturn {
-			end = i
-			break
+	end := len(ops) - 1 // the OpReturn
+	for p, in := range cm.Code {
+		if in.Op != ops[p] {
+			t.Fatalf("pc %d: backend emitted %v, the test expects %v", p, in.Op, ops[p])
 		}
-	}
-	if end < 1 {
-		t.Fatalf("no return in %v", cm.Code)
-	}
-	for p := 0; p < end; p++ {
 		b := cm.SB[p]
+		if !lowers[p] {
+			if b.Len != 0 {
+				t.Errorf("pc %d: unlowerable suffix must not start a block: %+v", p, b)
+			}
+			continue
+		}
 		if int(b.Len) != end-p {
 			t.Fatalf("pc %d: Len=%d want %d", p, b.Len, end-p)
 		}
@@ -78,8 +87,54 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 			t.Fatalf("pc %d: ResMask=%#x want %#x", p, b.ResMask, ResMaskAll)
 		}
 	}
-	if cm.SB[end].Len != 0 {
-		t.Errorf("return must not start a block")
+}
+
+// TestEveryPureOpEvaluates pins the invariant the replay's dispatch
+// rests on: every op superblock discovery admits is either a stack or
+// local op the lowering handles structurally or one isa.Eval defines,
+// and every micro-op the lowering emits is one the replay dispatches —
+// a move, an absorbable memory op or an Eval op. A disagreement is this
+// test failing, not a host panic in a user's run.
+func TestEveryPureOpEvaluates(t *testing.T) {
+	structural := map[isa.Op]bool{
+		isa.OpNop: true, isa.OpPushConst: true, isa.OpLoadLocal: true,
+		isa.OpStoreLocal: true, isa.OpPop: true, isa.OpPop2: true,
+		isa.OpDup: true, isa.OpDupX1: true, isa.OpDupX2: true,
+		isa.OpDup2: true, isa.OpSwap: true, isa.OpIncLocal: true,
+	}
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		if !pureOp(op) && !guardedDivOp(op) && !memOp(op) {
+			continue
+		}
+		switch n := op.Arity(); {
+		case memOp(op) || structural[op]:
+			if n != 0 {
+				t.Errorf("%v: Arity %d for an op Eval must not define", op, n)
+			}
+		case n == 0:
+			t.Errorf("discovery admits %v but isa.Eval does not define it", op)
+		default:
+			if _, ok := isa.Eval(op, 7, 3, -1); !ok {
+				t.Errorf("isa.Eval(%v) of nonzero operands reported a trap", op)
+			}
+		}
+		// Operands from locals (so nothing folds away) and from
+		// constants (so everything that can fold does).
+		for _, load := range []isa.Op{isa.OpLoadLocal, isa.OpPushConst} {
+			code := []isa.Instr{
+				{Op: load, A: 1, Cost: 1}, {Op: load, A: 2, Cost: 1}, {Op: load, A: 3, Cost: 1},
+				{Op: op, A: 1, B: 1, Cost: 1},
+			}
+			mb, ok := compileMicro(code, nil)
+			if !ok {
+				continue // a clean bail: discovery emits no block
+			}
+			for _, m := range mb.Micro {
+				if m.Code != MMov && m.Code != MMovImm && !memOp(m.Code) && m.Code.Arity() == 0 {
+					t.Errorf("%v after %v lowered to micro-op %v, which the replay cannot dispatch", op, load, m.Code)
+				}
+			}
+		}
 	}
 }
 
@@ -153,7 +208,7 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 	if int(b.Len) != 5 {
 		t.Fatalf("block at 0 must absorb the load and run to the return: %+v", b)
 	}
-	if !b.MicroOK {
+	if len(b.Micro) == 0 {
 		t.Fatalf("absorbed block must lower to micro-ops: %+v", b)
 	}
 	if len(b.Bounds) != 1 || len(b.Segs) != 1 {

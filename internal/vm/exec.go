@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
@@ -66,11 +65,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 			}
 		}
 		in := f.CM.Code[f.PC]
-		core.Charge(in.Op.Class(), uint64(in.Cost))
-		if f.ctr != nil {
-			f.ctr.Cycles[in.Op.Class()] += uint64(in.Cost)
-		}
-		core.Stats.Instrs++
+		f.retire(core, in.Op.Class(), uint64(in.Cost))
 		if err := vm.step(core, t, f, in); err != nil {
 			vm.raise(core, t, err)
 			if t.State != StateRunning {
@@ -114,47 +109,70 @@ func (f *Frame) chargeDyn(class isa.OpClass, n uint64) {
 	}
 }
 
-// step executes one instruction. It returns a TrapError to kill the
-// thread; all other control effects (blocking, migration, termination)
-// are applied to t directly.
-func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
-	adv := true // advance PC unless a branch/call handled it
-	main := vm.Machine.Mem
+// retire charges one instruction's static cost to the core and the
+// per-method monitor counters and counts it retired: the prologue every
+// individually executed instruction shares, whichever loop dispatched
+// it (execute, the fast path's chain, an absorbed memory micro-op).
+func (f *Frame) retire(core *cell.Core, class isa.OpClass, cost uint64) {
+	core.Charge(class, cost)
+	f.chargeDyn(class, cost)
+	core.Stats.Instrs++
+}
 
-	popI := func() int32 { v, _ := f.pop(); return int32(uint32(v)) }
-	pushI := func(v int32) { f.push(uint64(uint32(v)), false) }
-	popL := func() int64 { v, _ := f.pop(); return int64(v) }
-	pushL := func(v int64) { f.push(uint64(v), false) }
-	popF := func() float32 { v, _ := f.pop(); return math.Float32frombits(uint32(v)) }
-	pushF := func(v float32) { f.push(uint64(math.Float32bits(v)), false) }
-	popD := func() float64 { v, _ := f.pop(); return math.Float64frombits(v) }
-	pushD := func(v float64) { f.push(math.Float64bits(v), false) }
-	popRef := func() Ref { v, _ := f.pop(); return Ref(v) }
-	pushRef := func(r Ref) { f.push(uint64(r), true) }
+// branch executes the conditional branch at f.PC: it decides the
+// outcome from the popped operands (a pushed first; b is unused by the
+// one-operand forms), applies the kind's branch model — a hardware
+// predictor charges the kind's BranchTakenExtra on a mispredict; a
+// statically hinted core (the compiler hints fall-through) pays it on
+// every taken branch — and transfers control.
+func (vm *VM) branch(core *cell.Core, f *Frame, op isa.Op, cond, target int32, a, b uint64) {
+	var taken bool
+	switch op {
+	case isa.OpIf:
+		taken = condHolds(cond, compare32(int32(a), 0))
+	case isa.OpIfCmpI:
+		taken = condHolds(cond, compare32(int32(a), int32(b)))
+	case isa.OpIfCmpRef:
+		eq := Ref(a) == Ref(b)
+		taken = (cond == isa.CondEQ && eq) || (cond == isa.CondNE && !eq)
+	default: // isa.OpIfNull
+		taken = (cond == 0 && Ref(a) == 0) || (cond == 1 && Ref(a) != 0)
+	}
+	miss := taken
+	if core.BP != nil {
+		miss = !core.BP.Predict(uint32(f.CM.M.ID)<<12^uint32(f.PC), taken)
+	}
+	if miss {
+		penalty := uint64(vm.compilers[core.Kind].Costs().BranchTakenExtra)
+		core.Charge(isa.ClassBranch, penalty)
+		f.chargeDyn(isa.ClassBranch, penalty)
+	}
+	if taken {
+		f.PC = int(target)
+	} else {
+		f.PC++
+	}
+}
 
-	// The kind's branch model: a hardware predictor charges its penalty
-	// on mispredicts; a statically hinted core (the compiler hints
-	// fall-through) pays the kind's BranchTakenExtra on every taken
-	// conditional branch.
-	branch := func(target int32, taken bool) {
-		if core.BP != nil {
-			site := uint32(f.CM.M.ID)<<12 ^ uint32(f.PC)
-			if !core.BP.Predict(site, taken) {
-				penalty := uint64(vm.compilers[core.Kind].Costs().BranchTakenExtra)
-				core.Charge(isa.ClassBranch, penalty)
-				f.chargeDyn(isa.ClassBranch, penalty)
+func (f *Frame) popI() int32 { v, _ := f.pop(); return int32(uint32(v)) }
+func (f *Frame) popRef() Ref { v, _ := f.pop(); return Ref(v) }
+
+// chargeVec is chargeDyn for a superblock segment's per-class vector.
+func (f *Frame) chargeVec(v *[isa.NumClasses]uint64) {
+	if f.ctr != nil {
+		for i, n := range v {
+			if n != 0 { // blocks rarely span more than a few classes
+				f.ctr.Cycles[i] += n
 			}
-		} else if taken {
-			penalty := uint64(vm.compilers[core.Kind].Costs().BranchTakenExtra)
-			core.Charge(isa.ClassBranch, penalty)
-			f.chargeDyn(isa.ClassBranch, penalty)
-		}
-		if taken {
-			f.PC = int(target)
-			adv = false
 		}
 	}
+}
 
+// step executes one instruction. It returns a TrapError to kill the
+// thread; all other control effects (blocking, migration, termination)
+// are applied to t directly. Cases that transfer control return early;
+// the rest fall out of the switch to the PC advance.
+func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 	switch in.Op {
 	case isa.OpNop:
 
@@ -202,227 +220,34 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		f.push(a, ar)
 		f.push(b, br)
 	case isa.OpIncLocal:
-		f.Locals[in.A] = uint64(uint32(int32(uint32(f.Locals[in.A])) + in.B))
-
-	// --- int ---
-	case isa.OpAddI:
-		b, a := popI(), popI()
-		pushI(a + b)
-	case isa.OpSubI:
-		b, a := popI(), popI()
-		pushI(a - b)
-	case isa.OpMulI:
-		b, a := popI(), popI()
-		pushI(a * b)
-	case isa.OpDivI:
-		b, a := popI(), popI()
-		if b == 0 {
-			return vm.trapAt(f, "ArithmeticException", "/ by zero")
-		}
-		if a == math.MinInt32 && b == -1 {
-			pushI(math.MinInt32)
-		} else {
-			pushI(a / b)
-		}
-	case isa.OpRemI:
-		b, a := popI(), popI()
-		if b == 0 {
-			return vm.trapAt(f, "ArithmeticException", "% by zero")
-		}
-		if a == math.MinInt32 && b == -1 {
-			pushI(0)
-		} else {
-			pushI(a % b)
-		}
-	case isa.OpNegI:
-		pushI(-popI())
-	case isa.OpAndI:
-		b, a := popI(), popI()
-		pushI(a & b)
-	case isa.OpOrI:
-		b, a := popI(), popI()
-		pushI(a | b)
-	case isa.OpXorI:
-		b, a := popI(), popI()
-		pushI(a ^ b)
-	case isa.OpShlI:
-		b, a := popI(), popI()
-		pushI(a << (uint32(b) & 31))
-	case isa.OpShrI:
-		b, a := popI(), popI()
-		pushI(a >> (uint32(b) & 31))
-	case isa.OpUShrI:
-		b, a := popI(), popI()
-		pushI(int32(uint32(a) >> (uint32(b) & 31)))
-
-	// --- long ---
-	case isa.OpAddL:
-		b, a := popL(), popL()
-		pushL(a + b)
-	case isa.OpSubL:
-		b, a := popL(), popL()
-		pushL(a - b)
-	case isa.OpMulL:
-		b, a := popL(), popL()
-		pushL(a * b)
-	case isa.OpDivL:
-		b, a := popL(), popL()
-		if b == 0 {
-			return vm.trapAt(f, "ArithmeticException", "/ by zero")
-		}
-		if a == math.MinInt64 && b == -1 {
-			pushL(math.MinInt64)
-		} else {
-			pushL(a / b)
-		}
-	case isa.OpRemL:
-		b, a := popL(), popL()
-		if b == 0 {
-			return vm.trapAt(f, "ArithmeticException", "% by zero")
-		}
-		if a == math.MinInt64 && b == -1 {
-			pushL(0)
-		} else {
-			pushL(a % b)
-		}
-	case isa.OpNegL:
-		pushL(-popL())
-	case isa.OpAndL:
-		b, a := popL(), popL()
-		pushL(a & b)
-	case isa.OpOrL:
-		b, a := popL(), popL()
-		pushL(a | b)
-	case isa.OpXorL:
-		b, a := popL(), popL()
-		pushL(a ^ b)
-	case isa.OpShlL:
-		b, a := popI(), popL()
-		pushL(a << (uint32(b) & 63))
-	case isa.OpShrL:
-		b, a := popI(), popL()
-		pushL(a >> (uint32(b) & 63))
-	case isa.OpUShrL:
-		b, a := popI(), popL()
-		pushL(int64(uint64(a) >> (uint32(b) & 63)))
-	case isa.OpCmpL:
-		b, a := popL(), popL()
-		pushI(cmpOrder(a < b, a == b))
-
-	// --- float ---
-	case isa.OpAddF:
-		b, a := popF(), popF()
-		pushF(a + b)
-	case isa.OpSubF:
-		b, a := popF(), popF()
-		pushF(a - b)
-	case isa.OpMulF:
-		b, a := popF(), popF()
-		pushF(a * b)
-	case isa.OpDivF:
-		b, a := popF(), popF()
-		pushF(a / b)
-	case isa.OpNegF:
-		pushF(-popF())
-	case isa.OpRemF:
-		b, a := popF(), popF()
-		pushF(float32(math.Mod(float64(a), float64(b))))
-	case isa.OpCmpF:
-		b, a := popF(), popF()
-		if a != a || b != b { // NaN
-			pushI(in.A)
-		} else {
-			pushI(cmpOrder(a < b, a == b))
-		}
-
-	// --- double ---
-	case isa.OpAddD:
-		b, a := popD(), popD()
-		pushD(a + b)
-	case isa.OpSubD:
-		b, a := popD(), popD()
-		pushD(a - b)
-	case isa.OpMulD:
-		b, a := popD(), popD()
-		pushD(a * b)
-	case isa.OpDivD:
-		b, a := popD(), popD()
-		pushD(a / b)
-	case isa.OpNegD:
-		pushD(-popD())
-	case isa.OpRemD:
-		b, a := popD(), popD()
-		pushD(math.Mod(a, b))
-	case isa.OpCmpD:
-		b, a := popD(), popD()
-		if a != a || b != b {
-			pushI(in.A)
-		} else {
-			pushI(cmpOrder(a < b, a == b))
-		}
-
-	// --- conversions ---
-	case isa.OpI2L:
-		pushL(int64(popI()))
-	case isa.OpI2F:
-		pushF(float32(popI()))
-	case isa.OpI2D:
-		pushD(float64(popI()))
-	case isa.OpL2I:
-		pushI(int32(popL()))
-	case isa.OpL2F:
-		pushF(float32(popL()))
-	case isa.OpL2D:
-		pushD(float64(popL()))
-	case isa.OpF2I:
-		pushI(f2i(float64(popF())))
-	case isa.OpF2L:
-		pushL(d2l(float64(popF())))
-	case isa.OpF2D:
-		pushD(float64(popF()))
-	case isa.OpD2I:
-		pushI(f2i(popD()))
-	case isa.OpD2L:
-		pushL(d2l(popD()))
-	case isa.OpD2F:
-		pushF(float32(popD()))
-	case isa.OpI2B:
-		pushI(int32(int8(popI())))
-	case isa.OpI2C:
-		pushI(int32(uint16(popI())))
-	case isa.OpI2S:
-		pushI(int32(int16(popI())))
+		// iinc is an int add into the local; its reference flag is
+		// untouched.
+		f.Locals[in.A], _ = isa.Eval(isa.OpAddI, f.Locals[in.A], uint64(uint32(in.B)), 0)
 
 	// --- control ---
 	case isa.OpGoto:
 		f.PC = int(in.A)
-		adv = false
-	case isa.OpIf:
-		v := popI()
-		branch(in.B, condHolds(in.A, compare32(v, 0)))
-	case isa.OpIfCmpI:
-		b, a := popI(), popI()
-		branch(in.B, condHolds(in.A, compare32(a, b)))
-	case isa.OpIfCmpRef:
-		b, a := popRef(), popRef()
-		eq := a == b
-		taken := (in.A == isa.CondEQ && eq) || (in.A == isa.CondNE && !eq)
-		branch(in.B, taken)
-	case isa.OpIfNull:
-		r := popRef()
-		taken := (in.A == 0 && r == 0) || (in.A == 1 && r != 0)
-		branch(in.B, taken)
+		return nil
+	case isa.OpIf, isa.OpIfNull:
+		a, _ := f.pop()
+		vm.branch(core, f, in.Op, in.A, in.B, a, 0)
+		return nil
+	case isa.OpIfCmpI, isa.OpIfCmpRef:
+		b, _ := f.pop()
+		a, _ := f.pop()
+		vm.branch(core, f, in.Op, in.A, in.B, a, b)
+		return nil
 	case isa.OpTableSwitch:
-		idx := popI()
+		idx := f.popI()
 		table := f.CM.Tables[in.C]
 		if idx >= in.A && int(idx-in.A) < len(table) {
 			f.PC = int(table[idx-in.A])
 		} else {
 			f.PC = int(in.B)
 		}
-		adv = false
+		return nil
 	case isa.OpLookupSwitch:
-		key := popI()
+		key := f.popI()
 		table := f.CM.Tables[in.C]
 		keys := f.CM.Keys[in.C]
 		f.PC = int(in.B)
@@ -432,13 +257,12 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 				break
 			}
 		}
-		adv = false
+		return nil
 
 	// --- calls ---
 	case isa.OpCallStatic, isa.OpCallSpecial:
 		callee := vm.Prog.MethodByID(int(in.A))
 		f.PC++
-		adv = false
 		return vm.invoke(core, t, f, callee)
 	case isa.OpCallVirtual:
 		declared := vm.classByID[in.B].VTable[in.A]
@@ -454,7 +278,6 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			callee = vm.Prog.Object.VTable[in.A]
 		}
 		f.PC++
-		adv = false
 		return vm.invoke(core, t, f, callee)
 	case isa.OpCallInterface:
 		im := vm.ifaceMethods[int(in.A)]
@@ -471,7 +294,6 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			return vm.trapAt(f, "AbstractMethodError", im.Sig())
 		}
 		f.PC++
-		adv = false
 		return vm.invoke(core, t, f, callee)
 	case isa.OpReturn:
 		var val uint64
@@ -480,67 +302,12 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			val, isRef = f.pop()
 		}
 		vm.returnFrom(core, t, val, isRef, in.A == 1)
-		adv = false
+		return nil
 
 	// --- heap ---
-	case isa.OpGetField:
-		ref := popRef()
-		if ref == 0 {
-			return vm.trapAt(f, "NullPointerException", "getfield")
-		}
-		v := vm.loadMem(core, f, ref, vm.objectSize(ref), uint32(in.A), 8, in.B, false)
-		f.push(v, in.B&isa.FlagRef != 0)
-	case isa.OpPutField:
-		v, _ := f.pop()
-		ref := popRef()
-		if ref == 0 {
-			return vm.trapAt(f, "NullPointerException", "putfield")
-		}
-		vm.storeMem(core, f, ref, vm.objectSize(ref), uint32(in.A), 8, v, in.B, false)
-	case isa.OpGetStatic:
-		addr := vm.staticsBase + uint32(in.A)*isa.SlotBytes
-		v := vm.loadMem(core, f, addr, isa.SlotBytes, 0, 8, in.B, false)
-		f.push(v, in.B&isa.FlagRef != 0)
-	case isa.OpPutStatic:
-		v, _ := f.pop()
-		addr := vm.staticsBase + uint32(in.A)*isa.SlotBytes
-		vm.storeMem(core, f, addr, isa.SlotBytes, 0, 8, v, in.B, false)
-	case isa.OpALoad:
-		idx := popI()
-		arr := popRef()
-		if arr == 0 {
-			return vm.trapAt(f, "NullPointerException", "array load")
-		}
-		n := vm.arrayLength(core, f, arr)
-		if idx < 0 || uint32(idx) >= n {
-			return vm.trapAt(f, "ArrayIndexOutOfBoundsException",
-				fmt.Sprintf("index %d, length %d", idx, n))
-		}
-		k := isa.ElemKind(in.A)
-		esz := k.Size()
-		raw := vm.loadMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, 0, true)
-		f.push(extendElem(k, raw), k == isa.ElemRef)
-	case isa.OpAStore:
-		v, _ := f.pop()
-		idx := popI()
-		arr := popRef()
-		if arr == 0 {
-			return vm.trapAt(f, "NullPointerException", "array store")
-		}
-		n := vm.arrayLength(core, f, arr)
-		if idx < 0 || uint32(idx) >= n {
-			return vm.trapAt(f, "ArrayIndexOutOfBoundsException",
-				fmt.Sprintf("index %d, length %d", idx, n))
-		}
-		k := isa.ElemKind(in.A)
-		esz := k.Size()
-		vm.storeMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, v, 0, true)
-	case isa.OpArrayLen:
-		arr := popRef()
-		if arr == 0 {
-			return vm.trapAt(f, "NullPointerException", "arraylength")
-		}
-		pushI(int32(vm.arrayLength(core, f, arr)))
+	case isa.OpGetField, isa.OpPutField, isa.OpGetStatic, isa.OpPutStatic,
+		isa.OpALoad, isa.OpAStore, isa.OpArrayLen:
+		return vm.stepMem(core, f, in.Op, in.A, in.B)
 
 	// --- allocation and type tests ---
 	case isa.OpNew:
@@ -548,9 +315,9 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		if err != nil {
 			return vm.trapAt(f, "OutOfMemoryError", err.Error())
 		}
-		pushRef(obj)
+		f.push(uint64(obj), true)
 	case isa.OpNewArray, isa.OpANewArray:
-		n := popI()
+		n := f.popI()
 		if n < 0 {
 			return vm.trapAt(f, "NegativeArraySizeException", fmt.Sprintf("%d", n))
 		}
@@ -562,31 +329,35 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		if err != nil {
 			return vm.trapAt(f, "OutOfMemoryError", err.Error())
 		}
-		pushRef(arr)
+		f.push(uint64(arr), true)
 	case isa.OpInstanceOf:
-		r := popRef()
-		pushI(boolToI(r != 0 && vm.isInstance(r, vm.classByID[in.A])))
+		r := f.popRef()
+		var is uint64
+		if r != 0 && vm.isInstance(r, vm.classByID[in.A]) {
+			is = 1
+		}
+		f.push(is, false)
 	case isa.OpCheckCast:
-		r := popRef()
+		r := f.popRef()
 		if r != 0 && !vm.isInstance(r, vm.classByID[in.A]) {
 			return vm.trapAt(f, "ClassCastException",
 				fmt.Sprintf("%#x is not a %s", r, vm.classByID[in.A].Name))
 		}
-		pushRef(r)
+		f.push(uint64(r), true)
 
 	// --- synchronisation ---
 	case isa.OpMonitorEnter:
-		obj := popRef()
+		obj := f.popRef()
 		if obj == 0 {
 			return vm.trapAt(f, "NullPointerException", "monitorenter")
 		}
 		f.PC++
-		adv = false
 		if !vm.monitorEnter(core, t, obj) {
 			t.needPurge = core.Kind.UsesLocalStore()
 		}
+		return nil
 	case isa.OpMonitorExit:
-		obj := popRef()
+		obj := f.popRef()
 		if obj == 0 {
 			return vm.trapAt(f, "NullPointerException", "monitorexit")
 		}
@@ -594,32 +365,118 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			return err
 		}
 	case isa.OpThrow:
-		r := popRef()
+		r := f.popRef()
 		if r == 0 {
 			return vm.trapAt(f, "NullPointerException", "athrow on null")
 		}
 		return thrownError{ref: r}
 
 	default:
-		return vm.trapAt(f, "InternalError", fmt.Sprintf("unhandled opcode %v", in.Op))
+		// Arithmetic, compares and conversions: pop, isa.Eval, push.
+		n := in.Op.Arity()
+		if n == 0 {
+			return vm.trapAt(f, "InternalError", fmt.Sprintf("unhandled opcode %v", in.Op))
+		}
+		var a, b uint64
+		if n == 2 {
+			b, _ = f.pop()
+		}
+		a, _ = f.pop()
+		v, ok := isa.Eval(in.Op, a, b, in.A)
+		if !ok {
+			detail := "/ by zero"
+			if in.Op == isa.OpRemI || in.Op == isa.OpRemL {
+				detail = "% by zero"
+			}
+			return vm.trapAt(f, "ArithmeticException", detail)
+		}
+		f.push(v, false)
 	}
-
-	if adv {
-		f.PC++
-	}
-	_ = main
+	f.PC++
 	return nil
 }
 
-func cmpOrder(less, eq bool) int32 {
-	switch {
-	case less:
-		return -1
-	case eq:
-		return 0
-	default:
-		return 1
+// stepMem executes one memory instruction against the operand stack:
+// pop the operands, memAccess, push a load's result, advance the PC.
+// On a trap the operands stay popped. It is step's heap case and the
+// fast path's between-block chain.
+func (vm *VM) stepMem(core *cell.Core, f *Frame, op isa.Op, a, b int32) error {
+	var o [3]uint64
+	pops, loads := op.MemShape()
+	for i := pops - 1; i >= 0; i-- {
+		o[i], _ = f.pop()
 	}
+	v, isRef, err := vm.memAccess(core, f, op, a, b, o[0], o[1], o[2])
+	if err != nil {
+		return err
+	}
+	if loads {
+		f.push(v, isRef)
+	}
+	f.PC++
+	return nil
+}
+
+// memAccess is the one definition of the seven array/field/static
+// instructions: null and bounds checks, then the load or store through
+// the core's memory path (so the cache model, coherence actions and
+// dynamic charges evolve the same whoever calls). a and b are the
+// instruction's A/B operands (element kind, or field offset / static
+// slot and flags); x, y, z its stack operands in push order — array
+// (or object) reference, index, stored value, as far as the op has
+// them. It returns a load's value and reference flag. A trap reports
+// f.PC, which the caller keeps at the instruction.
+func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, z uint64) (uint64, bool, error) {
+	switch op {
+	case isa.OpALoad, isa.OpAStore:
+		arr, idx := Ref(x), int32(y)
+		if arr == 0 {
+			detail := "array load"
+			if op == isa.OpAStore {
+				detail = "array store"
+			}
+			return 0, false, vm.trapAt(f, "NullPointerException", detail)
+		}
+		n := vm.arrayLength(core, f, arr)
+		if idx < 0 || uint32(idx) >= n {
+			return 0, false, vm.trapAt(f, "ArrayIndexOutOfBoundsException",
+				fmt.Sprintf("index %d, length %d", idx, n))
+		}
+		k := isa.ElemKind(a)
+		esz := k.Size()
+		if op == isa.OpAStore {
+			vm.storeMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, z, 0, true)
+			return 0, false, nil
+		}
+		raw := vm.loadMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, 0, true)
+		return extendElem(k, raw), k == isa.ElemRef, nil
+	case isa.OpArrayLen:
+		if Ref(x) == 0 {
+			return 0, false, vm.trapAt(f, "NullPointerException", "arraylength")
+		}
+		return uint64(vm.arrayLength(core, f, Ref(x))), false, nil
+	case isa.OpGetField:
+		ref := Ref(x)
+		if ref == 0 {
+			return 0, false, vm.trapAt(f, "NullPointerException", "getfield")
+		}
+		v := vm.loadMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, b, false)
+		return v, b&isa.FlagRef != 0, nil
+	case isa.OpPutField:
+		ref := Ref(x)
+		if ref == 0 {
+			return 0, false, vm.trapAt(f, "NullPointerException", "putfield")
+		}
+		vm.storeMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, y, b, false)
+	case isa.OpGetStatic:
+		addr := vm.staticsBase + uint32(a)*isa.SlotBytes
+		v := vm.loadMem(core, f, addr, isa.SlotBytes, 0, 8, b, false)
+		return v, b&isa.FlagRef != 0, nil
+	case isa.OpPutStatic:
+		addr := vm.staticsBase + uint32(a)*isa.SlotBytes
+		vm.storeMem(core, f, addr, isa.SlotBytes, 0, 8, x, b, false)
+	}
+	return 0, false, nil
 }
 
 func compare32(a, b int32) int32 {
@@ -649,39 +506,6 @@ func condHolds(cond, order int32) bool {
 		return order <= 0
 	}
 	return false
-}
-
-func boolToI(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// f2i converts with Java semantics: NaN -> 0, saturating at int bounds.
-func f2i(v float64) int32 {
-	switch {
-	case v != v:
-		return 0
-	case v >= math.MaxInt32:
-		return math.MaxInt32
-	case v <= math.MinInt32:
-		return math.MinInt32
-	}
-	return int32(v)
-}
-
-// d2l converts with Java semantics for long.
-func d2l(v float64) int64 {
-	switch {
-	case v != v:
-		return 0
-	case v >= math.MaxInt64:
-		return math.MaxInt64
-	case v <= math.MinInt64:
-		return math.MinInt64
-	}
-	return int64(v)
 }
 
 // extendElem widens a raw array element to its stack representation.
