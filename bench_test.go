@@ -1,9 +1,6 @@
-// Benchmarks that regenerate each figure of the paper's evaluation
-// (Figures 4(a), 4(b), 5, 6, 7) and the DESIGN.md ablations at reduced
-// scale, reporting the figure's headline numbers as benchmark metrics.
-// `cmd/herabench` produces the full tables; these provide a
-// `go test -bench` entry point per experiment plus microbenchmarks of
-// the simulator substrates.
+// Benchmarks that regenerate every registered figure at reduced scale
+// (`cmd/herabench` prints the tables; this is the `go test -bench` entry
+// point per figure id) plus microbenchmarks of the simulator substrates.
 package hera_test
 
 import (
@@ -30,124 +27,25 @@ func benchOpts() experiments.Options {
 	}
 }
 
-// BenchmarkFig4aSpeedup regenerates Figure 4(a) (speedup vs PPE on 1 and
-// 6 SPEs) and reports the three workloads' 6-SPE speedups.
-func BenchmarkFig4aSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig4a(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			b.ReportMetric(r.SixSPE, r.Workload+"-6spe-x")
-		}
-	}
-}
-
-// BenchmarkFig4bScalability regenerates Figure 4(b) (speedup on 1..6
-// SPEs relative to one SPE).
-func BenchmarkFig4bScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig4b(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			b.ReportMetric(r.Scaling[len(r.Scaling)-1], r.Workload+"-scale6")
-		}
-	}
-}
-
-// BenchmarkFig5CycleBreakdown regenerates Figure 5 (proportion of SPE
-// cycles per operation type) and reports mandelbrot's FP share and
-// compress's main-memory share — the paper's two headline observations.
-func BenchmarkFig5CycleBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			switch r.Workload {
-			case "mandelbrot":
-				b.ReportMetric(r.Shares[1], "mandel-fp-share") // ClassFloat
-			case "compress":
-				b.ReportMetric(r.Shares[5], "compress-mem-share") // ClassMainMem
+// BenchmarkFigures regenerates every registered figure — the paper's
+// Figures 4-7, the A1-A4 ablations and the reproduction's own sweeps —
+// as one sub-benchmark per herabench -fig id, and asserts the figure's
+// own Check on the way, so a registry entry cannot silently rot.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range experiments.Figures() {
+		b.Run(f.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := f.Run(benchOpts())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c, ok := res.(experiments.Checker); ok {
+					if err := c.Check(benchOpts()); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig6DataCache regenerates Figure 6 (data-cache size sweep)
-// and reports compress's degradation at the smallest size.
-func BenchmarkFig6DataCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Workload == "compress" {
-				b.ReportMetric(r.RelPerf[0], "compress-8kb-relperf")
-				b.ReportMetric(r.HitRate[len(r.HitRate)-1], "compress-104kb-hitrate")
-			}
-		}
-	}
-}
-
-// BenchmarkFig7CodeCache regenerates Figure 7 (code-cache size sweep)
-// and reports mpegaudio's collapse at the smallest size.
-func BenchmarkFig7CodeCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Workload == "mpegaudio" {
-				b.ReportMetric(r.RelPerf[0], "mpeg-8kb-relperf")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationBlockSize regenerates ablation A1 (array block size).
-func BenchmarkAblationBlockSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunA1(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationMigration regenerates ablation A2 (migration
-// amortisation) and reports the break-even work size.
-func BenchmarkAblationMigration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, err := experiments.RunA2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(a.BreakEvenOps), "breakeven-units")
-	}
-}
-
-// BenchmarkAblationCacheSplit regenerates ablation A3 (data/code split).
-func BenchmarkAblationCacheSplit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunA3(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationCoherence regenerates ablation A4 (JMM purge/flush
-// cost).
-func BenchmarkAblationCoherence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunA4(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 

@@ -1,36 +1,33 @@
 // Command herabench regenerates the paper's evaluation figures
-// (Figures 4(a), 4(b), 5, 6, 7) and the DESIGN.md ablations (A1-A4) as
-// text tables.
+// (Figures 4(a), 4(b), 5, 6, 7), the DESIGN.md ablations (A1-A4) and the
+// reproduction's own sweeps as text tables. Every figure is one entry
+// of experiments.Figures(); after printing a figure's table herabench
+// runs its Check (every row valid / identical / matching, plus the
+// opt-in -minspeedup and -baseline floors) and exits 1 if it fails.
 //
 // Examples:
 //
 //	herabench                 # all figures, quick sizes
-//	herabench -full           # all figures, paper-shaped sizes
-//	herabench -fig 4a         # just Figure 4(a)
+//	herabench -full -fig 4a   # just Figure 4(a), paper-shaped sizes
 //	herabench -fig a3 -v      # ablation A3 with progress logging
-//	herabench -fig steal      # calendar vs work-stealing scheduler
-//	herabench -fig migrate    # stealing vs cost-gated cross-kind migration
-//	herabench -fig serve      # open-loop serving: trace-driven jobs, shedding off vs on
-//	herabench -fig serve -trace bursty -jobs 40 -cadence 250000  # heavier churn
-//	herabench -fig serve -json BENCH_serve.json         # goodput/p99 artifact
 //	herabench -fig 4a -sched steal                      # any figure, stealing scheduler
-//	herabench -full -fig topo -topology "ppe:1,spe:6;ppe:1,spe:4,vpu:2"
-//	herabench -fig simspeed                             # simulator wall-clock: fast path on vs off
+//	herabench -fig topo -topology "ppe:1,spe:6;ppe:1,spe:4,vpu:2"
+//	herabench -fig serve -trace bursty -jobs 40 -cadence 250000     # heavier churn
 //	herabench -fig simspeed -json BENCH_simspeed.json -baseline testdata/BENCH_simspeed_baseline.json
 //	herabench -fig simspeed -nowall                     # deterministic columns only (replay gates)
-//	herabench -fig cluster                              # N parallel shards vs serial advancement
-//	herabench -fig cluster -shards "ppe:1,spe:6;ppe:1,spe:4,vpu:2"  # heterogeneous fleet
-//	herabench -fig cluster -json BENCH_cluster.json -clustermin 2.0 # CI scaling gate
-//	herabench -fig cluster -handoff                     # inter-shard hand-off arm + replay gate
-//	herabench -fig cluster -timeout 10m -cpuprofile cpu.pprof       # guarded + profiled
-//	herabench -fig kernels                              # data-parallel offload: scalar vs Parallel.forRange
-//	herabench -fig kernels -json BENCH_kernels.json -kernelmin 2.0  # CI offload gate
+//	herabench -fig cluster -json BENCH_cluster.json -minspeedup 2.0 # CI scaling gate
+//	herabench -fig cluster -handoff -timeout 10m -cpuprofile cpu.pprof
+//
+// README.md walks through every figure id and flag.
 package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -40,50 +37,101 @@ import (
 	"herajvm/internal/experiments"
 )
 
-// table is any experiment result that renders itself.
-type table interface{ Table() string }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// run is main with its process edges passed in, so tests can drive the
+// command: exit status 2 is a usage error, 1 a failed figure or gate.
+func run(args []string, stdout, stderr io.Writer) int {
+	figures := experiments.Figures()
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.ID
+	}
+	fs := flag.NewFlagSet("herabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig   = flag.String("fig", "all", "4a | 4b | 5 | 6 | 7 | a1 | a2 | a3 | a4 | topo | steal | migrate | serve | simspeed | cluster | kernels | all")
-		full  = flag.Bool("full", false, "paper-shaped workload sizes (slower)")
-		sched = flag.String("sched", "", "scheduler for every run: calendar | steal | migrate (default: calendar)")
-		topos = flag.String("topology", "",
-			`semicolon-separated machine shapes for the topo/steal/migrate/serve sweeps, e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
-		nowall   = flag.Bool("nowall", false, "simspeed/cluster: omit wall-clock columns so output replays byte for byte")
-		jsonPath = flag.String("json", "", "write the simspeed, serve or cluster sweep as JSON (BENCH_*.json shape) to this path")
-		baseline = flag.String("baseline", "", "simspeed: compare speedups against this baseline JSON; exit 1 on regression")
-		minscale = flag.Float64("clustermin", 0, "cluster: minimum parallel-vs-serial wall-clock speedup; exit 1 below it (0 = no gate)")
-		kernmin  = flag.Float64("kernelmin", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup on a VPU pool; exit 1 below it (0 = no gate)")
-		timeout  = flag.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
-		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this path")
-		memprof  = flag.String("memprofile", "", "write a heap profile (taken after the figure runs) to this path")
-		verb     = flag.Bool("v", false, "log per-run progress to stderr")
+		fig   = fs.String("fig", "all", strings.Join(ids, " | ")+" | all")
+		full  = fs.Bool("full", false, "paper-shaped workload sizes (slower)")
+		sched = fs.String("sched", "", "scheduler for every run: calendar | steal | migrate (default: calendar)")
+		topos = fs.String("topology", "",
+			`semicolon-separated machine shapes for the topo/sched/kernels sweeps (the first one for serve/simspeed), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
+		nowall     = fs.Bool("nowall", false, "simspeed/cluster: omit wall-clock columns so output replays byte for byte")
+		jsonPath   = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
+		baseline   = fs.String("baseline", "", "simspeed: compare speedups against this baseline JSON; exit 1 on regression")
+		minSpeedup = fs.Float64("minspeedup", 0, "cluster: minimum parallel-vs-serial wall-clock speedup; kernels: minimum matmul kernel-vs-scalar cycle speedup on a VPU pool; exit 1 below it (0 = no floor)")
+		timeout    = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
+		cpuprof    = fs.String("cpuprofile", "", "write a CPU profile of the figure runs to this path")
+		memprof    = fs.String("memprofile", "", "write a heap profile (taken after the figure runs) to this path")
+		verb       = fs.Bool("v", false, "log per-run progress to stderr")
 	)
-	serveFlags := experiments.BindServeFlags(flag.CommandLine)
-	flag.Parse()
+	var opt experiments.Options
+	experiments.BindServeFlags(fs, &opt)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "herabench: "+format+"\n", a...)
+		return 2
+	}
 
-	opt := experiments.Quick()
+	sizes := experiments.Quick()
 	if *full {
-		opt = experiments.Full()
+		sizes = experiments.Full()
 	}
+	opt.Threads, opt.MaxSPEs, opt.ScaleOverride = sizes.Threads, sizes.MaxSPEs, sizes.ScaleOverride
 	if *verb {
-		opt.Progress = os.Stderr
+		opt.Progress = stderr
 	}
-	opt.Scheduler = *sched
-	if err := serveFlags.Apply(&opt); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	opt.NoWall = *nowall
+	opt.Scheduler, opt.NoWall, opt.MinSpeedup = *sched, *nowall, *minSpeedup
 	if *topos != "" {
 		list, err := cell.ParseTopologyList(*topos)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		opt.Topologies = list
 	}
+
+	var selected []experiments.Figure
+	for _, f := range figures {
+		if want := strings.ToLower(*fig); want == "all" || want == f.ID {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "herabench: unknown figure %q; -fig takes all or one of:\n", *fig)
+		for _, f := range figures {
+			fmt.Fprintf(stderr, "  %-9s %s\n", f.ID, f.Doc)
+		}
+		return 2
+	}
+	if *jsonPath != "" && len(selected) > 1 {
+		return usage("-json writes one figure's result; select one with -fig")
+	}
+	// A gate flag must reach a figure whose Check reads it: silently
+	// ignoring one would report a gate as passed that never ran.
+	gates := map[string]bool{"baseline": *baseline != "", "minspeedup": *minSpeedup > 0, "handoff": opt.Handoff}
+	for _, name := range []string{"baseline", "minspeedup", "handoff"} {
+		used := false
+		for _, f := range selected {
+			for _, g := range f.Gates {
+				used = used || g.Flag == name
+			}
+		}
+		if gates[name] && !used {
+			return usage("-%s applies to none of the selected figures", name)
+		}
+	}
+	if *baseline != "" {
+		ref, err := os.ReadFile(*baseline)
+		if err != nil {
+			return usage("baseline: %v", err)
+		}
+		opt.Baseline = ref
+	}
+
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
@@ -92,184 +140,57 @@ func main() {
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return usage("cpuprofile: %v", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return usage("cpuprofile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprof != "" {
-		path := *memprof
 		defer func() {
-			f, err := os.Create(path)
+			f, err := os.Create(*memprof)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // up-to-date allocation statistics
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	type experiment struct {
-		id  string
-		run func(experiments.Options) (table, error)
-	}
-	// simspeed's, serve's and cluster's results are kept concrete for
-	// the -json / -baseline / -clustermin post-processing below.
-	var simspeed *experiments.SimSpeed
-	var serve *experiments.ServeSweep
-	var clusterSweep *experiments.ClusterSweep
-	var kernels *experiments.KernelsSweep
-	all := []experiment{
-		{"4a", func(o experiments.Options) (table, error) { return experiments.RunFig4a(o) }},
-		{"4b", func(o experiments.Options) (table, error) { return experiments.RunFig4b(o) }},
-		{"5", func(o experiments.Options) (table, error) { return experiments.RunFig5(o) }},
-		{"6", func(o experiments.Options) (table, error) { return experiments.RunFig6(o) }},
-		{"7", func(o experiments.Options) (table, error) { return experiments.RunFig7(o) }},
-		{"a1", func(o experiments.Options) (table, error) { return experiments.RunA1(o) }},
-		{"a2", func(o experiments.Options) (table, error) { return experiments.RunA2(o) }},
-		{"a3", func(o experiments.Options) (table, error) { return experiments.RunA3(o) }},
-		{"a4", func(o experiments.Options) (table, error) { return experiments.RunA4(o) }},
-		{"topo", func(o experiments.Options) (table, error) { return experiments.RunTopologySweep(o) }},
-		{"steal", func(o experiments.Options) (table, error) { return experiments.RunStealSweep(o) }},
-		{"migrate", func(o experiments.Options) (table, error) { return experiments.RunMigrateSweep(o) }},
-		{"serve", func(o experiments.Options) (table, error) {
-			s, err := experiments.RunServe(o)
-			if err == nil {
-				serve = s
-			}
-			return s, err
-		}},
-		{"simspeed", func(o experiments.Options) (table, error) {
-			s, err := experiments.RunSimSpeed(o)
-			if err == nil {
-				simspeed = s
-			}
-			return s, err
-		}},
-		{"cluster", func(o experiments.Options) (table, error) {
-			s, err := experiments.RunCluster(o)
-			if err == nil {
-				clusterSweep = s
-			}
-			return s, err
-		}},
-		{"kernels", func(o experiments.Options) (table, error) {
-			s, err := experiments.RunKernels(o)
-			if err == nil {
-				kernels = s
-			}
-			return s, err
-		}},
-	}
-
-	want := strings.ToLower(*fig)
-	ran := 0
-	for _, e := range all {
-		if want != "all" && want != e.id {
-			continue
-		}
-		t, err := e.run(opt)
+	for _, f := range selected {
+		res, err := f.Run(opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure %s: %v\n", e.id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "figure %s: %v\n", f.ID, err)
+			return 1
 		}
-		fmt.Println(t.Table())
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		os.Exit(2)
-	}
-
-	// -json writes whichever JSON-bearing sweep ran; with fig=all the
-	// priority is simspeed > serve > cluster, keeping the existing
-	// bench pipeline's shape.
-	if *jsonPath != "" && simspeed == nil && serve != nil {
-		out, err := serve.JSON()
-		if err == nil {
-			err = os.WriteFile(*jsonPath, out, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve json: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if kernels != nil {
-		if *jsonPath != "" && simspeed == nil && serve == nil && clusterSweep == nil {
-			out, err := kernels.JSON()
-			if err == nil {
-				err = os.WriteFile(*jsonPath, out, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "kernels json: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *kernmin > 0 {
-			if err := kernels.CheckKernelMin(*kernmin); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println("kernel offload gate: ok")
-		}
-	}
-	if clusterSweep != nil {
-		if *jsonPath != "" && simspeed == nil && serve == nil {
-			out, err := clusterSweep.JSON()
-			if err == nil {
-				err = os.WriteFile(*jsonPath, out, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cluster json: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *minscale > 0 {
-			if err := clusterSweep.CheckSpeedup(*minscale); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println("cluster scaling gate: ok")
-		}
-		if serveFlags.Handoff {
-			if err := clusterSweep.CheckHandoff(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println("cluster hand-off gate: ok")
-		}
-	}
-	if simspeed != nil {
+		fmt.Fprintln(stdout, res.Table())
 		if *jsonPath != "" {
-			out, err := simspeed.JSON()
+			out, err := json.MarshalIndent(res, "", "  ")
 			if err == nil {
-				err = os.WriteFile(*jsonPath, out, 0o644)
+				err = os.WriteFile(*jsonPath, append(out, '\n'), 0o644)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "simspeed json: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "figure %s json: %v\n", f.ID, err)
+				return 1
 			}
 		}
-		if *baseline != "" {
-			ref, err := os.ReadFile(*baseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "simspeed baseline: %v\n", err)
-				os.Exit(1)
+		if c, ok := res.(experiments.Checker); ok {
+			if err := c.Check(opt); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
-			if err := simspeed.CheckBaseline(ref); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			for _, g := range f.Gates {
+				if gates[g.Flag] {
+					fmt.Fprintf(stdout, "%s gate: ok\n", g.Name)
+				}
 			}
-			fmt.Println("simspeed baseline gate: ok")
 		}
 	}
+	return 0
 }

@@ -58,8 +58,18 @@ func main() {
 		clockHz  = flag.Float64("clockhz", 3.2e9, "core clock rate in Hz for cycle-to-time conversion")
 		report   = flag.Bool("report", true, "print the machine report")
 	)
-	serveFlags := experiments.BindServeFlags(flag.CommandLine)
+	opt := experiments.Quick()
+	experiments.BindServeFlags(flag.CommandLine, &opt)
 	flag.Parse()
+	// 0 means "use the default" only when left unset: an explicit
+	// non-positive count would reach the guest as a negative array size.
+	flag.Visit(func(f *flag.Flag) {
+		if (f.Name == "threads" && *threads <= 0) || (f.Name == "scale" && *scale <= 0) {
+			fmt.Fprintf(os.Stderr, "herajvm: -%s must be positive, got %s\n", f.Name, f.Value)
+			flag.Usage()
+			os.Exit(2)
+		}
+	})
 
 	spec, err := hera.WorkloadByName(*workload)
 	if err != nil {
@@ -85,18 +95,13 @@ func main() {
 	// Serve mode: play an open-loop arrival trace of this workload
 	// through the admission pipeline instead of one one-shot run. With
 	// -shards the trace is dispatched across a cluster of Systems.
-	if serveFlags.Jobs > 0 || serveFlags.Trace != "" || serveFlags.Shards != "" {
-		opt := experiments.Quick()
-		if err := serveFlags.Apply(&opt); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if opt.ServeJobs > 0 || opt.ServeTrace != "" || len(opt.ShardTopos) > 0 {
 		opt.Scheduler = *sched
 		opt.Topologies = []hera.Topology{topo}
 		if len(opt.ServeWorkloads) == 0 {
 			opt.ServeWorkloads = []string{*workload}
 		}
-		if serveFlags.Shards != "" {
+		if len(opt.ShardTopos) > 0 {
 			sweep, err := experiments.RunCluster(opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)

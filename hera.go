@@ -272,13 +272,13 @@ func ParseTopology(s string) (Topology, error) { return cell.ParseTopology(s) }
 // flag syntax).
 func ParseTopologyList(s string) ([]Topology, error) { return cell.ParseTopologyList(s) }
 
-// Schedulers lists the registered scheduler names Config.Scheduler
-// accepts: "calendar" (the default per-core event-calendar scheduler),
-// "steal" (the calendar plus same-kind work stealing) and "migrate"
-// (stealing plus cost-gated cross-kind migration). The scheduling
-// subsystem lives in internal/sched behind a small interface; new
-// algorithms register there like core kinds do in the kind registry —
-// see docs/ARCHITECTURE.md for the interface contract.
+// Schedulers lists the scheduler names Config.Scheduler accepts:
+// "calendar" (the default per-core event-calendar scheduler), "steal"
+// (the calendar plus same-kind work stealing) and "migrate" (stealing
+// plus cost-gated cross-kind migration). The scheduling subsystem lives
+// in internal/sched behind a small interface: one scheduler whose two
+// balancing passes the name switches on — see docs/ARCHITECTURE.md for
+// the interface contract.
 func Schedulers() []string { return sched.Names() }
 
 // Traces lists the registered arrival-trace names the open-loop serve
@@ -324,7 +324,7 @@ func BootCluster(cfg ClusterConfig, shards []ShardConfig) (*Cluster, error) {
 	return cluster.Boot(cfg, shards)
 }
 
-// Benchmarks and experiments.
+// Benchmarks.
 type (
 	// Workload is one of the paper's three benchmarks.
 	Workload = workloads.Spec
@@ -332,8 +332,6 @@ type (
 	// hera/Parallel.forRange entry class and a scalar twin running the
 	// identical body sequentially (matmul, nbody, kmeans).
 	KernelWorkload = workloads.KernelSpec
-	// ExperimentOptions sizes experiment runs.
-	ExperimentOptions = experiments.Options
 )
 
 // Workloads returns the paper's three benchmarks (compress, mpegaudio,
@@ -352,10 +350,3 @@ func KernelWorkloads() []KernelWorkload { return workloads.Kernels() }
 func KernelWorkloadByName(name string) (KernelWorkload, error) {
 	return workloads.KernelByName(name)
 }
-
-// QuickExperiments returns reduced-size experiment options;
-// FullExperiments the paper-shaped defaults.
-func QuickExperiments() ExperimentOptions { return experiments.Quick() }
-
-// FullExperiments returns the default experiment options.
-func FullExperiments() ExperimentOptions { return experiments.Full() }

@@ -22,7 +22,7 @@ func TestQuickstartAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	res, err := runOnce(sys, "Main", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAnnotatedMigrationThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	res, err := runOnce(sys, "Main", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,20 @@ func TestFixedPolicyThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	res, err := runOnce(sys, "Main", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int32(uint32(res.Value)) != 7 {
 		t.Errorf("result: %d", res.Value)
 	}
+}
+
+// runOnce submits one static entry method and waits for its result.
+func runOnce(sys *hera.System, class, method string) (*hera.Result, error) {
+	job, _, err := sys.Submit(hera.JobRequest{Class: class, Method: method})
+	if err != nil {
+		return nil, err
+	}
+	return job.Wait()
 }

@@ -19,8 +19,7 @@ import (
 // System is a booted Hera-JVM on a simulated Cell machine. It is a
 // long-lived session: the VM stays booted between runs, and many jobs —
 // each a named entry method with its own per-job accounting — can be
-// submitted to it (Submit/Job.Wait/Drain in session.go). Run is the
-// one-shot special case kept for single-program use.
+// submitted to it (Submit/Job.Wait/Drain in session.go).
 type System struct {
 	VM *vm.VM
 
@@ -85,20 +84,6 @@ type Result struct {
 	KernelLaunches uint64
 	KernelWorkers  uint64
 	KernelDMABytes uint64
-}
-
-// Run executes a static entry method to completion: a thin wrapper
-// over Submit and Job.Wait kept for one-shot runs.
-//
-// Deprecated: prefer Submit/Job.Wait, which compose — Run drains only
-// its own job and blurs nothing, but its name hides that the system
-// stays booted and reusable afterwards.
-func (s *System) Run(className, methodName string) (*Result, error) {
-	job, _, err := s.Submit(JobRequest{Class: className, Method: methodName})
-	if err != nil {
-		return nil, err
-	}
-	return job.Wait()
 }
 
 // Report renders a per-core machine report: cycle breakdown by operation

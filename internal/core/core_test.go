@@ -40,7 +40,7 @@ func TestSystemRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run("Main", "main")
+	res, err := runOnce(sys, "Main", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSystemReportSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("Main", "main"); err != nil {
+	if _, err := runOnce(sys, "Main", "main"); err != nil {
 		t.Fatal(err)
 	}
 	rep := sys.Report()
@@ -98,10 +98,19 @@ func TestRunUnknownEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("Nope", "main"); err == nil {
+	if _, err := runOnce(sys, "Nope", "main"); err == nil {
 		t.Error("expected error for unknown class")
 	}
-	if _, err := sys.Run("Main", "nope"); err == nil {
+	if _, err := runOnce(sys, "Main", "nope"); err == nil {
 		t.Error("expected error for unknown method")
 	}
+}
+
+// runOnce submits one static entry method and waits for its result.
+func runOnce(sys *System, class, method string) (*Result, error) {
+	job, _, err := sys.Submit(JobRequest{Class: class, Method: method})
+	if err != nil {
+		return nil, err
+	}
+	return job.Wait()
 }

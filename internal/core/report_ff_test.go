@@ -17,7 +17,7 @@ func TestReportFastForwardClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run("Main", "main"); err != nil {
+	if _, err := runOnce(sys, "Main", "main"); err != nil {
 		t.Fatal(err)
 	}
 	c0 := sys.VM.Machine.Cores()[0]
@@ -73,7 +73,7 @@ func TestReportIdenticalDisableSuperblocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(spec.MainClass, "main"); err != nil {
+		if _, err := runOnce(sys, spec.MainClass, "main"); err != nil {
 			t.Fatal(err)
 		}
 		return sys.Report()

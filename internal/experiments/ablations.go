@@ -6,7 +6,6 @@ import (
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/vm"
-	"herajvm/internal/workloads"
 )
 
 // A1 sweeps the array block-transfer size the paper fixes at 1 KB
@@ -24,34 +23,29 @@ type A1Row struct {
 	RelPerf  []float64
 }
 
-// A1Sizes are the block sizes swept (bytes).
+// A1Sizes are the block sizes swept (bytes); a1Default indexes the
+// paper's 1 KB among them.
 var A1Sizes = []int{128, 256, 512, 1024, 2048, 4096}
+
+const a1Default = 3
 
 // RunA1 executes the block-size sweep on one SPE.
 func RunA1(opt Options) (*A1, error) {
+	var arms []arm
+	for _, bs := range A1Sizes {
+		a := ps3(1, 1)
+		a.label = fmt.Sprintf("block %d", bs)
+		a.mutate = func(cfg *vm.Config) { cfg.DataCache.ArrayBlock = uint32(bs) }
+		arms = append(arms, a)
+	}
+	runs, err := grid(opt, "a1", opt.benches(), arms)
+	if err != nil {
+		return nil, err
+	}
 	out := &A1{SizesB: A1Sizes}
-	for _, spec := range workloads.All() {
-		scale := opt.scale(spec)
-		var cycles []uint64
-		var baseline uint64
-		for _, bs := range A1Sizes {
-			st, err := runOne(opt, spec, 1, scale, 1, func(cfg *vm.Config) {
-				cfg.DataCache.ArrayBlock = uint32(bs)
-			})
-			if err != nil {
-				return nil, err
-			}
-			opt.logf("a1 %s: block %d done", spec.Name, bs)
-			cycles = append(cycles, st.Cycles)
-			if bs == 1024 {
-				baseline = st.Cycles
-			}
-		}
-		row := A1Row{Workload: spec.Name}
-		for _, c := range cycles {
-			row.RelPerf = append(row.RelPerf, float64(baseline)/float64(c))
-		}
-		out.Rows = append(out.Rows, row)
+	for _, r := range runs {
+		out.Rows = append(out.Rows, A1Row{Workload: r[0].Workload,
+			RelPerf: relativeTo(r[a1Default].Cycles, cyclesOf(r))})
 	}
 	return out, nil
 }
@@ -60,18 +54,8 @@ func RunA1(opt Options) (*A1, error) {
 func (a *A1) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "A1: performance vs array block size (relative to 1 KB)\n")
-	fmt.Fprintf(&b, "%-12s", "benchmark")
-	for _, s := range a.SizesB {
-		fmt.Fprintf(&b, " %6dB", s)
-	}
-	fmt.Fprintf(&b, "\n")
-	for _, r := range a.Rows {
-		fmt.Fprintf(&b, "%-12s", r.Workload)
-		for _, p := range r.RelPerf {
-			fmt.Fprintf(&b, " %7.3f", p)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
+	writeSeries(&b, heads(" %6dB", a.SizesB), " %7.3f", a.Rows,
+		func(r A1Row) (string, []float64, string) { return r.Workload, r.RelPerf, "" })
 	return b.String()
 }
 
@@ -91,20 +75,27 @@ type A2 struct {
 // double arithmetic).
 var A2Work = []int{1, 8, 32, 128, 512, 2048, 8192}
 
-// RunA2 builds the microbenchmark twice (annotated and not) per size.
+// RunA2 builds the microbenchmark twice (annotated and not) per size
+// and runs each on the default PS3 machine.
 func RunA2(opt Options) (*A2, error) {
-	out := &A2{WorkUnits: A2Work, BreakEvenOps: -1}
 	const calls = 40
+	var benches []bench
 	for _, k := range A2Work {
-		mig, err := runMigrationBench(opt, k, calls, true)
-		if err != nil {
-			return nil, err
+		for _, annotate := range []bool{true, false} {
+			benches = append(benches, bench{
+				name: fmt.Sprintf("work %d (annotated %v)", k, annotate), entry: "MigBench",
+				build: func(int) (*classfile.Program, error) { return migrationBench(k, calls, annotate), nil },
+				want:  func(int) int32 { return 1 },
+			})
 		}
-		loc, err := runMigrationBench(opt, k, calls, false)
-		if err != nil {
-			return nil, err
-		}
-		opt.logf("a2: work %d done (mig=%d local=%d)", k, mig, loc)
+	}
+	runs, err := grid(opt, "a2", benches, []arm{ps3(6, 1)})
+	if err != nil {
+		return nil, err
+	}
+	out := &A2{WorkUnits: A2Work, BreakEvenOps: -1}
+	for i, k := range A2Work {
+		mig, loc := runs[2*i][0].Cycles, runs[2*i+1][0].Cycles
 		out.CyclesPerOp = append(out.CyclesPerOp, float64(mig)/calls)
 		out.LocalCycles = append(out.LocalCycles, float64(loc)/calls)
 		if out.BreakEvenOps < 0 && mig < loc {
@@ -114,9 +105,10 @@ func RunA2(opt Options) (*A2, error) {
 	return out, nil
 }
 
-// runMigrationBench runs `calls` invocations of a method doing k units
-// of double arithmetic, annotated RunOnSPE when annotate is set.
-func runMigrationBench(opt Options, k, calls int, annotate bool) (uint64, error) {
+// migrationBench builds a program whose main makes `calls` invocations
+// of a method doing k units of double arithmetic, annotated RunOnSPE
+// when annotate is set.
+func migrationBench(k, calls int, annotate bool) *classfile.Program {
 	p := classfile.NewProgram()
 	vm.Stdlib(p)
 	c := p.NewClass("MigBench", nil)
@@ -166,19 +158,7 @@ func runMigrationBench(opt Options, k, calls int, annotate bool) (uint64, error)
 	a.ConstI(1)
 	a.Ret()
 	a.MustBuild()
-
-	cfg := vm.DefaultConfig()
-	if opt.Scheduler != "" {
-		cfg.Scheduler = opt.Scheduler
-	}
-	machine, err := vm.New(cfg, p)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := machine.RunMain("MigBench", "main"); err != nil {
-		return 0, err
-	}
-	return machine.Machine.MaxClock(), nil
+	return p
 }
 
 // Table renders A2.
@@ -224,59 +204,50 @@ type A3Row struct {
 	FinalSplit string
 }
 
-// a3Splits are (dataKB, codeKB) pairs summing to 192 KB.
+// a3Splits are (dataKB, codeKB) pairs summing to 192 KB; a3Default
+// indexes the paper's 104/88 among them.
 var a3Splits = [][2]int{{160, 32}, {136, 56}, {104, 88}, {72, 120}, {40, 152}}
 
-// RunA3 executes the split sweep on one SPE.
+const a3Default = 2
+
+// RunA3 executes the split sweep on one SPE: one arm per static split,
+// then the adaptive controller starting from the default split.
 func RunA3(opt Options) (*A3, error) {
 	out := &A3{}
+	var arms []arm
 	for _, sp := range a3Splits {
-		out.Splits = append(out.Splits, fmt.Sprintf("%d/%d", sp[0], sp[1]))
+		a := ps3(1, 1)
+		a.label = fmt.Sprintf("%d/%d", sp[0], sp[1])
+		a.mutate = func(cfg *vm.Config) {
+			cfg.DataCache.Size = uint32(sp[0]) << 10
+			cfg.CodeCache.Size = uint32(sp[1]) << 10
+		}
+		out.Splits = append(out.Splits, a.label)
+		arms = append(arms, a)
 	}
-	for _, spec := range workloads.All() {
-		scale := opt.scale(spec)
-		var cycles []uint64
-		var baseline uint64
-		for _, sp := range a3Splits {
-			st, err := runOne(opt, spec, 1, scale, 1, func(cfg *vm.Config) {
-				cfg.DataCache.Size = uint32(sp[0]) << 10
-				cfg.CodeCache.Size = uint32(sp[1]) << 10
-			})
-			if err != nil {
-				return nil, err
-			}
-			opt.logf("a3 %s: split %d/%d done", spec.Name, sp[0], sp[1])
-			cycles = append(cycles, st.Cycles)
-			if sp[0] == 104 {
-				baseline = st.Cycles
-			}
-		}
-		row := A3Row{Workload: spec.Name}
-		best, bestIdx := 0.0, 0
-		for i, c := range cycles {
-			rel := float64(baseline) / float64(c)
-			row.RelPerf = append(row.RelPerf, rel)
-			if rel > best {
-				best, bestIdx = rel, i
+	adaptive := arms[a3Default]
+	adaptive.label = "adaptive"
+	adaptive.mutate = func(cfg *vm.Config) {
+		arms[a3Default].mutate(cfg)
+		cfg.AdaptiveCaches = true
+	}
+	runs, err := grid(opt, "a3", opt.benches(), append(arms, adaptive))
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range runs {
+		static, ast := r[:len(a3Splits)], r[len(a3Splits)]
+		baseline := static[a3Default].Cycles
+		row := A3Row{Workload: ast.Workload, RelPerf: relativeTo(baseline, cyclesOf(static)),
+			Adaptive:   float64(baseline) / float64(ast.Cycles),
+			FinalSplit: fmt.Sprintf("%d/%d", ast.DataCache>>10, ast.CodeCache>>10)}
+		best := 0
+		for i, rel := range row.RelPerf {
+			if rel > row.RelPerf[best] {
+				best = i
 			}
 		}
-		row.Best = out.Splits[bestIdx]
-
-		// The adaptive controller, starting from the 104/88 default.
-		var finalData, finalCode uint32
-		ast, err := runOneInspect(opt, spec, 1, scale, 1, func(cfg *vm.Config) {
-			cfg.DataCache.Size = 104 << 10
-			cfg.CodeCache.Size = 88 << 10
-			cfg.AdaptiveCaches = true
-		}, func(v *vm.VM) {
-			finalData, finalCode = v.CacheSplit(0)
-		})
-		if err != nil {
-			return nil, err
-		}
-		opt.logf("a3 %s: adaptive done", spec.Name)
-		row.Adaptive = float64(baseline) / float64(ast.Cycles)
-		row.FinalSplit = fmt.Sprintf("%d/%d", finalData>>10, finalCode>>10)
+		row.Best = out.Splits[best]
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
@@ -287,18 +258,10 @@ func (a *A3) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "A3: static data/code cache splits of a 192 KB local-store budget\n")
 	fmt.Fprintf(&b, "(performance relative to the paper's 104/88 split)\n")
-	fmt.Fprintf(&b, "%-12s", "benchmark")
-	for _, s := range a.Splits {
-		fmt.Fprintf(&b, " %8s", s)
-	}
-	fmt.Fprintf(&b, " %9s %9s %11s\n", "best", "adaptive", "settled at")
-	for _, r := range a.Rows {
-		fmt.Fprintf(&b, "%-12s", r.Workload)
-		for _, p := range r.RelPerf {
-			fmt.Fprintf(&b, " %8.3f", p)
-		}
-		fmt.Fprintf(&b, " %9s %9.3f %11s\n", r.Best, r.Adaptive, r.FinalSplit)
-	}
+	writeSeries(&b, heads(" %8s", a.Splits)+fmt.Sprintf(" %9s %9s %11s", "best", "adaptive", "settled at"),
+		" %8.3f", a.Rows, func(r A3Row) (string, []float64, string) {
+			return r.Workload, r.RelPerf, fmt.Sprintf(" %9s %9.3f %11s", r.Best, r.Adaptive, r.FinalSplit)
+		})
 	return b.String()
 }
 
@@ -322,26 +285,22 @@ type A4Row struct {
 
 // RunA4 runs each workload on 6 SPEs with and without coherence.
 func RunA4(opt Options) (*A4, error) {
+	sound := ps3(opt.MaxSPEs, min(opt.Threads, opt.MaxSPEs))
+	unsound := sound
+	unsound.label += ", no coherence"
+	unsound.mutate = func(cfg *vm.Config) { cfg.UnsafeNoCoherence = true }
+	runs, err := grid(opt, "a4", opt.benches(), []arm{sound, unsound})
+	if err != nil {
+		return nil, err
+	}
 	out := &A4{}
-	for _, spec := range workloads.All() {
-		scale := opt.scale(spec)
-		sound, err := runOne(opt, spec, minInt(opt.Threads, opt.MaxSPEs), scale, opt.MaxSPEs, nil)
-		if err != nil {
-			return nil, err
-		}
-		unsound, err := runOne(opt, spec, minInt(opt.Threads, opt.MaxSPEs), scale, opt.MaxSPEs, func(cfg *vm.Config) {
-			cfg.UnsafeNoCoherence = true
-		})
-		if err != nil {
-			return nil, err
-		}
-		opt.logf("a4 %s done", spec.Name)
+	for _, r := range runs {
 		out.Rows = append(out.Rows, A4Row{
-			Workload:     spec.Name,
-			CoherentCyc:  sound.Cycles,
-			UnsoundCyc:   unsound.Cycles,
-			Overhead:     float64(sound.Cycles)/float64(unsound.Cycles) - 1,
-			UnsoundValid: unsound.Valid,
+			Workload:     r[0].Workload,
+			CoherentCyc:  r[0].Cycles,
+			UnsoundCyc:   r[1].Cycles,
+			Overhead:     float64(r[0].Cycles)/float64(r[1].Cycles) - 1,
+			UnsoundValid: r[1].Valid,
 		})
 	}
 	return out, nil

@@ -1,20 +1,17 @@
 package experiments
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/classfile"
 	"herajvm/internal/cluster"
 	"herajvm/internal/core"
 	"herajvm/internal/isa"
-	"herajvm/internal/vm"
-	"herajvm/internal/workloads"
 )
 
 // The cluster figure measures the sharding layer end to end: one
@@ -33,34 +30,33 @@ import (
 // replay, stride vs stride.
 
 const (
-	defaultClusterShards   = 4
-	defaultClusterJobs     = 24
-	defaultClusterCadence  = 200_000
-	defaultClusterDeadline = 100_000_000
 	// defaultClusterScheduler is the per-shard scheduler: migrate is
 	// the strongest serving scheduler (PR 5's serve sweep), and the
 	// cluster story is "many of the best machines".
 	defaultClusterScheduler = "migrate"
-	// The hand-off arm's scenario, tuned empirically on the default
-	// imbalanced fleet: a bursty script whose spikes land jobs on the
-	// weak shard, a deadline tight enough that those jobs slip there
-	// but roomy enough that the strong shard can still rescue them,
-	// and an epoch stride finer than DefaultEpochStride so rebalance
-	// decisions come often enough to matter.
-	defaultHandoffTrace    = "bursty"
-	defaultHandoffJobs     = 16
-	defaultHandoffCadence  = 100_000
-	defaultHandoffDeadline = 60_000_000
-	defaultHandoffStride   = 500_000
+	// defaultHandoffStride is finer than DefaultEpochStride so the
+	// hand-off arm's rebalance decisions come often enough to matter.
+	defaultHandoffStride = 500_000
 )
 
-// clusterStrides are the epoch strides the sensitivity table visits
-// (the middle one is cluster.DefaultEpochStride).
+// clusterDefaults are the figure's script defaults; handoffDefaults the
+// hand-off arm's scenario, tuned empirically on the default imbalanced
+// fleet: a bursty script whose spikes land jobs on the weak shard, and
+// a deadline tight enough that those jobs slip there but roomy enough
+// that the strong shard can still rescue them.
+var (
+	clusterDefaults = Script{NumJobs: 24, Cadence: 200_000, Trace: defaultServeTrace, Deadline: 100_000_000}
+	handoffDefaults = Script{NumJobs: 16, Cadence: 100_000, Trace: "bursty", Deadline: 60_000_000}
+)
+
+// clusterStrides are the epoch strides the sensitivity table visits,
+// ascending (the middle one is cluster.DefaultEpochStride).
 var clusterStrides = []cell.Clock{500_000, cluster.DefaultEpochStride, 8_000_000}
 
 // ClusterRun is one full pass of the arrival script over the fleet.
 type ClusterRun struct {
-	// Mode is "serial" or "parallel"; Stride the epoch stride used.
+	// Mode is "serial", "parallel" or "handoff"; Stride the epoch
+	// stride used.
 	Mode   string     `json:"mode"`
 	Stride cell.Clock `json:"stride_cycles"`
 	// Barriers counts epoch barriers the pass took.
@@ -69,16 +65,7 @@ type ClusterRun struct {
 	WallSecs float64 `json:"wall_secs"`
 	// Makespan is the simulated cycle the last job completed.
 	Makespan cell.Clock `json:"makespan_cycles"`
-	// P50/P95/P99 are admission→completion latency percentiles over
-	// completed jobs; Completed/Shed/Met split the script.
-	P50       cell.Clock `json:"p50_cycles"`
-	P95       cell.Clock `json:"p95_cycles"`
-	P99       cell.Clock `json:"p99_cycles"`
-	Completed int        `json:"completed"`
-	Shed      int        `json:"shed"`
-	Met       int        `json:"met"`
-	// Goodput is deadline-met jobs per simulated second.
-	Goodput float64 `json:"goodput_per_sec"`
+	SLO
 	// ShardJobs and ShardUtil are per-shard routing counts and core
 	// utilization — the dispatcher's balance, made visible.
 	ShardJobs []int     `json:"shard_jobs"`
@@ -86,9 +73,6 @@ type ClusterRun struct {
 	// Handoffs counts inter-shard job hand-offs the pass performed
 	// (always 0 with hand-off disabled).
 	Handoffs int `json:"handoffs"`
-	// AllValid reports every completed job's checksum matched its Go
-	// reference.
-	AllValid bool `json:"all_valid"`
 	// Identical reports the pass's merged job table was byte-identical
 	// to the serial reference pass — the determinism contract, checked
 	// on every pass.
@@ -100,13 +84,9 @@ type ClusterRun struct {
 // ClusterSweep is the figure: the serial reference pass, the parallel
 // pass the speedup is quoted from, and the stride table.
 type ClusterSweep struct {
-	Shards    []string   `json:"shards"`
-	Scheduler string     `json:"scheduler"`
-	NumJobs   int        `json:"jobs"`
-	Cadence   uint64     `json:"cadence_cycles"`
-	Trace     string     `json:"trace"`
-	Seed      uint64     `json:"seed"`
-	Deadline  cell.Clock `json:"deadline_cycles"`
+	Shards    []string `json:"shards"`
+	Scheduler string   `json:"scheduler"`
+	Script
 	// HostCPUs is runtime.NumCPU() — the ceiling any wall-clock
 	// speedup is read against.
 	HostCPUs int `json:"host_cpus"`
@@ -131,16 +111,6 @@ type ClusterSweep struct {
 	NoWall bool `json:"-"`
 }
 
-// DefaultClusterShards returns the default fleet: four serve-shaped
-// shards (ppe:1,spe:4,vpu:2 each).
-func DefaultClusterShards() []cell.Topology {
-	topos := make([]cell.Topology, defaultClusterShards)
-	for i := range topos {
-		topos[i] = DefaultServeTopology()
-	}
-	return topos
-}
-
 // DefaultHandoffShards returns the hand-off arm's imbalanced fleet: a
 // weak PPE-only shard next to a strong 1-PPE + 6-SPE shard. The
 // capacity-blind admission probe splits bursts roughly evenly between
@@ -158,96 +128,50 @@ func DefaultHandoffShards() []cell.Topology {
 // (default migrate), EpochStride the default stride, and the serve
 // flags (jobs/cadence/trace/seed/deadline) the arrival script.
 func RunCluster(opt Options) (*ClusterSweep, error) {
-	topos := opt.ShardTopos
-	if len(topos) == 0 {
-		if opt.Handoff {
-			topos = DefaultHandoffShards()
-		} else {
-			topos = DefaultClusterShards()
-		}
-	}
-	scheduler := opt.Scheduler
-	if scheduler == "" {
-		scheduler = defaultClusterScheduler
-	}
-	numJobs := opt.ServeJobs
-	if numJobs <= 0 {
-		numJobs = defaultClusterJobs
-		if opt.Handoff {
-			numJobs = defaultHandoffJobs
-		}
-	}
-	cadence := opt.ServeCadence
-	if cadence == 0 {
-		cadence = defaultClusterCadence
-		if opt.Handoff {
-			cadence = defaultHandoffCadence
-		}
-	}
-	trace := opt.ServeTrace
-	if trace == "" {
-		trace = defaultServeTrace
-		if opt.Handoff {
-			trace = defaultHandoffTrace
-		}
-	}
-	seed := opt.ServeSeed
-	if seed == 0 {
-		seed = defaultServeSeed
-	}
-	deadline := opt.ServeDeadline
-	if deadline == 0 {
-		deadline = defaultClusterDeadline
-		if opt.Handoff {
-			deadline = defaultHandoffDeadline
-		}
-	}
-	stride := cluster.DefaultEpochStride
+	// The default fleet: four serve-shaped shards (ppe:1,spe:4,vpu:2 each).
+	topos := slices.Repeat([]cell.Topology{DefaultServeTopology()}, 4)
+	defaults, stride := clusterDefaults, cluster.DefaultEpochStride
 	if opt.Handoff {
-		stride = defaultHandoffStride
+		topos, defaults, stride = DefaultHandoffShards(), handoffDefaults, defaultHandoffStride
 	}
-	if opt.EpochStride != 0 {
-		stride = cell.Clock(opt.EpochStride)
+	if len(opt.ShardTopos) > 0 {
+		topos = opt.ShardTopos
 	}
-
-	arrivals, err := Arrivals(trace, seed, numJobs, cadence)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := serveEntries(opt, numJobs)
+	stride = cmp.Or(opt.EpochStride, stride)
+	scheduler := cmp.Or(opt.Scheduler, defaultClusterScheduler)
+	script, err := newScript(opt, defaults)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &ClusterSweep{Scheduler: scheduler, NumJobs: numJobs, Cadence: cadence,
-		Trace: trace, Seed: seed, Deadline: deadline,
-		HostCPUs: runtime.NumCPU(), NoWall: opt.NoWall}
+	out := &ClusterSweep{Scheduler: scheduler, Script: *script, HostCPUs: runtime.NumCPU(), NoWall: opt.NoWall}
 	for _, t := range topos {
 		out.Shards = append(out.Shards, t.String())
 	}
-
-	play := func(serial, handoff bool, s cell.Clock) (ClusterRun, error) {
+	play := func(mode string, s cell.Clock) (ClusterRun, error) {
 		if err := opt.interrupted(); err != nil {
 			return ClusterRun{}, err
 		}
-		return playCluster(opt, topos, scheduler, entries, arrivals, deadline, s, serial, handoff)
+		run, err := playCluster(opt, topos, scheduler, script, mode, s)
+		if err != nil {
+			return run, fmt.Errorf("cluster %s: %w", mode, err)
+		}
+		opt.logf("cluster %s stride %d: %.3fs, %d barriers, %d hand-offs, goodput=%.2f/s p99=%d",
+			mode, s, run.WallSecs, run.Barriers, run.Handoffs, run.Goodput, run.P99)
+		return run, nil
 	}
 
-	if out.Serial, err = play(true, false, stride); err != nil {
+	if out.Serial, err = play("serial", stride); err != nil {
 		return nil, err
 	}
 	out.Serial.Identical = true // the reference pass
-	opt.logf("cluster serial: %.3fs, %d barriers, goodput=%.2f/s", out.Serial.WallSecs,
-		out.Serial.Barriers, out.Serial.Goodput)
-	if out.Parallel, err = play(false, false, stride); err != nil {
+	if out.Parallel, err = play("parallel", stride); err != nil {
 		return nil, err
 	}
 	out.Parallel.Identical = out.Parallel.jobsTable == out.Serial.jobsTable
 	if out.Parallel.WallSecs > 0 {
 		out.Speedup = out.Serial.WallSecs / out.Parallel.WallSecs
 	}
-	opt.logf("cluster parallel: %.3fs (%.2fx on %d CPUs), identical=%v",
-		out.Parallel.WallSecs, out.Speedup, out.HostCPUs, out.Parallel.Identical)
 
 	if opt.Handoff {
 		// The hand-off arm: the same script with hand-off on, then an
@@ -258,17 +182,14 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		// barrier placement decides freeze points, so stride invariance
 		// is not claimed for hand-off.
 		out.HandoffArm = true
-		if out.HandoffOn, err = play(false, true, stride); err != nil {
+		if out.HandoffOn, err = play("handoff", stride); err != nil {
 			return nil, err
 		}
-		replay, err := play(false, true, stride)
+		replay, err := play("handoff", stride)
 		if err != nil {
 			return nil, err
 		}
 		out.HandoffOn.Identical = out.HandoffOn.jobsTable == replay.jobsTable
-		opt.logf("cluster handoff: %d hand-offs, met %d vs %d, p99 %d vs %d, replay identical=%v",
-			out.HandoffOn.Handoffs, out.HandoffOn.Met, out.Parallel.Met,
-			out.HandoffOn.P99, out.Parallel.P99, out.HandoffOn.Identical)
 		return out, nil
 	}
 
@@ -276,143 +197,70 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		if s == stride {
 			continue
 		}
-		run, err := play(false, false, s)
+		run, err := play("parallel", s)
 		if err != nil {
 			return nil, err
 		}
 		// Fidelity: barrier placement must not perturb the simulation —
 		// the merged job table is stride-invariant by contract.
 		run.Identical = run.jobsTable == out.Serial.jobsTable
-		opt.logf("cluster stride %d: %d barriers, %.3fs, identical=%v",
-			s, run.Barriers, run.WallSecs, run.Identical)
 		out.StrideRuns = append(out.StrideRuns, run)
 	}
-	sort.Slice(out.StrideRuns, func(a, b int) bool {
-		return out.StrideRuns[a].Stride < out.StrideRuns[b].Stride
-	})
 	return out, nil
-}
-
-// serveEntries builds the round-robin workload mix the serve and
-// cluster drivers share.
-func serveEntries(opt Options, numJobs int) ([]workloads.MixEntry, error) {
-	specs := workloads.All()
-	if len(opt.ServeWorkloads) > 0 {
-		specs = specs[:0:0]
-		for _, name := range opt.ServeWorkloads {
-			spec, err := workloads.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, spec)
-		}
-	}
-	entries := make([]workloads.MixEntry, numJobs)
-	for i := range entries {
-		spec := specs[i%len(specs)]
-		scale := serveScales[spec.Name]
-		if v, ok := opt.ScaleOverride[spec.Name]; ok && v > 0 {
-			scale = v
-		}
-		entries[i] = workloads.MixEntry{Spec: spec, Threads: serveThreads, Scale: scale}
-	}
-	return entries, nil
 }
 
 // playCluster boots one fleet and plays the arrival script through the
 // dispatcher, timing submission through drain (boot and program
-// building excluded, as in the simspeed sweep).
+// building excluded, as in the simspeed sweep). mode "serial" advances
+// the shards on one goroutine; "handoff" enables inter-shard hand-off.
 func playCluster(opt Options, topos []cell.Topology, scheduler string,
-	entries []workloads.MixEntry, arrivals []cell.Clock,
-	deadline, stride cell.Clock, serial, handoff bool) (ClusterRun, error) {
+	script *Script, mode string, stride cell.Clock) (ClusterRun, error) {
 
 	shards := make([]cluster.ShardConfig, len(topos))
 	for i, topo := range topos {
-		cfg := vm.DefaultConfig()
-		cfg.Machine.Topology = topo
-		cfg.Scheduler = scheduler
-		shards[i] = cluster.ShardConfig{
-			Cfg:   cfg,
-			Build: func() (*classfile.Program, error) { return workloads.BuildMix(entries) },
-		}
+		shards[i] = cluster.ShardConfig{Cfg: openLoopConfig(topo, scheduler), Build: script.build}
 	}
 	cl, err := cluster.Boot(cluster.Config{
-		EpochStride: stride, Serial: serial, Shed: true, Handoff: handoff,
+		EpochStride: stride, Serial: mode == "serial", Shed: true, Handoff: mode == "handoff",
 		Ctx: opt.Ctx}, shards)
 	if err != nil {
 		return ClusterRun{}, err
 	}
 
-	mode := "parallel"
-	if serial {
-		mode = "serial"
-	}
-	if handoff {
-		mode = "handoff"
-	}
 	runtime.GC() // keep host collector pauses out of the timed region
 	t0 := time.Now()
-	for i, arrival := range arrivals {
-		e := entries[i]
-		if _, _, err := cl.Submit(core.JobRequest{
-			Class:    e.MainClassOf(i),
-			Method:   "main",
-			Name:     fmt.Sprintf("%s#%d", e.Spec.Name, i),
-			Arrival:  arrival,
-			Deadline: deadline,
-		}); err != nil {
-			return ClusterRun{}, fmt.Errorf("cluster %s: job %d: %w", mode, i, err)
-		}
-	}
-	if err := cl.Drain(); err != nil {
-		return ClusterRun{}, fmt.Errorf("cluster %s: %w", mode, err)
+	err = script.play(func(req core.JobRequest) error {
+		_, _, err := cl.Submit(req)
+		return err
+	})
+	if err == nil {
+		err = cl.Drain()
 	}
 	wall := time.Since(t0)
-
-	results, err := cl.Results()
 	if err != nil {
-		return ClusterRun{}, fmt.Errorf("cluster %s: %w", mode, err)
+		return ClusterRun{}, err
 	}
-	run := ClusterRun{Mode: mode, Stride: stride, Barriers: cl.Barriers(),
-		WallSecs: wall.Seconds(), AllValid: true}
-	var latencies []cell.Clock
-	for _, r := range results {
+
+	merged, err := cl.Results()
+	if err != nil {
+		return ClusterRun{}, err
+	}
+	results, valid := make([]*core.Result, len(merged)), make([]bool, len(merged))
+	for _, r := range merged {
 		if r.Err != nil {
-			return ClusterRun{}, fmt.Errorf("cluster %s: job %d trapped: %w", mode, r.Seq, r.Err)
+			return ClusterRun{}, fmt.Errorf("job %d trapped: %w", r.Seq, r.Err)
 		}
-		if r.Res.Shed {
-			run.Shed++
-			continue
-		}
-		e := entries[r.Seq]
-		run.Completed++
-		run.AllValid = run.AllValid &&
-			int32(uint32(r.Res.Value)) == e.Spec.Reference(e.Threads, e.Scale)
-		latencies = append(latencies, r.Res.Cycles)
-		if r.Res.DeadlineMet {
-			run.Met++
-		}
-		if r.Res.CompletedAt > run.Makespan {
-			run.Makespan = r.Res.CompletedAt
-		}
+		results[r.Seq], valid[r.Seq] = r.Res, script.valid(r.Seq, r.Res)
 	}
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	run.P50 = percentile(latencies, 50)
-	run.P95 = percentile(latencies, 95)
-	run.P99 = percentile(latencies, 99)
-	if run.Makespan > 0 {
-		hz := vm.DefaultConfig().Machine.EffectiveClockHz()
-		run.Goodput = float64(run.Met) / (float64(run.Makespan) / hz)
-	}
+	run := ClusterRun{Mode: mode, Stride: stride, Barriers: cl.Barriers(), WallSecs: wall.Seconds()}
+	run.SLO, run.Makespan = foldSLO(results, valid, shards[0].Cfg.Machine.EffectiveClockHz())
 	for _, s := range cl.Shards() {
 		run.ShardJobs = append(run.ShardJobs, s.Routed)
 		run.ShardUtil = append(run.ShardUtil, s.Utilization())
 		run.Handoffs += s.HandoffsOut
 	}
-	if run.jobsTable, err = cl.JobsTable(); err != nil {
-		return ClusterRun{}, err
-	}
-	return run, nil
+	run.jobsTable, err = cl.JobsTable()
+	return run, err
 }
 
 // Table renders the figure. With NoWall only deterministic columns
@@ -428,22 +276,21 @@ func (s *ClusterSweep) Table() string {
 	if s.HandoffArm {
 		rows = append(rows, s.HandoffOn)
 	}
-	if s.NoWall {
-		fmt.Fprintf(&b, "%-9s %10s %8s %5s %4s %4s %10s %12s %12s %6s %9s\n",
-			"mode", "stride", "barriers", "done", "shed", "met", "goodput/s", "p50", "p99", "valid", "identical")
-		for _, r := range rows {
-			fmt.Fprintf(&b, "%-9s %10d %8d %5d %4d %4d %10.2f %12d %12d %6v %9v\n",
-				r.Mode, r.Stride, r.Barriers, r.Completed, r.Shed, r.Met,
-				r.Goodput, r.P50, r.P99, r.AllValid, r.Identical)
+	// wall renders a pass's host-timing column, absent under NoWall.
+	wall := func(format string, v any) string {
+		if s.NoWall {
+			return ""
 		}
-	} else {
-		fmt.Fprintf(&b, "%-9s %10s %8s %5s %4s %4s %10s %12s %12s %8s %6s %9s\n",
-			"mode", "stride", "barriers", "done", "shed", "met", "goodput/s", "p50", "p99", "wall s", "valid", "identical")
-		for _, r := range rows {
-			fmt.Fprintf(&b, "%-9s %10d %8d %5d %4d %4d %10.2f %12d %12d %8.3f %6v %9v\n",
-				r.Mode, r.Stride, r.Barriers, r.Completed, r.Shed, r.Met,
-				r.Goodput, r.P50, r.P99, r.WallSecs, r.AllValid, r.Identical)
-		}
+		return fmt.Sprintf(format, v)
+	}
+	fmt.Fprintf(&b, "%-9s %10s %8s %5s %4s %4s %10s %12s %12s%s %6s %9s\n", "mode", "stride", "barriers",
+		"done", "shed", "met", "goodput/s", "p50", "p99", wall(" %8s", "wall s"), "valid", "identical")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-9s %10d %8d %5d %4d %4d %10.2f %12d %12d%s %6v %9v\n",
+			r.Mode, r.Stride, r.Barriers, r.Completed, r.Shed, r.Met,
+			r.Goodput, r.P50, r.P99, wall(" %8.3f", r.WallSecs), r.AllValid, r.Identical)
+	}
+	if !s.NoWall {
 		fmt.Fprintf(&b, "wall-clock speedup (parallel vs serial, %d shards on %d host CPUs): %.2fx\n",
 			len(s.Shards), s.HostCPUs, s.Speedup)
 	}
@@ -470,95 +317,58 @@ func (s *ClusterSweep) Table() string {
 
 	// The stride record: how the epoch-barrier default was chosen.
 	fmt.Fprintf(&b, "epoch-stride sensitivity (fidelity = merged job table byte-identical to serial reference):\n")
-	if s.NoWall {
-		fmt.Fprintf(&b, "  %10s %8s %9s\n", "stride", "barriers", "identical")
-		for _, r := range rows[1:] {
-			fmt.Fprintf(&b, "  %10d %8d %9v\n", r.Stride, r.Barriers, r.Identical)
+	fmt.Fprintf(&b, "  %10s %8s%s %9s\n", "stride", "barriers", wall(" %8s", "speedup"), "identical")
+	for _, r := range rows[1:] {
+		sp := 0.0
+		if r.WallSecs > 0 {
+			sp = s.Serial.WallSecs / r.WallSecs
 		}
-	} else {
-		fmt.Fprintf(&b, "  %10s %8s %8s %9s\n", "stride", "barriers", "speedup", "identical")
-		for _, r := range rows[1:] {
-			sp := 0.0
-			if r.WallSecs > 0 {
-				sp = s.Serial.WallSecs / r.WallSecs
-			}
-			fmt.Fprintf(&b, "  %10d %8d %7.2fx %9v\n", r.Stride, r.Barriers, sp, r.Identical)
-		}
+		fmt.Fprintf(&b, "  %10d %8d%s %9v\n", r.Stride, r.Barriers, wall(" %7.2fx", sp), r.Identical)
 	}
 	return b.String()
 }
 
-// JSON renders the sweep in the BENCH_cluster.json shape.
-func (s *ClusterSweep) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// CheckSpeedup is the CI scaling gate: an error when the parallel
-// pass's wall-clock speedup fell below min, or when any pass's merged
-// results diverged or mismatched their references. The speedup is a
+// Check is the figure's gate. Every pass's merged results must match
+// their references and replay identically (against the serial
+// reference; the hand-off pass against its own in-process replay). On
+// the hand-off arm, hand-offs must actually fire and the hand-off run
+// must strictly beat the hand-off-free parallel baseline on goodput
+// (deadlines met) or tail latency (p99). Options.MinSpeedup, when set,
+// is the CI scaling floor on the parallel pass's wall-clock speedup — a
 // dimensionless host ratio, so the gate survives faster or slower
-// runners — but it does assume the runner has at least as many CPUs
-// as the gate expects shards to spread over.
-func (s *ClusterSweep) CheckSpeedup(min float64) error {
+// runners, but it does assume the runner has at least as many CPUs as
+// the gate expects shards to spread over.
+func (s *ClusterSweep) Check(opt Options) error {
 	var problems []string
-	for _, r := range append([]ClusterRun{s.Serial, s.Parallel}, s.StrideRuns...) {
+	passes := append([]ClusterRun{s.Serial, s.Parallel}, s.StrideRuns...)
+	if s.HandoffArm {
+		passes = append(passes, s.HandoffOn)
+	}
+	for _, r := range passes {
 		if !r.Identical {
 			problems = append(problems,
-				fmt.Sprintf("%s pass (stride %d): merged results diverged from serial reference", r.Mode, r.Stride))
+				fmt.Sprintf("%s pass (stride %d): merged results did not replay identically", r.Mode, r.Stride))
 		}
 		if !r.AllValid {
 			problems = append(problems,
 				fmt.Sprintf("%s pass (stride %d): checksum mismatch vs reference", r.Mode, r.Stride))
 		}
 	}
-	if s.Speedup < min {
-		problems = append(problems, fmt.Sprintf(
-			"parallel speedup %.2fx below gate %.2fx (%d shards, %d host CPUs)",
-			s.Speedup, min, len(s.Shards), s.HostCPUs))
-	}
-	if len(problems) > 0 {
-		return fmt.Errorf("cluster gate:\n  %s", strings.Join(problems, "\n  "))
-	}
-	return nil
-}
-
-// CheckHandoff is the CI hand-off gate: hand-offs must actually fire,
-// every pass's checksums must match their references, the hand-off
-// pass must replay byte-identically, and the hand-off run must
-// strictly beat the hand-off-free parallel baseline on goodput
-// (deadlines met) or tail latency (p99).
-func (s *ClusterSweep) CheckHandoff() error {
-	if !s.HandoffArm {
-		return fmt.Errorf("cluster gate: hand-off arm was not run")
-	}
-	var problems []string
-	h, p := s.HandoffOn, s.Parallel
-	if h.Handoffs == 0 {
-		problems = append(problems, "no hand-offs fired on the imbalanced fleet")
-	}
-	for _, r := range []ClusterRun{s.Serial, p, h} {
-		if !r.AllValid {
-			problems = append(problems,
-				fmt.Sprintf("%s pass: checksum mismatch vs reference", r.Mode))
+	if s.HandoffArm {
+		h, p := s.HandoffOn, s.Parallel
+		if h.Handoffs == 0 {
+			problems = append(problems, "handoff pass: no hand-offs fired on the imbalanced fleet")
+		}
+		if h.Met <= p.Met && h.P99 >= p.P99 {
+			problems = append(problems, fmt.Sprintf(
+				"handoff pass: hand-off did not improve goodput or tail: met %d vs %d, p99 %d vs %d",
+				h.Met, p.Met, h.P99, p.P99))
 		}
 	}
-	if !p.Identical {
-		problems = append(problems, "parallel baseline diverged from serial reference")
-	}
-	if !h.Identical {
-		problems = append(problems, "hand-off pass did not replay byte-identically")
-	}
-	if h.Met <= p.Met && h.P99 >= p.P99 {
+	if s.Speedup < opt.MinSpeedup {
 		problems = append(problems, fmt.Sprintf(
-			"hand-off did not improve goodput or tail: met %d vs %d, p99 %d vs %d",
-			h.Met, p.Met, h.P99, p.P99))
+			"parallel speedup %.2fx below floor %.2fx (%d shards, %d host CPUs)",
+			s.Speedup, opt.MinSpeedup, len(s.Shards), s.HostCPUs))
 	}
-	if len(problems) > 0 {
-		return fmt.Errorf("cluster hand-off gate:\n  %s", strings.Join(problems, "\n  "))
-	}
-	return nil
+	return gateError("cluster", problems)
 }

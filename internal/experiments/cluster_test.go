@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -63,13 +64,13 @@ func TestClusterFigure(t *testing.T) {
 	if s.Parallel.Barriers <= 0 {
 		t.Error("parallel pass took no barriers")
 	}
-	// CheckSpeedup's divergence arm must pass on identical runs when the
+	// Check's divergence arm must pass on identical runs when the
 	// speedup floor is waived.
-	if err := s.CheckSpeedup(0); err != nil {
+	if err := s.Check(Options{}); err != nil {
 		t.Errorf("gate with no floor rejected a clean sweep: %v", err)
 	}
 	// And an unreachable floor must trip it.
-	if err := s.CheckSpeedup(1e9); err == nil {
+	if err := s.Check(Options{MinSpeedup: 1e9}); err == nil {
 		t.Error("gate with an unreachable floor passed")
 	}
 }
@@ -91,7 +92,7 @@ func TestClusterTableReplays(t *testing.T) {
 // TestClusterJSONShape checks the BENCH_cluster.json artifact carries
 // the gate's inputs.
 func TestClusterJSONShape(t *testing.T) {
-	out, err := runSmallCluster(t).JSON()
+	out, err := json.Marshal(runSmallCluster(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"herajvm/internal/isa"
@@ -57,9 +56,6 @@ func TestFig4aShape(t *testing.T) {
 	if !(mb.SixSPE > mp.SixSPE && mp.SixSPE > cp.SixSPE) {
 		t.Errorf("6-SPE ordering should be mandelbrot > mpegaudio > compress: %.2f %.2f %.2f",
 			mb.SixSPE, mp.SixSPE, cp.SixSPE)
-	}
-	if !strings.Contains(f.Table(), "Figure 4(a)") {
-		t.Error("table header missing")
 	}
 }
 
@@ -117,7 +113,8 @@ func TestFig5Shape(t *testing.T) {
 func TestFig6Shape(t *testing.T) {
 	opt := tiny()
 	sweep, err := runCacheSweep(opt, "Figure 6", "data cache KB", []int{8, 48, 104},
-		func(cfg *vm.Config, kb int) { cfg.DataCache.Size = uint32(kb) << 10 })
+		func(cfg *vm.Config, kb int) { cfg.DataCache.Size = uint32(kb) << 10 },
+		func(st RunStats) float64 { return st.Accel.DataHitRate() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +150,8 @@ func TestFig6Shape(t *testing.T) {
 func TestFig7Shape(t *testing.T) {
 	opt := tiny()
 	sweep, err := runCacheSweep(opt, "Figure 7", "code cache KB", []int{8, 48, 88},
-		func(cfg *vm.Config, kb int) { cfg.CodeCache.Size = uint32(kb) << 10 })
+		func(cfg *vm.Config, kb int) { cfg.CodeCache.Size = uint32(kb) << 10 },
+		func(st RunStats) float64 { return st.Accel.CodeHitRate() })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +207,14 @@ func TestA4CoherenceCost(t *testing.T) {
 }
 
 func TestRunStatsValidity(t *testing.T) {
-	spec := workloads.Mandelbrot()
-	st, err := runOne(Options{}, spec, 2, 1, 2, nil)
+	st, err := run(Options{}, paperBench(workloads.Mandelbrot(), 1), ps3(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Valid {
 		t.Error("mandelbrot checksum should validate")
 	}
-	if st.Cycles == 0 || st.SPEInstrs == 0 {
+	if st.Cycles == 0 || st.Accel.Instrs == 0 {
 		t.Error("stats look empty")
 	}
 }

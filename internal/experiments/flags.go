@@ -7,74 +7,34 @@ import (
 	"herajvm/internal/cell"
 )
 
-// ServeFlags is the shared CLI surface of the open-loop serve driver
-// and the cluster layer above it, so `herabench` and `herajvm` expose
-// identical -jobs/-cadence/-trace/-seed/-deadline/-maxpending/-shards/
-// -stride knobs with identical semantics and help text, the way
-// hera.Schedulers() already unifies -sched discovery.
-type ServeFlags struct {
-	Jobs       int
-	Cadence    uint64
-	Trace      string
-	Seed       uint64
-	Deadline   uint64
-	MaxPending int
-	// Workloads restricts the serve/cluster job mix to a comma-separated
-	// list of workload names; kernel workloads (matmul, nbody, kmeans)
-	// are accepted and enter the mix as forRange launches.
-	Workloads string
-	// Shards is the cluster fleet spec, one topology per shard
-	// ("ppe:1,spe:6;ppe:1,spe:4,vpu:2"); Stride the epoch-barrier
-	// stride in cycles.
-	Shards string
-	Stride uint64
-	// Handoff selects the cluster figure's hand-off arm: the same
-	// arrival script with and without inter-shard job hand-off on an
-	// imbalanced fleet, plus a replay of the hand-off pass.
-	Handoff bool
-}
-
-// BindServeFlags registers the serve driver's flags on a flag set and
-// returns the struct they fill. Zero values defer to the driver's
-// defaults (RunServe).
-func BindServeFlags(fs *flag.FlagSet) *ServeFlags {
-	f := &ServeFlags{}
-	fs.IntVar(&f.Jobs, "jobs", 0, "serve: number of jobs the arrival trace emits (0 = default)")
-	fs.Uint64Var(&f.Cadence, "cadence", 0, "serve: mean inter-arrival gap in cycles (0 = default)")
-	fs.StringVar(&f.Trace, "trace", "", "serve: arrival trace, one of "+strings.Join(Traces(), "|")+" (default poisson)")
-	fs.Uint64Var(&f.Seed, "seed", 0, "serve: arrival-trace PRNG seed (0 = default)")
-	fs.Uint64Var(&f.Deadline, "deadline", 0, "serve: per-job completion deadline in cycles relative to admission (0 = default)")
-	fs.IntVar(&f.MaxPending, "maxpending", 0, "serve: admission queue-depth backstop for shedding runs (0 = default)")
-	fs.StringVar(&f.Workloads, "workloads", "",
-		`serve/cluster: comma-separated job-mix workloads, e.g. "compress,matmul,kmeans" ("" = the paper mix)`)
-	fs.StringVar(&f.Shards, "shards", "",
-		`cluster: semicolon-separated per-shard machine shapes, e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2" ("" = four default serve shards)`)
-	fs.Uint64Var(&f.Stride, "stride", 0, "cluster: epoch-barrier stride in cycles (0 = default)")
-	fs.BoolVar(&f.Handoff, "handoff", false,
-		"cluster: run the inter-shard hand-off arm (imbalanced fleet, hand-off off vs on, replay check)")
-	return f
-}
-
-// Apply copies the bound flag values into experiment options. The
-// error is a malformed -shards list.
-func (f *ServeFlags) Apply(o *Options) error {
-	o.ServeJobs = f.Jobs
-	o.ServeCadence = f.Cadence
-	o.ServeTrace = f.Trace
-	o.ServeSeed = f.Seed
-	o.ServeDeadline = f.Deadline
-	o.ServeMaxPending = f.MaxPending
-	if f.Workloads != "" {
-		o.ServeWorkloads = strings.Split(f.Workloads, ",")
-	}
-	o.EpochStride = f.Stride
-	o.Handoff = f.Handoff
-	if f.Shards != "" {
-		list, err := cell.ParseTopologyList(f.Shards)
-		if err != nil {
+// BindServeFlags registers the shared CLI surface of the open-loop
+// serve driver and the cluster layer above it on a flag set, filling o
+// as the flags parse — so `herabench` and `herajvm` expose identical
+// -jobs/-cadence/-trace/-seed/-deadline/-maxpending/-workloads/-shards/
+// -stride/-handoff knobs with identical semantics and help text, the
+// way hera.Schedulers() already unifies -sched discovery. Zero values
+// defer to each figure's defaults; a malformed -shards list fails the
+// parse.
+func BindServeFlags(fs *flag.FlagSet, o *Options) {
+	fs.IntVar(&o.ServeJobs, "jobs", 0, "serve: number of jobs the arrival trace emits (0 = default)")
+	fs.Uint64Var(&o.ServeCadence, "cadence", 0, "serve: mean inter-arrival gap in cycles (0 = default)")
+	fs.StringVar(&o.ServeTrace, "trace", "", "serve: arrival trace, one of "+strings.Join(Traces(), "|")+" (default poisson)")
+	fs.Uint64Var(&o.ServeSeed, "seed", 0, "serve: arrival-trace PRNG seed (0 = default)")
+	fs.Uint64Var(&o.ServeDeadline, "deadline", 0, "serve: per-job completion deadline in cycles relative to admission (0 = default)")
+	fs.IntVar(&o.ServeMaxPending, "maxpending", 0, "serve: admission queue-depth backstop for shedding runs (0 = default)")
+	// Kernel workloads (matmul, nbody, kmeans) are accepted and enter
+	// the mix as forRange launches.
+	fs.Func("workloads", `serve/cluster: comma-separated job-mix workloads, e.g. "compress,matmul,kmeans" ("" = the paper mix)`,
+		func(s string) error {
+			o.ServeWorkloads = strings.Split(s, ",")
+			return nil
+		})
+	fs.Func("shards", `cluster: semicolon-separated per-shard machine shapes, e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2" ("" = four default serve shards)`,
+		func(s string) (err error) {
+			o.ShardTopos, err = cell.ParseTopologyList(s)
 			return err
-		}
-		o.ShardTopos = list
-	}
-	return nil
+		})
+	fs.Uint64Var(&o.EpochStride, "stride", 0, "cluster: epoch-barrier stride in cycles (0 = default)")
+	fs.BoolVar(&o.Handoff, "handoff", false,
+		"cluster: run the inter-shard hand-off arm (imbalanced fleet, hand-off off vs on, replay check)")
 }

@@ -1,13 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
 	"herajvm/internal/kernel"
-	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
 )
 
@@ -44,50 +43,6 @@ type KernelsRow struct {
 	Valid    bool  `json:"valid"`
 }
 
-// DefaultKernelTopologies returns the ablation's machine shapes: the
-// paper's PS3 baseline (the kernel falls back to the SPE pool) and the
-// VPU-bearing showcase machine the planner routes onto the vector
-// cores.
-func DefaultKernelTopologies() []cell.Topology {
-	return []cell.Topology{cell.PS3Topology(6), DefaultSimSpeedTopology()}
-}
-
-// runKernelVariant builds one variant of a kernel workload and runs it
-// as a job on a fresh machine, so the job-level kernel accounting
-// (workers, staging DMA) is observable.
-func runKernelVariant(opt Options, k workloads.KernelSpec, kernelVariant bool,
-	scale int, topo cell.Topology) (*vm.Job, error) {
-
-	if err := opt.interrupted(); err != nil {
-		return nil, err
-	}
-	prog, err := k.Build(scale)
-	if err != nil {
-		return nil, err
-	}
-	cfg := vm.DefaultConfig()
-	cfg.Machine.Topology = topo
-	if opt.Scheduler != "" {
-		cfg.Scheduler = opt.Scheduler
-	}
-	machine, err := vm.New(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	entry := k.ScalarClass
-	if kernelVariant {
-		entry = k.KernelClass
-	}
-	j, err := machine.SubmitJob(vm.JobSpec{Name: entry, Class: entry, Method: "main"})
-	if err != nil {
-		return nil, err
-	}
-	if err := machine.WaitJob(j); err != nil {
-		return nil, fmt.Errorf("%s/%s (%s): %w", k.Name, entry, topo, err)
-	}
-	return j, nil
-}
-
 // poolKindFor replays the launch planner's pool choice for a topology
 // (the same ChoosePool the VM calls), so the table can name the pool
 // without instrumenting the launch path.
@@ -103,48 +58,51 @@ func poolKindFor(topo cell.Topology) string {
 }
 
 // RunKernels executes the kernel offload ablation: workloads x
-// topologies, scalar vs kernel. Options.Topologies overrides the
-// machine shapes; Options.ScaleOverride the per-workload scales.
+// topologies, scalar vs kernel — each workload's two entry classes are
+// two benches over the one program, so the job-level kernel accounting
+// (workers, staging DMA) is observable per variant. Options.Topologies
+// overrides the machine shapes; Options.ScaleOverride the per-workload
+// scales.
 func RunKernels(opt Options) (*KernelsSweep, error) {
-	topos := DefaultKernelTopologies()
-	if len(opt.Topologies) > 0 {
-		topos = opt.Topologies
+	var benches []bench
+	for _, k := range workloads.Kernels() {
+		scale := opt.scale(k.Name, k.DefaultScale)
+		want := k.Reference(scale)
+		for _, entry := range []string{k.ScalarClass, k.KernelClass} {
+			benches = append(benches, bench{name: k.Name + "/" + entry, entry: entry,
+				build: func(int) (*classfile.Program, error) { return k.Build(scale) },
+				want:  func(int) int32 { return want }})
+		}
+	}
+	// The default shapes: the paper's PS3 baseline (the kernel falls
+	// back to the SPE pool) and the VPU-bearing three-kind machine the
+	// planner routes onto the vector cores.
+	var arms []arm
+	for _, topo := range opt.topologies(cell.PS3Topology(6), DefaultServeTopology()) {
+		arms = append(arms, arm{label: "default workers", topo: topo})
+	}
+	runs, err := grid(opt, "kernels", benches, arms)
+	if err != nil {
+		return nil, err
 	}
 	out := &KernelsSweep{}
-	for _, k := range workloads.Kernels() {
-		scale := k.DefaultScale
-		if v, ok := opt.ScaleOverride[k.Name]; ok && v > 0 {
-			scale = v
-		}
-		want := k.Reference(scale)
-		for _, topo := range topos {
-			sj, err := runKernelVariant(opt, k, false, scale, topo)
-			if err != nil {
-				return nil, err
-			}
-			kj, err := runKernelVariant(opt, k, true, scale, topo)
-			if err != nil {
-				return nil, err
-			}
-			sChk := int32(uint32(sj.Root().Result))
-			kChk := int32(uint32(kj.Root().Result))
+	for i, k := range workloads.Kernels() {
+		for t, a := range arms {
+			sj, kj := runs[2*i][t], runs[2*i+1][t]
 			row := KernelsRow{
 				Workload:     k.Name,
-				Topology:     topo.String(),
-				Pool:         poolKindFor(topo),
-				ScalarCycles: uint64(sj.Cycles()),
-				KernelCycles: uint64(kj.Cycles()),
-				Workers:      kj.Stats.KernelWorkers,
-				DMABytes:     kj.Stats.KernelDMABytes,
-				Checksum:     kChk,
-				Valid:        sChk == want && kChk == want && kj.Stats.KernelLaunches == 1,
+				Topology:     kj.Topology,
+				Pool:         poolKindFor(a.topo),
+				ScalarCycles: sj.Cycles,
+				KernelCycles: kj.Cycles,
+				Workers:      kj.Job.KernelWorkers,
+				DMABytes:     kj.Job.KernelDMABytes,
+				Checksum:     kj.Checksum,
+				Valid:        sj.Valid && kj.Valid && kj.Job.KernelLaunches == 1,
 			}
 			if row.KernelCycles > 0 {
 				row.Speedup = float64(row.ScalarCycles) / float64(row.KernelCycles)
 			}
-			opt.logf("kernels %s on %s: %.2fx (%d scalar vs %d kernel cycles, %d workers on %s, %d B DMA, valid %v)",
-				k.Name, row.Topology, row.Speedup, row.ScalarCycles, row.KernelCycles,
-				row.Workers, row.Pool, row.DMABytes, row.Valid)
 			out.Rows = append(out.Rows, row)
 		}
 	}
@@ -166,22 +124,14 @@ func (s *KernelsSweep) Table() string {
 	return b.String()
 }
 
-// JSON renders the sweep in the BENCH_kernels.json shape.
-func (s *KernelsSweep) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// CheckKernelMin gates the sweep: every row must be differentially
-// valid, every kernel run must have billed staging DMA on a local-store
-// pool, and matmul's speedup on each VPU-bearing topology must clear
-// min (the CI floor; the acceptance claim is >= 2x on ppe:1,spe:4,vpu:2).
-func (s *KernelsSweep) CheckKernelMin(min float64) error {
+// Check gates the sweep: every row must be differentially valid, every
+// kernel run must have billed staging DMA on a local-store pool, and
+// matmul's speedup on each VPU-bearing topology must clear
+// Options.MinSpeedup (the CI floor; the acceptance claim is >= 2x on
+// ppe:1,spe:4,vpu:2).
+func (s *KernelsSweep) Check(opt Options) error {
 	var problems []string
-	var gated bool
+	gated := opt.MinSpeedup == 0
 	for _, r := range s.Rows {
 		if !r.Valid {
 			problems = append(problems,
@@ -194,17 +144,14 @@ func (s *KernelsSweep) CheckKernelMin(min float64) error {
 		}
 		if r.Workload == "matmul" && r.Pool == "vpu" {
 			gated = true
-			if r.Speedup < min {
+			if r.Speedup < opt.MinSpeedup {
 				problems = append(problems, fmt.Sprintf(
-					"matmul on %s: speedup %.2fx below the %.2fx floor", r.Topology, r.Speedup, min))
+					"matmul on %s: speedup %.2fx below the %.2fx floor", r.Topology, r.Speedup, opt.MinSpeedup))
 			}
 		}
 	}
 	if !gated {
-		problems = append(problems, "no matmul row ran on a VPU pool — the gate never applied")
+		problems = append(problems, "no matmul row ran on a VPU pool — the floor never applied")
 	}
-	if len(problems) > 0 {
-		return fmt.Errorf("kernels gate:\n  %s", strings.Join(problems, "\n  "))
-	}
-	return nil
+	return gateError("kernels", problems)
 }

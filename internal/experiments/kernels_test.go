@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -34,10 +35,10 @@ func TestRunKernelsDifferentialAndGate(t *testing.T) {
 				r.Workload, r.Topology, r.Workers, r.DMABytes)
 		}
 	}
-	if err := s.CheckKernelMin(1.0); err != nil {
+	if err := s.Check(Options{MinSpeedup: 1.0}); err != nil {
 		t.Errorf("gate failed at a 1.0x floor: %v", err)
 	}
-	if err := s.CheckKernelMin(1e9); err == nil {
+	if err := s.Check(Options{MinSpeedup: 1e9}); err == nil {
 		t.Error("gate passed an impossible floor")
 	}
 }
@@ -50,8 +51,8 @@ func TestRunKernelsPoolChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		cell.PS3Topology(6).String():       "spe",
-		DefaultSimSpeedTopology().String(): "vpu",
+		cell.PS3Topology(6).String():    "spe",
+		DefaultServeTopology().String(): "vpu",
 	}
 	for _, r := range s.Rows {
 		if r.Pool != want[r.Topology] {
@@ -104,11 +105,11 @@ func TestRunKernelsDeterministicReplay(t *testing.T) {
 	if s1.Table() != s2.Table() {
 		t.Errorf("table drifted between replays:\n%s\nvs\n%s", s1.Table(), s2.Table())
 	}
-	j1, err := s1.JSON()
+	j1, err := json.Marshal(s1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s2.JSON()
+	j2, err := json.Marshal(s2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,28 @@
 // Package experiments regenerates every figure of the paper's
-// evaluation section (Figures 4(a), 4(b), 5, 6 and 7) plus the ablations
-// DESIGN.md lists (A1-A4). Each experiment builds the relevant workload
-// programs, runs them on configured machines, and returns a table whose
-// rows correspond to the paper's data series. Absolute cycle counts are
-// simulator-calibrated; the claims under test are the relative shapes
-// (see EXPERIMENTS.md).
+// evaluation section (Figures 4(a), 4(b), 5, 6 and 7), the ablations
+// DESIGN.md lists (A1-A4) and the reproduction's own sweeps. The paper's
+// evaluation is one experiment repeated — the same programs, a different
+// machine declaration per bar — and the package is built the same way:
+// a closed-loop figure is a set of arms (machine declarations) handed to
+// grid, which runs every bench on every arm through the one run
+// primitive, plus a row derivation and a plain printer; the open-loop
+// figures share one arrival script, request builder and SLO fold
+// (openloop.go). Figures() is the registry herabench drives. Absolute
+// cycle counts are simulator-calibrated; the claims under test are the
+// relative shapes (see EXPERIMENTS.md).
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"time"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/isa"
+	"herajvm/internal/classfile"
+	"herajvm/internal/profile"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
 )
@@ -29,12 +38,14 @@ type Options struct {
 	// MaxSPEs bounds the machine (6 on a PS3).
 	MaxSPEs int
 	// Scheduler names the scheduling algorithm every run uses
-	// ("calendar", "steal"; "" keeps the default). The steal sweep
-	// ignores it — it compares both by construction.
+	// ("calendar", "steal", "migrate"; "" keeps the default). The sched
+	// and simspeed sweeps ignore it — they compare all three by
+	// construction.
 	Scheduler string
-	// Topologies overrides the machine shapes the topology and steal
-	// sweeps visit (nil keeps each sweep's defaults). herabench fills
-	// it from the -topology flag.
+	// Topologies overrides the machine shapes the topo, sched and
+	// kernels sweeps visit, and its first entry the serve and simspeed
+	// machine (nil keeps each figure's defaults). herabench fills it
+	// from the -topology flag.
 	Topologies []cell.Topology
 	// ServeJobs and ServeCadence size the open-loop serve driver
 	// (RunServe): how many jobs the arrival trace emits and the mean
@@ -75,6 +86,15 @@ type Options struct {
 	// host timings (the simspeed sweep), so their output is replayable
 	// byte for byte in the determinism gates.
 	NoWall bool
+	// MinSpeedup is the opt-in floor a figure's Check holds its headline
+	// speedup to: the cluster figure's parallel-vs-serial wall-clock
+	// ratio, the kernels figure's matmul kernel-vs-scalar cycle ratio on
+	// a VPU pool (0 = no floor; herabench -minspeedup).
+	MinSpeedup float64
+	// Baseline, when non-nil, is a previous run's simspeed JSON; the
+	// simspeed Check fails a cell whose speedup fell below 75% of it
+	// (herabench -baseline).
+	Baseline []byte
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 }
@@ -97,11 +117,17 @@ func Quick() Options {
 	}
 }
 
-func (o Options) scale(s workloads.Spec) int {
-	if v, ok := o.ScaleOverride[s.Name]; ok && v > 0 {
-		return v
+// scale resolves a workload's scale: the override when set, else def.
+func (o Options) scale(name string, def int) int {
+	return cmp.Or(max(o.ScaleOverride[name], 0), def)
+}
+
+// topologies returns the -topology override, or a figure's defaults.
+func (o Options) topologies(def ...cell.Topology) []cell.Topology {
+	if len(o.Topologies) > 0 {
+		return o.Topologies
 	}
-	return s.DefaultScale
+	return def
 }
 
 func (o Options) logf(format string, args ...any) {
@@ -114,15 +140,10 @@ func (o Options) logf(format string, args ...any) {
 // figure runners call it between runs so a timed-out sweep stops at
 // the next run boundary.
 func (o Options) interrupted() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	select {
-	case <-o.Ctx.Done():
+	if o.Ctx != nil && o.Ctx.Err() != nil {
 		return fmt.Errorf("experiments: %w", o.Ctx.Err())
-	default:
-		return nil
 	}
+	return nil
 }
 
 // RunStats captures one benchmark execution.
@@ -135,123 +156,197 @@ type RunStats struct {
 	// Checksum and Valid report output correctness vs the Go reference.
 	Checksum int32
 	Valid    bool
-	// Accelerator aggregates across all local-store cores (the SPEs on
-	// the PS3 shape, plus any VPUs the topology declares); the field
-	// names keep the paper's SPE vocabulary.
-	SPEShares   [isa.NumClasses]float64
-	DataHitRate float64
-	CodeHitRate float64
-	DMABytes    uint64
-	SPEInstrs   uint64
-	// PPEInstrs aggregates across service-hosting cores.
-	PPEInstrs  uint64
-	GCs        uint64
-	EIBWait    uint64
-	Migrations uint64
-	// Steals counts same-kind work steals across all cores (nonzero
-	// only under the "steal" and "migrate" schedulers); AllMigrations
-	// counts cross-kind thread migrations landing on *any* core —
-	// policy-driven moves plus, under the "migrate" scheduler, the
-	// cost-gated migrations the scheduler itself performs.
-	Steals        uint64
-	AllMigrations uint64
+	// All sums every core's counters: StealsIn is the run's same-kind
+	// work steals (nonzero only under "steal" and "migrate"),
+	// MigrationsIn its cross-kind migrations landing on any core —
+	// policy-driven moves plus, under "migrate", the cost-gated moves
+	// the scheduler itself performs. Accel sums the local-store cores
+	// only (the SPEs on the PS3 shape, plus any VPUs the topology
+	// declares) — the paper's per-SPE cycle shares and cache hit rates.
+	All, Accel profile.CoreStats
+	// DataCache and CodeCache are the first local-store core's final
+	// cache sizes in bytes (where the adaptive controller settled).
+	DataCache, CodeCache uint32
+	// Job is the run's job-level accounting (kernel launches, workers
+	// and staging DMA included): every run goes through the job API.
+	Job vm.JobStats
+	// Wall is the host time of the simulation alone — build and boot
+	// excluded; the minimum over the arm's repetitions.
+	Wall time.Duration
 }
 
-// runOne executes a workload on a machine with numSPEs SPE cores beside
-// the single PPE (0 = everything on the PPE). The figure sweeps are
-// PS3-shaped; runOnTopology is the general entry point.
-func runOne(opt Options, spec workloads.Spec, threads, scale, numSPEs int,
-	mutate func(*vm.Config)) (RunStats, error) {
-	return runOnTopology(opt, spec, threads, scale, cell.PS3Topology(numSPEs), mutate, nil)
+// bench is one guest program a figure runs: how to build it for a
+// thread count, its static entry class, and the checksum main must
+// return.
+type bench struct {
+	name, entry string
+	build       func(threads int) (*classfile.Program, error)
+	want        func(threads int) int32
 }
 
-// runOneInspect is runOne plus a post-run VM inspection hook.
-func runOneInspect(opt Options, spec workloads.Spec, threads, scale, numSPEs int,
-	mutate func(*vm.Config), inspect func(*vm.VM)) (RunStats, error) {
-	return runOnTopology(opt, spec, threads, scale, cell.PS3Topology(numSPEs), mutate, inspect)
+// benches returns the paper's three workloads at the options' scales.
+func (o Options) benches() []bench {
+	var out []bench
+	for _, spec := range workloads.All() {
+		out = append(out, paperBench(spec, o.scale(spec.Name, spec.DefaultScale)))
+	}
+	return out
 }
 
-// runOnTopology executes a workload on a machine of the given shape with
-// optional config mutation and a post-run VM inspection hook. The
-// options' scheduler selection applies to every run, so whole figures
-// replay under an alternative scheduler (herabench -sched).
-func runOnTopology(opt Options, spec workloads.Spec, threads, scale int, topo cell.Topology,
-	mutate func(*vm.Config), inspect func(*vm.VM)) (RunStats, error) {
+func paperBench(spec workloads.Spec, scale int) bench {
+	return bench{
+		name: spec.Name, entry: spec.MainClass,
+		build: func(threads int) (*classfile.Program, error) { return spec.Build(threads, scale) },
+		want:  func(threads int) int32 { return spec.Reference(threads, scale) },
+	}
+}
 
+// arm is one machine declaration a bench runs on — one bar of a figure.
+// The programs are identical across a figure's arms; only this changes.
+type arm struct {
+	// label names the arm in -v progress lines.
+	label string
+	topo  cell.Topology
+	// threads is the benchmark worker count (0 = one per worker core).
+	threads int
+	// sched overrides Options.Scheduler ("" = follow the options).
+	sched string
+	// mutate, when non-nil, edits the VM configuration before boot.
+	mutate func(*vm.Config)
+	// reps > 0 marks a host-timed arm: the run repeats reps times behind
+	// a forced host collection and RunStats.Wall keeps the minimum. The
+	// simulation is deterministic, so every rep does identical work and
+	// the minimum is the cleanest estimate of its cost — single runs of
+	// a few hundred milliseconds are at the mercy of host scheduling and
+	// GC pauses.
+	reps int
+}
+
+// ps3 is the paper's machine: one PPE beside n SPEs (0 = PPE only).
+func ps3(n, threads int) arm {
+	return arm{label: fmt.Sprintf("%d SPEs", n), topo: cell.PS3Topology(n), threads: threads}
+}
+
+// run executes one bench on one arm: build, boot, submit main as a job,
+// drain, collect. It is the only place a closed-loop figure boots a VM.
+// Building and booting stay outside the timed region, so Wall isolates
+// the executor.
+func run(opt Options, b bench, a arm) (RunStats, error) {
 	if err := opt.interrupted(); err != nil {
 		return RunStats{}, err
 	}
-	prog, err := spec.Build(threads, scale)
-	if err != nil {
-		return RunStats{}, err
+	threads := a.threads
+	if threads == 0 {
+		threads = a.topo.DefaultWorkers()
 	}
 	cfg := vm.DefaultConfig()
-	cfg.Machine.Topology = topo
+	cfg.Machine.Topology = a.topo
 	if opt.Scheduler != "" {
 		cfg.Scheduler = opt.Scheduler
 	}
-	if mutate != nil {
-		mutate(&cfg)
+	if a.sched != "" {
+		cfg.Scheduler = a.sched
 	}
-	machine, err := vm.New(cfg, prog)
-	if err != nil {
-		return RunStats{}, err
+	if a.mutate != nil {
+		a.mutate(&cfg)
 	}
-	th, err := machine.RunMain(spec.MainClass, "main")
-	if err != nil {
-		return RunStats{}, fmt.Errorf("%s (%s): %w", spec.Name, topo, err)
-	}
-
-	st := RunStats{
-		Workload: spec.Name,
-		Topology: topo.String(),
-		Cycles:   machine.Machine.MaxClock(),
-		Checksum: int32(uint32(th.Result)),
-		GCs:      machine.GCCount,
-		EIBWait:  machine.Machine.EIB.WaitCycles,
-	}
-	st.Valid = st.Checksum == spec.Reference(threads, scale)
-
-	var busy [isa.NumClasses]uint64
-	var busyTotal, dHits, dMisses, cHits, cMisses uint64
-	for _, c := range machine.Machine.Cores() {
-		if c.Kind.HostsServices() {
-			st.PPEInstrs += c.Stats.Instrs
+	var st RunStats
+	for rep := 0; rep < max(a.reps, 1); rep++ {
+		prog, err := b.build(threads)
+		if err != nil {
+			return RunStats{}, err
 		}
-		st.Steals += c.Stats.StealsIn
-		st.AllMigrations += c.Stats.MigrationsIn
-		if !c.Kind.UsesLocalStore() {
-			continue
+		machine, err := vm.New(cfg, prog)
+		if err != nil {
+			return RunStats{}, err
 		}
-		for i, cy := range c.Stats.Cycles {
-			busy[i] += cy
-			busyTotal += cy
+		if a.reps > 0 {
+			runtime.GC() // keep collector pauses out of the timed region
 		}
-		dHits += c.Stats.DataHits
-		dMisses += c.Stats.DataMisses
-		cHits += c.Stats.CodeHits
-		cMisses += c.Stats.CodeMisses
-		st.DMABytes += c.Stats.DMABytes
-		st.SPEInstrs += c.Stats.Instrs
-		st.Migrations += c.Stats.MigrationsIn
-	}
-	if busyTotal > 0 {
-		for i := range busy {
-			st.SPEShares[i] = float64(busy[i]) / float64(busyTotal)
+		t0 := time.Now()
+		job, err := machine.SubmitJob(vm.JobSpec{Name: "main", Class: b.entry, Method: "main"})
+		if err == nil {
+			err = machine.WaitJob(job)
 		}
-	}
-	if dHits+dMisses > 0 {
-		st.DataHitRate = float64(dHits) / float64(dHits+dMisses)
-	} else {
-		st.DataHitRate = 1
-	}
-	if cHits+cMisses > 0 {
-		st.CodeHitRate = float64(cHits) / float64(cHits+cMisses)
-	} else {
-		st.CodeHitRate = 1
-	}
-	if inspect != nil {
-		inspect(machine)
+		wall := time.Since(t0)
+		if err != nil {
+			return RunStats{}, fmt.Errorf("%s (%s, sched %s): %w", b.name, a.topo, cfg.Scheduler, err)
+		}
+		if rep == 0 {
+			st = collect(machine, job)
+			st.Workload, st.Wall = b.name, wall
+			st.Valid = st.Checksum == b.want(threads)
+		}
+		st.Wall = min(st.Wall, wall)
 	}
 	return st, nil
+}
+
+// collect reads one finished run's statistics off its machine and job.
+func collect(machine *vm.VM, job *vm.Job) RunStats {
+	st := RunStats{
+		Topology: machine.Cfg.Machine.Topology.String(),
+		Cycles:   machine.Machine.MaxClock(),
+		Checksum: int32(uint32(job.Root().Result)),
+		Job:      job.Stats,
+	}
+	localStore := false
+	for _, c := range machine.Machine.Cores() {
+		st.All.Add(&c.Stats)
+		if c.Kind.UsesLocalStore() {
+			st.Accel.Add(&c.Stats)
+			localStore = true
+		}
+	}
+	if localStore {
+		st.DataCache, st.CodeCache = machine.CacheSplit(0)
+	}
+	return st
+}
+
+// grid runs every bench on every arm — the one loop behind every
+// closed-loop figure — and returns the runs indexed [bench][arm].
+func grid(opt Options, fig string, benches []bench, arms []arm) ([][]RunStats, error) {
+	out := make([][]RunStats, len(benches))
+	for i, b := range benches {
+		for _, a := range arms {
+			st, err := run(opt, b, a)
+			if err != nil {
+				return nil, err
+			}
+			opt.logf("%s %s: %s on %s done (%d cycles, %d steals, %d migrations, valid %v)",
+				fig, b.name, a.label, st.Topology, st.Cycles, st.All.StealsIn, st.All.MigrationsIn, st.Valid)
+			out[i] = append(out[i], st)
+		}
+	}
+	return out, nil
+}
+
+// allValid reports every run's checksum matched its reference.
+func allValid(runs []RunStats) bool {
+	for _, r := range runs {
+		if !r.Valid {
+			return false
+		}
+	}
+	return true
+}
+
+// cyclesOf projects a bench's runs onto their completion times.
+func cyclesOf(runs []RunStats) []uint64 {
+	out := make([]uint64, len(runs))
+	for i, r := range runs {
+		out[i] = r.Cycles
+	}
+	return out
+}
+
+// relativeTo returns base/c per cycle count: performance relative to
+// the baseline arm (>1 = faster than it).
+func relativeTo(base uint64, cycles []uint64) []float64 {
+	out := make([]float64, len(cycles))
+	for i, c := range cycles {
+		out[i] = float64(base) / float64(c)
+	}
+	return out
 }

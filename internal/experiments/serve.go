@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
-	"sort"
 	"strings"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/core"
-	"herajvm/internal/isa"
 	"herajvm/internal/vm"
-	"herajvm/internal/workloads"
 )
 
 // The serve driver is the ROADMAP's serving harness grown open-loop:
@@ -26,182 +23,93 @@ import (
 // jobs per simulated second). The whole matrix replays byte for byte
 // from (trace, seed, jobs, cadence).
 
+// serveDefaults are the serve figure's script defaults. The deadline is
+// roomy enough that early jobs on an idle machine meet it, tight enough
+// that deep queues cannot.
+var serveDefaults = Script{NumJobs: 21, Cadence: 500_000, Trace: defaultServeTrace, Deadline: 60_000_000}
+
 const (
-	defaultServeJobs    = 21
-	defaultServeCadence = 500_000
-	defaultServeTrace   = "poisson"
-	defaultServeSeed    = 1
-	// defaultServeDeadline is the per-job completion deadline in cycles
-	// (relative to admission): roomy enough that early jobs on an idle
-	// machine meet it, tight enough that deep queues cannot.
-	defaultServeDeadline = 60_000_000
 	// defaultServeMaxPending is the admission queue-depth backstop for
 	// shedding runs — a guard against drain estimates going blind, not
 	// the primary control (the deadline probe is).
 	defaultServeMaxPending = 32
-	serveThreads           = 2
 	// servePerJobMax caps the per-job table; trace runs with hundreds
 	// of jobs report only the summary matrix.
 	servePerJobMax = 40
 )
 
-// serveScales are the per-workload scales the serve driver uses (its
-// jobs are "short programs"; Options.ScaleOverride still wins).
-var serveScales = map[string]int{
-	"compress":   1,
-	"mpegaudio":  2,
-	"mandelbrot": 1,
-	// Kernel workloads (resolved through the workloads.ByName fallback)
-	// serve at their smallest size: each job is one forRange launch.
-	"matmul": 1,
-	"nbody":  1,
-	"kmeans": 1,
-}
-
-// DefaultServeTopology returns the serve driver's machine: a
-// kind-imbalanced three-kind shape whose SPE pool the round-robin jobs
-// overload while two VPUs (and the lone PPE between job mains) idle.
-func DefaultServeTopology() cell.Topology {
-	return cell.Topology{
-		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},
-	}
-}
-
-// ServeJob is one job's per-job accounting out of a serve run.
+// ServeJob is one job of a serve run: the session's own per-job Result
+// (verdict, admission cycle, admission→completion latency, deadline
+// verdict, scheduling-event counters) plus what only the driver knows.
 type ServeJob struct {
-	ID       int
 	Workload string
-	// Arrival is the trace-dictated admission cycle; Verdict the
-	// admission pipeline's decision at it.
-	Arrival cell.Clock
-	Verdict string
-	// Latency is admission→completion time (0 for shed jobs) and
-	// DeadlineMet whether the job completed by its deadline (false for
-	// shed jobs).
-	Latency     cell.Clock
-	DeadlineMet bool
-	// Migrations/Steals/Compiles/GCPauses count the scheduling events
-	// the job's own threads experienced; GCCycles is the collector time
-	// billed to the job's allocations.
-	Migrations uint64
-	Steals     uint64
-	Compiles   uint64
-	GCPauses   uint64
-	GCCycles   uint64
 	// Valid reports the job's checksum matched the Go reference (true
 	// vacuously for shed jobs, which are excluded from AllValid).
 	Valid bool
+	*core.Result
 }
 
 // ServeRun is one (scheduler, shedding) pass over the arrival script.
+// The JSON artifact carries the summary matrix, not per-job rows: its
+// job is trend tracking across commits.
 type ServeRun struct {
-	Scheduler string
+	Scheduler string `json:"scheduler"`
 	// Shedding reports whether deadline shedding was enabled.
-	Shedding bool
+	Shedding bool `json:"shedding"`
+	SLO
 	// Makespan is the simulated cycle the last job completed.
-	Makespan cell.Clock
-	// P50/P95/P99 are nearest-rank admission→completion latency
-	// percentiles over the jobs that ran (shed jobs excluded — their
-	// latency is not a number; Shed counts them instead).
-	P50, P95, P99 cell.Clock
-	// Completed/Shed/Met split the script: jobs that ran, jobs refused
-	// at admission, and completed jobs that met their deadline.
-	Completed int
-	Shed      int
-	Met       int
-	// Goodput is deadline-met jobs per simulated second — the SLO
-	// number the admission pipeline exists to maximise.
-	Goodput float64
-	Jobs    []ServeJob
+	Makespan cell.Clock `json:"-"`
+	Jobs     []ServeJob `json:"-"`
 	// Migrations and Steals total the per-job counters.
-	Migrations uint64
-	Steals     uint64
-	// AllValid reports every completed job's checksum matched its
-	// reference.
-	AllValid bool
+	Migrations uint64 `json:"-"`
+	Steals     uint64 `json:"-"`
 }
 
 // ServeSweep compares the schedulers, shedding off vs on, on one
-// arrival script.
+// arrival script — the BENCH_serve.json shape (goodput and latency
+// percentiles per scheduler × shedding run, plus the arrival-script
+// parameters that name the run).
 type ServeSweep struct {
-	Topology string
-	NumJobs  int
-	// Cadence is the mean inter-arrival gap in cycles (the rate knob:
-	// arrival rate = ClockHz/Cadence jobs per simulated second).
-	Cadence uint64
-	Trace   string
-	Seed    uint64
-	// Deadline is the per-job completion deadline (cycles, relative to
-	// admission); MaxPending the queue-depth backstop of shedding runs.
-	Deadline   cell.Clock
-	MaxPending int
-	Runs       []ServeRun
+	Topology string `json:"topology"`
+	Script
+	// MaxPending is the queue-depth backstop of shedding runs.
+	MaxPending int        `json:"max_pending"`
+	Runs       []ServeRun `json:"runs"`
 }
 
-// RunServe executes the open-loop driver: generate the arrival script
-// from (trace, seed, jobs, cadence), then for each scheduler × shedding
-// {off, on}, boot one VM, drive the machine to each arrival before
-// submitting (so admission verdicts see real machine state), drain,
-// and report the SLO view. The script is identical across runs, and
-// each run is deterministic — replaying the sweep must reproduce its
-// table byte for byte.
+// RunServe executes the open-loop driver: resolve the arrival script,
+// then for each scheduler × shedding {off, on}, boot one VM, drive the
+// machine to each arrival before submitting (so admission verdicts see
+// real machine state), drain, and report the SLO view. The script is
+// identical across runs, and each run is deterministic — replaying the
+// sweep must reproduce its table byte for byte.
 func RunServe(opt Options) (*ServeSweep, error) {
-	numJobs := opt.ServeJobs
-	if numJobs <= 0 {
-		numJobs = defaultServeJobs
+	script, err := newScript(opt, serveDefaults)
+	if err != nil {
+		return nil, err
 	}
-	cadence := opt.ServeCadence
-	if cadence == 0 {
-		cadence = defaultServeCadence
-	}
-	trace := opt.ServeTrace
-	if trace == "" {
-		trace = defaultServeTrace
-	}
-	seed := opt.ServeSeed
-	if seed == 0 {
-		seed = defaultServeSeed
-	}
-	deadline := opt.ServeDeadline
-	if deadline == 0 {
-		deadline = defaultServeDeadline
-	}
-	maxPending := opt.ServeMaxPending
-	if maxPending == 0 {
-		maxPending = defaultServeMaxPending
-	}
-	topo := DefaultServeTopology()
-	if len(opt.Topologies) > 0 {
-		topo = opt.Topologies[0]
-	}
-	schedulers := []string{"calendar", "steal", "migrate"}
+	maxPending := cmp.Or(opt.ServeMaxPending, defaultServeMaxPending)
+	topo := opt.topologies(DefaultServeTopology())[0]
+	names := schedulers
 	if opt.Scheduler != "" {
-		schedulers = []string{opt.Scheduler}
+		names = []string{opt.Scheduler}
 	}
-
-	arrivals, err := Arrivals(trace, seed, numJobs, cadence)
-	if err != nil {
-		return nil, err
-	}
-
-	entries, err := serveEntries(opt, numJobs)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ServeSweep{Topology: topo.String(), NumJobs: numJobs, Cadence: cadence,
-		Trace: trace, Seed: seed, Deadline: deadline, MaxPending: maxPending}
-	for _, name := range schedulers {
+	out := &ServeSweep{Topology: topo.String(), Script: *script, MaxPending: maxPending}
+	for _, name := range names {
 		for _, shed := range []bool{false, true} {
 			if err := opt.interrupted(); err != nil {
 				return nil, err
 			}
-			run, err := runServeOnce(name, topo, entries, arrivals, deadline, maxPending, shed)
+			cfg := openLoopConfig(topo, name)
+			if shed {
+				cfg.Admission = vm.AdmissionConfig{MaxPending: maxPending, Shed: true}
+			}
+			run, err := runServeOnce(cfg, script)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("serve %s: %w", name, err)
 			}
 			opt.logf("serve %s shed=%v on %s: %d jobs, %d shed, goodput=%.2f/s p99=%d",
-				name, shed, topo, numJobs, run.Shed, run.Goodput, run.P99)
+				name, shed, topo, script.NumJobs, run.Shed, run.Goodput, run.P99)
 			out.Runs = append(out.Runs, run)
 		}
 	}
@@ -210,143 +118,60 @@ func RunServe(opt Options) (*ServeSweep, error) {
 
 // runServeOnce boots one VM and plays the arrival script open-loop:
 // drive the machine to each arrival, submit, drain the tail.
-func runServeOnce(scheduler string, topo cell.Topology, entries []workloads.MixEntry,
-	arrivals []cell.Clock, deadline cell.Clock, maxPending int, shed bool) (ServeRun, error) {
-
-	prog, err := workloads.BuildMix(entries)
+func runServeOnce(cfg vm.Config, script *Script) (ServeRun, error) {
+	prog, err := script.build()
 	if err != nil {
 		return ServeRun{}, err
-	}
-	cfg := vm.DefaultConfig()
-	cfg.Machine.Topology = topo
-	cfg.Scheduler = scheduler
-	if shed {
-		cfg.Admission = vm.AdmissionConfig{MaxPending: maxPending, Shed: true}
 	}
 	sys, err := core.NewSystem(cfg, prog)
 	if err != nil {
 		return ServeRun{}, err
 	}
-
-	jobs := make([]*core.Job, len(entries))
-	for i, e := range entries {
+	var jobs []*core.Job
+	err = script.play(func(req core.JobRequest) error {
 		// Open loop: advance simulated time to the arrival first, so the
 		// verdict is decided against the machine state holding then.
-		if err := sys.RunUntil(arrivals[i]); err != nil {
-			return ServeRun{}, fmt.Errorf("serve %s: advancing to job %d: %w", scheduler, i, err)
+		if err := sys.RunUntil(req.Arrival); err != nil {
+			return err
 		}
-		jobs[i], _, err = sys.Submit(core.JobRequest{
-			Class:    e.MainClassOf(i),
-			Method:   "main",
-			Name:     fmt.Sprintf("%s#%d", e.Spec.Name, i),
-			Arrival:  arrivals[i],
-			Deadline: deadline,
-		})
-		if err != nil {
-			return ServeRun{}, fmt.Errorf("serve %s: submit job %d: %w", scheduler, i, err)
-		}
+		job, _, err := sys.Submit(req)
+		jobs = append(jobs, job)
+		return err
+	})
+	if err == nil {
+		err = sys.Drain()
 	}
-	if err := sys.Drain(); err != nil {
-		return ServeRun{}, fmt.Errorf("serve %s: %w", scheduler, err)
+	if err != nil {
+		return ServeRun{}, err
 	}
 
-	run := ServeRun{Scheduler: scheduler, Shedding: shed, AllValid: true}
-	var latencies []cell.Clock
+	run := ServeRun{Scheduler: cfg.Scheduler, Shedding: cfg.Admission.Shed}
+	results, valid := make([]*core.Result, len(jobs)), make([]bool, len(jobs))
 	for i, job := range jobs {
 		res, err := job.Wait() // already done: returns the stored result
 		if err != nil {
-			return ServeRun{}, fmt.Errorf("serve %s: job %d: %w", scheduler, i, err)
+			return ServeRun{}, fmt.Errorf("job %d: %w", i, err)
 		}
-		e := entries[i]
-		sj := ServeJob{
-			ID:          i,
-			Workload:    e.Spec.Name,
-			Arrival:     res.AdmittedAt,
-			Verdict:     res.Verdict.String(),
-			DeadlineMet: res.DeadlineMet,
-			Migrations:  res.Migrations,
-			Steals:      res.Steals,
-			Compiles:    res.Compiles,
-			GCPauses:    res.GCPauses,
-			GCCycles:    res.GCCycles,
-			Valid:       true,
-		}
-		if res.Shed {
-			run.Shed++
-		} else {
-			sj.Latency = res.Cycles
-			sj.Valid = int32(uint32(res.Value)) == e.Spec.Reference(e.Threads, e.Scale)
-			run.AllValid = run.AllValid && sj.Valid
-			run.Completed++
-			latencies = append(latencies, sj.Latency)
-			if res.DeadlineMet {
-				run.Met++
-			}
-			if res.CompletedAt > run.Makespan {
-				run.Makespan = res.CompletedAt
-			}
-		}
+		results[i], valid[i] = res, script.valid(i, res)
 		run.Migrations += res.Migrations
 		run.Steals += res.Steals
-		run.Jobs = append(run.Jobs, sj)
+		run.Jobs = append(run.Jobs, ServeJob{script.entries[i].Spec.Name, valid[i], res})
 	}
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	run.P50 = percentile(latencies, 50)
-	run.P95 = percentile(latencies, 95)
-	run.P99 = percentile(latencies, 99)
-	if run.Makespan > 0 {
-		hz := cfg.Machine.EffectiveClockHz()
-		run.Goodput = float64(run.Met) / (float64(run.Makespan) / hz)
-	}
+	run.SLO, run.Makespan = foldSLO(results, valid, cfg.Machine.EffectiveClockHz())
 	return run, nil
 }
 
-// percentile is the nearest-rank percentile of sorted latencies.
-func percentile(sorted []cell.Clock, p int) cell.Clock {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
-}
-
-// JSON renders the sweep as an indented JSON document — the
-// BENCH_serve.json artifact shape (goodput and latency percentiles per
-// scheduler × shedding run, plus the arrival-script parameters that
-// name the run).
-func (s *ServeSweep) JSON() ([]byte, error) {
-	// The artifact carries the summary matrix, not per-job rows: its
-	// job is trend tracking across commits.
-	type runRow struct {
-		Scheduler string     `json:"scheduler"`
-		Shedding  bool       `json:"shedding"`
-		Completed int        `json:"completed"`
-		Shed      int        `json:"shed"`
-		Met       int        `json:"met"`
-		Goodput   float64    `json:"goodput_per_sec"`
-		P50       cell.Clock `json:"p50_cycles"`
-		P95       cell.Clock `json:"p95_cycles"`
-		P99       cell.Clock `json:"p99_cycles"`
-		AllValid  bool       `json:"all_valid"`
-	}
-	doc := struct {
-		Topology   string     `json:"topology"`
-		NumJobs    int        `json:"jobs"`
-		Cadence    uint64     `json:"cadence_cycles"`
-		Trace      string     `json:"trace"`
-		Seed       uint64     `json:"seed"`
-		Deadline   cell.Clock `json:"deadline_cycles"`
-		MaxPending int        `json:"max_pending"`
-		Runs       []runRow   `json:"runs"`
-	}{s.Topology, s.NumJobs, s.Cadence, s.Trace, s.Seed, s.Deadline, s.MaxPending, nil}
+// Check demands every completed job of every pass matched its
+// reference checksum.
+func (s *ServeSweep) Check(Options) error {
+	var problems []string
 	for _, r := range s.Runs {
-		doc.Runs = append(doc.Runs, runRow{r.Scheduler, r.Shedding, r.Completed,
-			r.Shed, r.Met, r.Goodput, r.P50, r.P95, r.P99, r.AllValid})
+		if !r.AllValid {
+			problems = append(problems, fmt.Sprintf("%s (shedding %v): a completed job's checksum diverged from its reference",
+				r.Scheduler, r.Shedding))
+		}
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return gateError("serve", problems)
 }
 
 // Table renders the sweep as text: one summary row per (scheduler,
@@ -368,9 +193,9 @@ func (s *ServeSweep) Table() string {
 		fmt.Fprintf(&b, "per-job (%s, shed=%v):\n", last.Scheduler, last.Shedding)
 		fmt.Fprintf(&b, "%4s %-12s %12s %-9s %12s %5s %5s %7s %6s %6s\n",
 			"job", "workload", "arrival", "verdict", "latency", "met", "mig", "steals", "gc", "valid")
-		for _, j := range last.Jobs {
+		for i, j := range last.Jobs {
 			fmt.Fprintf(&b, "%4d %-12s %12d %-9s %12d %5v %5d %7d %6d %6v\n",
-				j.ID, j.Workload, j.Arrival, j.Verdict, j.Latency, j.DeadlineMet,
+				i, j.Workload, j.AdmittedAt, j.Verdict, j.Cycles, j.DeadlineMet,
 				j.Migrations, j.Steals, j.GCPauses, j.Valid)
 		}
 	}

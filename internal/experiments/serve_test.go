@@ -53,9 +53,9 @@ func TestServeChurnDriver(t *testing.T) {
 		if len(r.Jobs) != s.NumJobs {
 			t.Errorf("%s run reports %d jobs, want %d", r.Scheduler, len(r.Jobs), s.NumJobs)
 		}
-		for _, j := range r.Jobs {
-			if j.Verdict != "shed" && j.Latency == 0 {
-				t.Errorf("%s job %d has no per-job latency", r.Scheduler, j.ID)
+		for i, j := range r.Jobs {
+			if !j.Shed && j.Cycles == 0 {
+				t.Errorf("%s job %d has no per-job latency", r.Scheduler, i)
 			}
 		}
 	}
@@ -82,9 +82,9 @@ func TestServeReplayDeterminism(t *testing.T) {
 	}
 	for r := range a.Runs {
 		for i := range a.Runs[r].Jobs {
-			if a.Runs[r].Jobs[i].Latency != b.Runs[r].Jobs[i].Latency {
+			if a.Runs[r].Jobs[i].Cycles != b.Runs[r].Jobs[i].Cycles {
 				t.Errorf("%s job %d latency diverged: %d vs %d", a.Runs[r].Scheduler, i,
-					a.Runs[r].Jobs[i].Latency, b.Runs[r].Jobs[i].Latency)
+					a.Runs[r].Jobs[i].Cycles, b.Runs[r].Jobs[i].Cycles)
 			}
 		}
 	}

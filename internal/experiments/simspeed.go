@@ -3,14 +3,9 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
-	"herajvm/internal/cell"
-	"herajvm/internal/isa"
 	"herajvm/internal/vm"
-	"herajvm/internal/workloads"
 )
 
 // SimSpeed measures the simulator itself: host wall-clock seconds per
@@ -56,132 +51,52 @@ type SimSpeedRow struct {
 	Match bool `json:"match"`
 }
 
-// DefaultSimSpeedTopology returns the sweep's machine shape: the
-// three-kind machine, so the fast path is exercised on service cores,
-// SPEs and VPUs at once.
-func DefaultSimSpeedTopology() cell.Topology {
-	return cell.Topology{
-		{Kind: isa.PPE, Count: 1},
-		{Kind: isa.SPE, Count: 4},
-		{Kind: isa.VPU, Count: 2},
-	}
-}
-
-var simSpeedSchedulers = []string{"calendar", "steal", "migrate"}
-
-// simSpeedRun is one timed execution of a workload.
-type simSpeedRun struct {
-	wall     time.Duration
-	cycles   uint64
-	checksum int32
-	valid    bool
-	ffBlocks uint64
-	ffInstrs uint64
-	instrs   uint64
-}
-
-// simSpeedReps is how many times each cell re-simulates; the minimum
-// wall time is kept. The simulation is deterministic, so every rep does
-// identical work and the minimum is the cleanest estimate of its cost —
-// single runs of a few hundred milliseconds are at the mercy of host
-// scheduling and GC pauses.
-const simSpeedReps = 3
-
-// timeOne builds and boots outside the timed region and times only the
-// simulation itself, so the measured ratio isolates the executor.
-func timeOne(spec workloads.Spec, threads, scale int, topo cell.Topology,
-	sched string, disable bool) (simSpeedRun, error) {
-
-	var r simSpeedRun
-	for rep := 0; rep < simSpeedReps; rep++ {
-		prog, err := spec.Build(threads, scale)
-		if err != nil {
-			return simSpeedRun{}, err
-		}
-		cfg := vm.DefaultConfig()
-		cfg.Machine.Topology = topo
-		cfg.Scheduler = sched
-		cfg.DisableSuperblocks = disable
-		machine, err := vm.New(cfg, prog)
-		if err != nil {
-			return simSpeedRun{}, err
-		}
-		runtime.GC() // keep collector pauses out of the timed region
-		t0 := time.Now()
-		th, err := machine.RunMain(spec.MainClass, "main")
-		wall := time.Since(t0)
-		if err != nil {
-			return simSpeedRun{}, fmt.Errorf("%s (%s, sched %s): %w", spec.Name, topo, sched, err)
-		}
-		if rep == 0 {
-			r = simSpeedRun{
-				wall:     wall,
-				cycles:   uint64(machine.Machine.MaxClock()),
-				checksum: int32(uint32(th.Result)),
-			}
-			r.valid = r.checksum == spec.Reference(threads, scale)
-			for _, c := range machine.Machine.Cores() {
-				r.ffBlocks += c.Stats.FastForwardedBlocks
-				r.ffInstrs += c.Stats.FastForwardedInstrs
-				r.instrs += c.Stats.Instrs
-			}
-		} else if wall < r.wall {
-			r.wall = wall
-		}
-	}
-	return r, nil
-}
-
 // RunSimSpeed executes the workloads x schedulers matrix twice per cell
-// — fast path on, fast path off — and reports wall-clock speedups and
+// — fast path on, fast path off, each a host-timed arm — on the
+// three-kind machine (so the fast path is exercised on service cores,
+// SPEs and VPUs at once) and reports wall-clock speedups and
 // fast-forward coverage. Options.Topologies[0] overrides the shape.
 func RunSimSpeed(opt Options) (*SimSpeed, error) {
-	topo := DefaultSimSpeedTopology()
-	if len(opt.Topologies) > 0 {
-		topo = opt.Topologies[0]
+	topo := opt.topologies(DefaultServeTopology())[0]
+	var arms []arm
+	for _, name := range schedulers {
+		fast := arm{label: name + " fast", topo: topo, sched: name, reps: 3}
+		slow := fast
+		slow.label = name + " stepped"
+		slow.mutate = func(cfg *vm.Config) { cfg.DisableSuperblocks = true }
+		arms = append(arms, fast, slow)
+	}
+	runs, err := grid(opt, "simspeed", opt.benches(), arms)
+	if err != nil {
+		return nil, err
 	}
 	out := &SimSpeed{Topology: topo.String(), NoWall: opt.NoWall}
-	threads := topo.DefaultWorkers()
-	for _, spec := range workloads.All() {
-		scale := opt.scale(spec)
-		for _, sched := range simSpeedSchedulers {
-			if err := opt.interrupted(); err != nil {
-				return nil, err
-			}
-			fast, err := timeOne(spec, threads, scale, topo, sched, false)
-			if err != nil {
-				return nil, err
-			}
-			slow, err := timeOne(spec, threads, scale, topo, sched, true)
-			if err != nil {
-				return nil, err
-			}
+	for _, r := range runs {
+		for i, name := range schedulers {
+			fast, slow := r[2*i], r[2*i+1]
 			row := SimSpeedRow{
-				Workload:     spec.Name,
-				Scheduler:    sched,
-				Cycles:       fast.cycles,
-				FastWallSecs: fast.wall.Seconds(),
-				SlowWallSecs: slow.wall.Seconds(),
-				FFBlocks:     fast.ffBlocks,
-				FFInstrs:     fast.ffInstrs,
-				Instrs:       fast.instrs,
-				Match: fast.valid && slow.valid &&
-					fast.checksum == slow.checksum && fast.cycles == slow.cycles,
+				Workload:     fast.Workload,
+				Scheduler:    name,
+				Cycles:       fast.Cycles,
+				FastWallSecs: fast.Wall.Seconds(),
+				SlowWallSecs: slow.Wall.Seconds(),
+				FFBlocks:     fast.All.FastForwardedBlocks,
+				FFInstrs:     fast.All.FastForwardedInstrs,
+				Instrs:       fast.All.Instrs,
+				Match: fast.Valid && slow.Valid &&
+					fast.Checksum == slow.Checksum && fast.Cycles == slow.Cycles,
 			}
-			if fast.cycles > 0 {
-				g := float64(fast.cycles) / 1e9
+			if fast.Cycles > 0 {
+				g := float64(fast.Cycles) / 1e9
 				row.FastSecsPerGigacycle = row.FastWallSecs / g
 				row.SlowSecsPerGigacycle = row.SlowWallSecs / g
 			}
 			if row.FastWallSecs > 0 {
 				row.Speedup = row.SlowWallSecs / row.FastWallSecs
 			}
-			if fast.instrs > 0 {
-				row.FFHitRate = float64(fast.ffInstrs) / float64(fast.instrs)
+			if row.Instrs > 0 {
+				row.FFHitRate = float64(row.FFInstrs) / float64(row.Instrs)
 			}
-			opt.logf("simspeed %s/%s: %.3fs fast vs %.3fs slow (%.2fx, hit %.3f, match %v)",
-				spec.Name, sched, row.FastWallSecs, row.SlowWallSecs,
-				row.Speedup, row.FFHitRate, row.Match)
 			out.Rows = append(out.Rows, row)
 		}
 	}
@@ -212,28 +127,21 @@ func (s *SimSpeed) Table() string {
 	return b.String()
 }
 
-// JSON renders the sweep in the BENCH_simspeed.json shape.
-func (s *SimSpeed) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
-// CheckBaseline compares the sweep against a checked-in baseline (the
-// JSON a previous run wrote) and returns an error when any cell's
-// speedup regressed below 75% of the baseline's, or any cell diverged.
-// The comparison is between dimensionless speedup ratios, so faster or
-// slower runner hardware does not move the gate.
-func (s *SimSpeed) CheckBaseline(baseline []byte) error {
-	var base SimSpeed
-	if err := json.Unmarshal(baseline, &base); err != nil {
-		return fmt.Errorf("simspeed baseline: %w", err)
-	}
-	ref := make(map[string]float64, len(base.Rows))
-	for _, r := range base.Rows {
-		ref[r.Workload+"/"+r.Scheduler] = r.Speedup
+// Check demands every cell's fast and stepped runs agreed and, when
+// Options.Baseline carries a previous run's JSON, that no cell's
+// speedup regressed below 75% of the baseline's. The comparison is
+// between dimensionless speedup ratios, so faster or slower runner
+// hardware does not move the gate.
+func (s *SimSpeed) Check(opt Options) error {
+	ref := map[string]float64{}
+	if opt.Baseline != nil {
+		var base SimSpeed
+		if err := json.Unmarshal(opt.Baseline, &base); err != nil {
+			return fmt.Errorf("simspeed baseline: %w", err)
+		}
+		for _, r := range base.Rows {
+			ref[r.Workload+"/"+r.Scheduler] = r.Speedup
+		}
 	}
 	var problems []string
 	for _, r := range s.Rows {
@@ -242,18 +150,12 @@ func (s *SimSpeed) CheckBaseline(baseline []byte) error {
 				fmt.Sprintf("%s/%s: fast and slow runs diverged", r.Workload, r.Scheduler))
 			continue
 		}
-		want, ok := ref[r.Workload+"/"+r.Scheduler]
-		if !ok {
-			continue
-		}
+		want := ref[r.Workload+"/"+r.Scheduler]
 		if floor := want * 0.75; r.Speedup < floor {
 			problems = append(problems, fmt.Sprintf(
 				"%s/%s: speedup %.2fx below floor %.2fx (baseline %.2fx)",
 				r.Workload, r.Scheduler, r.Speedup, floor, want))
 		}
 	}
-	if len(problems) > 0 {
-		return fmt.Errorf("simspeed regression:\n  %s", strings.Join(problems, "\n  "))
-	}
-	return nil
+	return gateError("simspeed", problems)
 }

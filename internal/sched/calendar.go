@@ -107,35 +107,25 @@ func (c *coreCalendar) pop(now cell.Clock) Task {
 	return heap.Pop(&c.future).(calEntry).t
 }
 
-// Calendar is the default event-calendar scheduler.
+// Calendar is the scheduler: the event calendars above, plus the two
+// optional balancing passes New switches on by name.
 type Calendar struct {
-	cores  []*cell.Core
-	cals   []coreCalendar // indexed by Core.Index
-	seq    uint64         // global enqueue sequence (tie-break)
-	costOf func(Task, *cell.Core) uint64
-	pinned func(Task) bool
-}
-
-// NewCalendar builds the calendar scheduler over the machine's cores
-// (topology order; cores[i].Index == i). Of the Options CostOf is
-// consumed — it sharpens DrainEstimate from the bare core clock to
-// clock plus predicted queue-drain cycles — and Pinned marks the tasks
-// the stealing/migrating layers must leave where they are.
-func NewCalendar(cores []*cell.Core, opt Options) *Calendar {
-	return &Calendar{
-		cores:  cores,
-		cals:   make([]coreCalendar, len(cores)),
-		costOf: opt.CostOf,
-		pinned: opt.Pinned,
-	}
+	name  string
+	cores []*cell.Core
+	cals  []coreCalendar // indexed by Core.Index
+	seq   uint64         // global enqueue sequence (tie-break)
+	opt   Options
+	// steals and migrates enable the same-kind steal pass (steal.go) and
+	// the cross-kind migration pass (migrate.go) before every pick.
+	steals, migrates bool
 }
 
 // isPinned reports whether a task may never leave the core it is
 // queued on (no Pinned hook means nothing is pinned).
-func (s *Calendar) isPinned(t Task) bool { return s.pinned != nil && s.pinned(t) }
+func (s *Calendar) isPinned(t Task) bool { return s.opt.Pinned != nil && s.opt.Pinned(t) }
 
 // Name implements Scheduler.
-func (s *Calendar) Name() string { return "calendar" }
+func (s *Calendar) Name() string { return s.name }
 
 // Enqueue implements Scheduler.
 func (s *Calendar) Enqueue(core *cell.Core, task Task, readyAt cell.Clock) {
@@ -159,24 +149,33 @@ func (s *Calendar) Load(coreIndex int) int { return s.cals[coreIndex].length() }
 // carries the depth signal separately).
 func (s *Calendar) DrainEstimate(coreIndex int) cell.Clock {
 	d := s.cores[coreIndex].Now
-	if s.costOf == nil {
+	if s.opt.CostOf == nil {
 		return d
 	}
 	core := s.cores[coreIndex]
 	c := &s.cals[coreIndex]
 	for i := range c.ready {
-		d += s.costOf(c.ready[i].t, core)
+		d += s.opt.CostOf(c.ready[i].t, core)
 	}
 	for i := range c.future {
-		d += s.costOf(c.future[i].t, core)
+		d += s.opt.CostOf(c.future[i].t, core)
 	}
 	return d
 }
 
-// PickNext selects the (core, task) pair with the earliest feasible
-// start time by comparing per-core calendar heads: earliest start wins,
-// ties go to the lowest core index, and within a core to enqueue order.
+// PickNext runs the enabled balancing passes — same-kind steals first
+// (they are cheaper: no recompilation, no ISA change), then cross-kind
+// migration for the cores stealing left without feasible work — and
+// selects the (core, task) pair with the earliest feasible start time
+// by comparing per-core calendar heads: earliest start wins, ties go to
+// the lowest core index, and within a core to enqueue order.
 func (s *Calendar) PickNext() (*cell.Core, Task) {
+	if s.steals {
+		s.stealPass()
+	}
+	if s.migrates {
+		s.migratePass()
+	}
 	var bestCore *cell.Core
 	var bestTime cell.Clock
 	for _, core := range s.cores {
@@ -270,7 +269,7 @@ type readyWait struct {
 // hook or when nothing is ready. The slice is freshly built; the
 // calendar is not disturbed.
 func (s *Calendar) readyByWait(coreIndex int, now cell.Clock) []readyWait {
-	if s.costOf == nil {
+	if s.opt.CostOf == nil {
 		return nil
 	}
 	core := s.cores[coreIndex]
@@ -288,7 +287,7 @@ func (s *Calendar) readyByWait(coreIndex int, now cell.Clock) []readyWait {
 	start := now
 	for i := len(out) - 1; i >= 0; i-- {
 		out[i].start = start
-		start += cell.Clock(s.costOf(out[i].t, core))
+		start += cell.Clock(s.opt.CostOf(out[i].t, core))
 	}
 	return out
 }

@@ -2,8 +2,8 @@ package sched
 
 import "herajvm/internal/cell"
 
-// Migrating layers cost-gated cross-kind migration over the stealing
-// scheduler, closing the loop the paper describes between scheduling
+// The migration pass is cost-gated cross-kind migration over the steal
+// pass, closing the loop the paper describes between scheduling
 // and placement: because both the migration cost and the per-kind
 // execution cost are modeled, the runtime may *re-place* a queued
 // thread onto a different core kind at run time — not just shuffle it
@@ -49,41 +49,10 @@ import "herajvm/internal/cell"
 // Determinism: thieves are visited in core-index order, victims picked
 // by (load, lowest index), tasks by enqueue sequence, and every gate
 // input (clocks, calendar state, cost predictions) is itself
-// deterministic, so two runs of one program migrate identically.
-// Migrating's cost predictor is the embedded Calendar's costOf (the
-// same Options.CostOf hook that feeds DrainEstimate and readyByWait),
-// so the gate and the drain estimates can never disagree on prices.
-type Migrating struct {
-	*Stealing
-	migrateCycles uint64
-	recompile     func(Task, *cell.Core) (uint64, bool)
-	onMigrate     func(Task, *cell.Core, *cell.Core, cell.Clock) (cell.Clock, bool)
-}
-
-// NewMigrating builds the migrating scheduler over the machine's cores
-// (topology order; cores[i].Index == i). Cross-kind migration needs
-// all three of Options.CostOf, Options.RecompileCost and
-// Options.OnMigrate; leaving any nil reduces the scheduler to plain
-// same-kind stealing.
-func NewMigrating(cores []*cell.Core, opt Options) *Migrating {
-	return &Migrating{
-		Stealing:      NewStealing(cores, opt),
-		migrateCycles: opt.MigrateCycles,
-		recompile:     opt.RecompileCost,
-		onMigrate:     opt.OnMigrate,
-	}
-}
-
-// Name implements Scheduler.
-func (s *Migrating) Name() string { return "migrate" }
-
-// PickNext runs the same-kind steal pass, then the cross-kind
-// migration pass, then picks as the calendar does.
-func (s *Migrating) PickNext() (*cell.Core, Task) {
-	s.stealPass()
-	s.migratePass()
-	return s.Calendar.PickNext()
-}
+// deterministic, so two runs of one program migrate identically. The
+// gate's cost predictor is the same Options.CostOf hook that feeds
+// DrainEstimate and readyByWait, so the gate and the drain estimates can
+// never disagree on prices.
 
 // migratePass lets every core with no runnable work of its own take one
 // thread from a loaded core of a different kind — when the cost gate
@@ -91,10 +60,7 @@ func (s *Migrating) PickNext() (*cell.Core, Task) {
 // one thread per pass; the same profitability guard as stealing keeps a
 // thief that already has queued work (a pending steal, a future
 // sleeper) from migrating anything that would start no earlier.
-func (s *Migrating) migratePass() {
-	if s.costOf == nil || s.recompile == nil || s.onMigrate == nil {
-		return
-	}
+func (s *Calendar) migratePass() {
 	for _, thief := range s.cores {
 		if s.readyCount(thief.Index, thief.Now) != 0 {
 			// Runnable work now: nothing migrated could start earlier.
@@ -107,7 +73,7 @@ func (s *Migrating) migratePass() {
 		// Landing time: the migration penalty, floored at the victim's
 		// clock — the victim's state (the thread's frames, its cached
 		// writes) cannot be published to another core before then.
-		landing := thief.Now + s.migrateCycles
+		landing := thief.Now + s.opt.MigrateCycles
 		if victim.Now > landing {
 			landing = victim.Now
 		}
@@ -117,14 +83,14 @@ func (s *Migrating) migratePass() {
 			if s.isPinned(cand.t) {
 				continue // pinned kernel workers never leave their core
 			}
-			recompile, ok := s.recompile(cand.t, thief)
+			recompile, ok := s.opt.RecompileCost(cand.t, thief)
 			if !ok {
 				// Not migratable right now: a frame mid-expansion,
 				// pending runtime state, or no compiler for the
 				// thief's kind.
 				continue
 			}
-			if landing+recompile+s.costOf(cand.t, thief) >= cand.start+s.costOf(cand.t, victim) {
+			if landing+recompile+s.opt.CostOf(cand.t, thief) >= cand.start+s.opt.CostOf(cand.t, victim) {
 				continue // the gate loses: staying is predicted no worse
 			}
 			if start, ok := s.earliestStart(thief.Index, thief.Now); ok && landing+recompile >= start {
@@ -134,7 +100,7 @@ func (s *Migrating) migratePass() {
 				// a cheaper candidate may still land first.
 				continue
 			}
-			at, ok := s.onMigrate(cand.t, victim, thief, landing)
+			at, ok := s.opt.OnMigrate(cand.t, victim, thief, landing)
 			if !ok {
 				continue // vetoed (e.g. code region full); nothing was dequeued
 			}
@@ -149,7 +115,7 @@ func (s *Migrating) migratePass() {
 // pickMigrationVictim returns the most-loaded core of a *different*
 // kind worth migrating from (see Calendar.pickLoadedVictim for the
 // shared selection rule).
-func (s *Migrating) pickMigrationVictim(thief *cell.Core) *cell.Core {
+func (s *Calendar) pickMigrationVictim(thief *cell.Core) *cell.Core {
 	return s.pickLoadedVictim(func(v *cell.Core) bool {
 		return v.Kind != thief.Kind
 	})

@@ -1,16 +1,17 @@
 // Package sched is Hera-JVM's pluggable scheduling subsystem. The VM
 // drives the whole machine through the small Scheduler interface below;
 // the concrete algorithm — which core runs which queued thread next —
-// is a registry entry selected by name, exactly like the core-kind
-// registry in internal/isa. Three schedulers ship:
+// is one type, Calendar, whose two balancing passes a name switches on
+// (New), so the calendar/steal/migrate ablation is a configuration
+// sweep over one scheduler:
 //
 //   - "calendar" (the default): one per-core event calendar, picking the
 //     machine-wide earliest feasible (core, thread) pair with fully
 //     deterministic tie-breaking. See calendar.go.
-//   - "steal": the calendar plus same-kind work stealing — a core whose
-//     calendar has no work deterministically steals the oldest ready
-//     thread from its most-loaded same-kind sibling. See steal.go.
-//   - "migrate": stealing plus cost-gated cross-kind migration — an
+//   - "steal": plus the same-kind steal pass — a core whose calendar
+//     has no work deterministically steals the oldest ready thread from
+//     its most-loaded same-kind sibling. See steal.go.
+//   - "migrate": plus the cost-gated cross-kind migration pass — an
 //     idle core of one kind takes the longest-queued thread of an
 //     overloaded core of another kind when landing it (migration
 //     penalty + recompilation + one predicted service round) beats the
@@ -21,13 +22,12 @@
 // ready time, per-core clocks, statistics, per-kind cost predictions)
 // arrives through the interface parameters, the Options hooks and the
 // cell.Core values the scheduler is constructed over. See
-// docs/ARCHITECTURE.md for the interface contract every implementation
-// must honour (determinism, clock monotonicity, cache visibility).
+// docs/ARCHITECTURE.md for the interface contract the scheduler honours
+// (determinism, clock monotonicity, cache visibility).
 package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"herajvm/internal/cell"
@@ -120,8 +120,8 @@ type Scheduler interface {
 	DrainEstimate(coreIndex int) cell.Clock
 
 	// NoteMigration records a thread migration between cores (the
-	// cross-kind migration accounting hook; both built-ins bump the
-	// cores' MigrationsOut/MigrationsIn counters).
+	// cross-kind migration accounting hook: it bumps the cores'
+	// MigrationsOut/MigrationsIn counters).
 	NoteMigration(from, to *cell.Core)
 
 	// Remove deletes task from the core's queue wherever it sits (ready
@@ -131,7 +131,7 @@ type Scheduler interface {
 	// ordering of the remaining entries.
 	Remove(core *cell.Core, task Task) bool
 
-	// Name returns the scheduler's registered name.
+	// Name returns the name the scheduler was built under.
 	Name() string
 }
 
@@ -159,65 +159,34 @@ func BestCore(s Scheduler, cores []*cell.Core) (pos int, drain cell.Clock) {
 	return pos, drain
 }
 
-// Factory builds a scheduler over a machine's cores. The slice must be
-// in topology order with cores[i].Index == i (cell.Machine.Cores()
-// provides exactly that).
-type Factory func(cores []*cell.Core, opt Options) Scheduler
-
 // DefaultName is the scheduler an empty selection resolves to.
 const DefaultName = "calendar"
 
-var registry = map[string]Factory{}
-
-// RegisterScheduler adds a scheduler to the registry under a
-// case-insensitive name. Registering a duplicate or empty name panics;
-// registration normally happens at package init.
-func RegisterScheduler(name string, f Factory) {
-	key := strings.ToLower(name)
-	if key == "" {
-		panic("sched: scheduler registered without a name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("sched: scheduler %q registered without a factory", name))
-	}
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("sched: scheduler %q already registered", name))
-	}
-	registry[key] = f
-}
-
-// Names lists the registered scheduler names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names lists the scheduler names New accepts, sorted.
+func Names() []string { return []string{"calendar", "migrate", "steal"} }
 
 // New builds the named scheduler over the machine's cores ("" selects
-// DefaultName).
+// DefaultName; names are case-insensitive). The slice must be in
+// topology order with cores[i].Index == i (cell.Machine.Cores() provides
+// exactly that). The name only chooses which balancing passes run
+// before every pick. Cross-kind migration also needs all three of
+// Options.CostOf, Options.RecompileCost and Options.OnMigrate; leaving
+// any nil reduces "migrate" to plain same-kind stealing.
 func New(name string, cores []*cell.Core, opt Options) (Scheduler, error) {
 	if name == "" {
 		name = DefaultName
 	}
-	f := registry[strings.ToLower(name)]
-	if f == nil {
+	s := &Calendar{name: strings.ToLower(name), cores: cores, cals: make([]coreCalendar, len(cores)), opt: opt}
+	switch s.name {
+	case "calendar":
+	case "migrate":
+		s.migrates = opt.CostOf != nil && opt.RecompileCost != nil && opt.OnMigrate != nil
+		fallthrough
+	case "steal":
+		s.steals = true
+	default:
 		return nil, fmt.Errorf("sched: unknown scheduler %q (want %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return f(cores, opt), nil
-}
-
-func init() {
-	RegisterScheduler("calendar", func(cores []*cell.Core, opt Options) Scheduler {
-		return NewCalendar(cores, opt)
-	})
-	RegisterScheduler("steal", func(cores []*cell.Core, opt Options) Scheduler {
-		return NewStealing(cores, opt)
-	})
-	RegisterScheduler("migrate", func(cores []*cell.Core, opt Options) Scheduler {
-		return NewMigrating(cores, opt)
-	})
+	return s, nil
 }

@@ -39,6 +39,37 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("nope", cores, Options{}); err == nil {
 		t.Error("unknown scheduler name should error")
 	}
+	for _, n := range names {
+		if s, err := New(n, cores, Options{}); err != nil || s.Name() != n {
+			t.Errorf("New(%q) = %v, %v; want a scheduler reporting its own name", n, s, err)
+		}
+	}
+}
+
+// TestCalendarNeverBalances: the name alone enables the balancing
+// passes. On the imbalance the steal and migrate tests fire on — three
+// ready tasks on one SPE beside an idle sibling and an idle PPE, every
+// migration hook wired and the gate winning — a "calendar" instance
+// moves nothing, while "steal" steals and "migrate" also migrates.
+func TestCalendarNeverBalances(t *testing.T) {
+	for name, want := range map[string][2]uint64{"calendar": {0, 0}, "steal": {1, 0}, "migrate": {1, 1}} {
+		cores := mkCores(isa.PPE, isa.SPE, isa.SPE)
+		opt, _ := migrateOpts(1000, 0, 200)
+		s, err := New(name, cores, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			s.Enqueue(cores[1], &struct{ i int }{i}, 0)
+		}
+		if core, _ := s.PickNext(); core != cores[1] {
+			t.Errorf("%s: first pick on %v, want the loaded SPE", name, core)
+		}
+		got := [2]uint64{cores[2].Stats.StealsIn, cores[0].Stats.MigrationsIn}
+		if got != want {
+			t.Errorf("%s: steals/migrations = %v, want %v", name, got, want)
+		}
+	}
 }
 
 // TestCalendarOrdering exercises the two-heap calendar directly: FIFO

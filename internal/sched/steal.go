@@ -2,9 +2,9 @@ package sched
 
 import "herajvm/internal/cell"
 
-// Stealing layers same-kind work stealing over the calendar scheduler —
-// the ROADMAP's "an idle SPE should be able to steal queued threads
-// from a loaded sibling's calendar". Before every pick, each core with
+// The steal pass is same-kind work stealing over the calendars — the
+// ROADMAP's "an idle SPE should be able to steal queued threads from a
+// loaded sibling's calendar". Before every pick, each core with
 // no feasible work steals the oldest ready task from the most-loaded
 // sibling of its own kind (ties resolve to the lowest core index) when
 // the steal would start that task earlier than anything the core
@@ -22,30 +22,6 @@ import "herajvm/internal/cell"
 // victims by (load, lowest index) and tasks by enqueue sequence, and
 // consults only core clocks and calendar state — all themselves
 // deterministic — so two runs of one program steal identically.
-type Stealing struct {
-	*Calendar
-	stealCycles uint64
-	onSteal     func(task Task, from, to *cell.Core, readyAt cell.Clock) cell.Clock
-}
-
-// NewStealing builds the work-stealing scheduler over the machine's
-// cores (topology order; cores[i].Index == i).
-func NewStealing(cores []*cell.Core, opt Options) *Stealing {
-	return &Stealing{
-		Calendar:    NewCalendar(cores, opt),
-		stealCycles: opt.StealCycles,
-		onSteal:     opt.OnSteal,
-	}
-}
-
-// Name implements Scheduler.
-func (s *Stealing) Name() string { return "steal" }
-
-// PickNext runs a steal pass, then picks as the calendar does.
-func (s *Stealing) PickNext() (*cell.Core, Task) {
-	s.stealPass()
-	return s.Calendar.PickNext()
-}
 
 // stealPass lets every core with no feasible work steal one task from
 // a loaded same-kind sibling — but only when the steal is profitable:
@@ -57,7 +33,7 @@ func (s *Stealing) PickNext() (*cell.Core, Task) {
 // start earlier than the first), so an idle core takes one task at a
 // time instead of hoarding a victim's queue. Thieves are visited in
 // core-index order.
-func (s *Stealing) stealPass() {
+func (s *Calendar) stealPass() {
 	for _, thief := range s.cores {
 		if s.readyCount(thief.Index, thief.Now) != 0 {
 			// Runnable work now: no steal can start earlier.
@@ -75,7 +51,7 @@ func (s *Stealing) stealPass() {
 		// profitability on this floor also keeps the no-hoarding
 		// invariant exact: the victim's clock only moves forward, so a
 		// second steal can never land earlier than the first.
-		stealStart := thief.Now + s.stealCycles
+		stealStart := thief.Now + s.opt.StealCycles
 		if victim.Now > stealStart {
 			stealStart = victim.Now
 		}
@@ -91,8 +67,8 @@ func (s *Stealing) stealPass() {
 		victim.Stats.StealsOut++
 		thief.Stats.StealsIn++
 		at := stealStart
-		if s.onSteal != nil {
-			at = s.onSteal(task, victim, thief, at)
+		if s.opt.OnSteal != nil {
+			at = s.opt.OnSteal(task, victim, thief, at)
 		}
 		s.Enqueue(thief, task, at)
 	}
@@ -102,7 +78,7 @@ func (s *Stealing) stealPass() {
 // from (stealing future work would start it no earlier, so the victim
 // must have ready work; see Calendar.pickLoadedVictim for the shared
 // selection rule).
-func (s *Stealing) pickVictim(thief *cell.Core) *cell.Core {
+func (s *Calendar) pickVictim(thief *cell.Core) *cell.Core {
 	return s.pickLoadedVictim(func(v *cell.Core) bool {
 		return v != thief && v.Kind == thief.Kind
 	})

@@ -37,7 +37,7 @@ type Config struct {
 	// from. The zero value admits every submission.
 	Admission AdmissionConfig
 
-	// Scheduler selects the scheduling algorithm by registered name:
+	// Scheduler selects the scheduling algorithm by name:
 	// "calendar" (the default per-core event-calendar scheduler),
 	// "steal" (the calendar plus same-kind work stealing) or "migrate"
 	// (stealing plus cost-gated cross-kind migration). "" selects the

@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Replay gates: every figure below must print byte-identical output
+# from two separate processes. Each herabench run also asserts the
+# figure's own Check (every row valid / identical / matching), so a
+# diverged pass or an invalid row fails here with herabench's exit 1 —
+# no grepping the tables for "false".
+#
+#   scripts/replay-gates.sh            # all gates (CI's determinism job)
+#   scripts/replay-gates.sh kernels    # only the gates whose name matches
+#
+# The golden Figure-4 diff (default scheduler, default machine) is not a
+# replay gate — it compares against testdata/golden_fig4.txt — and stays
+# its own CI step.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/herabench" ./cmd/herabench
+
+# replay NAME ARGS...: run herabench ARGS twice, demand identical stdout.
+replay() {
+	local name=$1
+	shift
+	if [ -n "${only:-}" ] && [[ "$name" != *"$only"* ]]; then
+		return
+	fi
+	"$tmp/herabench" "$@" > "$tmp/$name.1"
+	"$tmp/herabench" "$@" > "$tmp/$name.2"
+	if ! diff -u "$tmp/$name.1" "$tmp/$name.2"; then
+		echo "replay gate $name: herabench $* printed different output on its second run" >&2
+		exit 1
+	fi
+	echo "replay gate $name: ok"
+}
+only=${1:-}
+
+# The work-stealing and migrating schedulers have no golden file (they
+# are not the default machine) but must be run-to-run deterministic.
+replay 4a-steal -fig 4a -sched steal
+replay 4a-migrate -fig 4a -sched migrate
+# The scheduler ablation runs all three schedulers on all its topologies.
+replay sched -fig sched
+# Open-loop serving: latency percentiles, goodput, per-job verdicts and
+# counters under all three schedulers, shedding off and on.
+replay serve -fig serve -trace poisson
+# At overload the shed path runs: verdicts are part of the contract.
+replay serve-overload -fig serve -trace poisson -jobs 15 -cadence 300000 -deadline 40000000 -maxpending 6
+if [ -f "$tmp/serve-overload.1" ] && ! grep -q " shed " "$tmp/serve-overload.1"; then
+	echo "replay gate serve-overload: the overload replay shed nothing" >&2
+	exit 1
+fi
+# Simulator speed: -nowall drops the host-timing columns, so cycles, hit
+# rate and fast-vs-stepped match must replay.
+replay simspeed -fig simspeed -nowall
+# Cluster: the in-process `identical` column diffs each pass against the
+# serial reference; this adds the cross-process half — the merged stream
+# may not depend on GOMAXPROCS, goroutine interleaving or which process
+# produced it.
+replay cluster -fig cluster -nowall -timeout 10m
+# Hand-off: a frozen job's image and its rehydrated continuation are
+# part of the replay contract, hand-off counts included.
+replay cluster-handoff -fig cluster -handoff -nowall -timeout 10m
+# Kernel offload: every column is simulated state (cycles, workers, DMA
+# bytes, checksums).
+replay kernels -fig kernels -nowall
