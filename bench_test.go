@@ -107,12 +107,43 @@ func BenchmarkEIBTransfer(b *testing.B) {
 	}
 }
 
-// BenchmarkMainMemory measures simulated memory accessor throughput.
+// BenchmarkMainMemory measures simulated memory accessor throughput:
+// aligned accesses inside a host page, and the slow path of an access
+// that straddles two pages (4 bytes before each 64 KB boundary).
 func BenchmarkMainMemory(b *testing.B) {
-	m := mem.NewMain(1 << 20)
-	b.ResetTimer()
+	b.Run("aligned", func(b *testing.B) {
+		m := mem.NewMain(1 << 20)
+		for i := 0; i < b.N; i++ {
+			m.Write64(uint32(i)&0xffff8, uint64(i))
+			_ = m.Read64(uint32(i) & 0xffff8)
+		}
+	})
+	b.Run("straddle", func(b *testing.B) {
+		m := mem.NewMain(1 << 20)
+		for i := 0; i < b.N; i++ {
+			addr := (uint32(i)&7+1)<<16 - 4
+			m.Write64(addr, uint64(i))
+			_ = m.Read64(addr)
+		}
+	})
+}
+
+// BenchmarkBoot measures booting a Hera-JVM with the default
+// configuration, the cost every figure cell and every shard pays before
+// its first instruction. The program is rebuilt outside the timer: a
+// boot resolves it in place.
+func BenchmarkBoot(b *testing.B) {
+	spec := workloads.Mandelbrot()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Write64(uint32(i)&0xffff8, uint64(i))
-		_ = m.Read64(uint32(i) & 0xffff8)
+		b.StopTimer()
+		prog, err := spec.Build(1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := hera.NewSystem(hera.DefaultConfig(), prog); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -209,6 +210,29 @@ func TestMachineConstruction(t *testing.T) {
 	}
 	if m.Describe() != "1 PPE + 6 SPEs" {
 		t.Errorf("Describe() = %q", m.Describe())
+	}
+}
+
+// TestBootCostIndependentOfMemorySize pins what demand paging buys by a
+// deterministic count rather than a timer: building a machine allocates
+// a page table, not the memory, so sixteen times the main memory may
+// cost only the larger table (128 KB at 1 GB).
+func TestBootCostIndependentOfMemorySize(t *testing.T) {
+	bootBytes := func(size uint32) uint64 {
+		cfg := DefaultConfig()
+		cfg.MainMemory = size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewMachine(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := bootBytes(64<<20), bootBytes(1<<30)
+	if large >= small+1<<20 {
+		t.Fatalf("NewMachine allocates %d bytes with 64 MB of main memory and %d with 1 GB; they may differ by < 1 MB",
+			small, large)
 	}
 }
 

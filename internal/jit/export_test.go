@@ -1,0 +1,75 @@
+package jit
+
+import "herajvm/internal/isa"
+
+// EagerSuperblocks is the reference the on-demand lowering is tested
+// against: discovery as it was before blocks became pending, lowering
+// every suffix of every run on the spot. It shares nothing with
+// discoverSuperblocks and lowerBlock but the admissibility predicates
+// and compileMicro.
+func EagerSuperblocks(code []isa.Instr) []Superblock {
+	sb := make([]Superblock, len(code))
+	for s := 0; s < len(code); {
+		e := s
+		for e < len(code) && (pureOp(code[e].Op) || memOp(code[e].Op) ||
+			(e > s && guardedDiv(code, e))) {
+			e++
+		}
+		if e == s {
+			s++
+			continue
+		}
+		pe := e
+		var term *isa.Instr
+		if e < len(code) {
+			switch code[e].Op {
+			case isa.OpGoto, isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull:
+				term = &code[e]
+				e++
+			}
+		}
+		for p := e - 1; p >= s; p-- {
+			in := code[p]
+			if guardedDivOp(in.Op) || memOp(in.Op) {
+				continue
+			}
+			mb, ok := compileMicro(code[p:pe], term)
+			if !ok {
+				continue
+			}
+			b := Superblock{
+				Len: int32(pe - p), Target: int32(pe), ResMask: ResMaskAll,
+				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
+				Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
+				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
+				BLFlags: mb.BLFlags, BSFlags: mb.BSFlags,
+			}
+			for q := p; q < pe; q++ {
+				b.StackDelta += stackDeltaOf(code[q].Op)
+			}
+			if term != nil {
+				b.Len++
+				b.StackDelta += stackDeltaOf(term.Op)
+				if term.Op == isa.OpGoto {
+					b.Target = term.A
+				} else {
+					b.End, b.Target, b.Cond = term.Op, term.B, term.A
+				}
+			}
+			sb[p] = b
+		}
+		s = e
+	}
+	return sb
+}
+
+// PendingBlocks counts the entries of cm no probe has lowered yet.
+func (cm *CompiledMethod) PendingBlocks() int {
+	n := 0
+	for i := range cm.sb {
+		if cm.sb[i].Len < 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -11,7 +11,9 @@
 // compiled for a particular core architecture if it is to be executed by
 // a thread running on that core type" (§3.1). The VM asks each target's
 // Compiler for a method the first time a thread running on that core
-// kind invokes it.
+// kind invokes it. The same rule holds one level down: compiling a
+// method only marks where superblocks may start, and CompiledMethod.Block
+// lowers the one at a PC the first time a thread enters there.
 package jit
 
 import (
@@ -46,11 +48,11 @@ type CompiledMethod struct {
 	// in instruction selection, so raw machine PCs do not transfer).
 	BCIndex []int32
 	EntryOf []int32
-	// SB memoizes, per instruction index, the maximal pure straight-line
-	// superblock starting there (Len 0 = none); see Superblock. The VM's
-	// executor fast-forwards whole blocks through it. nil on hand-built
-	// CompiledMethods that bypassed Compile; the executor then steps.
-	SB []Superblock
+	// sb memoizes, per instruction index, the maximal superblock
+	// starting there (Len 0 = none, negative = pending, lowered on first
+	// probe); see Superblock. The VM's executor reaches it only through
+	// Block.
+	sb []Superblock
 	// Addr and Size locate the encoded code in simulated main memory.
 	Addr mem.Addr
 	Size uint32
@@ -152,7 +154,7 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	}
 	// Branch targets are resolved by lower's fixup pass, so trailing
 	// gotos in superblocks carry final Code indices.
-	cm.SB = discoverSuperblocks(cm.Code)
+	cm.sb = discoverSuperblocks(cm.Code)
 	// Allocate the code real space in main memory and fill it with a
 	// recognisable pattern: the code cache DMAs these bytes around.
 	addr, err := c.region.Alloc(cm.Size, 16)

@@ -25,7 +25,9 @@ type Superblock struct {
 	// Len is the number of instructions the block covers. 0 means no
 	// block starts at this index: the instruction is impure, is a
 	// guarded divide whose no-trap proof needs its predecessor, or
-	// begins a suffix the micro lowering could not model.
+	// begins a suffix the micro lowering could not model. Negative means
+	// pending: a block of -Len instructions may start here and has not
+	// been lowered yet (only CompiledMethod.Block sees this state).
 	Len int32
 	// Target is the Code index execution continues at after the block:
 	// the trailing goto's destination, or entry+Len for fallthrough.
@@ -235,18 +237,30 @@ func stackDeltaOf(op isa.Op) int32 {
 	return 0
 }
 
-// discoverSuperblocks computes, for every instruction index, the
-// maximal superblock starting there (Len 0 when none does). It runs
-// after branch-target fixups so trailing gotos carry resolved targets.
+// terminalOp reports whether op is a control transfer that may end a
+// block inclusively: an unconditional goto (static target, fixed cost)
+// or one conditional branch, whose outcome the executor decides from
+// the replayed stack.
+func terminalOp(op isa.Op) bool {
+	switch op {
+	case isa.OpGoto, isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull:
+		return true
+	}
+	return false
+}
+
+// discoverSuperblocks marks, for every instruction index, whether a
+// superblock may start there. It runs after branch-target fixups so
+// trailing gotos carry resolved targets.
 //
 // Within each maximal run [s, e) of pure and absorbable-memory
 // instructions — optionally extended through one terminating goto or
-// conditional branch — every index gets the suffix block reaching the
-// run's end, so a thread whose quantum expired mid-run resumes with a
-// (shorter) block at its exact PC. When the micro lowering of a suffix
-// bails (typically an instruction consuming operands the suffix did not
-// push), no block starts there: the interpreter steps until the next
-// index whose suffix does lower.
+// conditional branch — every admissible index p is left *pending* on
+// the suffix reaching the run's end (Len = -(e-p)), so a thread whose
+// quantum expired mid-run resumes with a (shorter) block at its exact
+// PC. Nothing is lowered here: a thread enters a run at a handful of
+// PCs, and CompiledMethod.Block lowers the suffix at p the first time
+// the executor probes it.
 func discoverSuperblocks(code []isa.Instr) []Superblock {
 	sb := make([]Superblock, len(code))
 	for s := 0; s < len(code); {
@@ -260,60 +274,75 @@ func discoverSuperblocks(code []isa.Instr) []Superblock {
 			s++
 			continue
 		}
-		// A trailing control transfer joins the run: an unconditional
-		// goto (static target, fixed cost) or one conditional branch,
-		// whose outcome the executor decides from the replayed stack.
-		//
-		// The replayable (micro-compilable) prefix [s, pe) excludes that
-		// terminal: a goto has no data effect, and a conditional branch
-		// reads the operands the replay leaves just above the block's
-		// final SP. The terminal's cost and instruction count still belong
-		// to the block's final segment, so the compiler receives it
-		// separately.
-		pe := e
-		var term *isa.Instr
-		if e < len(code) {
-			switch code[e].Op {
-			case isa.OpGoto, isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull:
-				term = &code[e]
-				e++
-			}
+		if e < len(code) && terminalOp(code[e].Op) {
+			e++
 		}
-		for p := e - 1; p >= s; p-- {
-			in := code[p]
-			if guardedDivOp(in.Op) || memOp(in.Op) {
-				// A branch may land on a guarded div with an unproven
-				// divisor on the stack, and a memory instruction's operands
-				// come from before the entry; blocks run through both, but
-				// neither starts one.
-				continue
+		for p := s; p < e; p++ {
+			// A branch may land on a guarded div with an unproven divisor
+			// on the stack, and a memory instruction's operands come from
+			// before the entry; blocks run through both, but neither
+			// starts one.
+			if op := code[p].Op; !guardedDivOp(op) && !memOp(op) {
+				sb[p].Len = int32(p - e)
 			}
-			mb, ok := compileMicro(code[p:pe], term)
-			if !ok {
-				continue
-			}
-			b := Superblock{
-				Len: int32(pe - p), Target: int32(pe), ResMask: ResMaskAll,
-				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
-				Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
-				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
-				BLFlags: mb.BLFlags, BSFlags: mb.BSFlags,
-			}
-			for q := p; q < pe; q++ {
-				b.StackDelta += stackDeltaOf(code[q].Op)
-			}
-			if term != nil {
-				b.Len++
-				b.StackDelta += stackDeltaOf(term.Op)
-				if term.Op == isa.OpGoto {
-					b.Target = term.A
-				} else {
-					b.End, b.Target, b.Cond = term.Op, term.B, term.A
-				}
-			}
-			sb[p] = b
 		}
 		s = e
 	}
 	return sb
+}
+
+// Block returns the superblock starting at instruction index p (Len 0
+// when none does), lowering a pending one on this first probe. It is
+// the executor's only way to a block, so a block no thread enters is
+// never built; and since a block's content is a pure function of
+// (Code, p), the order of probes cannot change what any of them sees.
+func (cm *CompiledMethod) Block(p int) *Superblock {
+	b := &cm.sb[p]
+	if b.Len < 0 {
+		lowerBlock(cm.Code, p, b)
+	}
+	return b
+}
+
+// lowerBlock replaces the pending entry b at index p with the block
+// covering code[p:e], its suffix of a discovered run (kept out of line
+// so Block inlines into the executor's dispatch). The replayable
+// (micro-compilable) prefix [p, pe) excludes a trailing control
+// terminal: a goto has no data effect, and a conditional branch reads
+// the operands the replay leaves just above the block's final SP. The
+// terminal's cost and instruction count still belong to the block's
+// final segment, so the compiler receives it separately. When the
+// micro lowering bails (typically an instruction consuming operands
+// the suffix did not push) no block starts at p: the interpreter steps
+// until the next index whose suffix does lower.
+func lowerBlock(code []isa.Instr, p int, b *Superblock) {
+	e := p - int(b.Len)
+	pe := e
+	var term *isa.Instr
+	if terminalOp(code[e-1].Op) {
+		pe--
+		term = &code[pe]
+	}
+	mb, ok := compileMicro(code[p:pe], term)
+	if !ok {
+		b.Len = 0
+		return
+	}
+	*b = Superblock{
+		Len: int32(e - p), Target: int32(pe), ResMask: ResMaskAll,
+		Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
+		Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
+		Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
+		BLFlags: mb.BLFlags, BSFlags: mb.BSFlags,
+	}
+	for _, in := range code[p:e] {
+		b.StackDelta += stackDeltaOf(in.Op)
+	}
+	if term != nil {
+		if term.Op == isa.OpGoto {
+			b.Target = term.A
+		} else {
+			b.End, b.Target, b.Cond = term.Op, term.B, term.A
+		}
+	}
 }

@@ -28,6 +28,12 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 	return cm
 }
 
+// discovered wraps hand-written code the way Compile leaves a method:
+// discovery done, every block still pending behind Block.
+func discovered(code []isa.Instr) *CompiledMethod {
+	return &CompiledMethod{Code: code, sb: discoverSuperblocks(code)}
+}
+
 // TestSuperblockSuffixRuns checks which indices of a pure straight-line
 // run get a block. A suffix the micro lowering cannot model — here,
 // one that consumes operands pushed before its entry — gets Len == 0
@@ -48,15 +54,15 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 	ops := []isa.Op{isa.OpPushConst, isa.OpPushConst, isa.OpAddI, isa.OpStoreLocal,
 		isa.OpLoadLocal, isa.OpPushConst, isa.OpAddI, isa.OpReturn}
 	lowers := []bool{true, false, false, false, true, false, false, false}
-	if len(cm.SB) != len(cm.Code) || len(cm.Code) != len(ops) {
-		t.Fatalf("SB length %d, code length %d, want both %d", len(cm.SB), len(cm.Code), len(ops))
+	if len(cm.sb) != len(cm.Code) || len(cm.Code) != len(ops) {
+		t.Fatalf("SB length %d, code length %d, want both %d", len(cm.sb), len(cm.Code), len(ops))
 	}
 	end := len(ops) - 1 // the OpReturn
 	for p, in := range cm.Code {
 		if in.Op != ops[p] {
 			t.Fatalf("pc %d: backend emitted %v, the test expects %v", p, in.Op, ops[p])
 		}
-		b := cm.SB[p]
+		b := cm.Block(p)
 		if !lowers[p] {
 			if b.Len != 0 {
 				t.Errorf("pc %d: unlowerable suffix must not start a block: %+v", p, b)
@@ -166,11 +172,11 @@ func TestSuperblockBoundaries(t *testing.T) {
 	for i, in := range cm.Code {
 		switch in.Op {
 		case isa.OpNewArray, isa.OpArrayLen, isa.OpReturn:
-			if cm.SB[i].Len != 0 {
-				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, cm.SB[i].Len)
+			if cm.Block(i).Len != 0 {
+				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, cm.Block(i).Len)
 			}
 		}
-		if b := cm.SB[i]; b.Len > 0 {
+		if b := cm.Block(i); b.Len > 0 {
 			for q := i; q < i+int(b.Len); q++ {
 				op := cm.Code[q].Op
 				last := q == i+int(b.Len)-1
@@ -200,11 +206,11 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 		{Op: isa.OpAddI, Cost: 1},                         // second pure segment
 		{Op: isa.OpReturn, A: 1, Cost: 2},                 // ends the run
 	}
-	sb := discoverSuperblocks(code)
-	if sb[2].Len != 0 {
-		t.Errorf("memory op must not start a block: %+v", sb[2])
+	cm := discovered(code)
+	if cm.Block(2).Len != 0 {
+		t.Errorf("memory op must not start a block: %+v", cm.Block(2))
 	}
-	b := sb[0]
+	b := cm.Block(0)
 	if int(b.Len) != 5 {
 		t.Fatalf("block at 0 must absorb the load and run to the return: %+v", b)
 	}
@@ -260,7 +266,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if brIdx < 0 {
 		t.Fatal("no conditional branch emitted")
 	}
-	b := cm.SB[brIdx-2] // the LoadI beginning the run
+	b := cm.Block(brIdx - 2) // the LoadI beginning the run
 	if int(b.Len) != 3 || b.End != EndIfCmpI {
 		t.Fatalf("block %+v: want Len 3 ending in EndIfCmpI", b)
 	}
@@ -271,7 +277,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if b.StackDelta != 0 {
 		t.Fatalf("StackDelta=%d want 0 (branch pops its operands)", b.StackDelta)
 	}
-	if lone := cm.SB[brIdx]; lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
+	if lone := cm.Block(brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
 		t.Fatalf("branch-only block %+v: want Len 1, EndIfCmpI, StackDelta -2", lone)
 	}
 }
@@ -306,7 +312,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	// The block starting at the loop-body instruction right after the
 	// conditional branch must run through the goto and land on its
 	// target.
-	body := cm.SB[gotoIdx-1] // the inc preceding the goto
+	body := cm.Block(gotoIdx - 1) // the inc preceding the goto
 	if body.Len != 2 {
 		t.Fatalf("body block Len=%d want 2 (inc+goto)", body.Len)
 	}
@@ -314,7 +320,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 		t.Fatalf("body Target=%d want goto target %d", body.Target, cm.Code[gotoIdx].A)
 	}
 	// The goto alone is also a (Len 1) block.
-	if g := cm.SB[gotoIdx]; g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
+	if g := cm.Block(gotoIdx); g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("goto block %+v", g)
 	}
 }
@@ -345,19 +351,19 @@ func TestSuperblockGuardedDivision(t *testing.T) {
 		t.Fatalf("want 2 divs, got %v", divs)
 	}
 	guarded, unguarded := divs[0], divs[1]
-	if cm.SB[guarded].Len != 0 {
+	if cm.Block(guarded).Len != 0 {
 		t.Errorf("guarded div must not start a block")
 	}
 	// The block from the start must cover the guarded div but stop
 	// before the unguarded one.
-	b := cm.SB[0]
+	b := cm.Block(0)
 	if b.Len == 0 || 0+int(b.Len) <= guarded {
 		t.Errorf("block at 0 (Len=%d) should cover the guarded div at %d", b.Len, guarded)
 	}
 	if 0+int(b.Len) > unguarded {
 		t.Errorf("block at 0 (Len=%d) must stop before the unguarded div at %d", b.Len, unguarded)
 	}
-	if cm.SB[unguarded].Len != 0 {
+	if cm.Block(unguarded).Len != 0 {
 		t.Errorf("unguarded div must not start a block")
 	}
 }
@@ -371,11 +377,11 @@ func TestSuperblockZeroDivisorNotGuarded(t *testing.T) {
 		{Op: isa.OpDivI, Cost: 4},
 		{Op: isa.OpReturn, A: 1, Cost: 2},
 	}
-	sb := discoverSuperblocks(code)
-	if b := sb[0]; int(b.Len) != 2 {
+	cm := discovered(code)
+	if b := cm.Block(0); int(b.Len) != 2 {
 		t.Errorf("run must end before the zero-divisor div: %+v", b)
 	}
-	if sb[2].Len != 0 {
+	if cm.Block(2).Len != 0 {
 		t.Errorf("zero-divisor div must not be in any block start")
 	}
 }

@@ -57,8 +57,8 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 		// unchanged) and is valid for the core's cache-residency class,
 		// apply it in one step. Any divergence falls through to step,
 		// which IS the reference semantics.
-		if sb := f.CM.SB; !vm.sbOff && sb != nil {
-			if b := &sb[f.PC]; b.Len != 0 && core.Now+b.Cycles < deadline &&
+		if !vm.sbOff {
+			if b := f.CM.Block(f.PC); b.Len != 0 && core.Now+b.Cycles < deadline &&
 				b.ResMask&(1<<residencyOf(dcache)) != 0 {
 				vm.fastForward(core, t, f, b, dcache, deadline)
 				continue

@@ -51,7 +51,6 @@ func (vm *VM) residencyClass(core *cell.Core) uint8 {
 func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superblock,
 	dcache *cache.DataCache, deadline uint64) {
 
-	sb := f.CM.SB
 	code := f.CM.Code
 	for {
 		// Cycles/ClassCycles/FirstLen cover the block's first pure
@@ -111,7 +110,7 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 		// Chain into the next block only under the executor's own guards
 		// — notably residency, which the memory traffic above may have
 		// changed.
-		nb := &sb[f.PC]
+		nb := f.CM.Block(f.PC)
 		if nb.Len == 0 || core.Now+nb.Cycles >= deadline ||
 			nb.ResMask&(1<<residencyOf(dcache)) == 0 {
 			return

@@ -352,7 +352,10 @@ func sysArraycopy(c *NativeCtx) error {
 	}
 	k := arrayKindOf(sid)
 	slen, dlen := int32(vm.Heap.LengthOf(src)), int32(vm.Heap.LengthOf(dst))
-	if srcPos < 0 || dstPos < 0 || n < 0 || srcPos+n > slen || dstPos+n > dlen {
+	// The sums are taken in int64: srcPos+n wraps negative in int32 and
+	// would pass, turning the copy into a wild access below the array.
+	if srcPos < 0 || dstPos < 0 || n < 0 ||
+		int64(srcPos)+int64(n) > int64(slen) || int64(dstPos)+int64(n) > int64(dlen) {
 		return &TrapError{Kind: "ArrayIndexOutOfBoundsException", Detail: "arraycopy bounds"}
 	}
 	if dc := vm.dcaches[c.Core.Index]; dc != nil {

@@ -290,26 +290,34 @@ func TestStaticFields(t *testing.T) {
 func TestTrapsKillThread(t *testing.T) {
 	cases := []struct {
 		name string
-		emit func(a *classfile.Asm)
+		emit func(p *classfile.Program, a *classfile.Asm)
 		want string
 	}{
-		{"DivByZero", func(a *classfile.Asm) {
+		{"DivByZero", func(_ *classfile.Program, a *classfile.Asm) {
 			a.ConstI(1)
 			a.ConstI(0)
 			a.DivI()
 			a.Ret()
 		}, "ArithmeticException"},
-		{"NullField", func(a *classfile.Asm) {
+		{"NullField", func(_ *classfile.Program, a *classfile.Asm) {
 			a.Null()
 			a.ArrayLen()
 			a.Ret()
 		}, "NullPointerException"},
-		{"OOB", func(a *classfile.Asm) {
+		{"OOB", func(_ *classfile.Program, a *classfile.Asm) {
 			a.ConstI(2)
 			a.NewArray(classfile.ElemInt)
 			a.ConstI(5)
 			a.ALoad(classfile.ElemInt)
 			a.Ret()
+		}, "ArrayIndexOutOfBoundsException"},
+		// srcPos+n (and dstPos+n) wrap negative in int32; the bounds check
+		// must not let the copy through as a wild access below the array.
+		{"ArraycopySrcWrap", func(p *classfile.Program, a *classfile.Asm) {
+			emitArraycopy(p, a, 0x7fffffff, 0)
+		}, "ArrayIndexOutOfBoundsException"},
+		{"ArraycopyDstWrap", func(p *classfile.Program, a *classfile.Asm) {
+			emitArraycopy(p, a, 0, 0x7fffffff)
 		}, "ArrayIndexOutOfBoundsException"},
 	}
 	for _, tc := range cases {
@@ -318,7 +326,7 @@ func TestTrapsKillThread(t *testing.T) {
 			c := p.NewClass("T", nil)
 			m := c.NewMethod("main", classfile.FlagStatic, classfile.Int)
 			a := m.Asm()
-			tc.emit(a)
+			tc.emit(p, a)
 			a.MustBuild()
 			vm, err := New(testConfig(), p)
 			if err != nil {
@@ -330,6 +338,21 @@ func TestTrapsKillThread(t *testing.T) {
 			}
 		})
 	}
+}
+
+// emitArraycopy emits System.arraycopy(new int[4], srcPos, new int[4],
+// dstPos, 1) and returns 0.
+func emitArraycopy(p *classfile.Program, a *classfile.Asm, srcPos, dstPos int32) {
+	a.ConstI(4)
+	a.NewArray(classfile.ElemInt)
+	a.ConstI(srcPos)
+	a.ConstI(4)
+	a.NewArray(classfile.ElemInt)
+	a.ConstI(dstPos)
+	a.ConstI(1)
+	a.InvokeStatic(p.Lookup("java/lang/System").MethodByName("arraycopy"))
+	a.ConstI(0)
+	a.Ret()
 }
 
 func TestPrintlnViaSyscall(t *testing.T) {
