@@ -1,5 +1,5 @@
 // Command herabench regenerates the paper's evaluation figures
-// (Figures 4(a), 4(b), 5, 6, 7), the DESIGN.md ablations (A1-A4) and the
+// (Figures 4(a), 4(b), 5, 6, 7), the repo's ablations (A1-A4) and the
 // reproduction's own sweeps as text tables. Every figure is one entry
 // of experiments.Figures(); after printing a figure's table herabench
 // runs its Check (every row valid / identical / matching, plus the

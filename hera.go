@@ -47,7 +47,7 @@
 // Threads whose methods carry placement annotations (RunOnSPE,
 // FloatIntensive, ...) migrate transparently between the PPE and the
 // SPEs; unannotated programs run correctly regardless of placement.
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
+// See docs/ARCHITECTURE.md for the architecture and README.md for the
 // reproduction of the paper's figures.
 //
 // Above the single System sits the cluster layer: BootCluster starts N

@@ -282,7 +282,7 @@ func (m *Method) Annotate(name string) *Method {
 
 // ArgSlots returns the number of local slots consumed by the arguments,
 // including the receiver for instance methods. (This VM uses one slot per
-// value regardless of width; see DESIGN.md §6.)
+// value regardless of width.)
 func (m *Method) ArgSlots() int {
 	n := len(m.Params)
 	if !m.IsStatic() {

@@ -35,7 +35,7 @@ func figure[T Result](id, doc string, run func(Options) (T, error), gates ...Gat
 }
 
 // Figures returns the registry in presentation order: the paper's
-// figures, the DESIGN.md ablations, then the reproduction's own sweeps.
+// figures, the ablations (A1-A4), then the reproduction's own sweeps.
 func Figures() []Figure {
 	return []Figure{
 		figure("4a", "Figure 4(a): speedup vs the PPE on 1 and 6 SPEs", RunFig4a),

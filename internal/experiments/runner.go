@@ -1,6 +1,6 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation section (Figures 4(a), 4(b), 5, 6 and 7), the ablations
-// DESIGN.md lists (A1-A4) and the reproduction's own sweeps. The paper's
+// README.md lists (A1-A4) and the reproduction's own sweeps. The paper's
 // evaluation is one experiment repeated — the same programs, a different
 // machine declaration per bar — and the package is built the same way:
 // a closed-loop figure is a set of arms (machine declarations) handed to
@@ -9,7 +9,7 @@
 // figures share one arrival script, request builder and SLO fold
 // (openloop.go). Figures() is the registry herabench drives. Absolute
 // cycle counts are simulator-calibrated; the claims under test are the
-// relative shapes (see EXPERIMENTS.md).
+// relative shapes (see README.md).
 package experiments
 
 import (

@@ -67,7 +67,7 @@ func (vm *VM) maybeAdapt(core *cell.Core) {
 // new split of the same local-store region. Dirty data is written back
 // first; both caches restart cold.
 func (vm *VM) resizeLocalCaches(core *cell.Core, dataSize, codeSize uint32) {
-	core.Now = vm.dcaches[core.Index].Purge(core.Now)
+	vm.acquire(core, edgeRuntime)
 	core.Charge(isa.ClassMainMem, 5000) // controller + remap overhead
 
 	dcfg := vm.dcaches[core.Index].Config()

@@ -352,9 +352,7 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			return vm.trapAt(f, "NullPointerException", "monitorenter")
 		}
 		f.PC++
-		if !vm.monitorEnter(core, t, obj) {
-			t.needPurge = core.Kind.UsesLocalStore()
-		}
+		vm.monitorEnter(core, t, obj) // if it blocked, it resumes here once granted
 		return nil
 	case isa.OpMonitorExit:
 		obj := f.popRef()
@@ -526,7 +524,7 @@ func extendElem(k isa.ElemKind, raw uint64) uint64 {
 
 // isInstance implements instanceof/checkcast over the class hierarchy;
 // arrays are instances of Object only (array covariance is out of
-// scope, DESIGN.md §6).
+// scope).
 func (vm *VM) isInstance(r Ref, target *classfile.Class) bool {
 	cls := vm.classOf(r)
 	if cls == nil {
@@ -553,8 +551,8 @@ func (vm *VM) arrayLength(core *cell.Core, f *Frame, arr Ref) uint32 {
 // data), unitSize its size, off the byte offset of the access.
 func (vm *VM) loadMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width uint32, flags int32, isArray bool) uint64 {
 	if dc := vm.dcaches[core.Index]; dc != nil {
-		if flags&isa.FlagVolatile != 0 && !vm.Cfg.UnsafeNoCoherence {
-			core.Now = dc.Purge(core.Now) // acquire: observe other cores' writes
+		if flags&isa.FlagVolatile != 0 {
+			vm.acquire(core, edgeVolatile) // observe other cores' writes
 		}
 		before := core.Now
 		var v uint64
@@ -589,8 +587,8 @@ func (vm *VM) storeMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width
 		} else {
 			core.Now = dc.WriteObject(core.Now, unit, unitSize, off, width, val)
 		}
-		if flags&isa.FlagVolatile != 0 && !vm.Cfg.UnsafeNoCoherence {
-			core.Now = dc.Flush(core.Now) // release: publish this write
+		if flags&isa.FlagVolatile != 0 {
+			vm.release(core, edgeVolatile) // publish this write
 		}
 		f.chargeDyn(isa.ClassLocalMem, core.Now-before)
 		return

@@ -6,20 +6,13 @@ import (
 
 // gc runs a stop-the-world mark-and-sweep collection. As in the paper's
 // evaluation configuration, the collector "only runs on the PPE core"
-// (§4) — the service core, in registry terms: every local-store core
-// first flushes and purges its software data cache (so the collector
-// sees all writes and no core holds stale pointers to freed objects
-// across the collection), all cores then stall to the barrier, and the
-// service core performs the mark and sweep.
+// (§4) — the service core, in registry terms: every core first crosses
+// edgeWorldStop (the collector sees all writes, no core keeps a stale
+// pointer to a freed object), all cores then stall to the barrier, and
+// the service core performs the mark and sweep.
 func (vm *VM) gc() {
 	svc := vm.serviceCore()
-
-	// Software data caches: write back dirty data, invalidate everything.
-	for _, core := range vm.cores {
-		if dc := vm.dcaches[core.Index]; dc != nil {
-			core.Now = dc.Purge(core.Now)
-		}
-	}
+	vm.quiesce(edgeWorldStop)
 
 	// Barrier: all cores reach the same point before the world stops.
 	barrier := svc.Now

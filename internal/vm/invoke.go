@@ -74,7 +74,6 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 			// Blocked: the frame is pushed; the monitor will be granted
 			// before the thread resumes.
 			t.pushFrame(nf)
-			t.needPurge = core.Kind.UsesLocalStore()
 			if migrating {
 				// Keep it simple and correct: blocked synchronized calls
 				// complete the migration when granted.

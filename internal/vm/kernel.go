@@ -82,13 +82,8 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 		j.Stats.KernelWorkers += uint64(len(plan.Chunks))
 	}
 
-	// The launch is a synchronization edge: everything the caller wrote
-	// (the body's input arrays) happens-before the workers' first reads.
-	// Release-flush the caller's data cache; each worker acquire-purges
-	// its own core before running.
-	if dc := vm.dcaches[c.Core.Index]; dc != nil {
-		c.Core.Now = dc.Flush(c.Core.Now)
-	}
+	// edgeKernel: the body's input arrays happen-before the workers' reads.
+	vm.release(c.Core, edgeKernel)
 
 	for _, chunk := range plan.Chunks {
 		if err := vm.spawnKernelWorker(k, runM, body, plan.Kind, chunk, c.Core.Now); err != nil {
@@ -134,7 +129,7 @@ func (vm *VM) spawnKernelWorker(k *kernelLaunch, runM *classfile.Method, body Re
 	t.CoreID = vm.kindCores[kind][chunk.Worker].ID
 	t.pinned = true
 	t.kernel = k
-	t.needPurge = true
+	vm.acquireOnResume(t, edgeKernel)
 	if kind.UsesLocalStore() {
 		t.needEnsure = true
 		t.needStage = true
@@ -165,16 +160,9 @@ func (vm *VM) kernelWorkerDone(core *cell.Core, t *Thread) {
 	if j := k.job; j != nil {
 		j.kernels--
 	}
-	caller := k.caller
-	if caller.State != StateBlocked {
-		return // caller detached or dead; nothing to wake
+	if k.caller.State == StateBlocked { // else detached or dead: nothing to wake
+		vm.wake(k.caller, core.Now+vm.Cfg.JoinWakeCycles, edgeKernel)
 	}
-	caller.State = StateReady
-	caller.ReadyAt = core.Now + vm.Cfg.JoinWakeCycles
-	if caller.Kind.UsesLocalStore() {
-		caller.needPurge = true
-	}
-	vm.enqueue(caller)
 }
 
 // stageKernelTiles is the double-buffered scratchpad fill: before a
@@ -182,7 +170,7 @@ func (vm *VM) kernelWorkerDone(core *cell.Core, t *Thread) {
 // object references is tiled through the MFC into the data cache
 // (DataCache.StageArray), splitting half the cache between the arrays.
 // The staged bytes are billed to the launching job's KernelDMABytes.
-// Runs after the worker's acquire-purge (runWhile's needPurge step), so
+// Runs after the worker's acquire (runWhile's resumeAcquire step), so
 // the purge cannot invalidate what was just staged.
 func (vm *VM) stageKernelTiles(core *cell.Core, t *Thread) {
 	dc := vm.dcaches[core.Index]

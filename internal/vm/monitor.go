@@ -35,8 +35,8 @@ func (vm *VM) writeLockWord(obj Ref, m *monitor) {
 
 // monitorEnter attempts to acquire obj's monitor for t on core. It
 // returns false when the thread blocked (the caller must stop executing
-// it). On a local-store core, a successful acquire purges the software
-// data cache (acquire barrier, §3.2.1).
+// it); wakeBlocked grants it the monitor later. Entering acquires
+// edgeMonitor (§3.2.1).
 func (vm *VM) monitorEnter(core *cell.Core, t *Thread, obj Ref) bool {
 	m := vm.monitorOf(obj)
 	switch {
@@ -51,24 +51,19 @@ func (vm *VM) monitorEnter(core *cell.Core, t *Thread, obj Ref) bool {
 		return false
 	}
 	vm.writeLockWord(obj, m)
-	if dc := vm.dcaches[core.Index]; dc != nil && !vm.Cfg.UnsafeNoCoherence {
-		core.Now = dc.Purge(core.Now)
-	}
+	vm.acquire(core, edgeMonitor)
 	return true
 }
 
-// monitorExit releases obj's monitor. On a local-store core, dirty
-// cached data is flushed before the release becomes visible (release
-// barrier, §3.2.1).
+// monitorExit releases obj's monitor, and edgeMonitor before the
+// release becomes visible (§3.2.1).
 func (vm *VM) monitorExit(core *cell.Core, t *Thread, obj Ref) error {
 	m := vm.monitorOf(obj)
 	if m.owner != t {
 		return &TrapError{Kind: "IllegalMonitorStateException",
 			Detail: fmt.Sprintf("thread %d does not own monitor %#x", t.ID, obj)}
 	}
-	if dc := vm.dcaches[core.Index]; dc != nil && !vm.Cfg.UnsafeNoCoherence {
-		core.Now = dc.Flush(core.Now)
-	}
+	vm.release(core, edgeMonitor)
 	m.count--
 	if m.count > 0 {
 		vm.writeLockWord(obj, m)
@@ -93,9 +88,7 @@ func (vm *VM) wakeBlocked(core *cell.Core, m *monitor) {
 		m.count = next.waitCount
 	}
 	next.waitCount = 0
-	next.State = StateReady
-	next.ReadyAt = core.Now + 60 // handoff latency
-	vm.enqueue(next)
+	vm.wake(next, core.Now+60, edgeMonitor) // handoff latency
 }
 
 // monitorWait implements Object.wait(): release fully, park on the wait
@@ -105,9 +98,7 @@ func (vm *VM) monitorWait(core *cell.Core, t *Thread, obj Ref) error {
 	if m.owner != t {
 		return &TrapError{Kind: "IllegalMonitorStateException", Detail: "wait without lock"}
 	}
-	if dc := vm.dcaches[core.Index]; dc != nil {
-		core.Now = dc.Flush(core.Now)
-	}
+	vm.release(core, edgeMonitor)
 	t.waitCount = m.count
 	m.owner = nil
 	m.count = 0

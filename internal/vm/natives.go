@@ -121,6 +121,7 @@ func (vm *VM) invokeNative(core *cell.Core, t *Thread, f *Frame, callee *classfi
 			// Mailbox message to the dedicated service-core thread
 			// (§3.2.3): the calling thread stalls for the round trip; the
 			// service serialises concurrent requests.
+			vm.release(core, edgeSyscall) // it reads the arguments from main memory
 			arrive := core.Now + vm.Cfg.SyscallSendCycles
 			start := arrive
 			if vm.svcBusy > start {

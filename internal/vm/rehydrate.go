@@ -192,12 +192,7 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 			t.pushFrame(f)
 		}
 
-		if t.Kind.UsesLocalStore() {
-			// Acquire half of the hand-off coherence protocol, as after a
-			// steal or migration: nothing this core cached may shadow the
-			// writes the source flushed before the freeze.
-			t.needPurge = true
-		}
+		vm.acquireOnResume(t, edgeHandoff) // the source released at the freeze
 		t.ReadyAt = arrival + cell.Clock(it.ReadyDelay) + cell.Clock(compileCycles)
 		if it.CooldownLeft > 0 {
 			t.cooldownUntil = arrival + cell.Clock(it.CooldownLeft)

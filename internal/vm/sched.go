@@ -46,6 +46,14 @@ func (vm *VM) enqueue(t *Thread) {
 	vm.scheduler.Enqueue(core, t, t.ReadyAt)
 }
 
+// wake makes a blocked thread runnable at the given time, to acquire
+// edge e — what it was blocked on — before it runs again.
+func (vm *VM) wake(t *Thread, at cell.Clock, e edge) {
+	t.ReadyAt = at
+	vm.acquireOnResume(t, e)
+	vm.enqueue(t)
+}
+
 // pickCore chooses the core of the given kind with the smallest
 // predicted drain time — the scheduler's DrainEstimate: queue depth
 // times mean predicted cost per queued task, plus the core's clock
@@ -188,12 +196,7 @@ func (vm *VM) runWhile(stop func() bool) error {
 				continue
 			}
 		}
-		if t.needPurge {
-			t.needPurge = false
-			if dc := vm.dcaches[core.Index]; dc != nil {
-				core.Now = dc.Purge(core.Now)
-			}
-		}
+		vm.resumeAcquire(core, t)
 		if t.needEnsure {
 			t.needEnsure = false
 			vm.ensureTopFrame(core, t)
@@ -254,42 +257,30 @@ func (vm *VM) pickNext() (*cell.Core, *Thread) {
 	return core, task.(*Thread)
 }
 
-// rebindTo moves a queued thread's binding from one core to another
-// with both halves of the software cache coherence protocol every
-// cross-core hand-off (steal or migration) must perform — flush
-// (release) the victim's data cache so the thread's own unsynchronised
-// writes reach main memory, flooring the hand-off at the write-back
-// completing, and mark the thread to purge (acquire) and re-warm the
-// destination's caches before it runs so no stale clean copy shadows
-// those writes. Program order must hold within a thread even though
-// cross-core coherence is otherwise only guaranteed at monitor and
-// volatile operations. Returns the — possibly later, never earlier —
-// time the thread may start on the destination.
-func (vm *VM) rebindTo(t *Thread, from, to *cell.Core, readyAt cell.Clock) cell.Clock {
-	if dc := vm.dcaches[from.Index]; dc != nil {
-		from.Now = dc.Flush(from.Now)
-		if from.Now > readyAt {
-			readyAt = from.Now
-		}
+// handoff is the one way a live thread changes core (steal, scheduler
+// or marker migration): it crosses edgeHandoff, so program order holds
+// within the thread, and rebinds it. Returns when the thread may start:
+// readyAt, or the end of a local-store source's write-back if later.
+func (vm *VM) handoff(t *Thread, from, to *cell.Core, readyAt cell.Clock) cell.Clock {
+	vm.release(from, edgeHandoff)
+	if from.Kind.UsesLocalStore() && from.Now > readyAt {
+		readyAt = from.Now
 	}
 	t.Kind = to.Kind
 	t.CoreID = to.ID
 	t.ReadyAt = readyAt
-	if to.Kind.UsesLocalStore() {
-		t.needEnsure = true
-		t.needPurge = true
-	}
+	t.needEnsure = to.Kind.UsesLocalStore()
+	vm.acquireOnResume(t, edgeHandoff)
 	return readyAt
 }
 
-// onSteal is the scheduler's hook for same-kind work stealing: rebind
-// the stolen thread to the thief core. The returned clock is when the
-// stolen thread may start on the thief: the steal penalty, or the
-// victim-side write-back completing, whichever is later.
+// onSteal is the scheduler's hook for same-kind work stealing: hand the
+// stolen thread off to the thief core. The returned clock is handoff's:
+// the steal penalty, or the victim's write-back completing if later.
 func (vm *VM) onSteal(task sched.Task, from, to *cell.Core, readyAt cell.Clock) cell.Clock {
 	t := task.(*Thread)
 	noteStolen(t)
-	return vm.rebindTo(t, from, to, readyAt)
+	return vm.handoff(t, from, to, readyAt)
 }
 
 // behaviourMinCycles is the observation floor for behaviour-aware task
@@ -412,15 +403,13 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 // stacks are kind-independent at those PCs, so they move untouched.
 // Fresh compile cycles are charged to the thread's start like a cold
 // code-cache fill, exactly as StartThread charges a new thread's entry
-// compile. Cache visibility follows the steal protocol: flush
-// (release) the victim's software data cache, purge (acquire) the
-// thief's before the thread runs. The returned clock only ever moves
-// later than the offered landing time; ok == false vetoes the
-// migration (a compile failure, e.g. a full code region) with no
-// thread or cache state changed — methods compiled before the failing
-// one stay registered in the target kind's compiler, which is reusable
-// work, not corruption: any later execution on that kind finds them
-// warm and pays nothing.
+// compile. The thread moves through handoff, as a steal does. The
+// returned clock only ever moves later than the offered landing time;
+// ok == false vetoes the migration (a compile failure, e.g. a full code
+// region) with no thread or cache state changed — methods compiled
+// before the failing one stay registered in the target kind's compiler,
+// which is reusable work, not corruption: any later execution on that
+// kind finds them warm and pays nothing.
 func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock) (cell.Clock, bool) {
 	t := task.(*Thread)
 	vm.curJob = t.job // recompiles may intern and allocate: bill GC here
@@ -446,7 +435,7 @@ func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock
 		compileCycles += cycles
 		swaps = append(swaps, swap{f, cm})
 	}
-	landing := vm.rebindTo(t, from, to, readyAt)
+	landing := vm.handoff(t, from, to, readyAt)
 	for _, s := range swaps {
 		s.f.PC = s.f.CM.TranslatePC(s.f.PC, s.cm)
 		s.f.CM = s.cm
@@ -470,19 +459,10 @@ func (vm *VM) deadlockError() error {
 
 // finishThread retires a terminated thread, completes its job when it
 // was the job's last live thread, and wakes its joiners after the
-// configured join hand-off latency.
-//
-// Termination is a synchronization edge (everything a thread did
-// happens-before a join on it returning), so it carries both halves of
-// the software cache coherence protocol: flush (release) the retiring
-// core's data cache so the dead thread's unsynchronised writes reach
-// main memory, and mark each woken joiner to purge (acquire) before it
-// runs, so a stale clean copy left in the joiner's core — by any
-// thread that ran there earlier — cannot shadow those writes.
+// configured join hand-off latency. Termination releases edgeJoin; each
+// joiner acquires it as it wakes.
 func (vm *VM) finishThread(core *cell.Core, t *Thread) {
-	if dc := vm.dcaches[core.Index]; dc != nil {
-		core.Now = dc.Flush(core.Now)
-	}
+	vm.release(core, edgeJoin)
 	vm.liveCount--
 	if job := t.job; job != nil {
 		job.live--
@@ -502,12 +482,7 @@ func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 		}
 	}
 	for _, j := range t.joiners {
-		j.State = StateReady
-		j.ReadyAt = core.Now + vm.Cfg.JoinWakeCycles
-		if j.Kind.UsesLocalStore() {
-			j.needPurge = true
-		}
-		vm.enqueue(j)
+		vm.wake(j, core.Now+vm.Cfg.JoinWakeCycles, edgeJoin)
 	}
 	t.joiners = nil
 	if t.kernel != nil {
@@ -518,17 +493,16 @@ func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 	}
 }
 
-// migrate moves t to another core kind after the current instruction,
-// charging the parameter-packaging and transfer cost (§3.1). The caller
-// must already have pushed the migration marker (for call-site
-// migrations) or arranged the frame stack appropriately.
+// migrate hands t off to a core of another kind (one the machine has)
+// after the current instruction, charging the parameter-packaging and
+// transfer cost (§3.1). The caller must already have pushed the migration
+// marker (for call-site migrations) or arranged the frame stack.
 func (vm *VM) migrate(core *cell.Core, t *Thread, target isa.CoreKind, words int) {
+	to := vm.coreFor(target, vm.pickCore(target))
 	cost := vm.Cfg.MigrationBaseCycles + vm.Cfg.MigrationWordCycles*uint64(words)
-	vm.noteMigrated(t, core.Now+cost)
-	vm.place(t, target)
-	vm.scheduler.NoteMigration(core, vm.coreFor(t.Kind, t.CoreID))
-	t.ReadyAt = core.Now + cost
-	t.State = StateReady
+	t.ReadyAt = vm.handoff(t, core, to, core.Now) + cost
+	vm.noteMigrated(t, t.ReadyAt)
+	vm.scheduler.NoteMigration(core, to)
 	vm.enqueue(t)
 }
 

@@ -322,15 +322,9 @@ func (vm *VM) FreezeJob(ctx context.Context, j *Job) (*JobImage, error) {
 		return nil, kernelInFlightErr(j)
 	}
 
-	// Release: write back and invalidate every software data cache, as
-	// the collector does before marking, so the capture's main-memory
-	// reads observe all of the job's writes. The cycles are charged to
-	// the cores — the flush is real work the hand-off costs the source.
-	for _, core := range vm.cores {
-		if dc := vm.dcaches[core.Index]; dc != nil {
-			core.Now = dc.Purge(core.Now)
-		}
-	}
+	// The capture reads main memory: edgeWorldStop, as before a collection.
+	// The cores are charged — the flush is real work the hand-off costs.
+	vm.quiesce(edgeWorldStop)
 
 	img, monObjs, err := vm.captureJob(j)
 	if err != nil {

@@ -190,15 +190,8 @@ func registerBuiltins(vm *VM) {
 		Fn: func(c *NativeCtx) error {
 			target := c.VM.byJavaObj[Ref(c.Args[0])]
 			if target == nil || target.State == StateTerminated {
-				// Not started or already dead: join returns immediately —
-				// but it is still a synchronization edge. Acquire-purge the
-				// joiner's data cache so a stale clean copy cached on this
-				// core cannot shadow the dead thread's flushed writes (the
-				// blocked-join path gets the same purge via needPurge when
-				// the joiner wakes).
-				if dc := c.VM.dcaches[c.Core.Index]; dc != nil {
-					c.Core.Now = dc.Purge(c.Core.Now)
-				}
+				// Not started or already dead: no wait, and still edgeJoin.
+				c.VM.acquire(c.Core, edgeJoin)
 				return nil
 			}
 			target.joiners = append(target.joiners, c.Thread)
@@ -322,22 +315,15 @@ func (vm *VM) startJavaThread(c *NativeCtx, recv Ref) error {
 	}
 	t.JavaObj = recv
 	vm.byJavaObj[recv] = t
-	// start() is a synchronization edge: everything the spawner wrote
-	// happens-before the new thread's first action. Release-flush the
-	// spawner's data cache so those writes reach main memory, and mark
-	// the child to acquire-purge before it runs, so stale clean lines
-	// left on whichever core it lands on cannot shadow them.
-	if dc := vm.dcaches[c.Core.Index]; dc != nil {
-		c.Core.Now = dc.Flush(c.Core.Now)
-	}
-	t.needPurge = true
+	// edgeStart: the spawner's writes happen-before the child's first action.
+	vm.release(c.Core, edgeStart)
+	vm.acquireOnResume(t, edgeStart)
 	return nil
 }
 
-// sysArraycopy implements System.arraycopy with a per-byte bus cost. On
-// a local-store core the copy is performed by the runtime through main
-// memory, so the caller's cached view of the destination is purged
-// first (conservative but correct under the software-cache protocol).
+// sysArraycopy implements System.arraycopy with a per-byte bus cost. The
+// runtime copies through main memory, so the caller first crosses
+// edgeRuntime: source written back, destination dropped (conservative).
 func sysArraycopy(c *NativeCtx) error {
 	vm := c.VM
 	src, dst := Ref(c.Args[0]), Ref(c.Args[2])
@@ -358,9 +344,7 @@ func sysArraycopy(c *NativeCtx) error {
 		int64(srcPos)+int64(n) > int64(slen) || int64(dstPos)+int64(n) > int64(dlen) {
 		return &TrapError{Kind: "ArrayIndexOutOfBoundsException", Detail: "arraycopy bounds"}
 	}
-	if dc := vm.dcaches[c.Core.Index]; dc != nil {
-		c.Core.Now = dc.Purge(c.Core.Now)
-	}
+	vm.acquire(c.Core, edgeRuntime)
 	esz := k.Size()
 	bytes := uint32(n) * esz
 	buf := make([]byte, bytes)

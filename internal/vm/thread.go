@@ -119,10 +119,9 @@ type Thread struct {
 	// needEnsure requests a code-cache ensure of the top frame before
 	// resuming (set when a thread lands on an SPE).
 	needEnsure bool
-	// needPurge requests an acquire-purge of the SPE data cache before
-	// resuming (set when a monitor was granted while the thread was
-	// blocked).
-	needPurge bool
+	// needPurge, when non-zero, is the edge the thread acquires on its
+	// next dispatch (acquireOnResume sets it, runWhile consumes it).
+	needPurge edge
 	// needStage requests a double-buffered tile prefetch of the kernel
 	// body's arrays into the data cache before the first quantum (set on
 	// kernel workers landing on local-store cores; runs after needPurge
@@ -204,7 +203,7 @@ func (t *Thread) String() string {
 }
 
 // Trap errors: the VM models Java's unchecked exceptions as thread
-// traps (this reproduction has no catch handlers; see DESIGN.md §6).
+// traps; throw.go delivers one to a catch handler when a frame has one.
 type TrapError struct {
 	Kind   string
 	Detail string

@@ -282,55 +282,14 @@ func TestJNINativeMigratesToPPE(t *testing.T) {
 	}
 }
 
-func TestVolatileVisibilityAcrossCores(t *testing.T) {
-	// A flag-passing test: an SPE producer sets a volatile flag after
-	// writing data; a PPE consumer spins on the flag then reads the data.
-	// Volatile write flushes the producer's cache, so the consumer must
-	// observe the data (JMM conformance of §3.2.1).
-	p := classfile.NewProgram()
-	Stdlib(p)
-	threadCls := p.Lookup("java/lang/Thread")
-
-	box := p.NewClass("Box", nil)
-	flag := box.NewVolatileStaticField("flag", classfile.Int)
-	data := box.NewStaticField("data", classfile.Int)
-
-	prod := p.NewClass("Producer", threadCls)
-	run := prod.NewMethod("run", 0, classfile.Void).Annotate(classfile.AnnRunOnSPE)
-	{
-		a := run.Asm()
-		a.ConstI(12345)
-		a.PutStatic(data)
-		a.ConstI(1)
-		a.PutStatic(flag) // volatile: flush
-		a.RetVoid()
-		a.MustBuild()
-	}
-
-	main := p.NewClass("Main", nil)
-	m := main.NewMethod("main", classfile.FlagStatic, classfile.Int)
-	a := m.Asm()
-	a.New(prod)
-	a.InvokeVirtual(threadCls.MethodByName("start"))
-	spin, ready := a.NewLabel(), a.NewLabel()
-	a.Bind(spin)
-	a.GetStatic(flag)
-	a.IfNE(ready)
-	a.Goto(spin)
-	a.Bind(ready)
-	a.GetStatic(data)
-	a.Ret()
-	a.MustBuild()
-
-	_, th := runMain(t, testConfig(), p, "Main", "main")
-	if got := int32(uint32(th.Result)); got != 12345 {
-		t.Errorf("consumer saw %d, want 12345", got)
-	}
-}
-
-func TestWaitNotify(t *testing.T) {
-	p := classfile.NewProgram()
-	Stdlib(p)
+// waitNotifyProg builds the canonical guarded wait: waiter() takes the
+// lock, starts a Setter thread and runs synchronized(lock){ while (val
+// == 0) lock.wait(); }; the setter writes the plain static under the
+// lock and notifies. waiterOnSPE annotates waiter() RunOnSPE, so the
+// re-acquire after wait() happens on a local-store core while the
+// setter writes from the PPE.
+func waitNotifyProg(waiterOnSPE bool) *classfile.Program {
+	p := newProg()
 	threadCls := p.Lookup("java/lang/Thread")
 	obj := p.Lookup("java/lang/Object")
 
@@ -355,32 +314,46 @@ func TestWaitNotify(t *testing.T) {
 	}
 
 	main := p.NewClass("Main", nil)
-	m := main.NewMethod("main", classfile.FlagStatic, classfile.Int)
-	a := m.Asm()
+	waiter := main.NewMethod("waiter", classfile.FlagStatic, classfile.Int)
+	if waiterOnSPE {
+		waiter.Annotate(classfile.AnnRunOnSPE)
+	}
+	{
+		a := waiter.Asm()
+		a.GetStatic(lockF)
+		a.MonitorEnter()
+		a.New(setter)
+		a.InvokeVirtual(threadCls.MethodByName("start"))
+		// while (val == 0) lock.wait();
+		spin, ready := a.NewLabel(), a.NewLabel()
+		a.Bind(spin)
+		a.GetStatic(valF)
+		a.IfNE(ready)
+		a.GetStatic(lockF)
+		a.InvokeVirtual(obj.MethodByName("wait"))
+		a.Goto(spin)
+		a.Bind(ready)
+		a.GetStatic(lockF)
+		a.MonitorExit()
+		a.GetStatic(valF)
+		a.Ret()
+		a.MustBuild()
+	}
+	a := main.NewMethod("main", classfile.FlagStatic, classfile.Int).Asm()
 	a.New(p.Object)
 	a.PutStatic(lockF)
-	a.GetStatic(lockF)
-	a.MonitorEnter()
-	a.New(setter)
-	a.InvokeVirtual(threadCls.MethodByName("start"))
-	// while (val == 0) lock.wait();
-	spin, ready := a.NewLabel(), a.NewLabel()
-	a.Bind(spin)
-	a.GetStatic(valF)
-	a.IfNE(ready)
-	a.GetStatic(lockF)
-	a.InvokeVirtual(obj.MethodByName("wait"))
-	a.Goto(spin)
-	a.Bind(ready)
-	a.GetStatic(lockF)
-	a.MonitorExit()
-	a.GetStatic(valF)
+	a.InvokeStatic(waiter)
 	a.Ret()
 	a.MustBuild()
+	return p
+}
 
-	_, th := runMain(t, testConfig(), p, "Main", "main")
-	if got := int32(uint32(th.Result)); got != 99 {
-		t.Errorf("wait/notify result: %d", got)
+func TestWaitNotify(t *testing.T) {
+	for _, waiterOnSPE := range []bool{false, true} {
+		_, th := runMain(t, testConfig(), waitNotifyProg(waiterOnSPE), "Main", "main")
+		if got := int32(uint32(th.Result)); got != 99 {
+			t.Errorf("waiter on SPE %v: wait/notify result: %d", waiterOnSPE, got)
+		}
 	}
 }
 

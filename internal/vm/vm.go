@@ -182,6 +182,8 @@ type VM struct {
 	dcaches []*cache.DataCache
 	ccaches []*cache.CodeCache
 	lsCores []int
+	// edgeCrossings counts coherence.go's barriers performed, per edge.
+	edgeCrossings [numEdges]uint64
 
 	staticsBase mem.Addr
 	staticRefs  []bool // GC ref map for static slots

@@ -723,7 +723,8 @@ func buildSameMem(t *testing.T) *classfile.Program {
 	return p
 }
 
-func TestStringBuilderRoundTrip(t *testing.T) {
+// stringBuilderProg builds "x=-4096!" in a StringBuilder and prints it.
+func stringBuilderProg() *classfile.Program {
 	p := newProg()
 	sb := p.Lookup("java/lang/StringBuilder")
 	sys := p.Lookup("java/lang/System")
@@ -746,9 +747,19 @@ func TestStringBuilderRoundTrip(t *testing.T) {
 	a.InvokeStatic(sys.MethodByName("println"))
 	a.RetVoid()
 	a.MustBuild()
-	vmach, _ := runMain(t, testConfig(), p, "SB", "main")
-	if got := vmach.Output(); got != "x=-4096!\n" {
-		t.Errorf("output %q", got)
+	return p
+}
+
+// TestStringBuilderRoundTrip runs it on the PPE and, through the
+// syscall mailbox, wholly on an SPE.
+func TestStringBuilderRoundTrip(t *testing.T) {
+	for _, pol := range []Policy{nil, FixedPolicy{Kind: isa.SPE}} {
+		cfg := testConfig()
+		cfg.Policy = pol
+		vmach, _ := runMain(t, cfg, stringBuilderProg(), "SB", "main")
+		if got := vmach.Output(); got != "x=-4096!\n" {
+			t.Errorf("policy %v: output %q", pol, got)
+		}
 	}
 }
 
