@@ -4,12 +4,16 @@
 package hera_test
 
 import (
+	"runtime"
 	"testing"
 
 	hera "herajvm"
 	"herajvm/internal/cache"
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
 	"herajvm/internal/experiments"
+	"herajvm/internal/isa"
+	"herajvm/internal/jit"
 	"herajvm/internal/mem"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
@@ -79,18 +83,30 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
-// BenchmarkDataCacheHit measures the host cost of a software-cache hit.
+// BenchmarkDataCacheHit measures the host cost of a software-cache hit:
+// in a cache holding one object (the lookup table at its initial size),
+// and after 2 000 distinct objects have grown the table five times.
 func BenchmarkDataCacheHit(b *testing.B) {
-	cfg := hera.DefaultConfig()
-	machine, err := cell.NewMachine(cfg.Machine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dc := newBenchDataCache(machine)
-	_, now := dc.ReadObject(0, 0x100000, 64, 16, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, now = dc.ReadObject(now, 0x100000, 64, 16, 8)
+	for _, bc := range []struct {
+		name    string
+		objects int
+	}{{"one-object", 1}, {"grown-index", 2000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			machine, err := cell.NewMachine(hera.DefaultConfig().Machine)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dc := newBenchDataCache(machine)
+			var now cell.Clock
+			for i := 0; i < bc.objects; i++ {
+				_, now = dc.ReadObject(now, 0x100000+uint32(i)*48, 48, 16, 8)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, now = dc.ReadObject(now, 0x100000+uint32(i%bc.objects)*48, 48, 16, 8)
+			}
+		})
 	}
 }
 
@@ -126,6 +142,87 @@ func BenchmarkMainMemory(b *testing.B) {
 			_ = m.Read64(addr)
 		}
 	})
+}
+
+// BenchmarkCompile measures the JIT apart from the lowering it defers:
+// "compile" is every method of the three paper programs through a fresh
+// SPE compiler, no block probed; "lower" then probes every pending
+// entry of those methods once — the most a run could ever ask for.
+func BenchmarkCompile(b *testing.B) {
+	var methods []*classfile.Method
+	for _, spec := range workloads.All() {
+		prog, err := spec.Build(1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := prog.Resolve(); err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range prog.Classes() {
+			for _, m := range c.Methods {
+				if !m.IsNative() && !m.IsAbstract() && m.Code != nil {
+					methods = append(methods, m)
+				}
+			}
+		}
+	}
+	compileAll := func(b *testing.B) []*jit.CompiledMethod {
+		c := jit.NewCompiler(isa.SPE, mem.NewMain(64<<20), mem.NewRegion("code", 4096, 32<<20))
+		c.InternString = func(string) (uint32, error) { return 1 << 20, nil }
+		cms := make([]*jit.CompiledMethod, len(methods))
+		for i, m := range methods {
+			cm, err := c.Compile(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cms[i] = cm
+		}
+		return cms
+	}
+	b.Run("compile", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			compileAll(b)
+		}
+	})
+	b.Run("lower", func(b *testing.B) {
+		b.ReportAllocs()
+		blocks := 0
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cms := compileAll(b)
+			b.StartTimer()
+			for _, cm := range cms {
+				for p := range cm.Code {
+					if cm.Block(p) != nil {
+						blocks++
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
+	})
+}
+
+// TestBootAllocBudget bounds what booting the default machine
+// allocates on the host, by count rather than by timer. What remains is
+// mostly the six 256 KB local stores (1.5 MB); the budget fails if a
+// table sized for the worst case comes back (the data caches' indexes
+// were 1.5 MB more).
+func TestBootAllocBudget(t *testing.T) {
+	prog, err := workloads.Mandelbrot().Build(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := hera.NewSystem(hera.DefaultConfig(), prog); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2500<<10 {
+		t.Fatalf("NewSystem on the default topology allocates %d bytes, budget 2.5 MB", got)
+	}
 }
 
 // BenchmarkBoot measures booting a Hera-JVM with the default

@@ -9,6 +9,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/isa"
@@ -79,27 +80,42 @@ type tabSlot struct {
 // the simulator's hot path (every SPE memory instruction probes it):
 // entries live in an append-only slab reused across flushes, and an
 // open-addressed, generation-stamped table maps main-memory addresses to
-// slab indices. Simulated behaviour — probe/insert cycle charges, hit
-// and miss counts, write-back order — is identical to a map-based
-// implementation; only host time differs.
+// slab indices. The table is sized by use: it starts at minTabSlots and
+// doubles when half its slots carry the current generation's stamp, so
+// a cache whose generations hold a few hundred entries never pays for
+// the Size/16 a generation could hold. Simulated behaviour —
+// probe/insert cycle charges, hit and miss counts, write-back order —
+// is identical to a map-based implementation; only host time differs.
 type DataCache struct {
 	cfg  DataCacheConfig
 	core *cell.Core
 	base uint32 // region origin within the local store
 	bump uint32
 
-	slab  []dcEntry // entries of the current generation, in insertion order
-	order []int32   // live slab indices, insertion order, for write-back
-	live  int       // live entries (len(order))
-	tab   []tabSlot // open-addressed addr -> slab index
-	mask  uint32    // len(tab)-1; len(tab) is a power of two
-	gen   uint32    // current flush generation
+	slab    []dcEntry // entries of the current generation, in insertion order
+	order   []int32   // live slab indices, insertion order, for write-back
+	live    int       // live entries (len(order))
+	tab     []tabSlot // open-addressed addr -> slab index; len is a power of two
+	shift   uint32    // 32 - log2(len(tab)): home slot is the hash's high bits
+	stamped int       // slots stamped with gen (live entries and tombstones)
+	gen     uint32    // current flush generation
+}
+
+// minTabSlots is the lookup table's initial size (a power of two).
+const minTabSlots = 64
+
+// home returns addr's home slot: the high bits of the Fibonacci product.
+// The low bits of addr*2654435761 are a function of addr's low bits
+// alone, so masking them would send every 1 KB-strided array block to
+// one slot of a small table.
+func (d *DataCache) home(addr mem.Addr) uint32 {
+	return (addr * 2654435761) >> d.shift
 }
 
 // dcLookup returns the slab index of addr's live entry, or -1.
 func (d *DataCache) dcLookup(addr mem.Addr) int32 {
-	i := (addr * 2654435761) & d.mask // Fibonacci hashing; deterministic
-	for {
+	mask := uint32(len(d.tab) - 1)
+	for i := d.home(addr); ; i = (i + 1) & mask {
 		s := d.tab[i]
 		if s.gen != d.gen || s.idx == 0 {
 			return -1
@@ -107,28 +123,47 @@ func (d *DataCache) dcLookup(addr mem.Addr) int32 {
 		if s.idx > 0 && d.slab[s.idx-1].mainAddr == addr {
 			return s.idx - 1
 		}
-		i = (i + 1) & d.mask // tombstone or collision: keep probing
+		// tombstone or collision: keep probing
 	}
 }
 
-// dcInsert installs a slab index for addr, reusing tombstones.
+// dcInsert installs a slab index for addr, reusing tombstones. A slot
+// stamped for the first time this generation may tip the table past
+// half full, which doubles it.
 func (d *DataCache) dcInsert(addr mem.Addr, idx int32) {
-	i := (addr * 2654435761) & d.mask
-	for {
+	mask := uint32(len(d.tab) - 1)
+	for i := d.home(addr); ; i = (i + 1) & mask {
 		s := d.tab[i]
-		if s.gen != d.gen || s.idx <= 0 {
-			d.tab[i] = tabSlot{gen: d.gen, idx: idx + 1}
-			return
+		if s.gen == d.gen && s.idx > 0 {
+			continue
 		}
-		i = (i + 1) & d.mask
+		d.tab[i] = tabSlot{gen: d.gen, idx: idx + 1}
+		if s.gen != d.gen {
+			if d.stamped++; 2*d.stamped >= len(d.tab) {
+				d.grow()
+			}
+		}
+		return
+	}
+}
+
+// grow doubles the table and re-inserts the live entries (tombstones
+// are dropped). The fresh table's zero stamps never equal gen, which
+// starts at 1, so the generation carries over.
+func (d *DataCache) grow() {
+	d.tab = make([]tabSlot, 2*len(d.tab))
+	d.shift--
+	d.stamped = 0
+	for _, idx := range d.order {
+		d.dcInsert(d.slab[idx].mainAddr, idx)
 	}
 }
 
 // dcDelete tombstones addr's slot (the entry stays in the slab so the
 // write-back order of surviving entries is untouched).
 func (d *DataCache) dcDelete(addr mem.Addr) {
-	i := (addr * 2654435761) & d.mask
-	for {
+	mask := uint32(len(d.tab) - 1)
+	for i := d.home(addr); ; i = (i + 1) & mask {
 		s := d.tab[i]
 		if s.gen != d.gen || s.idx == 0 {
 			return
@@ -137,7 +172,6 @@ func (d *DataCache) dcDelete(addr mem.Addr) {
 			d.tab[i] = tabSlot{gen: d.gen, idx: -1}
 			return
 		}
-		i = (i + 1) & d.mask
 	}
 }
 
@@ -154,22 +188,13 @@ func NewDataCache(cfg DataCacheConfig, core *cell.Core, base uint32) *DataCache 
 	if cfg.ArrayBlock == 0 || cfg.ArrayBlock&(cfg.ArrayBlock-1) != 0 {
 		panic("cache: array block size must be a power of two")
 	}
-	// The table must comfortably hold a whole generation's inserts:
-	// allocations are 16-byte aligned, so a generation sees at most
-	// Size/16 of them (plus the MaxEntries flush bound), and every
-	// insert occupies at most one new slot.
-	want := 2 * (cfg.MaxEntries + int(cfg.Size/16) + 1)
-	tabSize := 64
-	for tabSize < want {
-		tabSize *= 2
-	}
 	return &DataCache{
-		cfg:  cfg,
-		core: core,
-		base: base,
-		tab:  make([]tabSlot, tabSize),
-		mask: uint32(tabSize - 1),
-		gen:  1,
+		cfg:   cfg,
+		core:  core,
+		base:  base,
+		tab:   make([]tabSlot, minTabSlots),
+		shift: 32 - uint32(bits.TrailingZeros32(minTabSlots)),
+		gen:   1,
 	}
 }
 
@@ -272,12 +297,20 @@ func (d *DataCache) ensure(now cell.Clock, mainAddr mem.Addr, size uint32) (uint
 	d.core.Stats.Charge(isa.ClassMainMem, done-now)
 	now = done
 
+	return lsAddr, d.install(mainAddr, lsAddr, size), now
+}
+
+// install appends a clean entry to the slab and the write-back order
+// and indexes it, returning its slab index. The entry joins order
+// before the table sees it: an insert that grows the table re-inserts
+// exactly what order lists.
+func (d *DataCache) install(mainAddr mem.Addr, lsAddr, size uint32) int32 {
 	idx := int32(len(d.slab))
 	d.slab = append(d.slab, dcEntry{mainAddr: mainAddr, lsAddr: lsAddr, size: size})
-	d.dcInsert(mainAddr, idx)
-	d.live++
 	d.order = append(d.order, idx)
-	return lsAddr, idx, now
+	d.live++
+	d.dcInsert(mainAddr, idx)
+	return idx
 }
 
 // clip returns the cached unit covering an access of width bytes at
@@ -401,11 +434,7 @@ func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxB
 			first = false
 		}
 
-		idx := int32(len(d.slab))
-		d.slab = append(d.slab, dcEntry{mainAddr: dataAddr + start, lsAddr: lsAddr, size: size})
-		d.dcInsert(dataAddr+start, idx)
-		d.live++
-		d.order = append(d.order, idx)
+		d.install(dataAddr+start, lsAddr, size)
 		staged += size
 	}
 	return now, staged
@@ -436,11 +465,10 @@ func (d *DataCache) flushAll(now cell.Clock, invalidate bool) cell.Clock {
 		d.order = d.order[:0]
 		d.live = 0
 		d.bump = 0
+		d.stamped = 0
 		d.gen++
 		if d.gen == 0 { // generation wrapped: stale stamps could alias
-			for i := range d.tab {
-				d.tab[i] = tabSlot{}
-			}
+			clear(d.tab)
 			d.gen = 1
 		}
 	}

@@ -160,7 +160,7 @@ type Machine struct {
 	EIB *EIB
 
 	cores  []*Core
-	byKind map[isa.CoreKind][]*Core
+	byKind [][]*Core // indexed by isa.CoreKind, over the kinds registered at NewMachine
 }
 
 // NewMachine builds a machine from its configuration.
@@ -186,7 +186,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		Cfg:    cfg,
 		Mem:    mem.NewMain(cfg.MainMemory),
 		EIB:    NewEIB(cfg.EIB),
-		byKind: make(map[isa.CoreKind][]*Core),
+		byKind: make([][]*Core, isa.NumKinds()),
 	}
 	for _, g := range cfg.Topology {
 		for i := 0; i < g.Count; i++ {
@@ -236,7 +236,7 @@ func (m *Machine) NumCores() int { return len(m.cores) }
 // CoresOf returns the cores of one kind, ordered by ID (nil if the
 // topology has none). The slice is a copy; callers may reorder it.
 func (m *Machine) CoresOf(kind isa.CoreKind) []*Core {
-	src := m.byKind[kind]
+	src := m.ofKind(kind)
 	if src == nil {
 		return nil
 	}
@@ -245,11 +245,20 @@ func (m *Machine) CoresOf(kind isa.CoreKind) []*Core {
 	return out
 }
 
+// ofKind is byKind[kind], nil for a kind the table does not reach (one
+// registered after the machine was built has no cores here).
+func (m *Machine) ofKind(kind isa.CoreKind) []*Core {
+	if int(kind) >= len(m.byKind) {
+		return nil
+	}
+	return m.byKind[kind]
+}
+
 // NumOf returns how many cores of the kind the machine has.
-func (m *Machine) NumOf(kind isa.CoreKind) int { return len(m.byKind[kind]) }
+func (m *Machine) NumOf(kind isa.CoreKind) int { return len(m.ofKind(kind)) }
 
 // HasKind reports whether the machine has at least one core of the kind.
-func (m *Machine) HasKind(kind isa.CoreKind) bool { return len(m.byKind[kind]) > 0 }
+func (m *Machine) HasKind(kind isa.CoreKind) bool { return len(m.ofKind(kind)) > 0 }
 
 // CoreAt returns core id of the given kind.
 func (m *Machine) CoreAt(kind isa.CoreKind, id int) *Core { return m.byKind[kind][id] }
@@ -259,7 +268,7 @@ func (m *Machine) CoreAt(kind isa.CoreKind, id int) *Core { return m.byKind[kind
 // examples and tests).
 func (m *Machine) InstrsOf(kind isa.CoreKind) uint64 {
 	var n uint64
-	for _, c := range m.byKind[kind] {
+	for _, c := range m.ofKind(kind) {
 		n += c.Stats.Instrs
 	}
 	return n

@@ -56,13 +56,13 @@ func (a *Asm) fail(format string, args ...any) {
 
 // NewLabel creates an unbound label.
 func (a *Asm) NewLabel() *Label {
-	return &Label{pc: -1, name: fmt.Sprintf("L%d", len(a.code))}
+	return &Label{pc: -1, made: len(a.code)}
 }
 
 // Bind binds the label to the next instruction.
 func (a *Asm) Bind(l *Label) *Asm {
 	if l.bound {
-		a.fail("label %s bound twice", l.name)
+		a.fail("label L%d bound twice", l.made)
 	}
 	l.pc = len(a.code)
 	l.bound = true
@@ -413,18 +413,16 @@ func (a *Asm) Build() error {
 	if len(a.code) == 0 {
 		return fmt.Errorf("asm %s: empty body", a.m.Sig())
 	}
-	for pc, bc := range a.code {
-		targets := make([]*Label, 0, 1+len(bc.Table))
+	for pc := range a.code {
+		bc := &a.code[pc]
 		if bc.Target != nil {
-			targets = append(targets, bc.Target)
-		}
-		targets = append(targets, bc.Table...)
-		for _, l := range targets {
-			if !l.bound {
-				return fmt.Errorf("asm %s: pc %d: unbound label %s", a.m.Sig(), pc, l.name)
+			if err := a.checkTarget(pc, bc.Target); err != nil {
+				return err
 			}
-			if l.pc < 0 || l.pc > len(a.code) {
-				return fmt.Errorf("asm %s: pc %d: label %s out of range", a.m.Sig(), pc, l.name)
+		}
+		for _, l := range bc.Table {
+			if err := a.checkTarget(pc, l); err != nil {
+				return err
 			}
 		}
 	}
@@ -449,6 +447,18 @@ func (a *Asm) Build() error {
 	a.m.Code = a.code
 	a.m.MaxLocals = a.maxLocal + 1
 	a.built = true
+	return nil
+}
+
+// checkTarget reports a branch target of the instruction at pc that is
+// unbound or bound outside the body.
+func (a *Asm) checkTarget(pc int, l *Label) error {
+	if !l.bound {
+		return fmt.Errorf("asm %s: pc %d: unbound label L%d", a.m.Sig(), pc, l.made)
+	}
+	if l.pc < 0 || l.pc > len(a.code) {
+		return fmt.Errorf("asm %s: pc %d: label L%d out of range", a.m.Sig(), pc, l.made)
+	}
 	return nil
 }
 

@@ -196,7 +196,9 @@ const (
 type Label struct {
 	pc    int
 	bound bool
-	name  string
+	// made is the assembler's code length when the label was created;
+	// error messages name the label "L<made>".
+	made int
 }
 
 // PC returns the instruction index the label is bound to.

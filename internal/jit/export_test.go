@@ -1,12 +1,17 @@
 package jit
 
-import "herajvm/internal/isa"
+import (
+	"herajvm/internal/classfile"
+	"herajvm/internal/isa"
+)
 
 // EagerSuperblocks is the reference the on-demand lowering is tested
 // against: discovery as it was before blocks became pending, lowering
-// every suffix of every run on the spot. It shares nothing with
-// discoverSuperblocks and lowerBlock but the admissibility predicates
-// and compileMicro.
+// every suffix of every run on the spot into a dense per-index table
+// (Len 0 = no block), each in a fresh scratch — so comparing against it
+// also shows a reused scratch carries nothing from block to block. It
+// shares nothing with discoverSuperblocks and lowerBlock but the
+// admissibility predicates and microCompiler.compile.
 func EagerSuperblocks(code []isa.Instr) []Superblock {
 	sb := make([]Superblock, len(code))
 	for s := 0; s < len(code); {
@@ -33,7 +38,7 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 			if guardedDivOp(in.Op) || memOp(in.Op) {
 				continue
 			}
-			mb, ok := compileMicro(code[p:pe], term)
+			mb, ok := new(microCompiler).compile(code[p:pe], term)
 			if !ok {
 				continue
 			}
@@ -63,11 +68,19 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 	return sb
 }
 
+// LowerOnly runs the bytecode-to-Code lowering alone — Compile without
+// superblock discovery, the code-region allocation and the registry —
+// so a test can price what Compile adds on top of it.
+func (c *Compiler) LowerOnly(m *classfile.Method) error {
+	_, err := c.lower(m)
+	return err
+}
+
 // PendingBlocks counts the entries of cm no probe has lowered yet.
 func (cm *CompiledMethod) PendingBlocks() int {
 	n := 0
-	for i := range cm.sb {
-		if cm.sb[i].Len < 0 {
+	for _, i := range cm.sbIdx {
+		if i < 0 {
 			n++
 		}
 	}

@@ -48,11 +48,16 @@ type CompiledMethod struct {
 	// in instruction selection, so raw machine PCs do not transfer).
 	BCIndex []int32
 	EntryOf []int32
-	// sb memoizes, per instruction index, the maximal superblock
-	// starting there (Len 0 = none, negative = pending, lowered on first
-	// probe); see Superblock. The VM's executor reaches it only through
-	// Block.
-	sb []Superblock
+	// sbIdx says, per instruction index, whether a superblock starts
+	// there: 0 none, negative pending (a block of that many instructions
+	// may start here and is lowered on its first probe), positive i the
+	// lowered blocks[i]. blocks[0] is nil, so "none" needs no branch of
+	// its own in Block. Four bytes an instruction, and a Superblock only
+	// for an entry a thread took; the VM's executor reaches both only
+	// through Block. lowering is the owning Compiler's scratch.
+	sbIdx    []int32
+	blocks   []*Superblock
+	lowering *microCompiler
 	// Addr and Size locate the encoded code in simulated main memory.
 	Addr mem.Addr
 	Size uint32
@@ -105,6 +110,10 @@ type Compiler struct {
 
 	compiled map[*classfile.Method]*CompiledMethod
 
+	// lowering is the scratch every block of this compiler's methods is
+	// lowered in (see microCompiler).
+	lowering microCompiler
+
 	// Compiles and CodeBytes describe total compilation activity; the
 	// paper argues per-core lazy compilation keeps this near
 	// single-architecture levels (§3.1), which reports can check.
@@ -154,7 +163,9 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	}
 	// Branch targets are resolved by lower's fixup pass, so trailing
 	// gotos in superblocks carry final Code indices.
-	cm.sb = discoverSuperblocks(cm.Code)
+	cm.sbIdx = discoverSuperblocks(cm.Code)
+	cm.blocks = noBlocks
+	cm.lowering = &c.lowering
 	// Allocate the code real space in main memory and fill it with a
 	// recognisable pattern: the code cache DMAs these bytes around.
 	addr, err := c.region.Alloc(cm.Size, 16)

@@ -2,7 +2,7 @@ package jit
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"herajvm/internal/isa"
 )
@@ -96,7 +96,15 @@ type sym struct {
 	flag int32 // reference flag as a FlagWrite source
 }
 
-// microCompiler lowers one block. The central invariant is that a
+// microCompiler lowers one block at a time into buffers it keeps
+// between blocks: compile resets their lengths, builds into them and
+// hands back exact-size copies, so what a lowered block retains is its
+// own content and not the append-doubled capacity it was built in. Each
+// jit.Compiler owns one (a VM has one Compiler per kind and lowers on
+// one goroutine; cluster shards, each its own VM, lower in parallel —
+// which is why the buffers are not package-level).
+//
+// The central invariant is that a
 // symSlot's slot index never exceeds its current stack position (new
 // values materialise at their own position, Dup copies upward, and the
 // reorderings that would move a value below its slot — Swap, DupX —
@@ -111,7 +119,8 @@ type sym struct {
 type microCompiler struct {
 	micro     []MicroOp
 	vstack    []sym
-	localFlag map[int32]int32 // locals written by the block -> flag source
+	localFlag []FlagWrite // locals written by the block -> flag source, by Idx
+	sflags    []FlagWrite // the epilogue's stack-flag writes
 	maxDepth  int32
 	ok        bool
 
@@ -180,10 +189,27 @@ func (c *microCompiler) pop() sym {
 // flagOfLocal is the compile-time reference flag of local i: the
 // block's own last store to it, or its block-entry value.
 func (c *microCompiler) flagOfLocal(i int32) int32 {
-	if f, ok := c.localFlag[i]; ok {
-		return f
+	if at, ok := c.findLocalFlag(i); ok {
+		return c.localFlag[at].Src
 	}
 	return i + 2
+}
+
+func (c *microCompiler) findLocalFlag(i int32) (int, bool) {
+	return slices.BinarySearchFunc(c.localFlag, i, func(w FlagWrite, i int32) int {
+		return int(w.Idx - i)
+	})
+}
+
+// setLocalFlag records the flag source of the block's latest store to
+// local i, keeping localFlag ordered by local index — the order the
+// flag snapshots and the epilogue list it in.
+func (c *microCompiler) setLocalFlag(i, src int32) {
+	at, ok := c.findLocalFlag(i)
+	if !ok {
+		c.localFlag = slices.Insert(c.localFlag, at, FlagWrite{Idx: i})
+	}
+	c.localFlag[at].Src = src
 }
 
 // matLocal materialises every live symbolic reference to local i into
@@ -307,7 +333,7 @@ func (c *microCompiler) storeLocal(i int32) {
 			c.micro = append(c.micro, MicroOp{Code: MMov, D: -(i + 1), A: v.idx})
 		}
 	}
-	c.localFlag[i] = v.flag
+	c.setLocalFlag(i, v.flag)
 }
 
 // closeSeg ends the current pure segment at a memory boundary: the
@@ -384,14 +410,7 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	}
 	sfHi := int32(len(c.bsf))
 	lfLo := int32(len(c.blf))
-	locals := make([]int32, 0, len(c.localFlag))
-	for i := range c.localFlag {
-		locals = append(locals, i)
-	}
-	sort.Slice(locals, func(a, b int) bool { return locals[a] < locals[b] })
-	for _, i := range locals {
-		c.blf = append(c.blf, FlagWrite{Idx: i, Src: c.localFlag[i]})
-	}
+	c.blf = append(c.blf, c.localFlag...)
 	lfHi := int32(len(c.blf))
 	if sfHi-sfLo > maxFlagWrites || lfHi-lfLo > maxFlagWrites {
 		c.fail()
@@ -448,14 +467,20 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	})
 }
 
-// compileMicro lowers a block's instructions. term is the block's
+// compile lowers a block's instructions. term is the block's
 // control terminal when it has one (goto or conditional branch): it
 // contributes cost and an instruction to the final segment but emits
 // no micro-op — the executor applies its effect from Target. It
 // returns ok=false when the block contains a pattern the lowering does
 // not model.
-func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
-	c := microCompiler{localFlag: make(map[int32]int32), ok: true}
+func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
+	*c = microCompiler{
+		micro: c.micro[:0], vstack: c.vstack[:0],
+		localFlag: c.localFlag[:0], sflags: c.sflags[:0],
+		bounds: c.bounds[:0], segs: c.segs[:0], mats: c.mats[:0],
+		blf: c.blf[:0], bsf: c.bsf[:0],
+		ok: true,
+	}
 	for idx, in := range code {
 		if memOp(in.Op) {
 			c.memBoundary(int32(idx), in)
@@ -546,29 +571,35 @@ func compileMicro(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 	// positions (processing upward — a non-identity copy only ever reads
 	// a slot whose position holds it identically, per the compiler
 	// invariant) and collect the deferred reference-flag writes.
-	var lflags, sflags []FlagWrite
 	for p := range c.vstack {
 		v := c.vstack[p]
 		if v.kind != symSlot || v.idx != int32(p) {
 			c.vstack[p] = c.materialise(v, int32(p))
 		}
-		sflags = append(sflags, FlagWrite{Idx: int32(p), Src: v.flag})
+		c.sflags = append(c.sflags, FlagWrite{Idx: int32(p), Src: v.flag})
 	}
-	locals := make([]int32, 0, len(c.localFlag))
-	for i := range c.localFlag {
-		locals = append(locals, i)
-	}
-	sort.Slice(locals, func(a, b int) bool { return locals[a] < locals[b] })
-	for _, i := range locals {
-		lflags = append(lflags, FlagWrite{Idx: i, Src: c.localFlag[i]})
-	}
-	if len(lflags) > maxFlagWrites || len(sflags) > maxFlagWrites {
+	if len(c.localFlag) > maxFlagWrites || len(c.sflags) > maxFlagWrites {
 		return microBlock{}, false
 	}
+	// The block keeps exact-size copies: one array for the two micro-op
+	// lists, one for the four flag lists.
+	ops := make([]MicroOp, len(c.micro)+len(c.mats))
+	flags := make([]FlagWrite, len(c.localFlag)+len(c.sflags)+len(c.blf)+len(c.bsf))
 	return microBlock{
-		Micro: c.micro, LFlags: lflags, SFlags: sflags, MaxDepth: c.maxDepth,
-		Bounds: c.bounds, Segs: c.segs, Mats: c.mats,
-		BLFlags: c.blf, BSFlags: c.bsf,
+		Micro: carve(&ops, c.micro), Mats: carve(&ops, c.mats),
+		LFlags: carve(&flags, c.localFlag), SFlags: carve(&flags, c.sflags),
+		BLFlags: carve(&flags, c.blf), BSFlags: carve(&flags, c.bsf),
+		Bounds: append([]MemBound(nil), c.bounds...), Segs: append([]Seg(nil), c.segs...),
+		MaxDepth: c.maxDepth,
 		FirstLen: c.firstLen, FirstCycles: c.firstCyc, FirstClass: c.firstCls,
 	}, true
+}
+
+// carve copies src into the front of *buf and returns that copy with
+// its capacity clipped, advancing *buf past it.
+func carve[T any](buf *[]T, src []T) []T {
+	n := copy(*buf, src)
+	out := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return out
 }

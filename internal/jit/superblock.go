@@ -22,12 +22,7 @@ import (
 // *start* a block: a branch could land on it with a computed divisor on
 // the stack, losing the guarantee.
 type Superblock struct {
-	// Len is the number of instructions the block covers. 0 means no
-	// block starts at this index: the instruction is impure, is a
-	// guarded divide whose no-trap proof needs its predecessor, or
-	// begins a suffix the micro lowering could not model. Negative means
-	// pending: a block of -Len instructions may start here and has not
-	// been lowered yet (only CompiledMethod.Block sees this state).
+	// Len is the number of instructions the block covers (at least 1).
 	Len int32
 	// Target is the Code index execution continues at after the block:
 	// the trailing goto's destination, or entry+Len for fallthrough.
@@ -250,19 +245,20 @@ func terminalOp(op isa.Op) bool {
 }
 
 // discoverSuperblocks marks, for every instruction index, whether a
-// superblock may start there. It runs after branch-target fixups so
-// trailing gotos carry resolved targets.
+// superblock may start there, in the encoding of CompiledMethod.sbIdx.
+// It runs after branch-target fixups so trailing gotos carry resolved
+// targets.
 //
 // Within each maximal run [s, e) of pure and absorbable-memory
 // instructions — optionally extended through one terminating goto or
 // conditional branch — every admissible index p is left *pending* on
-// the suffix reaching the run's end (Len = -(e-p)), so a thread whose
-// quantum expired mid-run resumes with a (shorter) block at its exact
-// PC. Nothing is lowered here: a thread enters a run at a handful of
-// PCs, and CompiledMethod.Block lowers the suffix at p the first time
-// the executor probes it.
-func discoverSuperblocks(code []isa.Instr) []Superblock {
-	sb := make([]Superblock, len(code))
+// the suffix reaching the run's end (-(e-p)), so a thread whose quantum
+// expired mid-run resumes with a (shorter) block at its exact PC.
+// Nothing is lowered here: a thread enters a run at a handful of PCs,
+// and CompiledMethod.Block lowers the suffix at p the first time the
+// executor probes it.
+func discoverSuperblocks(code []isa.Instr) []int32 {
+	idx := make([]int32, len(code))
 	for s := 0; s < len(code); {
 		// Find the maximal run of in-context-admissible instructions.
 		e := s
@@ -283,29 +279,35 @@ func discoverSuperblocks(code []isa.Instr) []Superblock {
 			// before the entry; blocks run through both, but neither
 			// starts one.
 			if op := code[p].Op; !guardedDivOp(op) && !memOp(op) {
-				sb[p].Len = int32(p - e)
+				idx[p] = int32(p - e)
 			}
 		}
 		s = e
 	}
-	return sb
+	return idx
 }
 
-// Block returns the superblock starting at instruction index p (Len 0
-// when none does), lowering a pending one on this first probe. It is
+// noBlocks is every method's block list before its first lowering:
+// position 0 alone, the nil block an sbIdx of 0 selects. Nothing writes
+// to it — its capacity is its length, so lowerBlock's first append
+// copies it — which is what lets every method share the one.
+var noBlocks = make([]*Superblock, 1)
+
+// Block returns the superblock starting at instruction index p, or nil
+// when none does, lowering a pending one on this first probe. It is
 // the executor's only way to a block, so a block no thread enters is
 // never built; and since a block's content is a pure function of
 // (Code, p), the order of probes cannot change what any of them sees.
 func (cm *CompiledMethod) Block(p int) *Superblock {
-	b := &cm.sb[p]
-	if b.Len < 0 {
-		lowerBlock(cm.Code, p, b)
+	i := cm.sbIdx[p]
+	if i < 0 {
+		return cm.lowerBlock(p)
 	}
-	return b
+	return cm.blocks[i]
 }
 
-// lowerBlock replaces the pending entry b at index p with the block
-// covering code[p:e], its suffix of a discovered run (kept out of line
+// lowerBlock replaces the pending entry at index p with the block
+// covering Code[p:e], its suffix of a discovered run (kept out of line
 // so Block inlines into the executor's dispatch). The replayable
 // (micro-compilable) prefix [p, pe) excludes a trailing control
 // terminal: a goto has no data effect, and a conditional branch reads
@@ -315,20 +317,21 @@ func (cm *CompiledMethod) Block(p int) *Superblock {
 // micro lowering bails (typically an instruction consuming operands
 // the suffix did not push) no block starts at p: the interpreter steps
 // until the next index whose suffix does lower.
-func lowerBlock(code []isa.Instr, p int, b *Superblock) {
-	e := p - int(b.Len)
+func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
+	code := cm.Code
+	e := p - int(cm.sbIdx[p])
 	pe := e
 	var term *isa.Instr
 	if terminalOp(code[e-1].Op) {
 		pe--
 		term = &code[pe]
 	}
-	mb, ok := compileMicro(code[p:pe], term)
+	mb, ok := cm.lowering.compile(code[p:pe], term)
 	if !ok {
-		b.Len = 0
-		return
+		cm.sbIdx[p] = 0
+		return nil
 	}
-	*b = Superblock{
+	b := &Superblock{
 		Len: int32(e - p), Target: int32(pe), ResMask: ResMaskAll,
 		Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
 		Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
@@ -345,4 +348,7 @@ func lowerBlock(code []isa.Instr, p int, b *Superblock) {
 			b.End, b.Target, b.Cond = term.Op, term.B, term.A
 		}
 	}
+	cm.sbIdx[p] = int32(len(cm.blocks))
+	cm.blocks = append(cm.blocks, b)
+	return b
 }

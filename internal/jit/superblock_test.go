@@ -31,7 +31,8 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 // discovered wraps hand-written code the way Compile leaves a method:
 // discovery done, every block still pending behind Block.
 func discovered(code []isa.Instr) *CompiledMethod {
-	return &CompiledMethod{Code: code, sb: discoverSuperblocks(code)}
+	return &CompiledMethod{Code: code, sbIdx: discoverSuperblocks(code),
+		blocks: noBlocks, lowering: new(microCompiler)}
 }
 
 // TestSuperblockSuffixRuns checks which indices of a pure straight-line
@@ -54,8 +55,8 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 	ops := []isa.Op{isa.OpPushConst, isa.OpPushConst, isa.OpAddI, isa.OpStoreLocal,
 		isa.OpLoadLocal, isa.OpPushConst, isa.OpAddI, isa.OpReturn}
 	lowers := []bool{true, false, false, false, true, false, false, false}
-	if len(cm.sb) != len(cm.Code) || len(cm.Code) != len(ops) {
-		t.Fatalf("SB length %d, code length %d, want both %d", len(cm.sb), len(cm.Code), len(ops))
+	if len(cm.sbIdx) != len(cm.Code) || len(cm.Code) != len(ops) {
+		t.Fatalf("block index length %d, code length %d, want both %d", len(cm.sbIdx), len(cm.Code), len(ops))
 	}
 	end := len(ops) - 1 // the OpReturn
 	for p, in := range cm.Code {
@@ -64,7 +65,7 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		}
 		b := cm.Block(p)
 		if !lowers[p] {
-			if b.Len != 0 {
+			if b != nil {
 				t.Errorf("pc %d: unlowerable suffix must not start a block: %+v", p, b)
 			}
 			continue
@@ -131,7 +132,7 @@ func TestEveryPureOpEvaluates(t *testing.T) {
 				{Op: load, A: 1, Cost: 1}, {Op: load, A: 2, Cost: 1}, {Op: load, A: 3, Cost: 1},
 				{Op: op, A: 1, B: 1, Cost: 1},
 			}
-			mb, ok := compileMicro(code, nil)
+			mb, ok := new(microCompiler).compile(code, nil)
 			if !ok {
 				continue // a clean bail: discovery emits no block
 			}
@@ -172,11 +173,11 @@ func TestSuperblockBoundaries(t *testing.T) {
 	for i, in := range cm.Code {
 		switch in.Op {
 		case isa.OpNewArray, isa.OpArrayLen, isa.OpReturn:
-			if cm.Block(i).Len != 0 {
-				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, cm.Block(i).Len)
+			if b := cm.Block(i); b != nil {
+				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, b.Len)
 			}
 		}
-		if b := cm.Block(i); b.Len > 0 {
+		if b := cm.Block(i); b != nil {
 			for q := i; q < i+int(b.Len); q++ {
 				op := cm.Code[q].Op
 				last := q == i+int(b.Len)-1
@@ -207,7 +208,7 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 		{Op: isa.OpReturn, A: 1, Cost: 2},                 // ends the run
 	}
 	cm := discovered(code)
-	if cm.Block(2).Len != 0 {
+	if cm.Block(2) != nil {
 		t.Errorf("memory op must not start a block: %+v", cm.Block(2))
 	}
 	b := cm.Block(0)
@@ -351,7 +352,7 @@ func TestSuperblockGuardedDivision(t *testing.T) {
 		t.Fatalf("want 2 divs, got %v", divs)
 	}
 	guarded, unguarded := divs[0], divs[1]
-	if cm.Block(guarded).Len != 0 {
+	if cm.Block(guarded) != nil {
 		t.Errorf("guarded div must not start a block")
 	}
 	// The block from the start must cover the guarded div but stop
@@ -363,7 +364,7 @@ func TestSuperblockGuardedDivision(t *testing.T) {
 	if 0+int(b.Len) > unguarded {
 		t.Errorf("block at 0 (Len=%d) must stop before the unguarded div at %d", b.Len, unguarded)
 	}
-	if cm.Block(unguarded).Len != 0 {
+	if cm.Block(unguarded) != nil {
 		t.Errorf("unguarded div must not start a block")
 	}
 }
@@ -381,7 +382,7 @@ func TestSuperblockZeroDivisorNotGuarded(t *testing.T) {
 	if b := cm.Block(0); int(b.Len) != 2 {
 		t.Errorf("run must end before the zero-divisor div: %+v", b)
 	}
-	if cm.Block(2).Len != 0 {
+	if cm.Block(2) != nil {
 		t.Errorf("zero-divisor div must not be in any block start")
 	}
 }

@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"herajvm/internal/cell"
 )
@@ -282,7 +283,7 @@ func (s *Calendar) readyByWait(coreIndex int, now cell.Clock) []readyWait {
 	for i := range c.ready {
 		out[i] = readyWait{t: c.ready[i].t, seq: c.ready[i].seq}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq > out[j].seq })
+	slices.SortFunc(out, func(a, b readyWait) int { return cmp.Compare(b.seq, a.seq) })
 	// Oldest-first prefix sums give each task its FIFO start.
 	start := now
 	for i := len(out) - 1; i >= 0; i-- {

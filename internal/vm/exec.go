@@ -32,7 +32,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 			}
 			// Resumed after migrating back: drop the marker and deliver
 			// the pending return value to the caller underneath.
-			t.popFrame()
+			t.recycle(t.popFrame())
 			f = t.top()
 			if t.pendingHasVal {
 				f.push(t.pendingVal, t.pendingIsRef)
@@ -58,7 +58,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 		// apply it in one step. Any divergence falls through to step,
 		// which IS the reference semantics.
 		if !vm.sbOff {
-			if b := f.CM.Block(f.PC); b.Len != 0 && core.Now+b.Cycles < deadline &&
+			if b := f.CM.Block(f.PC); b != nil && core.Now+b.Cycles < deadline &&
 				b.ResMask&(1<<residencyOf(dcache)) != 0 {
 				vm.fastForward(core, t, f, b, dcache, deadline)
 				continue

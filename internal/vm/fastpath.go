@@ -111,7 +111,7 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 		// — notably residency, which the memory traffic above may have
 		// changed.
 		nb := f.CM.Block(f.PC)
-		if nb.Len == 0 || core.Now+nb.Cycles >= deadline ||
+		if nb == nil || core.Now+nb.Cycles >= deadline ||
 			nb.ResMask&(1<<residencyOf(dcache)) == 0 {
 			return
 		}

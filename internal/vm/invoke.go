@@ -43,7 +43,7 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 		noteCompile(t)
 	}
 
-	nf := newFrame(cm)
+	nf := t.newFrame(cm)
 	nf.ctr = vm.Monitor.Counters(callee.ID)
 	vm.Monitor.Counters(callee.ID).Invokes++
 
@@ -135,6 +135,7 @@ func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, isRef, hasVal b
 		t.HasResult = hasVal
 		return
 	}
+	t.recycle(f) // dead from here: the value travels in val, not in f
 
 	top := t.top()
 	if top.Marker {

@@ -16,7 +16,7 @@ import (
 // ("a method will only be compiled for a particular core architecture if
 // it is to be executed by a thread running on that core type", §3.1).
 func (vm *VM) compileFor(kind isa.CoreKind, m *classfile.Method) (*jit.CompiledMethod, uint64, error) {
-	c := vm.compilers[kind]
+	c := vm.Compiler(kind)
 	if c == nil {
 		return nil, 0, fmt.Errorf("vm: no compiler for core kind %s (machine %s)", kind, vm.Machine.Describe())
 	}
@@ -485,6 +485,7 @@ func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 		vm.wake(j, core.Now+vm.Cfg.JoinWakeCycles, edgeJoin)
 	}
 	t.joiners = nil
+	t.free = nil // the thread stays in vm.threads; its dead frames need not
 	if t.kernel != nil {
 		// SPMD barrier: the launch completes (and the blocked caller
 		// wakes) when its last worker retires — even one that trapped, so

@@ -372,6 +372,7 @@ func (vm *VM) detachJob(j *Job, monObjs []Ref) {
 		}
 		t.State = StateTerminated
 		t.Frames = nil
+		t.free = nil
 		t.joiners = nil
 		t.pendingNative = nil
 		t.hasPendingThrow = false

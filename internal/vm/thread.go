@@ -59,21 +59,49 @@ type Frame struct {
 	Marker     bool
 	ReturnKind isa.CoreKind
 	ReturnCore int
+
+	// vals and refs are the arrays Locals/Stack and LocalRefs/StackRefs
+	// are carved from; they outlive the activation on the thread's free
+	// list (nil on a frame built as a marker).
+	vals []uint64
+	refs []bool
 }
 
 func newFrame(cm *jit.CompiledMethod) *Frame {
-	m := cm.M
-	nl := m.MaxLocals
-	ns := m.MaxStack
+	f := new(Frame)
+	f.activate(cm)
+	return f
+}
+
+// activate makes f a fresh activation of cm: every field zero but the
+// method, locals first and operand stack after them in one values array
+// and one reference-flag array, both all zero. A recycled frame's arrays
+// are reused when they are large enough, and cleared — values *and*
+// flags, over the whole new extent: the previous activation's
+// references must not reach the GC's stack scan or a FreezeJob image as
+// roots of this one, whose ints may look like heap addresses.
+func (f *Frame) activate(cm *jit.CompiledMethod) {
+	nl := cm.M.MaxLocals
+	ns := cm.M.MaxStack
 	if ns < 4 {
 		ns = 4
 	}
-	return &Frame{
-		CM:        cm,
-		Locals:    make([]uint64, nl),
-		LocalRefs: make([]bool, nl),
-		Stack:     make([]uint64, ns),
-		StackRefs: make([]bool, ns),
+	vals, refs := f.vals, f.refs
+	if cap(vals) < nl+ns {
+		vals, refs = make([]uint64, nl+ns), make([]bool, nl+ns)
+	} else {
+		vals, refs = vals[:nl+ns], refs[:nl+ns]
+		clear(vals)
+		clear(refs)
+	}
+	// Capacities are clipped: an append (push grows a native glue
+	// frame's stack) reallocates rather than write into the neighbouring
+	// slice or a larger recycled array's unused tail.
+	*f = Frame{
+		CM:   cm,
+		vals: vals, refs: refs,
+		Locals: vals[:nl:nl], LocalRefs: refs[:nl:nl],
+		Stack: vals[nl : nl+ns : nl+ns], StackRefs: refs[nl : nl+ns : nl+ns],
 	}
 }
 
@@ -100,6 +128,9 @@ type Thread struct {
 	Name   string
 	Frames []*Frame
 	State  ThreadState
+	// free holds this thread's dead frames for invoke to reuse; it is
+	// host-side scratch, invisible to the GC scan and to job images.
+	free []*Frame
 
 	// JavaObj is the java/lang/Thread instance this thread executes (0
 	// for the primordial main thread until stdlib wires it).
@@ -194,6 +225,24 @@ func (t *Thread) pushFrame(f *Frame) { t.Frames = append(t.Frames, f) }
 func (t *Thread) popFrame() *Frame {
 	f := t.Frames[len(t.Frames)-1]
 	t.Frames = t.Frames[:len(t.Frames)-1]
+	return f
+}
+
+// recycle puts a popped frame that no code will read again on the
+// thread's free list. It is called where a frame dies, not from
+// popFrame: a frame popped to be re-pushed above a marker is alive.
+func (t *Thread) recycle(f *Frame) { t.free = append(t.free, f) }
+
+// newFrame is newFrame(cm) on the most recently recycled frame, when
+// there is one.
+func (t *Thread) newFrame(cm *jit.CompiledMethod) *Frame {
+	n := len(t.free)
+	if n == 0 {
+		return newFrame(cm)
+	}
+	f := t.free[n-1]
+	t.free = t.free[:n-1]
+	f.activate(cm)
 	return f
 }
 

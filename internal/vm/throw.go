@@ -118,6 +118,7 @@ func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bo
 			t.pendingThrow = exRef
 			t.hasPendingThrow = true
 			vm.migrate(core, t, f.ReturnKind, 1)
+			t.recycle(f)
 			return true
 		}
 		pc := f.PC - pcAdj
@@ -145,7 +146,7 @@ func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bo
 		if f.SyncObj != 0 {
 			_ = vm.monitorExit(core, t, f.SyncObj)
 		}
-		t.popFrame()
+		t.recycle(t.popFrame())
 		pcAdj = 1
 	}
 	return false

@@ -160,7 +160,7 @@ type VM struct {
 	// scheduler's hot path must not allocate — or be reordered — per
 	// step).
 	cores     []*cell.Core
-	kindCores map[isa.CoreKind][]*cell.Core
+	kindCores [][]*cell.Core
 
 	// service is the core hosting the runtime services (GC, the syscall
 	// mailbox): the first core, in topology order, of a service-hosting
@@ -174,7 +174,7 @@ type VM struct {
 	minFPScore  float64
 	minMemScore float64
 
-	compilers map[isa.CoreKind]*jit.Compiler
+	compilers []*jit.Compiler
 	// dcaches/ccaches hold each local-store core's software caches,
 	// indexed by Core.Index (nil for hardware-cached cores); lsCores
 	// lists the local-store core indices in topology order, the ordinal
@@ -278,7 +278,7 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		Cfg:          cfg,
 		Prog:         prog,
 		Machine:      machine,
-		compilers:    make(map[isa.CoreKind]*jit.Compiler),
+		compilers:    make([]*jit.Compiler, isa.NumKinds()),
 		interned:     make(map[string]Ref),
 		byJavaObj:    make(map[Ref]*Thread),
 		monitors:     make(map[Ref]*monitor),
@@ -361,14 +361,12 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	// Compilers: one baseline JIT per kind present in the topology.
 	for k, region := range codeRegions {
 		vm.compilers[k] = jit.NewCompiler(k, machine.Mem, region)
-	}
-	for _, c := range vm.compilers {
-		c.InternString = vm.intern
+		vm.compilers[k].InternString = vm.intern
 	}
 
 	// Stable core orderings, the service core and the kind candidate set.
 	vm.cores = machine.Cores()
-	vm.kindCores = make(map[isa.CoreKind][]*cell.Core)
+	vm.kindCores = make([][]*cell.Core, isa.NumKinds())
 	for _, k := range isa.CoreKinds() {
 		vm.kindCores[k] = machine.CoresOf(k)
 		if machine.HasKind(k) {
@@ -471,7 +469,12 @@ func (vm *VM) Output() string {
 // Compiler returns the JIT for a core kind (nil when the machine has no
 // core of that kind — compilers exist only for kinds the topology
 // declares).
-func (vm *VM) Compiler(k isa.CoreKind) *jit.Compiler { return vm.compilers[k] }
+func (vm *VM) Compiler(k isa.CoreKind) *jit.Compiler {
+	if int(k) >= len(vm.compilers) {
+		return nil
+	}
+	return vm.compilers[k]
+}
 
 // DataCacheOf returns the software data cache of the i-th local-store
 // core (in topology order; SPE i on the default PS3 shape).
