@@ -183,9 +183,13 @@ type (
 	Job = core.Job
 	// Result summarises one completed job: admission-to-completion
 	// cycles, the entry method's return value, the job's own captured
-	// output, its admission verdict and deadline fate, and its
-	// migration/steal/compile/GC counters.
+	// output, its admission verdict and deadline fate, and — embedded —
+	// its JobStats.
 	Result = core.Result
+	// JobStats is a job's own accounting: migrations, steals, compiles,
+	// GC pauses and cycles billed to it, kernel launches, workers and
+	// staging DMA. Result embeds it, so res.Migrations reads through.
+	JobStats = vm.JobStats
 	// Verdict is the admission pipeline's decision for one submission
 	// (Admitted, Delayed or Shed).
 	Verdict = core.Verdict

@@ -1,6 +1,7 @@
 package classfile
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -267,6 +268,54 @@ func TestVerifyCatchesLocalKindConflictUse(t *testing.T) {
 	a.MustBuild()
 	if err := p.Resolve(); err == nil {
 		t.Error("expected verifier error for conflicted local use")
+	}
+}
+
+// TestKindsAt: the type state the verifier merged at one bytecode index,
+// on demand — a local whose paths disagree reads Void, an index no path
+// reaches is an error, and the method is not written to.
+func TestKindsAt(t *testing.T) {
+	p := NewProgram()
+	m := p.NewClass("Kinds", nil).NewMethod("f", FlagStatic, Int, Int, Ref)
+	a := m.Asm()
+	other, join := a.NewLabel(), a.NewLabel()
+	a.LoadI(0) // 0
+	a.IfEQ(other)
+	a.ConstI(7)
+	a.StoreI(2)
+	a.Goto(join)
+	a.Bind(other)
+	a.ConstD(1.5) // 5
+	a.StoreD(2)
+	a.Bind(join)
+	a.LoadRef(1) // 7: local 2 is an int down one path, a double down the other
+	a.Pop()      // 8: a reference on the stack
+	a.LoadI(0)
+	a.Ret()
+	a.MustBuild()
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	maxStack := m.MaxStack
+
+	stack, locals, err := KindsAt(m, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []TypeKind{Ref}; !reflect.DeepEqual(stack, want) {
+		t.Errorf("stack at 8 = %v, want %v", stack, want)
+	}
+	if want := []TypeKind{Int, Ref, Void}; !reflect.DeepEqual(locals, want) {
+		t.Errorf("locals at 8 = %v, want %v", locals, want)
+	}
+	if stack, _, err := KindsAt(m, 0); err != nil || len(stack) != 0 {
+		t.Errorf("entry state: stack %v, err %v", stack, err)
+	}
+	if _, _, err := KindsAt(m, len(m.Code)); err == nil {
+		t.Error("an index past the method's end has a type state")
+	}
+	if m.MaxStack != maxStack {
+		t.Errorf("KindsAt wrote MaxStack: %d -> %d", maxStack, m.MaxStack)
 	}
 }
 

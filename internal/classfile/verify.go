@@ -12,7 +12,31 @@ import "fmt"
 // references), which is the level the JIT and executor rely on.
 func (p *Program) verify(m *Method) error {
 	v := &verifier{m: m, in: make(map[int]*vstate)}
-	return v.run()
+	if err := v.run(); err != nil {
+		return err
+	}
+	m.MaxStack = v.maxStack
+	return nil
+}
+
+// KindsAt re-runs the verifier over a resolved method and returns the
+// merged operand-stack and local kinds on entry to bytecode index bc:
+// the type state every execution reaching bc has there. A local whose
+// paths disagree, or that none has written, reads Void. Nothing is
+// kept on the method (resolution verifies thousands of methods nobody
+// asks this of) and the method is only read, so programs shared between
+// goroutines may be queried concurrently. An index no path reaches is
+// an error.
+func KindsAt(m *Method, bc int) (stack, locals []TypeKind, err error) {
+	v := &verifier{m: m, in: make(map[int]*vstate)}
+	if err := v.run(); err != nil {
+		return nil, nil, err
+	}
+	s := v.in[bc]
+	if s == nil {
+		return nil, nil, fmt.Errorf("verify %s: no path reaches pc %d", m.Sig(), bc)
+	}
+	return s.stack, s.locals, nil
 }
 
 type vstate struct {
@@ -60,7 +84,6 @@ func (v *verifier) run() error {
 			return err
 		}
 	}
-	v.m.MaxStack = v.maxStack
 	return nil
 }
 

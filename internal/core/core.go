@@ -66,24 +66,14 @@ type Result struct {
 	// none).
 	Deadline    cell.Clock
 	DeadlineMet bool
-	// Migrations, Steals and Compiles count the scheduling events the
-	// job's threads experienced (cross-kind moves, same-kind steals,
-	// fresh JIT compiles triggered).
-	Migrations uint64
-	Steals     uint64
-	Compiles   uint64
-	// GCPauses and GCCycles count the stop-the-world collections the
-	// job's own allocations forced and their total pause cycles — the
-	// collector's time billed to the job whose allocation pressure
-	// triggered it, so serving percentiles cannot hide GC.
-	GCPauses uint64
-	GCCycles uint64
-	// KernelLaunches, KernelWorkers and KernelDMABytes count the job's
-	// hera/Parallel.forRange launches, the SPMD workers they fanned out,
-	// and the scratchpad staging DMA billed to those workers.
-	KernelLaunches uint64
-	KernelWorkers  uint64
-	KernelDMABytes uint64
+	// JobStats is the job's own accounting, as the VM kept it: the
+	// scheduling events its threads experienced (Migrations, Steals,
+	// Compiles), the collections its allocations forced and their pause
+	// cycles (GCPauses, GCCycles — billed to the job, so serving
+	// percentiles cannot hide GC), and its kernel launches
+	// (KernelLaunches, KernelWorkers, KernelDMABytes). The fields read as
+	// the Result's own: res.Migrations.
+	vm.JobStats
 }
 
 // Report renders a per-core machine report: cycle breakdown by operation

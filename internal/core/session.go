@@ -203,15 +203,7 @@ func (j *Job) Wait() (*Result, error) {
 		DeadlineMet: in.DeadlineMet,
 		Verdict:     in.Verdict,
 		Shed:        in.Verdict == Shed,
-		Migrations:  in.Stats.Migrations,
-		Steals:      in.Stats.Steals,
-		Compiles:    in.Stats.Compiles,
-		GCPauses:    in.Stats.GCPauses,
-		GCCycles:    in.Stats.GCCycles,
-
-		KernelLaunches: in.Stats.KernelLaunches,
-		KernelWorkers:  in.Stats.KernelWorkers,
-		KernelDMABytes: in.Stats.KernelDMABytes,
+		JobStats:    in.Stats,
 	}
 	if root := in.Root(); root != nil {
 		j.res.Value = root.Result

@@ -30,16 +30,13 @@ func (vm *VM) gc() {
 			stack = append(stack, r)
 		}
 	}
+	mark := visitor(push)
 
-	// Roots: interned strings, statics, every thread's frames and Thread
-	// objects.
+	// Roots: interned strings, started Thread objects, contended or owned
+	// monitors and the pinned set are references by type; which static,
+	// thread and frame slots hold one is refs.go's to say.
 	for _, r := range vm.interned {
 		push(r)
-	}
-	for slot, isRef := range vm.staticRefs {
-		if isRef {
-			push(Ref(vm.Machine.Mem.Read64(vm.staticsBase + uint32(slot)*isa.SlotBytes)))
-		}
 	}
 	for obj := range vm.byJavaObj {
 		push(obj)
@@ -49,69 +46,23 @@ func (vm *VM) gc() {
 			push(obj)
 		}
 	}
-	for _, meta := range vm.classes {
-		push(meta.lockObj)
-	}
 	for _, r := range vm.pinned {
 		push(r)
 	}
+	for _, c := range vm.classByID {
+		vm.mapStatics(c, mark)
+		vm.mapClassLock(c, mark)
+	}
 	for _, t := range vm.threads {
-		if t.State == StateTerminated {
-			continue
-		}
-		if t.pendingHasVal && t.pendingIsRef {
-			push(Ref(t.pendingVal))
-		}
-		if t.hasPendingThrow {
-			push(t.pendingThrow)
-		}
-		if t.pendingNative != nil {
-			for i, isRef := range t.pendingNative.ctx.ArgRefs {
-				if isRef {
-					push(Ref(t.pendingNative.ctx.Args[i]))
-				}
-			}
-		}
-		for _, f := range t.Frames {
-			if f.Marker {
-				continue
-			}
-			for i, isRef := range f.LocalRefs {
-				if isRef {
-					push(Ref(f.Locals[i]))
-				}
-			}
-			for i := 0; i < f.SP; i++ {
-				if f.StackRefs[i] {
-					push(Ref(f.Stack[i]))
-				}
-			}
-			push(f.SyncObj)
+		if t.State != StateTerminated {
+			t.mapRefs(mark)
 		}
 	}
 
-	// Mark: walk reference fields via class metadata; reference arrays
-	// via their elements.
 	for len(stack) > 0 {
 		obj := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		id := vm.Heap.ClassIDOf(obj)
-		if isArrayClassID(id) {
-			if arrayKindOf(id) == isa.ElemRef {
-				n := vm.Heap.LengthOf(obj)
-				for i := uint32(0); i < n; i++ {
-					push(Ref(vm.Machine.Mem.Read32(obj + isa.HeaderBytes + i*4)))
-				}
-			}
-			continue
-		}
-		for cls := vm.classByID[id]; cls != nil; cls = cls.Super {
-			for _, fd := range cls.Fields {
-				if fd.Type.IsRef() {
-					push(Ref(vm.Heap.FieldSlot(obj, fd.Slot)))
-				}
-			}
-		}
+		vm.mapObject(obj, mark)
 	}
 
 	liveBefore := vm.Heap.LiveObjects()

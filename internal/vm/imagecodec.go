@@ -2,11 +2,15 @@
 // frozen job can cross any boundary bytes can (tests pin golden bytes;
 // the cluster layer hands the struct across directly). The format is
 // flat little-endian with length-prefixed sequences — no maps, no
-// floats except the policy's (bit-pattern encoded), so identical images
-// always encode to identical bytes. The decoder trusts nothing: every
-// length is checked against the bytes remaining before allocation, and
-// corrupt input surfaces as an error, never a panic (FuzzDecodeJobImage
-// holds it to that).
+// floats except the policy's (bit-pattern encoded) — and it is written
+// down once: (*wire).image names every field in order, and the same
+// walk encodes or decodes depending on the wire's direction. A format
+// change is one edit there plus a version bump, and "whatever decodes
+// re-encodes to the same bytes" holds by construction as long as each
+// primitive has one encoding (a boolean byte is 0 or 1, nothing else).
+// The decoder trusts nothing: every length is checked against the bytes
+// remaining before allocation, and corrupt input surfaces as an error,
+// never a panic (FuzzDecodeJobImage holds it to that).
 package vm
 
 import (
@@ -14,8 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"herajvm/internal/cell"
 )
 
 // imageMagic and imageVersion head every encoded JobImage. Bump the
@@ -29,403 +31,280 @@ const imageVersion uint16 = 2 // v2: kernel launch counters in JobStats
 // with errors.Is.
 var ErrBadImage = errors.New("malformed job image")
 
-type imageWriter struct{ buf []byte }
-
-func (w *imageWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *imageWriter) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *imageWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *imageWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *imageWriter) i32(v int32)  { w.u32(uint32(v)) }
-func (w *imageWriter) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *imageWriter) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *imageWriter) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-func (w *imageWriter) u64s(v []uint64) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u64(x)
-	}
-}
-func (w *imageWriter) u32s(v []uint32) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u32(x)
-	}
-}
-func (w *imageWriter) i32s(v []int32) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.i32(x)
-	}
-}
-func (w *imageWriter) bools(v []bool) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.boolean(x)
-	}
-}
-
-type imageReader struct {
+// wire is one pass over the format in either direction. Encoding
+// appends each field it is shown to buf and only ever reads through the
+// pointers it is given — the cluster hands images across goroutines;
+// decoding consumes buf from off and stores through them. After the
+// first decoding error every step is a no-op.
+type wire struct {
 	buf []byte
 	off int
+	dec bool
 	err error
 }
 
-func (r *imageReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrBadImage, fmt.Sprintf(format, args...), r.off)
+func (w *wire) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("%w: %s at offset %d", ErrBadImage, fmt.Sprintf(format, args...), w.off)
 	}
 }
 
-func (r *imageReader) take(n int) []byte {
-	if r.err != nil {
+// take consumes n input bytes (decoding only); nil after an error.
+func (w *wire) take(n int) []byte {
+	if w.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(r.buf)-r.off {
-		r.fail("need %d bytes, have %d", n, len(r.buf)-r.off)
+	if n > len(w.buf)-w.off {
+		w.fail("need %d bytes, have %d", n, len(w.buf)-w.off)
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := w.buf[w.off : w.off+n]
+	w.off += n
 	return b
 }
 
-func (r *imageReader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+func (w *wire) u8(p *uint8) {
+	if !w.dec {
+		w.buf = append(w.buf, *p)
+	} else if b := w.take(1); b != nil {
+		*p = b[0]
 	}
-	return b[0]
-}
-func (r *imageReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-func (r *imageReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-func (r *imageReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-func (r *imageReader) i32() int32    { return int32(r.u32()) }
-func (r *imageReader) boolean() bool { return r.u8() != 0 }
-func (r *imageReader) str() string   { return string(r.take(int(r.u32()))) }
-func (r *imageReader) bytes() []byte { return append([]byte(nil), r.take(int(r.u32()))...) }
-
-// count reads a sequence length and bounds it by the bytes remaining
-// (each element needs at least elemSize bytes), so a corrupt length
-// cannot drive a giant allocation before take() would catch it.
-func (r *imageReader) count(elemSize int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n < 0 || n*elemSize > len(r.buf)-r.off {
-		r.fail("sequence of %d x %d bytes overruns input", n, elemSize)
-		return 0
-	}
-	return n
 }
 
-func (r *imageReader) u64s() []uint64 {
-	n := r.count(8)
-	if n == 0 {
-		return nil
+func (w *wire) u16(p *uint16) {
+	if !w.dec {
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, *p)
+	} else if b := w.take(2); b != nil {
+		*p = binary.LittleEndian.Uint16(b)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.u64()
-	}
-	return out
 }
-func (r *imageReader) u32s() []uint32 {
-	n := r.count(4)
-	if n == 0 {
-		return nil
+
+func (w *wire) u32(p *uint32) {
+	if !w.dec {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, *p)
+	} else if b := w.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = r.u32()
-	}
-	return out
 }
-func (r *imageReader) i32s() []int32 {
-	n := r.count(4)
-	if n == 0 {
-		return nil
+
+func (w *wire) u64(p *uint64) {
+	if !w.dec {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, *p)
+	} else if b := w.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.i32()
-	}
-	return out
 }
-func (r *imageReader) bools() []bool {
-	n := r.count(1)
-	if n == 0 {
-		return nil
+
+func (w *wire) i32(p *int32) {
+	u := uint32(*p)
+	if w.u32(&u); w.dec {
+		*p = int32(u)
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.boolean()
+}
+
+func (w *wire) f64(p *float64) {
+	u := math.Float64bits(*p)
+	if w.u64(&u); w.dec {
+		*p = math.Float64frombits(u)
 	}
-	return out
+}
+
+func (w *wire) boolean(p *bool) {
+	var b uint8
+	if *p {
+		b = 1
+	}
+	if w.u8(&b); w.dec {
+		if b > 1 {
+			w.fail("boolean byte %#x", b)
+		}
+		*p = b == 1
+	}
+}
+
+// count walks a sequence's length prefix and returns how many elements
+// follow. Decoding bounds it by the bytes remaining (each element
+// encodes to at least min bytes), so a corrupt length cannot drive a
+// giant allocation before take would catch it.
+func (w *wire) count(n, min int) int {
+	u := uint32(n)
+	if w.u32(&u); !w.dec {
+		return n
+	}
+	if w.err == nil && int(u) > (len(w.buf)-w.off)/min {
+		w.fail("sequence of %d x %d bytes overruns input", u, min)
+	}
+	if w.err != nil {
+		return 0
+	}
+	return int(u)
+}
+
+// seq walks a length-prefixed sequence, each element through elem. An
+// empty sequence decodes to nil, whatever it was encoded from. min is
+// the fewest bytes one element can encode to (every string and sequence
+// in it empty); it only bounds allocation, so too low is safe and too
+// high rejects valid input — TestImageRoundTrip's all-zero image would
+// fail.
+func seq[T any](w *wire, s *[]T, min int, elem func(*wire, *T)) {
+	n := w.count(len(*s), min)
+	if w.dec && n > 0 {
+		*s = make([]T, n)
+	}
+	for i := 0; i < n; i++ {
+		elem(w, &(*s)[i])
+	}
+}
+
+func (w *wire) str(p *string) {
+	if n := w.count(len(*p), 1); !w.dec {
+		w.buf = append(w.buf, *p...)
+	} else {
+		*p = string(w.take(n))
+	}
+}
+
+// bytes is seq over u8, as one copy.
+func (w *wire) bytes(p *[]byte) {
+	if n := w.count(len(*p), 1); !w.dec {
+		w.buf = append(w.buf, *p...)
+	} else if n > 0 {
+		*p = append([]byte(nil), w.take(n)...)
+	}
+}
+
+func (w *wire) u64s(p *[]uint64) { seq(w, p, 8, (*wire).u64) }
+func (w *wire) u32s(p *[]uint32) { seq(w, p, 4, (*wire).u32) }
+func (w *wire) i32s(p *[]int32)  { seq(w, p, 4, (*wire).i32) }
+func (w *wire) bools(p *[]bool)  { seq(w, p, 1, (*wire).boolean) }
+
+// image is the format: header, then every field in wire order.
+func (w *wire) image(img *JobImage) {
+	magic, version := imageMagic, imageVersion
+	for i := range magic {
+		w.u8(&magic[i])
+	}
+	if w.err == nil && magic != imageMagic {
+		w.fail("bad magic %q", magic[:])
+	}
+	if w.u16(&version); w.err == nil && version != imageVersion {
+		w.fail("version %d, want %d", version, imageVersion)
+	}
+
+	w.str(&img.Name)
+	w.u64((*uint64)(&img.AdmittedAt))
+	w.u64((*uint64)(&img.Deadline))
+	w.u64((*uint64)(&img.FrozenAt))
+	w.u8((*uint8)(&img.Verdict))
+	s := &img.Stats
+	for _, p := range []*uint64{&s.Migrations, &s.Steals, &s.Compiles, &s.GCPauses, &s.GCCycles,
+		&s.KernelLaunches, &s.KernelWorkers, &s.KernelDMABytes} {
+		w.u64(p)
+	}
+	w.bytes(&img.Output)
+
+	w.u8(&img.Policy.Tag)
+	w.str(&img.Policy.Kind)
+	w.f64(&img.Policy.FPThreshold)
+	w.f64(&img.Policy.MemThreshold)
+	w.u64(&img.Policy.MinCycles)
+
+	seq(w, &img.Objects, 21, func(w *wire, o *ImageObject) {
+		w.str(&o.Class)
+		w.u8(&o.Elem)
+		w.u32(&o.Length)
+		w.bytes(&o.Data)
+		w.u32s(&o.Elems)
+		w.u64s(&o.Slots)
+	})
+	seq(w, &img.Statics, 8, func(w *wire, s *ImageStatics) {
+		w.str(&s.Class)
+		w.u64s(&s.Slots)
+	})
+	seq(w, &img.ClassLocks, 8, func(w *wire, c *ImageClassLock) {
+		w.str(&c.Class)
+		w.u32(&c.Obj)
+	})
+	seq(w, &img.Threads, 78, (*wire).thread)
+	seq(w, &img.Monitors, 20, func(w *wire, m *ImageMonitor) {
+		w.u32(&m.Obj)
+		w.i32(&m.Owner)
+		w.i32(&m.Count)
+		w.i32s(&m.Blocked)
+		w.i32s(&m.Waiters)
+	})
+}
+
+func (w *wire) thread(t *ImageThread) {
+	w.str(&t.Name)
+	w.boolean(&t.Terminated)
+	w.boolean(&t.Blocked)
+	w.u64(&t.ReadyDelay)
+	w.str(&t.Kind)
+	w.u32(&t.JavaObj)
+	w.boolean(&t.PendingHasVal)
+	w.boolean(&t.PendingIsRef)
+	w.u64(&t.PendingVal)
+	w.i32(&t.WaitCount)
+	w.u64(&t.Migrations)
+	w.u64(&t.Steals)
+	w.u64(&t.CooldownLeft)
+	w.u64(&t.Result)
+	w.boolean(&t.HasResult)
+
+	trap, has := t.Trap, t.Trap != nil
+	if w.boolean(&has); has {
+		if w.dec {
+			trap = &TrapError{}
+			t.Trap = trap
+		}
+		w.str(&trap.Kind)
+		w.str(&trap.Detail)
+		w.str(&trap.Method)
+		pc := int32(trap.PC)
+		if w.i32(&pc); w.dec {
+			trap.PC = int(pc)
+		}
+	}
+
+	w.i32s(&t.Joiners)
+	seq(w, &t.Frames, 37, func(w *wire, f *ImageFrame) {
+		w.boolean(&f.Marker)
+		w.str(&f.ReturnKind)
+		w.str(&f.Class)
+		w.i32(&f.Method)
+		w.i32(&f.BC)
+		w.u64s(&f.Locals)
+		w.bools(&f.LocalRefs)
+		w.u64s(&f.Stack)
+		w.bools(&f.StackRefs)
+		w.u32(&f.SyncObj)
+	})
 }
 
 // EncodeJobImage serializes an image to its versioned binary form.
 // Identical images encode to identical bytes.
 func EncodeJobImage(img *JobImage) []byte {
-	w := &imageWriter{}
-	w.buf = append(w.buf, imageMagic[:]...)
-	w.u16(imageVersion)
-
-	w.str(img.Name)
-	w.u64(uint64(img.AdmittedAt))
-	w.u64(uint64(img.Deadline))
-	w.u64(uint64(img.FrozenAt))
-	w.u8(uint8(img.Verdict))
-	w.u64(img.Stats.Migrations)
-	w.u64(img.Stats.Steals)
-	w.u64(img.Stats.Compiles)
-	w.u64(img.Stats.GCPauses)
-	w.u64(img.Stats.GCCycles)
-	w.u64(img.Stats.KernelLaunches)
-	w.u64(img.Stats.KernelWorkers)
-	w.u64(img.Stats.KernelDMABytes)
-	w.bytes(img.Output)
-
-	w.u8(img.Policy.Tag)
-	w.str(img.Policy.Kind)
-	w.u64(math.Float64bits(img.Policy.FPThreshold))
-	w.u64(math.Float64bits(img.Policy.MemThreshold))
-	w.u64(img.Policy.MinCycles)
-
-	w.u32(uint32(len(img.Objects)))
-	for i := range img.Objects {
-		o := &img.Objects[i]
-		w.str(o.Class)
-		w.u8(o.Elem)
-		w.u32(o.Length)
-		w.bytes(o.Data)
-		w.u32s(o.Elems)
-		w.u64s(o.Slots)
-	}
-
-	w.u32(uint32(len(img.Statics)))
-	for i := range img.Statics {
-		w.str(img.Statics[i].Class)
-		w.u64s(img.Statics[i].Slots)
-	}
-
-	w.u32(uint32(len(img.ClassLocks)))
-	for i := range img.ClassLocks {
-		w.str(img.ClassLocks[i].Class)
-		w.u32(img.ClassLocks[i].Obj)
-	}
-
-	w.u32(uint32(len(img.Threads)))
-	for i := range img.Threads {
-		t := &img.Threads[i]
-		w.str(t.Name)
-		w.boolean(t.Terminated)
-		w.boolean(t.Blocked)
-		w.u64(t.ReadyDelay)
-		w.str(t.Kind)
-		w.u32(t.JavaObj)
-		w.boolean(t.PendingHasVal)
-		w.boolean(t.PendingIsRef)
-		w.u64(t.PendingVal)
-		w.i32(t.WaitCount)
-		w.u64(t.Migrations)
-		w.u64(t.Steals)
-		w.u64(t.CooldownLeft)
-		w.u64(t.Result)
-		w.boolean(t.HasResult)
-		w.boolean(t.Trap != nil)
-		if t.Trap != nil {
-			w.str(t.Trap.Kind)
-			w.str(t.Trap.Detail)
-			w.str(t.Trap.Method)
-			w.i32(int32(t.Trap.PC))
-		}
-		w.i32s(t.Joiners)
-		w.u32(uint32(len(t.Frames)))
-		for fi := range t.Frames {
-			f := &t.Frames[fi]
-			w.boolean(f.Marker)
-			w.str(f.ReturnKind)
-			w.str(f.Class)
-			w.i32(f.Method)
-			w.i32(f.BC)
-			w.u64s(f.Locals)
-			w.bools(f.LocalRefs)
-			w.u64s(f.Stack)
-			w.bools(f.StackRefs)
-			w.u32(f.SyncObj)
-		}
-	}
-
-	w.u32(uint32(len(img.Monitors)))
-	for i := range img.Monitors {
-		m := &img.Monitors[i]
-		w.u32(m.Obj)
-		w.i32(m.Owner)
-		w.i32(m.Count)
-		w.i32s(m.Blocked)
-		w.i32s(m.Waiters)
-	}
+	w := &wire{}
+	w.image(img)
 	return w.buf
 }
 
 // DecodeJobImage parses the versioned binary form back into an image.
 // Any malformed input — truncation, bad magic, lengths overrunning the
-// buffer, trailing garbage — returns an error wrapping ErrBadImage;
-// the decoder never panics. Structural validity against a particular
-// program (class names, index ranges) is RehydrateJob's validation.
+// buffer, a byte with no meaning, trailing garbage — returns an error
+// wrapping ErrBadImage; the decoder never panics. Structural validity
+// against a particular program (class names, index ranges, frame shape)
+// is RehydrateJob's validation.
 func DecodeJobImage(data []byte) (*JobImage, error) {
-	r := &imageReader{buf: data}
-	var magic [4]byte
-	copy(magic[:], r.take(4))
-	if r.err == nil && magic != imageMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
-	}
-	if v := r.u16(); r.err == nil && v != imageVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrBadImage, v, imageVersion)
-	}
-
+	w := &wire{buf: data, dec: true}
 	img := &JobImage{}
-	img.Name = r.str()
-	img.AdmittedAt = cell.Clock(r.u64())
-	img.Deadline = cell.Clock(r.u64())
-	img.FrozenAt = cell.Clock(r.u64())
-	img.Verdict = Verdict(r.u8())
-	img.Stats.Migrations = r.u64()
-	img.Stats.Steals = r.u64()
-	img.Stats.Compiles = r.u64()
-	img.Stats.GCPauses = r.u64()
-	img.Stats.GCCycles = r.u64()
-	img.Stats.KernelLaunches = r.u64()
-	img.Stats.KernelWorkers = r.u64()
-	img.Stats.KernelDMABytes = r.u64()
-	img.Output = r.bytes()
-
-	img.Policy.Tag = r.u8()
-	img.Policy.Kind = r.str()
-	img.Policy.FPThreshold = math.Float64frombits(r.u64())
-	img.Policy.MemThreshold = math.Float64frombits(r.u64())
-	img.Policy.MinCycles = r.u64()
-
-	nObj := r.count(1)
-	for i := 0; i < nObj && r.err == nil; i++ {
-		var o ImageObject
-		o.Class = r.str()
-		o.Elem = r.u8()
-		o.Length = r.u32()
-		o.Data = r.bytes()
-		o.Elems = r.u32s()
-		o.Slots = r.u64s()
-		img.Objects = append(img.Objects, o)
+	w.image(img)
+	if w.err == nil && w.off != len(data) {
+		w.fail("%d trailing bytes", len(data)-w.off)
 	}
-
-	nSt := r.count(1)
-	for i := 0; i < nSt && r.err == nil; i++ {
-		var s ImageStatics
-		s.Class = r.str()
-		s.Slots = r.u64s()
-		img.Statics = append(img.Statics, s)
-	}
-
-	nCL := r.count(1)
-	for i := 0; i < nCL && r.err == nil; i++ {
-		var c ImageClassLock
-		c.Class = r.str()
-		c.Obj = r.u32()
-		img.ClassLocks = append(img.ClassLocks, c)
-	}
-
-	nThr := r.count(1)
-	for i := 0; i < nThr && r.err == nil; i++ {
-		var t ImageThread
-		t.Name = r.str()
-		t.Terminated = r.boolean()
-		t.Blocked = r.boolean()
-		t.ReadyDelay = r.u64()
-		t.Kind = r.str()
-		t.JavaObj = r.u32()
-		t.PendingHasVal = r.boolean()
-		t.PendingIsRef = r.boolean()
-		t.PendingVal = r.u64()
-		t.WaitCount = r.i32()
-		t.Migrations = r.u64()
-		t.Steals = r.u64()
-		t.CooldownLeft = r.u64()
-		t.Result = r.u64()
-		t.HasResult = r.boolean()
-		if r.boolean() {
-			trap := &TrapError{}
-			trap.Kind = r.str()
-			trap.Detail = r.str()
-			trap.Method = r.str()
-			trap.PC = int(r.i32())
-			t.Trap = trap
-		}
-		t.Joiners = r.i32s()
-		nFr := r.count(1)
-		for fi := 0; fi < nFr && r.err == nil; fi++ {
-			var f ImageFrame
-			f.Marker = r.boolean()
-			f.ReturnKind = r.str()
-			f.Class = r.str()
-			f.Method = r.i32()
-			f.BC = r.i32()
-			f.Locals = r.u64s()
-			f.LocalRefs = r.bools()
-			f.Stack = r.u64s()
-			f.StackRefs = r.bools()
-			f.SyncObj = r.u32()
-			t.Frames = append(t.Frames, f)
-		}
-		img.Threads = append(img.Threads, t)
-	}
-
-	nMon := r.count(1)
-	for i := 0; i < nMon && r.err == nil; i++ {
-		var m ImageMonitor
-		m.Obj = r.u32()
-		m.Owner = r.i32()
-		m.Count = r.i32()
-		m.Blocked = r.i32s()
-		m.Waiters = r.i32s()
-		img.Monitors = append(img.Monitors, m)
-	}
-
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadImage, len(r.buf)-r.off)
+	if w.err != nil {
+		return nil, w.err
 	}
 	return img, nil
 }

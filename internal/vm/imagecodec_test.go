@@ -60,19 +60,27 @@ func sampleImage() *JobImage {
 }
 
 // TestImageRoundTrip: encode→decode reproduces the image exactly, and
-// re-encoding the decoded image reproduces the bytes exactly.
+// re-encoding the decoded image reproduces the bytes exactly. The
+// all-zero image has one element of every sequence at its smallest
+// encoding: the decoder's per-element minimum sizes must admit it.
 func TestImageRoundTrip(t *testing.T) {
-	img := sampleImage()
-	enc := EncodeJobImage(img)
-	got, err := DecodeJobImage(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	allZero := &JobImage{
+		Objects: make([]ImageObject, 1), Statics: make([]ImageStatics, 1),
+		ClassLocks: make([]ImageClassLock, 1), Monitors: make([]ImageMonitor, 1),
+		Threads: []ImageThread{{Frames: make([]ImageFrame, 1)}},
 	}
-	if !reflect.DeepEqual(img, got) {
-		t.Errorf("round trip changed the image:\n got %+v\nwant %+v", got, img)
-	}
-	if re := EncodeJobImage(got); !bytes.Equal(enc, re) {
-		t.Error("re-encoding the decoded image changed the bytes")
+	for name, img := range map[string]*JobImage{"sample": sampleImage(), "all-zero": allZero} {
+		enc := EncodeJobImage(img)
+		got, err := DecodeJobImage(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(img, got) {
+			t.Errorf("%s: round trip changed the image:\n got %+v\nwant %+v", name, got, img)
+		}
+		if re := EncodeJobImage(got); !bytes.Equal(enc, re) {
+			t.Errorf("%s: re-encoding the decoded image changed the bytes", name)
+		}
 	}
 }
 
@@ -172,6 +180,32 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 			t.Fatalf("offset %d: nil image with nil error", off)
 		}
 	}
+
+	// Every 0/1 byte set to 2 in turn. Where the byte was a boolean the
+	// decoder must refuse it — it has one encoding per value — and where
+	// it was part of something else the result still re-encodes to
+	// itself. (The parent read any non-zero byte as true and wrote it
+	// back as 1: FuzzDecodeJobImage's canonical-encoding failure.)
+	refused := 0
+	for off := 6; off < len(valid); off++ {
+		if valid[off] > 1 {
+			continue
+		}
+		b := append([]byte(nil), valid...)
+		b[off] = 2
+		img, err := DecodeJobImage(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("offset %d set to 2: err = %v, want ErrBadImage", off, err)
+			}
+			refused++
+		} else if re := EncodeJobImage(img); !bytes.Equal(re, b) {
+			t.Fatalf("offset %d set to 2: decoded, but re-encodes differently", off)
+		}
+	}
+	if refused == 0 {
+		t.Error("no byte of the sample image was refused at value 2; it has booleans")
+	}
 }
 
 func FuzzDecodeJobImage(f *testing.F) {
@@ -181,6 +215,12 @@ func FuzzDecodeJobImage(f *testing.F) {
 	f.Add(short[:len(short)/2])
 	f.Add([]byte("HJIM"))
 	f.Add([]byte{})
+	// A real frozen job: the sample's class names resolve against no
+	// program, so mutants of it die at validateImage's first check; these
+	// bytes are accepted, and their mutants reach everything behind it.
+	if _, _, img, ok := freezeAt(f, 80_000); ok {
+		f.Add(EncodeJobImage(img))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := DecodeJobImage(data)
@@ -195,6 +235,21 @@ func FuzzDecodeJobImage(f *testing.F) {
 		re := EncodeJobImage(img)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not canonical:\n in %x\nout %x", data, re)
+		}
+		// And must rehydrate, on a machine over the Snap program, to an
+		// error or a job — never a panic (there is no recover anywhere on
+		// the path), and nothing half-admitted. Running the job is outside
+		// the property: the validator's frame rows are table-tested.
+		dst, err := New(testConfig(), buildSnapProg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := dst.RehydrateJob(img, 0)
+		if (j == nil) == (err == nil) {
+			t.Fatalf("rehydrate returned job %v, err %v", j, err)
+		}
+		if err != nil && dst.LiveThreads() != 0 {
+			t.Fatalf("refused image left %d live threads", dst.LiveThreads())
 		}
 	})
 }

@@ -7,10 +7,13 @@
 //
 // The walk is staged so a failure cannot leave the machine
 // half-mutated: validate (pure), allocate (objects pinned against GC,
-// zeroed so the collector can walk them), fill payloads (references
-// remapped to real heap addresses), build threads locally (compiles may
-// intern, allocate, and collect — the pinned set and the already-real
-// references keep the transferred graph safe), and only then commit:
+// zeroed so the collector can walk them), land payloads as the image
+// has them and fix each up in place — refs.go's walks with the image-ID
+// to heap-address map, the mirror of the freeze's last step — build
+// threads locally (compiles may intern, allocate, and collect — the
+// pinned set and the already-real references keep the transferred graph
+// safe; an unregistered thread's frames are invisible to the collector
+// and are fixed up once all are built), and only then commit:
 // register threads, queues, monitors and the job itself. An error
 // before the commit leaves only warm compiled methods and unreachable
 // allocations behind — reusable work and collectable garbage, not
@@ -83,50 +86,39 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 		vm.pinned = append(vm.pinned, r)
 	}
 
-	// Fill payloads, remapping references to the fresh addresses.
+	// toAddr is the fix-up every landed value goes through. validateImage
+	// bounded every reference by len(refs) at full slot width.
+	toAddr := func(id uint64) uint64 { return uint64(refs[id]) }
+
 	for i := range img.Objects {
 		io := &img.Objects[i]
 		obj := refs[i+1]
-		if io.Class == "" {
-			if isa.ElemKind(io.Elem) == isa.ElemRef {
-				for e, id := range io.Elems {
-					vm.Machine.Mem.Write32(obj+isa.HeaderBytes+uint32(e)*4, refs[id])
-				}
-			} else if len(io.Data) > 0 {
-				vm.Machine.Mem.WriteBytes(obj+isa.HeaderBytes, io.Data)
-			}
-			continue
+		for e, id := range io.Elems {
+			vm.Machine.Mem.Write32(obj+isa.HeaderBytes+uint32(e)*4, id)
 		}
-		cls := vm.Prog.Lookup(io.Class)
+		if len(io.Data) > 0 {
+			vm.Machine.Mem.WriteBytes(obj+isa.HeaderBytes, io.Data)
+		}
 		for s, v := range io.Slots {
 			vm.Heap.SetFieldSlot(obj, s, v)
 		}
-		for k := cls; k != nil; k = k.Super {
-			for _, fd := range k.Fields {
-				if fd.Type.IsRef() {
-					vm.Heap.SetFieldSlot(obj, fd.Slot, uint64(refs[io.Slots[fd.Slot]]))
-				}
-			}
-		}
+		vm.mapObject(obj, toAddr)
 	}
 
-	// Statics of the job's class closure.
+	// Statics of the job's class closure. Class-lock bindings: static
+	// synchronized sections keep excluding against the very object the
+	// source's threads were locking.
 	for _, st := range img.Statics {
 		cls := vm.Prog.Lookup(st.Class)
 		for i, fd := range cls.Statics {
-			v := st.Slots[i]
-			if fd.Type.IsRef() {
-				v = uint64(refs[v])
-			}
-			vm.Machine.Mem.Write64(vm.staticsBase+uint32(fd.Slot)*isa.SlotBytes, v)
+			vm.Machine.Mem.Write64(vm.staticAddr(fd), st.Slots[i])
 		}
+		vm.mapStatics(cls, toAddr)
 	}
-
-	// Class-lock bindings: static synchronized sections keep excluding
-	// against the very object the source's threads were locking.
 	for _, cl := range img.ClassLocks {
 		cls := vm.Prog.Lookup(cl.Class)
-		vm.classes[cls.ID].lockObj = refs[cl.Obj]
+		vm.classes[cls.ID].lockObj = cl.Obj
+		vm.mapClassLock(cls, toAddr)
 	}
 
 	// Build the thread tree locally; nothing registers until every
@@ -135,21 +127,17 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 	live := 0
 	for i := range img.Threads {
 		it := &img.Threads[i]
-		t := &Thread{Name: it.Name, job: j,
+		t := &Thread{Name: it.Name, job: j, JavaObj: it.JavaObj,
 			pendingVal: it.PendingVal, pendingIsRef: it.PendingIsRef,
 			pendingHasVal: it.PendingHasVal,
 			waitCount:     int(it.WaitCount),
 			Migrations:    it.Migrations, Steals: it.Steals,
 			Result: it.Result, HasResult: it.HasResult,
 		}
-		if it.PendingHasVal && it.PendingIsRef {
-			t.pendingVal = uint64(refs[it.PendingVal])
-		}
 		if it.Trap != nil {
 			te := *it.Trap
 			t.Trap = &te
 		}
-		t.JavaObj = refs[it.JavaObj]
 		threads[i] = t
 		if it.Terminated {
 			t.State = StateTerminated
@@ -186,7 +174,7 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 				noteCompile(t)
 			}
 			compileCycles += cycles
-			f := rehydrateFrame(cm, &fr, refs)
+			f := rehydrateFrame(cm, &fr)
 			f.ctr = vm.Monitor.Counters(m.ID)
 			f.ctr.Invokes++
 			t.pushFrame(f)
@@ -200,6 +188,10 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 		if it.Blocked {
 			t.State = StateBlocked
 		}
+	}
+
+	for _, t := range threads {
+		t.mapRefs(toAddr)
 	}
 
 	// Commit: register threads, join edges, queues, monitors, the job.
@@ -249,41 +241,31 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 
 // rehydrateFrame rebuilds one activation from its image on a compiled
 // method for the landing kind: PC re-enters at the recorded bytecode
-// boundary, locals and operand stack move untouched except reference
-// remapping (frame state is kind-independent at boundaries).
-func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame, refs []Ref) *Frame {
+// boundary, locals and operand stack move untouched (frame state is
+// kind-independent at boundaries; validateImage held both to the
+// method's own shape, so they fit the arrays newFrame sized).
+func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 	f := newFrame(cm)
 	f.PC = int(cm.EntryOf[fr.BC])
-	f.Locals = append([]uint64(nil), fr.Locals...)
-	f.LocalRefs = append([]bool(nil), fr.LocalRefs...)
-	// The operand stack may have grown past MaxStack (native glue
-	// pushes); size for whichever is larger.
-	if len(fr.Stack) > len(f.Stack) {
-		f.Stack = make([]uint64, len(fr.Stack))
-		f.StackRefs = make([]bool, len(fr.Stack))
-	}
-	copy(f.Stack, fr.Stack)
+	copy(f.Locals, fr.Locals)
+	copy(f.LocalRefs, fr.LocalRefs)
+	f.SP = copy(f.Stack, fr.Stack)
 	copy(f.StackRefs, fr.StackRefs)
-	f.SP = len(fr.Stack)
-	for i, isRef := range f.LocalRefs {
-		if isRef {
-			f.Locals[i] = uint64(refs[f.Locals[i]])
-		}
-	}
-	for i := 0; i < f.SP; i++ {
-		if f.StackRefs[i] {
-			f.Stack[i] = uint64(refs[f.Stack[i]])
-		}
-	}
-	f.SyncObj = refs[fr.SyncObj]
+	f.SyncObj = fr.SyncObj
 	return f
 }
 
-// validateImage checks a JobImage's internal consistency against this
-// VM's program before any machine state changes: every class and method
-// reference resolves, every image object ID, thread index and bytecode
-// index is in range. Corrupt or mismatched images error here, never
-// panic mid-rehydration.
+// validateImage checks a JobImage against this VM's program before any
+// machine state changes, in three steps. Shape: every class and method
+// resolves, every object carries exactly the payload its kind has at
+// exactly its size, flag slices cover their values, thread indices are
+// in range — after which refs.go's image walk may index without
+// re-checking. References: that one walk bounds every reference by the
+// object count, at the slot's full width. Frame type state: every
+// non-marker frame of a live thread has the locals, operand depth and
+// reference flags the method's own verifier derives at its bytecode
+// index, so the executor cannot be handed a frame its code would index
+// out of. Corrupt or mismatched images error here, never panic later.
 func (vm *VM) validateImage(img *JobImage) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("vm: rehydrate %s: invalid image: %s", img.Name, fmt.Sprintf(format, args...))
@@ -291,8 +273,6 @@ func (vm *VM) validateImage(img *JobImage) error {
 	if len(img.Threads) == 0 {
 		return bad("no threads")
 	}
-	nObj := uint32(len(img.Objects))
-	okRef := func(id uint32) bool { return id <= nObj }
 	class := func(name string) (*classfile.Class, error) {
 		cls := vm.Prog.Lookup(name)
 		if cls == nil {
@@ -303,41 +283,31 @@ func (vm *VM) validateImage(img *JobImage) error {
 
 	for i := range img.Objects {
 		io := &img.Objects[i]
-		if io.Class == "" {
-			k := isa.ElemKind(io.Elem)
-			if k > isa.ElemRef {
-				return bad("object %d: bad element kind %d", i+1, io.Elem)
+		if io.Class != "" {
+			cls, err := class(io.Class)
+			if err != nil {
+				return err
 			}
-			if k == isa.ElemRef {
-				if uint32(len(io.Elems)) != io.Length {
-					return bad("object %d: %d elems for length %d", i+1, len(io.Elems), io.Length)
-				}
-				for _, e := range io.Elems {
-					if !okRef(e) {
-						return bad("object %d: element ref %d out of range", i+1, e)
-					}
-				}
-			} else if uint32(len(io.Data)) != io.Length*k.Size() {
-				return bad("object %d: %d payload bytes for %d %s elements", i+1, len(io.Data), io.Length, k)
+			if len(io.Data)+len(io.Elems) != 0 || len(io.Slots) != cls.InstanceSlots {
+				return bad("object %d: not %d field slots of class %s", i+1, cls.InstanceSlots, cls.Name)
 			}
 			continue
 		}
-		cls, err := class(io.Class)
-		if err != nil {
-			return err
+		k := isa.ElemKind(io.Elem)
+		if k > isa.ElemRef {
+			return bad("object %d: bad element kind %d", i+1, io.Elem)
 		}
-		if len(io.Slots) != cls.InstanceSlots {
-			return bad("object %d: %d slots for class %s (%d)", i+1, len(io.Slots), cls.Name, cls.InstanceSlots)
+		// Sizes compare at 64 bits: Length*Size wraps at 32, and an array
+		// whose header says more than its allocation holds reads past it.
+		size := uint64(io.Length) * uint64(k.Size())
+		payload, other := uint64(len(io.Data)), len(io.Elems)
+		if k == isa.ElemRef {
+			payload, other = uint64(len(io.Elems))*4, len(io.Data)
 		}
-		for k := cls; k != nil; k = k.Super {
-			for _, fd := range k.Fields {
-				if fd.Type.IsRef() && !okRef(uint32(io.Slots[fd.Slot])) {
-					return bad("object %d: field %s ref out of range", i+1, fd.Name)
-				}
-			}
+		if payload != size || other+len(io.Slots) != 0 || size >= uint64(vm.Heap.Size()) {
+			return bad("object %d: not the payload of %d %s elements", i+1, io.Length, k)
 		}
 	}
-
 	for _, st := range img.Statics {
 		cls, err := class(st.Class)
 		if err != nil {
@@ -346,18 +316,13 @@ func (vm *VM) validateImage(img *JobImage) error {
 		if len(st.Slots) != len(cls.Statics) {
 			return bad("statics of %s: %d slots, class declares %d", st.Class, len(st.Slots), len(cls.Statics))
 		}
-		for i, fd := range cls.Statics {
-			if fd.Type.IsRef() && !okRef(uint32(st.Slots[i])) {
-				return bad("statics of %s: ref slot %d out of range", st.Class, i)
-			}
-		}
 	}
 	for _, cl := range img.ClassLocks {
 		if _, err := class(cl.Class); err != nil {
 			return err
 		}
-		if cl.Obj == 0 || !okRef(cl.Obj) {
-			return bad("class lock of %s: ref %d out of range", cl.Class, cl.Obj)
+		if cl.Obj == 0 {
+			return bad("class lock of %s: null object", cl.Class)
 		}
 	}
 
@@ -365,15 +330,15 @@ func (vm *VM) validateImage(img *JobImage) error {
 	okThr := func(i int32) bool { return i >= 0 && int(i) < nThr }
 	for i := range img.Threads {
 		it := &img.Threads[i]
-		if !okRef(it.JavaObj) {
-			return bad("thread %d: JavaObj ref out of range", i)
-		}
-		if it.PendingHasVal && it.PendingIsRef && !okRef(uint32(it.PendingVal)) {
-			return bad("thread %d: pending ref out of range", i)
-		}
 		for _, ji := range it.Joiners {
 			if !okThr(ji) {
 				return bad("thread %d: joiner index %d out of range", i, ji)
+			}
+		}
+		for fi := range it.Frames {
+			fr := &it.Frames[fi]
+			if len(fr.Stack) != len(fr.StackRefs) || len(fr.Locals) != len(fr.LocalRefs) {
+				return bad("thread %d frame %d: ref maps do not match values", i, fi)
 			}
 		}
 		if it.Terminated {
@@ -382,47 +347,14 @@ func (vm *VM) validateImage(img *JobImage) error {
 		if len(it.Frames) == 0 {
 			return bad("thread %d: live with no frames", i)
 		}
-		for fi := range it.Frames {
-			fr := &it.Frames[fi]
-			if fr.Marker {
-				continue
-			}
-			cls, err := class(fr.Class)
-			if err != nil {
-				return err
-			}
-			if fr.Method < 0 || int(fr.Method) >= len(cls.Methods) {
-				return bad("thread %d frame %d: method index %d out of range for %s", i, fi, fr.Method, cls.Name)
-			}
-			m := cls.Methods[fr.Method]
-			if m.Code == nil {
-				return bad("thread %d frame %d: method %s has no code", i, fi, m.Sig())
-			}
-			if fr.BC < 0 || int(fr.BC) >= len(m.Code) {
-				return bad("thread %d frame %d: bytecode index %d out of range for %s", i, fi, fr.BC, m.Sig())
-			}
-			if len(fr.Stack) != len(fr.StackRefs) || len(fr.Locals) != len(fr.LocalRefs) {
-				return bad("thread %d frame %d: ref maps do not match values", i, fi)
-			}
-			for s, isRef := range fr.LocalRefs {
-				if isRef && !okRef(uint32(fr.Locals[s])) {
-					return bad("thread %d frame %d: local %d ref out of range", i, fi, s)
-				}
-			}
-			for s, isRef := range fr.StackRefs {
-				if isRef && !okRef(uint32(fr.Stack[s])) {
-					return bad("thread %d frame %d: stack %d ref out of range", i, fi, s)
-				}
-			}
-			if !okRef(fr.SyncObj) {
-				return bad("thread %d frame %d: sync ref out of range", i, fi)
-			}
+		if err := vm.validateFrames(it); err != nil {
+			return bad("thread %d %v", i, err)
 		}
 	}
 	for mi := range img.Monitors {
 		im := &img.Monitors[mi]
-		if im.Obj == 0 || !okRef(im.Obj) {
-			return bad("monitor %d: object ref out of range", mi)
+		if im.Obj == 0 {
+			return bad("monitor %d: null object", mi)
 		}
 		if im.Owner >= 0 && !okThr(im.Owner) {
 			return bad("monitor %d: owner index out of range", mi)
@@ -432,6 +364,63 @@ func (vm *VM) validateImage(img *JobImage) error {
 				return bad("monitor %d: queue index out of range", mi)
 			}
 		}
+	}
+
+	var err error
+	img.mapRefs(vm, func(id uint64) uint64 {
+		if id > uint64(len(img.Objects)) && err == nil {
+			err = bad("reference %#x out of range (%d objects)", id, len(img.Objects))
+		}
+		return id
+	})
+	return err
+}
+
+// validateFrames holds a live thread's non-marker frames to their
+// methods' type state. A frame awaiting a callee's value holds one
+// operand fewer than the verifier's state at its bytecode index — its PC
+// already points past the call, whose result the return will push: that
+// is a frame whose next non-marker frame above returns a value, and a
+// frame with only markers above it when the thread carries a pending
+// value (the executor's resume pops a top marker and pushes the pending
+// value into the frame beneath; it never pushes into a top frame).
+func (vm *VM) validateFrames(it *ImageThread) error {
+	awaits := false // whether the frame in hand awaits a value from above
+	for fi := len(it.Frames) - 1; fi >= 0; fi-- {
+		fr := &it.Frames[fi]
+		if fr.Marker {
+			if fi == len(it.Frames)-1 {
+				awaits = it.PendingHasVal
+			}
+			continue
+		}
+		cls := vm.Prog.Lookup(fr.Class)
+		if cls == nil {
+			return fmt.Errorf("frame %d: unknown class %q", fi, fr.Class)
+		}
+		if fr.Method < 0 || int(fr.Method) >= len(cls.Methods) {
+			return fmt.Errorf("frame %d: method index %d out of range for %s", fi, fr.Method, cls.Name)
+		}
+		m := cls.Methods[fr.Method]
+		if fr.BC < 0 || int(fr.BC) >= len(m.Code) {
+			return fmt.Errorf("frame %d: bytecode index %d out of range for %s", fi, fr.BC, m.Sig())
+		}
+		stack, locals, err := classfile.KindsAt(m, int(fr.BC))
+		if err != nil {
+			return fmt.Errorf("frame %d: %w", fi, err)
+		}
+		if awaits {
+			if len(stack) == 0 {
+				return fmt.Errorf("frame %d: awaits a value that %s has no room for at pc %d", fi, m.Sig(), fr.BC)
+			}
+			stack = stack[:len(stack)-1]
+		}
+		if len(fr.Locals) != len(locals) || len(fr.Stack) != len(stack) ||
+			!flagsMatch(locals, fr.LocalRefs) || !flagsMatch(stack, fr.StackRefs) {
+			return fmt.Errorf("frame %d: not the type state of %s at pc %d (%d locals, stack %v)",
+				fi, m.Sig(), fr.BC, len(locals), stack)
+		}
+		awaits = m.Ret != classfile.Void
 	}
 	return nil
 }

@@ -5,10 +5,11 @@
 // same equivalence-point idea lifted across machines — every thread of
 // the job parks at a bytecode boundary, and the job's whole reachable
 // state (thread trees, frames, heap graph, statics, monitors, join
-// edges, accounting) is serialized with heap references remapped to
-// dense image IDs. RehydrateJob (rehydrate.go) rebuilds the job on any
-// VM booted over the same program; the binary wire format lives in
-// imagecodec.go.
+// edges, accounting) is copied into the image as it stands, and one
+// walk of the image then replaces every heap address by a dense image
+// ID. Which slots hold a reference — for the discovery here, for that
+// walk, and for RehydrateJob's validation and fix-up (rehydrate.go) —
+// is said once, in refs.go; the binary wire format is imagecodec.go's.
 //
 // The safe-point contract: a job is freezable when every live thread is
 // Ready or Blocked (never mid-quantum), carries no in-flight runtime
@@ -402,6 +403,8 @@ type capture struct {
 	id    map[Ref]uint32
 	order []Ref
 	queue []Ref
+	// discover is root as a refs.go visitor.
+	discover refMap
 
 	classSeen map[*classfile.Class]bool
 	classList []*classfile.Class
@@ -421,13 +424,9 @@ func (c *capture) root(r Ref) {
 	c.queue = append(c.queue, r)
 }
 
-// remap translates a source heap reference to its image ID.
-func (c *capture) remap(r Ref) uint32 {
-	if r == 0 || !c.vm.Heap.Contains(r) {
-		return 0
-	}
-	return c.id[r]
-}
+// imageID is the visitor that turns a copied image into a portable one:
+// a discovered object's address becomes its ID, anything else null.
+func (c *capture) imageID(v uint64) uint64 { return uint64(c.id[Ref(v)]) }
 
 // addClass folds a class into the closure: its supers, interfaces, and
 // every class its methods' code names (the resolved C/M/F references),
@@ -460,29 +459,13 @@ func (c *capture) addClass(cls *classfile.Class) {
 // drain walks queued objects breadth-first, folding each object's class
 // into the closure and queueing its outgoing references.
 func (c *capture) drain() {
-	vm := c.vm
 	for len(c.queue) > 0 {
 		obj := c.queue[0]
 		c.queue = c.queue[1:]
-		id := vm.Heap.ClassIDOf(obj)
-		if isArrayClassID(id) {
-			if arrayKindOf(id) == isa.ElemRef {
-				n := vm.Heap.LengthOf(obj)
-				for i := uint32(0); i < n; i++ {
-					c.root(Ref(vm.Machine.Mem.Read32(obj + isa.HeaderBytes + i*4)))
-				}
-			}
-			continue
+		if cls := c.vm.classOf(obj); cls != nil {
+			c.addClass(cls)
 		}
-		cls := vm.classByID[id]
-		c.addClass(cls)
-		for k := cls; k != nil; k = k.Super {
-			for _, fd := range k.Fields {
-				if fd.Type.IsRef() {
-					c.root(Ref(vm.Heap.FieldSlot(obj, fd.Slot)))
-				}
-			}
-		}
+		c.vm.mapObject(obj, c.discover)
 	}
 }
 
@@ -558,41 +541,21 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 	// roots).
 	cap := &capture{vm: vm, id: make(map[Ref]uint32),
 		classSeen: make(map[*classfile.Class]bool)}
+	cap.discover = visitor(cap.root)
 	for _, t := range j.threads {
-		cap.root(t.JavaObj)
-		if t.pendingHasVal && t.pendingIsRef {
-			cap.root(Ref(t.pendingVal))
-		}
 		for _, f := range t.Frames {
-			if f.Marker {
-				continue
+			if !f.Marker {
+				cap.addClass(f.CM.M.Class)
 			}
-			cap.addClass(f.CM.M.Class)
-			for i, isRef := range f.LocalRefs {
-				if isRef {
-					cap.root(Ref(f.Locals[i]))
-				}
-			}
-			for i := 0; i < f.SP; i++ {
-				if f.StackRefs[i] {
-					cap.root(Ref(f.Stack[i]))
-				}
-			}
-			cap.root(f.SyncObj)
 		}
+		t.mapRefs(cap.discover)
 	}
 	for _, cm := range mons {
 		cap.root(cm.obj)
 	}
 	cap.drain()
-	for scanned := 0; scanned < len(cap.classList); {
-		cls := cap.classList[scanned]
-		scanned++
-		for _, fd := range cls.Statics {
-			if fd.Type.IsRef() {
-				cap.root(Ref(vm.Machine.Mem.Read64(vm.staticsBase + uint32(fd.Slot)*isa.SlotBytes)))
-			}
-		}
+	for scanned := 0; scanned < len(cap.classList); scanned++ {
+		vm.mapStatics(cap.classList[scanned], cap.discover)
 		cap.drain() // may extend classList; the cursor picks the new tail up
 	}
 
@@ -610,41 +573,37 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		return nil, nil, err
 	}
 
+	// Everything below is copied as it stands, heap addresses included;
+	// the one mapRefs at the end makes them image IDs.
+
 	// Objects in discovery order.
 	for _, obj := range cap.order {
 		id := vm.Heap.ClassIDOf(obj)
-		if isArrayClassID(id) {
-			k := arrayKindOf(id)
-			n := vm.Heap.LengthOf(obj)
-			io := ImageObject{Elem: uint8(k), Length: n}
-			if k == isa.ElemRef {
-				io.Elems = make([]uint32, n)
-				for i := uint32(0); i < n; i++ {
-					io.Elems[i] = cap.remap(Ref(vm.Machine.Mem.Read32(obj + isa.HeaderBytes + i*4)))
-				}
-			} else {
-				io.Data = make([]byte, n*k.Size())
-				vm.Machine.Mem.ReadBytes(obj+isa.HeaderBytes, io.Data)
+		if !isArrayClassID(id) {
+			cls := vm.classByID[id]
+			io := ImageObject{Class: cls.Name, Slots: make([]uint64, cls.InstanceSlots)}
+			for i := range io.Slots {
+				io.Slots[i] = vm.Heap.FieldSlot(obj, i)
 			}
 			img.Objects = append(img.Objects, io)
 			continue
 		}
-		cls := vm.classByID[id]
-		io := ImageObject{Class: cls.Name, Slots: make([]uint64, cls.InstanceSlots)}
-		for i := range io.Slots {
-			io.Slots[i] = vm.Heap.FieldSlot(obj, i)
-		}
-		for k := cls; k != nil; k = k.Super {
-			for _, fd := range k.Fields {
-				if fd.Type.IsRef() {
-					io.Slots[fd.Slot] = uint64(cap.remap(Ref(io.Slots[fd.Slot])))
-				}
+		k := arrayKindOf(id)
+		io := ImageObject{Elem: uint8(k), Length: vm.Heap.LengthOf(obj)}
+		if k == isa.ElemRef { // 4-byte elements, kept typed: they become IDs
+			io.Elems = make([]uint32, io.Length)
+			for i := range io.Elems {
+				io.Elems[i] = vm.Machine.Mem.Read32(obj + isa.HeaderBytes + uint32(i)*4)
 			}
+		} else {
+			io.Data = make([]byte, io.Length*k.Size())
+			vm.Machine.Mem.ReadBytes(obj+isa.HeaderBytes, io.Data)
 		}
 		img.Objects = append(img.Objects, io)
 	}
 
-	// Statics of the closure, sorted by class name for a canonical image.
+	// Statics of the closure, sorted by class name for a canonical image;
+	// a class lock travels when the job's graph reaches the lock object.
 	classes := append([]*classfile.Class(nil), cap.classList...)
 	sort.Slice(classes, func(a, b int) bool { return classes[a].Name < classes[b].Name })
 	for _, cls := range classes {
@@ -653,21 +612,13 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		}
 		st := ImageStatics{Class: cls.Name, Slots: make([]uint64, len(cls.Statics))}
 		for i, fd := range cls.Statics {
-			v := vm.Machine.Mem.Read64(vm.staticsBase + uint32(fd.Slot)*isa.SlotBytes)
-			if fd.Type.IsRef() {
-				v = uint64(cap.remap(Ref(v)))
-			}
-			st.Slots[i] = v
+			st.Slots[i] = vm.Machine.Mem.Read64(vm.staticAddr(fd))
 		}
 		img.Statics = append(img.Statics, st)
 	}
-
-	// Class-lock bindings for locks that travel with the job.
 	for _, cls := range classes {
-		if lock := vm.classes[cls.ID].lockObj; lock != 0 {
-			if id := cap.remap(lock); id != 0 {
-				img.ClassLocks = append(img.ClassLocks, ImageClassLock{Class: cls.Name, Obj: id})
-			}
+		if lock := vm.classes[cls.ID].lockObj; cap.id[lock] != 0 {
+			img.ClassLocks = append(img.ClassLocks, ImageClassLock{Class: cls.Name, Obj: lock})
 		}
 	}
 
@@ -688,7 +639,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		it := ImageThread{
 			Name:          t.Name,
 			Kind:          t.Kind.String(),
-			JavaObj:       cap.remap(t.JavaObj),
+			JavaObj:       t.JavaObj,
 			PendingHasVal: t.pendingHasVal,
 			PendingIsRef:  t.pendingIsRef,
 			PendingVal:    t.pendingVal,
@@ -697,9 +648,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			Steals:        t.Steals,
 			Result:        t.Result,
 			HasResult:     t.HasResult,
-		}
-		if t.pendingHasVal && t.pendingIsRef {
-			it.PendingVal = uint64(cap.remap(Ref(t.pendingVal)))
 		}
 		if t.Trap != nil {
 			te := *t.Trap.(*TrapError)
@@ -738,7 +686,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			if mi < 0 {
 				return nil, nil, fmt.Errorf("%w: method %s not in its class table", ErrNotFreezable, m.Sig())
 			}
-			fr := ImageFrame{
+			it.Frames = append(it.Frames, ImageFrame{
 				Class:     m.Class.Name,
 				Method:    mi,
 				BC:        f.CM.BCIndex[f.PC],
@@ -746,19 +694,8 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 				LocalRefs: append([]bool(nil), f.LocalRefs...),
 				Stack:     append([]uint64(nil), f.Stack[:f.SP]...),
 				StackRefs: append([]bool(nil), f.StackRefs[:f.SP]...),
-				SyncObj:   cap.remap(f.SyncObj),
-			}
-			for i, isRef := range fr.LocalRefs {
-				if isRef {
-					fr.Locals[i] = uint64(cap.remap(Ref(fr.Locals[i])))
-				}
-			}
-			for i, isRef := range fr.StackRefs {
-				if isRef {
-					fr.Stack[i] = uint64(cap.remap(Ref(fr.Stack[i])))
-				}
-			}
-			it.Frames = append(it.Frames, fr)
+				SyncObj:   f.SyncObj,
+			})
 		}
 		img.Threads = append(img.Threads, it)
 	}
@@ -766,7 +703,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 	// Monitors last (thread indices are now stable).
 	monObjs := make([]Ref, 0, len(mons))
 	for _, cm := range mons {
-		im := ImageMonitor{Obj: cap.remap(cm.obj), Owner: -1, Count: int32(cm.m.count)}
+		im := ImageMonitor{Obj: cm.obj, Owner: -1, Count: int32(cm.m.count)}
 		if cm.m.owner != nil {
 			im.Owner = threadIdx(cm.m.owner)
 		}
@@ -780,5 +717,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		monObjs = append(monObjs, cm.obj)
 	}
 
+	img.mapRefs(vm, cap.imageID)
 	return img, monObjs, nil
 }

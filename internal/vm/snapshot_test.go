@@ -8,6 +8,7 @@ import (
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
+	"herajvm/internal/isa"
 )
 
 // Workload scale. Big enough that the job runs for several hundred
@@ -20,7 +21,8 @@ const (
 // buildSnapProg builds a job with plenty of state to transfer: a shared
 // Counter object mutated under its monitor by two spawned Worker
 // threads (each adds its loop index i to counter.v), a static
-// accumulator, and a main-thread compute loop. main returns
+// accumulator, a reference static holding the counter (a second route
+// to it), and a main-thread compute loop. main returns
 // counter.v*1000 + acc + Snap.total — snapExpected mirrors it.
 func buildSnapProg() *classfile.Program {
 	p := newProg()
@@ -62,9 +64,12 @@ func buildSnapProg() *classfile.Program {
 
 	snap := p.NewClass("Snap", nil)
 	total := snap.NewStaticField("total", classfile.Int)
+	shared := snap.NewStaticField("shared", classfile.Ref)
 	a := snap.NewMethod("main", classfile.FlagStatic, classfile.Int).Asm()
 	// locals: 0=counter 1=w1 2=w2 3=i 4=acc
 	a.New(counter)
+	a.Dup()
+	a.PutStatic(shared)
 	a.StoreRef(0)
 	for slot := 1; slot <= 2; slot++ {
 		a.New(worker)
@@ -154,7 +159,7 @@ func snapResult(t *testing.T) (int32, string) {
 // freezeAt submits Snap.main, drives the source to the given cycle and
 // freezes the job there. ErrJobDone (the job beat the freeze) is
 // reported via the bool.
-func freezeAt(t *testing.T, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
+func freezeAt(t testing.TB, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
 	t.Helper()
 	src, err := New(testConfig(), buildSnapProg())
 	if err != nil {
@@ -391,35 +396,97 @@ func TestRehydrateOnDifferentTopology(t *testing.T) {
 	}
 }
 
-// TestRehydrateRejectsCorruptImages: structurally invalid images error
-// out of RehydrateJob before any machine state changes.
+// TestRehydrateRejectsCorruptImages: invalid images error out of
+// RehydrateJob before any machine state changes — never a panic, here
+// or later in the executor. The image is Snap frozen at cycle 80 000:
+// three single-frame threads, main (thread 0) with reference locals 0-2
+// and one int on its operand stack, each worker with a reference on its;
+// objects 2 and 3 are Workers, whose slot 1 is the reference field c.
 func TestRehydrateRejectsCorruptImages(t *testing.T) {
 	_, _, img, ok := freezeAt(t, 80_000)
 	if !ok {
 		t.Skip("job completed before the freeze point")
 	}
-	corrupt := []func(*JobImage){
-		func(i *JobImage) { i.Threads = nil },
-		func(i *JobImage) { i.Threads[0].Frames[0].Class = "NoSuchClass" },
-		func(i *JobImage) { i.Threads[0].Frames[0].Method = 99 },
-		func(i *JobImage) { i.Threads[0].Frames[0].BC = 1 << 20 },
-		func(i *JobImage) { i.Threads[0].JavaObj = 1 << 20 },
-		func(i *JobImage) { i.Threads[0].Joiners = []int32{42} },
-		func(i *JobImage) {
-			if len(i.Monitors) == 0 {
-				i.Monitors = []ImageMonitor{{}}
-			}
-			i.Monitors[0].Obj = 1 << 20
+	if m, w := &img.Threads[0].Frames[0], &img.Threads[1].Frames[0]; len(img.Objects) != 3 ||
+		!m.LocalRefs[0] || len(m.Stack) != 1 || len(w.Stack) != 1 || !w.StackRefs[0] ||
+		img.Objects[1].Class != "Worker" || len(img.Statics) != 1 || img.Statics[0].Slots[1] != 1 {
+		t.Fatalf("the frozen image is not the one the rows below mutate: %+v", img)
+	}
+	const high = 1 << 32 // passes a 32-bit range check, indexes at 64
+	corrupt := map[string]func(*JobImage){
+		"no threads":          func(i *JobImage) { i.Threads = nil },
+		"unknown class":       func(i *JobImage) { i.Threads[0].Frames[0].Class = "NoSuchClass" },
+		"method index":        func(i *JobImage) { i.Threads[0].Frames[0].Method = 99 },
+		"bytecode index":      func(i *JobImage) { i.Threads[0].Frames[0].BC = 1 << 20 },
+		"thread object ref":   func(i *JobImage) { i.Threads[0].JavaObj = 1 << 20 },
+		"joiner index":        func(i *JobImage) { i.Threads[0].Joiners = []int32{42} },
+		"monitor object ref":  func(i *JobImage) { i.Monitors[0].Obj = 1 << 20 },
+		"monitor null object": func(i *JobImage) { i.Monitors[0].Obj = 0 },
+		"statics slot count":  func(i *JobImage) { i.Statics[0].Slots = i.Statics[0].Slots[:0] },
+
+		// References at full width: each of these is in range once
+		// truncated to 32 bits.
+		"flagged local | 1<<32": func(i *JobImage) { i.Threads[0].Frames[0].Locals[0] |= high },
+		"flagged stack | 1<<32": func(i *JobImage) { i.Threads[1].Frames[0].Stack[0] |= high },
+		"instance ref | 1<<32":  func(i *JobImage) { i.Objects[1].Slots[1] |= high },
+		"ref static | 1<<32":    func(i *JobImage) { i.Statics[0].Slots[1] |= high },
+		"pending value | 1<<32": func(i *JobImage) {
+			t := &i.Threads[0]
+			t.PendingHasVal, t.PendingIsRef, t.PendingVal = true, true, 1|high
 		},
-		func(i *JobImage) {
-			if len(i.Statics) > 0 {
-				i.Statics[0].Slots = i.Statics[0].Slots[:0]
-			} else {
-				i.Threads = nil
-			}
+
+		// Payload sizes at full width, and one payload per object.
+		"array length wraps to 0 bytes": func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Length: 0x40000000})
+		},
+		"array the size of the heap": func(i *JobImage) {
+			n := testConfig().HeapBytes
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemByte), Length: n, Data: make([]byte, n)})
+		},
+		"instance with array data": func(i *JobImage) { i.Objects[0].Data = []byte{1} },
+		"instance with elements":   func(i *JobImage) { i.Objects[0].Elems = []uint32{1} },
+		"array with field slots": func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Slots: []uint64{0}})
+		},
+		"int array with elements": func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Length: 1, Elems: []uint32{0}})
+		},
+		"ref array with data": func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemRef), Length: 1, Data: make([]byte, 4)})
+		},
+
+		// Frame type state. Each of the first three passed validation at
+		// the parent and panicked the executor on the first quantum:
+		// index out of range [4] with length 0, [-1], [7] with length 5.
+		"locals dropped": func(i *JobImage) {
+			f := &i.Threads[0].Frames[0]
+			f.Locals, f.LocalRefs = nil, nil
+		},
+		"operand stack emptied": func(i *JobImage) {
+			f := &i.Threads[0].Frames[0]
+			f.Stack, f.StackRefs = nil, nil
+		},
+		"local ref flags cleared": func(i *JobImage) { clear(i.Threads[0].Frames[0].LocalRefs) },
+		"int local flagged":       func(i *JobImage) { i.Threads[0].Frames[0].LocalRefs[3] = true },
+		"stack ref flag cleared":  func(i *JobImage) { i.Threads[1].Frames[0].StackRefs[0] = false },
+		"operand stack too deep": func(i *JobImage) {
+			f := &i.Threads[0].Frames[0]
+			f.Stack, f.StackRefs = append(f.Stack, 0), append(f.StackRefs, false)
+		},
+		"flags shorter than values": func(i *JobImage) {
+			f := &i.Threads[0].Frames[0]
+			f.LocalRefs = f.LocalRefs[:2]
+		},
+		"bottom frame awaits a value": func(i *JobImage) {
+			// A marker on top with a pending value: the executor would push
+			// it into main's frame, which sits at an instruction whose
+			// verified stack it already fills.
+			t := &i.Threads[0]
+			t.PendingHasVal = true
+			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"})
 		},
 	}
-	for ci, mutate := range corrupt {
+	for name, mutate := range corrupt {
 		// Round-trip through the codec for a deep copy to mutate.
 		cp, err := DecodeJobImage(EncodeJobImage(img))
 		if err != nil {
@@ -432,10 +499,10 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 		}
 		before := dst.LiveThreads()
 		if _, err := dst.RehydrateJob(cp, 0); err == nil {
-			t.Errorf("corruption %d: rehydrate accepted an invalid image", ci)
+			t.Errorf("%s: rehydrate accepted an invalid image", name)
 		}
 		if dst.LiveThreads() != before {
-			t.Errorf("corruption %d: failed rehydrate leaked live threads", ci)
+			t.Errorf("%s: failed rehydrate leaked live threads", name)
 		}
 	}
 }

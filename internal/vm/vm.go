@@ -139,12 +139,14 @@ func DefaultConfig() Config {
 }
 
 // classMeta is per-class runtime metadata: where the class's TIB lives
-// in main memory (the SPE code cache DMAs it) and the class-lock object
-// used by static synchronized methods.
+// in main memory (the SPE code cache DMAs it), the class-lock object
+// used by static synchronized methods, and which of the class's slots
+// hold references (refs.go).
 type classMeta struct {
 	tibAddr mem.Addr
 	tibSize uint32
 	lockObj Ref
+	refs    classRefs
 }
 
 // VM is a booted Hera-JVM instance bound to one simulated machine and
@@ -186,7 +188,6 @@ type VM struct {
 	edgeCrossings [numEdges]uint64
 
 	staticsBase mem.Addr
-	staticRefs  []bool // GC ref map for static slots
 	classes     []classMeta
 	classByID   []*classfile.Class
 
@@ -319,14 +320,6 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	// Statics.
 	nslots := prog.StaticSlots()
 	vm.staticsBase = boot.MustAlloc(uint32(nslots)*isa.SlotBytes+isa.SlotBytes, 16)
-	vm.staticRefs = make([]bool, nslots)
-	for _, c := range prog.Classes() {
-		for _, f := range c.Statics {
-			if f.Type == classfile.Ref {
-				vm.staticRefs[f.Slot] = true
-			}
-		}
-	}
 
 	// TIBs: one block per class in the boot region, holding the vtable's
 	// method IDs as real words (Figure 3's structures).
@@ -343,7 +336,7 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		for i, m := range c.VTable {
 			machine.Mem.Write64(addr+8+uint32(i)*8, uint64(m.ID))
 		}
-		vm.classes[c.ID] = classMeta{tibAddr: addr, tibSize: size}
+		vm.classes[c.ID] = classMeta{tibAddr: addr, tibSize: size, refs: classRefsOf(c)}
 	}
 
 	// Interface-method table.
