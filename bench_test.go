@@ -144,6 +144,48 @@ func BenchmarkMainMemory(b *testing.B) {
 	})
 }
 
+// BenchmarkBuildResolve measures the guest-program front end on twelve
+// entries of the repository benchmark's serve mix: "build" assembles
+// the program (workloads.BuildMix), "resolve" closes and verifies a
+// freshly built one. With -benchmem, B/op over the ~26 000 instructions
+// the program keeps is the figure TestBuildBytesPerInstruction budgets.
+func BenchmarkBuildResolve(b *testing.B) {
+	parts := []struct {
+		name  string
+		scale int
+	}{{"compress", 1}, {"matmul", 1}, {"mpegaudio", 2}, {"nbody", 1}, {"mandelbrot", 1}, {"kmeans", 1}}
+	entries := make([]workloads.MixEntry, 12)
+	for i := range entries {
+		spec, err := workloads.ByName(parts[i%len(parts)].name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries[i] = workloads.MixEntry{Spec: spec, Threads: 2, Scale: parts[i%len(parts)].scale}
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := workloads.BuildMix(entries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("resolve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			prog, err := workloads.BuildMix(entries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := prog.Resolve(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkCompile measures the JIT apart from the lowering it defers:
 // "compile" is every method of the three paper programs through a fresh
 // SPE compiler, no block probed; "lower" then probes every pending

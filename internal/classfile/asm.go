@@ -17,26 +17,72 @@ import (
 //
 // Build attaches the code to the method and computes MaxLocals; MaxStack
 // is computed later by the verifier during Program.Resolve.
+//
+// Instructions are assembled in a buffer borrowed from the method's
+// Program (Program.spare) and the method keeps an exact-size copy, so a
+// body costs what it holds rather than what append-doubling passed
+// through. Labels are an assembler concern: a branch records a fix-up,
+// Build writes the bound positions into the instructions, and nothing
+// downstream sees a Label.
 type Asm struct {
 	m        *Method
 	code     []BC
+	fixups   []fixup
 	maxLocal int
 	built    bool
 	err      error
 	handlers []handlerSpec
 }
 
-// Asm begins assembling the method's body.
+// Label marks a bytecode position as a branch target. Labels are created
+// and bound by the Asm that made them and mean nothing after its Build.
+type Label struct {
+	asm   *Asm
+	pc    int
+	bound bool
+	// made is the assembler's code length when the label was created;
+	// error messages name the label "L<made>".
+	made int
+}
+
+// fixup is one use of a label by the instruction at pc: its Target
+// (slot < 0) or entry slot of its Switch operand's Targets.
+type fixup struct {
+	pc, slot int32
+	l        *Label
+}
+
+// Asm begins assembling the method's body. It takes the program's spare
+// buffer if there is one; an Asm opened while another holds the spare
+// allocates its own.
 func (m *Method) Asm() *Asm {
 	if m.IsNative() || m.IsAbstract() {
 		panic(fmt.Sprintf("classfile: %s cannot have a body", m.Sig()))
 	}
-	return &Asm{m: m, maxLocal: m.ArgSlots() - 1}
+	p := m.Class.program
+	a := &Asm{m: m, code: p.spare, maxLocal: m.ArgSlots() - 1}
+	p.spare = nil
+	return a
 }
 
 func (a *Asm) emit(bc BC) *Asm {
 	a.code = append(a.code, bc)
 	return a
+}
+
+// branch emits a one-target branch to l.
+func (a *Asm) branch(op BCOp, l *Label) *Asm {
+	a.use(l, -1)
+	return a.emit(BC{Op: op})
+}
+
+// use records that the instruction about to be emitted refers to l.
+func (a *Asm) use(l *Label, slot int) {
+	if l == nil {
+		a.fail("nil label")
+		return
+	}
+	a.fixups = append(a.fixups, fixup{pc: int32(len(a.code)), slot: int32(slot), l: l})
 }
 
 func (a *Asm) local(i int) {
@@ -56,12 +102,28 @@ func (a *Asm) fail(format string, args ...any) {
 
 // NewLabel creates an unbound label.
 func (a *Asm) NewLabel() *Label {
-	return &Label{pc: -1, made: len(a.code)}
+	return &Label{asm: a, pc: -1, made: len(a.code)}
+}
+
+// NewLabels creates n unbound labels (a switch's targets).
+func (a *Asm) NewLabels(n int) []*Label {
+	ls := make([]*Label, n)
+	for i := range ls {
+		ls[i] = a.NewLabel()
+	}
+	return ls
 }
 
 // Bind binds the label to the next instruction.
 func (a *Asm) Bind(l *Label) *Asm {
-	if l.bound {
+	switch {
+	case l == nil:
+		a.fail("nil label")
+		return a
+	case l.asm != a:
+		a.fail("label L%d belongs to %s", l.made, l.asm.m.Sig())
+		return a
+	case l.bound:
 		a.fail("label L%d bound twice", l.made)
 	}
 	l.pc = len(a.code)
@@ -91,7 +153,7 @@ func (a *Asm) ConstD(v float64) *Asm {
 func (a *Asm) Null() *Asm { return a.emit(BC{Op: BCConstNull}) }
 
 // Str pushes an interned string literal.
-func (a *Asm) Str(s string) *Asm { return a.emit(BC{Op: BCConstStr, S: s}) }
+func (a *Asm) Str(s string) *Asm { return a.emit(BC{Op: BCConstStr, Operand: s}) }
 
 // --- locals ---
 
@@ -224,33 +286,44 @@ func (a *Asm) I2S() *Asm { return a.emit(BC{Op: BCI2S}) }
 // --- control flow ---
 
 // Goto jumps unconditionally to l.
-func (a *Asm) Goto(l *Label) *Asm { return a.emit(BC{Op: BCGoto, Target: l}) }
+func (a *Asm) Goto(l *Label) *Asm { return a.branch(BCGoto, l) }
 
 // IfEQ pops an int and branches to l when it is zero; the other
 // conditional emitters follow the JVM's semantics likewise.
-func (a *Asm) IfEQ(l *Label) *Asm { return a.emit(BC{Op: BCIfEQ, Target: l}) }
-func (a *Asm) IfNE(l *Label) *Asm { return a.emit(BC{Op: BCIfNE, Target: l}) }
-func (a *Asm) IfLT(l *Label) *Asm { return a.emit(BC{Op: BCIfLT, Target: l}) }
-func (a *Asm) IfGE(l *Label) *Asm { return a.emit(BC{Op: BCIfGE, Target: l}) }
-func (a *Asm) IfGT(l *Label) *Asm { return a.emit(BC{Op: BCIfGT, Target: l}) }
-func (a *Asm) IfLE(l *Label) *Asm { return a.emit(BC{Op: BCIfLE, Target: l}) }
+func (a *Asm) IfEQ(l *Label) *Asm { return a.branch(BCIfEQ, l) }
+func (a *Asm) IfNE(l *Label) *Asm { return a.branch(BCIfNE, l) }
+func (a *Asm) IfLT(l *Label) *Asm { return a.branch(BCIfLT, l) }
+func (a *Asm) IfGE(l *Label) *Asm { return a.branch(BCIfGE, l) }
+func (a *Asm) IfGT(l *Label) *Asm { return a.branch(BCIfGT, l) }
+func (a *Asm) IfLE(l *Label) *Asm { return a.branch(BCIfLE, l) }
 
-func (a *Asm) IfICmpEQ(l *Label) *Asm { return a.emit(BC{Op: BCIfICmpEQ, Target: l}) }
-func (a *Asm) IfICmpNE(l *Label) *Asm { return a.emit(BC{Op: BCIfICmpNE, Target: l}) }
-func (a *Asm) IfICmpLT(l *Label) *Asm { return a.emit(BC{Op: BCIfICmpLT, Target: l}) }
-func (a *Asm) IfICmpGE(l *Label) *Asm { return a.emit(BC{Op: BCIfICmpGE, Target: l}) }
-func (a *Asm) IfICmpGT(l *Label) *Asm { return a.emit(BC{Op: BCIfICmpGT, Target: l}) }
-func (a *Asm) IfICmpLE(l *Label) *Asm { return a.emit(BC{Op: BCIfICmpLE, Target: l}) }
+func (a *Asm) IfICmpEQ(l *Label) *Asm { return a.branch(BCIfICmpEQ, l) }
+func (a *Asm) IfICmpNE(l *Label) *Asm { return a.branch(BCIfICmpNE, l) }
+func (a *Asm) IfICmpLT(l *Label) *Asm { return a.branch(BCIfICmpLT, l) }
+func (a *Asm) IfICmpGE(l *Label) *Asm { return a.branch(BCIfICmpGE, l) }
+func (a *Asm) IfICmpGT(l *Label) *Asm { return a.branch(BCIfICmpGT, l) }
+func (a *Asm) IfICmpLE(l *Label) *Asm { return a.branch(BCIfICmpLE, l) }
 
-func (a *Asm) IfACmpEQ(l *Label) *Asm  { return a.emit(BC{Op: BCIfACmpEQ, Target: l}) }
-func (a *Asm) IfACmpNE(l *Label) *Asm  { return a.emit(BC{Op: BCIfACmpNE, Target: l}) }
-func (a *Asm) IfNull(l *Label) *Asm    { return a.emit(BC{Op: BCIfNull, Target: l}) }
-func (a *Asm) IfNonNull(l *Label) *Asm { return a.emit(BC{Op: BCIfNonNull, Target: l}) }
+func (a *Asm) IfACmpEQ(l *Label) *Asm  { return a.branch(BCIfACmpEQ, l) }
+func (a *Asm) IfACmpNE(l *Label) *Asm  { return a.branch(BCIfACmpNE, l) }
+func (a *Asm) IfNull(l *Label) *Asm    { return a.branch(BCIfNull, l) }
+func (a *Asm) IfNonNull(l *Label) *Asm { return a.branch(BCIfNonNull, l) }
+
+// switchTo emits a switch whose default is def and whose table entries
+// are targets, in that fix-up order.
+func (a *Asm) switchTo(op BCOp, low int32, def *Label, keys []int32, targets []*Label) *Asm {
+	a.use(def, -1)
+	for i, l := range targets {
+		a.use(l, i)
+	}
+	sw := &Switch{Keys: keys, Targets: make([]int32, len(targets))}
+	return a.emit(BC{Op: op, A: low, Operand: sw})
+}
 
 // TableSwitch pops an index and jumps to targets[index-low], or def when
 // out of range.
 func (a *Asm) TableSwitch(low int32, def *Label, targets ...*Label) *Asm {
-	return a.emit(BC{Op: BCTableSwitch, A: low, Target: def, Table: targets})
+	return a.switchTo(BCTableSwitch, low, def, nil, targets)
 }
 
 // LookupSwitch pops a key and jumps to the target paired with it in
@@ -264,7 +337,7 @@ func (a *Asm) LookupSwitch(def *Label, keys []int32, targets []*Label) *Asm {
 			a.fail("lookupswitch keys not strictly ascending at %d", i)
 		}
 	}
-	return a.emit(BC{Op: BCLookupSwitch, Target: def, Keys: keys, Table: targets})
+	return a.switchTo(BCLookupSwitch, 0, def, keys, targets)
 }
 
 // --- fields, arrays, objects ---
@@ -274,7 +347,7 @@ func (a *Asm) GetField(f *Field) *Asm {
 	if f.Static {
 		a.fail("getfield on static %s", f)
 	}
-	return a.emit(BC{Op: BCGetField, F: f})
+	return a.emit(BC{Op: BCGetField, Operand: f})
 }
 
 // PutField pops a value then a receiver and stores into f.
@@ -282,7 +355,7 @@ func (a *Asm) PutField(f *Field) *Asm {
 	if f.Static {
 		a.fail("putfield on static %s", f)
 	}
-	return a.emit(BC{Op: BCPutField, F: f})
+	return a.emit(BC{Op: BCPutField, Operand: f})
 }
 
 // GetStatic pushes static field f.
@@ -290,7 +363,7 @@ func (a *Asm) GetStatic(f *Field) *Asm {
 	if !f.Static {
 		a.fail("getstatic on instance %s", f)
 	}
-	return a.emit(BC{Op: BCGetStatic, F: f})
+	return a.emit(BC{Op: BCGetStatic, Operand: f})
 }
 
 // PutStatic pops into static field f.
@@ -298,7 +371,7 @@ func (a *Asm) PutStatic(f *Field) *Asm {
 	if !f.Static {
 		a.fail("putstatic on instance %s", f)
 	}
-	return a.emit(BC{Op: BCPutStatic, F: f})
+	return a.emit(BC{Op: BCPutStatic, Operand: f})
 }
 
 // NewArray pops a length and pushes a new primitive array.
@@ -306,7 +379,7 @@ func (a *Asm) NewArray(k isaElem) *Asm { return a.emit(BC{Op: BCNewArray, Kind: 
 
 // ANewArray pops a length and pushes a new reference array.
 func (a *Asm) ANewArray(c *Class) *Asm {
-	return a.emit(BC{Op: BCANewArray, C: c, Kind: refElem})
+	return a.emit(BC{Op: BCANewArray, Kind: refElem, Operand: c})
 }
 
 // ALoad pops index then array and pushes the element.
@@ -320,14 +393,14 @@ func (a *Asm) ArrayLen() *Asm { return a.emit(BC{Op: BCArrayLen}) }
 
 // New pushes a new uninitialised instance of c. (Call its constructor
 // with InvokeSpecial afterwards, as javac does.)
-func (a *Asm) New(c *Class) *Asm { return a.emit(BC{Op: BCNew, C: c}) }
+func (a *Asm) New(c *Class) *Asm { return a.emit(BC{Op: BCNew, Operand: c}) }
 
 // InvokeVirtual calls m through the receiver's vtable.
 func (a *Asm) InvokeVirtual(m *Method) *Asm {
 	if m.IsStatic() {
 		a.fail("invokevirtual on static %s", m.Sig())
 	}
-	return a.emit(BC{Op: BCInvokeVirtual, M: m})
+	return a.emit(BC{Op: BCInvokeVirtual, Operand: m})
 }
 
 // InvokeSpecial calls m directly (constructors, super calls).
@@ -335,7 +408,7 @@ func (a *Asm) InvokeSpecial(m *Method) *Asm {
 	if m.IsStatic() {
 		a.fail("invokespecial on static %s", m.Sig())
 	}
-	return a.emit(BC{Op: BCInvokeSpecial, M: m})
+	return a.emit(BC{Op: BCInvokeSpecial, Operand: m})
 }
 
 // InvokeStatic calls static method m.
@@ -343,7 +416,7 @@ func (a *Asm) InvokeStatic(m *Method) *Asm {
 	if !m.IsStatic() {
 		a.fail("invokestatic on instance %s", m.Sig())
 	}
-	return a.emit(BC{Op: BCInvokeStatic, M: m})
+	return a.emit(BC{Op: BCInvokeStatic, Operand: m})
 }
 
 // InvokeInterface calls interface method m through the receiver's itable.
@@ -351,15 +424,15 @@ func (a *Asm) InvokeInterface(m *Method) *Asm {
 	if !m.Class.IsInterface {
 		a.fail("invokeinterface on class method %s", m.Sig())
 	}
-	return a.emit(BC{Op: BCInvokeInterface, M: m})
+	return a.emit(BC{Op: BCInvokeInterface, Operand: m})
 }
 
 // InstanceOf pops a reference and pushes 1 when it is a non-null
 // instance of c.
-func (a *Asm) InstanceOf(c *Class) *Asm { return a.emit(BC{Op: BCInstanceOf, C: c}) }
+func (a *Asm) InstanceOf(c *Class) *Asm { return a.emit(BC{Op: BCInstanceOf, Operand: c}) }
 
 // CheckCast traps unless the top reference is null or an instance of c.
-func (a *Asm) CheckCast(c *Class) *Asm { return a.emit(BC{Op: BCCheckCast, C: c}) }
+func (a *Asm) CheckCast(c *Class) *Asm { return a.emit(BC{Op: BCCheckCast, Operand: c}) }
 
 // Ret returns the top of stack as the method's value.
 func (a *Asm) Ret() *Asm {
@@ -397,12 +470,18 @@ type handlerSpec struct {
 // (nil = catch everything) branch to handler with the thrown reference
 // as the only stack value. Handlers match in registration order.
 func (a *Asm) Catch(from, to, handler *Label, catchType *Class) *Asm {
+	if from == nil || to == nil || handler == nil {
+		a.fail("nil label")
+		return a
+	}
 	a.handlers = append(a.handlers, handlerSpec{from: from, to: to, target: handler, typ: catchType})
 	return a
 }
 
-// Build finalises the body: checks labels, attaches the code and
-// MaxLocals to the method.
+// Build finalises the body: checks labels and writes their positions
+// into the instructions that use them, attaches an exact-size copy of
+// the code and MaxLocals to the method, and hands the assembly buffer
+// back to the program, cleared, for the next body.
 func (a *Asm) Build() error {
 	if a.built {
 		return fmt.Errorf("asm %s: Build called twice", a.m.Sig())
@@ -413,51 +492,67 @@ func (a *Asm) Build() error {
 	if len(a.code) == 0 {
 		return fmt.Errorf("asm %s: empty body", a.m.Sig())
 	}
-	for pc := range a.code {
-		bc := &a.code[pc]
-		if bc.Target != nil {
-			if err := a.checkTarget(pc, bc.Target); err != nil {
-				return err
-			}
+	for _, f := range a.fixups {
+		if err := a.checkTarget(int(f.pc), f.l); err != nil {
+			return err
 		}
-		for _, l := range bc.Table {
-			if err := a.checkTarget(pc, l); err != nil {
-				return err
-			}
+		bc := &a.code[f.pc]
+		if f.slot < 0 {
+			bc.Target = int32(f.l.pc)
+		} else {
+			bc.Switch().Targets[f.slot] = int32(f.l.pc)
 		}
 	}
 	last := a.code[len(a.code)-1].Op
 	if !last.EndsBlock() {
 		return fmt.Errorf("asm %s: control falls off the end (last op %v)", a.m.Sig(), last)
 	}
+	handlers := make([]Handler, 0, len(a.handlers))
 	for i, h := range a.handlers {
 		for _, l := range []*Label{h.from, h.to, h.target} {
 			if !l.bound {
 				return fmt.Errorf("asm %s: handler %d has an unbound label", a.m.Sig(), i)
+			}
+			if l.asm != a {
+				return fmt.Errorf("asm %s: handler %d: label L%d belongs to %s",
+					a.m.Sig(), i, l.made, l.asm.m.Sig())
 			}
 		}
 		if h.from.pc >= h.to.pc {
 			return fmt.Errorf("asm %s: handler %d protects empty range [%d,%d)",
 				a.m.Sig(), i, h.from.pc, h.to.pc)
 		}
-		a.m.Handlers = append(a.m.Handlers, Handler{
+		handlers = append(handlers, Handler{
 			From: h.from.pc, To: h.to.pc, Target: h.target.pc, Type: h.typ,
 		})
 	}
-	a.m.Code = a.code
+	a.m.Handlers = append(a.m.Handlers, handlers...)
+	a.m.Code = make([]BC, len(a.code))
+	copy(a.m.Code, a.code)
 	a.m.MaxLocals = a.maxLocal + 1
 	a.built = true
+
+	// The buffer goes back holding no operand: a spare must not keep a
+	// class, field or method of a finished body reachable.
+	clear(a.code)
+	if p := a.m.Class.program; cap(a.code) > cap(p.spare) {
+		p.spare = a.code[:0]
+	}
+	a.code, a.fixups = nil, nil
 	return nil
 }
 
-// checkTarget reports a branch target of the instruction at pc that is
-// unbound or bound outside the body.
+// checkTarget reports a label used by the instruction at pc that is
+// unbound, bound outside the body, or another assembler's.
 func (a *Asm) checkTarget(pc int, l *Label) error {
 	if !l.bound {
 		return fmt.Errorf("asm %s: pc %d: unbound label L%d", a.m.Sig(), pc, l.made)
 	}
 	if l.pc < 0 || l.pc > len(a.code) {
 		return fmt.Errorf("asm %s: pc %d: label L%d out of range", a.m.Sig(), pc, l.made)
+	}
+	if l.asm != a {
+		return fmt.Errorf("asm %s: pc %d: label L%d belongs to %s", a.m.Sig(), pc, l.made, l.asm.m.Sig())
 	}
 	return nil
 }

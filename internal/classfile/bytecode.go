@@ -8,14 +8,16 @@ import (
 
 // BCOp is a Java-bytecode-subset opcode. Instructions are held in
 // structured form (operands resolved to pointers, branch targets to
-// labels) rather than serialized bytes; the JIT consumes this form.
+// instruction indexes) rather than serialized bytes; the JIT consumes
+// this form.
 type BCOp uint8
 
 const (
 	BCNop BCOp = iota
 
 	// Constants. ConstI uses A; ConstL/ConstF/ConstD use W (raw bits);
-	// ConstStr uses S (interned at boot); ConstNull pushes null.
+	// ConstStr's operand is the string (interned at boot); ConstNull
+	// pushes null.
 	BCConstI
 	BCConstL
 	BCConstF
@@ -112,7 +114,7 @@ const (
 	BCI2C
 	BCI2S
 
-	// Branches. Target is the destination label.
+	// Branches. Target is the destination's bytecode index.
 	BCGoto
 	BCIfEQ
 	BCIfNE
@@ -130,27 +132,28 @@ const (
 	BCIfACmpNE
 	BCIfNull
 	BCIfNonNull
-	// BCTableSwitch: A = low key; Table = targets for low..low+len-1;
-	// Target = default.
+	// BCTableSwitch: A = low key; operand *Switch, Targets for
+	// low..low+len-1; Target = default.
 	BCTableSwitch
-	// BCLookupSwitch: Keys = sorted match keys; Table = their targets;
-	// Target = default.
+	// BCLookupSwitch: operand *Switch, Keys = sorted match keys, Targets
+	// = their targets; Target = default.
 	BCLookupSwitch
 
-	// Field access. F = resolved field.
+	// Field access. Operand = resolved *Field.
 	BCGetField
 	BCPutField
 	BCGetStatic
 	BCPutStatic
 
-	// Arrays. Kind = element kind; C = element class for BCANewArray.
+	// Arrays. Kind = element kind; operand = element *Class for
+	// BCANewArray.
 	BCNewArray
 	BCANewArray
 	BCALoad
 	BCAStore
 	BCArrayLen
 
-	// Objects and calls. C = class; M = method.
+	// Objects and calls. Operand = *Class, or the callee *Method.
 	BCNew
 	BCInvokeVirtual
 	BCInvokeSpecial
@@ -191,40 +194,63 @@ const (
 	refElem = isa.ElemRef
 )
 
-// Label marks a bytecode position as a branch target. Labels are created
-// and bound by the Assembler.
-type Label struct {
-	pc    int
-	bound bool
-	// made is the assembler's code length when the label was created;
-	// error messages name the label "L<made>".
-	made int
-}
-
-// PC returns the instruction index the label is bound to.
-func (l *Label) PC() int { return l.pc }
-
-// BC is one structured bytecode instruction.
+// BC is one structured bytecode instruction: 40 bytes, of which an
+// instruction uses the immediates its opcode names and at most one
+// Operand. Branch targets are instruction indexes — the assembler's
+// labels end at Build, which writes the bound positions here.
 type BC struct {
 	Op BCOp
-	// A and B are small immediates (local index, iinc delta, switch low).
-	A, B int32
-	// W holds wide immediates: raw bits of long/float/double constants.
-	W uint64
-	// S is a string literal for BCConstStr.
-	S string
-	// Target is the branch target (or switch default).
-	Target *Label
-	// Table holds switch targets.
-	Table []*Label
-	// Keys holds lookupswitch match keys.
-	Keys []int32
-	// F, M, C are resolved member references.
-	F *Field
-	M *Method
-	C *Class
 	// Kind is the array element kind for array ops.
 	Kind isa.ElemKind
+	// A and B are small immediates (local index, iinc delta, switch low).
+	A, B int32
+	// Target is the branch target, or a switch's default, as a bytecode
+	// index into the method's Code.
+	Target int32
+	// W holds wide immediates: raw bits of long/float/double constants.
+	W uint64
+	// Operand is the one symbolic operand the opcode takes, if any: a
+	// string (BCConstStr), *Field, *Method, *Class or *Switch. Read it
+	// through the typed accessors, which return the zero value when the
+	// slot holds something else.
+	Operand any
+}
+
+// Switch is the operand of BCTableSwitch and BCLookupSwitch: Targets are
+// bytecode indexes (for low..low+len-1, or paired with Keys); Keys holds
+// lookupswitch match keys and is nil for a tableswitch. The default is
+// the instruction's Target.
+type Switch struct {
+	Keys    []int32
+	Targets []int32
+}
+
+// Str returns the string literal of a BCConstStr.
+func (bc *BC) Str() string { s, _ := bc.Operand.(string); return s }
+
+// Field returns the resolved field of a field access, or nil.
+func (bc *BC) Field() *Field { f, _ := bc.Operand.(*Field); return f }
+
+// Method returns the resolved callee of an invoke, or nil.
+func (bc *BC) Method() *Method { m, _ := bc.Operand.(*Method); return m }
+
+// Class returns the class operand of new / anewarray / instanceof /
+// checkcast, or nil.
+func (bc *BC) Class() *Class { c, _ := bc.Operand.(*Class); return c }
+
+// Switch returns the jump table of a switch, or nil.
+func (bc *BC) Switch() *Switch { sw, _ := bc.Operand.(*Switch); return sw }
+
+// switchTargets returns a switch's table targets (not its default);
+// nil for any other opcode, whatever its operand slot holds.
+func (bc *BC) switchTargets() []int32 {
+	if bc.Op != BCTableSwitch && bc.Op != BCLookupSwitch {
+		return nil
+	}
+	if sw := bc.Switch(); sw != nil {
+		return sw.Targets
+	}
+	return nil
 }
 
 var bcNames = [NumBCOps]string{

@@ -17,6 +17,13 @@ type Program struct {
 	methods     []*Method // global method table, indexed by Method.ID
 	staticSlots int       // total static field slots
 	ifaceSlots  int       // global interface-method IDs handed out
+
+	// spare is the one assembly buffer the program lends to its methods'
+	// assemblers: Method.Asm takes it, Asm.Build hands it back cleared
+	// and Resolve drops it. Bodies are assembled one after another, so
+	// one buffer grown to the largest body serves them all; declaring
+	// and assembling a program is single-goroutine work, like NewClass.
+	spare []BC
 }
 
 // NewProgram creates an empty program containing java/lang/Object.

@@ -1,9 +1,11 @@
 package classfile
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestProgramBasics(t *testing.T) {
@@ -197,6 +199,145 @@ func TestAsmRejectsUnboundLabel(t *testing.T) {
 		t.Errorf("expected unbound-label error, got %v", err)
 	}
 	_ = p
+}
+
+// TestAsmRejectsBadLabels: a label that is nil, or that another method's
+// assembler made, fails the body it is used in — at Build, by name —
+// instead of passing Build and crashing Resolve (nil) or silently
+// branching to whatever sits at that index (foreign and in range).
+func TestAsmRejectsBadLabels(t *testing.T) {
+	const sig = "Bad.f(int,ref)void"
+	for _, tc := range []struct {
+		name string
+		emit func(a *Asm, ok, foreign *Label)
+		want string
+	}{
+		{"goto nil", func(a *Asm, _, _ *Label) { a.Goto(nil) }, "asm " + sig + ": nil label"},
+		{"if nil", func(a *Asm, _, _ *Label) { a.LoadI(0).IfEQ(nil) }, "asm " + sig + ": nil label"},
+		{"if_icmp nil", func(a *Asm, _, _ *Label) { a.LoadI(0).LoadI(0).IfICmpLT(nil) }, "asm " + sig + ": nil label"},
+		{"if_acmp nil", func(a *Asm, _, _ *Label) { a.LoadRef(1).LoadRef(1).IfACmpNE(nil) }, "asm " + sig + ": nil label"},
+		{"ifnull nil", func(a *Asm, _, _ *Label) { a.LoadRef(1).IfNonNull(nil) }, "asm " + sig + ": nil label"},
+		{"tableswitch nil default", func(a *Asm, ok, _ *Label) { a.LoadI(0).TableSwitch(0, nil, ok) }, "asm " + sig + ": nil label"},
+		{"tableswitch nil target", func(a *Asm, ok, _ *Label) { a.LoadI(0).TableSwitch(0, ok, nil) }, "asm " + sig + ": nil label"},
+		{"lookupswitch nil default", func(a *Asm, ok, _ *Label) {
+			a.LoadI(0).LookupSwitch(nil, []int32{1}, []*Label{ok})
+		}, "asm " + sig + ": nil label"},
+		{"lookupswitch nil target", func(a *Asm, ok, _ *Label) {
+			a.LoadI(0).LookupSwitch(ok, []int32{1, 2}, []*Label{ok, nil})
+		}, "asm " + sig + ": nil label"},
+		{"bind nil", func(a *Asm, _, _ *Label) { a.Bind(nil) }, "asm " + sig + ": nil label"},
+		{"catch nil", func(a *Asm, ok, _ *Label) { a.Catch(ok, nil, ok, nil) }, "asm " + sig + ": nil label"},
+		{"foreign goto", func(a *Asm, _, foreign *Label) { a.Goto(foreign) },
+			"asm " + sig + ": pc 0: label L0 belongs to Bad.other()void"},
+		{"foreign switch target", func(a *Asm, ok, foreign *Label) { a.LoadI(0).TableSwitch(0, ok, ok, foreign) },
+			"asm " + sig + ": pc 1: label L0 belongs to Bad.other()void"},
+		{"foreign bind", func(a *Asm, _, foreign *Label) { a.Bind(foreign) },
+			"asm " + sig + ": label L0 belongs to Bad.other()void"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProgram()
+			c := p.NewClass("Bad", nil)
+			// The foreign label is bound at pc 0 of a three-instruction
+			// body, so it is in range of any body it strays into.
+			oa := c.NewMethod("other", FlagStatic, Void).Asm()
+			foreign := oa.NewLabel()
+			oa.Bind(foreign).ConstI(0).Pop().RetVoid().MustBuild()
+
+			a := c.NewMethod("f", FlagStatic, Void, Int, Ref).Asm()
+			ok := a.NewLabel()
+			tc.emit(a, ok, foreign)
+			a.Bind(ok).RetVoid()
+			err := a.Build()
+			if err == nil {
+				t.Fatalf("Build accepted it (Resolve: %v)", p.Resolve())
+			}
+			if err.Error() != tc.want {
+				t.Errorf("Build error %q, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestAsmLabelMessages pins the three label errors that predate the
+// fix-up list, byte for byte.
+func TestAsmLabelMessages(t *testing.T) {
+	newAsm := func() *Asm {
+		return NewProgram().NewClass("Bad", nil).NewMethod("f", FlagStatic, Void).Asm()
+	}
+	a := newAsm()
+	a.ConstI(0)
+	l := a.NewLabel()
+	a.Bind(l).Bind(l).RetVoid()
+	if err := a.Build(); err == nil || err.Error() != "asm Bad.f()void: label L1 bound twice" {
+		t.Errorf("bound twice: %v", err)
+	}
+	a = newAsm()
+	a.ConstI(0).Goto(a.NewLabel())
+	if err := a.Build(); err == nil || err.Error() != "asm Bad.f()void: pc 1: unbound label L1" {
+		t.Errorf("unbound: %v", err)
+	}
+	// Out of range takes a label bound past this body's end, which only
+	// another assembler's label can be.
+	long := newAsm()
+	far := long.NewLabel()
+	long.ConstI(0).ConstI(0).ConstI(0).Bind(far).RetVoid().MustBuild()
+	a = newAsm()
+	a.Goto(far)
+	if err := a.Build(); err == nil || err.Error() != "asm Bad.f()void: pc 0: label L0 out of range" {
+		t.Errorf("out of range: %v", err)
+	}
+}
+
+// TestVerifyRejectsOutOfRangeTarget: a hand-assigned body (no assembler
+// checked it) whose branch leaves the method is a verify error naming
+// the target.
+func TestVerifyRejectsOutOfRangeTarget(t *testing.T) {
+	for _, target := range []int32{-1, 2, 1 << 20} {
+		p := NewProgram()
+		m := p.NewClass("Hand", nil).NewMethod("f", FlagStatic, Void)
+		m.Code = []BC{{Op: BCGoto, Target: target}, {Op: BCReturnVoid}}
+		want := fmt.Sprintf("verify Hand.f()void: branch to pc %d outside [0,2)", target)
+		if err := p.Resolve(); err == nil || err.Error() != want {
+			t.Errorf("target %d: %v, want %q", target, err, want)
+		}
+	}
+}
+
+// TestBCSize: an instruction is at most 48 bytes and carries no label —
+// nothing reachable from a BC's type is a *Label.
+func TestBCSize(t *testing.T) {
+	if sz := unsafe.Sizeof(BC{}); sz > 48 {
+		t.Errorf("BC is %d bytes, budget 48", sz)
+	}
+	label := reflect.TypeOf(&Label{})
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if ty == label {
+			t.Errorf("%s is a *Label", path)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Map:
+			walk(ty.Key(), path+"[key]")
+			walk(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(BC{}), "BC")
+	// The operand slot is an interface, which the type walk cannot see
+	// into: walk what it is documented to hold.
+	for _, operand := range []any{"", &Field{}, &Method{}, &Class{}, &Switch{}} {
+		walk(reflect.TypeOf(operand), "BC.Operand")
+	}
 }
 
 func TestAsmRejectsFallOffEnd(t *testing.T) {

@@ -19,8 +19,8 @@ func (m *Method) Disassemble() string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "\n")
-	for pc, bc := range m.Code {
-		fmt.Fprintf(&b, "%4d: %s\n", pc, bc.describe())
+	for pc := range m.Code {
+		fmt.Fprintf(&b, "%4d: %s\n", pc, m.Code[pc].describe())
 	}
 	if len(m.Handlers) > 0 {
 		fmt.Fprintf(&b, "  exception table:\n")
@@ -45,37 +45,39 @@ func (bc *BC) describe() string {
 	case BCConstF, BCConstD:
 		return fmt.Sprintf("%-14s %#x", bc.Op, bc.W)
 	case BCConstStr:
-		return fmt.Sprintf("%-14s %q", bc.Op, bc.S)
+		return fmt.Sprintf("%-14s %q", bc.Op, bc.Str())
 	case BCLoadI, BCLoadL, BCLoadF, BCLoadD, BCLoadRef,
 		BCStoreI, BCStoreL, BCStoreF, BCStoreD, BCStoreRef:
 		return fmt.Sprintf("%-14s %d", bc.Op, bc.A)
 	case BCInc:
 		return fmt.Sprintf("%-14s %d, %+d", bc.Op, bc.A, bc.B)
 	case BCGetField, BCPutField, BCGetStatic, BCPutStatic:
-		return fmt.Sprintf("%-14s %s", bc.Op, bc.F)
+		return fmt.Sprintf("%-14s %s", bc.Op, bc.Field())
 	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
-		return fmt.Sprintf("%-14s %s", bc.Op, bc.M.Sig())
+		return fmt.Sprintf("%-14s %s", bc.Op, bc.Method().Sig())
 	case BCNew, BCANewArray, BCInstanceOf, BCCheckCast:
-		return fmt.Sprintf("%-14s %s", bc.Op, bc.C.Name)
+		return fmt.Sprintf("%-14s %s", bc.Op, bc.Class().Name)
 	case BCNewArray, BCALoad, BCAStore:
 		return fmt.Sprintf("%-14s %s", bc.Op, bc.Kind)
 	case BCTableSwitch:
-		tg := make([]string, len(bc.Table))
-		for i, l := range bc.Table {
-			tg[i] = fmt.Sprintf("@%d", l.PC())
+		sw := bc.Switch()
+		tg := make([]string, len(sw.Targets))
+		for i, t := range sw.Targets {
+			tg[i] = fmt.Sprintf("@%d", t)
 		}
 		return fmt.Sprintf("%-14s low=%d [%s] default=@%d",
-			bc.Op, bc.A, strings.Join(tg, " "), bc.Target.PC())
+			bc.Op, bc.A, strings.Join(tg, " "), bc.Target)
 	case BCLookupSwitch:
-		pairs := make([]string, len(bc.Keys))
-		for i, k := range bc.Keys {
-			pairs[i] = fmt.Sprintf("%d:@%d", k, bc.Table[i].PC())
+		sw := bc.Switch()
+		pairs := make([]string, len(sw.Keys))
+		for i, k := range sw.Keys {
+			pairs[i] = fmt.Sprintf("%d:@%d", k, sw.Targets[i])
 		}
 		return fmt.Sprintf("%-14s {%s} default=@%d",
-			bc.Op, strings.Join(pairs, " "), bc.Target.PC())
+			bc.Op, strings.Join(pairs, " "), bc.Target)
 	default:
-		if bc.Target != nil {
-			return fmt.Sprintf("%-14s @%d", bc.Op, bc.Target.PC())
+		if bc.Op.IsBranch() {
+			return fmt.Sprintf("%-14s @%d", bc.Op, bc.Target)
 		}
 		return bc.Op.String()
 	}

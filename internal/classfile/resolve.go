@@ -12,6 +12,8 @@ func (p *Program) Resolve() error {
 		return fmt.Errorf("classfile: program already resolved")
 	}
 
+	p.spare = nil // every body is built; nothing assembles after this
+
 	ordered, err := p.topoOrder()
 	if err != nil {
 		return err
@@ -34,6 +36,7 @@ func (p *Program) Resolve() error {
 		p.resolveITable(c)
 	}
 
+	var v verifier
 	for _, m := range p.methods {
 		if m.IsNative() || m.IsAbstract() {
 			continue
@@ -41,9 +44,10 @@ func (p *Program) Resolve() error {
 		if m.Code == nil {
 			return fmt.Errorf("classfile: %s has no body (Asm not built?)", m.Sig())
 		}
-		if err := p.verify(m); err != nil {
+		if err := v.run(m); err != nil {
 			return err
 		}
+		m.MaxStack = v.maxStack
 	}
 
 	p.resolved = true

@@ -2,23 +2,6 @@ package classfile
 
 import "fmt"
 
-// verify abstractly interprets a method body over the JVM computational
-// types, checking that: every path keeps a consistent operand-stack
-// shape, locals are read at the kind they were written, branch targets
-// are in range, member references are non-nil, and control cannot fall
-// off the end. It records the method's MaxStack as a side effect.
-//
-// This is a kind-level verifier (it does not track class hierarchies of
-// references), which is the level the JIT and executor rely on.
-func (p *Program) verify(m *Method) error {
-	v := &verifier{m: m, in: make(map[int]*vstate)}
-	if err := v.run(); err != nil {
-		return err
-	}
-	m.MaxStack = v.maxStack
-	return nil
-}
-
 // KindsAt re-runs the verifier over a resolved method and returns the
 // merged operand-stack and local kinds on entry to bytecode index bc:
 // the type state every execution reaching bc has there. A local whose
@@ -28,34 +11,86 @@ func (p *Program) verify(m *Method) error {
 // goroutines may be queried concurrently. An index no path reaches is
 // an error.
 func KindsAt(m *Method, bc int) (stack, locals []TypeKind, err error) {
-	v := &verifier{m: m, in: make(map[int]*vstate)}
-	if err := v.run(); err != nil {
+	var v verifier
+	if err := v.run(m); err != nil {
 		return nil, nil, err
 	}
-	s := v.in[bc]
-	if s == nil {
-		return nil, nil, fmt.Errorf("verify %s: no path reaches pc %d", m.Sig(), bc)
+	return v.kindsAt(bc)
+}
+
+// kindsAt answers KindsAt from a completed run, in the working state
+// (the next call overwrites what it returns): it walks back to the
+// leader whose block holds bc and replays the block from that leader's
+// fixed-point in-state. The replay cannot fail — run applied the same
+// instructions to the same state — and passes no branch: an instruction
+// after a conditional is itself a leader, so the only control transfer
+// it can meet is one that never falls through, past which bc is
+// unreachable.
+func (v *verifier) kindsAt(bc int) (stack, locals []TypeKind, err error) {
+	code := v.m.Code
+	unreached := func() ([]TypeKind, []TypeKind, error) {
+		return nil, nil, fmt.Errorf("verify %s: no path reaches pc %d", v.m.Sig(), bc)
 	}
-	return s.stack, s.locals, nil
-}
-
-type vstate struct {
-	stack  []TypeKind
-	locals []TypeKind
-}
-
-func (s *vstate) clone() *vstate {
-	return &vstate{
-		stack:  append([]TypeKind(nil), s.stack...),
-		locals: append([]TypeKind(nil), s.locals...),
+	if bc < 0 || bc >= len(code) {
+		return unreached()
 	}
+	l := bc
+	for v.leader[l] == 0 {
+		l--
+	}
+	if !v.load(l) {
+		return unreached()
+	}
+	for pc := l; pc < bc; pc++ {
+		if code[pc].Op.EndsBlock() {
+			return unreached()
+		}
+		if err := v.apply(pc, &code[pc]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return v.stack, v.locals, nil
 }
 
+// inState locates a leader's merged in-state in the arena: locals at
+// arena[off : off+MaxLocals], the stack in the depth slots after them.
+// depth is -1 until a path first reaches the leader.
+type inState struct{ off, depth int32 }
+
+// verifier abstractly interprets a method body over the JVM
+// computational types, checking that: every path keeps a consistent
+// operand-stack shape, locals are read at the kind they were written,
+// branch targets are in range, member references are non-nil, and
+// control cannot fall off the end. run leaves the body's MaxStack in
+// maxStack.
+//
+// This is a kind-level verifier (it does not track class hierarchies of
+// references), which is the level the JIT and executor rely on.
+//
+// One working state flows through straight-line code; a merged in-state
+// is kept only where paths can join — at leaders: the entry, every
+// branch, switch and handler target, and the instruction after a
+// conditional branch — all in one arena. The state on entry to any other
+// instruction is a function of its leader's, so nothing is lost by not
+// storing it (kindsAt replays it). The buffers are reused from method to
+// method (Resolve verifies them all through one verifier), so verifying
+// a program costs its largest body once rather than every body.
 type verifier struct {
-	m        *Method
-	in       map[int]*vstate
-	worklist []int
-	maxStack int
+	m *Method
+	// leader[pc] is 0 inside a block, else 1 + the index into in of the
+	// block that starts at pc.
+	leader []int32
+	in     []inState
+	arena  []TypeKind
+	// work is a stack of leaders whose in-state changed.
+	work []int32
+	// stack and locals are the working state.
+	stack, locals []TypeKind
+	maxStack      int
+	// steps counts instructions applied. A block is walked when a path
+	// first reaches its leader and again each time a local of the
+	// leader's in-state turns Void, so steps ≤ len(Code) × (MaxLocals+1).
+	steps int
 }
 
 func (v *verifier) errf(pc int, format string, args ...any) error {
@@ -63,473 +98,479 @@ func (v *verifier) errf(pc int, format string, args ...any) error {
 		v.m.Sig(), pc, v.m.Code[pc].Op, fmt.Sprintf(format, args...))
 }
 
-func (v *verifier) run() error {
-	entry := &vstate{locals: make([]TypeKind, v.m.MaxLocals)}
+// markLeader makes pc a leader if it is an instruction; a target outside
+// the body is reported when (and only if) a path takes it.
+func (v *verifier) markLeader(pc int) {
+	if pc >= 0 && pc < len(v.leader) && v.leader[pc] == 0 {
+		v.in = append(v.in, inState{depth: -1})
+		v.leader[pc] = int32(len(v.in))
+	}
+}
+
+func (v *verifier) run(m *Method) error {
+	code := m.Code
+	if m.MaxLocals < m.ArgSlots() {
+		return fmt.Errorf("verify %s: %d locals cannot hold %d arguments",
+			m.Sig(), m.MaxLocals, m.ArgSlots())
+	}
+	v.m = m
+	v.maxStack, v.steps = 0, 0
+	v.in, v.arena, v.work = v.in[:0], v.arena[:0], v.work[:0]
+	if cap(v.leader) < len(code) {
+		v.leader = make([]int32, len(code))
+	} else {
+		v.leader = v.leader[:len(code)]
+		clear(v.leader)
+	}
+	v.markLeader(0)
+	for pc := range code {
+		bc := &code[pc]
+		if !bc.Op.IsBranch() {
+			continue
+		}
+		v.markLeader(int(bc.Target))
+		if bc.Op.IsConditional() {
+			v.markLeader(pc + 1)
+		}
+		for _, t := range bc.switchTargets() {
+			v.markLeader(int(t))
+		}
+	}
+	for _, h := range m.Handlers {
+		v.markLeader(h.Target)
+	}
+
+	v.stack = v.stack[:0]
+	if cap(v.locals) < m.MaxLocals {
+		v.locals = make([]TypeKind, m.MaxLocals)
+	} else {
+		v.locals = v.locals[:m.MaxLocals]
+		clear(v.locals)
+	}
 	idx := 0
-	if !v.m.IsStatic() {
-		entry.locals[idx] = Ref
+	if !m.IsStatic() {
+		v.locals[idx] = Ref
 		idx++
 	}
-	for _, pk := range v.m.Params {
-		entry.locals[idx] = pk
+	for _, pk := range m.Params {
+		v.locals[idx] = pk
 		idx++
 	}
-	if err := v.merge(0, entry); err != nil {
+	if err := v.merge(0, v.stack); err != nil {
 		return err
 	}
-	for len(v.worklist) > 0 {
-		pc := v.worklist[len(v.worklist)-1]
-		v.worklist = v.worklist[:len(v.worklist)-1]
-		if err := v.step(pc); err != nil {
+	for len(v.work) > 0 {
+		l := int(v.work[len(v.work)-1])
+		v.work = v.work[:len(v.work)-1]
+		if err := v.flow(l); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// merge joins a state into the recorded in-state of pc, queueing pc when
-// anything changed.
-func (v *verifier) merge(pc int, s *vstate) error {
+// load makes leader l's in-state the working state; false if no path has
+// reached l.
+func (v *verifier) load(l int) bool {
+	st := v.in[v.leader[l]-1]
+	if st.depth < 0 {
+		return false
+	}
+	nl := int32(len(v.locals))
+	copy(v.locals, v.arena[st.off:st.off+nl])
+	v.stack = append(v.stack[:0], v.arena[st.off+nl:st.off+nl+st.depth]...)
+	return true
+}
+
+// merge joins the working locals and the given stack into the recorded
+// in-state of pc, queueing pc when anything changed.
+func (v *verifier) merge(pc int, stack []TypeKind) error {
 	if pc < 0 || pc >= len(v.m.Code) {
 		return fmt.Errorf("verify %s: branch to pc %d outside [0,%d)", v.m.Sig(), pc, len(v.m.Code))
 	}
-	if len(s.stack) > v.maxStack {
-		v.maxStack = len(s.stack)
+	if len(stack) > v.maxStack {
+		v.maxStack = len(stack)
 	}
-	old := v.in[pc]
-	if old == nil {
-		v.in[pc] = s.clone()
-		v.worklist = append(v.worklist, pc)
+	st := &v.in[v.leader[pc]-1]
+	nl := int32(len(v.locals))
+	if st.depth < 0 {
+		st.off, st.depth = int32(len(v.arena)), int32(len(stack))
+		v.arena = append(append(v.arena, v.locals...), stack...)
+		v.work = append(v.work, int32(pc))
 		return nil
 	}
-	if len(old.stack) != len(s.stack) {
+	if int(st.depth) != len(stack) {
 		return fmt.Errorf("verify %s: pc %d: stack depth mismatch %d vs %d",
-			v.m.Sig(), pc, len(old.stack), len(s.stack))
+			v.m.Sig(), pc, st.depth, len(stack))
 	}
-	for i := range old.stack {
-		if old.stack[i] != s.stack[i] {
+	old := v.arena[st.off+nl : st.off+nl+st.depth]
+	for i := range old {
+		if old[i] != stack[i] {
 			return fmt.Errorf("verify %s: pc %d: stack slot %d kind mismatch %v vs %v",
-				v.m.Sig(), pc, i, old.stack[i], s.stack[i])
+				v.m.Sig(), pc, i, old[i], stack[i])
 		}
 	}
 	changed := false
-	for i := range old.locals {
-		if old.locals[i] != s.locals[i] && old.locals[i] != Void {
-			old.locals[i] = Void // conflicting kinds: local unusable past join
+	old = v.arena[st.off : st.off+nl]
+	for i := range old {
+		if old[i] != v.locals[i] && old[i] != Void {
+			old[i] = Void // conflicting kinds: local unusable past join
 			changed = true
 		}
 	}
 	if changed {
-		v.worklist = append(v.worklist, pc)
+		v.work = append(v.work, int32(pc))
 	}
 	return nil
 }
 
-func (v *verifier) step(pc int) error {
-	s := v.in[pc].clone()
-	bc := v.m.Code[pc]
+// flow walks the block that starts at leader l from its in-state,
+// merging the working state into every leader control can reach from it.
+func (v *verifier) flow(l int) error {
+	v.load(l)
+	code := v.m.Code
+	handlerStack := [...]TypeKind{Ref}
+	for pc := l; ; pc++ {
+		bc := &code[pc]
+		v.steps++
 
-	// Any instruction inside a protected range can transfer to its
-	// handler with the current locals and a stack of one reference.
-	for _, h := range v.m.Handlers {
-		if pc >= h.From && pc < h.To {
-			hs := &vstate{stack: []TypeKind{Ref}, locals: append([]TypeKind(nil), s.locals...)}
-			if err := v.merge(h.Target, hs); err != nil {
-				return err
+		// Any instruction inside a protected range can transfer to its
+		// handler with the current locals and a stack of one reference.
+		for i := range v.m.Handlers {
+			if h := &v.m.Handlers[i]; pc >= h.From && pc < h.To {
+				if err := v.merge(h.Target, handlerStack[:]); err != nil {
+					return err
+				}
 			}
 		}
+		if err := v.apply(pc, bc); err != nil {
+			return err
+		}
+		if bc.Op.IsBranch() {
+			if err := v.merge(int(bc.Target), v.stack); err != nil {
+				return err
+			}
+			for _, t := range bc.switchTargets() {
+				if err := v.merge(int(t), v.stack); err != nil {
+					return err
+				}
+			}
+		}
+		if bc.Op.EndsBlock() {
+			return nil
+		}
+		if pc+1 >= len(code) {
+			return v.errf(pc, "control falls off the end")
+		}
+		if v.leader[pc+1] != 0 {
+			return v.merge(pc+1, v.stack)
+		}
 	}
+}
 
-	pop := func(want TypeKind) error {
-		if len(s.stack) == 0 {
-			return v.errf(pc, "pop from empty stack")
-		}
-		got := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		if got != want {
-			return v.errf(pc, "expected %v on stack, found %v", want, got)
-		}
-		return nil
+func (v *verifier) push(k TypeKind) {
+	v.stack = append(v.stack, k)
+	if len(v.stack) > v.maxStack {
+		v.maxStack = len(v.stack)
 	}
-	popAny := func() (TypeKind, error) {
-		if len(s.stack) == 0 {
-			return Void, v.errf(pc, "pop from empty stack")
-		}
-		got := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		return got, nil
-	}
-	push := func(k TypeKind) {
-		s.stack = append(s.stack, k)
-		if len(s.stack) > v.maxStack {
-			v.maxStack = len(s.stack)
-		}
-	}
-	loadLocal := func(want TypeKind) error {
-		i := int(bc.A)
-		if i < 0 || i >= len(s.locals) {
-			return v.errf(pc, "local %d out of range", i)
-		}
-		if s.locals[i] != want {
-			return v.errf(pc, "local %d holds %v, want %v", i, s.locals[i], want)
-		}
-		push(want)
-		return nil
-	}
-	storeLocal := func(want TypeKind) error {
-		if err := pop(want); err != nil {
-			return err
-		}
-		i := int(bc.A)
-		if i < 0 || i >= len(s.locals) {
-			return v.errf(pc, "local %d out of range", i)
-		}
-		s.locals[i] = want
-		return nil
-	}
-	binary := func(k TypeKind) error {
-		if err := pop(k); err != nil {
-			return err
-		}
-		if err := pop(k); err != nil {
-			return err
-		}
-		push(k)
-		return nil
-	}
-	unary := func(k TypeKind) error {
-		if err := pop(k); err != nil {
-			return err
-		}
-		push(k)
-		return nil
-	}
-	conv := func(from, to TypeKind) error {
-		if err := pop(from); err != nil {
-			return err
-		}
-		push(to)
-		return nil
-	}
-	cmp := func(k TypeKind) error {
-		if err := pop(k); err != nil {
-			return err
-		}
-		if err := pop(k); err != nil {
-			return err
-		}
-		push(Int)
-		return nil
-	}
-	elemKindType := func() TypeKind {
-		switch bc.Kind {
-		case ElemLong:
-			return Long
-		case ElemFloat:
-			return Float
-		case ElemDouble:
-			return Double
-		case ElemRef:
-			return Ref
-		default:
-			return Int
-		}
-	}
+}
 
-	var err error
-	fallThrough := true
+func (v *verifier) popAny(pc int) (TypeKind, error) {
+	if len(v.stack) == 0 {
+		return Void, v.errf(pc, "pop from empty stack")
+	}
+	got := v.stack[len(v.stack)-1]
+	v.stack = v.stack[:len(v.stack)-1]
+	return got, nil
+}
 
+func (v *verifier) pop(pc int, want TypeKind) error {
+	got, err := v.popAny(pc)
+	if err == nil && got != want {
+		err = v.errf(pc, "expected %v on stack, found %v", want, got)
+	}
+	return err
+}
+
+// pops pops the given kinds, first to last.
+func (v *verifier) pops(pc int, want ...TypeKind) error {
+	for _, k := range want {
+		if err := v.pop(pc, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// op pops the given kinds (top of stack first) and pushes result.
+func (v *verifier) op(pc int, result TypeKind, want ...TypeKind) error {
+	if err := v.pops(pc, want...); err != nil {
+		return err
+	}
+	v.push(result)
+	return nil
+}
+
+func (v *verifier) loadLocal(pc int, bc *BC, want TypeKind) error {
+	i := int(bc.A)
+	if i < 0 || i >= len(v.locals) {
+		return v.errf(pc, "local %d out of range", i)
+	}
+	if v.locals[i] != want {
+		return v.errf(pc, "local %d holds %v, want %v", i, v.locals[i], want)
+	}
+	v.push(want)
+	return nil
+}
+
+func (v *verifier) storeLocal(pc int, bc *BC, want TypeKind) error {
+	if err := v.pop(pc, want); err != nil {
+		return err
+	}
+	i := int(bc.A)
+	if i < 0 || i >= len(v.locals) {
+		return v.errf(pc, "local %d out of range", i)
+	}
+	v.locals[i] = want
+	return nil
+}
+
+// elemType is the computational type of an array element kind.
+func elemType(k isaElem) TypeKind {
+	switch k {
+	case ElemLong:
+		return Long
+	case ElemFloat:
+		return Float
+	case ElemDouble:
+		return Double
+	case ElemRef:
+		return Ref
+	default:
+		return Int
+	}
+}
+
+// apply is the instruction's effect on the working state: what it pops,
+// pushes and writes, and that its operand is there. Where control goes
+// next is flow's business.
+func (v *verifier) apply(pc int, bc *BC) error {
 	switch bc.Op {
 	case BCNop:
 	case BCConstI:
-		push(Int)
+		v.push(Int)
 	case BCConstL:
-		push(Long)
+		v.push(Long)
 	case BCConstF:
-		push(Float)
+		v.push(Float)
 	case BCConstD:
-		push(Double)
+		v.push(Double)
 	case BCConstNull, BCConstStr:
-		push(Ref)
+		v.push(Ref)
 
 	case BCLoadI:
-		err = loadLocal(Int)
+		return v.loadLocal(pc, bc, Int)
 	case BCLoadL:
-		err = loadLocal(Long)
+		return v.loadLocal(pc, bc, Long)
 	case BCLoadF:
-		err = loadLocal(Float)
+		return v.loadLocal(pc, bc, Float)
 	case BCLoadD:
-		err = loadLocal(Double)
+		return v.loadLocal(pc, bc, Double)
 	case BCLoadRef:
-		err = loadLocal(Ref)
+		return v.loadLocal(pc, bc, Ref)
 	case BCStoreI:
-		err = storeLocal(Int)
+		return v.storeLocal(pc, bc, Int)
 	case BCStoreL:
-		err = storeLocal(Long)
+		return v.storeLocal(pc, bc, Long)
 	case BCStoreF:
-		err = storeLocal(Float)
+		return v.storeLocal(pc, bc, Float)
 	case BCStoreD:
-		err = storeLocal(Double)
+		return v.storeLocal(pc, bc, Double)
 	case BCStoreRef:
-		err = storeLocal(Ref)
+		return v.storeLocal(pc, bc, Ref)
 	case BCInc:
 		i := int(bc.A)
-		if i < 0 || i >= len(s.locals) || s.locals[i] != Int {
-			err = v.errf(pc, "iinc on non-int local %d", i)
+		if i < 0 || i >= len(v.locals) || v.locals[i] != Int {
+			return v.errf(pc, "iinc on non-int local %d", i)
 		}
 
 	case BCPop:
-		_, err = popAny()
+		_, err := v.popAny(pc)
+		return err
 	case BCPop2:
-		if _, err = popAny(); err == nil {
-			_, err = popAny()
-		}
+		return v.shuffle(pc, 2)
 	case BCDup:
-		var k TypeKind
-		if k, err = popAny(); err == nil {
-			push(k)
-			push(k)
-		}
+		return v.shuffle(pc, 1, 0, 0)
 	case BCDupX1:
-		var a, b TypeKind
-		if a, err = popAny(); err == nil {
-			if b, err = popAny(); err == nil {
-				push(a)
-				push(b)
-				push(a)
-			}
-		}
+		return v.shuffle(pc, 2, 0, 1, 0)
 	case BCDupX2:
-		var a, b, c TypeKind
-		if a, err = popAny(); err == nil {
-			if b, err = popAny(); err == nil {
-				if c, err = popAny(); err == nil {
-					push(a)
-					push(c)
-					push(b)
-					push(a)
-				}
-			}
-		}
+		return v.shuffle(pc, 3, 0, 2, 1, 0)
 	case BCDup2:
-		var a, b TypeKind
-		if a, err = popAny(); err == nil {
-			if b, err = popAny(); err == nil {
-				push(b)
-				push(a)
-				push(b)
-				push(a)
-			}
-		}
+		return v.shuffle(pc, 2, 1, 0, 1, 0)
 	case BCSwap:
-		var a, b TypeKind
-		if a, err = popAny(); err == nil {
-			if b, err = popAny(); err == nil {
-				push(a)
-				push(b)
-			}
-		}
+		return v.shuffle(pc, 2, 0, 1)
 
 	case BCAddI, BCSubI, BCMulI, BCDivI, BCRemI, BCAndI, BCOrI, BCXorI,
 		BCShlI, BCShrI, BCUShrI:
-		err = binary(Int)
-	case BCNegI:
-		err = unary(Int)
+		return v.op(pc, Int, Int, Int)
+	case BCNegI, BCI2B, BCI2C, BCI2S:
+		return v.op(pc, Int, Int)
 	case BCAddL, BCSubL, BCMulL, BCDivL, BCRemL, BCAndL, BCOrL, BCXorL:
-		err = binary(Long)
+		return v.op(pc, Long, Long, Long)
 	case BCShlL, BCShrL, BCUShrL:
 		// Shift amount is an int.
-		if err = pop(Int); err == nil {
-			err = unary(Long)
-		}
+		return v.op(pc, Long, Int, Long)
 	case BCNegL:
-		err = unary(Long)
+		return v.op(pc, Long, Long)
 	case BCCmpL:
-		err = cmp(Long)
+		return v.op(pc, Int, Long, Long)
 	case BCAddF, BCSubF, BCMulF, BCDivF, BCRemF:
-		err = binary(Float)
+		return v.op(pc, Float, Float, Float)
 	case BCNegF:
-		err = unary(Float)
+		return v.op(pc, Float, Float)
 	case BCCmpFL, BCCmpFG:
-		err = cmp(Float)
+		return v.op(pc, Int, Float, Float)
 	case BCAddD, BCSubD, BCMulD, BCDivD, BCRemD:
-		err = binary(Double)
+		return v.op(pc, Double, Double, Double)
 	case BCNegD:
-		err = unary(Double)
+		return v.op(pc, Double, Double)
 	case BCCmpDL, BCCmpDG:
-		err = cmp(Double)
+		return v.op(pc, Int, Double, Double)
 
 	case BCI2L:
-		err = conv(Int, Long)
+		return v.op(pc, Long, Int)
 	case BCI2F:
-		err = conv(Int, Float)
+		return v.op(pc, Float, Int)
 	case BCI2D:
-		err = conv(Int, Double)
+		return v.op(pc, Double, Int)
 	case BCL2I:
-		err = conv(Long, Int)
+		return v.op(pc, Int, Long)
 	case BCL2F:
-		err = conv(Long, Float)
+		return v.op(pc, Float, Long)
 	case BCL2D:
-		err = conv(Long, Double)
+		return v.op(pc, Double, Long)
 	case BCF2I:
-		err = conv(Float, Int)
+		return v.op(pc, Int, Float)
 	case BCF2L:
-		err = conv(Float, Long)
+		return v.op(pc, Long, Float)
 	case BCF2D:
-		err = conv(Float, Double)
+		return v.op(pc, Double, Float)
 	case BCD2I:
-		err = conv(Double, Int)
+		return v.op(pc, Int, Double)
 	case BCD2L:
-		err = conv(Double, Long)
+		return v.op(pc, Long, Double)
 	case BCD2F:
-		err = conv(Double, Float)
-	case BCI2B, BCI2C, BCI2S:
-		err = unary(Int)
+		return v.op(pc, Float, Double)
 
 	case BCGoto:
-		fallThrough = false
-		err = v.merge(bc.Target.pc, s)
 	case BCIfEQ, BCIfNE, BCIfLT, BCIfGE, BCIfGT, BCIfLE:
-		if err = pop(Int); err == nil {
-			err = v.merge(bc.Target.pc, s)
-		}
+		return v.pop(pc, Int)
 	case BCIfICmpEQ, BCIfICmpNE, BCIfICmpLT, BCIfICmpGE, BCIfICmpGT, BCIfICmpLE:
-		if err = pop(Int); err == nil {
-			if err = pop(Int); err == nil {
-				err = v.merge(bc.Target.pc, s)
-			}
-		}
+		return v.pops(pc, Int, Int)
 	case BCIfACmpEQ, BCIfACmpNE:
-		if err = pop(Ref); err == nil {
-			if err = pop(Ref); err == nil {
-				err = v.merge(bc.Target.pc, s)
-			}
-		}
+		return v.pops(pc, Ref, Ref)
 	case BCIfNull, BCIfNonNull:
-		if err = pop(Ref); err == nil {
-			err = v.merge(bc.Target.pc, s)
-		}
+		return v.pop(pc, Ref)
 	case BCTableSwitch, BCLookupSwitch:
-		fallThrough = false
-		if err = pop(Int); err == nil {
-			if err = v.merge(bc.Target.pc, s); err == nil {
-				for _, t := range bc.Table {
-					if err = v.merge(t.pc, s); err != nil {
-						break
-					}
-				}
-			}
+		sw := bc.Switch()
+		if sw == nil {
+			return v.errf(pc, "nil switch ref")
+		}
+		if bc.Op == BCLookupSwitch && len(sw.Keys) != len(sw.Targets) {
+			return v.errf(pc, "%d keys vs %d targets", len(sw.Keys), len(sw.Targets))
+		}
+		return v.pop(pc, Int)
+
+	case BCGetField, BCPutField, BCGetStatic, BCPutStatic:
+		f := bc.Field()
+		if f == nil {
+			return v.errf(pc, "nil field ref")
+		}
+		switch bc.Op {
+		case BCGetField:
+			return v.op(pc, f.Type, Ref)
+		case BCPutField:
+			return v.pops(pc, f.Type, Ref)
+		case BCGetStatic:
+			v.push(f.Type)
+		default:
+			return v.pop(pc, f.Type)
 		}
 
-	case BCGetField:
-		if bc.F == nil {
-			err = v.errf(pc, "nil field ref")
-			break
-		}
-		if err = pop(Ref); err == nil {
-			push(bc.F.Type)
-		}
-	case BCPutField:
-		if bc.F == nil {
-			err = v.errf(pc, "nil field ref")
-			break
-		}
-		if err = pop(bc.F.Type); err == nil {
-			err = pop(Ref)
-		}
-	case BCGetStatic:
-		if bc.F == nil {
-			err = v.errf(pc, "nil field ref")
-			break
-		}
-		push(bc.F.Type)
-	case BCPutStatic:
-		if bc.F == nil {
-			err = v.errf(pc, "nil field ref")
-			break
-		}
-		err = pop(bc.F.Type)
-
-	case BCNewArray, BCANewArray:
-		if err = pop(Int); err == nil {
-			push(Ref)
-		}
+	case BCNewArray:
+		return v.op(pc, Ref, Int)
 	case BCALoad:
-		if err = pop(Int); err == nil {
-			if err = pop(Ref); err == nil {
-				push(elemKindType())
-			}
-		}
+		return v.op(pc, elemType(bc.Kind), Int, Ref)
 	case BCAStore:
-		if err = pop(elemKindType()); err == nil {
-			if err = pop(Int); err == nil {
-				err = pop(Ref)
+		return v.pops(pc, elemType(bc.Kind), Int, Ref)
+	case BCArrayLen:
+		return v.op(pc, Int, Ref)
+
+	case BCNew, BCANewArray, BCInstanceOf, BCCheckCast:
+		if bc.Class() == nil {
+			return v.errf(pc, "nil class ref")
+		}
+		switch bc.Op {
+		case BCNew:
+			v.push(Ref)
+		case BCANewArray:
+			return v.op(pc, Ref, Int)
+		case BCInstanceOf:
+			return v.op(pc, Int, Ref)
+		default:
+			return v.op(pc, Ref, Ref)
+		}
+	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
+		callee := bc.Method()
+		if callee == nil {
+			return v.errf(pc, "nil method ref")
+		}
+		for i := len(callee.Params) - 1; i >= 0; i-- {
+			if err := v.pop(pc, callee.Params[i]); err != nil {
+				return err
 			}
 		}
-	case BCArrayLen:
-		if err = pop(Ref); err == nil {
-			push(Int)
+		if !callee.IsStatic() {
+			if err := v.pop(pc, Ref); err != nil {
+				return err
+			}
+		}
+		if callee.Ret != Void {
+			v.push(callee.Ret)
 		}
 
-	case BCNew:
-		if bc.C == nil {
-			err = v.errf(pc, "nil class ref")
-			break
+	case BCReturn, BCReturnVoid:
+		if bc.Op == BCReturn {
+			if err := v.pop(pc, v.m.Ret); err != nil {
+				return err
+			}
 		}
-		push(Ref)
-	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
-		if bc.M == nil {
-			err = v.errf(pc, "nil method ref")
-			break
-		}
-		callee := bc.M
-		for i := len(callee.Params) - 1; i >= 0 && err == nil; i-- {
-			err = pop(callee.Params[i])
-		}
-		if err == nil && !callee.IsStatic() {
-			err = pop(Ref)
-		}
-		if err == nil && callee.Ret != Void {
-			push(callee.Ret)
-		}
-	case BCInstanceOf:
-		if err = pop(Ref); err == nil {
-			push(Int)
-		}
-	case BCCheckCast:
-		if err = pop(Ref); err == nil {
-			push(Ref)
-		}
-
-	case BCReturn:
-		fallThrough = false
-		err = pop(v.m.Ret)
-		if err == nil && len(s.stack) != 0 {
+		if len(v.stack) != 0 {
 			// JVM permits residue; we keep it strict to catch builder bugs.
-			err = v.errf(pc, "stack not empty at return (%d residue)", len(s.stack))
+			return v.errf(pc, "stack not empty at return (%d residue)", len(v.stack))
 		}
-	case BCReturnVoid:
-		fallThrough = false
-		if len(s.stack) != 0 {
-			err = v.errf(pc, "stack not empty at return (%d residue)", len(s.stack))
-		}
-	case BCMonitorEnter, BCMonitorExit:
-		err = pop(Ref)
-	case BCThrow:
-		fallThrough = false
-		err = pop(Ref)
+	case BCMonitorEnter, BCMonitorExit, BCThrow:
+		return v.pop(pc, Ref)
 
 	default:
-		err = v.errf(pc, "unhandled opcode")
+		return v.errf(pc, "unhandled opcode")
 	}
-	if err != nil {
-		return err
-	}
-	if fallThrough {
-		if pc+1 >= len(v.m.Code) {
-			return v.errf(pc, "control falls off the end")
+	return nil
+}
+
+// shuffle pops n values of any kind — t[0] the old top — and pushes
+// t[order[0]], t[order[1]], … (so the last index named ends on top).
+func (v *verifier) shuffle(pc, n int, order ...int) error {
+	var t [3]TypeKind
+	for i := 0; i < n; i++ {
+		k, err := v.popAny(pc)
+		if err != nil {
+			return err
 		}
-		return v.merge(pc+1, s)
+		t[i] = k
+	}
+	for _, i := range order {
+		v.push(t[i])
 	}
 	return nil
 }

@@ -382,3 +382,23 @@ func TestBytecodeBoundaryMaps(t *testing.T) {
 		t.Error("out-of-range PCs must not be boundaries")
 	}
 }
+
+// TestLowerRejectsOutOfRangeTarget: the verifier reports a branch out of
+// the body only on a path that takes it, so a hand-assigned body may
+// carry one in code nothing reaches — and the lowering, which translates
+// every instruction, must answer with an error, not an index panic.
+func TestLowerRejectsOutOfRangeTarget(t *testing.T) {
+	p := classfile.NewProgram()
+	m := p.NewClass("Hand", nil).NewMethod("f", classfile.FlagStatic, classfile.Void)
+	m.Code = []classfile.BC{
+		{Op: classfile.BCReturnVoid},
+		{Op: classfile.BCGoto, Target: 100},
+	}
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	ppe, _, _ := newCompilers(t)
+	if _, err := ppe.Compile(m); err == nil || !strings.Contains(err.Error(), "bytecode index 100 outside [0,2]") {
+		t.Errorf("Compile = %v, want an out-of-range error", err)
+	}
+}

@@ -7,73 +7,71 @@ import (
 	"herajvm/internal/isa"
 )
 
-// fixup records a pending branch-target patch (bytecode pc to machine
-// index) and tableFixup the same for one switch-table slot.
-type fixup struct {
-	instr int  // instruction to patch
-	field byte // 'A' or 'B'
-	bcPC  int  // bytecode target
-}
-
-type tableFixup struct {
-	table int
-	slot  int
-	bcPC  int
-}
-
 // lower macro-expands a method's bytecode into machine instructions for
 // the compiler's target, resolving symbolic references (fields to byte
-// offsets, methods to IDs/vtable slots, labels to instruction indices)
-// exactly as a baseline JIT resolves constant-pool entries at compile
-// time.
+// offsets, methods to IDs/vtable slots, bytecode indexes to instruction
+// indices) exactly as a baseline JIT resolves constant-pool entries at
+// compile time.
 func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
-	cm := &CompiledMethod{M: m, Target: c.target}
-	start := make([]int, len(m.Code)+1) // bytecode pc -> machine index
-
-	var fixups []fixup
-	var tableFixups []tableFixup
-
-	emit := func(in isa.Instr) int {
+	// Every bytecode lowers to one instruction today, so len(m.Code) is
+	// the exact size; a backend that expands one would grow the slice.
+	cm := &CompiledMethod{
+		M: m, Target: c.target,
+		Code:    make([]isa.Instr, 0, len(m.Code)),
+		EntryOf: make([]int32, len(m.Code)+1),
+	}
+	emit := func(in isa.Instr) {
 		in.Cost = c.costs.OpCost[in.Op]
 		cm.Code = append(cm.Code, in)
-		return len(cm.Code) - 1
-	}
-	branchTo := func(idx int, field byte, l *classfile.Label) {
-		fixups = append(fixups, fixup{instr: idx, field: field, bcPC: l.PC()})
 	}
 
+	// Branches are emitted carrying bytecode targets; once EntryOf — the
+	// bytecode<->machine index map kept for cross-kind PC translation
+	// (CompiledMethod.TranslatePC) — is complete they are translated in
+	// place.
 	for pc := range m.Code {
 		bc := &m.Code[pc]
-		start[pc] = len(cm.Code)
-		if err := c.lowerOne(m, bc, emit, branchTo, &tableFixups, cm); err != nil {
+		cm.EntryOf[pc] = int32(len(cm.Code))
+		if err := c.lowerOne(bc, emit, cm); err != nil {
 			return nil, fmt.Errorf("jit: %s pc %d (%v): %w", m.Sig(), pc, bc.Op, err)
 		}
 	}
-	start[len(m.Code)] = len(cm.Code)
-
-	// Retain the bytecode<->machine index maps for cross-kind PC
-	// translation (CompiledMethod.TranslatePC).
-	cm.EntryOf = make([]int32, len(start))
-	for pc, idx := range start {
-		cm.EntryOf[pc] = int32(idx)
+	cm.EntryOf[len(m.Code)] = int32(len(cm.Code))
+	// entry translates a bytecode index; the first one outside the body
+	// (the verifier reports one only on a path that takes it) fails the
+	// compile once everything is translated.
+	var bad error
+	entry := func(bcPC int) int {
+		if bcPC < 0 || bcPC > len(m.Code) {
+			if bad == nil {
+				bad = fmt.Errorf("jit: %s: bytecode index %d outside [0,%d]", m.Sig(), bcPC, len(m.Code))
+			}
+			return 0
+		}
+		return int(cm.EntryOf[bcPC])
 	}
+	retarget := func(t *int32) { *t = int32(entry(int(*t))) }
+
 	cm.BCIndex = make([]int32, len(cm.Code))
 	for pc := range m.Code {
-		for i := start[pc]; i < start[pc+1]; i++ {
+		for i := cm.EntryOf[pc]; i < cm.EntryOf[pc+1]; i++ {
 			cm.BCIndex[i] = int32(pc)
 		}
 	}
 
-	for _, f := range fixups {
-		tgt := int32(start[f.bcPC])
-		if f.field == 'A' {
-			cm.Code[f.instr].A = tgt
-		} else {
-			cm.Code[f.instr].B = tgt
+	for i := range cm.Code {
+		switch in := &cm.Code[i]; in.Op {
+		case isa.OpGoto:
+			retarget(&in.A)
+		case isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull,
+			isa.OpTableSwitch, isa.OpLookupSwitch:
+			retarget(&in.B)
 		}
 	}
-	for _, f := range tableFixups {
-		cm.Tables[f.table][f.slot] = int32(start[f.bcPC])
+	for _, tb := range cm.Tables {
+		for slot := range tb {
+			retarget(&tb[slot])
+		}
 	}
 	for _, h := range m.Handlers {
 		classID := -1
@@ -81,11 +79,14 @@ func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
 			classID = h.Type.ID
 		}
 		cm.Handlers = append(cm.Handlers, CompiledHandler{
-			From:    start[h.From],
-			To:      start[h.To],
-			Target:  start[h.Target],
+			From:    entry(h.From),
+			To:      entry(h.To),
+			Target:  entry(h.Target),
 			ClassID: classID,
 		})
+	}
+	if bad != nil {
+		return nil, bad
 	}
 
 	size := uint32(c.costs.MethodPrologueBytes)
@@ -100,10 +101,7 @@ func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
 	return cm, nil
 }
 
-func (c *Compiler) lowerOne(m *classfile.Method, bc *classfile.BC,
-	emit func(isa.Instr) int, branchTo func(int, byte, *classfile.Label),
-	tableFixups *[]tableFixup, cm *CompiledMethod) error {
-
+func (c *Compiler) lowerOne(bc *classfile.BC, emit func(isa.Instr), cm *CompiledMethod) error {
 	pushConst := func(w uint64, ref bool) {
 		in := isa.Instr{Op: isa.OpPushConst, A: int32(uint32(w)), B: int32(uint32(w >> 32))}
 		if ref {
@@ -112,10 +110,10 @@ func (c *Compiler) lowerOne(m *classfile.Method, bc *classfile.BC,
 		emit(in)
 	}
 	simple := func(op isa.Op) { emit(isa.Instr{Op: op}) }
-	condBranch := func(op isa.Op, cond int32, l *classfile.Label) {
-		idx := emit(isa.Instr{Op: op, A: cond})
-		branchTo(idx, 'B', l)
+	condBranch := func(op isa.Op, cond int32) {
+		emit(isa.Instr{Op: op, A: cond, B: bc.Target})
 	}
+	f, callee := bc.Field(), bc.Method()
 	fieldFlags := func(f *classfile.Field) int32 {
 		var fl int32
 		if f.Volatile {
@@ -141,7 +139,7 @@ func (c *Compiler) lowerOne(m *classfile.Method, bc *classfile.BC,
 		if c.InternString == nil {
 			return fmt.Errorf("no string interner registered")
 		}
-		ref, err := c.InternString(bc.S)
+		ref, err := c.InternString(bc.Str())
 		if err != nil {
 			return err
 		}
@@ -289,73 +287,65 @@ func (c *Compiler) lowerOne(m *classfile.Method, bc *classfile.BC,
 		simple(isa.OpI2S)
 
 	case classfile.BCGoto:
-		idx := emit(isa.Instr{Op: isa.OpGoto})
-		branchTo(idx, 'A', bc.Target)
+		emit(isa.Instr{Op: isa.OpGoto, A: bc.Target})
 	case classfile.BCIfEQ:
-		condBranch(isa.OpIf, isa.CondEQ, bc.Target)
+		condBranch(isa.OpIf, isa.CondEQ)
 	case classfile.BCIfNE:
-		condBranch(isa.OpIf, isa.CondNE, bc.Target)
+		condBranch(isa.OpIf, isa.CondNE)
 	case classfile.BCIfLT:
-		condBranch(isa.OpIf, isa.CondLT, bc.Target)
+		condBranch(isa.OpIf, isa.CondLT)
 	case classfile.BCIfGE:
-		condBranch(isa.OpIf, isa.CondGE, bc.Target)
+		condBranch(isa.OpIf, isa.CondGE)
 	case classfile.BCIfGT:
-		condBranch(isa.OpIf, isa.CondGT, bc.Target)
+		condBranch(isa.OpIf, isa.CondGT)
 	case classfile.BCIfLE:
-		condBranch(isa.OpIf, isa.CondLE, bc.Target)
+		condBranch(isa.OpIf, isa.CondLE)
 	case classfile.BCIfICmpEQ:
-		condBranch(isa.OpIfCmpI, isa.CondEQ, bc.Target)
+		condBranch(isa.OpIfCmpI, isa.CondEQ)
 	case classfile.BCIfICmpNE:
-		condBranch(isa.OpIfCmpI, isa.CondNE, bc.Target)
+		condBranch(isa.OpIfCmpI, isa.CondNE)
 	case classfile.BCIfICmpLT:
-		condBranch(isa.OpIfCmpI, isa.CondLT, bc.Target)
+		condBranch(isa.OpIfCmpI, isa.CondLT)
 	case classfile.BCIfICmpGE:
-		condBranch(isa.OpIfCmpI, isa.CondGE, bc.Target)
+		condBranch(isa.OpIfCmpI, isa.CondGE)
 	case classfile.BCIfICmpGT:
-		condBranch(isa.OpIfCmpI, isa.CondGT, bc.Target)
+		condBranch(isa.OpIfCmpI, isa.CondGT)
 	case classfile.BCIfICmpLE:
-		condBranch(isa.OpIfCmpI, isa.CondLE, bc.Target)
+		condBranch(isa.OpIfCmpI, isa.CondLE)
 	case classfile.BCIfACmpEQ:
-		condBranch(isa.OpIfCmpRef, isa.CondEQ, bc.Target)
+		condBranch(isa.OpIfCmpRef, isa.CondEQ)
 	case classfile.BCIfACmpNE:
-		condBranch(isa.OpIfCmpRef, isa.CondNE, bc.Target)
+		condBranch(isa.OpIfCmpRef, isa.CondNE)
 	case classfile.BCIfNull:
-		condBranch(isa.OpIfNull, 0, bc.Target)
+		condBranch(isa.OpIfNull, 0)
 	case classfile.BCIfNonNull:
-		condBranch(isa.OpIfNull, 1, bc.Target)
+		condBranch(isa.OpIfNull, 1)
 
 	case classfile.BCTableSwitch, classfile.BCLookupSwitch:
-		tblIdx := len(cm.Tables)
-		targets := make([]int32, len(bc.Table))
-		cm.Tables = append(cm.Tables, targets)
-		if bc.Op == classfile.BCLookupSwitch {
-			cm.Keys = append(cm.Keys, append([]int32(nil), bc.Keys...))
-		} else {
-			cm.Keys = append(cm.Keys, nil)
-		}
+		sw := bc.Switch()
 		op := isa.OpTableSwitch
+		var keys []int32
 		if bc.Op == classfile.BCLookupSwitch {
 			op = isa.OpLookupSwitch
+			keys = append([]int32(nil), sw.Keys...)
 		}
-		idx := emit(isa.Instr{Op: op, A: bc.A, C: int32(tblIdx)})
-		branchTo(idx, 'B', bc.Target) // default
-		for slot, l := range bc.Table {
-			*tableFixups = append(*tableFixups, tableFixup{table: tblIdx, slot: slot, bcPC: l.PC()})
-		}
+		emit(isa.Instr{Op: op, A: bc.A, B: bc.Target, C: int32(len(cm.Tables))})
+		cm.Tables = append(cm.Tables, append([]int32(nil), sw.Targets...))
+		cm.Keys = append(cm.Keys, keys)
 
 	case classfile.BCGetField:
-		emit(isa.Instr{Op: isa.OpGetField, A: int32(isa.FieldOffset(bc.F.Slot)), B: fieldFlags(bc.F)})
+		emit(isa.Instr{Op: isa.OpGetField, A: int32(isa.FieldOffset(f.Slot)), B: fieldFlags(f)})
 	case classfile.BCPutField:
-		emit(isa.Instr{Op: isa.OpPutField, A: int32(isa.FieldOffset(bc.F.Slot)), B: fieldFlags(bc.F)})
+		emit(isa.Instr{Op: isa.OpPutField, A: int32(isa.FieldOffset(f.Slot)), B: fieldFlags(f)})
 	case classfile.BCGetStatic:
-		emit(isa.Instr{Op: isa.OpGetStatic, A: int32(bc.F.Slot), B: fieldFlags(bc.F)})
+		emit(isa.Instr{Op: isa.OpGetStatic, A: int32(f.Slot), B: fieldFlags(f)})
 	case classfile.BCPutStatic:
-		emit(isa.Instr{Op: isa.OpPutStatic, A: int32(bc.F.Slot), B: fieldFlags(bc.F)})
+		emit(isa.Instr{Op: isa.OpPutStatic, A: int32(f.Slot), B: fieldFlags(f)})
 
 	case classfile.BCNewArray:
 		emit(isa.Instr{Op: isa.OpNewArray, A: int32(bc.Kind)})
 	case classfile.BCANewArray:
-		emit(isa.Instr{Op: isa.OpANewArray, A: int32(bc.C.ID)})
+		emit(isa.Instr{Op: isa.OpANewArray, A: int32(bc.Class().ID)})
 	case classfile.BCALoad:
 		emit(isa.Instr{Op: isa.OpALoad, A: int32(bc.Kind)})
 	case classfile.BCAStore:
@@ -364,25 +354,25 @@ func (c *Compiler) lowerOne(m *classfile.Method, bc *classfile.BC,
 		simple(isa.OpArrayLen)
 
 	case classfile.BCNew:
-		emit(isa.Instr{Op: isa.OpNew, A: int32(bc.C.ID)})
+		emit(isa.Instr{Op: isa.OpNew, A: int32(bc.Class().ID)})
 	case classfile.BCInvokeStatic:
-		emit(isa.Instr{Op: isa.OpCallStatic, A: int32(bc.M.ID)})
+		emit(isa.Instr{Op: isa.OpCallStatic, A: int32(callee.ID)})
 	case classfile.BCInvokeSpecial:
-		emit(isa.Instr{Op: isa.OpCallSpecial, A: int32(bc.M.ID)})
+		emit(isa.Instr{Op: isa.OpCallSpecial, A: int32(callee.ID)})
 	case classfile.BCInvokeVirtual:
-		if bc.M.VSlot < 0 {
-			return fmt.Errorf("virtual call to unslotted %s", bc.M.Sig())
+		if callee.VSlot < 0 {
+			return fmt.Errorf("virtual call to unslotted %s", callee.Sig())
 		}
-		emit(isa.Instr{Op: isa.OpCallVirtual, A: int32(bc.M.VSlot), B: int32(bc.M.Class.ID)})
+		emit(isa.Instr{Op: isa.OpCallVirtual, A: int32(callee.VSlot), B: int32(callee.Class.ID)})
 	case classfile.BCInvokeInterface:
-		if bc.M.IfaceID < 0 {
-			return fmt.Errorf("interface call to %s without IfaceID", bc.M.Sig())
+		if callee.IfaceID < 0 {
+			return fmt.Errorf("interface call to %s without IfaceID", callee.Sig())
 		}
-		emit(isa.Instr{Op: isa.OpCallInterface, A: int32(bc.M.IfaceID)})
+		emit(isa.Instr{Op: isa.OpCallInterface, A: int32(callee.IfaceID)})
 	case classfile.BCInstanceOf:
-		emit(isa.Instr{Op: isa.OpInstanceOf, A: int32(bc.C.ID)})
+		emit(isa.Instr{Op: isa.OpInstanceOf, A: int32(bc.Class().ID)})
 	case classfile.BCCheckCast:
-		emit(isa.Instr{Op: isa.OpCheckCast, A: int32(bc.C.ID)})
+		emit(isa.Instr{Op: isa.OpCheckCast, A: int32(bc.Class().ID)})
 
 	case classfile.BCReturn:
 		emit(isa.Instr{Op: isa.OpReturn, A: 1})

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
@@ -109,10 +110,10 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 	t.Logf("%d methods x 3 kinds x 3 orders: %d pending entries, %d lowered to blocks", len(methods), pending, blocks)
 }
 
-// TestCompileBytesPerInstruction bounds what Compile allocates on top
-// of lowering bytecode to Code when no block is ever probed: the block
-// index is four bytes an instruction, and nothing else may scale with
-// the method (a dense Superblock table was 288).
+// TestCompileBytesPerInstruction bounds what lowering bytecode to Code
+// allocates, and what Compile allocates on top of it when no block is
+// ever probed: the block index is four bytes an instruction, and nothing
+// else may scale with the method (a dense Superblock table was 288).
 func TestCompileBytesPerInstruction(t *testing.T) {
 	methods := workloadMethods(t)
 	allocated := func(f func(*jit.Compiler, *classfile.Method) error) uint64 {
@@ -140,6 +141,12 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 	t.Logf("%d methods, %d instructions: lowering %d B, Compile %d B, %.1f B per instruction on top", len(methods), instrs, lower, compile, per)
 	if per > 16 {
 		t.Errorf("Compile allocates %.1f B per instruction beyond the lowering to Code, want <= 16", per)
+	}
+	// The lowering itself keeps an Instr and two 4-byte index maps
+	// (EntryOf, BCIndex) per instruction, presized — 30 B measured; it
+	// was 82 with Code append-doubled and the maps built twice.
+	if budget := float64(unsafe.Sizeof(isa.Instr{})+8) * 1.25; float64(lower)/float64(instrs) > budget {
+		t.Errorf("lowering allocates %.1f B per instruction, want <= %.0f", float64(lower)/float64(instrs), budget)
 	}
 }
 

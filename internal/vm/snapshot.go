@@ -429,9 +429,9 @@ func (c *capture) root(r Ref) {
 func (c *capture) imageID(v uint64) uint64 { return uint64(c.id[Ref(v)]) }
 
 // addClass folds a class into the closure: its supers, interfaces, and
-// every class its methods' code names (the resolved C/M/F references),
-// recursively. The closure bounds which statics the image carries — the
-// set the rehydrated job could ever read or write.
+// every class its methods' code names (the resolved class, method and
+// field operands), recursively. The closure bounds which statics the
+// image carries — the set the rehydrated job could ever read or write.
 func (c *capture) addClass(cls *classfile.Class) {
 	if cls == nil || c.classSeen[cls] {
 		return
@@ -444,13 +444,13 @@ func (c *capture) addClass(cls *classfile.Class) {
 	}
 	for _, m := range cls.Methods {
 		for i := range m.Code {
-			bc := &m.Code[i]
-			c.addClass(bc.C)
-			if bc.M != nil {
-				c.addClass(bc.M.Class)
-			}
-			if bc.F != nil {
-				c.addClass(bc.F.Class)
+			switch ref := m.Code[i].Operand.(type) {
+			case *classfile.Class:
+				c.addClass(ref)
+			case *classfile.Method:
+				c.addClass(ref.Class)
+			case *classfile.Field:
+				c.addClass(ref.Class)
 			}
 		}
 	}

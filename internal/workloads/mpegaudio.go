@@ -129,10 +129,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 	decode := huff.NewMethod("decode", classfile.FlagStatic, classfile.Int, classfile.Int)
 	{
 		a := decode.Asm()
-		targets := make([]*classfile.Label, 16)
-		for i := range targets {
-			targets[i] = a.NewLabel()
-		}
+		targets := a.NewLabels(16)
 		def := a.NewLabel()
 		a.LoadI(0)
 		a.TableSwitch(0, def, targets...)
