@@ -236,6 +236,11 @@ const (
 // Wait returns alongside a valid Result).
 var ErrDeadlock = core.ErrDeadlock
 
+// ErrBadConfig is what NewSystem (and NewCluster, per shard) wraps for a
+// Config no machine can run; the message names the field. Match it with
+// errors.Is.
+var ErrBadConfig = core.ErrBadConfig
+
 // Core kinds. PPE and SPE are the Cell's pair; VPU is the registered
 // GPU-like wide vector core (cheap FP, brutal branches, SPE-style
 // local store).

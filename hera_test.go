@@ -1,6 +1,7 @@
 package hera_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -120,4 +121,15 @@ func runOnce(sys *hera.System, class, method string) (*hera.Result, error) {
 		return nil, err
 	}
 	return job.Wait()
+}
+
+// TestBadConfigThroughFacade: a Config no machine can run comes back
+// from NewSystem as an error a caller can match, not a panic or a job
+// that never finishes.
+func TestBadConfigThroughFacade(t *testing.T) {
+	cfg := hera.DefaultConfig()
+	cfg.Quantum = 0
+	if _, err := hera.NewSystem(cfg, hera.NewProgram()); !errors.Is(err, hera.ErrBadConfig) {
+		t.Errorf("NewSystem with Quantum 0 = %v, want ErrBadConfig", err)
+	}
 }

@@ -83,19 +83,6 @@ func (c *CodeCache) Config() CodeCacheConfig { return c.cfg }
 // UsedBytes returns the bump-allocated bytes.
 func (c *CodeCache) UsedBytes() uint32 { return c.bump }
 
-// ResidencyClass returns the cache's residency class (see the data
-// cache's Residency* constants). O(1).
-func (c *CodeCache) ResidencyClass() uint8 {
-	switch {
-	case len(c.methods) == 0 && len(c.tibs) == 0:
-		return ResidencyCold
-	case c.bump <= c.cfg.Size/2:
-		return ResidencyWarm
-	default:
-		return ResidencyPressure
-	}
-}
-
 // CachedMethods returns how many methods are resident.
 func (c *CodeCache) CachedMethods() int { return len(c.methods) }
 

@@ -201,38 +201,6 @@ func NewDataCache(cfg DataCacheConfig, core *cell.Core, base uint32) *DataCache 
 // Config returns the cache's configuration.
 func (d *DataCache) Config() DataCacheConfig { return d.cfg }
 
-// Residency classes partition a cache's occupancy into coarse states
-// that executor-level memoization may key on: the executor's superblock
-// fast path asks which class a core's data cache is in before replaying
-// a memoized block, so a block whose cost depends on residency can be
-// cached per class. The query must be O(1) and deterministic — it sits
-// on the per-block hot path.
-const (
-	// ResidencyCold: the cache holds no entries (first touch misses).
-	ResidencyCold uint8 = iota
-	// ResidencyWarm: entries are live and at most half the capacity is
-	// allocated (inserts proceed without eviction pressure).
-	ResidencyWarm
-	// ResidencyPressure: more than half the capacity is allocated
-	// (flush-on-fill is near).
-	ResidencyPressure
-
-	// NumResidencyClasses is the number of residency classes.
-	NumResidencyClasses = int(ResidencyPressure) + 1
-)
-
-// ResidencyClass returns the cache's current residency class. O(1).
-func (d *DataCache) ResidencyClass() uint8 {
-	switch {
-	case d.live == 0:
-		return ResidencyCold
-	case d.bump <= d.cfg.Size/2:
-		return ResidencyWarm
-	default:
-		return ResidencyPressure
-	}
-}
-
 // Entries returns the number of live cache entries (for tests/reports).
 func (d *DataCache) Entries() int { return d.live }
 

@@ -241,6 +241,39 @@ func (bc *BC) Class() *Class { c, _ := bc.Operand.(*Class); return c }
 // Switch returns the jump table of a switch, or nil.
 func (bc *BC) Switch() *Switch { sw, _ := bc.Operand.(*Switch); return sw }
 
+// operandKind names what an opcode's Operand slot holds.
+type operandKind uint8
+
+const (
+	operandNone operandKind = iota
+	operandStr
+	operandField
+	operandMethod
+	operandClass
+	operandSwitch
+)
+
+// operand is the one statement of which opcodes carry a symbolic operand
+// and of what type. Program.Resolve holds every instruction of every
+// body to it (wellFormed), reached or not, so the verifier and the JIT
+// read bc.Field(), bc.Method(), bc.Class() and bc.Switch() of these
+// opcodes without a nil check of their own.
+func (o BCOp) operand() operandKind {
+	switch o {
+	case BCConstStr:
+		return operandStr
+	case BCGetField, BCPutField, BCGetStatic, BCPutStatic:
+		return operandField
+	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
+		return operandMethod
+	case BCNew, BCANewArray, BCInstanceOf, BCCheckCast:
+		return operandClass
+	case BCTableSwitch, BCLookupSwitch:
+		return operandSwitch
+	}
+	return operandNone
+}
+
 // switchTargets returns a switch's table targets (not its default);
 // nil for any other opcode, whatever its operand slot holds.
 func (bc *BC) switchTargets() []int32 {

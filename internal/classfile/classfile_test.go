@@ -290,16 +290,76 @@ func TestAsmLabelMessages(t *testing.T) {
 
 // TestVerifyRejectsOutOfRangeTarget: a hand-assigned body (no assembler
 // checked it) whose branch leaves the method is a verify error naming
-// the target.
+// the target — from the structural pass when it is no index of the body
+// at all, from the verifier when a path takes a branch to the end.
 func TestVerifyRejectsOutOfRangeTarget(t *testing.T) {
 	for _, target := range []int32{-1, 2, 1 << 20} {
 		p := NewProgram()
 		m := p.NewClass("Hand", nil).NewMethod("f", FlagStatic, Void)
 		m.Code = []BC{{Op: BCGoto, Target: target}, {Op: BCReturnVoid}}
-		want := fmt.Sprintf("verify Hand.f()void: branch to pc %d outside [0,2)", target)
+		want := fmt.Sprintf("verify Hand.f()void: pc 0 (goto): target %d outside [0,2]", target)
+		if target == 2 {
+			want = "verify Hand.f()void: branch to pc 2 outside [0,2)"
+		}
 		if err := p.Resolve(); err == nil || err.Error() != want {
 			t.Errorf("target %d: %v, want %q", target, err, want)
 		}
+	}
+}
+
+// TestResolveRejectsMalformedUnreachableCode: the verifier checks what a
+// path reaches and the JIT lowers everything, so Resolve holds every
+// instruction to its opcode's operand and every index to the body —
+// behind a goto as in front of one. Each row passed Resolve before the
+// structural pass and (the operands) crashed jit.lower.
+func TestResolveRejectsMalformedUnreachableCode(t *testing.T) {
+	const sig = "verify Bad.f()void: "
+	for _, tc := range []struct {
+		name string
+		tail func(a *Asm, m *Method) // emitted after a goto over it
+		hand func(m *Method)         // applied to the built body
+		want string
+	}{
+		{"asm new nil", func(a *Asm, _ *Method) { a.New(nil) }, nil, sig + "pc 1 (new): nil class ref"},
+		{"asm anewarray nil", func(a *Asm, _ *Method) { a.ANewArray(nil) }, nil, sig + "pc 1 (anewarray): nil class ref"},
+		{"getfield nil", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCGetField} }, sig + "pc 1 (getfield): nil field ref"},
+		{"invoke nil", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCInvokeStatic, Operand: (*Method)(nil)} },
+			sig + "pc 1 (invokestatic): nil method ref"},
+		{"wrong operand type", func(a *Asm, m *Method) { a.New(m.Class) },
+			func(m *Method) { m.Code[1].Operand = m }, sig + "pc 1 (new): nil class ref"},
+		{"string without one", func(a *Asm, _ *Method) { a.Str("s").Pop() },
+			func(m *Method) { m.Code[1].Operand = nil }, sig + "pc 1 (ldc_str): no string operand"},
+		{"switch without table", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCTableSwitch} }, sig + "pc 1 (tableswitch): nil switch ref"},
+		{"table target", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCTableSwitch, Operand: &Switch{Targets: []int32{0, 9}}} },
+			sig + "pc 1 (tableswitch): table target 9 outside [0,3]"},
+		{"no such opcode", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1].Op = NumBCOps }, sig + fmt.Sprintf("pc 1 (bc%d): unhandled opcode", NumBCOps)},
+		{"handler", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Handlers = []Handler{{From: 0, To: 4, Target: 2}} },
+			sig + "handler 0 [0,4)->2 outside [0,3]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProgram()
+			m := p.NewClass("Bad", nil).NewMethod("f", FlagStatic, Void)
+			a := m.Asm()
+			l := a.NewLabel()
+			a.Goto(l)
+			tc.tail(a, m)
+			a.Bind(l).RetVoid()
+			if err := a.Build(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.hand != nil {
+				tc.hand(m)
+			}
+			if err := p.Resolve(); err == nil || err.Error() != tc.want {
+				t.Errorf("Resolve = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -160,11 +160,25 @@ var fuzzSeeds = []struct {
 		byte(BCReturnVoid), 0, 0, 0,
 	}, ""},
 	// static f()void. 0: return; then a tail nothing reaches: an int add
-	// on an empty stack, a branch out of the body, a nil field.
+	// on an empty stack, a branch out of the body, a nil field. The
+	// verifier never looks at it; the structural pass does (the JIT lowers
+	// it) and stops at the branch.
 	{"unreachable-tail", []byte{
 		0x01, 0x00, 0, 0,
 		byte(BCReturnVoid), 0, 0, 0, byte(BCAddI), 0, 0, 0,
 		byte(BCGoto), 0, 100, 0, byte(BCGetField), 0, 0, 5,
+	}, "pc 2 (goto): target 100 outside [0,4]"},
+	// static f()void. 0: return; 1: new <nil> — what a.Goto(l).New(nil)
+	// leaves behind a branch. It passed Resolve and crashed jit.lower.
+	{"unreachable-nil-operand", []byte{
+		0x01, 0x00, 0, 0,
+		byte(BCReturnVoid), 0, 0, 0, byte(BCNew), 0, 0, 3,
+	}, "pc 1 (new): nil class ref"},
+	// static f()void. 0: return; 1: iadd on an empty stack. Ill-typed
+	// but well-formed, and nothing reaches it: accepted, as before.
+	{"unreachable-ill-typed", []byte{
+		0x01, 0x00, 0, 0,
+		byte(BCReturnVoid), 0, 0, 0, byte(BCAddI), 0, 0, 0,
 	}, ""},
 	// static f()void. 0: getstatic <nil>; 1: return.
 	{"nil-operand", []byte{

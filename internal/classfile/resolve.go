@@ -4,7 +4,8 @@ import "fmt"
 
 // Resolve closes the program: assigns class IDs (supertypes first),
 // instance-field slots, global static slots, vtables, interface tables
-// and global method IDs, then verifies every method body. It must be
+// and global method IDs, then checks every method body — all of it for
+// structure (wellFormed), what a path reaches for types. It must be
 // called exactly once, after all classes are declared and all bodies
 // built, and before the program is handed to the VM.
 func (p *Program) Resolve() error {
@@ -43,6 +44,9 @@ func (p *Program) Resolve() error {
 		}
 		if m.Code == nil {
 			return fmt.Errorf("classfile: %s has no body (Asm not built?)", m.Sig())
+		}
+		if err := wellFormed(m); err != nil {
+			return err
 		}
 		if err := v.run(m); err != nil {
 			return err

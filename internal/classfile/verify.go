@@ -52,17 +52,81 @@ func (v *verifier) kindsAt(bc int) (stack, locals []TypeKind, err error) {
 	return v.stack, v.locals, nil
 }
 
+// wellFormed is the structural pass Resolve runs over every instruction
+// of a body before the verifier, which checks only what a path reaches
+// while the JIT lowers everything: the opcode exists, its operand slot
+// holds what BCOp.operand says (a lookupswitch's keys paired with its
+// targets), and every branch, switch and handler index lies in
+// [0, len(Code)] — the assembler binds labels at the end of a body, and
+// whether control may arrive there is the verifier's question.
+func wellFormed(m *Method) error {
+	n := len(m.Code)
+	inBody := func(i int) bool { return i >= 0 && i <= n }
+	for pc := range m.Code {
+		bc := &m.Code[pc]
+		errf := func(format string, args ...any) error {
+			return fmt.Errorf("verify %s: pc %d (%v): %s", m.Sig(), pc, bc.Op, fmt.Sprintf(format, args...))
+		}
+		if int(bc.Op) >= NumBCOps {
+			return errf("unhandled opcode")
+		}
+		switch bc.Op.operand() {
+		case operandStr:
+			if _, ok := bc.Operand.(string); !ok {
+				return errf("no string operand")
+			}
+		case operandField:
+			if bc.Field() == nil {
+				return errf("nil field ref")
+			}
+		case operandMethod:
+			if bc.Method() == nil {
+				return errf("nil method ref")
+			}
+		case operandClass:
+			if bc.Class() == nil {
+				return errf("nil class ref")
+			}
+		case operandSwitch:
+			sw := bc.Switch()
+			if sw == nil {
+				return errf("nil switch ref")
+			}
+			if bc.Op == BCLookupSwitch && len(sw.Keys) != len(sw.Targets) {
+				return errf("%d keys vs %d targets", len(sw.Keys), len(sw.Targets))
+			}
+		}
+		if !bc.Op.IsBranch() {
+			continue
+		}
+		if !inBody(int(bc.Target)) {
+			return errf("target %d outside [0,%d]", bc.Target, n)
+		}
+		for _, t := range bc.switchTargets() {
+			if !inBody(int(t)) {
+				return errf("table target %d outside [0,%d]", t, n)
+			}
+		}
+	}
+	for i, h := range m.Handlers {
+		if !inBody(h.From) || !inBody(h.To) || !inBody(h.Target) {
+			return fmt.Errorf("verify %s: handler %d [%d,%d)->%d outside [0,%d]",
+				m.Sig(), i, h.From, h.To, h.Target, n)
+		}
+	}
+	return nil
+}
+
 // inState locates a leader's merged in-state in the arena: locals at
 // arena[off : off+MaxLocals], the stack in the depth slots after them.
 // depth is -1 until a path first reaches the leader.
 type inState struct{ off, depth int32 }
 
-// verifier abstractly interprets a method body over the JVM
-// computational types, checking that: every path keeps a consistent
-// operand-stack shape, locals are read at the kind they were written,
-// branch targets are in range, member references are non-nil, and
-// control cannot fall off the end. run leaves the body's MaxStack in
-// maxStack.
+// verifier abstractly interprets a method body that passed wellFormed
+// over the JVM computational types, checking that: every path keeps a
+// consistent operand-stack shape, locals are read at the kind they were
+// written, no path branches to the end of the body, and control cannot
+// fall off it. run leaves the body's MaxStack in maxStack.
 //
 // This is a kind-level verifier (it does not track class hierarchies of
 // references), which is the level the JIT and executor rely on.
@@ -352,8 +416,7 @@ func elemType(k isaElem) TypeKind {
 }
 
 // apply is the instruction's effect on the working state: what it pops,
-// pushes and writes, and that its operand is there. Where control goes
-// next is flow's business.
+// pushes and writes. Where control goes next is flow's business.
 func (v *verifier) apply(pc int, bc *BC) error {
 	switch bc.Op {
 	case BCNop:
@@ -472,30 +535,16 @@ func (v *verifier) apply(pc int, bc *BC) error {
 	case BCIfNull, BCIfNonNull:
 		return v.pop(pc, Ref)
 	case BCTableSwitch, BCLookupSwitch:
-		sw := bc.Switch()
-		if sw == nil {
-			return v.errf(pc, "nil switch ref")
-		}
-		if bc.Op == BCLookupSwitch && len(sw.Keys) != len(sw.Targets) {
-			return v.errf(pc, "%d keys vs %d targets", len(sw.Keys), len(sw.Targets))
-		}
 		return v.pop(pc, Int)
 
-	case BCGetField, BCPutField, BCGetStatic, BCPutStatic:
-		f := bc.Field()
-		if f == nil {
-			return v.errf(pc, "nil field ref")
-		}
-		switch bc.Op {
-		case BCGetField:
-			return v.op(pc, f.Type, Ref)
-		case BCPutField:
-			return v.pops(pc, f.Type, Ref)
-		case BCGetStatic:
-			v.push(f.Type)
-		default:
-			return v.pop(pc, f.Type)
-		}
+	case BCGetField:
+		return v.op(pc, bc.Field().Type, Ref)
+	case BCPutField:
+		return v.pops(pc, bc.Field().Type, Ref)
+	case BCGetStatic:
+		v.push(bc.Field().Type)
+	case BCPutStatic:
+		return v.pop(pc, bc.Field().Type)
 
 	case BCNewArray:
 		return v.op(pc, Ref, Int)
@@ -506,25 +555,16 @@ func (v *verifier) apply(pc int, bc *BC) error {
 	case BCArrayLen:
 		return v.op(pc, Int, Ref)
 
-	case BCNew, BCANewArray, BCInstanceOf, BCCheckCast:
-		if bc.Class() == nil {
-			return v.errf(pc, "nil class ref")
-		}
-		switch bc.Op {
-		case BCNew:
-			v.push(Ref)
-		case BCANewArray:
-			return v.op(pc, Ref, Int)
-		case BCInstanceOf:
-			return v.op(pc, Int, Ref)
-		default:
-			return v.op(pc, Ref, Ref)
-		}
+	case BCNew:
+		v.push(Ref)
+	case BCANewArray:
+		return v.op(pc, Ref, Int)
+	case BCInstanceOf:
+		return v.op(pc, Int, Ref)
+	case BCCheckCast:
+		return v.op(pc, Ref, Ref)
 	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
 		callee := bc.Method()
-		if callee == nil {
-			return v.errf(pc, "nil method ref")
-		}
 		for i := len(callee.Params) - 1; i >= 0; i-- {
 			if err := v.pop(pc, callee.Params[i]); err != nil {
 				return err

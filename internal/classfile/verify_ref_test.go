@@ -25,9 +25,14 @@ func refVerify(m *Method) (*refVerifier, error) {
 
 // checkAgainstReference verifies m both ways and reports any difference:
 // outcome and error text, MaxStack, which pcs are reached and the kinds
-// there, and the new verifier's step bound.
+// there, and the new verifier's step bound. Both see only what Resolve
+// would show them: a body wellFormed turns away (verify.go no longer
+// checks an operand is there; the reference still does) compares nothing.
 func checkAgainstReference(t testing.TB, m *Method) {
 	t.Helper()
+	if wellFormed(m) != nil {
+		return
+	}
 	ref, refErr := refVerify(m)
 	var v verifier
 	err := v.run(m)

@@ -13,7 +13,7 @@ import (
 // dispatcher — the cluster re-probes its in-flight deadline jobs with a
 // capacity-aware completion estimate and moves the worst predicted
 // deadline-misser to a shard predicted to rescue it: the job's thread
-// tree is frozen at a safe point (every thread at a bytecode boundary,
+// tree is frozen at a safe point (every thread between instructions,
 // vm.FreezeJob), carried across as a portable JobImage, and rehydrated
 // on the target. The whole mechanism is a pure function of
 // barrier-synchronized shard state, so replay remains byte-identical,

@@ -26,7 +26,7 @@ var ErrJobDone = vm.ErrJobDone
 var ErrNotFreezable = vm.ErrNotFreezable
 
 // Freeze drives the machine until the job reaches a safe point — every
-// thread parked at a bytecode boundary — then serializes and detaches
+// thread parked between instructions — then serializes and detaches
 // it, returning the portable image. The job's handle stays in the
 // session's list; its Wait returns ErrFrozen. ctx cancellation aborts
 // the freeze cleanly (the job keeps running here). See vm.FreezeJob

@@ -42,6 +42,11 @@ const (
 // to distinguish a dead machine from a per-job trap.
 var ErrDeadlock = vm.ErrDeadlock
 
+// ErrBadConfig is what NewSystem wraps for a Config no machine can run
+// (a zero Quantum, an EIB without channels, a data cache smaller than
+// one cached unit, ...); match it with errors.Is.
+var ErrBadConfig = vm.ErrBadConfig
+
 // JobRequest describes one submission to a booted System.
 type JobRequest struct {
 	// Class and Method name the static entry method.

@@ -43,7 +43,7 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 				continue
 			}
 			b := Superblock{
-				Len: int32(pe - p), Target: int32(pe), ResMask: ResMaskAll,
+				Len: int32(pe - p), Target: int32(pe),
 				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
 				Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
 				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,

@@ -29,25 +29,19 @@ import (
 type CompiledMethod struct {
 	M      *classfile.Method
 	Target isa.CoreKind
-	// Code is the machine instruction sequence.
+	// Code is the machine instruction sequence, one instruction per
+	// bytecode: Code[pc] is M.Code[pc] lowered, on every kind, so a PC
+	// names the same point of the method in every compilation of it —
+	// which is what lets a frame move across kinds (migration) and across
+	// machines (hand-off) with its PC as it stands.
 	Code []isa.Instr
-	// Tables holds switch jump tables (targets as Code indices); Keys
-	// holds lookupswitch key sets, parallel to Tables.
+	// Tables holds switch jump tables and Keys the lookupswitch key sets,
+	// parallel to Tables (nil for a tableswitch); both are the bytecode's
+	// own slices, read-only here as there.
 	Tables [][]int32
 	Keys   [][]int32
-	// Handlers is the exception table with ranges/targets as Code
-	// indexes; ClassID -1 catches everything.
+	// Handlers is the exception table; ClassID -1 catches everything.
 	Handlers []CompiledHandler
-	// BCIndex maps each Code index to the bytecode pc it was lowered
-	// from; EntryOf maps each bytecode pc to the first Code index of
-	// its expansion (plus one trailing entry: EntryOf[len(bytecode)] ==
-	// len(Code)). Together they translate a machine PC that sits on a
-	// bytecode boundary into the equivalent PC of another kind's
-	// compilation of the same method — the state mapping that makes a
-	// mid-method thread migratable across core kinds (backends differ
-	// in instruction selection, so raw machine PCs do not transfer).
-	BCIndex []int32
-	EntryOf []int32
 	// sbIdx says, per instruction index, whether a superblock starts
 	// there: 0 none, negative pending (a block of that many instructions
 	// may start here and is lowered on its first probe), positive i the
@@ -61,32 +55,6 @@ type CompiledMethod struct {
 	// Addr and Size locate the encoded code in simulated main memory.
 	Addr mem.Addr
 	Size uint32
-}
-
-// AtBytecodeBoundary reports whether pc is the first instruction of a
-// bytecode's expansion (or one past the last instruction). Only at
-// these PCs is the frame's state (locals, operand stack) the
-// kind-independent state the bytecode verifier describes, so only at
-// these PCs may a frame be transplanted onto another kind's
-// compilation.
-func (cm *CompiledMethod) AtBytecodeBoundary(pc int) bool {
-	if pc == len(cm.Code) {
-		return true
-	}
-	if pc < 0 || pc > len(cm.Code) {
-		return false
-	}
-	return int(cm.EntryOf[cm.BCIndex[pc]]) == pc
-}
-
-// TranslatePC maps a bytecode-boundary machine PC of this compilation
-// to the equivalent PC in another compilation of the same method. The
-// caller must have seen AtBytecodeBoundary(pc) == true.
-func (cm *CompiledMethod) TranslatePC(pc int, to *CompiledMethod) int {
-	if pc == len(cm.Code) {
-		return len(to.Code)
-	}
-	return int(to.EntryOf[cm.BCIndex[pc]])
 }
 
 // CompiledHandler is one lowered exception-table entry.
@@ -161,8 +129,6 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Branch targets are resolved by lower's fixup pass, so trailing
-	// gotos in superblocks carry final Code indices.
 	cm.sbIdx = discoverSuperblocks(cm.Code)
 	cm.blocks = noBlocks
 	cm.lowering = &c.lowering

@@ -331,74 +331,69 @@ func TestCompileCyclesScaleWithSize(t *testing.T) {
 	}
 }
 
-// TestBytecodeBoundaryMaps verifies the BCIndex/EntryOf maps the
-// cross-kind migration path relies on: every machine instruction knows
-// its source bytecode, every bytecode's first instruction is a
-// boundary, and a boundary PC round-trips between two backends of the
-// same method.
-func TestBytecodeBoundaryMaps(t *testing.T) {
-	ppe, spe, _ := newCompilers(t)
-	_, m := loopMethod(t)
-	pcm, err := ppe.Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scm, err := spe.Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pcm.BCIndex) != len(pcm.Code) {
-		t.Fatalf("BCIndex length %d != code length %d", len(pcm.BCIndex), len(pcm.Code))
-	}
-	if len(pcm.EntryOf) != len(m.Code)+1 || int(pcm.EntryOf[len(m.Code)]) != len(pcm.Code) {
-		t.Fatalf("EntryOf misshaped: %d entries, tail %d (want %d, tail %d)",
-			len(pcm.EntryOf), pcm.EntryOf[len(pcm.EntryOf)-1], len(m.Code)+1, len(pcm.Code))
-	}
-	// BCIndex is monotone and every EntryOf target is a boundary.
-	for i := 1; i < len(pcm.BCIndex); i++ {
-		if pcm.BCIndex[i] < pcm.BCIndex[i-1] {
-			t.Fatalf("BCIndex not monotone at %d: %d < %d", i, pcm.BCIndex[i], pcm.BCIndex[i-1])
+// TestLowerRejectsOutOfRangeTarget: the verifier reports a branch out of
+// the body only on a path that takes it, so a hand-assigned body may
+// carry one — or an opcode without its operand — in code nothing
+// reaches, and the lowering translates every instruction with no check
+// of its own. Resolve's structural pass is what keeps either from ever
+// reaching it.
+func TestLowerRejectsOutOfRangeTarget(t *testing.T) {
+	for _, tail := range []classfile.BC{
+		{Op: classfile.BCGoto, Target: 100},
+		{Op: classfile.BCNew},
+	} {
+		p := classfile.NewProgram()
+		m := p.NewClass("Hand", nil).NewMethod("f", classfile.FlagStatic, classfile.Void)
+		m.Code = []classfile.BC{{Op: classfile.BCReturnVoid}, tail}
+		if err := p.Resolve(); err == nil {
+			t.Errorf("Resolve accepted an unreachable %v; lower would copy the target or dereference the operand", tail.Op)
 		}
-	}
-	boundaries := 0
-	for pc := 0; pc <= len(pcm.Code); pc++ {
-		if !pcm.AtBytecodeBoundary(pc) {
-			continue
-		}
-		boundaries++
-		// A boundary PC maps to the SPE compilation and back unchanged.
-		spc := pcm.TranslatePC(pc, scm)
-		if !scm.AtBytecodeBoundary(spc) {
-			t.Fatalf("translated pc %d -> %d is not a boundary on the SPE", pc, spc)
-		}
-		if back := scm.TranslatePC(spc, pcm); back != pc {
-			t.Fatalf("pc %d -> %d -> %d did not round-trip", pc, spc, back)
-		}
-	}
-	if boundaries < len(m.Code) {
-		t.Errorf("only %d boundaries for %d bytecodes", boundaries, len(m.Code))
-	}
-	if pcm.AtBytecodeBoundary(-1) || pcm.AtBytecodeBoundary(len(pcm.Code)+1) {
-		t.Error("out-of-range PCs must not be boundaries")
 	}
 }
 
-// TestLowerRejectsOutOfRangeTarget: the verifier reports a branch out of
-// the body only on a path that takes it, so a hand-assigned body may
-// carry one in code nothing reaches — and the lowering, which translates
-// every instruction, must answer with an error, not an index panic.
-func TestLowerRejectsOutOfRangeTarget(t *testing.T) {
+// TestEveryOpcodeLowers: an opcode lowerOne has no case for is read from
+// direct, where a missing entry is a silent nop. Every opcode but nop
+// must lower to something else, conditionals with their target.
+func TestEveryOpcodeLowers(t *testing.T) {
 	p := classfile.NewProgram()
-	m := p.NewClass("Hand", nil).NewMethod("f", classfile.FlagStatic, classfile.Void)
-	m.Code = []classfile.BC{
-		{Op: classfile.BCReturnVoid},
-		{Op: classfile.BCGoto, Target: 100},
-	}
+	c := p.NewClass("C", nil)
+	iface := p.NewInterface("I")
+	im := iface.NewMethod("run", classfile.FlagAbstract, classfile.Void)
+	f, sf := c.NewField("f", classfile.Int), c.NewStaticField("s", classfile.Ref)
+	virt := c.NewMethod("v", 0, classfile.Void)
+	virt.Asm().RetVoid().MustBuild()
 	if err := p.Resolve(); err != nil {
 		t.Fatal(err)
 	}
 	ppe, _, _ := newCompilers(t)
-	if _, err := ppe.Compile(m); err == nil || !strings.Contains(err.Error(), "bytecode index 100 outside [0,2]") {
-		t.Errorf("Compile = %v, want an out-of-range error", err)
+	ppe.InternString = func(string) (uint32, error) { return 64, nil }
+	for op := classfile.BCOp(0); op < classfile.NumBCOps; op++ {
+		bc := classfile.BC{Op: op, Target: 7}
+		switch op {
+		case classfile.BCConstStr:
+			bc.Operand = "s"
+		case classfile.BCGetField, classfile.BCPutField:
+			bc.Operand = f
+		case classfile.BCGetStatic, classfile.BCPutStatic:
+			bc.Operand = sf
+		case classfile.BCInvokeInterface:
+			bc.Operand = im
+		case classfile.BCInvokeVirtual, classfile.BCInvokeSpecial, classfile.BCInvokeStatic:
+			bc.Operand = virt
+		case classfile.BCNew, classfile.BCANewArray, classfile.BCInstanceOf, classfile.BCCheckCast:
+			bc.Operand = c
+		case classfile.BCTableSwitch, classfile.BCLookupSwitch:
+			bc.Operand = &classfile.Switch{}
+		}
+		in, err := ppe.lowerOne(&bc)
+		if err != nil {
+			t.Errorf("%v: %v", op, err)
+		}
+		if (in.Op == isa.OpNop) != (op == classfile.BCNop) {
+			t.Errorf("%v lowers to %v", op, in)
+		}
+		if op.IsConditional() && in.B != 7 {
+			t.Errorf("%v lowers to %v, want its target in B", op, in)
+		}
 	}
 }

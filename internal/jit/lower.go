@@ -7,71 +7,37 @@ import (
 	"herajvm/internal/isa"
 )
 
-// lower macro-expands a method's bytecode into machine instructions for
-// the compiler's target, resolving symbolic references (fields to byte
-// offsets, methods to IDs/vtable slots, bytecode indexes to instruction
-// indices) exactly as a baseline JIT resolves constant-pool entries at
-// compile time.
+// lower translates a method's bytecode for the compiler's target one for
+// one: Code[pc] is bytecode pc's instruction on every kind — kinds differ
+// in what an instruction costs and how many bytes it encodes to, not in
+// how many there are (lowerOne's signature cannot emit two). A bytecode
+// index is therefore a Code index as it stands: branch, switch and
+// handler targets are copied, a switch's Tables and Keys entries are the
+// bytecode's own slices (nothing writes either side after Resolve), and a
+// frame's PC means the same on every kind. Symbolic references resolve
+// here — fields to byte offsets, methods to IDs and vtable slots — as a
+// baseline JIT resolves constant-pool entries at compile time. Resolve's
+// structural pass already held every operand and every index to the
+// body (classfile.wellFormed), so nothing is range-checked again.
 func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
-	// Every bytecode lowers to one instruction today, so len(m.Code) is
-	// the exact size; a backend that expands one would grow the slice.
-	cm := &CompiledMethod{
-		M: m, Target: c.target,
-		Code:    make([]isa.Instr, 0, len(m.Code)),
-		EntryOf: make([]int32, len(m.Code)+1),
-	}
-	emit := func(in isa.Instr) {
-		in.Cost = c.costs.OpCost[in.Op]
-		cm.Code = append(cm.Code, in)
-	}
-
-	// Branches are emitted carrying bytecode targets; once EntryOf — the
-	// bytecode<->machine index map kept for cross-kind PC translation
-	// (CompiledMethod.TranslatePC) — is complete they are translated in
-	// place.
+	cm := &CompiledMethod{M: m, Target: c.target, Code: make([]isa.Instr, len(m.Code))}
+	size := uint32(c.costs.MethodPrologueBytes)
 	for pc := range m.Code {
 		bc := &m.Code[pc]
-		cm.EntryOf[pc] = int32(len(cm.Code))
-		if err := c.lowerOne(bc, emit, cm); err != nil {
+		in, err := c.lowerOne(bc)
+		if err != nil {
 			return nil, fmt.Errorf("jit: %s pc %d (%v): %w", m.Sig(), pc, bc.Op, err)
 		}
-	}
-	cm.EntryOf[len(m.Code)] = int32(len(cm.Code))
-	// entry translates a bytecode index; the first one outside the body
-	// (the verifier reports one only on a path that takes it) fails the
-	// compile once everything is translated.
-	var bad error
-	entry := func(bcPC int) int {
-		if bcPC < 0 || bcPC > len(m.Code) {
-			if bad == nil {
-				bad = fmt.Errorf("jit: %s: bytecode index %d outside [0,%d]", m.Sig(), bcPC, len(m.Code))
-			}
-			return 0
+		if in.Op == isa.OpTableSwitch || in.Op == isa.OpLookupSwitch {
+			sw := bc.Switch()
+			in.C = int32(len(cm.Tables))
+			cm.Tables = append(cm.Tables, sw.Targets)
+			cm.Keys = append(cm.Keys, sw.Keys)
+			size += uint32(len(sw.Targets)) * 4
 		}
-		return int(cm.EntryOf[bcPC])
-	}
-	retarget := func(t *int32) { *t = int32(entry(int(*t))) }
-
-	cm.BCIndex = make([]int32, len(cm.Code))
-	for pc := range m.Code {
-		for i := cm.EntryOf[pc]; i < cm.EntryOf[pc+1]; i++ {
-			cm.BCIndex[i] = int32(pc)
-		}
-	}
-
-	for i := range cm.Code {
-		switch in := &cm.Code[i]; in.Op {
-		case isa.OpGoto:
-			retarget(&in.A)
-		case isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull,
-			isa.OpTableSwitch, isa.OpLookupSwitch:
-			retarget(&in.B)
-		}
-	}
-	for _, tb := range cm.Tables {
-		for slot := range tb {
-			retarget(&tb[slot])
-		}
+		in.Cost = c.costs.OpCost[in.Op]
+		size += uint32(c.costs.OpSize[in.Op])
+		cm.Code[pc] = in
 	}
 	for _, h := range m.Handlers {
 		classID := -1
@@ -79,315 +45,174 @@ func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
 			classID = h.Type.ID
 		}
 		cm.Handlers = append(cm.Handlers, CompiledHandler{
-			From:    entry(h.From),
-			To:      entry(h.To),
-			Target:  entry(h.Target),
-			ClassID: classID,
+			From: h.From, To: h.To, Target: h.Target, ClassID: classID,
 		})
 	}
-	if bad != nil {
-		return nil, bad
-	}
-
-	size := uint32(c.costs.MethodPrologueBytes)
-	for _, in := range cm.Code {
-		size += uint32(c.costs.OpSize[in.Op])
-	}
-	for _, tb := range cm.Tables {
-		size += uint32(len(tb)) * 4
-	}
-	size += uint32(len(m.Handlers)) * 16 // exception-table entries
-	cm.Size = size
+	cm.Size = size + uint32(len(m.Handlers))*16 // exception-table entries
 	return cm, nil
 }
 
-func (c *Compiler) lowerOne(bc *classfile.BC, emit func(isa.Instr), cm *CompiledMethod) error {
-	pushConst := func(w uint64, ref bool) {
-		in := isa.Instr{Op: isa.OpPushConst, A: int32(uint32(w)), B: int32(uint32(w >> 32))}
-		if ref {
-			in.C = 1
-		}
-		emit(in)
-	}
-	simple := func(op isa.Op) { emit(isa.Instr{Op: op}) }
-	condBranch := func(op isa.Op, cond int32) {
-		emit(isa.Instr{Op: op, A: cond, B: bc.Target})
-	}
-	f, callee := bc.Field(), bc.Method()
-	fieldFlags := func(f *classfile.Field) int32 {
-		var fl int32
-		if f.Volatile {
-			fl |= isa.FlagVolatile
-		}
-		if f.Type == classfile.Ref {
-			fl |= isa.FlagRef
-		}
-		return fl
-	}
+// direct is the lowering of every bytecode that carries nothing of its
+// own — no immediate, no operand: the entry is the instruction. The
+// sixteen conditional branches are here with their condition in A;
+// lowerOne adds the target.
+var direct = [classfile.NumBCOps]isa.Instr{
+	classfile.BCNop: {Op: isa.OpNop},
 
+	classfile.BCPop: {Op: isa.OpPop}, classfile.BCPop2: {Op: isa.OpPop2},
+	classfile.BCDup: {Op: isa.OpDup}, classfile.BCDupX1: {Op: isa.OpDupX1},
+	classfile.BCDupX2: {Op: isa.OpDupX2}, classfile.BCDup2: {Op: isa.OpDup2},
+	classfile.BCSwap: {Op: isa.OpSwap},
+
+	classfile.BCAddI: {Op: isa.OpAddI}, classfile.BCSubI: {Op: isa.OpSubI},
+	classfile.BCMulI: {Op: isa.OpMulI}, classfile.BCDivI: {Op: isa.OpDivI},
+	classfile.BCRemI: {Op: isa.OpRemI}, classfile.BCNegI: {Op: isa.OpNegI},
+	classfile.BCShlI: {Op: isa.OpShlI}, classfile.BCShrI: {Op: isa.OpShrI},
+	classfile.BCUShrI: {Op: isa.OpUShrI}, classfile.BCAndI: {Op: isa.OpAndI},
+	classfile.BCOrI: {Op: isa.OpOrI}, classfile.BCXorI: {Op: isa.OpXorI},
+
+	classfile.BCAddL: {Op: isa.OpAddL}, classfile.BCSubL: {Op: isa.OpSubL},
+	classfile.BCMulL: {Op: isa.OpMulL}, classfile.BCDivL: {Op: isa.OpDivL},
+	classfile.BCRemL: {Op: isa.OpRemL}, classfile.BCNegL: {Op: isa.OpNegL},
+	classfile.BCShlL: {Op: isa.OpShlL}, classfile.BCShrL: {Op: isa.OpShrL},
+	classfile.BCUShrL: {Op: isa.OpUShrL}, classfile.BCAndL: {Op: isa.OpAndL},
+	classfile.BCOrL: {Op: isa.OpOrL}, classfile.BCXorL: {Op: isa.OpXorL},
+	classfile.BCCmpL: {Op: isa.OpCmpL},
+
+	classfile.BCAddF: {Op: isa.OpAddF}, classfile.BCSubF: {Op: isa.OpSubF},
+	classfile.BCMulF: {Op: isa.OpMulF}, classfile.BCDivF: {Op: isa.OpDivF},
+	classfile.BCRemF: {Op: isa.OpRemF}, classfile.BCNegF: {Op: isa.OpNegF},
+	classfile.BCCmpFL: {Op: isa.OpCmpF, A: -1}, classfile.BCCmpFG: {Op: isa.OpCmpF, A: 1},
+
+	classfile.BCAddD: {Op: isa.OpAddD}, classfile.BCSubD: {Op: isa.OpSubD},
+	classfile.BCMulD: {Op: isa.OpMulD}, classfile.BCDivD: {Op: isa.OpDivD},
+	classfile.BCRemD: {Op: isa.OpRemD}, classfile.BCNegD: {Op: isa.OpNegD},
+	classfile.BCCmpDL: {Op: isa.OpCmpD, A: -1}, classfile.BCCmpDG: {Op: isa.OpCmpD, A: 1},
+
+	classfile.BCI2L: {Op: isa.OpI2L}, classfile.BCI2F: {Op: isa.OpI2F},
+	classfile.BCI2D: {Op: isa.OpI2D}, classfile.BCL2I: {Op: isa.OpL2I},
+	classfile.BCL2F: {Op: isa.OpL2F}, classfile.BCL2D: {Op: isa.OpL2D},
+	classfile.BCF2I: {Op: isa.OpF2I}, classfile.BCF2L: {Op: isa.OpF2L},
+	classfile.BCF2D: {Op: isa.OpF2D}, classfile.BCD2I: {Op: isa.OpD2I},
+	classfile.BCD2L: {Op: isa.OpD2L}, classfile.BCD2F: {Op: isa.OpD2F},
+	classfile.BCI2B: {Op: isa.OpI2B}, classfile.BCI2C: {Op: isa.OpI2C},
+	classfile.BCI2S: {Op: isa.OpI2S},
+
+	classfile.BCIfEQ: {Op: isa.OpIf, A: isa.CondEQ}, classfile.BCIfNE: {Op: isa.OpIf, A: isa.CondNE},
+	classfile.BCIfLT: {Op: isa.OpIf, A: isa.CondLT}, classfile.BCIfGE: {Op: isa.OpIf, A: isa.CondGE},
+	classfile.BCIfGT: {Op: isa.OpIf, A: isa.CondGT}, classfile.BCIfLE: {Op: isa.OpIf, A: isa.CondLE},
+	classfile.BCIfICmpEQ: {Op: isa.OpIfCmpI, A: isa.CondEQ}, classfile.BCIfICmpNE: {Op: isa.OpIfCmpI, A: isa.CondNE},
+	classfile.BCIfICmpLT: {Op: isa.OpIfCmpI, A: isa.CondLT}, classfile.BCIfICmpGE: {Op: isa.OpIfCmpI, A: isa.CondGE},
+	classfile.BCIfICmpGT: {Op: isa.OpIfCmpI, A: isa.CondGT}, classfile.BCIfICmpLE: {Op: isa.OpIfCmpI, A: isa.CondLE},
+	classfile.BCIfACmpEQ: {Op: isa.OpIfCmpRef, A: isa.CondEQ}, classfile.BCIfACmpNE: {Op: isa.OpIfCmpRef, A: isa.CondNE},
+	classfile.BCIfNull: {Op: isa.OpIfNull, A: 0}, classfile.BCIfNonNull: {Op: isa.OpIfNull, A: 1},
+
+	classfile.BCArrayLen: {Op: isa.OpArrayLen},
+	classfile.BCReturn:   {Op: isa.OpReturn, A: 1}, classfile.BCReturnVoid: {Op: isa.OpReturn, A: 0},
+	classfile.BCMonitorEnter: {Op: isa.OpMonitorEnter}, classfile.BCMonitorExit: {Op: isa.OpMonitorExit},
+	classfile.BCThrow: {Op: isa.OpThrow},
+}
+
+func pushConst(w uint64, ref bool) isa.Instr {
+	in := isa.Instr{Op: isa.OpPushConst, A: int32(uint32(w)), B: int32(uint32(w >> 32))}
+	if ref {
+		in.C = 1
+	}
+	return in
+}
+
+// fieldAccess lowers a field bytecode: A is where the field lives (a
+// byte offset in the object, or a global static slot), B how to treat it.
+func fieldAccess(op isa.Op, at int32, f *classfile.Field) isa.Instr {
+	in := isa.Instr{Op: op, A: at}
+	if f.Volatile {
+		in.B |= isa.FlagVolatile
+	}
+	if f.Type == classfile.Ref {
+		in.B |= isa.FlagRef
+	}
+	return in
+}
+
+// lowerOne is one bytecode's instruction, less its cost (and a switch's
+// table index), which lower fills in. The cases are the bytecodes with an
+// immediate or an operand to resolve; everything else is direct's.
+func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
 	switch bc.Op {
-	case classfile.BCNop:
-		simple(isa.OpNop)
-
 	case classfile.BCConstI:
-		pushConst(uint64(uint32(bc.A)), false)
+		return pushConst(uint64(uint32(bc.A)), false), nil
 	case classfile.BCConstL, classfile.BCConstD, classfile.BCConstF:
-		pushConst(bc.W, false)
+		return pushConst(bc.W, false), nil
 	case classfile.BCConstNull:
-		pushConst(0, true)
+		return pushConst(0, true), nil
 	case classfile.BCConstStr:
 		if c.InternString == nil {
-			return fmt.Errorf("no string interner registered")
+			return isa.Instr{}, fmt.Errorf("no string interner registered")
 		}
 		ref, err := c.InternString(bc.Str())
-		if err != nil {
-			return err
-		}
-		pushConst(uint64(ref), true)
+		return pushConst(uint64(ref), true), err
 
 	case classfile.BCLoadI, classfile.BCLoadL, classfile.BCLoadF,
 		classfile.BCLoadD, classfile.BCLoadRef:
-		emit(isa.Instr{Op: isa.OpLoadLocal, A: bc.A})
+		return isa.Instr{Op: isa.OpLoadLocal, A: bc.A}, nil
 	case classfile.BCStoreI, classfile.BCStoreL, classfile.BCStoreF,
 		classfile.BCStoreD, classfile.BCStoreRef:
-		emit(isa.Instr{Op: isa.OpStoreLocal, A: bc.A})
+		return isa.Instr{Op: isa.OpStoreLocal, A: bc.A}, nil
 	case classfile.BCInc:
-		emit(isa.Instr{Op: isa.OpIncLocal, A: bc.A, B: bc.B})
-
-	case classfile.BCPop:
-		simple(isa.OpPop)
-	case classfile.BCPop2:
-		simple(isa.OpPop2)
-	case classfile.BCDup:
-		simple(isa.OpDup)
-	case classfile.BCDupX1:
-		simple(isa.OpDupX1)
-	case classfile.BCDupX2:
-		simple(isa.OpDupX2)
-	case classfile.BCDup2:
-		simple(isa.OpDup2)
-	case classfile.BCSwap:
-		simple(isa.OpSwap)
-
-	case classfile.BCAddI:
-		simple(isa.OpAddI)
-	case classfile.BCSubI:
-		simple(isa.OpSubI)
-	case classfile.BCMulI:
-		simple(isa.OpMulI)
-	case classfile.BCDivI:
-		simple(isa.OpDivI)
-	case classfile.BCRemI:
-		simple(isa.OpRemI)
-	case classfile.BCNegI:
-		simple(isa.OpNegI)
-	case classfile.BCShlI:
-		simple(isa.OpShlI)
-	case classfile.BCShrI:
-		simple(isa.OpShrI)
-	case classfile.BCUShrI:
-		simple(isa.OpUShrI)
-	case classfile.BCAndI:
-		simple(isa.OpAndI)
-	case classfile.BCOrI:
-		simple(isa.OpOrI)
-	case classfile.BCXorI:
-		simple(isa.OpXorI)
-
-	case classfile.BCAddL:
-		simple(isa.OpAddL)
-	case classfile.BCSubL:
-		simple(isa.OpSubL)
-	case classfile.BCMulL:
-		simple(isa.OpMulL)
-	case classfile.BCDivL:
-		simple(isa.OpDivL)
-	case classfile.BCRemL:
-		simple(isa.OpRemL)
-	case classfile.BCNegL:
-		simple(isa.OpNegL)
-	case classfile.BCShlL:
-		simple(isa.OpShlL)
-	case classfile.BCShrL:
-		simple(isa.OpShrL)
-	case classfile.BCUShrL:
-		simple(isa.OpUShrL)
-	case classfile.BCAndL:
-		simple(isa.OpAndL)
-	case classfile.BCOrL:
-		simple(isa.OpOrL)
-	case classfile.BCXorL:
-		simple(isa.OpXorL)
-	case classfile.BCCmpL:
-		simple(isa.OpCmpL)
-
-	case classfile.BCAddF:
-		simple(isa.OpAddF)
-	case classfile.BCSubF:
-		simple(isa.OpSubF)
-	case classfile.BCMulF:
-		simple(isa.OpMulF)
-	case classfile.BCDivF:
-		simple(isa.OpDivF)
-	case classfile.BCRemF:
-		simple(isa.OpRemF)
-	case classfile.BCNegF:
-		simple(isa.OpNegF)
-	case classfile.BCCmpFL:
-		emit(isa.Instr{Op: isa.OpCmpF, A: -1})
-	case classfile.BCCmpFG:
-		emit(isa.Instr{Op: isa.OpCmpF, A: 1})
-
-	case classfile.BCAddD:
-		simple(isa.OpAddD)
-	case classfile.BCSubD:
-		simple(isa.OpSubD)
-	case classfile.BCMulD:
-		simple(isa.OpMulD)
-	case classfile.BCDivD:
-		simple(isa.OpDivD)
-	case classfile.BCRemD:
-		simple(isa.OpRemD)
-	case classfile.BCNegD:
-		simple(isa.OpNegD)
-	case classfile.BCCmpDL:
-		emit(isa.Instr{Op: isa.OpCmpD, A: -1})
-	case classfile.BCCmpDG:
-		emit(isa.Instr{Op: isa.OpCmpD, A: 1})
-
-	case classfile.BCI2L:
-		simple(isa.OpI2L)
-	case classfile.BCI2F:
-		simple(isa.OpI2F)
-	case classfile.BCI2D:
-		simple(isa.OpI2D)
-	case classfile.BCL2I:
-		simple(isa.OpL2I)
-	case classfile.BCL2F:
-		simple(isa.OpL2F)
-	case classfile.BCL2D:
-		simple(isa.OpL2D)
-	case classfile.BCF2I:
-		simple(isa.OpF2I)
-	case classfile.BCF2L:
-		simple(isa.OpF2L)
-	case classfile.BCF2D:
-		simple(isa.OpF2D)
-	case classfile.BCD2I:
-		simple(isa.OpD2I)
-	case classfile.BCD2L:
-		simple(isa.OpD2L)
-	case classfile.BCD2F:
-		simple(isa.OpD2F)
-	case classfile.BCI2B:
-		simple(isa.OpI2B)
-	case classfile.BCI2C:
-		simple(isa.OpI2C)
-	case classfile.BCI2S:
-		simple(isa.OpI2S)
+		return isa.Instr{Op: isa.OpIncLocal, A: bc.A, B: bc.B}, nil
 
 	case classfile.BCGoto:
-		emit(isa.Instr{Op: isa.OpGoto, A: bc.Target})
-	case classfile.BCIfEQ:
-		condBranch(isa.OpIf, isa.CondEQ)
-	case classfile.BCIfNE:
-		condBranch(isa.OpIf, isa.CondNE)
-	case classfile.BCIfLT:
-		condBranch(isa.OpIf, isa.CondLT)
-	case classfile.BCIfGE:
-		condBranch(isa.OpIf, isa.CondGE)
-	case classfile.BCIfGT:
-		condBranch(isa.OpIf, isa.CondGT)
-	case classfile.BCIfLE:
-		condBranch(isa.OpIf, isa.CondLE)
-	case classfile.BCIfICmpEQ:
-		condBranch(isa.OpIfCmpI, isa.CondEQ)
-	case classfile.BCIfICmpNE:
-		condBranch(isa.OpIfCmpI, isa.CondNE)
-	case classfile.BCIfICmpLT:
-		condBranch(isa.OpIfCmpI, isa.CondLT)
-	case classfile.BCIfICmpGE:
-		condBranch(isa.OpIfCmpI, isa.CondGE)
-	case classfile.BCIfICmpGT:
-		condBranch(isa.OpIfCmpI, isa.CondGT)
-	case classfile.BCIfICmpLE:
-		condBranch(isa.OpIfCmpI, isa.CondLE)
-	case classfile.BCIfACmpEQ:
-		condBranch(isa.OpIfCmpRef, isa.CondEQ)
-	case classfile.BCIfACmpNE:
-		condBranch(isa.OpIfCmpRef, isa.CondNE)
-	case classfile.BCIfNull:
-		condBranch(isa.OpIfNull, 0)
-	case classfile.BCIfNonNull:
-		condBranch(isa.OpIfNull, 1)
-
-	case classfile.BCTableSwitch, classfile.BCLookupSwitch:
-		sw := bc.Switch()
-		op := isa.OpTableSwitch
-		var keys []int32
-		if bc.Op == classfile.BCLookupSwitch {
-			op = isa.OpLookupSwitch
-			keys = append([]int32(nil), sw.Keys...)
-		}
-		emit(isa.Instr{Op: op, A: bc.A, B: bc.Target, C: int32(len(cm.Tables))})
-		cm.Tables = append(cm.Tables, append([]int32(nil), sw.Targets...))
-		cm.Keys = append(cm.Keys, keys)
+		return isa.Instr{Op: isa.OpGoto, A: bc.Target}, nil
+	case classfile.BCTableSwitch:
+		return isa.Instr{Op: isa.OpTableSwitch, A: bc.A, B: bc.Target}, nil
+	case classfile.BCLookupSwitch:
+		return isa.Instr{Op: isa.OpLookupSwitch, A: bc.A, B: bc.Target}, nil
 
 	case classfile.BCGetField:
-		emit(isa.Instr{Op: isa.OpGetField, A: int32(isa.FieldOffset(f.Slot)), B: fieldFlags(f)})
+		return fieldAccess(isa.OpGetField, int32(isa.FieldOffset(bc.Field().Slot)), bc.Field()), nil
 	case classfile.BCPutField:
-		emit(isa.Instr{Op: isa.OpPutField, A: int32(isa.FieldOffset(f.Slot)), B: fieldFlags(f)})
+		return fieldAccess(isa.OpPutField, int32(isa.FieldOffset(bc.Field().Slot)), bc.Field()), nil
 	case classfile.BCGetStatic:
-		emit(isa.Instr{Op: isa.OpGetStatic, A: int32(f.Slot), B: fieldFlags(f)})
+		return fieldAccess(isa.OpGetStatic, int32(bc.Field().Slot), bc.Field()), nil
 	case classfile.BCPutStatic:
-		emit(isa.Instr{Op: isa.OpPutStatic, A: int32(f.Slot), B: fieldFlags(f)})
+		return fieldAccess(isa.OpPutStatic, int32(bc.Field().Slot), bc.Field()), nil
 
 	case classfile.BCNewArray:
-		emit(isa.Instr{Op: isa.OpNewArray, A: int32(bc.Kind)})
-	case classfile.BCANewArray:
-		emit(isa.Instr{Op: isa.OpANewArray, A: int32(bc.Class().ID)})
+		return isa.Instr{Op: isa.OpNewArray, A: int32(bc.Kind)}, nil
 	case classfile.BCALoad:
-		emit(isa.Instr{Op: isa.OpALoad, A: int32(bc.Kind)})
+		return isa.Instr{Op: isa.OpALoad, A: int32(bc.Kind)}, nil
 	case classfile.BCAStore:
-		emit(isa.Instr{Op: isa.OpAStore, A: int32(bc.Kind)})
-	case classfile.BCArrayLen:
-		simple(isa.OpArrayLen)
+		return isa.Instr{Op: isa.OpAStore, A: int32(bc.Kind)}, nil
 
+	case classfile.BCANewArray:
+		return isa.Instr{Op: isa.OpANewArray, A: int32(bc.Class().ID)}, nil
 	case classfile.BCNew:
-		emit(isa.Instr{Op: isa.OpNew, A: int32(bc.Class().ID)})
-	case classfile.BCInvokeStatic:
-		emit(isa.Instr{Op: isa.OpCallStatic, A: int32(callee.ID)})
-	case classfile.BCInvokeSpecial:
-		emit(isa.Instr{Op: isa.OpCallSpecial, A: int32(callee.ID)})
-	case classfile.BCInvokeVirtual:
-		if callee.VSlot < 0 {
-			return fmt.Errorf("virtual call to unslotted %s", callee.Sig())
-		}
-		emit(isa.Instr{Op: isa.OpCallVirtual, A: int32(callee.VSlot), B: int32(callee.Class.ID)})
-	case classfile.BCInvokeInterface:
-		if callee.IfaceID < 0 {
-			return fmt.Errorf("interface call to %s without IfaceID", callee.Sig())
-		}
-		emit(isa.Instr{Op: isa.OpCallInterface, A: int32(callee.IfaceID)})
+		return isa.Instr{Op: isa.OpNew, A: int32(bc.Class().ID)}, nil
 	case classfile.BCInstanceOf:
-		emit(isa.Instr{Op: isa.OpInstanceOf, A: int32(bc.Class().ID)})
+		return isa.Instr{Op: isa.OpInstanceOf, A: int32(bc.Class().ID)}, nil
 	case classfile.BCCheckCast:
-		emit(isa.Instr{Op: isa.OpCheckCast, A: int32(bc.Class().ID)})
+		return isa.Instr{Op: isa.OpCheckCast, A: int32(bc.Class().ID)}, nil
 
-	case classfile.BCReturn:
-		emit(isa.Instr{Op: isa.OpReturn, A: 1})
-	case classfile.BCReturnVoid:
-		emit(isa.Instr{Op: isa.OpReturn, A: 0})
-
-	case classfile.BCMonitorEnter:
-		simple(isa.OpMonitorEnter)
-	case classfile.BCMonitorExit:
-		simple(isa.OpMonitorExit)
-	case classfile.BCThrow:
-		simple(isa.OpThrow)
-
-	default:
-		return fmt.Errorf("unhandled bytecode")
+	case classfile.BCInvokeStatic:
+		return isa.Instr{Op: isa.OpCallStatic, A: int32(bc.Method().ID)}, nil
+	case classfile.BCInvokeSpecial:
+		return isa.Instr{Op: isa.OpCallSpecial, A: int32(bc.Method().ID)}, nil
+	case classfile.BCInvokeVirtual:
+		callee := bc.Method()
+		if callee.VSlot < 0 {
+			return isa.Instr{}, fmt.Errorf("virtual call to unslotted %s", callee.Sig())
+		}
+		return isa.Instr{Op: isa.OpCallVirtual, A: int32(callee.VSlot), B: int32(callee.Class.ID)}, nil
+	case classfile.BCInvokeInterface:
+		callee := bc.Method()
+		if callee.IfaceID < 0 {
+			return isa.Instr{}, fmt.Errorf("interface call to %s without IfaceID", callee.Sig())
+		}
+		return isa.Instr{Op: isa.OpCallInterface, A: int32(callee.IfaceID)}, nil
 	}
-	return nil
+	in := direct[bc.Op]
+	if bc.Op.IsConditional() {
+		in.B = bc.Target
+	}
+	return in, nil
 }

@@ -42,11 +42,6 @@ type Superblock struct {
 	ClassCycles [isa.NumClasses]uint64
 	// StackDelta is the block's net operand-stack growth in slots.
 	StackDelta int32
-	// ResMask has bit r set when the block is valid under data-cache
-	// residency class r. Pure blocks touch no cache, so discovery sets
-	// ResMaskAll; the mask is the hook for future residency-dependent
-	// blocks (e.g. memoized hit-cost memory runs).
-	ResMask uint8
 
 	// FirstLen is the instruction count of the block's first pure
 	// segment — the whole block when it absorbs no memory instructions.
@@ -126,11 +121,6 @@ const (
 	EndIfCmpRef = isa.OpIfCmpRef
 	EndIfNull   = isa.OpIfNull
 )
-
-// ResMaskAll marks a block valid under every cache-residency class
-// (must cover cache.NumResidencyClasses bits; an equality test in the
-// vm package pins the two constants together).
-const ResMaskAll uint8 = (1 << 3) - 1
 
 // pureOp reports whether op can always join a superblock: it cannot
 // trap, branch, call, return, or touch heap, caches, monitors, the
@@ -246,8 +236,6 @@ func terminalOp(op isa.Op) bool {
 
 // discoverSuperblocks marks, for every instruction index, whether a
 // superblock may start there, in the encoding of CompiledMethod.sbIdx.
-// It runs after branch-target fixups so trailing gotos carry resolved
-// targets.
 //
 // Within each maximal run [s, e) of pure and absorbable-memory
 // instructions — optionally extended through one terminating goto or
@@ -332,7 +320,7 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 		return nil
 	}
 	b := &Superblock{
-		Len: int32(e - p), Target: int32(pe), ResMask: ResMaskAll,
+		Len: int32(e - p), Target: int32(pe),
 		Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
 		Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
 		Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,

@@ -90,9 +90,6 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		if b.StackDelta != delta {
 			t.Fatalf("pc %d: StackDelta=%d want %d", p, b.StackDelta, delta)
 		}
-		if b.ResMask != ResMaskAll {
-			t.Fatalf("pc %d: ResMask=%#x want %#x", p, b.ResMask, ResMaskAll)
-		}
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 // (local-store kinds) or its hardware-cache model.
 func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 	deadline := core.Now + quantum
-	// The core's data cache is fixed for the whole quantum; fetch it once
-	// for the fast path's residency query (hot: once per superblock).
-	dcache := vm.dcaches[core.Index]
 	for t.State == StateRunning && core.Now < deadline {
 		f := t.top()
 		if f.Marker {
@@ -41,26 +38,24 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 			continue
 		}
 		// Freeze barrier: the job is being quiesced for a hand-off. Park
-		// the thread at this bytecode boundary — Blocked, off the
-		// calendar — instead of spending the quantum; FreezeJob collects
-		// it (or unparkJob re-queues it if the freeze aborts). The check
-		// sits where every boundary passes and no instruction is half
-		// applied; markers were already handled above.
-		if j := t.job; j != nil && j.freezeBarrier && f.CM.AtBytecodeBoundary(f.PC) {
+		// the thread here — Blocked, off the calendar — instead of
+		// spending the quantum; FreezeJob collects it (or unparkJob
+		// re-queues it if the freeze aborts). The check sits between
+		// instructions, where none is half applied; markers were already
+		// handled above.
+		if j := t.job; j.freezeBarrier {
 			t.State = StateBlocked
 			j.parked = append(j.parked, t)
 			return
 		}
-		// Superblock fast path: when a memoized pure block starts here,
+		// Superblock fast path: when a memoized pure block starts here and
 		// fits strictly inside the quantum (every prefix the reference
 		// interpreter would check also fits, so deadline semantics are
-		// unchanged) and is valid for the core's cache-residency class,
-		// apply it in one step. Any divergence falls through to step,
-		// which IS the reference semantics.
+		// unchanged), apply it in one step. Any divergence falls through
+		// to step, which IS the reference semantics.
 		if !vm.sbOff {
-			if b := f.CM.Block(f.PC); b != nil && core.Now+b.Cycles < deadline &&
-				b.ResMask&(1<<residencyOf(dcache)) != 0 {
-				vm.fastForward(core, t, f, b, dcache, deadline)
+			if b := f.CM.Block(f.PC); b != nil && core.Now+b.Cycles < deadline {
+				vm.fastForward(core, t, f, b, deadline)
 				continue
 			}
 		}

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"herajvm/internal/cache"
 	"herajvm/internal/cell"
 	"herajvm/internal/isa"
 	"herajvm/internal/jit"
@@ -9,31 +8,13 @@ import (
 
 // This file is the superblock fast path: execute consults the compiled
 // method's memoized superblocks (jit.Superblock) and, when the whole
-// block provably fits inside the quantum and is valid for the core's
-// current cache-residency class, applies its cost vector in one step
-// and replays its effects from the block's slot-addressed micro-ops.
+// block provably fits inside the quantum, applies its cost vector in one
+// step and replays its effects from the block's slot-addressed micro-ops.
 // The replay must be byte-identical to per-instruction stepping — the
 // Figure-4 golden and the differential tests pin that contract — so it
 // defines no semantics of its own: arithmetic goes through isa.Eval,
 // memory through memAccess and branches through branch, the functions
 // step itself calls. Only the operand plumbing differs.
-
-// residencyOf returns a data cache's residency class: the software
-// cache's O(1) occupancy class on local-store cores, ResidencyCold on
-// hardware-cached cores (nil cache — their hierarchy is not
-// superblock-keyed). The executor hoists the cache fetch out of its
-// quantum loop and calls this per block.
-func residencyOf(dc *cache.DataCache) uint8 {
-	if dc != nil {
-		return dc.ResidencyClass()
-	}
-	return cache.ResidencyCold
-}
-
-// residencyClass is residencyOf for callers holding only the core.
-func (vm *VM) residencyClass(core *cell.Core) uint8 {
-	return residencyOf(vm.dcaches[core.Index])
-}
 
 // fastForward applies one memoized superblock — core clock, per-class
 // cycle counters, retired instructions and the per-method monitor
@@ -42,15 +23,13 @@ func (vm *VM) residencyClass(core *cell.Core) uint8 {
 // local effects replay and the PC lands on the block's target — and
 // then keeps control for as long as it can make progress without the
 // outer dispatch loop: it chains straight into the next block when one
-// starts at the new PC and passes the same guards the executor applies,
+// starts at the new PC and passes the same guard the executor applies,
 // and runs the individual memory instructions *between* blocks (array
 // and field traffic) through stepMem, as step does.
 // Every action in the chain charges, checks the deadline, and mutates
 // state exactly as the reference path would — the fusion sheds only
 // host-level dispatch overhead, never a simulated event.
-func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superblock,
-	dcache *cache.DataCache, deadline uint64) {
-
+func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superblock, deadline uint64) {
 	code := f.CM.Code
 	for {
 		// Cycles/ClassCycles/FirstLen cover the block's first pure
@@ -107,12 +86,9 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 				break chain
 			}
 		}
-		// Chain into the next block only under the executor's own guards
-		// — notably residency, which the memory traffic above may have
-		// changed.
+		// Chain into the next block only under the executor's own guard.
 		nb := f.CM.Block(f.PC)
-		if nb == nil || core.Now+nb.Cycles >= deadline ||
-			nb.ResMask&(1<<residencyOf(dcache)) == 0 {
+		if nb == nil || core.Now+nb.Cycles >= deadline {
 			return
 		}
 		b = nb

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"herajvm/internal/cache"
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
-	"herajvm/internal/jit"
 )
 
 // d2l is the JVM's d2l as the one evaluator defines it; the double
@@ -147,18 +145,6 @@ func fastPathMatchesDisabled(t *testing.T, method string) {
 	}
 	if ffBlocks == 0 || ffInstrs == 0 {
 		t.Errorf("fast run never took the fast path (blocks=%d instrs=%d)", ffBlocks, ffInstrs)
-	}
-}
-
-// TestResidencyMaskCoversAllClasses pins the cross-package constant
-// agreement: jit.ResMaskAll must have exactly one bit per residency
-// class the cache layer defines, or the fast-path validity check
-// silently rejects (or falsely accepts) classes.
-func TestResidencyMaskCoversAllClasses(t *testing.T) {
-	want := uint8(1<<uint(cache.NumResidencyClasses)) - 1
-	if jit.ResMaskAll != want {
-		t.Fatalf("jit.ResMaskAll=%#x want %#x (cache.NumResidencyClasses=%d)",
-			jit.ResMaskAll, want, cache.NumResidencyClasses)
 	}
 }
 

@@ -26,7 +26,7 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 	// the decision entirely — the SPMD plan bound them to their core.
 	desired := core.Kind
 	if !t.pinned {
-		desired = vm.policyFor(t).OnInvoke(vm, t, callee, core.Kind)
+		desired = vm.policyOf(t.job).OnInvoke(vm, t, callee, core.Kind)
 	}
 	if !vm.Machine.HasKind(desired) {
 		desired = vm.serviceKind()

@@ -84,12 +84,12 @@ type Job struct {
 	// kernels counts the job's in-flight kernel launches (callers parked
 	// at an SPMD barrier). A job with kernels > 0 refuses FreezeJob: the
 	// barrier state — pinned workers mid-chunk, a caller blocked in a
-	// native — is not serializable at a bytecode boundary.
+	// native — is not serializable between instructions.
 	kernels int
 	// frozen marks a job serialized off this machine by FreezeJob: it
 	// will never complete here (done stays false), and WaitJob returns
 	// ErrFrozen for it. freezeBarrier asks the executor to park the
-	// job's threads at their next bytecode boundary (the quiesce step
+	// job's threads before their next instruction (the quiesce step
 	// of a freeze); parked collects the threads so parked.
 	frozen        bool
 	freezeBarrier bool
@@ -170,19 +170,14 @@ func (vm *VM) SubmitJob(spec JobSpec) (*Job, error) {
 		deadline = arrival + spec.Deadline
 	}
 
-	pol := spec.Policy
-	if pol == nil {
-		pol = vm.policy
-	}
-	kind := pol.PlaceThread(vm, m)
+	j := &Job{ID: len(vm.jobs), Name: name, AdmittedAt: arrival,
+		Deadline: deadline, policy: spec.Policy}
+	kind := vm.policyOf(j).PlaceThread(vm, m)
 	if !vm.Machine.HasKind(kind) {
 		kind = vm.serviceKind()
 	}
-	verdict := vm.admissionVerdict(kind, arrival, deadline)
-
-	j := &Job{ID: len(vm.jobs), Name: name, AdmittedAt: arrival,
-		Deadline: deadline, Verdict: verdict, policy: spec.Policy}
-	if verdict == VerdictShed {
+	j.Verdict = vm.admissionVerdict(kind, arrival, deadline)
+	if j.Verdict == VerdictShed {
 		// Shed at admission: the job is complete without ever running.
 		// It holds its place in the admission order so interleaved shed
 		// decisions cannot perturb the (arrival, sequence) total order
@@ -248,33 +243,20 @@ func (vm *VM) RunUntil(c cell.Clock) error {
 	return vm.runWhile(func() bool { return vm.Machine.MaxClock() >= c })
 }
 
-// policyFor returns the placement policy governing a thread: its job's
-// override when one was submitted, the VM-wide policy otherwise.
-func (vm *VM) policyFor(t *Thread) Policy {
-	if t != nil && t.job != nil && t.job.policy != nil {
-		return t.job.policy
+// policyOf returns the placement policy governing a job's threads: the
+// override it was submitted with, the VM-wide policy otherwise.
+func (vm *VM) policyOf(j *Job) Policy {
+	if j.policy != nil {
+		return j.policy
 	}
 	return vm.policy
-}
-
-// outFor returns the writer a thread's System.out output goes to: the
-// VM-wide stream plus, for a thread belonging to a job, the job's own
-// capture buffer, so per-job output survives concurrent jobs
-// interleaving on the global stream.
-func (vm *VM) outFor(t *Thread) io.Writer {
-	if t != nil && t.job != nil {
-		return t.job.w
-	}
-	return vm.stdout
 }
 
 // noteMigrated records a cross-kind migration of t (any cause) and
 // starts the thread's re-migration cooldown at the given start time.
 func (vm *VM) noteMigrated(t *Thread, at cell.Clock) {
 	t.Migrations++
-	if t.job != nil {
-		t.job.Stats.Migrations++
-	}
+	t.job.Stats.Migrations++
 	if cd := vm.Cfg.MigrateCooldownCycles; cd != 0 {
 		t.cooldownUntil = at + cd
 	}
@@ -283,17 +265,11 @@ func (vm *VM) noteMigrated(t *Thread, at cell.Clock) {
 // noteStolen records a same-kind steal of t.
 func noteStolen(t *Thread) {
 	t.Steals++
-	if t.job != nil {
-		t.job.Stats.Steals++
-	}
+	t.job.Stats.Steals++
 }
 
 // noteCompile attributes one fresh method compilation to t's job.
-func noteCompile(t *Thread) {
-	if t != nil && t.job != nil {
-		t.job.Stats.Compiles++
-	}
-}
+func noteCompile(t *Thread) { t.job.Stats.Compiles++ }
 
 // firstTrap returns the first trap among threads in creation order.
 func firstTrap(threads []*Thread) error {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,4 +297,46 @@ func TestEqualArrivalOrdering(t *testing.T) {
 			t.Errorf("job %d cycles diverged across identical scripts: %d vs %d", i, a[i], b[i])
 		}
 	}
+}
+
+// TestEveryThreadHasAJob: every way a thread comes to be — a submission's
+// root, a Thread.start child, a kernel worker, a rehydrated tree — leaves
+// it with the job that owns it, listed in that job. The scheduler hooks,
+// the executor's freeze barrier and the output natives read t.job
+// without asking whether it is there.
+func TestEveryThreadHasAJob(t *testing.T) {
+	check := func(name string, v *VM, wantThreads int) {
+		t.Helper()
+		listed := 0
+		for _, j := range v.jobs {
+			listed += len(j.threads)
+		}
+		if len(v.threads) != wantThreads || listed != wantThreads {
+			t.Errorf("%s: %d threads, %d listed in jobs, want %d", name, len(v.threads), listed, wantThreads)
+		}
+		for _, th := range v.threads {
+			if th.job == nil || !slices.Contains(th.job.threads, th) {
+				t.Errorf("%s: %s has job %v, or is not listed in it", name, th, th.job)
+			}
+		}
+	}
+
+	v, _ := runKernelJob(t, kernelTopology(), "KMain", 600)
+	check("kernel launch", v, 1+2) // root + one worker per VPU
+
+	v, _ = runMain(t, testConfig(), buildComputeWorkers(3, 10), "Main", "main")
+	check("Thread.start children", v, 1+3)
+
+	_, _, img, ok := freezeAt(t, 80_000)
+	if !ok {
+		t.Fatal("job completed before the freeze point")
+	}
+	dst, err := New(testConfig(), buildSnapProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.RehydrateJob(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("rehydrated tree", dst, len(img.Threads))
 }

@@ -36,7 +36,6 @@ import (
 type kernelLaunch struct {
 	id        int
 	caller    *Thread
-	job       *Job
 	remaining int
 }
 
@@ -73,14 +72,12 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 		return &TrapError{Kind: "InternalError", Detail: "no cores for kernel launch"}
 	}
 
-	k := &kernelLaunch{id: vm.kernelSeq, caller: c.Thread, job: c.Thread.job,
-		remaining: len(plan.Chunks)}
+	k := &kernelLaunch{id: vm.kernelSeq, caller: c.Thread, remaining: len(plan.Chunks)}
 	vm.kernelSeq++
-	if j := k.job; j != nil {
-		j.kernels++
-		j.Stats.KernelLaunches++
-		j.Stats.KernelWorkers += uint64(len(plan.Chunks))
-	}
+	j := c.Thread.job
+	j.kernels++
+	j.Stats.KernelLaunches++
+	j.Stats.KernelWorkers += uint64(len(plan.Chunks))
 
 	// edgeKernel: the body's input arrays happen-before the workers' reads.
 	vm.release(c.Core, edgeKernel)
@@ -91,7 +88,7 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 			// already spawned run to completion and find remaining > 0
 			// forever — so back the count down to what actually started.
 			k.remaining -= len(plan.Chunks) - chunk.Worker
-			if j := k.job; j != nil && k.remaining == 0 {
+			if k.remaining == 0 {
 				j.kernels--
 			}
 			return &TrapError{Kind: "InternalError", Detail: err.Error()}
@@ -119,12 +116,7 @@ func (vm *VM) spawnKernelWorker(k *kernelLaunch, runM *classfile.Method, body Re
 		return fmt.Errorf("vm: kernel body %s has fewer than 3 locals", runM.Sig())
 	}
 
-	t := vm.newThread(fmt.Sprintf("kernel-%d.%d", k.id, chunk.Worker))
-	t.job = k.job
-	if j := k.job; j != nil {
-		j.live++
-		j.threads = append(j.threads, t)
-	}
+	t := vm.newThread(k.caller.job, fmt.Sprintf("kernel-%d.%d", k.id, chunk.Worker))
 	t.Kind = kind
 	t.CoreID = vm.kindCores[kind][chunk.Worker].ID
 	t.pinned = true
@@ -157,9 +149,7 @@ func (vm *VM) kernelWorkerDone(core *cell.Core, t *Thread) {
 	if k.remaining > 0 {
 		return
 	}
-	if j := k.job; j != nil {
-		j.kernels--
-	}
+	k.caller.job.kernels--
 	if k.caller.State == StateBlocked { // else detached or dead: nothing to wake
 		vm.wake(k.caller, core.Now+vm.Cfg.JoinWakeCycles, edgeKernel)
 	}
@@ -208,7 +198,5 @@ func (vm *VM) stageKernelTiles(core *cell.Core, t *Thread) {
 			staged += n
 		}
 	}
-	if staged > 0 && t.job != nil {
-		t.job.Stats.KernelDMABytes += uint64(staged)
-	}
+	t.job.Stats.KernelDMABytes += uint64(staged)
 }

@@ -31,7 +31,7 @@ func TestMigrateRebindsAcrossKinds(t *testing.T) {
 	}
 	var queued []*Thread
 	for i := 0; i < 4; i++ {
-		th := vm.newThread("w")
+		th := vm.newThread(&Job{}, "w")
 		th.Kind, th.CoreID = isa.SPE, 0
 		vm.enqueue(th)
 		queued = append(queued, th)
@@ -86,7 +86,7 @@ func TestMigrateGateLosesInVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		th := vm.newThread("w")
+		th := vm.newThread(&Job{}, "w")
 		th.Kind, th.CoreID = isa.SPE, 0
 		vm.enqueue(th)
 	}
@@ -263,5 +263,65 @@ func TestMigrateSchedulerEndToEnd(t *testing.T) {
 			t.Errorf("core %d instruction counts differ across migrate runs: %d vs %d",
 				i, instrs1[i], instrs2[i])
 		}
+	}
+}
+
+// TestMigrateMidLoopKeepsPC: a cross-kind migration swaps each frame's
+// compiled method and nothing else of it. A worker stopped between quanta
+// in the middle of its counting loop is moved SPE -> PPE by the scheduler
+// hook itself; every frame must come out on PPE code at the PC it had,
+// and the run must still end in the right sum.
+func TestMigrateMidLoopKeepsPC(t *testing.T) {
+	const workers, iters = 2, 4000
+	cfg := threeKindConfig()
+	cfg.Scheduler = "calendar" // nothing moves a thread but this test
+	vm, err := New(cfg, buildComputeWorkers(workers, iters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := vm.SubmitJob(JobSpec{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var th *Thread
+	for th == nil {
+		if err := vm.RunUntil(vm.Machine.MaxClock() + 10_000); err != nil {
+			t.Fatal(err)
+		}
+		if j.Done() {
+			t.Fatal("the job finished before a worker was caught mid-loop")
+		}
+		for _, w := range j.threads[1:] {
+			if w.State == StateReady && w.Kind == isa.SPE && w.top().PC > 9 {
+				th = w // past the loop's set-up, inside it
+			}
+		}
+	}
+	spe, ppe := vm.Machine.CoreAt(isa.SPE, 0), vm.Machine.CoreAt(isa.PPE, 0)
+	if _, ok := vm.recompileEstimate(th, ppe); !ok {
+		t.Fatal("a ready thread between instructions must be migratable")
+	}
+	var pcs []int
+	for _, f := range th.Frames {
+		pcs = append(pcs, f.PC)
+	}
+	vm.scheduler.Remove(spe, th)
+	if _, ok := vm.onMigrate(th, spe, ppe, spe.Now); !ok {
+		t.Fatal("migration hook vetoed the move")
+	}
+	for i, f := range th.Frames {
+		if f.CM.Target != isa.PPE || f.PC != pcs[i] {
+			t.Errorf("frame %d: on %v code at pc %d, want PPE code at pc %d", i, f.CM.Target, f.PC, pcs[i])
+		}
+	}
+	vm.enqueue(th)
+	if err := vm.WaitJob(j); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int32(uint32(j.Root().Result)), int32(iters*workers*(workers+1)/2); got != want {
+		t.Errorf("sum after a mid-loop migration = %d, want %d", got, want)
+	}
+	if th.Migrations != 1 || th.Kind != isa.PPE {
+		t.Errorf("thread migrated %d times and ended on %v, want once, on the PPE", th.Migrations, th.Kind)
 	}
 }

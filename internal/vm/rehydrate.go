@@ -2,8 +2,8 @@
 // of FreezeJob (snapshot.go): rebuild the heap reachable set with fresh
 // allocations, re-link statics and class locks, reconstruct the thread
 // tree — recompiling every frame's method for the kind the thread lands
-// on and re-entering at EntryOf[BC], exactly the TranslatePC path
-// cross-kind migration uses — and rebuild monitors and join edges.
+// on and re-entering at the recorded PC, as cross-kind migration does —
+// and rebuild monitors and join edges.
 //
 // The walk is staged so a failure cannot leave the machine
 // half-mutated: validate (pure), allocate (objects pinned against GC,
@@ -152,7 +152,7 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 		vm.place(t, kind) // sets Kind/CoreID/needEnsure
 
 		// Rebuild frames, compiling for the landing kind and re-entering
-		// each at its bytecode boundary. Fresh compiles are charged to the
+		// each at its recorded PC. Fresh compiles are charged to the
 		// thread's start, exactly as migration charges them.
 		var compileCycles uint64
 		for _, fr := range it.Frames {
@@ -240,13 +240,14 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 }
 
 // rehydrateFrame rebuilds one activation from its image on a compiled
-// method for the landing kind: PC re-enters at the recorded bytecode
-// boundary, locals and operand stack move untouched (frame state is
-// kind-independent at boundaries; validateImage held both to the
-// method's own shape, so they fit the arrays newFrame sized).
+// method for the landing kind: PC, locals and operand stack move
+// untouched (a bytecode index is the PC on every kind, and frame state
+// between instructions is kind-independent; validateImage held all
+// three to the method's own shape, so they fit the arrays newFrame
+// sized).
 func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 	f := newFrame(cm)
-	f.PC = int(cm.EntryOf[fr.BC])
+	f.PC = int(fr.BC)
 	copy(f.Locals, fr.Locals)
 	copy(f.LocalRefs, fr.LocalRefs)
 	f.SP = copy(f.Stack, fr.Stack)

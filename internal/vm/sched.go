@@ -30,12 +30,17 @@ func (vm *VM) compileFor(kind isa.CoreKind, m *classfile.Method) (*jit.CompiledM
 	return cm, c.CompileCycles(m), nil
 }
 
-// newThread creates a thread without scheduling it.
-func (vm *VM) newThread(name string) *Thread {
-	t := &Thread{ID: vm.nextTID, Name: name}
+// newThread creates a live thread of job without scheduling it. Every
+// thread has a job — an entry thread its submission, a Thread.start
+// child and a kernel worker their parent's — so nothing downstream asks
+// whether t.job is there.
+func (vm *VM) newThread(job *Job, name string) *Thread {
+	t := &Thread{ID: vm.nextTID, Name: name, job: job}
 	vm.nextTID++
 	vm.threads = append(vm.threads, t)
 	vm.liveCount++
+	job.live++
+	job.threads = append(job.threads, t)
 	return t
 }
 
@@ -83,17 +88,10 @@ func (vm *VM) place(t *Thread, kind isa.CoreKind) {
 	}
 }
 
-// StartThread schedules a new Java thread whose first frame invokes
-// entry with the given arguments (receiver first for instance methods).
-// readyAt is the simulated time the thread becomes runnable. The thread
-// belongs to no job; the job API's threads go through startThread.
-func (vm *VM) StartThread(name string, entry *classfile.Method, readyAt cell.Clock,
-	args []uint64, argRefs []bool) (*Thread, error) {
-	return vm.startThread(nil, name, entry, readyAt, args, argRefs)
-}
-
-// startThread is StartThread plus job identity: the thread joins job
-// (nil for none), inherits its placement-policy override, and bills its
+// startThread schedules a new Java thread of job whose first frame
+// invokes entry with the given arguments (receiver first for instance
+// methods); readyAt is the simulated time it becomes runnable. The
+// thread inherits the job's placement-policy override and bills its
 // scheduling events to the job's counters. Everything fallible —
 // placement, the entry compile, the argument check — happens before
 // the thread is registered, so a failed start leaves no ghost live
@@ -101,11 +99,7 @@ func (vm *VM) StartThread(name string, entry *classfile.Method, readyAt cell.Clo
 func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyAt cell.Clock,
 	args []uint64, argRefs []bool) (*Thread, error) {
 
-	pol := vm.policy
-	if job != nil && job.policy != nil {
-		pol = job.policy
-	}
-	kind := pol.PlaceThread(vm, entry)
+	kind := vm.policyOf(job).PlaceThread(vm, entry)
 	if !vm.Machine.HasKind(kind) {
 		kind = vm.serviceKind()
 	}
@@ -118,12 +112,7 @@ func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyA
 		return nil, fmt.Errorf("vm: %d args exceed %d locals of %s", len(args), len(f.Locals), entry.Sig())
 	}
 
-	t := vm.newThread(name)
-	t.job = job
-	if job != nil {
-		job.live++
-		job.threads = append(job.threads, t)
-	}
+	t := vm.newThread(job, name)
 	vm.place(t, kind)
 	if compileCycles > 0 {
 		noteCompile(t)
@@ -354,10 +343,11 @@ func (vm *VM) observedCounters(task sched.Task) *profile.MethodCounters {
 // probe (sched.Options.RecompileCost): whether the thread can execute
 // on the target core's kind right now, and the predicted cycle cost of
 // compiling its frames' methods for that kind. A thread is migratable
-// only when every frame sits at a bytecode boundary — the PCs where
-// frame state is kind-independent and translates across backends — and
-// carries no in-flight runtime state (a deferred migration, an
-// unwinding exception, a suspended native call). The estimate does not
+// when it carries no in-flight runtime state (a deferred migration, an
+// unwinding exception, a suspended native call); its frames need no
+// look — between instructions, which is the only place a queued thread
+// can be, frame state is the kind-independent state the verifier
+// describes, and a PC means the same on every kind. The estimate does not
 // deduplicate repeated methods on the stack, so it slightly
 // overestimates recursive stacks — a conservative error: the gate only
 // gets harder to pass, and the migration itself charges actual
@@ -385,9 +375,6 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 		if f.Marker || f.CM == nil {
 			continue
 		}
-		if !f.CM.AtBytecodeBoundary(f.PC) {
-			return 0, false
-		}
 		if c.Lookup(f.CM.M) == nil {
 			cost += c.CompileCycles(f.CM.M)
 		}
@@ -398,12 +385,12 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 // onMigrate is the scheduler's hook for cost-gated cross-kind
 // migration (sched.Options.OnMigrate): transplant the thread onto the
 // target core's kind. Every non-marker frame is recompiled for the
-// target (lazily — warm methods are free) and its PC translated
-// through the jit's bytecode-boundary maps; frame locals and operand
-// stacks are kind-independent at those PCs, so they move untouched.
-// Fresh compile cycles are charged to the thread's start like a cold
-// code-cache fill, exactly as StartThread charges a new thread's entry
-// compile. The thread moves through handoff, as a steal does. The
+// target (lazily — warm methods are free) and takes the new compilation;
+// its PC, locals and operand stack move untouched — every kind lowers a
+// bytecode to one instruction (jit.lowerOne), so all three mean the same
+// there. Fresh compile cycles are charged to the thread's start like a
+// cold code-cache fill, exactly as startThread charges a new thread's
+// entry compile. The thread moves through handoff, as a steal does. The
 // returned clock only ever moves later than the offered landing time;
 // ok == false vetoes the migration (a compile failure, e.g. a full code
 // region) with no thread or cache state changed — methods compiled
@@ -415,17 +402,12 @@ func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock
 	vm.curJob = t.job // recompiles may intern and allocate: bill GC here
 	// Compile everything first so a late failure cannot leave the
 	// thread half-transplanted.
-	type swap struct {
-		f  *Frame
-		cm *jit.CompiledMethod
-	}
-	var swaps []swap
 	var compileCycles uint64
 	for _, f := range t.Frames {
 		if f.Marker || f.CM == nil {
 			continue
 		}
-		cm, cycles, err := vm.compileFor(to.Kind, f.CM.M)
+		_, cycles, err := vm.compileFor(to.Kind, f.CM.M)
 		if err != nil {
 			return readyAt, false
 		}
@@ -433,12 +415,12 @@ func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock
 			noteCompile(t)
 		}
 		compileCycles += cycles
-		swaps = append(swaps, swap{f, cm})
 	}
 	landing := vm.handoff(t, from, to, readyAt)
-	for _, s := range swaps {
-		s.f.PC = s.f.CM.TranslatePC(s.f.PC, s.cm)
-		s.f.CM = s.cm
+	for _, f := range t.Frames {
+		if !f.Marker && f.CM != nil {
+			f.CM = vm.compilers[to.Kind].Lookup(f.CM.M) // warm since the loop above
+		}
 	}
 	readyAt = landing + compileCycles
 	t.ReadyAt = readyAt
@@ -464,21 +446,20 @@ func (vm *VM) deadlockError() error {
 func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 	vm.release(core, edgeJoin)
 	vm.liveCount--
-	if job := t.job; job != nil {
-		job.live--
-		if job.live == 0 && !job.done {
-			job.done = true
-			job.CompletedAt = core.Now
-			job.DeadlineMet = job.Deadline == 0 || core.Now <= job.Deadline
-			vm.pending--
-			// Feed the admission pipeline's service-time estimator: a
-			// halving EWMA of observed admission-to-completion cycles.
-			measured := uint64(job.CompletedAt - job.AdmittedAt)
-			if vm.jobServiceEWMA == 0 {
-				vm.jobServiceEWMA = measured
-			} else {
-				vm.jobServiceEWMA = (vm.jobServiceEWMA + measured) / 2
-			}
+	job := t.job
+	job.live--
+	if job.live == 0 && !job.done {
+		job.done = true
+		job.CompletedAt = core.Now
+		job.DeadlineMet = job.Deadline == 0 || core.Now <= job.Deadline
+		vm.pending--
+		// Feed the admission pipeline's service-time estimator: a
+		// halving EWMA of observed admission-to-completion cycles.
+		measured := uint64(job.CompletedAt - job.AdmittedAt)
+		if vm.jobServiceEWMA == 0 {
+			vm.jobServiceEWMA = measured
+		} else {
+			vm.jobServiceEWMA = (vm.jobServiceEWMA + measured) / 2
 		}
 	}
 	for _, j := range t.joiners {

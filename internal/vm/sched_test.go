@@ -51,7 +51,7 @@ func TestPickCoreLeastLoadedTieBreak(t *testing.T) {
 		t.Errorf("all-idle pick = SPE%d, want SPE0", got)
 	}
 	// A queued thread on SPE0 makes it heavier than its siblings.
-	busy := vm.newThread("busy")
+	busy := vm.newThread(&Job{}, "busy")
 	busy.Kind, busy.CoreID = isa.SPE, 0
 	vm.enqueue(busy)
 	if got := vm.pickCore(isa.SPE); got != 1 {
@@ -67,10 +67,10 @@ func TestPickCoreLeastLoadedTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := vm2.newThread("first")
+	first := vm2.newThread(&Job{}, "first")
 	vm2.place(first, isa.PPE)
 	vm2.enqueue(first)
-	second := vm2.newThread("second")
+	second := vm2.newThread(&Job{}, "second")
 	vm2.place(second, isa.PPE)
 	if first.CoreID == second.CoreID {
 		t.Errorf("two threads placed on PPE%d; multi-PPE placement should spread", first.CoreID)
@@ -95,7 +95,7 @@ func TestPickCoreVPUPoolOnThreeKindTopology(t *testing.T) {
 	}
 	// A queued thread on VPU0 pushes its drain estimate past its idle
 	// siblings'.
-	busy := vm.newThread("busy")
+	busy := vm.newThread(&Job{}, "busy")
 	busy.Kind, busy.CoreID = isa.VPU, 0
 	vm.enqueue(busy)
 	if got := vm.pickCore(isa.VPU); got != 1 {
@@ -145,7 +145,7 @@ func TestBehaviourCostPrefersVPUForFPHeavy(t *testing.T) {
 	vpu := vm.Machine.CoreAt(isa.VPU, 0)
 
 	mkThread := func(name string, fp, mem, other uint64) *Thread {
-		th := vm.newThread(name)
+		th := vm.newThread(&Job{}, name)
 		ctr := &profile.MethodCounters{}
 		ctr.Cycles[isa.ClassFloat] = fp
 		ctr.Cycles[isa.ClassMainMem] = mem
@@ -182,7 +182,7 @@ func TestBehaviourCostPrefersVPUForFPHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps3hot := ps3.newThread("fp-hot-ps3")
+	ps3hot := ps3.newThread(&Job{}, "fp-hot-ps3")
 	ctr := &profile.MethodCounters{}
 	ctr.Cycles[isa.ClassFloat] = 90_000
 	ctr.Cycles[isa.ClassInt] = 10_000

@@ -1,10 +1,10 @@
 // Job snapshots: freezing a running job into a portable JobImage at a
-// safe point, for inter-shard hand-off. The jit's bytecode-boundary
-// maps (BCIndex/EntryOf/TranslatePC) already make frame state
-// kind-independent at boundaries inside one machine; a snapshot is the
-// same equivalence-point idea lifted across machines — every thread of
-// the job parks at a bytecode boundary, and the job's whole reachable
-// state (thread trees, frames, heap graph, statics, monitors, join
+// safe point, for inter-shard hand-off. Every kind lowers a bytecode to
+// one instruction, so between instructions a frame — PC included — is
+// already kind-independent inside one machine (cross-kind migration
+// swaps only its compiled method); a snapshot is the same equivalence
+// lifted across machines — every thread of the job parks between
+// instructions, and the job's whole reachable state (thread trees, frames, heap graph, statics, monitors, join
 // edges, accounting) is copied into the image as it stands, and one
 // walk of the image then replaces every heap address by a dense image
 // ID. Which slots hold a reference — for the discovery here, for that
@@ -14,11 +14,10 @@
 // The safe-point contract: a job is freezable when every live thread is
 // Ready or Blocked (never mid-quantum), carries no in-flight runtime
 // state (a deferred migration, an unwinding exception, a suspended
-// native call), and every non-marker frame's PC sits at a bytecode
-// boundary. FreezeJob drives the machine toward that point: it raises a
-// per-job freeze barrier that makes the executor park the job's running
-// threads at their next bytecode boundary instead of finishing the
-// quantum, then extracts the job. Freezing is part of the simulated
+// native call). FreezeJob drives the machine toward that point: it
+// raises a per-job freeze barrier that makes the executor park the job's
+// running threads before their next instruction instead of finishing
+// the quantum, then extracts the job. Freezing is part of the simulated
 // schedule — the same freeze request at the same cycle replays byte for
 // byte.
 package vm
@@ -72,9 +71,9 @@ type ImagePolicy struct {
 
 // ImageFrame is one serialized method activation. Non-marker frames
 // name their method portably — class name plus the method's index in
-// Class.Methods — and record the bytecode index (not the machine PC):
-// the target recompiles for its own cores' kinds and re-enters at
-// EntryOf[BC], exactly the TranslatePC path cross-kind migration uses.
+// Class.Methods — and record the bytecode index, which is the frame's PC
+// on every kind: the target recompiles for its own cores' kinds and
+// re-enters there.
 type ImageFrame struct {
 	Marker     bool
 	ReturnKind string // marker frames: the kind to migrate back to
@@ -224,10 +223,9 @@ func decodePolicy(ip ImagePolicy) (Policy, error) {
 }
 
 // jobFreezable reports whether the job sits at a safe point: every live
-// thread parked (Ready or Blocked, never mid-quantum), free of
-// in-flight runtime state, with every non-marker frame at a bytecode
-// boundary. It is evaluated between scheduling rounds, where no thread
-// is Running.
+// thread parked (Ready or Blocked, never mid-quantum) and free of
+// in-flight runtime state. It is evaluated between scheduling rounds,
+// where no thread is Running.
 func (vm *VM) jobFreezable(j *Job) bool {
 	for _, t := range j.threads {
 		if t.State == StateTerminated {
@@ -238,14 +236,6 @@ func (vm *VM) jobFreezable(j *Job) bool {
 		}
 		if t.hasPendingMigrate || t.hasPendingThrow || t.pendingNative != nil {
 			return false
-		}
-		for _, f := range t.Frames {
-			if f.Marker || f.CM == nil {
-				continue
-			}
-			if !f.CM.AtBytecodeBoundary(f.PC) {
-				return false
-			}
 		}
 	}
 	return true
@@ -344,7 +334,7 @@ func kernelInFlightErr(j *Job) error {
 }
 
 // unparkJob aborts an in-progress freeze: threads the executor parked
-// at bytecode boundaries for the freeze barrier re-enter the scheduler
+// for the freeze barrier re-enter the scheduler
 // and the job runs on as if nothing happened.
 func (vm *VM) unparkJob(j *Job) {
 	for _, t := range j.parked {
@@ -689,7 +679,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			it.Frames = append(it.Frames, ImageFrame{
 				Class:     m.Class.Name,
 				Method:    mi,
-				BC:        f.CM.BCIndex[f.PC],
+				BC:        int32(f.PC),
 				Locals:    append([]uint64(nil), f.Locals...),
 				LocalRefs: append([]bool(nil), f.LocalRefs...),
 				Stack:     append([]uint64(nil), f.Stack[:f.SP]...),

@@ -174,12 +174,37 @@ func freezeAt(t testing.TB, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
 			t.Fatal(err)
 		}
 	}
+	// A job already at its safe point is captured as it stands, so each
+	// frame's image BC must be the PC the frame had: a bytecode index is
+	// the PC, on every kind.
+	atSafePoint := src.jobFreezable(j)
+	var pcs []int32
+	for _, th := range j.threads {
+		for _, f := range th.Frames {
+			if !f.Marker {
+				pcs = append(pcs, int32(f.PC))
+			}
+		}
+	}
 	img, err := src.FreezeJob(context.Background(), j)
 	if errors.Is(err, ErrJobDone) {
 		return src, j, nil, false
 	}
 	if err != nil {
 		t.Fatalf("freeze at %d: %v", cycle, err)
+	}
+	if atSafePoint {
+		var bcs []int32
+		for _, it := range img.Threads {
+			for _, fr := range it.Frames {
+				if !fr.Marker {
+					bcs = append(bcs, fr.BC)
+				}
+			}
+		}
+		if !reflect.DeepEqual(bcs, pcs) {
+			t.Errorf("freeze at %d: image records PCs %v, the frames were at %v", cycle, bcs, pcs)
+		}
 	}
 	return src, j, img, true
 }
@@ -194,7 +219,7 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 	if wantRes != snapExpected() {
 		t.Fatalf("control run checksum %d, mirror %d", wantRes, snapExpected())
 	}
-	froze := 0
+	froze, midMethod := 0, 0
 	for _, cycle := range []cell.Clock{0, 30_000, 80_000, 150_000, 300_000, 600_000} {
 		src, srcJob, img, ok := freezeAt(t, cycle)
 		if !ok {
@@ -222,6 +247,22 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d: rehydrate: %v", cycle, err)
 		}
+		// Every frame lands on the kind its thread was placed on, at the PC
+		// the image recorded.
+		for ti, th := range dj.threads {
+			for fi, f := range th.Frames {
+				if f.Marker {
+					continue
+				}
+				if f.CM.Target != th.Kind || int32(f.PC) != img.Threads[ti].Frames[fi].BC {
+					t.Errorf("cycle %d: thread %d frame %d re-entered %v code at pc %d; placed on %v, image pc %d",
+						cycle, ti, fi, f.CM.Target, f.PC, th.Kind, img.Threads[ti].Frames[fi].BC)
+				}
+				if f.PC != 0 {
+					midMethod++
+				}
+			}
+		}
 		if err := dst.WaitJob(dj); err != nil {
 			t.Fatalf("cycle %d: rehydrated job: %v", cycle, err)
 		}
@@ -236,8 +277,8 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 				cycle, dj.AdmittedAt, srcJob.AdmittedAt)
 		}
 	}
-	if froze == 0 {
-		t.Fatal("every freeze point landed after job completion; test exercised nothing")
+	if froze == 0 || midMethod == 0 {
+		t.Fatalf("%d freezes, %d frames re-entered mid-method; test exercised nothing", froze, midMethod)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestStealRebindsThread(t *testing.T) {
 	}
 	var queued []*Thread
 	for i := 0; i < 3; i++ {
-		th := vm.newThread("w")
+		th := vm.newThread(&Job{}, "w")
 		th.Kind, th.CoreID = isa.SPE, 0
 		vm.enqueue(th)
 		queued = append(queued, th)
@@ -73,7 +73,7 @@ func TestStealStaysWithinKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		th := vm.newThread("w")
+		th := vm.newThread(&Job{}, "w")
 		th.Kind, th.CoreID = isa.SPE, 0
 		vm.enqueue(th)
 	}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -138,6 +139,60 @@ func DefaultConfig() Config {
 	}
 }
 
+// ErrBadConfig is New's report — wrapped, naming the field — of a Config
+// no machine can run. Match with errors.Is.
+var ErrBadConfig = errors.New("vm: bad config")
+
+// validate turns away the settings that would otherwise surface as a
+// panic in a constructor (which keep theirs, as internal invariants), as
+// a host panic on the first SPE array access, or as a run that never
+// ends — hostile input gets an error, not a crash or a wedge.
+func (cfg *Config) validate() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrBadConfig, fmt.Sprintf(format, args...))
+	}
+	if cfg.Quantum == 0 {
+		// execute would return without charging a cycle and the thread be
+		// re-queued at the same clock, forever.
+		return bad("Quantum is 0")
+	}
+	if e := cfg.Machine.EIB; e.Channels < 1 || !(e.BytesPerCycle > 0) {
+		return bad("Machine.EIB needs a channel and a positive bandwidth, has %d x %g B/cycle",
+			e.Channels, e.BytesPerCycle)
+	}
+	for _, g := range cfg.Machine.Topology {
+		if !g.Kind.UsesLocalStore() {
+			continue
+		}
+		dc, _ := cfg.cachesOf(g.Kind)
+		if dc.ArrayBlock == 0 || dc.ArrayBlock&(dc.ArrayBlock-1) != 0 {
+			return bad("DataCache.ArrayBlock %d is not a power of two", dc.ArrayBlock)
+		}
+		// The cache fills in units of a whole object up to MaxEntryBytes or
+		// one array block, and must be able to hold one.
+		if unit := max(dc.ArrayBlock, dc.MaxEntryBytes); dc.Size < unit {
+			return bad("%s data cache of %d B cannot hold one %d B unit (DataCache.ArrayBlock, MaxEntryBytes)",
+				g.Kind, dc.Size, unit)
+		}
+	}
+	return nil
+}
+
+// cachesOf returns the software-cache configurations of a local-store
+// kind: the global ones, at the sizes the kind's spec overrides them to
+// — a VPU with a larger scratchpad can carry larger caches than the SPEs.
+func (cfg *Config) cachesOf(k isa.CoreKind) (cache.DataCacheConfig, cache.CodeCacheConfig) {
+	dc, cc := cfg.DataCache, cfg.CodeCache
+	spec := isa.Spec(k)
+	if spec.DataCacheBytes != 0 {
+		dc.Size = spec.DataCacheBytes
+	}
+	if spec.CodeCacheBytes != 0 {
+		cc.Size = spec.CodeCacheBytes
+	}
+	return dc, cc
+}
+
 // classMeta is per-class runtime metadata: where the class's TIB lives
 // in main memory (the SPE code cache DMAs it), the class-lock object
 // used by static synchronized methods, and which of the class's slots
@@ -252,9 +307,8 @@ type VM struct {
 	GCCycles uint64
 	// GCUnattributedCycles is the slice of GCCycles billed to no job:
 	// collections triggered by allocations outside any job context
-	// (boot-time interning, threads started through the bare
-	// StartThread). Per-job JobStats.GCCycles plus this bucket sum to
-	// GCCycles exactly.
+	// (boot-time interning). Per-job JobStats.GCCycles plus this bucket
+	// sum to GCCycles exactly.
 	GCUnattributedCycles uint64
 }
 
@@ -266,6 +320,9 @@ type VM struct {
 // them before declaring application classes) and must NOT be resolved
 // yet: New resolves it after the stdlib check.
 func New(cfg Config, prog *classfile.Program) (*VM, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if !prog.Resolved() {
 		if err := prog.Resolve(); err != nil {
 			return nil, err
@@ -386,23 +443,14 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 
 	// Software caches for every local-store core: data cache at the
 	// bottom of the local store, code cache above it (the rest models
-	// the resident runtime, stacks and the 2 KB TOC, §3.2.2). A kind's
-	// spec may override the global cache sizes — a VPU with a larger
-	// scratchpad can carry larger caches than the SPEs.
+	// the resident runtime, stacks and the 2 KB TOC, §3.2.2).
 	vm.dcaches = make([]*cache.DataCache, machine.NumCores())
 	vm.ccaches = make([]*cache.CodeCache, machine.NumCores())
 	for _, c := range vm.cores {
 		if !c.Kind.UsesLocalStore() {
 			continue
 		}
-		dcCfg, ccCfg := cfg.DataCache, cfg.CodeCache
-		spec := isa.Spec(c.Kind)
-		if spec.DataCacheBytes != 0 {
-			dcCfg.Size = spec.DataCacheBytes
-		}
-		if spec.CodeCacheBytes != 0 {
-			ccCfg.Size = spec.CodeCacheBytes
-		}
+		dcCfg, ccCfg := cfg.cachesOf(c.Kind)
 		need := uint64(dcCfg.Size) + uint64(ccCfg.Size)
 		if need > uint64(len(c.LS)) {
 			return nil, fmt.Errorf("vm: %s caches (%d B) exceed local store (%d B)", c, need, len(c.LS))

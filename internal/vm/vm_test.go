@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
@@ -802,5 +804,51 @@ func TestStringBuilderGrowth(t *testing.T) {
 	_, th := runMain(t, testConfig(), p, "SBG", "main")
 	if got := int32(uint32(th.Result)); got != 100 {
 		t.Errorf("length %d", got)
+	}
+}
+
+// TestNewRejectsBadConfigs: a Config the machine cannot run is an
+// ErrBadConfig from New, not what each row used to be — a constructor's
+// panic (the first three), a host panic on the first SPE array access
+// (a data cache smaller than one unit), or a run that never ends
+// (Quantum 0: no cycle is ever charged). Each row boots and runs under a
+// deadline, so a config that slips through fails the test instead of
+// hanging it.
+func TestNewRejectsBadConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"array block not a power of two", func(c *Config) { c.DataCache.ArrayBlock = 3 }},
+		{"array block 0", func(c *Config) { c.DataCache.ArrayBlock = 0 }},
+		{"EIB without channels", func(c *Config) { c.Machine.EIB.Channels = 0 }},
+		{"EIB without bandwidth", func(c *Config) { c.Machine.EIB.BytesPerCycle = 0 }},
+		{"data cache of 0", func(c *Config) { c.DataCache.Size = 0 }},
+		{"data cache under one unit", func(c *Config) { c.DataCache.Size = 64 }},
+		{"quantum 0", func(c *Config) { c.Quantum = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.set(&cfg)
+			done := make(chan error, 1)
+			go func() {
+				vm, err := New(cfg, buildComputeWorkers(2, 10))
+				if err == nil {
+					_, err = vm.RunMain("Main", "main")
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrBadConfig) {
+					t.Errorf("New = %v, want ErrBadConfig", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("the machine booted and is still running: New accepted a config it cannot run")
+			}
+		})
+	}
+	if _, err := New(testConfig(), buildComputeWorkers(2, 10)); err != nil {
+		t.Errorf("the unmodified config: %v", err)
 	}
 }
