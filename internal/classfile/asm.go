@@ -342,45 +342,46 @@ func (a *Asm) LookupSwitch(def *Label, keys []int32, targets []*Label) *Asm {
 
 // --- fields, arrays, objects ---
 
-// GetField pops a receiver and pushes f's value.
-func (a *Asm) GetField(f *Field) *Asm {
-	if f.Static {
-		a.fail("getfield on static %s", f)
+// field emits a field access. A nil field, or one that is not static
+// the way the instruction needs, fails the body at Build.
+func (a *Asm) field(op BCOp, f *Field, static bool) *Asm {
+	switch {
+	case f == nil:
+		a.fail("%v: nil field", op)
+	case f.Static && !static:
+		a.fail("%v on static %s", op, f)
+	case !f.Static && static:
+		a.fail("%v on instance %s", op, f)
 	}
-	return a.emit(BC{Op: BCGetField, Operand: f})
+	return a.emit(BC{Op: op, Operand: f})
 }
+
+// GetField pops a receiver and pushes f's value.
+func (a *Asm) GetField(f *Field) *Asm { return a.field(BCGetField, f, false) }
 
 // PutField pops a value then a receiver and stores into f.
-func (a *Asm) PutField(f *Field) *Asm {
-	if f.Static {
-		a.fail("putfield on static %s", f)
-	}
-	return a.emit(BC{Op: BCPutField, Operand: f})
-}
+func (a *Asm) PutField(f *Field) *Asm { return a.field(BCPutField, f, false) }
 
 // GetStatic pushes static field f.
-func (a *Asm) GetStatic(f *Field) *Asm {
-	if !f.Static {
-		a.fail("getstatic on instance %s", f)
-	}
-	return a.emit(BC{Op: BCGetStatic, Operand: f})
-}
+func (a *Asm) GetStatic(f *Field) *Asm { return a.field(BCGetStatic, f, true) }
 
 // PutStatic pops into static field f.
-func (a *Asm) PutStatic(f *Field) *Asm {
-	if !f.Static {
-		a.fail("putstatic on instance %s", f)
+func (a *Asm) PutStatic(f *Field) *Asm { return a.field(BCPutStatic, f, true) }
+
+// class emits an instruction naming a class; a nil class fails the body
+// at Build.
+func (a *Asm) class(op BCOp, k isaElem, c *Class) *Asm {
+	if c == nil {
+		a.fail("%v: nil class", op)
 	}
-	return a.emit(BC{Op: BCPutStatic, Operand: f})
+	return a.emit(BC{Op: op, Kind: k, Operand: c})
 }
 
 // NewArray pops a length and pushes a new primitive array.
 func (a *Asm) NewArray(k isaElem) *Asm { return a.emit(BC{Op: BCNewArray, Kind: k}) }
 
 // ANewArray pops a length and pushes a new reference array.
-func (a *Asm) ANewArray(c *Class) *Asm {
-	return a.emit(BC{Op: BCANewArray, Kind: refElem, Operand: c})
-}
+func (a *Asm) ANewArray(c *Class) *Asm { return a.class(BCANewArray, refElem, c) }
 
 // ALoad pops index then array and pushes the element.
 func (a *Asm) ALoad(k isaElem) *Asm { return a.emit(BC{Op: BCALoad, Kind: k}) }
@@ -393,46 +394,44 @@ func (a *Asm) ArrayLen() *Asm { return a.emit(BC{Op: BCArrayLen}) }
 
 // New pushes a new uninitialised instance of c. (Call its constructor
 // with InvokeSpecial afterwards, as javac does.)
-func (a *Asm) New(c *Class) *Asm { return a.emit(BC{Op: BCNew, Operand: c}) }
+func (a *Asm) New(c *Class) *Asm { return a.class(BCNew, 0, c) }
+
+// invoke emits a call. A nil method, or one the instruction cannot
+// dispatch to, fails the body at Build.
+func (a *Asm) invoke(op BCOp, m *Method) *Asm {
+	switch {
+	case m == nil:
+		a.fail("%v: nil method", op)
+	case op == BCInvokeInterface:
+		if !m.Class.IsInterface {
+			a.fail("%v on class method %s", op, m.Sig())
+		}
+	case op == BCInvokeStatic && !m.IsStatic():
+		a.fail("%v on instance %s", op, m.Sig())
+	case op != BCInvokeStatic && m.IsStatic():
+		a.fail("%v on static %s", op, m.Sig())
+	}
+	return a.emit(BC{Op: op, Operand: m})
+}
 
 // InvokeVirtual calls m through the receiver's vtable.
-func (a *Asm) InvokeVirtual(m *Method) *Asm {
-	if m.IsStatic() {
-		a.fail("invokevirtual on static %s", m.Sig())
-	}
-	return a.emit(BC{Op: BCInvokeVirtual, Operand: m})
-}
+func (a *Asm) InvokeVirtual(m *Method) *Asm { return a.invoke(BCInvokeVirtual, m) }
 
 // InvokeSpecial calls m directly (constructors, super calls).
-func (a *Asm) InvokeSpecial(m *Method) *Asm {
-	if m.IsStatic() {
-		a.fail("invokespecial on static %s", m.Sig())
-	}
-	return a.emit(BC{Op: BCInvokeSpecial, Operand: m})
-}
+func (a *Asm) InvokeSpecial(m *Method) *Asm { return a.invoke(BCInvokeSpecial, m) }
 
 // InvokeStatic calls static method m.
-func (a *Asm) InvokeStatic(m *Method) *Asm {
-	if !m.IsStatic() {
-		a.fail("invokestatic on instance %s", m.Sig())
-	}
-	return a.emit(BC{Op: BCInvokeStatic, Operand: m})
-}
+func (a *Asm) InvokeStatic(m *Method) *Asm { return a.invoke(BCInvokeStatic, m) }
 
 // InvokeInterface calls interface method m through the receiver's itable.
-func (a *Asm) InvokeInterface(m *Method) *Asm {
-	if !m.Class.IsInterface {
-		a.fail("invokeinterface on class method %s", m.Sig())
-	}
-	return a.emit(BC{Op: BCInvokeInterface, Operand: m})
-}
+func (a *Asm) InvokeInterface(m *Method) *Asm { return a.invoke(BCInvokeInterface, m) }
 
 // InstanceOf pops a reference and pushes 1 when it is a non-null
 // instance of c.
-func (a *Asm) InstanceOf(c *Class) *Asm { return a.emit(BC{Op: BCInstanceOf, Operand: c}) }
+func (a *Asm) InstanceOf(c *Class) *Asm { return a.class(BCInstanceOf, 0, c) }
 
 // CheckCast traps unless the top reference is null or an instance of c.
-func (a *Asm) CheckCast(c *Class) *Asm { return a.emit(BC{Op: BCCheckCast, Operand: c}) }
+func (a *Asm) CheckCast(c *Class) *Asm { return a.class(BCCheckCast, 0, c) }
 
 // Ret returns the top of stack as the method's value.
 func (a *Asm) Ret() *Asm {

@@ -258,6 +258,47 @@ func TestAsmRejectsBadLabels(t *testing.T) {
 	}
 }
 
+// TestAsmRejectsNilOperands: every emitter that takes a *Field, *Method
+// or *Class fails the body at Build when handed nil, by name, like a nil
+// label. The field and invoke rows dereferenced the operand inside the
+// emitter before this test existed; the class rows passed Build and were
+// refused only by Resolve.
+func TestAsmRejectsNilOperands(t *testing.T) {
+	const sig = "Bad.f()void"
+	for _, tc := range []struct {
+		name string
+		emit func(a *Asm)
+		want string
+	}{
+		{"getfield", func(a *Asm) { a.GetField(nil) }, "getfield: nil field"},
+		{"putfield", func(a *Asm) { a.PutField(nil) }, "putfield: nil field"},
+		{"getstatic", func(a *Asm) { a.GetStatic(nil) }, "getstatic: nil field"},
+		{"putstatic", func(a *Asm) { a.PutStatic(nil) }, "putstatic: nil field"},
+		{"invokevirtual", func(a *Asm) { a.InvokeVirtual(nil) }, "invokevirtual: nil method"},
+		{"invokespecial", func(a *Asm) { a.InvokeSpecial(nil) }, "invokespecial: nil method"},
+		{"invokestatic", func(a *Asm) { a.InvokeStatic(nil) }, "invokestatic: nil method"},
+		{"invokeinterface", func(a *Asm) { a.InvokeInterface(nil) }, "invokeinterface: nil method"},
+		{"new", func(a *Asm) { a.New(nil) }, "new: nil class"},
+		{"anewarray", func(a *Asm) { a.ANewArray(nil) }, "anewarray: nil class"},
+		{"instanceof", func(a *Asm) { a.InstanceOf(nil) }, "instanceof: nil class"},
+		{"checkcast", func(a *Asm) { a.CheckCast(nil) }, "checkcast: nil class"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProgram()
+			a := p.NewClass("Bad", nil).NewMethod("f", FlagStatic, Void).Asm()
+			tc.emit(a)
+			a.RetVoid()
+			err := a.Build()
+			if err == nil {
+				t.Fatalf("Build accepted it (Resolve: %v)", p.Resolve())
+			}
+			if want := "asm " + sig + ": " + tc.want; err.Error() != want {
+				t.Errorf("Build error %q, want %q", err, want)
+			}
+		})
+	}
+}
+
 // TestAsmLabelMessages pins the three label errors that predate the
 // fix-up list, byte for byte.
 func TestAsmLabelMessages(t *testing.T) {
@@ -320,8 +361,11 @@ func TestResolveRejectsMalformedUnreachableCode(t *testing.T) {
 		hand func(m *Method)         // applied to the built body
 		want string
 	}{
-		{"asm new nil", func(a *Asm, _ *Method) { a.New(nil) }, nil, sig + "pc 1 (new): nil class ref"},
-		{"asm anewarray nil", func(a *Asm, _ *Method) { a.ANewArray(nil) }, nil, sig + "pc 1 (anewarray): nil class ref"},
+		{"new nil", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCNew, Operand: (*Class)(nil)} }, sig + "pc 1 (new): nil class ref"},
+		{"anewarray nil", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCANewArray, Kind: refElem, Operand: (*Class)(nil)} },
+			sig + "pc 1 (anewarray): nil class ref"},
 		{"getfield nil", func(a *Asm, _ *Method) { a.ConstI(0) },
 			func(m *Method) { m.Code[1] = BC{Op: BCGetField} }, sig + "pc 1 (getfield): nil field ref"},
 		{"invoke nil", func(a *Asm, _ *Method) { a.ConstI(0) },

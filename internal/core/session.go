@@ -99,7 +99,6 @@ func (s *System) Submit(req JobRequest) (*Job, Verdict, error) {
 		Class:    req.Class,
 		Method:   req.Method,
 		Args:     args,
-		ArgRefs:  make([]bool, len(args)),
 		Arrival:  req.Arrival,
 		Deadline: req.Deadline,
 		Policy:   req.Policy,

@@ -154,7 +154,7 @@ const (
 	// --- Heap access (ClassLocalMem / ClassMainMem, charged dynamically) ---
 
 	// OpGetField pops a reference and pushes field at byte offset A.
-	// B carries FlagVolatile / FlagRef / width bits (see field flags).
+	// B carries FlagVolatile (see field flags).
 	OpGetField
 	// OpPutField pops value then reference, stores at byte offset A.
 	OpPutField
@@ -217,9 +217,6 @@ const (
 	// before a volatile read and flushes dirty data before a volatile
 	// write, per the paper's coherence protocol.
 	FlagVolatile int32 = 1 << iota
-	// FlagRef marks the accessed slot as holding a reference (used by the
-	// executor to maintain precise GC reference maps).
-	FlagRef
 )
 
 // ElemKind identifies a primitive or reference array element type and its

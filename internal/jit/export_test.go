@@ -45,9 +45,8 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 			b := Superblock{
 				Len: int32(pe - p), Target: int32(pe),
 				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
-				Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
+				Micro: mb.Micro, MaxDepth: mb.MaxDepth,
 				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
-				BLFlags: mb.BLFlags, BSFlags: mb.BSFlags,
 			}
 			for q := p; q < pe; q++ {
 				b.StackDelta += stackDeltaOf(code[q].Op)

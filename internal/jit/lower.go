@@ -113,12 +113,8 @@ var direct = [classfile.NumBCOps]isa.Instr{
 	classfile.BCThrow: {Op: isa.OpThrow},
 }
 
-func pushConst(w uint64, ref bool) isa.Instr {
-	in := isa.Instr{Op: isa.OpPushConst, A: int32(uint32(w)), B: int32(uint32(w >> 32))}
-	if ref {
-		in.C = 1
-	}
-	return in
+func pushConst(w uint64) isa.Instr {
+	return isa.Instr{Op: isa.OpPushConst, A: int32(uint32(w)), B: int32(uint32(w >> 32))}
 }
 
 // fieldAccess lowers a field bytecode: A is where the field lives (a
@@ -127,9 +123,6 @@ func fieldAccess(op isa.Op, at int32, f *classfile.Field) isa.Instr {
 	in := isa.Instr{Op: op, A: at}
 	if f.Volatile {
 		in.B |= isa.FlagVolatile
-	}
-	if f.Type == classfile.Ref {
-		in.B |= isa.FlagRef
 	}
 	return in
 }
@@ -140,17 +133,17 @@ func fieldAccess(op isa.Op, at int32, f *classfile.Field) isa.Instr {
 func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
 	switch bc.Op {
 	case classfile.BCConstI:
-		return pushConst(uint64(uint32(bc.A)), false), nil
+		return pushConst(uint64(uint32(bc.A))), nil
 	case classfile.BCConstL, classfile.BCConstD, classfile.BCConstF:
-		return pushConst(bc.W, false), nil
+		return pushConst(bc.W), nil
 	case classfile.BCConstNull:
-		return pushConst(0, true), nil
+		return pushConst(0), nil
 	case classfile.BCConstStr:
 		if c.InternString == nil {
 			return isa.Instr{}, fmt.Errorf("no string interner registered")
 		}
 		ref, err := c.InternString(bc.Str())
-		return pushConst(uint64(ref), true), err
+		return pushConst(uint64(ref)), err
 
 	case classfile.BCLoadI, classfile.BCLoadL, classfile.BCLoadF,
 		classfile.BCLoadD, classfile.BCLoadRef:

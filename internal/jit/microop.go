@@ -2,7 +2,6 @@ package jit
 
 import (
 	"math"
-	"slices"
 
 	"herajvm/internal/isa"
 )
@@ -19,11 +18,10 @@ import (
 // single micro-op `local c <- local a * local b`.
 //
 // The replay contract is byte-identity with the reference interpreter:
-// after a block replays, frame state (locals, operand stack and both
-// reference maps up to the final SP) must equal what per-instruction
-// stepping produces. Patterns the lowering cannot prove equivalent —
-// consuming operands the block did not push, Swap/DupX reordering of
-// symbolic values, more than a handful of deferred flag writes — make
+// after a block replays, frame state (locals and operand stack up to
+// the final SP) must equal what per-instruction stepping produces.
+// Patterns the lowering cannot prove equivalent — consuming operands
+// the block did not push, Swap/DupX reordering of symbolic values — make
 // compileMicro report ok=false; discovery then emits no block at that
 // index and the interpreter steps those instructions, so correctness
 // never depends on lowering success.
@@ -46,9 +44,9 @@ import (
 // instruction's stack operands in push order in A, B and — for the
 // three-operand array store only — D, which is a source there; an
 // operand the op lacks is MicroImm), and then charges the following
-// pure segment. Loads write their result (value and reference flag) at
-// D, always a stack slot: the result must sit at its stepped stack
-// position in case the replay hands back at the next instruction.
+// pure segment. Loads write their result at D, always a stack slot: the
+// result must sit at its stepped stack position in case the replay hands
+// back at the next instruction.
 type MicroOp struct {
 	Code isa.Op
 	D    int32
@@ -66,22 +64,6 @@ const (
 // MicroImm marks an operand that reads MicroOp.Imm.
 const MicroImm int32 = math.MinInt32
 
-// FlagWrite is one deferred reference-map update applied after a
-// block's value micro-ops. Src 0 writes false, 1 writes true, and
-// j+2 copies the block-entry value of LocalRefs[j] (all sources are
-// resolved before any write lands, so entry values are well-defined
-// even when a write targets a source local).
-type FlagWrite struct {
-	// Idx is a local index (local-flag list) or an entry-SP-relative
-	// stack slot (stack-flag list).
-	Idx int32
-	Src int32
-}
-
-// maxFlagWrites bounds each deferred flag list so the replayer can
-// resolve sources into a fixed-size buffer without allocating.
-const maxFlagWrites = 8
-
 // Symbolic value kinds tracked on the compile-time stack.
 const (
 	symImm   uint8 = iota // a constant; value in sym.imm
@@ -93,7 +75,6 @@ type sym struct {
 	kind uint8
 	idx  int32 // local index (symLocal) or stack slot (symSlot)
 	imm  uint64
-	flag int32 // reference flag as a FlagWrite source
 }
 
 // microCompiler lowers one block at a time into buffers it keeps
@@ -117,23 +98,20 @@ type sym struct {
 // stack discipline pops the copy first — so slot q still holds the
 // value whenever the shadow mat replays.
 type microCompiler struct {
-	micro     []MicroOp
-	vstack    []sym
-	localFlag []FlagWrite // locals written by the block -> flag source, by Idx
-	sflags    []FlagWrite // the epilogue's stack-flag writes
-	maxDepth  int32
-	ok        bool
+	micro    []MicroOp
+	vstack   []sym
+	maxDepth int32
+	ok       bool
 
 	// Memory-absorption state: the per-boundary metadata, the pure
-	// segment after each boundary, shadow materialisations and flag
-	// snapshots for abort/trap exits, and the running accumulator for
-	// the current pure segment. noSink bars result-sinking across a
-	// memory micro-op (its result must land at its stack position: a
-	// quantum expiry right after it resumes before any StoreLocal).
+	// segment after each boundary, shadow materialisations for
+	// abort/trap exits, and the running accumulator for the current pure
+	// segment. noSink bars result-sinking across a memory micro-op (its
+	// result must land at its stack position: a quantum expiry right
+	// after it resumes before any StoreLocal).
 	bounds   []MemBound
 	segs     []Seg
 	mats     []MicroOp
-	blf, bsf []FlagWrite
 	segLen   int32
 	segCyc   uint64
 	segCls   [isa.NumClasses]uint64
@@ -147,15 +125,11 @@ type microCompiler struct {
 // the segment cost structure discovery copies onto the Superblock.
 type microBlock struct {
 	Micro    []MicroOp
-	LFlags   []FlagWrite
-	SFlags   []FlagWrite
 	MaxDepth int32
 
-	Bounds  []MemBound
-	Segs    []Seg
-	Mats    []MicroOp
-	BLFlags []FlagWrite
-	BSFlags []FlagWrite
+	Bounds []MemBound
+	Segs   []Seg
+	Mats   []MicroOp
 
 	// The first pure segment's instruction count and static cost
 	// vector (the whole block when Bounds is empty).
@@ -186,32 +160,6 @@ func (c *microCompiler) pop() sym {
 	return v
 }
 
-// flagOfLocal is the compile-time reference flag of local i: the
-// block's own last store to it, or its block-entry value.
-func (c *microCompiler) flagOfLocal(i int32) int32 {
-	if at, ok := c.findLocalFlag(i); ok {
-		return c.localFlag[at].Src
-	}
-	return i + 2
-}
-
-func (c *microCompiler) findLocalFlag(i int32) (int, bool) {
-	return slices.BinarySearchFunc(c.localFlag, i, func(w FlagWrite, i int32) int {
-		return int(w.Idx - i)
-	})
-}
-
-// setLocalFlag records the flag source of the block's latest store to
-// local i, keeping localFlag ordered by local index — the order the
-// flag snapshots and the epilogue list it in.
-func (c *microCompiler) setLocalFlag(i, src int32) {
-	at, ok := c.findLocalFlag(i)
-	if !ok {
-		c.localFlag = slices.Insert(c.localFlag, at, FlagWrite{Idx: i})
-	}
-	c.localFlag[at].Src = src
-}
-
 // matLocal materialises every live symbolic reference to local i into
 // its own stack slot; it must run before any micro-op writes local i,
 // because those symbols denote the local's pre-write value.
@@ -220,7 +168,7 @@ func (c *microCompiler) matLocal(i int32) {
 		v := &c.vstack[p]
 		if v.kind == symLocal && v.idx == i {
 			c.micro = append(c.micro, MicroOp{Code: MMov, D: int32(p), A: -(i + 1)})
-			*v = sym{kind: symSlot, idx: int32(p), flag: v.flag}
+			*v = sym{kind: symSlot, idx: int32(p)}
 		}
 	}
 }
@@ -252,7 +200,7 @@ func (c *microCompiler) materialise(v sym, at int32) sym {
 			c.micro = append(c.micro, MicroOp{Code: MMov, D: at, A: v.idx})
 		}
 	}
-	return sym{kind: symSlot, idx: at, flag: v.flag}
+	return sym{kind: symSlot, idx: at}
 }
 
 // arith lowers a one- or two-operand arithmetic op (n is its
@@ -333,7 +281,6 @@ func (c *microCompiler) storeLocal(i int32) {
 			c.micro = append(c.micro, MicroOp{Code: MMov, D: -(i + 1), A: v.idx})
 		}
 	}
-	c.setLocalFlag(i, v.flag)
 }
 
 // closeSeg ends the current pure segment at a memory boundary: the
@@ -351,10 +298,9 @@ func (c *microCompiler) closeSeg() {
 
 // memBoundary lowers one absorbable memory instruction at block-
 // relative index rel. It closes the current pure segment, records the
-// shadow materialisations and flag snapshots an abort or trap needs to
-// rebuild exact stepped state, and emits the memory micro-op with
-// symbolic operands (the happy path never round-trips them through
-// their stack slots).
+// shadow materialisations an abort or trap needs to rebuild exact
+// stepped state, and emits the memory micro-op with symbolic operands
+// (the happy path never round-trips them through their stack slots).
 func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	npops, loads := in.Op.MemShape()
 	if len(c.vstack) < npops {
@@ -400,23 +346,6 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 		matOpLo = int32(len(c.mats))
 	}
 	matHi := int32(len(c.mats))
-	// Flag snapshots: stack positions below the instruction's SP and
-	// the locals written so far. Sources resolve against entry-state
-	// LocalRefs at apply time, which still holds at any boundary —
-	// local flag writes are deferred to the block's final epilogue.
-	sfLo := int32(len(c.bsf))
-	for i, v := range c.vstack {
-		c.bsf = append(c.bsf, FlagWrite{Idx: int32(i), Src: v.flag})
-	}
-	sfHi := int32(len(c.bsf))
-	lfLo := int32(len(c.blf))
-	c.blf = append(c.blf, c.localFlag...)
-	lfHi := int32(len(c.blf))
-	if sfHi-sfLo > maxFlagWrites || lfHi-lfLo > maxFlagWrites {
-		c.fail()
-		return
-	}
-
 	var ops [3]sym
 	for i := npops - 1; i >= 0; i-- {
 		ops[i] = c.pop()
@@ -443,18 +372,7 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	npush := 0
 	if loads {
 		npush = 1
-		flag := int32(0)
-		switch in.Op {
-		case isa.OpALoad:
-			if isa.ElemKind(in.A) == isa.ElemRef {
-				flag = 1
-			}
-		case isa.OpGetField, isa.OpGetStatic:
-			if in.B&isa.FlagRef != 0 {
-				flag = 1
-			}
-		}
-		c.push(sym{kind: symSlot, idx: int32(opStart), flag: flag})
+		c.push(sym{kind: symSlot, idx: int32(opStart)})
 	}
 
 	c.closeSeg()
@@ -463,7 +381,6 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 		Kind: in.A, Flags: in.B,
 		SPAtOp: int32(opStart + npops), SPTrap: int32(opStart), SPAfter: int32(opStart + npush),
 		MatLo: matLo, MatOpLo: matOpLo, MatHi: matHi,
-		LfLo: lfLo, LfHi: lfHi, SfLo: sfLo, SfHi: sfHi,
 	})
 }
 
@@ -476,9 +393,7 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 	*c = microCompiler{
 		micro: c.micro[:0], vstack: c.vstack[:0],
-		localFlag: c.localFlag[:0], sflags: c.sflags[:0],
 		bounds: c.bounds[:0], segs: c.segs[:0], mats: c.mats[:0],
-		blf: c.blf[:0], bsf: c.bsf[:0],
 		ok: true,
 	}
 	for idx, in := range code {
@@ -496,15 +411,9 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 		case isa.OpNop, isa.OpGoto:
 
 		case isa.OpPushConst:
-			flag := int32(0)
-			if in.C == 1 {
-				flag = 1
-			}
-			c.push(sym{kind: symImm,
-				imm:  uint64(uint32(in.A)) | uint64(uint32(in.B))<<32,
-				flag: flag})
+			c.push(sym{kind: symImm, imm: uint64(uint32(in.A)) | uint64(uint32(in.B))<<32})
 		case isa.OpLoadLocal:
-			c.push(sym{kind: symLocal, idx: in.A, flag: c.flagOfLocal(in.A)})
+			c.push(sym{kind: symLocal, idx: in.A})
 		case isa.OpStoreLocal:
 			c.storeLocal(in.A)
 		case isa.OpIncLocal:
@@ -513,8 +422,6 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 				Code: isa.OpAddI, D: -(in.A + 1), A: -(in.A + 1),
 				B: MicroImm, Imm: uint64(uint32(in.B)),
 			})
-			// IncLocal leaves the local's reference flag untouched, so
-			// localFlag is deliberately not updated.
 		case isa.OpPop:
 			c.pop()
 		case isa.OpPop2:
@@ -570,25 +477,17 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 	// Epilogue: materialise surviving symbolic stack values into their
 	// positions (processing upward — a non-identity copy only ever reads
 	// a slot whose position holds it identically, per the compiler
-	// invariant) and collect the deferred reference-flag writes.
-	for p := range c.vstack {
-		v := c.vstack[p]
+	// invariant).
+	for p, v := range c.vstack {
 		if v.kind != symSlot || v.idx != int32(p) {
-			c.vstack[p] = c.materialise(v, int32(p))
+			c.materialise(v, int32(p))
 		}
-		c.sflags = append(c.sflags, FlagWrite{Idx: int32(p), Src: v.flag})
 	}
-	if len(c.localFlag) > maxFlagWrites || len(c.sflags) > maxFlagWrites {
-		return microBlock{}, false
-	}
-	// The block keeps exact-size copies: one array for the two micro-op
-	// lists, one for the four flag lists.
+	// The block keeps exact-size copies, the two micro-op lists in one
+	// array.
 	ops := make([]MicroOp, len(c.micro)+len(c.mats))
-	flags := make([]FlagWrite, len(c.localFlag)+len(c.sflags)+len(c.blf)+len(c.bsf))
 	return microBlock{
 		Micro: carve(&ops, c.micro), Mats: carve(&ops, c.mats),
-		LFlags: carve(&flags, c.localFlag), SFlags: carve(&flags, c.sflags),
-		BLFlags: carve(&flags, c.blf), BSFlags: carve(&flags, c.bsf),
 		Bounds: append([]MemBound(nil), c.bounds...), Segs: append([]Seg(nil), c.segs...),
 		MaxDepth: c.maxDepth,
 		FirstLen: c.firstLen, FirstCycles: c.firstCyc, FirstClass: c.firstCls,

@@ -51,24 +51,19 @@ type Superblock struct {
 	// that follows it (Segs) as the replay crosses it.
 	FirstLen int32
 
-	// Micro is the block lowered to slot-addressed micro-ops, LFlags and
-	// SFlags the deferred reference-flag writes that follow them, and
-	// MaxDepth the operand-stack depth the replay needs above entry SP.
+	// Micro is the block lowered to slot-addressed micro-ops and MaxDepth
+	// the operand-stack depth the replay needs above entry SP.
 	Micro    []MicroOp
-	LFlags   []FlagWrite
-	SFlags   []FlagWrite
 	MaxDepth int32
 
-	// Bounds/Segs/Mats/BLFlags/BSFlags describe the block's absorbed
-	// memory instructions: per-boundary metadata, the pure segment after
-	// each boundary, and the shadow materialisations plus flag snapshots
-	// that rebuild exact stepped frame state when the replay must hand
-	// back to the dispatcher mid-block (quantum expiry or a trap).
-	Bounds  []MemBound
-	Segs    []Seg
-	Mats    []MicroOp
-	BLFlags []FlagWrite
-	BSFlags []FlagWrite
+	// Bounds/Segs/Mats describe the block's absorbed memory
+	// instructions: per-boundary metadata, the pure segment after each
+	// boundary, and the shadow materialisations that rebuild exact
+	// stepped frame state when the replay must hand back to the
+	// dispatcher mid-block (quantum expiry or a trap).
+	Bounds []MemBound
+	Segs   []Seg
+	Mats   []MicroOp
 }
 
 // Seg is the pure segment following one absorbed memory instruction:
@@ -84,8 +79,8 @@ type Seg struct {
 // instruction. The replay charges the instruction's static cost from
 // here, reads its operand descriptors from the paired micro-op, and on
 // any early exit (deadline, trap) uses the recorded materialisation
-// and flag-snapshot ranges to restore the exact frame state
-// per-instruction stepping would show at that point.
+// range to restore the exact frame state per-instruction stepping would
+// show at that point.
 type MemBound struct {
 	// RelIdx is the instruction's Code index relative to the block
 	// entry; Cost/Class its static charge.
@@ -93,7 +88,7 @@ type MemBound struct {
 	Cost   uint32
 	Class  isa.OpClass
 	// Kind/Flags carry the instruction's A/B operands (element kind or
-	// field slot, and the volatile/ref flag bits).
+	// field slot, and the volatile flag bit).
 	Kind  int32
 	Flags int32
 	// Stack depths relative to the block's entry SP: at the instruction
@@ -103,10 +98,8 @@ type MemBound struct {
 	// Mats ranges: [MatLo, MatOpLo) materialises the live values below
 	// the operands (enough for a resume at the *next* instruction);
 	// [MatOpLo, MatHi) adds the operands themselves (a resume at this
-	// instruction). Lf/Sf ranges are the matching local/stack
-	// reference-flag snapshots in BLFlags/BSFlags.
-	MatLo, MatOpLo, MatHi  int32
-	LfLo, LfHi, SfLo, SfHi int32
+	// instruction).
+	MatLo, MatOpLo, MatHi int32
 }
 
 // End kinds. EndFall (the zero value) covers plain fallthrough and the
@@ -322,9 +315,8 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 	b := &Superblock{
 		Len: int32(e - p), Target: int32(pe),
 		Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
-		Micro: mb.Micro, LFlags: mb.LFlags, SFlags: mb.SFlags, MaxDepth: mb.MaxDepth,
+		Micro: mb.Micro, MaxDepth: mb.MaxDepth,
 		Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
-		BLFlags: mb.BLFlags, BSFlags: mb.BSFlags,
 	}
 	for _, in := range code[p:e] {
 		b.StackDelta += stackDeltaOf(in.Op)

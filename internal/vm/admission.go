@@ -72,10 +72,9 @@ type JobSpec struct {
 	// Class and Method name the static entry method.
 	Class  string
 	Method string
-	// Args are the entry method's arguments; ArgRefs marks which are
-	// references (nil = none are).
-	Args    []uint64
-	ArgRefs []bool
+	// Args are the entry method's arguments, at the kinds its signature
+	// declares.
+	Args []uint64
 	// Arrival is the cycle the job's root thread becomes runnable,
 	// floored at the machine's current clock.
 	Arrival cell.Clock

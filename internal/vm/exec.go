@@ -32,7 +32,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 			t.recycle(t.popFrame())
 			f = t.top()
 			if t.pendingHasVal {
-				f.push(t.pendingVal, t.pendingIsRef)
+				f.push(t.pendingVal)
 			}
 			t.pendingHasVal = false
 			continue
@@ -149,8 +149,8 @@ func (vm *VM) branch(core *cell.Core, f *Frame, op isa.Op, cond, target int32, a
 	}
 }
 
-func (f *Frame) popI() int32 { v, _ := f.pop(); return int32(uint32(v)) }
-func (f *Frame) popRef() Ref { v, _ := f.pop(); return Ref(v) }
+func (f *Frame) popI() int32 { return int32(uint32(f.pop())) }
+func (f *Frame) popRef() Ref { return Ref(f.pop()) }
 
 // chargeVec is chargeDyn for a superblock segment's per-class vector.
 func (f *Frame) chargeVec(v *[isa.NumClasses]uint64) {
@@ -172,51 +172,40 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 	case isa.OpNop:
 
 	case isa.OpPushConst:
-		f.push(uint64(uint32(in.A))|uint64(uint32(in.B))<<32, in.C == 1)
+		f.push(uint64(uint32(in.A)) | uint64(uint32(in.B))<<32)
 	case isa.OpLoadLocal:
-		f.push(f.Locals[in.A], f.LocalRefs[in.A])
+		f.push(f.Locals[in.A])
 	case isa.OpStoreLocal:
-		v, r := f.pop()
-		f.Locals[in.A] = v
-		f.LocalRefs[in.A] = r
+		f.Locals[in.A] = f.pop()
 	case isa.OpPop:
 		f.pop()
 	case isa.OpPop2:
 		f.pop()
 		f.pop()
 	case isa.OpDup:
-		v, r := f.pop()
-		f.push(v, r)
-		f.push(v, r)
+		f.push(f.Stack[f.SP-1])
 	case isa.OpDupX1:
-		a, ar := f.pop()
-		b, br := f.pop()
-		f.push(a, ar)
-		f.push(b, br)
-		f.push(a, ar)
+		a, b := f.pop(), f.pop()
+		f.push(a)
+		f.push(b)
+		f.push(a)
 	case isa.OpDupX2:
-		a, ar := f.pop()
-		b, br := f.pop()
-		c, cr := f.pop()
-		f.push(a, ar)
-		f.push(c, cr)
-		f.push(b, br)
-		f.push(a, ar)
+		a, b, c := f.pop(), f.pop(), f.pop()
+		f.push(a)
+		f.push(c)
+		f.push(b)
+		f.push(a)
 	case isa.OpDup2:
-		a, ar := f.pop()
-		b, br := f.pop()
-		f.push(b, br)
-		f.push(a, ar)
-		f.push(b, br)
-		f.push(a, ar)
+		a, b := f.pop(), f.pop()
+		f.push(b)
+		f.push(a)
+		f.push(b)
+		f.push(a)
 	case isa.OpSwap:
-		a, ar := f.pop()
-		b, br := f.pop()
-		f.push(a, ar)
-		f.push(b, br)
+		a, b := f.pop(), f.pop()
+		f.push(a)
+		f.push(b)
 	case isa.OpIncLocal:
-		// iinc is an int add into the local; its reference flag is
-		// untouched.
 		f.Locals[in.A], _ = isa.Eval(isa.OpAddI, f.Locals[in.A], uint64(uint32(in.B)), 0)
 
 	// --- control ---
@@ -224,13 +213,11 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		f.PC = int(in.A)
 		return nil
 	case isa.OpIf, isa.OpIfNull:
-		a, _ := f.pop()
-		vm.branch(core, f, in.Op, in.A, in.B, a, 0)
+		vm.branch(core, f, in.Op, in.A, in.B, f.pop(), 0)
 		return nil
 	case isa.OpIfCmpI, isa.OpIfCmpRef:
-		b, _ := f.pop()
-		a, _ := f.pop()
-		vm.branch(core, f, in.Op, in.A, in.B, a, b)
+		b := f.pop()
+		vm.branch(core, f, in.Op, in.A, in.B, f.pop(), b)
 		return nil
 	case isa.OpTableSwitch:
 		idx := f.popI()
@@ -256,9 +243,7 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 
 	// --- calls ---
 	case isa.OpCallStatic, isa.OpCallSpecial:
-		callee := vm.Prog.MethodByID(int(in.A))
-		f.PC++
-		return vm.invoke(core, t, f, callee)
+		return vm.invoke(core, t, f, vm.Prog.MethodByID(int(in.A)))
 	case isa.OpCallVirtual:
 		declared := vm.classByID[in.B].VTable[in.A]
 		recv := Ref(f.Stack[f.SP-1-len(declared.Params)])
@@ -272,7 +257,6 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			// Arrays dispatch through Object's vtable.
 			callee = vm.Prog.Object.VTable[in.A]
 		}
-		f.PC++
 		return vm.invoke(core, t, f, callee)
 	case isa.OpCallInterface:
 		im := vm.ifaceMethods[int(in.A)]
@@ -288,15 +272,13 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		if callee == nil {
 			return vm.trapAt(f, "AbstractMethodError", im.Sig())
 		}
-		f.PC++
 		return vm.invoke(core, t, f, callee)
 	case isa.OpReturn:
 		var val uint64
-		var isRef bool
 		if in.A == 1 {
-			val, isRef = f.pop()
+			val = f.pop()
 		}
-		vm.returnFrom(core, t, val, isRef, in.A == 1)
+		vm.returnFrom(core, t, val, in.A == 1)
 		return nil
 
 	// --- heap ---
@@ -310,7 +292,7 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		if err != nil {
 			return vm.trapAt(f, "OutOfMemoryError", err.Error())
 		}
-		f.push(uint64(obj), true)
+		f.push(uint64(obj))
 	case isa.OpNewArray, isa.OpANewArray:
 		n := f.popI()
 		if n < 0 {
@@ -324,21 +306,21 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		if err != nil {
 			return vm.trapAt(f, "OutOfMemoryError", err.Error())
 		}
-		f.push(uint64(arr), true)
+		f.push(uint64(arr))
 	case isa.OpInstanceOf:
 		r := f.popRef()
 		var is uint64
 		if r != 0 && vm.isInstance(r, vm.classByID[in.A]) {
 			is = 1
 		}
-		f.push(is, false)
+		f.push(is)
 	case isa.OpCheckCast:
 		r := f.popRef()
 		if r != 0 && !vm.isInstance(r, vm.classByID[in.A]) {
 			return vm.trapAt(f, "ClassCastException",
 				fmt.Sprintf("%#x is not a %s", r, vm.classByID[in.A].Name))
 		}
-		f.push(uint64(r), true)
+		f.push(uint64(r))
 
 	// --- synchronisation ---
 	case isa.OpMonitorEnter:
@@ -372,9 +354,9 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 		}
 		var a, b uint64
 		if n == 2 {
-			b, _ = f.pop()
+			b = f.pop()
 		}
-		a, _ = f.pop()
+		a = f.pop()
 		v, ok := isa.Eval(in.Op, a, b, in.A)
 		if !ok {
 			detail := "/ by zero"
@@ -383,7 +365,7 @@ func (vm *VM) step(core *cell.Core, t *Thread, f *Frame, in isa.Instr) error {
 			}
 			return vm.trapAt(f, "ArithmeticException", detail)
 		}
-		f.push(v, false)
+		f.push(v)
 	}
 	f.PC++
 	return nil
@@ -397,14 +379,14 @@ func (vm *VM) stepMem(core *cell.Core, f *Frame, op isa.Op, a, b int32) error {
 	var o [3]uint64
 	pops, loads := op.MemShape()
 	for i := pops - 1; i >= 0; i-- {
-		o[i], _ = f.pop()
+		o[i] = f.pop()
 	}
-	v, isRef, err := vm.memAccess(core, f, op, a, b, o[0], o[1], o[2])
+	v, err := vm.memAccess(core, f, op, a, b, o[0], o[1], o[2])
 	if err != nil {
 		return err
 	}
 	if loads {
-		f.push(v, isRef)
+		f.push(v)
 	}
 	f.PC++
 	return nil
@@ -417,9 +399,9 @@ func (vm *VM) stepMem(core *cell.Core, f *Frame, op isa.Op, a, b int32) error {
 // instruction's A/B operands (element kind, or field offset / static
 // slot and flags); x, y, z its stack operands in push order — array
 // (or object) reference, index, stored value, as far as the op has
-// them. It returns a load's value and reference flag. A trap reports
-// f.PC, which the caller keeps at the instruction.
-func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, z uint64) (uint64, bool, error) {
+// them. It returns a load's value. A trap reports f.PC, which the
+// caller keeps at the instruction.
+func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, z uint64) (uint64, error) {
 	switch op {
 	case isa.OpALoad, isa.OpAStore:
 		arr, idx := Ref(x), int32(y)
@@ -428,48 +410,46 @@ func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, 
 			if op == isa.OpAStore {
 				detail = "array store"
 			}
-			return 0, false, vm.trapAt(f, "NullPointerException", detail)
+			return 0, vm.trapAt(f, "NullPointerException", detail)
 		}
 		n := vm.arrayLength(core, f, arr)
 		if idx < 0 || uint32(idx) >= n {
-			return 0, false, vm.trapAt(f, "ArrayIndexOutOfBoundsException",
+			return 0, vm.trapAt(f, "ArrayIndexOutOfBoundsException",
 				fmt.Sprintf("index %d, length %d", idx, n))
 		}
 		k := isa.ElemKind(a)
 		esz := k.Size()
 		if op == isa.OpAStore {
 			vm.storeMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, z, 0, true)
-			return 0, false, nil
+			return 0, nil
 		}
 		raw := vm.loadMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, 0, true)
-		return extendElem(k, raw), k == isa.ElemRef, nil
+		return extendElem(k, raw), nil
 	case isa.OpArrayLen:
 		if Ref(x) == 0 {
-			return 0, false, vm.trapAt(f, "NullPointerException", "arraylength")
+			return 0, vm.trapAt(f, "NullPointerException", "arraylength")
 		}
-		return uint64(vm.arrayLength(core, f, Ref(x))), false, nil
+		return uint64(vm.arrayLength(core, f, Ref(x))), nil
 	case isa.OpGetField:
 		ref := Ref(x)
 		if ref == 0 {
-			return 0, false, vm.trapAt(f, "NullPointerException", "getfield")
+			return 0, vm.trapAt(f, "NullPointerException", "getfield")
 		}
-		v := vm.loadMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, b, false)
-		return v, b&isa.FlagRef != 0, nil
+		return vm.loadMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, b, false), nil
 	case isa.OpPutField:
 		ref := Ref(x)
 		if ref == 0 {
-			return 0, false, vm.trapAt(f, "NullPointerException", "putfield")
+			return 0, vm.trapAt(f, "NullPointerException", "putfield")
 		}
 		vm.storeMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, y, b, false)
 	case isa.OpGetStatic:
 		addr := vm.staticsBase + uint32(a)*isa.SlotBytes
-		v := vm.loadMem(core, f, addr, isa.SlotBytes, 0, 8, b, false)
-		return v, b&isa.FlagRef != 0, nil
+		return vm.loadMem(core, f, addr, isa.SlotBytes, 0, 8, b, false), nil
 	case isa.OpPutStatic:
 		addr := vm.staticsBase + uint32(a)*isa.SlotBytes
 		vm.storeMem(core, f, addr, isa.SlotBytes, 0, 8, x, b, false)
 	}
-	return 0, false, nil
+	return 0, nil
 }
 
 func compare32(a, b int32) int32 {

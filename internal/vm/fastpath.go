@@ -116,26 +116,12 @@ func microStore(stack, locals []uint64, d int32, v uint64) {
 	}
 }
 
-// microFlag resolves a deferred reference-flag source against the
-// frame's block-entry local reference map (flag writes land only after
-// every source is resolved, so LocalRefs still holds entry values).
-func microFlag(f *Frame, src int32) bool {
-	switch src {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		return f.LocalRefs[src-2]
-	}
-}
-
 // microSync restores the exact stepped frame state at one memory
 // boundary for an early exit (quantum expiry or trap): it lands the
-// boundary's shadow materialisations and its reference-flag snapshot.
-// withOps includes the operand materialisations — pre-instruction
-// state, for a resume at the boundary itself; a resume at the *next*
-// instruction excludes them so they cannot clobber the result slot.
+// boundary's shadow materialisations. withOps includes the operand
+// materialisations — pre-instruction state, for a resume at the
+// boundary itself; a resume at the *next* instruction excludes them so
+// they cannot clobber the result slot.
 func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int, withOps bool) {
 	stack := f.Stack[base:]
 	locals := f.Locals
@@ -151,19 +137,6 @@ func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int, withOps 
 			microStore(stack, locals, m.D, microVal(stack, locals, m.A, m.Imm))
 		}
 	}
-	var lbuf, sbuf [8]bool
-	for i := bd.LfLo; i < bd.LfHi; i++ {
-		lbuf[i-bd.LfLo] = microFlag(f, b.BLFlags[i].Src)
-	}
-	for i := bd.SfLo; i < bd.SfHi; i++ {
-		sbuf[i-bd.SfLo] = microFlag(f, b.BSFlags[i].Src)
-	}
-	for i := bd.LfLo; i < bd.LfHi; i++ {
-		f.LocalRefs[b.BLFlags[i].Idx] = lbuf[i-bd.LfLo]
-	}
-	for i := bd.SfLo; i < bd.SfHi; i++ {
-		f.StackRefs[base+int(b.BSFlags[i].Idx)] = sbuf[i-bd.SfLo]
-	}
 }
 
 // microSeg charges the pure segment that follows memory boundary bi,
@@ -171,18 +144,13 @@ func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int, withOps 
 // whole segment cannot complete inside the quantum — the dispatcher
 // then resumes per-instruction from exact state, so deadline semantics
 // are unchanged (the entry guard applies the same conservatism to a
-// block's first segment). dst/dstRef re-land a load result's
-// reference flag after the snapshot, whose entry captured the operand
-// that previously occupied the slot.
+// block's first segment).
 func (vm *VM) microSeg(core *cell.Core, f *Frame, b *jit.Superblock, bd *jit.MemBound,
-	base, bi int, deadline uint64, dst int32, dstRef, hasDst bool) bool {
+	base, bi int, deadline uint64) bool {
 
 	sg := &b.Segs[bi]
 	if core.Now+sg.Cycles >= deadline {
 		microSync(f, b, bd, base, false)
-		if hasDst {
-			f.StackRefs[base+int(dst)] = dstRef
-		}
 		f.PC++ // runMicro left it on the memory instruction
 		f.SP = base + int(bd.SPAfter)
 		return false
@@ -194,10 +162,9 @@ func (vm *VM) microSeg(core *cell.Core, f *Frame, b *jit.Superblock, bd *jit.Mem
 
 // runMicro replays a block's slot-addressed micro-ops: moves, then
 // arithmetic through isa.Eval (a guarded divide's divisor is a nonzero
-// constant, so ok is always true here), then memory. The deferred flag
-// writes afterwards restore the observable reference maps —
-// intermediate slots above the final SP may hold garbage, exactly as
-// they may after stepping.
+// constant, so ok is always true here), then memory. Intermediate slots
+// above the final SP may hold garbage, exactly as they may after
+// stepping.
 //
 // A memory micro-op runs the executor's per-instruction sequence —
 // deadline pre-check, static charge, retired-instruction count — with
@@ -213,7 +180,6 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 	// pre-sizes the stack past any block's depth.
 	for len(f.Stack) < base+int(b.MaxDepth) {
 		f.Stack = append(f.Stack, 0)
-		f.StackRefs = append(f.StackRefs, false)
 	}
 	stack := f.Stack[base:]
 	locals := f.Locals
@@ -240,19 +206,17 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 			if m.Code == isa.OpAStore {
 				z = microVal(stack, locals, m.D, m.Imm)
 			}
-			v, isRef, err := vm.memAccess(core, f, m.Code, bd.Kind, bd.Flags,
+			v, err := vm.memAccess(core, f, m.Code, bd.Kind, bd.Flags,
 				microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm), z)
 			if err != nil {
 				microSync(f, b, bd, base, true)
 				f.SP = base + int(bd.SPTrap)
 				return false, err
 			}
-			loads := bd.SPAfter > bd.SPTrap // a result sits one above the popped operands
-			if loads {
+			if bd.SPAfter > bd.SPTrap { // a load: its result sits one above the popped operands
 				stack[m.D] = v
-				f.StackRefs[base+int(m.D)] = isRef
 			}
-			if !vm.microSeg(core, f, b, bd, base, bi, deadline, m.D, isRef, loads) {
+			if !vm.microSeg(core, f, b, bd, base, bi, deadline) {
 				return false, nil
 			}
 			bi++
@@ -264,21 +228,6 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 		}
 	}
 
-	// Deferred reference-flag writes: resolve every source against the
-	// entry-state LocalRefs, then land the writes.
-	var lbuf, sbuf [8]bool
-	for i := range b.LFlags {
-		lbuf[i] = microFlag(f, b.LFlags[i].Src)
-	}
-	for i := range b.SFlags {
-		sbuf[i] = microFlag(f, b.SFlags[i].Src)
-	}
-	for i := range b.LFlags {
-		f.LocalRefs[b.LFlags[i].Idx] = lbuf[i]
-	}
-	for i := range b.SFlags {
-		f.StackRefs[base+int(b.SFlags[i].Idx)] = sbuf[i]
-	}
 	f.SP = base + int(b.StackDelta)
 	return true, nil
 }

@@ -69,11 +69,12 @@ func buildRecycleProg() *classfile.Program {
 }
 
 // TestFrameRecycleClearsRefs: the frame a() died in is the frame b()
-// runs in, and nothing of a's reference map survives the reuse. b's
-// int locals are then given the very addresses a's locals held: a
-// collection must free those objects (a stale flag would mark them
-// through b's ints), and a FreezeJob image must carry b's slots as
-// plain values and none of a's objects.
+// runs in, and nothing of a's survives the reuse. b's int locals — and
+// local 2, which b never writes — are then given the very addresses a's
+// locals held: a collection must free those objects (the frame's
+// reference map is b's type state, not what the slots last held), and a
+// FreezeJob image must carry b's slots as plain values and none of a's
+// objects.
 func TestFrameRecycleClearsRefs(t *testing.T) {
 	// reach runs the job to the first quantum boundary at which the root
 	// thread's top frame is inside the named method's spin loop.
@@ -105,14 +106,15 @@ func TestFrameRecycleClearsRefs(t *testing.T) {
 		}
 		fa := reach(t, vm, j, "a")
 		// The loop's compare reuses stack slots 0 and 1; slot 2 keeps the
-		// popped reference and its flag above SP.
-		if !fa.StackRefs[2] || fa.SP > 2 {
-			t.Fatalf("a(): the test expects a popped, still flagged reference in stack slot 2 (flags %v, SP %d)", fa.StackRefs, fa.SP)
+		// popped reference above SP.
+		if fa.SP > 2 {
+			t.Fatalf("a(): the test expects a popped reference in stack slot 2 (SP %d)", fa.SP)
 		}
 		stale := []Ref{Ref(fa.Stack[2])}
+		_, kinds := fa.kinds()
 		for i := 0; i < 3; i++ {
-			if !fa.LocalRefs[i] {
-				t.Fatalf("a(): the test expects a reference in local %d (flags %v)", i, fa.LocalRefs)
+			if kinds[i] != classfile.Ref {
+				t.Fatalf("a(): the test expects a reference in local %d (kinds %v)", i, kinds)
 			}
 			stale = append(stale, Ref(fa.Locals[i]))
 		}
@@ -125,13 +127,14 @@ func TestFrameRecycleClearsRefs(t *testing.T) {
 		if fb != fa || &fb.Locals[0] != &fb.vals[0] || len(fb.Locals) != len(fa.Locals) {
 			t.Fatal("b() does not run in a()'s recycled frame; the test exercises nothing")
 		}
-		for i, r := range fb.refs {
-			if r {
-				t.Errorf("recycled frame: reference flag %d survived from the previous activation", i)
-			}
+		if _, kinds := fb.kinds(); kinds[2] != classfile.Void {
+			t.Fatalf("b(): the test expects local 2 unwritten (kinds %v)", kinds)
+		}
+		if fb.Locals[2] != 0 || fb.Stack[2] != 0 {
+			t.Errorf("recycled frame: local 2 = %#x, stack slot 2 = %#x survived from the previous activation", fb.Locals[2], fb.Stack[2])
 		}
 		for i := 0; i < 3; i++ {
-			fb.Locals[i] = uint64(stale[i]) // an int that is a heap address
+			fb.Locals[i] = uint64(stale[i]) // an int (a dead slot, for local 2) that is a heap address
 		}
 		return vm, j, fb, stale
 	}
@@ -153,6 +156,9 @@ func TestFrameRecycleClearsRefs(t *testing.T) {
 		}
 		if len(img.Objects) != 0 {
 			t.Errorf("the image carries %d heap objects; the job reaches none", len(img.Objects))
+		}
+		if f := img.Threads[0].Frames[len(img.Threads[0].Frames)-1]; f.Locals[2] != 0 || f.Locals[0] == 0 {
+			t.Errorf("image of b(): locals %#x; the dead local 2 must go out zero and the int local 0 as it is", f.Locals)
 		}
 		for _, th := range img.Threads {
 			for _, f := range th.Frames {

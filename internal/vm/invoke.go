@@ -6,16 +6,24 @@ import (
 	"herajvm/internal/isa"
 )
 
-// invoke transfers control from frame f (whose PC already points past
-// the call instruction) into callee. It handles native dispatch, the
+// invoke transfers control from frame f, whose PC is on the call
+// instruction, into callee. It handles native dispatch, the
 // placement-policy migration decision (with the paper's stack-marker
 // protocol), synchronized-method monitor acquisition and, on SPEs, the
 // code-cache lookup for the callee.
+//
+// The PC moves past the call at the moment the arguments leave f's
+// operand stack, not before: a compile interning a string constant and
+// the first use of a class lock both allocate, the allocation may
+// collect, and the arguments are roots only where the verifier's state
+// at f.PC types them — on the stack at the call, gone past it, and on no
+// thread's stack at all once popped into a frame not yet pushed.
 func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Method) error {
 	if callee.IsAbstract() {
 		return vm.trapAt(f, "AbstractMethodError", callee.Sig())
 	}
 	if callee.IsNative() {
+		f.PC++
 		return vm.invokeNative(core, t, f, callee)
 	}
 
@@ -47,24 +55,26 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 	nf.ctr = vm.Monitor.Counters(callee.ID)
 	vm.Monitor.Counters(callee.ID).Invokes++
 
+	// A static synchronized callee locks its class's lock object,
+	// allocated on first use.
+	var lock Ref
+	if callee.IsSynchronized() && callee.IsStatic() {
+		if lock, err = vm.classLock(callee.Class); err != nil {
+			return vm.trapAt(f, "OutOfMemoryError", err.Error())
+		}
+	}
+
 	// Pop arguments (receiver first in locals).
+	f.PC++
 	nargs := callee.ArgSlots()
 	for i := nargs - 1; i >= 0; i-- {
-		v, r := f.pop()
-		nf.Locals[i] = v
-		nf.LocalRefs[i] = r
+		nf.Locals[i] = f.pop()
 	}
 
 	// Synchronized methods lock the receiver (or the class lock).
 	if callee.IsSynchronized() {
-		var obj Ref
-		if callee.IsStatic() {
-			lock, err := vm.classLock(callee.Class)
-			if err != nil {
-				return vm.trapAt(f, "OutOfMemoryError", err.Error())
-			}
-			obj = lock
-		} else {
+		obj := lock
+		if !callee.IsStatic() {
 			obj = Ref(nf.Locals[0])
 		}
 		nf.SyncObj = obj
@@ -118,7 +128,7 @@ func (vm *VM) classLock(c *classfile.Class) (Ref, error) {
 // returnFrom pops the current frame and delivers the return value,
 // driving the migration-marker protocol and SPE return-path code-cache
 // lookups.
-func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, isRef, hasVal bool) {
+func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, hasVal bool) {
 	f := t.popFrame()
 	if f.SyncObj != 0 {
 		cost := vm.compilers[core.Kind].Costs().OpCost[isa.OpMonitorExit]
@@ -142,9 +152,7 @@ func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, isRef, hasVal b
 		// Return to the migration marker: migrate back to the origin
 		// core type, carrying the value (§3.1: "returns to the migration
 		// marker placed on the stack").
-		t.pendingVal = val
-		t.pendingIsRef = isRef
-		t.pendingHasVal = hasVal
+		t.setPending(val, hasVal, f.CM.M)
 		words := 0
 		if hasVal {
 			words = 1
@@ -159,6 +167,6 @@ func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, isRef, hasVal b
 		vm.reenterCode(core, top.CM)
 	}
 	if hasVal {
-		top.push(val, isRef)
+		top.push(val)
 	}
 }

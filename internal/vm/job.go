@@ -190,7 +190,7 @@ func (vm *VM) SubmitJob(spec JobSpec) (*Job, error) {
 	j.w = io.MultiWriter(vm.stdout, &j.out)
 	prevJob := vm.curJob
 	vm.curJob = j
-	root, err := vm.startThread(j, name, m, arrival, spec.Args, spec.ArgRefs)
+	root, err := vm.startThread(j, name, m, arrival, spec.Args)
 	vm.curJob = prevJob
 	if err != nil {
 		return nil, err

@@ -95,7 +95,7 @@ func TestSubmitJobArgsAndArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	const arrival = 90_000
-	j, err := vm.SubmitJob(JobSpec{Name: "mul", Class: "Mul", Method: "main", Args: []uint64{6, 7}, ArgRefs: []bool{false, false}, Arrival: arrival})
+	j, err := vm.SubmitJob(JobSpec{Name: "mul", Class: "Mul", Method: "main", Args: []uint64{6, 7}, Arrival: arrival})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestFailedSubmitLeavesSessionUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := make([]uint64, 64)
-	if _, err := vm.SubmitJob(JobSpec{Name: "bad", Class: "EntryA", Method: "main", Args: args, ArgRefs: make([]bool, len(args))}); err == nil {
+	if _, err := vm.SubmitJob(JobSpec{Name: "bad", Class: "EntryA", Method: "main", Args: args}); err == nil {
 		t.Fatal("oversized argument list accepted")
 	}
 	if vm.liveCount != 0 || len(vm.Jobs()) != 0 {

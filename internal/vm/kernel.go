@@ -132,7 +132,6 @@ func (vm *VM) spawnKernelWorker(k *kernelLaunch, runM *classfile.Method, body Re
 	f.ctr = vm.Monitor.Counters(runM.ID)
 	f.ctr.Invokes++
 	f.Locals[0] = uint64(body)
-	f.LocalRefs[0] = true
 	f.Locals[1] = uint64(uint32(chunk.From))
 	f.Locals[2] = uint64(uint32(chunk.To))
 	t.pushFrame(f)
@@ -167,11 +166,7 @@ func (vm *VM) stageKernelTiles(core *cell.Core, t *Thread) {
 	if dc == nil || len(t.Frames) == 0 {
 		return
 	}
-	f := t.Frames[0]
-	if len(f.Locals) == 0 || !f.LocalRefs[0] {
-		return
-	}
-	body := Ref(f.Locals[0])
+	body := Ref(t.Frames[0].Locals[0]) // spawnKernelWorker's receiver
 	cls := vm.classOf(body)
 	if cls == nil {
 		return

@@ -52,27 +52,24 @@ type NativeCtx struct {
 	Thread *Thread
 	Method *classfile.Method
 	// Args holds the arguments, receiver first for instance methods.
-	Args    []uint64
-	ArgRefs []bool
+	Args []uint64
 
+	// retVal is delivered when Method declares a return value, at the
+	// kind it declares (zero if the body set none).
 	retVal uint64
-	retRef bool
-	hasRet bool
 }
 
 // ReturnI sets an int return value; the other Return helpers follow.
-func (c *NativeCtx) ReturnI(v int32) { c.retVal, c.retRef, c.hasRet = uint64(uint32(v)), false, true }
+func (c *NativeCtx) ReturnI(v int32) { c.retVal = uint64(uint32(v)) }
 
 // ReturnL sets a long return value.
-func (c *NativeCtx) ReturnL(v int64) { c.retVal, c.retRef, c.hasRet = uint64(v), false, true }
+func (c *NativeCtx) ReturnL(v int64) { c.retVal = uint64(v) }
 
 // ReturnD sets a double return value.
-func (c *NativeCtx) ReturnD(v float64) {
-	c.retVal, c.retRef, c.hasRet = f64bits(v), false, true
-}
+func (c *NativeCtx) ReturnD(v float64) { c.retVal = f64bits(v) }
 
 // ReturnRef sets a reference return value.
-func (c *NativeCtx) ReturnRef(r Ref) { c.retVal, c.retRef, c.hasRet = uint64(r), true, true }
+func (c *NativeCtx) ReturnRef(r Ref) { c.retVal = uint64(r) }
 
 // Charge bills extra cycles to the calling core (for natives whose cost
 // depends on their arguments, e.g. System.arraycopy).
@@ -105,11 +102,10 @@ func (vm *VM) invokeNative(core *cell.Core, t *Thread, f *Frame, callee *classfi
 	}
 	nargs := callee.ArgSlots()
 	args := make([]uint64, nargs)
-	argRefs := make([]bool, nargs)
 	for i := nargs - 1; i >= 0; i-- {
-		args[i], argRefs[i] = f.pop()
+		args[i] = f.pop()
 	}
-	ctx := &NativeCtx{VM: vm, Core: core, Thread: t, Method: callee, Args: args, ArgRefs: argRefs}
+	ctx := &NativeCtx{VM: vm, Core: core, Thread: t, Method: callee, Args: args}
 
 	switch n.Kind {
 	case NativeCompute:
@@ -197,12 +193,7 @@ func (vm *VM) resumePendingNative(core *cell.Core, t *Thread) {
 	}
 	// The migration marker is on top; carry the value back. The
 	// executor's marker handling pushes it into the caller.
-	t.pendingVal = p.ctx.retVal
-	t.pendingIsRef = p.ctx.retRef
-	t.pendingHasVal = p.ctx.hasRet || p.callee.Ret != classfile.Void
-	if !p.ctx.hasRet && p.callee.Ret == classfile.Void {
-		t.pendingHasVal = false
-	}
+	t.setPending(p.ctx.retVal, p.callee.Ret != classfile.Void, p.callee)
 	marker := t.top()
 	words := 0
 	if t.pendingHasVal {
@@ -217,7 +208,7 @@ func (vm *VM) pushNativeResult(f *Frame, callee *classfile.Method, ctx *NativeCt
 	if callee.Ret == classfile.Void {
 		return
 	}
-	f.push(ctx.retVal, ctx.retRef)
+	f.push(ctx.retVal)
 }
 
 func (vm *VM) nativeTrap(f *Frame, callee *classfile.Method, err error) error {

@@ -4,8 +4,17 @@
 // collector's mark, the freeze's discovery and remap, the image
 // validator and the rehydrate's fix-up are all a refMap handed to the
 // walks below — no other non-test file of the package tests a field's
-// kind or reads a frame's reference flags to find a reference (CI greps
-// for it; docs/ARCHITECTURE.md, "Where references live", has the table).
+// kind or a slot's (CI greps for it; docs/ARCHITECTURE.md, "Where
+// references live", has the table).
+//
+// Nothing is tagged at run time. A heap slot's kind is its field's or
+// its array's; a live frame's slots have the kinds the verifier derives
+// at the frame's PC, and a value in flight between frames has the kind
+// the method it leaves or enters declares — as JikesRVM's compilers hand
+// its collector a reference map per method, and as a stack is moved
+// between unlike ISAs from compiler-made metadata (Mavrogeorgis et al.,
+// PAPERS.md). Only a job image carries flags, derived at capture and
+// held to the verifier's kinds at decode.
 //
 // A walk is map-style: the visitor sees each reference at full slot
 // width and returns its replacement, and a slot is stored only when the
@@ -14,6 +23,8 @@
 package vm
 
 import (
+	"fmt"
+
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
 	"herajvm/internal/mem"
@@ -65,9 +76,68 @@ func mapSlot[T uint32 | uint64](p *T, f refMap) {
 	}
 }
 
-// mapFlagged visits the values whose reference flag is set. flags is at
-// least as long as vals (a live frame's by construction, an image
-// frame's by validateImage).
+// mapKinds visits the values the verifier types as references. kinds
+// may be shorter than vals: the slots past it are not described, and not
+// visited.
+func mapKinds(vals []uint64, kinds []classfile.TypeKind, f refMap) {
+	for i, k := range kinds {
+		if k.IsRef() {
+			mapSlot(&vals[i], f)
+		}
+	}
+}
+
+// kinds is the verifier's type state of a live activation: the locals,
+// and the fr.SP operand-stack slots in use. The state is the one on
+// entry to the instruction at fr.PC, of which a frame always holds a
+// prefix: a caller's PC is past its call, whose result the state counts
+// and the return has yet to push, and a frame stopped inside an
+// instruction by an allocation has popped operands and pushed nothing.
+// A local typed Void there — unwritten, or written at different kinds on
+// different paths — is not a root even when it holds an address: no
+// verified instruction can read it before writing it.
+func (fr *Frame) kinds() (stack, locals []classfile.TypeKind) {
+	stack, locals, err := classfile.KindsAt(fr.CM.M, fr.PC)
+	if err != nil || fr.SP > len(stack) || len(fr.Locals) != len(locals) {
+		// Internal invariant, unreachable because the executor only runs
+		// bodies Resolve verified and leaves a frame's PC on them.
+		panic(fmt.Sprintf("vm: frame of %s at pc %d (%d locals, sp %d) is not in the verifier's state (%d locals, stack %v): %v",
+			fr.CM.M.Sig(), fr.PC, len(fr.Locals), fr.SP, len(locals), stack, err))
+	}
+	return stack[:fr.SP], locals
+}
+
+// argKinds are the kinds of a call's arguments as the callee's locals
+// receive them, receiver first.
+func argKinds(m *classfile.Method) []classfile.TypeKind {
+	if m.IsStatic() {
+		return m.Params
+	}
+	return append([]classfile.TypeKind{classfile.Ref}, m.Params...)
+}
+
+// setPending parks the value m returned (or nothing) for delivery across
+// a migration; it is a reference when m declares one.
+func (t *Thread) setPending(val uint64, hasVal bool, m *classfile.Method) {
+	t.pendingVal, t.pendingHasVal, t.pendingIsRef = val, hasVal, hasVal && m.Ret.IsRef()
+}
+
+// imageSlots is a live frame's slots as an image carries them: values
+// with a flag per value, set where the verifier types a reference. A
+// Void local goes out zero — it is dead, and whatever it holds is a
+// source-machine address or a stale int the target has no use for.
+func imageSlots(vals []uint64, kinds []classfile.TypeKind) ([]uint64, []bool) {
+	out, flags := make([]uint64, len(kinds)), make([]bool, len(kinds))
+	for i, k := range kinds {
+		if k != classfile.Void {
+			out[i], flags[i] = vals[i], k.IsRef()
+		}
+	}
+	return out, flags
+}
+
+// mapFlagged visits the values of an image frame whose reference flag is
+// set. flags is as long as vals, by validateImage.
 func mapFlagged(vals []uint64, flags []bool, f refMap) {
 	for i := range vals {
 		if flags[i] {
@@ -141,9 +211,10 @@ func (vm *VM) mapClassLock(c *classfile.Class, f refMap) {
 
 // mapRefs visits a thread's roots: its Thread object, a return value
 // pending across a migration, an exception in flight across one, the
-// arguments of a native suspended across one, and each frame's flagged
-// locals, flagged operand stack below SP, and synchronized-method
-// monitor. The order is the freeze's discovery order.
+// arguments of a native suspended across one, and each frame's locals
+// and operand stack below SP where the verifier types a reference, and
+// its synchronized-method monitor. The order is the freeze's discovery
+// order.
 func (t *Thread) mapRefs(f refMap) {
 	mapSlot(&t.JavaObj, f)
 	if t.pendingHasVal && t.pendingIsRef {
@@ -153,14 +224,15 @@ func (t *Thread) mapRefs(f refMap) {
 		mapSlot(&t.pendingThrow, f)
 	}
 	if p := t.pendingNative; p != nil {
-		mapFlagged(p.ctx.Args, p.ctx.ArgRefs, f)
+		mapKinds(p.ctx.Args, argKinds(p.callee), f)
 	}
 	for _, fr := range t.Frames {
 		if fr.Marker {
 			continue
 		}
-		mapFlagged(fr.Locals, fr.LocalRefs, f)
-		mapFlagged(fr.Stack[:fr.SP], fr.StackRefs, f)
+		stack, locals := fr.kinds()
+		mapKinds(fr.Locals, locals, f)
+		mapKinds(fr.Stack, stack, f)
 		mapSlot(&fr.SyncObj, f)
 	}
 }

@@ -58,8 +58,10 @@ func newSitesWorld(t *testing.T) *sitesWorld {
 
 	w := &sitesWorld{VM: v, job: j, main: j.threads[0].top(), work: j.threads[1].top(),
 		vSlot: v.Prog.Lookup("Counter").FieldByName("v").Slot}
-	if len(j.threads) != 3 || !w.main.LocalRefs[0] || !w.main.LocalRefs[2] || w.main.SP != 1 ||
-		w.main.StackRefs[0] || w.work.SP != 1 || !w.work.StackRefs[0] {
+	ms, ml := w.main.kinds()
+	ws, _ := w.work.kinds()
+	if len(j.threads) != 3 || ml[0] != classfile.Ref || ml[2] != classfile.Ref || ml[3] != classfile.Int ||
+		len(ms) != 1 || ms[0] != classfile.Int || len(ws) != 1 || ws[0] != classfile.Ref {
 		t.Fatalf("Snap is not parked in the shape the rows plant into: main %+v worker %+v", w.main, w.work)
 	}
 	return w
@@ -127,20 +129,37 @@ func TestEveryReferenceSiteIsWalked(t *testing.T) {
 		{name: "suspended native argument",
 			plant: func(w *sitesWorld, r Ref) {
 				w.job.threads[0].pendingNative = &pendingNativeCall{
-					ctx: &NativeCtx{Args: []uint64{7, uint64(r)}, ArgRefs: []bool{false, true}}}
+					ctx:    &NativeCtx{Args: []uint64{7, uint64(r)}},
+					callee: &classfile.Method{Flags: classfile.FlagStatic, Params: []classfile.TypeKind{classfile.Int, classfile.Ref}}}
 			}},
-		{name: "flagged local",
+		{name: "suspended native receiver",
+			plant: func(w *sitesWorld, r Ref) {
+				w.job.threads[0].pendingNative = &pendingNativeCall{
+					ctx:    &NativeCtx{Args: []uint64{uint64(r), 7}},
+					callee: &classfile.Method{Params: []classfile.TypeKind{classfile.Int}}}
+			}},
+		{name: "suspended native int argument", never: true,
+			plant: func(w *sitesWorld, r Ref) {
+				w.job.threads[0].pendingNative = &pendingNativeCall{
+					ctx:    &NativeCtx{Args: []uint64{uint64(r)}},
+					callee: &classfile.Method{Flags: classfile.FlagStatic, Params: []classfile.TypeKind{classfile.Int}}}
+			}},
+		{name: "pending int value", never: true,
+			plant: func(w *sitesWorld, r Ref) {
+				w.job.threads[0].setPending(uint64(r), true, &classfile.Method{Ret: classfile.Int})
+			}},
+		{name: "flagged local", // in the image; typed Ref by the verifier on the frame
 			plant: func(w *sitesWorld, r Ref) { w.main.Locals[0] = uint64(r) },
 			at:    func(v *VM, j *Job) uint64 { return j.threads[0].top().Locals[0] }},
+		{name: "int local", never: true,
+			plant: func(w *sitesWorld, r Ref) { w.main.Locals[3] = uint64(r) }},
 		{name: "flagged stack slot below SP",
 			plant: func(w *sitesWorld, r Ref) { w.work.Stack[0] = uint64(r) },
 			at:    func(v *VM, j *Job) uint64 { return j.threads[1].top().Stack[0] }},
-		{name: "unflagged stack slot", never: true,
+		{name: "unflagged stack slot", never: true, // an int to the verifier
 			plant: func(w *sitesWorld, r Ref) { w.main.Stack[0] = uint64(r) }},
-		{name: "flagged stack slot at SP", never: true, // what a pop leaves behind
-			plant: func(w *sitesWorld, r Ref) {
-				w.work.Stack[w.work.SP], w.work.StackRefs[w.work.SP] = uint64(r), true
-			}},
+		{name: "flagged stack slot at SP", never: true, // what a pop leaves behind: a reference, above SP
+			plant: func(w *sitesWorld, r Ref) { w.work.Stack[w.work.SP] = uint64(r) }},
 		{name: "synchronized-method monitor",
 			plant: func(w *sitesWorld, r Ref) { w.main.SyncObj = r },
 			at:    func(v *VM, j *Job) uint64 { return uint64(j.threads[0].top().SyncObj) }},

@@ -249,9 +249,7 @@ func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 	f := newFrame(cm)
 	f.PC = int(fr.BC)
 	copy(f.Locals, fr.Locals)
-	copy(f.LocalRefs, fr.LocalRefs)
 	f.SP = copy(f.Stack, fr.Stack)
-	copy(f.StackRefs, fr.StackRefs)
 	f.SyncObj = fr.SyncObj
 	return f
 }

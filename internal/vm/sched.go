@@ -97,7 +97,7 @@ func (vm *VM) place(t *Thread, kind isa.CoreKind) {
 // the thread is registered, so a failed start leaves no ghost live
 // thread behind to deadlock later drains.
 func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyAt cell.Clock,
-	args []uint64, argRefs []bool) (*Thread, error) {
+	args []uint64) (*Thread, error) {
 
 	kind := vm.policyOf(job).PlaceThread(vm, entry)
 	if !vm.Machine.HasKind(kind) {
@@ -120,9 +120,6 @@ func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyA
 	f.ctr = vm.Monitor.Counters(entry.ID)
 	f.ctr.Invokes++
 	copy(f.Locals, args)
-	for i, r := range argRefs {
-		f.LocalRefs[i] = r
-	}
 	t.pushFrame(f)
 	t.ReadyAt = readyAt + compileCycles
 	vm.enqueue(t)

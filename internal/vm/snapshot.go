@@ -676,16 +676,11 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			if mi < 0 {
 				return nil, nil, fmt.Errorf("%w: method %s not in its class table", ErrNotFreezable, m.Sig())
 			}
-			it.Frames = append(it.Frames, ImageFrame{
-				Class:     m.Class.Name,
-				Method:    mi,
-				BC:        int32(f.PC),
-				Locals:    append([]uint64(nil), f.Locals...),
-				LocalRefs: append([]bool(nil), f.LocalRefs...),
-				Stack:     append([]uint64(nil), f.Stack[:f.SP]...),
-				StackRefs: append([]bool(nil), f.StackRefs[:f.SP]...),
-				SyncObj:   f.SyncObj,
-			})
+			fr := ImageFrame{Class: m.Class.Name, Method: mi, BC: int32(f.PC), SyncObj: f.SyncObj}
+			stack, locals := f.kinds()
+			fr.Locals, fr.LocalRefs = imageSlots(f.Locals, locals)
+			fr.Stack, fr.StackRefs = imageSlots(f.Stack, stack)
+			it.Frames = append(it.Frames, fr)
 		}
 		img.Threads = append(img.Threads, it)
 	}

@@ -309,7 +309,7 @@ func (vm *VM) startJavaThread(c *NativeCtx, recv Ref) error {
 	// joins the spawner's job, so whole thread trees stay attributable.
 	runM = cls.VTable[runM.VSlot]
 	t, err := vm.startThread(c.Thread.job, fmt.Sprintf("Thread-%d", vm.nextTID), runM,
-		c.Core.Now, []uint64{uint64(recv)}, []bool{true})
+		c.Core.Now, []uint64{uint64(recv)})
 	if err != nil {
 		return &TrapError{Kind: "InternalError", Detail: err.Error()}
 	}

@@ -30,9 +30,10 @@ var stateNames = [...]string{"ready", "running", "blocked", "terminated"}
 // String returns the state name.
 func (s ThreadState) String() string { return stateNames[s] }
 
-// Frame is one method activation: locals and operand stack with parallel
-// reference maps (the executor maintains them so the GC can scan stacks
-// precisely, as JikesRVM's baseline compiler reference maps do).
+// Frame is one method activation: locals and operand stack. Which slots
+// hold a reference is not recorded here: the verifier's type state at
+// (CM.M, PC) says so, as JikesRVM's baseline compiler reference maps do
+// (refs.go, Thread.mapRefs).
 //
 // A frame with Marker set is a migration marker (§3.1): it records the
 // core kind to return to, and holds no code.
@@ -40,11 +41,9 @@ type Frame struct {
 	CM *jit.CompiledMethod
 	PC int
 
-	Locals    []uint64
-	LocalRefs []bool
-	Stack     []uint64
-	StackRefs []bool
-	SP        int
+	Locals []uint64
+	Stack  []uint64
+	SP     int
 
 	// SyncObj is the monitor released on return from a synchronized
 	// method (0 = none).
@@ -60,11 +59,10 @@ type Frame struct {
 	ReturnKind isa.CoreKind
 	ReturnCore int
 
-	// vals and refs are the arrays Locals/Stack and LocalRefs/StackRefs
-	// are carved from; they outlive the activation on the thread's free
-	// list (nil on a frame built as a marker).
+	// vals is the array Locals and Stack are carved from; it outlives
+	// the activation on the thread's free list (nil on a frame built as a
+	// marker).
 	vals []uint64
-	refs []bool
 }
 
 func newFrame(cm *jit.CompiledMethod) *Frame {
@@ -74,52 +72,48 @@ func newFrame(cm *jit.CompiledMethod) *Frame {
 }
 
 // activate makes f a fresh activation of cm: every field zero but the
-// method, locals first and operand stack after them in one values array
-// and one reference-flag array, both all zero. A recycled frame's arrays
-// are reused when they are large enough, and cleared — values *and*
-// flags, over the whole new extent: the previous activation's
-// references must not reach the GC's stack scan or a FreezeJob image as
-// roots of this one, whose ints may look like heap addresses.
+// method, locals first and operand stack after them in one values
+// array, all zero. A recycled frame's array is reused when it is large
+// enough, and cleared over the whole new extent: verified code reads no
+// slot before writing it, but a new and a recycled frame must not be
+// told apart by anything that looks (a trace, a test, a debugger).
 func (f *Frame) activate(cm *jit.CompiledMethod) {
 	nl := cm.M.MaxLocals
 	ns := cm.M.MaxStack
 	if ns < 4 {
 		ns = 4
 	}
-	vals, refs := f.vals, f.refs
+	vals := f.vals
 	if cap(vals) < nl+ns {
-		vals, refs = make([]uint64, nl+ns), make([]bool, nl+ns)
+		vals = make([]uint64, nl+ns)
 	} else {
-		vals, refs = vals[:nl+ns], refs[:nl+ns]
+		vals = vals[:nl+ns]
 		clear(vals)
-		clear(refs)
 	}
 	// Capacities are clipped: an append (push grows a native glue
 	// frame's stack) reallocates rather than write into the neighbouring
 	// slice or a larger recycled array's unused tail.
 	*f = Frame{
-		CM:   cm,
-		vals: vals, refs: refs,
-		Locals: vals[:nl:nl], LocalRefs: refs[:nl:nl],
-		Stack: vals[nl : nl+ns : nl+ns], StackRefs: refs[nl : nl+ns : nl+ns],
+		CM:     cm,
+		vals:   vals,
+		Locals: vals[:nl:nl],
+		Stack:  vals[nl : nl+ns : nl+ns],
 	}
 }
 
-func (f *Frame) push(v uint64, isRef bool) {
+func (f *Frame) push(v uint64) {
 	if f.SP == len(f.Stack) {
 		// The verifier bounds MaxStack; growing indicates an executor bug
 		// for bytecode methods, but native glue frames may push results.
 		f.Stack = append(f.Stack, 0)
-		f.StackRefs = append(f.StackRefs, false)
 	}
 	f.Stack[f.SP] = v
-	f.StackRefs[f.SP] = isRef
 	f.SP++
 }
 
-func (f *Frame) pop() (uint64, bool) {
+func (f *Frame) pop() uint64 {
 	f.SP--
-	return f.Stack[f.SP], f.StackRefs[f.SP]
+	return f.Stack[f.SP]
 }
 
 // Thread is one Java thread: a stack of frames plus scheduling state.

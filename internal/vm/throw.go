@@ -69,7 +69,12 @@ func (vm *VM) materialiseTrap(e *TrapError) Ref {
 	if err != nil {
 		return 0
 	}
-	if msg, err := vm.intern(e.Detail); err == nil {
+	// The exception is on no stack yet, and interning its message
+	// allocates twice.
+	vm.pinned = append(vm.pinned, obj)
+	msg, err := vm.intern(e.Detail)
+	vm.pinned = vm.pinned[:len(vm.pinned)-1]
+	if err == nil {
 		vm.Heap.SetFieldSlot(obj, vm.throwableCls.FieldByName("message").Slot, uint64(msg))
 	}
 	return obj
@@ -133,7 +138,7 @@ func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bo
 			// reference, continue at the handler.
 			core.Charge(isa.ClassBranch, dispatchCost)
 			f.SP = 0
-			f.push(uint64(exRef), true)
+			f.push(uint64(exRef))
 			f.PC = h.Target
 			if t.State != StateRunning {
 				t.State = StateRunning

@@ -274,9 +274,10 @@ type VM struct {
 
 	// pinned holds heap references kept alive across allocation bursts
 	// whose object graphs are not yet reachable from ordinary roots —
-	// RehydrateJob links a transferred graph object by object, and any
-	// allocation in the middle may trigger a collection. Scanned as GC
-	// roots; empty outside a rehydration.
+	// RehydrateJob links a transferred graph object by object, intern
+	// and materialiseTrap build two-object values, and any allocation in
+	// the middle may trigger a collection. Scanned as GC roots; a stack,
+	// empty between bursts.
 	pinned []Ref
 
 	natives map[string]*Native
@@ -546,7 +547,11 @@ func (vm *VM) intern(s string) (Ref, error) {
 	for i, ch := range []byte(s) { // ASCII workloads; chars are bytes here
 		vm.Machine.Mem.Write16(arr+isa.HeaderBytes+uint32(i)*2, uint16(ch))
 	}
+	// Until the String holds it the array is in this Go local alone, and
+	// the String's allocation may collect.
+	vm.pinned = append(vm.pinned, arr)
 	obj, err := vm.allocObject(vm.stringCls)
+	vm.pinned = vm.pinned[:len(vm.pinned)-1]
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,12 @@
 package workloads
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 )
@@ -165,5 +168,157 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("expected error for unknown workload")
+	}
+}
+
+// TestWorkloadsUnderGCPressure runs the six workloads (the kernels in
+// both variants) under each scheduler in the smallest heap they
+// complete in, where every allocation that can collect does, with a
+// frame's reference map taken from the verifier at whatever PC the
+// collection finds it — a frame the verifier cannot describe panics the
+// walk rather than mis-root. The checksum must be the reference's, and
+// the simulated cycle count the same with the superblock fast path on
+// and off. compress and mpegaudio leave garbage and must collect.
+func TestWorkloadsUnderGCPressure(t *testing.T) {
+	specs := All()
+	for _, k := range Kernels() {
+		specs = append(specs, k.AsSpec(true), k.AsSpec(false))
+	}
+	const scale = 1
+	for _, s := range specs {
+		// compress allocates once per worker, so it leaves garbage only
+		// when there are more workers than its six segments: the spare
+		// ones die at once, buffers and all.
+		threads := 2
+		if s.Name == "compress" {
+			threads = 8
+		}
+		p, err := s.Build(threads, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Reference(threads, scale)
+		for _, sched := range []string{"calendar", "steal", "migrate"} {
+			t.Run(s.MainClass+"/"+sched, func(t *testing.T) {
+				// run returns the checksum, the machine and whether the
+				// heap was too small (a thread died of OutOfMemoryError).
+				run := func(heap uint32, stepped bool) (int32, *vm.VM, bool) {
+					cfg := smallConfig(3)
+					cfg.Scheduler, cfg.HeapBytes, cfg.DisableSuperblocks = sched, heap, stepped
+					machine, err := vm.New(cfg, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					th, err := machine.RunMain(s.MainClass, "main")
+					var trap *vm.TrapError
+					if errors.As(err, &trap) && trap.Kind == "OutOfMemoryError" {
+						return 0, nil, true
+					}
+					if err != nil {
+						t.Fatalf("heap %d KB: %v", heap>>10, err)
+					}
+					return int32(uint32(th.Result)), machine, false
+				}
+				// The smallest heap, to 4 KB: double until it fits, then
+				// bisect between the last size that did not and that one.
+				// got and fast are the last run that fit — always hi's.
+				var got int32
+				var fast *vm.VM
+				fits := func(heap uint32) bool {
+					g, m, oom := run(heap, false)
+					if !oom {
+						got, fast = g, m
+					}
+					return !oom
+				}
+				lo, hi := uint32(0), uint32(64<<10)
+				for !fits(hi) {
+					if lo, hi = hi, hi*2; hi > 16<<20 {
+						t.Fatal("does not complete in 16 MB")
+					}
+				}
+				for hi-lo > 4<<10 {
+					if mid := lo + (hi-lo)/2; fits(mid) {
+						hi = mid
+					} else {
+						lo = mid
+					}
+				}
+				if got != want {
+					t.Errorf("heap %d KB: checksum %d, want %d", hi>>10, got, want)
+				}
+				if fast.GCCount == 0 && (s.Name == "compress" || s.Name == "mpegaudio") {
+					t.Errorf("heap %d KB: no collection ran; the test exercises nothing", hi>>10)
+				}
+				gotS, slow, oom := run(hi, true)
+				if oom || gotS != want || slow.Machine.MaxClock() != fast.Machine.MaxClock() || slow.GCCount != fast.GCCount {
+					t.Fatalf("heap %d KB, stepped: oom=%v checksum %d (want %d); replayed: %d cycles, %d collections",
+						hi>>10, oom, gotS, want, fast.Machine.MaxClock(), fast.GCCount)
+				}
+				t.Logf("heap %d KB: %d collections, %d cycles", hi>>10, fast.GCCount, fast.Machine.MaxClock())
+			})
+		}
+	}
+}
+
+// TestFreezeDropsDeadLocal: the harness main's local 2 holds the last
+// Worker it created, and by the join loop no path can read it again —
+// the verifier types it Void there (the loop that wrote it was entered
+// with it unwritten). A freeze with main parked in that loop carries the
+// local zero and unflagged, not a source-machine address, and the job
+// finishes with the reference checksum on a machine of another shape.
+func TestFreezeDropsDeadLocal(t *testing.T) {
+	s := Compress()
+	const threads, scale = 2, 1
+	p, err := s.Build(threads, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, _ := runWorkload(t, s, threads, scale, 3)
+	src, err := vm.New(smallConfig(3), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := src.SubmitJob(vm.JobSpec{Class: s.MainClass, Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drive until main is blocked in a join with a worker still running.
+	main := j.Root()
+	for main.State != vm.StateBlocked && !j.Done() {
+		if err := src.RunUntil(src.Machine.MaxClock() + 10_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j.Done() {
+		t.Fatal("the job finished before main blocked in a join")
+	}
+	f := main.Frames[0]
+	if _, locals, err := classfile.KindsAt(f.CM.M, f.PC); err != nil || locals[2] != classfile.Void || f.Locals[2] == 0 {
+		t.Fatalf("main at pc %d: local 2 = %#x typed %v (%v); the test expects a dead address", f.PC, f.Locals[2], locals, err)
+	}
+	img, err := src.FreezeJob(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr := img.Threads[0].Frames[0]; fr.Locals[2] != 0 || fr.LocalRefs[2] || !fr.LocalRefs[0] {
+		t.Errorf("image of main: locals %#x flags %v; local 2 must go out zero and unflagged, local 0 flagged", fr.Locals, fr.LocalRefs)
+	}
+	if img, err = vm.DecodeJobImage(vm.EncodeJobImage(img)); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := vm.New(smallConfig(0), p) // PPE-only
+	if err != nil {
+		t.Fatal(err)
+	}
+	dj, err := dst.RehydrateJob(img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.WaitJob(dj); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int32(uint32(dj.Root().Result)), s.Reference(threads, scale); got != want || got != control {
+		t.Errorf("checksum after the hand-off = %d, want %d (control run %d)", got, want, control)
 	}
 }
