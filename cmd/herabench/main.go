@@ -3,7 +3,9 @@
 // reproduction's own sweeps as text tables. Every figure is one entry
 // of experiments.Figures(); after printing a figure's table herabench
 // runs its Check (every row valid / identical / matching, plus the
-// opt-in -minspeedup and -baseline floors) and exits 1 if it fails.
+// opt-in -minspeedup floor) and exits 1 if it fails. Every number it
+// prints is simulated, so any invocation replays byte for byte; host
+// time is measured by the repository benchmark (benchmark/README.md).
 //
 // Examples:
 //
@@ -13,9 +15,8 @@
 //	herabench -fig 4a -sched steal                      # any figure, stealing scheduler
 //	herabench -fig topo -topology "ppe:1,spe:6;ppe:1,spe:4,vpu:2"
 //	herabench -fig serve -trace bursty -jobs 40 -cadence 250000     # heavier churn
-//	herabench -fig simspeed -json BENCH_simspeed.json -baseline testdata/BENCH_simspeed_baseline.json
-//	herabench -fig simspeed -nowall                     # deterministic columns only (replay gates)
-//	herabench -fig cluster -json BENCH_cluster.json -minspeedup 2.0 # CI scaling gate
+//	herabench -fig fastpath                             # fast path vs stepping: match + coverage
+//	herabench -fig kernels -minspeedup 2.0              # the replay gates' offload floor
 //	herabench -fig cluster -handoff -timeout 10m -cpuprofile cpu.pprof
 //
 // README.md walks through every figure id and flag.
@@ -54,11 +55,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		full  = fs.Bool("full", false, "paper-shaped workload sizes (slower)")
 		sched = fs.String("sched", "", "scheduler for every run: calendar | steal | migrate (default: calendar)")
 		topos = fs.String("topology", "",
-			`semicolon-separated machine shapes for the topo/sched/kernels sweeps (the first one for serve/simspeed), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
-		nowall     = fs.Bool("nowall", false, "simspeed/cluster: omit wall-clock columns so output replays byte for byte")
+			`semicolon-separated machine shapes for the topo/sched/kernels sweeps (the first one for serve/fastpath), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
 		jsonPath   = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
-		baseline   = fs.String("baseline", "", "simspeed: compare speedups against this baseline JSON; exit 1 on regression")
-		minSpeedup = fs.Float64("minspeedup", 0, "cluster: minimum parallel-vs-serial wall-clock speedup; kernels: minimum matmul kernel-vs-scalar cycle speedup on a VPU pool; exit 1 below it (0 = no floor)")
+		minSpeedup = fs.Float64("minspeedup", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup on a VPU pool; exit 1 below it (0 = no floor)")
 		timeout    = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
 		cpuprof    = fs.String("cpuprofile", "", "write a CPU profile of the figure runs to this path")
 		memprof    = fs.String("memprofile", "", "write a heap profile (taken after the figure runs) to this path")
@@ -85,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verb {
 		opt.Progress = stderr
 	}
-	opt.Scheduler, opt.NoWall, opt.MinSpeedup = *sched, *nowall, *minSpeedup
+	opt.Scheduler, opt.MinSpeedup = *sched, *minSpeedup
 	if *topos != "" {
 		list, err := cell.ParseTopologyList(*topos)
 		if err != nil {
@@ -112,8 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// A gate flag must reach a figure whose Check reads it: silently
 	// ignoring one would report a gate as passed that never ran.
-	gates := map[string]bool{"baseline": *baseline != "", "minspeedup": *minSpeedup > 0, "handoff": opt.Handoff}
-	for _, name := range []string{"baseline", "minspeedup", "handoff"} {
+	gates := map[string]bool{"minspeedup": *minSpeedup > 0, "handoff": opt.Handoff}
+	for _, name := range []string{"minspeedup", "handoff"} {
 		used := false
 		for _, f := range selected {
 			for _, g := range f.Gates {
@@ -123,13 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if gates[name] && !used {
 			return usage("-%s applies to none of the selected figures", name)
 		}
-	}
-	if *baseline != "" {
-		ref, err := os.ReadFile(*baseline)
-		if err != nil {
-			return usage("baseline: %v", err)
-		}
-		opt.Baseline = ref
 	}
 
 	if *timeout > 0 {

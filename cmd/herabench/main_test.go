@@ -30,9 +30,9 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-fig", "nope"}, `unknown figure "nope"`},
 		{[]string{"-fig", "all", "-json", filepath.Join(t.TempDir(), "x.json")}, "-json"},
-		{[]string{"-fig", "4a", "-baseline", "testdata/none.json"}, "-baseline"},
 		{[]string{"-fig", "4a", "-minspeedup", "2"}, "-minspeedup"},
-		{[]string{"-fig", "simspeed", "-handoff"}, "-handoff"},
+		{[]string{"-fig", "cluster", "-minspeedup", "2"}, "-minspeedup"},
+		{[]string{"-fig", "fastpath", "-handoff"}, "-handoff"},
 		{[]string{"-fig", "cluster", "-shards", "qpu:1"}, "-shards"},
 	} {
 		status, stdout, stderr := herabench(tc.args...)

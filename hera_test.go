@@ -2,6 +2,7 @@ package hera_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,5 +132,30 @@ func TestBadConfigThroughFacade(t *testing.T) {
 	cfg.Quantum = 0
 	if _, err := hera.NewSystem(cfg, hera.NewProgram()); !errors.Is(err, hera.ErrBadConfig) {
 		t.Errorf("NewSystem with Quantum 0 = %v, want ErrBadConfig", err)
+	}
+}
+
+// TestBootAllocBudget bounds what booting the default machine
+// allocates on the host, by count rather than by timer. What remains is
+// mostly the six 256 KB local stores (1.5 MB); the budget fails if a
+// table sized for the worst case comes back (the data caches' indexes
+// were 1.5 MB more).
+func TestBootAllocBudget(t *testing.T) {
+	spec, err := hera.WorkloadByName("mandelbrot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := spec.Build(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := hera.NewSystem(hera.DefaultConfig(), prog); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2500<<10 {
+		t.Fatalf("NewSystem on the default topology allocates %d bytes, budget 2.5 MB", got)
 	}
 }

@@ -292,3 +292,25 @@ func TestTIBSharedAcrossMethods(t *testing.T) {
 		t.Errorf("second method should hit the TIB: %d hits", core.Stats.TIBHits)
 	}
 }
+
+// BenchmarkDataCacheHitGrownIndex measures the host cost of a
+// software-cache hit after 2 000 distinct objects have grown the lookup
+// table five times (the hit at the table's initial size is the
+// repository benchmark's cache.data_read_hit_ns).
+func BenchmarkDataCacheHitGrownIndex(b *testing.B) {
+	const objects = 2000
+	machine, err := cell.NewMachine(cell.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dc := NewDataCache(DefaultDataCacheConfig(), machine.CoresOf(isa.SPE)[0], 0)
+	var now cell.Clock
+	for i := 0; i < objects; i++ {
+		_, now = dc.ReadObject(now, 0x100000+uint32(i)*48, 48, 16, 8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, now = dc.ReadObject(now, 0x100000+uint32(i%objects)*48, 48, 16, 8)
+	}
+}

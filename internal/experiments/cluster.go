@@ -3,10 +3,8 @@ package experiments
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/cluster"
@@ -21,13 +19,11 @@ import (
 // its own goroutine under the epoch barrier — the same simulation
 // twice, differing only in host parallelism. It reports the SLO view
 // of the merged result stream (goodput, p50/p95/p99, shed count),
-// per-shard routing and utilization, the wall-clock speedup of
-// parallel over serial (the number the CI gate asserts ≥2x at 4
-// shards on a 4-core runner), and an epoch-stride sensitivity table:
-// barrier count, speedup and fidelity per stride, so the stride
-// default is tuned from measurements, not guesses. Fidelity means the
+// per-shard routing and utilization, and an epoch-stride sensitivity
+// table: barrier count and fidelity per stride. Fidelity means the
 // merged job table is byte-identical — serial vs parallel, replay vs
-// replay, stride vs stride.
+// replay, stride vs stride. What the parallel pass saves on the host is
+// the repository benchmark's cluster workload (wall_s against cpu_s).
 
 const (
 	// defaultClusterScheduler is the per-shard scheduler: migrate is
@@ -61,8 +57,6 @@ type ClusterRun struct {
 	Stride cell.Clock `json:"stride_cycles"`
 	// Barriers counts epoch barriers the pass took.
 	Barriers int `json:"barriers"`
-	// WallSecs is host seconds for the pass (submission through drain).
-	WallSecs float64 `json:"wall_secs"`
 	// Makespan is the simulated cycle the last job completed.
 	Makespan cell.Clock `json:"makespan_cycles"`
 	SLO
@@ -82,19 +76,14 @@ type ClusterRun struct {
 }
 
 // ClusterSweep is the figure: the serial reference pass, the parallel
-// pass the speedup is quoted from, and the stride table.
+// pass and the stride table.
 type ClusterSweep struct {
 	Shards    []string `json:"shards"`
 	Scheduler string   `json:"scheduler"`
 	Script
-	// HostCPUs is runtime.NumCPU() — the ceiling any wall-clock
-	// speedup is read against.
-	HostCPUs int `json:"host_cpus"`
-	// Serial and Parallel are the two passes at the default stride;
-	// Speedup is Serial.WallSecs / Parallel.WallSecs.
+	// Serial and Parallel are the two passes at the default stride.
 	Serial   ClusterRun `json:"serial"`
 	Parallel ClusterRun `json:"parallel"`
-	Speedup  float64    `json:"speedup"`
 	// StrideRuns are parallel passes at the other strides (empty on
 	// the hand-off arm: barrier placement decides freeze points there,
 	// so stride invariance is deliberately not claimed).
@@ -106,9 +95,6 @@ type ClusterSweep struct {
 	// the pass reproduced the merged job table byte for byte.
 	HandoffArm bool       `json:"handoff_arm,omitempty"`
 	HandoffOn  ClusterRun `json:"handoff_on,omitempty"`
-	// NoWall omits host-timing columns from Table so the output is
-	// byte-for-byte replayable.
-	NoWall bool `json:"-"`
 }
 
 // DefaultHandoffShards returns the hand-off arm's imbalanced fleet: a
@@ -144,7 +130,7 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		return nil, err
 	}
 
-	out := &ClusterSweep{Scheduler: scheduler, Script: *script, HostCPUs: runtime.NumCPU(), NoWall: opt.NoWall}
+	out := &ClusterSweep{Scheduler: scheduler, Script: *script}
 	for _, t := range topos {
 		out.Shards = append(out.Shards, t.String())
 	}
@@ -156,8 +142,8 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		if err != nil {
 			return run, fmt.Errorf("cluster %s: %w", mode, err)
 		}
-		opt.logf("cluster %s stride %d: %.3fs, %d barriers, %d hand-offs, goodput=%.2f/s p99=%d",
-			mode, s, run.WallSecs, run.Barriers, run.Handoffs, run.Goodput, run.P99)
+		opt.logf("cluster %s stride %d: %d barriers, %d hand-offs, goodput=%.2f/s p99=%d",
+			mode, s, run.Barriers, run.Handoffs, run.Goodput, run.P99)
 		return run, nil
 	}
 
@@ -169,9 +155,6 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		return nil, err
 	}
 	out.Parallel.Identical = out.Parallel.jobsTable == out.Serial.jobsTable
-	if out.Parallel.WallSecs > 0 {
-		out.Speedup = out.Serial.WallSecs / out.Parallel.WallSecs
-	}
 
 	if opt.Handoff {
 		// The hand-off arm: the same script with hand-off on, then an
@@ -210,9 +193,8 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 }
 
 // playCluster boots one fleet and plays the arrival script through the
-// dispatcher, timing submission through drain (boot and program
-// building excluded, as in the simspeed sweep). mode "serial" advances
-// the shards on one goroutine; "handoff" enables inter-shard hand-off.
+// dispatcher. mode "serial" advances the shards on one goroutine;
+// "handoff" enables inter-shard hand-off.
 func playCluster(opt Options, topos []cell.Topology, scheduler string,
 	script *Script, mode string, stride cell.Clock) (ClusterRun, error) {
 
@@ -227,8 +209,6 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 		return ClusterRun{}, err
 	}
 
-	runtime.GC() // keep host collector pauses out of the timed region
-	t0 := time.Now()
 	err = script.play(func(req core.JobRequest) error {
 		_, _, err := cl.Submit(req)
 		return err
@@ -236,7 +216,6 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 	if err == nil {
 		err = cl.Drain()
 	}
-	wall := time.Since(t0)
 	if err != nil {
 		return ClusterRun{}, err
 	}
@@ -252,7 +231,7 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 		}
 		results[r.Seq], valid[r.Seq] = r.Res, script.valid(r.Seq, r.Res)
 	}
-	run := ClusterRun{Mode: mode, Stride: stride, Barriers: cl.Barriers(), WallSecs: wall.Seconds()}
+	run := ClusterRun{Mode: mode, Stride: stride, Barriers: cl.Barriers()}
 	run.SLO, run.Makespan = foldSLO(results, valid, shards[0].Cfg.Machine.EffectiveClockHz())
 	for _, s := range cl.Shards() {
 		run.ShardJobs = append(run.ShardJobs, s.Routed)
@@ -263,9 +242,7 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 	return run, err
 }
 
-// Table renders the figure. With NoWall only deterministic columns
-// print (no wall seconds, no speedup), so the CI determinism gate can
-// replay the figure byte for byte.
+// Table renders the figure.
 func (s *ClusterSweep) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cluster: %d shards [%s], sched %s, %d jobs, %s trace (seed %d), gap %d, deadline %d\n",
@@ -276,23 +253,12 @@ func (s *ClusterSweep) Table() string {
 	if s.HandoffArm {
 		rows = append(rows, s.HandoffOn)
 	}
-	// wall renders a pass's host-timing column, absent under NoWall.
-	wall := func(format string, v any) string {
-		if s.NoWall {
-			return ""
-		}
-		return fmt.Sprintf(format, v)
-	}
-	fmt.Fprintf(&b, "%-9s %10s %8s %5s %4s %4s %10s %12s %12s%s %6s %9s\n", "mode", "stride", "barriers",
-		"done", "shed", "met", "goodput/s", "p50", "p99", wall(" %8s", "wall s"), "valid", "identical")
+	fmt.Fprintf(&b, "%-9s %10s %8s %5s %4s %4s %10s %12s %12s %6s %9s\n", "mode", "stride", "barriers",
+		"done", "shed", "met", "goodput/s", "p50", "p99", "valid", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9s %10d %8d %5d %4d %4d %10.2f %12d %12d%s %6v %9v\n",
+		fmt.Fprintf(&b, "%-9s %10d %8d %5d %4d %4d %10.2f %12d %12d %6v %9v\n",
 			r.Mode, r.Stride, r.Barriers, r.Completed, r.Shed, r.Met,
-			r.Goodput, r.P50, r.P99, wall(" %8.3f", r.WallSecs), r.AllValid, r.Identical)
-	}
-	if !s.NoWall {
-		fmt.Fprintf(&b, "wall-clock speedup (parallel vs serial, %d shards on %d host CPUs): %.2fx\n",
-			len(s.Shards), s.HostCPUs, s.Speedup)
+			r.Goodput, r.P50, r.P99, r.AllValid, r.Identical)
 	}
 
 	fmt.Fprintf(&b, "per-shard routing (parallel run):\n")
@@ -317,13 +283,9 @@ func (s *ClusterSweep) Table() string {
 
 	// The stride record: how the epoch-barrier default was chosen.
 	fmt.Fprintf(&b, "epoch-stride sensitivity (fidelity = merged job table byte-identical to serial reference):\n")
-	fmt.Fprintf(&b, "  %10s %8s%s %9s\n", "stride", "barriers", wall(" %8s", "speedup"), "identical")
+	fmt.Fprintf(&b, "  %10s %8s %9s\n", "stride", "barriers", "identical")
 	for _, r := range rows[1:] {
-		sp := 0.0
-		if r.WallSecs > 0 {
-			sp = s.Serial.WallSecs / r.WallSecs
-		}
-		fmt.Fprintf(&b, "  %10d %8d%s %9v\n", r.Stride, r.Barriers, wall(" %7.2fx", sp), r.Identical)
+		fmt.Fprintf(&b, "  %10d %8d %9v\n", r.Stride, r.Barriers, r.Identical)
 	}
 	return b.String()
 }
@@ -333,12 +295,8 @@ func (s *ClusterSweep) Table() string {
 // reference; the hand-off pass against its own in-process replay). On
 // the hand-off arm, hand-offs must actually fire and the hand-off run
 // must strictly beat the hand-off-free parallel baseline on goodput
-// (deadlines met) or tail latency (p99). Options.MinSpeedup, when set,
-// is the CI scaling floor on the parallel pass's wall-clock speedup — a
-// dimensionless host ratio, so the gate survives faster or slower
-// runners, but it does assume the runner has at least as many CPUs as
-// the gate expects shards to spread over.
-func (s *ClusterSweep) Check(opt Options) error {
+// (deadlines met) or tail latency (p99).
+func (s *ClusterSweep) Check(Options) error {
 	var problems []string
 	passes := append([]ClusterRun{s.Serial, s.Parallel}, s.StrideRuns...)
 	if s.HandoffArm {
@@ -364,11 +322,6 @@ func (s *ClusterSweep) Check(opt Options) error {
 				"handoff pass: hand-off did not improve goodput or tail: met %d vs %d, p99 %d vs %d",
 				h.Met, p.Met, h.P99, p.P99))
 		}
-	}
-	if s.Speedup < opt.MinSpeedup {
-		problems = append(problems, fmt.Sprintf(
-			"parallel speedup %.2fx below floor %.2fx (%d shards, %d host CPUs)",
-			s.Speedup, opt.MinSpeedup, len(s.Shards), s.HostCPUs))
 	}
 	return gateError("cluster", problems)
 }

@@ -7,7 +7,7 @@ import (
 
 // Result is what every figure returns: something that renders itself.
 // Results with invariants also implement Check(Options) error — every
-// row valid, identical or matching, plus the opt-in floors Options
+// row valid, identical or matching, plus the opt-in floor Options
 // carries — which herabench runs after printing the table; the JSON
 // artifact is json.Marshal of the result itself.
 type Result interface{ Table() string }
@@ -50,10 +50,9 @@ func Figures() []Figure {
 		figure("topo", "machine-topology sweep (-topology overrides the shapes)", RunTopologySweep),
 		figure("sched", "scheduler ablation: calendar vs steal vs migrate", RunSchedSweep),
 		figure("serve", "open-loop serving: trace-driven jobs, shedding off vs on", RunServe),
-		figure("simspeed", "simulator wall-clock: superblock fast path on vs off", RunSimSpeed,
-			Gate{"baseline", "simspeed baseline"}),
+		figure("fastpath", "superblock fast path vs stepping: identical results, coverage", RunFastPath),
 		figure("cluster", "sharded serving: serial vs parallel advancement, hand-off arm", RunCluster,
-			Gate{"minspeedup", "cluster scaling"}, Gate{"handoff", "cluster hand-off"}),
+			Gate{"handoff", "cluster hand-off"}),
 		figure("kernels", "data-parallel offload: scalar vs Parallel.forRange", RunKernels,
 			Gate{"minspeedup", "kernel offload"}),
 	}

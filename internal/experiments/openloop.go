@@ -40,7 +40,7 @@ var serveScales = map[string]int{
 
 // DefaultServeTopology returns the three-kind machine every figure
 // beyond the PS3 shape shares — the serve driver's machine, the default
-// cluster shard, and a row of the topo, sched, simspeed and kernels
+// cluster shard, and a row of the topo, sched, fastpath and kernels
 // sweeps: a kind-imbalanced shape whose SPE pool round-robin jobs
 // overload while two VPUs (and the lone PPE between job mains) idle.
 func DefaultServeTopology() cell.Topology {

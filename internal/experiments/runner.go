@@ -17,8 +17,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"time"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
@@ -39,11 +37,11 @@ type Options struct {
 	MaxSPEs int
 	// Scheduler names the scheduling algorithm every run uses
 	// ("calendar", "steal", "migrate"; "" keeps the default). The sched
-	// and simspeed sweeps ignore it — they compare all three by
+	// and fastpath sweeps ignore it — they compare all three by
 	// construction.
 	Scheduler string
 	// Topologies overrides the machine shapes the topo, sched and
-	// kernels sweeps visit, and its first entry the serve and simspeed
+	// kernels sweeps visit, and its first entry the serve and fastpath
 	// machine (nil keeps each figure's defaults). herabench fills it
 	// from the -topology flag.
 	Topologies []cell.Topology
@@ -82,19 +80,10 @@ type Options struct {
 	// context's error instead of hanging CI. herabench wires -timeout
 	// to it.
 	Ctx context.Context
-	// NoWall suppresses wall-clock columns in tables whose rows carry
-	// host timings (the simspeed sweep), so their output is replayable
-	// byte for byte in the determinism gates.
-	NoWall bool
-	// MinSpeedup is the opt-in floor a figure's Check holds its headline
-	// speedup to: the cluster figure's parallel-vs-serial wall-clock
-	// ratio, the kernels figure's matmul kernel-vs-scalar cycle ratio on
-	// a VPU pool (0 = no floor; herabench -minspeedup).
+	// MinSpeedup is the opt-in floor the kernels figure's Check holds its
+	// matmul kernel-vs-scalar cycle ratio on a VPU pool to (0 = no floor;
+	// herabench -minspeedup).
 	MinSpeedup float64
-	// Baseline, when non-nil, is a previous run's simspeed JSON; the
-	// simspeed Check fails a cell whose speedup fell below 75% of it
-	// (herabench -baseline).
-	Baseline []byte
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 }
@@ -170,9 +159,6 @@ type RunStats struct {
 	// Job is the run's job-level accounting (kernel launches, workers
 	// and staging DMA included): every run goes through the job API.
 	Job vm.JobStats
-	// Wall is the host time of the simulation alone — build and boot
-	// excluded; the minimum over the arm's repetitions.
-	Wall time.Duration
 }
 
 // bench is one guest program a figure runs: how to build it for a
@@ -213,13 +199,6 @@ type arm struct {
 	sched string
 	// mutate, when non-nil, edits the VM configuration before boot.
 	mutate func(*vm.Config)
-	// reps > 0 marks a host-timed arm: the run repeats reps times behind
-	// a forced host collection and RunStats.Wall keeps the minimum. The
-	// simulation is deterministic, so every rep does identical work and
-	// the minimum is the cleanest estimate of its cost — single runs of
-	// a few hundred milliseconds are at the mercy of host scheduling and
-	// GC pauses.
-	reps int
 }
 
 // ps3 is the paper's machine: one PPE beside n SPEs (0 = PPE only).
@@ -229,8 +208,6 @@ func ps3(n, threads int) arm {
 
 // run executes one bench on one arm: build, boot, submit main as a job,
 // drain, collect. It is the only place a closed-loop figure boots a VM.
-// Building and booting stay outside the timed region, so Wall isolates
-// the executor.
 func run(opt Options, b bench, a arm) (RunStats, error) {
 	if err := opt.interrupted(); err != nil {
 		return RunStats{}, err
@@ -250,35 +227,24 @@ func run(opt Options, b bench, a arm) (RunStats, error) {
 	if a.mutate != nil {
 		a.mutate(&cfg)
 	}
-	var st RunStats
-	for rep := 0; rep < max(a.reps, 1); rep++ {
-		prog, err := b.build(threads)
-		if err != nil {
-			return RunStats{}, err
-		}
-		machine, err := vm.New(cfg, prog)
-		if err != nil {
-			return RunStats{}, err
-		}
-		if a.reps > 0 {
-			runtime.GC() // keep collector pauses out of the timed region
-		}
-		t0 := time.Now()
-		job, err := machine.SubmitJob(vm.JobSpec{Name: "main", Class: b.entry, Method: "main"})
-		if err == nil {
-			err = machine.WaitJob(job)
-		}
-		wall := time.Since(t0)
-		if err != nil {
-			return RunStats{}, fmt.Errorf("%s (%s, sched %s): %w", b.name, a.topo, cfg.Scheduler, err)
-		}
-		if rep == 0 {
-			st = collect(machine, job)
-			st.Workload, st.Wall = b.name, wall
-			st.Valid = st.Checksum == b.want(threads)
-		}
-		st.Wall = min(st.Wall, wall)
+	prog, err := b.build(threads)
+	if err != nil {
+		return RunStats{}, err
 	}
+	machine, err := vm.New(cfg, prog)
+	if err != nil {
+		return RunStats{}, err
+	}
+	job, err := machine.SubmitJob(vm.JobSpec{Name: "main", Class: b.entry, Method: "main"})
+	if err == nil {
+		err = machine.WaitJob(job)
+	}
+	if err != nil {
+		return RunStats{}, fmt.Errorf("%s (%s, sched %s): %w", b.name, a.topo, cfg.Scheduler, err)
+	}
+	st := collect(machine, job)
+	st.Workload = b.name
+	st.Valid = st.Checksum == b.want(threads)
 	return st, nil
 }
 

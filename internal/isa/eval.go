@@ -4,10 +4,9 @@ import "math"
 
 // This file is the single definition of what the arithmetic, shift,
 // compare and conversion opcodes compute. The VM's reference
-// interpreter pops and pushes around Eval, the superblock replay reads
-// and writes frame slots around it, and the JIT's micro-op lowering
-// folds constants through it — so shift masking, the MinValue/-1
-// divides, NaN ordering and float-to-integer saturation are written
+// interpreter pops and pushes around Eval and the superblock replay
+// reads and writes frame slots around it — so shift masking, the
+// MinValue/-1 divides, NaN ordering and float-to-integer saturation are written
 // here and nowhere else. Only the operand plumbing differs per caller,
 // and only the cost tables differ per core kind.
 

@@ -45,15 +45,11 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 			b := Superblock{
 				Len: int32(pe - p), Target: int32(pe),
 				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
-				Micro: mb.Micro, MaxDepth: mb.MaxDepth,
+				Micro: mb.Micro, StackDelta: mb.StackDelta,
 				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
-			}
-			for q := p; q < pe; q++ {
-				b.StackDelta += stackDeltaOf(code[q].Op)
 			}
 			if term != nil {
 				b.Len++
-				b.StackDelta += stackDeltaOf(term.Op)
 				if term.Op == isa.OpGoto {
 					b.Target = term.A
 				} else {

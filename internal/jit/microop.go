@@ -20,11 +20,10 @@ import (
 // The replay contract is byte-identity with the reference interpreter:
 // after a block replays, frame state (locals and operand stack up to
 // the final SP) must equal what per-instruction stepping produces.
-// Patterns the lowering cannot prove equivalent — consuming operands
-// the block did not push, Swap/DupX reordering of symbolic values — make
-// compileMicro report ok=false; discovery then emits no block at that
-// index and the interpreter steps those instructions, so correctness
-// never depends on lowering success.
+// A suffix the lowering cannot prove equivalent — one consuming
+// operands pushed before its entry — makes compile report ok=false; no
+// block then starts at that index and the interpreter steps those
+// instructions, so correctness never depends on lowering success.
 
 // MicroOp is one slot-addressed operation. Code is the isa opcode the
 // replay applies — an arithmetic op (evaluated by isa.Eval, so lowering
@@ -89,8 +88,8 @@ type sym struct {
 // symSlot's slot index never exceeds its current stack position (new
 // values materialise at their own position, Dup copies upward, and the
 // reorderings that would move a value below its slot — Swap, DupX —
-// bail out), so a result written at position d can never clobber a
-// slot a live lower value still references.
+// are not pure ops: they end a run), so a result written at position d
+// can never clobber a slot a live lower value still references.
 //
 // A second invariant backs the shadow materialisations: a live symSlot
 // at position p with backing slot q < p only arises from Dup-copying
@@ -98,10 +97,9 @@ type sym struct {
 // stack discipline pops the copy first — so slot q still holds the
 // value whenever the shadow mat replays.
 type microCompiler struct {
-	micro    []MicroOp
-	vstack   []sym
-	maxDepth int32
-	ok       bool
+	micro  []MicroOp
+	vstack []sym
+	ok     bool
 
 	// Memory-absorption state: the per-boundary metadata, the pure
 	// segment after each boundary, shadow materialisations for
@@ -124,8 +122,10 @@ type microCompiler struct {
 // microBlock is compileMicro's result: the lowered replay program plus
 // the segment cost structure discovery copies onto the Superblock.
 type microBlock struct {
-	Micro    []MicroOp
-	MaxDepth int32
+	Micro []MicroOp
+	// StackDelta is the block's net operand-stack growth in slots, a
+	// conditional terminal's pops included.
+	StackDelta int32
 
 	Bounds []MemBound
 	Segs   []Seg
@@ -140,12 +140,7 @@ type microBlock struct {
 
 func (c *microCompiler) fail() { c.ok = false }
 
-func (c *microCompiler) push(v sym) {
-	c.vstack = append(c.vstack, v)
-	if d := int32(len(c.vstack)); d > c.maxDepth {
-		c.maxDepth = d
-	}
-}
+func (c *microCompiler) push(v sym) { c.vstack = append(c.vstack, v) }
 
 // pop fails the compile when the block would consume operands it did
 // not push (suffix blocks entered mid-expression do this; they get no
@@ -175,7 +170,7 @@ func (c *microCompiler) matLocal(i int32) {
 
 // operand renders a symbolic value as a micro-op operand. A symImm
 // needs the shared Imm field; the caller materialises one side first
-// when both operands are immediate (or folds the op entirely).
+// when both operands are immediate.
 func operand(v sym) (o int32, imm uint64) {
 	switch v.kind {
 	case symImm:
@@ -204,13 +199,11 @@ func (c *microCompiler) materialise(v sym, at int32) sym {
 }
 
 // arith lowers a one- or two-operand arithmetic op (n is its
-// isa.Arity). Constant operands fold through isa.Eval, the same
-// function the replay calls, so a folded result is bit-identical to a
-// replayed one. The float compares pass their NaN result through Imm,
-// so immediate operands are materialised for them.
+// isa.Arity). The float compares pass their NaN result through Imm, so
+// immediate operands are materialised for them.
 func (c *microCompiler) arith(in isa.Instr, n int) {
-	// A one-operand op folds with a constant-zero b, which Eval ignores;
-	// its micro-op carries B = A.
+	// A one-operand op's micro-op carries B = A; the constant b stands
+	// in so a constant operand is materialised as for two.
 	b := sym{kind: symImm}
 	if n == 2 {
 		b = c.pop()
@@ -218,12 +211,6 @@ func (c *microCompiler) arith(in isa.Instr, n int) {
 	a := c.pop()
 	if !c.ok {
 		return
-	}
-	if a.kind == symImm && b.kind == symImm {
-		if v, ok := isa.Eval(in.Op, a.imm, b.imm, in.A); ok {
-			c.push(sym{kind: symImm, imm: v})
-			return
-		}
 	}
 	d := int32(len(c.vstack))
 	cmpNaN := in.Op == isa.OpCmpF || in.Op == isa.OpCmpD
@@ -322,14 +309,12 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 			imms--
 		}
 	}
-	// Shadow materialisations: every live entry not already at its
-	// stack position, split below-operands / operands so a resume at
-	// the next instruction does not clobber the result's slot.
-	matLo, matOpLo := int32(len(c.mats)), int32(len(c.mats))
-	for i, v := range c.vstack {
-		if i == opStart {
-			matOpLo = int32(len(c.mats))
-		}
+	// Shadow materialisations: every live entry below the operands not
+	// already at its stack position. An early exit leaves the operands
+	// popped (a trap) or replaced by the result (a resume at the next
+	// instruction), so their own slots need none.
+	matLo := int32(len(c.mats))
+	for i, v := range c.vstack[:opStart] {
 		if v.kind == symSlot && v.idx == int32(i) {
 			continue
 		}
@@ -341,9 +326,6 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 		default:
 			c.mats = append(c.mats, MicroOp{Code: MMov, D: int32(i), A: v.idx})
 		}
-	}
-	if opStart == len(c.vstack) {
-		matOpLo = int32(len(c.mats))
 	}
 	matHi := int32(len(c.mats))
 	var ops [3]sym
@@ -379,8 +361,8 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	c.bounds = append(c.bounds, MemBound{
 		RelIdx: rel, Cost: uint32(in.Cost), Class: in.Op.Class(),
 		Kind: in.A, Flags: in.B,
-		SPAtOp: int32(opStart + npops), SPTrap: int32(opStart), SPAfter: int32(opStart + npush),
-		MatLo: matLo, MatOpLo: matOpLo, MatHi: matHi,
+		SPTrap: int32(opStart), SPAfter: int32(opStart + npush),
+		MatLo: matLo, MatHi: matHi,
 	})
 }
 
@@ -442,11 +424,6 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 			a := c.vstack[len(c.vstack)-2]
 			c.push(a)
 			c.push(b)
-		case isa.OpSwap, isa.OpDupX1, isa.OpDupX2:
-			// These move a value below its materialised slot, breaking
-			// the slot<=position invariant; they are rare in compiled
-			// code, so bail rather than model a parallel copy.
-			c.fail()
 
 		default:
 			if n := in.Op.Arity(); n != 0 {
@@ -462,11 +439,19 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 
 	// The control terminal belongs to the final segment: its static
 	// cost and instruction count charge with the block's tail even
-	// though its effect is applied from Target.
+	// though its effect is applied from Target. A conditional one pops
+	// its comparison operands off the block's final stack.
+	delta := int32(len(c.vstack))
 	if term != nil {
 		c.segLen++
 		c.segCyc += uint64(term.Cost)
 		c.segCls[term.Op.Class()] += uint64(term.Cost)
+		switch term.Op {
+		case isa.OpIf, isa.OpIfNull:
+			delta--
+		case isa.OpIfCmpI, isa.OpIfCmpRef:
+			delta -= 2
+		}
 	}
 	if len(c.bounds) == 0 {
 		c.firstLen, c.firstCyc, c.firstCls = c.segLen, c.segCyc, c.segCls
@@ -489,8 +474,8 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 	return microBlock{
 		Micro: carve(&ops, c.micro), Mats: carve(&ops, c.mats),
 		Bounds: append([]MemBound(nil), c.bounds...), Segs: append([]Seg(nil), c.segs...),
-		MaxDepth: c.maxDepth,
-		FirstLen: c.firstLen, FirstCycles: c.firstCyc, FirstClass: c.firstCls,
+		StackDelta: delta,
+		FirstLen:   c.firstLen, FirstCycles: c.firstCyc, FirstClass: c.firstCls,
 	}, true
 }
 

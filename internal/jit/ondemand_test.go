@@ -20,7 +20,7 @@ import (
 )
 
 // workloadMethods returns every compilable method of every workload.
-func workloadMethods(t *testing.T) []*classfile.Method {
+func workloadMethods(t testing.TB) []*classfile.Method {
 	t.Helper()
 	var methods []*classfile.Method
 	for _, spec := range workloads.All() {
@@ -300,4 +300,36 @@ func TestLoweringScratchNotShared(t *testing.T) {
 		t.Fatalf("two compilers lowering the same %d methods concurrently disagree (%d and %d probes)",
 			len(methods), len(lowered[0]), len(lowered[1]))
 	}
+}
+
+// BenchmarkLower measures the lowering Compile defers: every method of
+// the paper programs compiled for the SPE outside the timer, then every
+// pending entry probed once — the most a run could ever ask for.
+// (Compile itself is the repository benchmark's
+// jit.compile_ns_per_method.)
+func BenchmarkLower(b *testing.B) {
+	methods := workloadMethods(b)
+	b.ReportAllocs()
+	blocks := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newCompiler(isa.SPE)
+		cms := make([]*jit.CompiledMethod, len(methods))
+		for i, m := range methods {
+			cm, err := c.Compile(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cms[i] = cm
+		}
+		b.StartTimer()
+		for _, cm := range cms {
+			for p := range cm.Code {
+				if cm.Block(p) != nil {
+					blocks++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(blocks)/float64(b.N), "blocks/op")
 }

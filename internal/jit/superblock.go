@@ -51,10 +51,8 @@ type Superblock struct {
 	// that follows it (Segs) as the replay crosses it.
 	FirstLen int32
 
-	// Micro is the block lowered to slot-addressed micro-ops and MaxDepth
-	// the operand-stack depth the replay needs above entry SP.
-	Micro    []MicroOp
-	MaxDepth int32
+	// Micro is the block lowered to slot-addressed micro-ops.
+	Micro []MicroOp
 
 	// Bounds/Segs/Mats describe the block's absorbed memory
 	// instructions: per-boundary metadata, the pure segment after each
@@ -91,15 +89,12 @@ type MemBound struct {
 	// field slot, and the volatile flag bit).
 	Kind  int32
 	Flags int32
-	// Stack depths relative to the block's entry SP: at the instruction
-	// (operands pushed), after a trap's pops, and after the instruction
-	// completes.
-	SPAtOp, SPTrap, SPAfter int32
-	// Mats ranges: [MatLo, MatOpLo) materialises the live values below
-	// the operands (enough for a resume at the *next* instruction);
-	// [MatOpLo, MatHi) adds the operands themselves (a resume at this
-	// instruction).
-	MatLo, MatOpLo, MatHi int32
+	// Stack depths relative to the block's entry SP: after a trap's
+	// pops, and after the instruction completes.
+	SPTrap, SPAfter int32
+	// Mats[MatLo:MatHi] materialises the live values below the operands,
+	// which is all either early exit needs.
+	MatLo, MatHi int32
 }
 
 // End kinds. EndFall (the zero value) covers plain fallthrough and the
@@ -124,8 +119,7 @@ const (
 func pureOp(op isa.Op) bool {
 	switch op {
 	case isa.OpNop, isa.OpPushConst, isa.OpLoadLocal, isa.OpStoreLocal,
-		isa.OpPop, isa.OpPop2, isa.OpDup, isa.OpDupX1, isa.OpDupX2,
-		isa.OpDup2, isa.OpSwap, isa.OpIncLocal,
+		isa.OpPop, isa.OpPop2, isa.OpDup, isa.OpDup2, isa.OpIncLocal,
 		isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpNegI, isa.OpAndI,
 		isa.OpOrI, isa.OpXorI, isa.OpShlI, isa.OpShrI, isa.OpUShrI,
 		isa.OpAddL, isa.OpSubL, isa.OpMulL, isa.OpNegL, isa.OpAndL,
@@ -181,38 +175,6 @@ func memOp(op isa.Op) bool {
 		return true
 	}
 	return false
-}
-
-// stackDeltaOf is the net operand-stack effect in slots of each op a
-// superblock can contain: the pure set, the absorbable memory
-// instructions, and the terminal conditional branches, which pop their
-// comparison operands.
-func stackDeltaOf(op isa.Op) int32 {
-	switch op {
-	case isa.OpIf, isa.OpIfNull, isa.OpALoad, isa.OpPutStatic:
-		return -1
-	case isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpPutField:
-		return -2
-	case isa.OpAStore:
-		return -3
-	case isa.OpPushConst, isa.OpLoadLocal, isa.OpDup, isa.OpDupX1, isa.OpDupX2,
-		isa.OpGetStatic:
-		return 1
-	case isa.OpDup2:
-		return 2
-	case isa.OpStoreLocal, isa.OpPop,
-		isa.OpAddI, isa.OpSubI, isa.OpMulI, isa.OpDivI, isa.OpRemI,
-		isa.OpAndI, isa.OpOrI, isa.OpXorI, isa.OpShlI, isa.OpShrI, isa.OpUShrI,
-		isa.OpAddL, isa.OpSubL, isa.OpMulL, isa.OpDivL, isa.OpRemL,
-		isa.OpAndL, isa.OpOrL, isa.OpXorL, isa.OpShlL, isa.OpShrL, isa.OpUShrL,
-		isa.OpCmpL,
-		isa.OpAddF, isa.OpSubF, isa.OpMulF, isa.OpDivF, isa.OpRemF, isa.OpCmpF,
-		isa.OpAddD, isa.OpSubD, isa.OpMulD, isa.OpDivD, isa.OpRemD, isa.OpCmpD:
-		return -1
-	case isa.OpPop2:
-		return -2
-	}
-	return 0
 }
 
 // terminalOp reports whether op is a control transfer that may end a
@@ -315,11 +277,8 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 	b := &Superblock{
 		Len: int32(e - p), Target: int32(pe),
 		Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
-		Micro: mb.Micro, MaxDepth: mb.MaxDepth,
+		Micro: mb.Micro, StackDelta: mb.StackDelta,
 		Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
-	}
-	for _, in := range code[p:e] {
-		b.StackDelta += stackDeltaOf(in.Op)
 	}
 	if term != nil {
 		if term.Op == isa.OpGoto {

@@ -279,3 +279,24 @@ func FuzzMainVsFlat(f *testing.F) {
 		x.readBytes(0, fuzzSize)
 	})
 }
+
+// BenchmarkMainMemory measures simulated memory accessor throughput:
+// aligned accesses inside a host page, and the slow path of an access
+// that straddles two pages (4 bytes before each 64 KB boundary).
+func BenchmarkMainMemory(b *testing.B) {
+	b.Run("aligned", func(b *testing.B) {
+		m := NewMain(1 << 20)
+		for i := 0; i < b.N; i++ {
+			m.Write64(uint32(i)&0xffff8, uint64(i))
+			_ = m.Read64(uint32(i) & 0xffff8)
+		}
+	})
+	b.Run("straddle", func(b *testing.B) {
+		m := NewMain(1 << 20)
+		for i := 0; i < b.N; i++ {
+			addr := (uint32(i)&7+1)<<16 - 4
+			m.Write64(addr, uint64(i))
+			_ = m.Read64(addr)
+		}
+	})
+}

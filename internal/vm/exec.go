@@ -107,7 +107,7 @@ func (f *Frame) chargeDyn(class isa.OpClass, n uint64) {
 // retire charges one instruction's static cost to the core and the
 // per-method monitor counters and counts it retired: the prologue every
 // individually executed instruction shares, whichever loop dispatched
-// it (execute, the fast path's chain, an absorbed memory micro-op).
+// it (execute, an absorbed memory micro-op).
 func (f *Frame) retire(core *cell.Core, class isa.OpClass, cost uint64) {
 	core.Charge(class, cost)
 	f.chargeDyn(class, cost)

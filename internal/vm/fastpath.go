@@ -21,16 +21,14 @@ import (
 // counters advance by the block's precomputed vector (the exact totals
 // per-instruction stepping would produce), then the block's stack and
 // local effects replay and the PC lands on the block's target — and
-// then keeps control for as long as it can make progress without the
-// outer dispatch loop: it chains straight into the next block when one
-// starts at the new PC and passes the same guard the executor applies,
-// and runs the individual memory instructions *between* blocks (array
-// and field traffic) through stepMem, as step does.
-// Every action in the chain charges, checks the deadline, and mutates
-// state exactly as the reference path would — the fusion sheds only
-// host-level dispatch overhead, never a simulated event.
+// then chains straight into the next block when one starts at the new PC
+// and passes the same guard the executor applies. Anything else at the
+// new PC (a memory instruction between blocks, a call) is the
+// executor's to step. Every block in the chain charges, checks the
+// deadline, and mutates state exactly as the reference path would — the
+// fusion sheds only host-level dispatch overhead, never a simulated
+// event.
 func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superblock, deadline uint64) {
-	code := f.CM.Code
 	for {
 		// Cycles/ClassCycles/FirstLen cover the block's first pure
 		// segment (the whole block when it absorbs no memory
@@ -64,28 +62,6 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 			vm.branch(core, f, b.End, b.Cond, b.Target, f.Stack[f.SP], y)
 		}
 
-		// Run the memory instructions between blocks with the executor's
-		// per-instruction sequence: deadline check, static charge,
-		// retired-instruction count, then stepMem. Traps feed the
-		// executor's own raise path.
-	chain:
-		for {
-			in := &code[f.PC]
-			switch in.Op {
-			case isa.OpALoad, isa.OpAStore, isa.OpArrayLen,
-				isa.OpGetField, isa.OpPutField, isa.OpGetStatic, isa.OpPutStatic:
-				if core.Now >= deadline {
-					return
-				}
-				f.retire(core, in.Op.Class(), uint64(in.Cost))
-				if err := vm.stepMem(core, f, in.Op, in.A, in.B); err != nil {
-					vm.raise(core, t, err)
-					return
-				}
-			default:
-				break chain
-			}
-		}
 		// Chain into the next block only under the executor's own guard.
 		nb := f.CM.Block(f.PC)
 		if nb == nil || core.Now+nb.Cycles >= deadline {
@@ -117,19 +93,14 @@ func microStore(stack, locals []uint64, d int32, v uint64) {
 }
 
 // microSync restores the exact stepped frame state at one memory
-// boundary for an early exit (quantum expiry or trap): it lands the
-// boundary's shadow materialisations. withOps includes the operand
-// materialisations — pre-instruction state, for a resume at the
-// boundary itself; a resume at the *next* instruction excludes them so
-// they cannot clobber the result slot.
-func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int, withOps bool) {
+// boundary for an early exit (quantum expiry after the instruction, or
+// its trap): it lands the boundary's shadow materialisations, the live
+// values below the instruction's operands. Both exits leave the
+// operands popped, so their slots are dead.
+func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int) {
 	stack := f.Stack[base:]
 	locals := f.Locals
-	hi := bd.MatOpLo
-	if withOps {
-		hi = bd.MatHi
-	}
-	for i := bd.MatLo; i < hi; i++ {
+	for i := bd.MatLo; i < bd.MatHi; i++ {
 		m := &b.Mats[i]
 		if m.Code == jit.MMovImm {
 			microStore(stack, locals, m.D, m.Imm)
@@ -150,7 +121,7 @@ func (vm *VM) microSeg(core *cell.Core, f *Frame, b *jit.Superblock, bd *jit.Mem
 
 	sg := &b.Segs[bi]
 	if core.Now+sg.Cycles >= deadline {
-		microSync(f, b, bd, base, false)
+		microSync(f, b, bd, base)
 		f.PC++ // runMicro left it on the memory instruction
 		f.SP = base + int(bd.SPAfter)
 		return false
@@ -167,20 +138,18 @@ func (vm *VM) microSeg(core *cell.Core, f *Frame, b *jit.Superblock, bd *jit.Mem
 // stepping.
 //
 // A memory micro-op runs the executor's per-instruction sequence —
-// deadline pre-check, static charge, retired-instruction count — with
-// f.PC on the instruction, then memAccess on symbolically read
-// operands. runMicro returns done=false when the replay handed back to
-// the dispatcher mid-block (quantum expiry at a boundary — frame state
-// is exact at f.PC), and a non-nil error for a trap, which the caller
-// raises exactly as the executor would. On done=true the caller sets
-// the PC.
+// static charge, retired-instruction count — with f.PC on the
+// instruction, then memAccess on symbolically read operands. The
+// executor's deadline check before the instruction cannot fire here:
+// the entry and chain guards leave Now < deadline after the first
+// segment, and microSeg hands back before any later boundary could see
+// otherwise. runMicro returns done=false when the replay handed back to
+// the dispatcher mid-block (quantum expiry after a boundary — frame
+// state is exact at f.PC), and a non-nil error for a trap, which the
+// caller raises exactly as the executor would. On done=true the caller
+// sets the PC.
 func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline uint64) (bool, error) {
 	entry, base := f.PC, f.SP
-	// Frame.push's defensive growth; the verifier's MaxStack normally
-	// pre-sizes the stack past any block's depth.
-	for len(f.Stack) < base+int(b.MaxDepth) {
-		f.Stack = append(f.Stack, 0)
-	}
 	stack := f.Stack[base:]
 	locals := f.Locals
 	bi := 0
@@ -196,11 +165,6 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 			isa.OpGetField, isa.OpPutField, isa.OpGetStatic, isa.OpPutStatic:
 			bd := &b.Bounds[bi]
 			f.PC = entry + int(bd.RelIdx)
-			if core.Now >= deadline {
-				microSync(f, b, bd, base, true)
-				f.SP = base + int(bd.SPAtOp)
-				return false, nil
-			}
 			f.retire(core, bd.Class, uint64(bd.Cost))
 			var z uint64
 			if m.Code == isa.OpAStore {
@@ -209,7 +173,7 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 			v, err := vm.memAccess(core, f, m.Code, bd.Kind, bd.Flags,
 				microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm), z)
 			if err != nil {
-				microSync(f, b, bd, base, true)
+				microSync(f, b, bd, base)
 				f.SP = base + int(bd.SPTrap)
 				return false, err
 			}

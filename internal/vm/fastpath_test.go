@@ -50,10 +50,9 @@ func hotLoopProg() *classfile.Program {
 	a.MustBuild()
 
 	// shuffle is the same loop shape with Swap/DupX1/DupX2 in the body.
-	// The micro lowering does not model those, so no block starts at the
-	// suffixes that contain them and the interpreter steps the body up
-	// to the first index that lowers again: the route an unlowerable
-	// suffix takes.
+	// Those are not pure ops: each ends a run, the interpreter steps it,
+	// and the next run's suffixes consume operands pushed before their
+	// entry — the route an unlowerable suffix takes.
 	m = c.NewMethod("shuffle", classfile.FlagStatic, classfile.Int)
 	a = m.Asm()
 	loop, done = a.NewLabel(), a.NewLabel()

@@ -4,7 +4,7 @@
 // collector's mark, the freeze's discovery and remap, the image
 // validator and the rehydrate's fix-up are all a refMap handed to the
 // walks below — no other non-test file of the package tests a field's
-// kind or a slot's (CI greps for it; docs/ARCHITECTURE.md, "Where
+// kind or a slot's (seams_test.go holds it; docs/ARCHITECTURE.md, "Where
 // references live", has the table).
 //
 // Nothing is tagged at run time. A heap slot's kind is its field's or

@@ -90,9 +90,9 @@ func (f *Frame) activate(cm *jit.CompiledMethod) {
 		vals = vals[:nl+ns]
 		clear(vals)
 	}
-	// Capacities are clipped: an append (push grows a native glue
-	// frame's stack) reallocates rather than write into the neighbouring
-	// slice or a larger recycled array's unused tail.
+	// Capacities are clipped: a push past MaxStack is an index panic,
+	// never a write into the neighbouring slice or a larger recycled
+	// array's unused tail.
 	*f = Frame{
 		CM:     cm,
 		vals:   vals,
@@ -102,11 +102,6 @@ func (f *Frame) activate(cm *jit.CompiledMethod) {
 }
 
 func (f *Frame) push(v uint64) {
-	if f.SP == len(f.Stack) {
-		// The verifier bounds MaxStack; growing indicates an executor bug
-		// for bytecode methods, but native glue frames may push results.
-		f.Stack = append(f.Stack, 0)
-	}
 	f.Stack[f.SP] = v
 	f.SP++
 }
@@ -189,8 +184,8 @@ type Thread struct {
 	Migrations uint64
 	Steals     uint64
 
-	// job is the admission the thread belongs to (nil for threads
-	// started outside the job API); spawned threads inherit it.
+	// job is the admission the thread belongs to, never nil: every
+	// thread starts through the job API and spawned threads inherit it.
 	job *Job
 
 	// cooldownUntil is the migration-hysteresis horizon: the scheduler

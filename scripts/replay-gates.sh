@@ -50,17 +50,17 @@ if [ -f "$tmp/serve-overload.1" ] && ! grep -q " shed " "$tmp/serve-overload.1";
 	echo "replay gate serve-overload: the overload replay shed nothing" >&2
 	exit 1
 fi
-# Simulator speed: -nowall drops the host-timing columns, so cycles, hit
-# rate and fast-vs-stepped match must replay.
-replay simspeed -fig simspeed -nowall
+# Fast path vs stepping: cycles, coverage and the fast-vs-stepped match.
+replay fastpath -fig fastpath
 # Cluster: the in-process `identical` column diffs each pass against the
 # serial reference; this adds the cross-process half — the merged stream
 # may not depend on GOMAXPROCS, goroutine interleaving or which process
 # produced it.
-replay cluster -fig cluster -nowall -timeout 10m
+replay cluster -fig cluster -timeout 10m
 # Hand-off: a frozen job's image and its rehydrated continuation are
 # part of the replay contract, hand-off counts included.
-replay cluster-handoff -fig cluster -handoff -nowall -timeout 10m
+replay cluster-handoff -fig cluster -handoff -timeout 10m
 # Kernel offload: every column is simulated state (cycles, workers, DMA
-# bytes, checksums).
-replay kernels -fig kernels -nowall
+# bytes, checksums), so the matmul kernel-vs-scalar floor on the VPU
+# pool is exact on any runner.
+replay kernels -fig kernels -minspeedup 2.0
