@@ -36,7 +36,7 @@ func ExampleSystem_Submit() {
 	}
 
 	ok, verdict, err := sys.Submit(hera.JobRequest{
-		Class: "Square", Method: "main", Args: []int32{7},
+		Class: "Square", Method: "main", Args: []uint64{7},
 		Deadline: 200_000_000, // cycles, relative to admission
 	})
 	if err != nil {
@@ -45,7 +45,7 @@ func ExampleSystem_Submit() {
 	fmt.Println("first:", verdict)
 
 	shed, verdict, err := sys.Submit(hera.JobRequest{
-		Class: "Square", Method: "main", Args: []int32{8},
+		Class: "Square", Method: "main", Args: []uint64{8},
 		Deadline: 1, // impossible: shorter than one scheduling round
 	})
 	if err != nil {

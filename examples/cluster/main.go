@@ -80,7 +80,7 @@ func main() {
 			Class:    "Work",
 			Method:   "main",
 			Name:     fmt.Sprintf("crunch#%d", i),
-			Args:     []int32{int32(i + 3)},
+			Args:     []uint64{uint64(uint32(i + 3))},
 			Arrival:  uint64(i) * 50_000,
 			Deadline: 200_000_000,
 		})

@@ -74,14 +74,14 @@ func main() {
 			Class:    "Work",
 			Method:   "main",
 			Name:     fmt.Sprintf("crunch#%d", i),
-			Args:     []int32{int32(i + 5)},
+			Args:     []uint64{uint64(uint32(i + 5))},
 			Arrival:  uint64(i) * 100_000,
 			Deadline: deadline,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s: verdict %s\n", job.Name(), verdict)
+		fmt.Printf("%s: verdict %s\n", job.Name, verdict)
 		jobs = append(jobs, job)
 	}
 	if err := sys.Drain(); err != nil {
@@ -93,11 +93,11 @@ func main() {
 			log.Fatal(err)
 		}
 		if res.Shed {
-			fmt.Printf("%s: shed at admission\n", job.Name())
+			fmt.Printf("%s: shed at admission\n", job.Name)
 			continue
 		}
 		fmt.Printf("%s: value=%d cycles=%d (admitted %d) deadline met=%v migrations=%d compiles=%d\n",
-			job.Name(), int32(uint32(res.Value)), res.Cycles, res.AdmittedAt,
+			job.Name, int32(uint32(res.Value)), res.Cycles, res.AdmittedAt,
 			res.DeadlineMet, res.Migrations, res.Compiles)
 	}
 	fmt.Print(sys.Report())

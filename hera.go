@@ -65,7 +65,6 @@ import (
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
 	"herajvm/internal/cluster"
-	"herajvm/internal/core"
 	"herajvm/internal/experiments"
 	"herajvm/internal/isa"
 	"herajvm/internal/sched"
@@ -171,28 +170,31 @@ type (
 	// MachineConfig tunes the simulated Cell processor.
 	MachineConfig = cell.Config
 	// System is a booted Hera-JVM instance — a long-lived session that
-	// accepts job submissions (Submit/Drain) beside the one-shot Run.
-	System = core.System
+	// accepts job submissions (Submit, Probe) and is driven by Job.Wait,
+	// Drain and RunUntil. It embeds the VM: sys.VM reaches the machine,
+	// the compilers and the collector counters.
+	System = vm.System
 	// JobRequest describes one submission to a booted System: an entry
-	// method, optional int args, an arrival cycle, an optional
-	// completion deadline and an optional placement-policy override.
-	JobRequest = core.JobRequest
+	// method, its arguments as slot values (an int v is uint64(uint32(v))),
+	// an arrival cycle, an optional completion deadline and an optional
+	// placement-policy override.
+	JobRequest = vm.JobSpec
 	// Job is one submitted job; Job.Wait drives the machine until it
 	// completes and returns its per-job Result, and Job.Err reports its
 	// first thread trap without driving anything.
-	Job = core.Job
+	Job = vm.Job
 	// Result summarises one completed job: admission-to-completion
 	// cycles, the entry method's return value, the job's own captured
 	// output, its admission verdict and deadline fate, and — embedded —
 	// its JobStats.
-	Result = core.Result
+	Result = vm.Result
 	// JobStats is a job's own accounting: migrations, steals, compiles,
 	// GC pauses and cycles billed to it, kernel launches, workers and
 	// staging DMA. Result embeds it, so res.Migrations reads through.
 	JobStats = vm.JobStats
 	// Verdict is the admission pipeline's decision for one submission
 	// (Admitted, Delayed or Shed).
-	Verdict = core.Verdict
+	Verdict = vm.Verdict
 	// AdmissionConfig bounds the admission pipeline (Config.Admission):
 	// a pending-job backstop plus deadline-predictive shedding. The
 	// zero value admits everything.
@@ -223,23 +225,23 @@ type (
 // Admission verdicts.
 const (
 	// Admitted means the job is predicted to start promptly.
-	Admitted = core.Admitted
+	Admitted = vm.VerdictAdmitted
 	// Delayed means the job was accepted but will queue first.
-	Delayed = core.Delayed
+	Delayed = vm.VerdictDelayed
 	// Shed means the job was refused at admission and never runs.
-	Shed = core.Shed
+	Shed = vm.VerdictShed
 )
 
 // ErrDeadlock is the machine-level failure Job.Wait and System.Drain
 // wrap when live threads remain but none is runnable; match it with
 // errors.Is to distinguish a dead machine from a per-job trap (which
 // Wait returns alongside a valid Result).
-var ErrDeadlock = core.ErrDeadlock
+var ErrDeadlock = vm.ErrDeadlock
 
 // ErrBadConfig is what NewSystem (and NewCluster, per shard) wraps for a
 // Config no machine can run; the message names the field. Match it with
 // errors.Is.
-var ErrBadConfig = core.ErrBadConfig
+var ErrBadConfig = vm.ErrBadConfig
 
 // Core kinds. PPE and SPE are the Cell's pair; VPU is the registered
 // GPU-like wide vector core (cheap FP, brutal branches, SPE-style
@@ -302,7 +304,11 @@ func DefaultMonitoringPolicy() *MonitoringPolicy { return vm.DefaultMonitoringPo
 
 // NewSystem boots a Hera-JVM for the program.
 func NewSystem(cfg Config, prog *Program) (*System, error) {
-	return core.NewSystem(cfg, prog)
+	v, err := vm.New(cfg, prog)
+	if err != nil {
+		return nil, err
+	}
+	return &System{VM: v}, nil
 }
 
 // The cluster layer: N shards behind a drain-routed dispatcher.

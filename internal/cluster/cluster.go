@@ -28,7 +28,6 @@ import (
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
-	"herajvm/internal/core"
 	"herajvm/internal/vm"
 )
 
@@ -95,7 +94,7 @@ type Shard struct {
 	// ID is the shard's index in boot order — the routing tie-breaker.
 	ID int
 	// Sys is the shard's booted system.
-	Sys *core.System
+	Sys *vm.System
 	// Routed counts the jobs the dispatcher sent to this shard.
 	Routed int
 	// HandoffsOut and HandoffsIn count jobs frozen off this shard and
@@ -116,16 +115,16 @@ type Job struct {
 	Handoffs int
 	// Verdict is the routed shard's admission verdict, or Shed for a
 	// dispatcher-shed job.
-	Verdict core.Verdict
+	Verdict vm.Verdict
 	// Arrival is the cluster arrival cycle the job was dispatched at
 	// (the requested arrival, floored at the cluster horizon).
 	Arrival cell.Clock
 	// Deadline is the job's absolute completion deadline (0 = none).
 	Deadline cell.Clock
 	// Req is the dispatched request (Arrival already floored).
-	Req core.JobRequest
+	Req vm.JobSpec
 	// Inner is the shard-side job handle (nil for dispatcher-shed jobs).
-	Inner *core.Job
+	Inner *vm.Job
 }
 
 // Cluster is a booted fleet of shards behind one dispatcher. It is not
@@ -163,11 +162,11 @@ func Boot(cfg Config, shards []ShardConfig) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d build: %w", i, err)
 		}
-		sys, err := core.NewSystem(sc.Cfg, prog)
+		v, err := vm.New(sc.Cfg, prog)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d boot: %w", i, err)
 		}
-		c.shards = append(c.shards, &Shard{ID: i, Sys: sys})
+		c.shards = append(c.shards, &Shard{ID: i, Sys: &vm.System{VM: v}})
 	}
 	return c, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
-	"herajvm/internal/core"
 	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 )
@@ -69,7 +68,7 @@ func bootFleet(t *testing.T, cfg Config, n int, spin int32, mutate func(*vm.Conf
 func playScript(t *testing.T, c *Cluster, jobs int, gap, deadline cell.Clock) string {
 	t.Helper()
 	for i := 0; i < jobs; i++ {
-		_, _, err := c.Submit(core.JobRequest{
+		_, _, err := c.Submit(vm.JobSpec{
 			Class:    "Work",
 			Method:   "main",
 			Name:     fmt.Sprintf("job#%d", i),
@@ -159,22 +158,22 @@ func TestRoutingSpreads(t *testing.T) {
 // shard assignment, while a roomy deadline on the same fleet routes.
 func TestShedOnlyWhenAllMiss(t *testing.T) {
 	c := bootFleet(t, Config{Shed: true}, 2, 120_000, nil)
-	j, verdict, err := c.Submit(core.JobRequest{
+	j, verdict, err := c.Submit(vm.JobSpec{
 		Class: "Work", Method: "main", Deadline: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verdict != core.Shed || j.Shard != -1 || j.Inner != nil {
+	if verdict != vm.VerdictShed || j.Shard != -1 || j.Inner != nil {
 		t.Fatalf("impossible deadline: got verdict %v shard %d, want shed with no shard", verdict, j.Shard)
 	}
-	j, verdict, err = c.Submit(core.JobRequest{
+	j, verdict, err = c.Submit(vm.JobSpec{
 		Class: "Work", Method: "main", Deadline: 500_000_000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if verdict == core.Shed || j.Shard < 0 {
+	if verdict == vm.VerdictShed || j.Shard < 0 {
 		t.Fatalf("roomy deadline: got verdict %v shard %d, want routed", verdict, j.Shard)
 	}
 	if err := c.Drain(); err != nil {
@@ -198,9 +197,9 @@ func TestShedWhenAllFull(t *testing.T) {
 	})
 	// Three simultaneous arrivals, two one-deep queues: the third
 	// submission finds no shard with room.
-	verdicts := make([]core.Verdict, 3)
+	verdicts := make([]vm.Verdict, 3)
 	for i := range verdicts {
-		j, v, err := c.Submit(core.JobRequest{Class: "Work", Method: "main"})
+		j, v, err := c.Submit(vm.JobSpec{Class: "Work", Method: "main"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +208,7 @@ func TestShedWhenAllFull(t *testing.T) {
 			t.Fatalf("job %d should have routed, got shard %d", i, j.Shard)
 		}
 	}
-	if verdicts[2] != core.Shed {
+	if verdicts[2] != vm.VerdictShed {
 		t.Fatalf("third simultaneous job: got %v, want shed (all queues full)", verdicts[2])
 	}
 	if err := c.Drain(); err != nil {
@@ -243,7 +242,7 @@ func TestCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := bootFleet(t, Config{Ctx: ctx}, 2, 120_000, nil)
-	if _, _, err := c.Submit(core.JobRequest{
+	if _, _, err := c.Submit(vm.JobSpec{
 		Class: "Work", Method: "main", Arrival: 1_000_000,
 	}); err == nil {
 		t.Fatal("submit past a cancelled context should fail")

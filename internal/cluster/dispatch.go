@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/core"
+	"herajvm/internal/vm"
 )
 
 // The dispatcher. Routing reuses the admission pipeline's completion
@@ -30,13 +30,13 @@ import (
 // driver); an arrival earlier than the cluster horizon is floored to
 // it. The error return is for malformed requests and machine-level
 // failures; shedding is a verdict.
-func (c *Cluster) Submit(req core.JobRequest) (*Job, core.Verdict, error) {
+func (c *Cluster) Submit(req vm.JobSpec) (*Job, vm.Verdict, error) {
 	arrival := req.Arrival
 	if arrival < c.horizon {
 		arrival = c.horizon
 	}
 	if err := c.AdvanceTo(arrival); err != nil {
-		return nil, core.Shed, err
+		return nil, vm.VerdictShed, err
 	}
 	req.Arrival = arrival
 
@@ -45,7 +45,7 @@ func (c *Cluster) Submit(req core.JobRequest) (*Job, core.Verdict, error) {
 	for _, s := range c.shards {
 		completion, room, err := s.Sys.Probe(req)
 		if err != nil {
-			return nil, core.Shed, fmt.Errorf("cluster: probing shard %d: %w", s.ID, err)
+			return nil, vm.VerdictShed, fmt.Errorf("cluster: probing shard %d: %w", s.ID, err)
 		}
 		if !room {
 			continue
@@ -59,20 +59,20 @@ func (c *Cluster) Submit(req core.JobRequest) (*Job, core.Verdict, error) {
 	if req.Deadline != 0 {
 		deadline = arrival + req.Deadline
 	}
-	j := &Job{Seq: len(c.jobs), Shard: -1, Verdict: core.Shed,
+	j := &Job{Seq: len(c.jobs), Shard: -1, Verdict: vm.VerdictShed,
 		Arrival: arrival, Deadline: deadline, Req: req}
 	if best < 0 || (c.cfg.Shed && deadline != 0 && bestCompletion > deadline) {
 		// Every shard is full, or every shard's probe misses the
 		// deadline: shed at dispatch. The job keeps its sequence slot so
 		// the merged result stream replays identically.
 		c.jobs = append(c.jobs, j)
-		return j, core.Shed, nil
+		return j, vm.VerdictShed, nil
 	}
 
 	shard := c.shards[best]
 	inner, verdict, err := shard.Sys.Submit(req)
 	if err != nil {
-		return nil, core.Shed, fmt.Errorf("cluster: shard %d: %w", best, err)
+		return nil, vm.VerdictShed, fmt.Errorf("cluster: shard %d: %w", best, err)
 	}
 	shard.Routed++
 	j.Shard, j.Verdict, j.Inner = best, verdict, inner

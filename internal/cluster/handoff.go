@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/core"
+	"herajvm/internal/vm"
 )
 
 // Inter-shard job hand-off. At each epoch barrier — every shard parked
@@ -14,7 +14,7 @@ import (
 // capacity-aware completion estimate and moves the worst predicted
 // deadline-misser to a shard predicted to rescue it: the job's thread
 // tree is frozen at a safe point (every thread between instructions,
-// vm.FreezeJob), carried across as a portable JobImage, and rehydrated
+// vm.Freeze), carried across as a portable JobImage, and rehydrated
 // on the target. The whole mechanism is a pure function of
 // barrier-synchronized shard state, so replay remains byte-identical,
 // serial or parallel, at any GOMAXPROCS.
@@ -101,7 +101,7 @@ func (c *Cluster) rebalance(boundary cell.Clock) error {
 
 	img, err := src.Sys.Freeze(c.cfg.Ctx, victim.Inner)
 	switch {
-	case errors.Is(err, core.ErrJobDone), errors.Is(err, core.ErrNotFreezable):
+	case errors.Is(err, vm.ErrJobDone), errors.Is(err, vm.ErrNotFreezable):
 		return nil
 	case err != nil:
 		return fmt.Errorf("cluster: freezing job %d on shard %d: %w", victim.Seq, victim.Shard, err)
@@ -125,20 +125,17 @@ func (c *Cluster) rebalance(boundary cell.Clock) error {
 
 // serviceFloor returns the fastest completed-job latency observed in
 // the cluster so far — the measured uncontended-service proxy the
-// hand-off estimates scale by — and whether any job has completed.
+// hand-off estimates scale by — and whether any job has completed. A
+// job its shard shed is done without having run, so it measures
+// nothing.
 func (c *Cluster) serviceFloor() (cell.Clock, bool) {
 	var floor cell.Clock
 	found := false
 	for _, j := range c.jobs {
-		if j.Inner == nil || !j.Inner.Done() {
+		if j.Inner == nil || !j.Inner.Done() || j.Inner.Verdict == vm.VerdictShed {
 			continue
 		}
-		res, _ := j.Inner.Wait() // done: returns without driving the machine
-		if res == nil {
-			continue
-		}
-		lat := res.CompletedAt - res.AdmittedAt
-		if !found || lat < floor {
+		if lat := j.Inner.Cycles(); !found || lat < floor {
 			floor, found = lat, true
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/core"
 	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 )
@@ -40,7 +39,7 @@ func bootImbalanced(t *testing.T, cfg Config, spin int32) *Cluster {
 func playBurst(t *testing.T, c *Cluster, jobs int, deadline cell.Clock) []Result {
 	t.Helper()
 	for i := 0; i < jobs; i++ {
-		if _, _, err := c.Submit(core.JobRequest{
+		if _, _, err := c.Submit(vm.JobSpec{
 			Class: "Work", Method: "main", Name: fmt.Sprintf("job#%d", i),
 			Deadline: deadline,
 		}); err != nil {
@@ -169,5 +168,33 @@ func TestHandoffOffByDefault(t *testing.T) {
 		if r.Handoffs != 0 {
 			t.Fatalf("job %d was handed off with Handoff disabled", r.Seq)
 		}
+	}
+}
+
+// TestServiceFloorSkipsShardShedJobs: a job its shard sheds is done at
+// admission with zero cycles, but it never ran, so it measures no
+// service time. With shard-level shedding under a non-shedding
+// dispatcher, the hand-off's service floor must still be the fastest
+// job that actually ran, not 0.
+func TestServiceFloorSkipsShardShedJobs(t *testing.T) {
+	c := bootFleet(t, Config{Handoff: true}, 2, 120_000, func(cfg *vm.Config) {
+		cfg.Admission = vm.AdmissionConfig{Shed: true}
+	})
+	shed, verdict, err := c.Submit(vm.JobSpec{Class: "Work", Method: "main", Deadline: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdict != vm.VerdictShed || shed.Shard < 0 || shed.Inner == nil {
+		t.Fatalf("impossible deadline: verdict %v on shard %d, want shed by its shard", verdict, shed.Shard)
+	}
+	if _, _, err := c.Submit(vm.JobSpec{Class: "Work", Method: "main"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	floor, ok := c.serviceFloor()
+	if !ok || floor == 0 {
+		t.Errorf("service floor = %d (found %v), want the completed job's latency", floor, ok)
 	}
 }

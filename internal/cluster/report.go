@@ -5,7 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"herajvm/internal/core"
+	"herajvm/internal/vm"
 )
 
 // Result is one entry of the merged cluster result stream.
@@ -18,7 +18,7 @@ type Result struct {
 	// Res is the per-job result: the shard's completed Result, or a
 	// synthesized shed Result for dispatcher-shed jobs (Shed set, no
 	// cycles, no value).
-	Res *core.Result
+	Res *vm.Result
 	// Handoffs counts how many times the job moved shards mid-flight.
 	Handoffs int
 	// Err is the job's first thread trap, nil for clean and shed jobs.
@@ -47,11 +47,11 @@ func (c *Cluster) Results() ([]Result, error) {
 	for _, j := range ordered {
 		r := Result{Seq: j.Seq, Shard: j.Shard, Name: c.nameOf(j), Handoffs: j.Handoffs}
 		if j.Inner == nil {
-			r.Res = &core.Result{
+			r.Res = &vm.Result{
 				AdmittedAt:  j.Arrival,
 				CompletedAt: j.Arrival,
 				Deadline:    j.Deadline,
-				Verdict:     core.Shed,
+				Verdict:     vm.VerdictShed,
 				Shed:        true,
 			}
 		} else {

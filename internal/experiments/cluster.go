@@ -8,8 +8,8 @@ import (
 
 	"herajvm/internal/cell"
 	"herajvm/internal/cluster"
-	"herajvm/internal/core"
 	"herajvm/internal/isa"
+	"herajvm/internal/vm"
 )
 
 // The cluster figure measures the sharding layer end to end: one
@@ -209,7 +209,7 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 		return ClusterRun{}, err
 	}
 
-	err = script.play(func(req core.JobRequest) error {
+	err = script.play(func(req vm.JobSpec) error {
 		_, _, err := cl.Submit(req)
 		return err
 	})
@@ -224,7 +224,7 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 	if err != nil {
 		return ClusterRun{}, err
 	}
-	results, valid := make([]*core.Result, len(merged)), make([]bool, len(merged))
+	results, valid := make([]*vm.Result, len(merged)), make([]bool, len(merged))
 	for _, r := range merged {
 		if r.Err != nil {
 			return ClusterRun{}, fmt.Errorf("job %d trapped: %w", r.Seq, r.Err)

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/core"
+	"herajvm/internal/vm"
 )
 
 // registrySizes are the smallest sizes every registry entry runs at.
@@ -108,31 +108,31 @@ func TestFiguresReplay(t *testing.T) {
 // completed.
 func TestSLOFold(t *testing.T) {
 	const hz = 1000 // 1000 cycles per simulated second
-	done := func(latency, completedAt cell.Clock, met bool) *core.Result {
-		return &core.Result{Cycles: latency, CompletedAt: completedAt, DeadlineMet: met}
+	done := func(latency, completedAt cell.Clock, met bool) *vm.Result {
+		return &vm.Result{Cycles: latency, CompletedAt: completedAt, DeadlineMet: met}
 	}
-	shed := &core.Result{Shed: true, Cycles: 999_999} // a latency that must never be read
-	hundred := make([]*core.Result, 100)
+	shed := &vm.Result{Shed: true, Cycles: 999_999} // a latency that must never be read
+	hundred := make([]*vm.Result, 100)
 	for i := range hundred {
 		hundred[i] = done(cell.Clock(100-i), 2000, i%2 == 0) // unsorted on purpose: 100, 99, ... 1
 	}
 	for _, tc := range []struct {
 		name          string
-		results       []*core.Result
+		results       []*vm.Result
 		invalid       int // index of a job whose checksum failed, -1 for none
 		want          SLO
 		wantMakespan  cell.Clock
 		wantLatencies [3]cell.Clock
 	}{
 		{"n=0", nil, -1, SLO{AllValid: true}, 0, [3]cell.Clock{}},
-		{"all shed", []*core.Result{shed, shed}, 0, SLO{Shed: 2, AllValid: true}, 0, [3]cell.Clock{}},
-		{"n=1", []*core.Result{done(70, 500, true)}, -1,
+		{"all shed", []*vm.Result{shed, shed}, 0, SLO{Shed: 2, AllValid: true}, 0, [3]cell.Clock{}},
+		{"n=1", []*vm.Result{done(70, 500, true)}, -1,
 			SLO{Completed: 1, Met: 1, Goodput: 2, AllValid: true}, 500, [3]cell.Clock{70, 70, 70}},
-		{"n=2 + shed", []*core.Result{done(90, 400, false), shed, done(30, 1000, true)}, -1,
+		{"n=2 + shed", []*vm.Result{done(90, 400, false), shed, done(30, 1000, true)}, -1,
 			SLO{Completed: 2, Shed: 1, Met: 1, Goodput: 1, AllValid: true}, 1000, [3]cell.Clock{30, 90, 90}},
 		{"n=100", hundred, -1,
 			SLO{Completed: 100, Met: 50, Goodput: 25, AllValid: true}, 2000, [3]cell.Clock{50, 95, 99}},
-		{"invalid job", []*core.Result{done(10, 1000, true), done(20, 1000, true)}, 1,
+		{"invalid job", []*vm.Result{done(10, 1000, true), done(20, 1000, true)}, 1,
 			SLO{Completed: 2, Met: 2, Goodput: 2}, 1000, [3]cell.Clock{10, 20, 20}},
 	} {
 		valid := make([]bool, len(tc.results))

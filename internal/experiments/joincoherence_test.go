@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"herajvm/internal/core"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
 )
@@ -37,13 +36,13 @@ func TestMigrateJoinCoherence(t *testing.T) {
 	cfg := vm.DefaultConfig()
 	cfg.Machine.Topology = DefaultServeTopology()
 	cfg.Scheduler = "migrate"
-	sys, err := core.NewSystem(cfg, prog)
+	sys, err := vm.New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]*core.Job, len(entries))
+	jobs := make([]*vm.Job, len(entries))
 	for i, e := range entries {
-		jobs[i], _, err = sys.Submit(core.JobRequest{
+		jobs[i], _, err = sys.Submit(vm.JobSpec{
 			Class: e.MainClassOf(i), Method: "main", Arrival: arrivals[i],
 		})
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
-	"herajvm/internal/core"
 	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
@@ -106,9 +105,9 @@ func newScript(opt Options, d Script) (*Script, error) {
 func (s *Script) build() (*classfile.Program, error) { return workloads.BuildMix(s.entries) }
 
 // play submits every job of the script in arrival order.
-func (s *Script) play(submit func(core.JobRequest) error) error {
+func (s *Script) play(submit func(vm.JobSpec) error) error {
 	for i, e := range s.entries {
-		err := submit(core.JobRequest{
+		err := submit(vm.JobSpec{
 			Class:    e.MainClassOf(i),
 			Method:   "main",
 			Name:     fmt.Sprintf("%s#%d", e.Spec.Name, i),
@@ -124,7 +123,7 @@ func (s *Script) play(submit func(core.JobRequest) error) error {
 
 // valid reports job i's result matched its Go reference (vacuously
 // true for a shed job, which never ran).
-func (s *Script) valid(i int, res *core.Result) bool {
+func (s *Script) valid(i int, res *vm.Result) bool {
 	e := s.entries[i]
 	return res.Shed || int32(uint32(res.Value)) == e.Spec.Reference(e.Threads, e.Scale)
 }
@@ -162,7 +161,7 @@ type SLO struct {
 // foldSLO reduces one pass's per-job results to its SLO view and its
 // makespan (the simulated cycle the last job completed); valid[i] is
 // results[i]'s checksum verdict and hz the machine clock rate.
-func foldSLO(results []*core.Result, valid []bool, hz float64) (SLO, cell.Clock) {
+func foldSLO(results []*vm.Result, valid []bool, hz float64) (SLO, cell.Clock) {
 	slo := SLO{AllValid: true}
 	var makespan cell.Clock
 	var latencies []cell.Clock

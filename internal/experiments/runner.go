@@ -235,9 +235,9 @@ func run(opt Options, b bench, a arm) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
-	job, err := machine.SubmitJob(vm.JobSpec{Name: "main", Class: b.entry, Method: "main"})
+	job, _, err := machine.Submit(vm.JobSpec{Name: "main", Class: b.entry, Method: "main"})
 	if err == nil {
-		err = machine.WaitJob(job)
+		_, err = job.Wait()
 	}
 	if err != nil {
 		return RunStats{}, fmt.Errorf("%s (%s, sched %s): %w", b.name, a.topo, cfg.Scheduler, err)

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/core"
 	"herajvm/internal/vm"
 )
 
@@ -46,7 +45,7 @@ type ServeJob struct {
 	// Valid reports the job's checksum matched the Go reference (true
 	// vacuously for shed jobs, which are excluded from AllValid).
 	Valid bool
-	*core.Result
+	*vm.Result
 }
 
 // ServeRun is one (scheduler, shedding) pass over the arrival script.
@@ -123,12 +122,12 @@ func runServeOnce(cfg vm.Config, script *Script) (ServeRun, error) {
 	if err != nil {
 		return ServeRun{}, err
 	}
-	sys, err := core.NewSystem(cfg, prog)
+	sys, err := vm.New(cfg, prog)
 	if err != nil {
 		return ServeRun{}, err
 	}
-	var jobs []*core.Job
-	err = script.play(func(req core.JobRequest) error {
+	var jobs []*vm.Job
+	err = script.play(func(req vm.JobSpec) error {
 		// Open loop: advance simulated time to the arrival first, so the
 		// verdict is decided against the machine state holding then.
 		if err := sys.RunUntil(req.Arrival); err != nil {
@@ -146,9 +145,9 @@ func runServeOnce(cfg vm.Config, script *Script) (ServeRun, error) {
 	}
 
 	run := ServeRun{Scheduler: cfg.Scheduler, Shedding: cfg.Admission.Shed}
-	results, valid := make([]*core.Result, len(jobs)), make([]bool, len(jobs))
+	results, valid := make([]*vm.Result, len(jobs)), make([]bool, len(jobs))
 	for i, job := range jobs {
-		res, err := job.Wait() // already done: returns the stored result
+		res, err := job.Wait() // already done: returns without driving
 		if err != nil {
 			return ServeRun{}, fmt.Errorf("job %d: %w", i, err)
 		}

@@ -303,6 +303,7 @@ func (s *Calendar) takeReady(coreIndex int, seq uint64) Task {
 			return heap.Remove(&c.ready, i).(calEntry).t
 		}
 	}
+	// Internal invariant, unreachable because seq comes from a readyByWait scan of c.ready.
 	panic("sched: takeReady sequence not in the ready set")
 }
 

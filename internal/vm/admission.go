@@ -2,7 +2,6 @@ package vm
 
 import (
 	"errors"
-	"fmt"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/isa"
@@ -45,7 +44,7 @@ var verdictNames = [...]string{"admitted", "delayed", "shed"}
 func (v Verdict) String() string { return verdictNames[v] }
 
 // AdmissionConfig tunes the admission pipeline that decides each
-// SubmitJob's verdict. The zero value admits everything — the closed
+// Submit's verdict. The zero value admits everything — the closed
 // submission contract every pre-admission caller relied on.
 type AdmissionConfig struct {
 	// MaxPending bounds the admission queue: the number of jobs
@@ -64,8 +63,7 @@ type AdmissionConfig struct {
 	Shed bool
 }
 
-// JobSpec describes one submission to a booted VM — the vm-level
-// mirror of core.JobRequest.
+// JobSpec describes one submission to a booted VM.
 type JobSpec struct {
 	// Name labels the job in reports (default Class.Method).
 	Name string
@@ -145,36 +143,20 @@ func (vm *VM) predictCompletion(kind isa.CoreKind, arrival cell.Clock) (completi
 	return start + service, rootDrain
 }
 
-// ProbeJob evaluates the admission probe for a hypothetical submission
-// without admitting anything: it resolves the spec's entry method,
-// floors the arrival at the machine clock, asks the placement policy
-// where the root thread would land, and returns the drain-estimate +
-// service-EWMA predicted completion cycle plus whether the bounded
-// pending queue has room (always true when MaxPending is 0). A cluster
-// dispatcher calls this on every shard at an epoch barrier and routes
-// the job to the lowest predicted completion; the probe reads only
-// scheduler state, so probing is side-effect free and any number of
-// probes replay identically.
-func (vm *VM) ProbeJob(spec JobSpec) (completion cell.Clock, room bool, err error) {
-	cls := vm.Prog.Lookup(spec.Class)
-	if cls == nil {
-		return 0, false, fmt.Errorf("vm: no class %q", spec.Class)
-	}
-	m := cls.MethodByName(spec.Method)
-	if m == nil {
-		return 0, false, fmt.Errorf("vm: no method %s.%s", spec.Class, spec.Method)
-	}
-	arrival := spec.Arrival
-	if now := vm.Machine.MaxClock(); arrival < now {
-		arrival = now
-	}
-	pol := spec.Policy
-	if pol == nil {
-		pol = vm.policy
-	}
-	kind := pol.PlaceThread(vm, m)
-	if !vm.Machine.HasKind(kind) {
-		kind = vm.serviceKind()
+// Probe evaluates the admission probe for a hypothetical submission
+// without admitting anything: it runs Submit's entry checks, asks the
+// placement policy where the root thread would land, and returns the
+// drain-estimate + service-EWMA predicted completion cycle plus whether
+// the bounded pending queue has room (always true when MaxPending is
+// 0). A cluster dispatcher calls this on every shard at an epoch
+// barrier and routes the job to the lowest predicted completion; the
+// probe reads only scheduler state, so probing is side-effect free and
+// any number of probes replay identically. A spec Submit would refuse
+// is an error here too.
+func (vm *VM) Probe(spec JobSpec) (completion cell.Clock, room bool, err error) {
+	_, arrival, kind, err := vm.entry(spec)
+	if err != nil {
+		return 0, false, err
 	}
 	adm := vm.Cfg.Admission
 	room = adm.MaxPending == 0 || vm.pending < adm.MaxPending

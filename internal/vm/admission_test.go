@@ -43,14 +43,14 @@ func TestAdmissionZeroConfigAdmitsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main", Deadline: 1})
+	ja, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main", Deadline: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ja.Verdict == VerdictShed {
 		t.Fatal("zero-config admission shed a job")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// The impossible deadline is still reported honestly.
@@ -73,7 +73,7 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main", Deadline: 1})
+	shed, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main", Deadline: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +83,17 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	if !shed.Done() || shed.DeadlineMet || shed.Root() != nil {
 		t.Error("a shed job must be done at admission, with no threads and no met deadline")
 	}
-	if err := vm.WaitJob(shed); err != nil {
+	if _, err := shed.Wait(); err != nil {
 		t.Errorf("waiting on a shed job: %v", err)
 	}
-	ok, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Deadline: 1 << 40})
+	ok, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Deadline: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok.Verdict == VerdictShed {
 		t.Fatal("roomy deadline shed on an idle machine")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if !ok.DeadlineMet {
@@ -112,32 +112,32 @@ func TestAdmissionServiceEstimateShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main", Deadline: 1 << 40})
+	first, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main", Deadline: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.WaitJob(first); err != nil {
+	if _, err := first.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	service := uint64(first.Cycles())
 	if vm.jobServiceEWMA != service {
 		t.Fatalf("service EWMA = %d after one completion of %d cycles", vm.jobServiceEWMA, service)
 	}
-	tight, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Deadline: cell.Clock(service / 2)})
+	tight, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Deadline: cell.Clock(service / 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tight.Verdict != VerdictShed {
 		t.Errorf("deadline at half the observed service time admitted (verdict %v)", tight.Verdict)
 	}
-	roomy, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Deadline: cell.Clock(service * 10)})
+	roomy, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Deadline: cell.Clock(service * 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if roomy.Verdict == VerdictShed {
 		t.Errorf("deadline at 10x the observed service time shed")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -152,31 +152,31 @@ func TestAdmissionMaxPendingBackstop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main"})
+	ja, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ja.Verdict == VerdictShed {
 		t.Fatal("first job shed by a MaxPending=1 backstop")
 	}
-	jb, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main"})
+	jb, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jb.Verdict != VerdictShed {
 		t.Fatalf("second concurrent job verdict = %v, want shed (backstop)", jb.Verdict)
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	jc, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main"})
+	jc, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if jc.Verdict == VerdictShed {
 		t.Error("backstop still shedding after the queue drained")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -194,22 +194,22 @@ func shedInterleavedCycles(t *testing.T) []cell.Clock {
 		t.Fatal(err)
 	}
 	const arrival = 10_000
-	ja, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main", Arrival: arrival})
+	ja, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main", Arrival: arrival})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Arrival: arrival, Deadline: 1})
+	mid, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Arrival: arrival, Deadline: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jc, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Arrival: arrival})
+	jc, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Arrival: arrival})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mid.Verdict != VerdictShed {
 		t.Fatal("middle job was not shed")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	// The shed job holds its slot in the admission order.
@@ -243,11 +243,11 @@ func TestGCBillingSumsToMachineTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := vm.SubmitJob(JobSpec{Class: "Churn", Method: "main"})
+	j, _, err := vm.Submit(JobSpec{Class: "Churn", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if vm.GCCount == 0 {
@@ -287,11 +287,42 @@ func TestErrDeadlockTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := vm.SubmitJob(JobSpec{Class: "Main", Method: "main"})
+	j, _, err := vm.Submit(JobSpec{Class: "Main", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.WaitJob(j); !errors.Is(err, ErrDeadlock) {
+	if _, err := j.Wait(); !errors.Is(err, ErrDeadlock) {
 		t.Errorf("deadlocked machine returned %v, want errors.Is ErrDeadlock", err)
+	}
+}
+
+// TestProbeRefusesWhatSubmitRefuses: Probe runs Submit's entry checks,
+// so an entry Submit refuses — here an instance method — is an error
+// from the probe too, never a priced completion a dispatcher would
+// route on and then fail to submit.
+func TestProbeRefusesWhatSubmitRefuses(t *testing.T) {
+	p := buildTwoEntryProg()
+	a := p.NewClass("Inst", nil).NewMethod("run", 0, classfile.Int).Asm()
+	a.ConstI(1)
+	a.Ret()
+	a.MustBuild()
+	vm, err := New(testConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []JobSpec{
+		{Class: "Inst", Method: "run"},
+		{Class: "Nope", Method: "main"},
+		{Class: "EntryA", Method: "nope"},
+	} {
+		if _, _, err := vm.Submit(spec); err == nil {
+			t.Errorf("Submit(%s.%s) succeeded", spec.Class, spec.Method)
+		}
+		if c, _, err := vm.Probe(spec); err == nil {
+			t.Errorf("Probe(%s.%s) = completion %d, want the error Submit gives", spec.Class, spec.Method, c)
+		}
+	}
+	if _, room, err := vm.Probe(JobSpec{Class: "EntryA", Method: "main"}); err != nil || !room {
+		t.Errorf("Probe(EntryA.main) = room %v, err %v", room, err)
 	}
 }

@@ -19,7 +19,7 @@ const (
 	edgeHandoff                   // a live thread changes core: steal, migration, JNI round trip, rehydrate
 	edgeKernel                    // forRange: caller -> workers at launch, workers -> caller at the barrier
 	edgeSyscall                   // SPE -> service-core mailbox: the native reads main memory
-	edgeWorldStop                 // GC and FreezeJob work on main memory under every core
+	edgeWorldStop                 // GC and Freeze work on main memory under every core
 	edgeRuntime                   // the runtime bypasses or rebuilds a cache: arraycopy, adaptive resize
 	numEdges
 )

@@ -80,7 +80,7 @@ func TestMemoryModelEdges(t *testing.T) {
 				if r.natives != nil {
 					r.natives(vm)
 				}
-				th, err := vm.RunMain(r.class, "main")
+				th, err := runEntry(vm, r.class, "main")
 				if err != nil {
 					t.Fatal(err)
 				}

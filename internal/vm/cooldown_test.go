@@ -22,11 +22,11 @@ func churnMigrations(t *testing.T, cooldown uint64) (most uint64, multi int) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
-		if _, err := vm.SubmitJob(JobSpec{Class: "Main", Method: "main", Arrival: uint64(j) * 500_000}); err != nil {
+		if _, _, err := vm.Submit(JobSpec{Class: "Main", Method: "main", Arrival: uint64(j) * 500_000}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	for _, job := range vm.Jobs() {

@@ -52,11 +52,11 @@ func TestDifferentialSuperblockWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				job, err := machine.SubmitJob(vm.JobSpec{Name: spec.Name, Class: spec.MainClass, Method: "main"})
+				job, _, err := machine.Submit(vm.JobSpec{Name: spec.Name, Class: spec.MainClass, Method: "main"})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := machine.DrainJobs(); err != nil {
+				if err := machine.Drain(); err != nil {
 					t.Fatal(err)
 				}
 				if err := job.Err(); err != nil {

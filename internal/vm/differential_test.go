@@ -26,7 +26,7 @@ func TestDifferentialIntPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			th, err := vmach.RunMain("Gen", "main")
+			th, err := runEntry(vmach, "Gen", "main")
 			if err != nil {
 				t.Fatalf("trial %d on %v: %v", trial, kind, err)
 			}
@@ -243,7 +243,7 @@ func TestDifferentialDoublePrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := vmach.RunMain("GenD", "main")
+		th, err := runEntry(vmach, "GenD", "main")
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

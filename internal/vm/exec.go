@@ -39,7 +39,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 		}
 		// Freeze barrier: the job is being quiesced for a hand-off. Park
 		// the thread here — Blocked, off the calendar — instead of
-		// spending the quantum; FreezeJob collects it (or unparkJob
+		// spending the quantum; Freeze collects it (or unparkJob
 		// re-queues it if the freeze aborts). The check sits between
 		// instructions, where none is half applied; markers were already
 		// handled above.

@@ -107,7 +107,7 @@ func fastPathMatchesDisabled(t *testing.T, method string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		th, err := vmach.RunMain("Hot", method)
+		th, err := runEntry(vmach, "Hot", method)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func buildRecycleProg() *classfile.Program {
 // local 2, which b never writes — are then given the very addresses a's
 // locals held: a collection must free those objects (the frame's
 // reference map is b's type state, not what the slots last held), and a
-// FreezeJob image must carry b's slots as plain values and none of a's
+// Freeze image must carry b's slots as plain values and none of a's
 // objects.
 func TestFrameRecycleClearsRefs(t *testing.T) {
 	// reach runs the job to the first quantum boundary at which the root
@@ -100,7 +100,7 @@ func TestFrameRecycleClearsRefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := vm.SubmitJob(JobSpec{Name: "recycle", Class: "Recycle", Method: "main"})
+		j, _, err := vm.Submit(JobSpec{Name: "recycle", Class: "Recycle", Method: "main"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestFrameRecycleClearsRefs(t *testing.T) {
 	})
 	t.Run("freeze", func(t *testing.T) {
 		vm, j, _, _ := inB(t)
-		img, err := vm.FreezeJob(context.Background(), j)
+		img, err := vm.Freeze(context.Background(), j)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,6 @@
 package vm
 
 import (
-	"fmt"
 	"sort"
 
 	"herajvm/internal/isa"
@@ -132,22 +131,6 @@ func (h *Heap) Sweep(marked map[Ref]bool) (objects int, bytes uint64) {
 	}
 	h.GCs++
 	return objects, bytes
-}
-
-// checkInvariants panics if the free list overlaps live objects or falls
-// outside the heap; tests call it after stress sequences.
-func (h *Heap) checkInvariants() {
-	for _, f := range h.free {
-		if f.addr < h.start || f.addr+f.size > h.end {
-			panic(fmt.Sprintf("heap: free span [%#x,%#x) outside heap", f.addr, f.addr+f.size))
-		}
-		for addr, size := range h.objects {
-			if f.addr < addr+size && addr < f.addr+f.size {
-				panic(fmt.Sprintf("heap: free span [%#x,%#x) overlaps object %#x+%d",
-					f.addr, f.addr+f.size, addr, size))
-			}
-		}
-	}
 }
 
 // Object accessors: every object/array lives in main memory with the

@@ -295,7 +295,7 @@ func EncodeJobImage(img *JobImage) []byte {
 // buffer, a byte with no meaning, trailing garbage — returns an error
 // wrapping ErrBadImage; the decoder never panics. Structural validity
 // against a particular program (class names, index ranges, frame shape)
-// is RehydrateJob's validation.
+// is Rehydrate's validation.
 func DecodeJobImage(data []byte) (*JobImage, error) {
 	w := &wire{buf: data, dec: true}
 	img := &JobImage{}

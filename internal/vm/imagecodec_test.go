@@ -103,11 +103,11 @@ func TestImageRoundTripFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dj, err := dst.RehydrateJob(got, 0)
+	dj, err := dst.Rehydrate(got, 0, JobSpec{})
 	if err != nil {
 		t.Fatalf("rehydrate decoded image: %v", err)
 	}
-	if err := dst.WaitJob(dj); err != nil {
+	if _, err := dj.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if res := int32(uint32(dj.Root().Result)); res != snapExpected() {
@@ -244,7 +244,7 @@ func FuzzDecodeJobImage(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := dst.RehydrateJob(img, 0)
+		j, err := dst.Rehydrate(img, 0, JobSpec{})
 		if (j == nil) == (err == nil) {
 			t.Fatalf("rehydrate returned job %v, err %v", j, err)
 		}
@@ -255,16 +255,16 @@ func FuzzDecodeJobImage(f *testing.F) {
 }
 
 // TestRehydrateNilAndTinyImages: decoder-accepted but structurally
-// empty images are rejected by RehydrateJob, not crashed on.
+// empty images are rejected by Rehydrate, not crashed on.
 func TestRehydrateNilAndTinyImages(t *testing.T) {
 	v, err := New(testConfig(), buildSnapProg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.RehydrateJob(nil, 0); err == nil {
+	if _, err := v.Rehydrate(nil, 0, JobSpec{}); err == nil {
 		t.Error("rehydrate of nil image succeeded")
 	}
-	if _, err := v.RehydrateJob(&JobImage{}, 0); err == nil {
+	if _, err := v.Rehydrate(&JobImage{}, 0, JobSpec{}); err == nil {
 		t.Error("rehydrate of empty image succeeded")
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
+	"herajvm/internal/isa"
 )
 
 // JobStats is per-job scheduling accounting: the events the job's own
@@ -82,12 +84,12 @@ type Job struct {
 	live    int
 	done    bool
 	// kernels counts the job's in-flight kernel launches (callers parked
-	// at an SPMD barrier). A job with kernels > 0 refuses FreezeJob: the
+	// at an SPMD barrier). A job with kernels > 0 refuses Freeze: the
 	// barrier state — pinned workers mid-chunk, a caller blocked in a
 	// native — is not serializable between instructions.
 	kernels int
-	// frozen marks a job serialized off this machine by FreezeJob: it
-	// will never complete here (done stays false), and WaitJob returns
+	// frozen marks a job serialized off this machine by Freeze: it
+	// will never complete here (done stays false), and Wait returns
 	// ErrFrozen for it. freezeBarrier asks the executor to park the
 	// job's threads before their next instruction (the quiesce step
 	// of a freeze); parked collects the threads so parked.
@@ -99,13 +101,15 @@ type Job struct {
 	// (built once at admission; print natives are a hot path).
 	w      io.Writer
 	policy Policy
+	// vm is the machine the job was admitted on; Wait drives it.
+	vm *VM
 }
 
 // Done reports whether every thread of the job has terminated.
 func (j *Job) Done() bool { return j.done }
 
 // Frozen reports whether the job was serialized off this machine by
-// FreezeJob. A frozen job never completes here; its continuation lives
+// Freeze. A frozen job never completes here; its continuation lives
 // in the JobImage the freeze produced.
 func (j *Job) Frozen() bool { return j.frozen }
 
@@ -130,7 +134,48 @@ func (j *Job) Cycles() cell.Clock {
 // order, or nil.
 func (j *Job) Err() error { return firstTrap(j.threads) }
 
-// SubmitJob runs a submission through the admission pipeline: resolve
+// Result summarises one completed job.
+type Result struct {
+	// Cycles is the job's admission-to-completion time: the cycle its
+	// last thread retired minus the cycle it was admitted. (Before the
+	// session API this was the global machine-clock delta, which only
+	// made sense for one run at a time.)
+	Cycles cell.Clock
+	// Millis is Cycles at the machine's configured clock rate
+	// (MachineConfig.ClockHz; the Cell's 3.2 GHz by default).
+	Millis float64
+	// Value is the entry method's return value (low bits for int).
+	Value uint64
+	// HasValue reports whether the entry method returned a value.
+	HasValue bool
+	// Output is the System.out text the job's own threads printed.
+	Output string
+
+	// AdmittedAt and CompletedAt bound the job in simulated time.
+	AdmittedAt  cell.Clock
+	CompletedAt cell.Clock
+	// Verdict is the admission pipeline's decision for the job; Shed is
+	// true when it was refused at admission (Verdict == Shed), in which
+	// case the job never ran: Cycles, Value and Output are zero and
+	// DeadlineMet is false.
+	Verdict Verdict
+	Shed    bool
+	// Deadline is the job's absolute completion deadline (0 = none) and
+	// DeadlineMet whether the job completed by it (true when it had
+	// none).
+	Deadline    cell.Clock
+	DeadlineMet bool
+	// JobStats is the job's own accounting, as the VM kept it: the
+	// scheduling events its threads experienced (Migrations, Steals,
+	// Compiles), the collections its allocations forced and their pause
+	// cycles (GCPauses, GCCycles — billed to the job, so serving
+	// percentiles cannot hide GC), and its kernel launches
+	// (KernelLaunches, KernelWorkers, KernelDMABytes). The fields read as
+	// the Result's own: res.Migrations.
+	JobStats
+}
+
+// Submit runs a submission through the admission pipeline: resolve
 // the static entry method, floor the arrival at the machine's current
 // clock, and decide a verdict from the scheduler's drain estimates
 // under Config.Admission. An admitted (or delayed) job gets a fresh
@@ -139,27 +184,18 @@ func (j *Job) Err() error { return firstTrap(j.threads) }
 // admission order — but never runs, so replaying the same submission
 // script against the same driving schedule reproduces the same
 // verdicts and the same machine byte for byte. The job does not
-// execute until the machine is driven (WaitJob, DrainJobs, RunUntil,
-// or any Run variant).
+// execute until the machine is driven (Job.Wait, Drain or RunUntil);
+// submissions made before driving share the machine and are scheduled
+// against each other. A shed job's Wait returns at once with a Result
+// whose Shed flag is set.
 //
 // The error return is for malformed submissions (unknown class or
-// method, bad arguments); shedding is not an error — it is the
-// admission pipeline doing its job, reported through Job.Verdict.
-func (vm *VM) SubmitJob(spec JobSpec) (*Job, error) {
-	cls := vm.Prog.Lookup(spec.Class)
-	if cls == nil {
-		return nil, fmt.Errorf("vm: no class %q", spec.Class)
-	}
-	m := cls.MethodByName(spec.Method)
-	if m == nil {
-		return nil, fmt.Errorf("vm: no method %s.%s", spec.Class, spec.Method)
-	}
-	if !m.IsStatic() {
-		return nil, fmt.Errorf("vm: entry %s must be static", m.Sig())
-	}
-	arrival := spec.Arrival
-	if now := vm.Machine.MaxClock(); arrival < now {
-		arrival = now
+// method, an instance entry, bad arguments); shedding is not an error —
+// it is the admission pipeline doing its job, reported as the Verdict.
+func (vm *VM) Submit(spec JobSpec) (*Job, Verdict, error) {
+	m, arrival, kind, err := vm.entry(spec)
+	if err != nil {
+		return nil, VerdictShed, err
 	}
 	name := spec.Name
 	if name == "" {
@@ -170,12 +206,8 @@ func (vm *VM) SubmitJob(spec JobSpec) (*Job, error) {
 		deadline = arrival + spec.Deadline
 	}
 
-	j := &Job{ID: len(vm.jobs), Name: name, AdmittedAt: arrival,
+	j := &Job{vm: vm, ID: len(vm.jobs), Name: name, AdmittedAt: arrival,
 		Deadline: deadline, policy: spec.Policy}
-	kind := vm.policyOf(j).PlaceThread(vm, m)
-	if !vm.Machine.HasKind(kind) {
-		kind = vm.serviceKind()
-	}
 	j.Verdict = vm.admissionVerdict(kind, arrival, deadline)
 	if j.Verdict == VerdictShed {
 		// Shed at admission: the job is complete without ever running.
@@ -185,7 +217,7 @@ func (vm *VM) SubmitJob(spec JobSpec) (*Job, error) {
 		j.done = true
 		j.CompletedAt = arrival
 		vm.jobs = append(vm.jobs, j)
-		return j, nil
+		return j, j.Verdict, nil
 	}
 	j.w = io.MultiWriter(vm.stdout, &j.out)
 	prevJob := vm.curJob
@@ -193,12 +225,30 @@ func (vm *VM) SubmitJob(spec JobSpec) (*Job, error) {
 	root, err := vm.startThread(j, name, m, arrival, spec.Args)
 	vm.curJob = prevJob
 	if err != nil {
-		return nil, err
+		return nil, VerdictShed, err
 	}
 	j.root = root
 	vm.pending++
 	vm.jobs = append(vm.jobs, j)
-	return j, nil
+	return j, j.Verdict, nil
+}
+
+// entry is the checking Submit and Probe share: it resolves the
+// submission's static entry method, floors its arrival at the machine
+// clock, and asks the placement policy where the root thread lands.
+func (vm *VM) entry(spec JobSpec) (m *classfile.Method, arrival cell.Clock, kind isa.CoreKind, err error) {
+	cls := vm.Prog.Lookup(spec.Class)
+	if cls == nil {
+		return nil, 0, 0, fmt.Errorf("vm: no class %q", spec.Class)
+	}
+	if m = cls.MethodByName(spec.Method); m == nil {
+		return nil, 0, 0, fmt.Errorf("vm: no method %s.%s", spec.Class, spec.Method)
+	}
+	if !m.IsStatic() {
+		return nil, 0, 0, fmt.Errorf("vm: entry %s must be static", m.Sig())
+	}
+	arrival = max(spec.Arrival, vm.Machine.MaxClock())
+	return m, arrival, vm.placeKind(spec.Policy, m), nil
 }
 
 // Jobs returns the admitted jobs in admission order (a copy).
@@ -208,25 +258,45 @@ func (vm *VM) Jobs() []*Job {
 	return out
 }
 
-// WaitJob drives the machine until the job completes (other jobs'
-// threads progress too — the machine is shared). It returns a
-// machine-level error (deadlock), ErrFrozen for a job that was frozen
-// off this machine (it will never complete here), or the job's first
-// thread trap.
-func (vm *VM) WaitJob(j *Job) error {
-	if err := vm.runWhile(func() bool { return j.done || j.frozen }); err != nil {
-		return err
+// Wait drives the machine until the job completes and returns its
+// Result. Other jobs progress too — the machine is shared; Wait only
+// decides when the driving loop hands back. A trap in any of the job's
+// threads is returned as the error, alongside the Result — a trapped
+// job still completed, and its output, cycles and counters remain
+// meaningful. A nil Result comes only with a machine-level failure
+// (match it with errors.Is(err, ErrDeadlock)) or with ErrFrozen for a
+// job frozen off this machine, which will never complete here. A shed
+// job returns at once: its Result carries the verdict (Shed set, no
+// value, no cycles) and a nil error.
+func (j *Job) Wait() (*Result, error) {
+	if err := j.vm.runWhile(func() bool { return j.done || j.frozen }); err != nil {
+		return nil, err
 	}
 	if j.frozen {
-		return fmt.Errorf("vm: job %d (%s): %w", j.ID, j.Name, ErrFrozen)
+		return nil, fmt.Errorf("vm: job %d (%s): %w", j.ID, j.Name, ErrFrozen)
 	}
-	return j.Err()
+	res := &Result{
+		Cycles:      j.Cycles(),
+		Millis:      float64(j.Cycles()) / (j.vm.Cfg.Machine.EffectiveClockHz() / 1e3),
+		Output:      j.Output(),
+		AdmittedAt:  j.AdmittedAt,
+		CompletedAt: j.CompletedAt,
+		Deadline:    j.Deadline,
+		DeadlineMet: j.DeadlineMet,
+		Verdict:     j.Verdict,
+		Shed:        j.Verdict == VerdictShed,
+		JobStats:    j.Stats,
+	}
+	if j.root != nil {
+		res.Value, res.HasValue = j.root.Result, j.root.HasResult
+	}
+	return res, j.Err()
 }
 
-// DrainJobs drives the machine until every thread of every admitted
-// job has terminated. Per-job traps stay on the jobs (Job.Err); only
-// machine-level failures (deadlock) are returned.
-func (vm *VM) DrainJobs() error {
+// Drain drives the machine until every thread of every admitted job
+// has terminated. Per-job traps stay on the jobs (Job.Wait and Job.Err
+// report them); only machine-level failures (deadlock) are returned.
+func (vm *VM) Drain() error {
 	return vm.runWhile(func() bool { return vm.liveCount == 0 })
 }
 
@@ -245,11 +315,22 @@ func (vm *VM) RunUntil(c cell.Clock) error {
 
 // policyOf returns the placement policy governing a job's threads: the
 // override it was submitted with, the VM-wide policy otherwise.
-func (vm *VM) policyOf(j *Job) Policy {
-	if j.policy != nil {
-		return j.policy
+func (vm *VM) policyOf(override Policy) Policy {
+	if override != nil {
+		return override
 	}
 	return vm.policy
+}
+
+// placeKind is the kind a new thread entering m lands on under the
+// policy override: the policy's choice, or the service kind when the
+// machine has no core of that kind.
+func (vm *VM) placeKind(override Policy, m *classfile.Method) isa.CoreKind {
+	kind := vm.policyOf(override).PlaceThread(vm, m)
+	if !vm.Machine.HasKind(kind) {
+		kind = vm.serviceKind()
+	}
+	return kind
 }
 
 // noteMigrated records a cross-kind migration of t (any cause) and

@@ -37,18 +37,18 @@ func TestSubmitJobsPerJobOutputAndResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main"})
+	ja, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main"})
+	jb, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ja.Done() || jb.Done() {
 		t.Fatal("jobs must not run before the machine is driven")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -95,11 +95,11 @@ func TestSubmitJobArgsAndArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	const arrival = 90_000
-	j, err := vm.SubmitJob(JobSpec{Name: "mul", Class: "Mul", Method: "main", Args: []uint64{6, 7}, Arrival: arrival})
+	j, _, err := vm.Submit(JobSpec{Name: "mul", Class: "Mul", Method: "main", Args: []uint64{6, 7}, Arrival: arrival})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got := int32(uint32(j.Root().Result)); got != 42 {
@@ -120,16 +120,16 @@ func TestWaitJobLeavesOthersPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main"})
+	ja, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// EntryB arrives far after EntryA completes.
-	jb, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Arrival: 50_000_000})
+	jb, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Arrival: 50_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.WaitJob(ja); err != nil {
+	if _, err := ja.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if !ja.Done() {
@@ -138,7 +138,7 @@ func TestWaitJobLeavesOthersPending(t *testing.T) {
 	if jb.Done() {
 		t.Error("a job arriving tens of millions of cycles later completed during an early wait")
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if !jb.Done() {
@@ -176,11 +176,11 @@ func TestJobChildThreadsInheritJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := vm.SubmitJob(JobSpec{Name: "spawner", Class: "Spawner", Method: "main"})
+	j, _, err := vm.Submit(JobSpec{Name: "spawner", Class: "Spawner", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// main never joins the child, so completion implies the job waited
@@ -200,15 +200,15 @@ func TestJobPolicyOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned, err := vm.SubmitJob(JobSpec{Name: "pinned", Class: "EntryA", Method: "main", Policy: FixedPolicy{Kind: isa.SPE}})
+	pinned, _, err := vm.Submit(JobSpec{Name: "pinned", Class: "EntryA", Method: "main", Policy: FixedPolicy{Kind: isa.SPE}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := vm.SubmitJob(JobSpec{Name: "default", Class: "EntryB", Method: "main"})
+	def, _, err := vm.Submit(JobSpec{Name: "default", Class: "EntryB", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if pinned.Root().Kind != isa.SPE {
@@ -216,25 +216,6 @@ func TestJobPolicyOverride(t *testing.T) {
 	}
 	if def.Root().Kind != isa.PPE {
 		t.Errorf("default job's root ran on %v, want the service PPE", def.Root().Kind)
-	}
-}
-
-// TestRunMainStillDrains: the deprecated one-shot path is Submit+drain
-// under the hood and must behave as before.
-func TestRunMainStillDrains(t *testing.T) {
-	vm, err := New(testConfig(), buildTwoEntryProg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := vm.RunMain("EntryA", "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int32(uint32(th.Result)) != 11 {
-		t.Errorf("result = %d", int32(uint32(th.Result)))
-	}
-	if len(vm.Jobs()) != 1 || !vm.Jobs()[0].Done() {
-		t.Error("RunMain should register and complete one job")
 	}
 }
 
@@ -246,15 +227,15 @@ func jobCycleCounts(t *testing.T, cfg Config) []cell.Clock {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := vm.SubmitJob(JobSpec{Class: "EntryA", Method: "main", Arrival: 10_000})
+	ja, _, err := vm.Submit(JobSpec{Class: "EntryA", Method: "main", Arrival: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main", Arrival: 10_000})
+	jb, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main", Arrival: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	return []cell.Clock{ja.Cycles(), jb.Cycles()}
@@ -269,17 +250,17 @@ func TestFailedSubmitLeavesSessionUsable(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := make([]uint64, 64)
-	if _, err := vm.SubmitJob(JobSpec{Name: "bad", Class: "EntryA", Method: "main", Args: args}); err == nil {
+	if _, _, err := vm.Submit(JobSpec{Name: "bad", Class: "EntryA", Method: "main", Args: args}); err == nil {
 		t.Fatal("oversized argument list accepted")
 	}
 	if vm.liveCount != 0 || len(vm.Jobs()) != 0 {
 		t.Fatalf("failed submit left state behind: liveCount=%d jobs=%d", vm.liveCount, len(vm.Jobs()))
 	}
-	j, err := vm.SubmitJob(JobSpec{Class: "EntryB", Method: "main"})
+	j, _, err := vm.Submit(JobSpec{Class: "EntryB", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.DrainJobs(); err != nil {
+	if err := vm.Drain(); err != nil {
 		t.Fatalf("drain after a failed submit: %v", err)
 	}
 	if !j.Done() || int32(uint32(j.Root().Result)) != 22 {
@@ -335,7 +316,7 @@ func TestEveryThreadHasAJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.RehydrateJob(img, 0); err != nil {
+	if _, err := dst.Rehydrate(img, 0, JobSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	check("rehydrated tree", dst, len(img.Threads))

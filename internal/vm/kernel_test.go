@@ -150,11 +150,11 @@ func runKernelJob(t *testing.T, topo cell.Topology, entry string, n int32) (*VM,
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Name: entry, Class: entry, Method: "main"})
+	j, _, err := v.Submit(JobSpec{Name: entry, Class: entry, Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	return v, j
@@ -274,11 +274,11 @@ func TestKernelEmptyRangeAndNullBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Name: "empty", Class: "EmptyLaunch", Method: "main"})
+	j, _, err := v.Submit(JobSpec{Name: "empty", Class: "EmptyLaunch", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatalf("empty range: %v", err)
 	}
 	if got := int32(uint32(j.Root().Result)); got != 42 {
@@ -288,11 +288,11 @@ func TestKernelEmptyRangeAndNullBody(t *testing.T) {
 		t.Errorf("empty range spawned workers: %+v", j.Stats)
 	}
 
-	nj, err := v.SubmitJob(JobSpec{Name: "null", Class: "NullLaunch", Method: "main"})
+	nj, _, err := v.Submit(JobSpec{Name: "null", Class: "NullLaunch", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.WaitJob(nj); err == nil {
+	if _, err := nj.Wait(); err == nil {
 		t.Error("null body did not trap")
 	} else if te, ok := err.(*TrapError); !ok || te.Kind != "NullPointerException" {
 		t.Errorf("null body trapped with %v, want NullPointerException", err)
@@ -310,7 +310,7 @@ func TestFreezeJobRefusesInFlightKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Name: "kmain", Class: "KMain", Method: "main"})
+	j, _, err := v.Submit(JobSpec{Name: "kmain", Class: "KMain", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,13 +328,13 @@ func TestFreezeJobRefusesInFlightKernel(t *testing.T) {
 			t.Fatal("job completed before the freeze probe")
 		}
 	}
-	if _, err := v.FreezeJob(context.Background(), j); !errors.Is(err, ErrNotFreezable) {
+	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrNotFreezable) {
 		t.Fatalf("freeze mid-kernel: err = %v, want ErrNotFreezable", err)
 	}
 	if j.Frozen() {
 		t.Fatal("refused freeze left the job marked frozen")
 	}
-	if err := v.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got := int32(uint32(j.Root().Result)); got != kernelExpected(n) {

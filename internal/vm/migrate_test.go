@@ -279,7 +279,7 @@ func TestMigrateMidLoopKeepsPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := vm.SubmitJob(JobSpec{Class: "Main", Method: "main"})
+	j, _, err := vm.Submit(JobSpec{Class: "Main", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestMigrateMidLoopKeepsPC(t *testing.T) {
 		}
 	}
 	vm.enqueue(th)
-	if err := vm.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := int32(uint32(j.Root().Result)), int32(iters*workers*(workers+1)/2); got != want {

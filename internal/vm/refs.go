@@ -99,8 +99,7 @@ func mapKinds(vals []uint64, kinds []classfile.TypeKind, f refMap) {
 func (fr *Frame) kinds() (stack, locals []classfile.TypeKind) {
 	stack, locals, err := classfile.KindsAt(fr.CM.M, fr.PC)
 	if err != nil || fr.SP > len(stack) || len(fr.Locals) != len(locals) {
-		// Internal invariant, unreachable because the executor only runs
-		// bodies Resolve verified and leaves a frame's PC on them.
+		// Internal invariant, unreachable because frames run only verified bodies at their PCs.
 		panic(fmt.Sprintf("vm: frame of %s at pc %d (%d locals, sp %d) is not in the verifier's state (%d locals, stack %v): %v",
 			fr.CM.M.Sig(), fr.PC, len(fr.Locals), fr.SP, len(locals), stack, err))
 	}

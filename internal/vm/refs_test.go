@@ -38,14 +38,14 @@ func newSitesWorld(t *testing.T) *sitesWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
+	j, _, err := v.Submit(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := v.RunUntil(80_000); err != nil {
 		t.Fatal(err)
 	}
-	// FreezeJob's drive to the safe point, stopped short of the capture.
+	// Freeze's drive to the safe point, stopped short of the capture.
 	j.freezeBarrier = true
 	for !v.jobFreezable(j) {
 		steps := 0
@@ -236,7 +236,7 @@ func TestEveryReferenceSiteIsWalked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dj, err := dst.RehydrateJob(img, 0)
+			dj, err := dst.Rehydrate(img, 0, JobSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,7 @@ func TestRoutesToOneObjectStayOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dj, err := dst.RehydrateJob(img, 0)
+	dj, err := dst.Rehydrate(img, 0, JobSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}

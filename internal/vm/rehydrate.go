@@ -1,5 +1,5 @@
-// RehydrateJob: admitting a frozen JobImage on a target VM. The inverse
-// of FreezeJob (snapshot.go): rebuild the heap reachable set with fresh
+// Rehydrate: admitting a frozen JobImage on a target VM. The inverse
+// of Freeze (snapshot.go): rebuild the heap reachable set with fresh
 // allocations, re-link statics and class locks, reconstruct the thread
 // tree — recompiling every frame's method for the kind the thread lands
 // on and re-entering at the recorded PC, as cross-kind migration does —
@@ -30,14 +30,16 @@ import (
 	"herajvm/internal/jit"
 )
 
-// RehydrateJob admits a frozen job image, resuming its thread tree at
-// the given arrival (floored at the machine clock, like SubmitJob). The
+// Rehydrate admits a frozen job image, resuming its thread tree at
+// the given arrival (floored at the machine clock, like Submit). The
 // image must come from a VM booted over the same program. The job keeps
 // its original admission cycle, absolute deadline, verdict, accounting
 // and captured output, so end-to-end latency and per-job reports span
 // the hand-off; threads land through the normal placement path and pay
-// real compile cycles for the target's core kinds.
-func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
+// real compile cycles for the target's core kinds. The JobSpec is
+// unused — everything the job needs comes from the image; the parameter
+// is kept only for the call in benchmark/probes.go.
+func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, error) {
 	if img == nil {
 		return nil, fmt.Errorf("vm: rehydrate of nil image")
 	}
@@ -52,7 +54,7 @@ func (vm *VM) RehydrateJob(img *JobImage, arrival cell.Clock) (*Job, error) {
 		return nil, err
 	}
 
-	j := &Job{ID: len(vm.jobs), Name: img.Name, AdmittedAt: img.AdmittedAt,
+	j := &Job{vm: vm, ID: len(vm.jobs), Name: img.Name, AdmittedAt: img.AdmittedAt,
 		Deadline: img.Deadline, Verdict: img.Verdict, policy: policy}
 	j.Stats = img.Stats
 	// Prime the capture buffer with the output already printed on the

@@ -86,7 +86,7 @@ func TestInvokeAllocationKeepsArguments(t *testing.T) {
 				fillHeap(t, vm, isa.ObjectBytes(x.InstanceSlots))
 				return nil
 			}})
-			th, err := vm.RunMain("Hole", "main")
+			th, err := runEntry(vm, "Hole", "main")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,10 +99,7 @@ func (vm *VM) place(t *Thread, kind isa.CoreKind) {
 func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyAt cell.Clock,
 	args []uint64) (*Thread, error) {
 
-	kind := vm.policyOf(job).PlaceThread(vm, entry)
-	if !vm.Machine.HasKind(kind) {
-		kind = vm.serviceKind()
-	}
+	kind := vm.placeKind(job.policy, entry)
 	cm, compileCycles, err := vm.compileFor(kind, entry)
 	if err != nil {
 		return nil, err
@@ -124,31 +121,6 @@ func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyA
 	t.ReadyAt = readyAt + compileCycles
 	vm.enqueue(t)
 	return t, nil
-}
-
-// RunMain compiles and runs the static entry method to completion,
-// driving the whole machine. It returns the entry thread (whose Result
-// holds any return value) and an error if any thread trapped or the
-// machine deadlocked. It is the one-job special case of the job API:
-// SubmitJob then drain.
-func (vm *VM) RunMain(className, methodName string) (*Thread, error) {
-	job, err := vm.SubmitJob(JobSpec{Name: "main", Class: className, Method: methodName})
-	if err != nil {
-		return nil, err
-	}
-	if err := vm.Run(); err != nil {
-		return job.root, err
-	}
-	return job.root, job.root.Trap
-}
-
-// Run drives the machine until every thread terminates and returns the
-// first thread trap, if any.
-func (vm *VM) Run() error {
-	if err := vm.runWhile(func() bool { return vm.liveCount == 0 }); err != nil {
-		return err
-	}
-	return firstTrap(vm.threads)
 }
 
 // runWhile drives the machine until stop reports true. The machine is

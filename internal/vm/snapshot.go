@@ -8,13 +8,13 @@
 // edges, accounting) is copied into the image as it stands, and one
 // walk of the image then replaces every heap address by a dense image
 // ID. Which slots hold a reference — for the discovery here, for that
-// walk, and for RehydrateJob's validation and fix-up (rehydrate.go) —
+// walk, and for Rehydrate's validation and fix-up (rehydrate.go) —
 // is said once, in refs.go; the binary wire format is imagecodec.go's.
 //
 // The safe-point contract: a job is freezable when every live thread is
 // Ready or Blocked (never mid-quantum), carries no in-flight runtime
 // state (a deferred migration, an unwinding exception, a suspended
-// native call). FreezeJob drives the machine toward that point: it
+// native call). Freeze drives the machine toward that point: it
 // raises a per-job freeze barrier that makes the executor park the job's
 // running threads before their next instruction instead of finishing
 // the quantum, then extracts the job. Freezing is part of the simulated
@@ -33,17 +33,17 @@ import (
 	"herajvm/internal/isa"
 )
 
-// ErrFrozen is returned by WaitJob (and core.Job.Wait) for a job that
+// ErrFrozen is returned by Job.Wait for a job that
 // was frozen off this machine: the job will never complete here, so
 // waiting on it is an error, not a wedge. Match with errors.Is.
 var ErrFrozen = errors.New("job is frozen")
 
-// ErrJobDone is FreezeJob's report that the job completed before (or
+// ErrJobDone is Freeze's report that the job completed before (or
 // while driving toward) its safe point — there is nothing to freeze,
 // and nothing went wrong.
 var ErrJobDone = errors.New("job already done")
 
-// ErrNotFreezable is FreezeJob's report that the job is entangled with
+// ErrNotFreezable is Freeze's report that the job is entangled with
 // state outside itself (a monitor shared with another job's thread, a
 // cross-job join, a non-serializable policy or trap) and cannot be
 // extracted. The job keeps running where it is. Match with errors.Is.
@@ -161,7 +161,7 @@ type ImageClassLock struct {
 	Obj   uint32
 }
 
-// JobImage is a frozen job: everything RehydrateJob needs to resume the
+// JobImage is a frozen job: everything Rehydrate needs to resume the
 // job's thread tree on another VM booted over the same program.
 type JobImage struct {
 	Name       string
@@ -241,7 +241,7 @@ func (vm *VM) jobFreezable(j *Job) bool {
 	return true
 }
 
-// FreezeJob drives the machine until the job reaches a safe point, then
+// Freeze drives the machine until the job reaches a safe point, then
 // serializes and detaches it. Other jobs' threads progress normally
 // while driving — the freeze is part of the shared, deterministic
 // schedule. A nil ctx never cancels; a cancelled ctx aborts the freeze
@@ -250,8 +250,8 @@ func (vm *VM) jobFreezable(j *Job) bool {
 // first; ErrNotFreezable means the job is entangled with state outside
 // itself and stays put. On success the job is detached from this
 // machine: its threads leave the scheduler, Done stays false, Frozen
-// reports true, and WaitJob returns ErrFrozen.
-func (vm *VM) FreezeJob(ctx context.Context, j *Job) (*JobImage, error) {
+// reports true, and Job.Wait returns ErrFrozen.
+func (vm *VM) Freeze(ctx context.Context, j *Job) (*JobImage, error) {
 	if j == nil {
 		return nil, fmt.Errorf("vm: freeze of nil job")
 	}

@@ -146,11 +146,11 @@ func snapResult(t *testing.T) (int32, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
+	j, _, err := v.Submit(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	return int32(uint32(j.Root().Result)), j.Output()
@@ -165,7 +165,7 @@ func freezeAt(t testing.TB, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := src.SubmitJob(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
+	j, _, err := src.Submit(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func freezeAt(t testing.TB, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
 			}
 		}
 	}
-	img, err := src.FreezeJob(context.Background(), j)
+	img, err := src.Freeze(context.Background(), j)
 	if errors.Is(err, ErrJobDone) {
 		return src, j, nil, false
 	}
@@ -229,13 +229,13 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 		if !srcJob.Frozen() || srcJob.Done() {
 			t.Fatalf("cycle %d: frozen job state: frozen=%v done=%v", cycle, srcJob.Frozen(), srcJob.Done())
 		}
-		if err := src.WaitJob(srcJob); !errors.Is(err, ErrFrozen) {
-			t.Fatalf("cycle %d: WaitJob on frozen job = %v, want ErrFrozen", cycle, err)
+		if _, err := srcJob.Wait(); !errors.Is(err, ErrFrozen) {
+			t.Fatalf("cycle %d: Wait on frozen job = %v, want ErrFrozen", cycle, err)
 		}
 		if src.LiveThreads() != 0 {
 			t.Fatalf("cycle %d: %d live threads left on the source", cycle, src.LiveThreads())
 		}
-		if err := src.DrainJobs(); err != nil {
+		if err := src.Drain(); err != nil {
 			t.Fatalf("cycle %d: source drain after freeze: %v", cycle, err)
 		}
 
@@ -243,7 +243,7 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dj, err := dst.RehydrateJob(img, 0)
+		dj, err := dst.Rehydrate(img, 0, JobSpec{})
 		if err != nil {
 			t.Fatalf("cycle %d: rehydrate: %v", cycle, err)
 		}
@@ -263,7 +263,7 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 				}
 			}
 		}
-		if err := dst.WaitJob(dj); err != nil {
+		if _, err := dj.Wait(); err != nil {
 			t.Fatalf("cycle %d: rehydrated job: %v", cycle, err)
 		}
 		if got := int32(uint32(dj.Root().Result)); got != wantRes {
@@ -295,11 +295,11 @@ func TestFreezeRehydrateReplayIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dj, err := dst.RehydrateJob(img, 0)
+		dj, err := dst.Rehydrate(img, 0, JobSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.WaitJob(dj); err != nil {
+		if _, err := dj.Wait(); err != nil {
 			t.Fatal(err)
 		}
 		return EncodeJobImage(img), dj.CompletedAt, dj.Root().Result, dj.Stats, dj.Output()
@@ -329,14 +329,14 @@ func TestFreezeCtxCancelAborts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j, err := src.SubmitJob(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
+		j, _, err := src.Submit(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := src.RunUntil(cycle); err != nil {
 			t.Fatal(err)
 		}
-		_, err = src.FreezeJob(ctx, j)
+		_, err = src.Freeze(ctx, j)
 		switch {
 		case errors.Is(err, context.Canceled):
 			aborted = true
@@ -352,7 +352,7 @@ func TestFreezeCtxCancelAborts(t *testing.T) {
 		if j.Frozen() {
 			t.Fatal("job marked frozen after an aborted freeze")
 		}
-		if err := src.WaitJob(j); err != nil {
+		if _, err := j.Wait(); err != nil {
 			t.Fatalf("job after aborted freeze: %v", err)
 		}
 		if got := int32(uint32(j.Root().Result)); got != wantRes {
@@ -373,14 +373,14 @@ func TestFreezeDoneJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
+	j, _, err := v.Submit(JobSpec{Name: "snap", Class: "Snap", Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.FreezeJob(context.Background(), j); !errors.Is(err, ErrJobDone) {
+	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrJobDone) {
 		t.Fatalf("freeze of done job = %v, want ErrJobDone", err)
 	}
 }
@@ -392,14 +392,14 @@ func TestFreezeCustomPolicyRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := v.SubmitJob(JobSpec{Class: "EntryA", Method: "main", Policy: customPolicy{}})
+	j, _, err := v.Submit(JobSpec{Class: "EntryA", Method: "main", Policy: customPolicy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.FreezeJob(context.Background(), j); !errors.Is(err, ErrNotFreezable) {
+	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrNotFreezable) {
 		t.Fatalf("freeze under a custom policy = %v, want ErrNotFreezable", err)
 	}
-	if err := v.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatalf("job after refused freeze: %v", err)
 	}
 }
@@ -422,11 +422,11 @@ func TestRehydrateOnDifferentTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dj, err := dst.RehydrateJob(img, 0)
+	dj, err := dst.Rehydrate(img, 0, JobSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.WaitJob(dj); err != nil {
+	if _, err := dj.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got := int32(uint32(dj.Root().Result)); got != wantRes {
@@ -438,7 +438,7 @@ func TestRehydrateOnDifferentTopology(t *testing.T) {
 }
 
 // TestRehydrateRejectsCorruptImages: invalid images error out of
-// RehydrateJob before any machine state changes — never a panic, here
+// Rehydrate before any machine state changes — never a panic, here
 // or later in the executor. The image is Snap frozen at cycle 80 000:
 // three single-frame threads, main (thread 0) with reference locals 0-2
 // and one int on its operand stack, each worker with a reference on its;
@@ -539,7 +539,7 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := dst.LiveThreads()
-		if _, err := dst.RehydrateJob(cp, 0); err == nil {
+		if _, err := dst.Rehydrate(cp, 0, JobSpec{}); err == nil {
 			t.Errorf("%s: rehydrate accepted an invalid image", name)
 		}
 		if dst.LiveThreads() != before {

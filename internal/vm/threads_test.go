@@ -270,7 +270,7 @@ func TestJNINativeMigratesToPPE(t *testing.T) {
 			ctx.ReturnI(int32(uint32(ctx.Args[0])) * 7)
 			return nil
 		}})
-	th, err := vm.RunMain("Jni", "main")
+	th, err := runEntry(vm, "Jni", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestDeadlockDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.RunMain("Main", "main"); err == nil ||
+	if _, err := runEntry(vm, "Main", "main"); err == nil ||
 		!strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("want deadlock error, got %v", err)
 	}

@@ -134,7 +134,7 @@ func TestUncaughtPropagatesThroughFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.RunMain("Deep", "main"); err == nil ||
+	if _, err := runEntry(vm, "Deep", "main"); err == nil ||
 		!strings.Contains(err.Error(), "NullPointerException") {
 		t.Errorf("want uncaught NPE, got %v", err)
 	}
@@ -213,7 +213,7 @@ func TestUnwindReleasesSynchronizedMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = vm.RunMain("Main", "main")
+	_, err = runEntry(vm, "Main", "main")
 	// The second call throws again (uncaught this time): that's the
 	// expected trap. A deadlock error would mean the monitor leaked.
 	if err == nil || !strings.Contains(err.Error(), "ArithmeticException") {

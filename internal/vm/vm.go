@@ -34,7 +34,7 @@ type Config struct {
 	Quantum uint64
 
 	// Admission tunes the job-admission pipeline: the bounded pending
-	// queue and deadline-based load shedding SubmitJob's verdicts come
+	// queue and deadline-based load shedding Submit's verdicts come
 	// from. The zero value admits every submission.
 	Admission AdmissionConfig
 
@@ -274,7 +274,7 @@ type VM struct {
 
 	// pinned holds heap references kept alive across allocation bursts
 	// whose object graphs are not yet reachable from ordinary roots —
-	// RehydrateJob links a transferred graph object by object, intern
+	// Rehydrate links a transferred graph object by object, intern
 	// and materialiseTrap build two-object values, and any allocation in
 	// the middle may trigger a collection. Scanned as GC roots; a stack,
 	// empty between bursts.
@@ -498,6 +498,11 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	registerBuiltins(vm)
 	return vm, nil
 }
+
+// System is a booted VM as the public API hands it out (hera.NewSystem,
+// a cluster shard's Sys). It adds nothing: every method is the VM's,
+// and the machine, compilers and collector counters read as sys.VM.
+type System struct{ *VM }
 
 // Output returns captured System.out output (when no Stdout writer was
 // configured).

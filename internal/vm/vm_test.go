@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -28,15 +29,26 @@ func newProg() *classfile.Program {
 	return p
 }
 
+// runEntry submits a static entry method as the machine's one job and
+// waits for it, returning the root thread and the job's first trap.
+func runEntry(v *VM, class, method string) (*Thread, error) {
+	j, _, err := v.Submit(JobSpec{Name: "main", Class: class, Method: method})
+	if err != nil {
+		return nil, err
+	}
+	_, err = j.Wait()
+	return j.Root(), err
+}
+
 func runMain(t *testing.T, cfg Config, p *classfile.Program, cls, method string) (*VM, *Thread) {
 	t.Helper()
 	vm, err := New(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := vm.RunMain(cls, method)
+	th, err := runEntry(vm, cls, method)
 	if err != nil {
-		t.Fatalf("RunMain: %v", err)
+		t.Fatalf("run %s.%s: %v", cls, method, err)
 	}
 	return vm, th
 }
@@ -334,7 +346,7 @@ func TestTrapsKillThread(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = vm.RunMain("T", "main")
+			_, err = runEntry(vm, "T", "main")
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("want %s, got %v", tc.want, err)
 			}
@@ -436,7 +448,34 @@ func TestGCReclaimsGarbage(t *testing.T) {
 	if vm.GCCount == 0 {
 		t.Error("expected at least one GC")
 	}
-	vm.Heap.checkInvariants()
+	if err := heapInvariants(vm.Heap); err != nil {
+		t.Error(err)
+	}
+	// The check must see a corrupted free list.
+	for obj := range vm.Heap.objects {
+		vm.Heap.free = append(vm.Heap.free, span{addr: obj, size: 4})
+		break
+	}
+	if heapInvariants(vm.Heap) == nil {
+		t.Error("a free span over a live object passed the heap check")
+	}
+}
+
+// heapInvariants reports a free span that falls outside the heap or
+// overlaps a live object.
+func heapInvariants(h *Heap) error {
+	for _, f := range h.free {
+		if f.addr < h.start || f.addr+f.size > h.end {
+			return fmt.Errorf("heap: free span [%#x,%#x) outside heap", f.addr, f.addr+f.size)
+		}
+		for addr, size := range h.objects {
+			if f.addr < addr+size && addr < f.addr+f.size {
+				return fmt.Errorf("heap: free span [%#x,%#x) overlaps object %#x+%d",
+					f.addr, f.addr+f.size, addr, size)
+			}
+		}
+	}
+	return nil
 }
 
 func TestGCPreservesReachableGraph(t *testing.T) {
@@ -557,7 +596,7 @@ func TestInstanceOfAndCheckCast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm2.RunMain("Main", "main"); err == nil ||
+	if _, err := runEntry(vm2, "Main", "main"); err == nil ||
 		!strings.Contains(err.Error(), "ClassCastException") {
 		t.Errorf("want ClassCastException, got %v", err)
 	}
@@ -834,7 +873,7 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 			go func() {
 				vm, err := New(cfg, buildComputeWorkers(2, 10))
 				if err == nil {
-					_, err = vm.RunMain("Main", "main")
+					_, err = runEntry(vm, "Main", "main")
 				}
 				done <- err
 			}()

@@ -42,11 +42,11 @@ func runKernelVariant(t *testing.T, k KernelSpec, kernel bool, scale int,
 	if kernel {
 		entry = k.KernelClass
 	}
-	j, err := machine.SubmitJob(vm.JobSpec{Name: entry, Class: entry, Method: "main"})
+	j, _, err := machine.Submit(vm.JobSpec{Name: entry, Class: entry, Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := machine.WaitJob(j); err != nil {
+	if _, err := j.Wait(); err != nil {
 		t.Fatalf("%s/%s: %v", k.Name, entry, err)
 	}
 	return int32(uint32(j.Root().Result)), machine, j
@@ -149,12 +149,12 @@ func TestKernelWorkloadsAsSpecMix(t *testing.T) {
 	}
 	want := mm.Reference(1)
 	for i, e := range entries {
-		j, err := machine.SubmitJob(vm.JobSpec{
+		j, _, err := machine.Submit(vm.JobSpec{
 			Name: e.MainClassOf(i), Class: e.MainClassOf(i), Method: "main"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := machine.WaitJob(j); err != nil {
+		if _, err := j.Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if got := int32(uint32(j.Root().Result)); got != want {

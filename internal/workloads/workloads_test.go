@@ -25,6 +25,17 @@ func runWorkload(t *testing.T, s Spec, threads, scale, numSPEs int) (int32, *vm.
 	return runWorkloadCfg(t, s, threads, scale, smallConfig(numSPEs))
 }
 
+// runEntry submits a static entry method as the machine's one job and
+// waits for it, returning the root thread and the job's first trap.
+func runEntry(v *vm.VM, class, method string) (*vm.Thread, error) {
+	j, _, err := v.Submit(vm.JobSpec{Name: "main", Class: class, Method: method})
+	if err != nil {
+		return nil, err
+	}
+	_, err = j.Wait()
+	return j.Root(), err
+}
+
 func runWorkloadCfg(t *testing.T, s Spec, threads, scale int, cfg vm.Config) (int32, *vm.VM) {
 	t.Helper()
 	p, err := s.Build(threads, scale)
@@ -35,7 +46,7 @@ func runWorkloadCfg(t *testing.T, s Spec, threads, scale int, cfg vm.Config) (in
 	if err != nil {
 		t.Fatal(err)
 	}
-	th, err := machine.RunMain(s.MainClass, "main")
+	th, err := runEntry(machine, s.MainClass, "main")
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name, err)
 	}
@@ -209,7 +220,7 @@ func TestWorkloadsUnderGCPressure(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					th, err := machine.RunMain(s.MainClass, "main")
+					th, err := runEntry(machine, s.MainClass, "main")
 					var trap *vm.TrapError
 					if errors.As(err, &trap) && trap.Kind == "OutOfMemoryError" {
 						return 0, nil, true
@@ -279,7 +290,7 @@ func TestFreezeDropsDeadLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := src.SubmitJob(vm.JobSpec{Class: s.MainClass, Method: "main"})
+	j, _, err := src.Submit(vm.JobSpec{Class: s.MainClass, Method: "main"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +308,7 @@ func TestFreezeDropsDeadLocal(t *testing.T) {
 	if _, locals, err := classfile.KindsAt(f.CM.M, f.PC); err != nil || locals[2] != classfile.Void || f.Locals[2] == 0 {
 		t.Fatalf("main at pc %d: local 2 = %#x typed %v (%v); the test expects a dead address", f.PC, f.Locals[2], locals, err)
 	}
-	img, err := src.FreezeJob(context.Background(), j)
+	img, err := src.Freeze(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,11 +322,11 @@ func TestFreezeDropsDeadLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dj, err := dst.RehydrateJob(img, 0)
+	dj, err := dst.Rehydrate(img, 0, vm.JobSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.WaitJob(dj); err != nil {
+	if _, err := dj.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := int32(uint32(dj.Root().Result)), s.Reference(threads, scale); got != want || got != control {

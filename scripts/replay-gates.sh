@@ -7,6 +7,7 @@
 #
 #   scripts/replay-gates.sh            # all gates (CI's determinism job)
 #   scripts/replay-gates.sh kernels    # only the gates whose name matches
+#   scripts/replay-gates.sh examples   # only the examples/ programs
 #
 # The golden Figure-4 diff (default scheduler, default machine) is not a
 # replay gate — it compares against testdata/golden_fig4.txt — and stays
@@ -64,3 +65,19 @@ replay cluster-handoff -fig cluster -handoff -timeout 10m
 # bytes, checksums), so the matmul kernel-vs-scalar floor on the VPU
 # pool is exact on any runner.
 replay kernels -fig kernels -minspeedup 2.0
+# Examples: each program under examples/ prints only simulated state
+# through the public API, so two runs of each must agree byte for byte.
+if [ -z "$only" ] || [[ "examples" == *"$only"* ]]; then
+	mkdir "$tmp/examples"
+	go build -o "$tmp/examples/" ./examples/...
+	for bin in "$tmp"/examples/*; do
+		name=examples/$(basename "$bin")
+		"$bin" > "$tmp/example.1"
+		"$bin" > "$tmp/example.2"
+		if ! diff -u "$tmp/example.1" "$tmp/example.2"; then
+			echo "replay gate $name: its second run printed different output" >&2
+			exit 1
+		fi
+		echo "replay gate $name: ok"
+	done
+fi

@@ -58,6 +58,14 @@ var seams = []struct {
 	{"no wall-clock column, and no knob to hide one",
 		`NoWall|nowall|Options\.Baseline|WallSecs|HostCPUs`,
 		[]string{"."}, nil},
+	// "Job lifecycle": the VM is the one job API — Submit, Job.Wait,
+	// Probe, Drain, Freeze, Rehydrate — and hera.System only embeds it.
+	{"one job API",
+		`SubmitJob|WaitJob|DrainJobs|ProbeJob|FreezeJob|RehydrateJob|RunMain|internal/core`,
+		[]string{"."}, nil},
+	{"no forwarding layer: vm.System declares no methods",
+		`^func \(\w+ \*?System\)`,
+		[]string{"internal/vm"}, nil},
 }
 
 // TestSeams walks the tree once per rule.
