@@ -176,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "monitor":
 		cfg.Policy = hera.DefaultMonitoringPolicy()
 	default:
-		// Any registered kind name pins every thread to that kind.
+		// Any kind name pins every thread to that kind.
 		kind, err := hera.ParseCoreKind(*policy)
 		if err != nil {
 			return fail(2, fmt.Errorf("unknown policy %q (want annotation, monitor, or a core kind name)", *policy))

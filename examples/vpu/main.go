@@ -1,13 +1,12 @@
 // VPU: a third core kind added by data alone. The VPU is a GPU-like
-// wide vector core registered in the kind registry with nothing but a
+// wide vector core that is one row of the kind table: nothing but a
 // cost table (very cheap floating point, brutal branch and call costs)
 // and capability flags (SPE-style local store, no runtime services).
 // No scheduler, policy, cache or JIT code names it — yet the same
 // unmodified floating-point program below migrates to VPU cores when
 // the topology declares them, because the adaptive monitoring policy
-// sends FP-dominated methods to the registered kind with the cheapest
-// predicted floating point: the SPE on a classic PS3, the VPU when one
-// is present.
+// sends FP-dominated methods to the kind with the cheapest predicted
+// floating point: the SPE on a classic PS3, the VPU when one is present.
 //
 //	go run ./examples/vpu
 package main

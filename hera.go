@@ -121,11 +121,11 @@ const (
 
 // Placement annotations (the paper's behaviour hints, §3).
 const (
-	// FloatIntensive sends the thread to the registered kind with the
-	// cheapest predicted floating point.
+	// FloatIntensive sends the thread to the kind with the cheapest
+	// predicted floating point.
 	FloatIntensive = classfile.AnnFloatIntensive
-	// MemoryIntensive sends the thread to the registered kind with the
-	// cheapest predicted memory access.
+	// MemoryIntensive sends the thread to the kind with the cheapest
+	// predicted memory access.
 	MemoryIntensive = classfile.AnnMemoryIntensive
 	// RunOnSPE pins the annotated method's thread to the SPE pool.
 	RunOnSPE = classfile.AnnRunOnSPE
@@ -208,14 +208,9 @@ type (
 	// MonitoringPolicy places threads by observed cycle composition
 	// (the paper's proposed runtime monitoring, §6).
 	MonitoringPolicy = vm.MonitoringPolicy
-	// CoreKind identifies one registered core kind (PPE, SPE, VPU, or
-	// any kind added via RegisterCoreKind).
+	// CoreKind identifies one of the machine's core kinds: PPE, SPE or
+	// VPU, the rows of internal/isa's fixed kind table.
 	CoreKind = isa.CoreKind
-	// KindSpec describes a core kind for RegisterCoreKind: name, cost
-	// table, memory model, branch model and service capability.
-	KindSpec = isa.KindSpec
-	// CostTable is a kind's static per-opcode cost/size calibration.
-	CostTable = isa.CostTable
 	// Topology declares a machine's core mix as ordered groups.
 	Topology = cell.Topology
 	// CoreGroup is one run of identical cores in a Topology.
@@ -243,10 +238,9 @@ var ErrDeadlock = vm.ErrDeadlock
 // errors.Is.
 var ErrBadConfig = vm.ErrBadConfig
 
-// Core kinds. PPE and SPE are the Cell's pair; VPU is the registered
-// GPU-like wide vector core (cheap FP, brutal branches, SPE-style
-// local store).
-var (
+// Core kinds. PPE and SPE are the Cell's pair; VPU is the GPU-like wide
+// vector core (cheap FP, brutal branches, SPE-style local store).
+const (
 	// PPE is the general-purpose, service-hosting PowerPC element.
 	PPE = isa.PPE
 	// SPE is the local-store accelerator element.
@@ -255,16 +249,7 @@ var (
 	VPU = isa.VPU
 )
 
-// RegisterCoreKind adds a new core kind from a KindSpec — cost table,
-// capability flags and all — and returns its CoreKind value. Once
-// registered, the kind can appear in topologies ("ppe:1,mykind:4"), is
-// scheduled, JIT-compiled and placed like any built-in kind, and the
-// placement policies weigh it by its cost table. See the README's
-// "Adding a new core kind" walkthrough.
-func RegisterCoreKind(s KindSpec) CoreKind { return isa.Register(s) }
-
-// ParseCoreKind parses a registered kind name ("ppe", "spe", "vpu",
-// any case).
+// ParseCoreKind parses a kind name ("ppe", "spe", "vpu", any case).
 func ParseCoreKind(s string) (CoreKind, error) { return isa.ParseCoreKind(s) }
 
 // DefaultConfig returns a PS3-like machine: one PPE, six SPEs, 256 KB

@@ -61,6 +61,9 @@ type CodeCache struct {
 // NewCodeCache builds a code cache over core's local store at
 // [base, base+cfg.Size).
 func NewCodeCache(cfg CodeCacheConfig, core *cell.Core, base uint32) *CodeCache {
+	// Internal invariants, unreachable because the VM builds caches only
+	// on local-store cores, and vm.validate fits both caches in the local
+	// store.
 	if !core.Kind.UsesLocalStore() {
 		panic("cache: code cache requires a local-store core")
 	}

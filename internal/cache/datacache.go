@@ -2,8 +2,8 @@
 // over a core's scratchpad local store: the data cache for objects and
 // array blocks (§3.2.1 of the paper) and the code cache with its class
 // table-of-contents (TOC) and per-class type information blocks (TIBs)
-// (§3.2.2). The caches serve any registered core kind whose spec
-// declares a local store — the Cell's SPEs and the GPU-like VPU alike.
+// (§3.2.2). The caches serve any core kind whose spec declares a local
+// store — the Cell's SPEs and the GPU-like VPU alike.
 package cache
 
 import (
@@ -178,6 +178,9 @@ func (d *DataCache) dcDelete(addr mem.Addr) {
 // NewDataCache builds a data cache over core's local store, occupying
 // [base, base+cfg.Size).
 func NewDataCache(cfg DataCacheConfig, core *cell.Core, base uint32) *DataCache {
+	// Internal invariants, unreachable because the VM builds caches only
+	// on local-store cores, and vm.validate fits both caches in the local
+	// store and checks ArrayBlock.
 	if !core.Kind.UsesLocalStore() {
 		panic("cache: data cache requires a local-store core")
 	}
@@ -246,6 +249,9 @@ func (d *DataCache) ensure(now cell.Clock, mainAddr mem.Addr, size uint32) (uint
 	// "a simple bump-pointer scheme ... with the cache simply being
 	// flushed if it is filled" (§3.2.1).
 	if size > d.cfg.Size {
+		// Internal invariant, unreachable because vm.validate sizes the
+		// cache for one unit and the adaptive controller never shrinks it
+		// below one.
 		panic(fmt.Sprintf("cache: unit of %d bytes exceeds data cache of %d", size, d.cfg.Size))
 	}
 	if d.bump+size > d.cfg.Size || d.live >= d.cfg.MaxEntries {
@@ -471,6 +477,8 @@ func readLS(ls []byte, addr, width uint32) uint64 {
 	case 8:
 		return binary.LittleEndian.Uint64(ls[addr:])
 	default:
+		// Internal invariant, unreachable because accesses are of a
+		// 1-, 2-, 4- or 8-byte field or element.
 		panic(fmt.Sprintf("cache: bad access width %d", width))
 	}
 }
@@ -486,6 +494,8 @@ func writeLS(ls []byte, addr, width uint32, v uint64) {
 	case 8:
 		binary.LittleEndian.PutUint64(ls[addr:], v)
 	default:
+		// Internal invariant, unreachable because accesses are of a
+		// 1-, 2-, 4- or 8-byte field or element.
 		panic(fmt.Sprintf("cache: bad access width %d", width))
 	}
 }

@@ -140,7 +140,7 @@ func TestHWCacheLRUEviction(t *testing.T) {
 }
 
 func TestPPEMemLevels(t *testing.T) {
-	p := NewPPEMem(DefaultPPEMemConfig())
+	p := NewPPEMem(ppeMemConfig())
 	cyc, l1 := p.Access(0x4000, 4)
 	if l1 || cyc != 200 {
 		t.Errorf("cold access: cycles=%d l1=%v, want 200,false", cyc, l1)
@@ -399,5 +399,24 @@ func TestEIBNoPhantomWaitForLaggingCore(t *testing.T) {
 	}
 	if e.WaitCycles != 0 {
 		t.Errorf("phantom wait recorded: %d", e.WaitCycles)
+	}
+}
+
+func TestParseTopologyList(t *testing.T) {
+	list, err := ParseTopologyList(" ppe:1,spe:6 ; ppe:1,spe:4,vpu:2 ;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 2 {
+		t.Fatalf("got %d topologies, want 2", len(list))
+	}
+	if list[0].String() != "ppe:1,spe:6" || list[1].String() != "ppe:1,spe:4,vpu:2" {
+		t.Errorf("round trip: %v", list)
+	}
+	if _, err := ParseTopologyList("ppe:1;zzz:3"); err == nil {
+		t.Error("unknown kind in a list entry should error")
+	}
+	if _, err := ParseTopologyList(" ; "); err == nil {
+		t.Error("an all-empty list should error")
 	}
 }

@@ -69,6 +69,8 @@ type EIB struct {
 
 // NewEIB builds a bus from its configuration.
 func NewEIB(cfg EIBConfig) *EIB {
+	// Internal invariants, unreachable because vm.validate rejects an EIB
+	// without a channel or without bandwidth.
 	if cfg.Channels <= 0 {
 		panic(fmt.Sprintf("cell: EIB needs at least one channel, got %d", cfg.Channels))
 	}

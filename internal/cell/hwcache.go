@@ -31,6 +31,8 @@ func NewHWCache(cfg HWCacheConfig) *HWCache {
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / uint32(cfg.Ways)
 	if sets == 0 || sets&(sets-1) != 0 {
+		// Internal invariant, unreachable because the machine builds its
+		// hardware caches only from the constant ppeMemConfig.
 		panic("cell: cache set count must be a nonzero power of two")
 	}
 	shift := uint32(0)
@@ -92,9 +94,10 @@ type PPEMemConfig struct {
 	MemCycles uint32
 }
 
-// DefaultPPEMemConfig returns the calibrated PPE hierarchy: 32 KB L1 and
-// 512 KB L2 with 128-byte lines (the Cell PPE's geometry).
-func DefaultPPEMemConfig() PPEMemConfig {
+// ppeMemConfig returns the calibrated PPE hierarchy, the same on every
+// machine: 32 KB L1 and 512 KB L2 with 128-byte lines (the Cell PPE's
+// geometry) and 200 cycles to main memory.
+func ppeMemConfig() PPEMemConfig {
 	return PPEMemConfig{
 		L1:        HWCacheConfig{SizeBytes: 32 << 10, LineBytes: 128, Ways: 8, HitCycles: 4},
 		L2:        HWCacheConfig{SizeBytes: 512 << 10, LineBytes: 128, Ways: 8, HitCycles: 24},

@@ -24,27 +24,28 @@ type Config struct {
 	// Topology declares the machine's core mix (the PS3 default is
 	// 1 PPE + 6 SPEs; see PS3Topology and ParseTopology).
 	Topology Topology
-	// LocalStore is each SPE's local store size (256 KB on real silicon).
+	// LocalStore is the local store size of every local-store core
+	// (256 KB on real silicon).
 	LocalStore uint32
 	EIB        EIBConfig
 	MFC        MFCConfig
-	PPEMem     PPEMemConfig
-	// BranchPredictorBits sizes each PPE predictor table (2^bits entries).
-	BranchPredictorBits uint
 }
+
+// predictorBits sizes each hardware branch predictor's table (2^12
+// entries). Like the PPE's cache geometry (ppeMemConfig), it is the same
+// on every machine.
+const predictorBits = 12
 
 // DefaultConfig returns a PS3-like machine: one PPE, six SPEs, 256 KB
 // local stores, 64 MB main memory.
 func DefaultConfig() Config {
 	return Config{
-		MainMemory:          64 << 20,
-		ClockHz:             DefaultClockHz,
-		Topology:            PS3Topology(6),
-		LocalStore:          256 << 10,
-		EIB:                 DefaultEIBConfig(),
-		MFC:                 DefaultMFCConfig(),
-		PPEMem:              DefaultPPEMemConfig(),
-		BranchPredictorBits: 12,
+		MainMemory: 64 << 20,
+		ClockHz:    DefaultClockHz,
+		Topology:   PS3Topology(6),
+		LocalStore: 256 << 10,
+		EIB:        DefaultEIBConfig(),
+		MFC:        DefaultMFCConfig(),
 	}
 }
 
@@ -160,7 +161,7 @@ type Machine struct {
 	EIB *EIB
 
 	cores  []*Core
-	byKind [][]*Core // indexed by isa.CoreKind, over the kinds registered at NewMachine
+	byKind [isa.NumKinds][]*Core
 }
 
 // NewMachine builds a machine from its configuration.
@@ -176,17 +177,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	for _, g := range cfg.Topology {
 		if !g.Kind.Known() {
-			return nil, fmt.Errorf("cell: topology names unregistered core kind %s", g.Kind)
-		}
-		if o := isa.Spec(g.Kind).LocalStoreBytes; o != 0 && o < 16<<10 {
-			return nil, fmt.Errorf("cell: %s local-store override %d too small (min 16 KB)", g.Kind, o)
+			return nil, fmt.Errorf("cell: topology names unknown core kind %s", g.Kind)
 		}
 	}
 	m := &Machine{
-		Cfg:    cfg,
-		Mem:    mem.NewMain(cfg.MainMemory),
-		EIB:    NewEIB(cfg.EIB),
-		byKind: make([][]*Core, isa.NumKinds()),
+		Cfg: cfg,
+		Mem: mem.NewMain(cfg.MainMemory),
+		EIB: NewEIB(cfg.EIB),
 	}
 	for _, g := range cfg.Topology {
 		for i := 0; i < g.Count; i++ {
@@ -199,21 +196,14 @@ func NewMachine(cfg Config) (*Machine, error) {
 			// kinds get a scratchpad and an MFC (the software caches layer
 			// on top in the VM); hardware-cached kinds get the coherent
 			// cache hierarchy; predictor-equipped kinds get a predictor.
-			// A kind's spec may size its own scratchpad (a VPU with a
-			// larger local store than the SPEs); the machine-wide
-			// cfg.LocalStore is the default.
 			if g.Kind.UsesLocalStore() {
-				ls := cfg.LocalStore
-				if o := isa.Spec(g.Kind).LocalStoreBytes; o != 0 {
-					ls = o
-				}
-				c.LS = make([]byte, ls)
+				c.LS = make([]byte, cfg.LocalStore)
 				c.MFC = NewMFC(cfg.MFC, m.EIB, m.Mem, c.LS)
 			} else {
-				c.Mem = NewPPEMem(cfg.PPEMem)
+				c.Mem = NewPPEMem(ppeMemConfig())
 			}
 			if g.Kind.PredictsBranches() {
-				c.BP = NewBranchPredictor(cfg.BranchPredictorBits)
+				c.BP = NewBranchPredictor(predictorBits)
 			}
 			m.cores = append(m.cores, c)
 			m.byKind[g.Kind] = append(m.byKind[g.Kind], c)
@@ -245,10 +235,9 @@ func (m *Machine) CoresOf(kind isa.CoreKind) []*Core {
 	return out
 }
 
-// ofKind is byKind[kind], nil for a kind the table does not reach (one
-// registered after the machine was built has no cores here).
+// ofKind is byKind[kind], nil for an unknown kind.
 func (m *Machine) ofKind(kind isa.CoreKind) []*Core {
-	if int(kind) >= len(m.byKind) {
+	if !kind.Known() {
 		return nil
 	}
 	return m.byKind[kind]

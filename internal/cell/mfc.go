@@ -65,6 +65,9 @@ func (m *MFC) DMA(now Clock, dir DMADir, mainAddr mem.Addr, lsAddr uint32, n uin
 		return now
 	}
 	if uint64(lsAddr)+uint64(n) > uint64(len(m.ls)) {
+		// Internal invariant, unreachable because the software caches DMA
+		// only into their own regions, which vm.validate fits in the
+		// local store.
 		panic(fmt.Sprintf("cell: DMA overruns local store: [%#x,%#x) of %#x",
 			lsAddr, lsAddr+n, len(m.ls)))
 	}
@@ -74,6 +77,8 @@ func (m *MFC) DMA(now Clock, dir DMADir, mainAddr mem.Addr, lsAddr uint32, n uin
 	case DMAPut:
 		m.main.WriteBytes(mainAddr, m.ls[lsAddr:lsAddr+n])
 	default:
+		// Internal invariant, unreachable because DMADir has only the two
+		// values above.
 		panic("cell: bad DMA direction")
 	}
 	carried := n

@@ -171,6 +171,8 @@ func Eval(op Op, a, b uint64, aux int32) (uint64, bool) {
 		return fromI(int32(int16(a))), true
 
 	default:
+		// Internal invariant, unreachable because the executors hand Eval
+		// only the arithmetic, compare and conversion opcodes.
 		panic("isa: Eval of non-arithmetic opcode " + op.String())
 	}
 }

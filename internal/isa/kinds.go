@@ -5,14 +5,30 @@ import (
 	"strings"
 )
 
-// CoreKind identifies one registered processor core kind. Kinds are
-// small dense integers assigned in registration order, so they index
-// arrays and maps cheaply; the registry below maps each kind to its
-// KindSpec descriptor. The VM never switches on a particular kind —
-// everything it needs to know (memory model, branch model, cost table,
-// runtime-service capability) is a capability query on the spec, which
-// is what lets a new kind be added by data alone.
+// CoreKind identifies one processor core kind: an index into the
+// fixed kind table below, so kinds index arrays cheaply. The VM never
+// switches on a particular kind — everything it needs to know (memory
+// model, branch model, cost table, runtime-service capability) is a
+// capability query on the kind's row, which is what lets a new kind be
+// added by data alone: one row plus its cost-table function.
 type CoreKind uint8
+
+// The machine's kinds. The numeric values are load-bearing: topology
+// order, scheduling tie-breaks, the memory-layout carve order and the
+// experiment tables all follow them.
+const (
+	// PPE is the PowerPC Processing Element: the single general-purpose
+	// core with coherent hardware caches and OS support.
+	PPE CoreKind = iota
+	// SPE is a Synergistic Processing Element: a floating-point-oriented
+	// core with a 256 KB local store and no direct main-memory access.
+	SPE
+	// VPU is the GPU-like wide Vector Processing Unit (vpu.go).
+	VPU
+
+	// NumKinds is how many kinds the table holds.
+	NumKinds = iota
+)
 
 // KindSpec describes one core kind: its name, how to build its cost
 // table, and the capabilities that drive every kind-dependent decision
@@ -29,7 +45,8 @@ type KindSpec struct {
 	// LocalStore selects the kind's memory model: true means an
 	// SPE-style scratchpad local store reached through software data and
 	// code caches plus DMA; false means hardware-coherent caches in
-	// front of main memory.
+	// front of main memory. Every local-store core has the machine's one
+	// local-store size and cache split.
 	LocalStore bool
 
 	// HostsServices reports whether the kind can host the runtime
@@ -49,19 +66,6 @@ type KindSpec struct {
 	// probe plus amortised DMA). Placement policies rank kinds by it for
 	// memory-bound work; it does not feed the cycle-accurate simulation.
 	MemAccessCycles float64
-
-	// LocalStoreBytes, when nonzero, overrides the machine-wide
-	// cell.Config.LocalStore for cores of this kind, so e.g. a VPU can
-	// model a larger scratchpad than the SPEs. Local-store kinds only;
-	// zero keeps the machine default.
-	LocalStoreBytes uint32
-
-	// DataCacheBytes/CodeCacheBytes, when nonzero, override the
-	// runtime's global software data/code cache sizes for cores of this
-	// kind (they must still fit the kind's local store together).
-	// Local-store kinds only; zero keeps the global configuration.
-	DataCacheBytes uint32
-	CodeCacheBytes uint32
 
 	// MigrateAffinity scales the predicted cost of running migrated-in
 	// work on this kind, as seen by the cross-kind migration cost gate
@@ -83,89 +87,61 @@ type KindSpec struct {
 	SPMDWidth uint8
 }
 
-// kindSpecs and kindTables are the registry: kindSpecs[k] describes
-// kind k, kindTables[k] caches one cost table per kind for the
-// capability and score queries (compilers build their own via Costs).
-var (
-	kindSpecs  []KindSpec
-	kindTables []*CostTable
-)
-
-// Register adds a core kind to the registry and returns its CoreKind
-// value. It panics on a nameless spec, a missing cost-table constructor
-// or a duplicate name (names are compared case-insensitively, matching
-// ParseCoreKind). Registration normally happens at package init; the
-// returned values are dense and ordered by registration.
-func Register(s KindSpec) CoreKind {
-	if s.Name == "" {
-		panic("isa: core kind registered without a name")
-	}
-	if s.NewCosts == nil {
-		panic(fmt.Sprintf("isa: core kind %q registered without a cost table", s.Name))
-	}
-	for _, e := range kindSpecs {
-		if strings.EqualFold(e.Name, s.Name) {
-			panic(fmt.Sprintf("isa: core kind %q already registered", s.Name))
-		}
-	}
-	if len(kindSpecs) >= 256 {
-		panic("isa: core kind registry full")
-	}
-	kindSpecs = append(kindSpecs, s)
-	kindTables = append(kindTables, s.NewCosts())
-	return CoreKind(len(kindSpecs) - 1)
-}
-
-// The Cell's two kinds. Registration order fixes the numeric values
-// (PPE=0, SPE=1), which topology order, scheduling tie-breaks and the
-// experiment tables all rely on; the VPU (vpu.go) registers third.
-var (
-	// PPE is the PowerPC Processing Element: the single general-purpose
-	// core with coherent hardware caches and OS support.
-	PPE = Register(KindSpec{
+// kindSpecs is the kind table: kindSpecs[k] describes kind k. The VPU's
+// row lives beside its cost table in vpu.go.
+var kindSpecs = [NumKinds]KindSpec{
+	PPE: {
 		Name:            "PPE",
 		NewCosts:        PPECosts,
 		HostsServices:   true,
 		BranchPredictor: true,
 		MemAccessCycles: 6, // mostly L1 hits at 4 cycles, occasional L2/main
-	})
-	// SPE is a Synergistic Processing Element: a floating-point-oriented
-	// core with a 256 KB local store and no direct main-memory access.
-	SPE = Register(KindSpec{
+	},
+	SPE: {
 		Name:            "SPE",
 		NewCosts:        SPECosts,
 		LocalStore:      true,
 		MemAccessCycles: 30, // probe + access + amortised DMA misses
-	})
-)
+	},
+	VPU: vpuSpec,
+}
 
-// Spec returns the registered descriptor for a kind. It panics for an
-// unregistered kind; use Known to probe.
-func Spec(k CoreKind) KindSpec {
+// kindTables caches one cost table per kind, built once at package
+// init, for the capability and score queries (compilers build their
+// own via Costs).
+var kindTables = func() (t [NumKinds]*CostTable) {
+	for k, s := range kindSpecs {
+		t[k] = s.NewCosts()
+	}
+	return t
+}()
+
+// spec returns the descriptor for a kind. It panics for an unknown
+// kind; use Known to probe.
+func spec(k CoreKind) KindSpec {
 	if !k.Known() {
-		panic(fmt.Sprintf("isa: unregistered core kind %d", k))
+		// Internal invariant, unreachable because a kind from outside the
+		// program arrives by name through ParseCoreKind (CLI, job image)
+		// or in a topology cell.NewMachine checks with Known.
+		panic(fmt.Sprintf("isa: unknown core kind %d", k))
 	}
 	return kindSpecs[k]
 }
 
-// Known reports whether k is a registered kind.
-func (k CoreKind) Known() bool { return int(k) < len(kindSpecs) }
+// Known reports whether k is one of the table's kinds.
+func (k CoreKind) Known() bool { return k < NumKinds }
 
-// NumKinds returns how many kinds are registered.
-func NumKinds() int { return len(kindSpecs) }
-
-// CoreKinds lists every registered core kind in registration order (the
-// order machine topologies, memory layouts and reports enumerate kinds).
+// CoreKinds lists every core kind in table order (the order machine
+// topologies, memory layouts and reports enumerate kinds).
 func CoreKinds() []CoreKind {
-	out := make([]CoreKind, len(kindSpecs))
+	out := make([]CoreKind, NumKinds)
 	for i := range out {
 		out[i] = CoreKind(i)
 	}
 	return out
 }
 
-// String returns the registered kind name, or "kind(N)" for a value no
-// registered kind owns.
+// String returns the kind name, or "kind(N)" for a value no kind owns.
 func (k CoreKind) String() string {
 	if !k.Known() {
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -173,8 +149,7 @@ func (k CoreKind) String() string {
 	return kindSpecs[k].Name
 }
 
-// ParseCoreKind parses a registered kind name ("ppe", "spe", "vpu",
-// any case).
+// ParseCoreKind parses a kind name ("ppe", "spe", "vpu", any case).
 func ParseCoreKind(s string) (CoreKind, error) {
 	for i, e := range kindSpecs {
 		if strings.EqualFold(e.Name, s) {
@@ -190,9 +165,9 @@ func ParseCoreKind(s string) (CoreKind, error) {
 
 // Costs returns a fresh default cost table for the given kind. Each
 // compiler owns its table; mutating the result never affects the
-// registry's cached copy used by the score queries.
+// cached copy used by the score queries.
 func Costs(k CoreKind) *CostTable {
-	return Spec(k).NewCosts()
+	return spec(k).NewCosts()
 }
 
 // UsesLocalStore reports whether the kind reaches memory through an
@@ -211,9 +186,9 @@ func (k CoreKind) PredictsBranches() bool { return k.Known() && kindSpecs[k].Bra
 
 // FPScore is the kind's predicted per-operation floating-point cost,
 // averaged over the common FP arithmetic opcodes. Placement policies
-// send FP-dominated work to the registered kind that minimises it.
+// send FP-dominated work to the kind that minimises it.
 func (k CoreKind) FPScore() float64 {
-	Spec(k) // descriptive panic for unregistered kinds
+	spec(k) // descriptive panic for unknown kinds
 	t := kindTables[k]
 	return float64(uint64(t.OpCost[OpAddF])+uint64(t.OpCost[OpMulF])+
 		uint64(t.OpCost[OpAddD])+uint64(t.OpCost[OpMulD])) / 4
@@ -223,7 +198,7 @@ func (k CoreKind) FPScore() float64 {
 // address-generation cost plus the spec's dynamic estimate. Placement
 // policies send memory-dominated work to the kind that minimises it.
 func (k CoreKind) MemScore() float64 {
-	s := Spec(k)
+	s := spec(k)
 	return float64(kindTables[k].OpCost[OpGetField]) + s.MemAccessCycles
 }
 
@@ -232,7 +207,7 @@ func (k CoreKind) MemScore() float64 {
 // apply to predicted per-task service cost on this kind. An unset spec
 // (zero) normalizes to the neutral 1.0.
 func (k CoreKind) MigrateAffinity() float64 {
-	s := Spec(k)
+	s := spec(k)
 	if s.MigrateAffinity == 0 {
 		return 1
 	}
@@ -243,7 +218,7 @@ func (k CoreKind) MigrateAffinity() float64 {
 // advances per kernel iteration step, as advertised to the kernel
 // launch planner. An unset spec (zero) normalizes to scalar width 1.
 func (k CoreKind) SPMDWidth() int {
-	s := Spec(k)
+	s := spec(k)
 	if s.SPMDWidth == 0 {
 		return 1
 	}
@@ -255,7 +230,7 @@ func (k CoreKind) SPMDWidth() int {
 // (the SPE's inline cache probes and hint slots make it larger than the
 // PPE's; a wide vector ISA larger still).
 func (k CoreKind) CodePressure() float64 {
-	Spec(k) // descriptive panic for unregistered kinds
+	spec(k) // descriptive panic for unknown kinds
 	t := kindTables[k]
 	var total uint64
 	for o := Op(0); int(o) < NumOps; o++ {

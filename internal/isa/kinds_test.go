@@ -6,14 +6,14 @@ import (
 )
 
 // The numeric kind values are load-bearing: topology order, scheduler
-// tie-breaks and the memory-layout carve order all follow registration
-// order. Lock it down.
+// tie-breaks and the memory-layout carve order all follow table order.
+// Lock it down.
 func TestKindValuesStable(t *testing.T) {
 	if PPE != 0 || SPE != 1 || VPU != 2 {
 		t.Fatalf("kind values: PPE=%d SPE=%d VPU=%d, want 0/1/2", PPE, SPE, VPU)
 	}
-	if NumKinds() < 3 {
-		t.Fatalf("NumKinds() = %d, want >= 3", NumKinds())
+	if NumKinds != 3 {
+		t.Fatalf("NumKinds = %d, want 3", NumKinds)
 	}
 	kinds := CoreKinds()
 	for i, k := range kinds {
@@ -30,7 +30,7 @@ func TestKindString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	// Out-of-range values must render via the registry fallback, not
+	// Out-of-range values must render via the fallback, not
 	// masquerade as a real kind.
 	if got := CoreKind(200).String(); got != "kind(200)" {
 		t.Errorf("unknown kind String() = %q, want %q", got, "kind(200)")
@@ -67,22 +67,6 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestRegisterRejectsBadSpecs(t *testing.T) {
-	mustPanic(t, "duplicate name", func() {
-		Register(KindSpec{Name: "spe", NewCosts: SPECosts}) // case-insensitive dup
-	})
-	mustPanic(t, "empty name", func() {
-		Register(KindSpec{NewCosts: SPECosts})
-	})
-	mustPanic(t, "missing cost table", func() {
-		Register(KindSpec{Name: "NoCosts"})
-	})
-	// Failed registrations must not leave partial entries behind.
-	if _, err := ParseCoreKind("NoCosts"); err == nil {
-		t.Error("failed registration leaked into the registry")
-	}
-}
-
 func TestKindCapabilities(t *testing.T) {
 	if !PPE.HostsServices() || PPE.UsesLocalStore() || !PPE.PredictsBranches() {
 		t.Error("PPE capabilities wrong: want services + hardware caches + predictor")
@@ -93,7 +77,7 @@ func TestKindCapabilities(t *testing.T) {
 		}
 	}
 	// Unknown kinds have no capabilities at all, and the score queries
-	// fail with the registry's descriptive panic, not a raw index error.
+	// fail with spec's descriptive panic, not a raw index error.
 	if CoreKind(250).HostsServices() || CoreKind(250).UsesLocalStore() || CoreKind(250).PredictsBranches() {
 		t.Error("unknown kind claims capabilities")
 	}
@@ -122,7 +106,7 @@ func TestKindScoresOrdered(t *testing.T) {
 }
 
 // Costs must hand each caller a fresh table: compilers calibrate their
-// own copies and must not bleed into the registry's cached scores.
+// own copies and must not bleed into the cached scores.
 func TestCostsReturnsFreshTables(t *testing.T) {
 	a, b := Costs(VPU), Costs(VPU)
 	if a == b {
@@ -131,7 +115,7 @@ func TestCostsReturnsFreshTables(t *testing.T) {
 	before := VPU.FPScore()
 	a.OpCost[OpAddF] = 999
 	if VPU.FPScore() != before {
-		t.Error("mutating a Costs() result changed the registry's cached score")
+		t.Error("mutating a Costs() result changed the cached score")
 	}
 }
 

@@ -1,15 +1,13 @@
 package isa
 
-// VPU is a GPU-like wide Vector Processing Unit: the registry's proof
-// that a third core kind drops in as data alone. Nothing outside this
-// file names it — the machine model reads its capabilities (SPE-style
+// vpuSpec is the VPU's row of the kind table: a GPU-like wide Vector
+// Processing Unit, the proof that a third core kind drops in as data
+// alone — this row plus VPUCosts. Nothing outside this file and the
+// table names it: the machine model reads its capabilities (SPE-style
 // local store, no runtime services, no branch predictor) and the
 // placement policies read its cost table (very cheap floating point,
 // brutal branch and call costs), and everything else follows.
-//
-// vpu.go sorts after kinds.go, so the VPU registers third: PPE=0,
-// SPE=1, VPU=2. TestKindValuesStable locks the order down.
-var VPU = Register(KindSpec{
+var vpuSpec = KindSpec{
 	Name:            "VPU",
 	NewCosts:        VPUCosts,
 	LocalStore:      true,
@@ -23,7 +21,7 @@ var VPU = Register(KindSpec{
 	// planner weighs one VPU core as eight scalar lanes when ranking
 	// pools for a data-parallel launch.
 	SPMDWidth: 8,
-})
+}
 
 // VPUCosts returns the cost table for the Vector Processing Unit.
 //

@@ -54,9 +54,8 @@ func (p Pool) Score() float64 {
 
 // ChoosePool picks the cheapest capable pool. Pools with no cores are
 // skipped; ties keep the earliest entry, so callers passing pools in
-// kind-registration order get the stable tie-break every other
-// kind-ordered decision in the machine uses. ok is false when no pool
-// has a core.
+// kind-table order get the stable tie-break every other kind-ordered
+// decision in the machine uses. ok is false when no pool has a core.
 func ChoosePool(pools []Pool) (best Pool, ok bool) {
 	for _, p := range pools {
 		if p.Cores <= 0 {

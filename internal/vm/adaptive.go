@@ -15,6 +15,10 @@ import (
 // caches (dirty data is written back first), exactly like the
 // flush-when-full path, so it is always safe; it just costs a refill.
 
+// adaptiveStep is how many bytes of local store one controller decision
+// moves between the data and code caches.
+const adaptiveStep = 16 << 10
+
 // adaptState tracks one local-store core's controller window.
 type adaptState struct {
 	lastCheck    cell.Clock
@@ -43,22 +47,22 @@ func (vm *VM) maybeAdapt(core *cell.Core) {
 	st.lastDataMiss = core.Stats.DataMisses
 	st.lastCodeMiss = core.Stats.CodeMisses
 
-	step := uint32(vm.Cfg.AdaptiveStepKB) << 10
-	if step == 0 {
-		step = 16 << 10
-	}
+	// Neither cache shrinks below 16 KB, and the data cache never below
+	// one fill unit.
 	minSize := uint32(16) << 10
-	dSize := vm.dcaches[core.Index].Config().Size
+	dc := vm.dcaches[core.Index].Config()
+	minData := max(minSize, dc.ArrayBlock, dc.MaxEntryBytes)
+	dSize := dc.Size
 	cSize := vm.ccaches[core.Index].Config().Size
 
 	// Both miss kinds cost roughly one DMA; shift toward the side that
 	// missed decisively more.
 	switch {
-	case dMiss > 2*cMiss && dMiss > 64 && cSize >= minSize+step:
-		vm.resizeLocalCaches(core, dSize+step, cSize-step)
+	case dMiss > 2*cMiss && dMiss > 64 && cSize >= minSize+adaptiveStep:
+		vm.resizeLocalCaches(core, dSize+adaptiveStep, cSize-adaptiveStep)
 		st.resizes++
-	case cMiss > 2*dMiss && cMiss > 64 && dSize >= minSize+step:
-		vm.resizeLocalCaches(core, dSize-step, cSize+step)
+	case cMiss > 2*dMiss && cMiss > 64 && dSize >= minData+adaptiveStep:
+		vm.resizeLocalCaches(core, dSize-adaptiveStep, cSize+adaptiveStep)
 		st.resizes++
 	}
 }

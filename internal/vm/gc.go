@@ -4,12 +4,19 @@ import (
 	"herajvm/internal/isa"
 )
 
+// gcPauseBase + gcPerObject*live is the collector's work on the service
+// core.
+const (
+	gcPauseBase = 20000
+	gcPerObject = 80
+)
+
 // gc runs a stop-the-world mark-and-sweep collection. As in the paper's
 // evaluation configuration, the collector "only runs on the PPE core"
-// (§4) — the service core, in registry terms: every core first crosses
-// edgeWorldStop (the collector sees all writes, no core keeps a stale
-// pointer to a freed object), all cores then stall to the barrier, and
-// the service core performs the mark and sweep.
+// (§4) — the service core: every core first crosses edgeWorldStop (the
+// collector sees all writes, no core keeps a stale pointer to a freed
+// object), all cores then stall to the barrier, and the service core
+// performs the mark and sweep.
 func (vm *VM) gc() {
 	svc := vm.serviceCore()
 	vm.quiesce(edgeWorldStop)
@@ -70,7 +77,7 @@ func (vm *VM) gc() {
 
 	// Collector cost runs on the service core; every other core stalls
 	// until it finishes.
-	cycles := vm.Cfg.GCPauseBase + vm.Cfg.GCPerObject*uint64(liveBefore)
+	cycles := gcPauseBase + gcPerObject*uint64(liveBefore)
 	end := barrier + cycles
 	svc.AdvanceTo(barrier)
 	svc.Charge(isa.ClassMainMem, cycles)

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -13,6 +14,14 @@ func threeKindTopology() cell.Topology {
 		{Kind: isa.PPE, Count: 1},
 		{Kind: isa.SPE, Count: 2},
 		{Kind: isa.VPU, Count: 2},
+	}
+}
+
+// The VM's tests run on the production machine's kinds: the kind table
+// is fixed, so no test binary adds a kind the real runs never see.
+func TestCoreKindsAreTheProductionSet(t *testing.T) {
+	if got, want := isa.CoreKinds(), []isa.CoreKind{isa.PPE, isa.SPE, isa.VPU}; !slices.Equal(got, want) {
+		t.Errorf("isa.CoreKinds() = %v, want %v", got, want)
 	}
 }
 
@@ -31,7 +40,7 @@ func TestThreeKindTopologyBootsAndSchedules(t *testing.T) {
 
 // FloatIntensive is a behavioural hint, not a kind pin: on a machine
 // with a VPU the policy must route it to the VPU (the cheapest-FP
-// registered kind), leaving the SPEs alone.
+// kind), leaving the SPEs alone.
 func TestFloatIntensiveRoutesToVPU(t *testing.T) {
 	p := buildWorkerProgram(4, classfile.AnnFloatIntensive)
 	vm, th := runMain(t, topoConfig(threeKindTopology()), p, "Main", "main")

@@ -11,6 +11,15 @@ import (
 
 func f64bits(v float64) uint64 { return math.Float64bits(v) }
 
+// syscallSendCycles (each way) and syscallServeCycles model the fast
+// syscall mailbox round trip from a core without runtime services to the
+// service core (§3.2.3); a syscall made on a service-hosting core costs
+// syscallServeCycles alone.
+const (
+	syscallSendCycles  = 250
+	syscallServeCycles = 600
+)
+
 // NativeKind classifies how a native method executes (§3.2.3).
 type NativeKind uint8
 
@@ -118,23 +127,23 @@ func (vm *VM) invokeNative(core *cell.Core, t *Thread, f *Frame, callee *classfi
 			// (§3.2.3): the calling thread stalls for the round trip; the
 			// service serialises concurrent requests.
 			vm.release(core, edgeSyscall) // it reads the arguments from main memory
-			arrive := core.Now + vm.Cfg.SyscallSendCycles
+			arrive := core.Now + syscallSendCycles
 			start := arrive
 			if vm.svcBusy > start {
 				start = vm.svcBusy
 			}
-			done := start + vm.Cfg.SyscallServeCycles
+			done := start + syscallServeCycles
 			vm.svcBusy = done
 			vm.serviceCore().Stats.Syscalls++
 			if err := n.Fn(ctx); err != nil {
 				return vm.nativeTrap(f, callee, err)
 			}
 			vm.pushNativeResult(f, callee, ctx)
-			t.ReadyAt = done + vm.Cfg.SyscallSendCycles
+			t.ReadyAt = done + syscallSendCycles
 			vm.enqueue(t) // thread stalls until the reply arrives
 			return nil
 		}
-		core.Charge(isa.ClassBranch, vm.Cfg.SyscallServeCycles)
+		core.Charge(isa.ClassBranch, syscallServeCycles)
 		if err := n.Fn(ctx); err != nil {
 			return vm.nativeTrap(f, callee, err)
 		}

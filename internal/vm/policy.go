@@ -25,9 +25,9 @@ type Policy interface {
 // every fallback lands on.
 func (vm *VM) serviceKind() isa.CoreKind { return vm.service.Kind }
 
-// cheapestKind returns the machine's registered kind minimising the
-// given predicted-cost score (ties break toward the earlier-registered
-// kind, keeping the choice deterministic). The second result is false
+// cheapestKind returns the machine's kind minimising the given
+// predicted-cost score (ties break toward the earlier kind in table
+// order, keeping the choice deterministic). The second result is false
 // when the machine is homogeneous — with a single kind there is no
 // placement decision to make, so callers skip migration entirely.
 func (vm *VM) cheapestKind(score func(isa.CoreKind) float64) (isa.CoreKind, bool) {
@@ -46,7 +46,7 @@ func (vm *VM) cheapestKind(score func(isa.CoreKind) float64) (isa.CoreKind, bool
 
 // AnnotationPolicy is the paper's annotation-hint scheme (§3): explicit
 // RunOnSPE/RunOnPPE placement, with FloatIntensive sending the thread
-// to the registered kind with the cheapest predicted floating point and
+// to the kind with the cheapest predicted floating point and
 // MemoryIntensive to the kind with the cheapest predicted memory
 // access. Unannotated code stays where it is.
 type AnnotationPolicy struct{}
@@ -71,9 +71,9 @@ func (AnnotationPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method, cu
 
 // annotationKind maps a method's placement annotations to a core kind.
 // RunOnSPE/RunOnPPE are explicit pins to the named kind (ignored when
-// the machine lacks it); the behavioural hints pick the registered kind
-// minimising the predicted cost of the hinted behaviour, so a newly
-// registered kind participates without the policy naming it.
+// the machine lacks it); the behavioural hints pick the kind minimising
+// the predicted cost of the hinted behaviour, so a newly added kind
+// participates without the policy naming it.
 func annotationKind(vm *VM, m *classfile.Method) (isa.CoreKind, bool) {
 	switch {
 	case m.Annotations[classfile.AnnRunOnSPE]:
@@ -120,10 +120,10 @@ func (p FixedPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method, cur i
 // MonitoringPolicy implements the paper's proposed runtime-monitoring
 // placement (§6): it watches per-method cycle composition gathered by
 // the profiler and migrates threads into methods whose observed
-// behaviour clearly favours one core kind — the registered kind with
-// the lowest predicted cost for the dominant behaviour, not a
-// hard-coded one. Methods need MinCycles of observation before a
-// decision is made; annotated methods still win.
+// behaviour clearly favours one core kind — the kind with the lowest
+// predicted cost for the dominant behaviour, not a hard-coded one.
+// Methods need MinCycles of observation before a decision is made;
+// annotated methods still win.
 type MonitoringPolicy struct {
 	// FPThreshold is the floating-point cycle share above which a method
 	// migrates to the cheapest-FP kind; MemThreshold the main-memory

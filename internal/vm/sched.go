@@ -444,13 +444,21 @@ func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 	}
 }
 
+// migrationBaseCycles + migrationWordCycles*words is the cost of
+// packaging a thread's parameters and re-queueing it on the other core
+// type (§3.1's migration points).
+const (
+	migrationBaseCycles = 600
+	migrationWordCycles = 8
+)
+
 // migrate hands t off to a core of another kind (one the machine has)
 // after the current instruction, charging the parameter-packaging and
 // transfer cost (§3.1). The caller must already have pushed the migration
 // marker (for call-site migrations) or arranged the frame stack.
 func (vm *VM) migrate(core *cell.Core, t *Thread, target isa.CoreKind, words int) {
 	to := vm.coreFor(target, vm.pickCore(target))
-	cost := vm.Cfg.MigrationBaseCycles + vm.Cfg.MigrationWordCycles*uint64(words)
+	cost := migrationBaseCycles + migrationWordCycles*uint64(words)
 	t.ReadyAt = vm.handoff(t, core, to, core.Now) + cost
 	vm.noteMigrated(t, t.ReadyAt)
 	vm.scheduler.NoteMigration(core, to)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"herajvm/internal/cache"
@@ -69,28 +70,12 @@ type Config struct {
 	// when the thread it waits on terminates (the join hand-off cost).
 	JoinWakeCycles uint64
 
-	// MigrationBaseCycles + MigrationWordCycles*args is the cost of
-	// packaging a thread's parameters and re-queueing it on the other
-	// core type (§3.1's migration points).
-	MigrationBaseCycles uint64
-	MigrationWordCycles uint64
-
-	// SyscallSendCycles/SyscallServeCycles model the SPE->PPE fast
-	// syscall mailbox round trip (§3.2.3).
-	SyscallSendCycles  uint64
-	SyscallServeCycles uint64
-
-	// GCPauseBase + GCPerObject model collector work on the PPE.
-	GCPauseBase uint64
-	GCPerObject uint64
-
 	// AdaptiveCaches enables the per-SPE controller that repartitions
 	// local store between the data and code caches based on observed
 	// miss rates (the paper's §4 future-work proposal). See
-	// AdaptiveIntervalCycles and AdaptiveStepKB.
+	// AdaptiveIntervalCycles.
 	AdaptiveCaches         bool
 	AdaptiveIntervalCycles uint64
-	AdaptiveStepKB         int
 
 	// DisableSuperblocks turns off the executor's superblock fast path,
 	// forcing per-instruction dispatch everywhere. Simulated results are
@@ -128,12 +113,6 @@ func DefaultConfig() Config {
 		MigrateCycles:         600,
 		MigrateCooldownCycles: 1200,
 		JoinWakeCycles:        100,
-		MigrationBaseCycles:   600,
-		MigrationWordCycles:   8,
-		SyscallSendCycles:     250,
-		SyscallServeCycles:    600,
-		GCPauseBase:           20000,
-		GCPerObject:           80,
 		Policy:                nil,
 		Stdout:                nil,
 	}
@@ -160,37 +139,28 @@ func (cfg *Config) validate() error {
 		return bad("Machine.EIB needs a channel and a positive bandwidth, has %d x %g B/cycle",
 			e.Channels, e.BytesPerCycle)
 	}
-	for _, g := range cfg.Machine.Topology {
-		if !g.Kind.UsesLocalStore() {
-			continue
-		}
-		dc, _ := cfg.cachesOf(g.Kind)
-		if dc.ArrayBlock == 0 || dc.ArrayBlock&(dc.ArrayBlock-1) != 0 {
-			return bad("DataCache.ArrayBlock %d is not a power of two", dc.ArrayBlock)
-		}
-		// The cache fills in units of a whole object up to MaxEntryBytes or
-		// one array block, and must be able to hold one.
-		if unit := max(dc.ArrayBlock, dc.MaxEntryBytes); dc.Size < unit {
-			return bad("%s data cache of %d B cannot hold one %d B unit (DataCache.ArrayBlock, MaxEntryBytes)",
-				g.Kind, dc.Size, unit)
-		}
+	// The software caches exist only on local-store cores, and every one
+	// of those has the same local store and the same split.
+	if !slices.ContainsFunc(cfg.Machine.Topology, func(g cell.CoreGroup) bool { return g.Kind.UsesLocalStore() }) {
+		return nil
+	}
+	dc := cfg.DataCache
+	if dc.ArrayBlock == 0 || dc.ArrayBlock&(dc.ArrayBlock-1) != 0 {
+		return bad("DataCache.ArrayBlock %d is not a power of two", dc.ArrayBlock)
+	}
+	// The cache fills in units of a whole object up to MaxEntryBytes or
+	// one array block, and must be able to hold one.
+	if unit := max(dc.ArrayBlock, dc.MaxEntryBytes); dc.Size < unit {
+		return bad("data cache of %d B cannot hold one %d B unit (DataCache.ArrayBlock, MaxEntryBytes)",
+			dc.Size, unit)
+	}
+	// The data cache sits at the bottom of the local store, the code
+	// cache above it.
+	if need := uint64(dc.Size) + uint64(cfg.CodeCache.Size); need > uint64(cfg.Machine.LocalStore) {
+		return bad("DataCache.Size + CodeCache.Size (%d B) exceed Machine.LocalStore (%d B)",
+			need, cfg.Machine.LocalStore)
 	}
 	return nil
-}
-
-// cachesOf returns the software-cache configurations of a local-store
-// kind: the global ones, at the sizes the kind's spec overrides them to
-// — a VPU with a larger scratchpad can carry larger caches than the SPEs.
-func (cfg *Config) cachesOf(k isa.CoreKind) (cache.DataCacheConfig, cache.CodeCacheConfig) {
-	dc, cc := cfg.DataCache, cfg.CodeCache
-	spec := isa.Spec(k)
-	if spec.DataCacheBytes != 0 {
-		dc.Size = spec.DataCacheBytes
-	}
-	if spec.CodeCacheBytes != 0 {
-		cc.Size = spec.CodeCacheBytes
-	}
-	return dc, cc
 }
 
 // classMeta is per-class runtime metadata: where the class's TIB lives
@@ -217,11 +187,11 @@ type VM struct {
 	// scheduler's hot path must not allocate — or be reordered — per
 	// step).
 	cores     []*cell.Core
-	kindCores [][]*cell.Core
+	kindCores [isa.NumKinds][]*cell.Core
 
 	// service is the core hosting the runtime services (GC, the syscall
 	// mailbox): the first core, in topology order, of a service-hosting
-	// kind. presentKinds lists the machine's kinds in registry order —
+	// kind. presentKinds lists the machine's kinds in table order —
 	// the candidate set the placement policies choose from.
 	service      *cell.Core
 	presentKinds []isa.CoreKind
@@ -231,7 +201,7 @@ type VM struct {
 	minFPScore  float64
 	minMemScore float64
 
-	compilers []*jit.Compiler
+	compilers [isa.NumKinds]*jit.Compiler
 	// dcaches/ccaches hold each local-store core's software caches,
 	// indexed by Core.Index (nil for hardware-cached cores); lsCores
 	// lists the local-store core indices in topology order, the ordinal
@@ -331,13 +301,12 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	}
 	machine, err := cell.NewMachine(cfg.Machine)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	vm := &VM{
 		Cfg:          cfg,
 		Prog:         prog,
 		Machine:      machine,
-		compilers:    make([]*jit.Compiler, isa.NumKinds()),
 		interned:     make(map[string]Ref),
 		byJavaObj:    make(map[Ref]*Thread),
 		monitors:     make(map[Ref]*monitor),
@@ -348,17 +317,16 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	}
 
 	// Carve main memory: the boot area, then one compiled-code region
-	// per core kind the topology declares (in registry order — "a method
+	// per core kind the topology declares (in table order — "a method
 	// will only be compiled for a particular core architecture if it is
 	// to be executed by a thread running on that core type", §3.1, so a
-	// kind the machine lacks gets neither region nor compiler), then the
-	// heap.
+	// kind the machine lacks gets neither region nor compiler; each
+	// present kind gets one baseline JIT over its region), then the heap.
 	layout := mem.NewLayout(cfg.Machine.MainMemory, 4096)
 	boot, err := layout.Carve("boot", cfg.BootBytes)
 	if err != nil {
 		return nil, err
 	}
-	codeRegions := make(map[isa.CoreKind]*mem.Region)
 	for _, k := range isa.CoreKinds() {
 		if !machine.HasKind(k) {
 			continue
@@ -367,7 +335,8 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		if err != nil {
 			return nil, err
 		}
-		codeRegions[k] = region
+		vm.compilers[k] = jit.NewCompiler(k, machine.Mem, region)
+		vm.compilers[k].InternString = vm.intern
 	}
 	heapStart, err := layout.Carve("heap", cfg.HeapBytes)
 	if err != nil {
@@ -409,15 +378,8 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		}
 	}
 
-	// Compilers: one baseline JIT per kind present in the topology.
-	for k, region := range codeRegions {
-		vm.compilers[k] = jit.NewCompiler(k, machine.Mem, region)
-		vm.compilers[k].InternString = vm.intern
-	}
-
 	// Stable core orderings, the service core and the kind candidate set.
 	vm.cores = machine.Cores()
-	vm.kindCores = make([][]*cell.Core, isa.NumKinds())
 	for _, k := range isa.CoreKinds() {
 		vm.kindCores[k] = machine.CoresOf(k)
 		if machine.HasKind(k) {
@@ -451,13 +413,8 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		if !c.Kind.UsesLocalStore() {
 			continue
 		}
-		dcCfg, ccCfg := cfg.cachesOf(c.Kind)
-		need := uint64(dcCfg.Size) + uint64(ccCfg.Size)
-		if need > uint64(len(c.LS)) {
-			return nil, fmt.Errorf("vm: %s caches (%d B) exceed local store (%d B)", c, need, len(c.LS))
-		}
-		vm.dcaches[c.Index] = cache.NewDataCache(dcCfg, c, 0)
-		vm.ccaches[c.Index] = cache.NewCodeCache(ccCfg, c, dcCfg.Size)
+		vm.dcaches[c.Index] = cache.NewDataCache(cfg.DataCache, c, 0)
+		vm.ccaches[c.Index] = cache.NewCodeCache(cfg.CodeCache, c, cfg.DataCache.Size)
 		vm.lsCores = append(vm.lsCores, c.Index)
 	}
 

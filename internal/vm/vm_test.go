@@ -718,6 +718,31 @@ func TestAdaptiveCacheControllerRebalances(t *testing.T) {
 	}
 }
 
+// The controller never shrinks the data cache below one fill unit: with
+// 32 KB array blocks, a third 16 KB step toward the code cache would
+// leave a 16 KB data cache that cannot hold the next block.
+func TestAdaptiveCacheKeepsOneFillUnit(t *testing.T) {
+	cfg := testConfig()
+	cfg.Machine.Topology = cell.PS3Topology(1)
+	cfg.DataCache.ArrayBlock = 32 << 10
+	cfg.DataCache.Size = 64 << 10
+	cfg.CodeCache.Size = 32 << 10
+	cfg.AdaptiveCaches = true
+	vm, err := New(cfg, buildComputeWorkers(2, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := vm.Machine.CoresOf(isa.SPE)[0]
+	for range 4 { // code misses dominate every window
+		core.Now += 2_000_000
+		core.Stats.CodeMisses += 1000
+		vm.maybeAdapt(core)
+	}
+	if d, c := vm.CacheSplit(0); d != 32<<10 {
+		t.Errorf("split = %d/%d KB, want the data cache held at one 32 KB block", d>>10, c>>10)
+	}
+}
+
 // buildSameMem rebuilds the TestAdaptiveCacheControllerRebalances
 // program (programs are single-use once resolved).
 func buildSameMem(t *testing.T) *classfile.Program {
@@ -853,6 +878,12 @@ func TestStringBuilderGrowth(t *testing.T) {
 // (Quantum 0: no cycle is ever charged). Each row boots and runs under a
 // deadline, so a config that slips through fails the test instead of
 // hanging it.
+// TestNewRejectsBadConfigs: every machine description New cannot run
+// comes back as an error wrapping ErrBadConfig — never a plain error, a
+// host panic or a run that never ends. The local-store, main-memory,
+// cache-fit and empty-topology rows are hole 20 (ROADMAP item 7): they
+// escaped ErrBadConfig as plain cell/vm errors, and a zero PPE cache
+// geometry — no longer settable — panicked inside New.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -865,12 +896,24 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{"data cache of 0", func(c *Config) { c.DataCache.Size = 0 }},
 		{"data cache under one unit", func(c *Config) { c.DataCache.Size = 64 }},
 		{"quantum 0", func(c *Config) { c.Quantum = 0 }},
+		{"local store of 8 KB", func(c *Config) { c.Machine.LocalStore = 8 << 10 }},
+		{"main memory of 512 KB", func(c *Config) { c.Machine.MainMemory = 512 << 10 }},
+		{"caches exceed the local store", func(c *Config) { c.CodeCache.Size = c.Machine.LocalStore - c.DataCache.Size + 1 }},
+		{"empty topology", func(c *Config) { c.Machine.Topology = nil }},
+		{"unknown kind in the topology", func(c *Config) {
+			c.Machine.Topology = cell.Topology{{Kind: isa.PPE, Count: 1}, {Kind: isa.NumKinds, Count: 1}}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			tc.set(&cfg)
 			done := make(chan error, 1)
 			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("host panic: %v", r)
+					}
+				}()
 				vm, err := New(cfg, buildComputeWorkers(2, 10))
 				if err == nil {
 					_, err = runEntry(vm, "Main", "main")

@@ -66,6 +66,16 @@ var seams = []struct {
 	{"no forwarding layer: vm.System declares no methods",
 		`^func \(\w+ \*?System\)`,
 		[]string{"internal/vm"}, nil},
+	// "Adding a core kind": the kinds are a fixed table built at init;
+	// every local-store core has the machine's one local store and split.
+	{"a core kind is a row of isa's table",
+		`Register\(|RegisterCoreKind|LocalStoreBytes|DataCacheBytes|CodeCacheBytes|cachesOf`,
+		[]string{"."}, nil},
+	// "Machine numbers have one home": what no caller varies is a named
+	// constant beside its one use, not a field.
+	{"machine numbers no caller varies are constants",
+		`MigrationBaseCycles|MigrationWordCycles|SyscallSendCycles|SyscallServeCycles|GCPauseBase|GCPerObject|AdaptiveStepKB|BranchPredictorBits|\.PPEMem\b`,
+		[]string{"."}, nil},
 }
 
 // TestSeams walks the tree once per rule.
