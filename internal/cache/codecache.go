@@ -91,8 +91,8 @@ func (c *CodeCache) CachedMethods() int { return len(c.methods) }
 
 // purge drops everything (code is never dirty, so nothing writes back).
 func (c *CodeCache) purge() {
-	c.tibs = make(map[int]ccEntry)
-	c.methods = make(map[int]ccEntry)
+	clear(c.tibs)
+	clear(c.methods)
 	c.bump = 0
 	c.core.Stats.CodePurges++
 }

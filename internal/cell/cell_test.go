@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -382,6 +383,87 @@ func TestEIBIntervalInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refEIB is Transfer's specification by exhaustive search: every
+// channel keeps every interval it ever booked, unsorted and never
+// pruned, and a request starts at the earliest candidate — now, or the
+// end of a booked interval after now — whose span overlaps nothing on
+// some channel, ties going to the lowest channel.
+type refEIB struct {
+	cfg      EIBConfig
+	channels [][]interval
+	wait     uint64
+}
+
+func (r *refEIB) transfer(now Clock, n uint32) Clock {
+	dur := Clock(r.cfg.ArbCycles) + Clock(float64(n)/r.cfg.BytesPerCycle)
+	if dur == 0 {
+		dur = 1
+	}
+	bestCh, bestStart := -1, Clock(0)
+	for ch, tl := range r.channels {
+		cands := []Clock{now}
+		for _, iv := range tl {
+			if iv.end > now {
+				cands = append(cands, iv.end)
+			}
+		}
+		for _, start := range cands {
+			fits := true
+			for _, iv := range tl {
+				if iv.start < start+dur && start < iv.end {
+					fits = false
+					break
+				}
+			}
+			if fits && (bestCh < 0 || start < bestStart) {
+				bestCh, bestStart = ch, start
+			}
+		}
+	}
+	r.channels[bestCh] = append(r.channels[bestCh], interval{bestStart, bestStart + dur})
+	r.wait += bestStart - now
+	return bestStart + dur
+}
+
+// TestEIBMatchesExhaustiveSearch replays a seeded stream of requests
+// from six cores on skewed clocks — mostly short transfers with a
+// tail of 16 KB ones, and now and then a core racing ahead by a long
+// compute stretch — through Transfer and through refEIB. Every
+// completion time and the total wait must agree: the gap search's
+// shortcuts (binary search, the free-at-now early exit, pruning) change
+// no booking.
+func TestEIBMatchesExhaustiveSearch(t *testing.T) {
+	for _, cfg := range []EIBConfig{DefaultEIBConfig(), {Channels: 2, BytesPerCycle: 8, ArbCycles: 10}} {
+		rng := rand.New(rand.NewSource(7))
+		e := NewEIB(cfg)
+		ref := &refEIB{cfg: cfg, channels: make([][]interval, cfg.Channels)}
+		clocks := make([]Clock, 6)
+		for i := 0; i < 1500; i++ {
+			c := 0 // the lagging core issues next, as the VM steps it
+			for j := range clocks {
+				if clocks[j] < clocks[c] {
+					c = j
+				}
+			}
+			n := uint32(128)
+			if rng.Intn(8) == 0 {
+				n = 16 << 10
+			}
+			got, want := e.Transfer(clocks[c], n), ref.transfer(clocks[c], n)
+			if got != want {
+				t.Fatalf("%+v request %d (core %d at %d, %d bytes): done at %d, want %d", cfg, i, c, clocks[c], n, got, want)
+			}
+			clocks[c] += Clock(rng.Intn(200))
+			if rng.Intn(50) == 0 {
+				clocks[c] += 20_000
+			}
+		}
+		if e.WaitCycles != ref.wait || ref.wait == 0 {
+			t.Errorf("%+v: WaitCycles = %d, want %d (and some contention)", cfg, e.WaitCycles, ref.wait)
+		}
 	}
 }
 

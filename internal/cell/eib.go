@@ -88,23 +88,17 @@ func (e *EIB) Transfer(now Clock, n uint32) Clock {
 		dur = 1
 	}
 
-	// Uncontended fast path: when channel 0's last reservation ended by
-	// now, its gap search returns (now, len) — and no channel can start
-	// before now, so the strict-less tie-break keeps channel 0 anyway.
-	// Append there directly and skip the per-channel searches.
-	tl0 := e.channels[0]
-	free := len(tl0) == 0 || tl0[len(tl0)-1].end <= now
-
+	// The earliest gap over all channels, ties to the lower index. No
+	// channel can start before now, so the first one free at now wins.
 	bestCh, bestIdx := -1, 0
 	var bestStart Clock
-	if free {
-		bestCh, bestIdx, bestStart = 0, len(tl0), now
-	} else {
-		for ch := range e.channels {
-			start, idx := gapAt(e.channels[ch], now, dur)
-			if bestCh < 0 || start < bestStart {
-				bestCh, bestIdx, bestStart = ch, idx, start
-			}
+	for ch := range e.channels {
+		start, idx := gapAt(e.channels[ch], now, dur)
+		if bestCh < 0 || start < bestStart {
+			bestCh, bestIdx, bestStart = ch, idx, start
+		}
+		if start == now {
+			break
 		}
 	}
 
@@ -127,9 +121,14 @@ func (e *EIB) Transfer(now Clock, n uint32) Clock {
 // gapAt finds the earliest start >= now of a gap of length dur in a
 // sorted timeline, returning the start and the insertion index. The
 // timeline's intervals are disjoint and sorted, so ends are increasing:
-// binary-search past everything that finished by now (those intervals
-// would only be skipped by the scan) and walk from there.
+// a timeline whose last interval finished by now is free at now (the
+// uncontended case), and otherwise binary-search past everything that
+// finished by now (those intervals would only be skipped by the scan)
+// and walk from there.
 func gapAt(tl []interval, now Clock, dur Clock) (Clock, int) {
+	if len(tl) == 0 || tl[len(tl)-1].end <= now {
+		return now, len(tl)
+	}
 	start := now
 	first := sort.Search(len(tl), func(i int) bool { return tl[i].end > now })
 	for i := first; i < len(tl); i++ {

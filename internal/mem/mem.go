@@ -55,6 +55,10 @@ func NewMain(size uint32) *Main {
 func (m *Main) Size() uint32 { return m.size }
 
 func (m *Main) check(addr Addr, n uint32) {
+	// Internal invariant, unreachable because every address the VM forms
+	// is a heap object's header, field or bounds-checked element, a static
+	// slot, a TIB or compiled code — all inside regions carved from this
+	// memory — and guests (rehydrated images included) hold no other.
 	if uint64(addr)+uint64(n) > uint64(m.size) {
 		panic(fmt.Sprintf("mem: access [%#x,%#x) beyond end of memory (%#x)",
 			addr, uint64(addr)+uint64(n), m.size))

@@ -33,16 +33,6 @@ func (r *Region) Alloc(n, align uint32) (Addr, error) {
 	return base, nil
 }
 
-// MustAlloc is Alloc but panics on exhaustion; used for boot-time
-// allocations whose failure is a configuration error.
-func (r *Region) MustAlloc(n, align uint32) Addr {
-	a, err := r.Alloc(n, align)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Used returns the number of allocated bytes.
 func (r *Region) Used() uint32 { return r.next - r.Start }
 

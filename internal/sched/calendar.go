@@ -2,7 +2,6 @@ package sched
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 
 	"herajvm/internal/cell"
@@ -34,42 +33,86 @@ type calEntry struct {
 	seq uint64
 }
 
-// seqHeap orders ready entries FIFO by enqueue sequence.
-type seqHeap []calEntry
+// calHeap is a binary heap of queued tasks over a typed slice, so that
+// pushing or popping an entry never boxes it into an interface. Its
+// sift functions are container/heap's, step for step, so the heap's
+// layout is the one that package would build; the order is the less
+// function each call names — bySeq for ready entries, byTime for future
+// ones.
+type calHeap []calEntry
 
-func (h seqHeap) Len() int           { return len(h) }
-func (h seqHeap) Less(i, j int) bool { return h[i].seq < h[j].seq }
-func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *seqHeap) Push(x any)        { *h = append(*h, x.(calEntry)) }
-func (h *seqHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+// bySeq orders ready entries FIFO by enqueue sequence.
+func bySeq(a, b *calEntry) bool { return a.seq < b.seq }
 
-// timeHeap orders future entries by (ReadyAt, enqueue sequence).
-type timeHeap []calEntry
+// byTime orders future entries by (ReadyAt, enqueue sequence).
+func byTime(a, b *calEntry) bool { return a.at < b.at || a.at == b.at && a.seq < b.seq }
 
-func (h timeHeap) Len() int { return len(h) }
-func (h timeHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// push adds e (container/heap's Push).
+func (h *calHeap) push(e calEntry, less func(a, b *calEntry) bool) {
+	*h = append(*h, e)
+	h.up(len(*h)-1, less)
 }
-func (h timeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x any)   { *h = append(*h, x.(calEntry)) }
-func (h *timeHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// remove deletes and returns entry i (container/heap's Remove; i == 0
+// is its Pop).
+func (h *calHeap) remove(i int, less func(a, b *calEntry) bool) calEntry {
+	s := *h
+	n := len(s) - 1
+	if n != i {
+		s[i], s[n] = s[n], s[i]
+		if !h.down(i, n, less) {
+			h.up(i, less)
+		}
+	}
+	e := s[n]
+	s[n] = calEntry{} // drop the task reference the backing array would keep
+	*h = s[:n]
+	return e
+}
+
+func (h calHeap) up(j int, less func(a, b *calEntry) bool) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !less(&h[j], &h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h calHeap) down(i0, n int, less func(a, b *calEntry) bool) bool {
+	i := i0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && less(&h[j2], &h[j]) {
+			j = j2 // right child
+		}
+		if !less(&h[j], &h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
+}
 
 // coreCalendar is one core's pending-task calendar.
 type coreCalendar struct {
-	ready  seqHeap
-	future timeHeap
+	ready  calHeap // bySeq
+	future calHeap // byTime
 }
 
 // push queues a task, routing it by its ready time relative to now.
 func (c *coreCalendar) push(t Task, at cell.Clock, seq uint64, now cell.Clock) {
 	e := calEntry{t: t, at: at, seq: seq}
 	if e.at <= now {
-		heap.Push(&c.ready, e)
+		c.ready.push(e, bySeq)
 	} else {
-		heap.Push(&c.future, e)
+		c.future.push(e, byTime)
 	}
 }
 
@@ -77,7 +120,7 @@ func (c *coreCalendar) push(t Task, at cell.Clock, seq uint64, now cell.Clock) {
 // ready heap. Clocks only move forward, so entries migrate one way.
 func (c *coreCalendar) settle(now cell.Clock) {
 	for len(c.future) > 0 && c.future[0].at <= now {
-		heap.Push(&c.ready, heap.Pop(&c.future))
+		c.ready.push(c.future.remove(0, byTime), bySeq)
 	}
 }
 
@@ -103,9 +146,9 @@ func (c *coreCalendar) earliest(now cell.Clock) (start cell.Clock, ok bool) {
 func (c *coreCalendar) pop(now cell.Clock) Task {
 	c.settle(now)
 	if len(c.ready) > 0 {
-		return heap.Pop(&c.ready).(calEntry).t
+		return c.ready.remove(0, bySeq).t
 	}
-	return heap.Pop(&c.future).(calEntry).t
+	return c.future.remove(0, byTime).t
 }
 
 // Calendar is the scheduler: the event calendars above, plus the two
@@ -119,6 +162,8 @@ type Calendar struct {
 	// steals and migrates enable the same-kind steal pass (steal.go) and
 	// the cross-kind migration pass (migrate.go) before every pick.
 	steals, migrates bool
+	// waits is readyByWait's result buffer, reused across calls.
+	waits []readyWait
 }
 
 // isPinned reports whether a task may never leave the core it is
@@ -199,21 +244,22 @@ func (s *Calendar) NoteMigration(from, to *cell.Core) {
 }
 
 // Remove implements Scheduler: delete task from the core's calendar,
-// ready or future, reporting whether it was found. heap.Remove restores
-// the heap invariant, and ordering among the survivors is untouched
-// because it derives entirely from the immutable (at, seq) keys. Freezes
-// are rare, so the linear scan is fine — the same trade takeReady makes.
+// ready or future, reporting whether it was found. calHeap.remove
+// restores the heap invariant, and ordering among the survivors is
+// untouched because it derives entirely from the immutable (at, seq)
+// keys. Freezes are rare, so the linear scan is fine — the same trade
+// takeReady makes.
 func (s *Calendar) Remove(core *cell.Core, task Task) bool {
 	c := &s.cals[core.Index]
 	for i := range c.ready {
 		if c.ready[i].t == task {
-			heap.Remove(&c.ready, i)
+			c.ready.remove(i, bySeq)
 			return true
 		}
 	}
 	for i := range c.future {
 		if c.future[i].t == task {
-			heap.Remove(&c.future, i)
+			c.future.remove(i, byTime)
 			return true
 		}
 	}
@@ -251,7 +297,7 @@ func (s *Calendar) stealOldestReady(coreIndex int) (Task, bool) {
 	if best < 0 {
 		return nil, false
 	}
-	return heap.Remove(&c.ready, best).(calEntry).t, true
+	return c.ready.remove(best, bySeq).t, true
 }
 
 // readyWait is one entry of readyByWait: a ready task, its (unique)
@@ -267,8 +313,8 @@ type readyWait struct {
 // predicted start time on that core: the core's clock plus the
 // CostOf-predicted cost of every ready task enqueued before it —
 // exact under the calendar's FIFO ready service. Nil without a CostOf
-// hook or when nothing is ready. The slice is freshly built; the
-// calendar is not disturbed.
+// hook or when nothing is ready. The slice is the Calendar's own
+// buffer, valid until the next call; the calendar is not disturbed.
 func (s *Calendar) readyByWait(coreIndex int, now cell.Clock) []readyWait {
 	if s.opt.CostOf == nil {
 		return nil
@@ -279,10 +325,11 @@ func (s *Calendar) readyByWait(coreIndex int, now cell.Clock) []readyWait {
 	if len(c.ready) == 0 {
 		return nil
 	}
-	out := make([]readyWait, len(c.ready))
+	out := s.waits[:0]
 	for i := range c.ready {
-		out[i] = readyWait{t: c.ready[i].t, seq: c.ready[i].seq}
+		out = append(out, readyWait{t: c.ready[i].t, seq: c.ready[i].seq})
 	}
+	s.waits = out
 	slices.SortFunc(out, func(a, b readyWait) int { return cmp.Compare(b.seq, a.seq) })
 	// Oldest-first prefix sums give each task its FIFO start.
 	start := now
@@ -300,7 +347,7 @@ func (s *Calendar) takeReady(coreIndex int, seq uint64) Task {
 	c := &s.cals[coreIndex]
 	for i := range c.ready {
 		if c.ready[i].seq == seq {
-			return heap.Remove(&c.ready, i).(calEntry).t
+			return c.ready.remove(i, bySeq).t
 		}
 	}
 	// Internal invariant, unreachable because seq comes from a readyByWait scan of c.ready.

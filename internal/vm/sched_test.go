@@ -281,3 +281,35 @@ func TestSchedulingDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateQuantaAllocateNothing: once a local-store run has
+// settled, advancing it by RunUntil allocates nothing on the host. The
+// program is buildComputeWorkers' SPE workers: each counts in its locals
+// only, so after warm-up no page is mapped, no method compiled and no
+// cache block staged, and what is left per quantum is the executor and
+// the scheduler.
+func TestSteadyStateQuantaAllocateNothing(t *testing.T) {
+	cfg := testConfig()
+	v, err := New(cfg, buildComputeWorkers(4, 1<<22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := v.Submit(JobSpec{Name: "main", Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.RunUntil(v.Machine.MaxClock() + 200_000); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if err := v.RunUntil(v.Machine.MaxClock() + 4*cfg.Quantum); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(50, step); got != 0 {
+		t.Errorf("RunUntil allocates %v per call of four quanta, want 0", got)
+	}
+	if j.Done() {
+		t.Fatal("the workers finished while measured: nothing was left to schedule")
+	}
+}

@@ -322,10 +322,13 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	// to be executed by a thread running on that core type", §3.1, so a
 	// kind the machine lacks gets neither region nor compiler; each
 	// present kind gets one baseline JIT over its region), then the heap.
+	// A region that does not fit — in main memory, or the program's
+	// statics and TIBs in the boot area — is a config no machine runs.
+	badLayout := func(err error) error { return fmt.Errorf("%w: %v", ErrBadConfig, err) }
 	layout := mem.NewLayout(cfg.Machine.MainMemory, 4096)
 	boot, err := layout.Carve("boot", cfg.BootBytes)
 	if err != nil {
-		return nil, err
+		return nil, badLayout(err)
 	}
 	for _, k := range isa.CoreKinds() {
 		if !machine.HasKind(k) {
@@ -333,20 +336,22 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		}
 		region, err := layout.Carve(strings.ToLower(k.String())+"-code", cfg.CodeBytes)
 		if err != nil {
-			return nil, err
+			return nil, badLayout(err)
 		}
 		vm.compilers[k] = jit.NewCompiler(k, machine.Mem, region)
 		vm.compilers[k].InternString = vm.intern
 	}
 	heapStart, err := layout.Carve("heap", cfg.HeapBytes)
 	if err != nil {
-		return nil, err
+		return nil, badLayout(err)
 	}
 	vm.Heap = NewHeap(machine.Mem, heapStart.Start, heapStart.End)
 
 	// Statics.
 	nslots := prog.StaticSlots()
-	vm.staticsBase = boot.MustAlloc(uint32(nslots)*isa.SlotBytes+isa.SlotBytes, 16)
+	if vm.staticsBase, err = boot.Alloc(uint32(nslots)*isa.SlotBytes+isa.SlotBytes, 16); err != nil {
+		return nil, badLayout(err)
+	}
 
 	// TIBs: one block per class in the boot region, holding the vtable's
 	// method IDs as real words (Figure 3's structures).
@@ -357,7 +362,10 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	}
 	for _, c := range prog.Classes() {
 		size := uint32(16 + 8*len(c.VTable))
-		addr := boot.MustAlloc(size, 16)
+		addr, err := boot.Alloc(size, 16)
+		if err != nil {
+			return nil, badLayout(err)
+		}
 		machine.Mem.Write32(addr, uint32(c.ID))
 		machine.Mem.Write32(addr+4, uint32(len(c.VTable)))
 		for i, m := range c.VTable {

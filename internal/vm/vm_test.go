@@ -883,7 +883,9 @@ func TestStringBuilderGrowth(t *testing.T) {
 // host panic or a run that never ends. The local-store, main-memory,
 // cache-fit and empty-topology rows are hole 20 (ROADMAP item 7): they
 // escaped ErrBadConfig as plain cell/vm errors, and a zero PPE cache
-// geometry — no longer settable — panicked inside New.
+// geometry — no longer settable — panicked inside New. The last two
+// rows escaped as a plain layout error and as a host panic in the boot
+// area's allocator.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -900,6 +902,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{"main memory of 512 KB", func(c *Config) { c.Machine.MainMemory = 512 << 10 }},
 		{"caches exceed the local store", func(c *Config) { c.CodeCache.Size = c.Machine.LocalStore - c.DataCache.Size + 1 }},
 		{"empty topology", func(c *Config) { c.Machine.Topology = nil }},
+		{"heap exceeds main memory", func(c *Config) { c.HeapBytes = c.Machine.MainMemory }},
+		{"boot area too small for the program", func(c *Config) { c.BootBytes = 256 }},
 		{"unknown kind in the topology", func(c *Config) {
 			c.Machine.Topology = cell.Topology{{Kind: isa.PPE, Count: 1}, {Kind: isa.NumKinds, Count: 1}}
 		}},

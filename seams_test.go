@@ -76,6 +76,11 @@ var seams = []struct {
 	{"machine numbers no caller varies are constants",
 		`MigrationBaseCycles|MigrationWordCycles|SyscallSendCycles|SyscallServeCycles|GCPauseBase|GCPerObject|AdaptiveStepKB|BranchPredictorBits|\.PPEMem\b`,
 		[]string{"."}, nil},
+	// "The three built-in schedulers": a queued task is a typed heap
+	// entry, never boxed into an interface on the per-quantum path.
+	{"the scheduler's queues are typed heaps",
+		`"container/heap"`,
+		[]string{"internal"}, nil},
 }
 
 // TestSeams walks the tree once per rule.
