@@ -176,8 +176,8 @@ type (
 	System = vm.System
 	// JobRequest describes one submission to a booted System: an entry
 	// method, its arguments as slot values (an int v is uint64(uint32(v))),
-	// an arrival cycle, an optional completion deadline and an optional
-	// placement-policy override.
+	// an arrival cycle and an optional completion deadline. Placement is
+	// the machine's: Config.Policy.
 	JobRequest = vm.JobSpec
 	// Job is one submitted job; Job.Wait drives the machine until it
 	// completes and returns its per-job Result, and Job.Err reports its
@@ -284,7 +284,7 @@ func Schedulers() []string { return sched.Names() }
 func Traces() []string { return experiments.Traces() }
 
 // DefaultMonitoringPolicy returns the runtime-monitoring placement
-// policy with calibrated thresholds.
+// policy (its thresholds are calibrated constants).
 func DefaultMonitoringPolicy() *MonitoringPolicy { return vm.DefaultMonitoringPolicy() }
 
 // NewSystem boots a Hera-JVM for the program.

@@ -13,28 +13,24 @@ type CodeCacheConfig struct {
 	// Size is the local-store region holding cached method code and
 	// TIBs. Figure 7 sweeps this from 88 KB downwards.
 	Size uint32
-	// TOCCycles is the cost of reading the resident class
-	// table-of-contents entry (local store, "3-6 cycles").
-	TOCCycles uint32
-	// TIBCycles is the cost of the TIB method-entry read once cached.
-	TIBCycles uint32
-	// InsertCycles is bookkeeping when installing a TIB or method.
-	InsertCycles uint32
-	// ReturnCycles is the re-lookup performed when returning into a
-	// caller ("this process is repeated on returning from a method").
-	ReturnCycles uint32
 }
 
 // DefaultCodeCacheConfig returns the paper's default: 88 KB.
 func DefaultCodeCacheConfig() CodeCacheConfig {
-	return CodeCacheConfig{
-		Size:         88 << 10,
-		TOCCycles:    4,
-		TIBCycles:    6,
-		InsertCycles: 10,
-		ReturnCycles: 8,
-	}
+	return CodeCacheConfig{Size: 88 << 10}
 }
+
+// The code cache's costs, in cycles: reading the resident class
+// table-of-contents entry (local store, "3-6 cycles"); the TIB
+// method-entry read once cached; the bookkeeping to install a TIB or
+// method; the re-lookup performed when returning into a caller ("this
+// process is repeated on returning from a method").
+const (
+	tocCycles      = 4
+	tibCycles      = 6
+	ccInsertCycles = 10
+	returnCycles   = 8
+)
 
 type ccEntry struct {
 	lsAddr uint32
@@ -116,8 +112,8 @@ func (c *CodeCache) alloc(size uint32) (uint32, bool) {
 // EnsureTIB makes the class's TIB resident and returns the advanced
 // clock. tibAddr/tibSize locate the TIB in main memory.
 func (c *CodeCache) EnsureTIB(now cell.Clock, classID int, tibAddr mem.Addr, tibSize uint32) cell.Clock {
-	c.core.Stats.Charge(isa.ClassLocalMem, uint64(c.cfg.TOCCycles))
-	now += cell.Clock(c.cfg.TOCCycles)
+	c.core.Stats.Charge(isa.ClassLocalMem, tocCycles)
+	now += tocCycles
 	if _, ok := c.tibs[classID]; ok {
 		c.core.Stats.TIBHits++
 		return now
@@ -127,8 +123,8 @@ func (c *CodeCache) EnsureTIB(now cell.Clock, classID int, tibAddr mem.Addr, tib
 	if fits {
 		c.tibs[classID] = ccEntry{lsAddr: ls, size: tibSize}
 	}
-	c.core.Stats.Charge(isa.ClassLocalMem, uint64(c.cfg.InsertCycles))
-	now += cell.Clock(c.cfg.InsertCycles)
+	c.core.Stats.Charge(isa.ClassLocalMem, ccInsertCycles)
+	now += ccInsertCycles
 	return c.transfer(now, tibAddr, ls, tibSize, fits)
 }
 
@@ -156,8 +152,8 @@ func (c *CodeCache) EnsureMethod(now cell.Clock, classID int, tibAddr mem.Addr, 
 	methodID int, codeAddr mem.Addr, codeSize uint32) (cell.Clock, bool) {
 
 	now = c.EnsureTIB(now, classID, tibAddr, tibSize)
-	c.core.Stats.Charge(isa.ClassLocalMem, uint64(c.cfg.TIBCycles))
-	now += cell.Clock(c.cfg.TIBCycles)
+	c.core.Stats.Charge(isa.ClassLocalMem, tibCycles)
+	now += tibCycles
 
 	if _, ok := c.methods[methodID]; ok {
 		c.core.Stats.CodeHits++
@@ -168,8 +164,8 @@ func (c *CodeCache) EnsureMethod(now cell.Clock, classID int, tibAddr mem.Addr, 
 	if fits {
 		c.methods[methodID] = ccEntry{lsAddr: ls, size: codeSize}
 	}
-	c.core.Stats.Charge(isa.ClassLocalMem, uint64(c.cfg.InsertCycles))
-	now += cell.Clock(c.cfg.InsertCycles)
+	c.core.Stats.Charge(isa.ClassLocalMem, ccInsertCycles)
+	now += ccInsertCycles
 	return c.transfer(now, codeAddr, ls, codeSize, fits), false
 }
 
@@ -179,8 +175,8 @@ func (c *CodeCache) EnsureMethod(now cell.Clock, classID int, tibAddr mem.Addr, 
 func (c *CodeCache) Reenter(now cell.Clock, classID int, tibAddr mem.Addr, tibSize uint32,
 	methodID int, codeAddr mem.Addr, codeSize uint32) cell.Clock {
 
-	c.core.Stats.Charge(isa.ClassLocalMem, uint64(c.cfg.ReturnCycles))
-	now += cell.Clock(c.cfg.ReturnCycles)
+	c.core.Stats.Charge(isa.ClassLocalMem, returnCycles)
+	now += returnCycles
 	now, _ = c.EnsureMethod(now, classID, tibAddr, tibSize, methodID, codeAddr, codeSize)
 	return now
 }

@@ -28,29 +28,31 @@ type DataCacheConfig struct {
 	// MaxEntries bounds the local-memory-resident lookup hashtable; the
 	// cache flushes when the table fills even if bytes remain.
 	MaxEntries int
-	// ProbeCycles is the cost of hashing an address and probing the
-	// lookup table (both in local store: "3-6 cycles" latency, §3.2.2).
-	ProbeCycles uint32
-	// InsertCycles is the bookkeeping cost of installing a new entry.
-	InsertCycles uint32
-	// AccessCycles is a local-store data access once an entry is cached.
-	AccessCycles uint32
-	// MaxEntryBytes caps a single cached unit; larger objects degrade to
-	// window caching so one huge object cannot monopolise the cache.
-	MaxEntryBytes uint32
 }
+
+// The data cache's costs, in cycles: hashing an address and probing the
+// lookup table (both in local store: "3-6 cycles" latency, §3.2.2);
+// the miss handler's bookkeeping to install a new entry (eviction
+// check, allocation, DMA issue); a local-store data access once an
+// entry is cached.
+const (
+	dcProbeCycles  = 6
+	dcInsertCycles = 40
+	dcAccessCycles = 4
+)
+
+// MaxEntryBytes caps a single cached unit; larger objects degrade to
+// window caching so one huge object cannot monopolise the cache. A data
+// cache must hold one such unit (or one ArrayBlock, if larger).
+const MaxEntryBytes = 8 << 10
 
 // DefaultDataCacheConfig returns the paper's default: 104 KB of data
 // cache with 1 KB array blocks.
 func DefaultDataCacheConfig() DataCacheConfig {
 	return DataCacheConfig{
-		Size:          104 << 10,
-		ArrayBlock:    1 << 10,
-		MaxEntries:    4096,
-		ProbeCycles:   6,
-		InsertCycles:  40, // miss handler: eviction check, allocation, DMA issue
-		AccessCycles:  4,
-		MaxEntryBytes: 8 << 10,
+		Size:       104 << 10,
+		ArrayBlock: 1 << 10,
+		MaxEntries: 4096,
 	}
 }
 
@@ -216,8 +218,8 @@ func (d *DataCache) UsedBytes() uint32 { return d.bump }
 // paths mark the entry dirty without a second lookup; it is only valid
 // until the next ensure (a flush retires the slab generation).
 func (d *DataCache) ensure(now cell.Clock, mainAddr mem.Addr, size uint32) (uint32, int32, cell.Clock) {
-	d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.ProbeCycles))
-	now += cell.Clock(d.cfg.ProbeCycles)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcProbeCycles)
+	now += dcProbeCycles
 
 	if idx := d.dcLookup(mainAddr); idx >= 0 {
 		e := &d.slab[idx]
@@ -261,8 +263,8 @@ func (d *DataCache) ensure(now cell.Clock, mainAddr mem.Addr, size uint32) (uint
 	lsAddr := d.base + d.bump
 	d.bump += (size + 15) &^ 15 // quadword-aligned allocation
 
-	d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.InsertCycles))
-	now += cell.Clock(d.cfg.InsertCycles)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcInsertCycles)
+	now += dcInsertCycles
 
 	done := d.core.MFC.DMA(now, cell.DMAGet, mainAddr, lsAddr, size)
 	d.core.Stats.DMATransfers++
@@ -293,7 +295,7 @@ func (d *DataCache) install(mainAddr mem.Addr, lsAddr, size uint32) int32 {
 // larger ones are cached as aligned array blocks (up to ArrayBlock
 // bytes), the paper's array strategy.
 func (d *DataCache) clip(unitAddr mem.Addr, unitSize, off, width uint32, block bool) (mem.Addr, uint32, uint32) {
-	if !block && unitSize <= d.cfg.MaxEntryBytes {
+	if !block && unitSize <= MaxEntryBytes {
 		return unitAddr, unitSize, off
 	}
 	blk := d.cfg.ArrayBlock
@@ -316,8 +318,8 @@ func (d *DataCache) clip(unitAddr mem.Addr, unitSize, off, width uint32, block b
 func (d *DataCache) ReadObject(now cell.Clock, objAddr mem.Addr, objSize, off, width uint32) (uint64, cell.Clock) {
 	addr, size, rel := d.clip(objAddr, objSize, off, width, false)
 	ls, _, now := d.ensure(now, addr, size)
-	d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.AccessCycles))
-	now += cell.Clock(d.cfg.AccessCycles)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
+	now += dcAccessCycles
 	return readLS(d.core.LS, ls+rel, width), now
 }
 
@@ -326,8 +328,8 @@ func (d *DataCache) ReadObject(now cell.Clock, objAddr mem.Addr, objSize, off, w
 func (d *DataCache) WriteObject(now cell.Clock, objAddr mem.Addr, objSize, off, width uint32, val uint64) cell.Clock {
 	addr, size, rel := d.clip(objAddr, objSize, off, width, false)
 	ls, idx, now := d.ensure(now, addr, size)
-	d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.AccessCycles))
-	now += cell.Clock(d.cfg.AccessCycles)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
+	now += dcAccessCycles
 	writeLS(d.core.LS, ls+rel, width, val)
 	d.slab[idx].dirty = true
 	return now
@@ -339,8 +341,8 @@ func (d *DataCache) WriteObject(now cell.Clock, objAddr mem.Addr, objSize, off, 
 func (d *DataCache) ReadArray(now cell.Clock, dataAddr mem.Addr, dataSize, off, width uint32) (uint64, cell.Clock) {
 	addr, size, rel := d.clip(dataAddr, dataSize, off, width, true)
 	ls, _, now := d.ensure(now, addr, size)
-	d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.AccessCycles))
-	now += cell.Clock(d.cfg.AccessCycles)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
+	now += dcAccessCycles
 	return readLS(d.core.LS, ls+rel, width), now
 }
 
@@ -349,8 +351,8 @@ func (d *DataCache) ReadArray(now cell.Clock, dataAddr mem.Addr, dataSize, off, 
 func (d *DataCache) WriteArray(now cell.Clock, dataAddr mem.Addr, dataSize, off, width uint32, val uint64) cell.Clock {
 	addr, size, rel := d.clip(dataAddr, dataSize, off, width, true)
 	ls, idx, now := d.ensure(now, addr, size)
-	d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.AccessCycles))
-	now += cell.Clock(d.cfg.AccessCycles)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
+	now += dcAccessCycles
 	writeLS(d.core.LS, ls+rel, width, val)
 	d.slab[idx].dirty = true
 	return now
@@ -382,8 +384,8 @@ func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxB
 		if staged+size > maxBytes {
 			break
 		}
-		d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.ProbeCycles))
-		now += cell.Clock(d.cfg.ProbeCycles)
+		d.core.Stats.Charge(isa.ClassLocalMem, dcProbeCycles)
+		now += dcProbeCycles
 		if d.dcLookup(dataAddr+start) >= 0 {
 			continue // already resident (e.g. staged for a previous launch)
 		}
@@ -392,8 +394,8 @@ func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxB
 		}
 		lsAddr := d.base + d.bump
 		d.bump += (size + 15) &^ 15
-		d.core.Stats.Charge(isa.ClassLocalMem, uint64(d.cfg.InsertCycles))
-		now += cell.Clock(d.cfg.InsertCycles)
+		d.core.Stats.Charge(isa.ClassLocalMem, dcInsertCycles)
+		now += dcInsertCycles
 
 		done := d.core.MFC.DMA(now, cell.DMAGet, dataAddr+start, lsAddr, size)
 		d.core.Stats.DMATransfers++

@@ -47,7 +47,7 @@ func (r *refCache) charge(class isa.OpClass, n uint32, now cell.Clock) cell.Cloc
 func (r *refCache) get(now cell.Clock, addr mem.Addr, size uint32, wait bool) (*refEntry, cell.Clock) {
 	e := &refEntry{mainAddr: addr, lsAddr: r.bump, size: size}
 	r.bump += (size + 15) &^ 15
-	now = r.charge(isa.ClassLocalMem, r.cfg.InsertCycles, now)
+	now = r.charge(isa.ClassLocalMem, dcInsertCycles, now)
 	done := r.core.MFC.DMA(now, cell.DMAGet, addr, e.lsAddr, size)
 	r.core.Stats.DMATransfers++
 	r.core.Stats.DMABytes += uint64(size)
@@ -66,7 +66,7 @@ func (r *refCache) full(size uint32) bool {
 }
 
 func (r *refCache) ensure(now cell.Clock, addr mem.Addr, size uint32) (*refEntry, cell.Clock) {
-	now = r.charge(isa.ClassLocalMem, r.cfg.ProbeCycles, now)
+	now = r.charge(isa.ClassLocalMem, dcProbeCycles, now)
 	if e := r.index[addr]; e != nil {
 		if e.size >= size {
 			r.core.Stats.DataHits++
@@ -95,7 +95,7 @@ func (r *refCache) ensure(now cell.Clock, addr mem.Addr, size uint32) (*refEntry
 }
 
 func (r *refCache) clip(unitAddr mem.Addr, unitSize, off, width uint32, block bool) (mem.Addr, uint32, uint32) {
-	if !block && unitSize <= r.cfg.MaxEntryBytes {
+	if !block && unitSize <= MaxEntryBytes {
 		return unitAddr, unitSize, off
 	}
 	start := off / r.cfg.ArrayBlock * r.cfg.ArrayBlock
@@ -107,7 +107,7 @@ func (r *refCache) clip(unitAddr mem.Addr, unitSize, off, width uint32, block bo
 func (r *refCache) access(now cell.Clock, unitAddr mem.Addr, unitSize, off, width uint32, block, write bool, val uint64) (uint64, cell.Clock) {
 	addr, size, rel := r.clip(unitAddr, unitSize, off, width, block)
 	e, now := r.ensure(now, addr, size)
-	now = r.charge(isa.ClassLocalMem, r.cfg.AccessCycles, now)
+	now = r.charge(isa.ClassLocalMem, dcAccessCycles, now)
 	if write {
 		writeLS(r.core.LS, e.lsAddr+rel, width, val)
 		e.dirty = true
@@ -123,7 +123,7 @@ func (r *refCache) stage(now cell.Clock, dataAddr mem.Addr, dataSize, maxBytes u
 		if staged+size > maxBytes {
 			break
 		}
-		now = r.charge(isa.ClassLocalMem, r.cfg.ProbeCycles, now)
+		now = r.charge(isa.ClassLocalMem, dcProbeCycles, now)
 		if r.index[dataAddr+start] != nil {
 			continue
 		}

@@ -56,7 +56,7 @@ func TestStageArrayDoubleBufferOverlap(t *testing.T) {
 	_, four := newDC(t, 0)
 	t4, _ := four.StageArray(0, 0x8000, 4096, 1<<20)
 
-	perTile := uint64(one.cfg.ProbeCycles + one.cfg.InsertCycles)
+	perTile := uint64(dcProbeCycles + dcInsertCycles)
 	if uint64(t4) >= uint64(t1)+4*uint64(t1) {
 		t.Fatalf("four tiles cost %d vs one tile %d: no overlap modelled", t4, t1)
 	}

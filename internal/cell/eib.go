@@ -170,13 +170,3 @@ func (e *EIB) prune(now Clock) {
 		e.channels[ch] = tl[:keep]
 	}
 }
-
-// Utilisation returns the fraction of bus-channel time in [0, horizon)
-// that carried traffic, for reports.
-func (e *EIB) Utilisation(horizon Clock) float64 {
-	if horizon == 0 {
-		return 0
-	}
-	carried := float64(e.Bytes) / e.cfg.BytesPerCycle
-	return carried / (float64(horizon) * float64(e.cfg.Channels))
-}

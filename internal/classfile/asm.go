@@ -57,6 +57,8 @@ type fixup struct {
 // allocates its own.
 func (m *Method) Asm() *Asm {
 	if m.IsNative() || m.IsAbstract() {
+		// Assembler-API misuse, unreachable because every builder opens
+		// bodies only on the concrete methods it just declared.
 		panic(fmt.Sprintf("classfile: %s cannot have a body", m.Sig()))
 	}
 	p := m.Class.program
@@ -559,6 +561,8 @@ func (a *Asm) checkTarget(pc int, l *Label) error {
 // MustBuild is Build but panics on error; workload builders use it.
 func (a *Asm) MustBuild() {
 	if err := a.Build(); err != nil {
+		// Assembler-API misuse, unreachable because MustBuild assembles
+		// only the tree's fixed builders, which their tests build.
 		panic(err)
 	}
 }

@@ -37,6 +37,8 @@ func NewProgram() *Program {
 // Object, except for Object itself).
 func (p *Program) NewClass(name string, super *Class) *Class {
 	if _, dup := p.byName[name]; dup {
+		// Builder-API misuse, unreachable because class names are the
+		// builders' literals, prefixed per job copy by workloads.BuildMix.
 		panic(fmt.Sprintf("classfile: duplicate class %q", name))
 	}
 	if super == nil && p.Object != nil {
@@ -94,7 +96,6 @@ type Class struct {
 	InstanceSlots int       // total instance slots including supers
 	VTable        []*Method // virtual dispatch table
 	ITable        map[int]*Method
-	depth         int // supertype-chain depth, for fast subtype checks
 }
 
 // NewField declares an instance field.
@@ -119,6 +120,8 @@ func (c *Class) NewVolatileStaticField(name string, t TypeKind) *Field {
 
 func (c *Class) addField(name string, t TypeKind, static, vol bool) *Field {
 	if t == Void {
+		// Builder-API misuse, unreachable because every field type is a
+		// builder's literal, and none is Void.
 		panic(fmt.Sprintf("classfile: field %s.%s cannot be void", c.Name, name))
 	}
 	f := &Field{Name: name, Type: t, Class: c, Static: static, Volatile: vol, Slot: -1}
@@ -191,6 +194,8 @@ func (c *Class) MethodByName(name string) *Method {
 // AddInterface records that the class implements an interface.
 func (c *Class) AddInterface(i *Class) {
 	if !i.IsInterface {
+		// Builder-API misuse, unreachable because builders pass only
+		// classes they declared with NewInterface.
 		panic(fmt.Sprintf("classfile: %s is not an interface", i.Name))
 	}
 	c.Interfaces = append(c.Interfaces, i)

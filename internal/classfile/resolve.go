@@ -22,9 +22,6 @@ func (p *Program) Resolve() error {
 
 	for id, c := range ordered {
 		c.ID = id
-		if c.Super != nil {
-			c.depth = c.Super.depth + 1
-		}
 		if err := p.resolveFields(c); err != nil {
 			return err
 		}
@@ -185,7 +182,3 @@ func (p *Program) resolveITable(c *Class) {
 	}
 	collect(c)
 }
-
-// Depth returns the class's supertype-chain depth (Object = 0), valid
-// after Resolve. The VM uses it for subtype display tables.
-func (c *Class) Depth() int { return c.depth }

@@ -78,9 +78,6 @@ type Config struct {
 	// its thread tree at a safe point and rehydrating it there (see
 	// handoff.go). Off by default; replay determinism holds either way.
 	Handoff bool
-	// MaxHandoffs caps how many times one job may be handed off
-	// (0 = DefaultMaxHandoffs).
-	MaxHandoffs int
 	// Ctx, when non-nil, guards every epoch barrier: if it is
 	// cancelled, the next barrier returns its error instead of waiting
 	// on shard goroutines — a wedged shard fails the run instead of
@@ -181,10 +178,6 @@ func (c *Cluster) Jobs() []*Job {
 	copy(out, c.jobs)
 	return out
 }
-
-// Horizon returns the cluster clock: the last epoch boundary every
-// shard has reached.
-func (c *Cluster) Horizon() cell.Clock { return c.horizon }
 
 // Barriers returns the number of epoch barriers taken so far.
 func (c *Cluster) Barriers() int { return c.barriers }

@@ -36,21 +36,17 @@ import (
 //
 // At most one job moves per barrier (the freeze itself advances the
 // source shard's clock, invalidating the other estimates taken at this
-// boundary) and each job moves at most MaxHandoffs times, so a job
+// boundary) and each job moves at most maxHandoffs times, so a job
 // that keeps slipping everywhere settles instead of thrashing.
 
-// DefaultMaxHandoffs bounds how many times one job may be handed off.
-const DefaultMaxHandoffs = 3
+// maxHandoffs bounds how many times one job may be handed off.
+const maxHandoffs = 3
 
 // rebalance runs the hand-off pass at an epoch boundary. Jobs that
 // finish before reaching a safe point (ErrJobDone) or are entangled
 // with non-job state (ErrNotFreezable) are skipped silently — both are
 // verdicts about the job, not failures of the cluster.
 func (c *Cluster) rebalance(boundary cell.Clock) error {
-	maxH := c.cfg.MaxHandoffs
-	if maxH <= 0 {
-		maxH = DefaultMaxHandoffs
-	}
 	service, ok := c.serviceFloor()
 	if !ok {
 		return nil // no completed job yet: no measured basis to move anything
@@ -61,7 +57,7 @@ func (c *Cluster) rebalance(boundary cell.Clock) error {
 	var victim *Job
 	var victimSlip cell.Clock
 	for _, j := range c.jobs {
-		if j.Inner == nil || j.Inner.Done() || j.Deadline == 0 || j.Handoffs >= maxH {
+		if j.Inner == nil || j.Inner.Done() || j.Deadline == 0 || j.Handoffs >= maxHandoffs {
 			continue
 		}
 		completion := c.estimate(c.shards[j.Shard], service, 0)

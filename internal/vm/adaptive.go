@@ -51,7 +51,7 @@ func (vm *VM) maybeAdapt(core *cell.Core) {
 	// one fill unit.
 	minSize := uint32(16) << 10
 	dc := vm.dcaches[core.Index].Config()
-	minData := max(minSize, dc.ArrayBlock, dc.MaxEntryBytes)
+	minData := max(minSize, dc.ArrayBlock, cache.MaxEntryBytes)
 	dSize := dc.Size
 	cSize := vm.ccaches[core.Index].Config().Size
 

@@ -82,9 +82,6 @@ type JobSpec struct {
 	// (when Config.Admission.Shed is set) and the completed job's
 	// DeadlineMet flag.
 	Deadline cell.Clock
-	// Policy optionally overrides the VM-wide placement policy for
-	// every thread of this job.
-	Policy Policy
 }
 
 // PendingJobs reports the admission queue depth: jobs admitted but not

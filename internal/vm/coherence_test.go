@@ -84,7 +84,7 @@ func TestMemoryModelEdges(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := vm.Output(); got != r.wantOut {
+				if got := th.job.Output(); got != r.wantOut {
 					t.Errorf("printed %q, want %q", got, r.wantOut)
 				}
 				if got := int32(uint32(th.Result)); got != r.want {

@@ -100,9 +100,6 @@ func (h *Heap) Contains(addr Ref) bool {
 	return ok
 }
 
-// SizeOf returns the allocation size of a live object.
-func (h *Heap) SizeOf(addr Ref) uint32 { return h.objects[addr] }
-
 // Sweep retains exactly the marked allocations and rebuilds the free
 // list from the gaps. It returns the number of objects and bytes freed.
 func (h *Heap) Sweep(marked map[Ref]bool) (objects int, bytes uint64) {

@@ -2,9 +2,9 @@
 // frozen job can cross any boundary bytes can (tests pin golden bytes;
 // the cluster layer hands the struct across directly). The format is
 // flat little-endian with length-prefixed sequences — no maps, no
-// floats except the policy's (bit-pattern encoded) — and it is written
-// down once: (*wire).image names every field in order, and the same
-// walk encodes or decodes depending on the wire's direction. A format
+// floats — and it is written down once: (*wire).image names every field
+// in order, and the same walk encodes or decodes depending on the
+// wire's direction. A format
 // change is one edit there plus a version bump, and "whatever decodes
 // re-encodes to the same bytes" holds by construction as long as each
 // primitive has one encoding (a boolean byte is 0 or 1, nothing else).
@@ -17,14 +17,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // imageMagic and imageVersion head every encoded JobImage. Bump the
 // version on any format change; the decoder rejects others.
 var imageMagic = [4]byte{'H', 'J', 'I', 'M'}
 
-const imageVersion uint16 = 2 // v2: kernel launch counters in JobStats
+// v2: kernel launch counters in JobStats; v3: no policy section.
+const imageVersion uint16 = 3
 
 // ErrBadImage reports undecodable JobImage bytes (truncated input,
 // wrong magic or version, a length that overruns the buffer). Match
@@ -99,13 +99,6 @@ func (w *wire) i32(p *int32) {
 	u := uint32(*p)
 	if w.u32(&u); w.dec {
 		*p = int32(u)
-	}
-}
-
-func (w *wire) f64(p *float64) {
-	u := math.Float64bits(*p)
-	if w.u64(&u); w.dec {
-		*p = math.Float64frombits(u)
 	}
 }
 
@@ -202,12 +195,6 @@ func (w *wire) image(img *JobImage) {
 		w.u64(p)
 	}
 	w.bytes(&img.Output)
-
-	w.u8(&img.Policy.Tag)
-	w.str(&img.Policy.Kind)
-	w.f64(&img.Policy.FPThreshold)
-	w.f64(&img.Policy.MemThreshold)
-	w.u64(&img.Policy.MinCycles)
 
 	seq(w, &img.Objects, 21, func(w *wire, o *ImageObject) {
 		w.str(&o.Class)

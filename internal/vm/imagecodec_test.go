@@ -23,7 +23,6 @@ func sampleImage() *JobImage {
 		Stats: JobStats{Migrations: 2, Steals: 1, Compiles: 7, GCPauses: 3, GCCycles: 4096,
 			KernelLaunches: 1, KernelWorkers: 6, KernelDMABytes: 36864},
 		Output: []byte("partial output\n"),
-		Policy: ImagePolicy{Tag: policyMonitoring, FPThreshold: 0.25, MemThreshold: 0.5, MinCycles: 1000},
 		Objects: []ImageObject{
 			{Class: "Counter", Slots: []uint64{41, 2}},
 			{Class: "[I", Elem: 1, Length: 3, Data: []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}},
@@ -115,11 +114,11 @@ func TestImageRoundTripFrozen(t *testing.T) {
 	}
 }
 
-// imageGoldenHex pins the version-2 wire format of sampleImage. If
+// imageGoldenHex pins the version-3 wire format of sampleImage. If
 // TestImageGoldenBytes fails, the format changed: bump imageVersion and
 // regenerate — do NOT edit the golden to paper over an accidental
 // format break.
-const imageGoldenHex = "484a494d02000600000073616d706c6539300000000000009f8601000000000031d400000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000000000000000000d03f000000000000e03fe8030000000000000300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e00000000000000000000030000007070650000000000000000000000000000ffffffff0000000000000000000000000000000000000000000000004d00000000000000010001000000010000000200000001030000007070650000000000000000000000000000000000000000000000000000000000000000000000000004000000536e6170000000000c000000030000000100000000000000020000000000000003000000000000000300000001000001000000090000000000000001000000000100000002000000773100014000000000000000030000007370650300000001010200000000000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e040000000000000001000000000000000006000000576f726b65720100000000000000000000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
+const imageGoldenHex = "484a494d03000600000073616d706c6539300000000000009f8601000000000031d400000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e00000000000000000000030000007070650000000000000000000000000000ffffffff0000000000000000000000000000000000000000000000004d00000000000000010001000000010000000200000001030000007070650000000000000000000000000000000000000000000000000000000000000000000000000004000000536e6170000000000c000000030000000100000000000000020000000000000003000000000000000300000001000001000000090000000000000001000000000100000002000000773100014000000000000000030000007370650300000001010200000000000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e040000000000000001000000000000000006000000576f726b65720100000000000000000000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
 
 func TestImageGoldenBytes(t *testing.T) {
 	enc := EncodeJobImage(sampleImage())

@@ -30,11 +30,11 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 	// Placement decision: "migration occurs when invoking a method which
 	// has either been tagged by an annotation or selected by the
 	// scheduler" (§3.1). A policy naming a kind the machine lacks lands
-	// on the service kind, mirroring place(). Pinned kernel workers skip
+	// on the service kind, mirroring placeKind. Pinned kernel workers skip
 	// the decision entirely — the SPMD plan bound them to their core.
 	desired := core.Kind
 	if !t.pinned {
-		desired = vm.policyOf(t.job.policy).OnInvoke(vm, t, callee, core.Kind)
+		desired = vm.policy.OnInvoke(vm, t, callee, core.Kind)
 	}
 	if !vm.Machine.HasKind(desired) {
 		desired = vm.serviceKind()

@@ -3,7 +3,6 @@ package vm
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
@@ -96,11 +95,9 @@ type Job struct {
 	frozen        bool
 	freezeBarrier bool
 	parked        []*Thread
-	out           bytes.Buffer
-	// w tees the VM-wide output stream and the job's capture buffer
-	// (built once at admission; print natives are a hot path).
-	w      io.Writer
-	policy Policy
+	// out is the job's System.out: the print natives write here, and
+	// nothing else does.
+	out bytes.Buffer
 	// vm is the machine the job was admitted on; Wait drives it.
 	vm *VM
 }
@@ -206,8 +203,7 @@ func (vm *VM) Submit(spec JobSpec) (*Job, Verdict, error) {
 		deadline = arrival + spec.Deadline
 	}
 
-	j := &Job{vm: vm, ID: len(vm.jobs), Name: name, AdmittedAt: arrival,
-		Deadline: deadline, policy: spec.Policy}
+	j := &Job{vm: vm, ID: len(vm.jobs), Name: name, AdmittedAt: arrival, Deadline: deadline}
 	j.Verdict = vm.admissionVerdict(kind, arrival, deadline)
 	if j.Verdict == VerdictShed {
 		// Shed at admission: the job is complete without ever running.
@@ -219,7 +215,6 @@ func (vm *VM) Submit(spec JobSpec) (*Job, Verdict, error) {
 		vm.jobs = append(vm.jobs, j)
 		return j, j.Verdict, nil
 	}
-	j.w = io.MultiWriter(vm.stdout, &j.out)
 	prevJob := vm.curJob
 	vm.curJob = j
 	root, err := vm.startThread(j, name, m, arrival, spec.Args)
@@ -248,7 +243,7 @@ func (vm *VM) entry(spec JobSpec) (m *classfile.Method, arrival cell.Clock, kind
 		return nil, 0, 0, fmt.Errorf("vm: entry %s must be static", m.Sig())
 	}
 	arrival = max(spec.Arrival, vm.Machine.MaxClock())
-	return m, arrival, vm.placeKind(spec.Policy, m), nil
+	return m, arrival, vm.placeKind(m), nil
 }
 
 // Jobs returns the admitted jobs in admission order (a copy).
@@ -313,20 +308,11 @@ func (vm *VM) RunUntil(c cell.Clock) error {
 	return vm.runWhile(func() bool { return vm.Machine.MaxClock() >= c })
 }
 
-// policyOf returns the placement policy governing a job's threads: the
-// override it was submitted with, the VM-wide policy otherwise.
-func (vm *VM) policyOf(override Policy) Policy {
-	if override != nil {
-		return override
-	}
-	return vm.policy
-}
-
-// placeKind is the kind a new thread entering m lands on under the
-// policy override: the policy's choice, or the service kind when the
-// machine has no core of that kind.
-func (vm *VM) placeKind(override Policy, m *classfile.Method) isa.CoreKind {
-	kind := vm.policyOf(override).PlaceThread(vm, m)
+// placeKind is the kind a new thread entering m lands on: the
+// machine's policy's choice, or the service kind when the machine has
+// no core of that kind.
+func (vm *VM) placeKind(m *classfile.Method) isa.CoreKind {
+	kind := vm.policy.PlaceThread(vm, m)
 	if !vm.Machine.HasKind(kind) {
 		kind = vm.serviceKind()
 	}

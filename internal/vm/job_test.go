@@ -2,12 +2,10 @@ package vm
 
 import (
 	"slices"
-	"strings"
 	"testing"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
-	"herajvm/internal/isa"
 )
 
 // buildTwoEntryProg returns a program with two independent entry
@@ -69,10 +67,6 @@ func TestSubmitJobsPerJobOutputAndResults(t *testing.T) {
 			t.Errorf("job %d has no per-job time: admitted=%d completed=%d",
 				tc.j.ID, tc.j.AdmittedAt, tc.j.CompletedAt)
 		}
-	}
-	// The VM-wide stream still carries everything, in simulated order.
-	if got := vm.Output(); !strings.Contains(got, "A\n") || !strings.Contains(got, "B\n") {
-		t.Errorf("global output missing job text: %q", got)
 	}
 	if len(vm.Jobs()) != 2 {
 		t.Errorf("job table has %d entries, want 2", len(vm.Jobs()))
@@ -190,32 +184,6 @@ func TestJobChildThreadsInheritJob(t *testing.T) {
 	}
 	if len(j.threads) != 2 {
 		t.Errorf("job has %d threads, want root + child", len(j.threads))
-	}
-}
-
-// TestJobPolicyOverride: a per-job FixedPolicy places the job's threads
-// without disturbing the VM-wide default.
-func TestJobPolicyOverride(t *testing.T) {
-	vm, err := New(testConfig(), buildTwoEntryProg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned, _, err := vm.Submit(JobSpec{Name: "pinned", Class: "EntryA", Method: "main", Policy: FixedPolicy{Kind: isa.SPE}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, _, err := vm.Submit(JobSpec{Name: "default", Class: "EntryB", Method: "main"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if pinned.Root().Kind != isa.SPE {
-		t.Errorf("pinned job's root ran on %v, want SPE", pinned.Root().Kind)
-	}
-	if def.Root().Kind != isa.PPE {
-		t.Errorf("default job's root ran on %v, want the service PPE", def.Root().Kind)
 	}
 }
 

@@ -150,7 +150,7 @@ func (vm *VM) kernelWorkerDone(core *cell.Core, t *Thread) {
 	}
 	k.caller.job.kernels--
 	if k.caller.State == StateBlocked { // else detached or dead: nothing to wake
-		vm.wake(k.caller, core.Now+vm.Cfg.JoinWakeCycles, edgeKernel)
+		vm.wake(k.caller, core.Now+joinWakeCycles, edgeKernel)
 	}
 }
 

@@ -122,23 +122,23 @@ func (p FixedPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method, cur i
 // the profiler and migrates threads into methods whose observed
 // behaviour clearly favours one core kind — the kind with the lowest
 // predicted cost for the dominant behaviour, not a hard-coded one.
-// Methods need MinCycles of observation before a decision is made;
-// annotated methods still win.
-type MonitoringPolicy struct {
-	// FPThreshold is the floating-point cycle share above which a method
-	// migrates to the cheapest-FP kind; MemThreshold the main-memory
-	// share above which it migrates to the cheapest-memory kind.
-	FPThreshold  float64
-	MemThreshold float64
-	MinCycles    uint64
-}
+// Methods need monitorMinCycles of observation before a decision is
+// made; annotated methods still win.
+type MonitoringPolicy struct{}
 
-// DefaultMonitoringPolicy returns thresholds matched to the paper's
-// Figure 5 analysis (mandelbrot ~40%+ FP -> SPE; compress' dominant
-// main-memory share -> PPE).
-func DefaultMonitoringPolicy() *MonitoringPolicy {
-	return &MonitoringPolicy{FPThreshold: 0.25, MemThreshold: 0.45, MinCycles: 100000}
-}
+// The monitoring thresholds, matched to the paper's Figure 5 analysis
+// (mandelbrot ~40%+ FP -> SPE; compress' dominant main-memory share ->
+// PPE): a method whose floating-point cycle share reaches fpThreshold
+// migrates to the cheapest-FP kind, one whose main-memory share reaches
+// memThreshold to the cheapest-memory kind.
+const (
+	fpThreshold      = 0.25
+	memThreshold     = 0.45
+	monitorMinCycles = 100_000
+)
+
+// DefaultMonitoringPolicy returns the monitoring policy.
+func DefaultMonitoringPolicy() *MonitoringPolicy { return &MonitoringPolicy{} }
 
 // PlaceThread starts threads on the service kind until monitoring says
 // otherwise.
@@ -175,13 +175,13 @@ func (p *MonitoringPolicy) observedKind(vm *VM, m *classfile.Method) (isa.CoreKi
 	for _, cy := range c.Cycles {
 		total += cy
 	}
-	if total < p.MinCycles {
+	if total < monitorMinCycles {
 		return vm.serviceKind(), false
 	}
-	if c.FPShare() >= p.FPThreshold {
+	if c.FPShare() >= fpThreshold {
 		return vm.cheapestKind(isa.CoreKind.FPScore)
 	}
-	if c.MemShare() >= p.MemThreshold {
+	if c.MemShare() >= memThreshold {
 		return vm.cheapestKind(isa.CoreKind.MemScore)
 	}
 	return vm.serviceKind(), false

@@ -22,7 +22,6 @@ package vm
 
 import (
 	"fmt"
-	"io"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
@@ -49,18 +48,13 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 	if now := vm.Machine.MaxClock(); arrival < now {
 		arrival = now
 	}
-	policy, err := decodePolicy(img.Policy)
-	if err != nil {
-		return nil, err
-	}
 
 	j := &Job{vm: vm, ID: len(vm.jobs), Name: img.Name, AdmittedAt: img.AdmittedAt,
-		Deadline: img.Deadline, Verdict: img.Verdict, policy: policy}
+		Deadline: img.Deadline, Verdict: img.Verdict}
 	j.Stats = img.Stats
-	// Prime the capture buffer with the output already printed on the
-	// source (not re-emitted to this VM's stream); new output tees both.
+	// The output already printed on the source comes first; the job's
+	// threads append to it here.
 	j.out.Write(img.Output)
-	j.w = io.MultiWriter(vm.stdout, &j.out)
 
 	// Allocation and the compiles below may run the collector; bill its
 	// pauses to the arriving job, and pin the graph until it is rooted.

@@ -91,15 +91,15 @@ func (vm *VM) place(t *Thread, kind isa.CoreKind) {
 // startThread schedules a new Java thread of job whose first frame
 // invokes entry with the given arguments (receiver first for instance
 // methods); readyAt is the simulated time it becomes runnable. The
-// thread inherits the job's placement-policy override and bills its
-// scheduling events to the job's counters. Everything fallible —
-// placement, the entry compile, the argument check — happens before
-// the thread is registered, so a failed start leaves no ghost live
-// thread behind to deadlock later drains.
+// machine's policy places it, and it bills its scheduling events to the
+// job's counters. Everything fallible — placement, the entry compile,
+// the argument check — happens before the thread is registered, so a
+// failed start leaves no ghost live thread behind to deadlock later
+// drains.
 func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyAt cell.Clock,
 	args []uint64) (*Thread, error) {
 
-	kind := vm.placeKind(job.policy, entry)
+	kind := vm.placeKind(entry)
 	cm, compileCycles, err := vm.compileFor(kind, entry)
 	if err != nil {
 		return nil, err
@@ -408,10 +408,15 @@ func (vm *VM) deadlockError() error {
 		ErrDeadlock, vm.liveCount, blocked)
 }
 
+// joinWakeCycles is the wake-up latency charged to a thread blocked on
+// another's termination (a join, or a kernel launch's SPMD barrier):
+// the hand-off cost.
+const joinWakeCycles = 100
+
 // finishThread retires a terminated thread, completes its job when it
-// was the job's last live thread, and wakes its joiners after the
-// configured join hand-off latency. Termination releases edgeJoin; each
-// joiner acquires it as it wakes.
+// was the job's last live thread, and wakes its joiners after the join
+// hand-off latency. Termination releases edgeJoin; each joiner acquires
+// it as it wakes.
 func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 	vm.release(core, edgeJoin)
 	vm.liveCount--
@@ -432,7 +437,7 @@ func (vm *VM) finishThread(core *cell.Core, t *Thread) {
 		}
 	}
 	for _, j := range t.joiners {
-		vm.wake(j, core.Now+vm.Cfg.JoinWakeCycles, edgeJoin)
+		vm.wake(j, core.Now+joinWakeCycles, edgeJoin)
 	}
 	t.joiners = nil
 	t.free = nil // the thread stays in vm.threads; its dead frames need not

@@ -45,29 +45,10 @@ var ErrJobDone = errors.New("job already done")
 
 // ErrNotFreezable is Freeze's report that the job is entangled with
 // state outside itself (a monitor shared with another job's thread, a
-// cross-job join, a non-serializable policy or trap) and cannot be
-// extracted. The job keeps running where it is. Match with errors.Is.
+// cross-job join, a non-serializable trap, a kernel launch in flight)
+// and cannot be extracted. The job keeps running where it is. Match
+// with errors.Is.
 var ErrNotFreezable = errors.New("job not freezable")
-
-// Policy tags for the image's policy override encoding. Only the named
-// built-in policies serialize; a custom Policy implementation makes the
-// job unfreezable (the image could not rebuild it on the target).
-const (
-	policyNone uint8 = iota
-	policyAnnotation
-	policyFixed
-	policyMonitoring
-)
-
-// ImagePolicy is a job's placement-policy override in portable form.
-type ImagePolicy struct {
-	Tag  uint8
-	Kind string // FixedPolicy's kind name
-	// MonitoringPolicy's thresholds.
-	FPThreshold  float64
-	MemThreshold float64
-	MinCycles    uint64
-}
 
 // ImageFrame is one serialized method activation. Non-marker frames
 // name their method portably — class name plus the method's index in
@@ -171,55 +152,12 @@ type JobImage struct {
 	Verdict    Verdict
 	Stats      JobStats
 	Output     []byte // System.out captured before the freeze
-	Policy     ImagePolicy
 
 	Threads    []ImageThread
 	Objects    []ImageObject
 	Statics    []ImageStatics
 	Monitors   []ImageMonitor
 	ClassLocks []ImageClassLock
-}
-
-// encodePolicy maps a job's policy override to its portable form.
-func encodePolicy(p Policy) (ImagePolicy, error) {
-	switch pol := p.(type) {
-	case nil:
-		return ImagePolicy{Tag: policyNone}, nil
-	case *AnnotationPolicy:
-		return ImagePolicy{Tag: policyAnnotation}, nil
-	case AnnotationPolicy:
-		return ImagePolicy{Tag: policyAnnotation}, nil
-	case FixedPolicy:
-		return ImagePolicy{Tag: policyFixed, Kind: pol.Kind.String()}, nil
-	case *FixedPolicy:
-		return ImagePolicy{Tag: policyFixed, Kind: pol.Kind.String()}, nil
-	case *MonitoringPolicy:
-		return ImagePolicy{Tag: policyMonitoring, FPThreshold: pol.FPThreshold,
-			MemThreshold: pol.MemThreshold, MinCycles: pol.MinCycles}, nil
-	default:
-		return ImagePolicy{}, fmt.Errorf("%w: policy %T does not serialize", ErrNotFreezable, p)
-	}
-}
-
-// decodePolicy rebuilds a policy override from its portable form.
-func decodePolicy(ip ImagePolicy) (Policy, error) {
-	switch ip.Tag {
-	case policyNone:
-		return nil, nil
-	case policyAnnotation:
-		return &AnnotationPolicy{}, nil
-	case policyFixed:
-		kind, err := isa.ParseCoreKind(ip.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("vm: image policy: %w", err)
-		}
-		return FixedPolicy{Kind: kind}, nil
-	case policyMonitoring:
-		return &MonitoringPolicy{FPThreshold: ip.FPThreshold,
-			MemThreshold: ip.MemThreshold, MinCycles: ip.MinCycles}, nil
-	default:
-		return nil, fmt.Errorf("vm: image policy: unknown tag %d", ip.Tag)
-	}
 }
 
 // jobFreezable reports whether the job sits at a safe point: every live
@@ -260,10 +198,6 @@ func (vm *VM) Freeze(ctx context.Context, j *Job) (*JobImage, error) {
 	}
 	if j.frozen {
 		return nil, fmt.Errorf("vm: job %d (%s) already frozen", j.ID, j.Name)
-	}
-	// A custom policy can never rehydrate; refuse before driving.
-	if _, err := encodePolicy(j.policy); err != nil {
-		return nil, err
 	}
 	// An in-flight kernel launch can never park at a safe point: the
 	// caller is blocked inside a native and the pinned workers hold a
@@ -557,10 +491,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		Verdict:    j.Verdict,
 		Stats:      j.Stats,
 		Output:     append([]byte(nil), j.out.Bytes()...),
-	}
-	var err error
-	if img.Policy, err = encodePolicy(j.policy); err != nil {
-		return nil, nil, err
 	}
 
 	// Everything below is copied as it stands, heap addresses included;

@@ -385,28 +385,6 @@ func TestFreezeDoneJob(t *testing.T) {
 	}
 }
 
-// TestFreezeCustomPolicyRefused: a job under a policy the image cannot
-// express is refused up front, before any driving.
-func TestFreezeCustomPolicyRefused(t *testing.T) {
-	v, err := New(testConfig(), buildTwoEntryProg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, _, err := v.Submit(JobSpec{Class: "EntryA", Method: "main", Policy: customPolicy{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrNotFreezable) {
-		t.Fatalf("freeze under a custom policy = %v, want ErrNotFreezable", err)
-	}
-	if _, err := j.Wait(); err != nil {
-		t.Fatalf("job after refused freeze: %v", err)
-	}
-}
-
-// customPolicy is an unserializable Policy implementation.
-type customPolicy struct{ AnnotationPolicy }
-
 // TestRehydrateOnDifferentTopology: the image recompiles for whatever
 // kinds the target machine has; a PPE-only target still completes the
 // job with the right checksum.

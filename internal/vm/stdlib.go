@@ -219,22 +219,22 @@ func registerBuiltins(vm *VM) {
 		}})
 	reg("java/lang/System.println", &Native{Kind: NativeSyscall, Cycles: 400, Class: isa.ClassBranch,
 		Fn: func(c *NativeCtx) error {
-			fmt.Fprintln(c.Thread.job.w, c.VM.GoString(Ref(c.Args[0])))
+			fmt.Fprintln(&c.Thread.job.out, c.VM.GoString(Ref(c.Args[0])))
 			return nil
 		}})
 	reg("java/lang/System.printInt", &Native{Kind: NativeSyscall, Cycles: 400, Class: isa.ClassBranch,
 		Fn: func(c *NativeCtx) error {
-			fmt.Fprintln(c.Thread.job.w, int32(uint32(c.Args[0])))
+			fmt.Fprintln(&c.Thread.job.out, int32(uint32(c.Args[0])))
 			return nil
 		}})
 	reg("java/lang/System.printLong", &Native{Kind: NativeSyscall, Cycles: 400, Class: isa.ClassBranch,
 		Fn: func(c *NativeCtx) error {
-			fmt.Fprintln(c.Thread.job.w, int64(c.Args[0]))
+			fmt.Fprintln(&c.Thread.job.out, int64(c.Args[0]))
 			return nil
 		}})
 	reg("java/lang/System.printDouble", &Native{Kind: NativeSyscall, Cycles: 400, Class: isa.ClassBranch,
 		Fn: func(c *NativeCtx) error {
-			fmt.Fprintln(c.Thread.job.w, math.Float64frombits(c.Args[0]))
+			fmt.Fprintln(&c.Thread.job.out, math.Float64frombits(c.Args[0]))
 			return nil
 		}})
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -241,27 +242,51 @@ func TestStealSchedulerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestJoinWakeCyclesKnob verifies the joiner-wake latency is the
-// configured knob: a huge value must push the joining main thread's
-// completion out, a zero value must pull it in, and the default must
-// stay at the historical 100 cycles.
+// TestJoinWakeCyclesKnob verifies the joiner-wake latency: a thread
+// blocked in join() becomes ready exactly joinWakeCycles after the
+// thread it waits on terminates, by the clock of the core it ended on.
 func TestJoinWakeCyclesKnob(t *testing.T) {
-	if DefaultConfig().JoinWakeCycles != 100 {
-		t.Fatalf("default JoinWakeCycles = %d, want the historical 100", DefaultConfig().JoinWakeCycles)
+	vm, err := New(testConfig(), buildWorkerProgram(2, ""))
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(wake uint64) cell.Clock {
-		cfg := testConfig()
-		cfg.JoinWakeCycles = wake
-		vm, th := runMain(t, cfg, buildWorkerProgram(2, ""), "Main", "main")
-		if th.Trap != nil {
-			t.Fatal(th.Trap)
+	j, _, err := vm.Submit(JobSpec{Class: "Main", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Between scheduling rounds, remember who is blocked joining whom;
+	// once a joinee has terminated, its joiners must have been woken.
+	joiners := map[*Thread][]*Thread{}
+	woken := 0
+	err = vm.runWhile(func() bool {
+		for joinee, ts := range joiners {
+			if joinee.State != StateTerminated {
+				continue
+			}
+			end := vm.coreFor(joinee.Kind, joinee.CoreID).Now
+			for _, jt := range ts {
+				if jt.ReadyAt != end+joinWakeCycles {
+					t.Errorf("%s woke at %d, want %s's end %d + %d", jt.Name, jt.ReadyAt, joinee.Name, end, joinWakeCycles)
+				}
+				woken++
+			}
+			delete(joiners, joinee)
 		}
-		return vm.Machine.MaxClock()
+		for _, th := range vm.threads {
+			if th.State != StateTerminated && len(th.joiners) > 0 {
+				joiners[th] = slices.Clone(th.joiners)
+			}
+		}
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := run(100)
-	slow := run(5_000_000)
-	if slow <= base {
-		t.Errorf("JoinWakeCycles=5M finished at %d, no later than the default's %d", slow, base)
+	if err := j.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if woken == 0 {
+		t.Fatal("no thread ever blocked in join(); the program no longer exercises the wake")
 	}
 }
 

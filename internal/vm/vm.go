@@ -1,10 +1,8 @@
 package vm
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 
@@ -66,10 +64,6 @@ type Config struct {
 	// the default is ~2x MigrateCycles.
 	MigrateCooldownCycles uint64
 
-	// JoinWakeCycles is the wake-up latency charged to a joining thread
-	// when the thread it waits on terminates (the join hand-off cost).
-	JoinWakeCycles uint64
-
 	// AdaptiveCaches enables the per-SPE controller that repartitions
 	// local store between the data and code caches based on observed
 	// miss rates (the paper's §4 future-work proposal). See
@@ -92,9 +86,6 @@ type Config struct {
 
 	// Policy decides thread placement; nil means AnnotationPolicy.
 	Policy Policy
-
-	// Stdout receives System.out output; nil captures to a buffer.
-	Stdout io.Writer
 }
 
 // DefaultConfig returns a PS3-like machine with the paper's cache
@@ -112,9 +103,7 @@ func DefaultConfig() Config {
 		StealCycles:           400,
 		MigrateCycles:         600,
 		MigrateCooldownCycles: 1200,
-		JoinWakeCycles:        100,
 		Policy:                nil,
-		Stdout:                nil,
 	}
 }
 
@@ -150,8 +139,8 @@ func (cfg *Config) validate() error {
 	}
 	// The cache fills in units of a whole object up to MaxEntryBytes or
 	// one array block, and must be able to hold one.
-	if unit := max(dc.ArrayBlock, dc.MaxEntryBytes); dc.Size < unit {
-		return bad("data cache of %d B cannot hold one %d B unit (DataCache.ArrayBlock, MaxEntryBytes)",
+	if unit := max(dc.ArrayBlock, cache.MaxEntryBytes); dc.Size < unit {
+		return bad("data cache of %d B cannot hold one %d B unit (DataCache.ArrayBlock, cache.MaxEntryBytes)",
 			dc.Size, unit)
 	}
 	// The data cache sits at the bottom of the local store, the code
@@ -205,7 +194,7 @@ type VM struct {
 	// dcaches/ccaches hold each local-store core's software caches,
 	// indexed by Core.Index (nil for hardware-cached cores); lsCores
 	// lists the local-store core indices in topology order, the ordinal
-	// the public cache accessors use.
+	// AdaptiveResizes and CacheSplit take.
 	dcaches []*cache.DataCache
 	ccaches []*cache.CodeCache
 	lsCores []int
@@ -265,8 +254,6 @@ type VM struct {
 	// Core.Index (entries for hardware-cached cores are unused).
 	adapt []adaptState
 
-	stdout       io.Writer
-	outBuf       *bytes.Buffer
 	stringCls    *classfile.Class
 	threadCls    *classfile.Class
 	throwableCls *classfile.Class
@@ -451,12 +438,6 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		vm.policy = &AnnotationPolicy{}
 	}
 
-	vm.stdout = cfg.Stdout
-	if vm.stdout == nil {
-		vm.outBuf = &bytes.Buffer{}
-		vm.stdout = vm.outBuf
-	}
-
 	vm.stringCls = prog.Lookup("java/lang/String")
 	vm.threadCls = prog.Lookup("java/lang/Thread")
 	vm.throwableCls = prog.Lookup("java/lang/Throwable")
@@ -469,15 +450,6 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 // and the machine, compilers and collector counters read as sys.VM.
 type System struct{ *VM }
 
-// Output returns captured System.out output (when no Stdout writer was
-// configured).
-func (vm *VM) Output() string {
-	if vm.outBuf == nil {
-		return ""
-	}
-	return vm.outBuf.String()
-}
-
 // Compiler returns the JIT for a core kind (nil when the machine has no
 // core of that kind — compilers exist only for kinds the topology
 // declares).
@@ -487,14 +459,6 @@ func (vm *VM) Compiler(k isa.CoreKind) *jit.Compiler {
 	}
 	return vm.compilers[k]
 }
-
-// DataCacheOf returns the software data cache of the i-th local-store
-// core (in topology order; SPE i on the default PS3 shape).
-func (vm *VM) DataCacheOf(i int) *cache.DataCache { return vm.dcaches[vm.lsCores[i]] }
-
-// CodeCacheOf returns the software code cache of the i-th local-store
-// core (in topology order).
-func (vm *VM) CodeCacheOf(i int) *cache.CodeCache { return vm.ccaches[vm.lsCores[i]] }
 
 // coreFor maps (kind, id) to the cell core.
 func (vm *VM) coreFor(kind isa.CoreKind, id int) *cell.Core {

@@ -381,8 +381,8 @@ func TestPrintlnViaSyscall(t *testing.T) {
 	a.InvokeStatic(sys.MethodByName("printInt"))
 	a.RetVoid()
 	a.MustBuild()
-	vm, _ := runMain(t, testConfig(), p, "Hello", "main")
-	out := vm.Output()
+	_, th := runMain(t, testConfig(), p, "Hello", "main")
+	out := th.job.Output()
 	if out != "hello, cell\n42\n" {
 		t.Errorf("output: %q", out)
 	}
@@ -400,9 +400,9 @@ func TestSyscallFromSPEStallsAndProxies(t *testing.T) {
 	a.MustBuild()
 	cfg := testConfig()
 	cfg.Policy = FixedPolicy{Kind: isa.SPE}
-	vm, _ := runMain(t, cfg, p, "SpePrint", "main")
-	if vm.Output() != "7\n" {
-		t.Errorf("output: %q", vm.Output())
+	vm, th := runMain(t, cfg, p, "SpePrint", "main")
+	if got := th.job.Output(); got != "7\n" {
+		t.Errorf("output: %q", got)
 	}
 	spe0 := vm.Machine.CoresOf(isa.SPE)[0]
 	if spe0.Stats.Syscalls != 1 {
@@ -822,8 +822,8 @@ func TestStringBuilderRoundTrip(t *testing.T) {
 	for _, pol := range []Policy{nil, FixedPolicy{Kind: isa.SPE}} {
 		cfg := testConfig()
 		cfg.Policy = pol
-		vmach, _ := runMain(t, cfg, stringBuilderProg(), "SB", "main")
-		if got := vmach.Output(); got != "x=-4096!\n" {
+		_, th := runMain(t, cfg, stringBuilderProg(), "SB", "main")
+		if got := th.job.Output(); got != "x=-4096!\n" {
 			t.Errorf("policy %v: output %q", pol, got)
 		}
 	}

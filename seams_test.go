@@ -74,7 +74,14 @@ var seams = []struct {
 	// "Machine numbers have one home": what no caller varies is a named
 	// constant beside its one use, not a field.
 	{"machine numbers no caller varies are constants",
-		`MigrationBaseCycles|MigrationWordCycles|SyscallSendCycles|SyscallServeCycles|GCPauseBase|GCPerObject|AdaptiveStepKB|BranchPredictorBits|\.PPEMem\b`,
+		`MigrationBaseCycles|MigrationWordCycles|SyscallSendCycles|SyscallServeCycles|GCPauseBase|GCPerObject|AdaptiveStepKB|BranchPredictorBits|\.PPEMem\b|` +
+			`\b(ProbeCycles|InsertCycles|AccessCycles|TOCCycles|TIBCycles|ReturnCycles)\b|MaxEntryBytes(:|\s+uint32)`,
+		[]string{"."}, nil},
+	// "Job lifecycle": the machine's one policy places every job's
+	// threads, and a job's output is its own buffer; a setting no caller
+	// varies is a constant.
+	{"one policy per machine, one output per job",
+		`JobSpec\{[^}]*Policy|ImagePolicy|encodePolicy|policyOf|outBuf|\.JoinWakeCycles|MaxHandoffs|FPThreshold|MemThreshold`,
 		[]string{"."}, nil},
 	// "The three built-in schedulers": a queued task is a typed heap
 	// entry, never boxed into an interface on the per-quantum path.
