@@ -103,35 +103,18 @@ func (c *Core) Charge(class isa.OpClass, n uint64) {
 	c.Stats.Charge(class, n)
 }
 
-// FastForward applies one memoized superblock in a single step: the
-// clock advances by the block's total cost, the per-class counters by
-// its class vector, and instrs instructions retire — exactly the totals
-// per-instruction Charge calls would have produced — while the
-// fast-forward counters record that the memoized path was taken.
-func (c *Core) FastForward(total uint64, classes *[isa.NumClasses]uint64, instrs uint64) {
-	c.Now += total
+// SettleFastForward bills a chain of superblock replays in one step:
+// the per-class counters by the chain's summed class vector and instrs
+// retired instructions, of which ffInstrs fast-forwarded, across blocks
+// replayed blocks — exactly the totals per-instruction Charge calls
+// would have produced. The replay advanced the clock as it went.
+func (c *Core) SettleFastForward(classes *[isa.NumClasses]uint64, instrs, ffInstrs, blocks uint64) {
 	for i, n := range classes {
-		if n != 0 { // blocks rarely span more than a few classes
-			c.Stats.Cycles[i] += n
-		}
+		c.Stats.Cycles[i] += n
 	}
 	c.Stats.Instrs += instrs
-	c.Stats.FastForwardedBlocks++
-	c.Stats.FastForwardedInstrs += instrs
-}
-
-// FastForwardTail applies a later pure segment of a memory-extended
-// superblock: identical accounting to FastForward except that no new
-// block is counted — the whole extended block is one fast-forward.
-func (c *Core) FastForwardTail(total uint64, classes *[isa.NumClasses]uint64, instrs uint64) {
-	c.Now += total
-	for i, n := range classes {
-		if n != 0 {
-			c.Stats.Cycles[i] += n
-		}
-	}
-	c.Stats.Instrs += instrs
-	c.Stats.FastForwardedInstrs += instrs
+	c.Stats.FastForwardedBlocks += blocks
+	c.Stats.FastForwardedInstrs += ffInstrs
 }
 
 // ChargeIdle advances the clock without billing a work class (the core is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"herajvm/internal/profile"
 	"herajvm/internal/vm"
 )
 
@@ -34,7 +35,8 @@ type FastPathRow struct {
 	Instrs    uint64  `json:"instrs"`
 	FFHitRate float64 `json:"ff_hit_rate"`
 	// Match reports both runs were checksum-valid, agreed with each
-	// other, and finished at the same simulated cycle.
+	// other, finished at the same simulated cycle and did the same work
+	// (sameWork).
 	Match bool `json:"match"`
 }
 
@@ -59,24 +61,39 @@ func RunFastPath(opt Options) (*FastPath, error) {
 	out := &FastPath{Topology: topo.String()}
 	for _, r := range runs {
 		for i, name := range schedulers {
-			fast, slow := r[2*i], r[2*i+1]
-			row := FastPathRow{
-				Workload:  fast.Workload,
-				Scheduler: name,
-				Cycles:    fast.Cycles,
-				FFBlocks:  fast.All.FastForwardedBlocks,
-				FFInstrs:  fast.All.FastForwardedInstrs,
-				Instrs:    fast.All.Instrs,
-				Match: fast.Valid && slow.Valid &&
-					fast.Checksum == slow.Checksum && fast.Cycles == slow.Cycles,
-			}
-			if row.Instrs > 0 {
-				row.FFHitRate = float64(row.FFInstrs) / float64(row.Instrs)
-			}
-			out.Rows = append(out.Rows, row)
+			out.Rows = append(out.Rows, fastPathRow(name, r[2*i], r[2*i+1]))
 		}
 	}
 	return out, nil
+}
+
+// fastPathRow compares one cell's fast and stepped runs.
+func fastPathRow(scheduler string, fast, slow RunStats) FastPathRow {
+	row := FastPathRow{
+		Workload:  fast.Workload,
+		Scheduler: scheduler,
+		Cycles:    fast.Cycles,
+		FFBlocks:  fast.All.FastForwardedBlocks,
+		FFInstrs:  fast.All.FastForwardedInstrs,
+		Instrs:    fast.All.Instrs,
+		Match: fast.Valid && slow.Valid && fast.Checksum == slow.Checksum &&
+			fast.Cycles == slow.Cycles && sameWork(fast, slow),
+	}
+	if row.Instrs > 0 {
+		row.FFHitRate = float64(row.FFInstrs) / float64(row.Instrs)
+	}
+	return row
+}
+
+// sameWork reports whether two runs' machines did the same work: every
+// counter of All and of Accel — per-class cycles, instructions, idle,
+// cache, DMA — except the fast-forward counters, which record only
+// which path did it.
+func sameWork(fast, slow RunStats) bool {
+	for _, s := range []*profile.CoreStats{&fast.All, &fast.Accel, &slow.All, &slow.Accel} {
+		s.FastForwardedBlocks, s.FastForwardedInstrs = 0, 0
+	}
+	return fast.All == slow.All && fast.Accel == slow.Accel
 }
 
 // Table renders the sweep as text.

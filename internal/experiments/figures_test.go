@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"herajvm/internal/cell"
+	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 )
 
@@ -168,6 +169,18 @@ func TestCheckFailureArms(t *testing.T) {
 		edit(&row)
 		return &KernelsSweep{Rows: []KernelsRow{row}}
 	}
+	// fastPathCell compares a stepped run with a fast one that took the
+	// memoized path for some of its work, after edit.
+	fastPathCell := func(edit func(*RunStats)) *FastPath {
+		slow := RunStats{Workload: "compress", Cycles: 1000, Checksum: 7, Valid: true}
+		slow.All.Cycles[isa.ClassFloat], slow.All.Instrs = 600, 90
+		slow.Accel = slow.All
+		fast := slow
+		fast.All.FastForwardedBlocks, fast.All.FastForwardedInstrs = 4, 80
+		fast.Accel = fast.All
+		edit(&fast)
+		return &FastPath{Rows: []FastPathRow{fastPathRow("steal", fast, slow)}}
+	}
 	floor := Options{MinSpeedup: 2}
 	for _, tc := range []struct {
 		arm  string
@@ -198,6 +211,9 @@ func TestCheckFailureArms(t *testing.T) {
 		{"invalid serve pass", &ServeSweep{Runs: []ServeRun{{Scheduler: "steal", Shedding: true}}},
 			Options{}, "steal (shedding true)"},
 		{"diverged fastpath cell", &FastPath{Rows: []FastPathRow{{Workload: "compress", Scheduler: "steal"}}},
+			Options{}, "compress/steal: fast and slow runs diverged"},
+		{"clean fastpath cell", fastPathCell(func(*RunStats) {}), Options{}, ""},
+		{"diverged fastpath class vectors", fastPathCell(func(st *RunStats) { st.Accel.Cycles[isa.ClassFloat]-- }),
 			Options{}, "compress/steal: fast and slow runs diverged"},
 	} {
 		err := tc.res.Check(tc.opt)

@@ -36,7 +36,7 @@ func (o Op) Arity() int {
 func Eval(op Op, a, b uint64, aux int32) (uint64, bool) {
 	switch op {
 	case OpAddI:
-		return fromI(int32(a) + int32(b)), true
+		return AddI(a, b), true
 	case OpSubI:
 		return fromI(int32(a) - int32(b)), true
 	case OpMulI:
@@ -122,11 +122,11 @@ func Eval(op Op, a, b uint64, aux int32) (uint64, bool) {
 		return fromI(aux), true
 
 	case OpAddD:
-		return fromD(toD(a) + toD(b)), true
+		return AddD(a, b), true
 	case OpSubD:
 		return fromD(toD(a) - toD(b)), true
 	case OpMulD:
-		return fromD(toD(a) * toD(b)), true
+		return MulD(a, b), true
 	case OpDivD:
 		return fromD(toD(a) / toD(b)), true
 	case OpNegD:
@@ -176,6 +176,12 @@ func Eval(op Op, a, b uint64, aux int32) (uint64, bool) {
 		panic("isa: Eval of non-arithmetic opcode " + op.String())
 	}
 }
+
+// AddI, AddD and MulD are Eval's cases for the three opcodes a replayed
+// block evaluates most, small enough for a caller's loop to inline.
+func AddI(a, b uint64) uint64 { return fromI(int32(a) + int32(b)) }
+func AddD(a, b uint64) uint64 { return fromD(toD(a) + toD(b)) }
+func MulD(a, b uint64) uint64 { return fromD(toD(a) * toD(b)) }
 
 func fromI(v int32) uint64   { return uint64(uint32(v)) }
 func toF(w uint64) float32   { return math.Float32frombits(uint32(w)) }

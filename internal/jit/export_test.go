@@ -44,9 +44,9 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 			}
 			b := Superblock{
 				Len: int32(pe - p), Target: int32(pe),
-				Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
+				Cycles: mb.FirstCycles, ClassCycles: mb.Class,
 				Micro: mb.Micro, StackDelta: mb.StackDelta,
-				Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
+				Bounds: mb.Bounds, Mats: mb.Mats,
 			}
 			if term != nil {
 				b.Len++

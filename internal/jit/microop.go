@@ -38,14 +38,14 @@ import (
 // replay reads both operands without testing the arity.
 //
 // Each memory micro-op is paired in order with a MemBound entry on the
-// superblock; the executor charges the instruction's static cost, runs
-// the interpreter's own access helper on the micro-op's operands (the
-// instruction's stack operands in push order in A, B and — for the
-// three-operand array store only — D, which is a source there; an
-// operand the op lacks is MicroImm), and then charges the following
-// pure segment. Loads write their result at D, always a stack slot: the
-// result must sit at its stepped stack position in case the replay hands
-// back at the next instruction.
+// superblock; the executor advances the clock by the instruction's
+// static cost, runs the interpreter's own access helper on the
+// micro-op's operands (the instruction's stack operands in push order
+// in A, B and — for the three-operand array store only — D, which is a
+// source there; an operand the op lacks is MicroImm), and then advances
+// it over the following pure segment. Loads write their result at D,
+// always a stack slot: the result must sit at its stepped stack position
+// in case the replay hands back at the next instruction.
 type MicroOp struct {
 	Code isa.Op
 	D    int32
@@ -101,26 +101,22 @@ type microCompiler struct {
 	vstack []sym
 	ok     bool
 
-	// Memory-absorption state: the per-boundary metadata, the pure
-	// segment after each boundary, shadow materialisations for
-	// abort/trap exits, and the running accumulator for the current pure
-	// segment. noSink bars result-sinking across a memory micro-op (its
-	// result must land at its stack position: a quantum expiry right
-	// after it resumes before any StoreLocal).
+	// Memory-absorption state: the per-boundary metadata, shadow
+	// materialisations for abort/trap exits, the static cost of the
+	// current pure segment and of the first one, and the whole block's
+	// class vector. noSink bars result-sinking across a memory micro-op
+	// (its result must land at its stack position: a quantum expiry
+	// right after it resumes before any StoreLocal).
 	bounds   []MemBound
-	segs     []Seg
 	mats     []MicroOp
-	segLen   int32
 	segCyc   uint64
-	segCls   [isa.NumClasses]uint64
-	firstLen int32
 	firstCyc uint64
-	firstCls [isa.NumClasses]uint64
+	cls      [isa.NumClasses]uint64
 	noSink   int
 }
 
-// microBlock is compileMicro's result: the lowered replay program plus
-// the segment cost structure discovery copies onto the Superblock.
+// microBlock is compile's result: the lowered replay program plus the
+// cost structure discovery copies onto the Superblock.
 type microBlock struct {
 	Micro []MicroOp
 	// StackDelta is the block's net operand-stack growth in slots, a
@@ -128,14 +124,13 @@ type microBlock struct {
 	StackDelta int32
 
 	Bounds []MemBound
-	Segs   []Seg
 	Mats   []MicroOp
 
-	// The first pure segment's instruction count and static cost
-	// vector (the whole block when Bounds is empty).
-	FirstLen    int32
+	// FirstCycles is the first pure segment's static cost (the whole
+	// block's when Bounds is empty); Class is the whole block's static
+	// cost by operation class.
 	FirstCycles uint64
-	FirstClass  [isa.NumClasses]uint64
+	Class       [isa.NumClasses]uint64
 }
 
 func (c *microCompiler) fail() { c.ok = false }
@@ -270,17 +265,16 @@ func (c *microCompiler) storeLocal(i int32) {
 	}
 }
 
-// closeSeg ends the current pure segment at a memory boundary: the
-// first segment's accumulator becomes the block's up-front charge,
-// later ones append to Segs (charged right after the boundary that
-// precedes them).
+// closeSeg ends the current pure segment at a memory boundary or the
+// block's end: the first segment's cost is the block's entry clock
+// advance, a later one's the SegCycles of the boundary before it.
 func (c *microCompiler) closeSeg() {
 	if len(c.bounds) == 0 {
-		c.firstLen, c.firstCyc, c.firstCls = c.segLen, c.segCyc, c.segCls
+		c.firstCyc = c.segCyc
 	} else {
-		c.segs = append(c.segs, Seg{Cycles: c.segCyc, ClassCycles: c.segCls, Len: c.segLen})
+		c.bounds[len(c.bounds)-1].SegCycles = c.segCyc
 	}
-	c.segLen, c.segCyc, c.segCls = 0, 0, [isa.NumClasses]uint64{}
+	c.segCyc = 0
 }
 
 // memBoundary lowers one absorbable memory instruction at block-
@@ -359,7 +353,7 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 
 	c.closeSeg()
 	c.bounds = append(c.bounds, MemBound{
-		RelIdx: rel, Cost: uint32(in.Cost), Class: in.Op.Class(),
+		RelIdx: rel, Cost: uint32(in.Cost),
 		Kind: in.A, Flags: in.B,
 		SPTrap: int32(opStart), SPAfter: int32(opStart + npush),
 		MatLo: matLo, MatHi: matHi,
@@ -375,10 +369,11 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
 	*c = microCompiler{
 		micro: c.micro[:0], vstack: c.vstack[:0],
-		bounds: c.bounds[:0], segs: c.segs[:0], mats: c.mats[:0],
+		bounds: c.bounds[:0], mats: c.mats[:0],
 		ok: true,
 	}
 	for idx, in := range code {
+		c.cls[in.Op.Class()] += uint64(in.Cost)
 		if memOp(in.Op) {
 			c.memBoundary(int32(idx), in)
 			if !c.ok {
@@ -386,9 +381,7 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 			}
 			continue
 		}
-		c.segLen++
 		c.segCyc += uint64(in.Cost)
-		c.segCls[in.Op.Class()] += uint64(in.Cost)
 		switch in.Op {
 		case isa.OpNop, isa.OpGoto:
 
@@ -438,14 +431,13 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 	}
 
 	// The control terminal belongs to the final segment: its static
-	// cost and instruction count charge with the block's tail even
-	// though its effect is applied from Target. A conditional one pops
-	// its comparison operands off the block's final stack.
+	// cost is spent with the block's tail even though its effect is
+	// applied from Target. A conditional one pops its comparison
+	// operands off the block's final stack.
 	delta := int32(len(c.vstack))
 	if term != nil {
-		c.segLen++
 		c.segCyc += uint64(term.Cost)
-		c.segCls[term.Op.Class()] += uint64(term.Cost)
+		c.cls[term.Op.Class()] += uint64(term.Cost)
 		switch term.Op {
 		case isa.OpIf, isa.OpIfNull:
 			delta--
@@ -453,11 +445,7 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 			delta -= 2
 		}
 	}
-	if len(c.bounds) == 0 {
-		c.firstLen, c.firstCyc, c.firstCls = c.segLen, c.segCyc, c.segCls
-	} else {
-		c.segs = append(c.segs, Seg{Cycles: c.segCyc, ClassCycles: c.segCls, Len: c.segLen})
-	}
+	c.closeSeg()
 
 	// Epilogue: materialise surviving symbolic stack values into their
 	// positions (processing upward — a non-identity copy only ever reads
@@ -473,9 +461,8 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 	ops := make([]MicroOp, len(c.micro)+len(c.mats))
 	return microBlock{
 		Micro: carve(&ops, c.micro), Mats: carve(&ops, c.mats),
-		Bounds: append([]MemBound(nil), c.bounds...), Segs: append([]Seg(nil), c.segs...),
-		StackDelta: delta,
-		FirstLen:   c.firstLen, FirstCycles: c.firstCyc, FirstClass: c.firstCls,
+		Bounds: append([]MemBound(nil), c.bounds...), StackDelta: delta,
+		FirstCycles: c.firstCyc, Class: c.cls,
 	}, true
 }
 

@@ -6,10 +6,15 @@ import (
 
 // Superblock memoizes the static execution effects of a maximal pure
 // straight-line run of compiled code beginning at one instruction
-// index. The VM's executor uses it to fast-forward a whole run in one
-// step — one clock advance, one per-class cycle update, one retired-
-// instruction bump — instead of dispatching instruction by instruction,
-// with semantics byte-identical to per-instruction stepping.
+// index. The VM's executor uses it to fast-forward a whole run without
+// dispatching instruction by instruction, with semantics byte-identical
+// to per-instruction stepping.
+//
+// The replay advances the core clock segment by segment — Cycles, then
+// each boundary's Cost and SegCycles — because the memory system reads
+// the clock at every absorbed access. Everything else a block bills
+// (ClassCycles, Len retired instructions) the executor adds up over a
+// whole chain of blocks and settles once when the chain ends.
 //
 // A block ends at (exclusive) the first instruction that can call,
 // return, touch the heap or caches, allocate, synchronise, throw, or
@@ -22,7 +27,9 @@ import (
 // *start* a block: a branch could land on it with a computed divisor on
 // the stack, losing the guarantee.
 type Superblock struct {
-	// Len is the number of instructions the block covers (at least 1).
+	// Len is the number of instructions the block covers (at least 1):
+	// all of them retire when the block completes, Len-len(Bounds) of
+	// them fast-forwarded.
 	Len int32
 	// Target is the Code index execution continues at after the block:
 	// the trailing goto's destination, or entry+Len for fallthrough.
@@ -36,55 +43,49 @@ type Superblock struct {
 	// Cond is a conditional terminal's condition code (the branch
 	// instruction's A operand).
 	Cond int32
-	// Cycles is the summed static cost of the block's instructions;
-	// ClassCycles buckets the same total by operation class.
+	// Cycles is the static cost of the block's first pure segment (the
+	// whole block when it absorbs no memory instruction): the clock
+	// advance at entry, and what the executor's guard checks against
+	// the deadline. ClassCycles buckets the static cost of the *whole*
+	// block — every segment, every boundary and the terminal — by
+	// operation class.
 	Cycles      uint64
 	ClassCycles [isa.NumClasses]uint64
 	// StackDelta is the block's net operand-stack growth in slots.
 	StackDelta int32
 
-	// FirstLen is the instruction count of the block's first pure
-	// segment — the whole block when it absorbs no memory instructions.
-	// Cycles/ClassCycles likewise cover only that first segment; the
-	// executor charges it up front, and each absorbed memory instruction
-	// then charges itself (plus its dynamic cache cost) and the segment
-	// that follows it (Segs) as the replay crosses it.
-	FirstLen int32
-
 	// Micro is the block lowered to slot-addressed micro-ops.
 	Micro []MicroOp
 
-	// Bounds/Segs/Mats describe the block's absorbed memory
-	// instructions: per-boundary metadata, the pure segment after each
-	// boundary, and the shadow materialisations that rebuild exact
-	// stepped frame state when the replay must hand back to the
-	// dispatcher mid-block (quantum expiry or a trap).
+	// Bounds/Mats describe the block's absorbed memory instructions:
+	// per-boundary metadata, and the shadow materialisations that
+	// rebuild exact stepped frame state when the replay must hand back
+	// to the dispatcher mid-block (quantum expiry or a trap).
 	Bounds []MemBound
-	Segs   []Seg
 	Mats   []MicroOp
-}
 
-// Seg is the pure segment following one absorbed memory instruction:
-// its static cost vector and instruction count, charged in one step
-// right after the memory instruction commits.
-type Seg struct {
-	Cycles      uint64
-	ClassCycles [isa.NumClasses]uint64
-	Len         int32
+	// taken and fall memoize the blocks at the two PCs the block can
+	// continue at (Next): Target, and the fallthrough entry+Len of a
+	// conditional terminal. Only found blocks are kept; nil re-probes.
+	taken, fall *Superblock
 }
 
 // MemBound is the executor-facing metadata for one absorbed memory
-// instruction. The replay charges the instruction's static cost from
-// here, reads its operand descriptors from the paired micro-op, and on
-// any early exit (deadline, trap) uses the recorded materialisation
+// instruction. The replay advances the clock by the instruction's
+// static cost from here, reads its operand descriptors from the paired
+// micro-op, then advances it over the pure segment that follows; on any
+// early exit (deadline, trap) it uses the recorded materialisation
 // range to restore the exact frame state per-instruction stepping would
 // show at that point.
 type MemBound struct {
+	// SegCycles is the static cost of the pure segment after the
+	// instruction, up to the next boundary or the block's end (its
+	// terminal included).
+	SegCycles uint64
 	// RelIdx is the instruction's Code index relative to the block
-	// entry; Cost/Class its static charge.
+	// entry; Cost its static cost.
 	RelIdx int32
 	Cost   uint32
-	Class  isa.OpClass
 	// Kind/Flags carry the instruction's A/B operands (element kind or
 	// field slot, and the volatile flag bit).
 	Kind  int32
@@ -276,9 +277,9 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 	}
 	b := &Superblock{
 		Len: int32(e - p), Target: int32(pe),
-		Cycles: mb.FirstCycles, ClassCycles: mb.FirstClass, FirstLen: mb.FirstLen,
+		Cycles: mb.FirstCycles, ClassCycles: mb.Class,
 		Micro: mb.Micro, StackDelta: mb.StackDelta,
-		Bounds: mb.Bounds, Segs: mb.Segs, Mats: mb.Mats,
+		Bounds: mb.Bounds, Mats: mb.Mats,
 	}
 	if term != nil {
 		if term.Op == isa.OpGoto {
@@ -290,4 +291,20 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 	cm.sbIdx[p] = int32(len(cm.blocks))
 	cm.blocks = append(cm.blocks, b)
 	return b
+}
+
+// Next returns the block starting at pc, which must be one of b's two
+// successors — its Target, or entry+Len after a conditional terminal —
+// or nil when none does. A found block is memoized on b, so a chain
+// step skips the index; like a block, a successor is a pure function of
+// (Code, pc), so the memo never goes stale.
+func (cm *CompiledMethod) Next(b *Superblock, pc int) *Superblock {
+	memo := &b.fall
+	if int32(pc) == b.Target {
+		memo = &b.taken
+	}
+	if *memo == nil {
+		*memo = cm.Block(pc)
+	}
+	return *memo
 }

@@ -190,11 +190,11 @@ func TestSuperblockBoundaries(t *testing.T) {
 }
 
 // TestSuperblockMemoryAbsorption checks a memory op is absorbed
-// mid-block — never starting one — and that the block's segmented cost
-// shape is consistent: the first-segment vector covers exactly the
-// instructions before the first boundary, each MemBound carries the
-// memory op's own static cost, and FirstLen + segment lengths +
-// boundary count add back up to Len.
+// mid-block — never starting one — and that the block's cost shape is
+// consistent: Cycles covers exactly the instructions before the first
+// boundary, each MemBound carries the memory op's own static cost and
+// the cost of the segment after it, and ClassCycles covers the whole
+// block.
 func TestSuperblockMemoryAbsorption(t *testing.T) {
 	code := []isa.Instr{
 		{Op: isa.OpLoadLocal, A: 0, Cost: 1},              // arr
@@ -215,21 +215,25 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 	if len(b.Micro) == 0 {
 		t.Fatalf("absorbed block must lower to micro-ops: %+v", b)
 	}
-	if len(b.Bounds) != 1 || len(b.Segs) != 1 {
-		t.Fatalf("want 1 boundary and 1 trailing segment, got %d/%d", len(b.Bounds), len(b.Segs))
+	if len(b.Bounds) != 1 {
+		t.Fatalf("want 1 boundary, got %d", len(b.Bounds))
 	}
-	if b.FirstLen != 2 || b.Cycles != 2 {
-		t.Errorf("first segment must cover the two loads: FirstLen=%d Cycles=%d", b.FirstLen, b.Cycles)
+	if b.Cycles != 2 {
+		t.Errorf("first segment must cost the two loads: Cycles=%d", b.Cycles)
 	}
 	bd := b.Bounds[0]
 	if bd.RelIdx != 2 || bd.Cost != 6 {
 		t.Errorf("boundary must sit at the load with its static cost: %+v", bd)
 	}
-	if got := b.FirstLen + b.Segs[0].Len + int32(len(b.Bounds)); got != b.Len {
-		t.Errorf("segmented lengths sum to %d, want Len %d", got, b.Len)
+	if bd.SegCycles != 2 {
+		t.Errorf("trailing segment must cost the const+add: %+v", bd)
 	}
-	if b.Segs[0].Cycles != 2 {
-		t.Errorf("trailing segment must cost the const+add: %+v", b.Segs[0])
+	var classes [isa.NumClasses]uint64
+	for _, in := range code[:b.Len] {
+		classes[in.Op.Class()] += uint64(in.Cost)
+	}
+	if b.ClassCycles != classes {
+		t.Errorf("class vector must cover the whole block: got %v, want %v", b.ClassCycles, classes)
 	}
 	// SP bookkeeping around the boundary: both operands popped to the
 	// trap depth, one result after.
@@ -320,6 +324,51 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	// The goto alone is also a (Len 1) block.
 	if g := cm.Block(gotoIdx); g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("goto block %+v", g)
+	}
+}
+
+// TestNextMemoizesSuccessors checks that Next finds the blocks at both
+// of a conditional block's successors, keeps what it found (a chain
+// step then skips the index), and re-probes a successor where no block
+// starts.
+func TestNextMemoizesSuccessors(t *testing.T) {
+	cm := sbMethod(t, func(a *classfile.Asm) {
+		loop, done := a.NewLabel(), a.NewLabel()
+		a.ConstI(0)
+		a.StoreI(0)
+		a.Bind(loop)
+		a.LoadI(0)
+		a.ConstI(10)
+		a.IfICmpGE(done)
+		a.Inc(0, 1)
+		a.Goto(loop)
+		a.Bind(done)
+		a.LoadI(0)
+		a.Ret()
+	})
+	head := 2 // the LoadI at the loop label
+	b := cm.Block(head)
+	if b == nil || b.End != EndIfCmpI {
+		t.Fatalf("loop head block %+v: want one ending in EndIfCmpI", b)
+	}
+	ret := len(cm.Code) - 1
+	tail := cm.Block(ret - 1) // the LoadI before the return
+	if got := cm.Next(tail, ret); got != nil || tail.taken != nil || tail.fall != nil {
+		t.Fatalf("no block starts at the return: Next = %+v, memo %p/%p", got, tail.taken, tail.fall)
+	}
+	taken, fall := int(b.Target), head+int(b.Len)
+	for _, pc := range []int{taken, fall} {
+		want := cm.Block(pc)
+		if want == nil {
+			t.Fatalf("pc %d: no block to chain into", pc)
+		}
+		if got := cm.Next(b, pc); got != want {
+			t.Fatalf("pc %d: Next = %p, Block = %p", pc, got, want)
+		}
+		cm.sbIdx[pc] = 0 // a re-probe would now find nothing
+		if got := cm.Next(b, pc); got != want {
+			t.Fatalf("pc %d: Next re-probed instead of using its memo", pc)
+		}
 	}
 }
 

@@ -59,8 +59,11 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 				continue
 			}
 		}
+		// Every stepped instruction retires with its static cost.
 		in := f.CM.Code[f.PC]
-		f.retire(core, in.Op.Class(), uint64(in.Cost))
+		core.Charge(in.Op.Class(), uint64(in.Cost))
+		f.chargeDyn(in.Op.Class(), uint64(in.Cost))
+		core.Stats.Instrs++
 		if err := vm.step(core, t, f, in); err != nil {
 			vm.raise(core, t, err)
 			if t.State != StateRunning {
@@ -95,23 +98,13 @@ func (vm *VM) trapAt(f *Frame, kind, detail string) error {
 	return &TrapError{Kind: kind, Detail: detail, Method: sig, PC: pc}
 }
 
-// chargeDyn adds dynamically determined cycles (cache misses, DMA
-// waits) to the per-method monitor counters; the core clock was already
-// advanced by the memory subsystem.
+// chargeDyn adds cycles the core was charged for one instruction — its
+// static cost, or dynamically determined cycles (cache misses, DMA
+// waits) — to the per-method monitor counters.
 func (f *Frame) chargeDyn(class isa.OpClass, n uint64) {
 	if f.ctr != nil {
 		f.ctr.Cycles[class] += n
 	}
-}
-
-// retire charges one instruction's static cost to the core and the
-// per-method monitor counters and counts it retired: the prologue every
-// individually executed instruction shares, whichever loop dispatched
-// it (execute, an absorbed memory micro-op).
-func (f *Frame) retire(core *cell.Core, class isa.OpClass, cost uint64) {
-	core.Charge(class, cost)
-	f.chargeDyn(class, cost)
-	core.Stats.Instrs++
 }
 
 // branch executes the conditional branch at f.PC: it decides the
@@ -151,17 +144,6 @@ func (vm *VM) branch(core *cell.Core, f *Frame, op isa.Op, cond, target int32, a
 
 func (f *Frame) popI() int32 { return int32(uint32(f.pop())) }
 func (f *Frame) popRef() Ref { return Ref(f.pop()) }
-
-// chargeVec is chargeDyn for a superblock segment's per-class vector.
-func (f *Frame) chargeVec(v *[isa.NumClasses]uint64) {
-	if f.ctr != nil {
-		for i, n := range v {
-			if n != 0 { // blocks rarely span more than a few classes
-				f.ctr.Cycles[i] += n
-			}
-		}
-	}
-}
 
 // step executes one instruction. It returns a TrapError to kill the
 // thread; all other control effects (blocking, migration, termination)

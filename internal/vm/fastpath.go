@@ -7,47 +7,101 @@ import (
 )
 
 // This file is the superblock fast path: execute consults the compiled
-// method's memoized superblocks (jit.Superblock) and, when the whole
-// block provably fits inside the quantum, applies its cost vector in one
-// step and replays its effects from the block's slot-addressed micro-ops.
-// The replay must be byte-identical to per-instruction stepping — the
-// Figure-4 golden and the differential tests pin that contract — so it
-// defines no semantics of its own: arithmetic goes through isa.Eval,
-// memory through memAccess and branches through branch, the functions
-// step itself calls. Only the operand plumbing differs.
+// method's memoized superblocks (jit.Superblock) and, when a block's
+// first segment provably fits inside the quantum, replays the block
+// from its slot-addressed micro-ops instead of stepping it. The replay
+// must be byte-identical to per-instruction stepping — the Figure-4
+// golden and the differential tests pin that contract — so it defines
+// no semantics of its own: arithmetic goes through isa.Eval, memory
+// through memAccess and branches through branch, the functions step
+// itself calls. Only the operand plumbing and the billing differ.
+//
+// When the replay bills: the core clock advances as the replay goes —
+// a block's first segment at entry, then each absorbed memory
+// instruction's static cost before its access and the pure segment
+// after it — because the memory system, the bus and the deadline all
+// read the clock. Everything else a block bills (its per-class cycle
+// vector, retired and fast-forwarded instructions, the block count, the
+// method's monitor counters) adds up in a chainBill and settles into
+// the core and the frame's counters once, when the chain ends. Nothing
+// reads those counters while a chain runs: the placement policies and
+// reports read them at scheduling and report time. The dynamic charges
+// of memAccess and branch bill at once, as they do when stepping.
 
-// fastForward applies one memoized superblock — core clock, per-class
-// cycle counters, retired instructions and the per-method monitor
-// counters advance by the block's precomputed vector (the exact totals
-// per-instruction stepping would produce), then the block's stack and
-// local effects replay and the PC lands on the block's target — and
-// then chains straight into the next block when one starts at the new PC
-// and passes the same guard the executor applies. Anything else at the
-// new PC (a memory instruction between blocks, a call) is the
-// executor's to step. Every block in the chain charges, checks the
-// deadline, and mutates state exactly as the reference path would — the
-// fusion sheds only host-level dispatch overhead, never a simulated
-// event.
+// chainBill is what a chain of replayed blocks owes the core's and the
+// method's counters.
+type chainBill struct {
+	classes                  [isa.NumClasses]uint64
+	instrs, ffInstrs, blocks uint64
+}
+
+// block adds one completed block: its whole class vector, and Len
+// retired instructions, all fast-forwarded but its memory instructions.
+func (bill *chainBill) block(b *jit.Superblock) {
+	for i, n := range &b.ClassCycles {
+		bill.classes[i] += n
+	}
+	bill.instrs += uint64(b.Len)
+	bill.ffInstrs += uint64(b.Len) - uint64(len(b.Bounds))
+	bill.blocks++
+}
+
+// prefix adds a block the replay left at memory boundary bi (a trap in
+// its access, or a deadline before the segment after it). What retired
+// is the block's code (which starts at the block's entry) up to and
+// including that boundary's instruction, all of it fast-forwarded but
+// its bi+1 memory instructions. Each instruction bills its static cost
+// by class, as the micro compiler summed the whole block's vector.
+func (bill *chainBill) prefix(code []isa.Instr, b *jit.Superblock, bi int) {
+	n := int(b.Bounds[bi].RelIdx) + 1
+	for _, in := range code[:n] {
+		bill.classes[in.Op.Class()] += uint64(in.Cost)
+	}
+	bill.instrs += uint64(n)
+	bill.ffInstrs += uint64(n - bi - 1)
+	bill.blocks++
+}
+
+// settle pays the bill into the core's counters and the frame's
+// per-method monitor counters: the one place the replay writes a class
+// vector.
+func (bill *chainBill) settle(core *cell.Core, f *Frame) {
+	core.SettleFastForward(&bill.classes, bill.instrs, bill.ffInstrs, bill.blocks)
+	if f.ctr != nil {
+		for i, n := range &bill.classes {
+			f.ctr.Cycles[i] += n
+		}
+	}
+}
+
+// fastForward replays the superblock b, which starts at f.PC — its
+// stack and local effects, absorbed memory instructions and terminal
+// branch, the PC landing where stepping would leave it — and then
+// chains straight into the next block when one starts at the new PC and
+// passes the same guard the executor applies. Anything else at the new
+// PC (a memory instruction between blocks, a call) is the executor's to
+// step. The chain exits at that guard, where no block starts, where the
+// quantum expires inside a block, or at a trap; every exit settles the
+// chain's bill first. The fusion sheds host-level dispatch and
+// accounting overhead, never a simulated event.
 func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superblock, deadline uint64) {
+	var bill chainBill
 	for {
-		// Cycles/ClassCycles/FirstLen cover the block's first pure
-		// segment (the whole block when it absorbs no memory
-		// instructions); the replay charges each absorbed memory
-		// instruction and its following segment as it crosses them.
-		core.FastForward(b.Cycles, &b.ClassCycles, uint64(b.FirstLen))
-		f.chargeVec(&b.ClassCycles)
+		core.Now += b.Cycles
 		entry := f.PC
-		done, err := vm.runMicro(core, f, b, deadline)
-		if err != nil {
-			vm.raise(core, t, err)
+		bi, err := vm.runMicro(core, f, b, deadline)
+		if bi < len(b.Bounds) {
+			// The replay handed back at a memory boundary — quantum
+			// expiry with exact stepped state at f.PC, or a trap the
+			// executor raises as stepping would.
+			bill.prefix(f.CM.Code[entry:], b, bi)
+			bill.settle(core, f)
+			if err != nil {
+				vm.raise(core, t, err)
+			}
 			return
 		}
-		if !done {
-			// Quantum expired at a memory boundary inside the block: the
-			// replay restored exact stepped state at the boundary PC, and
-			// the dispatcher takes over from there.
-			return
-		}
+		bill.block(b)
 		if b.End == jit.EndFall {
 			f.PC = int(b.Target)
 		} else {
@@ -63,8 +117,9 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 		}
 
 		// Chain into the next block only under the executor's own guard.
-		nb := f.CM.Block(f.PC)
+		nb := f.CM.Next(b, f.PC)
 		if nb == nil || core.Now+nb.Cycles >= deadline {
+			bill.settle(core, f)
 			return
 		}
 		b = nb
@@ -110,45 +165,24 @@ func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int) {
 	}
 }
 
-// microSeg charges the pure segment that follows memory boundary bi,
-// or aborts the replay at the segment's first instruction when the
-// whole segment cannot complete inside the quantum — the dispatcher
-// then resumes per-instruction from exact state, so deadline semantics
-// are unchanged (the entry guard applies the same conservatism to a
-// block's first segment).
-func (vm *VM) microSeg(core *cell.Core, f *Frame, b *jit.Superblock, bd *jit.MemBound,
-	base, bi int, deadline uint64) bool {
-
-	sg := &b.Segs[bi]
-	if core.Now+sg.Cycles >= deadline {
-		microSync(f, b, bd, base)
-		f.PC++ // runMicro left it on the memory instruction
-		f.SP = base + int(bd.SPAfter)
-		return false
-	}
-	core.FastForwardTail(sg.Cycles, &sg.ClassCycles, uint64(sg.Len))
-	f.chargeVec(&sg.ClassCycles)
-	return true
-}
-
 // runMicro replays a block's slot-addressed micro-ops: moves, then
 // arithmetic through isa.Eval (a guarded divide's divisor is a nonzero
 // constant, so ok is always true here), then memory. Intermediate slots
 // above the final SP may hold garbage, exactly as they may after
 // stepping.
 //
-// A memory micro-op runs the executor's per-instruction sequence —
-// static charge, retired-instruction count — with f.PC on the
-// instruction, then memAccess on symbolically read operands. The
-// executor's deadline check before the instruction cannot fire here:
-// the entry and chain guards leave Now < deadline after the first
-// segment, and microSeg hands back before any later boundary could see
-// otherwise. runMicro returns done=false when the replay handed back to
-// the dispatcher mid-block (quantum expiry after a boundary — frame
-// state is exact at f.PC), and a non-nil error for a trap, which the
-// caller raises exactly as the executor would. On done=true the caller
-// sets the PC.
-func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline uint64) (bool, error) {
+// A memory micro-op runs the executor's per-instruction sequence with
+// f.PC on the instruction — the clock advances by its static cost —
+// then memAccess on symbolically read operands. The executor's deadline
+// check before the instruction cannot fire here: the entry and chain
+// guards leave Now < deadline after the first segment, and the replay
+// hands back before a later segment that would not fit, so no later
+// boundary could see otherwise; that hand-back leaves exact stepped
+// frame state at f.PC for the dispatcher to resume. runMicro returns
+// len(b.Bounds) when the block completed (the caller sets the PC), or
+// the index of the boundary it handed back at, with a non-nil error for
+// a trap, which the caller raises exactly as the executor would.
+func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline uint64) (int, error) {
 	entry, base := f.PC, f.SP
 	stack := f.Stack[base:]
 	locals := f.Locals
@@ -165,7 +199,7 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 			isa.OpGetField, isa.OpPutField, isa.OpGetStatic, isa.OpPutStatic:
 			bd := &b.Bounds[bi]
 			f.PC = entry + int(bd.RelIdx)
-			f.retire(core, bd.Class, uint64(bd.Cost))
+			core.Now += uint64(bd.Cost)
 			var z uint64
 			if m.Code == isa.OpAStore {
 				z = microVal(stack, locals, m.D, m.Imm)
@@ -175,15 +209,29 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 			if err != nil {
 				microSync(f, b, bd, base)
 				f.SP = base + int(bd.SPTrap)
-				return false, err
+				return bi, err
 			}
 			if bd.SPAfter > bd.SPTrap { // a load: its result sits one above the popped operands
 				stack[m.D] = v
 			}
-			if !vm.microSeg(core, f, b, bd, base, bi, deadline) {
-				return false, nil
+			if core.Now+bd.SegCycles >= deadline {
+				// The rest of the segment would not fit the quantum: hand
+				// back at its first instruction, as the entry guard does.
+				microSync(f, b, bd, base)
+				f.PC++ // it was left on the memory instruction
+				f.SP = base + int(bd.SPAfter)
+				return bi, nil
 			}
+			core.Now += bd.SegCycles
 			bi++
+
+		// Eval's hottest cases, through the helpers Eval itself calls.
+		case isa.OpMulD:
+			microStore(stack, locals, m.D, isa.MulD(microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm)))
+		case isa.OpAddI:
+			microStore(stack, locals, m.D, isa.AddI(microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm)))
+		case isa.OpAddD:
+			microStore(stack, locals, m.D, isa.AddD(microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm)))
 
 		default:
 			v, _ := isa.Eval(m.Code, microVal(stack, locals, m.A, m.Imm),
@@ -193,5 +241,5 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 	}
 
 	f.SP = base + int(b.StackDelta)
-	return true, nil
+	return bi, nil
 }
