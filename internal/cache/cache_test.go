@@ -104,43 +104,53 @@ func TestDataCachePurgeInvalidatesButKeepsWrites(t *testing.T) {
 	}
 }
 
+// newArray writes the length word of an n-element array whose header
+// starts at arr; its elements follow the header.
+func newArray(m *cell.Machine, arr mem.Addr, n uint32) {
+	m.Mem.Write32(arr+isa.HeaderLengthOff, n)
+}
+
 func TestDataCacheArrayBlocking(t *testing.T) {
 	m, dc := newDC(t, 0)
-	data := mem.Addr(0x10000)
-	dataSize := uint32(64 << 10) // 64 KB of array data
+	arr := mem.Addr(0x10000)
+	newArray(m, arr, 16<<10) // 64 KB of int elements
 	for i := uint32(0); i < 2048; i += 4 {
-		m.Mem.Write32(data+i, i)
+		m.Mem.Write32(arr+isa.HeaderBytes+i, i)
 	}
-	// First element access: caches a 1 KB block.
-	v, now := dc.ReadArray(0, data, dataSize, 0, 4)
-	if v != 0 {
-		t.Errorf("elem 0: %d", v)
+	// First element access: caches the header and a 1 KB block.
+	v, n, ok, now := dc.AccessArray(0, arr, 0, 4, false, 0)
+	if v != 0 || n != 16<<10 || !ok {
+		t.Errorf("elem 0: %d, length %d, in bounds %v", v, n, ok)
+	}
+	if misses := dc.core.Stats.DataMisses; misses != 2 {
+		t.Errorf("the first access missed %d times, want 2 (header, block)", misses)
 	}
 	misses := dc.core.Stats.DataMisses
 	// Neighbouring elements within the block: all hits.
-	for off := uint32(4); off < 1024; off += 4 {
-		v, now = dc.ReadArray(now, data, dataSize, off, 4)
-		if uint32(v) != off {
-			t.Fatalf("elem at %d: got %d", off, v)
+	for i := int32(1); i < 256; i++ {
+		v, _, _, now = dc.AccessArray(now, arr, i, 4, false, 0)
+		if uint32(v) != uint32(i)*4 {
+			t.Fatalf("elem %d: got %d", i, v)
 		}
 	}
 	if dc.core.Stats.DataMisses != misses {
 		t.Error("accesses within a cached block must hit")
 	}
 	// Next block: one more miss.
-	_, _ = dc.ReadArray(now, data, dataSize, 1024, 4)
+	_, _, _, _ = dc.AccessArray(now, arr, 256, 4, false, 0)
 	if dc.core.Stats.DataMisses != misses+1 {
 		t.Error("crossing a block boundary should miss once")
 	}
 }
 
 func TestDataCacheFlushWhenFull(t *testing.T) {
-	_, dc := newDC(t, 8<<10) // 8 KB cache
+	m, dc := newDC(t, 8<<10) // 8 KB cache
 	now := cell.Clock(0)
 	// Touch 32 distinct 1 KB-block arrays: must trigger whole-cache flushes.
 	for i := 0; i < 32; i++ {
-		addr := mem.Addr(0x20000 + i*0x1000)
-		_, now = dc.ReadArray(now, addr, 4096, 0, 4)
+		arr := mem.Addr(0x20000 + i*0x1000)
+		newArray(m, arr, 1000)
+		_, _, _, now = dc.AccessArray(now, arr, 0, 4, false, 0)
 	}
 	if dc.core.Stats.DataFlushes == 0 {
 		t.Error("filling the cache must flush it")
@@ -171,17 +181,19 @@ func TestDataCacheTransparencyProperty(t *testing.T) {
 		m, dc := newDC(t, 16<<10)
 		rng := rand.New(rand.NewSource(seed))
 		shadow := make(map[uint32]uint64)
-		base := mem.Addr(0x40000)
+		arr := mem.Addr(0x40000)
+		base := arr + isa.HeaderBytes
 		dataSize := uint32(32 << 10)
+		newArray(m, arr, dataSize/8)
 		now := cell.Clock(0)
 		for _, op := range ops {
 			off := (uint32(op) * 8) % (dataSize - 8)
 			val := rng.Uint64()
-			now = dc.WriteArray(now, base, dataSize, off, 8, val)
+			_, _, _, now = dc.AccessArray(now, arr, int32(off/8), 8, true, val)
 			shadow[off] = val
 			// Occasionally read through the cache and compare with shadow.
 			if op%7 == 0 {
-				got, n2 := dc.ReadArray(now, base, dataSize, off, 8)
+				got, _, _, n2 := dc.AccessArray(now, arr, int32(off/8), 8, false, 0)
 				now = n2
 				if got != val {
 					return false

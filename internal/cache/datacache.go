@@ -335,27 +335,33 @@ func (d *DataCache) WriteObject(now cell.Clock, objAddr mem.Addr, objSize, off, 
 	return now
 }
 
-// ReadArray reads an element of width bytes at offset off within an
-// array's data section [dataAddr, dataAddr+dataSize), caching the
-// surrounding block of up to ArrayBlock bytes.
-func (d *DataCache) ReadArray(now cell.Clock, dataAddr mem.Addr, dataSize, off, width uint32) (uint64, cell.Clock) {
-	addr, size, rel := d.clip(dataAddr, dataSize, off, width, true)
-	ls, _, now := d.ensure(now, addr, size)
+// AccessArray is one local-store aload (store false) or astore of the
+// element of width bytes at index idx of the array whose header starts
+// at arr: it reads the length word through the cache (the header unit
+// cached whole, as ReadObject would), and when idx is in bounds reads
+// or writes the element through the block of up to ArrayBlock
+// neighbouring elements, marking that block dirty on a store. It
+// returns the loaded element, the array's length, whether idx was in
+// bounds (a trap follows the header read, which is charged either way)
+// and the advanced clock.
+func (d *DataCache) AccessArray(now cell.Clock, arr mem.Addr, idx int32, width uint32, store bool, val uint64) (uint64, uint32, bool, cell.Clock) {
+	hdr, _, now := d.ensure(now, arr, isa.HeaderBytes)
 	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
 	now += dcAccessCycles
-	return readLS(d.core.LS, ls+rel, width), now
-}
-
-// WriteArray writes an array element through the cache, marking the
-// block dirty.
-func (d *DataCache) WriteArray(now cell.Clock, dataAddr mem.Addr, dataSize, off, width uint32, val uint64) cell.Clock {
-	addr, size, rel := d.clip(dataAddr, dataSize, off, width, true)
-	ls, idx, now := d.ensure(now, addr, size)
+	n := binary.LittleEndian.Uint32(d.core.LS[hdr+isa.HeaderLengthOff:])
+	if idx < 0 || uint32(idx) >= n {
+		return 0, n, false, now
+	}
+	addr, size, rel := d.clip(arr+isa.HeaderBytes, n*width, uint32(idx)*width, width, true)
+	ls, e, now := d.ensure(now, addr, size)
 	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
 	now += dcAccessCycles
-	writeLS(d.core.LS, ls+rel, width, val)
-	d.slab[idx].dirty = true
-	return now
+	if store {
+		writeLS(d.core.LS, ls+rel, width, val)
+		d.slab[e].dirty = true
+		return 0, n, true, now
+	}
+	return readLS(d.core.LS, ls+rel, width), n, true, now
 }
 
 // StageArray prefetches an array data section [dataAddr,

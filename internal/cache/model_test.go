@@ -116,6 +116,18 @@ func (r *refCache) access(now cell.Clock, unitAddr mem.Addr, unitSize, off, widt
 	return readLS(r.core.LS, e.lsAddr+rel, width), now
 }
 
+// element is a fused array access as two accesses: the length word
+// through the header unit, then — when idx is in bounds — the element
+// through its block.
+func (r *refCache) element(now cell.Clock, arr mem.Addr, idx int32, width uint32, store bool, val uint64) (uint64, uint32, bool, cell.Clock) {
+	n, now := r.access(now, arr, isa.HeaderBytes, isa.HeaderLengthOff, 4, false, false, 0)
+	if idx < 0 || uint32(idx) >= uint32(n) {
+		return 0, uint32(n), false, now
+	}
+	v, now := r.access(now, arr+isa.HeaderBytes, uint32(n)*width, uint32(idx)*width, width, true, store, val)
+	return v, uint32(n), true, now
+}
+
 func (r *refCache) stage(now cell.Clock, dataAddr mem.Addr, dataSize, maxBytes uint32) (cell.Clock, uint32) {
 	var staged uint32
 	for start := uint32(0); start < dataSize; start += r.cfg.ArrayBlock {
@@ -168,8 +180,8 @@ func (r *refCache) purge(now cell.Clock) cell.Clock {
 const (
 	opReadObject = iota
 	opWriteObject
-	opReadArray
-	opWriteArray
+	opLoadElem
+	opStoreElem
 	opStage
 	opFlush
 	opPurge
@@ -191,6 +203,19 @@ var unitSizes = [...]uint32{16, 48, 208, 1024, 3000, 9000, 40000}
 
 const modelEnd = modelBase + modelUnits*16 + 40000
 
+// The element ops' arrays sit past the units, out of reach of the
+// object ops, so their length words hold: array k's header is at
+// modelArrays + k*arrayStride and it has arrayLens[k] elements of any
+// width up to 8 bytes.
+const (
+	modelArrays = 0x20000
+	arrayStride = 0x10000
+)
+
+var arrayLens = [...]uint32{1, 3, 40, 200, 1000, 6000}
+
+const arraysEnd = modelArrays + len(arrayLens)*arrayStride
+
 // cacheModel drives a DataCache and a refCache, each on a machine of
 // its own, through the same operations.
 type cacheModel struct {
@@ -208,9 +233,12 @@ func newCacheModel(t testing.TB, cfg DataCacheConfig) *cacheModel {
 	var dcore, rcore *cell.Core
 	x.dm, dcore = newSPE(t)
 	x.rm, rcore = newSPE(t)
-	pattern := make([]byte, modelEnd-modelBase)
+	pattern := make([]byte, arraysEnd-modelBase)
 	for i := range pattern {
 		pattern[i] = byte(i*7 + i>>8)
+	}
+	for k, n := range arrayLens {
+		binary.LittleEndian.PutUint32(pattern[modelArrays-modelBase+k*arrayStride+isa.HeaderLengthOff:], n)
 	}
 	x.dm.Mem.WriteBytes(modelBase, pattern)
 	x.rm.Mem.WriteBytes(modelBase, pattern)
@@ -226,6 +254,7 @@ func (x *cacheModel) apply(op int, unit, sizeClass, off, width uint32, val uint6
 	x.t.Helper()
 	addr := mem.Addr(modelBase + unit%modelUnits*16)
 	size := unitSizes[sizeClass%uint32(len(unitSizes))]
+	rawOff := off
 	off = off % size &^ (width - 1)
 	if off+width > size {
 		off = 0
@@ -239,12 +268,19 @@ func (x *cacheModel) apply(op int, unit, sizeClass, off, width uint32, val uint6
 	case opWriteObject:
 		x.dnow = x.dc.WriteObject(x.dnow, addr, size, off, width, val)
 		_, x.rnow = x.ref.access(x.rnow, addr, size, off, width, false, true, val)
-	case opReadArray:
-		dv, x.dnow = x.dc.ReadArray(x.dnow, addr, size, off, width)
-		rv, x.rnow = x.ref.access(x.rnow, addr, size, off, width, true, false, 0)
-	case opWriteArray:
-		x.dnow = x.dc.WriteArray(x.dnow, addr, size, off, width, val)
-		_, x.rnow = x.ref.access(x.rnow, addr, size, off, width, true, true, val)
+	case opLoadElem, opStoreElem:
+		// unit picks the array; off an index from two below it to two
+		// past its end, so some accesses trap after the length read.
+		k := unit % uint32(len(arrayLens))
+		addr = mem.Addr(modelArrays + k*arrayStride)
+		idx := int32(rawOff%(arrayLens[k]+4)) - 2
+		var dn, rn uint32
+		var dok, rok bool
+		dv, dn, dok, x.dnow = x.dc.AccessArray(x.dnow, addr, idx, width, op == opStoreElem, val)
+		rv, rn, rok, x.rnow = x.ref.element(x.rnow, addr, idx, width, op == opStoreElem, val)
+		if dn != rn || dok != rok {
+			x.t.Fatalf("op %d at %#x index %d: length %d in bounds %v, reference %d %v", op, addr, idx, dn, dok, rn, rok)
+		}
 	case opStage:
 		var ds, rs uint32
 		x.dnow, ds = x.dc.StageArray(x.dnow, addr, size, uint32(val))
@@ -289,8 +325,8 @@ func (x *cacheModel) apply(op int, unit, sizeClass, off, width uint32, val uint6
 // units land in insertion order on both sides or the bytes differ.
 func (x *cacheModel) compareMain() {
 	x.t.Helper()
-	d := make([]byte, modelEnd-modelBase)
-	r := make([]byte, modelEnd-modelBase)
+	d := make([]byte, arraysEnd-modelBase)
+	r := make([]byte, arraysEnd-modelBase)
 	x.dm.Mem.ReadBytes(modelBase, d)
 	x.rm.Mem.ReadBytes(modelBase, r)
 	if !bytes.Equal(d, r) {
@@ -302,8 +338,9 @@ func (x *cacheModel) compareMain() {
 // reference from just below the generation counter's wrap: phases of
 // many distinct small units (the table must double, repeatedly, within
 // one generation), of overlapping and re-sized units (retirement,
-// write-back order), of large arrays (block clipping, staging,
-// flush-on-fill), each ended by a purge.
+// write-back order), of array elements and large units (length reads
+// in and out of bounds, block clipping, staging, flush-on-fill), each
+// ended by a purge.
 func TestDataCacheVsModel(t *testing.T) {
 	x := newCacheModel(t, DefaultDataCacheConfig())
 	x.dc.gen = math.MaxUint32 - 4 // the wrap falls inside the run
@@ -319,7 +356,7 @@ func TestDataCacheVsModel(t *testing.T) {
 				unit %= 24
 			case 2: // arrays and staging
 				class = 3 + class%4
-				op = opReadArray + op%3
+				op = opLoadElem + op%3
 			}
 			if rng.Uint32()%200 == 0 {
 				op = opFlush
@@ -361,6 +398,137 @@ func TestDataCacheRetiresHeaderWindow(t *testing.T) {
 	x.apply(opFlush, 0, 0, 0, 1, 0)
 	if got := x.dm.Mem.Read32(modelBase + 5*16 + 4); got != 0xaaaa {
 		t.Fatalf("main memory holds %#x at the window's field, want 0xaaaa", got)
+	}
+}
+
+// twoAccesses is an array element access as two cache accesses, the
+// sequence AccessArray fuses: the length word through ReadObject, then,
+// in bounds, the element through its block.
+func twoAccesses(d *DataCache, now cell.Clock, arr mem.Addr, idx int32, width uint32, store bool, val uint64) (uint64, uint32, bool, cell.Clock) {
+	n, now := d.ReadObject(now, arr, isa.HeaderBytes, isa.HeaderLengthOff, 4)
+	if idx < 0 || uint32(idx) >= uint32(n) {
+		return 0, uint32(n), false, now
+	}
+	addr, size, rel := d.clip(arr+isa.HeaderBytes, uint32(n)*width, uint32(idx)*width, width, true)
+	ls, e, now := d.ensure(now, addr, size)
+	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
+	now += dcAccessCycles
+	if store {
+		writeLS(d.core.LS, ls+rel, width, val)
+		d.slab[e].dirty = true
+		return 0, uint32(n), true, now
+	}
+	return readLS(d.core.LS, ls+rel, width), uint32(n), true, now
+}
+
+// TestAccessArrayMatchesTwoAccesses runs the same script on two 8 KB
+// caches, one making each element access with AccessArray and the other
+// as twoAccesses, and after every step compares what either shows:
+// result, length, bounds verdict, clock, every core counter, the local
+// store's bytes and the cache's entries and bytes — and main memory
+// after the closing flush. The script covers cold and warm accesses,
+// both bounds traps, and a cache fill that flushes at the header and
+// one that flushes at the element.
+func TestAccessArrayMatchesTwoAccesses(t *testing.T) {
+	type side struct {
+		m   *cell.Machine
+		dc  *DataCache
+		now cell.Clock
+	}
+	var sides [2]side
+	for i := range sides {
+		m, dc := newDC(t, 8<<10)
+		for k := mem.Addr(0); k < 4; k++ {
+			newArray(m, 0x40000+k*0x2000, 1000)
+			for e := mem.Addr(0); e < 1000; e++ {
+				m.Mem.Write32(0x40000+k*0x2000+isa.HeaderBytes+4*e, uint32(k<<16)|uint32(e))
+			}
+		}
+		sides[i] = side{m: m, dc: dc}
+	}
+	step := func(what string, f func(s *side, fused bool) (uint64, uint32, bool)) {
+		t.Helper()
+		var got [2][3]uint64
+		for i := range sides {
+			v, n, ok := f(&sides[i], i == 0)
+			got[i] = [3]uint64{v, uint64(n), map[bool]uint64{true: 1}[ok]}
+		}
+		a, b := &sides[0], &sides[1]
+		switch {
+		case got[0] != got[1]:
+			t.Fatalf("%s: fused (value, length, in bounds) %v, two accesses %v", what, got[0], got[1])
+		case a.now != b.now:
+			t.Fatalf("%s: clock %d, two accesses %d", what, a.now, b.now)
+		case a.dc.core.Stats != b.dc.core.Stats:
+			t.Fatalf("%s: counters\n%+v\ntwo accesses\n%+v", what, a.dc.core.Stats, b.dc.core.Stats)
+		case !bytes.Equal(a.dc.core.LS, b.dc.core.LS):
+			t.Fatalf("%s: local store differs", what)
+		case a.dc.Entries() != b.dc.Entries() || a.dc.UsedBytes() != b.dc.UsedBytes():
+			t.Fatalf("%s: %d entries %d bytes, two accesses %d/%d", what,
+				a.dc.Entries(), a.dc.UsedBytes(), b.dc.Entries(), b.dc.UsedBytes())
+		}
+	}
+	elem := func(arr mem.Addr, idx int32, store bool, val uint64) func(*side, bool) (uint64, uint32, bool) {
+		return func(s *side, fused bool) (v uint64, n uint32, ok bool) {
+			if fused {
+				v, n, ok, s.now = s.dc.AccessArray(s.now, arr, idx, 4, store, val)
+			} else {
+				v, n, ok, s.now = twoAccesses(s.dc, s.now, arr, idx, 4, store, val)
+			}
+			return v, n, ok
+		}
+	}
+	// fill purges the cache and dirties objects of up to 1 KB until it
+	// holds exactly used bytes.
+	fill := func(used uint32) func(*side, bool) (uint64, uint32, bool) {
+		return func(s *side, _ bool) (uint64, uint32, bool) {
+			s.now = s.dc.Purge(s.now)
+			for a := mem.Addr(0x10000); s.dc.UsedBytes() < used; a += 1024 {
+				s.now = s.dc.WriteObject(s.now, a, min(1024, used-s.dc.UsedBytes()), 8, 8, uint64(a))
+			}
+			return 0, 0, true
+		}
+	}
+	flushes := func() uint64 { return sides[0].dc.core.Stats.DataFlushes }
+
+	step("cold load", elem(0x40000, 3, false, 0))
+	step("warm load", elem(0x40000, 200, false, 0))
+	step("store", elem(0x40000, 201, true, 0xfeed))
+	step("load of the store", elem(0x40000, 201, false, 0))
+	step("next block", elem(0x40000, 900, false, 0))
+	step("index past the end", elem(0x40000, 1000, false, 0))
+	step("negative index", elem(0x40000, -1, true, 7))
+
+	step("fill to the brim", fill(8<<10))
+	f0 := flushes()
+	step("header fill flushes", elem(0x42000, 5, true, 0xbeef))
+	if flushes() != f0+1 || sides[0].dc.Entries() != 2 {
+		t.Fatalf("the header's fill must flush once and leave header and block: %d flushes, %d entries",
+			flushes()-f0, sides[0].dc.Entries())
+	}
+	step("fill to a header short", fill(8<<10-isa.HeaderBytes))
+	f0 = flushes()
+	step("element fill flushes", elem(0x44000, 600, true, 0xcafe))
+	if flushes() != f0+1 || sides[0].dc.Entries() != 1 {
+		t.Fatalf("the element's fill must flush once and leave the block: %d flushes, %d entries",
+			flushes()-f0, sides[0].dc.Entries())
+	}
+	step("fill to the brim again", fill(8<<10))
+	step("header fill flushes, then traps", elem(0x46000, 1000, false, 0))
+	step("flush", func(s *side, _ bool) (uint64, uint32, bool) {
+		s.now = s.dc.Flush(s.now)
+		return 0, 0, true
+	})
+	a, b := make([]byte, 0x10000), make([]byte, 0x10000)
+	for base := mem.Addr(0x10000); base < 0x50000; base += 0x10000 {
+		sides[0].m.Mem.ReadBytes(base, a)
+		sides[1].m.Mem.ReadBytes(base, b)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("main memory from %#x differs after the flush", base)
+		}
+	}
+	if got := sides[0].m.Mem.Read32(0x44000 + isa.HeaderBytes + 4*600); got != 0xcafe {
+		t.Fatalf("the last store left %#x in main memory, want 0xcafe", got)
 	}
 }
 

@@ -11,10 +11,7 @@
 // deterministic.
 package cell
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Clock is a simulated time in cycles.
 type Clock = uint64
@@ -122,15 +119,19 @@ func (e *EIB) Transfer(now Clock, n uint32) Clock {
 // sorted timeline, returning the start and the insertion index. The
 // timeline's intervals are disjoint and sorted, so ends are increasing:
 // a timeline whose last interval finished by now is free at now (the
-// uncontended case), and otherwise binary-search past everything that
-// finished by now (those intervals would only be skipped by the scan)
-// and walk from there.
+// uncontended case), and otherwise the walk starts at the first
+// interval still running at now — found by stepping back from the tail,
+// since only the few latest reservations end after now — and skips
+// nothing that could hold a gap.
 func gapAt(tl []interval, now Clock, dur Clock) (Clock, int) {
-	if len(tl) == 0 || tl[len(tl)-1].end <= now {
-		return now, len(tl)
+	first := len(tl)
+	for first > 0 && tl[first-1].end > now {
+		first--
+	}
+	if first == len(tl) {
+		return now, first
 	}
 	start := now
-	first := sort.Search(len(tl), func(i int) bool { return tl[i].end > now })
 	for i := first; i < len(tl); i++ {
 		iv := tl[i]
 		if iv.end <= start {

@@ -1,5 +1,7 @@
 package cell
 
+import "math/bits"
+
 // HWCacheConfig describes one level of the PPE's hardware cache.
 type HWCacheConfig struct {
 	SizeBytes uint32
@@ -15,10 +17,12 @@ type HWCacheConfig struct {
 // and real locality, mirroring how the SPE's software cache depends on
 // them.
 type HWCache struct {
-	cfg   HWCacheConfig
-	sets  uint32
-	shift uint32
-	tags  [][]uint32 // per set, MRU first; tag 0xFFFFFFFF = invalid
+	cfg     HWCacheConfig
+	sets    uint32
+	shift   uint32   // log2(LineBytes): an address's line
+	setBits uint32   // log2(sets): a line's tag
+	ways    uint32   // cfg.Ways
+	tags    []uint32 // set s is tags[s*ways:][:ways], MRU first; tag 0xFFFFFFFF = invalid
 
 	Hits, Misses uint64
 }
@@ -35,18 +39,14 @@ func NewHWCache(cfg HWCacheConfig) *HWCache {
 		// hardware caches only from the constant ppeMemConfig.
 		panic("cell: cache set count must be a nonzero power of two")
 	}
-	shift := uint32(0)
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		shift++
+	c := &HWCache{
+		cfg: cfg, sets: sets, ways: uint32(cfg.Ways),
+		shift:   uint32(bits.TrailingZeros32(cfg.LineBytes)),
+		setBits: uint32(bits.TrailingZeros32(sets)),
+		tags:    make([]uint32, sets*uint32(cfg.Ways)),
 	}
-	c := &HWCache{cfg: cfg, sets: sets, shift: shift}
-	c.tags = make([][]uint32, sets)
 	for i := range c.tags {
-		ways := make([]uint32, cfg.Ways)
-		for j := range ways {
-			ways[j] = invalidTag
-		}
-		c.tags[i] = ways
+		c.tags[i] = invalidTag
 	}
 	return c
 }
@@ -55,9 +55,8 @@ func NewHWCache(cfg HWCacheConfig) *HWCache {
 // Access returns true; on a miss the line is installed, evicting LRU.
 func (c *HWCache) Access(addr uint32) bool {
 	line := addr >> c.shift
-	set := line & (c.sets - 1)
-	tag := line / c.sets
-	ways := c.tags[set]
+	tag := line >> c.setBits
+	ways := c.tags[(line&(c.sets-1))*c.ways:][:c.ways]
 	for i, t := range ways {
 		if t == tag {
 			copy(ways[1:i+1], ways[:i]) // move to MRU

@@ -124,7 +124,7 @@ func Eval(op Op, a, b uint64, aux int32) (uint64, bool) {
 	case OpAddD:
 		return AddD(a, b), true
 	case OpSubD:
-		return fromD(toD(a) - toD(b)), true
+		return SubD(a, b), true
 	case OpMulD:
 		return MulD(a, b), true
 	case OpDivD:
@@ -177,10 +177,11 @@ func Eval(op Op, a, b uint64, aux int32) (uint64, bool) {
 	}
 }
 
-// AddI, AddD and MulD are Eval's cases for the three opcodes a replayed
+// AddI, AddD, SubD and MulD are Eval's cases for the opcodes a replayed
 // block evaluates most, small enough for a caller's loop to inline.
 func AddI(a, b uint64) uint64 { return fromI(int32(a) + int32(b)) }
 func AddD(a, b uint64) uint64 { return fromD(toD(a) + toD(b)) }
+func SubD(a, b uint64) uint64 { return fromD(toD(a) - toD(b)) }
 func MulD(a, b uint64) uint64 { return fromD(toD(a) * toD(b)) }
 
 func fromI(v int32) uint64   { return uint64(uint32(v)) }

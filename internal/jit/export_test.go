@@ -11,8 +11,10 @@ import (
 // (Len 0 = no block), each in a fresh scratch — so comparing against it
 // also shows a reused scratch carries nothing from block to block. It
 // shares nothing with discoverSuperblocks and lowerBlock but the
-// admissibility predicates and microCompiler.compile.
-func EagerSuperblocks(code []isa.Instr) []Superblock {
+// admissibility predicates and microCompiler.compile. depths[p] is the
+// operand-stack depth a block at p is lowered for.
+func EagerSuperblocks(cm *CompiledMethod, depths []int) []Superblock {
+	code := cm.Code
 	sb := make([]Superblock, len(code))
 	for s := 0; s < len(code); {
 		e := s
@@ -38,14 +40,14 @@ func EagerSuperblocks(code []isa.Instr) []Superblock {
 			if guardedDivOp(in.Op) || memOp(in.Op) {
 				continue
 			}
-			mb, ok := new(microCompiler).compile(code[p:pe], term)
+			mb, ok := new(microCompiler).compile(code[p:pe], term, int32(cm.M.MaxLocals+depths[p]))
 			if !ok {
 				continue
 			}
 			b := Superblock{
 				Len: int32(pe - p), Target: int32(pe),
 				Cycles: mb.FirstCycles, ClassCycles: mb.Class,
-				Micro: mb.Micro, StackDelta: mb.StackDelta,
+				Micro: mb.Micro, StackDelta: mb.StackDelta, EntrySP: int32(depths[p]),
 				Bounds: mb.Bounds, Mats: mb.Mats,
 			}
 			if term != nil {

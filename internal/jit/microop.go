@@ -7,7 +7,7 @@ import (
 )
 
 // This file lowers a superblock's stack-machine instructions into
-// slot-addressed micro-ops at discovery time, so the executor's fast
+// frame-addressed micro-ops at discovery time, so the executor's fast
 // path can replay a block without per-instruction operand-stack
 // bookkeeping. The lowering is a static stack-to-slot conversion: the
 // compiler tracks a symbolic operand stack, folds constants into
@@ -25,17 +25,18 @@ import (
 // block then starts at that index and the interpreter steps those
 // instructions, so correctness never depends on lowering success.
 
-// MicroOp is one slot-addressed operation. Code is the isa opcode the
-// replay applies — an arithmetic op (evaluated by isa.Eval, so lowering
-// adds no second definition of any op's semantics), one of the seven
-// absorbable memory ops, or the two pseudo-ops below. D, A and B
-// address frame storage: a non-negative value is an operand-stack slot
-// relative to the block's entry SP, a negative value -(i+1) is local
-// variable i, and the sentinel MicroImm (operands only) selects the Imm
-// field. At most one of A/B is MicroImm, so one Imm field serves both;
-// the float compares repurpose Imm for their NaN result and never take
-// immediate operands. One-operand arithmetic carries B = A, so the
-// replay reads both operands without testing the arity.
+// MicroOp is one frame-addressed operation. Kind is what the replay
+// does — a move, an absorbable memory op, or arithmetic — and Code the
+// isa opcode it applies (none for a move): arithmetic is evaluated by
+// isa.Eval, so lowering adds no second definition of any op's
+// semantics. D, A and B address the frame's value array, which holds
+// the locals followed by the operand stack: local i is slot i and the
+// block's stack position p is slot MaxLocals+EntrySP+p. The sentinel
+// MicroImm (operands only) selects the Imm field instead. At most one
+// of A/B is MicroImm, so one Imm field serves both; the float compares
+// repurpose Imm for their NaN result and never take immediate
+// operands. One-operand arithmetic carries B = A, so the replay reads
+// both operands without testing the arity.
 //
 // Each memory micro-op is paired in order with a MemBound entry on the
 // superblock; the executor advances the clock by the instruction's
@@ -47,18 +48,33 @@ import (
 // always a stack slot: the result must sit at its stepped stack position
 // in case the replay hands back at the next instruction.
 type MicroOp struct {
-	Code isa.Op
-	D    int32
-	A    int32
-	B    int32
-	Imm  uint64
+	Code    isa.Op
+	Kind    MicroKind
+	D, A, B int32
+	Imm     uint64
 }
 
-// Pseudo-ops, numbered past the isa opcodes.
+// MicroKind is what the replay switches on: dense small values, so the
+// switch compiles to a jump table. It fits MicroOp's padding.
+type MicroKind uint8
+
+// The micro-op kinds: the two moves, the absorbable memory ops, the
+// arithmetic ops the replay evaluates through the helpers isa.Eval
+// itself calls, and every other arithmetic op (through isa.Eval).
 const (
-	MMov    = isa.Op(isa.NumOps) + iota // D <- A (raw 64-bit copy)
-	MMovImm                             // D <- Imm
+	KEval   MicroKind = iota
+	KMov              // D <- A (raw 64-bit copy)
+	KMovImm           // D <- Imm
+	KMem
+	KAddI
+	KAddD
+	KSubD
+	KMulD
 )
+
+// arithKinds holds the arithmetic ops with a replay case of their own;
+// every other one is KEval.
+var arithKinds = map[isa.Op]MicroKind{isa.OpAddI: KAddI, isa.OpAddD: KAddD, isa.OpSubD: KSubD, isa.OpMulD: KMulD}
 
 // MicroImm marks an operand that reads MicroOp.Imm.
 const MicroImm int32 = math.MinInt32
@@ -99,6 +115,7 @@ type sym struct {
 type microCompiler struct {
 	micro  []MicroOp
 	vstack []sym
+	base   int32 // the frame slot of the block's stack position 0
 	ok     bool
 
 	// Memory-absorption state: the per-boundary metadata, shadow
@@ -157,23 +174,26 @@ func (c *microCompiler) matLocal(i int32) {
 	for p := range c.vstack {
 		v := &c.vstack[p]
 		if v.kind == symLocal && v.idx == i {
-			c.micro = append(c.micro, MicroOp{Code: MMov, D: int32(p), A: -(i + 1)})
+			c.micro = append(c.micro, MicroOp{Kind: KMov, D: c.slot(int32(p)), A: i})
 			*v = sym{kind: symSlot, idx: int32(p)}
 		}
 	}
 }
 
+// slot returns the frame slot of the block's stack position p.
+func (c *microCompiler) slot(p int32) int32 { return c.base + p }
+
 // operand renders a symbolic value as a micro-op operand. A symImm
 // needs the shared Imm field; the caller materialises one side first
 // when both operands are immediate.
-func operand(v sym) (o int32, imm uint64) {
+func (c *microCompiler) operand(v sym) (o int32, imm uint64) {
 	switch v.kind {
 	case symImm:
 		return MicroImm, v.imm
 	case symLocal:
-		return -(v.idx + 1), 0
-	default:
 		return v.idx, 0
+	default:
+		return c.slot(v.idx), 0
 	}
 }
 
@@ -182,12 +202,12 @@ func operand(v sym) (o int32, imm uint64) {
 func (c *microCompiler) materialise(v sym, at int32) sym {
 	switch v.kind {
 	case symImm:
-		c.micro = append(c.micro, MicroOp{Code: MMovImm, D: at, Imm: v.imm})
+		c.micro = append(c.micro, MicroOp{Kind: KMovImm, D: c.slot(at), Imm: v.imm})
 	case symLocal:
-		c.micro = append(c.micro, MicroOp{Code: MMov, D: at, A: -(v.idx + 1)})
+		c.micro = append(c.micro, MicroOp{Kind: KMov, D: c.slot(at), A: v.idx})
 	default:
 		if v.idx != at {
-			c.micro = append(c.micro, MicroOp{Code: MMov, D: at, A: v.idx})
+			c.micro = append(c.micro, MicroOp{Kind: KMov, D: c.slot(at), A: c.slot(v.idx)})
 		}
 	}
 	return sym{kind: symSlot, idx: at}
@@ -215,17 +235,17 @@ func (c *microCompiler) arith(in isa.Instr, n int) {
 	if b.kind == symImm && cmpNaN {
 		b = c.materialise(b, d+1)
 	}
-	oa, imm := operand(a)
+	oa, imm := c.operand(a)
 	ob := oa
 	if n == 2 {
 		var immB uint64
-		ob, immB = operand(b)
+		ob, immB = c.operand(b)
 		imm |= immB
 	}
 	if cmpNaN {
 		imm = uint64(uint32(in.A))
 	}
-	c.micro = append(c.micro, MicroOp{Code: in.Op, D: d, A: oa, B: ob, Imm: imm})
+	c.micro = append(c.micro, MicroOp{Code: in.Op, Kind: arithKinds[in.Op], D: c.slot(d), A: oa, B: ob, Imm: imm})
 	c.push(sym{kind: symSlot, idx: d})
 }
 
@@ -242,13 +262,13 @@ func (c *microCompiler) storeLocal(i int32) {
 	c.matLocal(i)
 	switch v.kind {
 	case symImm:
-		c.micro = append(c.micro, MicroOp{Code: MMovImm, D: -(i + 1), Imm: v.imm})
+		c.micro = append(c.micro, MicroOp{Kind: KMovImm, D: i, Imm: v.imm})
 	case symLocal:
 		if v.idx != i {
-			c.micro = append(c.micro, MicroOp{Code: MMov, D: -(i + 1), A: -(v.idx + 1)})
+			c.micro = append(c.micro, MicroOp{Kind: KMov, D: i, A: v.idx})
 		}
 	default:
-		sink := len(c.micro) == mark && mark > c.noSink && c.micro[mark-1].D == v.idx
+		sink := len(c.micro) == mark && mark > c.noSink && c.micro[mark-1].D == c.slot(v.idx)
 		if sink {
 			for p := range c.vstack {
 				if s := c.vstack[p]; s.kind == symSlot && s.idx == v.idx {
@@ -258,9 +278,9 @@ func (c *microCompiler) storeLocal(i int32) {
 			}
 		}
 		if sink {
-			c.micro[mark-1].D = -(i + 1)
+			c.micro[mark-1].D = i
 		} else {
-			c.micro = append(c.micro, MicroOp{Code: MMov, D: -(i + 1), A: v.idx})
+			c.micro = append(c.micro, MicroOp{Kind: KMov, D: i, A: c.slot(v.idx)})
 		}
 	}
 }
@@ -314,11 +334,11 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 		}
 		switch v.kind {
 		case symImm:
-			c.mats = append(c.mats, MicroOp{Code: MMovImm, D: int32(i), Imm: v.imm})
+			c.mats = append(c.mats, MicroOp{Kind: KMovImm, D: c.slot(int32(i)), Imm: v.imm})
 		case symLocal:
-			c.mats = append(c.mats, MicroOp{Code: MMov, D: int32(i), A: -(v.idx + 1)})
+			c.mats = append(c.mats, MicroOp{Kind: KMov, D: c.slot(int32(i)), A: v.idx})
 		default:
-			c.mats = append(c.mats, MicroOp{Code: MMov, D: int32(i), A: v.idx})
+			c.mats = append(c.mats, MicroOp{Kind: KMov, D: c.slot(int32(i)), A: c.slot(v.idx)})
 		}
 	}
 	matHi := int32(len(c.mats))
@@ -326,9 +346,9 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 	for i := npops - 1; i >= 0; i-- {
 		ops[i] = c.pop()
 	}
-	m := MicroOp{Code: in.Op, D: int32(opStart), A: MicroImm, B: MicroImm}
+	m := MicroOp{Code: in.Op, Kind: KMem, D: c.slot(int32(opStart)), A: MicroImm, B: MicroImm}
 	enc := func(v sym) int32 {
-		o, im := operand(v)
+		o, im := c.operand(v)
 		if o == MicroImm {
 			m.Imm = im
 		}
@@ -363,14 +383,15 @@ func (c *microCompiler) memBoundary(rel int32, in isa.Instr) {
 // compile lowers a block's instructions. term is the block's
 // control terminal when it has one (goto or conditional branch): it
 // contributes cost and an instruction to the final segment but emits
-// no micro-op — the executor applies its effect from Target. It
-// returns ok=false when the block contains a pattern the lowering does
-// not model.
-func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBlock, ok bool) {
+// no micro-op — the executor applies its effect from Target. base is
+// the frame slot of the block's entry stack position (MaxLocals plus
+// the entry depth). It returns ok=false when the block contains a
+// pattern the lowering does not model.
+func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr, base int32) (mb microBlock, ok bool) {
 	*c = microCompiler{
 		micro: c.micro[:0], vstack: c.vstack[:0],
 		bounds: c.bounds[:0], mats: c.mats[:0],
-		ok: true,
+		base: base, ok: true,
 	}
 	for idx, in := range code {
 		c.cls[in.Op.Class()] += uint64(in.Cost)
@@ -394,7 +415,7 @@ func (c *microCompiler) compile(code []isa.Instr, term *isa.Instr) (mb microBloc
 		case isa.OpIncLocal:
 			c.matLocal(in.A)
 			c.micro = append(c.micro, MicroOp{
-				Code: isa.OpAddI, D: -(in.A + 1), A: -(in.A + 1),
+				Code: isa.OpAddI, Kind: KAddI, D: in.A, A: in.A,
 				B: MicroImm, Imm: uint64(uint32(in.B)),
 			})
 		case isa.OpPop:

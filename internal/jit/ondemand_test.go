@@ -42,6 +42,22 @@ func workloadMethods(t testing.TB) []*classfile.Method {
 	return methods
 }
 
+// stackDepths returns, per method, the verifier's operand-stack depth
+// at each index: the depth of every frame that probes Block there (0
+// where no path reaches the index).
+func stackDepths(methods []*classfile.Method) map[*classfile.Method][]int {
+	depths := make(map[*classfile.Method][]int, len(methods))
+	for _, m := range methods {
+		d := make([]int, len(m.Code))
+		for p := range d {
+			stack, _, _ := classfile.KindsAt(m, p)
+			d[p] = len(stack)
+		}
+		depths[m] = d
+	}
+	return depths
+}
+
 // newCompiler returns a compiler with a main memory and code region of
 // its own. The first megabyte is written once up front, so
 // an allocation measurement of Compile does not see main memory's host
@@ -61,9 +77,11 @@ func newCompiler(kind isa.CoreKind) *jit.Compiler {
 // orders — ascending, descending and shuffled — each on a fresh
 // compilation. Whatever the order, Block(p) must be the block the eager
 // reference builds for p: a block is a function of (Code, p) and of
-// nothing a previous probe did.
+// nothing a previous probe did. Lowered(p) must show nothing before the
+// probe and the probed block after it.
 func TestOnDemandBlocksEqualEager(t *testing.T) {
 	methods := workloadMethods(t)
+	depths := stackDepths(methods)
 	rng := rand.New(rand.NewSource(14))
 	blocks, pending := 0, 0
 	for _, kind := range []isa.CoreKind{isa.PPE, isa.SPE, isa.VPU} {
@@ -74,7 +92,8 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := jit.EagerSuperblocks(cm.Code)
+				d := depths[m]
+				want := jit.EagerSuperblocks(cm, d)
 				visit := rng.Perm(len(cm.Code)) // order 2: shuffled
 				if order < 2 {
 					slices.Sort(visit)
@@ -84,9 +103,12 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 				}
 				pending += cm.PendingBlocks()
 				for _, p := range visit {
-					got := cm.Block(p)
-					if got != cm.Block(p) {
-						t.Fatalf("%s [%v] pc %d: a second probe returned a different block", m.Sig(), kind, p)
+					if b := cm.Lowered(p); b != nil {
+						t.Fatalf("%s [%v] pc %d: a block is lowered before its first probe", m.Sig(), kind, p)
+					}
+					got := cm.Block(p, d[p])
+					if got != cm.Block(p, d[p]) || got != cm.Lowered(p) {
+						t.Fatalf("%s [%v] pc %d: a second probe, or Lowered, returned a different block", m.Sig(), kind, p)
 					}
 					if got == nil {
 						got = &jit.Superblock{} // the reference's "no block here"
@@ -251,11 +273,12 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 	// measured; it was 4 475 with the four deferred reference-flag lists
 	// beside them, which this budget does not fit.
 	blocks, ops := 0, 0
+	depths := stackDepths(methods)
 	probed := allocated(func(c *jit.Compiler, m *classfile.Method) error {
 		cm, err := c.Compile(m)
 		if err == nil {
 			for p := range cm.Code {
-				if b := cm.Block(p); b != nil {
+				if b := cm.Block(p, depths[m][p]); b != nil {
 					blocks++
 					ops += len(b.Micro) + len(b.Mats)
 				}
@@ -276,6 +299,7 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 // scratch is per compiler: a buffer shared between them is a data race.
 func TestLoweringScratchNotShared(t *testing.T) {
 	methods := workloadMethods(t)
+	depths := stackDepths(methods)
 	var lowered [2][]*jit.Superblock
 	var wg sync.WaitGroup
 	for i := range lowered {
@@ -290,7 +314,7 @@ func TestLoweringScratchNotShared(t *testing.T) {
 					return
 				}
 				for p := range cm.Code {
-					lowered[i] = append(lowered[i], cm.Block(p))
+					lowered[i] = append(lowered[i], cm.Block(p, depths[m][p]))
 				}
 			}
 		}()
@@ -309,6 +333,7 @@ func TestLoweringScratchNotShared(t *testing.T) {
 // jit.compile_ns_per_method.)
 func BenchmarkLower(b *testing.B) {
 	methods := workloadMethods(b)
+	depths := stackDepths(methods)
 	b.ReportAllocs()
 	blocks := 0
 	for i := 0; i < b.N; i++ {
@@ -325,7 +350,7 @@ func BenchmarkLower(b *testing.B) {
 		b.StartTimer()
 		for _, cm := range cms {
 			for p := range cm.Code {
-				if cm.Block(p) != nil {
+				if cm.Block(p, depths[cm.M][p]) != nil {
 					blocks++
 				}
 			}

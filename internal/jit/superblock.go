@@ -52,9 +52,13 @@ type Superblock struct {
 	Cycles      uint64
 	ClassCycles [isa.NumClasses]uint64
 	// StackDelta is the block's net operand-stack growth in slots.
+	// EntrySP is the operand-stack depth the block was lowered for: the
+	// verifier's depth at its entry, which every frame reaching the
+	// entry has, since Micro addresses the frame's slots absolutely.
 	StackDelta int32
+	EntrySP    int32
 
-	// Micro is the block lowered to slot-addressed micro-ops.
+	// Micro is the block lowered to frame-addressed micro-ops.
 	Micro []MicroOp
 
 	// Bounds/Mats describe the block's absorbed memory instructions:
@@ -238,16 +242,24 @@ func discoverSuperblocks(code []isa.Instr) []int32 {
 var noBlocks = make([]*Superblock, 1)
 
 // Block returns the superblock starting at instruction index p, or nil
-// when none does, lowering a pending one on this first probe. It is
-// the executor's only way to a block, so a block no thread enters is
-// never built; and since a block's content is a pure function of
-// (Code, p), the order of probes cannot change what any of them sees.
-func (cm *CompiledMethod) Block(p int) *Superblock {
+// when none does, lowering a pending one on this first probe for a
+// frame whose operand stack is sp deep. It is the executor's only way
+// to a block, so a block no thread enters is never built; and since the
+// verifier fixes the depth at every index, a block's content is a pure
+// function of (Code, p), so the order of probes cannot change what any
+// of them sees.
+func (cm *CompiledMethod) Block(p, sp int) *Superblock {
 	i := cm.sbIdx[p]
 	if i < 0 {
-		return cm.lowerBlock(p)
+		return cm.lowerBlock(p, sp)
 	}
 	return cm.blocks[i]
+}
+
+// Lowered returns the block a probe has lowered at p, or nil when none
+// has (yet); it lowers nothing.
+func (cm *CompiledMethod) Lowered(p int) *Superblock {
+	return cm.blocks[max(cm.sbIdx[p], 0)]
 }
 
 // lowerBlock replaces the pending entry at index p with the block
@@ -261,7 +273,7 @@ func (cm *CompiledMethod) Block(p int) *Superblock {
 // micro lowering bails (typically an instruction consuming operands
 // the suffix did not push) no block starts at p: the interpreter steps
 // until the next index whose suffix does lower.
-func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
+func (cm *CompiledMethod) lowerBlock(p, sp int) *Superblock {
 	code := cm.Code
 	e := p - int(cm.sbIdx[p])
 	pe := e
@@ -270,7 +282,7 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 		pe--
 		term = &code[pe]
 	}
-	mb, ok := cm.lowering.compile(code[p:pe], term)
+	mb, ok := cm.lowering.compile(code[p:pe], term, int32(cm.M.MaxLocals+sp))
 	if !ok {
 		cm.sbIdx[p] = 0
 		return nil
@@ -278,7 +290,7 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 	b := &Superblock{
 		Len: int32(e - p), Target: int32(pe),
 		Cycles: mb.FirstCycles, ClassCycles: mb.Class,
-		Micro: mb.Micro, StackDelta: mb.StackDelta,
+		Micro: mb.Micro, StackDelta: mb.StackDelta, EntrySP: int32(sp),
 		Bounds: mb.Bounds, Mats: mb.Mats,
 	}
 	if term != nil {
@@ -295,16 +307,17 @@ func (cm *CompiledMethod) lowerBlock(p int) *Superblock {
 
 // Next returns the block starting at pc, which must be one of b's two
 // successors — its Target, or entry+Len after a conditional terminal —
-// or nil when none does. A found block is memoized on b, so a chain
-// step skips the index; like a block, a successor is a pure function of
-// (Code, pc), so the memo never goes stale.
-func (cm *CompiledMethod) Next(b *Superblock, pc int) *Superblock {
+// or nil when none does; sp is the depth b leaves. A found block is
+// memoized on b, so a chain step skips the index; like a block, a
+// successor is a pure function of (Code, pc), so the memo never goes
+// stale.
+func (cm *CompiledMethod) Next(b *Superblock, pc, sp int) *Superblock {
 	memo := &b.fall
 	if int32(pc) == b.Target {
 		memo = &b.taken
 	}
 	if *memo == nil {
-		*memo = cm.Block(pc)
+		*memo = cm.Block(pc, sp)
 	}
 	return *memo
 }

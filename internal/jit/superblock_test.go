@@ -29,11 +29,22 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 }
 
 // discovered wraps hand-written code the way Compile leaves a method:
-// discovery done, every block still pending behind Block.
+// discovery done, every block still pending behind Block. It has no
+// bytecode to verify, so its tests pass each index's depth by hand.
 func discovered(code []isa.Instr) *CompiledMethod {
-	return &CompiledMethod{Code: code, sbIdx: discoverSuperblocks(code),
-		blocks: noBlocks, lowering: new(microCompiler)}
+	return &CompiledMethod{M: &classfile.Method{MaxLocals: 4}, Code: code,
+		sbIdx: discoverSuperblocks(code), blocks: noBlocks, lowering: new(microCompiler)}
 }
+
+// depth returns the verifier's operand-stack depth at p, the one every
+// frame reaching p has (0 where no path reaches p).
+func depth(cm *CompiledMethod, p int) int {
+	stack, _, _ := classfile.KindsAt(cm.M, p)
+	return len(stack)
+}
+
+// blockAt probes Block(p) at the verifier's depth, as the executor does.
+func blockAt(cm *CompiledMethod, p int) *Superblock { return cm.Block(p, depth(cm, p)) }
 
 // TestSuperblockSuffixRuns checks which indices of a pure straight-line
 // run get a block. A suffix the micro lowering cannot model — here,
@@ -64,7 +75,7 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		if in.Op != ops[p] {
 			t.Fatalf("pc %d: backend emitted %v, the test expects %v", p, in.Op, ops[p])
 		}
-		b := cm.Block(p)
+		b := blockAt(cm, p)
 		if !lowers[p] {
 			if b != nil {
 				t.Errorf("pc %d: unlowerable suffix must not start a block: %+v", p, b)
@@ -98,7 +109,8 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 // rests on: every op superblock discovery admits is either a stack or
 // local op the lowering handles structurally or one isa.Eval defines,
 // and every micro-op the lowering emits is one the replay dispatches —
-// a move, an absorbable memory op or an Eval op. A disagreement is this
+// a move, an absorbable memory op or an Eval op, under the kind its
+// code has. A disagreement is this
 // test failing, not a host panic in a user's run.
 func TestEveryPureOpEvaluates(t *testing.T) {
 	structural := map[isa.Op]bool{
@@ -129,13 +141,22 @@ func TestEveryPureOpEvaluates(t *testing.T) {
 				{Op: load, A: 1, Cost: 1}, {Op: load, A: 2, Cost: 1}, {Op: load, A: 3, Cost: 1},
 				{Op: op, A: 1, B: 1, Cost: 1},
 			}
-			mb, ok := new(microCompiler).compile(code, nil)
+			mb, ok := new(microCompiler).compile(code, nil, 4)
 			if !ok {
 				continue // a clean bail: discovery emits no block
 			}
 			for _, m := range mb.Micro {
-				if m.Code != MMov && m.Code != MMovImm && !memOp(m.Code) && m.Code.Arity() == 0 {
-					t.Errorf("%v after %v lowered to micro-op %v, which the replay cannot dispatch", op, load, m.Code)
+				var dispatches bool
+				switch m.Kind {
+				case KMov, KMovImm:
+					dispatches = true
+				case KMem:
+					dispatches = memOp(m.Code)
+				default:
+					dispatches = m.Code.Arity() != 0 && m.Kind == arithKinds[m.Code]
+				}
+				if !dispatches {
+					t.Errorf("%v after %v lowered to micro-op %v of kind %d, which the replay cannot dispatch", op, load, m.Code, m.Kind)
 				}
 			}
 		}
@@ -170,11 +191,11 @@ func TestSuperblockBoundaries(t *testing.T) {
 	for i, in := range cm.Code {
 		switch in.Op {
 		case isa.OpNewArray, isa.OpArrayLen, isa.OpReturn:
-			if b := cm.Block(i); b != nil {
+			if b := blockAt(cm, i); b != nil {
 				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, b.Len)
 			}
 		}
-		if b := cm.Block(i); b != nil {
+		if b := blockAt(cm, i); b != nil {
 			for q := i; q < i+int(b.Len); q++ {
 				op := cm.Code[q].Op
 				last := q == i+int(b.Len)-1
@@ -205,10 +226,10 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 		{Op: isa.OpReturn, A: 1, Cost: 2},                 // ends the run
 	}
 	cm := discovered(code)
-	if cm.Block(2) != nil {
-		t.Errorf("memory op must not start a block: %+v", cm.Block(2))
+	if cm.Block(2, 2) != nil {
+		t.Errorf("memory op must not start a block: %+v", cm.Block(2, 2))
 	}
-	b := cm.Block(0)
+	b := cm.Block(0, 0)
 	if int(b.Len) != 5 {
 		t.Fatalf("block at 0 must absorb the load and run to the return: %+v", b)
 	}
@@ -268,7 +289,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if brIdx < 0 {
 		t.Fatal("no conditional branch emitted")
 	}
-	b := cm.Block(brIdx - 2) // the LoadI beginning the run
+	b := blockAt(cm, brIdx-2) // the LoadI beginning the run
 	if int(b.Len) != 3 || b.End != EndIfCmpI {
 		t.Fatalf("block %+v: want Len 3 ending in EndIfCmpI", b)
 	}
@@ -279,7 +300,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if b.StackDelta != 0 {
 		t.Fatalf("StackDelta=%d want 0 (branch pops its operands)", b.StackDelta)
 	}
-	if lone := cm.Block(brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
+	if lone := blockAt(cm, brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
 		t.Fatalf("branch-only block %+v: want Len 1, EndIfCmpI, StackDelta -2", lone)
 	}
 }
@@ -314,7 +335,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	// The block starting at the loop-body instruction right after the
 	// conditional branch must run through the goto and land on its
 	// target.
-	body := cm.Block(gotoIdx - 1) // the inc preceding the goto
+	body := blockAt(cm, gotoIdx-1) // the inc preceding the goto
 	if body.Len != 2 {
 		t.Fatalf("body block Len=%d want 2 (inc+goto)", body.Len)
 	}
@@ -322,7 +343,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 		t.Fatalf("body Target=%d want goto target %d", body.Target, cm.Code[gotoIdx].A)
 	}
 	// The goto alone is also a (Len 1) block.
-	if g := cm.Block(gotoIdx); g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
+	if g := blockAt(cm, gotoIdx); g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("goto block %+v", g)
 	}
 }
@@ -347,26 +368,26 @@ func TestNextMemoizesSuccessors(t *testing.T) {
 		a.Ret()
 	})
 	head := 2 // the LoadI at the loop label
-	b := cm.Block(head)
+	b := blockAt(cm, head)
 	if b == nil || b.End != EndIfCmpI {
 		t.Fatalf("loop head block %+v: want one ending in EndIfCmpI", b)
 	}
 	ret := len(cm.Code) - 1
-	tail := cm.Block(ret - 1) // the LoadI before the return
-	if got := cm.Next(tail, ret); got != nil || tail.taken != nil || tail.fall != nil {
+	tail := blockAt(cm, ret-1) // the LoadI before the return
+	if got := cm.Next(tail, ret, depth(cm, ret)); got != nil || tail.taken != nil || tail.fall != nil {
 		t.Fatalf("no block starts at the return: Next = %+v, memo %p/%p", got, tail.taken, tail.fall)
 	}
 	taken, fall := int(b.Target), head+int(b.Len)
 	for _, pc := range []int{taken, fall} {
-		want := cm.Block(pc)
+		want := blockAt(cm, pc)
 		if want == nil {
 			t.Fatalf("pc %d: no block to chain into", pc)
 		}
-		if got := cm.Next(b, pc); got != want {
+		if got := cm.Next(b, pc, depth(cm, pc)); got != want {
 			t.Fatalf("pc %d: Next = %p, Block = %p", pc, got, want)
 		}
 		cm.sbIdx[pc] = 0 // a re-probe would now find nothing
-		if got := cm.Next(b, pc); got != want {
+		if got := cm.Next(b, pc, depth(cm, pc)); got != want {
 			t.Fatalf("pc %d: Next re-probed instead of using its memo", pc)
 		}
 	}
@@ -398,19 +419,19 @@ func TestSuperblockGuardedDivision(t *testing.T) {
 		t.Fatalf("want 2 divs, got %v", divs)
 	}
 	guarded, unguarded := divs[0], divs[1]
-	if cm.Block(guarded) != nil {
+	if blockAt(cm, guarded) != nil {
 		t.Errorf("guarded div must not start a block")
 	}
 	// The block from the start must cover the guarded div but stop
 	// before the unguarded one.
-	b := cm.Block(0)
+	b := blockAt(cm, 0)
 	if b.Len == 0 || 0+int(b.Len) <= guarded {
 		t.Errorf("block at 0 (Len=%d) should cover the guarded div at %d", b.Len, guarded)
 	}
 	if 0+int(b.Len) > unguarded {
 		t.Errorf("block at 0 (Len=%d) must stop before the unguarded div at %d", b.Len, unguarded)
 	}
-	if cm.Block(unguarded) != nil {
+	if blockAt(cm, unguarded) != nil {
 		t.Errorf("unguarded div must not start a block")
 	}
 }
@@ -425,10 +446,10 @@ func TestSuperblockZeroDivisorNotGuarded(t *testing.T) {
 		{Op: isa.OpReturn, A: 1, Cost: 2},
 	}
 	cm := discovered(code)
-	if b := cm.Block(0); int(b.Len) != 2 {
+	if b := cm.Block(0, 0); int(b.Len) != 2 {
 		t.Errorf("run must end before the zero-divisor div: %+v", b)
 	}
-	if cm.Block(2) != nil {
+	if cm.Block(2, 2) != nil {
 		t.Errorf("zero-divisor div must not be in any block start")
 	}
 }

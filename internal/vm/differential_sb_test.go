@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
+	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
 )
@@ -147,5 +149,82 @@ func TestDifferentialSuperblockWorkloads(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBlocksLoweredAtVerifierDepth runs the six workloads (the kernels
+// in their data-parallel form) on a three-kind machine and checks every
+// block any kind lowered: a block addresses the frame's slots for the
+// operand-stack depth it was lowered at, so that depth must be the one
+// the verifier derives at the block's entry — the depth of every frame
+// that reaches it.
+func TestBlocksLoweredAtVerifierDepth(t *testing.T) {
+	specs := workloads.All()
+	for _, k := range workloads.Kernels() {
+		specs = append(specs, k.AsSpec(true))
+	}
+	topo, err := cell.ParseTopology("ppe:1,spe:4,vpu:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			prog, err := spec.Build(4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := vm.DefaultConfig()
+			cfg.Machine.MainMemory = 32 << 20
+			cfg.HeapBytes = 8 << 20
+			cfg.Machine.Topology = topo
+			machine, err := vm.New(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, _, err := machine.Submit(vm.JobSpec{Name: spec.Name, Class: spec.MainClass, Method: "main"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := machine.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := job.Err(); err != nil {
+				t.Fatal(err)
+			}
+			blocks, deep := 0, 0
+			for _, kind := range isa.CoreKinds() {
+				c := machine.Compiler(kind)
+				if c == nil {
+					continue
+				}
+				for _, cls := range prog.Classes() {
+					for _, m := range cls.Methods {
+						cm := c.Lookup(m)
+						if cm == nil {
+							continue
+						}
+						for p := range cm.Code {
+							b := cm.Lowered(p)
+							if b == nil {
+								continue
+							}
+							blocks++
+							if b.EntrySP > 0 {
+								deep++
+							}
+							stack, _, err := classfile.KindsAt(m, p)
+							if err != nil || int(b.EntrySP) != len(stack) {
+								t.Fatalf("%s [%v] pc %d: block lowered at depth %d, verifier depth %d (%v)",
+									m.Sig(), kind, p, b.EntrySP, len(stack), err)
+							}
+						}
+					}
+				}
+			}
+			if deep == 0 {
+				t.Fatal("no block was entered with a nonempty operand stack; the check is vacuous")
+			}
+			t.Logf("%d lowered blocks checked, %d entered with a nonempty operand stack", blocks, deep)
+		})
 	}
 }

@@ -54,7 +54,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 		// unchanged), apply it in one step. Any divergence falls through
 		// to step, which IS the reference semantics.
 		if !vm.sbOff {
-			if b := f.CM.Block(f.PC); b != nil && core.Now+b.Cycles < deadline {
+			if b := f.CM.Block(f.PC, f.SP); b != nil && int(b.EntrySP) == f.SP && core.Now+b.Cycles < deadline {
 				vm.fastForward(core, t, f, b, deadline)
 				continue
 			}
@@ -394,18 +394,22 @@ func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, 
 			}
 			return 0, vm.trapAt(f, "NullPointerException", detail)
 		}
-		n := vm.arrayLength(core, f, arr)
-		if idx < 0 || uint32(idx) >= n {
+		k := isa.ElemKind(a)
+		var raw uint64
+		var n uint32
+		var ok bool
+		if dc := vm.dcaches[core.Index]; dc != nil {
+			// The length word and the element in one cache call.
+			before := core.Now
+			raw, n, ok, core.Now = dc.AccessArray(before, arr, idx, k.Size(), op == isa.OpAStore, z)
+			f.chargeDyn(isa.ClassLocalMem, core.Now-before)
+		} else {
+			raw, n, ok = vm.hwArrayAccess(core, f, arr, idx, k.Size(), op == isa.OpAStore, z)
+		}
+		if !ok {
 			return 0, vm.trapAt(f, "ArrayIndexOutOfBoundsException",
 				fmt.Sprintf("index %d, length %d", idx, n))
 		}
-		k := isa.ElemKind(a)
-		esz := k.Size()
-		if op == isa.OpAStore {
-			vm.storeMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, z, 0, true)
-			return 0, nil
-		}
-		raw := vm.loadMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, 0, true)
 		return extendElem(k, raw), nil
 	case isa.OpArrayLen:
 		if Ref(x) == 0 {
@@ -417,19 +421,19 @@ func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, 
 		if ref == 0 {
 			return 0, vm.trapAt(f, "NullPointerException", "getfield")
 		}
-		return vm.loadMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, b, false), nil
+		return vm.loadMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, b), nil
 	case isa.OpPutField:
 		ref := Ref(x)
 		if ref == 0 {
 			return 0, vm.trapAt(f, "NullPointerException", "putfield")
 		}
-		vm.storeMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, y, b, false)
+		vm.storeMem(core, f, ref, vm.objectSize(ref), uint32(a), 8, y, b)
 	case isa.OpGetStatic:
 		addr := vm.staticsBase + uint32(a)*isa.SlotBytes
-		return vm.loadMem(core, f, addr, isa.SlotBytes, 0, 8, b, false), nil
+		return vm.loadMem(core, f, addr, isa.SlotBytes, 0, 8, b), nil
 	case isa.OpPutStatic:
 		addr := vm.staticsBase + uint32(a)*isa.SlotBytes
-		vm.storeMem(core, f, addr, isa.SlotBytes, 0, 8, x, b, false)
+		vm.storeMem(core, f, addr, isa.SlotBytes, 0, 8, x, b)
 	}
 	return 0, nil
 }
@@ -493,31 +497,44 @@ func (vm *VM) isInstance(r Ref, target *classfile.Class) bool {
 // arrayLength reads the length word from an array header through the
 // memory system (a real load in baseline-compiled code).
 func (vm *VM) arrayLength(core *cell.Core, f *Frame, arr Ref) uint32 {
-	v := vm.loadMem(core, f, arr, isa.HeaderBytes, isa.HeaderLengthOff, 4, 0, false)
+	v := vm.loadMem(core, f, arr, isa.HeaderBytes, isa.HeaderLengthOff, 4, 0)
 	return uint32(v)
 }
 
+// hwArrayAccess is an array element access on a hardware-cached core:
+// it loads arr's length word and, when idx is in bounds, loads or
+// stores (store set, of val) the element of esz bytes, returning the
+// raw element, the length and whether idx was in bounds. (A local-store
+// core makes both accesses in one DataCache.AccessArray call.)
+func (vm *VM) hwArrayAccess(core *cell.Core, f *Frame, arr Ref, idx int32, esz uint32, store bool, val uint64) (uint64, uint32, bool) {
+	n := vm.arrayLength(core, f, arr)
+	if idx < 0 || uint32(idx) >= n {
+		return 0, n, false
+	}
+	if store {
+		vm.storeMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, val, 0)
+		return 0, n, true
+	}
+	return vm.loadMem(core, f, arr+isa.HeaderBytes, n*esz, uint32(idx)*esz, esz, 0), n, true
+}
+
 // loadMem performs a data load through the core's memory path:
-//   - local-store kinds: the software data cache (whole-object or
-//     array-block policy per isArray), honouring volatile
-//     purge-before-read;
+//   - local-store kinds: the software data cache's whole-object
+//     policy (memAccess takes array elements to DataCache.AccessArray),
+//     honouring volatile purge-before-read;
 //   - hardware-cached kinds: the L1/L2 hardware model plus a direct
 //     main-memory read.
 //
 // unit is the base address of the cacheable unit (object header or array
 // data), unitSize its size, off the byte offset of the access.
-func (vm *VM) loadMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width uint32, flags int32, isArray bool) uint64 {
+func (vm *VM) loadMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width uint32, flags int32) uint64 {
 	if dc := vm.dcaches[core.Index]; dc != nil {
 		if flags&isa.FlagVolatile != 0 {
 			vm.acquire(core, edgeVolatile) // observe other cores' writes
 		}
 		before := core.Now
 		var v uint64
-		if isArray {
-			v, core.Now = dc.ReadArray(core.Now, unit, unitSize, off, width)
-		} else {
-			v, core.Now = dc.ReadObject(core.Now, unit, unitSize, off, width)
-		}
+		v, core.Now = dc.ReadObject(core.Now, unit, unitSize, off, width)
 		f.chargeDyn(isa.ClassLocalMem, core.Now-before)
 		return v
 	}
@@ -536,14 +553,10 @@ func (vm *VM) loadMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width 
 
 // storeMem is the store counterpart of loadMem, honouring volatile
 // flush-after-write on local-store kinds.
-func (vm *VM) storeMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width uint32, val uint64, flags int32, isArray bool) {
+func (vm *VM) storeMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width uint32, val uint64, flags int32) {
 	if dc := vm.dcaches[core.Index]; dc != nil {
 		before := core.Now
-		if isArray {
-			core.Now = dc.WriteArray(core.Now, unit, unitSize, off, width, val)
-		} else {
-			core.Now = dc.WriteObject(core.Now, unit, unitSize, off, width, val)
-		}
+		core.Now = dc.WriteObject(core.Now, unit, unitSize, off, width, val)
 		if flags&isa.FlagVolatile != 0 {
 			vm.release(core, edgeVolatile) // publish this write
 		}

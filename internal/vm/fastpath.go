@@ -9,12 +9,20 @@ import (
 // This file is the superblock fast path: execute consults the compiled
 // method's memoized superblocks (jit.Superblock) and, when a block's
 // first segment provably fits inside the quantum, replays the block
-// from its slot-addressed micro-ops instead of stepping it. The replay
-// must be byte-identical to per-instruction stepping — the Figure-4
-// golden and the differential tests pin that contract — so it defines
-// no semantics of its own: arithmetic goes through isa.Eval, memory
-// through memAccess and branches through branch, the functions step
-// itself calls. Only the operand plumbing and the billing differ.
+// from its micro-ops instead of stepping it. The replay must be
+// byte-identical to per-instruction stepping — the Figure-4 golden and
+// the differential tests pin that contract — so it defines no semantics
+// of its own: arithmetic goes through isa.Eval, memory through
+// memAccess and branches through branch, the functions step itself
+// calls. Only the operand plumbing and the billing differ.
+//
+// The operand plumbing: a micro-op names frame slots — indices into
+// the frame's one value array, locals first, then the operand stack —
+// fixed when the block was lowered for the stack depth at its entry.
+// The verifier gives every index one depth, so a frame reaching the
+// entry has it; the executor still enters a block only at its EntrySP,
+// and a chained successor's depth follows from its predecessor's. The
+// replay switches on each micro-op's dense Kind byte.
 //
 // When the replay bills: the core clock advances as the replay goes —
 // a block's first segment at entry, then each absorbed memory
@@ -117,7 +125,7 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 		}
 
 		// Chain into the next block only under the executor's own guard.
-		nb := f.CM.Next(b, f.PC)
+		nb := f.CM.Next(b, f.PC, f.SP)
 		if nb == nil || core.Now+nb.Cycles >= deadline {
 			bill.settle(core, f)
 			return
@@ -126,25 +134,14 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 	}
 }
 
-// microVal reads a micro-op operand: a non-negative value is a stack
-// slot (relative to the block's entry SP, pre-sliced by the caller), a
-// negative one a local, and jit.MicroImm the op's immediate.
-func microVal(stack, locals []uint64, o int32, imm uint64) uint64 {
-	if o >= 0 {
-		return stack[o]
-	}
+// microVal reads a micro-op operand: the frame slot o of vals (the
+// frame's locals and operand stack, addressed together), or the op's
+// immediate for jit.MicroImm.
+func microVal(vals []uint64, o int32, imm uint64) uint64 {
 	if o == jit.MicroImm {
 		return imm
 	}
-	return locals[-o-1]
-}
-
-func microStore(stack, locals []uint64, d int32, v uint64) {
-	if d >= 0 {
-		stack[d] = v
-	} else {
-		locals[-d-1] = v
-	}
+	return vals[o]
 }
 
 // microSync restores the exact stepped frame state at one memory
@@ -152,24 +149,23 @@ func microStore(stack, locals []uint64, d int32, v uint64) {
 // its trap): it lands the boundary's shadow materialisations, the live
 // values below the instruction's operands. Both exits leave the
 // operands popped, so their slots are dead.
-func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int) {
-	stack := f.Stack[base:]
-	locals := f.Locals
+func microSync(vals []uint64, b *jit.Superblock, bd *jit.MemBound) {
 	for i := bd.MatLo; i < bd.MatHi; i++ {
 		m := &b.Mats[i]
-		if m.Code == jit.MMovImm {
-			microStore(stack, locals, m.D, m.Imm)
+		if m.Kind == jit.KMovImm {
+			vals[m.D] = m.Imm
 		} else {
-			microStore(stack, locals, m.D, microVal(stack, locals, m.A, m.Imm))
+			vals[m.D] = microVal(vals, m.A, m.Imm)
 		}
 	}
 }
 
-// runMicro replays a block's slot-addressed micro-ops: moves, then
+// runMicro replays a block's frame-addressed micro-ops: moves, then
 // arithmetic through isa.Eval (a guarded divide's divisor is a nonzero
 // constant, so ok is always true here), then memory. Intermediate slots
 // above the final SP may hold garbage, exactly as they may after
-// stepping.
+// stepping. The block was lowered for f.SP: the executor enters a block
+// only at its EntrySP.
 //
 // A memory micro-op runs the executor's per-instruction sequence with
 // f.PC on the instruction — the clock advances by its static cost —
@@ -184,40 +180,38 @@ func microSync(f *Frame, b *jit.Superblock, bd *jit.MemBound, base int) {
 // a trap, which the caller raises exactly as the executor would.
 func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline uint64) (int, error) {
 	entry, base := f.PC, f.SP
-	stack := f.Stack[base:]
-	locals := f.Locals
+	vals := f.vals
 	bi := 0
 	for i := range b.Micro {
 		m := &b.Micro[i]
-		switch m.Code {
-		case jit.MMov:
-			microStore(stack, locals, m.D, microVal(stack, locals, m.A, m.Imm))
-		case jit.MMovImm:
-			microStore(stack, locals, m.D, m.Imm)
+		switch m.Kind {
+		case jit.KMov:
+			vals[m.D] = microVal(vals, m.A, m.Imm)
+		case jit.KMovImm:
+			vals[m.D] = m.Imm
 
-		case isa.OpALoad, isa.OpAStore, isa.OpArrayLen,
-			isa.OpGetField, isa.OpPutField, isa.OpGetStatic, isa.OpPutStatic:
+		case jit.KMem:
 			bd := &b.Bounds[bi]
 			f.PC = entry + int(bd.RelIdx)
 			core.Now += uint64(bd.Cost)
 			var z uint64
 			if m.Code == isa.OpAStore {
-				z = microVal(stack, locals, m.D, m.Imm)
+				z = microVal(vals, m.D, m.Imm)
 			}
 			v, err := vm.memAccess(core, f, m.Code, bd.Kind, bd.Flags,
-				microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm), z)
+				microVal(vals, m.A, m.Imm), microVal(vals, m.B, m.Imm), z)
 			if err != nil {
-				microSync(f, b, bd, base)
+				microSync(vals, b, bd)
 				f.SP = base + int(bd.SPTrap)
 				return bi, err
 			}
 			if bd.SPAfter > bd.SPTrap { // a load: its result sits one above the popped operands
-				stack[m.D] = v
+				vals[m.D] = v
 			}
 			if core.Now+bd.SegCycles >= deadline {
 				// The rest of the segment would not fit the quantum: hand
 				// back at its first instruction, as the entry guard does.
-				microSync(f, b, bd, base)
+				microSync(vals, b, bd)
 				f.PC++ // it was left on the memory instruction
 				f.SP = base + int(bd.SPAfter)
 				return bi, nil
@@ -226,17 +220,19 @@ func (vm *VM) runMicro(core *cell.Core, f *Frame, b *jit.Superblock, deadline ui
 			bi++
 
 		// Eval's hottest cases, through the helpers Eval itself calls.
-		case isa.OpMulD:
-			microStore(stack, locals, m.D, isa.MulD(microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm)))
-		case isa.OpAddI:
-			microStore(stack, locals, m.D, isa.AddI(microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm)))
-		case isa.OpAddD:
-			microStore(stack, locals, m.D, isa.AddD(microVal(stack, locals, m.A, m.Imm), microVal(stack, locals, m.B, m.Imm)))
+		case jit.KAddI:
+			vals[m.D] = isa.AddI(microVal(vals, m.A, m.Imm), microVal(vals, m.B, m.Imm))
+		case jit.KAddD:
+			vals[m.D] = isa.AddD(microVal(vals, m.A, m.Imm), microVal(vals, m.B, m.Imm))
+		case jit.KSubD:
+			vals[m.D] = isa.SubD(microVal(vals, m.A, m.Imm), microVal(vals, m.B, m.Imm))
+		case jit.KMulD:
+			vals[m.D] = isa.MulD(microVal(vals, m.A, m.Imm), microVal(vals, m.B, m.Imm))
 
-		default:
-			v, _ := isa.Eval(m.Code, microVal(stack, locals, m.A, m.Imm),
-				microVal(stack, locals, m.B, m.Imm), int32(uint32(m.Imm)))
-			microStore(stack, locals, m.D, v)
+		case jit.KEval:
+			v, _ := isa.Eval(m.Code, microVal(vals, m.A, m.Imm),
+				microVal(vals, m.B, m.Imm), int32(uint32(m.Imm)))
+			vals[m.D] = v
 		}
 	}
 
