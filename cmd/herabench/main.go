@@ -12,7 +12,6 @@
 //	herabench                 # all figures, quick sizes
 //	herabench -full -fig 4a   # just Figure 4(a), paper-shaped sizes
 //	herabench -fig a3 -v      # ablation A3 with progress logging
-//	herabench -fig 4a -sched steal                      # any figure, stealing scheduler
 //	herabench -fig topo -topology "ppe:1,spe:6;ppe:1,spe:4,vpu:2"
 //	herabench -fig serve -trace bursty -jobs 40 -cadence 250000     # heavier churn
 //	herabench -fig fastpath                             # fast path vs stepping: match + coverage
@@ -53,9 +52,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		fig   = fs.String("fig", "all", strings.Join(ids, " | ")+" | all")
 		full  = fs.Bool("full", false, "paper-shaped workload sizes (slower)")
-		sched = fs.String("sched", "", "scheduler for every run: calendar | steal | migrate (default: calendar)")
 		topos = fs.String("topology", "",
-			`semicolon-separated machine shapes for the topo/sched/kernels sweeps (the first one for serve/fastpath), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
+			`semicolon-separated machine shapes for the topo/kernels sweeps (the first one for serve/fastpath), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
 		jsonPath   = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
 		minSpeedup = fs.Float64("minspeedup", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup on a VPU pool; exit 1 below it (0 = no floor)")
 		timeout    = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
@@ -84,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verb {
 		opt.Progress = stderr
 	}
-	opt.Scheduler, opt.MinSpeedup = *sched, *minSpeedup
+	opt.MinSpeedup = *minSpeedup
 	if *topos != "" {
 		list, err := cell.ParseTopologyList(*topos)
 		if err != nil {

@@ -9,8 +9,6 @@
 //	herajvm -workload compress -spes 1 -scale 2
 //	herajvm -workload mpegaudio -spes 0              # PPE only
 //	herajvm -workload compress -policy monitor       # runtime-monitoring placement
-//	herajvm -workload mandelbrot -sched steal        # same-kind work-stealing scheduler
-//	herajvm -workload compress -sched migrate        # + cost-gated cross-kind migration
 //	herajvm -workload mandelbrot -topology ppe:2,spe:2       # asymmetric machine
 //	herajvm -workload mandelbrot -topology ppe:1,spe:4,vpu:2 # three core kinds
 //	herajvm -workload matmul -topology ppe:1,spe:4,vpu:2     # Parallel.forRange kernel launch
@@ -18,15 +16,15 @@
 // With -jobs or -trace set, herajvm serves the workload open-loop
 // instead of running it once: jobs arrive on a seeded trace, each
 // carrying a deadline, and the report shows admission verdicts, shed
-// counts and latency percentiles under the chosen scheduler. The
-// -jobs/-cadence/-trace/-seed/-deadline/-maxpending flags are shared
-// with herabench and behave identically:
+// counts and latency percentiles. The -jobs/-cadence/-trace/-seed/
+// -deadline/-maxpending flags are shared with herabench and behave
+// identically:
 //
-//	herajvm -workload compress -sched migrate -trace poisson -jobs 12
+//	herajvm -workload compress -trace poisson -jobs 12
 //	herajvm -workload mandelbrot -trace bursty -jobs 8 -seed 7
 //
 // With -shards set, the trace is served by a cluster instead of one
-// machine: each shard is a full System (its own topology, scheduler,
+// machine: each shard is a full System (its own topology and
 // admission pipeline) and a dispatcher routes every arrival to the
 // shard predicting the earliest completion, shedding only when no
 // shard can meet the deadline:
@@ -56,11 +54,11 @@ import (
 // the -shards fleet — neither reads the one-shot machine knobs, and
 // only a cluster has an epoch stride or hand-off.
 var modeFlags = map[string][]string{
-	"one-shot": {"workload", "spes", "topology", "threads", "scale", "policy", "sched",
+	"one-shot": {"workload", "spes", "topology", "threads", "scale", "policy",
 		"datacache", "codecache", "clockhz", "report"},
-	"serve": {"workload", "spes", "topology", "sched",
+	"serve": {"workload", "spes", "topology",
 		"jobs", "cadence", "trace", "seed", "deadline", "maxpending", "workloads"},
-	"cluster": {"workload", "sched",
+	"cluster": {"workload",
 		"jobs", "cadence", "trace", "seed", "deadline", "workloads", "shards", "stride", "handoff"},
 }
 
@@ -79,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threads  = fs.Int("threads", 0, "worker threads (default: one per worker core)")
 		scale    = fs.Int("scale", 0, "workload scale (default: workload-specific)")
 		policy   = fs.String("policy", "annotation", "annotation | monitor | <kind> (ppe, spe, vpu: pin all threads to that kind)")
-		sched    = fs.String("sched", "calendar", "scheduler: calendar | steal (same-kind work stealing) | migrate (stealing + cost-gated cross-kind migration)")
 		dataKB   = fs.Int("datacache", 104, "SPE data cache size in KB")
 		codeKB   = fs.Int("codecache", 88, "SPE code cache size in KB")
 		clockHz  = fs.Float64("clockhz", 3.2e9, "core clock rate in Hz for cycle-to-time conversion")
@@ -146,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// through the admission pipeline instead of one one-shot run. With
 	// -shards the trace is dispatched across a cluster of Systems.
 	if mode != "one-shot" {
-		opt.Scheduler = *sched
 		opt.Topologies = []hera.Topology{topo}
 		if len(opt.ServeWorkloads) == 0 {
 			opt.ServeWorkloads = []string{*workload}
@@ -167,7 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := hera.DefaultConfig()
 	cfg.Machine.Topology = topo
 	cfg.Machine.ClockHz = *clockHz
-	cfg.Scheduler = *sched // validated when the system boots
 	cfg.DataCache.Size = uint32(*dataKB) << 10
 	cfg.CodeCache.Size = uint32(*codeKB) << 10
 	switch *policy {

@@ -39,7 +39,7 @@ func TestFlagsReachTheirMode(t *testing.T) {
 
 		{[]string{"-workload", "mandelbrot", "-scale", "1", "-spes", "2", "-policy", "spe",
 			"-datacache", "64", "-codecache", "64", "-clockhz", "1e9", "-report=false"}, ""},
-		{with(serve, "-sched", "steal", "-topology", "ppe:1,spe:2",
+		{with(serve, "-topology", "ppe:1,spe:2",
 			"-cadence", "300000", "-seed", "7", "-maxpending", "4"), ""},
 		{with(cluster, "-stride", "500000", "-trace", "uniform"), ""},
 	} {

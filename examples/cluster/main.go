@@ -65,7 +65,6 @@ func main() {
 		}
 		cfg := hera.DefaultConfig()
 		cfg.Machine.Topology = topo
-		cfg.Scheduler = "migrate"
 		shards = append(shards, hera.ShardConfig{Cfg: cfg, Build: build})
 	}
 

@@ -268,19 +268,19 @@ func ParseTopology(s string) (Topology, error) { return cell.ParseTopology(s) }
 // flag syntax).
 func ParseTopologyList(s string) ([]Topology, error) { return cell.ParseTopologyList(s) }
 
-// Schedulers lists the scheduler names Config.Scheduler accepts:
-// "calendar" (the default per-core event-calendar scheduler), "steal"
-// (the calendar plus same-kind work stealing) and "migrate" (stealing
-// plus cost-gated cross-kind migration). The scheduling subsystem lives
-// in internal/sched behind a small interface: one scheduler whose two
-// balancing passes the name switches on — see docs/ARCHITECTURE.md for
-// the interface contract.
+// Schedulers lists the legacy names Config.Scheduler accepts:
+// "calendar", "migrate" and "steal". Every one boots the same
+// scheduler, which steals within a kind and migrates across kinds when
+// its cost gate approves (internal/sched, docs/ARCHITECTURE.md).
+//
+// Deprecated: a benchmark shim; ROADMAP item 11 deletes it along with
+// Config.Scheduler.
 func Schedulers() []string { return sched.Names() }
 
 // Traces lists the registered arrival-trace names the open-loop serve
 // driver accepts (the -trace flag of herabench and herajvm): "uniform",
-// "poisson", "bursty" and "diurnal". Like Schedulers, it is the
-// discovery surface — CLIs build their help text from it.
+// "poisson", "bursty" and "diurnal" — the discovery surface CLIs build
+// their help text from.
 func Traces() []string { return experiments.Traces() }
 
 // DefaultMonitoringPolicy returns the runtime-monitoring placement
@@ -319,7 +319,7 @@ type (
 
 // BootCluster boots a shard fleet: each ShardConfig's Build constructs
 // that shard's program and its VM boots with the shard's own config —
-// topologies, schedulers and admission settings may differ per shard.
+// topologies and admission settings may differ per shard.
 func BootCluster(cfg ClusterConfig, shards []ShardConfig) (*Cluster, error) {
 	return cluster.Boot(cfg, shards)
 }

@@ -50,7 +50,6 @@ func bootFleet(t *testing.T, cfg Config, n int, spin int32, mutate func(*vm.Conf
 		vcfg.Machine.Topology = cell.Topology{
 			{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 2},
 		}
-		vcfg.Scheduler = "migrate"
 		if mutate != nil {
 			mutate(&vcfg)
 		}

@@ -19,12 +19,10 @@ func bootImbalanced(t *testing.T, cfg Config, spin int32) *Cluster {
 	t.Helper()
 	weak := vm.DefaultConfig()
 	weak.Machine.Topology = cell.Topology{{Kind: isa.PPE, Count: 1}}
-	weak.Scheduler = "migrate"
 	strong := vm.DefaultConfig()
 	strong.Machine.Topology = cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 6},
 	}
-	strong.Scheduler = "migrate"
 	c, err := Boot(cfg, []ShardConfig{
 		{Cfg: weak, Build: buildWork(spin)},
 		{Cfg: strong, Build: buildWork(spin)},

@@ -124,8 +124,8 @@ func (c *Cluster) Report() (string, error) {
 		len(c.shards), c.cfg.EpochStride, c.barriers, c.horizon)
 	for _, s := range c.shards {
 		m := s.Sys.VM.Machine
-		fmt.Fprintf(&b, "shard %d: %s sched=%-8s clock=%-12d jobs=%-3d pending=%-3d hand=+%d/-%d util=%.3f\n",
-			s.ID, m.Describe(), s.Sys.VM.Cfg.Scheduler, m.MaxClock(),
+		fmt.Fprintf(&b, "shard %d: %s clock=%-12d jobs=%-3d pending=%-3d hand=+%d/-%d util=%.3f\n",
+			s.ID, m.Describe(), m.MaxClock(),
 			s.Routed, s.Sys.PendingJobs(), s.HandoffsIn, s.HandoffsOut, s.Utilization())
 	}
 	jobs, err := c.JobsTable()

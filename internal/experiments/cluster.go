@@ -25,15 +25,9 @@ import (
 // replay, stride vs stride. What the parallel pass saves on the host is
 // the repository benchmark's cluster workload (wall_s against cpu_s).
 
-const (
-	// defaultClusterScheduler is the per-shard scheduler: migrate is
-	// the strongest serving scheduler (PR 5's serve sweep), and the
-	// cluster story is "many of the best machines".
-	defaultClusterScheduler = "migrate"
-	// defaultHandoffStride is finer than DefaultEpochStride so the
-	// hand-off arm's rebalance decisions come often enough to matter.
-	defaultHandoffStride = 500_000
-)
+// defaultHandoffStride is finer than DefaultEpochStride so the
+// hand-off arm's rebalance decisions come often enough to matter.
+const defaultHandoffStride = 500_000
 
 // clusterDefaults are the figure's script defaults; handoffDefaults the
 // hand-off arm's scenario, tuned empirically on the default imbalanced
@@ -78,8 +72,7 @@ type ClusterRun struct {
 // ClusterSweep is the figure: the serial reference pass, the parallel
 // pass and the stride table.
 type ClusterSweep struct {
-	Shards    []string `json:"shards"`
-	Scheduler string   `json:"scheduler"`
+	Shards []string `json:"shards"`
 	Script
 	// Serial and Parallel are the two passes at the default stride.
 	Serial   ClusterRun `json:"serial"`
@@ -110,9 +103,9 @@ func DefaultHandoffShards() []cell.Topology {
 }
 
 // RunCluster executes the cluster figure. Options: ShardTopos sets the
-// fleet (default four serve shards), Scheduler the per-shard scheduler
-// (default migrate), EpochStride the default stride, and the serve
-// flags (jobs/cadence/trace/seed/deadline) the arrival script.
+// fleet (default four serve shards), EpochStride the default stride,
+// and the serve flags (jobs/cadence/trace/seed/deadline) the arrival
+// script.
 func RunCluster(opt Options) (*ClusterSweep, error) {
 	// The default fleet: four serve-shaped shards (ppe:1,spe:4,vpu:2 each).
 	topos := slices.Repeat([]cell.Topology{DefaultServeTopology()}, 4)
@@ -124,13 +117,12 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		topos = opt.ShardTopos
 	}
 	stride = cmp.Or(opt.EpochStride, stride)
-	scheduler := cmp.Or(opt.Scheduler, defaultClusterScheduler)
 	script, err := newScript(opt, defaults)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &ClusterSweep{Scheduler: scheduler, Script: *script}
+	out := &ClusterSweep{Script: *script}
 	for _, t := range topos {
 		out.Shards = append(out.Shards, t.String())
 	}
@@ -138,7 +130,7 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 		if err := opt.interrupted(); err != nil {
 			return ClusterRun{}, err
 		}
-		run, err := playCluster(opt, topos, scheduler, script, mode, s)
+		run, err := playCluster(opt, topos, script, mode, s)
 		if err != nil {
 			return run, fmt.Errorf("cluster %s: %w", mode, err)
 		}
@@ -195,12 +187,12 @@ func RunCluster(opt Options) (*ClusterSweep, error) {
 // playCluster boots one fleet and plays the arrival script through the
 // dispatcher. mode "serial" advances the shards on one goroutine;
 // "handoff" enables inter-shard hand-off.
-func playCluster(opt Options, topos []cell.Topology, scheduler string,
-	script *Script, mode string, stride cell.Clock) (ClusterRun, error) {
+func playCluster(opt Options, topos []cell.Topology, script *Script,
+	mode string, stride cell.Clock) (ClusterRun, error) {
 
 	shards := make([]cluster.ShardConfig, len(topos))
 	for i, topo := range topos {
-		shards[i] = cluster.ShardConfig{Cfg: openLoopConfig(topo, scheduler), Build: script.build}
+		shards[i] = cluster.ShardConfig{Cfg: openLoopConfig(topo), Build: script.build}
 	}
 	cl, err := cluster.Boot(cluster.Config{
 		EpochStride: stride, Serial: mode == "serial", Shed: true, Handoff: mode == "handoff",
@@ -245,9 +237,8 @@ func playCluster(opt Options, topos []cell.Topology, scheduler string,
 // Table renders the figure.
 func (s *ClusterSweep) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Cluster: %d shards [%s], sched %s, %d jobs, %s trace (seed %d), gap %d, deadline %d\n",
-		len(s.Shards), strings.Join(s.Shards, "; "), s.Scheduler,
-		s.NumJobs, s.Trace, s.Seed, s.Cadence, s.Deadline)
+	fmt.Fprintf(&b, "Cluster: %d shards [%s], %d jobs, %s trace (seed %d), gap %d, deadline %d\n",
+		len(s.Shards), strings.Join(s.Shards, "; "), s.NumJobs, s.Trace, s.Seed, s.Cadence, s.Deadline)
 
 	rows := append([]ClusterRun{s.Serial, s.Parallel}, s.StrideRuns...)
 	if s.HandoffArm {

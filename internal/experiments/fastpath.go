@@ -9,7 +9,7 @@ import (
 )
 
 // FastPath holds the superblock fast path to the stepping executor, end
-// to end: every workload under every scheduler runs twice — fast path
+// to end: every workload runs twice — fast path
 // on (the default) and off (Config.DisableSuperblocks) — and the two
 // simulated results must agree exactly. The coverage columns record how
 // much of the run the fast path absorbed. How long either executor
@@ -21,10 +21,9 @@ type FastPath struct {
 	Rows     []FastPathRow `json:"rows"`
 }
 
-// FastPathRow is one (workload, scheduler) cell of the sweep.
+// FastPathRow is one workload's cell of the sweep.
 type FastPathRow struct {
-	Workload  string `json:"workload"`
-	Scheduler string `json:"scheduler"`
+	Workload string `json:"workload"`
 	// Cycles is the simulated completion time (identical in both runs
 	// when Match holds).
 	Cycles uint64 `json:"cycles"`
@@ -40,42 +39,34 @@ type FastPathRow struct {
 	Match bool `json:"match"`
 }
 
-// RunFastPath executes the workloads x schedulers matrix twice per cell
-// — fast path on, fast path off — on the three-kind machine (so the
-// fast path is exercised on service cores, SPEs and VPUs at once).
-// Options.Topologies[0] overrides the shape.
+// RunFastPath runs every workload twice — fast path on, fast path off —
+// on the three-kind machine (so the fast path is exercised on service
+// cores, SPEs and VPUs at once). Options.Topologies[0] overrides the
+// shape.
 func RunFastPath(opt Options) (*FastPath, error) {
 	topo := opt.topologies(DefaultServeTopology())[0]
-	var arms []arm
-	for _, name := range schedulers {
-		fast := arm{label: name + " fast", topo: topo, sched: name}
-		slow := fast
-		slow.label = name + " stepped"
-		slow.mutate = func(cfg *vm.Config) { cfg.DisableSuperblocks = true }
-		arms = append(arms, fast, slow)
-	}
-	runs, err := grid(opt, "fastpath", opt.benches(), arms)
+	fast := arm{label: "fast", topo: topo}
+	slow := arm{label: "stepped", topo: topo,
+		mutate: func(cfg *vm.Config) { cfg.DisableSuperblocks = true }}
+	runs, err := grid(opt, "fastpath", opt.benches(), []arm{fast, slow})
 	if err != nil {
 		return nil, err
 	}
 	out := &FastPath{Topology: topo.String()}
 	for _, r := range runs {
-		for i, name := range schedulers {
-			out.Rows = append(out.Rows, fastPathRow(name, r[2*i], r[2*i+1]))
-		}
+		out.Rows = append(out.Rows, fastPathRow(r[0], r[1]))
 	}
 	return out, nil
 }
 
 // fastPathRow compares one cell's fast and stepped runs.
-func fastPathRow(scheduler string, fast, slow RunStats) FastPathRow {
+func fastPathRow(fast, slow RunStats) FastPathRow {
 	row := FastPathRow{
-		Workload:  fast.Workload,
-		Scheduler: scheduler,
-		Cycles:    fast.Cycles,
-		FFBlocks:  fast.All.FastForwardedBlocks,
-		FFInstrs:  fast.All.FastForwardedInstrs,
-		Instrs:    fast.All.Instrs,
+		Workload: fast.Workload,
+		Cycles:   fast.Cycles,
+		FFBlocks: fast.All.FastForwardedBlocks,
+		FFInstrs: fast.All.FastForwardedInstrs,
+		Instrs:   fast.All.Instrs,
 		Match: fast.Valid && slow.Valid && fast.Checksum == slow.Checksum &&
 			fast.Cycles == slow.Cycles && sameWork(fast, slow),
 	}
@@ -100,11 +91,11 @@ func sameWork(fast, slow RunStats) bool {
 func (s *FastPath) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Simulator speed: superblock fast-forward vs per-instruction stepping (%s)\n", s.Topology)
-	fmt.Fprintf(&b, "%-12s %-9s %14s %12s %14s %8s %6s\n",
-		"benchmark", "sched", "cycles", "ff blocks", "ff instrs", "hit", "match")
+	fmt.Fprintf(&b, "%-12s %14s %12s %14s %8s %6s\n",
+		"benchmark", "cycles", "ff blocks", "ff instrs", "hit", "match")
 	for _, r := range s.Rows {
-		fmt.Fprintf(&b, "%-12s %-9s %14d %12d %14d %8.3f %6v\n",
-			r.Workload, r.Scheduler, r.Cycles, r.FFBlocks, r.FFInstrs, r.FFHitRate, r.Match)
+		fmt.Fprintf(&b, "%-12s %14d %12d %14d %8.3f %6v\n",
+			r.Workload, r.Cycles, r.FFBlocks, r.FFInstrs, r.FFHitRate, r.Match)
 	}
 	return b.String()
 }
@@ -115,7 +106,7 @@ func (s *FastPath) Check(Options) error {
 	for _, r := range s.Rows {
 		if !r.Match {
 			problems = append(problems,
-				fmt.Sprintf("%s/%s: fast and slow runs diverged", r.Workload, r.Scheduler))
+				fmt.Sprintf("%s: fast and slow runs diverged", r.Workload))
 		}
 	}
 	return gateError("fastpath", problems)

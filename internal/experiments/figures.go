@@ -48,7 +48,6 @@ func Figures() []Figure {
 		figure("a3", "A3: data/code cache split, static and adaptive", RunA3),
 		figure("a4", "A4: cost of the JMM coherence protocol", RunA4),
 		figure("topo", "machine-topology sweep (-topology overrides the shapes)", RunTopologySweep),
-		figure("sched", "scheduler ablation: calendar vs steal vs migrate", RunSchedSweep),
 		figure("serve", "open-loop serving: trace-driven jobs, shedding off vs on", RunServe),
 		figure("fastpath", "superblock fast path vs stepping: identical results, coverage", RunFastPath),
 		figure("cluster", "sharded serving: serial vs parallel advancement, hand-off arm", RunCluster,

@@ -179,7 +179,7 @@ func TestCheckFailureArms(t *testing.T) {
 		fast.All.FastForwardedBlocks, fast.All.FastForwardedInstrs = 4, 80
 		fast.Accel = fast.All
 		edit(&fast)
-		return &FastPath{Rows: []FastPathRow{fastPathRow("steal", fast, slow)}}
+		return &FastPath{Rows: []FastPathRow{fastPathRow(fast, slow)}}
 	}
 	floor := Options{MinSpeedup: 2}
 	for _, tc := range []struct {
@@ -204,17 +204,13 @@ func TestCheckFailureArms(t *testing.T) {
 
 		{"invalid figure row", &Fig4a{Rows: []Fig4aRow{{Workload: "compress", Valid: true}, {Workload: "mpegaudio"}}},
 			Options{}, "mpegaudio: checksum mismatch"},
-		{"schedulers disagree", &SchedSweep{Rows: []SchedSweepRow{{Workload: "compress", Topology: "ppe:1,spe:6"}}},
-			Options{}, "compress on ppe:1,spe:6: schedulers disagreed"},
-		{"calendar stole", &SchedSweep{Rows: []SchedSweepRow{{Workload: "compress", Topology: "ppe:1,spe:6",
-			Match: true, Calendar: SchedArm{Steals: 3}}}}, Options{}, "the calendar scheduler stole 3 times"},
-		{"invalid serve pass", &ServeSweep{Runs: []ServeRun{{Scheduler: "steal", Shedding: true}}},
-			Options{}, "steal (shedding true)"},
-		{"diverged fastpath cell", &FastPath{Rows: []FastPathRow{{Workload: "compress", Scheduler: "steal"}}},
-			Options{}, "compress/steal: fast and slow runs diverged"},
+		{"invalid serve pass", &ServeSweep{Runs: []ServeRun{{Shedding: true}}},
+			Options{}, "shedding true"},
+		{"diverged fastpath cell", &FastPath{Rows: []FastPathRow{{Workload: "compress"}}},
+			Options{}, "compress: fast and slow runs diverged"},
 		{"clean fastpath cell", fastPathCell(func(*RunStats) {}), Options{}, ""},
 		{"diverged fastpath class vectors", fastPathCell(func(st *RunStats) { st.Accel.Cycles[isa.ClassFloat]-- }),
-			Options{}, "compress/steal: fast and slow runs diverged"},
+			Options{}, "compress: fast and slow runs diverged"},
 	} {
 		err := tc.res.Check(tc.opt)
 		switch {

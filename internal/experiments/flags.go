@@ -11,10 +11,9 @@ import (
 // serve driver and the cluster layer above it on a flag set, filling o
 // as the flags parse — so `herabench` and `herajvm` expose identical
 // -jobs/-cadence/-trace/-seed/-deadline/-maxpending/-workloads/-shards/
-// -stride/-handoff knobs with identical semantics and help text, the
-// way hera.Schedulers() already unifies -sched discovery. Zero values
-// defer to each figure's defaults; a malformed -shards list fails the
-// parse.
+// -stride/-handoff knobs with identical semantics and help text. Zero
+// values defer to each figure's defaults; a malformed -shards list
+// fails the parse.
 func BindServeFlags(fs *flag.FlagSet, o *Options) {
 	fs.IntVar(&o.ServeJobs, "jobs", 0, "serve: number of jobs the arrival trace emits (0 = default)")
 	fs.Uint64Var(&o.ServeCadence, "cadence", 0, "serve: mean inter-arrival gap in cycles (0 = default)")

@@ -14,7 +14,7 @@ import (
 // that core's data cache by a worker that ran (and published) there
 // earlier — dropping the remaining workers' contributions from the
 // checksum. The minimal reproducer is four poisson-spaced serve jobs
-// under the migrate scheduler on the kind-imbalanced serve topology:
+// on the kind-imbalanced serve topology:
 // the mandelbrot main migrates once and, before the fix, returned
 // exactly worker 0's partial sum. Termination's release half (flush
 // the retiring core) is exercised by the same run.
@@ -35,7 +35,6 @@ func TestMigrateJoinCoherence(t *testing.T) {
 	}
 	cfg := vm.DefaultConfig()
 	cfg.Machine.Topology = DefaultServeTopology()
-	cfg.Scheduler = "migrate"
 	sys, err := vm.New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)

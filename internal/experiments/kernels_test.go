@@ -66,7 +66,6 @@ func TestRunKernelsPoolChoice(t *testing.T) {
 // launches open-loop beside the paper workloads with checksums intact.
 func TestServeMixesKernelJobs(t *testing.T) {
 	opt := Options{
-		Scheduler:      "migrate",
 		ServeJobs:      6,
 		ServeWorkloads: []string{"compress", "matmul", "kmeans"},
 	}
@@ -77,7 +76,7 @@ func TestServeMixesKernelJobs(t *testing.T) {
 	kernelJobs := 0
 	for _, r := range s.Runs {
 		if !r.AllValid {
-			t.Errorf("%s shed=%v: a job checksum diverged from its reference", r.Scheduler, r.Shedding)
+			t.Errorf("shed=%v: a job checksum diverged from its reference", r.Shedding)
 		}
 		for _, j := range r.Jobs {
 			if j.Workload == "matmul" || j.Workload == "kmeans" {

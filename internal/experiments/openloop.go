@@ -39,9 +39,9 @@ var serveScales = map[string]int{
 
 // DefaultServeTopology returns the three-kind machine every figure
 // beyond the PS3 shape shares — the serve driver's machine, the default
-// cluster shard, and a row of the topo, sched, fastpath and kernels
-// sweeps: a kind-imbalanced shape whose SPE pool round-robin jobs
-// overload while two VPUs (and the lone PPE between job mains) idle.
+// cluster shard, and a row of the topo, fastpath and kernels sweeps:
+// a kind-imbalanced shape whose SPE pool round-robin jobs overload
+// while two VPUs (and the lone PPE between job mains) idle.
 func DefaultServeTopology() cell.Topology {
 	return cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},
@@ -130,10 +130,9 @@ func (s *Script) valid(i int, res *vm.Result) bool {
 
 // openLoopConfig is the VM configuration of one open-loop machine: the
 // serve figure's System or one cluster shard.
-func openLoopConfig(topo cell.Topology, scheduler string) vm.Config {
+func openLoopConfig(topo cell.Topology) vm.Config {
 	cfg := vm.DefaultConfig()
 	cfg.Machine.Topology = topo
-	cfg.Scheduler = scheduler
 	return cfg
 }
 

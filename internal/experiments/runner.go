@@ -35,13 +35,8 @@ type Options struct {
 	ScaleOverride map[string]int
 	// MaxSPEs bounds the machine (6 on a PS3).
 	MaxSPEs int
-	// Scheduler names the scheduling algorithm every run uses
-	// ("calendar", "steal", "migrate"; "" keeps the default). The sched
-	// and fastpath sweeps ignore it — they compare all three by
-	// construction.
-	Scheduler string
-	// Topologies overrides the machine shapes the topo, sched and
-	// kernels sweeps visit, and its first entry the serve and fastpath
+	// Topologies overrides the machine shapes the topo and kernels
+	// sweeps visit, and its first entry the serve and fastpath
 	// machine (nil keeps each figure's defaults). herabench fills it
 	// from the -topology flag.
 	Topologies []cell.Topology
@@ -146,10 +141,9 @@ type RunStats struct {
 	Checksum int32
 	Valid    bool
 	// All sums every core's counters: StealsIn is the run's same-kind
-	// work steals (nonzero only under "steal" and "migrate"),
-	// MigrationsIn its cross-kind migrations landing on any core —
-	// policy-driven moves plus, under "migrate", the cost-gated moves
-	// the scheduler itself performs. Accel sums the local-store cores
+	// work steals, MigrationsIn its cross-kind migrations landing on any
+	// core — policy-driven moves plus the cost-gated moves the scheduler
+	// itself performs. Accel sums the local-store cores
 	// only (the SPEs on the PS3 shape, plus any VPUs the topology
 	// declares) — the paper's per-SPE cycle shares and cache hit rates.
 	All, Accel profile.CoreStats
@@ -195,8 +189,6 @@ type arm struct {
 	topo  cell.Topology
 	// threads is the benchmark worker count (0 = one per worker core).
 	threads int
-	// sched overrides Options.Scheduler ("" = follow the options).
-	sched string
 	// mutate, when non-nil, edits the VM configuration before boot.
 	mutate func(*vm.Config)
 }
@@ -218,12 +210,6 @@ func run(opt Options, b bench, a arm) (RunStats, error) {
 	}
 	cfg := vm.DefaultConfig()
 	cfg.Machine.Topology = a.topo
-	if opt.Scheduler != "" {
-		cfg.Scheduler = opt.Scheduler
-	}
-	if a.sched != "" {
-		cfg.Scheduler = a.sched
-	}
 	if a.mutate != nil {
 		a.mutate(&cfg)
 	}
@@ -240,7 +226,7 @@ func run(opt Options, b bench, a arm) (RunStats, error) {
 		_, err = job.Wait()
 	}
 	if err != nil {
-		return RunStats{}, fmt.Errorf("%s (%s, sched %s): %w", b.name, a.topo, cfg.Scheduler, err)
+		return RunStats{}, fmt.Errorf("%s (%s): %w", b.name, a.topo, err)
 	}
 	st := collect(machine, job)
 	st.Workload = b.name

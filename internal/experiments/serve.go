@@ -17,10 +17,10 @@ import (
 // from the scheduler's drain estimates. The driver interleaves
 // RunUntil(arrival) with Submit so every verdict is decided against
 // the machine state actually holding at that arrival, then reports the
-// SLO view per scheduler with shedding off and on: p50/p95/p99
-// admission→completion latency, shed count, and goodput (deadline-met
-// jobs per simulated second). The whole matrix replays byte for byte
-// from (trace, seed, jobs, cadence).
+// SLO view with shedding off and on: p50/p95/p99 admission→completion
+// latency, shed count, and goodput (deadline-met jobs per simulated
+// second). Both passes replay byte for byte from (trace, seed, jobs,
+// cadence).
 
 // serveDefaults are the serve figure's script defaults. The deadline is
 // roomy enough that early jobs on an idle machine meet it, tight enough
@@ -48,11 +48,10 @@ type ServeJob struct {
 	*vm.Result
 }
 
-// ServeRun is one (scheduler, shedding) pass over the arrival script.
-// The JSON artifact carries the summary matrix, not per-job rows: its
-// job is trend tracking across commits.
+// ServeRun is one pass over the arrival script, shedding off or on.
+// The JSON artifact carries the summary, not per-job rows: its job is
+// trend tracking across commits.
 type ServeRun struct {
-	Scheduler string `json:"scheduler"`
 	// Shedding reports whether deadline shedding was enabled.
 	Shedding bool `json:"shedding"`
 	SLO
@@ -64,10 +63,9 @@ type ServeRun struct {
 	Steals     uint64 `json:"-"`
 }
 
-// ServeSweep compares the schedulers, shedding off vs on, on one
-// arrival script — the BENCH_serve.json shape (goodput and latency
-// percentiles per scheduler × shedding run, plus the arrival-script
-// parameters that name the run).
+// ServeSweep compares shedding off vs on over one arrival script — the
+// BENCH_serve.json shape (goodput and latency percentiles per run, plus
+// the arrival-script parameters that name the run).
 type ServeSweep struct {
 	Topology string `json:"topology"`
 	Script
@@ -77,7 +75,7 @@ type ServeSweep struct {
 }
 
 // RunServe executes the open-loop driver: resolve the arrival script,
-// then for each scheduler × shedding {off, on}, boot one VM, drive the
+// then for shedding off and on, boot one VM, drive the
 // machine to each arrival before submitting (so admission verdicts see
 // real machine state), drain, and report the SLO view. The script is
 // identical across runs, and each run is deterministic — replaying the
@@ -89,28 +87,22 @@ func RunServe(opt Options) (*ServeSweep, error) {
 	}
 	maxPending := cmp.Or(opt.ServeMaxPending, defaultServeMaxPending)
 	topo := opt.topologies(DefaultServeTopology())[0]
-	names := schedulers
-	if opt.Scheduler != "" {
-		names = []string{opt.Scheduler}
-	}
 	out := &ServeSweep{Topology: topo.String(), Script: *script, MaxPending: maxPending}
-	for _, name := range names {
-		for _, shed := range []bool{false, true} {
-			if err := opt.interrupted(); err != nil {
-				return nil, err
-			}
-			cfg := openLoopConfig(topo, name)
-			if shed {
-				cfg.Admission = vm.AdmissionConfig{MaxPending: maxPending, Shed: true}
-			}
-			run, err := runServeOnce(cfg, script)
-			if err != nil {
-				return nil, fmt.Errorf("serve %s: %w", name, err)
-			}
-			opt.logf("serve %s shed=%v on %s: %d jobs, %d shed, goodput=%.2f/s p99=%d",
-				name, shed, topo, script.NumJobs, run.Shed, run.Goodput, run.P99)
-			out.Runs = append(out.Runs, run)
+	for _, shed := range []bool{false, true} {
+		if err := opt.interrupted(); err != nil {
+			return nil, err
 		}
+		cfg := openLoopConfig(topo)
+		if shed {
+			cfg.Admission = vm.AdmissionConfig{MaxPending: maxPending, Shed: true}
+		}
+		run, err := runServeOnce(cfg, script)
+		if err != nil {
+			return nil, fmt.Errorf("serve shed=%v: %w", shed, err)
+		}
+		opt.logf("serve shed=%v on %s: %d jobs, %d shed, goodput=%.2f/s p99=%d",
+			shed, topo, script.NumJobs, run.Shed, run.Goodput, run.P99)
+		out.Runs = append(out.Runs, run)
 	}
 	return out, nil
 }
@@ -144,7 +136,7 @@ func runServeOnce(cfg vm.Config, script *Script) (ServeRun, error) {
 		return ServeRun{}, err
 	}
 
-	run := ServeRun{Scheduler: cfg.Scheduler, Shedding: cfg.Admission.Shed}
+	run := ServeRun{Shedding: cfg.Admission.Shed}
 	results, valid := make([]*vm.Result, len(jobs)), make([]bool, len(jobs))
 	for i, job := range jobs {
 		res, err := job.Wait() // already done: returns without driving
@@ -166,30 +158,30 @@ func (s *ServeSweep) Check(Options) error {
 	var problems []string
 	for _, r := range s.Runs {
 		if !r.AllValid {
-			problems = append(problems, fmt.Sprintf("%s (shedding %v): a completed job's checksum diverged from its reference",
-				r.Scheduler, r.Shedding))
+			problems = append(problems, fmt.Sprintf("shedding %v: a completed job's checksum diverged from its reference",
+				r.Shedding))
 		}
 	}
 	return gateError("serve", problems)
 }
 
-// Table renders the sweep as text: one summary row per (scheduler,
-// shedding) run, then per-job accounting for the final run when the
-// script is small enough to print.
+// Table renders the sweep as text: one summary row per run, then
+// per-job accounting for the final run when the script is small enough
+// to print.
 func (s *ServeSweep) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Serve: %d jobs, %s trace (seed %d), mean gap %d cycles, deadline %d, topology %s\n",
 		s.NumJobs, s.Trace, s.Seed, s.Cadence, s.Deadline, s.Topology)
-	fmt.Fprintf(&b, "%-10s %5s %5s %4s %4s %10s %12s %12s %12s %8s %6s\n",
-		"scheduler", "shed?", "done", "shed", "met", "goodput/s", "p50", "p95", "p99", "steals", "valid")
+	fmt.Fprintf(&b, "%5s %5s %4s %4s %10s %12s %12s %12s %8s %6s\n",
+		"shed?", "done", "shed", "met", "goodput/s", "p50", "p95", "p99", "steals", "valid")
 	for _, r := range s.Runs {
-		fmt.Fprintf(&b, "%-10s %5v %5d %4d %4d %10.2f %12d %12d %12d %8d %6v\n",
-			r.Scheduler, r.Shedding, r.Completed, r.Shed, r.Met, r.Goodput,
+		fmt.Fprintf(&b, "%5v %5d %4d %4d %10.2f %12d %12d %12d %8d %6v\n",
+			r.Shedding, r.Completed, r.Shed, r.Met, r.Goodput,
 			r.P50, r.P95, r.P99, r.Steals, r.AllValid)
 	}
 	last := s.Runs[len(s.Runs)-1]
 	if len(last.Jobs) <= servePerJobMax {
-		fmt.Fprintf(&b, "per-job (%s, shed=%v):\n", last.Scheduler, last.Shedding)
+		fmt.Fprintf(&b, "per-job (shed=%v):\n", last.Shedding)
 		fmt.Fprintf(&b, "%4s %-12s %12s %-9s %12s %5s %5s %7s %6s %6s\n",
 			"job", "workload", "arrival", "verdict", "latency", "met", "mig", "steals", "gc", "valid")
 		for i, j := range last.Jobs {

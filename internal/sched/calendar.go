@@ -152,16 +152,12 @@ func (c *coreCalendar) pop(now cell.Clock) Task {
 }
 
 // Calendar is the scheduler: the event calendars above, plus the two
-// optional balancing passes New switches on by name.
+// balancing passes every pick runs first.
 type Calendar struct {
-	name  string
 	cores []*cell.Core
 	cals  []coreCalendar // indexed by Core.Index
 	seq   uint64         // global enqueue sequence (tie-break)
 	opt   Options
-	// steals and migrates enable the same-kind steal pass (steal.go) and
-	// the cross-kind migration pass (migrate.go) before every pick.
-	steals, migrates bool
 	// waits is readyByWait's result buffer, reused across calls.
 	waits []readyWait
 }
@@ -170,19 +166,18 @@ type Calendar struct {
 // queued on (no Pinned hook means nothing is pinned).
 func (s *Calendar) isPinned(t Task) bool { return s.opt.Pinned != nil && s.opt.Pinned(t) }
 
-// Name implements Scheduler.
-func (s *Calendar) Name() string { return s.name }
-
-// Enqueue implements Scheduler.
+// Enqueue queues task on core; it becomes runnable at readyAt.
 func (s *Calendar) Enqueue(core *cell.Core, task Task, readyAt cell.Clock) {
 	s.seq++
 	s.cals[core.Index].push(task, readyAt, s.seq, core.Now)
 }
 
-// Load implements Scheduler.
+// Load reports how many tasks are queued on the core with the given
+// global index — the raw queue-depth balance metric.
 func (s *Calendar) Load(coreIndex int) int { return s.cals[coreIndex].length() }
 
-// DrainEstimate implements Scheduler: the core's clock plus the
+// DrainEstimate predicts when the core with the given global index
+// would finish the work already queued on it: the core's clock plus the
 // predicted cost of everything queued on it, ready and future alike.
 // This is deliberately a *load index* for placement, not a literal
 // completion time: a future task is charged its service cost but not
@@ -209,17 +204,17 @@ func (s *Calendar) DrainEstimate(coreIndex int) cell.Clock {
 	return d
 }
 
-// PickNext runs the enabled balancing passes — same-kind steals first
-// (they are cheaper: no recompilation, no ISA change), then cross-kind
+// PickNext runs the balancing passes — same-kind steals first (they
+// are cheaper: no recompilation, no ISA change), then cross-kind
 // migration for the cores stealing left without feasible work — and
-// selects the (core, task) pair with the earliest feasible start time
-// by comparing per-core calendar heads: earliest start wins, ties go to
-// the lowest core index, and within a core to enqueue order.
+// removes and returns the (core, task) pair with the earliest feasible
+// start time by comparing per-core calendar heads: earliest start wins,
+// ties go to the lowest core index, and within a core to enqueue order.
+// (nil, nil) means nothing is queued anywhere (the caller's deadlock
+// signal).
 func (s *Calendar) PickNext() (*cell.Core, Task) {
-	if s.steals {
+	if s.loaded() {
 		s.stealPass()
-	}
-	if s.migrates {
 		s.migratePass()
 	}
 	var bestCore *cell.Core
@@ -236,15 +231,29 @@ func (s *Calendar) PickNext() (*cell.Core, Task) {
 	return bestCore, s.cals[bestCore.Index].pop(bestCore.Now)
 }
 
-// NoteMigration implements Scheduler: charge the migration to both
-// cores' counters.
+// loaded reports whether any core holds more than one task: without
+// one there is no victim (pickLoadedVictim), and both balancing passes
+// would move nothing.
+func (s *Calendar) loaded() bool {
+	for i := range s.cals {
+		if s.cals[i].length() > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// NoteMigration records a thread migration between cores: it bumps the
+// cores' MigrationsOut/MigrationsIn counters.
 func (s *Calendar) NoteMigration(from, to *cell.Core) {
 	from.Stats.MigrationsOut++
 	to.Stats.MigrationsIn++
 }
 
-// Remove implements Scheduler: delete task from the core's calendar,
-// ready or future, reporting whether it was found. calHeap.remove
+// Remove deletes task from the core's calendar, ready or future, and
+// reports whether it was found. The VM uses it when a job is frozen for
+// hand-off: the job's parked threads leave the machine without being
+// scheduled. calHeap.remove
 // restores the heap invariant, and ordering among the survivors is
 // untouched because it derives entirely from the immutable (at, seq)
 // keys. Freezes are rare, so the linear scan is fine — the same trade

@@ -59,48 +59,44 @@ func TestCalHeapKeepsOrder(t *testing.T) {
 // size, an Enqueue+PickNext cycle — steal and migrate passes included —
 // and a readyByWait scan allocate nothing.
 func TestSchedulingAllocatesNothing(t *testing.T) {
-	for _, name := range Names() {
-		cores := mkCores(isa.PPE, isa.SPE, isa.SPE)
-		opt, _ := migrateOpts(1000, 0, 200)
-		s, err := New(name, cores, opt)
-		if err != nil {
-			t.Fatal(err)
+	cores := mkCores(isa.PPE, isa.SPE, isa.SPE)
+	opt, _ := migrateOpts(1000, 0, 200)
+	s, err := New("", cores, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		s.Enqueue(cores[1], &struct{ i int }{i}, 0)
+	}
+	// Every task goes back on the first SPE, so the other two cores
+	// keep stealing or migrating from it.
+	cycle := func() {
+		core, task := s.PickNext()
+		core.Now += 1000
+		s.Enqueue(cores[1], task, core.Now)
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	moved := func() (n uint64) {
+		for _, c := range cores {
+			n += c.Stats.StealsIn + c.Stats.MigrationsIn
 		}
-		for i := 0; i < 8; i++ {
-			s.Enqueue(cores[1], &struct{ i int }{i}, 0)
-		}
-		// Every task goes back on the first SPE, so the other two cores
-		// keep stealing or migrating from it.
-		cycle := func() {
-			core, task := s.PickNext()
-			core.Now += 1000
-			s.Enqueue(cores[1], task, core.Now)
-		}
-		for i := 0; i < 1000; i++ {
-			cycle()
-		}
-		moved := func() (n uint64) {
-			for _, c := range cores {
-				n += c.Stats.StealsIn + c.Stats.MigrationsIn
-			}
-			return n
-		}
-		before := moved()
-		if got := testing.AllocsPerRun(1000, cycle); got != 0 {
-			t.Errorf("%s: Enqueue+PickNext allocates %v per cycle, want 0", name, got)
-		}
-		if name != "calendar" && moved() == before {
-			t.Errorf("%s: no task moved while measured, so the balancing passes went unmeasured", name)
-		}
+		return n
+	}
+	before := moved()
+	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+		t.Errorf("Enqueue+PickNext allocates %v per cycle, want 0", got)
+	}
+	if moved() == before {
+		t.Error("no task moved while measured, so the balancing passes went unmeasured")
 	}
 
-	cores := mkCores(isa.SPE)
-	opt, _ := migrateOpts(1000, 0, 200)
-	s, _ := New("migrate", cores, opt)
+	cores = mkCores(isa.SPE)
+	cal, _ := New("", cores, opt)
 	for i := 0; i < 8; i++ {
-		s.Enqueue(cores[0], &struct{ i int }{i}, 0)
+		cal.Enqueue(cores[0], &struct{ i int }{i}, 0)
 	}
-	cal := s.(*Calendar)
 	scan := func() {
 		if len(cal.readyByWait(0, cores[0].Now)) != 8 {
 			t.Fatal("the scan lost a ready task")

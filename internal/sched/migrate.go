@@ -61,6 +61,9 @@ import "herajvm/internal/cell"
 // thief that already has queued work (a pending steal, a future
 // sleeper) from migrating anything that would start no earlier.
 func (s *Calendar) migratePass() {
+	if s.opt.CostOf == nil || s.opt.RecompileCost == nil || s.opt.OnMigrate == nil {
+		return // cross-kind migration needs all three hooks
+	}
 	for _, thief := range s.cores {
 		if s.readyCount(thief.Index, thief.Now) != 0 {
 			// Runnable work now: nothing migrated could start earlier.

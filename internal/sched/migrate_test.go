@@ -45,7 +45,7 @@ func TestMigrateFiresWhenGateWins(t *testing.T) {
 	cores := mkCores(isa.PPE, isa.SPE)
 	ppe, spe := cores[0], cores[1]
 	opt, seen := migrateOpts(1000, 500, 200)
-	s, err := New("migrate", cores, opt)
+	s, err := New("", cores, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMigrateNeverFiresWhenGateLoses(t *testing.T) {
 			cores := mkCores(isa.PPE, isa.SPE)
 			spe := cores[1]
 			opt, seen := migrateOpts(tc.service, tc.recompile, tc.penalty)
-			s, err := New("migrate", cores, opt)
+			s, err := New("", cores, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestMigrateNeverRewindsVictimClock(t *testing.T) {
 	spe := cores[1]
 	spe.Now = 50_000
 	opt, seen := migrateOpts(1000, 0, 100)
-	s, _ := New("migrate", cores, opt)
+	s, _ := New("", cores, opt)
 	for i := 0; i < 4; i++ {
 		s.Enqueue(spe, &struct{ i int }{i}, 0)
 	}
@@ -147,7 +147,7 @@ func TestMigratePrefersSameKindSteal(t *testing.T) {
 	spe0 := cores[0]
 	opt, seen := migrateOpts(1000, 0, 0)
 	opt.StealCycles = 10
-	s, _ := New("migrate", cores, opt)
+	s, _ := New("", cores, opt)
 	for i := 0; i < 4; i++ {
 		s.Enqueue(spe0, &struct{ i int }{i}, 0)
 	}
@@ -173,7 +173,7 @@ func TestMigrateVetoLeavesQueueIntact(t *testing.T) {
 	opt.OnMigrate = func(Task, *cell.Core, *cell.Core, cell.Clock) (cell.Clock, bool) {
 		return 0, false
 	}
-	s, _ := New("migrate", cores, opt)
+	s, _ := New("", cores, opt)
 	for i := 0; i < 4; i++ {
 		s.Enqueue(spe, &struct{ i int }{i}, 0)
 	}
@@ -186,25 +186,22 @@ func TestMigrateVetoLeavesQueueIntact(t *testing.T) {
 	}
 }
 
-// TestMigrateDisabledWithoutHooks: with no cost hooks the migrate
-// scheduler degenerates to plain same-kind stealing — cross-kind
-// queues are never touched.
+// TestMigrateDisabledWithoutHooks: with no cost hooks the scheduler
+// degenerates to plain same-kind stealing — cross-kind queues are never
+// touched.
 func TestMigrateDisabledWithoutHooks(t *testing.T) {
 	cores := mkCores(isa.PPE, isa.SPE)
 	spe := cores[1]
-	s, err := New("migrate", cores, Options{MigrateCycles: 100})
+	s, err := New("", cores, Options{MigrateCycles: 100})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Name() != "migrate" {
-		t.Fatalf("Name() = %q", s.Name())
 	}
 	for i := 0; i < 5; i++ {
 		s.Enqueue(spe, &struct{ i int }{i}, 0)
 	}
 	s.PickNext()
 	if cores[0].Stats.MigrationsIn != 0 {
-		t.Error("hookless migrate scheduler migrated")
+		t.Error("hookless scheduler migrated")
 	}
 }
 
@@ -215,7 +212,7 @@ func TestDrainEstimate(t *testing.T) {
 	cores := mkCores(isa.SPE)
 	spe := cores[0]
 	spe.Now = 700
-	bare, _ := New("calendar", cores, Options{})
+	bare, _ := New("", cores, Options{})
 	bare.Enqueue(spe, &struct{}{}, 0)
 	if got := bare.DrainEstimate(spe.Index); got != 700 {
 		t.Errorf("bare DrainEstimate = %d, want the clock 700", got)
@@ -224,7 +221,7 @@ func TestDrainEstimate(t *testing.T) {
 	cores2 := mkCores(isa.SPE)
 	spe2 := cores2[0]
 	spe2.Now = 700
-	s, _ := New("calendar", cores2, Options{
+	s, _ := New("", cores2, Options{
 		CostOf: func(Task, *cell.Core) uint64 { return 400 },
 	})
 	s.Enqueue(spe2, &struct{ a int }{}, 0)    // ready

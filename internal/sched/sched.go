@@ -1,33 +1,33 @@
-// Package sched is Hera-JVM's pluggable scheduling subsystem. The VM
-// drives the whole machine through the small Scheduler interface below;
-// the concrete algorithm — which core runs which queued thread next —
-// is one type, Calendar, whose two balancing passes a name switches on
-// (New), so the calendar/steal/migrate ablation is a configuration
-// sweep over one scheduler:
+// Package sched is Hera-JVM's scheduler: which core runs which queued
+// thread next. The VM owns how threads map onto cores (the program
+// never picks a policy), and there is one policy, Calendar:
 //
-//   - "calendar" (the default): one per-core event calendar, picking the
-//     machine-wide earliest feasible (core, thread) pair with fully
-//     deterministic tie-breaking. See calendar.go.
-//   - "steal": plus the same-kind steal pass — a core whose calendar
-//     has no work deterministically steals the oldest ready thread from
-//     its most-loaded same-kind sibling. See steal.go.
-//   - "migrate": plus the cost-gated cross-kind migration pass — an
-//     idle core of one kind takes the longest-queued thread of an
-//     overloaded core of another kind when landing it (migration
-//     penalty + recompilation + one predicted service round) beats the
-//     thread's predicted start time where it is. See migrate.go.
+//   - one event calendar per core, picking the machine-wide earliest
+//     feasible (core, thread) pair with fully deterministic
+//     tie-breaking (calendar.go);
+//   - before every pick, a same-kind steal pass: a core with no
+//     runnable work takes the oldest ready thread of its most-loaded
+//     same-kind sibling (steal.go);
+//   - then a cost-gated cross-kind migration pass: an idle core of one
+//     kind takes the longest-queued thread of an overloaded core of
+//     another kind when landing it (migration penalty + recompilation +
+//     one predicted service round) beats the thread's predicted start
+//     where it is (migrate.go). It needs all three of Options.CostOf,
+//     Options.RecompileCost and Options.OnMigrate; with any of them nil
+//     the policy only steals.
 //
 // The package deliberately knows nothing about threads: tasks are
-// opaque, and everything the algorithms need (the owning core, the
-// ready time, per-core clocks, statistics, per-kind cost predictions)
-// arrives through the interface parameters, the Options hooks and the
-// cell.Core values the scheduler is constructed over. See
-// docs/ARCHITECTURE.md for the interface contract the scheduler honours
-// (determinism, clock monotonicity, cache visibility).
+// opaque, and everything the policy needs (the owning core, the ready
+// time, per-core clocks, statistics, per-kind cost predictions) arrives
+// through the method parameters, the Options hooks and the cell.Core
+// values the scheduler is constructed over. See docs/ARCHITECTURE.md
+// for the contract the scheduler honours (determinism, clock
+// monotonicity, cache visibility).
 package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"herajvm/internal/cell"
@@ -38,13 +38,13 @@ import (
 // the owner through Options.OnSteal.
 type Task = any
 
-// Options configures a scheduler instance. Schedulers ignore the fields
-// they have no use for.
+// Options configures the scheduler: its two penalties and the hooks
+// through which it asks the VM for prices and hands moved tasks back.
 type Options struct {
-	// StealCycles is the penalty a work-stealing scheduler charges per
-	// steal: the stolen task starts on the thief no earlier than the
-	// thief's clock plus StealCycles (the cost of pulling the thread's
-	// context across the bus).
+	// StealCycles is the penalty the steal pass charges per steal: the
+	// stolen task starts on the thief no earlier than the thief's clock
+	// plus StealCycles (the cost of pulling the thread's context across
+	// the bus).
 	StealCycles uint64
 
 	// OnSteal, when non-nil, is invoked once per steal before the task
@@ -54,7 +54,7 @@ type Options struct {
 	// queued at.
 	OnSteal func(task Task, from, to *cell.Core, readyAt cell.Clock) cell.Clock
 
-	// MigrateCycles is the penalty the "migrate" scheduler charges per
+	// MigrateCycles is the penalty the migration pass charges per
 	// cross-kind migration before recompilation: packaging the thread's
 	// frames and moving them to a core with a different ISA and memory
 	// model.
@@ -63,7 +63,7 @@ type Options struct {
 	// CostOf, when non-nil, predicts the cycles one queued task will
 	// consume per scheduling round on the given core (the VM supplies
 	// the scheduling quantum scaled by the kind's migration affinity).
-	// It feeds DrainEstimate and the migrate scheduler's cost gate; nil
+	// It feeds DrainEstimate and the migration pass's cost gate; nil
 	// degrades DrainEstimate to the bare core clock and disables
 	// cross-kind migration.
 	CostOf func(task Task, core *cell.Core) uint64
@@ -94,47 +94,6 @@ type Options struct {
 	OnMigrate func(task Task, from, to *cell.Core, readyAt cell.Clock) (at cell.Clock, ok bool)
 }
 
-// Scheduler decides which queued task each core runs next. One instance
-// drives one machine; implementations must be deterministic — two runs
-// of the same program must make identical decisions.
-type Scheduler interface {
-	// Enqueue queues task on core; it becomes runnable at readyAt.
-	Enqueue(core *cell.Core, task Task, readyAt cell.Clock)
-
-	// PickNext removes and returns the machine-wide next task and the
-	// core it runs on, or (nil, nil) when nothing is queued anywhere
-	// (the caller's deadlock signal).
-	PickNext() (*cell.Core, Task)
-
-	// Load reports how many tasks are queued on the core with the given
-	// global index — the raw queue-depth balance metric.
-	Load(coreIndex int) int
-
-	// DrainEstimate predicts when the core with the given global index
-	// would finish the work already queued on it: the core's clock plus
-	// the Options.CostOf-predicted cost of every queued task (the bare
-	// clock when no CostOf hook was configured). Placement weights
-	// candidate cores by it — queue depth times mean predicted per-task
-	// cost, plus core clock skew — so less imbalance is created for the
-	// stealing/migrating schedulers to repair.
-	DrainEstimate(coreIndex int) cell.Clock
-
-	// NoteMigration records a thread migration between cores (the
-	// cross-kind migration accounting hook: it bumps the cores'
-	// MigrationsOut/MigrationsIn counters).
-	NoteMigration(from, to *cell.Core)
-
-	// Remove deletes task from the core's queue wherever it sits (ready
-	// or future) and reports whether it was found. The VM uses it when a
-	// job is frozen for hand-off: the job's parked threads must leave
-	// the machine without being scheduled. Removal must not disturb the
-	// ordering of the remaining entries.
-	Remove(core *cell.Core, task Task) bool
-
-	// Name returns the name the scheduler was built under.
-	Name() string
-}
-
 // BestCore returns the position (within cores) of the core with the
 // smallest DrainEstimate, breaking ties by Load and then by position,
 // plus that estimate. This is the one drain-ranking both consumers of
@@ -145,7 +104,7 @@ type Scheduler interface {
 // never disagree about where the work would go. cores must be
 // non-empty; it need not cover the whole machine (callers pass one
 // kind's pool).
-func BestCore(s Scheduler, cores []*cell.Core) (pos int, drain cell.Clock) {
+func BestCore(s *Calendar, cores []*cell.Core) (pos int, drain cell.Clock) {
 	pos = 0
 	drain = s.DrainEstimate(cores[0].Index)
 	bestLoad := s.Load(cores[0].Index)
@@ -159,34 +118,21 @@ func BestCore(s Scheduler, cores []*cell.Core) (pos int, drain cell.Clock) {
 	return pos, drain
 }
 
-// DefaultName is the scheduler an empty selection resolves to.
-const DefaultName = "calendar"
-
 // Names lists the scheduler names New accepts, sorted.
+//
+// Deprecated: a benchmark shim. Every name builds the one scheduler;
+// ROADMAP item 11 deletes the shim along with Config.Scheduler.
 func Names() []string { return []string{"calendar", "migrate", "steal"} }
 
-// New builds the named scheduler over the machine's cores ("" selects
-// DefaultName; names are case-insensitive). The slice must be in
-// topology order with cores[i].Index == i (cell.Machine.Cores() provides
-// exactly that). The name only chooses which balancing passes run
-// before every pick. Cross-kind migration also needs all three of
-// Options.CostOf, Options.RecompileCost and Options.OnMigrate; leaving
-// any nil reduces "migrate" to plain same-kind stealing.
-func New(name string, cores []*cell.Core, opt Options) (Scheduler, error) {
-	if name == "" {
-		name = DefaultName
-	}
-	s := &Calendar{name: strings.ToLower(name), cores: cores, cals: make([]coreCalendar, len(cores)), opt: opt}
-	switch s.name {
-	case "calendar":
-	case "migrate":
-		s.migrates = opt.CostOf != nil && opt.RecompileCost != nil && opt.OnMigrate != nil
-		fallthrough
-	case "steal":
-		s.steals = true
-	default:
+// New builds the scheduler over the machine's cores. The slice must be
+// in topology order with cores[i].Index == i (cell.Machine.Cores()
+// provides exactly that). name is a benchmark shim: "" and every entry
+// of Names (case-insensitive) build the same scheduler, and any other
+// name is an error. ROADMAP item 11 deletes the parameter.
+func New(name string, cores []*cell.Core, opt Options) (*Calendar, error) {
+	if name != "" && !slices.Contains(Names(), strings.ToLower(name)) {
 		return nil, fmt.Errorf("sched: unknown scheduler %q (want %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return s, nil
+	return &Calendar{cores: cores, cals: make([]coreCalendar, len(cores)), opt: opt}, nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -8,7 +9,7 @@ import (
 )
 
 // mkCores builds synthetic cores (topology order, Index == position)
-// for driving the schedulers without a machine.
+// for driving the scheduler without a machine.
 func mkCores(kinds ...isa.CoreKind) []*cell.Core {
 	perKind := map[isa.CoreKind]int{}
 	out := make([]*cell.Core, len(kinds))
@@ -19,43 +20,45 @@ func mkCores(kinds ...isa.CoreKind) []*cell.Core {
 	return out
 }
 
+// TestRegistry holds the deprecated name shim: "" and every legacy
+// name, in any case, build the one scheduler, and anything else is
+// refused.
 func TestRegistry(t *testing.T) {
 	names := Names()
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-	}
-	if !seen["calendar"] || !seen["steal"] || !seen["migrate"] {
-		t.Fatalf("registry missing built-ins: %v", names)
+	if !slices.Equal(names, []string{"calendar", "migrate", "steal"}) {
+		t.Fatalf("Names() = %v, want the three legacy names", names)
 	}
 	cores := mkCores(isa.PPE)
-	s, err := New("", cores, Options{})
-	if err != nil || s.Name() != DefaultName {
-		t.Errorf("New(\"\") = %v, %v; want the %q scheduler", s, err, DefaultName)
-	}
-	if s, err := New("STEAL", cores, Options{}); err != nil || s.Name() != "steal" {
-		t.Errorf("scheduler names should be case-insensitive: %v, %v", s, err)
+	for _, n := range append(names, "", "STEAL") {
+		if s, err := New(n, cores, Options{}); err != nil || s == nil {
+			t.Errorf("New(%q) = %v, %v; want the scheduler", n, s, err)
+		}
 	}
 	if _, err := New("nope", cores, Options{}); err == nil {
 		t.Error("unknown scheduler name should error")
 	}
-	for _, n := range names {
-		if s, err := New(n, cores, Options{}); err != nil || s.Name() != n {
-			t.Errorf("New(%q) = %v, %v; want a scheduler reporting its own name", n, s, err)
-		}
-	}
 }
 
-// TestCalendarNeverBalances: the name alone enables the balancing
-// passes. On the imbalance the steal and migrate tests fire on — three
-// ready tasks on one SPE beside an idle sibling and an idle PPE, every
-// migration hook wired and the gate winning — a "calendar" instance
-// moves nothing, while "steal" steals and "migrate" also migrates.
+// TestCalendarNeverBalances: hooks and pins alone decide what the
+// balancing passes may move. On the imbalance the steal and migrate
+// tests fire on — four ready tasks on one SPE beside an idle sibling
+// and an idle PPE, the gate winning — pinned tasks move nowhere,
+// hookless ones are only stolen, and with every hook wired one is
+// stolen and one migrated.
 func TestCalendarNeverBalances(t *testing.T) {
-	for name, want := range map[string][2]uint64{"calendar": {0, 0}, "steal": {1, 0}, "migrate": {1, 1}} {
+	hooked, _ := migrateOpts(1000, 0, 200)
+	pinned := hooked
+	pinned.Pinned = func(Task) bool { return true }
+	for name, tc := range map[string]struct {
+		opt  Options
+		want [2]uint64
+	}{
+		"pinned":   {pinned, [2]uint64{0, 0}},
+		"hookless": {Options{StealCycles: hooked.StealCycles}, [2]uint64{1, 0}},
+		"hooked":   {hooked, [2]uint64{1, 1}},
+	} {
 		cores := mkCores(isa.PPE, isa.SPE, isa.SPE)
-		opt, _ := migrateOpts(1000, 0, 200)
-		s, err := New(name, cores, opt)
+		s, err := New("", cores, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +69,8 @@ func TestCalendarNeverBalances(t *testing.T) {
 			t.Errorf("%s: first pick on %v, want the loaded SPE", name, core)
 		}
 		got := [2]uint64{cores[2].Stats.StealsIn, cores[0].Stats.MigrationsIn}
-		if got != want {
-			t.Errorf("%s: steals/migrations = %v, want %v", name, got, want)
+		if got != tc.want {
+			t.Errorf("%s: steals/migrations = %v, want %v", name, got, tc.want)
 		}
 	}
 }
@@ -129,7 +132,7 @@ func TestStealFiresOnIdleSameKindSibling(t *testing.T) {
 	var hookTask Task
 	var hookFrom, hookTo *cell.Core
 	var hookAt cell.Clock
-	s, err := New("steal", cores, Options{
+	s, err := New("", cores, Options{
 		StealCycles: 250,
 		OnSteal: func(task Task, from, to *cell.Core, at cell.Clock) cell.Clock {
 			hookTask, hookFrom, hookTo, hookAt = task, from, to, at
@@ -171,7 +174,7 @@ func TestStealFiresOnIdleSameKindSibling(t *testing.T) {
 func TestStealNeverCrossesKinds(t *testing.T) {
 	cores := mkCores(isa.PPE, isa.SPE, isa.VPU)
 	spe0 := cores[1]
-	s, err := New("steal", cores, Options{StealCycles: 100})
+	s, err := New("", cores, Options{StealCycles: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestStealNeverCrossesKinds(t *testing.T) {
 func TestStealPicksMostLoadedVictimLowestIndexTie(t *testing.T) {
 	cores := mkCores(isa.PPE, isa.SPE, isa.SPE, isa.SPE)
 	spe0, spe1, spe2 := cores[1], cores[2], cores[3]
-	s, _ := New("steal", cores, Options{StealCycles: 10})
+	s, _ := New("", cores, Options{StealCycles: 10})
 	for i := 0; i < 2; i++ {
 		s.Enqueue(spe0, &struct{ i int }{i}, 0)
 	}
@@ -211,7 +214,7 @@ func TestStealPicksMostLoadedVictimLowestIndexTie(t *testing.T) {
 
 	// Equal loads: the lowest-index victim is chosen.
 	cores2 := mkCores(isa.SPE, isa.SPE, isa.SPE)
-	s2, _ := New("steal", cores2, Options{})
+	s2, _ := New("", cores2, Options{})
 	for i := 0; i < 2; i++ {
 		s2.Enqueue(cores2[0], &struct{ i int }{i}, 0)
 		s2.Enqueue(cores2[1], &struct{ i int }{10 + i}, 0)
@@ -225,7 +228,7 @@ func TestStealPicksMostLoadedVictimLowestIndexTie(t *testing.T) {
 
 func TestStealLeavesLoneAndFutureWorkAlone(t *testing.T) {
 	cores := mkCores(isa.SPE, isa.SPE)
-	s, _ := New("steal", cores, Options{StealCycles: 10})
+	s, _ := New("", cores, Options{StealCycles: 10})
 
 	// A lone queued task is never handed off.
 	s.Enqueue(cores[0], &struct{}{}, 0)
@@ -250,7 +253,7 @@ func TestStealLeavesLoneAndFutureWorkAlone(t *testing.T) {
 // sibling.
 func TestStealByFutureOnlyThief(t *testing.T) {
 	cores := mkCores(isa.SPE, isa.SPE)
-	s, _ := New("steal", cores, Options{StealCycles: 10})
+	s, _ := New("", cores, Options{StealCycles: 10})
 	s.Enqueue(cores[1], &struct{}{}, 1_000_000) // far-future sleeper
 	s.Enqueue(cores[0], &struct{ a int }{1}, 0)
 	s.Enqueue(cores[0], &struct{ a int }{2}, 0)
@@ -266,7 +269,7 @@ func TestStealByFutureOnlyThief(t *testing.T) {
 // instead of hoarding the victim's queue.
 func TestStealTakesOneTaskAtATime(t *testing.T) {
 	cores := mkCores(isa.SPE, isa.SPE)
-	s, _ := New("steal", cores, Options{StealCycles: 10})
+	s, _ := New("", cores, Options{StealCycles: 10})
 	for i := 0; i < 6; i++ {
 		s.Enqueue(cores[0], &struct{ i int }{i}, 0)
 	}
@@ -287,7 +290,7 @@ func TestPinnedTasksAreNeverStolen(t *testing.T) {
 	victim, thief := cores[0], cores[1]
 	type task struct{ pinned bool }
 	p1, p2, p3 := &task{true}, &task{true}, &task{true}
-	s, _ := New("steal", cores, Options{
+	s, _ := New("", cores, Options{
 		StealCycles: 10,
 		Pinned:      func(x Task) bool { return x.(*task).pinned },
 	})
@@ -305,7 +308,7 @@ func TestPinnedTasksAreNeverStolen(t *testing.T) {
 	free := &task{false}
 	s.Enqueue(victim, free, 0)
 	var stolen Task
-	s2, _ := New("steal", cores, Options{
+	s2, _ := New("", cores, Options{
 		StealCycles: 10,
 		Pinned:      func(x Task) bool { return x.(*task).pinned },
 		OnSteal: func(x Task, _, _ *cell.Core, at cell.Clock) cell.Clock {
@@ -331,7 +334,7 @@ func TestStealNeverRewindsVictimClock(t *testing.T) {
 	victim.Now = 60_000
 	thief.Now = 100 // lagging sibling, long idle
 	var gotAt cell.Clock
-	s, _ := New("steal", cores, Options{
+	s, _ := New("", cores, Options{
 		StealCycles: 10,
 		OnSteal: func(_ Task, _, _ *cell.Core, at cell.Clock) cell.Clock {
 			gotAt = at

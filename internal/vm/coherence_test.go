@@ -13,8 +13,9 @@ import (
 // (coherence.go): every edge constant is named by at least one row,
 // each a guest placed so its edges have a local-store core on at least
 // one side and whose result is wrong if an edge's release or acquire is
-// missing. Every row runs under every scheduler and must both produce
-// the value and have crossed the edges it names. A constant without a
+// missing. Every row runs once per legacy scheduler name (each boots
+// the one scheduler) and must both produce the value and have crossed
+// the edges it names. A constant without a
 // row fails the test, so a new edge cannot land untested.
 func TestMemoryModelEdges(t *testing.T) {
 	onSPEs := func(cfg *Config) { cfg.Policy = FixedPolicy{Kind: isa.SPE} }

@@ -8,7 +8,7 @@ import (
 
 // churnMigrations submits four staggered compute-bound jobs (see
 // migrate_test.go's worker program) to one booted VM on the three-kind
-// single-core-per-kind machine under -sched migrate — the oscillating
+// single-core-per-kind machine — the oscillating
 // load shape: each arriving job re-floods the SPE while earlier jobs
 // drain, so the imbalance keeps reversing. It returns the largest
 // per-thread migration count and how many threads migrated more than

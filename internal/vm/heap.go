@@ -3,7 +3,7 @@
 // collector (which runs only on the service core, as in the paper's
 // evaluation configuration), green Java threads placed onto the
 // machine's cores by drain-time-weighted pickCore and driven by the
-// pluggable internal/sched schedulers, transparent cross-kind thread
+// internal/sched scheduler, transparent cross-kind thread
 // migration (policy-driven at call boundaries, and scheduler-driven
 // cost-gated migration of queued threads via the OnMigrate hook),
 // monitors and volatiles with the local-store cache purge/flush

@@ -15,8 +15,8 @@ import (
 // aggregate over every job sharing the booted VM.
 type JobStats struct {
 	// Migrations counts cross-kind moves of the job's threads — both
-	// policy-driven marker migrations and the migrate scheduler's
-	// cost-gated moves.
+	// policy-driven marker migrations and the scheduler's cost-gated
+	// moves.
 	Migrations uint64
 	// Steals counts same-kind work steals of the job's threads.
 	Steals uint64

@@ -10,17 +10,16 @@ import (
 
 // threeKindConfig returns the small test machine on a
 // ppe:1,spe:1,vpu:1 shape (no same-kind siblings, so only cross-kind
-// migration can move work) under the migrate scheduler.
+// migration can move work).
 func threeKindConfig() Config {
 	cfg := topoConfig(cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 1}, {Kind: isa.VPU, Count: 1},
 	})
-	cfg.Scheduler = "migrate"
 	return cfg
 }
 
-// TestMigrateRebindsAcrossKinds drives the migrate scheduler through
-// the VM directly: four ready threads queued on the lone SPE beside an
+// TestMigrateRebindsAcrossKinds drives the migration pass through the
+// VM directly: four ready threads queued on the lone SPE beside an
 // idle PPE and an idle VPU must produce cost-gated cross-kind
 // migrations that rebind the longest-queued threads, charge the
 // penalty, and bump both sides' counters.
@@ -104,7 +103,7 @@ func TestMigrateGateLosesInVM(t *testing.T) {
 // id*iters, then reports the count through one final synchronized
 // add), so the SPE queues stay deep with ready threads — the overload
 // shape cross-kind migration exists to repair. The expected total is
-// iters * n*(n+1)/2, the same checksum under every scheduler.
+// iters * n*(n+1)/2.
 func buildComputeWorkers(n, iters int) *classfile.Program {
 	p := newProg()
 	threadCls := p.Lookup("java/lang/Thread")
@@ -203,16 +202,13 @@ func buildComputeWorkers(n, iters int) *classfile.Program {
 }
 
 // migrateRun executes the compute-bound imbalanced-worker program on
-// the satellite's ppe:1,spe:4,vpu:2 topology under a scheduler and
-// returns the checksum, final clock, per-core instruction counts and
-// machine-wide migration count.
-func migrateRun(t *testing.T, scheduler string, workers, iters int) (int32, cell.Clock, []uint64, uint64) {
+// the ppe:1,spe:4,vpu:2 topology and returns the checksum, final clock,
+// per-core instruction counts and machine-wide migration count.
+func migrateRun(t *testing.T, workers, iters int) (int32, cell.Clock, []uint64, uint64) {
 	t.Helper()
-	topo := cell.Topology{
+	cfg := topoConfig(cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},
-	}
-	cfg := topoConfig(topo)
-	cfg.Scheduler = scheduler
+	})
 	vm, th := runMain(t, cfg, buildComputeWorkers(workers, iters), "Main", "main")
 	if th.Trap != nil {
 		t.Fatal(th.Trap)
@@ -227,25 +223,16 @@ func migrateRun(t *testing.T, scheduler string, workers, iters int) (int32, cell
 }
 
 // TestMigrateSchedulerEndToEnd replays an imbalanced multi-threaded
-// workload on ppe:1,spe:4,vpu:2 twice under -sched migrate: the
-// checksum must match the calendar run's, cross-kind migrations must
-// actually fire (the workers pin to the SPE pool, so every migration
-// event is the scheduler's), and both replays must agree bit-for-bit
-// on checksum, machine time, per-core instruction counts and migration
-// counts.
+// workload on ppe:1,spe:4,vpu:2 twice: the checksum must be right,
+// cross-kind migrations must actually fire (the workers are annotated
+// for the SPE pool, so every migration event is the scheduler's), and
+// both replays must agree bit-for-bit on checksum, machine time,
+// per-core instruction counts and migration counts.
 func TestMigrateSchedulerEndToEnd(t *testing.T) {
 	const workers, iters = 12, 400
 	const want = iters * (workers * (workers + 1) / 2)
 
-	calSum, _, _, calMig := migrateRun(t, "calendar", workers, iters)
-	if calSum != want {
-		t.Fatalf("calendar checksum = %d, want %d", calSum, want)
-	}
-	if calMig != 0 {
-		t.Fatalf("calendar scheduler migrated %d times", calMig)
-	}
-
-	sum1, clock1, instrs1, mig1 := migrateRun(t, "migrate", workers, iters)
+	sum1, clock1, instrs1, mig1 := migrateRun(t, workers, iters)
 	if sum1 != want {
 		t.Errorf("migrate checksum = %d, want %d", sum1, want)
 	}
@@ -253,7 +240,7 @@ func TestMigrateSchedulerEndToEnd(t *testing.T) {
 		t.Error("12 SPE-pinned workers beside idle PPE/VPUs should trigger at least one migration")
 	}
 
-	sum2, clock2, instrs2, mig2 := migrateRun(t, "migrate", workers, iters)
+	sum2, clock2, instrs2, mig2 := migrateRun(t, workers, iters)
 	if sum1 != sum2 || clock1 != clock2 || mig1 != mig2 {
 		t.Errorf("migrate runs diverged: sum %d/%d clock %d/%d migrations %d/%d",
 			sum1, sum2, clock1, clock2, mig1, mig2)
@@ -274,7 +261,9 @@ func TestMigrateSchedulerEndToEnd(t *testing.T) {
 func TestMigrateMidLoopKeepsPC(t *testing.T) {
 	const workers, iters = 2, 4000
 	cfg := threeKindConfig()
-	cfg.Scheduler = "calendar" // nothing moves a thread but this test
+	// Nothing moves a thread but this test: no core has a same-kind
+	// sibling to steal from, and the cost gate never pays for a move.
+	cfg.MigrateCycles = 1 << 40
 	vm, err := New(cfg, buildComputeWorkers(workers, iters))
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // can recognise them in an image and on the target.
 const sitesMark = 4242
 
-// sitesWorld is Snap parked at a safe point around cycle 80 000 with
+// sitesWorld is Snap parked at a safe point around cycle 75 000 with
 // the world stopped, ready for a test to plant a reference: main
 // (thread 0) holds the counter and the two workers in locals 0-2 and an
 // int on its operand stack, each worker holds the counter on its; the
@@ -42,7 +42,7 @@ func newSitesWorld(t *testing.T) *sitesWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v.RunUntil(80_000); err != nil {
+	if err := v.RunUntil(75_000); err != nil {
 		t.Fatal(err)
 	}
 	// Freeze's drive to the safe point, stopped short of the capture.

@@ -265,7 +265,7 @@ const behaviourMinCycles = 50_000
 // cost is than the machine's best (isa FPScore/MemScore, normalized by
 // the boot-time minima). An FP-heavy thread therefore drains cheapest
 // on the VPU — its FP slice scales by 1.0 while an SPE's scales by
-// FPScore(SPE)/FPScore(VPU) — so the migrate gate and drain estimates
+// FPScore(SPE)/FPScore(VPU) — so the migration gate and drain estimates
 // route it there despite the VPU's reluctant static affinity.
 // Machines without a VPU (the paper's PS3 baseline) keep the plain
 // affinity pricing, which also pins the Figure-4 goldens.
@@ -308,9 +308,9 @@ func (vm *VM) observedCounters(task sched.Task) *profile.MethodCounters {
 	return ctr
 }
 
-// recompileEstimate is the migrate scheduler's feasibility-and-cost
-// probe (sched.Options.RecompileCost): whether the thread can execute
-// on the target core's kind right now, and the predicted cycle cost of
+// recompileEstimate is the migration pass's feasibility-and-cost probe
+// (sched.Options.RecompileCost): whether the thread can execute on the
+// target core's kind right now, and the predicted cycle cost of
 // compiling its frames' methods for that kind. A thread is migratable
 // when it carries no in-flight runtime state (a deferred migration, an
 // unwinding exception, a suspended native call); its frames need no
@@ -323,10 +323,10 @@ func (vm *VM) observedCounters(task sched.Task) *profile.MethodCounters {
 // (deduplicated) compile cycles.
 func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 	t := task.(*Thread)
-	if t.pinned {
-		return 0, false // kernel workers never leave their core
-	}
-	if t.hasPendingMigrate || t.hasPendingThrow || t.pendingNative != nil {
+	// Kernel workers never leave their core, and a FixedPolicy keeps
+	// every thread on its one kind.
+	_, fixed := vm.policy.(FixedPolicy)
+	if fixed || t.pinned || t.hasPendingMigrate || t.hasPendingThrow || t.pendingNative != nil {
 		return 0, false
 	}
 	// Migration hysteresis: a thread that just migrated cross-kind is

@@ -31,8 +31,7 @@ func burstEntries() []workloads.MixEntry {
 	return entries
 }
 
-// runBurst boots a fresh ppe:1,spe:4,vpu:2 machine under -sched
-// migrate, submits the interleaved burst at a 250k-cycle cadence,
+// runBurst boots a fresh ppe:1,spe:4,vpu:2 machine, submits the interleaved burst at a 250k-cycle cadence,
 // drains it, and returns per-job (cycles, checksum, migrations,
 // steals, compiles) plus the rendered machine report.
 func runBurst(t *testing.T) ([]string, string) {
@@ -46,7 +45,6 @@ func runBurst(t *testing.T) ([]string, string) {
 	cfg.Machine.Topology = cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},
 	}
-	cfg.Scheduler = "migrate"
 	v, err := vm.New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +80,7 @@ func runBurst(t *testing.T) ([]string, string) {
 }
 
 // TestSessionBurstDeterminism replays an interleaved burst of
-// compress and mandelbrot jobs twice on ppe:1,spe:4,vpu:2 under the
-// migrate scheduler: per-job cycle counts and the full machine report
+// compress and mandelbrot jobs twice on ppe:1,spe:4,vpu:2: per-job cycle counts and the full machine report
 // must be byte-identical — the session's determinism contract
 // (admission ordered by arrival cycle and submission sequence; the
 // machine's stepping independent of where the driving loop pauses).
@@ -143,12 +140,11 @@ func TestReportIdenticalDisableSuperblocks(t *testing.T) {
 }
 
 // handoffConfig is the machine both ends of the hand-off tests boot:
-// identical topology and scheduler, so only the hand-off itself can
-// perturb the outcome.
+// identical topology, so only the hand-off itself can perturb the
+// outcome.
 func handoffConfig() vm.Config {
 	cfg := vm.DefaultConfig()
 	cfg.Machine.Topology = cell.PS3Topology(4)
-	cfg.Scheduler = "migrate"
 	return cfg
 }
 

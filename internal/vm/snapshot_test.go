@@ -417,12 +417,12 @@ func TestRehydrateOnDifferentTopology(t *testing.T) {
 
 // TestRehydrateRejectsCorruptImages: invalid images error out of
 // Rehydrate before any machine state changes — never a panic, here
-// or later in the executor. The image is Snap frozen at cycle 80 000:
+// or later in the executor. The image is Snap frozen at cycle 75 000:
 // three single-frame threads, main (thread 0) with reference locals 0-2
 // and one int on its operand stack, each worker with a reference on its;
 // objects 2 and 3 are Workers, whose slot 1 is the reference field c.
 func TestRehydrateRejectsCorruptImages(t *testing.T) {
-	_, _, img, ok := freezeAt(t, 80_000)
+	_, _, img, ok := freezeAt(t, 75_000)
 	if !ok {
 		t.Skip("job completed before the freeze point")
 	}

@@ -9,13 +9,8 @@ import (
 	"herajvm/internal/isa"
 )
 
-// stealConfig returns the small test machine with the work-stealing
-// scheduler on a 1 PPE + 2 SPE shape.
-func stealConfig() Config {
-	cfg := topoConfig(cell.PS3Topology(2))
-	cfg.Scheduler = "steal"
-	return cfg
-}
+// stealConfig returns the small test machine on a 1 PPE + 2 SPE shape.
+func stealConfig() Config { return topoConfig(cell.PS3Topology(2)) }
 
 // TestStealRebindsThread drives the scheduler through the VM directly:
 // three ready threads queued on SPE0 and an idle SPE1 must produce
@@ -68,7 +63,6 @@ func TestStealStaysWithinKind(t *testing.T) {
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 1}, {Kind: isa.VPU, Count: 2},
 	}
 	cfg := topoConfig(topo)
-	cfg.Scheduler = "steal"
 	vm, err := New(cfg, newProg())
 	if err != nil {
 		t.Fatal(err)
@@ -186,14 +180,11 @@ func buildImbalancedWorkers(n, iters int) *classfile.Program {
 	return p
 }
 
-// stealRun executes the imbalanced-worker program under a scheduler and
-// returns the checksum, final clock, per-core instruction counts and
-// total steals.
-func stealRun(t *testing.T, scheduler string) (int32, cell.Clock, []uint64, uint64) {
+// stealRun executes the imbalanced-worker program and returns the
+// checksum, final clock, per-core instruction counts and total steals.
+func stealRun(t *testing.T) (int32, cell.Clock, []uint64, uint64) {
 	t.Helper()
-	cfg := topoConfig(cell.PS3Topology(2))
-	cfg.Scheduler = scheduler
-	vm, th := runMain(t, cfg, buildImbalancedWorkers(6, 120), "Main", "main")
+	vm, th := runMain(t, stealConfig(), buildImbalancedWorkers(6, 120), "Main", "main")
 	if th.Trap != nil {
 		t.Fatal(th.Trap)
 	}
@@ -206,22 +197,13 @@ func stealRun(t *testing.T, scheduler string) (int32, cell.Clock, []uint64, uint
 	return int32(uint32(th.Result)), vm.Machine.MaxClock(), instrs, steals
 }
 
-// TestStealSchedulerEndToEnd runs an imbalanced multi-threaded workload
-// under both schedulers: the steal run must actually steal, stay
-// checksum-identical to the calendar run, and be bit-for-bit
-// deterministic across repeats.
+// TestStealSchedulerEndToEnd runs an imbalanced multi-threaded
+// workload twice: it must actually steal, keep its checksum, and be
+// bit-for-bit deterministic across repeats.
 func TestStealSchedulerEndToEnd(t *testing.T) {
 	const want = 120 * (6 * 7 / 2) // iters * sum(1..6)
 
-	calSum, _, _, calSteals := stealRun(t, "calendar")
-	if calSum != want {
-		t.Fatalf("calendar checksum = %d, want %d", calSum, want)
-	}
-	if calSteals != 0 {
-		t.Fatalf("calendar scheduler stole %d times", calSteals)
-	}
-
-	sum1, clock1, instrs1, steals1 := stealRun(t, "steal")
+	sum1, clock1, instrs1, steals1 := stealRun(t)
 	if sum1 != want {
 		t.Errorf("steal checksum = %d, want %d", sum1, want)
 	}
@@ -229,7 +211,7 @@ func TestStealSchedulerEndToEnd(t *testing.T) {
 		t.Error("imbalanced workers on 2 SPEs should trigger at least one steal")
 	}
 
-	sum2, clock2, instrs2, steals2 := stealRun(t, "steal")
+	sum2, clock2, instrs2, steals2 := stealRun(t)
 	if sum1 != sum2 || clock1 != clock2 || steals1 != steals2 {
 		t.Errorf("steal runs diverged: sum %d/%d clock %d/%d steals %d/%d",
 			sum1, sum2, clock1, clock2, steals1, steals2)

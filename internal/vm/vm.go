@@ -37,31 +37,29 @@ type Config struct {
 	// from. The zero value admits every submission.
 	Admission AdmissionConfig
 
-	// Scheduler selects the scheduling algorithm by name:
-	// "calendar" (the default per-core event-calendar scheduler),
-	// "steal" (the calendar plus same-kind work stealing) or "migrate"
-	// (stealing plus cost-gated cross-kind migration). "" selects the
-	// default. See internal/sched.
+	// Deprecated: a benchmark shim. "" and the legacy names "calendar",
+	// "steal" and "migrate" all boot the one scheduler (internal/sched);
+	// any other name is ErrBadConfig. ROADMAP item 11 deletes the field.
 	Scheduler string
 
-	// StealCycles is the penalty the "steal" and "migrate" schedulers
-	// charge per steal: a stolen thread starts on the thief no earlier
-	// than the thief's clock plus StealCycles (pulling the thread's
-	// context across the bus). Ignored by the default scheduler.
+	// StealCycles is the penalty the scheduler charges per same-kind
+	// steal: a stolen thread starts on the thief no earlier than the
+	// thief's clock plus StealCycles (pulling the thread's context
+	// across the bus).
 	StealCycles uint64
 
-	// MigrateCycles is the penalty the "migrate" scheduler charges per
-	// cross-kind migration, on top of the jit-estimated recompilation
-	// cost: packaging a thread's frames and moving them to a core with
-	// a different ISA and memory model. Ignored by the other schedulers.
+	// MigrateCycles is the penalty the scheduler charges per cross-kind
+	// migration, on top of the jit-estimated recompilation cost:
+	// packaging a thread's frames and moving them to a core with a
+	// different ISA and memory model.
 	MigrateCycles uint64
 
 	// MigrateCooldownCycles is the migration-hysteresis window: after
-	// any cross-kind migration, the "migrate" scheduler may not
-	// re-migrate the thread until its core's clock has advanced past
-	// the migration start plus this many cycles, so oscillating load
-	// cannot ping-pong a thread between kinds. 0 disables the guard;
-	// the default is ~2x MigrateCycles.
+	// any cross-kind migration, the scheduler may not re-migrate the
+	// thread until its core's clock has advanced past the migration
+	// start plus this many cycles, so oscillating load cannot ping-pong
+	// a thread between kinds. 0 disables the guard; the default is ~2x
+	// MigrateCycles.
 	MigrateCooldownCycles uint64
 
 	// AdaptiveCaches enables the per-SPE controller that repartitions
@@ -99,7 +97,6 @@ func DefaultConfig() Config {
 		CodeBytes:             6 << 20,
 		BootBytes:             1 << 20,
 		Quantum:               4000,
-		Scheduler:             sched.DefaultName,
 		StealCycles:           400,
 		MigrateCycles:         600,
 		MigrateCooldownCycles: 1200,
@@ -212,7 +209,7 @@ type VM struct {
 	byJavaObj map[Ref]*Thread
 	// kernelSeq numbers Parallel.forRange launches for worker naming.
 	kernelSeq int
-	scheduler sched.Scheduler
+	scheduler *sched.Calendar
 	liveCount int
 	jobs      []*Job
 	// pending counts jobs admitted but not yet completed — the
@@ -413,12 +410,12 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		vm.lsCores = append(vm.lsCores, c.Index)
 	}
 
-	// The scheduler: per-core event calendars behind the pluggable
-	// sched.Scheduler interface, selected by Config.Scheduler. The
-	// OnSteal/OnMigrate hooks keep the thread->core binding (and the
-	// victim's cache publication, and cross-kind frame recompilation)
-	// in the VM's hands; CostOf/RecompileCost feed the drain-time
-	// placement estimate and the migrate scheduler's cost gate.
+	// The scheduler: per-core event calendars with same-kind stealing
+	// and cost-gated cross-kind migration. The OnSteal/OnMigrate hooks
+	// keep the thread->core binding (and the victim's cache
+	// publication, and cross-kind frame recompilation) in the VM's
+	// hands; CostOf/RecompileCost feed the drain-time placement
+	// estimate and the migration cost gate.
 	vm.scheduler, err = sched.New(cfg.Scheduler, vm.cores, sched.Options{
 		StealCycles:   cfg.StealCycles,
 		MigrateCycles: cfg.MigrateCycles,
@@ -429,7 +426,7 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		Pinned:        func(task sched.Task) bool { return task.(*Thread).pinned },
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	vm.adapt = make([]adaptState, machine.NumCores())
 

@@ -183,8 +183,7 @@ func TestByName(t *testing.T) {
 }
 
 // TestWorkloadsUnderGCPressure runs the six workloads (the kernels in
-// both variants) under each scheduler in the smallest heap they
-// complete in, where every allocation that can collect does, with a
+// both variants) in the smallest heap they complete in, where every allocation that can collect does, with a
 // frame's reference map taken from the verifier at whatever PC the
 // collection finds it — a frame the verifier cannot describe panics the
 // walk rather than mis-root. The checksum must be the reference's, and
@@ -209,6 +208,8 @@ func TestWorkloadsUnderGCPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := s.Reference(threads, scale)
+		// One subtest per legacy scheduler name (vm.Config.Scheduler);
+		// each boots the one scheduler, so the three replay one run.
 		for _, sched := range []string{"calendar", "steal", "migrate"} {
 			t.Run(s.MainClass+"/"+sched, func(t *testing.T) {
 				// run returns the checksum, the machine and whether the

@@ -9,9 +9,8 @@
 #   scripts/replay-gates.sh kernels    # only the gates whose name matches
 #   scripts/replay-gates.sh examples   # only the examples/ programs
 #
-# The golden Figure-4 diff (default scheduler, default machine) is not a
-# replay gate — it compares against testdata/golden_fig4.txt — and stays
-# its own CI step.
+# The golden Figure-4 diff (default machine) is not a replay gate — it
+# compares against testdata/golden_fig4.txt — and stays its own CI step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,14 +35,11 @@ replay() {
 }
 only=${1:-}
 
-# The work-stealing and migrating schedulers have no golden file (they
-# are not the default machine) but must be run-to-run deterministic.
-replay 4a-steal -fig 4a -sched steal
-replay 4a-migrate -fig 4a -sched migrate
-# The scheduler ablation runs all three schedulers on all its topologies.
-replay sched -fig sched
+# The topology sweep: the same programs on six machine shapes, where
+# stealing and cross-kind migration do the most work.
+replay topo -fig topo
 # Open-loop serving: latency percentiles, goodput, per-job verdicts and
-# counters under all three schedulers, shedding off and on.
+# counters, shedding off and on.
 replay serve -fig serve -trace poisson
 # At overload the shed path runs: verdicts are part of the contract.
 replay serve-overload -fig serve -trace poisson -jobs 15 -cadence 300000 -deadline 40000000 -maxpending 6

@@ -85,11 +85,17 @@ var seams = []struct {
 	{"one policy per machine, one output per job",
 		`JobSpec\{[^}]*Policy|ImagePolicy|encodePolicy|policyOf|outBuf|\.JoinWakeCycles|MaxHandoffs|FPThreshold|MemThreshold`,
 		[]string{"."}, nil},
-	// "The three built-in schedulers": a queued task is a typed heap
-	// entry, never boxed into an interface on the per-quantum path.
+	// "The one policy": a queued task is a typed heap entry, never
+	// boxed into an interface on the per-quantum path.
 	{"the scheduler's queues are typed heaps",
 		`"container/heap"`,
 		[]string{"internal"}, nil},
+	// "The one policy": the VM owns the thread-to-core mapping, so no
+	// program, figure or flag selects a scheduler (Config.Scheduler is
+	// the benchmark module's shim alone).
+	{"one scheduler: nothing selects another",
+		`\.Scheduler\s*=[^=]|\bScheduler:|"sched"|type Scheduler interface`,
+		[]string{"cmd", "internal", "examples", "hera.go"}, nil},
 	// "Superblock fast path": the replay clocks as it goes and bills a
 	// chain of blocks once, so a block keeps one class vector and the
 	// replay writes class vectors only where it settles a chain (a
