@@ -34,8 +34,9 @@ import (
 // DefaultEpochStride is the drain-phase barrier interval in simulated
 // cycles: 500 scheduling quanta at the default 4000-cycle quantum —
 // coarse enough that barrier overhead is noise against the work in an
-// epoch, fine enough that shard clocks never drift more than ~0.06 ms
-// of simulated time apart. The cluster figure's stride-sensitivity
+// epoch, fine enough that shard clocks never drift more than one stride
+// of simulated time apart: 2 000 000 cycles / cell.DefaultClockHz
+// (3.2 GHz) = 0.625 ms. The cluster figure's stride-sensitivity
 // table (herabench -fig cluster) is the measured record of this
 // trade-off.
 const DefaultEpochStride cell.Clock = 2_000_000

@@ -1,6 +1,8 @@
 package jit
 
 import (
+	"slices"
+
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
 )
@@ -65,18 +67,22 @@ func EagerSuperblocks(cm *CompiledMethod, depths []int) []Superblock {
 	return sb
 }
 
-// LowerOnly runs the bytecode-to-Code lowering alone — Compile without
-// superblock discovery, the code-region allocation and the registry —
-// so a test can price what Compile adds on top of it.
+// LowerOnly runs the bytecode-to-Code lowering alone and keeps its Code
+// as a new body does — Compile without the body index, superblock
+// discovery, the code-region allocation and the registry — so a test can
+// price what Compile adds on top of it.
 func (c *Compiler) LowerOnly(m *classfile.Method) error {
-	_, err := c.lower(m)
+	cm, err := c.lower(m)
+	if err == nil {
+		cm.Code = slices.Clone(cm.Code)
+	}
 	return err
 }
 
 // PendingBlocks counts the entries of cm no probe has lowered yet.
 func (cm *CompiledMethod) PendingBlocks() int {
 	n := 0
-	for _, i := range cm.sbIdx {
+	for _, i := range cm.body.sbIdx {
 		if i < 0 {
 			n++
 		}

@@ -13,11 +13,14 @@
 // Compiler for a method the first time a thread running on that core
 // kind invokes it. The same rule holds one level down: compiling a
 // method only marks where superblocks may start, and CompiledMethod.Block
-// lowers the one at a PC the first time a thread enters there.
+// lowers the one at a PC the first time a thread enters there. Both
+// happen once per distinct body: methods of one compiler whose bodies
+// lower alike (a serving VM's per-job class copies) share the lowering.
 package jit
 
 import (
 	"fmt"
+	"slices"
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
@@ -33,25 +36,22 @@ type CompiledMethod struct {
 	// bytecode: Code[pc] is M.Code[pc] lowered, on every kind, so a PC
 	// names the same point of the method in every compilation of it —
 	// which is what lets a frame move across kinds (migration) and across
-	// machines (hand-off) with its PC as it stands.
+	// machines (hand-off) with its PC as it stands. It is the body's, so
+	// every method of the compiler with an equal body has the same slice.
 	Code []isa.Instr
 	// Tables holds switch jump tables and Keys the lookupswitch key sets,
-	// parallel to Tables (nil for a tableswitch); both are the bytecode's
-	// own slices, read-only here as there.
+	// parallel to Tables (nil for a tableswitch); both are the body's,
+	// and their entries the bytecode's own slices (of the body's first
+	// method, equal to this one's), read-only here as there.
 	Tables [][]int32
 	Keys   [][]int32
 	// Handlers is the exception table; ClassID -1 catches everything.
 	Handlers []CompiledHandler
-	// sbIdx says, per instruction index, whether a superblock starts
-	// there: 0 none, negative pending (a block of that many instructions
-	// may start here and is lowered on its first probe), positive i the
-	// lowered blocks[i]. blocks[0] is nil, so "none" needs no branch of
-	// its own in Block. Four bytes an instruction, and a Superblock only
-	// for an entry a thread took; the VM's executor reaches both only
-	// through Block. lowering is the owning Compiler's scratch.
-	sbIdx    []int32
-	blocks   []*Superblock
-	lowering *microCompiler
+	// body is the lowered body — Code, the superblock index and the
+	// blocks lowered from it — which this method shares with every
+	// method of its compiler whose lowering is equal (Compiler.intern);
+	// the executor reaches it only through Block, Next and Lowered.
+	body *body
 	// Addr and Size locate the encoded code in simulated main memory.
 	Addr mem.Addr
 	Size uint32
@@ -78,6 +78,16 @@ type Compiler struct {
 
 	compiled map[*classfile.Method]*CompiledMethod
 
+	// bodies indexes every distinct body this compiler has lowered by
+	// the hash of its Code, chained through body.next; code, tables and
+	// keys are the scratch lower writes a method into, cloned only when
+	// no body matches. All of it is the compiler's own — one per VM and
+	// kind — because a cluster shard is a VM on its own goroutine and
+	// lowering a block writes to the body every sharer reads.
+	bodies       map[uint64]*body
+	code         []isa.Instr
+	tables, keys [][]int32
+
 	// lowering is the scratch every block of this compiler's methods is
 	// lowered in (see microCompiler).
 	lowering microCompiler
@@ -98,6 +108,7 @@ func NewCompiler(target isa.CoreKind, main *mem.Main, region *mem.Region) *Compi
 		main:     main,
 		region:   region,
 		compiled: make(map[*classfile.Method]*CompiledMethod),
+		bodies:   make(map[uint64]*body),
 	}
 }
 
@@ -129,15 +140,19 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm.sbIdx = discoverSuperblocks(cm.Code)
-	cm.blocks = noBlocks
-	cm.lowering = &c.lowering
+	bd, h := c.find(cm)
 	// Allocate the code real space in main memory and fill it with a
-	// recognisable pattern: the code cache DMAs these bytes around.
+	// recognisable pattern: the code cache DMAs these bytes around. A
+	// method sharing a body still has code of its own here, so nothing
+	// simulated can tell a shared body from a fresh one.
 	addr, err := c.region.Alloc(cm.Size, 16)
 	if err != nil {
 		return nil, fmt.Errorf("jit: code region full compiling %s: %w", m.Sig(), err)
 	}
+	if bd == nil {
+		bd = c.intern(cm, h)
+	}
+	cm.body, cm.Code, cm.Tables, cm.Keys = bd, bd.code, bd.tables, bd.keys
 	cm.Addr = addr
 	pattern := byte(0x40 | byte(c.target))
 	for i := uint32(0); i < cm.Size; i += 64 {
@@ -147,6 +162,52 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	c.Compiles++
 	c.CodeBytes += uint64(cm.Size)
 	return cm, nil
+}
+
+// find returns the body this compiler already lowered that equals cm's
+// scratch lowering, or nil, and the hash it is (or will be) indexed
+// under. The hash covers Code and MaxLocals; a candidate must then match
+// everything lowering a block and the verifier's stack depths read:
+// every instruction, MaxLocals, the handler ranges and the switch tables.
+// Handler class IDs are not compared — they stay the method's own.
+func (c *Compiler) find(cm *CompiledMethod) (*body, uint64) {
+	h := uint64(14695981039346656037) ^ uint64(cm.M.MaxLocals)
+	for _, in := range cm.Code {
+		h = (h ^ uint64(in.Op) ^ uint64(in.Cost)<<8 ^ uint64(uint32(in.A))<<24) * 1099511628211
+		h = (h ^ uint64(uint32(in.B)) ^ uint64(uint32(in.C))<<32) * 1099511628211
+	}
+	for bd := c.bodies[h]; bd != nil; bd = bd.next {
+		if bd.maxLocals == int32(cm.M.MaxLocals) && slices.Equal(bd.code, cm.Code) &&
+			slices.EqualFunc(bd.handlers, cm.Handlers, sameRange) &&
+			slices.EqualFunc(bd.tables, cm.Tables, slices.Equal) &&
+			slices.EqualFunc(bd.keys, cm.Keys, slices.Equal) {
+			return bd, h
+		}
+	}
+	return nil, h
+}
+
+// sameRange compares two handlers' ranges, not their class IDs.
+func sameRange(a, b CompiledHandler) bool {
+	return a.From == b.From && a.To == b.To && a.Target == b.Target
+}
+
+// intern registers cm's scratch lowering as a new body under hash h,
+// cloning the scratch and discovering where its superblocks may start.
+func (c *Compiler) intern(cm *CompiledMethod, h uint64) *body {
+	bd := &body{
+		code:      slices.Clone(cm.Code),
+		tables:    slices.Clone(cm.Tables),
+		keys:      slices.Clone(cm.Keys),
+		handlers:  cm.Handlers,
+		maxLocals: int32(cm.M.MaxLocals),
+		blocks:    noBlocks,
+		lowering:  &c.lowering,
+		next:      c.bodies[h],
+	}
+	bd.sbIdx = discoverSuperblocks(bd.code)
+	c.bodies[h] = bd
+	return bd
 }
 
 // CompileCycles estimates the cycle cost of baseline-compiling m: the

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"slices"
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
@@ -19,8 +20,13 @@ import (
 // baseline JIT resolves constant-pool entries at compile time. Resolve's
 // structural pass already held every operand and every index to the
 // body (classfile.wellFormed), so nothing is range-checked again.
+//
+// Code, Tables and Keys are written into the compiler's scratch, which
+// the next lower overwrites: Compile points them at the matching body,
+// cloning the scratch into a new one only when no body matches.
 func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
-	cm := &CompiledMethod{M: m, Target: c.target, Code: make([]isa.Instr, len(m.Code))}
+	c.code = slices.Grow(c.code[:0], len(m.Code))[:len(m.Code)]
+	cm := &CompiledMethod{M: m, Target: c.target, Code: c.code, Tables: c.tables[:0], Keys: c.keys[:0]}
 	size := uint32(c.costs.MethodPrologueBytes)
 	for pc := range m.Code {
 		bc := &m.Code[pc]
@@ -49,6 +55,7 @@ func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
 		})
 	}
 	cm.Size = size + uint32(len(m.Handlers))*16 // exception-table entries
+	c.tables, c.keys = cm.Tables, cm.Keys
 	return cm, nil
 }
 

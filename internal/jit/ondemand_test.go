@@ -78,7 +78,9 @@ func newCompiler(kind isa.CoreKind) *jit.Compiler {
 // compilation. Whatever the order, Block(p) must be the block the eager
 // reference builds for p: a block is a function of (Code, p) and of
 // nothing a previous probe did. Lowered(p) must show nothing before the
-// probe and the probed block after it.
+// probe and the probed block after it — on the first method of a body:
+// the programs share stdlib bodies, and a later method with an equal body
+// finds the blocks its first method's probes lowered.
 func TestOnDemandBlocksEqualEager(t *testing.T) {
 	methods := workloadMethods(t)
 	depths := stackDepths(methods)
@@ -87,11 +89,14 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 	for _, kind := range []isa.CoreKind{isa.PPE, isa.SPE, isa.VPU} {
 		for order := 0; order < 3; order++ {
 			c := newCompiler(kind)
+			probed := make(map[*isa.Instr]bool)
 			for _, m := range methods {
 				cm, err := c.Compile(m)
 				if err != nil {
 					t.Fatal(err)
 				}
+				fresh := !probed[&cm.Code[0]]
+				probed[&cm.Code[0]] = true
 				d := depths[m]
 				want := jit.EagerSuperblocks(cm, d)
 				visit := rng.Perm(len(cm.Code)) // order 2: shuffled
@@ -103,7 +108,7 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 				}
 				pending += cm.PendingBlocks()
 				for _, p := range visit {
-					if b := cm.Lowered(p); b != nil {
+					if b := cm.Lowered(p); fresh && b != nil {
 						t.Fatalf("%s [%v] pc %d: a block is lowered before its first probe", m.Sig(), kind, p)
 					}
 					got := cm.Block(p, d[p])
@@ -112,7 +117,7 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 					}
 					if got == nil {
 						got = &jit.Superblock{} // the reference's "no block here"
-					} else {
+					} else if fresh {
 						blocks++
 					}
 					if !reflect.DeepEqual(*got, want[p]) {
@@ -228,14 +233,32 @@ func TestLowerIsOneToOne(t *testing.T) {
 	t.Logf("%d compilations over %d kinds, %d switch instructions", compiled, len(isa.CoreKinds()), switches)
 }
 
+// distinctBodies keeps the first of the methods with each distinct
+// lowered body — the programs share stdlib bodies — so an allocation
+// measurement over them prices each method's own body.
+func distinctBodies(methods []*classfile.Method) []*classfile.Method {
+	c := newCompiler(isa.SPE)
+	seen := make(map[*isa.Instr]bool)
+	var distinct []*classfile.Method
+	for _, m := range methods {
+		if cm, err := c.Compile(m); err == nil && !seen[&cm.Code[0]] {
+			seen[&cm.Code[0]] = true
+			distinct = append(distinct, m)
+		}
+	}
+	return distinct
+}
+
 // TestCompileBytesPerInstruction bounds what lowering bytecode to Code
 // allocates, and what Compile allocates on top of it when no block is
 // ever probed: the block index is four bytes an instruction, and nothing
 // else may scale with the method (a dense Superblock table was 288).
+// Its last row compiles a second copy of every body, as each job's class
+// copy is on a serving VM: that shares the first copy's Code, index and
+// blocks, so it allocates none of them.
 func TestCompileBytesPerInstruction(t *testing.T) {
-	methods := workloadMethods(t)
-	allocated := func(f func(*jit.Compiler, *classfile.Method) error) uint64 {
-		c := newCompiler(isa.SPE)
+	methods := distinctBodies(workloadMethods(t))
+	allocated := func(c *jit.Compiler, methods []*classfile.Method, f func(*jit.Compiler, *classfile.Method) error) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, m := range methods {
@@ -246,9 +269,21 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	lower := allocated((*jit.Compiler).LowerOnly)
+	// Each compiler lowers into scratch of its own, grown once to its
+	// largest method; warm it first, so the rows price what each method
+	// keeps.
+	warm := func() *jit.Compiler {
+		c := newCompiler(isa.SPE)
+		for _, m := range methods {
+			if err := c.LowerOnly(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	lower := allocated(warm(), methods, (*jit.Compiler).LowerOnly)
 	instrs := 0
-	compile := allocated(func(c *jit.Compiler, m *classfile.Method) error {
+	compile := allocated(warm(), methods, func(c *jit.Compiler, m *classfile.Method) error {
 		cm, err := c.Compile(m)
 		if err == nil {
 			instrs += len(cm.Code)
@@ -274,7 +309,7 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 	// beside them, which this budget does not fit.
 	blocks, ops := 0, 0
 	depths := stackDepths(methods)
-	probed := allocated(func(c *jit.Compiler, m *classfile.Method) error {
+	probe := func(c *jit.Compiler, m *classfile.Method) error {
 		cm, err := c.Compile(m)
 		if err == nil {
 			for p := range cm.Code {
@@ -285,22 +320,39 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 			}
 		}
 		return err
-	})
+	}
+	c := warm()
+	probed := allocated(c, methods, probe)
 	perBlock := (float64(probed) - float64(compile)) / float64(blocks)
 	t.Logf("%d blocks, %d micro-ops: %d B, %.0f B per lowered block", blocks, ops, probed-compile, perBlock)
 	if perBlock > 3800 {
 		t.Errorf("a lowered block keeps %.0f B, want <= 3800", perBlock)
+	}
+	// A second copy keeps its CompiledMethod and handlers, about one byte
+	// an instruction; its own block index alone would be four.
+	again := distinctBodies(workloadMethods(t))
+	for i, m := range again {
+		depths[m] = depths[methods[i]]
+	}
+	second := allocated(c, again, probe)
+	if perCopy := float64(second) / float64(instrs); perCopy > 4 {
+		t.Errorf("compiling and probing a second copy of every body allocates %.1f B per instruction, want <= 4", perCopy)
+	} else {
+		t.Logf("a second copy of every body: %d B, %.1f B per instruction", second, perCopy)
 	}
 }
 
 // TestLoweringScratchNotShared lowers every block of every workload
 // method on two compilers at once — as two cluster shards do — and
 // requires equal blocks. Run under -race it also shows the lowering
-// scratch is per compiler: a buffer shared between them is a data race.
+// scratch and the body index are per compiler: a buffer or a block table
+// shared between them is a data race. Compiling the same bodies, the two
+// must also share no Code slice.
 func TestLoweringScratchNotShared(t *testing.T) {
 	methods := workloadMethods(t)
 	depths := stackDepths(methods)
 	var lowered [2][]*jit.Superblock
+	var code [2][]*isa.Instr
 	var wg sync.WaitGroup
 	for i := range lowered {
 		wg.Add(1)
@@ -313,6 +365,7 @@ func TestLoweringScratchNotShared(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				code[i] = append(code[i], &cm.Code[0])
 				for p := range cm.Code {
 					lowered[i] = append(lowered[i], cm.Block(p, depths[m][p]))
 				}
@@ -323,6 +376,11 @@ func TestLoweringScratchNotShared(t *testing.T) {
 	if len(lowered[0]) == 0 || !reflect.DeepEqual(lowered[0], lowered[1]) {
 		t.Fatalf("two compilers lowering the same %d methods concurrently disagree (%d and %d probes)",
 			len(methods), len(lowered[0]), len(lowered[1]))
+	}
+	for _, p := range code[1] {
+		if slices.Contains(code[0], p) {
+			t.Fatalf("two compilers share a Code slice at %p", p)
+		}
 	}
 }
 

@@ -195,7 +195,7 @@ func terminalOp(op isa.Op) bool {
 }
 
 // discoverSuperblocks marks, for every instruction index, whether a
-// superblock may start there, in the encoding of CompiledMethod.sbIdx.
+// superblock may start there, in the encoding of body.sbIdx.
 //
 // Within each maximal run [s, e) of pure and absorbable-memory
 // instructions — optionally extended through one terminating goto or
@@ -235,35 +235,63 @@ func discoverSuperblocks(code []isa.Instr) []int32 {
 	return idx
 }
 
-// noBlocks is every method's block list before its first lowering:
+// body is one distinct lowered method body of a compiler and the
+// superblocks lowered from it. Every CompiledMethod whose lowering is
+// equal points at the one body (Compiler.find has the key), so a block
+// any of them lowers is there for all: a block is a function of the
+// body, its entry and the verifier's depth there, all equal across the
+// sharers, and names no method — the executor bills the running frame's
+// own. handlers, tables and keys complete the equality key.
+type body struct {
+	code []isa.Instr
+	// sbIdx says, per instruction index, whether a superblock starts
+	// there: 0 none, negative pending (a block of that many instructions
+	// may start here and is lowered on its first probe), positive i the
+	// lowered blocks[i]. blocks[0] is nil, so "none" needs no branch of
+	// its own in Block. Four bytes an instruction, and a Superblock only
+	// for an entry a thread took. lowering is the owning Compiler's
+	// scratch.
+	sbIdx     []int32
+	blocks    []*Superblock
+	lowering  *microCompiler
+	maxLocals int32
+
+	handlers     []CompiledHandler
+	tables, keys [][]int32
+	// next is the next body under the same hash in Compiler.bodies.
+	next *body
+}
+
+// noBlocks is every body's block list before its first lowering:
 // position 0 alone, the nil block an sbIdx of 0 selects. Nothing writes
 // to it — its capacity is its length, so lowerBlock's first append
-// copies it — which is what lets every method share the one.
+// copies it — which is what lets every body share the one.
 var noBlocks = make([]*Superblock, 1)
 
 // Block returns the superblock starting at instruction index p, or nil
-// when none does, lowering a pending one on this first probe for a
-// frame whose operand stack is sp deep. It is the executor's only way
-// to a block, so a block no thread enters is never built; and since the
-// verifier fixes the depth at every index, a block's content is a pure
-// function of (Code, p), so the order of probes cannot change what any
-// of them sees.
+// when none does, lowering a pending one on this first probe — from
+// whichever method sharing the body makes it — for a frame whose operand
+// stack is sp deep. It is the executor's only way to a block, so a block
+// no thread enters is never built; and since the verifier fixes the
+// depth at every index, a block's content is a pure function of
+// (Code, p), so the order of probes cannot change what any of them sees.
+// (Reading sbIdx[p] twice on one path keeps Block inside the inliner's
+// budget; the second read is the first's.)
 func (cm *CompiledMethod) Block(p, sp int) *Superblock {
-	i := cm.sbIdx[p]
-	if i < 0 {
+	if cm.body.sbIdx[p] < 0 {
 		return cm.lowerBlock(p, sp)
 	}
-	return cm.blocks[i]
+	return cm.body.blocks[cm.body.sbIdx[p]]
 }
 
 // Lowered returns the block a probe has lowered at p, or nil when none
 // has (yet); it lowers nothing.
 func (cm *CompiledMethod) Lowered(p int) *Superblock {
-	return cm.blocks[max(cm.sbIdx[p], 0)]
+	return cm.body.blocks[max(cm.body.sbIdx[p], 0)]
 }
 
 // lowerBlock replaces the pending entry at index p with the block
-// covering Code[p:e], its suffix of a discovered run (kept out of line
+// covering code[p:e], its suffix of a discovered run (kept out of line
 // so Block inlines into the executor's dispatch). The replayable
 // (micro-compilable) prefix [p, pe) excludes a trailing control
 // terminal: a goto has no data effect, and a conditional branch reads
@@ -274,17 +302,18 @@ func (cm *CompiledMethod) Lowered(p int) *Superblock {
 // the suffix did not push) no block starts at p: the interpreter steps
 // until the next index whose suffix does lower.
 func (cm *CompiledMethod) lowerBlock(p, sp int) *Superblock {
-	code := cm.Code
-	e := p - int(cm.sbIdx[p])
+	bd := cm.body
+	code := bd.code
+	e := p - int(bd.sbIdx[p])
 	pe := e
 	var term *isa.Instr
 	if terminalOp(code[e-1].Op) {
 		pe--
 		term = &code[pe]
 	}
-	mb, ok := cm.lowering.compile(code[p:pe], term, int32(cm.M.MaxLocals+sp))
+	mb, ok := bd.lowering.compile(code[p:pe], term, bd.maxLocals+int32(sp))
 	if !ok {
-		cm.sbIdx[p] = 0
+		bd.sbIdx[p] = 0
 		return nil
 	}
 	b := &Superblock{
@@ -300,8 +329,8 @@ func (cm *CompiledMethod) lowerBlock(p, sp int) *Superblock {
 			b.End, b.Target, b.Cond = term.Op, term.B, term.A
 		}
 	}
-	cm.sbIdx[p] = int32(len(cm.blocks))
-	cm.blocks = append(cm.blocks, b)
+	bd.sbIdx[p] = int32(len(bd.blocks))
+	bd.blocks = append(bd.blocks, b)
 	return b
 }
 

@@ -33,7 +33,7 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 // bytecode to verify, so its tests pass each index's depth by hand.
 func discovered(code []isa.Instr) *CompiledMethod {
 	return &CompiledMethod{M: &classfile.Method{MaxLocals: 4}, Code: code,
-		sbIdx: discoverSuperblocks(code), blocks: noBlocks, lowering: new(microCompiler)}
+		body: &body{code: code, maxLocals: 4, sbIdx: discoverSuperblocks(code), blocks: noBlocks, lowering: new(microCompiler)}}
 }
 
 // depth returns the verifier's operand-stack depth at p, the one every
@@ -67,8 +67,8 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		isa.OpLoadLocal, isa.OpPushConst, isa.OpAddI, isa.OpReturn}
 	deltas := []int32{+1, +1, -1, -1, +1, +1, -1, 0} // each op's net stack effect
 	lowers := []bool{true, false, false, false, true, false, false, false}
-	if len(cm.sbIdx) != len(cm.Code) || len(cm.Code) != len(ops) {
-		t.Fatalf("block index length %d, code length %d, want both %d", len(cm.sbIdx), len(cm.Code), len(ops))
+	if len(cm.body.sbIdx) != len(cm.Code) || len(cm.Code) != len(ops) {
+		t.Fatalf("block index length %d, code length %d, want both %d", len(cm.body.sbIdx), len(cm.Code), len(ops))
 	}
 	end := len(ops) - 1 // the OpReturn
 	for p, in := range cm.Code {
@@ -386,7 +386,7 @@ func TestNextMemoizesSuccessors(t *testing.T) {
 		if got := cm.Next(b, pc, depth(cm, pc)); got != want {
 			t.Fatalf("pc %d: Next = %p, Block = %p", pc, got, want)
 		}
-		cm.sbIdx[pc] = 0 // a re-probe would now find nothing
+		cm.body.sbIdx[pc] = 0 // a re-probe would now find nothing
 		if got := cm.Next(b, pc, depth(cm, pc)); got != want {
 			t.Fatalf("pc %d: Next re-probed instead of using its memo", pc)
 		}

@@ -13,7 +13,9 @@
 package vm_test
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -104,52 +106,110 @@ func TestDifferentialSuperblockWorkloads(t *testing.T) {
 				if f, s := fast.job.Cycles(), slow.job.Cycles(); f != s {
 					t.Errorf("job cycles: fast=%d slow=%d", f, s)
 				}
-				if f, s := fast.machine.Machine.MaxClock(), slow.machine.Machine.MaxClock(); f != s {
-					t.Errorf("machine clock: fast=%d slow=%d", f, s)
-				}
-
-				var ff uint64
-				fcores, scores := fast.machine.Machine.Cores(), slow.machine.Machine.Cores()
-				for i := range fcores {
-					fs, ss := fcores[i].Stats, scores[i].Stats
-					if fs.Cycles != ss.Cycles {
-						t.Errorf("core %d: per-class cycles diverge:\nfast %v\nslow %v", i, fs.Cycles, ss.Cycles)
-					}
-					if fs.Instrs != ss.Instrs || fs.Idle != ss.Idle {
-						t.Errorf("core %d: instrs/idle fast=%d/%d slow=%d/%d",
-							i, fs.Instrs, fs.Idle, ss.Instrs, ss.Idle)
-					}
-					// The rendered stat line must be byte-identical — the
-					// fast-forward counters are deliberately not part of it.
-					if fstr, sstr := fs.String(), ss.String(); fstr != sstr {
-						t.Errorf("core %d: stat line diverges:\nfast %s\nslow %s", i, fstr, sstr)
-					}
-					if fbp, sbp := fcores[i].BP, scores[i].BP; fbp != nil &&
-						(fbp.Predictions != sbp.Predictions || fbp.Mispredicts != sbp.Mispredicts) {
-						t.Errorf("core %d: predictions/mispredicts fast=%d/%d slow=%d/%d", i,
-							fbp.Predictions, fbp.Mispredicts, sbp.Predictions, sbp.Mispredicts)
-					}
-					ff += fs.FastForwardedInstrs
-				}
-				if ff == 0 {
+				if ff := sameMachine(t, fast.machine, slow.machine); ff == 0 {
 					t.Errorf("%s never took the fast path", spec.Name)
-				}
-				// Each method's class vector and invocation count, which the
-				// monitoring policy and the report read.
-				fm, sm := fast.machine.Monitor.ByMethod, slow.machine.Monitor.ByMethod
-				if !reflect.DeepEqual(fm, sm) {
-					for id, c := range fm {
-						if s := sm[id]; s == nil || *s != *c {
-							t.Errorf("method %d: monitor counters fast=%+v slow=%+v", id, *c, s)
-						}
-					}
-					if len(fm) != len(sm) {
-						t.Errorf("monitored methods: fast=%d slow=%d", len(fm), len(sm))
-					}
 				}
 			})
 		}
 	}
+}
+
+// TestDifferentialSuperblockSharedBodies runs two copies of each paper
+// workload as jobs of one workloads.BuildMix program on one VM, fast
+// path on and off. On each compiler the copies' methods share lowered
+// bodies and blocks, and a shared block bills the running frame's own
+// method: the two runs must agree on everything sameMachine compares and
+// on every job's checksum, cycles and output, and each copy of a method
+// that shares a body must have nonzero counters of its own.
+func TestDifferentialSuperblockSharedBodies(t *testing.T) {
+	const threads, copies = 2, 2
+	specs := workloads.All()
+	var entries []workloads.MixEntry
+	for range copies {
+		for _, spec := range specs {
+			entries = append(entries, workloads.MixEntry{Spec: spec, Threads: threads, Scale: 1})
+		}
+	}
+	run := func(disable bool) (*vm.VM, *classfile.Program, []*vm.Job) {
+		prog, err := workloads.BuildMix(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := vm.DefaultConfig()
+		cfg.Machine.MainMemory = 64 << 20
+		cfg.HeapBytes = 16 << 20
+		cfg.DisableSuperblocks = disable
+		machine, err := vm.New(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]*vm.Job, len(entries))
+		for i, e := range entries {
+			if jobs[i], _, err = machine.Submit(vm.JobSpec{Name: e.Spec.Name, Class: e.MainClassOf(i), Method: "main"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := machine.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return machine, prog, jobs
+	}
+	fast, prog, fjobs := run(false)
+	slow, _, sjobs := run(true)
+	for i, e := range entries {
+		f, s := fjobs[i], sjobs[i]
+		if err := errors.Join(f.Err(), s.Err()); err != nil {
+			t.Fatalf("job %d (%s): %v", i, e.Spec.Name, err)
+		}
+		fsum, ssum := int32(uint32(f.Root().Result)), int32(uint32(s.Root().Result))
+		if want := e.Spec.Reference(threads, 1); fsum != want || ssum != want {
+			t.Errorf("job %d (%s): checksums fast=%d slow=%d reference=%d", i, e.Spec.Name, fsum, ssum, want)
+		}
+		if f.Cycles() != s.Cycles() || f.Output() != s.Output() {
+			t.Errorf("job %d (%s): cycles fast=%d slow=%d, output fast=%q slow=%q",
+				i, e.Spec.Name, f.Cycles(), s.Cycles(), f.Output(), s.Output())
+		}
+	}
+	if sameMachine(t, fast, slow) == 0 {
+		t.Error("the mix never took the fast path")
+	}
+
+	// Pair each method of the first copy with its twin in the second:
+	// the same builder made both, so their classes list them alike.
+	shared := 0
+	for i := range specs {
+		for _, cls := range prog.Classes() {
+			name, ok := strings.CutPrefix(cls.Name, workloads.JobPrefix(i))
+			if !ok {
+				continue
+			}
+			twin := prog.Lookup(workloads.JobPrefix(i+len(specs)) + name)
+			for k, m := range cls.Methods {
+				tm := twin.Methods[k]
+				for _, kind := range isa.CoreKinds() {
+					c := fast.Compiler(kind)
+					if c == nil {
+						continue
+					}
+					cm, tcm := c.Lookup(m), c.Lookup(tm)
+					if cm == nil || tcm == nil || &cm.Code[0] != &tcm.Code[0] {
+						continue
+					}
+					shared++
+					mc, tc := fast.Monitor.ByMethod[m.ID], fast.Monitor.ByMethod[tm.ID]
+					if mc == nil || tc == nil || mc == tc || mc.Invokes == 0 || tc.Invokes == 0 ||
+						mc.Cycles == ([isa.NumClasses]uint64{}) || tc.Cycles == ([isa.NumClasses]uint64{}) {
+						t.Errorf("%s and %s [%v] share a body but not counters of their own: %+v, %+v",
+							m.Sig(), tm.Sig(), kind, mc, tc)
+					}
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two copies of a method share a body; the check is vacuous")
+	}
+	t.Logf("%d method copies share a body with their twin", shared)
 }
 
 // TestBlocksLoweredAtVerifierDepth runs the six workloads (the kernels
@@ -227,4 +287,53 @@ func TestBlocksLoweredAtVerifierDepth(t *testing.T) {
 			t.Logf("%d lowered blocks checked, %d entered with a nonempty operand stack", blocks, deep)
 		})
 	}
+}
+
+// sameMachine requires two runs of one program, fast path on (fast) and
+// off (slow), to agree on everything observable — the machine clock, each
+// core's counters and stat line, the branch predictors and every
+// method's monitor counters — and returns the instructions fast
+// fast-forwarded.
+func sameMachine(t *testing.T, fast, slow *vm.VM) (ff uint64) {
+	t.Helper()
+	if f, s := fast.Machine.MaxClock(), slow.Machine.MaxClock(); f != s {
+		t.Errorf("machine clock: fast=%d slow=%d", f, s)
+	}
+
+	fcores, scores := fast.Machine.Cores(), slow.Machine.Cores()
+	for i := range fcores {
+		fs, ss := fcores[i].Stats, scores[i].Stats
+		if fs.Cycles != ss.Cycles {
+			t.Errorf("core %d: per-class cycles diverge:\nfast %v\nslow %v", i, fs.Cycles, ss.Cycles)
+		}
+		if fs.Instrs != ss.Instrs || fs.Idle != ss.Idle {
+			t.Errorf("core %d: instrs/idle fast=%d/%d slow=%d/%d",
+				i, fs.Instrs, fs.Idle, ss.Instrs, ss.Idle)
+		}
+		// The rendered stat line must be byte-identical — the
+		// fast-forward counters are deliberately not part of it.
+		if fstr, sstr := fs.String(), ss.String(); fstr != sstr {
+			t.Errorf("core %d: stat line diverges:\nfast %s\nslow %s", i, fstr, sstr)
+		}
+		if fbp, sbp := fcores[i].BP, scores[i].BP; fbp != nil &&
+			(fbp.Predictions != sbp.Predictions || fbp.Mispredicts != sbp.Mispredicts) {
+			t.Errorf("core %d: predictions/mispredicts fast=%d/%d slow=%d/%d", i,
+				fbp.Predictions, fbp.Mispredicts, sbp.Predictions, sbp.Mispredicts)
+		}
+		ff += fs.FastForwardedInstrs
+	}
+	// Each method's class vector and invocation count, which the
+	// monitoring policy and the report read.
+	fm, sm := fast.Monitor.ByMethod, slow.Monitor.ByMethod
+	if !reflect.DeepEqual(fm, sm) {
+		for id, c := range fm {
+			if s := sm[id]; s == nil || *s != *c {
+				t.Errorf("method %d: monitor counters fast=%+v slow=%+v", id, *c, s)
+			}
+		}
+		if len(fm) != len(sm) {
+			t.Errorf("monitored methods: fast=%d slow=%d", len(fm), len(sm))
+		}
+	}
+	return ff
 }
