@@ -18,8 +18,8 @@ import (
 	hera "herajvm"
 )
 
-func run(k hera.KernelWorkload, kernel bool, topo hera.Topology) (*hera.Result, int32) {
-	prog, err := k.Build(2) // 32x32 matrices
+func run(k hera.Workload, kernel bool, topo hera.Topology) (*hera.Result, int32) {
+	prog, err := k.Build(0, 2) // 32x32 matrices; the launch planner picks the workers
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func run(k hera.KernelWorkload, kernel bool, topo hera.Topology) (*hera.Result, 
 	}
 	entry := k.ScalarClass
 	if kernel {
-		entry = k.KernelClass
+		entry = k.MainClass
 	}
 	job, _, err := sys.Submit(hera.JobRequest{Class: entry, Method: "main"})
 	if err != nil {
@@ -45,11 +45,11 @@ func run(k hera.KernelWorkload, kernel bool, topo hera.Topology) (*hera.Result, 
 }
 
 func main() {
-	k, err := hera.KernelWorkloadByName("matmul")
+	k, err := hera.WorkloadByName("matmul")
 	if err != nil {
 		log.Fatal(err)
 	}
-	want := k.Reference(2)
+	want := k.Reference(0, 2)
 	for _, shape := range []string{"ppe:1,spe:6", "ppe:1,spe:4,vpu:2"} {
 		topo, err := hera.ParseTopology(shape)
 		if err != nil {

@@ -324,29 +324,20 @@ func BootCluster(cfg ClusterConfig, shards []ShardConfig) (*Cluster, error) {
 	return cluster.Boot(cfg, shards)
 }
 
-// Benchmarks.
-type (
-	// Workload is one of the paper's three benchmarks.
-	Workload = workloads.Spec
-	// KernelWorkload is a data-parallel showcase workload with a
-	// hera/Parallel.forRange entry class and a scalar twin running the
-	// identical body sequentially (matmul, nbody, kmeans).
-	KernelWorkload = workloads.KernelSpec
-)
+// Workload is one buildable benchmark: one of the paper's three, or a
+// data-parallel kernel workload whose MainClass launches its body
+// through hera/Parallel.forRange and whose ScalarClass runs the
+// identical body sequentially (matmul, nbody, kmeans).
+type Workload = workloads.Spec
 
 // Workloads returns the paper's three benchmarks (compress, mpegaudio,
 // mandelbrot).
 func Workloads() []Workload { return workloads.All() }
 
-// WorkloadByName finds one benchmark by name. Kernel workload names
-// resolve to their forRange variant, so serve traces and job mixes can
-// interleave data-parallel launches with the paper workloads.
+// WorkloadByName finds one benchmark by name, a paper workload or a
+// kernel workload, so serve traces and job mixes can interleave
+// data-parallel launches with the paper workloads.
 func WorkloadByName(name string) (Workload, error) { return workloads.ByName(name) }
 
 // KernelWorkloads returns the data-parallel kernel workloads.
-func KernelWorkloads() []KernelWorkload { return workloads.Kernels() }
-
-// KernelWorkloadByName finds one kernel workload by name.
-func KernelWorkloadByName(name string) (KernelWorkload, error) {
-	return workloads.KernelByName(name)
-}
+func KernelWorkloads() []Workload { return workloads.Kernels() }

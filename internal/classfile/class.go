@@ -38,7 +38,8 @@ func NewProgram() *Program {
 func (p *Program) NewClass(name string, super *Class) *Class {
 	if _, dup := p.byName[name]; dup {
 		// Builder-API misuse, unreachable because class names are the
-		// builders' literals, prefixed per job copy by workloads.BuildMix.
+		// builders' literals, prefixed per job copy by the workloads
+		// harness.
 		panic(fmt.Sprintf("classfile: duplicate class %q", name))
 	}
 	if super == nil && p.Object != nil {

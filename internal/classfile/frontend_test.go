@@ -32,13 +32,9 @@ func serveMix(t testing.TB, n int) []workloads.MixEntry {
 	return entries
 }
 
-// paperAndKernelSpecs is every workload program the repo builds.
-func paperAndKernelSpecs() []workloads.Spec {
-	specs := workloads.All()
-	for _, k := range workloads.Kernels() {
-		specs = append(specs, k.AsSpec(true))
-	}
-	return specs
+// everyWorkload is every workload program the repo builds.
+func everyWorkload() []workloads.Spec {
+	return append(workloads.All(), workloads.Kernels()...)
 }
 
 func disassembly(p *classfile.Program) string {
@@ -65,7 +61,7 @@ func instructions(p *classfile.Program) (n int) {
 // MaxStack, on which pcs are reached and on the kinds at each.
 func TestVerifierMatchesReference(t *testing.T) {
 	var progs []*classfile.Program
-	for _, spec := range paperAndKernelSpecs() {
+	for _, spec := range everyWorkload() {
 		p, err := spec.Build(2, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -114,7 +110,7 @@ func TestDisassemblyGolden(t *testing.T) {
 		name, rest, _ := strings.Cut(sc.Text(), " ")
 		want[name] = rest
 	}
-	for _, spec := range paperAndKernelSpecs() {
+	for _, spec := range everyWorkload() {
 		p, err := spec.Build(2, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -35,7 +35,7 @@ func RunA1(opt Options) (*A1, error) {
 	for _, bs := range A1Sizes {
 		a := ps3(1, 1)
 		a.label = fmt.Sprintf("block %d", bs)
-		a.mutate = func(cfg *vm.Config) { cfg.DataCache.ArrayBlock = uint32(bs) }
+		a.cfg.DataCache.ArrayBlock = uint32(bs)
 		arms = append(arms, a)
 	}
 	runs, err := grid(opt, "a1", opt.benches(), arms)
@@ -218,19 +218,14 @@ func RunA3(opt Options) (*A3, error) {
 	for _, sp := range a3Splits {
 		a := ps3(1, 1)
 		a.label = fmt.Sprintf("%d/%d", sp[0], sp[1])
-		a.mutate = func(cfg *vm.Config) {
-			cfg.DataCache.Size = uint32(sp[0]) << 10
-			cfg.CodeCache.Size = uint32(sp[1]) << 10
-		}
+		a.cfg.DataCache.Size = uint32(sp[0]) << 10
+		a.cfg.CodeCache.Size = uint32(sp[1]) << 10
 		out.Splits = append(out.Splits, a.label)
 		arms = append(arms, a)
 	}
 	adaptive := arms[a3Default]
 	adaptive.label = "adaptive"
-	adaptive.mutate = func(cfg *vm.Config) {
-		arms[a3Default].mutate(cfg)
-		cfg.AdaptiveCaches = true
-	}
+	adaptive.cfg.AdaptiveCaches = true
 	runs, err := grid(opt, "a3", opt.benches(), append(arms, adaptive))
 	if err != nil {
 		return nil, err
@@ -288,7 +283,7 @@ func RunA4(opt Options) (*A4, error) {
 	sound := ps3(opt.MaxSPEs, min(opt.Threads, opt.MaxSPEs))
 	unsound := sound
 	unsound.label += ", no coherence"
-	unsound.mutate = func(cfg *vm.Config) { cfg.UnsafeNoCoherence = true }
+	unsound.cfg.UnsafeNoCoherence = true
 	runs, err := grid(opt, "a4", opt.benches(), []arm{sound, unsound})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"herajvm/internal/profile"
-	"herajvm/internal/vm"
 )
 
 // FastPath holds the superblock fast path to the stepping executor, end
@@ -45,9 +44,9 @@ type FastPathRow struct {
 // shape.
 func RunFastPath(opt Options) (*FastPath, error) {
 	topo := opt.topologies(DefaultServeTopology())[0]
-	fast := arm{label: "fast", topo: topo}
-	slow := arm{label: "stepped", topo: topo,
-		mutate: func(cfg *vm.Config) { cfg.DisableSuperblocks = true }}
+	fast := on("fast", topo, 0)
+	slow := on("stepped", topo, 0)
+	slow.cfg.DisableSuperblocks = true
 	runs, err := grid(opt, "fastpath", opt.benches(), []arm{fast, slow})
 	if err != nil {
 		return nil, err

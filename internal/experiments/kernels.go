@@ -67,10 +67,10 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 	var benches []bench
 	for _, k := range workloads.Kernels() {
 		scale := opt.scale(k.Name, k.DefaultScale)
-		want := k.Reference(scale)
-		for _, entry := range []string{k.ScalarClass, k.KernelClass} {
+		want := k.Reference(0, scale)
+		for _, entry := range []string{k.ScalarClass, k.MainClass} {
 			benches = append(benches, bench{name: k.Name + "/" + entry, entry: entry,
-				build: func(int) (*classfile.Program, error) { return k.Build(scale) },
+				build: func(threads int) (*classfile.Program, error) { return k.Build(threads, scale) },
 				want:  func(int) int32 { return want }})
 		}
 	}
@@ -79,7 +79,7 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 	// planner routes onto the vector cores.
 	var arms []arm
 	for _, topo := range opt.topologies(cell.PS3Topology(6), DefaultServeTopology()) {
-		arms = append(arms, arm{label: "default workers", topo: topo})
+		arms = append(arms, on("default workers", topo, 0))
 	}
 	runs, err := grid(opt, "kernels", benches, arms)
 	if err != nil {
@@ -92,7 +92,7 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 			row := KernelsRow{
 				Workload:     k.Name,
 				Topology:     kj.Topology,
-				Pool:         poolKindFor(a.topo),
+				Pool:         poolKindFor(a.cfg.Machine.Topology),
 				ScalarCycles: sj.Cycles,
 				KernelCycles: kj.Cycles,
 				Workers:      kj.Job.KernelWorkers,

@@ -220,7 +220,7 @@ func runCacheSweep(opt Options, figure, axis string, sizes []int,
 	for _, kb := range sizes {
 		a := ps3(1, 1)
 		a.label = fmt.Sprintf("%d KB", kb)
-		a.mutate = func(cfg *vm.Config) { set(cfg, kb) }
+		set(&a.cfg, kb)
 		arms = append(arms, a)
 	}
 	runs, err := grid(opt, figure, opt.benches(), arms)

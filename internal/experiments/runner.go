@@ -186,16 +186,22 @@ func paperBench(spec workloads.Spec, scale int) bench {
 type arm struct {
 	// label names the arm in -v progress lines.
 	label string
-	topo  cell.Topology
+	// cfg is the VM configuration the arm boots.
+	cfg vm.Config
 	// threads is the benchmark worker count (0 = one per worker core).
 	threads int
-	// mutate, when non-nil, edits the VM configuration before boot.
-	mutate func(*vm.Config)
+}
+
+// on is the default VM on topo.
+func on(label string, topo cell.Topology, threads int) arm {
+	cfg := vm.DefaultConfig()
+	cfg.Machine.Topology = topo
+	return arm{label: label, cfg: cfg, threads: threads}
 }
 
 // ps3 is the paper's machine: one PPE beside n SPEs (0 = PPE only).
 func ps3(n, threads int) arm {
-	return arm{label: fmt.Sprintf("%d SPEs", n), topo: cell.PS3Topology(n), threads: threads}
+	return on(fmt.Sprintf("%d SPEs", n), cell.PS3Topology(n), threads)
 }
 
 // run executes one bench on one arm: build, boot, submit main as a job,
@@ -206,18 +212,13 @@ func run(opt Options, b bench, a arm) (RunStats, error) {
 	}
 	threads := a.threads
 	if threads == 0 {
-		threads = a.topo.DefaultWorkers()
-	}
-	cfg := vm.DefaultConfig()
-	cfg.Machine.Topology = a.topo
-	if a.mutate != nil {
-		a.mutate(&cfg)
+		threads = a.cfg.Machine.Topology.DefaultWorkers()
 	}
 	prog, err := b.build(threads)
 	if err != nil {
 		return RunStats{}, err
 	}
-	machine, err := vm.New(cfg, prog)
+	machine, err := vm.New(a.cfg, prog)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -226,7 +227,7 @@ func run(opt Options, b bench, a arm) (RunStats, error) {
 		_, err = job.Wait()
 	}
 	if err != nil {
-		return RunStats{}, fmt.Errorf("%s (%s): %w", b.name, a.topo, err)
+		return RunStats{}, fmt.Errorf("%s (%s): %w", b.name, a.cfg.Machine.Topology, err)
 	}
 	st := collect(machine, job)
 	st.Workload = b.name

@@ -17,7 +17,7 @@ func replayTwice(t *testing.T, topos ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arms = append(arms, arm{label: ts, topo: topo})
+		arms = append(arms, on(ts, topo, 0))
 	}
 	run := func() [][]RunStats {
 		runs, err := grid(tiny(), "test", tiny().benches(), arms)

@@ -47,7 +47,7 @@ func RunTopologySweep(opt Options) (*TopologySweep, error) {
 	)}
 	var arms []arm
 	for _, topo := range out.Topologies {
-		arms = append(arms, arm{label: "default workers", topo: topo})
+		arms = append(arms, on("default workers", topo, 0))
 	}
 	runs, err := grid(opt, "topo", opt.benches(), arms)
 	if err != nil {

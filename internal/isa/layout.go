@@ -9,7 +9,8 @@ package isa
 // element kind's width.
 const (
 	// HeaderBytes is the object header size: class ID (4), flags (4),
-	// lock word (4), array length (4).
+	// lock word (4, always zero: monitor state lives in the VM), array
+	// length (4).
 	HeaderBytes = 16
 	// SlotBytes is the size of one instance/static field slot.
 	SlotBytes = 8

@@ -216,13 +216,3 @@ func (c *Compiler) intern(cm *CompiledMethod, h uint64) *body {
 func (c *Compiler) CompileCycles(m *classfile.Method) uint64 {
 	return 800 + 40*uint64(len(m.Code))
 }
-
-// Disassemble renders the compiled code for debugging.
-func (cm *CompiledMethod) Disassemble() string {
-	s := fmt.Sprintf("%s [%v] %d instrs, %d bytes @%#x\n",
-		cm.M.Sig(), cm.Target, len(cm.Code), cm.Size, cm.Addr)
-	for i, in := range cm.Code {
-		s += fmt.Sprintf("%4d  %s\n", i, in)
-	}
-	return s
-}

@@ -144,10 +144,7 @@ func TestOnDemandBlocksEqualEager(t *testing.T) {
 // and Keys alias the bytecode's slices, so it also holds Compile to not
 // writing the method it reads.
 func TestLowerIsOneToOne(t *testing.T) {
-	specs := workloads.All()
-	for _, k := range workloads.Kernels() {
-		specs = append(specs, k.AsSpec(true))
-	}
+	specs := append(workloads.All(), workloads.Kernels()...)
 	var progs []*classfile.Program
 	for _, spec := range specs {
 		p, err := spec.Build(2, 1)

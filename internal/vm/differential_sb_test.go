@@ -219,10 +219,7 @@ func TestDifferentialSuperblockSharedBodies(t *testing.T) {
 // the verifier derives at the block's entry — the depth of every frame
 // that reaches it.
 func TestBlocksLoweredAtVerifierDepth(t *testing.T) {
-	specs := workloads.All()
-	for _, k := range workloads.Kernels() {
-		specs = append(specs, k.AsSpec(true))
-	}
+	specs := append(workloads.All(), workloads.Kernels()...)
 	topo, err := cell.ParseTopology("ppe:1,spe:4,vpu:2")
 	if err != nil {
 		t.Fatal(err)

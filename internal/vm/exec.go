@@ -78,11 +78,10 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 func (vm *VM) trap(core *cell.Core, t *Thread, err error) {
 	t.Trap = err
 	t.State = StateTerminated
-	for obj, m := range vm.monitors {
+	for _, m := range vm.monitors {
 		if m.owner == t {
 			m.owner = nil
 			m.count = 0
-			vm.writeLockWord(obj, m)
 			vm.wakeBlocked(core, m)
 		}
 	}

@@ -147,12 +147,6 @@ func (h *Heap) ClassIDOf(obj Ref) int { return int(h.main.Read32(obj + isa.Heade
 // LengthOf reads an array length from the header.
 func (h *Heap) LengthOf(obj Ref) uint32 { return h.main.Read32(obj + isa.HeaderLengthOff) }
 
-// LockWord reads the monitor word.
-func (h *Heap) LockWord(obj Ref) uint32 { return h.main.Read32(obj + isa.HeaderLockOff) }
-
-// SetLockWord stores the monitor word.
-func (h *Heap) SetLockWord(obj Ref, w uint32) { h.main.Write32(obj+isa.HeaderLockOff, w) }
-
 // FieldSlot reads instance field slot i directly (runtime-internal use;
 // Java code goes through the executor's cached paths).
 func (h *Heap) FieldSlot(obj Ref, slot int) uint64 {

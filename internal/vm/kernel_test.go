@@ -342,6 +342,51 @@ func TestFreezeJobRefusesInFlightKernel(t *testing.T) {
 	}
 }
 
+// TestFreezeRefusesKernelLaunchedMidFreeze: a launch that starts while
+// Freeze drives the job toward a safe point aborts the freeze with
+// ErrNotFreezable, leaves no thread parked, and the kernel runs on to
+// the right total. The launch is staged by running KMain on an SPE with
+// forRange registered as a JNI native: the call migrates to the PPE and
+// is still pending there when Freeze starts, so the drive launches it.
+func TestFreezeRefusesKernelLaunchedMidFreeze(t *testing.T) {
+	const n = 4000
+	cfg := testConfig()
+	cfg.Machine.Topology = kernelTopology()
+	p := buildKernelProg(n)
+	p.Lookup("KMain").MethodByName("main").Annotate(classfile.AnnRunOnSPE)
+	v, err := New(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := *v.natives["hera/Parallel.forRange"]
+	launch.Kind = NativeJNI
+	v.RegisterNative("hera/Parallel.forRange", &launch)
+	j, _, err := v.Submit(JobSpec{Name: "kmain", Class: "KMain", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tries := 0; j.Root().pendingNative == nil; tries++ {
+		if tries > 10000 || j.kernels > 0 || j.done {
+			t.Fatal("forRange never went pending on its way to the PPE")
+		}
+		if err := v.RunUntil(v.Machine.MaxClock() + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrNotFreezable) || j.kernels == 0 {
+		t.Fatalf("freeze across the launch: err = %v with %d kernels in flight, want ErrNotFreezable", err, j.kernels)
+	}
+	if j.Frozen() || len(j.parked) != 0 {
+		t.Fatalf("refused freeze left frozen=%v, %d threads parked", j.Frozen(), len(j.parked))
+	}
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := int32(uint32(j.Root().Result)); got != kernelExpected(n) {
+		t.Errorf("post-refusal total = %d, want %d", got, kernelExpected(n))
+	}
+}
+
 // TestKernelSpeedup: the pinned SPMD fan-out must beat the sequential
 // scalar run of the same body on simulated cycles — the subsystem's
 // reason to exist, pinned here so perf regressions fail loudly.

@@ -6,9 +6,8 @@ import (
 	"herajvm/internal/cell"
 )
 
-// monitor is the VM-side state of one object's lock: the owner and
-// recursion count mirror the header lock word (owner<<8 | count); the
-// queues hold blocked and waiting threads.
+// monitor is the VM-side state of one object's lock: the owner, the
+// recursion count, and the queues of blocked and waiting threads.
 type monitor struct {
 	owner   *Thread
 	count   int
@@ -23,14 +22,6 @@ func (vm *VM) monitorOf(obj Ref) *monitor {
 		vm.monitors[obj] = m
 	}
 	return m
-}
-
-func (vm *VM) writeLockWord(obj Ref, m *monitor) {
-	var w uint32
-	if m.owner != nil {
-		w = uint32(m.owner.ID+1)<<8 | uint32(m.count&0xff)
-	}
-	vm.Heap.SetLockWord(obj, w)
 }
 
 // monitorEnter attempts to acquire obj's monitor for t on core. It
@@ -50,7 +41,6 @@ func (vm *VM) monitorEnter(core *cell.Core, t *Thread, obj Ref) bool {
 		m.blocked = append(m.blocked, t)
 		return false
 	}
-	vm.writeLockWord(obj, m)
 	vm.acquire(core, edgeMonitor)
 	return true
 }
@@ -66,11 +56,9 @@ func (vm *VM) monitorExit(core *cell.Core, t *Thread, obj Ref) error {
 	vm.release(core, edgeMonitor)
 	m.count--
 	if m.count > 0 {
-		vm.writeLockWord(obj, m)
 		return nil
 	}
 	m.owner = nil
-	vm.writeLockWord(obj, m)
 	vm.wakeBlocked(core, m)
 	return nil
 }
@@ -102,7 +90,6 @@ func (vm *VM) monitorWait(core *cell.Core, t *Thread, obj Ref) error {
 	t.waitCount = m.count
 	m.owner = nil
 	m.count = 0
-	vm.writeLockWord(obj, m)
 	m.waiters = append(m.waiters, t)
 	t.State = StateBlocked
 	vm.wakeBlocked(core, m)

@@ -225,7 +225,6 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 		for _, w := range im.Waiters {
 			m.waiters = append(m.waiters, threads[w])
 		}
-		vm.writeLockWord(obj, m)
 	}
 
 	j.root = threads[0]

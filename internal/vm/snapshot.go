@@ -309,7 +309,6 @@ func (vm *VM) detachJob(j *Job, monObjs []Ref) {
 	}
 	for _, obj := range monObjs {
 		delete(vm.monitors, obj)
-		vm.Heap.SetLockWord(obj, 0)
 	}
 	j.live = 0
 	j.frozen = true

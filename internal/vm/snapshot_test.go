@@ -367,6 +367,152 @@ func TestFreezeCtxCancelAborts(t *testing.T) {
 	}
 }
 
+// secondPollCtx is a context that cancels on its second poll of Done —
+// after Freeze has driven the machine once — calling atCancel first.
+type secondPollCtx struct {
+	context.Context
+	polls    int
+	done     chan struct{}
+	atCancel func()
+}
+
+func (c *secondPollCtx) Done() <-chan struct{} {
+	if c.polls++; c.polls == 2 {
+		c.atCancel()
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *secondPollCtx) Err() error {
+	if c.polls >= 2 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// Contended-lock program size: each of three workers calls Lock.work
+// contendRounds times, and work adds 1..contendSpin to Lock.total.
+const contenders, contendRounds, contendSpin = 3, 40, 50
+
+// buildContendedProg: three workers, placed on the PPE, each call the
+// static synchronized Lock.work — annotated RunOnSPE — in a loop, and
+// main joins them and returns Lock.total. A call that finds the class
+// monitor held blocks with its migration deferred, a state Freeze must
+// drive the job out of before it can capture it.
+func buildContendedProg() *classfile.Program {
+	p := newProg()
+	threadCls := p.Lookup("java/lang/Thread")
+
+	lock := p.NewClass("Lock", nil)
+	total := lock.NewStaticField("total", classfile.Int)
+	work := lock.NewMethod("work", classfile.FlagStatic|classfile.FlagSynchronized, classfile.Void).
+		Annotate(classfile.AnnRunOnSPE)
+	{
+		// locals: 0=i
+		a := work.Asm()
+		loop, done := a.NewLabel(), a.NewLabel()
+		a.ConstI(1)
+		a.StoreI(0)
+		a.Bind(loop)
+		a.LoadI(0)
+		a.ConstI(contendSpin)
+		a.IfICmpGT(done)
+		a.GetStatic(total)
+		a.LoadI(0)
+		a.AddI()
+		a.PutStatic(total)
+		a.Inc(0, 1)
+		a.Goto(loop)
+		a.Bind(done)
+		a.RetVoid()
+		a.MustBuild()
+	}
+
+	worker := p.NewClass("Contender", threadCls)
+	{
+		// locals: 0=this 1=round
+		a := worker.NewMethod("run", 0, classfile.Void).Asm()
+		loop, done := a.NewLabel(), a.NewLabel()
+		a.ConstI(0)
+		a.StoreI(1)
+		a.Bind(loop)
+		a.LoadI(1)
+		a.ConstI(contendRounds)
+		a.IfICmpGE(done)
+		a.InvokeStatic(work)
+		a.Inc(1, 1)
+		a.Goto(loop)
+		a.Bind(done)
+		a.RetVoid()
+		a.MustBuild()
+	}
+
+	// locals: 0..contenders-1 = the workers
+	a := p.NewClass("Contend", nil).NewMethod("main", classfile.FlagStatic, classfile.Int).Asm()
+	for slot := 0; slot < contenders; slot++ {
+		a.New(worker)
+		a.Dup()
+		a.StoreRef(slot)
+		a.InvokeVirtual(threadCls.MethodByName("start"))
+	}
+	for slot := 0; slot < contenders; slot++ {
+		a.LoadRef(slot)
+		a.InvokeVirtual(threadCls.MethodByName("join"))
+	}
+	a.GetStatic(total)
+	a.Ret()
+	a.MustBuild()
+	return p
+}
+
+// TestFreezeAbortUnparks: a context cancelled while Freeze drives the
+// job toward a safe point, after the barrier parked one of its threads,
+// makes Freeze return the context's error with none of the parked
+// threads left Blocked, and the job then completes with the checksum.
+func TestFreezeAbortUnparks(t *testing.T) {
+	const want = contenders * contendRounds * contendSpin * (contendSpin + 1) / 2
+	exercised := false
+	for cycle := cell.Clock(20_000); cycle <= 400_000 && !exercised; cycle += 1_000 {
+		src, err := New(testConfig(), buildContendedProg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := src.Submit(JobSpec{Name: "contend", Class: "Contend", Method: "main"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.RunUntil(cycle); err != nil {
+			t.Fatal(err)
+		}
+		var parked []*Thread
+		ctx := &secondPollCtx{Context: context.Background(), done: make(chan struct{}),
+			atCancel: func() { parked = append(parked, j.parked...) }}
+		_, err = src.Freeze(ctx, j)
+		if len(parked) == 0 {
+			continue // the drive parked nothing before the cancellation: not the case under test
+		}
+		exercised = true
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cycle %d: freeze cancelled mid-drive: %v, want context.Canceled", cycle, err)
+		}
+		for _, th := range parked {
+			if th.State == StateBlocked {
+				t.Errorf("cycle %d: thread %d left Blocked by the aborted freeze", cycle, th.ID)
+			}
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatalf("job after aborted freeze: %v", err)
+		}
+		if got := int32(uint32(j.Root().Result)); got != want {
+			t.Errorf("checksum after aborted freeze = %d, want %d", got, want)
+		}
+	}
+	if !exercised {
+		t.Fatal("no freeze point parked a thread before the cancellation")
+	}
+}
+
 // TestFreezeDoneJob: freezing a completed job reports ErrJobDone.
 func TestFreezeDoneJob(t *testing.T) {
 	v, err := New(testConfig(), buildSnapProg())

@@ -29,14 +29,13 @@ func Compress() Spec {
 		Name:         "compress",
 		MainClass:    "CompressMain",
 		DefaultScale: lzwDefaultScale,
-		Build:        buildVia(buildCompressInto),
-		BuildInto:    buildCompressInto,
 		Reference:    refCompress,
+		build:        buildCompress,
 	}
 }
 
-func buildCompressInto(p *classfile.Program, prefix string, threads, scale int) error {
-	h := newHarnessIn(p, prefix, "CompressWorker")
+func buildCompress(ns namespace, threads, scale int) {
+	h := newHarness(ns, "CompressWorker")
 	w := h.worker
 
 	// static void fill(byte[] in, int id): deterministic pseudo-text.
@@ -378,8 +377,7 @@ func buildCompressInto(p *classfile.Program, prefix string, threads, scale int) 
 		a.MustBuild()
 	}
 
-	h.buildMain(prefix+"CompressMain", threads, scale, nil)
-	return nil
+	h.buildMain(threads, scale, nil)
 }
 
 // refCompress mirrors the bytecode exactly in Go (Java int32 wrapping

@@ -18,7 +18,9 @@
 // checksum, and publish it through a synchronized adder; main starts and
 // joins the workers and returns the total. The checksum is identical
 // regardless of thread count or core placement, which the tests verify
-// against the Go references.
+// against the Go references. The data-parallel kernel workloads
+// (kernels.go) are Specs of the same type, built around a hera/Kernel
+// body instead of worker threads.
 package workloads
 
 import (
@@ -28,27 +30,49 @@ import (
 	"herajvm/internal/vm"
 )
 
-// Spec describes one buildable workload.
+// Spec describes one buildable workload: one of the paper's three, or a
+// data-parallel kernel workload (matmul, nbody, kmeans).
 type Spec struct {
 	// Name is the benchmark name as the paper uses it.
 	Name string
-	// MainClass.main is the entry point; it returns the checksum.
+	// MainClass.main is the entry point; it returns the checksum. A
+	// kernel workload's MainClass launches its body through
+	// hera/Parallel.forRange.
 	MainClass string
-	// Build constructs the program for the given worker count and scale.
-	Build func(threads, scale int) (*classfile.Program, error)
-	// BuildInto adds an isolated copy of the workload's classes —
-	// including its Counter and any coefficient tables, so per-instance
-	// statics never collide — to an existing stdlib-equipped program
-	// under a class-name prefix. The copy's entry point is
-	// prefix+MainClass. Many copies (of the same or different
-	// workloads) can share one program, which is how the job-serving
-	// harness runs many concurrent benchmark instances on one booted
-	// VM.
-	BuildInto func(p *classfile.Program, prefix string, threads, scale int) error
+	// ScalarClass names a kernel workload's sequential twin, whose main
+	// runs the same body on the calling thread; both entries are in
+	// every program the workload builds, unless MainClass names the
+	// twin too. Empty for the paper workloads.
+	ScalarClass string
 	// Reference computes the expected checksum in pure Go.
 	Reference func(threads, scale int) int32
 	// DefaultScale is the scale used by the experiment harness.
 	DefaultScale int
+
+	// build adds one copy of the workload's classes through ns. A kernel
+	// workload ignores threads, in build and in Reference: its
+	// parallelism is the launch planner's.
+	build func(ns namespace, threads, scale int)
+}
+
+// Build constructs the program for the given worker count and scale: a
+// fresh stdlib-equipped program holding one copy of the workload.
+func (s Spec) Build(threads, scale int) (*classfile.Program, error) {
+	p := stdlibProgram()
+	if err := s.buildInto(p, "", threads, scale); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// buildInto adds one copy of the workload's classes to p, every class
+// name prefixed by prefix: "" for Build, mix entry i's JobPrefix in BuildMix.
+func (s Spec) buildInto(p *classfile.Program, prefix string, threads, scale int) error {
+	if s.build == nil {
+		return fmt.Errorf("workloads: %q has no builder", s.Name)
+	}
+	s.build(namespace{p: p, prefix: prefix, main: s.MainClass, scalar: s.ScalarClass}, threads, scale)
+	return nil
 }
 
 // All returns the three paper workloads in the paper's order.
@@ -56,32 +80,16 @@ func All() []Spec {
 	return []Spec{Compress(), MPEGAudio(), Mandelbrot()}
 }
 
-// ByName finds a workload. Kernel workload names (matmul, nbody,
-// kmeans) resolve to their Parallel.forRange variant, so serve traces
-// and cluster mixes can interleave data-parallel kernel jobs with the
-// paper workloads.
+// ByName finds a workload, a paper workload or a kernel workload, so
+// serve traces and cluster mixes can interleave data-parallel kernel
+// jobs with the paper workloads.
 func ByName(name string) (Spec, error) {
-	for _, s := range All() {
+	for _, s := range append(All(), Kernels()...) {
 		if s.Name == name {
 			return s, nil
 		}
 	}
-	if k, err := KernelByName(name); err == nil {
-		return k.AsSpec(true), nil
-	}
 	return Spec{}, fmt.Errorf("workloads: unknown workload %q", name)
-}
-
-// harness is the shared worker scaffolding.
-type harness struct {
-	p       *classfile.Program
-	worker  *classfile.Class
-	run     *classfile.Method
-	id      *classfile.Field
-	workers *classfile.Field
-	scale   *classfile.Field
-	total   *classfile.Field
-	add     *classfile.Method
 }
 
 // stdlibProgram returns a fresh program with the built-in library
@@ -92,71 +100,85 @@ func stdlibProgram() *classfile.Program {
 	return p
 }
 
-// buildVia adapts a workload's BuildInto builder to the one-shot Build
-// signature: a fresh stdlib program holding one unprefixed copy.
-func buildVia(into func(p *classfile.Program, prefix string, threads, scale int) error,
-) func(threads, scale int) (*classfile.Program, error) {
-	return func(threads, scale int) (*classfile.Program, error) {
-		p := stdlibProgram()
-		if err := into(p, "", threads, scale); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
+// namespace is one copy of a workload in a program. Builders create
+// classes only through class, and name is the one place the job-copy
+// prefix is applied: many copies (of the same or different workloads)
+// share one program without sharing statics. main and scalar are the
+// Spec's entry class names.
+type namespace struct {
+	p            *classfile.Program
+	prefix       string
+	main, scalar string
 }
 
-// newHarness creates a program with the stdlib, a Counter class with a
-// synchronized adder, and a Worker (extends Thread) whose run() body the
-// workload fills in. run() is annotated so the placement policy sends
-// workers to SPEs when the machine has them.
-func newHarness(workerName string) *harness {
-	return newHarnessIn(stdlibProgram(), "", workerName)
+// name is the copy's name for class.
+func (ns namespace) name(class string) string { return ns.prefix + class }
+
+// class declares the copy's class name.
+func (ns namespace) class(name string, super *classfile.Class) *classfile.Class {
+	return ns.p.NewClass(ns.name(name), super)
 }
 
-// newHarnessIn is newHarness into an existing stdlib-equipped program,
-// with every created class name prefixed so multiple workload copies
-// coexist without sharing statics (each copy gets its own Counter).
-func newHarnessIn(p *classfile.Program, prefix, workerName string) *harness {
-	threadCls := p.Lookup("java/lang/Thread")
-
-	counter := p.NewClass(prefix+"Counter", nil)
-	total := counter.NewStaticField("total", classfile.Int)
-	add := counter.NewMethod("add", classfile.FlagStatic|classfile.FlagSynchronized,
+// accumulator declares the copy's checksum class: a static int total
+// and a synchronized static add(int) that folds a term into it.
+func (ns namespace) accumulator(name string) (*classfile.Field, *classfile.Method) {
+	c := ns.class(name, nil)
+	total := c.NewStaticField("total", classfile.Int)
+	add := c.NewMethod("add", classfile.FlagStatic|classfile.FlagSynchronized,
 		classfile.Void, classfile.Int)
-	{
-		a := add.Asm()
-		a.GetStatic(total)
-		a.LoadI(0)
-		a.AddI()
-		a.PutStatic(total)
-		a.RetVoid()
-		a.MustBuild()
-	}
+	a := add.Asm()
+	a.GetStatic(total)
+	a.LoadI(0)
+	a.AddI()
+	a.PutStatic(total)
+	a.RetVoid()
+	a.MustBuild()
+	return total, add
+}
 
-	w := p.NewClass(prefix+workerName, threadCls)
+// harness is the shared worker scaffolding of a paper workload.
+type harness struct {
+	namespace
+	worker  *classfile.Class
+	run     *classfile.Method
+	id      *classfile.Field
+	workers *classfile.Field
+	scale   *classfile.Field
+	total   *classfile.Field
+	add     *classfile.Method
+}
+
+// newHarness creates a Counter class with a synchronized adder and a
+// Worker (extends Thread) whose run() body the workload fills in. run()
+// is annotated so the placement policy sends workers to SPEs when the
+// machine has them.
+func newHarness(ns namespace, workerName string) *harness {
+	threadCls := ns.p.Lookup("java/lang/Thread")
+	total, add := ns.accumulator("Counter")
+	w := ns.class(workerName, threadCls)
 	h := &harness{
-		p:       p,
-		worker:  w,
-		id:      w.NewField("id", classfile.Int),
-		workers: w.NewField("workers", classfile.Int),
-		scale:   w.NewField("scale", classfile.Int),
-		total:   total,
-		add:     add,
+		namespace: ns,
+		worker:    w,
+		id:        w.NewField("id", classfile.Int),
+		workers:   w.NewField("workers", classfile.Int),
+		scale:     w.NewField("scale", classfile.Int),
+		total:     total,
+		add:       add,
 	}
 	h.run = w.NewMethod("run", 0, classfile.Void).Annotate(classfile.AnnRunOnSPE)
 	return h
 }
 
-// buildMain emits MainClass.main: spawn `threads` workers with ids
+// buildMain emits the entry class's main: spawn `threads` workers with ids
 // 0..threads-1, start them, join them, return Counter.total.
 // initCall, when non-nil, is a static no-arg method invoked first
 // (coefficient-table setup).
-func (h *harness) buildMain(mainClass string, threads, scale int, initCall *classfile.Method) {
+func (h *harness) buildMain(threads, scale int, initCall *classfile.Method) {
 	threadCls := h.p.Lookup("java/lang/Thread")
 	start := threadCls.MethodByName("start")
 	join := threadCls.MethodByName("join")
 
-	c := h.p.NewClass(mainClass, nil)
+	c := h.class(h.main, nil)
 	m := c.NewMethod("main", classfile.FlagStatic, classfile.Int)
 	a := m.Asm()
 	if initCall != nil {

@@ -16,10 +16,13 @@ type MixEntry struct {
 
 // JobPrefix returns the class-name prefix isolating mix entry i's
 // classes ("J07" — entry i's entry point is JobPrefix(i)+MainClass).
+// The builders never see it: the namespace of entry i's copy applies it.
 func JobPrefix(i int) string { return fmt.Sprintf("J%02d", i) }
 
 // MainClassOf returns mix entry i's entry-point class name.
-func (e MixEntry) MainClassOf(i int) string { return JobPrefix(i) + e.Spec.MainClass }
+func (e MixEntry) MainClassOf(i int) string {
+	return namespace{prefix: JobPrefix(i)}.name(e.Spec.MainClass)
+}
 
 // BuildMix builds one program containing an isolated copy of each
 // entry's workload classes (separate Counters, separate coefficient
@@ -30,10 +33,7 @@ func (e MixEntry) MainClassOf(i int) string { return JobPrefix(i) + e.Spec.MainC
 func BuildMix(entries []MixEntry) (*classfile.Program, error) {
 	p := stdlibProgram()
 	for i, e := range entries {
-		if e.Spec.BuildInto == nil {
-			return nil, fmt.Errorf("workloads: %s has no BuildInto builder", e.Spec.Name)
-		}
-		if err := e.Spec.BuildInto(p, JobPrefix(i), e.Threads, e.Scale); err != nil {
+		if err := e.Spec.buildInto(p, JobPrefix(i), e.Threads, e.Scale); err != nil {
 			return nil, fmt.Errorf("workloads: mix entry %d (%s): %w", i, e.Spec.Name, err)
 		}
 	}

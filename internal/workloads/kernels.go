@@ -1,119 +1,46 @@
 package workloads
 
 import (
-	"fmt"
-
 	"herajvm/internal/classfile"
 )
 
-// KernelSpec describes a data-parallel showcase workload built in two
-// variants around one shared hera/Kernel body: a kernel entry that fans
-// the iteration space out through hera/Parallel.forRange, and a scalar
-// entry that calls body.run(0, n) sequentially on the calling thread.
-// Both variants read the same deterministically-filled inputs and fold
-// per-iteration terms into one synchronized wrapping-int accumulator,
-// so the checksum is invariant under any chunk split the launch planner
-// picks — the differential tests demand byte-identical totals from the
-// two variants and from the pure-Go reference.
-type KernelSpec struct {
-	// Name is the workload name ("matmul", "nbody", "kmeans").
-	Name string
-	// KernelClass.main launches the body via Parallel.forRange;
-	// ScalarClass.main runs the identical body sequentially. Both
-	// return the accumulated checksum.
-	KernelClass string
-	ScalarClass string
-	// Build constructs a fresh program holding both entries; BuildInto
-	// adds an isolated, class-name-prefixed copy to an existing
-	// stdlib-equipped program (the job-mix form).
-	Build     func(scale int) (*classfile.Program, error)
-	BuildInto func(p *classfile.Program, prefix string, scale int) error
-	// Reference computes the expected checksum in pure Go, mirroring
-	// the bytecode's float64 operation order exactly.
-	Reference func(scale int) int32
-	// DefaultScale is the scale the experiment harness uses.
-	DefaultScale int
-}
-
 // Kernels returns the data-parallel showcase workloads (the TornadoVM
-// demo set: matrix multiply, NBody, KMeans).
-func Kernels() []KernelSpec {
-	return []KernelSpec{Matmul(), NBody(), KMeans()}
-}
-
-// KernelByName finds a kernel workload.
-func KernelByName(name string) (KernelSpec, error) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, nil
-		}
-	}
-	return KernelSpec{}, fmt.Errorf("workloads: unknown kernel workload %q", name)
-}
-
-// AsSpec adapts one variant of the kernel workload to the ordinary Spec
-// shape so it can ride the job-mix machinery (BuildMix, the serve
-// driver) beside the paper workloads. The thread-count parameter of the
-// Spec contract is ignored: the kernel variant's parallelism comes from
-// the launch planner, and the scalar variant is sequential by design.
-func (k KernelSpec) AsSpec(kernel bool) Spec {
-	main := k.ScalarClass
-	if kernel {
-		main = k.KernelClass
-	}
-	return Spec{
-		Name:         k.Name,
-		MainClass:    main,
-		DefaultScale: k.DefaultScale,
-		Build: func(threads, scale int) (*classfile.Program, error) {
-			return k.Build(scale)
-		},
-		BuildInto: func(p *classfile.Program, prefix string, threads, scale int) error {
-			return k.BuildInto(p, prefix, scale)
-		},
-		Reference: func(threads, scale int) int32 {
-			return k.Reference(scale)
-		},
-	}
+// demo set: matrix multiply, NBody, KMeans). Each is built around one
+// shared hera/Kernel body with two entries: MainClass fans the
+// iteration space out through hera/Parallel.forRange, and ScalarClass
+// calls body.run(0, n) sequentially on the calling thread. Both read the
+// same deterministically-filled inputs and fold per-iteration terms into
+// one synchronized wrapping-int accumulator, so the checksum is
+// invariant under any chunk split the launch planner picks — the
+// differential tests demand byte-identical totals from the two entries
+// and from the pure-Go reference, which mirrors the bytecode's float64
+// operation order exactly.
+func Kernels() []Spec {
+	return []Spec{Matmul(), NBody(), KMeans()}
 }
 
 // kernelHarness is the shared scaffolding for one kernel workload copy:
 // the synchronized checksum accumulator and the body class (extending
 // hera/Kernel) whose run(from, to) the workload fills in.
 type kernelHarness struct {
-	p     *classfile.Program
+	namespace
 	body  *classfile.Class
 	run   *classfile.Method
 	total *classfile.Field
 	add   *classfile.Method
 }
 
-// newKernelHarnessIn creates the accumulator and body classes under a
-// prefix (separate statics per copy, like newHarnessIn). The body's
+// newKernelHarness creates the accumulator and body classes. The body's
 // run(from, to) must follow the hera/Kernel determinism contract: read
 // the body's input arrays, write only worker-private state, and publish
 // results through the commutative accumulator — never through shared
 // array stores, whose dirty write-back blocks could collide across
 // workers.
-func newKernelHarnessIn(p *classfile.Program, prefix, bodyName string) *kernelHarness {
-	kern := p.Lookup("hera/Kernel")
-
-	acc := p.NewClass(prefix+bodyName+"Acc", nil)
-	total := acc.NewStaticField("total", classfile.Int)
-	add := acc.NewMethod("add", classfile.FlagStatic|classfile.FlagSynchronized,
-		classfile.Void, classfile.Int)
-	{
-		a := add.Asm()
-		a.GetStatic(total)
-		a.LoadI(0)
-		a.AddI()
-		a.PutStatic(total)
-		a.RetVoid()
-		a.MustBuild()
-	}
-
-	body := p.NewClass(prefix+bodyName, kern)
-	h := &kernelHarness{p: p, body: body, total: total, add: add}
+func newKernelHarness(ns namespace, bodyName string) *kernelHarness {
+	kern := ns.p.Lookup("hera/Kernel")
+	total, add := ns.accumulator(bodyName + "Acc")
+	body := ns.class(bodyName, kern)
+	h := &kernelHarness{namespace: ns, body: body, total: total, add: add}
 	h.run = body.NewMethod("run", 0, classfile.Void, classfile.Int, classfile.Int)
 	return h
 }
@@ -121,12 +48,12 @@ func newKernelHarnessIn(p *classfile.Program, prefix, bodyName string) *kernelHa
 // buildEntries emits the two entry classes around the shared body. Both
 // run emitSetup — which must leave the constructed body object in local
 // 0 and may use locals 1+ as scratch — then either launch the kernel or
-// call run(0, n) inline, and return the accumulated total.
-func (h *kernelHarness) buildEntries(kernelClass, scalarClass string, n int32,
-	emitSetup func(a *classfile.Asm)) {
+// call run(0, n) inline, and return the accumulated total. A copy whose
+// MainClass is its ScalarClass holds the sequential entry only.
+func (h *kernelHarness) buildEntries(n int32, emitSetup func(a *classfile.Asm)) {
 	parallel := h.p.Lookup("hera/Parallel")
 	build := func(name string, kernel bool) {
-		cls := h.p.NewClass(name, nil)
+		cls := h.class(name, nil)
 		m := cls.NewMethod("main", classfile.FlagStatic, classfile.Int)
 		a := m.Asm()
 		emitSetup(a)
@@ -145,8 +72,10 @@ func (h *kernelHarness) buildEntries(kernelClass, scalarClass string, n int32,
 		a.Ret()
 		a.MustBuild()
 	}
-	build(kernelClass, true)
-	build(scalarClass, false)
+	if h.main != h.scalar {
+		build(h.main, true)
+	}
+	build(h.scalar, false)
 }
 
 // emitFillLinear emits a fill loop over the double array in local la:

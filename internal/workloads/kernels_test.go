@@ -27,10 +27,10 @@ func kernelConfig(topo cell.Topology) vm.Config {
 
 // runKernelVariant builds one kernel workload and runs the chosen entry
 // as a job, returning the checksum and the job for stats inspection.
-func runKernelVariant(t *testing.T, k KernelSpec, kernel bool, scale int,
+func runKernelVariant(t *testing.T, k Spec, kernel bool, scale int,
 	topo cell.Topology) (int32, *vm.VM, *vm.Job) {
 	t.Helper()
-	p, err := k.Build(scale)
+	p, err := k.Build(1, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func runKernelVariant(t *testing.T, k KernelSpec, kernel bool, scale int,
 	}
 	entry := k.ScalarClass
 	if kernel {
-		entry = k.KernelClass
+		entry = k.MainClass
 	}
 	j, _, err := machine.Submit(vm.JobSpec{Name: entry, Class: entry, Method: "main"})
 	if err != nil {
@@ -66,7 +66,7 @@ func TestKernelWorkloadsDifferential(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			const scale = 1
-			want := k.Reference(scale)
+			want := k.Reference(1, scale)
 			for name, topo := range topos {
 				scalar, _, sj := runKernelVariant(t, k, false, scale, topo)
 				kernel, _, kj := runKernelVariant(t, k, true, scale, topo)
@@ -130,14 +130,21 @@ func TestKernelWorkloadsDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestKernelWorkloadsAsSpecMix: the Spec adapter lets kernel workloads
+// scalarOf is a kernel workload's copy whose entry point is its
+// sequential twin.
+func scalarOf(k Spec) Spec {
+	k.MainClass = k.ScalarClass
+	return k
+}
+
+// TestKernelWorkloadsAsSpecMix: kernel workloads, in either variant,
 // ride the job-mix machinery beside the paper workloads, isolated per
 // prefix.
 func TestKernelWorkloadsAsSpecMix(t *testing.T) {
 	mm := Matmul()
 	entries := []MixEntry{
-		{Spec: mm.AsSpec(true), Threads: 1, Scale: 1},
-		{Spec: mm.AsSpec(false), Threads: 1, Scale: 1},
+		{Spec: mm, Threads: 1, Scale: 1},
+		{Spec: scalarOf(mm), Threads: 1, Scale: 1},
 	}
 	p, err := BuildMix(entries)
 	if err != nil {
@@ -147,7 +154,7 @@ func TestKernelWorkloadsAsSpecMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := mm.Reference(1)
+	want := mm.Reference(1, 1)
 	for i, e := range entries {
 		j, _, err := machine.Submit(vm.JobSpec{
 			Name: e.MainClassOf(i), Class: e.MainClassOf(i), Method: "main"})

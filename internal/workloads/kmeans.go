@@ -21,22 +21,21 @@ func kmeansPoints(scale int) int32 { return int32(128 * scale) }
 // FP-compare-and-branch member of the showcase set. Each point
 // contributes best*7 + (int)(bestDist*16) to the checksum — a
 // per-iteration term, so the total is invariant under any point split.
-func KMeans() KernelSpec {
-	return KernelSpec{
+func KMeans() Spec {
+	return Spec{
 		Name:         "kmeans",
-		KernelClass:  "KMeansKernel",
+		MainClass:    "KMeansKernel",
 		ScalarClass:  "KMeansScalar",
 		DefaultScale: kmeansDefaultScale,
-		Build:        buildKernelVia(buildKMeansInto),
-		BuildInto:    buildKMeansInto,
 		Reference:    refKMeans,
+		build:        buildKMeans,
 	}
 }
 
-func buildKMeansInto(p *classfile.Program, prefix string, scale int) error {
+func buildKMeans(ns namespace, _, scale int) {
 	n := kmeansPoints(scale)
 	const k = kmeansClusters
-	h := newKernelHarnessIn(p, prefix, "KMeansBody")
+	h := newKernelHarness(ns, "KMeansBody")
 	pxF := h.body.NewField("px", classfile.Ref)
 	pyF := h.body.NewField("py", classfile.Ref)
 	cxF := h.body.NewField("cx", classfile.Ref)
@@ -155,7 +154,7 @@ func buildKMeansInto(p *classfile.Program, prefix string, scale int) error {
 	a.MustBuild()
 
 	// Setup. Entry locals: 0=body 1=idx 2=px 3=py 4=cx 5=cy
-	h.buildEntries(prefix+"KMeansKernel", prefix+"KMeansScalar", n, func(a *classfile.Asm) {
+	h.buildEntries(n, func(a *classfile.Asm) {
 		a.ConstI(n)
 		a.NewArray(classfile.ElemDouble)
 		a.StoreRef(2)
@@ -190,11 +189,10 @@ func buildKMeansInto(p *classfile.Program, prefix string, scale int) error {
 		a.ConstI(k)
 		a.PutField(kF)
 	})
-	return nil
 }
 
 // refKMeans mirrors the bytecode exactly in Go.
-func refKMeans(scale int) int32 {
+func refKMeans(_, scale int) int32 {
 	n := kmeansPoints(scale)
 	const k = kmeansClusters
 	px := fillLinear(n, 29, 1, 53, 26, 0.25)

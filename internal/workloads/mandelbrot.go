@@ -26,14 +26,13 @@ func Mandelbrot() Spec {
 		Name:         "mandelbrot",
 		MainClass:    "MandelbrotMain",
 		DefaultScale: mandelDefaultScale,
-		Build:        buildVia(buildMandelbrotInto),
-		BuildInto:    buildMandelbrotInto,
 		Reference:    refMandelbrot,
+		build:        buildMandelbrot,
 	}
 }
 
-func buildMandelbrotInto(p *classfile.Program, prefix string, threads, scale int) error {
-	h := newHarnessIn(p, prefix, "MandelWorker")
+func buildMandelbrot(ns namespace, threads, scale int) {
+	h := newHarness(ns, "MandelWorker")
 	a := h.run.Asm()
 
 	// Locals: 0=this 1=chk 2=y 3=x 4=cy 5=cx 6=zx 7=zy 8=iter 9=t
@@ -188,8 +187,7 @@ func buildMandelbrotInto(p *classfile.Program, prefix string, threads, scale int
 	a.RetVoid()
 	a.MustBuild()
 
-	h.buildMain(prefix+"MandelbrotMain", threads, scale, nil)
-	return nil
+	h.buildMain(threads, scale, nil)
 }
 
 // refMandelbrot mirrors the bytecode exactly in Go (same float64

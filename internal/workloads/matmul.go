@@ -16,34 +16,20 @@ func matmulN(scale int) int32 { return int32(16 * scale) }
 // FP-multiply-add-bound member of the showcase set. Each (row, col)
 // dot product contributes (int)(s * 16) to the checksum — a
 // per-iteration term, so the total is invariant under any row split.
-func Matmul() KernelSpec {
-	return KernelSpec{
+func Matmul() Spec {
+	return Spec{
 		Name:         "matmul",
-		KernelClass:  "MatmulKernel",
+		MainClass:    "MatmulKernel",
 		ScalarClass:  "MatmulScalar",
 		DefaultScale: matmulDefaultScale,
-		Build:        buildKernelVia(buildMatmulInto),
-		BuildInto:    buildMatmulInto,
 		Reference:    refMatmul,
+		build:        buildMatmul,
 	}
 }
 
-// buildKernelVia adapts a kernel workload's BuildInto builder to the
-// one-shot Build signature, mirroring buildVia for the paper workloads.
-func buildKernelVia(into func(p *classfile.Program, prefix string, scale int) error,
-) func(scale int) (*classfile.Program, error) {
-	return func(scale int) (*classfile.Program, error) {
-		p := stdlibProgram()
-		if err := into(p, "", scale); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-}
-
-func buildMatmulInto(p *classfile.Program, prefix string, scale int) error {
+func buildMatmul(ns namespace, _, scale int) {
 	n := matmulN(scale)
-	h := newKernelHarnessIn(p, prefix, "MatmulBody")
+	h := newKernelHarness(ns, "MatmulBody")
 	aF := h.body.NewField("a", classfile.Ref)
 	bF := h.body.NewField("b", classfile.Ref)
 	nF := h.body.NewField("n", classfile.Int)
@@ -151,7 +137,7 @@ func buildMatmulInto(p *classfile.Program, prefix string, scale int) error {
 
 	// Setup: fill A and B, construct the body.
 	// Entry locals: 0=body 1=idx 2=a 3=b
-	h.buildEntries(prefix+"MatmulKernel", prefix+"MatmulScalar", n, func(a *classfile.Asm) {
+	h.buildEntries(n, func(a *classfile.Asm) {
 		a.ConstI(n * n)
 		a.NewArray(classfile.ElemDouble)
 		a.StoreRef(2)
@@ -172,12 +158,11 @@ func buildMatmulInto(p *classfile.Program, prefix string, scale int) error {
 		a.ConstI(n)
 		a.PutField(nF)
 	})
-	return nil
 }
 
 // refMatmul mirrors the bytecode exactly in Go (same float64 operation
 // order, so the checksum matches bit for bit).
-func refMatmul(scale int) int32 {
+func refMatmul(_, scale int) int32 {
 	n := matmulN(scale)
 	am := fillLinear(n*n, 7, 3, 31, 15, 0.125)
 	bm := fillLinear(n*n, 5, 11, 29, 14, 0.0625)

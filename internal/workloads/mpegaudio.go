@@ -30,20 +30,19 @@ func MPEGAudio() Spec {
 		Name:         "mpegaudio",
 		MainClass:    "MpegMain",
 		DefaultScale: mpaDefaultScale,
-		Build:        buildVia(buildMPEGAudioInto),
-		BuildInto:    buildMPEGAudioInto,
 		Reference:    refMPEGAudio,
+		build:        buildMPEGAudio,
 	}
 }
 
-func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int) error {
-	h := newHarnessIn(p, prefix, "MpegWorker")
-	mathCls := p.Lookup("java/lang/Math")
+func buildMPEGAudio(ns namespace, threads, scale int) {
+	h := newHarness(ns, "MpegWorker")
+	mathCls := h.p.Lookup("java/lang/Math")
 	mCos := mathCls.MethodByName("cos")
 	mSin := mathCls.MethodByName("sin")
 
 	// --- Tables: coefficient arrays filled by init() ---
-	tables := p.NewClass(prefix+"Tables", nil)
+	tables := h.class("Tables", nil)
 	cosT := tables.NewStaticField("cosT", classfile.Ref)
 	win := tables.NewStaticField("win", classfile.Ref)
 	cs := tables.NewStaticField("cs", classfile.Ref)
@@ -125,7 +124,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 	}
 
 	// --- Huff.decode(int v): symbol decode via tableswitch ---
-	huff := p.NewClass(prefix+"Huff", nil)
+	huff := h.class("Huff", nil)
 	decode := huff.NewMethod("decode", classfile.FlagStatic, classfile.Int, classfile.Int)
 	{
 		a := decode.Asm()
@@ -145,7 +144,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 	}
 
 	// --- Deq.pow43(double x): sign(x)*|x|^(4/3) proxy via Newton ---
-	deq := p.NewClass(prefix+"Deq", nil)
+	deq := h.class("Deq", nil)
 	pow43 := deq.NewMethod("pow43", classfile.FlagStatic, classfile.Double, classfile.Double)
 	{
 		a := pow43.Asm()
@@ -197,7 +196,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 	// coefficient base, so the whole 32-kernel working set streams
 	// through the code cache repeatedly per frame, as a real decoder's
 	// per-sample synthesis does. ---
-	band := p.NewClass(prefix+"Band", nil)
+	band := h.class("Band", nil)
 	bandMethods := make([]*classfile.Method, mpaBands)
 	for k := 0; k < mpaBands; k++ {
 		m := band.NewMethod(fmt.Sprintf("b%d", k), classfile.FlagStatic, classfile.Double,
@@ -229,7 +228,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 	}
 
 	// --- Syn.s0..s15: unrolled polyphase-synthesis dot products ---
-	syn := p.NewClass(prefix+"Syn", nil)
+	syn := h.class("Syn", nil)
 	synMethods := make([]*classfile.Method, mpaSynthDots)
 	for j := 0; j < mpaSynthDots; j++ {
 		m := syn.NewMethod(fmt.Sprintf("s%d", j), classfile.FlagStatic, classfile.Double,
@@ -258,7 +257,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 	}
 
 	// --- Decoder.decodeFrame(int id, int f) ---
-	decoder := p.NewClass(prefix+"Decoder", nil)
+	decoder := h.class("Decoder", nil)
 	decodeFrame := decoder.NewMethod("decodeFrame", classfile.FlagStatic, classfile.Int,
 		classfile.Int, classfile.Int)
 	{
@@ -515,8 +514,7 @@ func buildMPEGAudioInto(p *classfile.Program, prefix string, threads, scale int)
 		a.MustBuild()
 	}
 
-	h.buildMain(prefix+"MpegMain", threads, scale, initM)
-	return nil
+	h.buildMain(threads, scale, initM)
 }
 
 // --- Go reference, mirroring the bytecode op for op ---

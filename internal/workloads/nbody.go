@@ -21,21 +21,20 @@ func nbodyCount(scale int) int32 { return int32(32 * scale) }
 // FP-divide-bound member of the showcase set. Each body contributes
 // (int)(ax*4) + (int)(ay*4) to the checksum — per-iteration terms, so
 // the total is invariant under any body split.
-func NBody() KernelSpec {
-	return KernelSpec{
+func NBody() Spec {
+	return Spec{
 		Name:         "nbody",
-		KernelClass:  "NBodyKernel",
+		MainClass:    "NBodyKernel",
 		ScalarClass:  "NBodyScalar",
 		DefaultScale: nbodyDefaultScale,
-		Build:        buildKernelVia(buildNBodyInto),
-		BuildInto:    buildNBodyInto,
 		Reference:    refNBody,
+		build:        buildNBody,
 	}
 }
 
-func buildNBodyInto(p *classfile.Program, prefix string, scale int) error {
+func buildNBody(ns namespace, _, scale int) {
 	n := nbodyCount(scale)
-	h := newKernelHarnessIn(p, prefix, "NBodyBody")
+	h := newKernelHarness(ns, "NBodyBody")
 	xF := h.body.NewField("x", classfile.Ref)
 	yF := h.body.NewField("y", classfile.Ref)
 	mF := h.body.NewField("m", classfile.Ref)
@@ -163,7 +162,7 @@ func buildNBodyInto(p *classfile.Program, prefix string, scale int) error {
 	a.MustBuild()
 
 	// Setup. Entry locals: 0=body 1=idx 2=x 3=y 4=m
-	h.buildEntries(prefix+"NBodyKernel", prefix+"NBodyScalar", n, func(a *classfile.Asm) {
+	h.buildEntries(n, func(a *classfile.Asm) {
 		a.ConstI(n)
 		a.NewArray(classfile.ElemDouble)
 		a.StoreRef(2)
@@ -191,11 +190,10 @@ func buildNBodyInto(p *classfile.Program, prefix string, scale int) error {
 		a.ConstI(n)
 		a.PutField(nF)
 	})
-	return nil
 }
 
 // refNBody mirrors the bytecode exactly in Go.
-func refNBody(scale int) int32 {
+func refNBody(_, scale int) int32 {
 	n := nbodyCount(scale)
 	x := fillLinear(n, 13, 7, 41, 20, 0.25)
 	y := fillLinear(n, 17, 3, 37, 18, 0.25)

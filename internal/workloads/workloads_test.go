@@ -192,7 +192,7 @@ func TestByName(t *testing.T) {
 func TestWorkloadsUnderGCPressure(t *testing.T) {
 	specs := All()
 	for _, k := range Kernels() {
-		specs = append(specs, k.AsSpec(true), k.AsSpec(false))
+		specs = append(specs, k, scalarOf(k))
 	}
 	const scale = 1
 	for _, s := range specs {

@@ -52,6 +52,16 @@ var seams = []struct {
 	{"one program counter: no index maps, residency hooks or job-less thread start",
 		`EntryOf|BCIndex|TranslatePC|AtBytecodeBoundary|ResMask|ResidencyClass|StartThread`,
 		[]string{"."}, nil},
+	// "Host-side tables are sized by use": a workload, paper or kernel,
+	// is one Spec, and its builders name classes only through the
+	// harness's namespace, the one place a job copy's prefix is applied.
+	{"one workload type",
+		`KernelSpec|AsSpec|BuildInto|KernelByName|KernelWorkload\b`,
+		[]string{"."}, nil},
+	{"workload classes are named only through the harness namespace",
+		`\.NewClass\(|JobPrefix\(`,
+		[]string{"internal/workloads"},
+		[]string{"internal/workloads/harness.go:class", "internal/workloads/jobmix.go"}},
 	// "Replayable figures": a figure is a pure function of its options.
 	// Host time is the repository benchmark's to measure (benchmark/).
 	{"internal/experiments reads no host clock",
