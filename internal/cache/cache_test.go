@@ -10,15 +10,24 @@ import (
 	"herajvm/internal/mem"
 )
 
-func newSPE(t testing.TB) (*cell.Machine, *cell.Core) {
+// newMachine boots a small 1 PPE + 2 SPE machine whose local stores are
+// lsSize bytes.
+func newMachine(t testing.TB, lsSize uint32) *cell.Machine {
 	t.Helper()
 	cfg := cell.DefaultConfig()
 	cfg.Topology = cell.PS3Topology(2)
 	cfg.MainMemory = 1 << 20 // tests touch low addresses only; keep allocation cheap
+	cfg.LocalStore = lsSize
 	m, err := cell.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func newSPE(t testing.TB) (*cell.Machine, *cell.Core) {
+	t.Helper()
+	m := newMachine(t, cell.DefaultConfig().LocalStore)
 	return m, m.CoresOf(isa.SPE)[0]
 }
 

@@ -32,11 +32,6 @@ const (
 	returnCycles   = 8
 )
 
-type ccEntry struct {
-	lsAddr uint32
-	size   uint32
-}
-
 // CodeCache is one local-store core's software code cache. Method code
 // and TIBs are
 // cached whole with bump-pointer allocation; the cache is completely
@@ -44,14 +39,19 @@ type ccEntry struct {
 // permanently resident 2 KB TOC maps a class ID to its TIB; the (cached)
 // TIB maps a method to its code; both pointers live in low-latency local
 // memory on the hit path.
+//
+// The cache models occupancy and traffic, not contents: the executor
+// runs the JIT's compiled form, so nothing reads cached code or TIB
+// bytes back. A fill is billed as the DMA it would be (MFC.CostOnly)
+// and copies nothing, which leaves the code-cache region of the local
+// store without host backing.
 type CodeCache struct {
 	cfg  CodeCacheConfig
 	core *cell.Core
-	base uint32
 	bump uint32
 
-	tibs    map[int]ccEntry // class ID -> cached TIB
-	methods map[int]ccEntry // method ID -> cached code
+	tibs    map[int]struct{} // class IDs whose TIB is cached
+	methods map[int]struct{} // method IDs whose code is cached
 }
 
 // NewCodeCache builds a code cache over core's local store at
@@ -63,16 +63,15 @@ func NewCodeCache(cfg CodeCacheConfig, core *cell.Core, base uint32) *CodeCache 
 	if !core.Kind.UsesLocalStore() {
 		panic("cache: code cache requires a local-store core")
 	}
-	if uint64(base)+uint64(cfg.Size) > uint64(len(core.LS)) {
+	if ls := core.MFC.LocalStoreSize(); uint64(base)+uint64(cfg.Size) > uint64(ls) {
 		panic(fmt.Sprintf("cache: code cache [%#x,%#x) exceeds local store %#x",
-			base, base+cfg.Size, len(core.LS)))
+			base, base+cfg.Size, ls))
 	}
 	return &CodeCache{
 		cfg:     cfg,
 		core:    core,
-		base:    base,
-		tibs:    make(map[int]ccEntry),
-		methods: make(map[int]ccEntry),
+		tibs:    make(map[int]struct{}),
+		methods: make(map[int]struct{}),
 	}
 }
 
@@ -94,19 +93,18 @@ func (c *CodeCache) purge() {
 }
 
 // alloc bump-allocates size bytes, purging the whole cache when full.
-// The bool result is false when size can never fit (larger than the
-// cache); callers then run the transfer uncached.
-func (c *CodeCache) alloc(size uint32) (uint32, bool) {
+// It returns false when size can never fit (larger than the cache);
+// callers then run the transfer uncached.
+func (c *CodeCache) alloc(size uint32) bool {
 	size = (size + 15) &^ 15
 	if size > c.cfg.Size {
-		return 0, false
+		return false
 	}
 	if c.bump+size > c.cfg.Size {
 		c.purge()
 	}
-	a := c.base + c.bump
 	c.bump += size
-	return a, true
+	return true
 }
 
 // EnsureTIB makes the class's TIB resident and returns the advanced
@@ -119,25 +117,19 @@ func (c *CodeCache) EnsureTIB(now cell.Clock, classID int, tibAddr mem.Addr, tib
 		return now
 	}
 	c.core.Stats.TIBMisses++
-	ls, fits := c.alloc(tibSize)
-	if fits {
-		c.tibs[classID] = ccEntry{lsAddr: ls, size: tibSize}
+	if c.alloc(tibSize) {
+		c.tibs[classID] = struct{}{}
 	}
 	c.core.Stats.Charge(isa.ClassLocalMem, ccInsertCycles)
 	now += ccInsertCycles
-	return c.transfer(now, tibAddr, ls, tibSize, fits)
+	return c.transfer(now, tibSize)
 }
 
-// transfer moves size bytes of metadata/code into the local store (or
-// charges streaming cost for a unit too large to ever cache) and
-// accounts the DMA.
-func (c *CodeCache) transfer(now cell.Clock, from mem.Addr, ls, size uint32, fits bool) cell.Clock {
-	var done cell.Clock
-	if fits {
-		done = c.core.MFC.DMA(now, cell.DMAGet, from, ls, size)
-	} else {
-		done = c.core.MFC.CostOnly(now, size)
-	}
+// transfer bills the DMA of size bytes of metadata/code into the local
+// store — or, for a unit too large to ever cache, its streaming — and
+// accounts it. No bytes move (see CodeCache).
+func (c *CodeCache) transfer(now cell.Clock, size uint32) cell.Clock {
+	done := c.core.MFC.CostOnly(now, size)
 	c.core.Stats.DMATransfers++
 	c.core.Stats.DMABytes += uint64(size)
 	c.core.Stats.DMAWait += done - now
@@ -160,13 +152,12 @@ func (c *CodeCache) EnsureMethod(now cell.Clock, classID int, tibAddr mem.Addr, 
 		return now, true
 	}
 	c.core.Stats.CodeMisses++
-	ls, fits := c.alloc(codeSize)
-	if fits {
-		c.methods[methodID] = ccEntry{lsAddr: ls, size: codeSize}
+	if c.alloc(codeSize) {
+		c.methods[methodID] = struct{}{}
 	}
 	c.core.Stats.Charge(isa.ClassLocalMem, ccInsertCycles)
 	now += ccInsertCycles
-	return c.transfer(now, codeAddr, ls, codeSize, fits), false
+	return c.transfer(now, codeSize), false
 }
 
 // Reenter charges the lookup performed when a method returns into its

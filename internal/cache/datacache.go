@@ -74,7 +74,8 @@ type tabSlot struct {
 
 // DataCache is one local-store core's software object/array cache.
 // Cached bytes live
-// in the core's real local store; main memory remains the backing truth
+// in the core's real local store (whose host backing the MFC grows as
+// fills reach further into it); main memory remains the backing truth
 // only after a flush, which is exactly the (lack of) coherence the paper
 // describes and the Java Memory Model hooks rely on.
 //
@@ -186,9 +187,9 @@ func NewDataCache(cfg DataCacheConfig, core *cell.Core, base uint32) *DataCache 
 	if !core.Kind.UsesLocalStore() {
 		panic("cache: data cache requires a local-store core")
 	}
-	if uint64(base)+uint64(cfg.Size) > uint64(len(core.LS)) {
+	if ls := core.MFC.LocalStoreSize(); uint64(base)+uint64(cfg.Size) > uint64(ls) {
 		panic(fmt.Sprintf("cache: data cache [%#x,%#x) exceeds local store %#x",
-			base, base+cfg.Size, len(core.LS)))
+			base, base+cfg.Size, ls))
 	}
 	if cfg.ArrayBlock == 0 || cfg.ArrayBlock&(cfg.ArrayBlock-1) != 0 {
 		panic("cache: array block size must be a power of two")
@@ -231,10 +232,7 @@ func (d *DataCache) ensure(now cell.Clock, mainAddr mem.Addr, size uint32) (uint
 		// before the whole object was requested): retire it, writing back
 		// dirty bytes so the fresh fill cannot lose them.
 		if e.dirty {
-			done := d.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
-			d.core.Stats.DataWriteBacks++
-			d.core.Stats.Charge(isa.ClassMainMem, done-now)
-			now = done
+			now = d.writeBack(now, e)
 		}
 		d.dcDelete(mainAddr)
 		d.live--
@@ -430,17 +428,9 @@ func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxB
 func (d *DataCache) flushAll(now cell.Clock, invalidate bool) cell.Clock {
 	for _, idx := range d.order {
 		e := &d.slab[idx]
-		if !e.dirty {
-			continue
+		if e.dirty {
+			now = d.writeBack(now, e)
 		}
-		done := d.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
-		d.core.Stats.DMATransfers++
-		d.core.Stats.DMABytes += uint64(e.size)
-		d.core.Stats.DMAWait += done - now
-		d.core.Stats.Charge(isa.ClassMainMem, done-now)
-		d.core.Stats.DataWriteBacks++
-		now = done
-		e.dirty = false
 	}
 	if invalidate {
 		d.slab = d.slab[:0]
@@ -455,6 +445,19 @@ func (d *DataCache) flushAll(now cell.Clock, invalidate bool) cell.Clock {
 		}
 	}
 	return now
+}
+
+// writeBack DMAs a dirty entry out to main memory, billing the transfer
+// like every other DMA the cache issues, and marks it clean.
+func (d *DataCache) writeBack(now cell.Clock, e *dcEntry) cell.Clock {
+	done := d.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
+	d.core.Stats.DMATransfers++
+	d.core.Stats.DMABytes += uint64(e.size)
+	d.core.Stats.DMAWait += done - now
+	d.core.Stats.Charge(isa.ClassMainMem, done-now)
+	d.core.Stats.DataWriteBacks++
+	e.dirty = false
+	return done
 }
 
 // Flush writes back all dirty entries but keeps them cached. Hera-JVM

@@ -74,8 +74,11 @@ func (r *refCache) ensure(now cell.Clock, addr mem.Addr, size uint32) (*refEntry
 		}
 		if e.dirty {
 			done := r.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
-			r.core.Stats.DataWriteBacks++
+			r.core.Stats.DMATransfers++
+			r.core.Stats.DMABytes += uint64(e.size)
+			r.core.Stats.DMAWait += done - now
 			r.core.Stats.Charge(isa.ClassMainMem, done-now)
+			r.core.Stats.DataWriteBacks++
 			now = done
 		}
 		delete(r.index, addr)
@@ -311,6 +314,9 @@ func (x *cacheModel) apply(op int, unit, sizeClass, off, width uint32, val uint6
 	}
 	if d, r := x.dc.core.MFC, x.ref.core.MFC; d.Transfers != r.Transfers || d.Bytes != r.Bytes {
 		x.t.Fatalf("op %d: MFC %d transfers %d bytes, reference %d/%d", op, d.Transfers, d.Bytes, r.Transfers, r.Bytes)
+	}
+	if billed, issued := x.dc.core.Stats.DMATransfers, x.dc.core.MFC.Transfers; billed != issued {
+		x.t.Fatalf("op %d: the cache billed %d DMA transfers of the %d its MFC issued", op, billed, issued)
 	}
 	if x.dc.Entries() != len(x.ref.order) || x.dc.UsedBytes() != x.ref.bump {
 		x.t.Fatalf("op %d: %d entries %d bytes, reference %d/%d", op,

@@ -79,7 +79,7 @@ func TestMFCMovesRealBytes(t *testing.T) {
 	main := mem.NewMain(1 << 16)
 	ls := make([]byte, 4096)
 	e := NewEIB(DefaultEIBConfig())
-	mfc := NewMFC(DefaultMFCConfig(), e, main, ls)
+	mfc := NewMFC(DefaultMFCConfig(), e, main, &ls, uint32(len(ls)))
 
 	main.WriteBytes(0x1000, []byte("cached object payload"))
 	done := mfc.DMA(0, DMAGet, 0x1000, 64, 21)
@@ -103,7 +103,7 @@ func TestMFCSmallTransferRoundedUp(t *testing.T) {
 	main := mem.NewMain(1 << 16)
 	ls := make([]byte, 1024)
 	e := NewEIB(EIBConfig{Channels: 1, BytesPerCycle: 8, ArbCycles: 0})
-	mfc := NewMFC(MFCConfig{SetupCycles: 40, MinTransfer: 128}, e, main, ls)
+	mfc := NewMFC(MFCConfig{SetupCycles: 40, MinTransfer: 128}, e, main, &ls, uint32(len(ls)))
 	done := mfc.DMA(0, DMAGet, 0, 0, 4)
 	// setup 40 + 128/8 = 56: small transfers pay near-fixed cost, the
 	// "much less efficient" small-transfer behaviour of §2.
@@ -191,11 +191,11 @@ func TestMachineConstruction(t *testing.T) {
 		if s.Kind != isa.SPE || s.ID != i {
 			t.Errorf("SPE %d misconfigured", i)
 		}
-		if len(s.LS) != 256<<10 {
-			t.Errorf("SPE %d local store = %d", i, len(s.LS))
-		}
 		if s.MFC == nil {
-			t.Errorf("SPE %d has no MFC", i)
+			t.Fatalf("SPE %d has no MFC", i)
+		}
+		if got := s.MFC.LocalStoreSize(); got != 256<<10 {
+			t.Errorf("SPE %d local store = %d", i, got)
 		}
 	}
 	if len(m.Cores()) != 7 || m.NumCores() != 7 {

@@ -73,7 +73,11 @@ type Core struct {
 	// Now is the core's local clock in cycles.
 	Now Clock
 
-	// LS is the local store (local-store kinds only).
+	// LS is the local store's host backing (local-store kinds only). It
+	// starts empty, and the MFC grows it when a DMA reaches past its end:
+	// it doubles from 16 KB up to Config.LocalStore, so it holds the
+	// bytes the data cache has filled and no more. Only the data cache
+	// reads it; the simulated size is MFC.LocalStoreSize.
 	LS []byte
 	// MFC is the memory flow controller (local-store kinds only).
 	MFC *MFC
@@ -180,8 +184,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			// on top in the VM); hardware-cached kinds get the coherent
 			// cache hierarchy; predictor-equipped kinds get a predictor.
 			if g.Kind.UsesLocalStore() {
-				c.LS = make([]byte, cfg.LocalStore)
-				c.MFC = NewMFC(cfg.MFC, m.EIB, m.Mem, c.LS)
+				c.MFC = NewMFC(cfg.MFC, m.EIB, m.Mem, &c.LS, cfg.LocalStore)
 			} else {
 				c.Mem = NewPPEMem(ppeMemConfig())
 			}

@@ -43,57 +43,81 @@ type MFC struct {
 	cfg  MFCConfig
 	eib  *EIB
 	main *mem.Main
-	ls   []byte
+	ls   *[]byte // the local store's host backing, grown by DMA
+	size uint32  // the local store's simulated size
 
 	// Transfers and Bytes count DMA operations issued by this MFC.
 	Transfers uint64
 	Bytes     uint64
 }
 
-// NewMFC builds an MFC moving data between main and the given local
-// store.
-func NewMFC(cfg MFCConfig, eib *EIB, main *mem.Main, ls []byte) *MFC {
-	return &MFC{cfg: cfg, eib: eib, main: main, ls: ls}
+// NewMFC builds an MFC moving data between main and a local store of
+// size bytes whose host backing is *ls. The MFC grows *ls on demand, so
+// the backing may start empty.
+func NewMFC(cfg MFCConfig, eib *EIB, main *mem.Main, ls *[]byte, size uint32) *MFC {
+	return &MFC{cfg: cfg, eib: eib, main: main, ls: ls, size: size}
 }
+
+// LocalStoreSize returns the simulated size of the MFC's local store,
+// the bound every local-store address is checked against.
+func (m *MFC) LocalStoreSize() uint32 { return m.size }
+
+// minBacking is the first host backing a local store gets; it doubles
+// from there up to the local-store size.
+const minBacking = 16 << 10
 
 // DMA performs a blocking transfer of n bytes between main memory at
 // mainAddr and the local store at lsAddr, issued at time now, and returns
-// the completion time. The data is really copied; the returned time
-// includes command setup, bus arbitration/queuing and payload time.
+// the completion time. The data is really copied, and a transfer that
+// reaches past the local store's host backing grows it first; the
+// returned time, billed by CostOnly, includes command setup, bus
+// arbitration/queuing and payload time.
 func (m *MFC) DMA(now Clock, dir DMADir, mainAddr mem.Addr, lsAddr uint32, n uint32) Clock {
 	if n == 0 {
 		return now
 	}
-	if uint64(lsAddr)+uint64(n) > uint64(len(m.ls)) {
+	end := uint64(lsAddr) + uint64(n)
+	if end > uint64(m.size) {
 		// Internal invariant, unreachable because the software caches DMA
 		// only into their own regions, which vm.validate fits in the
 		// local store.
 		panic(fmt.Sprintf("cell: DMA overruns local store: [%#x,%#x) of %#x",
-			lsAddr, lsAddr+n, len(m.ls)))
+			lsAddr, end, m.size))
 	}
+	if end > uint64(len(*m.ls)) {
+		m.grow(end)
+	}
+	ls := *m.ls
 	switch dir {
 	case DMAGet:
-		m.main.ReadBytes(mainAddr, m.ls[lsAddr:lsAddr+n])
+		m.main.ReadBytes(mainAddr, ls[lsAddr:end])
 	case DMAPut:
-		m.main.WriteBytes(mainAddr, m.ls[lsAddr:lsAddr+n])
+		m.main.WriteBytes(mainAddr, ls[lsAddr:end])
 	default:
 		// Internal invariant, unreachable because DMADir has only the two
 		// values above.
 		panic("cell: bad DMA direction")
 	}
-	carried := n
-	if carried < m.cfg.MinTransfer {
-		carried = m.cfg.MinTransfer
-	}
-	m.Transfers++
-	m.Bytes += uint64(carried)
-	issue := now + Clock(m.cfg.SetupCycles)
-	return m.eib.Transfer(issue, carried)
+	return m.CostOnly(now, n)
 }
 
-// CostOnly models a transfer's timing without moving data. Used for
-// traffic whose bytes live outside simulated memory contents (e.g.
-// migration context packages) but whose bus occupancy must be charged.
+// grow doubles the host backing, from minBacking, until it holds end
+// bytes, capped at the local-store size, keeping the bytes it held.
+func (m *MFC) grow(end uint64) {
+	n := max(uint64(len(*m.ls)), minBacking)
+	for n < end {
+		n *= 2
+	}
+	grown := make([]byte, min(n, uint64(m.size)))
+	copy(grown, *m.ls)
+	*m.ls = grown
+}
+
+// CostOnly models a transfer's timing without moving data: the same
+// Transfers, Bytes and EIB reservation as a DMA of n bytes, with no
+// copy. It serves traffic whose bytes the simulator never reads back —
+// the code cache's code and TIB fills, since the executor runs the
+// JIT's compiled form — but whose bus occupancy must be charged.
 func (m *MFC) CostOnly(now Clock, n uint32) Clock {
 	if n == 0 {
 		return now

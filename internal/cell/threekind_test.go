@@ -81,7 +81,7 @@ func TestThreeKindMachineConstruction(t *testing.T) {
 	}
 	for _, kind := range []isa.CoreKind{isa.SPE, isa.VPU} {
 		for _, c := range m.CoresOf(kind) {
-			if c.LS == nil || c.MFC == nil {
+			if c.MFC == nil || c.MFC.LocalStoreSize() != cfg.LocalStore {
 				t.Errorf("%s must have a local store and MFC", c)
 			}
 			if c.Mem != nil || c.BP != nil {

@@ -68,13 +68,18 @@ func gateError(gate string, problems []string) error {
 // checkValid is the Check of a figure whose only invariant is that
 // every row's checksums matched their references.
 func checkValid[R any](gate string, rows []R, row func(R) (string, bool)) error {
+	return gateError(gate, invalidRows(rows, row))
+}
+
+// invalidRows lists the rows whose checksums missed their references.
+func invalidRows[R any](rows []R, row func(R) (string, bool)) []string {
 	var problems []string
 	for _, r := range rows {
 		if name, valid := row(r); !valid {
 			problems = append(problems, name+": checksum mismatch vs reference")
 		}
 	}
-	return gateError(gate, problems)
+	return problems
 }
 
 // heads renders one column header per x.

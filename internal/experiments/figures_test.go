@@ -181,6 +181,33 @@ func TestCheckFailureArms(t *testing.T) {
 		edit(&fast)
 		return &FastPath{Rows: []FastPathRow{fastPathRow(fast, slow)}}
 	}
+	// sweep is a cache sweep over 8, 56 and the default size: compress
+	// rises and mpegaudio has a knee, the shapes of Figures 6 and 7, and
+	// flat marks the one of the two the figure's cache does not move.
+	// edit then changes the rows.
+	sweep := func(figure, flat string, edit func(map[string]*CacheSweepRow)) CacheSweep {
+		rows := map[string]*CacheSweepRow{
+			"compress":   {HitRate: []float64{0.76, 0.9, 0.94}, RelPerf: []float64{0.52, 0.8, 1}, Valid: true},
+			"mpegaudio":  {HitRate: []float64{0.17, 0.98, 0.98}, RelPerf: []float64{0.334, 0.993, 1}, Valid: true},
+			"mandelbrot": {HitRate: []float64{1, 1, 1}, RelPerf: []float64{1, 1, 1}, Valid: true},
+		}
+		rows[flat].RelPerf = []float64{0.997, 0.999, 1}
+		edit(rows)
+		s := CacheSweep{Figure: figure, SizesKB: []int{8, 56, 104}}
+		for _, name := range []string{"compress", "mpegaudio", "mandelbrot"} {
+			if r := rows[name]; r != nil {
+				r.Workload = name
+				s.Rows = append(s.Rows, *r)
+			}
+		}
+		return s
+	}
+	fig6 := func(edit func(map[string]*CacheSweepRow)) *Fig6 {
+		return &Fig6{sweep("Figure 6", "mpegaudio", edit)}
+	}
+	fig7 := func(edit func(map[string]*CacheSweepRow)) *Fig7 {
+		return &Fig7{sweep("Figure 7", "compress", edit)}
+	}
 	floor := Options{MinSpeedup: 2}
 	for _, tc := range []struct {
 		arm  string
@@ -201,6 +228,26 @@ func TestCheckFailureArms(t *testing.T) {
 		{"kernels below floor", kernels(func(r *KernelsRow) { r.Speedup = 1.5 }), floor, "matmul on ppe:1,spe:4,vpu:2: speedup 1.50x"},
 		{"floor never applied", kernels(func(r *KernelsRow) { r.Pool = "spe" }), floor, "no matmul row ran on a VPU pool"},
 		{"no floor, no VPU", kernels(func(r *KernelsRow) { r.Pool = "spe" }), Options{}, ""},
+
+		{"clean figure 6", fig6(func(map[string]*CacheSweepRow) {}), Options{}, ""},
+		{"figure 6 without mpegaudio", fig6(func(rows map[string]*CacheSweepRow) { delete(rows, "mpegaudio") }), Options{}, ""},
+		{"invalid figure 6 row", fig6(func(rows map[string]*CacheSweepRow) { rows["mandelbrot"].Valid = false }),
+			Options{}, "mandelbrot: checksum mismatch"},
+		{"compress hit rate flat", fig6(func(rows map[string]*CacheSweepRow) { rows["compress"].HitRate[1] = 0.76 }),
+			Options{}, "compress: hit rate"},
+		{"compress performance falls", fig6(func(rows map[string]*CacheSweepRow) { rows["compress"].RelPerf[1] = 1.01 }),
+			Options{}, "compress: performance [0.52 1.01 1] does not rise"},
+		{"compress fast at 8 KB", fig6(func(rows map[string]*CacheSweepRow) { rows["compress"].RelPerf[0] = 0.61 }),
+			Options{}, "compress: performance 0.610 at 8 KB"},
+		{"mandelbrot moved by the data cache", fig6(func(rows map[string]*CacheSweepRow) { rows["mandelbrot"].RelPerf[1] = 0.994 }),
+			Options{}, "mandelbrot: performance 0.994 at 56 KB"},
+		{"clean figure 7", fig7(func(map[string]*CacheSweepRow) {}), Options{}, ""},
+		{"mpegaudio fast at 8 KB", fig7(func(rows map[string]*CacheSweepRow) { rows["mpegaudio"].RelPerf[0] = 0.5 }),
+			Options{}, "mpegaudio: performance 0.500 at 8 KB"},
+		{"mpegaudio slow at 56 KB", fig7(func(rows map[string]*CacheSweepRow) { rows["mpegaudio"].RelPerf[1] = 0.98 }),
+			Options{}, "mpegaudio: performance 0.980 at 56 KB"},
+		{"compress moved by the code cache", fig7(func(rows map[string]*CacheSweepRow) { rows["compress"].RelPerf[0] = 0.99 }),
+			Options{}, "compress: performance 0.990 at 8 KB"},
 
 		{"invalid figure row", &Fig4a{Rows: []Fig4aRow{{Workload: "compress", Valid: true}, {Workload: "mpegaudio"}}},
 			Options{}, "mpegaudio: checksum mismatch"},

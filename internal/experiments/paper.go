@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"herajvm/internal/isa"
@@ -195,22 +196,36 @@ var Fig6Sizes = []int{8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104}
 // Fig7Sizes are the paper's code-cache x-axis points (KB).
 var Fig7Sizes = []int{8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88}
 
+// Fig6 is Figure 6, the data-cache size sweep.
+type Fig6 struct{ CacheSweep }
+
+// Fig7 is Figure 7, the code-cache size sweep.
+type Fig7 struct{ CacheSweep }
+
 // RunFig6 sweeps the SPE software data-cache size on one SPE.
 // Paper shape: compress has a consistently lower hit rate and degrades
 // steeply; mpegaudio is relatively insensitive to data-cache size.
-func RunFig6(opt Options) (*CacheSweep, error) {
-	return runCacheSweep(opt, "Figure 6", "data cache KB", Fig6Sizes,
+func RunFig6(opt Options) (*Fig6, error) {
+	s, err := runCacheSweep(opt, "Figure 6", "data cache KB", Fig6Sizes,
 		func(cfg *vm.Config, kb int) { cfg.DataCache.Size = uint32(kb) << 10 },
 		func(st RunStats) float64 { return st.Accel.DataHitRate() })
+	if err != nil {
+		return nil, err
+	}
+	return &Fig6{*s}, nil
 }
 
 // RunFig7 sweeps the SPE software code-cache size on one SPE.
 // Paper shape: mpegaudio is very susceptible to code-cache reduction;
 // compress and mandelbrot barely react.
-func RunFig7(opt Options) (*CacheSweep, error) {
-	return runCacheSweep(opt, "Figure 7", "code cache KB", Fig7Sizes,
+func RunFig7(opt Options) (*Fig7, error) {
+	s, err := runCacheSweep(opt, "Figure 7", "code cache KB", Fig7Sizes,
 		func(cfg *vm.Config, kb int) { cfg.CodeCache.Size = uint32(kb) << 10 },
 		func(st RunStats) float64 { return st.Accel.CodeHitRate() })
+	if err != nil {
+		return nil, err
+	}
+	return &Fig7{*s}, nil
 }
 
 func runCacheSweep(opt Options, figure, axis string, sizes []int,
@@ -253,7 +268,97 @@ func (s *CacheSweep) Table() string {
 	return b.String()
 }
 
-// Check demands every run's checksum matched its reference.
-func (s *CacheSweep) Check(Options) error {
-	return checkValid(s.Figure, s.Rows, func(r CacheSweepRow) (string, bool) { return r.Workload, r.Valid })
+// Check demands every run's checksum matched its reference and the
+// paper's Figure 6 claims: compress, whose working set outgrows the
+// cache, gains hit rate and performance at every step up in data-cache
+// size and runs at no more than 0.6 of its 104 KB speed with 8 KB;
+// mpegaudio and mandelbrot stay within 0.5 % of it at every size.
+func (f *Fig6) Check(Options) error {
+	problems := f.invalid()
+	if r, ok := f.row("compress"); ok {
+		if !rising(r.HitRate) {
+			problems = append(problems, fmt.Sprintf("compress: hit rate %v does not rise with data-cache size", r.HitRate))
+		}
+		if !rising(r.RelPerf) {
+			problems = append(problems, fmt.Sprintf("compress: performance %v does not rise with data-cache size", r.RelPerf))
+		}
+		if p, ok := f.perfAt(r, 8); ok && p > 0.6 {
+			problems = append(problems, fmt.Sprintf("compress: performance %.3f at 8 KB, want <= 0.6", p))
+		}
+	}
+	return gateError(f.Figure, append(problems, f.flat("mpegaudio", "mandelbrot")...))
+}
+
+// Check demands every run's checksum matched its reference and the
+// paper's Figure 7 claims: mpegaudio, whose hot code outgrows a small
+// code cache, runs below half its 88 KB speed with 8 KB and within 1 %
+// of it from 56 KB up; compress and mandelbrot stay within 0.5 % of it
+// at every size.
+func (f *Fig7) Check(Options) error {
+	problems := f.invalid()
+	if r, ok := f.row("mpegaudio"); ok {
+		if p, ok := f.perfAt(r, 8); ok && p >= 0.5 {
+			problems = append(problems, fmt.Sprintf("mpegaudio: performance %.3f at 8 KB, want < 0.5", p))
+		}
+		for i, kb := range f.SizesKB {
+			if kb >= 56 && r.RelPerf[i] < 0.99 {
+				problems = append(problems, fmt.Sprintf("mpegaudio: performance %.3f at %d KB, want >= 0.99", r.RelPerf[i], kb))
+			}
+		}
+	}
+	return gateError(f.Figure, append(problems, f.flat("compress", "mandelbrot")...))
+}
+
+// invalid lists the rows whose checksums missed their references.
+func (s *CacheSweep) invalid() []string {
+	return invalidRows(s.Rows, func(r CacheSweepRow) (string, bool) { return r.Workload, r.Valid })
+}
+
+// row returns the named workload's row; a sweep run over a subset of
+// the workloads may lack it.
+func (s *CacheSweep) row(name string) (CacheSweepRow, bool) {
+	for _, r := range s.Rows {
+		if r.Workload == name {
+			return r, true
+		}
+	}
+	return CacheSweepRow{}, false
+}
+
+// perfAt returns r's relative performance at kb, if the sweep has it.
+func (s *CacheSweep) perfAt(r CacheSweepRow, kb int) (float64, bool) {
+	for i, k := range s.SizesKB {
+		if k == kb {
+			return r.RelPerf[i], true
+		}
+	}
+	return 0, false
+}
+
+// flat lists, for each named workload present, the sizes at which its
+// relative performance strays more than 0.5 % from 1.
+func (s *CacheSweep) flat(names ...string) []string {
+	var problems []string
+	for _, name := range names {
+		r, ok := s.row(name)
+		if !ok {
+			continue
+		}
+		for i, p := range r.RelPerf {
+			if math.Abs(p-1) > 0.005 {
+				problems = append(problems, fmt.Sprintf("%s: performance %.3f at %d KB, want within 0.5%% of 1", name, p, s.SizesKB[i]))
+			}
+		}
+	}
+	return problems
+}
+
+// rising reports whether xs increases strictly.
+func rising(xs []float64) bool {
+	for i := 1; i < len(xs); i++ {
+		if xs[i] <= xs[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -4,8 +4,9 @@
 // support the SPE cores"). Each backend macro-expands bytecode into the
 // shared machine-instruction vocabulary with target-specific costs and
 // encoded sizes, and allocates the compiled code a real address and size
-// in simulated main memory so the SPE code cache has real, sized blocks
-// to DMA.
+// in the simulated main memory's code region, so the SPE code cache has
+// sized blocks to bill DMA for. The executor runs the compiled form, so
+// no byte is ever written at that address.
 //
 // Methods are compiled lazily per core type: "a method will only be
 // compiled for a particular core architecture if it is to be executed by
@@ -52,7 +53,8 @@ type CompiledMethod struct {
 	// method of its compiler whose lowering is equal (Compiler.intern);
 	// the executor reaches it only through Block, Next and Lowered.
 	body *body
-	// Addr and Size locate the encoded code in simulated main memory.
+	// Addr and Size locate the encoded code in simulated main memory's
+	// code region (an address range only: no byte is written there).
 	Addr mem.Addr
 	Size uint32
 }
@@ -68,7 +70,6 @@ type CompiledHandler struct {
 type Compiler struct {
 	target isa.CoreKind
 	costs  *isa.CostTable
-	main   *mem.Main
 	region *mem.Region
 
 	// InternString resolves a string literal to a heap reference at
@@ -99,13 +100,14 @@ type Compiler struct {
 	CodeBytes uint64
 }
 
-// NewCompiler builds a compiler for one core type, emitting code into
-// the given main-memory region.
-func NewCompiler(target isa.CoreKind, main *mem.Main, region *mem.Region) *Compiler {
+// NewCompiler builds a compiler for one core type, allocating its
+// compiled code addresses in the given main-memory region. The memory
+// itself is unused — no code byte is written — and the parameter stays
+// only for existing callers.
+func NewCompiler(target isa.CoreKind, _ *mem.Main, region *mem.Region) *Compiler {
 	return &Compiler{
 		target:   target,
 		costs:    isa.Costs(target),
-		main:     main,
 		region:   region,
 		compiled: make(map[*classfile.Method]*CompiledMethod),
 		bodies:   make(map[uint64]*body),
@@ -141,10 +143,11 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 		return nil, err
 	}
 	bd, h := c.find(cm)
-	// Allocate the code real space in main memory and fill it with a
-	// recognisable pattern: the code cache DMAs these bytes around. A
-	// method sharing a body still has code of its own here, so nothing
-	// simulated can tell a shared body from a fresh one.
+	// Give the code its own address range in the code region: the code
+	// cache bills transfers of these blocks but copies no bytes, so the
+	// range is never written. A method sharing a body still has a range
+	// of its own, so nothing simulated can tell a shared body from a
+	// fresh one.
 	addr, err := c.region.Alloc(cm.Size, 16)
 	if err != nil {
 		return nil, fmt.Errorf("jit: code region full compiling %s: %w", m.Sig(), err)
@@ -154,10 +157,6 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	}
 	cm.body, cm.Code, cm.Tables, cm.Keys = bd, bd.code, bd.tables, bd.keys
 	cm.Addr = addr
-	pattern := byte(0x40 | byte(c.target))
-	for i := uint32(0); i < cm.Size; i += 64 {
-		c.main.Write8(addr+i, pattern)
-	}
 	c.compiled[m] = cm
 	c.Compiles++
 	c.CodeBytes += uint64(cm.Size)

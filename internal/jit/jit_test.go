@@ -310,15 +310,43 @@ func TestConstStrNeedsInterner(t *testing.T) {
 	}
 }
 
-func TestCodeBytesWrittenToMainMemory(t *testing.T) {
-	_, spe, main := newCompilers(t)
-	_, m := loopMethod(t)
-	cm, err := spe.Compile(m)
-	if err != nil {
+// TestCompiledCodeGetsAddressesNotBytes: every compiled method, a body's
+// sharers included, gets an address range of its own inside its
+// compiler's code region, and compiling writes nothing to main memory,
+// so it maps no page there.
+func TestCompiledCodeGetsAddressesNotBytes(t *testing.T) {
+	ppe, spe, main := newCompilers(t)
+	_, loop := loopMethod(t)
+	p := classfile.NewProgram()
+	ca, cb := p.NewClass("A", nil), p.NewClass("B", nil)
+	methods := []*classfile.Method{loop, shareBody(ca, "f", sameBody), shareBody(cb, "f", sameBody),
+		shareBody(ca, "table", otherTable)}
+	if err := p.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if main.Read8(cm.Addr) == 0 {
-		t.Error("compiled code region should contain nonzero pattern bytes")
+	type span struct{ from, to mem.Addr }
+	var spans []span
+	for _, c := range []*Compiler{ppe, spe} {
+		for _, m := range methods {
+			cm, err := c.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := span{cm.Addr, cm.Addr + cm.Size}
+			if cm.Size == 0 || s.from < c.region.Start || s.to > c.region.End {
+				t.Fatalf("%s on %s: code at [%#x,%#x) outside its region [%#x,%#x)",
+					m.Sig(), c.Target(), s.from, s.to, c.region.Start, c.region.End)
+			}
+			for _, o := range spans {
+				if s.from < o.to && o.from < s.to {
+					t.Fatalf("%s on %s: code at [%#x,%#x) overlaps [%#x,%#x)", m.Sig(), c.Target(), s.from, s.to, o.from, o.to)
+				}
+			}
+			spans = append(spans, s)
+		}
+	}
+	if main.Writes != 0 {
+		t.Errorf("compiling wrote main memory %d times", main.Writes)
 	}
 }
 

@@ -1,8 +1,12 @@
 // Package mem models the Cell machine's main memory: a flat, byte
-// addressed, little-endian store. Every heap object, static field, TIB
-// and compiled-code block in the simulated machine occupies real bytes
-// here, so all data movement measured by the experiments (SPE DMA
-// transfers, PPE cache fills) corresponds to actual byte traffic.
+// addressed, little-endian store. Every heap object and static field in
+// the simulated machine occupies real bytes here, so the data movement
+// the experiments measure (SPE data-cache DMA, PPE cache fills)
+// corresponds to actual byte traffic. TIBs and compiled code have
+// address ranges here but no bytes: nothing reads them, because the
+// executor runs the JIT's compiled form and dispatches through the
+// VM's own class metadata, and the SPE code cache only bills the
+// transfers it would make.
 //
 // The store is demand paged on the host: Main is a fixed page table
 // whose pages are allocated by the first write that lands on them, and

@@ -150,9 +150,9 @@ func (cfg *Config) validate() error {
 }
 
 // classMeta is per-class runtime metadata: where the class's TIB lives
-// in main memory (the SPE code cache DMAs it), the class-lock object
-// used by static synchronized methods, and which of the class's slots
-// hold references (refs.go).
+// in main memory (the SPE code cache bills its transfers), the
+// class-lock object used by static synchronized methods, and which of
+// the class's slots hold references (refs.go).
 type classMeta struct {
 	tibAddr mem.Addr
 	tibSize uint32
@@ -337,8 +337,11 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		return nil, badLayout(err)
 	}
 
-	// TIBs: one block per class in the boot region, holding the vtable's
-	// method IDs as real words (Figure 3's structures).
+	// TIBs: one block per class in the boot region, sized for the class
+	// ID, the vtable length and the vtable's method IDs (Figure 3's
+	// structures). The SPE code cache bills their transfers, but nothing
+	// reads their words — the executor dispatches through the class's
+	// own vtable — so none is written.
 	vm.classes = make([]classMeta, len(prog.Classes()))
 	vm.classByID = make([]*classfile.Class, len(prog.Classes()))
 	for _, c := range prog.Classes() {
@@ -349,11 +352,6 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		addr, err := boot.Alloc(size, 16)
 		if err != nil {
 			return nil, badLayout(err)
-		}
-		machine.Mem.Write32(addr, uint32(c.ID))
-		machine.Mem.Write32(addr+4, uint32(len(c.VTable)))
-		for i, m := range c.VTable {
-			machine.Mem.Write64(addr+8+uint32(i)*8, uint64(m.ID))
 		}
 		vm.classes[c.ID] = classMeta{tibAddr: addr, tibSize: size, refs: classRefsOf(c)}
 	}

@@ -200,6 +200,31 @@ func TestObjectsFieldsAndVirtualDispatch(t *testing.T) {
 	}
 }
 
+// TestTIBsGetAddressesNotBytes: every class's TIB gets a block of its
+// own in the boot area, sized for its vtable, and the boot writes no
+// word of it — nothing reads TIB contents (the code cache only bills
+// their transfers).
+func TestTIBsGetAddressesNotBytes(t *testing.T) {
+	p := newProg()
+	vm, err := New(testConfig(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := uint32(0)
+	for _, c := range vm.classByID {
+		meta := vm.classes[c.ID]
+		if meta.tibSize != uint32(16+8*len(c.VTable)) || meta.tibAddr < end {
+			t.Fatalf("%s: TIB at %#x size %d, want %d bytes past %#x", c.Name, meta.tibAddr, meta.tibSize, 16+8*len(c.VTable), end)
+		}
+		end = meta.tibAddr + meta.tibSize
+		for a := meta.tibAddr; a < end; a += 8 {
+			if w := vm.Machine.Mem.Read64(a); w != 0 {
+				t.Fatalf("%s: TIB word at %#x holds %#x; the boot should write none", c.Name, a, w)
+			}
+		}
+	}
+}
+
 func TestInterfaceDispatch(t *testing.T) {
 	p := newProg()
 	shape := p.NewInterface("Shape")
