@@ -129,12 +129,7 @@ func (c *CodeCache) EnsureTIB(now cell.Clock, classID int, tibAddr mem.Addr, tib
 // store — or, for a unit too large to ever cache, its streaming — and
 // accounts it. No bytes move (see CodeCache).
 func (c *CodeCache) transfer(now cell.Clock, size uint32) cell.Clock {
-	done := c.core.MFC.CostOnly(now, size)
-	c.core.Stats.DMATransfers++
-	c.core.Stats.DMABytes += uint64(size)
-	c.core.Stats.DMAWait += done - now
-	c.core.Stats.Charge(isa.ClassMainMem, done-now)
-	return done
+	return billDMA(c.core, now, c.core.MFC.CostOnly(now, size), size, true)
 }
 
 // EnsureMethod makes a compiled method's code resident (after its TIB)

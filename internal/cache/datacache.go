@@ -258,20 +258,40 @@ func (d *DataCache) ensure(now cell.Clock, mainAddr mem.Addr, size uint32) (uint
 		now = d.flushAll(now, true)
 		d.core.Stats.DataFlushes++
 	}
+	return d.fill(now, mainAddr, size, true)
+}
+
+// fill is a miss's allocate → insert → DMA → install step, into room
+// the caller has made: it bump-allocates size bytes, charges the insert,
+// DMAs [mainAddr, mainAddr+size) in and installs a clean entry. The
+// transfer is billed either way; the clock waits for it only when wait
+// is set (a prefetch overlaps it). It returns the local-store address,
+// the slab index and the advanced clock.
+func (d *DataCache) fill(now cell.Clock, mainAddr mem.Addr, size uint32, wait bool) (uint32, int32, cell.Clock) {
 	lsAddr := d.base + d.bump
 	d.bump += (size + 15) &^ 15 // quadword-aligned allocation
 
 	d.core.Stats.Charge(isa.ClassLocalMem, dcInsertCycles)
 	now += dcInsertCycles
 
-	done := d.core.MFC.DMA(now, cell.DMAGet, mainAddr, lsAddr, size)
-	d.core.Stats.DMATransfers++
-	d.core.Stats.DMABytes += uint64(size)
-	d.core.Stats.DMAWait += done - now
-	d.core.Stats.Charge(isa.ClassMainMem, done-now)
-	now = done
-
+	now = billDMA(d.core, now, d.core.MFC.DMA(now, cell.DMAGet, mainAddr, lsAddr, size), size, wait)
 	return lsAddr, d.install(mainAddr, lsAddr, size), now
+}
+
+// billDMA accounts one transfer of size bytes the core issued at now
+// and that completes at done, and returns the core's clock after it.
+// Every transfer counts; one the core waits for also bills the wait as
+// main-memory time and returns done, one it overlaps returns now. Every
+// DMA the caches issue is billed here.
+func billDMA(core *cell.Core, now, done cell.Clock, size uint32, wait bool) cell.Clock {
+	core.Stats.DMATransfers++
+	core.Stats.DMABytes += uint64(size)
+	if !wait {
+		return now
+	}
+	core.Stats.DMAWait += done - now
+	core.Stats.Charge(isa.ClassMainMem, done-now)
+	return done
 }
 
 // install appends a clean entry to the slab and the write-back order
@@ -379,7 +399,6 @@ func (d *DataCache) AccessArray(now cell.Clock, arr mem.Addr, idx int32, width u
 func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxBytes uint32) (cell.Clock, uint32) {
 	blk := d.cfg.ArrayBlock
 	var staged uint32
-	first := true
 	for start := uint32(0); start < dataSize; start += blk {
 		size := blk
 		if dataSize-start < size {
@@ -396,25 +415,10 @@ func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxB
 		if d.bump+size > d.cfg.Size || d.live >= d.cfg.MaxEntries {
 			break // never flush on a prefetch path
 		}
-		lsAddr := d.base + d.bump
-		d.bump += (size + 15) &^ 15
-		d.core.Stats.Charge(isa.ClassLocalMem, dcInsertCycles)
-		now += dcInsertCycles
-
-		done := d.core.MFC.DMA(now, cell.DMAGet, dataAddr+start, lsAddr, size)
-		d.core.Stats.DMATransfers++
-		d.core.Stats.DMABytes += uint64(size)
+		// The leading tile is the synchronous fill of the double buffer:
+		// the worker stalls until it lands.
+		_, _, now = d.fill(now, dataAddr+start, size, staged == 0)
 		d.core.Stats.DataStaged += uint64(size)
-		if first {
-			// The leading tile is the synchronous fill of the double
-			// buffer; the worker stalls until it lands.
-			d.core.Stats.DMAWait += done - now
-			d.core.Stats.Charge(isa.ClassMainMem, done-now)
-			now = done
-			first = false
-		}
-
-		d.install(dataAddr+start, lsAddr, size)
 		staged += size
 	}
 	return now, staged
@@ -450,14 +454,10 @@ func (d *DataCache) flushAll(now cell.Clock, invalidate bool) cell.Clock {
 // writeBack DMAs a dirty entry out to main memory, billing the transfer
 // like every other DMA the cache issues, and marks it clean.
 func (d *DataCache) writeBack(now cell.Clock, e *dcEntry) cell.Clock {
-	done := d.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
-	d.core.Stats.DMATransfers++
-	d.core.Stats.DMABytes += uint64(e.size)
-	d.core.Stats.DMAWait += done - now
-	d.core.Stats.Charge(isa.ClassMainMem, done-now)
+	now = billDMA(d.core, now, d.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size), e.size, true)
 	d.core.Stats.DataWriteBacks++
 	e.dirty = false
-	return done
+	return now
 }
 
 // Flush writes back all dirty entries but keeps them cached. Hera-JVM

@@ -73,7 +73,7 @@ func (vm *VM) gc() {
 	}
 
 	liveBefore := vm.Heap.LiveObjects()
-	freedObjects, _ := vm.Heap.Sweep(marked)
+	vm.Heap.Sweep(marked)
 
 	// Collector cost runs on the service core; every other core stalls
 	// until it finishes.
@@ -101,5 +101,4 @@ func (vm *VM) gc() {
 	} else {
 		vm.GCUnattributedCycles += cycles
 	}
-	_ = freedObjects
 }

@@ -33,11 +33,6 @@ type Heap struct {
 	free []span // sorted by address
 	// objects maps every live allocation to its size.
 	objects map[Ref]uint32
-
-	// Allocs, Frees and BytesAllocated are lifetime counters.
-	Allocs         uint64
-	BytesAllocated uint64
-	GCs            uint64
 }
 
 type span struct {
@@ -86,8 +81,6 @@ func (h *Heap) Alloc(size uint32) Ref {
 			}
 			h.main.Zero(addr, size)
 			h.objects[addr] = size
-			h.Allocs++
-			h.BytesAllocated += uint64(size)
 			return addr
 		}
 	}
@@ -101,15 +94,13 @@ func (h *Heap) Contains(addr Ref) bool {
 }
 
 // Sweep retains exactly the marked allocations and rebuilds the free
-// list from the gaps. It returns the number of objects and bytes freed.
-func (h *Heap) Sweep(marked map[Ref]bool) (objects int, bytes uint64) {
+// list from the gaps.
+func (h *Heap) Sweep(marked map[Ref]bool) {
 	live := make([]span, 0, len(marked))
 	for addr, size := range h.objects {
 		if marked[addr] {
 			live = append(live, span{addr: addr, size: size})
 		} else {
-			objects++
-			bytes += uint64(size)
 			delete(h.objects, addr)
 		}
 	}
@@ -126,8 +117,6 @@ func (h *Heap) Sweep(marked map[Ref]bool) (objects int, bytes uint64) {
 	if cursor < h.end {
 		h.free = append(h.free, span{addr: cursor, size: h.end - cursor})
 	}
-	h.GCs++
-	return objects, bytes
 }
 
 // Object accessors: every object/array lives in main memory with the

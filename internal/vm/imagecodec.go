@@ -23,8 +23,9 @@ import (
 // version on any format change; the decoder rejects others.
 var imageMagic = [4]byte{'H', 'J', 'I', 'M'}
 
-// v2: kernel launch counters in JobStats; v3: no policy section.
-const imageVersion uint16 = 3
+// v2: kernel launch counters in JobStats; v3: no policy section; v4: no
+// reference flags (the verifier types frames) and no freeze clock.
+const imageVersion uint16 = 4
 
 // ErrBadImage reports undecodable JobImage bytes (truncated input,
 // wrong magic or version, a length that overruns the buffer). Match
@@ -169,7 +170,6 @@ func (w *wire) bytes(p *[]byte) {
 func (w *wire) u64s(p *[]uint64) { seq(w, p, 8, (*wire).u64) }
 func (w *wire) u32s(p *[]uint32) { seq(w, p, 4, (*wire).u32) }
 func (w *wire) i32s(p *[]int32)  { seq(w, p, 4, (*wire).i32) }
-func (w *wire) bools(p *[]bool)  { seq(w, p, 1, (*wire).boolean) }
 
 // image is the format: header, then every field in wire order.
 func (w *wire) image(img *JobImage) {
@@ -187,7 +187,6 @@ func (w *wire) image(img *JobImage) {
 	w.str(&img.Name)
 	w.u64((*uint64)(&img.AdmittedAt))
 	w.u64((*uint64)(&img.Deadline))
-	w.u64((*uint64)(&img.FrozenAt))
 	w.u8((*uint8)(&img.Verdict))
 	s := &img.Stats
 	for _, p := range []*uint64{&s.Migrations, &s.Steals, &s.Compiles, &s.GCPauses, &s.GCCycles,
@@ -212,7 +211,7 @@ func (w *wire) image(img *JobImage) {
 		w.str(&c.Class)
 		w.u32(&c.Obj)
 	})
-	seq(w, &img.Threads, 78, (*wire).thread)
+	seq(w, &img.Threads, 77, (*wire).thread)
 	seq(w, &img.Monitors, 20, func(w *wire, m *ImageMonitor) {
 		w.u32(&m.Obj)
 		w.i32(&m.Owner)
@@ -230,7 +229,6 @@ func (w *wire) thread(t *ImageThread) {
 	w.str(&t.Kind)
 	w.u32(&t.JavaObj)
 	w.boolean(&t.PendingHasVal)
-	w.boolean(&t.PendingIsRef)
 	w.u64(&t.PendingVal)
 	w.i32(&t.WaitCount)
 	w.u64(&t.Migrations)
@@ -255,16 +253,14 @@ func (w *wire) thread(t *ImageThread) {
 	}
 
 	w.i32s(&t.Joiners)
-	seq(w, &t.Frames, 37, func(w *wire, f *ImageFrame) {
+	seq(w, &t.Frames, 29, func(w *wire, f *ImageFrame) {
 		w.boolean(&f.Marker)
 		w.str(&f.ReturnKind)
 		w.str(&f.Class)
 		w.i32(&f.Method)
 		w.i32(&f.BC)
 		w.u64s(&f.Locals)
-		w.bools(&f.LocalRefs)
 		w.u64s(&f.Stack)
-		w.bools(&f.StackRefs)
 		w.u32(&f.SyncObj)
 	})
 }

@@ -7,14 +7,14 @@
 // kind or a slot's (seams_test.go holds it; docs/ARCHITECTURE.md, "Where
 // references live", has the table).
 //
-// Nothing is tagged at run time. A heap slot's kind is its field's or
-// its array's; a live frame's slots have the kinds the verifier derives
-// at the frame's PC, and a value in flight between frames has the kind
-// the method it leaves or enters declares — as JikesRVM's compilers hand
-// its collector a reference map per method, and as a stack is moved
-// between unlike ISAs from compiler-made metadata (Mavrogeorgis et al.,
-// PAPERS.md). Only a job image carries flags, derived at capture and
-// held to the verifier's kinds at decode.
+// Nothing is tagged, at run time or in a job image. A heap slot's kind
+// is its field's or its array's; a frame's slots — live, or an image's —
+// have the kinds the verifier derives at the frame's bytecode index, and
+// a value in flight between frames has the kind the method it leaves or
+// enters declares, or in an image the kind the frame awaiting it expects
+// — as JikesRVM's compilers hand its collector a reference map per
+// method, and as a stack is moved between unlike ISAs from compiler-made
+// metadata (Mavrogeorgis et al., PAPERS.md).
 //
 // A walk is map-style: the visitor sees each reference at full slot
 // width and returns its replacement, and a slot is stored only when the
@@ -121,40 +121,45 @@ func (t *Thread) setPending(val uint64, hasVal bool, m *classfile.Method) {
 	t.pendingVal, t.pendingHasVal, t.pendingIsRef = val, hasVal, hasVal && m.Ret.IsRef()
 }
 
-// imageSlots is a live frame's slots as an image carries them: values
-// with a flag per value, set where the verifier types a reference. A
-// Void local goes out zero — it is dead, and whatever it holds is a
+// imageSlots is a live frame's slots as an image carries them. A Void
+// local goes out zero — it is dead, and whatever it holds is a
 // source-machine address or a stale int the target has no use for.
-func imageSlots(vals []uint64, kinds []classfile.TypeKind) ([]uint64, []bool) {
-	out, flags := make([]uint64, len(kinds)), make([]bool, len(kinds))
+func imageSlots(vals []uint64, kinds []classfile.TypeKind) []uint64 {
+	out := make([]uint64, len(kinds))
 	for i, k := range kinds {
 		if k != classfile.Void {
-			out[i], flags[i] = vals[i], k.IsRef()
+			out[i] = vals[i]
 		}
 	}
-	return out, flags
+	return out
 }
 
-// mapFlagged visits the values of an image frame whose reference flag is
-// set. flags is as long as vals, by validateImage.
-func mapFlagged(vals []uint64, flags []bool, f refMap) {
-	for i := range vals {
-		if flags[i] {
-			mapSlot(&vals[i], f)
-		}
+// kinds is the verifier's type state at an image frame's bytecode
+// index, as Frame.kinds is a live frame's — before the cut to the
+// operand depth the frame holds, which is one less than the state's
+// when the frame awaits a value. validateImage, or the capture the
+// frame came from, held the frame to that state.
+func (fr *ImageFrame) kinds(vm *VM) (stack, locals []classfile.TypeKind) {
+	m := vm.Prog.Lookup(fr.Class).Methods[fr.Method]
+	stack, locals, err := classfile.KindsAt(m, int(fr.BC))
+	if err != nil || len(fr.Stack) > len(stack) || len(fr.Locals) != len(locals) {
+		// Internal invariant, unreachable because every frame walked is validated or captured.
+		panic(fmt.Sprintf("vm: image frame of %s at pc %d (%d locals, %d stack) is not in the verifier's state (%d locals, stack %v): %v",
+			m.Sig(), fr.BC, len(fr.Locals), len(fr.Stack), len(locals), stack, err))
 	}
+	return stack, locals
 }
 
-// flagsMatch reports whether reference flags agree with verifier kinds:
-// set for a reference, clear for a primitive, either for Void (a local
-// whose paths disagree, or that nothing has written yet).
-func flagsMatch(kinds []classfile.TypeKind, flags []bool) bool {
-	for i, k := range kinds {
-		if k != classfile.Void && flags[i] != k.IsRef() {
-			return false
-		}
+// awaitsRef reports whether an image thread's pending value is a
+// reference: the kind the frame beneath the top marker awaits, which is
+// the top of that frame's verifier stack. validateImage holds a pending
+// value to a marker on top of a method frame that awaits one.
+func (it *ImageThread) awaitsRef(vm *VM) bool {
+	if !it.PendingHasVal {
+		return false
 	}
-	return true
+	stack, _ := it.Frames[len(it.Frames)-2].kinds(vm)
+	return stack[len(stack)-1].IsRef()
 }
 
 // mapMem64 and mapMem32 are one visit of a main-memory slot.
@@ -238,9 +243,11 @@ func (t *Thread) mapRefs(f refMap) {
 
 // mapRefs visits every reference of a job image, the same sites in
 // their serialized form (a freeze carries no in-flight throw or
-// suspended native) plus the monitor table. The image must have passed
-// validateImage's shape checks against vm's program: classes resolve,
-// slot counts match, flag slices cover their values.
+// suspended native) plus the monitor table, each frame typed by the
+// verifier at its bytecode index. The image must have passed
+// validateImage's shape checks against vm's program: classes and
+// methods resolve, slot counts match, every frame holds its method's
+// type state.
 func (img *JobImage) mapRefs(vm *VM, f refMap) {
 	for i := range img.Objects {
 		o := &img.Objects[i]
@@ -265,13 +272,16 @@ func (img *JobImage) mapRefs(vm *VM, f refMap) {
 	for i := range img.Threads {
 		t := &img.Threads[i]
 		mapSlot(&t.JavaObj, f)
-		if t.PendingHasVal && t.PendingIsRef {
+		if t.awaitsRef(vm) {
 			mapSlot(&t.PendingVal, f)
 		}
 		for fi := range t.Frames {
 			fr := &t.Frames[fi]
-			mapFlagged(fr.Locals, fr.LocalRefs, f)
-			mapFlagged(fr.Stack, fr.StackRefs, f)
+			if !fr.Marker {
+				stack, locals := fr.kinds(vm)
+				mapKinds(fr.Locals, locals, f)
+				mapKinds(fr.Stack, stack[:len(fr.Stack)], f)
+			}
 			mapSlot(&fr.SyncObj, f)
 		}
 	}

@@ -67,6 +67,17 @@ func newSitesWorld(t *testing.T) *sitesWorld {
 	return w
 }
 
+// awaitOnMarker puts thread ti in the state a callee's return across a
+// migration leaves it in: frame f, the thread's top, has given up its
+// top operand to the call (of kind ret), a marker is pushed above it,
+// and the callee's result val is pending for the resume to push.
+func (w *sitesWorld) awaitOnMarker(ti int, f *Frame, val Ref, ret classfile.TypeKind) {
+	t := w.job.threads[ti]
+	f.SP--
+	t.pushFrame(&Frame{Marker: true, ReturnKind: t.Kind})
+	t.setPending(uint64(val), true, &classfile.Method{Ret: ret})
+}
+
 // sharedStatic is Snap.shared, the reference static.
 func sharedStatic(v *VM) *classfile.Field {
 	fd := v.Prog.Lookup("Snap").Statics[1]
@@ -116,11 +127,8 @@ func TestEveryReferenceSiteIsWalked(t *testing.T) {
 			plant: func(w *sitesWorld, r Ref) { w.job.threads[0].JavaObj = r },
 			at:    func(v *VM, j *Job) uint64 { return uint64(j.threads[0].JavaObj) }},
 		{name: "pending native value",
-			plant: func(w *sitesWorld, r Ref) {
-				t := w.job.threads[0]
-				t.pendingHasVal, t.pendingIsRef, t.pendingVal = true, true, uint64(r)
-			},
-			at: func(v *VM, j *Job) uint64 { return j.threads[0].pendingVal }},
+			plant: func(w *sitesWorld, r Ref) { w.awaitOnMarker(1, w.work, r, classfile.Ref) },
+			at:    func(v *VM, j *Job) uint64 { return j.threads[1].pendingVal }},
 		{name: "in-flight throw",
 			plant: func(w *sitesWorld, r Ref) {
 				t := w.job.threads[0]
@@ -145,20 +153,18 @@ func TestEveryReferenceSiteIsWalked(t *testing.T) {
 					callee: &classfile.Method{Flags: classfile.FlagStatic, Params: []classfile.TypeKind{classfile.Int}}}
 			}},
 		{name: "pending int value", never: true,
-			plant: func(w *sitesWorld, r Ref) {
-				w.job.threads[0].setPending(uint64(r), true, &classfile.Method{Ret: classfile.Int})
-			}},
-		{name: "flagged local", // in the image; typed Ref by the verifier on the frame
+			plant: func(w *sitesWorld, r Ref) { w.awaitOnMarker(0, w.main, r, classfile.Int) }},
+		{name: "typed Ref local",
 			plant: func(w *sitesWorld, r Ref) { w.main.Locals[0] = uint64(r) },
 			at:    func(v *VM, j *Job) uint64 { return j.threads[0].top().Locals[0] }},
 		{name: "int local", never: true,
 			plant: func(w *sitesWorld, r Ref) { w.main.Locals[3] = uint64(r) }},
-		{name: "flagged stack slot below SP",
+		{name: "typed Ref stack slot below SP",
 			plant: func(w *sitesWorld, r Ref) { w.work.Stack[0] = uint64(r) },
 			at:    func(v *VM, j *Job) uint64 { return j.threads[1].top().Stack[0] }},
-		{name: "unflagged stack slot", never: true, // an int to the verifier
+		{name: "typed Int stack slot", never: true,
 			plant: func(w *sitesWorld, r Ref) { w.main.Stack[0] = uint64(r) }},
-		{name: "flagged stack slot at SP", never: true, // what a pop leaves behind: a reference, above SP
+		{name: "typed Ref stack slot at SP", never: true, // what a pop leaves behind: a reference, above SP
 			plant: func(w *sitesWorld, r Ref) { w.work.Stack[w.work.SP] = uint64(r) }},
 		{name: "synchronized-method monitor",
 			plant: func(w *sitesWorld, r Ref) { w.main.SyncObj = r },
@@ -292,5 +298,44 @@ func TestRoutesToOneObjectStayOne(t *testing.T) {
 	}
 	if got := dst.classes[snap.ID].lockObj; got == 0 || got != mainF.SyncObj || !marked(dst, uint64(got), w.vSlot) {
 		t.Errorf("class lock on the target is %#x, the frame holding it has %#x", got, mainF.SyncObj)
+	}
+}
+
+// TestTerminatedThreadTravelsWithoutFrames: a trapped thread keeps its
+// frames on the source, but they are dead. The capture neither encodes
+// them nor discovers what only they reach, and the target admits the
+// thread terminated with its trap.
+func TestTerminatedThreadTravelsWithoutFrames(t *testing.T) {
+	w := newSitesWorld(t)
+	obj := w.fresh(t)
+	w.work.Stack[0] = uint64(obj) // the object's only route
+	w.trap(w.cores[0], w.job.threads[1], &TrapError{Kind: "java/lang/NullPointerException"})
+
+	img, _, err := w.captureJob(w.job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := img.Threads[1]; !it.Terminated || it.Trap == nil || len(it.Frames) != 0 {
+		t.Errorf("image of the trapped thread: terminated %v, trap %v, %d frames; want terminated, the trap, no frames",
+			it.Terminated, it.Trap, len(it.Frames))
+	}
+	for _, o := range img.Objects {
+		if o.Class == "Counter" && o.Slots[w.vSlot] == sitesMark {
+			t.Error("the capture carries an object only the trapped thread's dead frame reaches")
+		}
+	}
+	if img, err = DecodeJobImage(EncodeJobImage(img)); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(testConfig(), sitesProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dj, err := dst.Rehydrate(img, 0, JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if th := dj.threads[1]; th.State != StateTerminated || th.Trap == nil || len(th.Frames) != 0 {
+		t.Errorf("the trapped thread on the target: state %v, trap %v, %d frames", th.State, th.Trap, len(th.Frames))
 	}
 }

@@ -124,7 +124,7 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 	for i := range img.Threads {
 		it := &img.Threads[i]
 		t := &Thread{Name: it.Name, job: j, JavaObj: it.JavaObj,
-			pendingVal: it.PendingVal, pendingIsRef: it.PendingIsRef,
+			pendingVal: it.PendingVal, pendingIsRef: it.awaitsRef(vm),
 			pendingHasVal: it.PendingHasVal,
 			waitCount:     int(it.WaitCount),
 			Migrations:    it.Migrations, Steals: it.Steals,
@@ -250,16 +250,17 @@ func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 }
 
 // validateImage checks a JobImage against this VM's program before any
-// machine state changes, in three steps. Shape: every class and method
+// machine state changes, in two steps. Shape: every class and method
 // resolves, every object carries exactly the payload its kind has at
-// exactly its size, flag slices cover their values, thread indices are
-// in range — after which refs.go's image walk may index without
+// exactly its size, thread indices are in range, a terminated thread
+// carries no frames, a pending value has a marker on top to deliver it,
+// and every frame has the locals and operand depth the method's own
+// verifier derives at its bytecode index — so the executor cannot be
+// handed a frame its code would index out of, and refs.go's image walk,
+// which types each frame by that same state, may index without
 // re-checking. References: that one walk bounds every reference by the
-// object count, at the slot's full width. Frame type state: every
-// non-marker frame of a live thread has the locals, operand depth and
-// reference flags the method's own verifier derives at its bytecode
-// index, so the executor cannot be handed a frame its code would index
-// out of. Corrupt or mismatched images error here, never panic later.
+// object count, at the slot's full width. Corrupt or mismatched images
+// error here, never panic later.
 func (vm *VM) validateImage(img *JobImage) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("vm: rehydrate %s: invalid image: %s", img.Name, fmt.Sprintf(format, args...))
@@ -329,16 +330,17 @@ func (vm *VM) validateImage(img *JobImage) error {
 				return bad("thread %d: joiner index %d out of range", i, ji)
 			}
 		}
-		for fi := range it.Frames {
-			fr := &it.Frames[fi]
-			if len(fr.Stack) != len(fr.StackRefs) || len(fr.Locals) != len(fr.LocalRefs) {
-				return bad("thread %d frame %d: ref maps do not match values", i, fi)
-			}
+		n := len(it.Frames)
+		if it.PendingHasVal && (n == 0 || !it.Frames[n-1].Marker) {
+			return bad("thread %d: pending value with no migration marker on top", i)
 		}
 		if it.Terminated {
+			if n > 0 {
+				return bad("thread %d: terminated, but carries %d frame(s)", i, n)
+			}
 			continue
 		}
-		if len(it.Frames) == 0 {
+		if n == 0 {
 			return bad("thread %d: live with no frames", i)
 		}
 		if err := vm.validateFrames(it); err != nil {
@@ -370,21 +372,22 @@ func (vm *VM) validateImage(img *JobImage) error {
 	return err
 }
 
-// validateFrames holds a live thread's non-marker frames to their
-// methods' type state. A frame awaiting a callee's value holds one
-// operand fewer than the verifier's state at its bytecode index — its PC
-// already points past the call, whose result the return will push: that
-// is a frame whose next non-marker frame above returns a value, and a
-// frame with only markers above it when the thread carries a pending
-// value (the executor's resume pops a top marker and pushes the pending
+// validateFrames holds a live thread's frames to their methods' type
+// state. Every migration marker sits on a method frame — the caller a
+// resume pops the marker into. A frame awaiting a callee's value holds
+// one operand fewer than the verifier's state at its bytecode index —
+// its PC already points past the call, whose result the return will
+// push: that is a frame whose next non-marker frame above returns a
+// value, and the frame beneath the top marker when the thread carries a
+// pending value (the executor's resume pops that marker and pushes the
 // value into the frame beneath; it never pushes into a top frame).
 func (vm *VM) validateFrames(it *ImageThread) error {
-	awaits := false // whether the frame in hand awaits a value from above
+	awaits := it.PendingHasVal // whether the frame in hand awaits a value from above
 	for fi := len(it.Frames) - 1; fi >= 0; fi-- {
 		fr := &it.Frames[fi]
 		if fr.Marker {
-			if fi == len(it.Frames)-1 {
-				awaits = it.PendingHasVal
+			if fi == 0 || it.Frames[fi-1].Marker {
+				return fmt.Errorf("frame %d: migration marker on no method frame", fi)
 			}
 			continue
 		}
@@ -409,8 +412,7 @@ func (vm *VM) validateFrames(it *ImageThread) error {
 			}
 			stack = stack[:len(stack)-1]
 		}
-		if len(fr.Locals) != len(locals) || len(fr.Stack) != len(stack) ||
-			!flagsMatch(locals, fr.LocalRefs) || !flagsMatch(stack, fr.StackRefs) {
+		if len(fr.Locals) != len(locals) || len(fr.Stack) != len(stack) {
 			return fmt.Errorf("frame %d: not the type state of %s at pc %d (%d locals, stack %v)",
 				fi, m.Sig(), fr.BC, len(locals), stack)
 		}

@@ -54,7 +54,8 @@ var ErrNotFreezable = errors.New("job not freezable")
 // name their method portably — class name plus the method's index in
 // Class.Methods — and record the bytecode index, which is the frame's PC
 // on every kind: the target recompiles for its own cores' kinds and
-// re-enters there.
+// re-enters there. Which slots hold a reference is not carried: the
+// verifier says, at that bytecode index (refs.go).
 type ImageFrame struct {
 	Marker     bool
 	ReturnKind string // marker frames: the kind to migrate back to
@@ -63,12 +64,10 @@ type ImageFrame struct {
 	Method int32
 	BC     int32
 
-	Locals    []uint64
-	LocalRefs []bool
+	Locals []uint64
 	// Stack holds the live operand stack (depth == SP at capture).
-	Stack     []uint64
-	StackRefs []bool
-	SyncObj   uint32 // image object ID (0 = none)
+	Stack   []uint64
+	SyncObj uint32 // image object ID (0 = none)
 }
 
 // ImageThread is one serialized thread of the job's tree.
@@ -82,8 +81,9 @@ type ImageThread struct {
 	Kind       string // core kind the thread was bound to (placement hint)
 	JavaObj    uint32 // image object ID of the java/lang/Thread instance
 
+	// A pending value is a callee's result on its way back across a
+	// migration: a marker is on top, and the frame beneath takes it.
 	PendingHasVal bool
-	PendingIsRef  bool
 	PendingVal    uint64
 
 	WaitCount    int32
@@ -92,7 +92,8 @@ type ImageThread struct {
 	CooldownLeft uint64
 
 	// Result/Trap survive for terminated threads (a finished root's
-	// checksum must outlive a hand-off of its still-running siblings).
+	// checksum must outlive a hand-off of its still-running siblings);
+	// a terminated thread carries no frames.
 	Result    uint64
 	HasResult bool
 	Trap      *TrapError
@@ -148,7 +149,6 @@ type JobImage struct {
 	Name       string
 	AdmittedAt cell.Clock // original admission — latency stays end-to-end
 	Deadline   cell.Clock // absolute
-	FrozenAt   cell.Clock // machine clock at capture
 	Verdict    Verdict
 	Stats      JobStats
 	Output     []byte // System.out captured before the freeze
@@ -466,6 +466,10 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		classSeen: make(map[*classfile.Class]bool)}
 	cap.discover = visitor(cap.root)
 	for _, t := range j.threads {
+		if t.State == StateTerminated {
+			cap.root(t.JavaObj) // its frames are dead and do not travel
+			continue
+		}
 		for _, f := range t.Frames {
 			if !f.Marker {
 				cap.addClass(f.CM.M.Class)
@@ -482,11 +486,11 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 		cap.drain() // may extend classList; the cursor picks the new tail up
 	}
 
+	frozenAt := vm.Machine.MaxClock()
 	img := &JobImage{
 		Name:       j.Name,
 		AdmittedAt: j.AdmittedAt,
 		Deadline:   j.Deadline,
-		FrozenAt:   vm.Machine.MaxClock(),
 		Verdict:    j.Verdict,
 		Stats:      j.Stats,
 		Output:     append([]byte(nil), j.out.Bytes()...),
@@ -560,7 +564,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			Kind:          t.Kind.String(),
 			JavaObj:       t.JavaObj,
 			PendingHasVal: t.pendingHasVal,
-			PendingIsRef:  t.pendingIsRef,
 			PendingVal:    t.pendingVal,
 			WaitCount:     int32(t.waitCount),
 			Migrations:    t.Migrations,
@@ -572,21 +575,23 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			te := *t.Trap.(*TrapError)
 			it.Trap = &te
 		}
-		switch {
-		case t.State == StateTerminated:
-			it.Terminated = true
-		case t.State == StateBlocked && !parked[t]:
-			it.Blocked = true
-		default: // ready, or freeze-parked
-			if t.ReadyAt > img.FrozenAt {
-				it.ReadyDelay = uint64(t.ReadyAt - img.FrozenAt)
-			}
-		}
-		if t.cooldownUntil > img.FrozenAt {
-			it.CooldownLeft = uint64(t.cooldownUntil - img.FrozenAt)
+		if t.cooldownUntil > frozenAt {
+			it.CooldownLeft = uint64(t.cooldownUntil - frozenAt)
 		}
 		for _, joiner := range t.joiners {
 			it.Joiners = append(it.Joiners, threadIdx(joiner))
+		}
+		switch {
+		case t.State == StateTerminated:
+			it.Terminated = true
+			img.Threads = append(img.Threads, it)
+			continue
+		case t.State == StateBlocked && !parked[t]:
+			it.Blocked = true
+		default: // ready, or freeze-parked
+			if t.ReadyAt > frozenAt {
+				it.ReadyDelay = uint64(t.ReadyAt - frozenAt)
+			}
 		}
 		for _, f := range t.Frames {
 			if f.Marker {
@@ -607,8 +612,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			}
 			fr := ImageFrame{Class: m.Class.Name, Method: mi, BC: int32(f.PC), SyncObj: f.SyncObj}
 			stack, locals := f.kinds()
-			fr.Locals, fr.LocalRefs = imageSlots(f.Locals, locals)
-			fr.Stack, fr.StackRefs = imageSlots(f.Stack, stack)
+			fr.Locals, fr.Stack = imageSlots(f.Locals, locals), imageSlots(f.Stack, stack)
 			it.Frames = append(it.Frames, fr)
 		}
 		img.Threads = append(img.Threads, it)

@@ -573,7 +573,7 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 		t.Skip("job completed before the freeze point")
 	}
 	if m, w := &img.Threads[0].Frames[0], &img.Threads[1].Frames[0]; len(img.Objects) != 3 ||
-		!m.LocalRefs[0] || len(m.Stack) != 1 || len(w.Stack) != 1 || !w.StackRefs[0] ||
+		m.Locals[0] == 0 || len(m.Stack) != 1 || len(w.Stack) != 1 || w.Stack[0] == 0 ||
 		img.Objects[1].Class != "Worker" || len(img.Statics) != 1 || img.Statics[0].Slots[1] != 1 {
 		t.Fatalf("the frozen image is not the one the rows below mutate: %+v", img)
 	}
@@ -591,13 +591,17 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 
 		// References at full width: each of these is in range once
 		// truncated to 32 bits.
-		"flagged local | 1<<32": func(i *JobImage) { i.Threads[0].Frames[0].Locals[0] |= high },
-		"flagged stack | 1<<32": func(i *JobImage) { i.Threads[1].Frames[0].Stack[0] |= high },
-		"instance ref | 1<<32":  func(i *JobImage) { i.Objects[1].Slots[1] |= high },
-		"ref static | 1<<32":    func(i *JobImage) { i.Statics[0].Slots[1] |= high },
+		"ref local | 1<<32":    func(i *JobImage) { i.Threads[0].Frames[0].Locals[0] |= high },
+		"ref stack | 1<<32":    func(i *JobImage) { i.Threads[1].Frames[0].Stack[0] |= high },
+		"instance ref | 1<<32": func(i *JobImage) { i.Objects[1].Slots[1] |= high },
+		"ref static | 1<<32":   func(i *JobImage) { i.Statics[0].Slots[1] |= high },
 		"pending value | 1<<32": func(i *JobImage) {
-			t := &i.Threads[0]
-			t.PendingHasVal, t.PendingIsRef, t.PendingVal = true, true, 1|high
+			// The worker's frame awaits its top operand, a reference, from
+			// a callee on its way back across a migration.
+			t := &i.Threads[1]
+			t.Frames[0].Stack = nil
+			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"})
+			t.PendingHasVal, t.PendingVal = true, 1|high
 		},
 
 		// Payload sizes at full width, and one payload per object.
@@ -623,24 +627,11 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 		// Frame type state. Each of the first three passed validation at
 		// the parent and panicked the executor on the first quantum:
 		// index out of range [4] with length 0, [-1], [7] with length 5.
-		"locals dropped": func(i *JobImage) {
-			f := &i.Threads[0].Frames[0]
-			f.Locals, f.LocalRefs = nil, nil
-		},
-		"operand stack emptied": func(i *JobImage) {
-			f := &i.Threads[0].Frames[0]
-			f.Stack, f.StackRefs = nil, nil
-		},
-		"local ref flags cleared": func(i *JobImage) { clear(i.Threads[0].Frames[0].LocalRefs) },
-		"int local flagged":       func(i *JobImage) { i.Threads[0].Frames[0].LocalRefs[3] = true },
-		"stack ref flag cleared":  func(i *JobImage) { i.Threads[1].Frames[0].StackRefs[0] = false },
+		"locals dropped":        func(i *JobImage) { i.Threads[0].Frames[0].Locals = nil },
+		"operand stack emptied": func(i *JobImage) { i.Threads[0].Frames[0].Stack = nil },
 		"operand stack too deep": func(i *JobImage) {
 			f := &i.Threads[0].Frames[0]
-			f.Stack, f.StackRefs = append(f.Stack, 0), append(f.StackRefs, false)
-		},
-		"flags shorter than values": func(i *JobImage) {
-			f := &i.Threads[0].Frames[0]
-			f.LocalRefs = f.LocalRefs[:2]
+			f.Stack = append(f.Stack, 0)
 		},
 		"bottom frame awaits a value": func(i *JobImage) {
 			// A marker on top with a pending value: the executor would push
@@ -649,6 +640,25 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 			t := &i.Threads[0]
 			t.PendingHasVal = true
 			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"})
+		},
+
+		// Thread state a live thread is never in.
+		"frames on a terminated thread": func(i *JobImage) { i.Threads[1].Terminated = true },
+		"pending value with no marker on top": func(i *JobImage) {
+			// Only a marker's pop delivers a pending value: this one would
+			// wait for the worker's next return to a marker and land in a
+			// frame that awaits another.
+			t := &i.Threads[1]
+			t.PendingHasVal, t.PendingVal = true, 1
+		},
+		"marker on a marker": func(i *JobImage) {
+			// The resume pops the top marker and would push the value into
+			// the marker beneath, which has no operand stack.
+			t := &i.Threads[1]
+			t.Frames[0].Stack = nil
+			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"},
+				ImageFrame{Marker: true, ReturnKind: "ppe"})
+			t.PendingHasVal, t.PendingVal = true, 1
 		},
 	}
 	for name, mutate := range corrupt {

@@ -252,7 +252,6 @@ type VM struct {
 	adapt []adaptState
 
 	stringCls    *classfile.Class
-	threadCls    *classfile.Class
 	throwableCls *classfile.Class
 
 	ifaceMethods map[int]*classfile.Method
@@ -434,7 +433,6 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	}
 
 	vm.stringCls = prog.Lookup("java/lang/String")
-	vm.threadCls = prog.Lookup("java/lang/Thread")
 	vm.throwableCls = prog.Lookup("java/lang/Throwable")
 	registerBuiltins(vm)
 	return vm, nil

@@ -29,18 +29,13 @@ var seams = []struct {
 		`\.Flush\(|\.Purge\(|\.needPurge|\.UnsafeNoCoherence`,
 		[]string{"internal/vm"}, []string{"internal/vm/coherence.go"}},
 	// "Where references live": refs.go alone tests a field's or slot's
-	// kind; nothing tags a slot at run time; reference flags exist only as
-	// a job image's own fields.
+	// kind; nothing tags a slot, at run time or in a job image.
 	{"reference kinds are tested only in internal/vm/refs.go",
 		`\.IsRef\(\)|== classfile\.Ref`,
 		[]string{"internal/vm"}, []string{"internal/vm/refs.go"}},
 	{"no run-time reference tag",
-		`FlagWrite|LFlags|SFlags|microFlag|maxFlagWrites|ArgRefs|argRefs`,
+		`FlagWrite|LFlags|SFlags|microFlag|maxFlagWrites|ArgRefs|argRefs|LocalRefs|StackRefs|PendingIsRef`,
 		[]string{"."}, nil},
-	{"reference flags are a job image's own fields",
-		`LocalRefs|StackRefs`,
-		[]string{"."}, []string{"internal/vm/refs.go", "internal/vm/snapshot.go",
-			"internal/vm/imagecodec.go", "internal/vm/rehydrate.go"}},
 	// "Host-side tables are sized by use": Asm.Build writes bound
 	// positions into the instructions, so labels end there.
 	{"assembler labels are named only in internal/classfile/asm.go",
