@@ -216,8 +216,8 @@ func TestMachineConstruction(t *testing.T) {
 
 // TestBootCostIndependentOfMemorySize pins what demand paging buys by a
 // deterministic count rather than a timer: building a machine allocates
-// a page table, not the memory, so sixteen times the main memory may
-// cost only the larger table (128 KB at 1 GB).
+// a page directory, not the memory, so sixteen times the main memory may
+// cost only the larger directory (128 KB at 1 GB).
 func TestBootCostIndependentOfMemorySize(t *testing.T) {
 	bootBytes := func(size uint32) uint64 {
 		cfg := DefaultConfig()

@@ -139,16 +139,16 @@ func (a *Asm) Bind(l *Label) *Asm {
 func (a *Asm) ConstI(v int32) *Asm { return a.emit(BC{Op: BCConstI, A: v}) }
 
 // ConstL pushes a long constant.
-func (a *Asm) ConstL(v int64) *Asm { return a.emit(BC{Op: BCConstL, W: uint64(v)}) }
+func (a *Asm) ConstL(v int64) *Asm { return a.emit(wide(BCConstL, uint64(v))) }
 
 // ConstF pushes a float constant.
 func (a *Asm) ConstF(v float32) *Asm {
-	return a.emit(BC{Op: BCConstF, W: uint64(math.Float32bits(v))})
+	return a.emit(wide(BCConstF, uint64(math.Float32bits(v))))
 }
 
 // ConstD pushes a double constant.
 func (a *Asm) ConstD(v float64) *Asm {
-	return a.emit(BC{Op: BCConstD, W: math.Float64bits(v)})
+	return a.emit(wide(BCConstD, math.Float64bits(v)))
 }
 
 // Null pushes the null reference.

@@ -15,7 +15,8 @@ type BCOp uint8
 const (
 	BCNop BCOp = iota
 
-	// Constants. ConstI uses A; ConstL/ConstF/ConstD use W (raw bits);
+	// Constants. ConstI uses A; ConstL/ConstF/ConstD use Wide() (raw
+	// bits, low word in A and high word in B);
 	// ConstStr's operand is the string (interned at boot); ConstNull
 	// pushes null.
 	BCConstI
@@ -194,7 +195,7 @@ const (
 	refElem = isa.ElemRef
 )
 
-// BC is one structured bytecode instruction: 40 bytes, of which an
+// BC is one structured bytecode instruction: 32 bytes, of which an
 // instruction uses the immediates its opcode names and at most one
 // Operand. Branch targets are instruction indexes — the assembler's
 // labels end at Build, which writes the bound positions here.
@@ -202,13 +203,13 @@ type BC struct {
 	Op BCOp
 	// Kind is the array element kind for array ops.
 	Kind isa.ElemKind
-	// A and B are small immediates (local index, iinc delta, switch low).
+	// A and B are small immediates (local index, iinc delta, switch
+	// low). A wide constant's raw bits are A (low word) and B (high
+	// word); read them through Wide.
 	A, B int32
 	// Target is the branch target, or a switch's default, as a bytecode
 	// index into the method's Code.
 	Target int32
-	// W holds wide immediates: raw bits of long/float/double constants.
-	W uint64
 	// Operand is the one symbolic operand the opcode takes, if any: a
 	// string (BCConstStr), *Field, *Method, *Class or *Switch. Read it
 	// through the typed accessors, which return the zero value when the
@@ -224,6 +225,12 @@ type Switch struct {
 	Keys    []int32
 	Targets []int32
 }
+
+// wide is the BC of a wide-constant opcode with raw bits v.
+func wide(op BCOp, v uint64) BC { return BC{Op: op, A: int32(uint32(v)), B: int32(v >> 32)} }
+
+// Wide returns the raw bits of a long, float or double constant.
+func (bc *BC) Wide() uint64 { return uint64(uint32(bc.A)) | uint64(uint32(bc.B))<<32 }
 
 // Str returns the string literal of a BCConstStr.
 func (bc *BC) Str() string { s, _ := bc.Operand.(string); return s }

@@ -407,11 +407,11 @@ func TestResolveRejectsMalformedUnreachableCode(t *testing.T) {
 	}
 }
 
-// TestBCSize: an instruction is at most 48 bytes and carries no label —
+// TestBCSize: an instruction is at most 32 bytes and carries no label —
 // nothing reachable from a BC's type is a *Label.
 func TestBCSize(t *testing.T) {
-	if sz := unsafe.Sizeof(BC{}); sz > 48 {
-		t.Errorf("BC is %d bytes, budget 48", sz)
+	if sz := unsafe.Sizeof(BC{}); sz > 32 {
+		t.Errorf("BC is %d bytes, budget 32", sz)
 	}
 	label := reflect.TypeOf(&Label{})
 	seen := map[reflect.Type]bool{}

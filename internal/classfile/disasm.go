@@ -41,9 +41,9 @@ func (bc *BC) describe() string {
 	case BCConstI:
 		return fmt.Sprintf("%-14s %d", bc.Op, bc.A)
 	case BCConstL:
-		return fmt.Sprintf("%-14s %d", bc.Op, int64(bc.W))
+		return fmt.Sprintf("%-14s %d", bc.Op, int64(bc.Wide()))
 	case BCConstF, BCConstD:
-		return fmt.Sprintf("%-14s %#x", bc.Op, bc.W)
+		return fmt.Sprintf("%-14s %#x", bc.Op, bc.Wide())
 	case BCConstStr:
 		return fmt.Sprintf("%-14s %q", bc.Op, bc.Str())
 	case BCLoadI, BCLoadL, BCLoadF, BCLoadD, BCLoadRef,

@@ -127,10 +127,11 @@ func TestDisassemblyGolden(t *testing.T) {
 }
 
 // TestBuildBytesPerInstruction holds the front end to allocating in
-// proportion to what it keeps: assembling the serve mix may allocate 72
-// bytes per instruction kept (40 of them are the instruction; it was 467
-// when bodies grew by append-doubling 128-byte elements), resolving it
-// 48 (it was 140 with a state cloned per instruction).
+// proportion to what it keeps: assembling the serve mix may allocate 48
+// bytes per instruction kept (32 of them are the instruction; it was 49
+// with a 40-byte instruction, and 467 when bodies grew by append-doubling
+// 128-byte elements), resolving it 48 (it was 140 with a state cloned
+// per instruction).
 func TestBuildBytesPerInstruction(t *testing.T) {
 	entries := serveMix(t, 12)
 	allocated := func(f func()) uint64 {
@@ -154,8 +155,8 @@ func TestBuildBytesPerInstruction(t *testing.T) {
 	})
 	n := uint64(instructions(p))
 	t.Logf("%d instructions kept: BuildMix %d B each, Resolve %d B each", n, build/n, resolve/n)
-	if build/n > 72 {
-		t.Errorf("BuildMix allocates %d B per kept instruction, budget 72", build/n)
+	if build/n > 48 {
+		t.Errorf("BuildMix allocates %d B per kept instruction, budget 48", build/n)
 	}
 	if resolve/n > 48 {
 		t.Errorf("Resolve allocates %d B per kept instruction, budget 48", resolve/n)

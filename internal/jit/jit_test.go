@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -307,6 +308,60 @@ func TestConstStrNeedsInterner(t *testing.T) {
 	}
 	if cm.Code[0].Op != isa.OpPushConst || cm.Code[0].A != 0x1234 {
 		t.Errorf("string constant mislowered: %v", cm.Code[0])
+	}
+}
+
+// TestWideConstantsLower: a long, float or double constant's raw bits
+// ride in the bytecode's A (low word) and B (high word) and reach the
+// compiled push exactly — sign bits, an all-ones word and a NaN payload
+// included — and the listing shows the same bits.
+func TestWideConstantsLower(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, row := range []struct {
+		name    string
+		ret     classfile.TypeKind
+		emit    func(a *classfile.Asm)
+		bits    uint64
+		listing string
+	}{
+		{"ConstL(MinInt64)", classfile.Long, func(a *classfile.Asm) { a.ConstL(math.MinInt64) },
+			0x8000000000000000, "lconst         -9223372036854775808"},
+		{"ConstL(-1)", classfile.Long, func(a *classfile.Asm) { a.ConstL(-1) },
+			0xffffffffffffffff, "lconst         -1"},
+		{"ConstF(-0)", classfile.Float, func(a *classfile.Asm) { a.ConstF(float32(negZero)) },
+			0x80000000, "fconst         0x80000000"},
+		{"ConstD(-0.0)", classfile.Double, func(a *classfile.Asm) { a.ConstD(negZero) },
+			0x8000000000000000, "dconst         0x8000000000000000"},
+		{"ConstD(NaN payload)", classfile.Double,
+			func(a *classfile.Asm) { a.ConstD(math.Float64frombits(0x7ff8dead0000beef)) },
+			0x7ff8dead0000beef, "dconst         0x7ff8dead0000beef"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			_, spe, _ := newCompilers(t)
+			p := classfile.NewProgram()
+			m := p.NewClass("K", nil).NewMethod("k", classfile.FlagStatic, row.ret)
+			a := m.Asm()
+			row.emit(a)
+			a.Ret()
+			a.MustBuild()
+			if err := p.Resolve(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Code[0].Wide(); got != row.bits {
+				t.Errorf("BC.Wide() = %#x, want %#x", got, row.bits)
+			}
+			if got := m.Disassemble(); !strings.Contains(got, row.listing) {
+				t.Errorf("listing %q lacks %q", got, row.listing)
+			}
+			cm, err := spe.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := cm.Code[0]
+			if got := uint64(uint32(in.A)) | uint64(uint32(in.B))<<32; in.Op != isa.OpPushConst || got != row.bits {
+				t.Errorf("lowered to %v with bits %#x, want a push of %#x", in, got, row.bits)
+			}
+		})
 	}
 }
 

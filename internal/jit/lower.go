@@ -142,7 +142,7 @@ func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
 	case classfile.BCConstI:
 		return pushConst(uint64(uint32(bc.A))), nil
 	case classfile.BCConstL, classfile.BCConstD, classfile.BCConstF:
-		return pushConst(bc.W), nil
+		return pushConst(bc.Wide()), nil
 	case classfile.BCConstNull:
 		return pushConst(0), nil
 	case classfile.BCConstStr:

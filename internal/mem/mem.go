@@ -8,12 +8,14 @@
 // VM's own class metadata, and the SPE code cache only bills the
 // transfers it would make.
 //
-// The store is demand paged on the host: Main is a fixed page table
-// whose pages are allocated by the first write that lands on them, and
-// an unmapped page reads as zero. Booting a machine therefore costs the
-// page table, not the memory size, and a run pays host memory only for
-// the pages it dirties. Paging is invisible to the simulation — no
-// simulated cost or statistic depends on which pages are mapped.
+// The store is demand paged on the host through a two-level table: a
+// fixed directory with one entry per 64 KB, each holding the 16 4 KB
+// leaf pages beneath it. An entry and a leaf are allocated by the first
+// write that lands under them, and an absent one reads as zero. Booting
+// a machine therefore costs the directory, not the memory size, and a
+// run pays host memory only for the 4 KB leaves it dirties. Paging is
+// invisible to the simulation — no simulated cost or statistic depends
+// on which pages are mapped.
 //
 // Address 0 is reserved as the null reference and is never handed out.
 package mem
@@ -28,22 +30,30 @@ import (
 // address arithmetic is identical.
 type Addr = uint32
 
-// Host page geometry. 64 KB keeps the page table of a 1 GB memory at
-// 128 KB while a short run still maps well under a megabyte.
+// Host page geometry. A 4 KB leaf is the grain NewLayout reserves and
+// aligns regions at, so a cell that writes a few KB of statics and heap
+// maps a few KB; a 64 KB directory entry keeps the directory of the
+// default 64 MB memory at 8 KB (128 KB for 1 GB).
 const (
-	pageShift = 16
+	pageShift = 12
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
+	dirShift  = 16
+	dirLeaves = 1 << (dirShift - pageShift)
 )
 
-// page is one host page of simulated memory; nil means unmapped, which
-// reads as zero.
-type page = *[pageSize]byte
+// page is one host leaf page of simulated memory, and dirEntry the
+// leaves under one directory entry; nil means unmapped, which reads as
+// zero.
+type (
+	page     = *[pageSize]byte
+	dirEntry = *[dirLeaves]page
+)
 
 // Main is the machine's main memory.
 type Main struct {
-	pages []page
-	size  uint32
+	dir  []dirEntry
+	size uint32
 
 	// Reads and Writes count accessor calls (not bytes) for diagnostics.
 	Reads, Writes uint64
@@ -52,7 +62,7 @@ type Main struct {
 // NewMain creates a main memory of the given size in bytes. No page is
 // mapped until it is written.
 func NewMain(size uint32) *Main {
-	return &Main{pages: make([]page, (uint64(size)+pageMask)>>pageShift), size: size}
+	return &Main{dir: make([]dirEntry, (uint64(size)+1<<dirShift-1)>>dirShift), size: size}
 }
 
 // Size returns the memory size in bytes.
@@ -69,14 +79,27 @@ func (m *Main) check(addr Addr, n uint32) {
 	}
 }
 
-// mapped returns the page holding addr, mapping it on first write.
-func (m *Main) mapped(addr Addr) page {
-	p := m.pages[addr>>pageShift]
-	if p == nil {
-		p = new([pageSize]byte)
-		m.pages[addr>>pageShift] = p
+// leaf returns the page holding addr, or nil if it is unmapped.
+func (m *Main) leaf(addr Addr) page {
+	if d := m.dir[addr>>dirShift]; d != nil {
+		return d[addr>>pageShift&(dirLeaves-1)]
 	}
-	return p
+	return nil
+}
+
+// mapped returns the page holding addr, mapping it (and its directory
+// entry) on first write.
+func (m *Main) mapped(addr Addr) page {
+	d := m.dir[addr>>dirShift]
+	if d == nil {
+		d = new([dirLeaves]page)
+		m.dir[addr>>dirShift] = d
+	}
+	p := &d[addr>>pageShift&(dirLeaves-1)]
+	if *p == nil {
+		*p = new([pageSize]byte)
+	}
+	return *p
 }
 
 // copyOut and copyIn move bytes page by page; they are the bulk
@@ -86,7 +109,7 @@ func (m *Main) copyOut(addr Addr, dst []byte) {
 	for len(dst) > 0 {
 		off := addr & pageMask
 		n := min(len(dst), int(pageSize-off))
-		if p := m.pages[addr>>pageShift]; p != nil {
+		if p := m.leaf(addr); p != nil {
 			copy(dst[:n], p[off:])
 		} else {
 			clear(dst[:n])
@@ -119,7 +142,7 @@ func (m *Main) writeStraddle(addr Addr, n uint32, v uint64) {
 func (m *Main) Read8(addr Addr) uint8 {
 	m.check(addr, 1)
 	m.Reads++
-	if p := m.pages[addr>>pageShift]; p != nil {
+	if p := m.leaf(addr); p != nil {
 		return p[addr&pageMask]
 	}
 	return 0
@@ -133,7 +156,7 @@ func (m *Main) Read16(addr Addr) uint16 {
 	if off > pageSize-2 {
 		return uint16(m.readStraddle(addr, 2))
 	}
-	if p := m.pages[addr>>pageShift]; p != nil {
+	if p := m.leaf(addr); p != nil {
 		return binary.LittleEndian.Uint16(p[off:])
 	}
 	return 0
@@ -147,7 +170,7 @@ func (m *Main) Read32(addr Addr) uint32 {
 	if off > pageSize-4 {
 		return uint32(m.readStraddle(addr, 4))
 	}
-	if p := m.pages[addr>>pageShift]; p != nil {
+	if p := m.leaf(addr); p != nil {
 		return binary.LittleEndian.Uint32(p[off:])
 	}
 	return 0
@@ -161,7 +184,7 @@ func (m *Main) Read64(addr Addr) uint64 {
 	if off > pageSize-8 {
 		return m.readStraddle(addr, 8)
 	}
-	if p := m.pages[addr>>pageShift]; p != nil {
+	if p := m.leaf(addr); p != nil {
 		return binary.LittleEndian.Uint64(p[off:])
 	}
 	return 0
@@ -229,7 +252,7 @@ func (m *Main) Zero(addr Addr, n uint32) {
 	for n > 0 {
 		off := addr & pageMask
 		k := min(n, pageSize-off)
-		if p := m.pages[addr>>pageShift]; p != nil {
+		if p := m.leaf(addr); p != nil {
 			clear(p[off : off+k])
 		}
 		addr, n = addr+k, n-k

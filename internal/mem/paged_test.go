@@ -80,22 +80,44 @@ func (x *model) readBytes(addr Addr, n uint32) {
 	}
 }
 
-// mappedPages counts the host pages a Main has allocated.
+// mappedPages counts the host leaf pages a Main has allocated.
 func mappedPages(m *Main) int {
 	n := 0
-	for _, p := range m.pages {
-		if p != nil {
+	for _, d := range m.dir {
+		if d != nil {
+			for _, p := range d {
+				if p != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// mappedDirs counts the directory entries a Main has allocated.
+func mappedDirs(m *Main) int {
+	n := 0
+	for _, d := range m.dir {
+		if d != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// TestStraddlingAccesses drives every accessor width across a page
-// boundary at every split point, with each combination of mapped and
-// unmapped pages on the two sides.
-func TestStraddlingAccesses(t *testing.T) {
-	const boundary = 2 * pageSize
+// TestStraddlingAccesses drives every accessor width across a leaf
+// boundary inside one directory entry at every split point, with each
+// combination of mapped and unmapped pages on the two sides.
+func TestStraddlingAccesses(t *testing.T) { testStraddle(t, 2*pageSize, 1) }
+
+// TestStraddlingDirectoryBoundary does the same across a directory
+// boundary, where an unmapped side's whole directory entry is absent.
+func TestStraddlingDirectoryBoundary(t *testing.T) { testStraddle(t, 1<<dirShift, 2) }
+
+// testStraddle runs the straddle rows at boundary, whose two sides lie
+// in dirs directory entries.
+func testStraddle(t *testing.T, boundary Addr, dirs int) {
 	for _, premap := range []struct {
 		name      string
 		low, high bool
@@ -108,7 +130,7 @@ func TestStraddlingAccesses(t *testing.T) {
 		for _, width := range []uint32{2, 4, 8} {
 			for split := uint32(1); split < width; split++ {
 				t.Run(fmt.Sprintf("%s/w%d/split%d", premap.name, width, split), func(t *testing.T) {
-					x := newModel(t, 4*pageSize)
+					x := newModel(t, 2<<dirShift)
 					if premap.low {
 						x.write(boundary-64, 8, 0x1111111111111111)
 					}
@@ -127,8 +149,9 @@ func TestStraddlingAccesses(t *testing.T) {
 					for a := addr - 8; a < addr+width+8; a++ {
 						x.read(a, 1)
 					}
-					if got := mappedPages(x.m); got != 2 {
-						t.Fatalf("a straddling write left %d pages mapped, want 2", got)
+					if got, gotDirs := mappedPages(x.m), mappedDirs(x.m); got != 2 || gotDirs != dirs {
+						t.Fatalf("a straddling write left %d pages in %d directory entries mapped, want 2 in %d",
+							got, gotDirs, dirs)
 					}
 				})
 			}
@@ -166,6 +189,33 @@ func TestBulkAcrossPages(t *testing.T) {
 	x.readBytes(0, 8*pageSize)
 	x.read(start+49, 1)
 	x.read(start+50+2*pageSize, 1)
+}
+
+// TestScatteredWritesMapOneLeafEach pins the host grain: each one-word
+// write to a fresh 4 KB leaf maps exactly that leaf, and a directory
+// entry only for the 64 KB it falls in, wherever the writes land.
+func TestScatteredWritesMapOneLeafEach(t *testing.T) {
+	x := newModel(t, 8<<20)
+	addrs := []Addr{
+		0x10, pageSize, 3*pageSize + 8, 1<<dirShift - 8, 1 << dirShift,
+		5<<dirShift + 7*pageSize + 40, 100 << dirShift, 8<<20 - 8,
+	}
+	dirs := map[Addr]bool{}
+	for i, a := range addrs {
+		x.write(a, 8, uint64(i)+1)
+		dirs[a>>dirShift] = true
+		if got, gotDirs := mappedPages(x.m), mappedDirs(x.m); got != i+1 || gotDirs != len(dirs) {
+			t.Fatalf("after %d writes: %d leaves in %d directory entries mapped, want %d in %d",
+				i+1, got, gotDirs, i+1, len(dirs))
+		}
+	}
+	for _, a := range addrs {
+		x.read(a, 8)
+		x.read(a&^pageMask|pageSize/2, 8) // unwritten words of a mapped leaf read zero
+	}
+	if got := mappedPages(x.m); got != len(addrs) {
+		t.Fatalf("reads mapped leaves: %d mapped, want %d", got, len(addrs))
+	}
 }
 
 // TestZeroUnmappedAllocatesNothing pins the property the boot path
@@ -229,24 +279,30 @@ func TestOutOfBoundsMessage(t *testing.T) {
 	}
 }
 
-// fuzzSize is four pages and a partial one: small enough to compare
-// whole, large enough that bulk ops span three pages.
-const fuzzSize = 4*pageSize + 1000
+// fuzzSize is two directory entries and a partial leaf: small enough to
+// compare whole, large enough that bulk ops cross directory boundaries.
+const fuzzSize = 2<<dirShift + 1000
 
 // FuzzMainVsFlat decodes its input as a sequence of 12-byte operations,
 // applies each to a paged Main and to a flat reference, and requires
 // every read, and the whole memory at the end, to agree. Addresses are
-// biased towards page boundaries, where the paged store has its only
-// interesting code. The seed corpus is testdata/fuzz/FuzzMainVsFlat.
+// biased towards leaf and directory boundaries, where the paged store
+// has its only interesting code. The seed corpus is
+// testdata/fuzz/FuzzMainVsFlat.
 func FuzzMainVsFlat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		x := newModel(t, fuzzSize)
 		for ; len(data) >= 12; data = data[12:] {
 			a := uint32(binary.LittleEndian.Uint16(data[2:]))
 			addr := a * 5 % fuzzSize
-			if data[1]&1 == 0 {
-				// Within 8 bytes either side of a page boundary.
-				addr = (uint32(data[1]>>1)%4+1)*pageSize - 8 + a%16
+			if k := uint32(data[1] >> 2); data[1]&1 == 0 {
+				// Within 8 bytes either side of a leaf boundary, or of a
+				// directory boundary when bit 1 is set.
+				if data[1]&2 == 0 {
+					addr = (k%(fuzzSize/pageSize)+1)*pageSize - 8 + a%16
+				} else {
+					addr = (k%(fuzzSize>>dirShift)+1)<<dirShift - 8 + a%16
+				}
 			}
 			v := binary.LittleEndian.Uint64(data[4:])
 			code := data[0] % 11
@@ -281,8 +337,9 @@ func FuzzMainVsFlat(f *testing.F) {
 }
 
 // BenchmarkMainMemory measures simulated memory accessor throughput:
-// aligned accesses inside a host page, and the slow path of an access
-// that straddles two pages (4 bytes before each 64 KB boundary).
+// aligned accesses over 1 MB of leaves, and the slow path of an access
+// that straddles two leaves in two directory entries (4 bytes before
+// each of eight 64 KB boundaries).
 func BenchmarkMainMemory(b *testing.B) {
 	b.Run("aligned", func(b *testing.B) {
 		m := NewMain(1 << 20)

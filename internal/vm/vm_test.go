@@ -906,7 +906,7 @@ func TestStringBuilderGrowth(t *testing.T) {
 // TestNewRejectsBadConfigs: every machine description New cannot run
 // comes back as an error wrapping ErrBadConfig — never a plain error, a
 // host panic or a run that never ends. The local-store, main-memory,
-// cache-fit and empty-topology rows are hole 20 (ROADMAP item 7): they
+// cache-fit and empty-topology rows are hole 20 (ROADMAP item 10): they
 // escaped ErrBadConfig as plain cell/vm errors, and a zero PPE cache
 // geometry — no longer settable — panicked inside New. The last two
 // rows escaped as a plain layout error and as a host panic in the boot
