@@ -3,6 +3,7 @@ package classfile
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Asm builds a method body instruction by instruction. Typical use:
@@ -18,15 +19,17 @@ import (
 // Build attaches the code to the method and computes MaxLocals; MaxStack
 // is computed later by the verifier during Program.Resolve.
 //
-// Instructions are assembled in a buffer borrowed from the method's
-// Program (Program.spare) and the method keeps an exact-size copy, so a
-// body costs what it holds rather than what append-doubling passed
-// through. Labels are an assembler concern: a branch records a fix-up,
-// Build writes the bound positions into the instructions, and nothing
-// downstream sees a Label.
+// Instructions and the constant pool are assembled in buffers borrowed
+// from the method's Program (Program.spare) and the method keeps
+// exact-size copies, so a body costs what it holds rather than what
+// append-doubling passed through. Each distinct operand takes one pool
+// entry, in the order of first use, and every instruction naming it
+// carries its index. Labels are an assembler concern: a branch records
+// a fix-up, Build writes the bound positions into the instructions, and
+// nothing downstream sees a Label.
 type Asm struct {
-	m        *Method
-	code     []BC
+	m *Method
+	asmBuffers
 	fixups   []fixup
 	maxLocal int
 	built    bool
@@ -45,6 +48,14 @@ type Label struct {
 	made int
 }
 
+// asmBuffers are what an assembler fills: the code, the pool and the
+// pool's index of the entries it holds.
+type asmBuffers struct {
+	code []BC
+	pool []any
+	refs map[any]uint16
+}
+
 // fixup is one use of a label by the instruction at pc: its Target
 // (slot < 0) or entry slot of its Switch operand's Targets.
 type fixup struct {
@@ -53,7 +64,7 @@ type fixup struct {
 }
 
 // Asm begins assembling the method's body. It takes the program's spare
-// buffer if there is one; an Asm opened while another holds the spare
+// buffers if there are any; an Asm opened while another holds them
 // allocates its own.
 func (m *Method) Asm() *Asm {
 	if m.IsNative() || m.IsAbstract() {
@@ -62,14 +73,35 @@ func (m *Method) Asm() *Asm {
 		panic(fmt.Sprintf("classfile: %s cannot have a body", m.Sig()))
 	}
 	p := m.Class.program
-	a := &Asm{m: m, code: p.spare, maxLocal: m.ArgSlots() - 1}
-	p.spare = nil
+	a := &Asm{m: m, asmBuffers: p.spare, maxLocal: m.ArgSlots() - 1}
+	p.spare = asmBuffers{}
 	return a
 }
 
 func (a *Asm) emit(bc BC) *Asm {
 	a.code = append(a.code, bc)
 	return a
+}
+
+// emitRef emits bc naming operand x: x's pool entry, added on its first
+// use. A Ref is 16 bits, so a body that needs a 65 536th entry fails at
+// Build.
+func (a *Asm) emitRef(bc BC, x any) *Asm {
+	r, ok := a.refs[x]
+	if !ok {
+		if len(a.pool) > math.MaxUint16-1 {
+			a.fail("constant pool needs more than %d entries", math.MaxUint16)
+			return a
+		}
+		if a.refs == nil {
+			a.refs = make(map[any]uint16)
+		}
+		r = uint16(len(a.pool))
+		a.refs[x] = r
+		a.pool = append(a.pool, x)
+	}
+	bc.Ref = r
+	return a.emit(bc)
 }
 
 // branch emits a one-target branch to l.
@@ -155,7 +187,7 @@ func (a *Asm) ConstD(v float64) *Asm {
 func (a *Asm) Null() *Asm { return a.emit(BC{Op: BCConstNull}) }
 
 // Str pushes an interned string literal.
-func (a *Asm) Str(s string) *Asm { return a.emit(BC{Op: BCConstStr, Operand: s}) }
+func (a *Asm) Str(s string) *Asm { return a.emitRef(BC{Op: BCConstStr}, s) }
 
 // --- locals ---
 
@@ -319,7 +351,7 @@ func (a *Asm) switchTo(op BCOp, low int32, def *Label, keys []int32, targets []*
 		a.use(l, i)
 	}
 	sw := &Switch{Keys: keys, Targets: make([]int32, len(targets))}
-	return a.emit(BC{Op: op, A: low, Operand: sw})
+	return a.emitRef(BC{Op: op, A: low}, sw)
 }
 
 // TableSwitch pops an index and jumps to targets[index-low], or def when
@@ -355,7 +387,7 @@ func (a *Asm) field(op BCOp, f *Field, static bool) *Asm {
 	case !f.Static && static:
 		a.fail("%v on instance %s", op, f)
 	}
-	return a.emit(BC{Op: op, Operand: f})
+	return a.emitRef(BC{Op: op}, f)
 }
 
 // GetField pops a receiver and pushes f's value.
@@ -376,7 +408,7 @@ func (a *Asm) class(op BCOp, k isaElem, c *Class) *Asm {
 	if c == nil {
 		a.fail("%v: nil class", op)
 	}
-	return a.emit(BC{Op: op, Kind: k, Operand: c})
+	return a.emitRef(BC{Op: op, Kind: k}, c)
 }
 
 // NewArray pops a length and pushes a new primitive array.
@@ -413,7 +445,7 @@ func (a *Asm) invoke(op BCOp, m *Method) *Asm {
 	case op != BCInvokeStatic && m.IsStatic():
 		a.fail("%v on static %s", op, m.Sig())
 	}
-	return a.emit(BC{Op: op, Operand: m})
+	return a.emitRef(BC{Op: op}, m)
 }
 
 // InvokeVirtual calls m through the receiver's vtable.
@@ -480,9 +512,9 @@ func (a *Asm) Catch(from, to, handler *Label, catchType *Class) *Asm {
 }
 
 // Build finalises the body: checks labels and writes their positions
-// into the instructions that use them, attaches an exact-size copy of
-// the code and MaxLocals to the method, and hands the assembly buffer
-// back to the program, cleared, for the next body.
+// into the instructions that use them, attaches exact-size copies of
+// the code and the pool, and MaxLocals, to the method, and hands the
+// assembly buffers back to the program, cleared, for the next body.
 func (a *Asm) Build() error {
 	if a.built {
 		return fmt.Errorf("asm %s: Build called twice", a.m.Sig())
@@ -501,7 +533,7 @@ func (a *Asm) Build() error {
 		if f.slot < 0 {
 			bc.Target = int32(f.l.pc)
 		} else {
-			bc.Switch().Targets[f.slot] = int32(f.l.pc)
+			bc.Switch(a.pool).Targets[f.slot] = int32(f.l.pc)
 		}
 	}
 	last := a.code[len(a.code)-1].Op
@@ -528,18 +560,29 @@ func (a *Asm) Build() error {
 		})
 	}
 	a.m.Handlers = append(a.m.Handlers, handlers...)
-	a.m.Code = make([]BC, len(a.code))
-	copy(a.m.Code, a.code)
+	a.m.Code = slices.Clone(a.code)
+	if len(a.pool) > 0 {
+		a.m.Pool = slices.Clone(a.pool)
+	}
 	a.m.MaxLocals = a.maxLocal + 1
 	a.built = true
 
-	// The buffer goes back holding no operand: a spare must not keep a
-	// class, field or method of a finished body reachable.
+	// The buffers go back empty: a spare pool must not keep a class,
+	// field or method of a finished body reachable.
 	clear(a.code)
-	if p := a.m.Class.program; cap(a.code) > cap(p.spare) {
-		p.spare = a.code[:0]
+	clear(a.pool)
+	clear(a.refs)
+	sp := &a.m.Class.program.spare
+	if cap(a.code) > cap(sp.code) {
+		sp.code = a.code[:0]
 	}
-	a.code, a.fixups = nil, nil
+	if cap(a.pool) > cap(sp.pool) {
+		sp.pool = a.pool[:0]
+	}
+	if sp.refs == nil {
+		sp.refs = a.refs
+	}
+	a.asmBuffers, a.fixups = asmBuffers{}, nil
 	return nil
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // BCOp is a Java-bytecode-subset opcode. Instructions are held in
-// structured form (operands resolved to pointers, branch targets to
-// instruction indexes) rather than serialized bytes; the JIT consumes
-// this form.
+// structured form (symbolic operands as indexes into the method's
+// constant pool, branch targets as instruction indexes) rather than
+// serialized bytes; the JIT consumes this form.
 type BCOp uint8
 
 const (
@@ -17,7 +17,7 @@ const (
 
 	// Constants. ConstI uses A; ConstL/ConstF/ConstD use Wide() (raw
 	// bits, low word in A and high word in B);
-	// ConstStr's operand is the string (interned at boot); ConstNull
+	// ConstStr's pool entry is the string (interned at boot); ConstNull
 	// pushes null.
 	BCConstI
 	BCConstL
@@ -133,20 +133,20 @@ const (
 	BCIfACmpNE
 	BCIfNull
 	BCIfNonNull
-	// BCTableSwitch: A = low key; operand *Switch, Targets for
+	// BCTableSwitch: A = low key; pool entry *Switch, Targets for
 	// low..low+len-1; Target = default.
 	BCTableSwitch
-	// BCLookupSwitch: operand *Switch, Keys = sorted match keys, Targets
-	// = their targets; Target = default.
+	// BCLookupSwitch: pool entry *Switch, Keys = sorted match keys,
+	// Targets = their targets; Target = default.
 	BCLookupSwitch
 
-	// Field access. Operand = resolved *Field.
+	// Field access. Pool entry = resolved *Field.
 	BCGetField
 	BCPutField
 	BCGetStatic
 	BCPutStatic
 
-	// Arrays. Kind = element kind; operand = element *Class for
+	// Arrays. Kind = element kind; pool entry = element *Class for
 	// BCANewArray.
 	BCNewArray
 	BCANewArray
@@ -154,7 +154,7 @@ const (
 	BCAStore
 	BCArrayLen
 
-	// Objects and calls. Operand = *Class, or the callee *Method.
+	// Objects and calls. Pool entry = *Class, or the callee *Method.
 	BCNew
 	BCInvokeVirtual
 	BCInvokeSpecial
@@ -195,14 +195,23 @@ const (
 	refElem = isa.ElemRef
 )
 
-// BC is one structured bytecode instruction: 32 bytes, of which an
-// instruction uses the immediates its opcode names and at most one
-// Operand. Branch targets are instruction indexes — the assembler's
-// labels end at Build, which writes the bound positions here.
+// BC is one structured bytecode instruction: 16 bytes of plain numbers,
+// of which an instruction uses the immediates its opcode names and at
+// most one constant-pool index. Like a class file's bytecode it points
+// at nothing, so one body can serve every copy of its method: a copy
+// differs only in its pool. Branch targets are instruction indexes —
+// the assembler's labels end at Build, which writes the bound positions
+// here.
 type BC struct {
 	Op BCOp
 	// Kind is the array element kind for array ops.
 	Kind isa.ElemKind
+	// Ref is the index, in the method's Pool, of the one symbolic
+	// operand the opcode takes, if any: a string (BCConstStr), *Field,
+	// *Method, *Class or *Switch. Read it through the typed accessors,
+	// which return the zero value when the entry is missing or holds
+	// something else.
+	Ref uint16
 	// A and B are small immediates (local index, iinc delta, switch
 	// low). A wide constant's raw bits are A (low word) and B (high
 	// word); read them through Wide.
@@ -210,11 +219,6 @@ type BC struct {
 	// Target is the branch target, or a switch's default, as a bytecode
 	// index into the method's Code.
 	Target int32
-	// Operand is the one symbolic operand the opcode takes, if any: a
-	// string (BCConstStr), *Field, *Method, *Class or *Switch. Read it
-	// through the typed accessors, which return the zero value when the
-	// slot holds something else.
-	Operand any
 }
 
 // Switch is the operand of BCTableSwitch and BCLookupSwitch: Targets are
@@ -232,23 +236,32 @@ func wide(op BCOp, v uint64) BC { return BC{Op: op, A: int32(uint32(v)), B: int3
 // Wide returns the raw bits of a long, float or double constant.
 func (bc *BC) Wide() uint64 { return uint64(uint32(bc.A)) | uint64(uint32(bc.B))<<32 }
 
-// Str returns the string literal of a BCConstStr.
-func (bc *BC) Str() string { s, _ := bc.Operand.(string); return s }
+// entry is the pool entry bc.Ref names, or nil when there is none.
+func (bc *BC) entry(pool []any) any {
+	if int(bc.Ref) < len(pool) {
+		return pool[bc.Ref]
+	}
+	return nil
+}
+
+// Str returns the string literal of a BCConstStr, given its method's
+// Pool.
+func (bc *BC) Str(pool []any) string { s, _ := bc.entry(pool).(string); return s }
 
 // Field returns the resolved field of a field access, or nil.
-func (bc *BC) Field() *Field { f, _ := bc.Operand.(*Field); return f }
+func (bc *BC) Field(pool []any) *Field { f, _ := bc.entry(pool).(*Field); return f }
 
 // Method returns the resolved callee of an invoke, or nil.
-func (bc *BC) Method() *Method { m, _ := bc.Operand.(*Method); return m }
+func (bc *BC) Method(pool []any) *Method { m, _ := bc.entry(pool).(*Method); return m }
 
 // Class returns the class operand of new / anewarray / instanceof /
 // checkcast, or nil.
-func (bc *BC) Class() *Class { c, _ := bc.Operand.(*Class); return c }
+func (bc *BC) Class(pool []any) *Class { c, _ := bc.entry(pool).(*Class); return c }
 
 // Switch returns the jump table of a switch, or nil.
-func (bc *BC) Switch() *Switch { sw, _ := bc.Operand.(*Switch); return sw }
+func (bc *BC) Switch(pool []any) *Switch { sw, _ := bc.entry(pool).(*Switch); return sw }
 
-// operandKind names what an opcode's Operand slot holds.
+// operandKind names what an opcode's pool entry holds.
 type operandKind uint8
 
 const (
@@ -260,11 +273,42 @@ const (
 	operandSwitch
 )
 
+var operandNames = [...]string{operandStr: "string", operandField: "field",
+	operandMethod: "method", operandClass: "class", operandSwitch: "switch"}
+
+// check returns "" when e, the pool entry at ref, is a non-nil operand
+// of kind k, and otherwise what is wrong with it.
+func (k operandKind) check(ref uint16, e any) string {
+	var got operandKind
+	isNil := e == nil
+	switch x := e.(type) {
+	case string:
+		got = operandStr
+	case *Field:
+		got, isNil = operandField, x == nil
+	case *Method:
+		got, isNil = operandMethod, x == nil
+	case *Class:
+		got, isNil = operandClass, x == nil
+	case *Switch:
+		got, isNil = operandSwitch, x == nil
+	}
+	switch {
+	case isNil && k == operandStr:
+		return "no string operand"
+	case isNil:
+		return "nil " + operandNames[k] + " ref"
+	case got != k:
+		return fmt.Sprintf("ref %d is a %T, not a %s", ref, e, operandNames[k])
+	}
+	return ""
+}
+
 // operand is the one statement of which opcodes carry a symbolic operand
 // and of what type. Program.Resolve holds every instruction of every
 // body to it (wellFormed), reached or not, so the verifier and the JIT
-// read bc.Field(), bc.Method(), bc.Class() and bc.Switch() of these
-// opcodes without a nil check of their own.
+// read bc.Field, bc.Method, bc.Class and bc.Switch of these opcodes
+// without a nil check of their own.
 func (o BCOp) operand() operandKind {
 	switch o {
 	case BCConstStr:
@@ -282,12 +326,12 @@ func (o BCOp) operand() operandKind {
 }
 
 // switchTargets returns a switch's table targets (not its default);
-// nil for any other opcode, whatever its operand slot holds.
-func (bc *BC) switchTargets() []int32 {
+// nil for any other opcode, whatever its Ref names.
+func (bc *BC) switchTargets(pool []any) []int32 {
 	if bc.Op != BCTableSwitch && bc.Op != BCLookupSwitch {
 		return nil
 	}
-	if sw := bc.Switch(); sw != nil {
+	if sw := bc.Switch(pool); sw != nil {
 		return sw.Targets
 	}
 	return nil

@@ -18,12 +18,13 @@ type Program struct {
 	staticSlots int       // total static field slots
 	ifaceSlots  int       // global interface-method IDs handed out
 
-	// spare is the one assembly buffer the program lends to its methods'
-	// assemblers: Method.Asm takes it, Asm.Build hands it back cleared
-	// and Resolve drops it. Bodies are assembled one after another, so
-	// one buffer grown to the largest body serves them all; declaring
-	// and assembling a program is single-goroutine work, like NewClass.
-	spare []BC
+	// spare is the one set of assembly buffers the program lends to its
+	// methods' assemblers: Method.Asm takes it, Asm.Build hands it back
+	// cleared and Resolve drops it. Bodies are assembled one after
+	// another, so buffers grown to the largest body serve them all;
+	// declaring and assembling a program is single-goroutine work, like
+	// NewClass.
+	spare asmBuffers
 }
 
 // NewProgram creates an empty program containing java/lang/Object.
@@ -45,7 +46,7 @@ func (p *Program) NewClass(name string, super *Class) *Class {
 	if super == nil && p.Object != nil {
 		super = p.Object
 	}
-	c := &Class{Name: name, Super: super, program: p, Annotations: map[string]string{}}
+	c := &Class{Name: name, Super: super, program: p}
 	p.classes = append(p.classes, c)
 	p.byName[name] = c
 	return c
@@ -83,8 +84,6 @@ type Class struct {
 	Super       *Class
 	Interfaces  []*Class
 	IsInterface bool
-	// Annotations carries class-level placement hints.
-	Annotations map[string]string
 
 	Fields  []*Field  // instance fields declared by this class
 	Statics []*Field  // static fields declared by this class
@@ -165,15 +164,14 @@ const (
 // NewMethod declares a method. Params excludes the receiver.
 func (c *Class) NewMethod(name string, flags MethodFlags, ret TypeKind, params ...TypeKind) *Method {
 	m := &Method{
-		Name:        name,
-		Class:       c,
-		Flags:       flags,
-		Ret:         ret,
-		Params:      params,
-		ID:          -1,
-		VSlot:       -1,
-		IfaceID:     -1,
-		Annotations: map[string]bool{},
+		Name:    name,
+		Class:   c,
+		Flags:   flags,
+		Ret:     ret,
+		Params:  params,
+		ID:      -1,
+		VSlot:   -1,
+		IfaceID: -1,
 	}
 	c.Methods = append(c.Methods, m)
 	return m
@@ -251,14 +249,20 @@ type Method struct {
 	Params []TypeKind
 
 	// Code is the structured bytecode (nil for native/abstract methods).
+	// Copies of one body share it (Program.Stamp).
 	Code []BC
+	// Pool is the body's constant pool: the distinct strings, *Fields,
+	// *Methods, *Classes and *Switches its instructions name, in the
+	// order of their first use; an instruction's Ref indexes it.
+	Pool []any
 	// Handlers is the exception-handler table, in priority order.
 	Handlers []Handler
 	// MaxLocals and MaxStack are computed by the assembler.
 	MaxLocals int
 	MaxStack  int
 
-	// Annotations carries the paper's behaviour hints (§3).
+	// Annotations carries the paper's behaviour hints (§3); nil until
+	// the first Annotate.
 	Annotations map[string]bool
 
 	// NativeTag names the runtime implementation for native methods; by
@@ -289,6 +293,9 @@ func (m *Method) IsVirtual() bool { return !m.IsStatic() }
 // Annotate attaches a behaviour-hint annotation and returns the method
 // for chaining.
 func (m *Method) Annotate(name string) *Method {
+	if m.Annotations == nil {
+		m.Annotations = map[string]bool{}
+	}
 	m.Annotations[name] = true
 	return m
 }

@@ -2,7 +2,10 @@ package classfile
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -299,6 +302,38 @@ func TestAsmRejectsNilOperands(t *testing.T) {
 	}
 }
 
+// TestAsmPoolLimit: a body's operands are pooled once each, in the order
+// of first use, and a Ref is 16 bits — a body naming 65 535 distinct
+// operands builds, one naming a 65 536th is refused at Build.
+func TestAsmPoolLimit(t *testing.T) {
+	p := NewProgram()
+	c := p.NewClass("Big", nil)
+	f := c.NewStaticField("f", Int)
+	small := c.NewMethod("small", FlagStatic, Void).Asm()
+	small.Str("a").Pop().GetStatic(f).Pop().Str("a").Pop().Str("b").Pop().RetVoid().MustBuild()
+	m := c.Methods[0]
+	if want := []any{"a", f, "b"}; !slices.Equal(m.Pool, want) {
+		t.Errorf("pool %v, want %v", m.Pool, want)
+	}
+	if refs := []uint16{m.Code[0].Ref, m.Code[2].Ref, m.Code[4].Ref, m.Code[6].Ref}; !slices.Equal(refs, []uint16{0, 1, 0, 2}) {
+		t.Errorf("refs %v, want [0 1 0 2]", refs)
+	}
+	for _, n := range []int{math.MaxUint16, math.MaxUint16 + 1} {
+		a := c.NewMethod(fmt.Sprint("m", n), FlagStatic, Void).Asm()
+		for i := range n {
+			a.Str(strconv.Itoa(i)).Pop()
+		}
+		err := a.RetVoid().Build()
+		want := ""
+		if n > math.MaxUint16 {
+			want = "asm Big.m65536()void: constant pool needs more than 65535 entries"
+		}
+		if got := fmt.Sprint(err); (err == nil) != (want == "") || err != nil && got != want {
+			t.Errorf("%d entries: Build = %v, want %q", n, err, want)
+		}
+	}
+}
+
 // TestAsmLabelMessages pins the three label errors that predate the
 // fix-up list, byte for byte.
 func TestAsmLabelMessages(t *testing.T) {
@@ -362,23 +397,31 @@ func TestResolveRejectsMalformedUnreachableCode(t *testing.T) {
 		want string
 	}{
 		{"new nil", func(a *Asm, _ *Method) { a.ConstI(0) },
-			func(m *Method) { m.Code[1] = BC{Op: BCNew, Operand: (*Class)(nil)} }, sig + "pc 1 (new): nil class ref"},
+			func(m *Method) { m.Code[1], m.Pool = BC{Op: BCNew}, []any{(*Class)(nil)} }, sig + "pc 1 (new): nil class ref"},
 		{"anewarray nil", func(a *Asm, _ *Method) { a.ConstI(0) },
-			func(m *Method) { m.Code[1] = BC{Op: BCANewArray, Kind: refElem, Operand: (*Class)(nil)} },
+			func(m *Method) { m.Code[1], m.Pool = BC{Op: BCANewArray, Kind: refElem}, []any{(*Class)(nil)} },
 			sig + "pc 1 (anewarray): nil class ref"},
 		{"getfield nil", func(a *Asm, _ *Method) { a.ConstI(0) },
-			func(m *Method) { m.Code[1] = BC{Op: BCGetField} }, sig + "pc 1 (getfield): nil field ref"},
+			func(m *Method) { m.Code[1], m.Pool = BC{Op: BCGetField}, []any{nil} }, sig + "pc 1 (getfield): nil field ref"},
 		{"invoke nil", func(a *Asm, _ *Method) { a.ConstI(0) },
-			func(m *Method) { m.Code[1] = BC{Op: BCInvokeStatic, Operand: (*Method)(nil)} },
+			func(m *Method) { m.Code[1], m.Pool = BC{Op: BCInvokeStatic}, []any{(*Method)(nil)} },
 			sig + "pc 1 (invokestatic): nil method ref"},
 		{"wrong operand type", func(a *Asm, m *Method) { a.New(m.Class) },
-			func(m *Method) { m.Code[1].Operand = m }, sig + "pc 1 (new): nil class ref"},
+			func(m *Method) { m.Pool[m.Code[1].Ref] = m }, sig + "pc 1 (new): ref 0 is a *classfile.Method, not a class"},
+		{"mistyped ref", func(a *Asm, m *Method) { a.Str("s").Pop().New(m.Class) },
+			func(m *Method) { m.Code[3].Ref = m.Code[1].Ref }, sig + "pc 3 (new): ref 0 is a string, not a class"},
+		{"ref outside the pool", func(a *Asm, m *Method) { a.New(m.Class) },
+			func(m *Method) { m.Code[1].Ref = 1 }, sig + "pc 1 (new): ref 1 outside a pool of 1"},
+		{"no pool", func(a *Asm, _ *Method) { a.ConstI(0) },
+			func(m *Method) { m.Code[1] = BC{Op: BCGetStatic} }, sig + "pc 1 (getstatic): ref 0 outside a pool of 0"},
 		{"string without one", func(a *Asm, _ *Method) { a.Str("s").Pop() },
-			func(m *Method) { m.Code[1].Operand = nil }, sig + "pc 1 (ldc_str): no string operand"},
+			func(m *Method) { m.Pool[m.Code[1].Ref] = nil }, sig + "pc 1 (ldc_str): no string operand"},
 		{"switch without table", func(a *Asm, _ *Method) { a.ConstI(0) },
-			func(m *Method) { m.Code[1] = BC{Op: BCTableSwitch} }, sig + "pc 1 (tableswitch): nil switch ref"},
+			func(m *Method) { m.Code[1], m.Pool = BC{Op: BCTableSwitch}, []any{(*Switch)(nil)} }, sig + "pc 1 (tableswitch): nil switch ref"},
 		{"table target", func(a *Asm, _ *Method) { a.ConstI(0) },
-			func(m *Method) { m.Code[1] = BC{Op: BCTableSwitch, Operand: &Switch{Targets: []int32{0, 9}}} },
+			func(m *Method) {
+				m.Code[1], m.Pool = BC{Op: BCTableSwitch}, []any{&Switch{Targets: []int32{0, 9}}}
+			},
 			sig + "pc 1 (tableswitch): table target 9 outside [0,3]"},
 		{"no such opcode", func(a *Asm, _ *Method) { a.ConstI(0) },
 			func(m *Method) { m.Code[1].Op = NumBCOps }, sig + fmt.Sprintf("pc 1 (bc%d): unhandled opcode", NumBCOps)},
@@ -407,28 +450,21 @@ func TestResolveRejectsMalformedUnreachableCode(t *testing.T) {
 	}
 }
 
-// TestBCSize: an instruction is at most 32 bytes and carries no label —
-// nothing reachable from a BC's type is a *Label.
+// TestBCSize: an instruction is 16 bytes of plain numbers — nothing in a
+// BC's type is a pointer, interface, slice, map or string, so it names
+// no label and no operand (those are its method's Pool's), and a body
+// can serve every copy of its method.
 func TestBCSize(t *testing.T) {
-	if sz := unsafe.Sizeof(BC{}); sz > 32 {
-		t.Errorf("BC is %d bytes, budget 32", sz)
+	if sz := unsafe.Sizeof(BC{}); sz > 16 {
+		t.Errorf("BC is %d bytes, budget 16", sz)
 	}
-	label := reflect.TypeOf(&Label{})
-	seen := map[reflect.Type]bool{}
 	var walk func(ty reflect.Type, path string)
 	walk = func(ty reflect.Type, path string) {
-		if ty == label {
-			t.Errorf("%s is a *Label", path)
-		}
-		if seen[ty] {
-			return
-		}
-		seen[ty] = true
 		switch ty.Kind() {
-		case reflect.Pointer, reflect.Slice, reflect.Array:
-			walk(ty.Elem(), path+"[]")
-		case reflect.Map:
-			walk(ty.Key(), path+"[key]")
+		case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %v", path, ty.Kind())
+		case reflect.Array:
 			walk(ty.Elem(), path+"[]")
 		case reflect.Struct:
 			for i := 0; i < ty.NumField(); i++ {
@@ -437,11 +473,6 @@ func TestBCSize(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(BC{}), "BC")
-	// The operand slot is an interface, which the type walk cannot see
-	// into: walk what it is documented to hold.
-	for _, operand := range []any{"", &Field{}, &Method{}, &Class{}, &Switch{}} {
-		walk(reflect.TypeOf(operand), "BC.Operand")
-	}
 }
 
 func TestAsmRejectsFallOffEnd(t *testing.T) {
@@ -743,5 +774,66 @@ func TestDisassemble(t *testing.T) {
 	n.NativeTag = "D.nat"
 	if !strings.Contains(n.Disassemble(), "[native D.nat]") {
 		t.Error("native disassembly wrong")
+	}
+}
+
+// TestStampMapsTheCopysOwnNames: a stamped copy shares each body's Code
+// and names its own classes, fields and methods wherever the original
+// names one of the stamped classes — superclass, interfaces, pool
+// entries and handler types — and keeps every other name; resolved, its
+// listing is the original's under the new names.
+func TestStampMapsTheCopysOwnNames(t *testing.T) {
+	p := NewProgram()
+	outside := p.NewClass("Outside", nil)
+	iface := p.NewInterface("I")
+	run := iface.NewMethod("run", FlagAbstract, Void)
+	a := p.NewClass("A", nil)
+	a.AddInterface(iface)
+	count := a.NewStaticField("count", Int)
+	a.NewField("x", Int)
+	b := p.NewClass("B", a)
+	b.NewField("y", Long)
+	for _, c := range []*Class{a, b} {
+		m := c.NewMethod("run", 0, Void)
+		m.Asm().RetVoid().MustBuild()
+	}
+	main := b.NewMethod("main", FlagStatic, Void).Annotate(AnnRunOnSPE)
+	asm := main.Asm()
+	from, to, catch, done := asm.NewLabel(), asm.NewLabel(), asm.NewLabel(), asm.NewLabel()
+	asm.Bind(from).New(b).Dup().InvokeInterface(run).InstanceOf(outside).Pop()
+	asm.GetStatic(count).ConstI(1).AddI().PutStatic(count).Str("s").Pop().Bind(to).Goto(done)
+	asm.Bind(catch).Pop().Bind(done).RetVoid()
+	asm.Catch(from, to, catch, b)
+	asm.MustBuild()
+
+	p.Stamp([]*Class{iface, a, b}, func(name string) string { return "J01" + name })
+	ci, ca, cb := p.Lookup("J01I"), p.Lookup("J01A"), p.Lookup("J01B")
+	if ci == nil || ca == nil || cb == nil {
+		t.Fatalf("copies not declared: %v", p.Classes())
+	}
+	if cb.Super != ca || ca.Super != p.Object || !ci.IsInterface || len(ca.Interfaces) != 1 || ca.Interfaces[0] != ci {
+		t.Errorf("hierarchy: B extends %v, A extends %v implements %v", cb.Super, ca.Super, ca.Interfaces)
+	}
+	cmain := cb.Methods[1]
+	if &cmain.Code[0] != &main.Code[0] {
+		t.Error("the copy does not share the body's Code")
+	}
+	want := []any{cb, ci.Methods[0], outside, ca.Statics[0], "s"}
+	if !slices.Equal(cmain.Pool, want) {
+		t.Errorf("copy's pool %v, want %v", cmain.Pool, want)
+	}
+	if len(cmain.Handlers) != 1 || cmain.Handlers[0].Type != cb || main.Handlers[0].Type != b {
+		t.Errorf("handlers: copy %+v, original %+v", cmain.Handlers, main.Handlers)
+	}
+	if cmain.Annotate(AnnRunOnPPE); main.Annotations[AnnRunOnPPE] || !cmain.Annotations[AnnRunOnSPE] {
+		t.Error("the copy's annotations are the original's map")
+	}
+	delete(cmain.Annotations, AnnRunOnPPE)
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	rename := strings.NewReplacer("B.", "J01B.", "A.", "J01A.", "I.", "J01I.", " B\n", " J01B\n")
+	if got, want := cmain.Disassemble(), rename.Replace(main.Disassemble()); got != want {
+		t.Errorf("copy's listing:\n%s\nwant:\n%s", got, want)
 	}
 }

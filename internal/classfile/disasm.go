@@ -20,7 +20,7 @@ func (m *Method) Disassemble() string {
 	}
 	fmt.Fprintf(&b, "\n")
 	for pc := range m.Code {
-		fmt.Fprintf(&b, "%4d: %s\n", pc, m.Code[pc].describe())
+		fmt.Fprintf(&b, "%4d: %s\n", pc, m.Code[pc].describe(m.Pool))
 	}
 	if len(m.Handlers) > 0 {
 		fmt.Fprintf(&b, "  exception table:\n")
@@ -35,8 +35,9 @@ func (m *Method) Disassemble() string {
 	return b.String()
 }
 
-// describe formats one structured bytecode instruction.
-func (bc *BC) describe() string {
+// describe formats one structured bytecode instruction of a method whose
+// constant pool is pool.
+func (bc *BC) describe(pool []any) string {
 	switch bc.Op {
 	case BCConstI:
 		return fmt.Sprintf("%-14s %d", bc.Op, bc.A)
@@ -45,22 +46,22 @@ func (bc *BC) describe() string {
 	case BCConstF, BCConstD:
 		return fmt.Sprintf("%-14s %#x", bc.Op, bc.Wide())
 	case BCConstStr:
-		return fmt.Sprintf("%-14s %q", bc.Op, bc.Str())
+		return fmt.Sprintf("%-14s %q", bc.Op, bc.Str(pool))
 	case BCLoadI, BCLoadL, BCLoadF, BCLoadD, BCLoadRef,
 		BCStoreI, BCStoreL, BCStoreF, BCStoreD, BCStoreRef:
 		return fmt.Sprintf("%-14s %d", bc.Op, bc.A)
 	case BCInc:
 		return fmt.Sprintf("%-14s %d, %+d", bc.Op, bc.A, bc.B)
 	case BCGetField, BCPutField, BCGetStatic, BCPutStatic:
-		return fmt.Sprintf("%-14s %s", bc.Op, bc.Field())
+		return fmt.Sprintf("%-14s %s", bc.Op, bc.Field(pool))
 	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
-		return fmt.Sprintf("%-14s %s", bc.Op, bc.Method().Sig())
+		return fmt.Sprintf("%-14s %s", bc.Op, bc.Method(pool).Sig())
 	case BCNew, BCANewArray, BCInstanceOf, BCCheckCast:
-		return fmt.Sprintf("%-14s %s", bc.Op, bc.Class().Name)
+		return fmt.Sprintf("%-14s %s", bc.Op, bc.Class(pool).Name)
 	case BCNewArray, BCALoad, BCAStore:
 		return fmt.Sprintf("%-14s %s", bc.Op, bc.Kind)
 	case BCTableSwitch:
-		sw := bc.Switch()
+		sw := bc.Switch(pool)
 		tg := make([]string, len(sw.Targets))
 		for i, t := range sw.Targets {
 			tg[i] = fmt.Sprintf("@%d", t)
@@ -68,7 +69,7 @@ func (bc *BC) describe() string {
 		return fmt.Sprintf("%-14s low=%d [%s] default=@%d",
 			bc.Op, bc.A, strings.Join(tg, " "), bc.Target)
 	case BCLookupSwitch:
-		sw := bc.Switch()
+		sw := bc.Switch(pool)
 		pairs := make([]string, len(sw.Keys))
 		for i, k := range sw.Keys {
 			pairs[i] = fmt.Sprintf("%d:@%d", k, sw.Targets[i])

@@ -6,4 +6,7 @@ var CheckAgainstReference = checkAgainstReference
 
 // Spare returns the whole of the assembly buffer the program currently
 // holds, so a test can see what a finished body left in it.
-func (p *Program) Spare() []BC { return p.spare[:cap(p.spare)] }
+func (p *Program) Spare() []BC { return p.spare.code[:cap(p.spare.code)] }
+
+// SparePool is Spare for the constant-pool buffer.
+func (p *Program) SparePool() []any { return p.spare.pool[:cap(p.spare.pool)] }

@@ -47,7 +47,11 @@ var fuzzKinds = [...]TypeKind{Int, Long, Double, Ref}
 // parameter count and kinds; extra locals; handler count), 4 bytes per
 // handler (from, to, target, type), then 4 bytes per instruction (op, A,
 // target, operand selector). Targets and handler bounds are signed
-// bytes, so they can leave the body either way.
+// bytes, so they can leave the body either way. An operand selector
+// below 0x80 picks the operand, which the instruction's Ref names as a
+// new pool entry; from 0x80 up its low seven bits are the Ref itself,
+// into whatever the pool holds by the end — an entry of any type, or
+// none.
 func decodeFuzzMethod(data []byte) (*fuzzWorld, *Method) {
 	w := newFuzzWorld()
 	next := func() byte {
@@ -88,19 +92,23 @@ func decodeFuzzMethod(data []byte) (*fuzzWorld, *Method) {
 			Target: int32(int8(target)),
 			Kind:   isaElem(x % 10),
 		}
+		var operand any
 		switch {
+		case x >= 0x80:
+			bc.Ref = uint16(x & 0x7f)
 		case bc.Op >= BCGetField && bc.Op <= BCPutStatic:
-			bc.Operand = w.fields[int(x)%len(w.fields)]
+			operand = w.fields[int(x)%len(w.fields)]
 		case bc.Op >= BCInvokeVirtual && bc.Op <= BCInvokeInterface:
-			bc.Operand = w.methods[int(x)%len(w.methods)]
+			operand = w.methods[int(x)%len(w.methods)]
 		case bc.Op == BCNew || bc.Op == BCANewArray || bc.Op == BCInstanceOf || bc.Op == BCCheckCast:
-			bc.Operand = w.classes[int(x)%len(w.classes)]
+			operand = w.classes[int(x)%len(w.classes)]
 		case bc.Op == BCConstStr:
-			bc.Operand = "s"
+			operand = "s"
 		case bc.Op == BCTableSwitch || bc.Op == BCLookupSwitch:
 			// x: low two bits the table size, bit 2 drops a key, bit 3
-			// leaves the operand out. Entry i goes to target + i*A, so
-			// A == 0 is a table whose entries all share the default.
+			// leaves the table out (a nil entry). Entry i goes to
+			// target + i*A, so A == 0 is a table whose entries all share
+			// the default.
 			sw := &Switch{Targets: make([]int32, x&3)}
 			for i := range sw.Targets {
 				sw.Targets[i] = bc.Target + int32(i)*bc.A
@@ -114,9 +122,14 @@ func decodeFuzzMethod(data []byte) (*fuzzWorld, *Method) {
 					sw.Keys = sw.Keys[1:]
 				}
 			}
-			if x&8 == 0 {
-				bc.Operand = sw
+			operand = sw
+			if x&8 != 0 {
+				operand = (*Switch)(nil)
 			}
+		}
+		if operand != nil {
+			bc.Ref = uint16(len(m.Pool))
+			m.Pool = append(m.Pool, operand)
 		}
 		m.Code = append(m.Code, bc)
 	}
@@ -203,6 +216,18 @@ var fuzzSeeds = []struct {
 		byte(BCLoadI), 0, 0, 0, byte(BCLookupSwitch), 0, 2, 2 | 4,
 		byte(BCReturnVoid), 0, 0, 0,
 	}, "1 keys vs 2 targets"},
+	// static f()void. 0: ldc_str "s" (pool entry 0); 1: new, Ref 0 —
+	// the string; 2, 3: pop; 4: return.
+	{"mistyped-ref", []byte{
+		0x01, 0x00, 0, 0,
+		byte(BCConstStr), 0, 0, 0, byte(BCNew), 0, 0, 0x80,
+		byte(BCPop), 0, 0, 0, byte(BCPop), 0, 0, 0, byte(BCReturnVoid), 0, 0, 0,
+	}, "pc 1 (new): ref 0 is a string, not a class"},
+	// static f()void. 0: getstatic, Ref 5 of an empty pool; 1: return.
+	{"ref-outside-pool", []byte{
+		0x01, 0x00, 0, 0,
+		byte(BCGetStatic), 0, 0, 0x85, byte(BCReturnVoid), 0, 0, 0,
+	}, "pc 0 (getstatic): ref 5 outside a pool of 0"},
 }
 
 // TestFuzzVerifySeeds: each seed decodes to the shape its name promises

@@ -13,7 +13,7 @@ func (p *Program) Resolve() error {
 		return fmt.Errorf("classfile: program already resolved")
 	}
 
-	p.spare = nil // every body is built; nothing assembles after this
+	p.spare = asmBuffers{} // every body is built; nothing assembles after this
 
 	ordered, err := p.topoOrder()
 	if err != nil {

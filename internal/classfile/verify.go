@@ -54,9 +54,9 @@ func (v *verifier) kindsAt(bc int) (stack, locals []TypeKind, err error) {
 
 // wellFormed is the structural pass Resolve runs over every instruction
 // of a body before the verifier, which checks only what a path reaches
-// while the JIT lowers everything: the opcode exists, its operand slot
-// holds what BCOp.operand says (a lookupswitch's keys paired with its
-// targets), and every branch, switch and handler index lies in
+// while the JIT lowers everything: the opcode exists, its Ref names a
+// pool entry of the type BCOp.operand says (a lookupswitch's keys paired
+// with its targets), and every branch, switch and handler index lies in
 // [0, len(Code)] — the assembler binds labels at the end of a body, and
 // whether control may arrive there is the verifier's question.
 func wellFormed(m *Method) error {
@@ -70,29 +70,15 @@ func wellFormed(m *Method) error {
 		if int(bc.Op) >= NumBCOps {
 			return errf("unhandled opcode")
 		}
-		switch bc.Op.operand() {
-		case operandStr:
-			if _, ok := bc.Operand.(string); !ok {
-				return errf("no string operand")
+		if k := bc.Op.operand(); k != operandNone {
+			if int(bc.Ref) >= len(m.Pool) {
+				return errf("ref %d outside a pool of %d", bc.Ref, len(m.Pool))
 			}
-		case operandField:
-			if bc.Field() == nil {
-				return errf("nil field ref")
+			e := m.Pool[bc.Ref]
+			if msg := k.check(bc.Ref, e); msg != "" {
+				return errf("%s", msg)
 			}
-		case operandMethod:
-			if bc.Method() == nil {
-				return errf("nil method ref")
-			}
-		case operandClass:
-			if bc.Class() == nil {
-				return errf("nil class ref")
-			}
-		case operandSwitch:
-			sw := bc.Switch()
-			if sw == nil {
-				return errf("nil switch ref")
-			}
-			if bc.Op == BCLookupSwitch && len(sw.Keys) != len(sw.Targets) {
+			if sw, _ := e.(*Switch); bc.Op == BCLookupSwitch && len(sw.Keys) != len(sw.Targets) {
 				return errf("%d keys vs %d targets", len(sw.Keys), len(sw.Targets))
 			}
 		}
@@ -102,7 +88,7 @@ func wellFormed(m *Method) error {
 		if !inBody(int(bc.Target)) {
 			return errf("target %d outside [0,%d]", bc.Target, n)
 		}
-		for _, t := range bc.switchTargets() {
+		for _, t := range bc.switchTargets(m.Pool) {
 			if !inBody(int(t)) {
 				return errf("table target %d outside [0,%d]", t, n)
 			}
@@ -196,7 +182,7 @@ func (v *verifier) run(m *Method) error {
 		if bc.Op.IsConditional() {
 			v.markLeader(pc + 1)
 		}
-		for _, t := range bc.switchTargets() {
+		for _, t := range bc.switchTargets(m.Pool) {
 			v.markLeader(int(t))
 		}
 	}
@@ -314,7 +300,7 @@ func (v *verifier) flow(l int) error {
 			if err := v.merge(int(bc.Target), v.stack); err != nil {
 				return err
 			}
-			for _, t := range bc.switchTargets() {
+			for _, t := range bc.switchTargets(v.m.Pool) {
 				if err := v.merge(int(t), v.stack); err != nil {
 					return err
 				}
@@ -538,13 +524,13 @@ func (v *verifier) apply(pc int, bc *BC) error {
 		return v.pop(pc, Int)
 
 	case BCGetField:
-		return v.op(pc, bc.Field().Type, Ref)
+		return v.op(pc, bc.Field(v.m.Pool).Type, Ref)
 	case BCPutField:
-		return v.pops(pc, bc.Field().Type, Ref)
+		return v.pops(pc, bc.Field(v.m.Pool).Type, Ref)
 	case BCGetStatic:
-		v.push(bc.Field().Type)
+		v.push(bc.Field(v.m.Pool).Type)
 	case BCPutStatic:
-		return v.pop(pc, bc.Field().Type)
+		return v.pop(pc, bc.Field(v.m.Pool).Type)
 
 	case BCNewArray:
 		return v.op(pc, Ref, Int)
@@ -564,7 +550,7 @@ func (v *verifier) apply(pc int, bc *BC) error {
 	case BCCheckCast:
 		return v.op(pc, Ref, Ref)
 	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
-		callee := bc.Method()
+		callee := bc.Method(v.m.Pool)
 		for i := len(callee.Params) - 1; i >= 0; i-- {
 			if err := v.pop(pc, callee.Params[i]); err != nil {
 				return err

@@ -12,7 +12,8 @@ import (
 // test and FuzzVerify hold verify.go to — same accept/reject, same
 // error, same MaxStack, same kinds at every reached pc — and shares no
 // code with it. Ported to the 40-byte BC (targets are indexes, operands
-// sit in one slot), and given the same checks verify.go gained for
+// sit in one slot), then to the 16-byte one (the slot is an index into
+// the method's Pool), and given the same checks verify.go gained for
 // hand-assigned code: locals that cannot hold the arguments, a switch
 // without its table or with unpaired keys, a nil class on anewarray /
 // instanceof / checkcast.
@@ -443,7 +444,7 @@ func (v *refVerifier) step(pc int) error {
 		}
 	case BCTableSwitch, BCLookupSwitch:
 		fallThrough = false
-		sw := bc.Switch()
+		sw := bc.Switch(v.m.Pool)
 		if sw == nil {
 			err = v.errf(pc, "nil switch ref")
 			break
@@ -463,36 +464,36 @@ func (v *refVerifier) step(pc int) error {
 		}
 
 	case BCGetField:
-		if bc.Field() == nil {
+		if bc.Field(v.m.Pool) == nil {
 			err = v.errf(pc, "nil field ref")
 			break
 		}
 		if err = pop(Ref); err == nil {
-			push(bc.Field().Type)
+			push(bc.Field(v.m.Pool).Type)
 		}
 	case BCPutField:
-		if bc.Field() == nil {
+		if bc.Field(v.m.Pool) == nil {
 			err = v.errf(pc, "nil field ref")
 			break
 		}
-		if err = pop(bc.Field().Type); err == nil {
+		if err = pop(bc.Field(v.m.Pool).Type); err == nil {
 			err = pop(Ref)
 		}
 	case BCGetStatic:
-		if bc.Field() == nil {
+		if bc.Field(v.m.Pool) == nil {
 			err = v.errf(pc, "nil field ref")
 			break
 		}
-		push(bc.Field().Type)
+		push(bc.Field(v.m.Pool).Type)
 	case BCPutStatic:
-		if bc.Field() == nil {
+		if bc.Field(v.m.Pool) == nil {
 			err = v.errf(pc, "nil field ref")
 			break
 		}
-		err = pop(bc.Field().Type)
+		err = pop(bc.Field(v.m.Pool).Type)
 
 	case BCNewArray, BCANewArray:
-		if bc.Op == BCANewArray && bc.Class() == nil {
+		if bc.Op == BCANewArray && bc.Class(v.m.Pool) == nil {
 			err = v.errf(pc, "nil class ref")
 			break
 		}
@@ -517,17 +518,17 @@ func (v *refVerifier) step(pc int) error {
 		}
 
 	case BCNew:
-		if bc.Class() == nil {
+		if bc.Class(v.m.Pool) == nil {
 			err = v.errf(pc, "nil class ref")
 			break
 		}
 		push(Ref)
 	case BCInvokeVirtual, BCInvokeSpecial, BCInvokeStatic, BCInvokeInterface:
-		if bc.Method() == nil {
+		if bc.Method(v.m.Pool) == nil {
 			err = v.errf(pc, "nil method ref")
 			break
 		}
-		callee := bc.Method()
+		callee := bc.Method(v.m.Pool)
 		for i := len(callee.Params) - 1; i >= 0 && err == nil; i-- {
 			err = pop(callee.Params[i])
 		}
@@ -538,7 +539,7 @@ func (v *refVerifier) step(pc int) error {
 			push(callee.Ret)
 		}
 	case BCInstanceOf:
-		if bc.Class() == nil {
+		if bc.Class(v.m.Pool) == nil {
 			err = v.errf(pc, "nil class ref")
 			break
 		}
@@ -546,7 +547,7 @@ func (v *refVerifier) step(pc int) error {
 			push(Int)
 		}
 	case BCCheckCast:
-		if bc.Class() == nil {
+		if bc.Class(v.m.Pool) == nil {
 			err = v.errf(pc, "nil class ref")
 			break
 		}

@@ -67,7 +67,7 @@ var traceGens = map[string]traceGen{
 	// diurnal: a Poisson process whose rate swings sinusoidally over a
 	// 16-job period — rush hour and dead of night in one trace.
 	"diurnal": func(p *prng, meanGap float64, i, n int) float64 {
-		rate := 1 + 0.75*math.Sin(2*math.Pi*float64(i)/16)
+		rate := 1 + float64(0.75*math.Sin(2*math.Pi*float64(i)/16))
 		return -meanGap / rate * math.Log(p.float64())
 	},
 }

@@ -452,23 +452,24 @@ func TestEveryOpcodeLowers(t *testing.T) {
 	ppe.InternString = func(string) (uint32, error) { return 64, nil }
 	for op := classfile.BCOp(0); op < classfile.NumBCOps; op++ {
 		bc := classfile.BC{Op: op, Target: 7}
+		var operand any
 		switch op {
 		case classfile.BCConstStr:
-			bc.Operand = "s"
+			operand = "s"
 		case classfile.BCGetField, classfile.BCPutField:
-			bc.Operand = f
+			operand = f
 		case classfile.BCGetStatic, classfile.BCPutStatic:
-			bc.Operand = sf
+			operand = sf
 		case classfile.BCInvokeInterface:
-			bc.Operand = im
+			operand = im
 		case classfile.BCInvokeVirtual, classfile.BCInvokeSpecial, classfile.BCInvokeStatic:
-			bc.Operand = virt
+			operand = virt
 		case classfile.BCNew, classfile.BCANewArray, classfile.BCInstanceOf, classfile.BCCheckCast:
-			bc.Operand = c
+			operand = c
 		case classfile.BCTableSwitch, classfile.BCLookupSwitch:
-			bc.Operand = &classfile.Switch{}
+			operand = &classfile.Switch{}
 		}
-		in, err := ppe.lowerOne(&bc)
+		in, err := ppe.lowerOne(&bc, []any{operand})
 		if err != nil {
 			t.Errorf("%v: %v", op, err)
 		}

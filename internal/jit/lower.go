@@ -16,10 +16,11 @@ import (
 // handler targets are copied, a switch's Tables and Keys entries are the
 // bytecode's own slices (nothing writes either side after Resolve), and a
 // frame's PC means the same on every kind. Symbolic references resolve
-// here — fields to byte offsets, methods to IDs and vtable slots — as a
-// baseline JIT resolves constant-pool entries at compile time. Resolve's
-// structural pass already held every operand and every index to the
-// body (classfile.wellFormed), so nothing is range-checked again.
+// here, through the method's constant pool — fields to byte offsets,
+// methods to IDs and vtable slots — as a baseline JIT resolves
+// constant-pool entries at compile time. Resolve's structural pass
+// already held every operand and every index to the body
+// (classfile.wellFormed), so nothing is range-checked again.
 //
 // Code, Tables and Keys are written into the compiler's scratch, which
 // the next lower overwrites: Compile points them at the matching body,
@@ -30,12 +31,12 @@ func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
 	size := uint32(c.costs.MethodPrologueBytes)
 	for pc := range m.Code {
 		bc := &m.Code[pc]
-		in, err := c.lowerOne(bc)
+		in, err := c.lowerOne(bc, m.Pool)
 		if err != nil {
 			return nil, fmt.Errorf("jit: %s pc %d (%v): %w", m.Sig(), pc, bc.Op, err)
 		}
 		if in.Op == isa.OpTableSwitch || in.Op == isa.OpLookupSwitch {
-			sw := bc.Switch()
+			sw := bc.Switch(m.Pool)
 			in.C = int32(len(cm.Tables))
 			cm.Tables = append(cm.Tables, sw.Targets)
 			cm.Keys = append(cm.Keys, sw.Keys)
@@ -136,8 +137,8 @@ func fieldAccess(op isa.Op, at int32, f *classfile.Field) isa.Instr {
 
 // lowerOne is one bytecode's instruction, less its cost (and a switch's
 // table index), which lower fills in. The cases are the bytecodes with an
-// immediate or an operand to resolve; everything else is direct's.
-func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
+// immediate or a pool entry to resolve; everything else is direct's.
+func (c *Compiler) lowerOne(bc *classfile.BC, pool []any) (isa.Instr, error) {
 	switch bc.Op {
 	case classfile.BCConstI:
 		return pushConst(uint64(uint32(bc.A))), nil
@@ -149,7 +150,7 @@ func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
 		if c.InternString == nil {
 			return isa.Instr{}, fmt.Errorf("no string interner registered")
 		}
-		ref, err := c.InternString(bc.Str())
+		ref, err := c.InternString(bc.Str(pool))
 		return pushConst(uint64(ref)), err
 
 	case classfile.BCLoadI, classfile.BCLoadL, classfile.BCLoadF,
@@ -169,13 +170,17 @@ func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
 		return isa.Instr{Op: isa.OpLookupSwitch, A: bc.A, B: bc.Target}, nil
 
 	case classfile.BCGetField:
-		return fieldAccess(isa.OpGetField, int32(isa.FieldOffset(bc.Field().Slot)), bc.Field()), nil
+		f := bc.Field(pool)
+		return fieldAccess(isa.OpGetField, int32(isa.FieldOffset(f.Slot)), f), nil
 	case classfile.BCPutField:
-		return fieldAccess(isa.OpPutField, int32(isa.FieldOffset(bc.Field().Slot)), bc.Field()), nil
+		f := bc.Field(pool)
+		return fieldAccess(isa.OpPutField, int32(isa.FieldOffset(f.Slot)), f), nil
 	case classfile.BCGetStatic:
-		return fieldAccess(isa.OpGetStatic, int32(bc.Field().Slot), bc.Field()), nil
+		f := bc.Field(pool)
+		return fieldAccess(isa.OpGetStatic, int32(f.Slot), f), nil
 	case classfile.BCPutStatic:
-		return fieldAccess(isa.OpPutStatic, int32(bc.Field().Slot), bc.Field()), nil
+		f := bc.Field(pool)
+		return fieldAccess(isa.OpPutStatic, int32(f.Slot), f), nil
 
 	case classfile.BCNewArray:
 		return isa.Instr{Op: isa.OpNewArray, A: int32(bc.Kind)}, nil
@@ -185,26 +190,26 @@ func (c *Compiler) lowerOne(bc *classfile.BC) (isa.Instr, error) {
 		return isa.Instr{Op: isa.OpAStore, A: int32(bc.Kind)}, nil
 
 	case classfile.BCANewArray:
-		return isa.Instr{Op: isa.OpANewArray, A: int32(bc.Class().ID)}, nil
+		return isa.Instr{Op: isa.OpANewArray, A: int32(bc.Class(pool).ID)}, nil
 	case classfile.BCNew:
-		return isa.Instr{Op: isa.OpNew, A: int32(bc.Class().ID)}, nil
+		return isa.Instr{Op: isa.OpNew, A: int32(bc.Class(pool).ID)}, nil
 	case classfile.BCInstanceOf:
-		return isa.Instr{Op: isa.OpInstanceOf, A: int32(bc.Class().ID)}, nil
+		return isa.Instr{Op: isa.OpInstanceOf, A: int32(bc.Class(pool).ID)}, nil
 	case classfile.BCCheckCast:
-		return isa.Instr{Op: isa.OpCheckCast, A: int32(bc.Class().ID)}, nil
+		return isa.Instr{Op: isa.OpCheckCast, A: int32(bc.Class(pool).ID)}, nil
 
 	case classfile.BCInvokeStatic:
-		return isa.Instr{Op: isa.OpCallStatic, A: int32(bc.Method().ID)}, nil
+		return isa.Instr{Op: isa.OpCallStatic, A: int32(bc.Method(pool).ID)}, nil
 	case classfile.BCInvokeSpecial:
-		return isa.Instr{Op: isa.OpCallSpecial, A: int32(bc.Method().ID)}, nil
+		return isa.Instr{Op: isa.OpCallSpecial, A: int32(bc.Method(pool).ID)}, nil
 	case classfile.BCInvokeVirtual:
-		callee := bc.Method()
+		callee := bc.Method(pool)
 		if callee.VSlot < 0 {
 			return isa.Instr{}, fmt.Errorf("virtual call to unslotted %s", callee.Sig())
 		}
 		return isa.Instr{Op: isa.OpCallVirtual, A: int32(callee.VSlot), B: int32(callee.Class.ID)}, nil
 	case classfile.BCInvokeInterface:
-		callee := bc.Method()
+		callee := bc.Method(pool)
 		if callee.IfaceID < 0 {
 			return isa.Instr{}, fmt.Errorf("interface call to %s without IfaceID", callee.Sig())
 		}

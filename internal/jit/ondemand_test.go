@@ -174,11 +174,10 @@ func TestLowerIsOneToOne(t *testing.T) {
 				if m.IsNative() || m.IsAbstract() || m.Code == nil {
 					continue
 				}
-				before := make([]classfile.BC, len(m.Code))
-				for i, bc := range m.Code {
-					before[i] = bc
-					if sw := bc.Switch(); sw != nil {
-						before[i].Operand = &classfile.Switch{Keys: slices.Clone(sw.Keys), Targets: slices.Clone(sw.Targets)}
+				before, beforePool := slices.Clone(m.Code), slices.Clone(m.Pool)
+				for i, e := range beforePool {
+					if sw, ok := e.(*classfile.Switch); ok {
+						beforePool[i] = &classfile.Switch{Keys: slices.Clone(sw.Keys), Targets: slices.Clone(sw.Targets)}
 					}
 				}
 				cm, err := c.Compile(m)
@@ -201,7 +200,7 @@ func TestLowerIsOneToOne(t *testing.T) {
 							t.Errorf("%s [%v] pc %d: %v @%d from bytecode @%d", m.Sig(), kind, pc, in.Op, in.B, bc.Target)
 						}
 					}
-					if sw := bc.Switch(); sw != nil {
+					if sw := bc.Switch(m.Pool); sw != nil {
 						switches++
 						if !slices.Equal(cm.Tables[in.C], sw.Targets) || !slices.Equal(cm.Keys[in.C], sw.Keys) {
 							t.Errorf("%s [%v] pc %d: switch table %v/%v from bytecode %v/%v",
@@ -218,7 +217,7 @@ func TestLowerIsOneToOne(t *testing.T) {
 							m.Sig(), kind, i, ch.From, ch.To, ch.Target, h.From, h.To, h.Target)
 					}
 				}
-				if !reflect.DeepEqual(m.Code, before) {
+				if !reflect.DeepEqual(m.Code, before) || !reflect.DeepEqual(m.Pool, beforePool) {
 					t.Fatalf("%s [%v]: Compile wrote the bytecode it lowered", m.Sig(), kind)
 				}
 			}

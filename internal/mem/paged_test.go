@@ -14,6 +14,7 @@ type model struct {
 	t    testing.TB
 	m    *Main
 	flat []byte
+	got  []byte // readBytes's buffer, grown to the longest read
 }
 
 func newModel(t testing.TB, size uint32) *model {
@@ -73,7 +74,18 @@ func (x *model) zero(addr Addr, n uint32) {
 
 func (x *model) readBytes(addr Addr, n uint32) {
 	x.t.Helper()
-	got := bytes.Repeat([]byte{0xee}, int(n)) // stale bytes an unmapped read must overwrite
+	if uint32(cap(x.got)) < n {
+		x.got = make([]byte, n)
+	}
+	// Stale bytes an unmapped read must overwrite, filled by doubling so
+	// a fuzzing build's coverage counters tick per copy, not per byte.
+	got := x.got[:n]
+	if n > 0 {
+		got[0] = 0xee
+	}
+	for i := 1; i < len(got); i *= 2 {
+		copy(got[i:], got[:i])
+	}
 	x.m.ReadBytes(addr, got)
 	if !bytes.Equal(got, x.flat[addr:addr+n]) {
 		x.t.Fatalf("ReadBytes(%#x, %d) differs from the flat reference", addr, n)
@@ -279,19 +291,41 @@ func TestOutOfBoundsMessage(t *testing.T) {
 	}
 }
 
-// fuzzSize is two directory entries and a partial leaf: small enough to
-// compare whole, large enough that bulk ops cross directory boundaries.
+// fuzzSize is two directory entries and a partial leaf: large enough
+// that bulk ops cross directory boundaries.
 const fuzzSize = 2<<dirShift + 1000
+
+// fuzzLeaves is the number of leaves, the last one partial, fuzzSize
+// spans.
+const fuzzLeaves = (fuzzSize + pageSize - 1) / pageSize
 
 // FuzzMainVsFlat decodes its input as a sequence of 12-byte operations,
 // applies each to a paged Main and to a flat reference, and requires
-// every read, and the whole memory at the end, to agree. Addresses are
-// biased towards leaf and directory boundaries, where the paged store
-// has its only interesting code. The seed corpus is
-// testdata/fuzz/FuzzMainVsFlat.
+// every read to agree, and at the end every leaf an operation touched
+// and the first one none did. Addresses are biased towards leaf and
+// directory boundaries, where the paged store has its only interesting
+// code. The flat reference and the buffers outlive an input, which
+// clears only the leaves it touched, so an input costs what its
+// operations do. The seed corpus is testdata/fuzz/FuzzMainVsFlat.
 func FuzzMainVsFlat(f *testing.F) {
+	x := &model{flat: make([]byte, fuzzSize)}
+	var src []byte
+	var touched [fuzzLeaves]bool
+	touch := func(addr, n uint32) {
+		for l := addr / pageSize; l*pageSize < addr+max(n, 1) && l < fuzzLeaves; l++ {
+			touched[l] = true
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		x := newModel(t, fuzzSize)
+		x.t, x.m = t, NewMain(fuzzSize)
+		defer func() { // also after a failed input, which the fuzzer reruns
+			for l, ok := range touched {
+				if ok {
+					clear(x.flat[l*pageSize : min((l+1)*pageSize, fuzzSize)])
+				}
+			}
+			touched = [fuzzLeaves]bool{}
+		}()
 		for ; len(data) >= 12; data = data[12:] {
 			a := uint32(binary.LittleEndian.Uint16(data[2:]))
 			addr := a * 5 % fuzzSize
@@ -311,6 +345,7 @@ func FuzzMainVsFlat(f *testing.F) {
 				if addr+width > fuzzSize {
 					continue
 				}
+				touch(addr, width)
 				if code < 4 {
 					x.read(addr, width)
 				} else {
@@ -319,11 +354,20 @@ func FuzzMainVsFlat(f *testing.F) {
 				continue
 			}
 			n := min(uint32(v&0xffff)*3, fuzzSize-addr)
+			touch(addr, n)
 			switch code {
 			case 8:
-				src := make([]byte, n)
-				for i := range src {
+				if uint32(cap(src)) < n {
+					src = make([]byte, n)
+				}
+				// byte(v>>16) + byte(i) repeats every 256 bytes: write one
+				// period, then double it.
+				src = src[:n]
+				for i := range src[:min(n, 256)] {
 					src[i] = byte(v>>16) + byte(i)
+				}
+				for i := 256; i < len(src); i *= 2 {
+					copy(src[i:], src[:i])
 				}
 				x.writeBytes(addr, src)
 			case 9:
@@ -332,7 +376,14 @@ func FuzzMainVsFlat(f *testing.F) {
 				x.zero(addr, n)
 			}
 		}
-		x.readBytes(0, fuzzSize)
+		absent := true
+		for l, ok := range touched {
+			if ok || absent {
+				lo := uint32(l) * pageSize
+				x.readBytes(lo, min(lo+pageSize, fuzzSize)-lo)
+				absent = absent && ok
+			}
+		}
 	})
 }
 

@@ -253,14 +253,14 @@ func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 // machine state changes, in two steps. Shape: every class and method
 // resolves, every object carries exactly the payload its kind has at
 // exactly its size, thread indices are in range, a terminated thread
-// carries no frames, a pending value has a marker on top to deliver it,
-// and every frame has the locals and operand depth the method's own
-// verifier derives at its bytecode index — so the executor cannot be
-// handed a frame its code would index out of, and refs.go's image walk,
-// which types each frame by that same state, may index without
-// re-checking. References: that one walk bounds every reference by the
-// object count, at the slot's full width. Corrupt or mismatched images
-// error here, never panic later.
+// carries no frames, core kind or cooldown, a pending value has a marker
+// on top to deliver it, and every frame has the locals and operand depth
+// the method's own verifier derives at its bytecode index — so the
+// executor cannot be handed a frame its code would index out of, and
+// refs.go's image walk, which types each frame by that same state, may
+// index without re-checking. References: that one walk bounds every
+// reference by the object count, at the slot's full width. Corrupt or
+// mismatched images error here, never panic later.
 func (vm *VM) validateImage(img *JobImage) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("vm: rehydrate %s: invalid image: %s", img.Name, fmt.Sprintf(format, args...))
@@ -337,6 +337,9 @@ func (vm *VM) validateImage(img *JobImage) error {
 		if it.Terminated {
 			if n > 0 {
 				return bad("thread %d: terminated, but carries %d frame(s)", i, n)
+			}
+			if it.Kind != "" || it.CooldownLeft != 0 {
+				return bad("thread %d: terminated, but carries a core kind %q or cooldown %d", i, it.Kind, it.CooldownLeft)
 			}
 			continue
 		}

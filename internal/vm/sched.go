@@ -274,11 +274,11 @@ func (vm *VM) taskCost(task sched.Task, core *cell.Core) uint64 {
 	if ctr := vm.observedCounters(task); ctr != nil {
 		fp, memS := ctr.FPShare(), ctr.MemShare()
 		factor := (1 - fp - memS) +
-			fp*(core.Kind.FPScore()/vm.minFPScore) +
-			memS*(core.Kind.MemScore()/vm.minMemScore)
-		return uint64(quantum * factor)
+			float64(fp*(core.Kind.FPScore()/vm.minFPScore)) +
+			float64(memS*(core.Kind.MemScore()/vm.minMemScore))
+		return uint64(float64(quantum * factor))
 	}
-	return uint64(quantum * core.Kind.MigrateAffinity())
+	return uint64(float64(quantum * core.Kind.MigrateAffinity()))
 }
 
 // observedCounters returns the task's innermost profiled method

@@ -93,7 +93,7 @@ type ImageThread struct {
 
 	// Result/Trap survive for terminated threads (a finished root's
 	// checksum must outlive a hand-off of its still-running siblings);
-	// a terminated thread carries no frames.
+	// a terminated thread carries no frames, Kind or CooldownLeft.
 	Result    uint64
 	HasResult bool
 	Trap      *TrapError
@@ -353,8 +353,11 @@ func (c *capture) imageID(v uint64) uint64 { return uint64(c.id[Ref(v)]) }
 
 // addClass folds a class into the closure: its supers, interfaces, and
 // every class its methods' code names (the resolved class, method and
-// field operands), recursively. The closure bounds which statics the
-// image carries — the set the rehydrated job could ever read or write.
+// field entries of each constant pool), recursively. A pool holds its
+// entries in the order of their first use, so the walk meets classes in
+// the order a walk over the code would. The closure bounds which statics
+// the image carries — the set the rehydrated job could ever read or
+// write.
 func (c *capture) addClass(cls *classfile.Class) {
 	if cls == nil || c.classSeen[cls] {
 		return
@@ -366,8 +369,8 @@ func (c *capture) addClass(cls *classfile.Class) {
 		c.addClass(in)
 	}
 	for _, m := range cls.Methods {
-		for i := range m.Code {
-			switch ref := m.Code[i].Operand.(type) {
+		for _, e := range m.Pool {
+			switch ref := e.(type) {
 			case *classfile.Class:
 				c.addClass(ref)
 			case *classfile.Method:
@@ -561,7 +564,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 	for _, t := range j.threads {
 		it := ImageThread{
 			Name:          t.Name,
-			Kind:          t.Kind.String(),
 			JavaObj:       t.JavaObj,
 			PendingHasVal: t.pendingHasVal,
 			PendingVal:    t.pendingVal,
@@ -575,17 +577,20 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			te := *t.Trap.(*TrapError)
 			it.Trap = &te
 		}
-		if t.cooldownUntil > frozenAt {
-			it.CooldownLeft = uint64(t.cooldownUntil - frozenAt)
-		}
 		for _, joiner := range t.joiners {
 			it.Joiners = append(it.Joiners, threadIdx(joiner))
 		}
-		switch {
-		case t.State == StateTerminated:
+		if t.State == StateTerminated {
+			// Rehydrate reads none of a live thread's placement state here.
 			it.Terminated = true
 			img.Threads = append(img.Threads, it)
 			continue
+		}
+		it.Kind = t.Kind.String()
+		if t.cooldownUntil > frozenAt {
+			it.CooldownLeft = uint64(t.cooldownUntil - frozenAt)
+		}
+		switch {
 		case t.State == StateBlocked && !parked[t]:
 			it.Blocked = true
 		default: // ready, or freeze-parked

@@ -644,6 +644,19 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 
 		// Thread state a live thread is never in.
 		"frames on a terminated thread": func(i *JobImage) { i.Threads[1].Terminated = true },
+		// A terminated thread is rehydrated from its name, result and
+		// counters only, so its placement fields must be zero. Both rows
+		// passed validation while captureJob still wrote them.
+		"core kind on a terminated thread": func(i *JobImage) {
+			t := &i.Threads[1]
+			t.Terminated, t.Frames, t.CooldownLeft = true, nil, 0
+			t.Kind = "ppe"
+		},
+		"cooldown on a terminated thread": func(i *JobImage) {
+			t := &i.Threads[1]
+			t.Terminated, t.Frames, t.Kind = true, nil, ""
+			t.CooldownLeft = 1
+		},
 		"pending value with no marker on top": func(i *JobImage) {
 			// Only a marker's pop delivers a pending value: this one would
 			// wait for the worker's next return to a marker and land in a

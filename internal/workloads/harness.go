@@ -25,6 +25,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/vm"
@@ -113,6 +114,14 @@ type namespace struct {
 
 // name is the copy's name for class.
 func (ns namespace) name(class string) string { return ns.prefix + class }
+
+// stamp declares the copy's classes from classes, the classes a builder
+// declared under prefix from for the same workload, worker count and
+// scale: the copy running the builder again would give, with the
+// bodies shared.
+func (ns namespace) stamp(classes []*classfile.Class, from string) {
+	ns.p.Stamp(classes, func(name string) string { return ns.name(strings.TrimPrefix(name, from)) })
+}
 
 // class declares the copy's class name.
 func (ns namespace) class(name string, super *classfile.Class) *classfile.Class {

@@ -32,7 +32,7 @@ var programIdentity = map[string][2]string{
 }
 
 // hashProgram digests a program in creation order: each class's name,
-// superclass, annotations and fields, and each method's annotations and
+// superclass, interfaces and fields, and each method's annotations and
 // listing.
 func hashProgram(p *classfile.Program) string {
 	h := sha256.New()
@@ -45,7 +45,6 @@ func hashProgram(p *classfile.Program) string {
 		for _, i := range c.Interfaces {
 			fmt.Fprintf(h, "implements %s\n", i.Name)
 		}
-		writeSorted(h, c.Annotations)
 		for _, f := range c.Fields {
 			fmt.Fprintf(h, "field %s %v volatile=%v\n", f.Name, f.Type, f.Volatile)
 		}

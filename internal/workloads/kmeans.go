@@ -206,7 +206,7 @@ func refKMeans(_, scale int) int32 {
 		for c := int32(0); c < k; c++ {
 			dx := cx[c] - x
 			dy := cy[c] - y
-			d := dx*dx + dy*dy
+			d := float64(dx*dx) + float64(dy*dy)
 			if d < bd {
 				bd, best = d, c
 			}

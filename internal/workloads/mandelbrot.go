@@ -201,14 +201,14 @@ func refMandelbrot(threads, scale int) int32 {
 	for id := 0; id < threads; id++ {
 		var chk int32
 		for y := id; y < height; y += threads {
-			cy := mandelYMin + float64(y)*dy
+			cy := mandelYMin + float64(float64(y)*dy)
 			for x := 0; x < width; x++ {
-				cx := mandelXMin + float64(x)*dx
+				cx := mandelXMin + float64(float64(x)*dx)
 				zx, zy := 0.0, 0.0
 				var iter int32
-				for zx*zx+zy*zy <= 4.0 && iter < mandelMaxIter {
-					t := zx*zx - zy*zy + cx
-					zy = 2*zx*zy + cy
+				for float64(zx*zx)+float64(zy*zy) <= 4.0 && iter < mandelMaxIter {
+					t := float64(zx*zx) - float64(zy*zy) + cx
+					zy = float64(2*zx*zy) + cy
 					zx = t
 					iter++
 				}

@@ -173,7 +173,7 @@ func refMatmul(_, scale int) int32 {
 			s := 0.0
 			kb := j
 			for k := int32(0); k < n; k++ {
-				s += am[ibase+k] * bm[kb]
+				s += float64(am[ibase+k] * bm[kb])
 				kb += n
 			}
 			chk += int32(s * 16.0)

@@ -526,7 +526,7 @@ func refMPEGAudio(threads, scale int) int32 {
 	}
 	winT := make([]float64, 32)
 	for i := range winT {
-		winT[i] = 0.5 + 0.5*math.Cos(math.Pi/32*float64(i))
+		winT[i] = 0.5 + float64(0.5*math.Cos(math.Pi/32*float64(i)))
 	}
 	csT := make([]float64, 8)
 	caT := make([]float64, 8)
@@ -550,9 +550,9 @@ func refPow43(x float64) float64 {
 	if x < 0 {
 		t = -x
 	}
-	g := 0.7 + 0.3*t
-	g = (2.0*g + t/(g*g)) / 3.0
-	g = (2.0*g + t/(g*g)) / 3.0
+	g := 0.7 + float64(0.3*t)
+	g = (float64(2.0*g) + t/(g*g)) / 3.0
+	g = (float64(2.0*g) + t/(g*g)) / 3.0
 	return x * g
 }
 
@@ -580,8 +580,8 @@ func refDecodeFrame(id, f int32, cosT, winT, csT, caT []float64) int32 {
 			idxU := base - 1 - i
 			idxD := base + i
 			u, d := xr[idxU], xr[idxD]
-			xr[idxU] = u*csT[i] - d*caT[i]
-			xr[idxD] = d*csT[i] + u*caT[i]
+			xr[idxU] = float64(u*csT[i]) - float64(d*caT[i])
+			xr[idxD] = float64(d*csT[i]) + float64(u*caT[i])
 		}
 	}
 	for j := int32(0); j < 18; j++ {
@@ -590,7 +590,7 @@ func refDecodeFrame(id, f int32, cosT, winT, csT, caT []float64) int32 {
 			acc := 0.0
 			off := k * 18
 			for m := 0; m < 12; m++ {
-				acc += xr[off+m] * cosT[int(cBase)+m]
+				acc += float64(xr[off+m] * cosT[int(cBase)+m])
 			}
 			band[k] = acc
 		}
@@ -599,7 +599,7 @@ func refDecodeFrame(id, f int32, cosT, winT, csT, caT []float64) int32 {
 	for j := 0; j < mpaSynthDots; j++ {
 		acc := 0.0
 		for k := 0; k < mpaBands; k++ {
-			acc += band[k] * winT[(k+j)%32]
+			acc += float64(band[k] * winT[(k+j)%32])
 		}
 		chk += javaD2I(acc*1000.0) & 0xffff
 	}

@@ -205,10 +205,10 @@ func refNBody(_, scale int) int32 {
 		for j := int32(0); j < n; j++ {
 			dx := x[j] - xi
 			dy := y[j] - yi
-			r2 := dx*dx + dy*dy + nbodySoftening
+			r2 := float64(dx*dx) + float64(dy*dy) + nbodySoftening
 			f := m[j] / r2
-			ax += f * dx
-			ay += f * dy
+			ax += float64(f * dx)
+			ay += float64(f * dy)
 		}
 		chk += int32(ax*4.0) + int32(ay*4.0)
 	}
