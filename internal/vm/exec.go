@@ -27,14 +27,9 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 					"migration marker with no caller frame"))
 				return
 			}
-			// Resumed after migrating back: drop the marker and deliver
-			// the pending return value to the caller underneath.
+			// Resumed after migrating back: drop the marker; the caller
+			// underneath already holds the callee's value.
 			t.recycle(t.popFrame())
-			f = t.top()
-			if t.pendingHasVal {
-				f.push(t.pendingVal)
-			}
-			t.pendingHasVal = false
 			continue
 		}
 		// Freeze barrier: the job is being quiesced for a hand-off. Park

@@ -24,8 +24,10 @@ import (
 var imageMagic = [4]byte{'H', 'J', 'I', 'M'}
 
 // v2: kernel launch counters in JobStats; v3: no policy section; v4: no
-// reference flags (the verifier types frames) and no freeze clock.
-const imageVersion uint16 = 4
+// reference flags (the verifier types frames) and no freeze clock; v5:
+// no pending value (a value returned across a migration is in its
+// caller's frame).
+const imageVersion uint16 = 5
 
 // ErrBadImage reports undecodable JobImage bytes (truncated input,
 // wrong magic or version, a length that overruns the buffer). Match
@@ -211,7 +213,7 @@ func (w *wire) image(img *JobImage) {
 		w.str(&c.Class)
 		w.u32(&c.Obj)
 	})
-	seq(w, &img.Threads, 77, (*wire).thread)
+	seq(w, &img.Threads, 68, (*wire).thread)
 	seq(w, &img.Monitors, 20, func(w *wire, m *ImageMonitor) {
 		w.u32(&m.Obj)
 		w.i32(&m.Owner)
@@ -228,8 +230,6 @@ func (w *wire) thread(t *ImageThread) {
 	w.u64(&t.ReadyDelay)
 	w.str(&t.Kind)
 	w.u32(&t.JavaObj)
-	w.boolean(&t.PendingHasVal)
-	w.u64(&t.PendingVal)
 	w.i32(&t.WaitCount)
 	w.u64(&t.Migrations)
 	w.u64(&t.Steals)

@@ -45,7 +45,6 @@ func sampleImage() *JobImage {
 			},
 			{
 				Name: "w1", Blocked: true, ReadyDelay: 64, Kind: "spe", JavaObj: 3,
-				PendingHasVal: true, PendingVal: 2,
 				Migrations: 1, CooldownLeft: 500,
 				Trap:      &TrapError{Kind: "npe", Detail: "null field", Method: "Worker.run", PC: 4},
 				WaitCount: -1,
@@ -112,11 +111,11 @@ func TestImageRoundTripFrozen(t *testing.T) {
 	}
 }
 
-// imageGoldenHex pins the version-4 wire format of sampleImage. If
+// imageGoldenHex pins the version-5 wire format of sampleImage. If
 // TestImageGoldenBytes fails, the format changed: bump imageVersion and
 // regenerate — do NOT edit the golden to paper over an accidental
 // format break.
-const imageGoldenHex = "484a494d04000600000073616d706c6539300000000000009f8601000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e000000000000000000000300000070706500000000000000000000000000ffffffff0000000000000000000000000000000000000000000000004d0000000000000001000100000001000000020000000103000000707065000000000000000000000000000000000000000000000000000000000004000000536e6170000000000c0000000300000001000000000000000200000000000000030000000000000001000000090000000000000001000000020000007731000140000000000000000300000073706503000000010200000000000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e040000000000000001000000000000000006000000576f726b6572010000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
+const imageGoldenHex = "484a494d05000600000073616d706c6539300000000000009f8601000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e000000000000000000000300000070706500000000ffffffff0000000000000000000000000000000000000000000000004d0000000000000001000100000001000000020000000103000000707065000000000000000000000000000000000000000000000000000000000004000000536e6170000000000c0000000300000001000000000000000200000000000000030000000000000001000000090000000000000001000000020000007731000140000000000000000300000073706503000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e040000000000000001000000000000000006000000576f726b6572010000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
 
 func TestImageGoldenBytes(t *testing.T) {
 	enc := EncodeJobImage(sampleImage())

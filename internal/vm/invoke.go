@@ -97,7 +97,7 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 	if migrating {
 		// Push the migration marker beneath the callee frame: returning
 		// to the marker migrates back (§3.1).
-		marker := &Frame{Marker: true, ReturnKind: core.Kind, ReturnCore: core.ID}
+		marker := &Frame{Marker: true, ReturnKind: core.Kind}
 		t.pushFrame(marker)
 		t.pushFrame(nf)
 		vm.migrate(core, t, desired, nargs)
@@ -149,12 +149,13 @@ func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, hasVal bool) {
 
 	top := t.top()
 	if top.Marker {
-		// Return to the migration marker: migrate back to the origin
-		// core type, carrying the value (§3.1: "returns to the migration
-		// marker placed on the stack").
-		t.setPending(val, hasVal, f.CM.M)
+		// Return to the migration marker: the value lands in the caller
+		// beneath it, whose PC is past the call, and the thread migrates
+		// back to the origin core type carrying it (§3.1: "returns to the
+		// migration marker placed on the stack").
 		words := 0
 		if hasVal {
+			t.Frames[len(t.Frames)-2].push(val)
 			words = 1
 		}
 		vm.migrate(core, t, top.ReturnKind, words)

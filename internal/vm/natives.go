@@ -155,7 +155,7 @@ func (vm *VM) invokeNative(core *cell.Core, t *Thread, f *Frame, callee *classfi
 			// "In the case of a JNI method, the thread is migrated to
 			// the PPE core for the duration of the native method"
 			// (§3.2.3) — the service kind, in registry terms.
-			t.pushFrame(&Frame{Marker: true, ReturnKind: core.Kind, ReturnCore: core.ID})
+			t.pushFrame(&Frame{Marker: true, ReturnKind: core.Kind})
 			t.pendingNative = &pendingNativeCall{native: n, ctx: ctx, callee: callee}
 			vm.migrate(core, t, vm.serviceKind(), nargs)
 			return nil
@@ -200,15 +200,14 @@ func (vm *VM) resumePendingNative(core *cell.Core, t *Thread) {
 	if t.State != StateRunning {
 		return
 	}
-	// The migration marker is on top; carry the value back. The
-	// executor's marker handling pushes it into the caller.
-	t.setPending(p.ctx.retVal, p.callee.Ret != classfile.Void, p.callee)
-	marker := t.top()
+	// The migration marker is on top: the value lands in the caller
+	// beneath it, and the thread carries it back.
+	vm.pushNativeResult(t.Frames[len(t.Frames)-2], p.callee, p.ctx)
 	words := 0
-	if t.pendingHasVal {
+	if p.callee.Ret != classfile.Void {
 		words = 1
 	}
-	vm.migrate(core, t, marker.ReturnKind, words)
+	vm.migrate(core, t, t.top().ReturnKind, words)
 }
 
 // pushNativeResult pushes the declared return value (zero if the body

@@ -9,12 +9,13 @@
 //
 // Nothing is tagged, at run time or in a job image. A heap slot's kind
 // is its field's or its array's; a frame's slots — live, or an image's —
-// have the kinds the verifier derives at the frame's bytecode index, and
-// a value in flight between frames has the kind the method it leaves or
-// enters declares, or in an image the kind the frame awaiting it expects
-// — as JikesRVM's compilers hand its collector a reference map per
+// have the kinds the verifier derives at the frame's bytecode index —
+// as JikesRVM's compilers hand its collector a reference map per
 // method, and as a stack is moved between unlike ISAs from compiler-made
-// metadata (Mavrogeorgis et al., PAPERS.md).
+// metadata (Mavrogeorgis et al., PAPERS.md). A value returned across a
+// migration is no exception: it lands in its caller's frame at the
+// return, before the thread leaves, so only the arguments of a native
+// suspended across one are in flight, typed by the native's signature.
 //
 // A walk is map-style: the visitor sees each reference at full slot
 // width and returns its replacement, and a slot is stored only when the
@@ -115,12 +116,6 @@ func argKinds(m *classfile.Method) []classfile.TypeKind {
 	return append([]classfile.TypeKind{classfile.Ref}, m.Params...)
 }
 
-// setPending parks the value m returned (or nothing) for delivery across
-// a migration; it is a reference when m declares one.
-func (t *Thread) setPending(val uint64, hasVal bool, m *classfile.Method) {
-	t.pendingVal, t.pendingHasVal, t.pendingIsRef = val, hasVal, hasVal && m.Ret.IsRef()
-}
-
 // imageSlots is a live frame's slots as an image carries them. A Void
 // local goes out zero — it is dead, and whatever it holds is a
 // source-machine address or a stale int the target has no use for.
@@ -148,18 +143,6 @@ func (fr *ImageFrame) kinds(vm *VM) (stack, locals []classfile.TypeKind) {
 			m.Sig(), fr.BC, len(fr.Locals), len(fr.Stack), len(locals), stack, err))
 	}
 	return stack, locals
-}
-
-// awaitsRef reports whether an image thread's pending value is a
-// reference: the kind the frame beneath the top marker awaits, which is
-// the top of that frame's verifier stack. validateImage holds a pending
-// value to a marker on top of a method frame that awaits one.
-func (it *ImageThread) awaitsRef(vm *VM) bool {
-	if !it.PendingHasVal {
-		return false
-	}
-	stack, _ := it.Frames[len(it.Frames)-2].kinds(vm)
-	return stack[len(stack)-1].IsRef()
 }
 
 // mapMem64 and mapMem32 are one visit of a main-memory slot.
@@ -213,18 +196,14 @@ func (vm *VM) mapClassLock(c *classfile.Class, f refMap) {
 	mapSlot(&vm.classes[c.ID].lockObj, f)
 }
 
-// mapRefs visits a thread's roots: its Thread object, a return value
-// pending across a migration, an exception in flight across one, the
-// arguments of a native suspended across one, and each frame's locals
-// and operand stack below SP where the verifier types a reference, and
-// its synchronized-method monitor. The order is the freeze's discovery
-// order.
+// mapRefs visits a thread's roots: its Thread object, an exception in
+// flight across a migration, the arguments of a native suspended across
+// one, and each frame's locals and operand stack below SP where the
+// verifier types a reference, and its synchronized-method monitor. The
+// order is the freeze's discovery order.
 func (t *Thread) mapRefs(f refMap) {
 	mapSlot(&t.JavaObj, f)
-	if t.pendingHasVal && t.pendingIsRef {
-		mapSlot(&t.pendingVal, f)
-	}
-	if t.hasPendingThrow {
+	if t.pendingThrow != 0 {
 		mapSlot(&t.pendingThrow, f)
 	}
 	if p := t.pendingNative; p != nil {
@@ -272,9 +251,6 @@ func (img *JobImage) mapRefs(vm *VM, f refMap) {
 	for i := range img.Threads {
 		t := &img.Threads[i]
 		mapSlot(&t.JavaObj, f)
-		if t.awaitsRef(vm) {
-			mapSlot(&t.PendingVal, f)
-		}
 		for fi := range t.Frames {
 			fr := &t.Frames[fi]
 			if !fr.Marker {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"testing"
 
 	"herajvm/internal/classfile"
@@ -67,17 +68,6 @@ func newSitesWorld(t *testing.T) *sitesWorld {
 	return w
 }
 
-// awaitOnMarker puts thread ti in the state a callee's return across a
-// migration leaves it in: frame f, the thread's top, has given up its
-// top operand to the call (of kind ret), a marker is pushed above it,
-// and the callee's result val is pending for the resume to push.
-func (w *sitesWorld) awaitOnMarker(ti int, f *Frame, val Ref, ret classfile.TypeKind) {
-	t := w.job.threads[ti]
-	f.SP--
-	t.pushFrame(&Frame{Marker: true, ReturnKind: t.Kind})
-	t.setPending(uint64(val), true, &classfile.Method{Ret: ret})
-}
-
 // sharedStatic is Snap.shared, the reference static.
 func sharedStatic(v *VM) *classfile.Field {
 	fd := v.Prog.Lookup("Snap").Statics[1]
@@ -126,13 +116,9 @@ func TestEveryReferenceSiteIsWalked(t *testing.T) {
 		{name: "thread object",
 			plant: func(w *sitesWorld, r Ref) { w.job.threads[0].JavaObj = r },
 			at:    func(v *VM, j *Job) uint64 { return uint64(j.threads[0].JavaObj) }},
-		{name: "pending native value",
-			plant: func(w *sitesWorld, r Ref) { w.awaitOnMarker(1, w.work, r, classfile.Ref) },
-			at:    func(v *VM, j *Job) uint64 { return j.threads[1].pendingVal }},
 		{name: "in-flight throw",
 			plant: func(w *sitesWorld, r Ref) {
-				t := w.job.threads[0]
-				t.hasPendingThrow, t.pendingThrow = true, r
+				w.job.threads[0].pendingThrow = r
 			}},
 		{name: "suspended native argument",
 			plant: func(w *sitesWorld, r Ref) {
@@ -152,8 +138,6 @@ func TestEveryReferenceSiteIsWalked(t *testing.T) {
 					ctx:    &NativeCtx{Args: []uint64{uint64(r)}},
 					callee: &classfile.Method{Flags: classfile.FlagStatic, Params: []classfile.TypeKind{classfile.Int}}}
 			}},
-		{name: "pending int value", never: true,
-			plant: func(w *sitesWorld, r Ref) { w.awaitOnMarker(0, w.main, r, classfile.Int) }},
 		{name: "typed Ref local",
 			plant: func(w *sitesWorld, r Ref) { w.main.Locals[0] = uint64(r) },
 			at:    func(v *VM, j *Job) uint64 { return j.threads[0].top().Locals[0] }},
@@ -338,4 +322,134 @@ func TestTerminatedThreadTravelsWithoutFrames(t *testing.T) {
 	if th := dj.threads[1]; th.State != StateTerminated || th.Trap == nil || len(th.Frames) != 0 {
 		t.Errorf("the trapped thread on the target: state %v, trap %v, %d frames", th.State, th.Trap, len(th.Frames))
 	}
+}
+
+// retValue is what Ret.make boxes and the worker reads back.
+const retValue = 41
+
+// buildReturnProg: main starts a worker, joins it and returns
+// Ret.result. The worker's run, annotated RunOnSPE, calls Ret.make,
+// annotated RunOnPPE, which allocates a Box holding retValue and returns
+// it; run stores the box's value in Ret.result. Nothing but make's
+// return refers to the box.
+func buildReturnProg() *classfile.Program {
+	p := newProg()
+	threadCls := p.Lookup("java/lang/Thread")
+	box := p.NewClass("Box", nil)
+	v := box.NewField("v", classfile.Int)
+	ret := p.NewClass("Ret", nil)
+	result := ret.NewStaticField("result", classfile.Int)
+	mk := ret.NewMethod("make", classfile.FlagStatic, classfile.Ref, classfile.Int).
+		Annotate(classfile.AnnRunOnPPE)
+	{
+		a := mk.Asm()
+		a.New(box)
+		a.Dup()
+		a.LoadI(0)
+		a.PutField(v)
+		a.Ret()
+		a.MustBuild()
+	}
+	worker := p.NewClass("Returner", threadCls)
+	{
+		a := worker.NewMethod("run", 0, classfile.Void).Annotate(classfile.AnnRunOnSPE).Asm()
+		a.ConstI(retValue)
+		a.InvokeStatic(mk)
+		a.GetField(v)
+		a.PutStatic(result)
+		a.RetVoid()
+		a.MustBuild()
+	}
+	a := ret.NewMethod("main", classfile.FlagStatic, classfile.Int).Asm()
+	a.New(worker)
+	a.Dup()
+	a.StoreRef(0)
+	a.InvokeVirtual(threadCls.MethodByName("start"))
+	a.LoadRef(0)
+	a.InvokeVirtual(threadCls.MethodByName("join"))
+	a.GetStatic(result)
+	a.Ret()
+	a.MustBuild()
+	return p
+}
+
+// onReturnTrip runs Ret.main until the worker is queued on its way back
+// from the PPE: a marker on top, and the box make returned on top of
+// run's operand stack beneath it.
+func onReturnTrip(t *testing.T) (*VM, *Job, Ref) {
+	t.Helper()
+	v, err := New(testConfig(), buildReturnProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := v.Submit(JobSpec{Name: "ret", Class: "Ret", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w *Thread
+	err = v.runWhile(func() bool {
+		if len(j.threads) < 2 {
+			return j.done
+		}
+		w = j.threads[1]
+		n := len(w.Frames)
+		return j.done || w.State == StateReady && n == 2 && w.top().Marker && w.Frames[0].SP == 1
+	})
+	if err != nil || j.done {
+		t.Fatalf("the worker never queued on its return trip: done=%v err=%v", j.done, err)
+	}
+	box := Ref(w.Frames[0].Stack[0])
+	if v.classOf(box) != v.Prog.Lookup("Box") || w.Kind != isa.SPE {
+		t.Fatalf("the worker's caller frame holds %#x, not a Box (worker on %v)", box, w.Kind)
+	}
+	return v, j, box
+}
+
+// TestReturnAcrossMigrationIsAFrameSlot: an object a RunOnPPE callee
+// returns to its SPE caller is reachable only through the return while
+// the thread is on its way back. It is an ordinary slot of the caller's
+// frame there, so a collection keeps it and a hand-off carries it.
+func TestReturnAcrossMigrationIsAFrameSlot(t *testing.T) {
+	t.Run("collection", func(t *testing.T) {
+		v, j, box := onReturnTrip(t)
+		v.gc()
+		if !v.Heap.Contains(box) || v.Heap.FieldSlot(box, 0) != retValue {
+			t.Fatalf("a collection on the return trip freed the returned box %#x", box)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := int32(uint32(j.Root().Result)); got != retValue {
+			t.Errorf("result after the collection = %d, want %d", got, retValue)
+		}
+	})
+	t.Run("hand-off", func(t *testing.T) {
+		v, j, _ := onReturnTrip(t)
+		img, err := v.Freeze(context.Background(), j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := img.Threads[1].Frames
+		if len(fs) != 2 || !fs[1].Marker || len(fs[0].Stack) != 1 ||
+			fs[0].Stack[0] == 0 || img.Objects[fs[0].Stack[0]-1].Class != "Box" {
+			t.Fatalf("the worker is not frozen on its return trip with the box in run's frame: %+v", fs)
+		}
+		if img, err = DecodeJobImage(EncodeJobImage(img)); err != nil {
+			t.Fatal(err)
+		}
+		dst, err := New(testConfig(), buildReturnProg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dj, err := dst.Rehydrate(img, 0, JobSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dj.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := int32(uint32(dj.Root().Result)); got != retValue {
+			t.Errorf("result through the hand-off = %d, want %d", got, retValue)
+		}
+	})
 }

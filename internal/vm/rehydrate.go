@@ -124,10 +124,8 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 	for i := range img.Threads {
 		it := &img.Threads[i]
 		t := &Thread{Name: it.Name, job: j, JavaObj: it.JavaObj,
-			pendingVal: it.PendingVal, pendingIsRef: it.awaitsRef(vm),
-			pendingHasVal: it.PendingHasVal,
-			waitCount:     int(it.WaitCount),
-			Migrations:    it.Migrations, Steals: it.Steals,
+			waitCount:  int(it.WaitCount),
+			Migrations: it.Migrations, Steals: it.Steals,
 			Result: it.Result, HasResult: it.HasResult,
 		}
 		if it.Trap != nil {
@@ -253,14 +251,14 @@ func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 // machine state changes, in two steps. Shape: every class and method
 // resolves, every object carries exactly the payload its kind has at
 // exactly its size, thread indices are in range, a terminated thread
-// carries no frames, core kind or cooldown, a pending value has a marker
-// on top to deliver it, and every frame has the locals and operand depth
-// the method's own verifier derives at its bytecode index — so the
-// executor cannot be handed a frame its code would index out of, and
-// refs.go's image walk, which types each frame by that same state, may
-// index without re-checking. References: that one walk bounds every
-// reference by the object count, at the slot's full width. Corrupt or
-// mismatched images error here, never panic later.
+// carries no frames, core kind or cooldown, and every frame has the
+// locals and operand depth the method's own verifier derives at its
+// bytecode index — so the executor cannot be handed a frame its code
+// would index out of, and refs.go's image walk, which types each frame
+// by that same state, may index without re-checking. References: that
+// one walk bounds every reference by the object count, at the slot's
+// full width. Corrupt or mismatched images error here, never panic
+// later, and each refusal names the rule it applies.
 func (vm *VM) validateImage(img *JobImage) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("vm: rehydrate %s: invalid image: %s", img.Name, fmt.Sprintf(format, args...))
@@ -299,8 +297,14 @@ func (vm *VM) validateImage(img *JobImage) error {
 		if k == isa.ElemRef {
 			payload, other = uint64(len(io.Elems))*4, len(io.Data)
 		}
-		if payload != size || other+len(io.Slots) != 0 || size >= uint64(vm.Heap.Size()) {
-			return bad("object %d: not the payload of %d %s elements", i+1, io.Length, k)
+		if payload != size {
+			return bad("object %d: %d payload bytes, not the %d of %d %s elements", i+1, payload, size, io.Length, k)
+		}
+		if other+len(io.Slots) != 0 {
+			return bad("object %d: a %s array carries another kind's payload or field slots", i+1, k)
+		}
+		if size >= uint64(vm.Heap.Size()) {
+			return bad("object %d: %d %s elements do not fit the heap", i+1, io.Length, k)
 		}
 	}
 	for _, st := range img.Statics {
@@ -331,9 +335,6 @@ func (vm *VM) validateImage(img *JobImage) error {
 			}
 		}
 		n := len(it.Frames)
-		if it.PendingHasVal && (n == 0 || !it.Frames[n-1].Marker) {
-			return bad("thread %d: pending value with no migration marker on top", i)
-		}
 		if it.Terminated {
 			if n > 0 {
 				return bad("thread %d: terminated, but carries %d frame(s)", i, n)
@@ -381,11 +382,10 @@ func (vm *VM) validateImage(img *JobImage) error {
 // one operand fewer than the verifier's state at its bytecode index —
 // its PC already points past the call, whose result the return will
 // push: that is a frame whose next non-marker frame above returns a
-// value, and the frame beneath the top marker when the thread carries a
-// pending value (the executor's resume pops that marker and pushes the
-// value into the frame beneath; it never pushes into a top frame).
+// value. The frame beneath a top marker awaits nothing: a callee that
+// returned across a migration pushed its value there before leaving.
 func (vm *VM) validateFrames(it *ImageThread) error {
-	awaits := it.PendingHasVal // whether the frame in hand awaits a value from above
+	awaits := false // whether the frame in hand awaits a value from above
 	for fi := len(it.Frames) - 1; fi >= 0; fi-- {
 		fr := &it.Frames[fi]
 		if fr.Marker {

@@ -148,7 +148,7 @@ func (vm *VM) runWhile(stop func() bool) error {
 				// Complete a migration deferred by a blocked synchronized
 				// call: insert the marker beneath the callee frame.
 				nf := t.popFrame()
-				t.pushFrame(&Frame{Marker: true, ReturnKind: core.Kind, ReturnCore: core.ID})
+				t.pushFrame(&Frame{Marker: true, ReturnKind: core.Kind})
 				t.pushFrame(nf)
 				vm.migrate(core, t, t.pendingMigrate, 0)
 				continue
@@ -166,12 +166,10 @@ func (vm *VM) runWhile(stop func() bool) error {
 			t.needStage = false
 			vm.stageKernelTiles(core, t)
 		}
-		if t.hasPendingThrow {
+		if ex := t.pendingThrow; ex != 0 {
 			// Continue unwinding an exception that crossed a migration
 			// boundary; the first frame examined is a caller, so its PC
 			// already points past the migrated call.
-			ex := t.pendingThrow
-			t.hasPendingThrow = false
 			t.pendingThrow = 0
 			if !vm.dispatchThrow(core, t, ex, 1) {
 				name := "Throwable"
@@ -326,7 +324,7 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 	// Kernel workers never leave their core, and a FixedPolicy keeps
 	// every thread on its one kind.
 	_, fixed := vm.policy.(FixedPolicy)
-	if fixed || t.pinned || t.hasPendingMigrate || t.hasPendingThrow || t.pendingNative != nil {
+	if fixed || t.pinned || t.hasPendingMigrate || t.pendingThrow != 0 || t.pendingNative != nil {
 		return 0, false
 	}
 	// Migration hysteresis: a thread that just migrated cross-kind is

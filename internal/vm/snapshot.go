@@ -81,11 +81,6 @@ type ImageThread struct {
 	Kind       string // core kind the thread was bound to (placement hint)
 	JavaObj    uint32 // image object ID of the java/lang/Thread instance
 
-	// A pending value is a callee's result on its way back across a
-	// migration: a marker is on top, and the frame beneath takes it.
-	PendingHasVal bool
-	PendingVal    uint64
-
 	WaitCount    int32
 	Migrations   uint64
 	Steals       uint64
@@ -172,7 +167,7 @@ func (vm *VM) jobFreezable(j *Job) bool {
 		if t.State == StateRunning {
 			return false
 		}
-		if t.hasPendingMigrate || t.hasPendingThrow || t.pendingNative != nil {
+		if t.hasPendingMigrate || t.pendingThrow != 0 || t.pendingNative != nil {
 			return false
 		}
 	}
@@ -300,11 +295,7 @@ func (vm *VM) detachJob(j *Job, monObjs []Ref) {
 		t.free = nil
 		t.joiners = nil
 		t.pendingNative = nil
-		t.hasPendingThrow = false
 		t.pendingThrow = 0
-		t.pendingHasVal = false
-		t.pendingVal = 0
-		t.pendingIsRef = false
 		vm.liveCount--
 	}
 	for _, obj := range monObjs {
@@ -563,15 +554,13 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 	}
 	for _, t := range j.threads {
 		it := ImageThread{
-			Name:          t.Name,
-			JavaObj:       t.JavaObj,
-			PendingHasVal: t.pendingHasVal,
-			PendingVal:    t.pendingVal,
-			WaitCount:     int32(t.waitCount),
-			Migrations:    t.Migrations,
-			Steals:        t.Steals,
-			Result:        t.Result,
-			HasResult:     t.HasResult,
+			Name:       t.Name,
+			JavaObj:    t.JavaObj,
+			WaitCount:  int32(t.waitCount),
+			Migrations: t.Migrations,
+			Steals:     t.Steals,
+			Result:     t.Result,
+			HasResult:  t.HasResult,
 		}
 		if t.Trap != nil {
 			te := *t.Trap.(*TrapError)

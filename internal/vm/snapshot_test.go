@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -578,119 +579,139 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 		t.Fatalf("the frozen image is not the one the rows below mutate: %+v", img)
 	}
 	const high = 1 << 32 // passes a 32-bit range check, indexes at 64
-	corrupt := map[string]func(*JobImage){
-		"no threads":          func(i *JobImage) { i.Threads = nil },
-		"unknown class":       func(i *JobImage) { i.Threads[0].Frames[0].Class = "NoSuchClass" },
-		"method index":        func(i *JobImage) { i.Threads[0].Frames[0].Method = 99 },
-		"bytecode index":      func(i *JobImage) { i.Threads[0].Frames[0].BC = 1 << 20 },
-		"thread object ref":   func(i *JobImage) { i.Threads[0].JavaObj = 1 << 20 },
-		"joiner index":        func(i *JobImage) { i.Threads[0].Joiners = []int32{42} },
-		"monitor object ref":  func(i *JobImage) { i.Monitors[0].Obj = 1 << 20 },
-		"monitor null object": func(i *JobImage) { i.Monitors[0].Obj = 0 },
-		"statics slot count":  func(i *JobImage) { i.Statics[0].Slots = i.Statics[0].Slots[:0] },
+	// Each row names a fragment of the one refusal it must trip, so a
+	// row cannot keep passing through an earlier, unrelated rule.
+	corrupt := []struct {
+		name, want string
+		mutate     func(*JobImage)
+	}{
+		{"no threads", "invalid image: no threads", func(i *JobImage) { i.Threads = nil }},
+		{"unknown class", `frame 0: unknown class "NoSuchClass"`,
+			func(i *JobImage) { i.Threads[0].Frames[0].Class = "NoSuchClass" }},
+		{"method index", "frame 0: method index 99 out of range",
+			func(i *JobImage) { i.Threads[0].Frames[0].Method = 99 }},
+		{"bytecode index", "frame 0: bytecode index 1048576 out of range",
+			func(i *JobImage) { i.Threads[0].Frames[0].BC = 1 << 20 }},
+		{"thread object ref", "reference 0x100000 out of range",
+			func(i *JobImage) { i.Threads[0].JavaObj = 1 << 20 }},
+		{"joiner index", "joiner index 42 out of range",
+			func(i *JobImage) { i.Threads[0].Joiners = []int32{42} }},
+		{"monitor object ref", "reference 0x100000 out of range",
+			func(i *JobImage) { i.Monitors[0].Obj = 1 << 20 }},
+		{"monitor null object", "monitor 0: null object", func(i *JobImage) { i.Monitors[0].Obj = 0 }},
+		{"monitor owner index", "monitor 0: owner index out of range", func(i *JobImage) { i.Monitors[0].Owner = 3 }},
+		{"monitor queue index", "monitor 0: queue index out of range",
+			func(i *JobImage) { i.Monitors[0].Waiters = []int32{-1} }},
+		{"statics slot count", "statics of Snap: 0 slots",
+			func(i *JobImage) { i.Statics[0].Slots = i.Statics[0].Slots[:0] }},
+		{"unknown object class", `invalid image: unknown class "NoSuchClass"`,
+			func(i *JobImage) { i.Objects[0].Class = "NoSuchClass" }},
+		{"bad element kind", "object 4: bad element kind 9", func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: 9})
+		}},
+		{"null class lock", "class lock of Snap: null object", func(i *JobImage) {
+			i.ClassLocks = append(i.ClassLocks, ImageClassLock{Class: "Snap"})
+		}},
 
 		// References at full width: each of these is in range once
 		// truncated to 32 bits.
-		"ref local | 1<<32":    func(i *JobImage) { i.Threads[0].Frames[0].Locals[0] |= high },
-		"ref stack | 1<<32":    func(i *JobImage) { i.Threads[1].Frames[0].Stack[0] |= high },
-		"instance ref | 1<<32": func(i *JobImage) { i.Objects[1].Slots[1] |= high },
-		"ref static | 1<<32":   func(i *JobImage) { i.Statics[0].Slots[1] |= high },
-		"pending value | 1<<32": func(i *JobImage) {
-			// The worker's frame awaits its top operand, a reference, from
-			// a callee on its way back across a migration.
+		{"ref local | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Threads[0].Frames[0].Locals[0] |= high }},
+		{"ref stack | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Threads[1].Frames[0].Stack[0] |= high }},
+		{"instance ref | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Objects[1].Slots[1] |= high }},
+		{"ref static | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Statics[0].Slots[1] |= high }},
+		{"returned ref under a top marker | 1<<32", "reference 0x1000000", func(i *JobImage) {
+			// A callee returned the worker's top operand, a reference,
+			// across a migration: the value is in the worker's frame, and
+			// the marker stays on top until the thread lands back.
 			t := &i.Threads[1]
-			t.Frames[0].Stack = nil
 			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"})
-			t.PendingHasVal, t.PendingVal = true, 1|high
-		},
+			t.Frames[0].Stack[0] |= high
+		}},
 
 		// Payload sizes at full width, and one payload per object.
-		"array length wraps to 0 bytes": func(i *JobImage) {
+		{"array length wraps to 0 bytes", "object 4: 0 payload bytes, not the 4294967296", func(i *JobImage) {
 			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Length: 0x40000000})
-		},
-		"array the size of the heap": func(i *JobImage) {
+		}},
+		{"array the size of the heap", "do not fit the heap", func(i *JobImage) {
 			n := testConfig().HeapBytes
 			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemByte), Length: n, Data: make([]byte, n)})
-		},
-		"instance with array data": func(i *JobImage) { i.Objects[0].Data = []byte{1} },
-		"instance with elements":   func(i *JobImage) { i.Objects[0].Elems = []uint32{1} },
-		"array with field slots": func(i *JobImage) {
+		}},
+		{"instance with array data", "object 1: not 1 field slots", func(i *JobImage) { i.Objects[0].Data = []byte{1} }},
+		{"instance with elements", "object 1: not 1 field slots", func(i *JobImage) { i.Objects[0].Elems = []uint32{1} }},
+		{"array with field slots", "another kind's payload or field slots", func(i *JobImage) {
 			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Slots: []uint64{0}})
-		},
-		"int array with elements": func(i *JobImage) {
-			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Length: 1, Elems: []uint32{0}})
-		},
-		"ref array with data": func(i *JobImage) {
-			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemRef), Length: 1, Data: make([]byte, 4)})
-		},
+		}},
+		{"int array with elements", "another kind's payload or field slots", func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemInt), Length: 1, Data: make([]byte, 4), Elems: []uint32{0}})
+		}},
+		{"ref array with data", "another kind's payload or field slots", func(i *JobImage) {
+			i.Objects = append(i.Objects, ImageObject{Elem: uint8(isa.ElemRef), Length: 1, Elems: []uint32{0}, Data: make([]byte, 4)})
+		}},
 
 		// Frame type state. Each of the first three passed validation at
 		// the parent and panicked the executor on the first quantum:
 		// index out of range [4] with length 0, [-1], [7] with length 5.
-		"locals dropped":        func(i *JobImage) { i.Threads[0].Frames[0].Locals = nil },
-		"operand stack emptied": func(i *JobImage) { i.Threads[0].Frames[0].Stack = nil },
-		"operand stack too deep": func(i *JobImage) {
+		{"locals dropped", "frame 0: not the type state of", func(i *JobImage) { i.Threads[0].Frames[0].Locals = nil }},
+		{"operand stack emptied", "frame 0: not the type state of", func(i *JobImage) { i.Threads[0].Frames[0].Stack = nil }},
+		{"operand stack too deep", "frame 0: not the type state of", func(i *JobImage) {
 			f := &i.Threads[0].Frames[0]
 			f.Stack = append(f.Stack, 0)
-		},
-		"bottom frame awaits a value": func(i *JobImage) {
-			// A marker on top with a pending value: the executor would push
-			// it into main's frame, which sits at an instruction whose
-			// verified stack it already fills.
-			t := &i.Threads[0]
-			t.PendingHasVal = true
-			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"})
-		},
+		}},
+		{"bottom frame awaits a value", "frame 0: awaits a value that Worker.run", func(i *JobImage) {
+			// A copy of main's frame, whose method returns an int, called
+			// from the worker's run at its entry, where the verified stack
+			// has no room for the value the return would push.
+			t := &i.Threads[1]
+			t.Frames[0].BC, t.Frames[0].Stack = 0, nil
+			callee := i.Threads[0].Frames[0]
+			callee.SyncObj = 0
+			t.Frames = append(t.Frames, callee)
+		}},
 
 		// Thread state a live thread is never in.
-		"frames on a terminated thread": func(i *JobImage) { i.Threads[1].Terminated = true },
+		{"frames on a terminated thread", "thread 1: terminated, but carries 1 frame",
+			func(i *JobImage) { i.Threads[1].Terminated = true }},
+		{"live thread with no frames", "thread 1: live with no frames", func(i *JobImage) { i.Threads[1].Frames = nil }},
 		// A terminated thread is rehydrated from its name, result and
 		// counters only, so its placement fields must be zero. Both rows
 		// passed validation while captureJob still wrote them.
-		"core kind on a terminated thread": func(i *JobImage) {
+		{"core kind on a terminated thread", `terminated, but carries a core kind "ppe"`, func(i *JobImage) {
 			t := &i.Threads[1]
 			t.Terminated, t.Frames, t.CooldownLeft = true, nil, 0
 			t.Kind = "ppe"
-		},
-		"cooldown on a terminated thread": func(i *JobImage) {
+		}},
+		{"cooldown on a terminated thread", "or cooldown 1", func(i *JobImage) {
 			t := &i.Threads[1]
 			t.Terminated, t.Frames, t.Kind = true, nil, ""
 			t.CooldownLeft = 1
-		},
-		"pending value with no marker on top": func(i *JobImage) {
-			// Only a marker's pop delivers a pending value: this one would
-			// wait for the worker's next return to a marker and land in a
-			// frame that awaits another.
+		}},
+		{"marker on a marker", "frame 2: migration marker on no method frame", func(i *JobImage) {
+			// A marker is pushed beneath a callee frame, so the frame
+			// beneath one is the caller its return resumes.
 			t := &i.Threads[1]
-			t.PendingHasVal, t.PendingVal = true, 1
-		},
-		"marker on a marker": func(i *JobImage) {
-			// The resume pops the top marker and would push the value into
-			// the marker beneath, which has no operand stack.
-			t := &i.Threads[1]
-			t.Frames[0].Stack = nil
 			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"},
 				ImageFrame{Marker: true, ReturnKind: "ppe"})
-			t.PendingHasVal, t.PendingVal = true, 1
-		},
+		}},
 	}
-	for name, mutate := range corrupt {
-		// Round-trip through the codec for a deep copy to mutate.
-		cp, err := DecodeJobImage(EncodeJobImage(img))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(cp)
-		dst, err := New(testConfig(), buildSnapProg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := dst.LiveThreads()
-		if _, err := dst.Rehydrate(cp, 0, JobSpec{}); err == nil {
-			t.Errorf("%s: rehydrate accepted an invalid image", name)
-		}
-		if dst.LiveThreads() != before {
-			t.Errorf("%s: failed rehydrate leaked live threads", name)
-		}
+	for _, row := range corrupt {
+		t.Run(row.name, func(t *testing.T) {
+			// Round-trip through the codec for a deep copy to mutate.
+			cp, err := DecodeJobImage(EncodeJobImage(img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.mutate(cp)
+			dst, err := New(testConfig(), buildSnapProg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dst.LiveThreads()
+			if _, err := dst.Rehydrate(cp, 0, JobSpec{}); err == nil || !strings.Contains(err.Error(), row.want) {
+				t.Errorf("rehydrate = %v, want an invalid-image error naming %q", err, row.want)
+			}
+			if dst.LiveThreads() != before {
+				t.Error("failed rehydrate leaked live threads")
+			}
+		})
 	}
 }

@@ -53,11 +53,10 @@ type Frame struct {
 	// runtime-monitoring placement policy.
 	ctr *profile.MethodCounters
 
-	// Marker marks a migration point; ReturnKind and ReturnCore say
-	// where the thread migrates back to when the callee returns.
+	// Marker marks a migration point; ReturnKind says which kind the
+	// thread migrates back to when the callee returns.
 	Marker     bool
 	ReturnKind isa.CoreKind
-	ReturnCore int
 
 	// vals is the array Locals and Stack are carved from; it outlives
 	// the activation on the thread's free list (nil on a frame built as a
@@ -131,11 +130,6 @@ type Thread struct {
 	// ReadyAt is the simulated time the thread may next run.
 	ReadyAt cell.Clock
 
-	// Pending return value transferred across a migration boundary.
-	pendingVal    uint64
-	pendingIsRef  bool
-	pendingHasVal bool
-
 	// needEnsure requests a code-cache ensure of the top frame before
 	// resuming (set when a thread lands on an SPE).
 	needEnsure bool
@@ -162,9 +156,9 @@ type Thread struct {
 	// pendingNative carries a JNI native across the SPE->PPE migration.
 	pendingNative *pendingNativeCall
 	// pendingThrow carries an in-flight exception across a migration
-	// boundary during unwinding.
-	pendingThrow    Ref
-	hasPendingThrow bool
+	// boundary during unwinding (0 = none: a null exception never
+	// reaches a marker).
+	pendingThrow Ref
 
 	// Trap records the error that killed the thread, if any.
 	Trap error

@@ -121,7 +121,6 @@ func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bo
 			// (§3.1's marker protocol, here on the unwind path).
 			t.popFrame()
 			t.pendingThrow = exRef
-			t.hasPendingThrow = true
 			vm.migrate(core, t, f.ReturnKind, 1)
 			t.recycle(f)
 			return true

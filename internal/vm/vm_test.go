@@ -896,40 +896,49 @@ func TestStringBuilderGrowth(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadConfigs: a Config the machine cannot run is an
-// ErrBadConfig from New, not what each row used to be — a constructor's
-// panic (the first three), a host panic on the first SPE array access
-// (a data cache smaller than one unit), or a run that never ends
-// (Quantum 0: no cycle is ever charged). Each row boots and runs under a
-// deadline, so a config that slips through fails the test instead of
-// hanging it.
 // TestNewRejectsBadConfigs: every machine description New cannot run
-// comes back as an error wrapping ErrBadConfig — never a plain error, a
-// host panic or a run that never ends. The local-store, main-memory,
-// cache-fit and empty-topology rows are hole 20 (ROADMAP item 10): they
-// escaped ErrBadConfig as plain cell/vm errors, and a zero PPE cache
-// geometry — no longer settable — panicked inside New. The last two
-// rows escaped as a plain layout error and as a host panic in the boot
-// area's allocator.
+// comes back as an error wrapping ErrBadConfig that names the rule it
+// broke — never a plain error, a host panic or a run that never ends.
+// What each row used to be: a constructor's panic (the first three), a
+// host panic on the first SPE array access (a data cache smaller than
+// one unit), a run that never ends (Quantum 0: no cycle is ever
+// charged). The local-store, main-memory, cache-fit and empty-topology
+// rows are hole 20 (ROADMAP item 10): they escaped ErrBadConfig as plain
+// cell/vm errors, and a zero PPE cache geometry — no longer settable —
+// panicked inside New. The last two rows escaped as a plain layout error
+// and as a host panic in the boot area's allocator. Each row boots and
+// runs under a deadline, so a config that slips through fails the test
+// instead of hanging it.
 func TestNewRejectsBadConfigs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		set  func(*Config)
+		name, want string
+		set        func(*Config)
 	}{
-		{"array block not a power of two", func(c *Config) { c.DataCache.ArrayBlock = 3 }},
-		{"array block 0", func(c *Config) { c.DataCache.ArrayBlock = 0 }},
-		{"EIB without channels", func(c *Config) { c.Machine.EIB.Channels = 0 }},
-		{"EIB without bandwidth", func(c *Config) { c.Machine.EIB.BytesPerCycle = 0 }},
-		{"data cache of 0", func(c *Config) { c.DataCache.Size = 0 }},
-		{"data cache under one unit", func(c *Config) { c.DataCache.Size = 64 }},
-		{"quantum 0", func(c *Config) { c.Quantum = 0 }},
-		{"local store of 8 KB", func(c *Config) { c.Machine.LocalStore = 8 << 10 }},
-		{"main memory of 512 KB", func(c *Config) { c.Machine.MainMemory = 512 << 10 }},
-		{"caches exceed the local store", func(c *Config) { c.CodeCache.Size = c.Machine.LocalStore - c.DataCache.Size + 1 }},
-		{"empty topology", func(c *Config) { c.Machine.Topology = nil }},
-		{"heap exceeds main memory", func(c *Config) { c.HeapBytes = c.Machine.MainMemory }},
-		{"boot area too small for the program", func(c *Config) { c.BootBytes = 256 }},
-		{"unknown kind in the topology", func(c *Config) {
+		{"array block not a power of two", "DataCache.ArrayBlock 3 is not a power of two",
+			func(c *Config) { c.DataCache.ArrayBlock = 3 }},
+		{"array block 0", "DataCache.ArrayBlock 0 is not a power of two",
+			func(c *Config) { c.DataCache.ArrayBlock = 0 }},
+		{"EIB without channels", "Machine.EIB needs a channel and a positive bandwidth, has 0 x",
+			func(c *Config) { c.Machine.EIB.Channels = 0 }},
+		{"EIB without bandwidth", "Machine.EIB needs a channel and a positive bandwidth, has 4 x 0 B/cycle",
+			func(c *Config) { c.Machine.EIB.BytesPerCycle = 0 }},
+		{"data cache of 0", "data cache of 0 B cannot hold one",
+			func(c *Config) { c.DataCache.Size = 0 }},
+		{"data cache under one unit", "data cache of 64 B cannot hold one",
+			func(c *Config) { c.DataCache.Size = 64 }},
+		{"quantum 0", "Quantum is 0", func(c *Config) { c.Quantum = 0 }},
+		{"local store of 8 KB", "exceed Machine.LocalStore (8192 B)",
+			func(c *Config) { c.Machine.LocalStore = 8 << 10 }},
+		{"main memory of 512 KB", "main memory 524288 too small",
+			func(c *Config) { c.Machine.MainMemory = 512 << 10 }},
+		{"caches exceed the local store", "CodeCache.Size (262145 B) exceed Machine.LocalStore",
+			func(c *Config) { c.CodeCache.Size = c.Machine.LocalStore - c.DataCache.Size + 1 }},
+		{"empty topology", "empty topology", func(c *Config) { c.Machine.Topology = nil }},
+		{"heap exceeds main memory", `layout overflow carving "heap"`,
+			func(c *Config) { c.HeapBytes = c.Machine.MainMemory }},
+		{"boot area too small for the program", `region "boot" exhausted`,
+			func(c *Config) { c.BootBytes = 256 }},
+		{"unknown kind in the topology", "topology names unknown core kind", func(c *Config) {
 			c.Machine.Topology = cell.Topology{{Kind: isa.PPE, Count: 1}, {Kind: isa.NumKinds, Count: 1}}
 		}},
 	} {
@@ -951,8 +960,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 			}()
 			select {
 			case err := <-done:
-				if !errors.Is(err, ErrBadConfig) {
-					t.Errorf("New = %v, want ErrBadConfig", err)
+				if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("New = %v, want ErrBadConfig naming %q", err, tc.want)
 				}
 			case <-time.After(20 * time.Second):
 				t.Fatal("the machine booted and is still running: New accepted a config it cannot run")

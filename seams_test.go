@@ -36,6 +36,12 @@ var seams = []struct {
 	{"no run-time reference tag",
 		`FlagWrite|LFlags|SFlags|microFlag|maxFlagWrites|ArgRefs|argRefs|LocalRefs|StackRefs|PendingIsRef`,
 		[]string{"."}, nil},
+	// "Job hand-off": a callee that returned across a migration pushed
+	// its value into the caller's frame, so nothing else carries it, and
+	// a marker records only the kind to return to.
+	{"a returned value travels in its caller's frame",
+		`pendingVal|pendingHasVal|pendingIsRef|setPending|awaitsRef|PendingVal|PendingHasVal|ReturnCore|hasPendingThrow`,
+		[]string{"."}, nil},
 	// "Host-side tables are sized by use": Asm.Build writes bound
 	// positions into the instructions, so labels end there.
 	{"assembler labels are named only in internal/classfile/asm.go",
