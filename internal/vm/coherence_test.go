@@ -36,13 +36,13 @@ func TestMemoryModelEdges(t *testing.T) {
 		{name: "volatile", edges: []edge{edgeVolatile}, class: "Main", want: 12345, prog: volatileFlagProg, cfg: twoSPEs},
 		{name: "start-join", edges: []edge{edgeStart, edgeJoin}, class: "Coh",
 			want: startJoinN * (startJoinN + 1) / 2, prog: startJoinProg, cfg: twoSPEs},
-		// A marker migration is a hand-off in both directions, and so is the
+		// A call-site migration is a hand-off in both directions, and so is the
 		// JNI round trip; single-threaded guests, so only program order is
 		// at stake.
 		{name: "handoff-spe-to-ppe", edges: []edge{edgeHandoff}, class: "Mig", want: 42,
-			prog: func() *classfile.Program { return markerMigrationProg(true) }},
+			prog: func() *classfile.Program { return callMigrationProg(true) }},
 		{name: "handoff-ppe-to-spe", edges: []edge{edgeHandoff}, class: "Mig", want: 2,
-			prog: func() *classfile.Program { return markerMigrationProg(false) },
+			prog: func() *classfile.Program { return callMigrationProg(false) },
 			cfg:  func(cfg *Config) { cfg.Machine.Topology = cell.PS3Topology(1) }},
 		{name: "handoff-jni", edges: []edge{edgeHandoff}, class: "Jni", want: 35, prog: jniReadsArrayProg,
 			natives: func(vm *VM) {
@@ -112,12 +112,12 @@ func twoSPEs(cfg *Config) {
 	cfg.Policy = FixedPolicy{Kind: isa.SPE}
 }
 
-// markerMigrationProg is one thread crossing kinds through an annotated
+// callMigrationProg is one thread crossing kinds through an annotated
 // call. speWrites: main allocates int[8], a RunOnSPE static stores
 // arr[0] = 42 and returns, main reads arr[0] on the PPE. Otherwise the
 // reverse: the PPE writes 1, a RunOnSPE static reads, the PPE writes 2,
 // the SPE reads again (on a one-SPE machine, the same core's cache).
-func markerMigrationProg(speWrites bool) *classfile.Program {
+func callMigrationProg(speWrites bool) *classfile.Program {
 	p := newProg()
 	c := p.NewClass("Mig", nil)
 	store := c.NewMethod("store", classfile.FlagStatic, classfile.Void, classfile.Ref).

@@ -17,27 +17,11 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 	deadline := core.Now + quantum
 	for t.State == StateRunning && core.Now < deadline {
 		f := t.top()
-		if f.Marker {
-			if len(t.Frames) == 1 {
-				// A marker is always pushed beneath a callee (invoke's
-				// migration protocol), so a lone marker is malformed state;
-				// popping it would leave no frame to resume, and the loop
-				// above would spin without charging a cycle. Trap instead.
-				vm.trap(core, t, vm.trapAt(nil, "InternalError",
-					"migration marker with no caller frame"))
-				return
-			}
-			// Resumed after migrating back: drop the marker; the caller
-			// underneath already holds the callee's value.
-			t.recycle(t.popFrame())
-			continue
-		}
 		// Freeze barrier: the job is being quiesced for a hand-off. Park
 		// the thread here — Blocked, off the calendar — instead of
 		// spending the quantum; Freeze collects it (or unparkJob
 		// re-queues it if the freeze aborts). The check sits between
-		// instructions, where none is half applied; markers were already
-		// handled above.
+		// instructions, where none is half applied.
 		if j := t.job; j.freezeBarrier {
 			t.State = StateBlocked
 			j.parked = append(j.parked, t)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -147,35 +146,6 @@ func fastPathMatchesDisabled(t *testing.T, method string) {
 	}
 	if ffBlocks == 0 || ffInstrs == 0 {
 		t.Errorf("fast run never took the fast path (blocks=%d instrs=%d)", ffBlocks, ffInstrs)
-	}
-}
-
-// TestMarkerFrameWithoutCallerTraps is the regression test for the
-// malformed-migration livelock: a thread whose only frame is a migration
-// marker must trap (markers are always pushed beneath a callee), not spin
-// in execute without charging a cycle.
-func TestMarkerFrameWithoutCallerTraps(t *testing.T) {
-	vmach, err := New(testConfig(), newProg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := vmach.Machine.Cores()[0]
-	th := &Thread{
-		ID:     99,
-		Name:   "malformed",
-		State:  StateRunning,
-		Frames: []*Frame{{Marker: true}},
-	}
-	before := core.Now
-	vmach.execute(core, th, 1000)
-	if th.State != StateTerminated {
-		t.Fatalf("thread state %v, want terminated (execute must not spin)", th.State)
-	}
-	if th.Trap == nil || !strings.Contains(th.Trap.Error(), "migration marker") {
-		t.Fatalf("trap = %v, want migration-marker InternalError", th.Trap)
-	}
-	if core.Now != before {
-		t.Errorf("trap should not charge cycles (now %d -> %d)", before, core.Now)
 	}
 }
 

@@ -26,8 +26,9 @@ var imageMagic = [4]byte{'H', 'J', 'I', 'M'}
 // v2: kernel launch counters in JobStats; v3: no policy section; v4: no
 // reference flags (the verifier types frames) and no freeze clock; v5:
 // no pending value (a value returned across a migration is in its
-// caller's frame).
-const imageVersion uint16 = 5
+// caller's frame); v6: no marker frames and no thread kind — each frame
+// names the kind its code was compiled for.
+const imageVersion uint16 = 6
 
 // ErrBadImage reports undecodable JobImage bytes (truncated input,
 // wrong magic or version, a length that overruns the buffer). Match
@@ -213,7 +214,7 @@ func (w *wire) image(img *JobImage) {
 		w.str(&c.Class)
 		w.u32(&c.Obj)
 	})
-	seq(w, &img.Threads, 68, (*wire).thread)
+	seq(w, &img.Threads, 64, (*wire).thread)
 	seq(w, &img.Monitors, 20, func(w *wire, m *ImageMonitor) {
 		w.u32(&m.Obj)
 		w.i32(&m.Owner)
@@ -228,7 +229,6 @@ func (w *wire) thread(t *ImageThread) {
 	w.boolean(&t.Terminated)
 	w.boolean(&t.Blocked)
 	w.u64(&t.ReadyDelay)
-	w.str(&t.Kind)
 	w.u32(&t.JavaObj)
 	w.i32(&t.WaitCount)
 	w.u64(&t.Migrations)
@@ -253,9 +253,8 @@ func (w *wire) thread(t *ImageThread) {
 	}
 
 	w.i32s(&t.Joiners)
-	seq(w, &t.Frames, 29, func(w *wire, f *ImageFrame) {
-		w.boolean(&f.Marker)
-		w.str(&f.ReturnKind)
+	seq(w, &t.Frames, 28, func(w *wire, f *ImageFrame) {
+		w.str(&f.Kind)
 		w.str(&f.Class)
 		w.i32(&f.Method)
 		w.i32(&f.BC)

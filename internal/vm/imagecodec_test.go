@@ -31,24 +31,24 @@ func sampleImage() *JobImage {
 		ClassLocks: []ImageClassLock{{Class: "Snap", Obj: 3}},
 		Threads: []ImageThread{
 			{
-				Name: "main", Kind: "ppe", JavaObj: 0,
+				Name: "main", JavaObj: 0,
 				WaitCount: -1, Result: 77, HasResult: true,
 				Joiners: []int32{1},
 				Frames: []ImageFrame{
-					{Marker: true, ReturnKind: "ppe"},
+					{Kind: "SPE", Class: "Snap", Method: 1, BC: 5},
 					{
-						Class: "Snap", Method: 0, BC: 12,
+						Kind: "PPE", Class: "Snap", Method: 0, BC: 12,
 						Locals: []uint64{1, 2, 3}, Stack: []uint64{9},
 						SyncObj: 1,
 					},
 				},
 			},
 			{
-				Name: "w1", Blocked: true, ReadyDelay: 64, Kind: "spe", JavaObj: 3,
+				Name: "w1", Blocked: true, ReadyDelay: 64, JavaObj: 3,
 				Migrations: 1, CooldownLeft: 500,
 				Trap:      &TrapError{Kind: "npe", Detail: "null field", Method: "Worker.run", PC: 4},
 				WaitCount: -1,
-				Frames:    []ImageFrame{{Class: "Worker", Method: 1, BC: 0}},
+				Frames:    []ImageFrame{{Kind: "SPE", Class: "Worker", Method: 1, BC: 0}},
 			},
 		},
 		Monitors: []ImageMonitor{{Obj: 1, Owner: 0, Count: 2, Blocked: []int32{1}, Waiters: nil}},
@@ -111,11 +111,11 @@ func TestImageRoundTripFrozen(t *testing.T) {
 	}
 }
 
-// imageGoldenHex pins the version-5 wire format of sampleImage. If
+// imageGoldenHex pins the version-6 wire format of sampleImage. If
 // TestImageGoldenBytes fails, the format changed: bump imageVersion and
 // regenerate — do NOT edit the golden to paper over an accidental
 // format break.
-const imageGoldenHex = "484a494d05000600000073616d706c6539300000000000009f8601000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e000000000000000000000300000070706500000000ffffffff0000000000000000000000000000000000000000000000004d0000000000000001000100000001000000020000000103000000707065000000000000000000000000000000000000000000000000000000000004000000536e6170000000000c0000000300000001000000000000000200000000000000030000000000000001000000090000000000000001000000020000007731000140000000000000000300000073706503000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e040000000000000001000000000000000006000000576f726b6572010000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
+const imageGoldenHex = "484a494d06000600000073616d706c6539300000000000009f8601000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e0000000000000000000000000000ffffffff0000000000000000000000000000000000000000000000004d0000000000000001000100000001000000020000000300000053504504000000536e617001000000050000000000000000000000000000000300000050504504000000536e6170000000000c00000003000000010000000000000002000000000000000300000000000000010000000900000000000000010000000200000077310001400000000000000003000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e0400000000000000010000000300000053504506000000576f726b6572010000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
 
 func TestImageGoldenBytes(t *testing.T) {
 	enc := EncodeJobImage(sampleImage())

@@ -8,9 +8,10 @@ import (
 
 // invoke transfers control from frame f, whose PC is on the call
 // instruction, into callee. It handles native dispatch, the
-// placement-policy migration decision (with the paper's stack-marker
-// protocol), synchronized-method monitor acquisition and, on SPEs, the
-// code-cache lookup for the callee.
+// placement-policy migration decision (a callee compiled for another
+// kind than its caller is a migration point, §3.1), synchronized-method
+// monitor acquisition and, on SPEs, the code-cache lookup for the
+// callee.
 //
 // The PC moves past the call at the moment the arguments leave f's
 // operand stack, not before: a compile interning a string constant and
@@ -39,7 +40,6 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 	if !vm.Machine.HasKind(desired) {
 		desired = vm.serviceKind()
 	}
-	migrating := desired != core.Kind
 
 	cm, compileCycles, err := vm.compileFor(desired, callee)
 	if err != nil {
@@ -82,29 +82,18 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 		core.Charge(isa.ClassMainMem, uint64(cost))
 		if !vm.monitorEnter(core, t, obj) {
 			// Blocked: the frame is pushed; the monitor will be granted
-			// before the thread resumes.
+			// before the thread resumes, and a callee compiled for another
+			// kind migrates it then (runWhile).
 			t.pushFrame(nf)
-			if migrating {
-				// Keep it simple and correct: blocked synchronized calls
-				// complete the migration when granted.
-				t.pendingMigrate = desired
-				t.hasPendingMigrate = true
-			}
 			return nil
 		}
 	}
 
-	if migrating {
-		// Push the migration marker beneath the callee frame: returning
-		// to the marker migrates back (§3.1).
-		marker := &Frame{Marker: true, ReturnKind: core.Kind}
-		t.pushFrame(marker)
-		t.pushFrame(nf)
+	t.pushFrame(nf)
+	if desired != core.Kind {
 		vm.migrate(core, t, desired, nargs)
 		return nil
 	}
-
-	t.pushFrame(nf)
 	if core.Kind.UsesLocalStore() {
 		vm.ensureCode(core, cm)
 	}
@@ -125,9 +114,9 @@ func (vm *VM) classLock(c *classfile.Class) (Ref, error) {
 	return meta.lockObj, nil
 }
 
-// returnFrom pops the current frame and delivers the return value,
-// driving the migration-marker protocol and SPE return-path code-cache
-// lookups.
+// returnFrom pops the current frame and delivers the return value into
+// the caller, migrating back when the caller was compiled for another
+// kind, and otherwise repeating the SPE return-path code-cache lookup.
 func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, hasVal bool) {
 	f := t.popFrame()
 	if f.SyncObj != 0 {
@@ -145,29 +134,23 @@ func (vm *VM) returnFrom(core *cell.Core, t *Thread, val uint64, hasVal bool) {
 		t.HasResult = hasVal
 		return
 	}
-	t.recycle(f) // dead from here: the value travels in val, not in f
 
 	top := t.top()
-	if top.Marker {
-		// Return to the migration marker: the value lands in the caller
-		// beneath it, whose PC is past the call, and the thread migrates
-		// back to the origin core type carrying it (§3.1: "returns to the
-		// migration marker placed on the stack").
-		words := 0
-		if hasVal {
-			t.Frames[len(t.Frames)-2].push(val)
-			words = 1
-		}
-		vm.migrate(core, t, top.ReturnKind, words)
+	words := 0
+	if hasVal {
+		top.push(val)
+		words = 1
+	}
+	if top.CM.Target != core.Kind {
+		// A return across a migration point: the value is in the caller,
+		// whose PC is past the call, and the thread carries it back to the
+		// kind the caller runs on (§3.1).
+		vm.migrate(core, t, top.CM.Target, words)
 		return
 	}
-
 	if core.Kind.UsesLocalStore() {
 		// The caller's code may have been purged while the callee ran:
 		// repeat the lookup (§3.2.2).
 		vm.reenterCode(core, top.CM)
-	}
-	if hasVal {
-		top.push(val)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // aggregate over every job sharing the booted VM.
 type JobStats struct {
 	// Migrations counts cross-kind moves of the job's threads — both
-	// policy-driven marker migrations and the scheduler's cost-gated
+	// policy-driven call-site migrations and the scheduler's cost-gated
 	// moves.
 	Migrations uint64
 	// Steals counts same-kind work steals of the job's threads.

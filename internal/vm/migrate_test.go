@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -312,5 +313,139 @@ func TestMigrateMidLoopKeepsPC(t *testing.T) {
 	}
 	if th.Migrations != 1 || th.Kind != isa.PPE {
 		t.Errorf("thread migrated %d times and ended on %v, want once, on the PPE", th.Migrations, th.Kind)
+	}
+}
+
+// callAcross makes Returner.run's call to the RunOnPPE Ret.make
+// (buildReturnProg) from a thread running run on the SPE, through
+// invoke, and takes the thread off the PPE queue the call migrated it
+// to — where the scheduler's migration pass finds a thread it moves.
+func callAcross(t *testing.T, v *VM) *Thread {
+	t.Helper()
+	run := v.Prog.Lookup("Returner").MethodByName("run")
+	mk := v.Prog.Lookup("Ret").MethodByName("make")
+	cm, _, err := v.compileFor(isa.SPE, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := v.newThread(&Job{}, "w")
+	th.Kind, th.CoreID, th.State = isa.SPE, 0, StateRunning
+	f := newFrame(cm)
+	f.PC = 1 // past run's constant, on the call
+	f.push(retValue)
+	th.pushFrame(f)
+	if err := v.invoke(v.Machine.CoreAt(isa.SPE, 0), th, f, mk); err != nil {
+		t.Fatal(err)
+	}
+	if th.Kind != isa.PPE || th.Migrations != 1 || th.top().CM.M != mk {
+		t.Fatalf("the call to make did not migrate to the PPE: on %v after %d migrations", th.Kind, th.Migrations)
+	}
+	v.scheduler.Remove(v.Machine.CoreAt(isa.PPE, 0), th)
+	return th
+}
+
+// TestReturnToMovedCallerIsPlain: once the scheduler has moved a callee
+// back onto its caller's kind, no migration point is left between them,
+// and the return is a plain one — no migration counted, no migration
+// cost, no trip through the queue. A marker frame restating the
+// caller's kind made this return "migrate" from the SPE to the SPE.
+func TestReturnToMovedCallerIsPlain(t *testing.T) {
+	v, err := New(threeKindConfig(), buildReturnProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := callAcross(t, v)
+	spe, ppe := v.Machine.CoreAt(isa.SPE, 0), v.Machine.CoreAt(isa.PPE, 0)
+	if _, ok := v.onMigrate(th, ppe, spe, ppe.Now); !ok || th.Kind != isa.SPE || th.Migrations != 2 {
+		t.Fatalf("the scheduler's move back to the SPE: ok=%v, on %v after %d migrations", ok, th.Kind, th.Migrations)
+	}
+	th.State = StateRunning
+	readyAt := th.ReadyAt
+	v.returnFrom(spe, th, 7, true)
+	if th.Migrations != 2 || th.job.Stats.Migrations != 2 {
+		t.Errorf("the return to run on its own kind counted a migration: %d on the thread, %d on the job",
+			th.Migrations, th.job.Stats.Migrations)
+	}
+	if th.State != StateRunning || th.ReadyAt != readyAt {
+		t.Errorf("the return re-queued the thread (state %v, ready at %d, was %d)", th.State, th.ReadyAt, readyAt)
+	}
+	if f := th.top(); len(th.Frames) != 1 || f.SP != 1 || f.Stack[0] != 7 {
+		t.Errorf("run does not hold make's value: %d frames, top stack %v", len(th.Frames), f.Stack[:f.SP])
+	}
+}
+
+// TestMoveLeavesCallerCode: a scheduler move of a thread standing in a
+// callee that migrated recompiles only the frames above that migration
+// point. The caller keeps its own kind's code, and the callee's return
+// goes back to that kind. Recompiling every frame gave the caller VPU
+// code, which it then ran on the SPE.
+func TestMoveLeavesCallerCode(t *testing.T) {
+	v, err := New(threeKindConfig(), buildReturnProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := callAcross(t, v)
+	ppe, vpu := v.Machine.CoreAt(isa.PPE, 0), v.Machine.CoreAt(isa.VPU, 0)
+	if _, ok := v.onMigrate(th, ppe, vpu, ppe.Now); !ok || th.Kind != isa.VPU {
+		t.Fatalf("the scheduler's move to the VPU: ok=%v, on %v", ok, th.Kind)
+	}
+	if run, mk := th.Frames[0].CM.Target, th.top().CM.Target; run != isa.SPE || mk != isa.VPU {
+		t.Fatalf("after the move run has %v code and make %v code, want SPE and VPU", run, mk)
+	}
+	th.State = StateRunning
+	v.returnFrom(vpu, th, 7, true)
+	if th.Kind != isa.SPE || th.State != StateReady || th.Migrations != 3 {
+		t.Errorf("make's return: on %v, state %v, %d migrations; want queued for the SPE after 3",
+			th.Kind, th.State, th.Migrations)
+	}
+}
+
+// TestRehydrateKeepsCallerKind: a job frozen while a thread stands in a
+// callee that migrated lands with each frame compiled for the kind its
+// image names, so the caller resumes on its kind in its kind's code.
+// Compiling every frame for the thread's kind brought run back to the
+// SPE holding PPE code.
+func TestRehydrateKeepsCallerKind(t *testing.T) {
+	src, err := New(testConfig(), buildReturnProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := src.Submit(JobSpec{Name: "ret", Class: "Ret", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = src.runWhile(func() bool {
+		return j.done || len(j.threads) == 2 && j.threads[1].State == StateReady && j.threads[1].Kind == isa.PPE
+	})
+	if err != nil || j.done {
+		t.Fatalf("the worker never queued on the PPE inside make: done=%v err=%v", j.done, err)
+	}
+	img, err := src.Freeze(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(testConfig(), buildReturnProg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dj, err := dst.Rehydrate(img, 0, JobSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := dj.threads[1]
+	if w.Kind != isa.PPE {
+		t.Fatalf("the worker landed on %v, want the PPE it was frozen on", w.Kind)
+	}
+	if err := dst.runWhile(func() bool { return dj.done || w.State == StateReady && w.Kind == isa.SPE }); err != nil || dj.done {
+		t.Fatalf("the worker never queued back on the SPE: done=%v err=%v", dj.done, err)
+	}
+	if got := w.Frames[0].CM.Target; got != isa.SPE {
+		t.Errorf("run resumes on the SPE in %v code", got)
+	}
+	if _, err := dj.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := int32(uint32(dj.Root().Result)); got != retValue {
+		t.Errorf("result through the hand-off = %d, want %d", got, retValue)
 	}
 }

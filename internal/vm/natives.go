@@ -155,7 +155,6 @@ func (vm *VM) invokeNative(core *cell.Core, t *Thread, f *Frame, callee *classfi
 			// "In the case of a JNI method, the thread is migrated to
 			// the PPE core for the duration of the native method"
 			// (§3.2.3) — the service kind, in registry terms.
-			t.pushFrame(&Frame{Marker: true, ReturnKind: core.Kind})
 			t.pendingNative = &pendingNativeCall{native: n, ctx: ctx, callee: callee}
 			vm.migrate(core, t, vm.serviceKind(), nargs)
 			return nil
@@ -187,7 +186,8 @@ func (vm *VM) runComputeNative(core *cell.Core, t *Thread, f *Frame,
 }
 
 // resumePendingNative completes a JNI native after the thread arrived on
-// the PPE, then migrates it back with the result.
+// the PPE, then migrates it back with the result to the kind its caller
+// runs on.
 func (vm *VM) resumePendingNative(core *cell.Core, t *Thread) {
 	p := t.pendingNative
 	t.pendingNative = nil
@@ -200,14 +200,13 @@ func (vm *VM) resumePendingNative(core *cell.Core, t *Thread) {
 	if t.State != StateRunning {
 		return
 	}
-	// The migration marker is on top: the value lands in the caller
-	// beneath it, and the thread carries it back.
-	vm.pushNativeResult(t.Frames[len(t.Frames)-2], p.callee, p.ctx)
+	f := t.top()
+	vm.pushNativeResult(f, p.callee, p.ctx)
 	words := 0
 	if p.callee.Ret != classfile.Void {
 		words = 1
 	}
-	vm.migrate(core, t, t.top().ReturnKind, words)
+	vm.migrate(core, t, f.CM.Target, words)
 }
 
 // pushNativeResult pushes the declared return value (zero if the body

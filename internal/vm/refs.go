@@ -210,9 +210,6 @@ func (t *Thread) mapRefs(f refMap) {
 		mapKinds(p.ctx.Args, argKinds(p.callee), f)
 	}
 	for _, fr := range t.Frames {
-		if fr.Marker {
-			continue
-		}
 		stack, locals := fr.kinds()
 		mapKinds(fr.Locals, locals, f)
 		mapKinds(fr.Stack, stack, f)
@@ -253,11 +250,9 @@ func (img *JobImage) mapRefs(vm *VM, f refMap) {
 		mapSlot(&t.JavaObj, f)
 		for fi := range t.Frames {
 			fr := &t.Frames[fi]
-			if !fr.Marker {
-				stack, locals := fr.kinds(vm)
-				mapKinds(fr.Locals, locals, f)
-				mapKinds(fr.Stack, stack[:len(fr.Stack)], f)
-			}
+			stack, locals := fr.kinds(vm)
+			mapKinds(fr.Locals, locals, f)
+			mapKinds(fr.Stack, stack[:len(fr.Stack)], f)
 			mapSlot(&fr.SyncObj, f)
 		}
 	}

@@ -374,8 +374,9 @@ func buildReturnProg() *classfile.Program {
 }
 
 // onReturnTrip runs Ret.main until the worker is queued on its way back
-// from the PPE: a marker on top, and the box make returned on top of
-// run's operand stack beneath it.
+// from the PPE: make has returned, so run is its one frame, with the box
+// make returned on top of its operand stack, and it has migrated twice —
+// into make and back out.
 func onReturnTrip(t *testing.T) (*VM, *Job, Ref) {
 	t.Helper()
 	v, err := New(testConfig(), buildReturnProg())
@@ -393,7 +394,7 @@ func onReturnTrip(t *testing.T) (*VM, *Job, Ref) {
 		}
 		w = j.threads[1]
 		n := len(w.Frames)
-		return j.done || w.State == StateReady && n == 2 && w.top().Marker && w.Frames[0].SP == 1
+		return j.done || w.State == StateReady && n == 1 && w.Migrations == 2 && w.Frames[0].SP == 1
 	})
 	if err != nil || j.done {
 		t.Fatalf("the worker never queued on its return trip: done=%v err=%v", j.done, err)
@@ -430,7 +431,7 @@ func TestReturnAcrossMigrationIsAFrameSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := img.Threads[1].Frames
-		if len(fs) != 2 || !fs[1].Marker || len(fs[0].Stack) != 1 ||
+		if len(fs) != 1 || fs[0].Kind != isa.SPE.String() || len(fs[0].Stack) != 1 ||
 			fs[0].Stack[0] == 0 || img.Objects[fs[0].Stack[0]-1].Class != "Box" {
 			t.Fatalf("the worker is not frozen on its return trip with the box in run's frame: %+v", fs)
 		}

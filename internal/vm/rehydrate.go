@@ -1,8 +1,8 @@
 // Rehydrate: admitting a frozen JobImage on a target VM. The inverse
 // of Freeze (snapshot.go): rebuild the heap reachable set with fresh
 // allocations, re-link statics and class locks, reconstruct the thread
-// tree — recompiling every frame's method for the kind the thread lands
-// on and re-entering at the recorded PC, as cross-kind migration does —
+// tree — recompiling every frame's method for the kind its image names
+// and re-entering at the recorded PC, as cross-kind migration does —
 // and rebuild monitors and join edges.
 //
 // The walk is staged so a failure cannot leave the machine
@@ -139,28 +139,18 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 		}
 		live++
 
-		kind, err := isa.ParseCoreKind(it.Kind)
-		if err != nil || !vm.Machine.HasKind(kind) {
-			kind = vm.serviceKind()
-		}
-		vm.place(t, kind) // sets Kind/CoreID/needEnsure
+		// A freezable thread runs on its top frame's kind, so that kind
+		// places it (sets Kind/CoreID/needEnsure).
+		vm.place(t, vm.frameKind(&it.Frames[len(it.Frames)-1]))
 
-		// Rebuild frames, compiling for the landing kind and re-entering
-		// each at its recorded PC. Fresh compiles are charged to the
-		// thread's start, exactly as migration charges them.
+		// Rebuild frames, compiling each for its kind and re-entering it
+		// at its recorded PC. Fresh compiles are charged to the thread's
+		// start, exactly as migration charges them.
 		var compileCycles uint64
 		for _, fr := range it.Frames {
-			if fr.Marker {
-				rk, err := isa.ParseCoreKind(fr.ReturnKind)
-				if err != nil || !vm.Machine.HasKind(rk) {
-					rk = vm.serviceKind()
-				}
-				t.pushFrame(&Frame{Marker: true, ReturnKind: rk})
-				continue
-			}
 			cls := vm.Prog.Lookup(fr.Class)
 			m := cls.Methods[fr.Method]
-			cm, cycles, err := vm.compileFor(t.Kind, m)
+			cm, cycles, err := vm.compileFor(vm.frameKind(&fr), m)
 			if err != nil {
 				return nil, fmt.Errorf("vm: rehydrate %s: %w", img.Name, err)
 			}
@@ -232,8 +222,19 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 	return j, nil
 }
 
+// frameKind is the kind an image frame's code is compiled for on this
+// machine: the kind it names, or the service kind when the machine has
+// none of it.
+func (vm *VM) frameKind(fr *ImageFrame) isa.CoreKind {
+	kind, err := isa.ParseCoreKind(fr.Kind)
+	if err != nil || !vm.Machine.HasKind(kind) {
+		return vm.serviceKind()
+	}
+	return kind
+}
+
 // rehydrateFrame rebuilds one activation from its image on a compiled
-// method for the landing kind: PC, locals and operand stack move
+// method for its kind: PC, locals and operand stack move
 // untouched (a bytecode index is the PC on every kind, and frame state
 // between instructions is kind-independent; validateImage held all
 // three to the method's own shape, so they fit the arrays newFrame
@@ -251,7 +252,7 @@ func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 // machine state changes, in two steps. Shape: every class and method
 // resolves, every object carries exactly the payload its kind has at
 // exactly its size, thread indices are in range, a terminated thread
-// carries no frames, core kind or cooldown, and every frame has the
+// carries no frames or cooldown, and every frame has the
 // locals and operand depth the method's own verifier derives at its
 // bytecode index — so the executor cannot be handed a frame its code
 // would index out of, and refs.go's image walk, which types each frame
@@ -339,8 +340,8 @@ func (vm *VM) validateImage(img *JobImage) error {
 			if n > 0 {
 				return bad("thread %d: terminated, but carries %d frame(s)", i, n)
 			}
-			if it.Kind != "" || it.CooldownLeft != 0 {
-				return bad("thread %d: terminated, but carries a core kind %q or cooldown %d", i, it.Kind, it.CooldownLeft)
+			if it.CooldownLeft != 0 {
+				return bad("thread %d: terminated, but carries a cooldown of %d", i, it.CooldownLeft)
 			}
 			continue
 		}
@@ -377,23 +378,15 @@ func (vm *VM) validateImage(img *JobImage) error {
 }
 
 // validateFrames holds a live thread's frames to their methods' type
-// state. Every migration marker sits on a method frame — the caller a
-// resume pops the marker into. A frame awaiting a callee's value holds
-// one operand fewer than the verifier's state at its bytecode index —
-// its PC already points past the call, whose result the return will
-// push: that is a frame whose next non-marker frame above returns a
-// value. The frame beneath a top marker awaits nothing: a callee that
+// state. A frame awaits a callee's value exactly when the frame above it
+// returns one: it holds one operand fewer than the verifier's state at
+// its bytecode index — its PC already points past the call, whose result
+// the return will push. The top frame awaits nothing: a callee that
 // returned across a migration pushed its value there before leaving.
 func (vm *VM) validateFrames(it *ImageThread) error {
 	awaits := false // whether the frame in hand awaits a value from above
 	for fi := len(it.Frames) - 1; fi >= 0; fi-- {
 		fr := &it.Frames[fi]
-		if fr.Marker {
-			if fi == 0 || it.Frames[fi-1].Marker {
-				return fmt.Errorf("frame %d: migration marker on no method frame", fi)
-			}
-			continue
-		}
 		cls := vm.Prog.Lookup(fr.Class)
 		if cls == nil {
 			return fmt.Errorf("frame %d: unknown class %q", fi, fr.Class)

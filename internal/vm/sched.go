@@ -142,17 +142,12 @@ func (vm *VM) runWhile(stop func() bool) error {
 		t.State = StateRunning
 		vm.curJob = t.job // GC pauses bill to the executing job
 		vm.maybeAdapt(core)
-		if t.hasPendingMigrate {
-			t.hasPendingMigrate = false
-			if t.pendingMigrate != core.Kind {
-				// Complete a migration deferred by a blocked synchronized
-				// call: insert the marker beneath the callee frame.
-				nf := t.popFrame()
-				t.pushFrame(&Frame{Marker: true, ReturnKind: core.Kind})
-				t.pushFrame(nf)
-				vm.migrate(core, t, t.pendingMigrate, 0)
-				continue
-			}
+		if t.pendingNative == nil && t.crossing() {
+			// A synchronized call that blocked at its migration point was
+			// granted its monitor: complete the migration to its callee's
+			// kind.
+			vm.migrate(core, t, t.top().CM.Target, 0)
+			continue
 		}
 		vm.resumeAcquire(core, t)
 		if t.needEnsure {
@@ -214,7 +209,7 @@ func (vm *VM) pickNext() (*cell.Core, *Thread) {
 }
 
 // handoff is the one way a live thread changes core (steal, scheduler
-// or marker migration): it crosses edgeHandoff, so program order holds
+// or call-site migration): it crosses edgeHandoff, so program order holds
 // within the thread, and rebinds it. Returns when the thread may start:
 // readyAt, or the end of a local-store source's write-back if later.
 func (vm *VM) handoff(t *Thread, from, to *cell.Core, readyAt cell.Clock) cell.Clock {
@@ -309,12 +304,13 @@ func (vm *VM) observedCounters(task sched.Task) *profile.MethodCounters {
 // recompileEstimate is the migration pass's feasibility-and-cost probe
 // (sched.Options.RecompileCost): whether the thread can execute on the
 // target core's kind right now, and the predicted cycle cost of
-// compiling its frames' methods for that kind. A thread is migratable
-// when it carries no in-flight runtime state (a deferred migration, an
-// unwinding exception, a suspended native call); its frames need no
-// look — between instructions, which is the only place a queued thread
-// can be, frame state is the kind-independent state the verifier
-// describes, and a PC means the same on every kind. The estimate does not
+// compiling its moving frames' methods (Thread.movingFrames) for that
+// kind. A thread is migratable when it carries no in-flight runtime
+// state (a migration its next dispatch completes, an unwinding
+// exception, a suspended native call); its frames need no look —
+// between instructions, which is the only place a queued thread can be,
+// frame state is the kind-independent state the verifier describes, and
+// a PC means the same on every kind. The estimate does not
 // deduplicate repeated methods on the stack, so it slightly
 // overestimates recursive stacks — a conservative error: the gate only
 // gets harder to pass, and the migration itself charges actual
@@ -324,7 +320,7 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 	// Kernel workers never leave their core, and a FixedPolicy keeps
 	// every thread on its one kind.
 	_, fixed := vm.policy.(FixedPolicy)
-	if fixed || t.pinned || t.hasPendingMigrate || t.pendingThrow != 0 || t.pendingNative != nil {
+	if fixed || t.pinned || t.crossing() || t.pendingThrow != 0 || t.pendingNative != nil {
 		return 0, false
 	}
 	// Migration hysteresis: a thread that just migrated cross-kind is
@@ -338,10 +334,7 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 		return 0, false
 	}
 	var cost uint64
-	for _, f := range t.Frames {
-		if f.Marker || f.CM == nil {
-			continue
-		}
+	for _, f := range t.movingFrames() {
 		if c.Lookup(f.CM.M) == nil {
 			cost += c.CompileCycles(f.CM.M)
 		}
@@ -351,8 +344,10 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 
 // onMigrate is the scheduler's hook for cost-gated cross-kind
 // migration (sched.Options.OnMigrate): transplant the thread onto the
-// target core's kind. Every non-marker frame is recompiled for the
-// target (lazily — warm methods are free) and takes the new compilation;
+// target core's kind. Every frame above the innermost migration point
+// (Thread.movingFrames) is recompiled for the target (lazily — warm
+// methods are free) and takes the new compilation; a frame beneath keeps
+// the code of the kind a return goes back to;
 // its PC, locals and operand stack move untouched — every kind lowers a
 // bytecode to one instruction (jit.lowerOne), so all three mean the same
 // there. Fresh compile cycles are charged to the thread's start like a
@@ -369,11 +364,9 @@ func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock
 	vm.curJob = t.job // recompiles may intern and allocate: bill GC here
 	// Compile everything first so a late failure cannot leave the
 	// thread half-transplanted.
+	moving := t.movingFrames()
 	var compileCycles uint64
-	for _, f := range t.Frames {
-		if f.Marker || f.CM == nil {
-			continue
-		}
+	for _, f := range moving {
 		_, cycles, err := vm.compileFor(to.Kind, f.CM.M)
 		if err != nil {
 			return readyAt, false
@@ -384,10 +377,8 @@ func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock
 		compileCycles += cycles
 	}
 	landing := vm.handoff(t, from, to, readyAt)
-	for _, f := range t.Frames {
-		if !f.Marker && f.CM != nil {
-			f.CM = vm.compilers[to.Kind].Lookup(f.CM.M) // warm since the loop above
-		}
+	for _, f := range moving {
+		f.CM = vm.compilers[to.Kind].Lookup(f.CM.M) // warm since the loop above
 	}
 	readyAt = landing + compileCycles
 	t.ReadyAt = readyAt
@@ -457,8 +448,8 @@ const (
 
 // migrate hands t off to a core of another kind (one the machine has)
 // after the current instruction, charging the parameter-packaging and
-// transfer cost (§3.1). The caller must already have pushed the migration
-// marker (for call-site migrations) or arranged the frame stack.
+// transfer cost (§3.1). The caller must already have arranged the frame
+// stack: a callee pushed, or a value pushed into the caller it returns to.
 func (vm *VM) migrate(core *cell.Core, t *Thread, target isa.CoreKind, words int) {
 	to := vm.coreFor(target, vm.pickCore(target))
 	cost := migrationBaseCycles + migrationWordCycles*uint64(words)
@@ -471,14 +462,10 @@ func (vm *VM) migrate(core *cell.Core, t *Thread, target isa.CoreKind, words int
 // ensureTopFrame warms the software code cache for the method about to
 // execute (invoked when a thread lands on a local-store core).
 func (vm *VM) ensureTopFrame(core *cell.Core, t *Thread) {
-	if vm.ccaches[core.Index] == nil || len(t.Frames) == 0 {
+	if vm.ccaches[core.Index] == nil {
 		return
 	}
-	f := t.top()
-	if f.Marker || f.CM == nil {
-		return
-	}
-	vm.ensureCode(core, f.CM)
+	vm.ensureCode(core, t.top().CM)
 }
 
 // ensureCode runs the TOC/TIB/method lookup on a local-store core for a

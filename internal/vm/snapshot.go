@@ -13,8 +13,9 @@
 //
 // The safe-point contract: a job is freezable when every live thread is
 // Ready or Blocked (never mid-quantum), carries no in-flight runtime
-// state (a deferred migration, an unwinding exception, a suspended
-// native call). Freeze drives the machine toward that point: it
+// state (a migration its next dispatch completes, an unwinding
+// exception, a suspended native call) — so it runs on its top frame's
+// kind. Freeze drives the machine toward that point: it
 // raises a per-job freeze barrier that makes the executor park the job's
 // running threads before their next instruction instead of finishing
 // the quantum, then extracts the job. Freezing is part of the simulated
@@ -50,16 +51,14 @@ var ErrJobDone = errors.New("job already done")
 // with errors.Is.
 var ErrNotFreezable = errors.New("job not freezable")
 
-// ImageFrame is one serialized method activation. Non-marker frames
-// name their method portably — class name plus the method's index in
-// Class.Methods — and record the bytecode index, which is the frame's PC
-// on every kind: the target recompiles for its own cores' kinds and
-// re-enters there. Which slots hold a reference is not carried: the
-// verifier says, at that bytecode index (refs.go).
+// ImageFrame is one serialized method activation. A frame names its
+// method portably — class name plus the method's index in Class.Methods
+// — and the kind its code was compiled for, and records the bytecode
+// index, which is the frame's PC on every kind: the target recompiles
+// for that kind and re-enters there. Which slots hold a reference is not
+// carried: the verifier says, at that bytecode index (refs.go).
 type ImageFrame struct {
-	Marker     bool
-	ReturnKind string // marker frames: the kind to migrate back to
-
+	Kind   string
 	Class  string
 	Method int32
 	BC     int32
@@ -78,7 +77,6 @@ type ImageThread struct {
 	// ReadyDelay is ReadyAt minus the freeze clock for ready threads
 	// still waiting out a charged latency (a syscall round trip).
 	ReadyDelay uint64
-	Kind       string // core kind the thread was bound to (placement hint)
 	JavaObj    uint32 // image object ID of the java/lang/Thread instance
 
 	WaitCount    int32
@@ -88,7 +86,7 @@ type ImageThread struct {
 
 	// Result/Trap survive for terminated threads (a finished root's
 	// checksum must outlive a hand-off of its still-running siblings);
-	// a terminated thread carries no frames, Kind or CooldownLeft.
+	// a terminated thread carries no frames or CooldownLeft.
 	Result    uint64
 	HasResult bool
 	Trap      *TrapError
@@ -167,7 +165,7 @@ func (vm *VM) jobFreezable(j *Job) bool {
 		if t.State == StateRunning {
 			return false
 		}
-		if t.hasPendingMigrate || t.pendingThrow != 0 || t.pendingNative != nil {
+		if t.crossing() || t.pendingThrow != 0 || t.pendingNative != nil {
 			return false
 		}
 	}
@@ -465,9 +463,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			continue
 		}
 		for _, f := range t.Frames {
-			if !f.Marker {
-				cap.addClass(f.CM.M.Class)
-			}
+			cap.addClass(f.CM.M.Class)
 		}
 		t.mapRefs(cap.discover)
 	}
@@ -575,7 +571,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			img.Threads = append(img.Threads, it)
 			continue
 		}
-		it.Kind = t.Kind.String()
 		if t.cooldownUntil > frozenAt {
 			it.CooldownLeft = uint64(t.cooldownUntil - frozenAt)
 		}
@@ -588,11 +583,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			}
 		}
 		for _, f := range t.Frames {
-			if f.Marker {
-				it.Frames = append(it.Frames,
-					ImageFrame{Marker: true, ReturnKind: f.ReturnKind.String()})
-				continue
-			}
 			m := f.CM.M
 			mi := int32(-1)
 			for i, mm := range m.Class.Methods {
@@ -604,7 +594,7 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			if mi < 0 {
 				return nil, nil, fmt.Errorf("%w: method %s not in its class table", ErrNotFreezable, m.Sig())
 			}
-			fr := ImageFrame{Class: m.Class.Name, Method: mi, BC: int32(f.PC), SyncObj: f.SyncObj}
+			fr := ImageFrame{Kind: f.CM.Target.String(), Class: m.Class.Name, Method: mi, BC: int32(f.PC), SyncObj: f.SyncObj}
 			stack, locals := f.kinds()
 			fr.Locals, fr.Stack = imageSlots(f.Locals, locals), imageSlots(f.Stack, stack)
 			it.Frames = append(it.Frames, fr)

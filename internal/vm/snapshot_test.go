@@ -182,9 +182,7 @@ func freezeAt(t testing.TB, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
 	var pcs []int32
 	for _, th := range j.threads {
 		for _, f := range th.Frames {
-			if !f.Marker {
-				pcs = append(pcs, int32(f.PC))
-			}
+			pcs = append(pcs, int32(f.PC))
 		}
 	}
 	img, err := src.Freeze(context.Background(), j)
@@ -198,9 +196,7 @@ func freezeAt(t testing.TB, cycle cell.Clock) (*VM, *Job, *JobImage, bool) {
 		var bcs []int32
 		for _, it := range img.Threads {
 			for _, fr := range it.Frames {
-				if !fr.Marker {
-					bcs = append(bcs, fr.BC)
-				}
+				bcs = append(bcs, fr.BC)
 			}
 		}
 		if !reflect.DeepEqual(bcs, pcs) {
@@ -248,16 +244,17 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d: rehydrate: %v", cycle, err)
 		}
-		// Every frame lands on the kind its thread was placed on, at the PC
-		// the image recorded.
+		// Every frame lands on the kind its image names, at the PC the
+		// image recorded, and its thread on its top frame's kind.
 		for ti, th := range dj.threads {
 			for fi, f := range th.Frames {
-				if f.Marker {
-					continue
+				fr := img.Threads[ti].Frames[fi]
+				if f.CM.Target.String() != fr.Kind || int32(f.PC) != fr.BC {
+					t.Errorf("cycle %d: thread %d frame %d re-entered %v code at pc %d; image names %s at pc %d",
+						cycle, ti, fi, f.CM.Target, f.PC, fr.Kind, fr.BC)
 				}
-				if f.CM.Target != th.Kind || int32(f.PC) != img.Threads[ti].Frames[fi].BC {
-					t.Errorf("cycle %d: thread %d frame %d re-entered %v code at pc %d; placed on %v, image pc %d",
-						cycle, ti, fi, f.CM.Target, f.PC, th.Kind, img.Threads[ti].Frames[fi].BC)
+				if fi == len(th.Frames)-1 && f.CM.Target != th.Kind {
+					t.Errorf("cycle %d: thread %d placed on %v, its top frame runs %v code", cycle, ti, th.Kind, f.CM.Target)
 				}
 				if f.PC != 0 {
 					midMethod++
@@ -619,14 +616,6 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 		{"ref stack | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Threads[1].Frames[0].Stack[0] |= high }},
 		{"instance ref | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Objects[1].Slots[1] |= high }},
 		{"ref static | 1<<32", "reference 0x1000000", func(i *JobImage) { i.Statics[0].Slots[1] |= high }},
-		{"returned ref under a top marker | 1<<32", "reference 0x1000000", func(i *JobImage) {
-			// A callee returned the worker's top operand, a reference,
-			// across a migration: the value is in the worker's frame, and
-			// the marker stays on top until the thread lands back.
-			t := &i.Threads[1]
-			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"})
-			t.Frames[0].Stack[0] |= high
-		}},
 
 		// Payload sizes at full width, and one payload per object.
 		{"array length wraps to 0 bytes", "object 4: 0 payload bytes, not the 4294967296", func(i *JobImage) {
@@ -673,24 +662,12 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 			func(i *JobImage) { i.Threads[1].Terminated = true }},
 		{"live thread with no frames", "thread 1: live with no frames", func(i *JobImage) { i.Threads[1].Frames = nil }},
 		// A terminated thread is rehydrated from its name, result and
-		// counters only, so its placement fields must be zero. Both rows
-		// passed validation while captureJob still wrote them.
-		{"core kind on a terminated thread", `terminated, but carries a core kind "ppe"`, func(i *JobImage) {
+		// counters only, so its placement state must be zero. The row
+		// passed validation while captureJob still wrote it.
+		{"cooldown on a terminated thread", "terminated, but carries a cooldown of 1", func(i *JobImage) {
 			t := &i.Threads[1]
-			t.Terminated, t.Frames, t.CooldownLeft = true, nil, 0
-			t.Kind = "ppe"
-		}},
-		{"cooldown on a terminated thread", "or cooldown 1", func(i *JobImage) {
-			t := &i.Threads[1]
-			t.Terminated, t.Frames, t.Kind = true, nil, ""
+			t.Terminated, t.Frames = true, nil
 			t.CooldownLeft = 1
-		}},
-		{"marker on a marker", "frame 2: migration marker on no method frame", func(i *JobImage) {
-			// A marker is pushed beneath a callee frame, so the frame
-			// beneath one is the caller its return resumes.
-			t := &i.Threads[1]
-			t.Frames = append(t.Frames, ImageFrame{Marker: true, ReturnKind: "ppe"},
-				ImageFrame{Marker: true, ReturnKind: "ppe"})
 		}},
 	}
 	for _, row := range corrupt {

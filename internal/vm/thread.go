@@ -35,8 +35,10 @@ func (s ThreadState) String() string { return stateNames[s] }
 // (CM.M, PC) says so, as JikesRVM's baseline compiler reference maps do
 // (refs.go, Thread.mapRefs).
 //
-// A frame with Marker set is a migration marker (§3.1): it records the
-// core kind to return to, and holds no code.
+// CM.Target is the kind the frame's code was compiled for, which is the
+// kind it runs on: where two adjacent frames differ, the thread has a
+// migration point (§3.1), and a return across it migrates back to the
+// caller's kind.
 type Frame struct {
 	CM *jit.CompiledMethod
 	PC int
@@ -53,14 +55,8 @@ type Frame struct {
 	// runtime-monitoring placement policy.
 	ctr *profile.MethodCounters
 
-	// Marker marks a migration point; ReturnKind says which kind the
-	// thread migrates back to when the callee returns.
-	Marker     bool
-	ReturnKind isa.CoreKind
-
 	// vals is the array Locals and Stack are carved from; it outlives
-	// the activation on the thread's free list (nil on a frame built as a
-	// marker).
+	// the activation on the thread's free list.
 	vals []uint64
 }
 
@@ -149,15 +145,11 @@ type Thread struct {
 	// kernel links a worker (and its blocked caller) to the launch it
 	// belongs to; nil for ordinary threads.
 	kernel *kernelLaunch
-	// pendingMigrate defers a placement decision that could not be acted
-	// on immediately (blocked synchronized call at a migration point).
-	pendingMigrate    isa.CoreKind
-	hasPendingMigrate bool
 	// pendingNative carries a JNI native across the SPE->PPE migration.
 	pendingNative *pendingNativeCall
 	// pendingThrow carries an in-flight exception across a migration
-	// boundary during unwinding (0 = none: a null exception never
-	// reaches a marker).
+	// point during unwinding (0 = none: a null exception is never
+	// dispatched).
 	pendingThrow Ref
 
 	// Trap records the error that killed the thread, if any.
@@ -190,31 +182,44 @@ type Thread struct {
 
 func (t *Thread) top() *Frame { return t.Frames[len(t.Frames)-1] }
 
-// hotCounters returns the profile counters of the thread's innermost
-// profiled frame (markers and native-suspension frames carry none) —
+// hotCounters returns the profile counters of the thread's top frame —
 // the method whose observed behaviour the behaviour-aware task-cost
-// predictor prices placement by. Nil when no frame is profiled yet.
+// predictor prices placement by. Nil for a thread with no frame.
 func (t *Thread) hotCounters() *profile.MethodCounters {
-	for i := len(t.Frames) - 1; i >= 0; i-- {
-		if c := t.Frames[i].ctr; c != nil {
-			return c
-		}
+	if len(t.Frames) == 0 {
+		return nil
 	}
-	return nil
+	return t.top().ctr
+}
+
+// crossing reports whether t is queued on another kind than its top
+// frame was compiled for: a synchronized call that blocked at its
+// migration point, or a native suspended across one. Its next dispatch
+// moves it; nothing else may.
+func (t *Thread) crossing() bool { return len(t.Frames) > 0 && t.top().CM.Target != t.Kind }
+
+// movingFrames returns the frames a cross-kind move of t recompiles:
+// those above its innermost migration point, which share the top frame's
+// kind. A frame beneath keeps its code — a return goes back to its kind.
+func (t *Thread) movingFrames() []*Frame {
+	n := len(t.Frames)
+	i := n
+	for i > 0 && t.Frames[i-1].CM.Target == t.Frames[n-1].CM.Target {
+		i--
+	}
+	return t.Frames[i:]
 }
 
 func (t *Thread) pushFrame(f *Frame) { t.Frames = append(t.Frames, f) }
 
+// popFrame pops the top frame onto the thread's free list: the caller
+// may read it only until the thread's next newFrame reuses it.
 func (t *Thread) popFrame() *Frame {
 	f := t.Frames[len(t.Frames)-1]
 	t.Frames = t.Frames[:len(t.Frames)-1]
+	t.free = append(t.free, f)
 	return f
 }
-
-// recycle puts a popped frame that no code will read again on the
-// thread's free list. It is called where a frame dies, not from
-// popFrame: a frame popped to be re-pushed above a marker is alive.
-func (t *Thread) recycle(f *Frame) { t.free = append(t.free, f) }
 
 // newFrame is newFrame(cm) on the most recently recycled frame, when
 // there is one.

@@ -37,10 +37,8 @@ func (vm *VM) raise(core *cell.Core, t *Thread, err error) {
 		fallback = &TrapError{Kind: name, Detail: vm.throwableMessage(exRef)}
 		if len(t.Frames) > 0 {
 			f := t.top()
-			if f.CM != nil {
-				fallback.Method = f.CM.M.Sig()
-				fallback.PC = f.PC
-			}
+			fallback.Method = f.CM.M.Sig()
+			fallback.PC = f.PC
 		}
 	case *TrapError:
 		fallback = e
@@ -101,8 +99,8 @@ func (vm *VM) throwableMessage(ex Ref) string {
 // the top frame itself faulted and 1 when unwinding resumes in a caller
 // (whose PC already points past the faulting call). It returns false
 // when the exception is uncaught; it returns true both when a handler
-// took over and when unwinding crossed a migration marker (the thread
-// migrates back and continues unwinding on the original core type).
+// took over and when unwinding reached a frame compiled for another kind
+// (the thread migrates back and continues unwinding on that kind).
 func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bool {
 	if exRef == 0 {
 		return false
@@ -115,14 +113,12 @@ func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bo
 
 	for len(t.Frames) > 0 {
 		f := t.top()
-		if f.Marker {
-			// The throwing method was entered through a migration: return
-			// to the origin core type carrying the in-flight exception
-			// (§3.1's marker protocol, here on the unwind path).
-			t.popFrame()
+		if f.CM.Target != core.Kind {
+			// The frame to unwind into lies across a migration point:
+			// return to its kind carrying the in-flight exception (§3.1's
+			// return path, here on the unwind).
 			t.pendingThrow = exRef
-			vm.migrate(core, t, f.ReturnKind, 1)
-			t.recycle(f)
+			vm.migrate(core, t, f.CM.Target, 1)
 			return true
 		}
 		pc := f.PC - pcAdj
@@ -150,7 +146,7 @@ func (vm *VM) dispatchThrow(core *cell.Core, t *Thread, exRef Ref, pcAdj int) bo
 		if f.SyncObj != 0 {
 			_ = vm.monitorExit(core, t, f.SyncObj)
 		}
-		t.recycle(t.popFrame())
+		t.popFrame()
 		pcAdj = 1
 	}
 	return false

@@ -222,7 +222,7 @@ func TestUnwindReleasesSynchronizedMonitor(t *testing.T) {
 }
 
 func TestExceptionAcrossMigrationBoundary(t *testing.T) {
-	// The paper's marker protocol on the unwind path: a method annotated
+	// The paper's migration protocol on the unwind path: a method annotated
 	// RunOnSPE throws on the SPE; the handler lives in the PPE-side
 	// caller. The thread must migrate back mid-unwind and the handler
 	// must run on the PPE.

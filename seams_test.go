@@ -38,9 +38,15 @@ var seams = []struct {
 		[]string{"."}, nil},
 	// "Job hand-off": a callee that returned across a migration pushed
 	// its value into the caller's frame, so nothing else carries it, and
-	// a marker records only the kind to return to.
+	// the caller's own code says which kind the return goes back to.
 	{"a returned value travels in its caller's frame",
 		`pendingVal|pendingHasVal|pendingIsRef|setPending|awaitsRef|PendingVal|PendingHasVal|ReturnCore|hasPendingThrow`,
+		[]string{"."}, nil},
+	// "The scheduler contract", kind changes: each frame's code names the
+	// kind it runs on, so a migration point is where two adjacent frames
+	// differ — no frame or thread field restates it.
+	{"a migration point is two adjacent frames on different kinds",
+		`\.Marker\b|Marker:|ReturnKind|pendingMigrate|hasPendingMigrate`,
 		[]string{"."}, nil},
 	// "Host-side tables are sized by use": Asm.Build writes bound
 	// positions into the instructions, so labels end there.
