@@ -2,8 +2,9 @@
 // workload ships two entry points over one shared body class — a
 // scalar twin that runs the whole iteration space sequentially, and a
 // kernel twin whose main calls hera/Parallel.forRange(0, n, body). The
-// launch picks the machine's cheapest SPMD pool (the VPUs here, SPEs
-// on a plain PS3), fans one pinned worker out per core, stages each
+// launch picks the core pool predicted to finish it first (the four
+// SPEs on both shapes here: two VPUs would each run twice the rows),
+// fans one pinned worker out per core, stages each
 // worker's tiles into its scratchpad over double-buffered DMA, and
 // joins at a barrier. The demo runs both twins on both machine shapes
 // and prints the speedups; every run must produce the same checksum.

@@ -424,6 +424,27 @@ func (d *DataCache) StageArray(now cell.Clock, dataAddr mem.Addr, dataSize, maxB
 	return now, staged
 }
 
+// HitCycles is what one access that hits costs: the probe, then the
+// local-store access.
+func (d *DataCache) HitCycles() uint64 { return dcProbeCycles + dcAccessCycles }
+
+// StageCycles predicts what StageArray costs a worker whose cache holds
+// none of the array, and how many bytes it stages, moving nothing: a
+// probe and an insert per block, and the wait for the leading block's
+// DMA on an idle bus.
+func (d *DataCache) StageCycles(dataSize, maxBytes uint32) (uint64, uint32) {
+	blk := d.cfg.ArrayBlock
+	staged := dataSize
+	if staged > maxBytes {
+		staged = maxBytes / blk * blk
+	}
+	if staged == 0 {
+		return 0, 0
+	}
+	blocks := uint64((staged + blk - 1) / blk)
+	return blocks*(dcProbeCycles+dcInsertCycles) + d.core.MFC.Latency(min(blk, staged)), staged
+}
+
 // flushAll writes back every dirty entry (in insertion order, which the
 // order slice preserves across retirements) and, when invalidate is set,
 // drops all entries and resets the bump pointer. Invalidation bumps the

@@ -99,3 +99,21 @@ func TestStageArrayRespectsBudgetAndCapacity(t *testing.T) {
 		t.Errorf("restage moved %d bytes, %d new transfers", staged, dc.core.Stats.DMATransfers-before)
 	}
 }
+
+// TestStageCyclesPredictsAColdStage: on an empty cache and an idle bus,
+// StageCycles is what StageArray then charges and stages — within the
+// budget, cut at it, and for a part block — and predicting moves
+// nothing.
+func TestStageCyclesPredictsAColdStage(t *testing.T) {
+	for _, c := range []struct{ size, budget uint32 }{{4096, 1 << 20}, {8192, 2048}, {1500, 4096}, {700, 512}} {
+		_, dc := newDC(t, 0)
+		cycles, want := dc.StageCycles(c.size, c.budget)
+		if dc.core.Stats.DMATransfers != 0 || dc.Entries() != 0 {
+			t.Fatalf("%+v: predicting moved %d transfers, %d entries", c, dc.core.Stats.DMATransfers, dc.Entries())
+		}
+		now, staged := dc.StageArray(0, 0x8000, c.size, c.budget)
+		if staged != want || uint64(now) != cycles {
+			t.Errorf("%+v: predicted %d bytes in %d cycles, staged %d in %d", c, want, cycles, staged, now)
+		}
+	}
+}

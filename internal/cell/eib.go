@@ -80,10 +80,7 @@ func NewEIB(cfg EIBConfig) *EIB {
 // Transfer reserves channel time for n bytes requested at time now and
 // returns the completion time.
 func (e *EIB) Transfer(now Clock, n uint32) Clock {
-	dur := Clock(e.cfg.ArbCycles) + Clock(float64(n)/e.cfg.BytesPerCycle)
-	if dur == 0 {
-		dur = 1
-	}
+	dur := e.Duration(n)
 
 	// The earliest gap over all channels, ties to the lower index. No
 	// channel can start before now, so the first one free at now wins.
@@ -113,6 +110,12 @@ func (e *EIB) Transfer(now Clock, n uint32) Clock {
 
 	e.prune(now)
 	return bestStart + dur
+}
+
+// Duration is the channel time a transfer of n bytes occupies:
+// arbitration plus payload, at least one cycle.
+func (e *EIB) Duration(n uint32) Clock {
+	return max(Clock(e.cfg.ArbCycles)+Clock(float64(n)/e.cfg.BytesPerCycle), 1)
 }
 
 // gapAt finds the earliest start >= now of a gap of length dur in a

@@ -113,6 +113,13 @@ func (m *MFC) grow(end uint64) {
 	*m.ls = grown
 }
 
+// Latency is what a transfer of n bytes takes on an idle bus: command
+// setup, then the EIB's arbitration and payload. It reserves nothing,
+// so a caller may predict a transfer without moving a simulated number.
+func (m *MFC) Latency(n uint32) Clock {
+	return Clock(m.cfg.SetupCycles) + m.eib.Duration(max(n, m.cfg.MinTransfer))
+}
+
 // CostOnly models a transfer's timing without moving data: the same
 // Transfers, Bytes and EIB reservation as a DMA of n bytes, with no
 // copy. It serves traffic whose bytes the simulator never reads back —

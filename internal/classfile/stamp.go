@@ -1,6 +1,9 @@
 package classfile
 
-import "maps"
+import (
+	"maps"
+	"slices"
+)
 
 // Stamp declares a copy of classes — classes of this program, built and
 // not yet resolved — each under the name rename gives it. The copy
@@ -13,37 +16,48 @@ import "maps"
 // the copy's own class, field or method wherever the original names one
 // of classes; names outside classes are kept.
 func (p *Program) Stamp(classes []*Class, rename func(string) string) {
-	names := 0
-	for _, c := range classes {
-		names += 1 + len(c.Fields) + len(c.Statics) + len(c.Methods)
-	}
-	copyOf := make(map[any]any, names)
-	for _, c := range classes {
+	copies := make([]*Class, len(classes))
+	for i, c := range classes {
 		k := p.NewClass(rename(c.Name), c.Super)
 		k.IsInterface = c.IsInterface
-		copyOf[c] = k
+		copies[i] = k
 		for _, f := range c.Fields {
-			copyOf[f] = k.addField(f.Name, f.Type, false, f.Volatile)
+			k.addField(f.Name, f.Type, false, f.Volatile)
 		}
 		for _, f := range c.Statics {
-			copyOf[f] = k.addField(f.Name, f.Type, true, f.Volatile)
+			k.addField(f.Name, f.Type, true, f.Volatile)
 		}
 		for _, m := range c.Methods {
 			n := k.NewMethod(m.Name, m.Flags, m.Ret, m.Params...)
 			n.Code, n.MaxLocals, n.NativeTag = m.Code, m.MaxLocals, m.NativeTag
 			n.Annotations = maps.Clone(m.Annotations)
-			copyOf[m] = n
 		}
 	}
+	// mapped is the copy's own class, field or method standing where x
+	// stands in one of classes, or x itself when x is none of theirs.
 	mapped := func(x any) any {
-		if y, ok := copyOf[x]; ok {
-			return y
+		switch x := x.(type) {
+		case *Class:
+			if i := slices.Index(classes, x); i >= 0 {
+				return copies[i]
+			}
+		case *Field:
+			if i := slices.Index(classes, x.Class); i >= 0 {
+				if x.Static {
+					return copies[i].Statics[slices.Index(x.Class.Statics, x)]
+				}
+				return copies[i].Fields[slices.Index(x.Class.Fields, x)]
+			}
+		case *Method:
+			if i := slices.Index(classes, x.Class); i >= 0 {
+				return copies[i].Methods[slices.Index(x.Class.Methods, x)]
+			}
 		}
 		return x
 	}
 	class := func(c *Class) *Class { return mapped(c).(*Class) }
-	for _, c := range classes {
-		k := copyOf[c].(*Class)
+	for ci, c := range classes {
+		k := copies[ci]
 		k.Super = class(c.Super)
 		for _, i := range c.Interfaces {
 			k.Interfaces = append(k.Interfaces, class(i))

@@ -163,11 +163,14 @@ func TestCheckFailureArms(t *testing.T) {
 		edit(s)
 		return s
 	}
+	// kernels is a shape's matmul row, after edit, beside a PPE
+	// reference that neither stages nor clears the floor.
 	kernels := func(edit func(*KernelsRow)) *KernelsSweep {
-		row := KernelsRow{Workload: "matmul", Topology: "ppe:1,spe:4,vpu:2", Pool: "vpu",
-			Speedup: 2.1, Workers: 2, DMABytes: 4096, Valid: true}
+		row := KernelsRow{Workload: "matmul", Topology: "ppe:1,spe:4,vpu:2", Shape: true, Pool: "spe",
+			Speedup: 3.4, VsBest: 1, Workers: 4, DMABytes: 4096, Valid: true}
 		edit(&row)
-		return &KernelsSweep{Rows: []KernelsRow{row}}
+		ref := KernelsRow{Workload: "matmul", Topology: "ppe:1", Pool: "ppe", Speedup: 1, Workers: 1, Valid: true}
+		return &KernelsSweep{Rows: []KernelsRow{row, ref}}
 	}
 	// fastPathCell compares a stepped run with a fast one that took the
 	// memoized path for some of its work, after edit.
@@ -225,9 +228,13 @@ func TestCheckFailureArms(t *testing.T) {
 		{"clean kernels", kernels(func(*KernelsRow) {}), floor, ""},
 		{"invalid kernel row", kernels(func(r *KernelsRow) { r.Valid = false }), floor, "matmul on ppe:1,spe:4,vpu:2: checksum mismatch"},
 		{"zero DMA", kernels(func(r *KernelsRow) { r.DMABytes = 0 }), floor, "matmul on ppe:1,spe:4,vpu:2: kernel billed no staging DMA"},
+		{"zero DMA on the PPE", kernels(func(r *KernelsRow) { r.Pool, r.DMABytes = "ppe", 0 }), floor, ""},
 		{"kernels below floor", kernels(func(r *KernelsRow) { r.Speedup = 1.5 }), floor, "matmul on ppe:1,spe:4,vpu:2: speedup 1.50x"},
-		{"floor never applied", kernels(func(r *KernelsRow) { r.Pool = "spe" }), floor, "no matmul row ran on a VPU pool"},
-		{"no floor, no VPU", kernels(func(r *KernelsRow) { r.Pool = "spe" }), Options{}, ""},
+		{"plan behind its best pool", kernels(func(r *KernelsRow) { r.Pool, r.VsBest = "vpu", 1.62 }), floor,
+			"matmul on ppe:1,spe:4,vpu:2: the vpu plan takes 1.620x the cycles of the best single pool"},
+		{"plan within slack", kernels(func(r *KernelsRow) { r.VsBest = 1.02 }), floor, ""},
+		{"floor never applied", kernels(func(r *KernelsRow) { r.Workload = "nbody" }), floor, "no matmul row ran"},
+		{"no floor, no matmul", kernels(func(r *KernelsRow) { r.Workload = "nbody" }), Options{}, ""},
 
 		{"clean figure 6", fig6(func(map[string]*CacheSweepRow) {}), Options{}, ""},
 		{"figure 6 without mpegaudio", fig6(func(rows map[string]*CacheSweepRow) { delete(rows, "mpegaudio") }), Options{}, ""},

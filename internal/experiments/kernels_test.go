@@ -16,23 +16,25 @@ func kernelsQuickOpt() Options {
 }
 
 // TestRunKernelsDifferentialAndGate: the quick sweep must produce a
-// valid row per (workload, topology), bill staging DMA everywhere, and
-// pass its own gate at a floor every topology clears at scale 1.
+// valid row per (workload, machine) — the four shapes and their three
+// further single-pool references — bill staging DMA on every
+// local-store pool, and pass its own gate at a floor every shape clears
+// at scale 1.
 func TestRunKernelsDifferentialAndGate(t *testing.T) {
 	s, err := RunKernels(kernelsQuickOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Rows) != 6 {
-		t.Fatalf("got %d rows, want 3 workloads x 2 topologies", len(s.Rows))
+	if len(s.Rows) != 21 {
+		t.Fatalf("got %d rows, want 3 workloads x (4 shapes + 3 references)", len(s.Rows))
 	}
 	for _, r := range s.Rows {
 		if !r.Valid {
 			t.Errorf("%s on %s: invalid (checksum %d)", r.Workload, r.Topology, r.Checksum)
 		}
-		if r.DMABytes == 0 || r.Workers == 0 {
-			t.Errorf("%s on %s: workers=%d dma=%d, want both nonzero",
-				r.Workload, r.Topology, r.Workers, r.DMABytes)
+		if r.Workers == 0 || (r.DMABytes == 0) != (r.Pool == "ppe") {
+			t.Errorf("%s on %s: workers=%d dma=%d on a %s pool, want workers, and DMA off the PPE",
+				r.Workload, r.Topology, r.Workers, r.DMABytes, r.Pool)
 		}
 	}
 	if err := s.Check(Options{MinSpeedup: 1.0}); err != nil {
@@ -43,21 +45,57 @@ func TestRunKernelsDifferentialAndGate(t *testing.T) {
 	}
 }
 
-// TestRunKernelsPoolChoice: the reported pool must follow the planner —
-// SPEs on the PS3 baseline, VPUs on the three-kind machine.
+// TestRunKernelsPoolChoice: the reported pool is the one the launch ran
+// on, and the planner picks the pool that finishes first — the four
+// SPEs over the two VPUs on the three-kind machine, the VPUs over two
+// SPEs for the FP-heavy matmul and nbody but not for the branchy kmeans
+// — and each reference runs on its own pool.
 func TestRunKernelsPoolChoice(t *testing.T) {
 	s, err := RunKernels(kernelsQuickOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		cell.PS3Topology(6).String():    "spe",
-		DefaultServeTopology().String(): "vpu",
+		"ppe:1,spe:6":              "spe",
+		"ppe:1,spe:4,vpu:2":        "spe",
+		"ppe:1,vpu:2":              "vpu",
+		"ppe:1":                    "ppe",
+		"ppe:1,spe:4":              "spe",
+		"ppe:1,spe:2":              "spe",
+		"ppe:1,spe:2,vpu:2 matmul": "vpu",
+		"ppe:1,spe:2,vpu:2 nbody":  "vpu",
+		"ppe:1,spe:2,vpu:2 kmeans": "spe",
 	}
 	for _, r := range s.Rows {
-		if r.Pool != want[r.Topology] {
-			t.Errorf("%s on %s: pool %q, want %q", r.Workload, r.Topology, r.Pool, want[r.Topology])
+		w, ok := want[r.Topology]
+		if !ok {
+			w = want[r.Topology+" "+r.Workload]
 		}
+		if r.Pool != w {
+			t.Errorf("%s on %s: pool %q, want %q", r.Workload, r.Topology, r.Pool, w)
+		}
+	}
+}
+
+// TestRunKernelsPlansPPEHeavyShapes: where a PPE pool competes with
+// local-store pools, the plan still takes at most planSlack times its
+// best single pool — the price charges each kind's memory hits, which
+// the PPE's hardware cache serves cheaper than a software cache probe.
+func TestRunKernelsPlansPPEHeavyShapes(t *testing.T) {
+	opt := kernelsQuickOpt()
+	for _, shape := range []string{"ppe:4,spe:3", "ppe:2,spe:2,vpu:1"} {
+		topo, err := cell.ParseTopology(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Topologies = append(opt.Topologies, topo)
+	}
+	s, err := RunKernels(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(Options{}); err != nil {
+		t.Error(err)
 	}
 }
 

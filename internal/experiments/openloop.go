@@ -40,8 +40,10 @@ var serveScales = map[string]int{
 // DefaultServeTopology returns the three-kind machine every figure
 // beyond the PS3 shape shares — the serve driver's machine, the default
 // cluster shard, and a row of the topo, fastpath and kernels sweeps:
-// a kind-imbalanced shape whose SPE pool round-robin jobs overload
-// while two VPUs (and the lone PPE between job mains) idle.
+// a kind-imbalanced shape whose SPE pool round-robin jobs overload —
+// kernel launches included, since four SPEs finish them before two
+// VPUs would — while the VPUs (and the lone PPE between job mains)
+// take only what migration sends them.
 func DefaultServeTopology() cell.Topology {
 	return cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},

@@ -20,6 +20,7 @@ import (
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
+	"herajvm/internal/isa"
 	"herajvm/internal/profile"
 	"herajvm/internal/vm"
 	"herajvm/internal/workloads"
@@ -75,9 +76,9 @@ type Options struct {
 	// context's error instead of hanging CI. herabench wires -timeout
 	// to it.
 	Ctx context.Context
-	// MinSpeedup is the opt-in floor the kernels figure's Check holds its
-	// matmul kernel-vs-scalar cycle ratio on a VPU pool to (0 = no floor;
-	// herabench -minspeedup).
+	// MinSpeedup is the opt-in floor the kernels figure's Check holds the
+	// matmul kernel-vs-scalar cycle ratio of every topology's chosen plan
+	// to (0 = no floor; herabench -minspeedup).
 	MinSpeedup float64
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
@@ -152,7 +153,9 @@ type RunStats struct {
 	DataCache, CodeCache uint32
 	// Job is the run's job-level accounting (kernel launches, workers
 	// and staging DMA included): every run goes through the job API.
-	Job vm.JobStats
+	// KernelPool is the kind its last kernel launch ran on.
+	Job        vm.JobStats
+	KernelPool isa.CoreKind
 }
 
 // bench is one guest program a figure runs: how to build it for a
@@ -242,6 +245,8 @@ func collect(machine *vm.VM, job *vm.Job) RunStats {
 		Cycles:   machine.Machine.MaxClock(),
 		Checksum: int32(uint32(job.Root().Result)),
 		Job:      job.Stats,
+
+		KernelPool: job.KernelPool(),
 	}
 	localStore := false
 	for _, c := range machine.Machine.Cores() {

@@ -76,15 +76,6 @@ type KindSpec struct {
 	// VPU sets 1.5: cheap FP does not make scalar, branchy work fast).
 	// Values below 1 would advertise a kind as a preferred sink.
 	MigrateAffinity float64
-
-	// SPMDWidth is the number of data lanes one core of this kind
-	// retires per data-parallel kernel iteration step: the effective
-	// vector width a fan-out launch may assume when ranking pools.
-	// Zero means scalar (width 1). Only the kernel-offload launch
-	// planner consults it; the cycle-accurate interpreter charges the
-	// kind's ordinary cost table either way, so a wide kind must also
-	// price its FP/memory ops accordingly for the width to be honest.
-	SPMDWidth uint8
 }
 
 // kindSpecs is the kind table: kindSpecs[k] describes kind k. The VPU's
@@ -212,17 +203,6 @@ func (k CoreKind) MigrateAffinity() float64 {
 		return 1
 	}
 	return s.MigrateAffinity
-}
-
-// SPMDWidth is the number of data-parallel lanes one core of this kind
-// advances per kernel iteration step, as advertised to the kernel
-// launch planner. An unset spec (zero) normalizes to scalar width 1.
-func (k CoreKind) SPMDWidth() int {
-	s := spec(k)
-	if s.SPMDWidth == 0 {
-		return 1
-	}
-	return int(s.SPMDWidth)
 }
 
 // CodePressure is the kind's mean encoded instruction size in bytes —

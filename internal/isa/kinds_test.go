@@ -133,17 +133,3 @@ func TestMigrateAffinity(t *testing.T) {
 		t.Errorf("VPU affinity = %v, want > 1 (reluctant target)", got)
 	}
 }
-
-// TestSPMDWidth: scalar kinds normalize to width 1; the VPU advertises
-// its wide lanes to the kernel launch planner.
-func TestSPMDWidth(t *testing.T) {
-	if got := PPE.SPMDWidth(); got != 1 {
-		t.Errorf("PPE SPMD width = %d, want 1", got)
-	}
-	if got := SPE.SPMDWidth(); got != 1 {
-		t.Errorf("SPE SPMD width = %d, want 1", got)
-	}
-	if got := VPU.SPMDWidth(); got <= 1 {
-		t.Errorf("VPU SPMD width = %d, want > 1", got)
-	}
-}

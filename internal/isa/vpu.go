@@ -17,10 +17,6 @@ var vpuSpec = KindSpec{
 	// punishes, so the cross-kind cost gate prices a VPU service
 	// quantum half again over its clock-time cost.
 	MigrateAffinity: 1.5,
-	// Eight data lanes per kernel iteration step: the SPMD fan-out
-	// planner weighs one VPU core as eight scalar lanes when ranking
-	// pools for a data-parallel launch.
-	SPMDWidth: 8,
 }
 
 // VPUCosts returns the cost table for the Vector Processing Unit.

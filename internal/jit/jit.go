@@ -88,6 +88,8 @@ type Compiler struct {
 	bodies       map[uint64]*body
 	code         []isa.Instr
 	tables, keys [][]int32
+	// nest is StaticCost's scratch.
+	nest []int32
 
 	// lowering is the scratch every block of this compiler's methods is
 	// lowered in (see microCompiler).
@@ -207,6 +209,86 @@ func (c *Compiler) intern(cm *CompiledMethod, h uint64) *body {
 	bd.sbIdx = discoverSuperblocks(bd.code)
 	c.bodies[h] = bd
 	return bd
+}
+
+// LoopTrips is the trip count StaticCost assumes of every loop, and
+// maxLoopDepth the deepest nest it weights: a deeper instruction counts
+// as one at that depth, which keeps every cost far from overflow.
+const (
+	LoopTrips    = 8
+	maxLoopDepth = 4
+)
+
+// StaticCost predicts m's cycles for one call on this compiler's kind,
+// by operation class, from its lowered code alone: each instruction's
+// cost, times LoopTrips for every loop around it, plus half the kind's
+// taken-branch penalty on every conditional branch (a static guess of
+// taken half the time), plus hitCycles — what the kind's memory path
+// charges an access that hits — for every memory touch: two for an
+// array element (its length word, then the element), one for any other
+// memory instruction. A backward branch closes a loop from its target;
+// a header's loop runs to its furthest such branch. It lowers into the
+// compiler's scratch and nothing else — no CompiledMethod is registered,
+// no code address allocated and no compile billed — so a caller may
+// price a method on a kind that will never run it without moving any
+// simulated number.
+func (c *Compiler) StaticCost(m *classfile.Method, hitCycles uint64) (cost [isa.NumClasses]uint64, err error) {
+	if m.IsNative() || m.IsAbstract() || m.Code == nil {
+		return cost, fmt.Errorf("jit: cannot price %s (no bytecode)", m.Sig())
+	}
+	var cm CompiledMethod
+	if err := c.lowerInto(&cm, m); err != nil {
+		return cost, err
+	}
+	code := cm.Code
+	// nest[h] is first where h's loop ends, then, visiting h from the
+	// back, how the nesting depth changes at h: each end index is past
+	// its header, so it has been visited by the time a decrement lands.
+	nest := slices.Grow(c.nest[:0], len(code)+1)[:len(code)+1]
+	clear(nest)
+	for pc, in := range code {
+		if t, _, ok := branchTarget(in); ok && int(t) <= pc {
+			nest[t] = max(nest[t], int32(pc+1))
+		}
+	}
+	for h := len(code) - 1; h >= 0; h-- {
+		if end := nest[h]; end > 0 {
+			nest[h] = 1
+			nest[end]--
+		}
+	}
+	depth := int32(0)
+	for pc, in := range code {
+		depth += nest[pc]
+		w := uint64(1)
+		for range min(depth, maxLoopDepth) {
+			w *= LoopTrips
+		}
+		cost[in.Op.Class()] += w * uint64(in.Cost)
+		if _, cond, _ := branchTarget(in); cond {
+			cost[isa.ClassBranch] += w * uint64(c.costs.BranchTakenExtra) / 2
+		}
+		switch {
+		case in.Op == isa.OpALoad || in.Op == isa.OpAStore:
+			cost[isa.ClassLocalMem] += w * 2 * hitCycles
+		case memOp(in.Op):
+			cost[isa.ClassLocalMem] += w * hitCycles
+		}
+	}
+	c.nest = nest
+	return cost, nil
+}
+
+// branchTarget returns the target of a goto or a conditional branch,
+// whether it is conditional, and whether in is either.
+func branchTarget(in isa.Instr) (target int32, cond, ok bool) {
+	switch in.Op {
+	case isa.OpGoto:
+		return in.A, false, true
+	case isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull:
+		return in.B, true, true
+	}
+	return 0, false, false
 }
 
 // CompileCycles estimates the cycle cost of baseline-compiling m: the

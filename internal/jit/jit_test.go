@@ -481,3 +481,79 @@ func TestEveryOpcodeLowers(t *testing.T) {
 		}
 	}
 }
+
+// TestStaticCostWeighsLoopsAndRegistersNothing: the loop body [4,12]
+// of loopMethod counts LoopTrips times, its exit test carries half the
+// kind's taken-branch penalty, the rest counts once — and pricing
+// leaves no trace: nothing registered, counted or given an address, so
+// the method's later compile lands where it would have anyway.
+func TestStaticCostWeighsLoopsAndRegistersNothing(t *testing.T) {
+	_, spe, _ := newCompilers(t)
+	_, fresh, _ := newCompilers(t)
+	_, m := loopMethod(t)
+	cost, err := spe.StaticCost(m, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := spe.Costs()
+	var want uint64
+	for pc, bc := range m.Code {
+		in, err := spe.lowerOne(&bc, m.Pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := uint64(1)
+		if pc >= 4 && pc <= 12 {
+			w = LoopTrips
+		}
+		want += w * uint64(costs.OpCost[in.Op])
+	}
+	want += LoopTrips * uint64(costs.BranchTakenExtra) / 2
+	var got uint64
+	for _, c := range cost {
+		got += c
+	}
+	if got != want {
+		t.Errorf("StaticCost = %d cycles (%v), want %d", got, cost, want)
+	}
+	if spe.Lookup(m) != nil || spe.Compiles != 0 || spe.CodeBytes != 0 {
+		t.Fatalf("pricing registered a compile: lookup %v, %d compiles, %d bytes", spe.Lookup(m), spe.Compiles, spe.CodeBytes)
+	}
+	priced, err := spe.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := fresh.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if priced.Addr != plain.Addr || priced.Size != plain.Size {
+		t.Errorf("compile after pricing at %#x+%d, without at %#x+%d", priced.Addr, priced.Size, plain.Addr, plain.Size)
+	}
+}
+
+// TestStaticCostPricesMemoryHits: every memory touch costs the hit
+// price it is given, billed as local memory — an array element two
+// (its length word, then the element), an arraylength one.
+func TestStaticCostPricesMemoryHits(t *testing.T) {
+	_, spe, _ := newCompilers(t)
+	p := classfile.NewProgram()
+	m := p.NewClass("Arr", nil).NewMethod("first", classfile.FlagStatic, classfile.Int, classfile.Ref)
+	m.Asm().LoadRef(0).ConstI(0).ALoad(classfile.ElemInt).LoadRef(0).ArrayLen().AddI().Ret().MustBuild()
+	if err := p.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := spe.StaticCost(m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := spe.StaticCost(m, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cold
+	want[isa.ClassLocalMem] += 3 * 10
+	if hot != want {
+		t.Errorf("StaticCost at 10 cycles a hit = %v, want %v", hot, want)
+	}
+}

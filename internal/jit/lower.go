@@ -26,14 +26,23 @@ import (
 // the next lower overwrites: Compile points them at the matching body,
 // cloning the scratch into a new one only when no body matches.
 func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
+	cm := new(CompiledMethod)
+	if err := c.lowerInto(cm, m); err != nil {
+		return nil, err
+	}
+	return cm, nil
+}
+
+// lowerInto is lower, writing the result over *cm.
+func (c *Compiler) lowerInto(cm *CompiledMethod, m *classfile.Method) error {
 	c.code = slices.Grow(c.code[:0], len(m.Code))[:len(m.Code)]
-	cm := &CompiledMethod{M: m, Target: c.target, Code: c.code, Tables: c.tables[:0], Keys: c.keys[:0]}
+	*cm = CompiledMethod{M: m, Target: c.target, Code: c.code, Tables: c.tables[:0], Keys: c.keys[:0]}
 	size := uint32(c.costs.MethodPrologueBytes)
 	for pc := range m.Code {
 		bc := &m.Code[pc]
 		in, err := c.lowerOne(bc, m.Pool)
 		if err != nil {
-			return nil, fmt.Errorf("jit: %s pc %d (%v): %w", m.Sig(), pc, bc.Op, err)
+			return fmt.Errorf("jit: %s pc %d (%v): %w", m.Sig(), pc, bc.Op, err)
 		}
 		if in.Op == isa.OpTableSwitch || in.Op == isa.OpLookupSwitch {
 			sw := bc.Switch(m.Pool)
@@ -57,7 +66,7 @@ func (c *Compiler) lower(m *classfile.Method) (*CompiledMethod, error) {
 	}
 	cm.Size = size + uint32(len(m.Handlers))*16 // exception-table entries
 	c.tables, c.keys = cm.Tables, cm.Keys
-	return cm, nil
+	return nil
 }
 
 // direct is the lowering of every bytecode that carries nothing of its

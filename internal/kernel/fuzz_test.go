@@ -7,16 +7,17 @@ import (
 )
 
 // FuzzPlan throws arbitrary launch descriptors (iteration range, pool
-// shapes, tiling parameters) at the planner and asserts the structural
-// invariants every launch depends on: exact coverage, no overlap,
-// worker ids dense, tiles covering the byte extent. The VM trusts
+// shapes and prices, tiling parameters) at the planner and asserts the
+// structural invariants every launch depends on: exact coverage, no
+// overlap, worker ids dense, tiles covering the byte extent — and that
+// no pool with a core was predicted to finish before the chosen one. The VM trusts
 // these invariants without rechecking, so the fuzzer is the backstop.
 func FuzzPlan(f *testing.F) {
-	f.Add(int32(0), int32(1024), 1, 4, 2, uint32(4096), uint32(1024))
-	f.Add(int32(-50), int32(50), 1, 6, 0, uint32(100), uint32(0))
-	f.Add(int32(7), int32(7), 0, 0, 0, uint32(0), uint32(128))
-	f.Add(int32(-2147483648), int32(2147483647), 1, 255, 255, uint32(1), uint32(1))
-	f.Fuzz(func(t *testing.T, from, to int32, ppe, spe, vpu int, total, tileBytes uint32) {
+	f.Add(int32(0), int32(1024), 1, 4, 2, uint64(0), uint32(4096), uint32(1024))
+	f.Add(int32(-50), int32(50), 1, 6, 0, uint64(3000)<<32|8<<16|10, uint32(100), uint32(0))
+	f.Add(int32(7), int32(7), 0, 0, 0, uint64(1), uint32(0), uint32(128))
+	f.Add(int32(-2147483648), int32(2147483647), 1, 255, 255, ^uint64(0), uint32(1), uint32(1))
+	f.Fuzz(func(t *testing.T, from, to int32, ppe, spe, vpu int, price uint64, total, tileBytes uint32) {
 		// Clamp pool sizes to plausible machine shapes; negative core
 		// counts must simply be skipped, so pass them through too.
 		if ppe > 1024 {
@@ -28,10 +29,14 @@ func FuzzPlan(f *testing.F) {
 		if vpu > 1024 {
 			vpu = 1024
 		}
+		// price packs the SPE's and the VPU's per-iteration cycles in its
+		// low two 16-bit halves and their staging in the high 32 bits; the
+		// PPE stages nothing and pays the SPE's price plus one.
+		spePrice, vpuPrice, stage := price&0xffff, price>>16&0xffff, price>>32
 		pools := []Pool{
-			{Kind: isa.PPE, Cores: ppe},
-			{Kind: isa.SPE, Cores: spe},
-			{Kind: isa.VPU, Cores: vpu},
+			{Kind: isa.PPE, Cores: ppe, Iter: spePrice + 1},
+			{Kind: isa.SPE, Cores: spe, Iter: spePrice, Stage: stage},
+			{Kind: isa.VPU, Cores: vpu, Iter: vpuPrice, Stage: stage},
 		}
 		plan, ok := PlanLaunch(from, to, pools)
 		if !ok {
@@ -43,10 +48,16 @@ func FuzzPlan(f *testing.F) {
 		if err := plan.Validate(from, to); err != nil {
 			t.Fatalf("plan invalid: %v (from=%d to=%d pools=%v)", err, from, to, pools)
 		}
-		// A planned chunk count never exceeds the chosen pool's cores.
+		// A planned chunk count never exceeds the chosen pool's cores, and
+		// no pool with a core finishes before the chosen one.
+		n := uint64(max(int64(to)-int64(from), 0))
+		chosen := pools[plan.Kind]
+		if len(plan.Chunks) > chosen.Cores {
+			t.Fatalf("%d chunks exceed %d cores of %v", len(plan.Chunks), chosen.Cores, plan.Kind)
+		}
 		for _, p := range pools {
-			if p.Kind == plan.Kind && len(plan.Chunks) > p.Cores {
-				t.Fatalf("%d chunks exceed %d cores of %v", len(plan.Chunks), p.Cores, p.Kind)
+			if p.Cores > 0 && p.Makespan(n) < chosen.Makespan(n) {
+				t.Fatalf("chose %v (makespan %d) over %v (makespan %d)", plan.Kind, chosen.Makespan(n), p.Kind, p.Makespan(n))
 			}
 		}
 

@@ -1,25 +1,32 @@
 // Package kernel plans data-parallel kernel launches. A
 // hera/Parallel.forRange call hands the VM an iteration space; this
-// package decides which core pool runs it, how the space splits into
-// contiguous per-worker chunks (one pinned worker per core of the
-// chosen pool), and how a worker's working set tiles through a
-// scratchpad for double-buffered DMA staging. It is pure planning — it
-// imports only the isa registry and moves no data — so the VM launch
-// path, the differential tests and the fuzz harness all exercise one
-// deterministic contract.
+// package decides which core pool runs it — the one with the least
+// predicted makespan, from the per-iteration and staging prices the VM
+// puts on each pool — how the space splits into contiguous per-worker
+// chunks (one pinned worker per core of the chosen pool), and how a
+// worker's working set tiles through a scratchpad for double-buffered
+// DMA staging. It is pure planning — it imports only the isa registry
+// and moves no data — so the VM launch path, the differential tests and
+// the fuzz harness all exercise one deterministic contract.
 package kernel
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"herajvm/internal/isa"
 )
 
 // Pool is one candidate worker pool for a launch: every core of a
-// single kind.
+// single kind, and what the launch is predicted to cost there. Iter is
+// the predicted cycles of one iteration on one core of the pool, and
+// Stage the cycles each worker spends staging its tiles before its
+// first iteration. A pool with neither is unpriced.
 type Pool struct {
-	Kind  isa.CoreKind
-	Cores int
+	Kind        isa.CoreKind
+	Cores       int
+	Iter, Stage uint64
 }
 
 // Chunk is one worker's contiguous slice [From,To) of the iteration
@@ -39,30 +46,37 @@ type Plan struct {
 	Chunks []Chunk
 }
 
-// Score ranks a pool for SPMD work: the kind's predicted
-// floating-point cost per operation divided by the pool's total lane
-// count (cores x the kind's SPMD width). Lower is better — it is the
-// predicted cost of pushing one FP-heavy iteration through the whole
-// pool. A VPU pool wins whenever one is present (cheap FP, wide
-// lanes); an SPE pool beats the lone PPE on core count alone.
-func (p Pool) Score() float64 {
+// Makespan is the pool's predicted cycles for n iterations: a worker
+// stages its tiles, then runs its chunk of at most ⌈n/Cores⌉
+// iterations, and every worker does so at once. It saturates rather
+// than wraps. An unpriced pool's makespan is 0 for every n.
+func (p Pool) Makespan(n uint64) uint64 {
 	if p.Cores <= 0 {
-		return 0
+		return math.MaxUint64
 	}
-	return p.Kind.FPScore() / float64(p.Cores*p.Kind.SPMDWidth())
+	chunk := (n + uint64(p.Cores) - 1) / uint64(p.Cores)
+	hi, run := bits.Mul64(p.Iter, chunk)
+	if hi != 0 || run+p.Stage < run {
+		return math.MaxUint64
+	}
+	return run + p.Stage
 }
 
-// ChoosePool picks the cheapest capable pool. Pools with no cores are
-// skipped; ties keep the earliest entry, so callers passing pools in
+// ChoosePool picks, for a launch of n iterations, the pool with the
+// least makespan. Pools with no cores are skipped. A tie goes to the
+// pool with more cores — so unpriced pools, which all tie, go to the
+// widest — and then to the earliest entry, so callers passing pools in
 // kind-table order get the stable tie-break every other kind-ordered
 // decision in the machine uses. ok is false when no pool has a core.
-func ChoosePool(pools []Pool) (best Pool, ok bool) {
+func ChoosePool(n uint64, pools []Pool) (best Pool, ok bool) {
+	var bestSpan uint64
 	for _, p := range pools {
 		if p.Cores <= 0 {
 			continue
 		}
-		if !ok || p.Score() < best.Score() {
-			best, ok = p, true
+		span := p.Makespan(n)
+		if !ok || span < bestSpan || span == bestSpan && p.Cores > best.Cores {
+			best, bestSpan, ok = p, span, true
 		}
 	}
 	return best, ok
@@ -95,10 +109,11 @@ func SplitRange(from, to int32, workers int) []Chunk {
 	return chunks
 }
 
-// PlanLaunch chooses a pool and splits the iteration space across it.
-// ok is false when no pool has a core to run on.
+// PlanLaunch chooses the pool that finishes [from,to) first and splits
+// the iteration space across it. ok is false when no pool has a core to
+// run on.
 func PlanLaunch(from, to int32, pools []Pool) (Plan, bool) {
-	pool, ok := ChoosePool(pools)
+	pool, ok := ChoosePool(uint64(max(int64(to)-int64(from), 0)), pools)
 	if !ok {
 		return Plan{}, false
 	}

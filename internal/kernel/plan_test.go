@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"testing"
 
 	"herajvm/internal/isa"
@@ -49,36 +50,88 @@ func TestSplitRangeBalance(t *testing.T) {
 	}
 }
 
+// TestChoosePoolPrefersVPU: at equal core counts the pool whose
+// iterations cost less wins — the VPUs, on an FP body they run cheaper
+// than the SPEs.
 func TestChoosePoolPrefersVPU(t *testing.T) {
 	pools := []Pool{
-		{Kind: isa.PPE, Cores: 1},
-		{Kind: isa.SPE, Cores: 4},
-		{Kind: isa.VPU, Cores: 2},
+		{Kind: isa.PPE, Cores: 1, Iter: 14},
+		{Kind: isa.SPE, Cores: 2, Iter: 10, Stage: 500},
+		{Kind: isa.VPU, Cores: 2, Iter: 8, Stage: 500},
 	}
-	best, ok := ChoosePool(pools)
+	best, ok := ChoosePool(4096, pools)
 	if !ok || best.Kind != isa.VPU {
 		t.Fatalf("ChoosePool = %v,%v, want VPU pool", best, ok)
 	}
 }
 
+// TestChoosePoolFewerCheaperCoresLose: a kind that runs each iteration
+// cheaper still loses when it has too few cores to finish first — two
+// VPUs at 8 cycles take 8·⌈n/2⌉, four SPEs at 10 take 10·⌈n/4⌉.
+func TestChoosePoolFewerCheaperCoresLose(t *testing.T) {
+	pools := []Pool{
+		{Kind: isa.PPE, Cores: 1, Iter: 14},
+		{Kind: isa.SPE, Cores: 4, Iter: 10, Stage: 500},
+		{Kind: isa.VPU, Cores: 2, Iter: 8, Stage: 500},
+	}
+	best, ok := ChoosePool(4096, pools)
+	if !ok || best.Kind != isa.SPE {
+		t.Fatalf("ChoosePool = %v,%v, want SPE pool", best, ok)
+	}
+	if spe, vpu := pools[1].Makespan(4096), pools[2].Makespan(4096); spe != 10*1024+500 || vpu != 8*2048+500 {
+		t.Fatalf("makespans SPE %d, VPU %d, want %d and %d", spe, vpu, 10*1024+500, 8*2048+500)
+	}
+}
+
+// TestChoosePoolStagingDecidesSmallLaunches: staging is paid once per
+// worker whatever the chunk, so a launch too short to repay it stays
+// on the pool that stages nothing.
+func TestChoosePoolStagingDecidesSmallLaunches(t *testing.T) {
+	pools := []Pool{{Kind: isa.PPE, Cores: 1, Iter: 14}, {Kind: isa.SPE, Cores: 6, Iter: 10, Stage: 2000}}
+	if best, _ := ChoosePool(16, pools); best.Kind != isa.PPE {
+		t.Errorf("16 iterations: ChoosePool = %v, want the PPE", best.Kind)
+	}
+	if best, _ := ChoosePool(4096, pools); best.Kind != isa.SPE {
+		t.Errorf("4096 iterations: ChoosePool = %v, want the SPEs", best.Kind)
+	}
+}
+
+// TestChoosePoolSPEOverPPE: unpriced pools tie, and a tie goes to the
+// pool with the most cores.
 func TestChoosePoolSPEOverPPE(t *testing.T) {
 	pools := []Pool{
 		{Kind: isa.PPE, Cores: 1},
 		{Kind: isa.SPE, Cores: 6},
 	}
-	best, ok := ChoosePool(pools)
+	best, ok := ChoosePool(64, pools)
 	if !ok || best.Kind != isa.SPE {
 		t.Fatalf("ChoosePool = %v,%v, want SPE pool", best, ok)
 	}
 }
 
 func TestChoosePoolFallsBackToPPE(t *testing.T) {
-	best, ok := ChoosePool([]Pool{{Kind: isa.PPE, Cores: 1}, {Kind: isa.SPE, Cores: 0}})
+	best, ok := ChoosePool(64, []Pool{{Kind: isa.PPE, Cores: 1}, {Kind: isa.SPE, Cores: 0}})
 	if !ok || best.Kind != isa.PPE {
 		t.Fatalf("ChoosePool = %v,%v, want PPE pool", best, ok)
 	}
-	if _, ok := ChoosePool(nil); ok {
+	if _, ok := ChoosePool(64, nil); ok {
 		t.Fatal("ChoosePool(nil) reported a pool")
+	}
+}
+
+// TestMakespanSaturates: a price too large to multiply out is the
+// longest makespan, never a wrapped small one.
+func TestMakespanSaturates(t *testing.T) {
+	huge := Pool{Kind: isa.SPE, Cores: 1, Iter: math.MaxUint64 / 2}
+	if got := huge.Makespan(4); got != math.MaxUint64 {
+		t.Errorf("Makespan = %d, want saturation", got)
+	}
+	staged := Pool{Kind: isa.SPE, Cores: 1, Iter: 1, Stage: math.MaxUint64}
+	if got := staged.Makespan(4); got != math.MaxUint64 {
+		t.Errorf("Makespan = %d, want saturation", got)
+	}
+	if best, _ := ChoosePool(4, []Pool{huge, {Kind: isa.PPE, Cores: 1, Iter: 3}}); best.Kind != isa.PPE {
+		t.Errorf("ChoosePool = %v, want the PPE over a saturated pool", best.Kind)
 	}
 }
 

@@ -178,14 +178,15 @@ func (m *MethodCounters) MemShare() float64 {
 	return float64(m.Cycles[isa.ClassMainMem]) / float64(busy)
 }
 
-// Monitor aggregates per-method counters keyed by global method ID.
+// Monitor aggregates per-method counters indexed by global method ID;
+// a method's entry is nil until it is first invoked.
 type Monitor struct {
-	ByMethod map[int]*MethodCounters
+	ByMethod []*MethodCounters
 }
 
-// NewMonitor returns an empty monitor.
-func NewMonitor() *Monitor {
-	return &Monitor{ByMethod: make(map[int]*MethodCounters)}
+// NewMonitor returns an empty monitor for a program of n methods.
+func NewMonitor(n int) *Monitor {
+	return &Monitor{ByMethod: make([]*MethodCounters, n)}
 }
 
 // Counters returns (creating if needed) the counters for a method.
@@ -201,9 +202,11 @@ func (mn *Monitor) Counters(methodID int) *MethodCounters {
 // Hottest returns up to n method IDs ordered by total cycles, hottest
 // first. Used by reports and the monitoring placement policy.
 func (mn *Monitor) Hottest(n int) []int {
-	ids := make([]int, 0, len(mn.ByMethod))
-	for id := range mn.ByMethod {
-		ids = append(ids, id)
+	var ids []int
+	for id, c := range mn.ByMethod {
+		if c != nil {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
 		var a, b uint64

@@ -75,7 +75,7 @@ func TestMethodCountersShares(t *testing.T) {
 }
 
 func TestMonitorHottest(t *testing.T) {
-	mn := NewMonitor()
+	mn := NewMonitor(8)
 	mn.Counters(1).Cycles[isa.ClassInt] = 100
 	mn.Counters(2).Cycles[isa.ClassInt] = 300
 	mn.Counters(3).Cycles[isa.ClassInt] = 200
@@ -95,7 +95,7 @@ func TestMonitorHottest(t *testing.T) {
 }
 
 func TestCountersIdentity(t *testing.T) {
-	mn := NewMonitor()
+	mn := NewMonitor(8)
 	a := mn.Counters(7)
 	b := mn.Counters(7)
 	if a != b {

@@ -75,8 +75,7 @@ func TestMigrateCooldownVetoWindow(t *testing.T) {
 	spe := vm.Machine.CoreAt(isa.SPE, 0)
 	ppe := vm.Machine.CoreAt(isa.PPE, 0)
 
-	th := vm.newThread(&Job{}, "w")
-	th.Kind, th.CoreID = isa.SPE, 0
+	th := framedThread(t, vm, "w", isa.SPE, 0)
 	if _, ok := vm.recompileEstimate(th, ppe); !ok {
 		t.Fatal("a fresh thread must be migratable")
 	}

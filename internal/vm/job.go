@@ -87,6 +87,8 @@ type Job struct {
 	// barrier state — pinned workers mid-chunk, a caller blocked in a
 	// native — is not serializable between instructions.
 	kernels int
+	// kernelPool is the kind of core the job's last kernel launch ran on.
+	kernelPool isa.CoreKind
 	// frozen marks a job serialized off this machine by Freeze: it
 	// will never complete here (done stays false), and Wait returns
 	// ErrFrozen for it. freezeBarrier asks the executor to park the
@@ -101,6 +103,10 @@ type Job struct {
 	// vm is the machine the job was admitted on; Wait drives it.
 	vm *VM
 }
+
+// KernelPool returns the kind of core the job's last kernel launch ran
+// on; it is meaningful once Stats.KernelLaunches is nonzero.
+func (j *Job) KernelPool() isa.CoreKind { return j.kernelPool }
 
 // Done reports whether every thread of the job has terminated.
 func (j *Job) Done() bool { return j.done }

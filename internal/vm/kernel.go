@@ -1,11 +1,14 @@
 // Data-parallel kernel offload: the VM side of hera/Parallel.forRange.
 //
-// A launch intercepts the native at invoke time, plans the fan-out with
-// internal/kernel (cheapest capable kind by FPScore over cores×SPMD
-// width, contiguous chunking), and spawns one SPMD worker per core of
-// the chosen pool, each pinned to its core for life — the scheduler's
-// steal and migrate passes skip pinned tasks, so the barrier below is a
-// join over workers that cannot wander. The caller blocks in the void
+// A launch intercepts the native at invoke time, prices the body on
+// every kind the machine has (kernelPools: its static cost per
+// iteration from that kind's compiler, and the staging of its tiles
+// through the MFC/EIB model), plans the fan-out with internal/kernel
+// (the pool with the least predicted makespan, contiguous chunking),
+// and spawns one SPMD worker per core of the chosen pool, each pinned
+// to its core for life — the scheduler's steal and migrate passes skip
+// pinned tasks, so the barrier below is a join over workers that cannot
+// wander. The caller blocks in the void
 // native until the last worker retires (finishThread decrements the
 // barrier), then wakes through the same join-edge coherence protocol
 // ordinary joins use: every retiring worker release-flushes its core's
@@ -24,10 +27,13 @@ package vm
 import (
 	"fmt"
 
+	"herajvm/internal/cache"
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
+	"herajvm/internal/jit"
 	"herajvm/internal/kernel"
+	"herajvm/internal/mem"
 )
 
 // kernelLaunch is one in-flight forRange fan-out: the blocked caller
@@ -60,12 +66,11 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 		return nil
 	}
 
-	// Choose the cheapest capable pool from the kinds this machine
-	// actually has — VPU when present (wide SPMD lanes), SPE or PPE
-	// scalar fallback; the kernel semantics are identical either way.
-	pools := make([]kernel.Pool, 0, len(vm.presentKinds))
-	for _, k := range vm.presentKinds {
-		pools = append(pools, kernel.Pool{Kind: k, Cores: len(vm.kindCores[k])})
+	// Run on the pool predicted to finish first, among every kind this
+	// machine has; the kernel semantics are identical on each.
+	pools, err := vm.kernelPools(runM, body)
+	if err != nil {
+		return &TrapError{Kind: "InternalError", Detail: err.Error()}
 	}
 	plan, ok := kernel.PlanLaunch(from, to, pools)
 	if !ok || len(plan.Chunks) == 0 {
@@ -76,6 +81,7 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 	vm.kernelSeq++
 	j := c.Thread.job
 	j.kernels++
+	j.kernelPool = plan.Kind
 	j.Stats.KernelLaunches++
 	j.Stats.KernelWorkers += uint64(len(plan.Chunks))
 
@@ -98,6 +104,44 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 	// Park the caller at the barrier; kernelComplete wakes it.
 	c.Thread.State = StateBlocked
 	return nil
+}
+
+// kernelPools prices a launch of runM over body on every kind the
+// machine has: one iteration is the body's static cost on the kind, its
+// memory accesses all hits (jit.StaticCost), over one trip of its loop;
+// and a worker on a local-store kind first stages body's arrays as
+// stageKernelTiles does. Pricing compiles nothing, so the kinds the
+// launch does not use see no change.
+func (vm *VM) kernelPools(runM *classfile.Method, body Ref) ([]kernel.Pool, error) {
+	pools := make([]kernel.Pool, 0, len(vm.presentKinds))
+	for _, k := range vm.presentKinds {
+		core := vm.kindCores[k][0]
+		dc := vm.dcaches[core.Index]
+		var hit uint64
+		if dc != nil {
+			hit = dc.HitCycles()
+		} else {
+			hit = uint64(core.Mem.L1.HitCycles())
+		}
+		cost, err := vm.compilers[k].StaticCost(runM, hit)
+		if err != nil {
+			return nil, err
+		}
+		p := kernel.Pool{Kind: k, Cores: len(vm.kindCores[k])}
+		for _, c := range cost {
+			p.Iter += c
+		}
+		p.Iter /= jit.LoopTrips
+		if dc != nil {
+			vm.stageArrays(dc, body, func(data mem.Addr, size, left uint32) uint32 {
+				c, n := dc.StageCycles(size, left)
+				p.Stage += c
+				return n
+			})
+		}
+		pools = append(pools, p)
+	}
+	return pools, nil
 }
 
 // spawnKernelWorker starts one pinned SPMD worker executing
@@ -167,13 +211,22 @@ func (vm *VM) stageKernelTiles(core *cell.Core, t *Thread) {
 		return
 	}
 	body := Ref(t.Frames[0].Locals[0]) // spawnKernelWorker's receiver
-	cls := vm.classOf(body)
-	if cls == nil {
-		return
-	}
+	staged := vm.stageArrays(dc, body, func(data mem.Addr, size, left uint32) uint32 {
+		var n uint32
+		core.Now, n = dc.StageArray(core.Now, data, size, left)
+		return n
+	})
+	t.job.Stats.KernelDMABytes += uint64(staged)
+}
+
+// stageArrays hands stage each array body's reference fields hold, in
+// field order, with what is left of the staging budget — half of dc,
+// split between the arrays — until it is spent; stage returns the bytes
+// it staged, and stageArrays their total.
+func (vm *VM) stageArrays(dc *cache.DataCache, body Ref, stage func(data mem.Addr, size, left uint32) uint32) uint32 {
 	budget := dc.Config().Size / 2
 	var staged uint32
-	for c := cls; c != nil; c = c.Super {
+	for c := vm.classOf(body); c != nil; c = c.Super {
 		for _, fld := range c.Fields {
 			if fld.Type != classfile.Ref || staged >= budget {
 				continue
@@ -186,12 +239,8 @@ func (vm *VM) stageKernelTiles(core *cell.Core, t *Thread) {
 			if !isArrayClassID(id) {
 				continue
 			}
-			esz := arrayKindOf(id).Size()
-			dataSize := vm.Heap.LengthOf(r) * esz
-			var n uint32
-			core.Now, n = dc.StageArray(core.Now, r+isa.HeaderBytes, dataSize, budget-staged)
-			staged += n
+			staged += stage(r+isa.HeaderBytes, vm.Heap.LengthOf(r)*arrayKindOf(id).Size(), budget-staged)
 		}
 	}
-	t.job.Stats.KernelDMABytes += uint64(staged)
+	return staged
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // kernelTopology returns the showcase accelerator mix: one PPE, four
-// SPEs and two VPUs — the pool planner must pick the VPUs (FPScore over
-// cores×SPMD width: 1.25/(2·8) beats 2.25/(4·1)).
+// SPEs and two VPUs — the serve machine, on which four SPEs finish a
+// launch before two VPUs do.
 func kernelTopology() cell.Topology {
 	return cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},
@@ -161,9 +161,11 @@ func runKernelJob(t *testing.T, topo cell.Topology, entry string, n int32) (*VM,
 }
 
 // TestKernelLaunchComputesAndJoins: a forRange launch on the VPU-bearing
-// topology fans out one pinned worker per VPU, produces the sequential
-// answer, bills real staging DMA, and the caller resumes past the
-// barrier.
+// topology fans out one pinned worker per core of the pool predicted to
+// finish first — the four SPEs, since two VPUs would each run twice the
+// iterations — produces the sequential answer, bills real staging DMA,
+// and the caller resumes past the barrier. Pricing the body on the VPUs
+// compiled nothing there.
 func TestKernelLaunchComputesAndJoins(t *testing.T) {
 	const n = 600
 	v, j := runKernelJob(t, kernelTopology(), "KMain", n)
@@ -173,22 +175,25 @@ func TestKernelLaunchComputesAndJoins(t *testing.T) {
 	if j.Stats.KernelLaunches != 1 {
 		t.Errorf("KernelLaunches = %d, want 1", j.Stats.KernelLaunches)
 	}
-	if j.Stats.KernelWorkers != 2 { // the two VPUs win the pool score
-		t.Errorf("KernelWorkers = %d, want the 2 VPU cores", j.Stats.KernelWorkers)
+	if j.Stats.KernelWorkers != 4 || j.KernelPool() != isa.SPE {
+		t.Errorf("KernelWorkers = %d on %v, want the 4 SPE cores", j.Stats.KernelWorkers, j.KernelPool())
 	}
 	if j.Stats.KernelDMABytes == 0 {
 		t.Error("no staging DMA billed on a local-store pool")
 	}
-	var vpuStaged, vpuInstrs uint64
-	for _, c := range v.Machine.CoresOf(isa.VPU) {
-		vpuStaged += c.Stats.DataStaged
-		vpuInstrs += c.Stats.Instrs
+	var speStaged, speInstrs uint64
+	for _, c := range v.Machine.CoresOf(isa.SPE) {
+		speStaged += c.Stats.DataStaged
+		speInstrs += c.Stats.Instrs
 	}
-	if vpuStaged == 0 {
-		t.Error("VPU cores staged no tiles")
+	if speStaged == 0 {
+		t.Error("SPE cores staged no tiles")
 	}
-	if vpuInstrs == 0 {
-		t.Error("the kernel never executed on the VPUs")
+	if speInstrs == 0 {
+		t.Error("the kernel never executed on the SPEs")
+	}
+	if c := v.Compiler(isa.VPU); c.Compiles != 0 || c.CodeBytes != 0 {
+		t.Errorf("VPU compiler: %d compiles, %d code bytes after pricing alone, want none", c.Compiles, c.CodeBytes)
 	}
 	// Pinned workers must never migrate or be stolen.
 	for _, th := range v.threads {

@@ -31,8 +31,7 @@ func TestMigrateRebindsAcrossKinds(t *testing.T) {
 	}
 	var queued []*Thread
 	for i := 0; i < 4; i++ {
-		th := vm.newThread(&Job{}, "w")
-		th.Kind, th.CoreID = isa.SPE, 0
+		th := framedThread(t, vm, "w", isa.SPE, 0)
 		vm.enqueue(th)
 		queued = append(queued, th)
 	}
@@ -86,8 +85,7 @@ func TestMigrateGateLosesInVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		th := vm.newThread(&Job{}, "w")
-		th.Kind, th.CoreID = isa.SPE, 0
+		th := framedThread(t, vm, "w", isa.SPE, 0)
 		vm.enqueue(th)
 	}
 	vm.pickNext()

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
@@ -109,12 +110,18 @@ func (vm *VM) invokeNative(core *cell.Core, t *Thread, f *Frame, callee *classfi
 	if n == nil {
 		return vm.trapAt(f, "UnsatisfiedLinkError", callee.NativeTag)
 	}
-	nargs := callee.ArgSlots()
-	args := make([]uint64, nargs)
-	for i := nargs - 1; i >= 0; i-- {
-		args[i] = f.pop()
+	// A native runs to completion before the next begins, so every call
+	// that runs here shares the VM's ctx; a JNI call that migrates keeps
+	// its own, since it rides on pendingNative until the thread lands.
+	ctx := &vm.nativeCtx
+	if n.Kind == NativeJNI && !core.Kind.HostsServices() {
+		ctx = new(NativeCtx)
 	}
-	ctx := &NativeCtx{VM: vm, Core: core, Thread: t, Method: callee, Args: args}
+	nargs := callee.ArgSlots()
+	*ctx = NativeCtx{VM: vm, Core: core, Thread: t, Method: callee, Args: slices.Grow(ctx.Args[:0], nargs)[:nargs]}
+	for i := nargs - 1; i >= 0; i-- {
+		ctx.Args[i] = f.pop()
+	}
 
 	switch n.Kind {
 	case NativeCompute:

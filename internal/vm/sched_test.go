@@ -9,6 +9,27 @@ import (
 	"herajvm/internal/profile"
 )
 
+// framedThread makes a thread of a job of its own on kind's core
+// coreID, its one frame a library method compiled for every kind the
+// machine has — so a move recompiles nothing, and the scheduler finds a
+// frame on top, as on every thread it queues.
+func framedThread(t *testing.T, vm *VM, name string, kind isa.CoreKind, coreID int) *Thread {
+	t.Helper()
+	m := vm.Prog.Lookup("java/lang/Object").MethodByName("equals")
+	th := vm.newThread(&Job{}, name)
+	th.Kind, th.CoreID = kind, coreID
+	for _, k := range vm.presentKinds {
+		cm, _, err := vm.compileFor(k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == kind {
+			th.pushFrame(newFrame(cm))
+		}
+	}
+	return th
+}
+
 // topoConfig returns the small test machine reshaped to a topology.
 func topoConfig(topo cell.Topology) Config {
 	cfg := testConfig()
@@ -51,8 +72,7 @@ func TestPickCoreLeastLoadedTieBreak(t *testing.T) {
 		t.Errorf("all-idle pick = SPE%d, want SPE0", got)
 	}
 	// A queued thread on SPE0 makes it heavier than its siblings.
-	busy := vm.newThread(&Job{}, "busy")
-	busy.Kind, busy.CoreID = isa.SPE, 0
+	busy := framedThread(t, vm, "busy", isa.SPE, 0)
 	vm.enqueue(busy)
 	if got := vm.pickCore(isa.SPE); got != 1 {
 		t.Errorf("pick with SPE0 loaded = SPE%d, want SPE1", got)
@@ -67,10 +87,10 @@ func TestPickCoreLeastLoadedTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := vm2.newThread(&Job{}, "first")
+	first := framedThread(t, vm2, "first", isa.PPE, 0)
 	vm2.place(first, isa.PPE)
 	vm2.enqueue(first)
-	second := vm2.newThread(&Job{}, "second")
+	second := framedThread(t, vm2, "second", isa.PPE, 0)
 	vm2.place(second, isa.PPE)
 	if first.CoreID == second.CoreID {
 		t.Errorf("two threads placed on PPE%d; multi-PPE placement should spread", first.CoreID)
@@ -95,8 +115,7 @@ func TestPickCoreVPUPoolOnThreeKindTopology(t *testing.T) {
 	}
 	// A queued thread on VPU0 pushes its drain estimate past its idle
 	// siblings'.
-	busy := vm.newThread(&Job{}, "busy")
-	busy.Kind, busy.CoreID = isa.VPU, 0
+	busy := framedThread(t, vm, "busy", isa.VPU, 0)
 	vm.enqueue(busy)
 	if got := vm.pickCore(isa.VPU); got != 1 {
 		t.Errorf("pick with VPU0 loaded = VPU%d, want VPU1", got)

@@ -23,8 +23,7 @@ func TestStealRebindsThread(t *testing.T) {
 	}
 	var queued []*Thread
 	for i := 0; i < 3; i++ {
-		th := vm.newThread(&Job{}, "w")
-		th.Kind, th.CoreID = isa.SPE, 0
+		th := framedThread(t, vm, "w", isa.SPE, 0)
 		vm.enqueue(th)
 		queued = append(queued, th)
 	}
@@ -68,8 +67,7 @@ func TestStealStaysWithinKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		th := vm.newThread(&Job{}, "w")
-		th.Kind, th.CoreID = isa.SPE, 0
+		th := framedThread(t, vm, "w", isa.SPE, 0)
 		vm.enqueue(th)
 	}
 	vm.pickNext()

@@ -184,19 +184,14 @@ func (t *Thread) top() *Frame { return t.Frames[len(t.Frames)-1] }
 
 // hotCounters returns the profile counters of the thread's top frame —
 // the method whose observed behaviour the behaviour-aware task-cost
-// predictor prices placement by. Nil for a thread with no frame.
-func (t *Thread) hotCounters() *profile.MethodCounters {
-	if len(t.Frames) == 0 {
-		return nil
-	}
-	return t.top().ctr
-}
+// predictor prices placement by.
+func (t *Thread) hotCounters() *profile.MethodCounters { return t.top().ctr }
 
 // crossing reports whether t is queued on another kind than its top
 // frame was compiled for: a synchronized call that blocked at its
 // migration point, or a native suspended across one. Its next dispatch
 // moves it; nothing else may.
-func (t *Thread) crossing() bool { return len(t.Frames) > 0 && t.top().CM.Target != t.Kind }
+func (t *Thread) crossing() bool { return t.top().CM.Target != t.Kind }
 
 // movingFrames returns the frames a cross-kind move of t recompiles:
 // those above its innermost migration point, which share the top frame's

@@ -188,6 +188,9 @@ type VM struct {
 	minMemScore float64
 
 	compilers [isa.NumKinds]*jit.Compiler
+	// nativeCtx is the ctx of every native call that runs where it was
+	// invoked (invokeNative).
+	nativeCtx NativeCtx
 	// dcaches/ccaches hold each local-store core's software caches,
 	// indexed by Core.Index (nil for hardware-cached cores); lsCores
 	// lists the local-store core indices in topology order, the ordinal
@@ -294,7 +297,7 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		byJavaObj:    make(map[Ref]*Thread),
 		monitors:     make(map[Ref]*monitor),
 		natives:      make(map[string]*Native),
-		Monitor:      profile.NewMonitor(),
+		Monitor:      profile.NewMonitor(len(prog.Methods())),
 		ifaceMethods: make(map[int]*classfile.Method),
 		sbOff:        cfg.DisableSuperblocks,
 	}

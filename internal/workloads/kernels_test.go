@@ -8,8 +8,8 @@ import (
 	"herajvm/internal/vm"
 )
 
-// kernelTestTopology is the VPU-bearing showcase machine the launch
-// planner routes data-parallel work onto.
+// kernelTestTopology is the VPU-bearing showcase machine, on which the
+// launch planner picks the four SPEs over the two VPUs.
 func kernelTestTopology() cell.Topology {
 	return cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},

@@ -61,8 +61,9 @@ replay cluster -fig cluster -timeout 10m
 # part of the replay contract, hand-off counts included.
 replay cluster-handoff -fig cluster -handoff -timeout 10m
 # Kernel offload: every column is simulated state (cycles, workers, DMA
-# bytes, checksums), so the matmul kernel-vs-scalar floor on the VPU
-# pool is exact on any runner.
+# bytes, checksums), so the matmul kernel-vs-scalar floor on every
+# shape's chosen plan, and each plan's bound against its best single
+# pool, are exact on any runner.
 replay kernels -fig kernels -minspeedup 2.0
 # Examples: each program under examples/ prints only simulated state
 # through the public API, so two runs of each must agree byte for byte.

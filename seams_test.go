@@ -48,6 +48,12 @@ var seams = []struct {
 	{"a migration point is two adjacent frames on different kinds",
 		`\.Marker\b|Marker:|ReturnKind|pendingMigrate|hasPendingMigrate`,
 		[]string{"."}, nil},
+	// "Kernel offload layer": a launch goes to the pool predicted to finish it
+	// first, priced from the body's code on each kind; no lane count
+	// ranks pools, and the figure reads the pool from the job.
+	{"kernel pools are priced by the body, not by lane count",
+		`SPMDWidth|\bScore\(\)|poolKindFor`,
+		[]string{"."}, nil},
 	// "Host-side tables are sized by use": Asm.Build writes bound
 	// positions into the instructions, so labels end there.
 	{"assembler labels are named only in internal/classfile/asm.go",
