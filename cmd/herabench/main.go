@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topos = fs.String("topology", "",
 			`semicolon-separated machine shapes for the topo/kernels sweeps (the first one for serve/fastpath), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
 		jsonPath   = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
-		minSpeedup = fs.Float64("minspeedup", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup of the chosen plan on every topology; exit 1 below it (0 = no floor)")
+		minSpeedup = fs.Float64("minspeedup", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup of the plan on every topology (lowest default shape: ppe:1,vpu:2 at 2.68x); exit 1 below it (0 = no floor)")
 		timeout    = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
 		cpuprof    = fs.String("cpuprofile", "", "write a CPU profile of the figure runs to this path")
 		memprof    = fs.String("memprofile", "", "write a heap profile (taken after the figure runs) to this path")

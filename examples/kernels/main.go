@@ -2,12 +2,14 @@
 // workload ships two entry points over one shared body class — a
 // scalar twin that runs the whole iteration space sequentially, and a
 // kernel twin whose main calls hera/Parallel.forRange(0, n, body). The
-// launch picks the core pool predicted to finish it first (the four
-// SPEs on both shapes here: two VPUs would each run twice the rows),
-// fans one pinned worker out per core, stages each
-// worker's tiles into its scratchpad over double-buffered DMA, and
-// joins at a barrier. The demo runs both twins on both machine shapes
-// and prints the speedups; every run must produce the same checksum.
+// job has its machine to itself, so the launch splits the rows over
+// every core kind — each pool gets the share that evens out its
+// predicted finish, the PPE, whose caller waits at the barrier,
+// included — fans one pinned worker out per core, stages each
+// local-store worker's tiles into its scratchpad over double-buffered
+// DMA, and joins at a barrier. The demo runs both twins on both machine
+// shapes and prints the speedups; every run must produce the same
+// checksum. (32 rows over seven cores take the same cycles on both.)
 //
 //	go run ./examples/kernels
 package main

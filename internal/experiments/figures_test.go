@@ -163,11 +163,11 @@ func TestCheckFailureArms(t *testing.T) {
 		edit(s)
 		return s
 	}
-	// kernels is a shape's matmul row, after edit, beside a PPE
-	// reference that neither stages nor clears the floor.
+	// kernels is a three-kind shape's matmul row, after edit, beside a
+	// PPE reference that neither stages nor clears the floor.
 	kernels := func(edit func(*KernelsRow)) *KernelsSweep {
-		row := KernelsRow{Workload: "matmul", Topology: "ppe:1,spe:4,vpu:2", Shape: true, Pool: "spe",
-			Speedup: 3.4, VsBest: 1, Workers: 4, DMABytes: 4096, Valid: true}
+		row := KernelsRow{Workload: "matmul", Topology: "ppe:1,spe:4,vpu:2", Shape: true, Pool: "ppe+spe+vpu",
+			Speedup: 5.2, VsBest: 0.76, Workers: 7, DMABytes: 4096, Staged: "spe+vpu", Valid: true}
 		edit(&row)
 		ref := KernelsRow{Workload: "matmul", Topology: "ppe:1", Pool: "ppe", Speedup: 1, Workers: 1, Valid: true}
 		return &KernelsSweep{Rows: []KernelsRow{row, ref}}
@@ -227,12 +227,22 @@ func TestCheckFailureArms(t *testing.T) {
 
 		{"clean kernels", kernels(func(*KernelsRow) {}), floor, ""},
 		{"invalid kernel row", kernels(func(r *KernelsRow) { r.Valid = false }), floor, "matmul on ppe:1,spe:4,vpu:2: checksum mismatch"},
-		{"zero DMA", kernels(func(r *KernelsRow) { r.DMABytes = 0 }), floor, "matmul on ppe:1,spe:4,vpu:2: kernel billed no staging DMA"},
-		{"zero DMA on the PPE", kernels(func(r *KernelsRow) { r.Pool, r.DMABytes = "ppe", 0 }), floor, ""},
+		{"zero DMA", kernels(func(r *KernelsRow) { r.DMABytes, r.Staged = 0, "" }), floor, "matmul on ppe:1,spe:4,vpu:2: kernel billed no staging DMA on its spe pool"},
+		{"VPUs staged nothing", kernels(func(r *KernelsRow) { r.Staged = "spe" }), floor, "matmul on ppe:1,spe:4,vpu:2: kernel billed no staging DMA on its vpu pool"},
+		{"zero DMA on the PPE", kernels(func(r *KernelsRow) { r.Pool, r.DMABytes, r.Staged = "ppe", 0, "" }), floor, ""},
 		{"kernels below floor", kernels(func(r *KernelsRow) { r.Speedup = 1.5 }), floor, "matmul on ppe:1,spe:4,vpu:2: speedup 1.50x"},
-		{"plan behind its best pool", kernels(func(r *KernelsRow) { r.Pool, r.VsBest = "vpu", 1.62 }), floor,
-			"matmul on ppe:1,spe:4,vpu:2: the vpu plan takes 1.620x the cycles of the best single pool"},
-		{"plan within slack", kernels(func(r *KernelsRow) { r.VsBest = 1.02 }), floor, ""},
+		{"split no better than its best sub-machine", kernels(func(r *KernelsRow) { r.Pool, r.VsBest = "spe", 1 }), floor,
+			"matmul on ppe:1,spe:4,vpu:2: the spe plan takes 1.000x the cycles of the best sub-machine (at most 0.80x)"},
+		{"nbody split held too", kernels(func(r *KernelsRow) { r.Workload, r.VsBest = "nbody", 0.9 }), Options{},
+			"nbody on ppe:1,spe:4,vpu:2: the ppe+spe+vpu plan takes 0.900x"},
+		{"kmeans split not held", kernels(func(r *KernelsRow) { r.Workload, r.VsBest = "kmeans", 0.9 }), Options{}, ""},
+		{"split not held off the figure's shapes", kernels(func(r *KernelsRow) { r.VsBest = 1 }),
+			Options{MinSpeedup: 2, Topologies: []cell.Topology{cell.PS3Topology(6)}}, ""},
+		{"split not held below the default size", kernels(func(r *KernelsRow) { r.VsBest = 1 }),
+			Options{MinSpeedup: 2, ScaleOverride: map[string]int{"matmul": 1}}, ""},
+		{"plan behind its best sub-machine", kernels(func(r *KernelsRow) { r.Topology, r.Pool, r.VsBest = "ppe:1,spe:6", "ppe+spe", 1.62 }), floor,
+			"matmul on ppe:1,spe:6: the ppe+spe plan takes 1.620x the cycles of the best sub-machine (at most 1.02x)"},
+		{"plan within slack", kernels(func(r *KernelsRow) { r.Topology, r.Pool, r.VsBest = "ppe:1,spe:6", "ppe+spe", 1.02 }), floor, ""},
 		{"floor never applied", kernels(func(r *KernelsRow) { r.Workload = "nbody" }), floor, "no matmul row ran"},
 		{"no floor, no matmul", kernels(func(r *KernelsRow) { r.Workload = "nbody" }), Options{}, ""},
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"herajvm/internal/cell"
@@ -14,13 +15,19 @@ import (
 // kernel workload (matmul, nbody, kmeans) run scalar and kernel on
 // each topology, with the checksums differentially checked against the
 // pure-Go reference. The speedup column is simulated cycles — the
-// claim under test is that fanning the iteration space out over the
-// pool the planner predicts finishes first beats the sequential run of
-// the identical body, with the staging DMA billed, not free. Beside
-// each topology the sweep runs every single pool on its own: the
-// sub-machine holding only that pool's kind beside the PPEs (ppe:1,spe:4
-// is the SPE reference of ppe:1,spe:4,vpu:2, and ppe:1 the PPE's). A
-// topology's chosen plan is held to the best of its references.
+// claim under test is that splitting the iteration space over the
+// pools the planner predicts finish it first beats the sequential run
+// of the identical body, with the staging DMA billed, not free. The
+// scalar twin is one thread on the PPE, so it runs once per kernel on
+// each distinct set of PPE groups, alone (ppe:1 for every default
+// shape), and every row's speedup is over its own. Beside each
+// topology the sweep runs its sub-machines: the PPEs alone, and the
+// PPEs beside each other kind (ppe:1,spe:4 is the SPE reference of
+// ppe:1,spe:4,vpu:2, and ppe:1 the PPE's). Each job has its machine to
+// itself, so a launch splits over every kind it has — a reference means
+// "that kind beside the PPE", not that kind alone. A topology's plan is
+// held to the best of its references, and a split over three kinds must
+// beat them all.
 type KernelsSweep struct {
 	Rows []KernelsRow `json:"rows"`
 }
@@ -30,36 +37,56 @@ type KernelsRow struct {
 	Workload string `json:"workload"`
 	Topology string `json:"topology"`
 	// Shape is true for a topology the sweep was asked for, false for a
-	// single-pool reference machine run only to judge one.
+	// sub-machine run only to judge one.
 	Shape bool `json:"shape"`
-	// Pool is the core kind the launch ran on, as its job reports it.
+	// Pool is the set of core kinds the launch ran on, as its job
+	// reports it ("ppe+spe").
 	Pool string `json:"pool"`
 	// ScalarCycles/KernelCycles are the two variants' simulated
-	// completion times; Speedup is their ratio.
+	// completion times (the scalar run on the topology's PPE groups
+	// alone); Speedup is their ratio.
 	ScalarCycles uint64  `json:"scalar_cycles"`
 	KernelCycles uint64  `json:"kernel_cycles"`
 	Speedup      float64 `json:"speedup"`
-	// VsBest is a shape's KernelCycles over the least of its single-pool
-	// references' (0 on a reference-only row).
+	// VsBest is a shape's KernelCycles over the least of its
+	// sub-machines' (0 on a reference-only row).
 	VsBest float64 `json:"vs_best"`
 	// Workers and DMABytes are the kernel job's fan-out width and the
-	// staging DMA billed against it.
+	// staging DMA billed against it; Staged is the set of kinds whose
+	// cores staged tiles ("spe+vpu").
 	Workers  uint64 `json:"workers"`
 	DMABytes uint64 `json:"dma_bytes"`
+	Staged   string `json:"staged"`
 	// Checksum is the (shared) checksum; Valid demands scalar, kernel
 	// and the Go reference all agree.
 	Checksum int32 `json:"checksum"`
 	Valid    bool  `json:"valid"`
 }
 
-// planSlack is how far a shape's chosen plan may trail its best
-// single-pool reference: the planner prices from static code, so a
-// near-tie may go either way.
+// planSlack is how far a shape's plan may trail its best sub-machine:
+// the planner prices from static code, so a near-tie may go either way.
 const planSlack = 1.02
 
-// poolReferences returns the single-pool sub-machines of topo, one per
-// kind it has, in kind order: the PPE groups alone, and the PPE groups
-// beside each other kind's groups.
+// splitGain is the most a split over three kinds may take of its best
+// sub-machine's cycles where the figure claims the gain (splitClaimed).
+const splitGain = 0.80
+
+// splitClaimed reports whether r is held to splitGain: matmul or nbody
+// — kmeans' branchy body gains less on the VPUs — on one of the
+// figure's own three-kind shapes, at the kernel's default size. Smaller
+// or PPE-heavier runs split too, for less (a scale-1 matmul has too few
+// rows to split evenly: 0.868x; ppe:2,spe:2,vpu:1 adds one VPU: 0.842x).
+func splitClaimed(r KernelsRow, opt Options) bool {
+	if r.Workload != "matmul" && r.Workload != "nbody" || len(opt.Topologies) > 0 || opt.ScaleOverride[r.Workload] != 0 {
+		return false
+	}
+	topo, err := cell.ParseTopology(r.Topology)
+	return err == nil && len(poolReferences(topo)) == 3 // one reference per kind
+}
+
+// poolReferences returns the sub-machines of topo, one per kind it has,
+// in kind order: the PPE groups alone, and the PPE groups beside each
+// other kind's groups.
 func poolReferences(topo cell.Topology) []cell.Topology {
 	var out []cell.Topology
 	for _, k := range isa.CoreKinds() {
@@ -81,19 +108,20 @@ func poolReferences(topo cell.Topology) []cell.Topology {
 // RunKernels executes the kernel offload ablation: workloads x
 // machines, scalar vs kernel — each workload's two entry classes are
 // two benches over the one program, so the job-level kernel accounting
-// (workers, staging DMA, pool) is observable per variant.
+// (workers, staging DMA, pools) is observable per variant.
 // Options.Topologies overrides the shapes; Options.ScaleOverride the
 // per-workload scales.
 func RunKernels(opt Options) (*KernelsSweep, error) {
-	var benches []bench
+	var scalars, kernels []bench
 	for _, k := range workloads.Kernels() {
 		scale := opt.scale(k.Name, k.DefaultScale)
 		want := k.Reference(0, scale)
-		for _, entry := range []string{k.ScalarClass, k.MainClass} {
-			benches = append(benches, bench{name: k.Name + "/" + entry, entry: entry,
+		b := func(entry string) bench {
+			return bench{name: k.Name + "/" + entry, entry: entry,
 				build: func(threads int) (*classfile.Program, error) { return k.Build(threads, scale) },
-				want:  func(int) int32 { return want }})
+				want:  func(int) int32 { return want }}
 		}
+		scalars, kernels = append(scalars, b(k.ScalarClass)), append(kernels, b(k.MainClass))
 	}
 	// The default shapes: the paper's PS3 baseline, the three-kind serve
 	// machine, the same with two SPEs, and the VPUs beside the PPE alone.
@@ -110,11 +138,25 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 		for _, ref := range poolReferences(topo) {
 			if !armed[ref.String()] {
 				armed[ref.String()] = true
-				arms = append(arms, on("single pool", ref, 0))
+				arms = append(arms, on("sub-machine", ref, 0))
 			}
 		}
 	}
-	runs, err := grid(opt, "kernels", benches, arms)
+	// The scalar twin runs on each distinct PPE sub-machine: the first of
+	// every topology's references, and itself an arm.
+	var scalarArms []arm
+	scalarArm := map[string]int{}
+	for _, a := range arms {
+		if topo := a.cfg.Machine.Topology; poolReferences(topo)[0].String() == topo.String() {
+			scalarArm[topo.String()] = len(scalarArms)
+			scalarArms = append(scalarArms, a)
+		}
+	}
+	scalarRuns, err := grid(opt, "kernels", scalars, scalarArms)
+	if err != nil {
+		return nil, err
+	}
+	kernelRuns, err := grid(opt, "kernels", kernels, arms)
 	if err != nil {
 		return nil, err
 	}
@@ -122,8 +164,9 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 	for i, k := range workloads.Kernels() {
 		rows := make([]KernelsRow, len(arms))
 		cycles := map[string]uint64{}
-		for t := range arms {
-			sj, kj := runs[2*i][t], runs[2*i+1][t]
+		for t, a := range arms {
+			sj := scalarRuns[i][scalarArm[poolReferences(a.cfg.Machine.Topology)[0].String()]]
+			kj := kernelRuns[i][t]
 			rows[t] = KernelsRow{
 				Workload:     k.Name,
 				Topology:     kj.Topology,
@@ -133,6 +176,7 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 				KernelCycles: kj.Cycles,
 				Workers:      kj.Job.KernelWorkers,
 				DMABytes:     kj.Job.KernelDMABytes,
+				Staged:       strings.ToLower(kj.Staged.String()),
 				Checksum:     kj.Checksum,
 				Valid:        sj.Valid && kj.Valid && kj.Job.KernelLaunches == 1,
 			}
@@ -164,15 +208,16 @@ func RunKernels(opt Options) (*KernelsSweep, error) {
 // so the output replays byte for byte.
 func (s *KernelsSweep) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Data-parallel kernel offload: scalar vs Parallel.forRange (simulated cycles)\n")
-	fmt.Fprintf(&b, "%-10s %-18s %-5s %14s %14s %8s %8s %8s %10s %6s\n",
+	fmt.Fprintf(&b, "Data-parallel kernel offload: scalar vs Parallel.forRange (simulated cycles;\n")
+	fmt.Fprintf(&b, "every launch splits over its machine's kinds; a ref row is a sub-machine, that kind beside the PPE)\n")
+	fmt.Fprintf(&b, "%-10s %-18s %-11s %14s %14s %8s %8s %8s %10s %6s\n",
 		"kernel", "topology", "pool", "scalar", "kernel", "speedup", "vs best", "workers", "dma B", "valid")
 	for _, r := range s.Rows {
 		vsBest := "ref"
 		if r.Shape {
 			vsBest = fmt.Sprintf("%.3fx", r.VsBest)
 		}
-		fmt.Fprintf(&b, "%-10s %-18s %-5s %14d %14d %7.2fx %8s %8d %10d %6v\n",
+		fmt.Fprintf(&b, "%-10s %-18s %-11s %14d %14d %7.2fx %8s %8d %10d %6v\n",
 			r.Workload, r.Topology, r.Pool, r.ScalarCycles, r.KernelCycles,
 			r.Speedup, vsBest, r.Workers, r.DMABytes, r.Valid)
 	}
@@ -180,10 +225,11 @@ func (s *KernelsSweep) Table() string {
 }
 
 // Check gates the sweep: every row must be differentially valid, every
-// kernel run on a local-store pool must have billed staging DMA, every
-// shape's chosen plan must take at most planSlack times the cycles of
-// its best single-pool reference, and matmul's speedup on every shape
-// must clear Options.MinSpeedup (the CI floor).
+// local-store pool a kernel ran on must have staged tiles, every
+// shape's plan must take at most planSlack times the cycles of its best
+// sub-machine — and at most splitGain times where splitClaimed — and
+// matmul's speedup on every shape must clear
+// Options.MinSpeedup (the CI floor).
 func (s *KernelsSweep) Check(opt Options) error {
 	var problems []string
 	gated := opt.MinSpeedup == 0
@@ -193,17 +239,24 @@ func (s *KernelsSweep) Check(opt Options) error {
 				fmt.Sprintf("%s on %s: checksum mismatch between scalar, kernel and reference",
 					r.Workload, r.Topology))
 		}
-		if kind, err := isa.ParseCoreKind(r.Pool); err == nil && kind.UsesLocalStore() && r.DMABytes == 0 {
-			problems = append(problems,
-				fmt.Sprintf("%s on %s: kernel billed no staging DMA", r.Workload, r.Topology))
+		staged := strings.Split(r.Staged, "+")
+		for _, name := range strings.Split(r.Pool, "+") {
+			if kind, err := isa.ParseCoreKind(name); err == nil && kind.UsesLocalStore() && !slices.Contains(staged, name) {
+				problems = append(problems,
+					fmt.Sprintf("%s on %s: kernel billed no staging DMA on its %s pool", r.Workload, r.Topology, name))
+			}
 		}
 		if !r.Shape {
 			continue
 		}
-		if r.VsBest > planSlack {
+		limit := planSlack
+		if splitClaimed(r, opt) {
+			limit = splitGain
+		}
+		if r.VsBest > limit {
 			problems = append(problems, fmt.Sprintf(
-				"%s on %s: the %s plan takes %.3fx the cycles of the best single pool (at most %.2fx)",
-				r.Workload, r.Topology, r.Pool, r.VsBest, planSlack))
+				"%s on %s: the %s plan takes %.3fx the cycles of the best sub-machine (at most %.2fx)",
+				r.Workload, r.Topology, r.Pool, r.VsBest, limit))
 		}
 		if r.Workload == "matmul" {
 			gated = true

@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	"herajvm/internal/cell"
+	"herajvm/internal/classfile"
+	"herajvm/internal/isa"
+	"herajvm/internal/vm"
+	"herajvm/internal/workloads"
 )
 
 // kernelsQuickOpt shrinks every kernel workload to scale 1 so the
@@ -15,13 +19,16 @@ func kernelsQuickOpt() Options {
 	return Options{ScaleOverride: map[string]int{"matmul": 1, "nbody": 1, "kmeans": 1}}
 }
 
-// TestRunKernelsDifferentialAndGate: the quick sweep must produce a
-// valid row per (workload, machine) — the four shapes and their three
-// further single-pool references — bill staging DMA on every
-// local-store pool, and pass its own gate at a floor every shape clears
-// at scale 1.
+// TestRunKernelsDifferentialAndGate: the sweep at the figure's own
+// sizes must produce a valid row per (workload, machine) — the four
+// shapes and their three further sub-machines — stage tiles on every
+// local-store pool it ran on, divide by the one scalar run per kernel
+// (every default shape's PPE groups are ppe:1), and pass its
+// own gate at the CI floor: every shape within 1.02x of its best
+// sub-machine, and matmul and nbody on the three-kind shapes within
+// 0.80x.
 func TestRunKernelsDifferentialAndGate(t *testing.T) {
-	s, err := RunKernels(kernelsQuickOpt())
+	s, err := RunKernels(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,42 +43,40 @@ func TestRunKernelsDifferentialAndGate(t *testing.T) {
 			t.Errorf("%s on %s: workers=%d dma=%d on a %s pool, want workers, and DMA off the PPE",
 				r.Workload, r.Topology, r.Workers, r.DMABytes, r.Pool)
 		}
+		if want := strings.TrimPrefix(strings.TrimPrefix(r.Pool, "ppe"), "+"); r.Staged != want {
+			t.Errorf("%s on %s: staged on %q, want every local-store kind of %q", r.Workload, r.Topology, r.Staged, r.Pool)
+		}
+		if first := s.Rows[0]; r.Workload == first.Workload && r.ScalarCycles != first.ScalarCycles {
+			t.Errorf("%s on %s: scalar %d cycles, want the one scalar run's %d",
+				r.Workload, r.Topology, r.ScalarCycles, first.ScalarCycles)
+		}
 	}
-	if err := s.Check(Options{MinSpeedup: 1.0}); err != nil {
-		t.Errorf("gate failed at a 1.0x floor: %v", err)
+	if err := s.Check(Options{MinSpeedup: 2.0}); err != nil {
+		t.Errorf("gate failed at the 2.0x floor: %v", err)
 	}
 	if err := s.Check(Options{MinSpeedup: 1e9}); err == nil {
 		t.Error("gate passed an impossible floor")
 	}
 }
 
-// TestRunKernelsPoolChoice: the reported pool is the one the launch ran
-// on, and the planner picks the pool that finishes first — the four
-// SPEs over the two VPUs on the three-kind machine, the VPUs over two
-// SPEs for the FP-heavy matmul and nbody but not for the branchy kmeans
-// — and each reference runs on its own pool.
+// TestRunKernelsPoolChoice: the reported pool is the set of kinds the
+// launch ran on, and each job, alone on its machine, splits its launch
+// over every kind the machine has — the shapes and the references.
 func TestRunKernelsPoolChoice(t *testing.T) {
 	s, err := RunKernels(kernelsQuickOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{
-		"ppe:1,spe:6":              "spe",
-		"ppe:1,spe:4,vpu:2":        "spe",
-		"ppe:1,vpu:2":              "vpu",
-		"ppe:1":                    "ppe",
-		"ppe:1,spe:4":              "spe",
-		"ppe:1,spe:2":              "spe",
-		"ppe:1,spe:2,vpu:2 matmul": "vpu",
-		"ppe:1,spe:2,vpu:2 nbody":  "vpu",
-		"ppe:1,spe:2,vpu:2 kmeans": "spe",
-	}
 	for _, r := range s.Rows {
-		w, ok := want[r.Topology]
-		if !ok {
-			w = want[r.Topology+" "+r.Workload]
+		topo, err := cell.ParseTopology(r.Topology)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Pool != w {
+		var want isa.KindSet
+		for _, g := range topo {
+			want = want.With(g.Kind)
+		}
+		if w := strings.ToLower(want.String()); r.Pool != w {
 			t.Errorf("%s on %s: pool %q, want %q", r.Workload, r.Topology, r.Pool, w)
 		}
 	}
@@ -79,7 +84,7 @@ func TestRunKernelsPoolChoice(t *testing.T) {
 
 // TestRunKernelsPlansPPEHeavyShapes: where a PPE pool competes with
 // local-store pools, the plan still takes at most planSlack times its
-// best single pool — the price charges each kind's memory hits, which
+// best sub-machine — the price charges each kind's memory hits, which
 // the PPE's hardware cache serves cheaper than a software cache probe.
 func TestRunKernelsPlansPPEHeavyShapes(t *testing.T) {
 	opt := kernelsQuickOpt()
@@ -94,8 +99,109 @@ func TestRunKernelsPlansPPEHeavyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Check(Options{}); err != nil {
+	if err := s.Check(opt); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScalarTwinStaysOnThePPE: the figure runs each kernel's scalar
+// twin once per set of PPE groups, on those groups alone, and divides
+// every row with those groups by it. That holds because the twin's one
+// thread never leaves the PPE: on each default shape and both PPE-heavy
+// ones it takes the cycles it takes on the PPE groups alone, and
+// migrates nowhere.
+func TestScalarTwinStaysOnThePPE(t *testing.T) {
+	var arms []arm
+	for _, shape := range []string{"ppe:1", "ppe:1,spe:6", "ppe:1,spe:4,vpu:2", "ppe:1,spe:2,vpu:2", "ppe:1,vpu:2",
+		"ppe:4", "ppe:4,spe:3", "ppe:2", "ppe:2,spe:2,vpu:1"} {
+		topo, err := cell.ParseTopology(shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms = append(arms, on(shape, topo, 0))
+	}
+	for _, k := range workloads.Kernels() {
+		want := k.Reference(0, k.DefaultScale)
+		b := bench{name: k.Name + "/" + k.ScalarClass, entry: k.ScalarClass,
+			build: func(threads int) (*classfile.Program, error) { return k.Build(threads, k.DefaultScale) },
+			want:  func(int) int32 { return want }}
+		runs, err := grid(Options{}, "kernels", []bench{b}, arms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := map[string]uint64{}
+		for _, r := range runs[0] {
+			topo, _ := cell.ParseTopology(r.Topology)
+			ppe := poolReferences(topo)[0].String()
+			if r.Topology == ppe {
+				alone[ppe] = r.Cycles
+			}
+			if !r.Valid || r.Cycles != alone[ppe] || r.All.MigrationsIn != 0 {
+				t.Errorf("%s scalar on %s: %d cycles, %d migrations, valid %v; want %s's %d cycles, none, valid",
+					k.Name, r.Topology, r.Cycles, r.All.MigrationsIn, r.Valid, ppe, alone[ppe])
+			}
+		}
+	}
+}
+
+// TestKernelBesideAnotherJobTakesOnePool: a launch made while another
+// job is admitted — the serve path — runs on the one pool predicted to
+// finish the body first: the four SPEs over the two VPUs on
+// ppe:1,spe:4,vpu:2, and on ppe:1,spe:2,vpu:2 the two VPUs over two
+// SPEs for the FP-heavy matmul and nbody but not for the branchy kmeans.
+func TestKernelBesideAnotherJobTakesOnePool(t *testing.T) {
+	for _, tc := range []struct {
+		shape string
+		want  map[string]isa.CoreKind
+	}{
+		{"ppe:1,spe:4,vpu:2", map[string]isa.CoreKind{"matmul": isa.SPE, "nbody": isa.SPE, "kmeans": isa.SPE}},
+		{"ppe:1,spe:2,vpu:2", map[string]isa.CoreKind{"matmul": isa.VPU, "nbody": isa.VPU, "kmeans": isa.SPE}},
+	} {
+		topo, err := cell.ParseTopology(tc.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range workloads.Kernels() {
+			// Two copies of the kernel: the first's scalar twin is the
+			// companion, admitted before the second's kernel entry.
+			entries := []workloads.MixEntry{{Spec: k, Threads: 1, Scale: k.DefaultScale}, {Spec: k, Threads: 1, Scale: k.DefaultScale}}
+			prog, err := workloads.BuildMix(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := vm.DefaultConfig()
+			cfg.Machine.Topology = topo
+			machine, err := vm.New(cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			companion, _, err := machine.Submit(vm.JobSpec{Name: "scalar", Class: workloads.JobPrefix(0) + k.ScalarClass, Method: "main"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, _, err := machine.Submit(vm.JobSpec{Name: "kernel", Class: entries[1].MainClassOf(1), Method: "main"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := job.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if companion.Done() {
+				t.Fatalf("%s on %s: the companion finished first; the launch may have had the machine to itself", k.Name, tc.shape)
+			}
+			if _, err := companion.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			ref := k.Reference(0, k.DefaultScale)
+			if got := isa.KindSet(0).With(tc.want[k.Name]); job.KernelPool() != got {
+				t.Errorf("%s on %s: ran on %v, want %v alone", k.Name, tc.shape, job.KernelPool(), got)
+			}
+			for name, j := range map[string]*vm.Job{"scalar": companion, "kernel": job} {
+				if sum := int32(uint32(j.Root().Result)); sum != ref {
+					t.Errorf("%s on %s: %s checksum %d, want %d", k.Name, tc.shape, name, sum, ref)
+				}
+			}
+		}
 	}
 }
 

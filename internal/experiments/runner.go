@@ -77,8 +77,8 @@ type Options struct {
 	// to it.
 	Ctx context.Context
 	// MinSpeedup is the opt-in floor the kernels figure's Check holds the
-	// matmul kernel-vs-scalar cycle ratio of every topology's chosen plan
-	// to (0 = no floor; herabench -minspeedup).
+	// matmul kernel-vs-scalar cycle ratio of every topology's plan to
+	// (0 = no floor; herabench -minspeedup).
 	MinSpeedup float64
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
@@ -153,9 +153,11 @@ type RunStats struct {
 	DataCache, CodeCache uint32
 	// Job is the run's job-level accounting (kernel launches, workers
 	// and staging DMA included): every run goes through the job API.
-	// KernelPool is the kind its last kernel launch ran on.
+	// KernelPool is the set of kinds its last kernel launch ran on, and
+	// Staged the set of kinds whose cores staged data tiles.
 	Job        vm.JobStats
-	KernelPool isa.CoreKind
+	KernelPool isa.KindSet
+	Staged     isa.KindSet
 }
 
 // bench is one guest program a figure runs: how to build it for a
@@ -251,6 +253,9 @@ func collect(machine *vm.VM, job *vm.Job) RunStats {
 	localStore := false
 	for _, c := range machine.Machine.Cores() {
 		st.All.Add(&c.Stats)
+		if c.Stats.DataStaged > 0 {
+			st.Staged = st.Staged.With(c.Kind)
+		}
 		if c.Kind.UsesLocalStore() {
 			st.Accel.Add(&c.Stats)
 			localStore = true

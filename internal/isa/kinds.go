@@ -140,6 +140,27 @@ func (k CoreKind) String() string {
 	return kindSpecs[k].Name
 }
 
+// KindSet is a set of core kinds, one bit per kind.
+type KindSet uint8
+
+// With returns s with k added.
+func (s KindSet) With(k CoreKind) KindSet { return s | 1<<k }
+
+// Has reports whether k is in s.
+func (s KindSet) Has(k CoreKind) bool { return s&(1<<k) != 0 }
+
+// String joins the set's kind names in table order with "+"
+// ("PPE+SPE"); the empty set is "".
+func (s KindSet) String() string {
+	var names []string
+	for _, k := range CoreKinds() {
+		if s.Has(k) {
+			names = append(names, k.String())
+		}
+	}
+	return strings.Join(names, "+")
+}
+
 // ParseCoreKind parses a kind name ("ppe", "spe", "vpu", any case).
 func ParseCoreKind(s string) (CoreKind, error) {
 	for i, e := range kindSpecs {

@@ -40,6 +40,20 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestKindSet(t *testing.T) {
+	var s KindSet
+	if s.String() != "" || s.Has(PPE) {
+		t.Errorf("empty set = %q, has PPE %v", s, s.Has(PPE))
+	}
+	s = s.With(VPU).With(PPE).With(VPU)
+	if got := s.String(); got != "PPE+VPU" {
+		t.Errorf("set = %q, want PPE+VPU in table order", got)
+	}
+	if !s.Has(PPE) || s.Has(SPE) || !s.Has(VPU) {
+		t.Errorf("membership of %q wrong", s)
+	}
+}
+
 func TestParseCoreKind(t *testing.T) {
 	for _, s := range []string{"ppe", "PPE", "Spe", "vpu", "VPU"} {
 		k, err := ParseCoreKind(s)

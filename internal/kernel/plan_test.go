@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"herajvm/internal/isa"
@@ -28,8 +29,8 @@ func TestSplitRangeCoverage(t *testing.T) {
 			t.Fatalf("SplitRange(%d,%d,%d) = %d chunks, want %d",
 				c.from, c.to, c.workers, len(chunks), c.want)
 		}
-		p := Plan{Kind: isa.SPE, Chunks: chunks}
-		if err := p.Validate(c.from, c.to); err != nil {
+		p := Plan{Chunks: chunks}
+		if err := p.Validate(c.from, c.to, []Pool{{Kind: isa.PPE, Cores: c.workers}}); err != nil {
 			t.Fatalf("SplitRange(%d,%d,%d): %v", c.from, c.to, c.workers, err)
 		}
 	}
@@ -130,21 +131,115 @@ func TestMakespanSaturates(t *testing.T) {
 	if got := staged.Makespan(4); got != math.MaxUint64 {
 		t.Errorf("Makespan = %d, want saturation", got)
 	}
+	pools := []Pool{huge, staged}
+	if plan, ok := PlanLaunch(0, 4, pools); !ok || plan.Validate(0, 4, pools) != nil || len(plan.Chunks) != 1 {
+		t.Errorf("saturated pools: plan %+v, %v, want one valid chunk", plan, ok)
+	}
 	if best, _ := ChoosePool(4, []Pool{huge, {Kind: isa.PPE, Cores: 1, Iter: 3}}); best.Kind != isa.PPE {
 		t.Errorf("ChoosePool = %v, want the PPE over a saturated pool", best.Kind)
 	}
 }
 
+// TestPlanLaunch: unpriced pools keep the one-pool rule — they all
+// finish everything at once, and the widest takes it.
 func TestPlanLaunch(t *testing.T) {
-	plan, ok := PlanLaunch(0, 64, []Pool{{Kind: isa.PPE, Cores: 1}, {Kind: isa.SPE, Cores: 6}})
+	pools := []Pool{{Kind: isa.PPE, Cores: 1}, {Kind: isa.SPE, Cores: 6}}
+	plan, ok := PlanLaunch(0, 64, pools)
 	if !ok {
 		t.Fatal("PlanLaunch failed")
 	}
-	if plan.Kind != isa.SPE || len(plan.Chunks) != 6 {
+	if plan.Kinds() != isa.KindSet(0).With(isa.SPE) || len(plan.Chunks) != 6 {
 		t.Fatalf("plan = %+v, want 6 SPE chunks", plan)
 	}
-	if err := plan.Validate(0, 64); err != nil {
+	if err := plan.Validate(0, 64, pools); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := PlanLaunch(0, 64, []Pool{{Kind: isa.SPE}}); ok {
+		t.Error("PlanLaunch planned on a pool with no core")
+	}
+	if plan, ok := PlanLaunch(9, 9, pools); !ok || len(plan.Chunks) != 0 {
+		t.Errorf("empty range: plan %+v, %v, want no chunks", plan, ok)
+	}
+}
+
+// shares sums each kind's iterations in plan.
+func shares(plan Plan) map[isa.CoreKind]int {
+	out := map[isa.CoreKind]int{}
+	for _, c := range plan.Chunks {
+		out[c.Kind] += int(c.To - c.From)
+	}
+	return out
+}
+
+// TestPlanLaunchPPETakesAShare: beside two SPEs that stage first and
+// then run 10 cycles an iteration, the PPE at 14 takes the share that
+// evens out the finish — the 1 104 iterations it runs by cycle 15 460,
+// the least T at which ⌊T/14⌋ + 2·⌊(T−500)/10⌋ reaches 4 096 — and the
+// split beats the SPEs alone (500 + 10·2 048 = 20 980 cycles).
+func TestPlanLaunchPPETakesAShare(t *testing.T) {
+	pools := []Pool{{Kind: isa.PPE, Cores: 1, Iter: 14}, {Kind: isa.SPE, Cores: 2, Iter: 10, Stage: 500}}
+	plan, ok := PlanLaunch(0, 4096, pools)
+	if !ok {
+		t.Fatal("PlanLaunch failed")
+	}
+	if err := plan.Validate(0, 4096, pools); err != nil {
+		t.Fatal(err)
+	}
+	got := shares(plan)
+	if got[isa.PPE] != 1104 || got[isa.SPE] != 2992 || len(plan.Chunks) != 3 {
+		t.Fatalf("shares %v in %d chunks, want PPE 1104 and SPE 2992 in 3", got, len(plan.Chunks))
+	}
+	ppe, spe := pools[0].Makespan(1104), pools[1].Makespan(2992)
+	if best, _ := ChoosePool(4096, pools); ppe > 15460 || spe != 15460 || best.Makespan(4096) != 20980 {
+		t.Errorf("finishes PPE %d, SPE %d, want both by 15460 against the SPEs' 20980 alone", ppe, spe)
+	}
+}
+
+// TestPlanLaunchSkipsSlowPools: a pool whose first iteration would end
+// after the others finish the whole launch gets no share and no worker
+// — here the VPUs, whose staging runs past the launch's end.
+func TestPlanLaunchSkipsSlowPools(t *testing.T) {
+	pools := []Pool{
+		{Kind: isa.PPE, Cores: 1, Iter: 14},
+		{Kind: isa.SPE, Cores: 4, Iter: 10, Stage: 500},
+		{Kind: isa.VPU, Cores: 2, Iter: 8, Stage: 1 << 20},
+	}
+	plan, _ := PlanLaunch(0, 4096, pools)
+	if err := plan.Validate(0, 4096, pools); err != nil {
+		t.Fatal(err)
+	}
+	if want := isa.KindSet(0).With(isa.PPE).With(isa.SPE); plan.Kinds() != want {
+		t.Errorf("plan runs on %v, want %v", plan.Kinds(), want)
+	}
+	pools[2].Stage = 500
+	if plan, _ := PlanLaunch(0, 4096, pools); len(shares(plan)) != 3 {
+		t.Errorf("cheaply staged VPUs: shares %v, want all three kinds", shares(plan))
+	}
+}
+
+// TestValidateRejects: each broken plan fails with its own rule.
+func TestValidateRejects(t *testing.T) {
+	pools := []Pool{{Kind: isa.PPE, Cores: 1}, {Kind: isa.SPE, Cores: 2}}
+	for _, tc := range []struct {
+		name   string
+		chunks []Chunk
+		want   string
+	}{
+		{"no chunks", nil, "planned no chunks"},
+		{"no such pool", []Chunk{{From: 0, To: 8, Kind: isa.VPU}}, "VPU worker 0, which has no core"},
+		{"worker past the pool", []Chunk{{From: 0, To: 8, Kind: isa.SPE, Worker: 2}}, "SPE worker 2, which has no core"},
+		{"worker reused", []Chunk{{From: 0, To: 4, Kind: isa.SPE}, {From: 4, To: 8, Kind: isa.SPE}}, "reuses SPE worker 0"},
+		{"gap", []Chunk{{From: 0, To: 3}, {From: 4, To: 8, Kind: isa.SPE}}, "starts at 4, want 3"},
+		{"empty chunk", []Chunk{{From: 0, To: 0}, {From: 0, To: 8, Kind: isa.SPE}}, "empty [0,0)"},
+		{"short", []Chunk{{From: 0, To: 7}}, "end at 7, want 8"},
+	} {
+		err := Plan{Chunks: tc.chunks}.Validate(0, 8, pools)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+	if err := (Plan{Chunks: []Chunk{{From: 0, To: 1}}}).Validate(3, 3, pools); err == nil {
+		t.Error("an empty range accepted a chunk")
 	}
 }
 

@@ -87,8 +87,9 @@ type Job struct {
 	// barrier state — pinned workers mid-chunk, a caller blocked in a
 	// native — is not serializable between instructions.
 	kernels int
-	// kernelPool is the kind of core the job's last kernel launch ran on.
-	kernelPool isa.CoreKind
+	// kernelPool is the set of core kinds the job's last kernel launch
+	// ran on.
+	kernelPool isa.KindSet
 	// frozen marks a job serialized off this machine by Freeze: it
 	// will never complete here (done stays false), and Wait returns
 	// ErrFrozen for it. freezeBarrier asks the executor to park the
@@ -104,9 +105,9 @@ type Job struct {
 	vm *VM
 }
 
-// KernelPool returns the kind of core the job's last kernel launch ran
-// on; it is meaningful once Stats.KernelLaunches is nonzero.
-func (j *Job) KernelPool() isa.CoreKind { return j.kernelPool }
+// KernelPool returns the set of core kinds the job's last kernel launch
+// ran on; it is empty until Stats.KernelLaunches is nonzero.
+func (j *Job) KernelPool() isa.KindSet { return j.kernelPool }
 
 // Done reports whether every thread of the job has terminated.
 func (j *Job) Done() bool { return j.done }

@@ -271,7 +271,7 @@ func TestEveryThreadHasAJob(t *testing.T) {
 	}
 
 	v, _ := runKernelJob(t, kernelTopology(), "KMain", 600)
-	check("kernel launch", v, 1+4) // root + one worker per SPE
+	check("kernel launch", v, 1+7) // root + one worker per core: the job is alone
 
 	v, _ = runMain(t, testConfig(), buildComputeWorkers(3, 10), "Main", "main")
 	check("Thread.start children", v, 1+3)

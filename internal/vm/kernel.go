@@ -4,15 +4,20 @@
 // every kind the machine has (kernelPools: its static cost per
 // iteration from that kind's compiler, and the staging of its tiles
 // through the MFC/EIB model), plans the fan-out with internal/kernel
-// (the pool with the least predicted makespan, contiguous chunking),
-// and spawns one SPMD worker per core of the chosen pool, each pinned
-// to its core for life — the scheduler's steal and migrate passes skip
-// pinned tasks, so the barrier below is a join over workers that cannot
-// wander. The caller blocks in the void
-// native until the last worker retires (finishThread decrements the
-// barrier), then wakes through the same join-edge coherence protocol
-// ordinary joins use: every retiring worker release-flushes its core's
-// data cache, and the woken caller acquire-purges before running.
+// (a water-fill that gives each pool the share evening out its
+// predicted finish, contiguous chunking), and spawns one SPMD worker per core of every
+// pool with a share, each pinned to its core for life — the
+// scheduler's steal and migrate passes skip pinned tasks, so the
+// barrier below is a join over workers that cannot wander. Every pool
+// is offered only to a job that has the machine to itself: beside
+// other admitted jobs the launch takes the one pool predicted to finish
+// its body first, since a split that takes cores out from under queued
+// jobs was measured to lose (ROADMAP item 17). The caller blocks in the
+// void native until the last worker retires (finishThread decrements
+// the barrier), then wakes through the same join-edge coherence
+// protocol ordinary joins use: every retiring worker release-flushes
+// its core's data cache, and the woken caller acquire-purges before
+// running.
 //
 // Workers on local-store kinds stage their input tiles through the MFC
 // before the first quantum (DataCache.StageArray): tile k+1's DMA is
@@ -66,11 +71,16 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 		return nil
 	}
 
-	// Run on the pool predicted to finish first, among every kind this
-	// machine has; the kernel semantics are identical on each.
+	// A job alone on the machine splits the launch over every kind it
+	// has; one sharing it runs on the pool that finishes the body first.
+	// The kernel semantics are identical on each kind.
 	pools, err := vm.kernelPools(runM, body)
 	if err != nil {
 		return &TrapError{Kind: "InternalError", Detail: err.Error()}
+	}
+	if vm.pending != 1 {
+		best, _ := kernel.ChoosePool(uint64(int64(to)-int64(from)), pools)
+		pools = []kernel.Pool{best}
 	}
 	plan, ok := kernel.PlanLaunch(from, to, pools)
 	if !ok || len(plan.Chunks) == 0 {
@@ -81,19 +91,19 @@ func (vm *VM) launchKernel(c *NativeCtx, from, to int32, body Ref) error {
 	vm.kernelSeq++
 	j := c.Thread.job
 	j.kernels++
-	j.kernelPool = plan.Kind
+	j.kernelPool = plan.Kinds()
 	j.Stats.KernelLaunches++
 	j.Stats.KernelWorkers += uint64(len(plan.Chunks))
 
 	// edgeKernel: the body's input arrays happen-before the workers' reads.
 	vm.release(c.Core, edgeKernel)
 
-	for _, chunk := range plan.Chunks {
-		if err := vm.spawnKernelWorker(k, runM, body, plan.Kind, chunk, c.Core.Now); err != nil {
+	for i, chunk := range plan.Chunks {
+		if err := vm.spawnKernelWorker(k, runM, body, chunk, c.Core.Now); err != nil {
 			// A spawn failure (compiler full) traps the caller; workers
 			// already spawned run to completion and find remaining > 0
 			// forever — so back the count down to what actually started.
-			k.remaining -= len(plan.Chunks) - chunk.Worker
+			k.remaining -= len(plan.Chunks) - i
 			if k.remaining == 0 {
 				j.kernels--
 			}
@@ -145,12 +155,13 @@ func (vm *VM) kernelPools(runM *classfile.Method, body Ref) ([]kernel.Pool, erro
 }
 
 // spawnKernelWorker starts one pinned SPMD worker executing
-// body.run(chunk.From, chunk.To) on the chosen core, bypassing the
-// placement policy and the drain-based core pick: the plan already
-// assigned exactly one worker per core of the pool.
+// body.run(chunk.From, chunk.To) on core chunk.Worker of the
+// chunk.Kind pool, bypassing the placement policy and the drain-based
+// core pick: the plan already assigned at most one worker per core.
 func (vm *VM) spawnKernelWorker(k *kernelLaunch, runM *classfile.Method, body Ref,
-	kind isa.CoreKind, chunk kernel.Chunk, readyAt cell.Clock) error {
+	chunk kernel.Chunk, readyAt cell.Clock) error {
 
+	kind := chunk.Kind
 	cm, compileCycles, err := vm.compileFor(kind, runM)
 	if err != nil {
 		return err

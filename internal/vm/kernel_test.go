@@ -160,12 +160,11 @@ func runKernelJob(t *testing.T, topo cell.Topology, entry string, n int32) (*VM,
 	return v, j
 }
 
-// TestKernelLaunchComputesAndJoins: a forRange launch on the VPU-bearing
-// topology fans out one pinned worker per core of the pool predicted to
-// finish first — the four SPEs, since two VPUs would each run twice the
-// iterations — produces the sequential answer, bills real staging DMA,
-// and the caller resumes past the barrier. Pricing the body on the VPUs
-// compiled nothing there.
+// TestKernelLaunchComputesAndJoins: a job alone on the VPU-bearing
+// topology splits its forRange launch over every kind — one pinned
+// worker per core of the PPE, the SPEs and the VPUs — produces the
+// sequential answer, bills real staging DMA, runs the body on every
+// kind, and the caller resumes past the barrier.
 func TestKernelLaunchComputesAndJoins(t *testing.T) {
 	const n = 600
 	v, j := runKernelJob(t, kernelTopology(), "KMain", n)
@@ -175,31 +174,67 @@ func TestKernelLaunchComputesAndJoins(t *testing.T) {
 	if j.Stats.KernelLaunches != 1 {
 		t.Errorf("KernelLaunches = %d, want 1", j.Stats.KernelLaunches)
 	}
-	if j.Stats.KernelWorkers != 4 || j.KernelPool() != isa.SPE {
-		t.Errorf("KernelWorkers = %d on %v, want the 4 SPE cores", j.Stats.KernelWorkers, j.KernelPool())
+	if all := isa.KindSet(0).With(isa.PPE).With(isa.SPE).With(isa.VPU); j.Stats.KernelWorkers != 7 || j.KernelPool() != all {
+		t.Errorf("KernelWorkers = %d on %v, want all 7 cores", j.Stats.KernelWorkers, j.KernelPool())
 	}
 	if j.Stats.KernelDMABytes == 0 {
 		t.Error("no staging DMA billed on a local-store pool")
 	}
-	var speStaged, speInstrs uint64
-	for _, c := range v.Machine.CoresOf(isa.SPE) {
-		speStaged += c.Stats.DataStaged
-		speInstrs += c.Stats.Instrs
-	}
-	if speStaged == 0 {
-		t.Error("SPE cores staged no tiles")
-	}
-	if speInstrs == 0 {
-		t.Error("the kernel never executed on the SPEs")
-	}
-	if c := v.Compiler(isa.VPU); c.Compiles != 0 || c.CodeBytes != 0 {
-		t.Errorf("VPU compiler: %d compiles, %d code bytes after pricing alone, want none", c.Compiles, c.CodeBytes)
+	for _, kind := range []isa.CoreKind{isa.SPE, isa.VPU} {
+		var staged, instrs uint64
+		for _, c := range v.Machine.CoresOf(kind) {
+			staged += c.Stats.DataStaged
+			instrs += c.Stats.Instrs
+		}
+		if staged == 0 || instrs == 0 {
+			t.Errorf("%v cores staged %d bytes and ran %d instructions, want both", kind, staged, instrs)
+		}
 	}
 	// Pinned workers must never migrate or be stolen.
 	for _, th := range v.threads {
 		if th.pinned && (th.Migrations != 0 || th.Steals != 0) {
 			t.Errorf("%s: migrations=%d steals=%d, want 0/0", th, th.Migrations, th.Steals)
 		}
+	}
+}
+
+// TestKernelLaunchBesideAnotherJobTakesOnePool: a launch made while a
+// second job is admitted plans exactly one pool — the four SPEs, which
+// finish the body before two VPUs would — and pricing the body on the
+// kinds it does not use compiled nothing there.
+func TestKernelLaunchBesideAnotherJobTakesOnePool(t *testing.T) {
+	const n = 600
+	cfg := testConfig()
+	cfg.Machine.Topology = kernelTopology()
+	v, err := New(cfg, buildKernelProg(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _, err := v.Submit(JobSpec{Name: "scalar", Class: "KScalar", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := v.Submit(JobSpec{Name: "kernel", Class: "KMain", Method: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if other.Done() {
+		t.Fatal("the scalar job finished first; the launch may have had the machine to itself")
+	}
+	if got := int32(uint32(j.Root().Result)); got != kernelExpected(n) {
+		t.Errorf("kernel total = %d, want %d", got, kernelExpected(n))
+	}
+	if spe := isa.KindSet(0).With(isa.SPE); j.Stats.KernelWorkers != 4 || j.KernelPool() != spe {
+		t.Errorf("KernelWorkers = %d on %v, want the 4 SPE cores alone", j.Stats.KernelWorkers, j.KernelPool())
+	}
+	if c := v.Compiler(isa.VPU); c.Compiles != 0 || c.CodeBytes != 0 {
+		t.Errorf("VPU compiler: %d compiles, %d code bytes after pricing alone, want none", c.Compiles, c.CodeBytes)
+	}
+	if _, err := other.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -62,8 +62,9 @@ replay cluster -fig cluster -timeout 10m
 replay cluster-handoff -fig cluster -handoff -timeout 10m
 # Kernel offload: every column is simulated state (cycles, workers, DMA
 # bytes, checksums), so the matmul kernel-vs-scalar floor on every
-# shape's chosen plan, and each plan's bound against its best single
-# pool, are exact on any runner.
+# shape's plan (the lowest is ppe:1,vpu:2 at 2.68x), each plan's bound
+# against its best sub-machine and the three-kind split's gain over
+# them are exact on any runner.
 replay kernels -fig kernels -minspeedup 2.0
 # Examples: each program under examples/ prints only simulated state
 # through the public API, so two runs of each must agree byte for byte.
