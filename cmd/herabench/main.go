@@ -14,7 +14,6 @@
 //	herabench -fig a3 -v      # ablation A3 with progress logging
 //	herabench -fig topo -topology "ppe:1,spe:6;ppe:1,spe:4,vpu:2"
 //	herabench -fig serve -trace bursty -jobs 40 -cadence 250000     # heavier churn
-//	herabench -fig fastpath                             # fast path vs stepping: match + coverage
 //	herabench -fig kernels -minspeedup 2.0              # the replay gates' offload floor
 //	herabench -fig cluster -handoff -timeout 10m -cpuprofile cpu.pprof
 //
@@ -53,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig   = fs.String("fig", "all", strings.Join(ids, " | ")+" | all")
 		full  = fs.Bool("full", false, "paper-shaped workload sizes (slower)")
 		topos = fs.String("topology", "",
-			`semicolon-separated machine shapes for the topo/kernels sweeps (the first one for serve/fastpath), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
+			`semicolon-separated machine shapes for the topo/kernels sweeps (the first one for serve), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
 		jsonPath   = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
 		minSpeedup = fs.Float64("minspeedup", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup of the plan on every topology (lowest default shape: ppe:1,vpu:2 at 2.68x); exit 1 below it (0 = no floor)")
 		timeout    = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")

@@ -32,7 +32,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-fig", "all", "-json", filepath.Join(t.TempDir(), "x.json")}, "-json"},
 		{[]string{"-fig", "4a", "-minspeedup", "2"}, "-minspeedup"},
 		{[]string{"-fig", "cluster", "-minspeedup", "2"}, "-minspeedup"},
-		{[]string{"-fig", "fastpath", "-handoff"}, "-handoff"},
+		{[]string{"-fig", "serve", "-handoff"}, "-handoff"},
 		{[]string{"-fig", "cluster", "-shards", "qpu:1"}, "-shards"},
 	} {
 		status, stdout, stderr := herabench(tc.args...)

@@ -49,7 +49,6 @@ func Figures() []Figure {
 		figure("a4", "A4: cost of the JMM coherence protocol", RunA4),
 		figure("topo", "machine-topology sweep (-topology overrides the shapes)", RunTopologySweep),
 		figure("serve", "open-loop serving: trace-driven jobs, shedding off vs on", RunServe),
-		figure("fastpath", "superblock fast path vs stepping: identical results, coverage", RunFastPath),
 		figure("cluster", "sharded serving: serial vs parallel advancement, hand-off arm", RunCluster,
 			Gate{"handoff", "cluster hand-off"}),
 		figure("kernels", "data-parallel offload: scalar vs Parallel.forRange", RunKernels,

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"herajvm/internal/cell"
-	"herajvm/internal/isa"
 	"herajvm/internal/vm"
 )
 
@@ -172,18 +171,6 @@ func TestCheckFailureArms(t *testing.T) {
 		ref := KernelsRow{Workload: "matmul", Topology: "ppe:1", Pool: "ppe", Speedup: 1, Workers: 1, Valid: true}
 		return &KernelsSweep{Rows: []KernelsRow{row, ref}}
 	}
-	// fastPathCell compares a stepped run with a fast one that took the
-	// memoized path for some of its work, after edit.
-	fastPathCell := func(edit func(*RunStats)) *FastPath {
-		slow := RunStats{Workload: "compress", Cycles: 1000, Checksum: 7, Valid: true}
-		slow.All.Cycles[isa.ClassFloat], slow.All.Instrs = 600, 90
-		slow.Accel = slow.All
-		fast := slow
-		fast.All.FastForwardedBlocks, fast.All.FastForwardedInstrs = 4, 80
-		fast.Accel = fast.All
-		edit(&fast)
-		return &FastPath{Rows: []FastPathRow{fastPathRow(fast, slow)}}
-	}
 	// sweep is a cache sweep over 8, 56 and the default size: compress
 	// rises and mpegaudio has a knee, the shapes of Figures 6 and 7, and
 	// flat marks the one of the two the figure's cache does not move.
@@ -270,11 +257,6 @@ func TestCheckFailureArms(t *testing.T) {
 			Options{}, "mpegaudio: checksum mismatch"},
 		{"invalid serve pass", &ServeSweep{Runs: []ServeRun{{Shedding: true}}},
 			Options{}, "shedding true"},
-		{"diverged fastpath cell", &FastPath{Rows: []FastPathRow{{Workload: "compress"}}},
-			Options{}, "compress: fast and slow runs diverged"},
-		{"clean fastpath cell", fastPathCell(func(*RunStats) {}), Options{}, ""},
-		{"diverged fastpath class vectors", fastPathCell(func(st *RunStats) { st.Accel.Cycles[isa.ClassFloat]-- }),
-			Options{}, "compress: fast and slow runs diverged"},
 	} {
 		err := tc.res.Check(tc.opt)
 		switch {

@@ -39,7 +39,7 @@ var serveScales = map[string]int{
 
 // DefaultServeTopology returns the three-kind machine every figure
 // beyond the PS3 shape shares — the serve driver's machine, the default
-// cluster shard, and a row of the topo, fastpath and kernels sweeps:
+// cluster shard, and a row of the topo and kernels sweeps:
 // a kind-imbalanced shape whose SPE pool round-robin jobs overload —
 // kernel launches included, since four SPEs finish them before two
 // VPUs would — while the VPUs (and the lone PPE between job mains)

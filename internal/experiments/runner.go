@@ -37,9 +37,9 @@ type Options struct {
 	// MaxSPEs bounds the machine (6 on a PS3).
 	MaxSPEs int
 	// Topologies overrides the machine shapes the topo and kernels
-	// sweeps visit, and its first entry the serve and fastpath
-	// machine (nil keeps each figure's defaults). herabench fills it
-	// from the -topology flag.
+	// sweeps visit, and its first entry the serve machine (nil keeps
+	// each figure's defaults). herabench fills it from the -topology
+	// flag.
 	Topologies []cell.Topology
 	// ServeJobs and ServeCadence size the open-loop serve driver
 	// (RunServe): how many jobs the arrival trace emits and the mean

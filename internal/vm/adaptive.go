@@ -16,8 +16,12 @@ import (
 // flush-when-full path, so it is always safe; it just costs a refill.
 
 // adaptiveStep is how many bytes of local store one controller decision
-// moves between the data and code caches.
-const adaptiveStep = 16 << 10
+// moves between the data and code caches; adaptiveInterval is the
+// controller's window, in cycles of the core's clock.
+const (
+	adaptiveStep     = 16 << 10
+	adaptiveInterval = 2_000_000
+)
 
 // adaptState tracks one local-store core's controller window.
 type adaptState struct {
@@ -34,11 +38,7 @@ func (vm *VM) maybeAdapt(core *cell.Core) {
 		return
 	}
 	st := &vm.adapt[core.Index]
-	interval := vm.Cfg.AdaptiveIntervalCycles
-	if interval == 0 {
-		interval = 2_000_000
-	}
-	if core.Now-st.lastCheck < interval {
+	if core.Now-st.lastCheck < adaptiveInterval {
 		return
 	}
 	dMiss := core.Stats.DataMisses - st.lastDataMiss

@@ -115,13 +115,9 @@ func (vm *VM) LiveThreads() int { return vm.liveCount }
 func (vm *VM) predictCompletion(kind isa.CoreKind, arrival cell.Clock) (completion, rootDrain cell.Clock) {
 	_, rootDrain = sched.BestCore(vm.scheduler, vm.kindCores[kind])
 	congestion := rootDrain
-	var round uint64
 	for _, k := range vm.presentKinds {
-		pool := vm.kindCores[k]
-		pos, drain := sched.BestCore(vm.scheduler, pool)
-		if drain > congestion {
+		if _, drain := sched.BestCore(vm.scheduler, vm.kindCores[k]); drain > congestion {
 			congestion = drain
-			round = vm.taskCost(nil, pool[pos])
 		}
 	}
 	start := congestion
@@ -131,11 +127,9 @@ func (vm *VM) predictCompletion(kind isa.CoreKind, arrival cell.Clock) (completi
 	service := vm.jobServiceEWMA * uint64(vm.pending+1)
 	if service == 0 {
 		// Cold start: no completion observed yet; one scheduling
-		// round is the only prediction the scheduler can back.
-		service = round
-		if service == 0 {
-			service = vm.taskCost(nil, vm.kindCores[kind][0])
-		}
+		// round on the root's kind is the only prediction the
+		// scheduler can back.
+		service = vm.taskCost(nil, vm.kindCores[kind][0])
 	}
 	return start + service, rootDrain
 }

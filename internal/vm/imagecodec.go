@@ -27,8 +27,8 @@ var imageMagic = [4]byte{'H', 'J', 'I', 'M'}
 // reference flags (the verifier types frames) and no freeze clock; v5:
 // no pending value (a value returned across a migration is in its
 // caller's frame); v6: no marker frames and no thread kind — each frame
-// names the kind its code was compiled for.
-const imageVersion uint16 = 6
+// names the kind its code was compiled for; v7: no re-migration cooldown.
+const imageVersion uint16 = 7
 
 // ErrBadImage reports undecodable JobImage bytes (truncated input,
 // wrong magic or version, a length that overruns the buffer). Match
@@ -233,7 +233,6 @@ func (w *wire) thread(t *ImageThread) {
 	w.i32(&t.WaitCount)
 	w.u64(&t.Migrations)
 	w.u64(&t.Steals)
-	w.u64(&t.CooldownLeft)
 	w.u64(&t.Result)
 	w.boolean(&t.HasResult)
 

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -45,10 +46,10 @@ func sampleImage() *JobImage {
 			},
 			{
 				Name: "w1", Blocked: true, ReadyDelay: 64, JavaObj: 3,
-				Migrations: 1, CooldownLeft: 500,
-				Trap:      &TrapError{Kind: "npe", Detail: "null field", Method: "Worker.run", PC: 4},
-				WaitCount: -1,
-				Frames:    []ImageFrame{{Kind: "SPE", Class: "Worker", Method: 1, BC: 0}},
+				Migrations: 1,
+				Trap:       &TrapError{Kind: "npe", Detail: "null field", Method: "Worker.run", PC: 4},
+				WaitCount:  -1,
+				Frames:     []ImageFrame{{Kind: "SPE", Class: "Worker", Method: 1, BC: 0}},
 			},
 		},
 		Monitors: []ImageMonitor{{Obj: 1, Owner: 0, Count: 2, Blocked: []int32{1}, Waiters: nil}},
@@ -111,11 +112,11 @@ func TestImageRoundTripFrozen(t *testing.T) {
 	}
 }
 
-// imageGoldenHex pins the version-6 wire format of sampleImage. If
+// imageGoldenHex pins the version-7 wire format of sampleImage. If
 // TestImageGoldenBytes fails, the format changed: bump imageVersion and
 // regenerate — do NOT edit the golden to paper over an accidental
 // format break.
-const imageGoldenHex = "484a494d06000600000073616d706c6539300000000000009f8601000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e0000000000000000000000000000ffffffff0000000000000000000000000000000000000000000000004d0000000000000001000100000001000000020000000300000053504504000000536e617001000000050000000000000000000000000000000300000050504504000000536e6170000000000c00000003000000010000000000000002000000000000000300000000000000010000000900000000000000010000000200000077310001400000000000000003000000ffffffff01000000000000000000000000000000f40100000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e0400000000000000010000000300000053504506000000576f726b6572010000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
+const imageGoldenHex = "484a494d07000600000073616d706c6539300000000000009f8601000000000001020000000000000001000000000000000700000000000000030000000000000000100000000000000100000000000000060000000000000000900000000000000f0000007061727469616c206f75747075740a0300000007000000436f756e746572000000000000000000000000000200000029000000000000000200000000000000020000005b4901030000000c00000001000000020000000300000000000000000000000a0000005b4c436f756e7465723b000200000000000000020000000100000000000000000000000100000004000000536e617001000000bc4d0000000000000100000004000000536e61700300000002000000040000006d61696e0000000000000000000000000000ffffffff000000000000000000000000000000004d0000000000000001000100000001000000020000000300000053504504000000536e617001000000050000000000000000000000000000000300000050504504000000536e6170000000000c00000003000000010000000000000002000000000000000300000000000000010000000900000000000000010000000200000077310001400000000000000003000000ffffffff0100000000000000000000000000000000000000000000000001030000006e70650a0000006e756c6c206669656c640a000000576f726b65722e72756e0400000000000000010000000300000053504506000000576f726b6572010000000000000000000000000000000000000001000000010000000000000002000000010000000100000000000000"
 
 func TestImageGoldenBytes(t *testing.T) {
 	enc := EncodeJobImage(sampleImage())
@@ -126,6 +127,18 @@ func TestImageGoldenBytes(t *testing.T) {
 	if !bytes.Equal(enc, want) {
 		t.Errorf("wire format drifted from the version-%d golden.\n got %s\nwant %s",
 			imageVersion, hex.EncodeToString(enc), imageGoldenHex)
+	}
+}
+
+// TestDecodeRefusesVersion6: an image written before v7 (it carried a
+// re-migration cooldown per thread) is refused by its header, before
+// any field is read in the wrong layout.
+func TestDecodeRefusesVersion6(t *testing.T) {
+	b := EncodeJobImage(sampleImage())
+	b[4], b[5] = 6, 0
+	img, err := DecodeJobImage(b)
+	if img != nil || !errors.Is(err, ErrBadImage) || !strings.Contains(err.Error(), "version 6, want 7") {
+		t.Fatalf("decode of a v6 image = %v, %v; want ErrBadImage naming version 6, want 7", img, err)
 	}
 }
 

@@ -326,14 +326,10 @@ func (vm *VM) placeKind(m *classfile.Method) isa.CoreKind {
 	return kind
 }
 
-// noteMigrated records a cross-kind migration of t (any cause) and
-// starts the thread's re-migration cooldown at the given start time.
-func (vm *VM) noteMigrated(t *Thread, at cell.Clock) {
+// noteMigrated records a cross-kind migration of t (any cause).
+func noteMigrated(t *Thread) {
 	t.Migrations++
 	t.job.Stats.Migrations++
-	if cd := vm.Cfg.MigrateCooldownCycles; cd != 0 {
-		t.cooldownUntil = at + cd
-	}
 }
 
 // noteStolen records a same-kind steal of t.

@@ -166,9 +166,6 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 
 		vm.acquireOnResume(t, edgeHandoff) // the source released at the freeze
 		t.ReadyAt = arrival + cell.Clock(it.ReadyDelay) + cell.Clock(compileCycles)
-		if it.CooldownLeft > 0 {
-			t.cooldownUntil = arrival + cell.Clock(it.CooldownLeft)
-		}
 		if it.Blocked {
 			t.State = StateBlocked
 		}
@@ -252,7 +249,7 @@ func rehydrateFrame(cm *jit.CompiledMethod, fr *ImageFrame) *Frame {
 // machine state changes, in two steps. Shape: every class and method
 // resolves, every object carries exactly the payload its kind has at
 // exactly its size, thread indices are in range, a terminated thread
-// carries no frames or cooldown, and every frame has the
+// carries no frames, and every frame has the
 // locals and operand depth the method's own verifier derives at its
 // bytecode index — so the executor cannot be handed a frame its code
 // would index out of, and refs.go's image walk, which types each frame
@@ -339,9 +336,6 @@ func (vm *VM) validateImage(img *JobImage) error {
 		if it.Terminated {
 			if n > 0 {
 				return bad("thread %d: terminated, but carries %d frame(s)", i, n)
-			}
-			if it.CooldownLeft != 0 {
-				return bad("thread %d: terminated, but carries a cooldown of %d", i, it.CooldownLeft)
 			}
 			continue
 		}

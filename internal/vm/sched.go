@@ -250,18 +250,17 @@ const behaviourMinCycles = 50_000
 // gate; within one kind's pool the affinity cancels and drain ordering
 // reduces to queue depth plus clock skew.
 //
-// On machines with a VPU, a thread whose innermost profiled method has
-// been observed long enough (behaviourMinCycles) is priced by its
-// measured cycle composition instead: the quantum is split into the
-// method's FP, main-memory and remaining shares, and the FP and memory
-// slices are scaled by how much worse this kind's predicted FP/memory
-// cost is than the machine's best (isa FPScore/MemScore, normalized by
-// the boot-time minima). An FP-heavy thread therefore drains cheapest
-// on the VPU — its FP slice scales by 1.0 while an SPE's scales by
-// FPScore(SPE)/FPScore(VPU) — so the migration gate and drain estimates
-// route it there despite the VPU's reluctant static affinity.
-// Machines without a VPU (the paper's PS3 baseline) keep the plain
-// affinity pricing, which also pins the Figure-4 goldens.
+// A thread whose innermost profiled method has been observed long
+// enough (behaviourMinCycles) is priced by its measured cycle
+// composition instead: the quantum is split into the method's FP,
+// main-memory and remaining shares, and the FP and memory slices are
+// scaled by how much worse this kind's predicted FP/memory cost is than
+// the machine's best (isa FPScore/MemScore, normalized by the boot-time
+// minima). An FP-heavy thread therefore drains cheapest on the kind
+// with the lowest FPScore — on a machine with a VPU its FP slice there
+// scales by 1.0 while an SPE's scales by FPScore(SPE)/FPScore(VPU) — so
+// the migration gate and drain estimates route it there despite the
+// VPU's reluctant static affinity.
 func (vm *VM) taskCost(task sched.Task, core *cell.Core) uint64 {
 	quantum := float64(vm.Cfg.Quantum)
 	if ctr := vm.observedCounters(task); ctr != nil {
@@ -275,14 +274,11 @@ func (vm *VM) taskCost(task sched.Task, core *cell.Core) uint64 {
 }
 
 // observedCounters returns the task's innermost profiled method
-// counters when behaviour-aware pricing applies: the machine has a VPU
-// to route FP work onto, the task is a thread with a profiled frame,
-// and that method has cleared the observation floor. Nil otherwise
-// (including the nil probe tasks the admission estimator passes).
+// counters when behaviour-aware pricing applies: the task is a thread
+// with a profiled frame, and that method has cleared the observation
+// floor. Nil otherwise (including the nil probe tasks the admission
+// estimator passes).
 func (vm *VM) observedCounters(task sched.Task) *profile.MethodCounters {
-	if !vm.Machine.HasKind(isa.VPU) {
-		return nil
-	}
 	t, ok := task.(*Thread)
 	if !ok || t == nil {
 		return nil
@@ -321,12 +317,6 @@ func (vm *VM) recompileEstimate(task sched.Task, to *cell.Core) (uint64, bool) {
 	// every thread on its one kind.
 	_, fixed := vm.policy.(FixedPolicy)
 	if fixed || t.pinned || t.crossing() || t.pendingThrow != 0 || t.pendingNative != nil {
-		return 0, false
-	}
-	// Migration hysteresis: a thread that just migrated cross-kind is
-	// not migratable again until its core's clock passes the cooldown
-	// horizon, so oscillating load cannot ping-pong it between kinds.
-	if t.cooldownUntil != 0 && vm.coreFor(t.Kind, t.CoreID).Now < t.cooldownUntil {
 		return 0, false
 	}
 	c := vm.compilers[to.Kind]
@@ -382,7 +372,7 @@ func (vm *VM) onMigrate(task sched.Task, from, to *cell.Core, readyAt cell.Clock
 	}
 	readyAt = landing + compileCycles
 	t.ReadyAt = readyAt
-	vm.noteMigrated(t, landing)
+	noteMigrated(t)
 	return readyAt, true
 }
 
@@ -454,7 +444,7 @@ func (vm *VM) migrate(core *cell.Core, t *Thread, target isa.CoreKind, words int
 	to := vm.coreFor(target, vm.pickCore(target))
 	cost := migrationBaseCycles + migrationWordCycles*uint64(words)
 	t.ReadyAt = vm.handoff(t, core, to, core.Now) + cost
-	vm.noteMigrated(t, t.ReadyAt)
+	noteMigrated(t)
 	vm.scheduler.NoteMigration(core, to)
 	vm.enqueue(t)
 }

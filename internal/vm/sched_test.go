@@ -150,8 +150,8 @@ func TestPickCoreVPUPoolOnThreeKindTopology(t *testing.T) {
 // drain cheaper on a VPU core than on an equally-loaded SPE — even
 // though the VPU's static migration affinity says the opposite — so
 // the migrate gate and drain estimates route FP-heavy work onto the
-// vector pool. Cold threads, memory-heavy threads and VPU-less
-// machines keep the static affinity ordering.
+// vector pool. Cold threads keep the static affinity ordering, and
+// memory-heavy threads go to the kind with the cheapest memory.
 func TestBehaviourCostPrefersVPUForFPHeavy(t *testing.T) {
 	topo := cell.Topology{
 		{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 4}, {Kind: isa.VPU, Count: 2},
@@ -193,22 +193,49 @@ func TestBehaviourCostPrefersVPUForFPHeavy(t *testing.T) {
 	if p, s, v := vm.taskCost(memHot, ppe), vm.taskCost(memHot, spe), vm.taskCost(memHot, vpu); !(p < s && s < v) {
 		t.Errorf("memory-heavy observed thread: want PPE < SPE < VPU, got %d, %d, %d", p, s, v)
 	}
+}
 
-	// No VPU on the machine: behaviour pricing is off entirely, so an
-	// observed FP-heavy thread still prices by affinity (PS3 goldens
-	// depend on this gate).
-	ps3, err := New(topoConfig(cell.PS3Topology(4)), newProg())
+// TestBehaviourCostWithoutVPU: behaviour-aware pricing holds on every
+// machine, not only on one with a VPU. On the paper's PPE+SPE shape an
+// observed FP-heavy thread is priced by its shares, so the two kinds
+// differ and the one with the lower FPScore is the cheaper; a cold
+// thread on the same machine still costs one quantum on either kind.
+func TestBehaviourCostWithoutVPU(t *testing.T) {
+	topo := cell.Topology{{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 6}}
+	vm, err := New(topoConfig(topo), newProg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps3hot := ps3.newThread(&Job{}, "fp-hot-ps3")
-	ctr := &profile.MethodCounters{}
-	ctr.Cycles[isa.ClassFloat] = 90_000
-	ctr.Cycles[isa.ClassInt] = 10_000
-	ps3hot.pushFrame(&Frame{ctr: ctr})
-	ps3spe := ps3.Machine.CoreAt(isa.SPE, 0)
-	if got, want := ps3.taskCost(ps3hot, ps3spe), ps3.taskCost(nil, ps3spe); got != want {
-		t.Errorf("VPU-less machine: observed thread cost %d differs from affinity cost %d", got, want)
+	ppe := vm.Machine.CoreAt(isa.PPE, 0)
+	spe := vm.Machine.CoreAt(isa.SPE, 0)
+	mk := func(fp, other uint64) *Thread {
+		th := vm.newThread(&Job{}, "fp")
+		ctr := &profile.MethodCounters{}
+		ctr.Cycles[isa.ClassFloat] = fp
+		ctr.Cycles[isa.ClassInt] = other
+		th.pushFrame(&Frame{ctr: ctr})
+		return th
+	}
+
+	hot := mk(behaviourMinCycles*9/10, behaviourMinCycles/5)
+	p, s := vm.taskCost(hot, ppe), vm.taskCost(hot, spe)
+	if p == s {
+		t.Fatalf("FP-heavy observed thread costs %d on both the PPE and the SPE", p)
+	}
+	cheaper, dearer := isa.PPE, isa.SPE
+	if isa.SPE.FPScore() < isa.PPE.FPScore() {
+		cheaper, dearer = dearer, cheaper
+	}
+	if got := map[isa.CoreKind]uint64{isa.PPE: p, isa.SPE: s}; got[cheaper] > got[dearer] {
+		t.Errorf("FP-heavy observed thread: %v (FPScore %.1f) costs %d, above %v (FPScore %.1f) at %d",
+			cheaper, cheaper.FPScore(), got[cheaper], dearer, dearer.FPScore(), got[dearer])
+	}
+
+	cold := mk(behaviourMinCycles/2, 0)
+	for _, c := range []*cell.Core{ppe, spe} {
+		if got, want := vm.taskCost(cold, c), vm.taskCost(nil, c); got != want {
+			t.Errorf("cold thread on %v costs %d, want the affinity price %d", c.Kind, got, want)
+		}
 	}
 }
 

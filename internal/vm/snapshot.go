@@ -79,14 +79,13 @@ type ImageThread struct {
 	ReadyDelay uint64
 	JavaObj    uint32 // image object ID of the java/lang/Thread instance
 
-	WaitCount    int32
-	Migrations   uint64
-	Steals       uint64
-	CooldownLeft uint64
+	WaitCount  int32
+	Migrations uint64
+	Steals     uint64
 
 	// Result/Trap survive for terminated threads (a finished root's
 	// checksum must outlive a hand-off of its still-running siblings);
-	// a terminated thread carries no frames or CooldownLeft.
+	// a terminated thread carries no frames.
 	Result    uint64
 	HasResult bool
 	Trap      *TrapError
@@ -570,9 +569,6 @@ func (vm *VM) captureJob(j *Job) (*JobImage, []Ref, error) {
 			it.Terminated = true
 			img.Threads = append(img.Threads, it)
 			continue
-		}
-		if t.cooldownUntil > frozenAt {
-			it.CooldownLeft = uint64(t.cooldownUntil - frozenAt)
 		}
 		switch {
 		case t.State == StateBlocked && !parked[t]:

@@ -661,14 +661,6 @@ func TestRehydrateRejectsCorruptImages(t *testing.T) {
 		{"frames on a terminated thread", "thread 1: terminated, but carries 1 frame",
 			func(i *JobImage) { i.Threads[1].Terminated = true }},
 		{"live thread with no frames", "thread 1: live with no frames", func(i *JobImage) { i.Threads[1].Frames = nil }},
-		// A terminated thread is rehydrated from its name, result and
-		// counters only, so its placement state must be zero. The row
-		// passed validation while captureJob still wrote it.
-		{"cooldown on a terminated thread", "terminated, but carries a cooldown of 1", func(i *JobImage) {
-			t := &i.Threads[1]
-			t.Terminated, t.Frames = true, nil
-			t.CooldownLeft = 1
-		}},
 	}
 	for _, row := range corrupt {
 		t.Run(row.name, func(t *testing.T) {

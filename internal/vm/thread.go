@@ -173,11 +173,6 @@ type Thread struct {
 	// job is the admission the thread belongs to, never nil: every
 	// thread starts through the job API and spawned threads inherit it.
 	job *Job
-
-	// cooldownUntil is the migration-hysteresis horizon: the scheduler
-	// may not re-migrate the thread cross-kind until its core's clock
-	// passes it (Config.MigrateCooldownCycles).
-	cooldownUntil cell.Clock
 }
 
 func (t *Thread) top() *Frame { return t.Frames[len(t.Frames)-1] }

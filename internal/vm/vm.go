@@ -54,20 +54,11 @@ type Config struct {
 	// different ISA and memory model.
 	MigrateCycles uint64
 
-	// MigrateCooldownCycles is the migration-hysteresis window: after
-	// any cross-kind migration, the scheduler may not re-migrate the
-	// thread until its core's clock has advanced past the migration
-	// start plus this many cycles, so oscillating load cannot ping-pong
-	// a thread between kinds. 0 disables the guard; the default is ~2x
-	// MigrateCycles.
-	MigrateCooldownCycles uint64
-
 	// AdaptiveCaches enables the per-SPE controller that repartitions
 	// local store between the data and code caches based on observed
-	// miss rates (the paper's §4 future-work proposal). See
-	// AdaptiveIntervalCycles.
-	AdaptiveCaches         bool
-	AdaptiveIntervalCycles uint64
+	// miss rates (the paper's §4 future-work proposal), once per
+	// adaptiveInterval cycles of each core's clock.
+	AdaptiveCaches bool
 
 	// DisableSuperblocks turns off the executor's superblock fast path,
 	// forcing per-instruction dispatch everywhere. Simulated results are
@@ -90,17 +81,16 @@ type Config struct {
 // defaults.
 func DefaultConfig() Config {
 	return Config{
-		Machine:               cell.DefaultConfig(),
-		DataCache:             cache.DefaultDataCacheConfig(),
-		CodeCache:             cache.DefaultCodeCacheConfig(),
-		HeapBytes:             32 << 20,
-		CodeBytes:             6 << 20,
-		BootBytes:             1 << 20,
-		Quantum:               4000,
-		StealCycles:           400,
-		MigrateCycles:         600,
-		MigrateCooldownCycles: 1200,
-		Policy:                nil,
+		Machine:       cell.DefaultConfig(),
+		DataCache:     cache.DefaultDataCacheConfig(),
+		CodeCache:     cache.DefaultCodeCacheConfig(),
+		HeapBytes:     32 << 20,
+		CodeBytes:     6 << 20,
+		BootBytes:     1 << 20,
+		Quantum:       4000,
+		StealCycles:   400,
+		MigrateCycles: 600,
+		Policy:        nil,
 	}
 }
 

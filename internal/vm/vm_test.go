@@ -720,7 +720,6 @@ func TestAdaptiveCacheControllerRebalances(t *testing.T) {
 	cfg.DataCache.Size = 24 << 10 // wrong split on purpose
 	cfg.CodeCache.Size = 168 << 10
 	cfg.AdaptiveCaches = true
-	cfg.AdaptiveIntervalCycles = 300000
 
 	vmach, th := runMain(t, cfg, p, "Mem", "main")
 	if th.Trap != nil {

@@ -47,11 +47,6 @@ if [ -f "$tmp/serve-overload.1" ] && ! grep -q " shed " "$tmp/serve-overload.1";
 	echo "replay gate serve-overload: the overload replay shed nothing" >&2
 	exit 1
 fi
-# Fast path vs stepping: cycles, coverage and the fast-vs-stepped match
-# (the machine's whole counter set), on the three-kind default and on
-# the PS3 shape Figures 4-7 and the exec benchmark use.
-replay fastpath -fig fastpath
-replay fastpath-ps3 -fig fastpath -topology ppe:1,spe:6
 # Cluster: the in-process `identical` column diffs each pass against the
 # serial reference; this adds the cross-process half — the merged stream
 # may not depend on GOMAXPROCS, goroutine interleaving or which process

@@ -99,7 +99,7 @@ var seams = []struct {
 	// "Machine numbers have one home": what no caller varies is a named
 	// constant beside its one use, not a field.
 	{"machine numbers no caller varies are constants",
-		`MigrationBaseCycles|MigrationWordCycles|SyscallSendCycles|SyscallServeCycles|GCPauseBase|GCPerObject|AdaptiveStepKB|BranchPredictorBits|\.PPEMem\b|` +
+		`MigrationBaseCycles|MigrationWordCycles|SyscallSendCycles|SyscallServeCycles|GCPauseBase|GCPerObject|AdaptiveStepKB|AdaptiveIntervalCycles|MigrateCooldownCycles|BranchPredictorBits|\.PPEMem\b|` +
 			`\b(ProbeCycles|InsertCycles|AccessCycles|TOCCycles|TIBCycles|ReturnCycles)\b|MaxEntryBytes(:|\s+uint32)`,
 		[]string{"."}, nil},
 	// "Job lifecycle": the machine's one policy places every job's
