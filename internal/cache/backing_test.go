@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -9,8 +11,9 @@ import (
 )
 
 // TestIdleLocalStoreHoldsNoBytes: building both software caches over a
-// local store, as a VM boot does, backs none of it; a core that runs
-// code and reads data holds only what its data cache filled.
+// local store, as a VM boot does, maps none of it; a core that runs
+// code and reads one 64-byte object holds the one page its data cache
+// filled — the code cache copies nothing.
 func TestIdleLocalStoreHoldsNoBytes(t *testing.T) {
 	m := newMachine(t, 256<<10)
 	dsize := DefaultDataCacheConfig().Size
@@ -23,11 +26,11 @@ func TestIdleLocalStoreHoldsNoBytes(t *testing.T) {
 	now, _ := ccs[0].EnsureMethod(0, 1, 0x1000, 64, 1, 0x8000, 16<<10)
 	_, _ = dcs[0].ReadObject(now, 0x20000, 64, 16, 8)
 	busy, idle := m.CoreAt(isa.SPE, 0), m.CoreAt(isa.SPE, 1)
-	if idle.LS != nil {
-		t.Errorf("%s ran nothing but holds %d host bytes", idle, cap(idle.LS))
+	if n := idle.LS.Held(); n != 0 {
+		t.Errorf("%s ran nothing but holds %d host bytes", idle, n)
 	}
-	if len(busy.LS) != 16<<10 {
-		t.Errorf("%s holds %d host bytes for one 64-byte fill and a 16 KB method, want the 16 KB minimum", busy, len(busy.LS))
+	if n := busy.LS.Held(); n != mem.PageSize {
+		t.Errorf("%s holds %d host bytes for one 64-byte fill and a 16 KB method, want one %d-byte page", busy, n, mem.PageSize)
 	}
 }
 
@@ -48,9 +51,9 @@ func TestCodeCacheMissCopiesNoBytes(t *testing.T) {
 	if cached {
 		t.Fatal("a cold code cache hit")
 	}
-	if core.LS != nil || m.Mem.Reads != reads {
+	if core.LS.Held() != 0 || m.Mem.Reads != reads {
 		t.Errorf("a code-cache miss backed %d local-store bytes and read main memory %d times",
-			len(core.LS), m.Mem.Reads-reads)
+			core.LS.Held(), m.Mem.Reads-reads)
 	}
 
 	// The copying transfer, on a twin machine: TOC lookup, TIB insert
@@ -84,9 +87,8 @@ func TestCodeCacheMissCopiesNoBytes(t *testing.T) {
 }
 
 // TestLocalStoreBackingTracksDataCache: whatever the data cache fills,
-// the local store's backing never exceeds the local-store size and stays
-// within twice the highest local-store address the cache has filled
-// (or the 16 KB first backing).
+// the local store holds exactly one 4 KB page for each page a fill has
+// reached, and so never more than the cache's region spans.
 func TestLocalStoreBackingTracksDataCache(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -99,26 +101,32 @@ func TestLocalStoreBackingTracksDataCache(t *testing.T) {
 			m := newMachine(t, tc.lsSize)
 			core := m.CoreAt(isa.SPE, 0)
 			dc := NewDataCache(DefaultDataCacheConfig(), core, tc.base)
+			filled := map[uint32]bool{} // local-store pages some fill reached
 			var now cell.Clock
-			var high uint32
 			for i := uint32(0); i < 3000; i++ {
-				// Objects of 16 B to 4 KB: the bump pointer climbs
-				// through every doubling and the cache flushes twice.
+				// Objects of 16 B to 4 KB, each a multiple of the cache's
+				// 16-byte grain: the bump pointer sweeps the region and
+				// the cache flushes twice.
 				size := uint32(16) << (i % 9)
+				misses := core.Stats.DataMisses
 				_, now = dc.ReadObject(now, 0x10000+i*64, size, 0, 4)
-				high = max(high, tc.base+dc.UsedBytes())
-				n := uint32(len(core.LS))
-				if n > tc.lsSize || n > max(16<<10, 2*high) {
-					t.Fatalf("after fill %d: backing %d bytes, store %d, fill high-water %d", i, n, tc.lsSize, high)
+				if core.Stats.DataMisses != misses {
+					end := tc.base + dc.UsedBytes()
+					for p := (end - size) / mem.PageSize; p*mem.PageSize < end; p++ {
+						filled[p] = true
+					}
+				}
+				if got := core.LS.Held(); got != len(filled)*mem.PageSize {
+					t.Fatalf("after fill %d: %d host bytes for %d filled pages", i, got, len(filled))
 				}
 			}
 			if core.Stats.DataFlushes < 2 {
 				t.Fatalf("%d flushes: the fills never reached the cache's end", core.Stats.DataFlushes)
 			}
-			if uint32(len(core.LS)) < high {
-				t.Fatalf("backing %d bytes under a fill high-water of %d", len(core.LS), high)
+			if region := DefaultDataCacheConfig().Size; core.LS.Held() > int(region) {
+				t.Fatalf("%d host bytes for a %d-byte cache region", core.LS.Held(), region)
 			}
-			t.Logf("backing %d bytes for a fill high-water of %d", len(core.LS), high)
+			t.Logf("%d pages for a %d KB cache region", len(filled), DefaultDataCacheConfig().Size>>10)
 		})
 	}
 }
@@ -174,4 +182,57 @@ func TestDataCacheRetireBillsWriteBack(t *testing.T) {
 		t.Errorf("DMA wait grew by %d but main-memory cycles by %d", s.DMAWait-before.DMAWait,
 			s.Cycles[isa.ClassMainMem]-before.Cycles[isa.ClassMainMem])
 	}
+}
+
+// mustPanic runs f and fails unless it panics with a message holding
+// want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("recovered %q, want a panic naming %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestCachesRefuseBadLayouts: the caches' constructors refuse a core
+// with no local store, a region past the store's end and a data cache
+// whose array block is not a power of two.
+func TestCachesRefuseBadLayouts(t *testing.T) {
+	m := newMachine(t, 64<<10)
+	ppe, spe := m.CoreAt(isa.PPE, 0), m.CoreAt(isa.SPE, 0)
+	dcfg, ccfg := DefaultDataCacheConfig(), DefaultCodeCacheConfig()
+	mustPanic(t, "requires a local-store core", func() { NewDataCache(dcfg, ppe, 0) })
+	mustPanic(t, "requires a local-store core", func() { NewCodeCache(ccfg, ppe, 0) })
+	mustPanic(t, "exceeds local store", func() { NewDataCache(dcfg, spe, 0) })
+	mustPanic(t, "exceeds local store", func() { NewCodeCache(ccfg, spe, 64<<10-ccfg.Size+16) })
+	dcfg.Size, dcfg.ArrayBlock = 32<<10, 1000
+	mustPanic(t, "power of two", func() { NewDataCache(dcfg, spe, 0) })
+}
+
+// TestLocalStoreAccessors: a local-store page never written reads as
+// zero for every width and is mapped by its first write, which later
+// reads see; an access of no field's width is refused.
+func TestLocalStoreAccessors(t *testing.T) {
+	ls := mem.NewPages(16 << 10)
+	for _, w := range []uint32{1, 2, 4, 8} {
+		if v := readLS(ls, 2*mem.PageSize+8*w, w); v != 0 {
+			t.Fatalf("an unwritten %d-byte word reads %#x", w, v)
+		}
+	}
+	if ls.Held() != 0 {
+		t.Fatalf("reads mapped %d bytes", ls.Held())
+	}
+	writeLS(ls, 3*mem.PageSize-8, 8, 0x0102030405060708)
+	writeLS(ls, 3*mem.PageSize-12, 2, 0xbeef)
+	if v := readLS(ls, 3*mem.PageSize-8, 4); v != 0x05060708 || ls.Held() != mem.PageSize {
+		t.Fatalf("read %#x back with %d bytes held, want 0x05060708 on one page", v, ls.Held())
+	}
+	if v := readLS(ls, 3*mem.PageSize-12, 1); v != 0xef {
+		t.Fatalf("read byte %#x, want 0xef", v)
+	}
+	mustPanic(t, "bad access width", func() { readLS(ls, 3*mem.PageSize-8, 3) })
+	mustPanic(t, "bad access width", func() { writeLS(ls, 0, 16, 0) })
 }

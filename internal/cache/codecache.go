@@ -78,9 +78,6 @@ func NewCodeCache(cfg CodeCacheConfig, core *cell.Core, base uint32) *CodeCache 
 // Config returns the cache configuration.
 func (c *CodeCache) Config() CodeCacheConfig { return c.cfg }
 
-// UsedBytes returns the bump-allocated bytes.
-func (c *CodeCache) UsedBytes() uint32 { return c.bump }
-
 // CachedMethods returns how many methods are resident.
 func (c *CodeCache) CachedMethods() int { return len(c.methods) }
 

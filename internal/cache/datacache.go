@@ -73,11 +73,11 @@ type tabSlot struct {
 }
 
 // DataCache is one local-store core's software object/array cache.
-// Cached bytes live
-// in the core's real local store (whose host backing the MFC grows as
-// fills reach further into it); main memory remains the backing truth
-// only after a flush, which is exactly the (lack of) coherence the paper
-// describes and the Java Memory Model hooks rely on.
+// Cached bytes live in the core's real local store (whose 4 KB host
+// pages the MFC maps as fills first reach them); main memory remains
+// the backing truth only after a flush, which is exactly the (lack of)
+// coherence the paper describes and the Java Memory Model hooks rely
+// on.
 //
 // The lookup structure is a host-side implementation detail tuned for
 // the simulator's hot path (every SPE memory instruction probes it):
@@ -366,7 +366,7 @@ func (d *DataCache) AccessArray(now cell.Clock, arr mem.Addr, idx int32, width u
 	hdr, _, now := d.ensure(now, arr, isa.HeaderBytes)
 	d.core.Stats.Charge(isa.ClassLocalMem, dcAccessCycles)
 	now += dcAccessCycles
-	n := binary.LittleEndian.Uint32(d.core.LS[hdr+isa.HeaderLengthOff:])
+	n := uint32(readLS(d.core.LS, hdr+isa.HeaderLengthOff, 4))
 	if idx < 0 || uint32(idx) >= n {
 		return 0, n, false, now
 	}
@@ -498,16 +498,26 @@ func (d *DataCache) Purge(now cell.Clock) cell.Clock {
 	return d.flushAll(now, true)
 }
 
-func readLS(ls []byte, addr, width uint32) uint64 {
+// readLS and writeLS access width bytes at addr in a local store's
+// pages: one load finds the page. Every access is naturally aligned —
+// an entry starts on a quadword, and fields and elements sit at
+// multiples of their width within it — so none straddles a page. A
+// page never written reads as zero; the first write maps it.
+func readLS(ls mem.Pages, addr, width uint32) uint64 {
+	p := ls[addr>>mem.PageShift]
+	if p == nil {
+		return 0
+	}
+	b := p[addr&mem.PageMask:]
 	switch width {
 	case 1:
-		return uint64(ls[addr])
+		return uint64(b[0])
 	case 2:
-		return uint64(binary.LittleEndian.Uint16(ls[addr:]))
+		return uint64(binary.LittleEndian.Uint16(b))
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(ls[addr:]))
+		return uint64(binary.LittleEndian.Uint32(b))
 	case 8:
-		return binary.LittleEndian.Uint64(ls[addr:])
+		return binary.LittleEndian.Uint64(b)
 	default:
 		// Internal invariant, unreachable because accesses are of a
 		// 1-, 2-, 4- or 8-byte field or element.
@@ -515,16 +525,17 @@ func readLS(ls []byte, addr, width uint32) uint64 {
 	}
 }
 
-func writeLS(ls []byte, addr, width uint32, v uint64) {
+func writeLS(ls mem.Pages, addr, width uint32, v uint64) {
+	b := ls.Map(addr)[addr&mem.PageMask:]
 	switch width {
 	case 1:
-		ls[addr] = byte(v)
+		b[0] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(ls[addr:], uint16(v))
+		binary.LittleEndian.PutUint16(b, uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(ls[addr:], uint32(v))
+		binary.LittleEndian.PutUint32(b, uint32(v))
 	case 8:
-		binary.LittleEndian.PutUint64(ls[addr:], v)
+		binary.LittleEndian.PutUint64(b, v)
 	default:
 		// Internal invariant, unreachable because accesses are of a
 		// 1-, 2-, 4- or 8-byte field or element.

@@ -16,11 +16,15 @@ import (
 // cache behaviour — clip, probe/insert/access charges, flush-on-fill,
 // retirement of a smaller unit cached at the same address, staging,
 // write-back in insertion order — with a Go map from address to entry
-// and nothing to size, grow, stamp or tombstone. It shares no code with
-// datacache.go but the local-store byte accessors.
+// and nothing to size, grow, stamp or tombstone. Its local store is a
+// flat byte slice that it copies to and from main memory itself, billing
+// each transfer through the MFC's CostOnly, so it shares no code with
+// datacache.go or the local store's pages.
 type refCache struct {
 	cfg   DataCacheConfig
 	core  *cell.Core
+	main  *mem.Main
+	ls    []byte // the flat local store, [0, cfg.Size)
 	bump  uint32
 	index map[mem.Addr]*refEntry
 	order []*refEntry // insertion order, for write-back
@@ -33,8 +37,37 @@ type refEntry struct {
 	dirty    bool
 }
 
-func newRefCache(cfg DataCacheConfig, core *cell.Core) *refCache {
-	return &refCache{cfg: cfg, core: core, index: make(map[mem.Addr]*refEntry)}
+func newRefCache(cfg DataCacheConfig, core *cell.Core, main *mem.Main) *refCache {
+	return &refCache{cfg: cfg, core: core, main: main, ls: make([]byte, cfg.Size),
+		index: make(map[mem.Addr]*refEntry)}
+}
+
+// dma moves an entry's bytes between main memory and the flat local
+// store and returns when the MFC says the transfer completes.
+func (r *refCache) dma(now cell.Clock, dir cell.DMADir, e *refEntry) cell.Clock {
+	ls := r.ls[e.lsAddr : e.lsAddr+e.size]
+	if dir == cell.DMAGet {
+		r.main.ReadBytes(e.mainAddr, ls)
+	} else {
+		r.main.WriteBytes(e.mainAddr, ls)
+	}
+	return r.core.MFC.CostOnly(now, e.size)
+}
+
+// flatRead and flatWrite are the reference's little-endian local-store
+// accessors.
+func flatRead(ls []byte, addr, width uint32) uint64 {
+	var v uint64
+	for i := width; i > 0; i-- {
+		v = v<<8 | uint64(ls[addr+i-1])
+	}
+	return v
+}
+
+func flatWrite(ls []byte, addr, width uint32, v uint64) {
+	for i := range width {
+		ls[addr+i] = byte(v >> (8 * i))
+	}
 }
 
 func (r *refCache) charge(class isa.OpClass, n uint32, now cell.Clock) cell.Clock {
@@ -48,7 +81,7 @@ func (r *refCache) get(now cell.Clock, addr mem.Addr, size uint32, wait bool) (*
 	e := &refEntry{mainAddr: addr, lsAddr: r.bump, size: size}
 	r.bump += (size + 15) &^ 15
 	now = r.charge(isa.ClassLocalMem, dcInsertCycles, now)
-	done := r.core.MFC.DMA(now, cell.DMAGet, addr, e.lsAddr, size)
+	done := r.dma(now, cell.DMAGet, e)
 	r.core.Stats.DMATransfers++
 	r.core.Stats.DMABytes += uint64(size)
 	if wait {
@@ -73,7 +106,7 @@ func (r *refCache) ensure(now cell.Clock, addr mem.Addr, size uint32) (*refEntry
 			return e, now
 		}
 		if e.dirty {
-			done := r.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
+			done := r.dma(now, cell.DMAPut, e)
 			r.core.Stats.DMATransfers++
 			r.core.Stats.DMABytes += uint64(e.size)
 			r.core.Stats.DMAWait += done - now
@@ -112,11 +145,11 @@ func (r *refCache) access(now cell.Clock, unitAddr mem.Addr, unitSize, off, widt
 	e, now := r.ensure(now, addr, size)
 	now = r.charge(isa.ClassLocalMem, dcAccessCycles, now)
 	if write {
-		writeLS(r.core.LS, e.lsAddr+rel, width, val)
+		flatWrite(r.ls, e.lsAddr+rel, width, val)
 		e.dirty = true
 		return 0, now
 	}
-	return readLS(r.core.LS, e.lsAddr+rel, width), now
+	return flatRead(r.ls, e.lsAddr+rel, width), now
 }
 
 // element is a fused array access as two accesses: the length word
@@ -157,7 +190,7 @@ func (r *refCache) writeBack(now cell.Clock, invalidate bool) cell.Clock {
 		if !e.dirty {
 			continue
 		}
-		done := r.core.MFC.DMA(now, cell.DMAPut, e.mainAddr, e.lsAddr, e.size)
+		done := r.dma(now, cell.DMAPut, e)
 		r.core.Stats.DMATransfers++
 		r.core.Stats.DMABytes += uint64(e.size)
 		r.core.Stats.DMAWait += done - now
@@ -246,7 +279,7 @@ func newCacheModel(t testing.TB, cfg DataCacheConfig) *cacheModel {
 	x.dm.Mem.WriteBytes(modelBase, pattern)
 	x.rm.Mem.WriteBytes(modelBase, pattern)
 	x.dc = NewDataCache(cfg, dcore, 0)
-	x.ref = newRefCache(cfg, rcore)
+	x.ref = newRefCache(cfg, rcore, x.rm.Mem)
 	x.maxTab = len(x.dc.tab)
 	return x
 }
@@ -322,9 +355,55 @@ func (x *cacheModel) apply(op int, unit, sizeClass, off, width uint32, val uint6
 		x.t.Fatalf("op %d: %d entries %d bytes, reference %d/%d", op,
 			x.dc.Entries(), x.dc.UsedBytes(), len(x.ref.order), x.ref.bump)
 	}
+	if !samePages(x.dc.core.LS, x.ref.ls) {
+		x.t.Fatalf("op %d at %#x size %d: the local store's pages differ from the flat reference", op, addr, size)
+	}
 	if op == opFlush || op == opPurge {
 		x.compareMain()
 	}
+}
+
+// zeroPage is what an unmapped page reads as.
+var zeroPage [mem.PageSize]byte
+
+// samePages reports whether a local store's pages hold exactly flat's
+// bytes, reading an unmapped page as zeros, and map nothing past it.
+func samePages(ls mem.Pages, flat []byte) bool {
+	for i, p := range ls {
+		lo := i * mem.PageSize
+		if lo >= len(flat) {
+			if p != nil {
+				return false
+			}
+			continue
+		}
+		want := flat[lo:min(lo+mem.PageSize, len(flat))]
+		if p == nil {
+			p = &zeroPage
+		}
+		if !bytes.Equal(p[:len(want)], want) || !bytes.Equal(p[len(want):], zeroPage[len(want):]) {
+			return false
+		}
+	}
+	return true
+}
+
+// equalPages reports whether two local stores hold the same bytes,
+// reading an unmapped page as zeros.
+func equalPages(a, b mem.Pages) bool {
+	for i := range a {
+		pa, pb := a[i], b[i]
+		if pa == nil {
+			pa = &zeroPage
+		}
+		if pb == nil {
+			pb = &zeroPage
+		}
+		if *pa != *pb {
+			return false
+		}
+	}
+	return true
 }
 
 // compareMain checks main memory after a write-back: overlapping dirty
@@ -467,7 +546,7 @@ func TestAccessArrayMatchesTwoAccesses(t *testing.T) {
 			t.Fatalf("%s: clock %d, two accesses %d", what, a.now, b.now)
 		case a.dc.core.Stats != b.dc.core.Stats:
 			t.Fatalf("%s: counters\n%+v\ntwo accesses\n%+v", what, a.dc.core.Stats, b.dc.core.Stats)
-		case !bytes.Equal(a.dc.core.LS, b.dc.core.LS):
+		case !equalPages(a.dc.core.LS, b.dc.core.LS):
 			t.Fatalf("%s: local store differs", what)
 		case a.dc.Entries() != b.dc.Entries() || a.dc.UsedBytes() != b.dc.UsedBytes():
 			t.Fatalf("%s: %d entries %d bytes, two accesses %d/%d", what,

@@ -77,20 +77,20 @@ func TestEIBCompletionMonotonicProperty(t *testing.T) {
 
 func TestMFCMovesRealBytes(t *testing.T) {
 	main := mem.NewMain(1 << 16)
-	ls := make([]byte, 4096)
+	ls := mem.NewPages(4096)
 	e := NewEIB(DefaultEIBConfig())
-	mfc := NewMFC(DefaultMFCConfig(), e, main, &ls, uint32(len(ls)))
+	mfc := NewMFC(DefaultMFCConfig(), e, main, ls, 4096)
 
 	main.WriteBytes(0x1000, []byte("cached object payload"))
 	done := mfc.DMA(0, DMAGet, 0x1000, 64, 21)
 	if done == 0 {
 		t.Fatal("DMA returned zero completion time")
 	}
-	if string(ls[64:64+21]) != "cached object payload" {
-		t.Errorf("local store contents wrong: %q", ls[64:64+21])
+	if string(ls[0][64:64+21]) != "cached object payload" {
+		t.Errorf("local store contents wrong: %q", ls[0][64:64+21])
 	}
 
-	copy(ls[128:], "dirty write-back")
+	copy(ls[0][128:], "dirty write-back")
 	mfc.DMA(done, DMAPut, 0x2000, 128, 16)
 	buf := make([]byte, 16)
 	main.ReadBytes(0x2000, buf)
@@ -101,9 +101,8 @@ func TestMFCMovesRealBytes(t *testing.T) {
 
 func TestMFCSmallTransferRoundedUp(t *testing.T) {
 	main := mem.NewMain(1 << 16)
-	ls := make([]byte, 1024)
 	e := NewEIB(EIBConfig{Channels: 1, BytesPerCycle: 8, ArbCycles: 0})
-	mfc := NewMFC(MFCConfig{SetupCycles: 40, MinTransfer: 128}, e, main, &ls, uint32(len(ls)))
+	mfc := NewMFC(MFCConfig{SetupCycles: 40, MinTransfer: 128}, e, main, mem.NewPages(1024), 1024)
 	done := mfc.DMA(0, DMAGet, 0, 0, 4)
 	// setup 40 + 128/8 = 56: small transfers pay near-fixed cost, the
 	// "much less efficient" small-transfer behaviour of §2.

@@ -73,12 +73,13 @@ type Core struct {
 	// Now is the core's local clock in cycles.
 	Now Clock
 
-	// LS is the local store's host backing (local-store kinds only). It
-	// starts empty, and the MFC grows it when a DMA reaches past its end:
-	// it doubles from 16 KB up to Config.LocalStore, so it holds the
-	// bytes the data cache has filled and no more. Only the data cache
-	// reads it; the simulated size is MFC.LocalStoreSize.
-	LS []byte
+	// LS is the local store's host backing (local-store kinds only): a
+	// one-level table of 4 KB pages, 64 for a 256 KB store. A page is
+	// mapped by the first DMA that fills it and reads as zero until then,
+	// so the table holds the pages the data cache has filled and no more.
+	// Only the data cache reads it; the simulated size is
+	// MFC.LocalStoreSize.
+	LS mem.Pages
 	// MFC is the memory flow controller (local-store kinds only).
 	MFC *MFC
 
@@ -184,7 +185,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 			// on top in the VM); hardware-cached kinds get the coherent
 			// cache hierarchy; predictor-equipped kinds get a predictor.
 			if g.Kind.UsesLocalStore() {
-				c.MFC = NewMFC(cfg.MFC, m.EIB, m.Mem, &c.LS, cfg.LocalStore)
+				c.LS = mem.NewPages(cfg.LocalStore)
+				c.MFC = NewMFC(cfg.MFC, m.EIB, m.Mem, c.LS, cfg.LocalStore)
 			} else {
 				c.Mem = NewPPEMem(ppeMemConfig())
 			}

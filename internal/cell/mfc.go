@@ -43,8 +43,8 @@ type MFC struct {
 	cfg  MFCConfig
 	eib  *EIB
 	main *mem.Main
-	ls   *[]byte // the local store's host backing, grown by DMA
-	size uint32  // the local store's simulated size
+	ls   mem.Pages // the local store's host pages
+	size uint32    // the local store's simulated size
 
 	// Transfers and Bytes count DMA operations issued by this MFC.
 	Transfers uint64
@@ -52,9 +52,9 @@ type MFC struct {
 }
 
 // NewMFC builds an MFC moving data between main and a local store of
-// size bytes whose host backing is *ls. The MFC grows *ls on demand, so
-// the backing may start empty.
-func NewMFC(cfg MFCConfig, eib *EIB, main *mem.Main, ls *[]byte, size uint32) *MFC {
+// size bytes whose host pages are ls (mem.NewPages(size)). A DMA maps
+// the pages it fills, so the table may start empty.
+func NewMFC(cfg MFCConfig, eib *EIB, main *mem.Main, ls mem.Pages, size uint32) *MFC {
 	return &MFC{cfg: cfg, eib: eib, main: main, ls: ls, size: size}
 }
 
@@ -62,55 +62,35 @@ func NewMFC(cfg MFCConfig, eib *EIB, main *mem.Main, ls *[]byte, size uint32) *M
 // the bound every local-store address is checked against.
 func (m *MFC) LocalStoreSize() uint32 { return m.size }
 
-// minBacking is the first host backing a local store gets; it doubles
-// from there up to the local-store size.
-const minBacking = 16 << 10
-
 // DMA performs a blocking transfer of n bytes between main memory at
 // mainAddr and the local store at lsAddr, issued at time now, and returns
-// the completion time. The data is really copied, and a transfer that
-// reaches past the local store's host backing grows it first; the
-// returned time, billed by CostOnly, includes command setup, bus
-// arbitration/queuing and payload time.
+// the completion time. The data is really copied, page by page: a get
+// maps the local-store pages it fills, and a put from a page never
+// written writes zeros and maps nothing. The returned time, billed by
+// CostOnly, includes command setup, bus arbitration/queuing and payload
+// time; it does not depend on which pages are mapped.
 func (m *MFC) DMA(now Clock, dir DMADir, mainAddr mem.Addr, lsAddr uint32, n uint32) Clock {
 	if n == 0 {
 		return now
 	}
-	end := uint64(lsAddr) + uint64(n)
-	if end > uint64(m.size) {
+	if end := uint64(lsAddr) + uint64(n); end > uint64(m.size) {
 		// Internal invariant, unreachable because the software caches DMA
 		// only into their own regions, which vm.validate fits in the
 		// local store.
 		panic(fmt.Sprintf("cell: DMA overruns local store: [%#x,%#x) of %#x",
 			lsAddr, end, m.size))
 	}
-	if end > uint64(len(*m.ls)) {
-		m.grow(end)
-	}
-	ls := *m.ls
 	switch dir {
 	case DMAGet:
-		m.main.ReadBytes(mainAddr, ls[lsAddr:end])
+		m.main.ReadPages(mainAddr, m.ls, lsAddr, n)
 	case DMAPut:
-		m.main.WriteBytes(mainAddr, ls[lsAddr:end])
+		m.main.WritePages(mainAddr, m.ls, lsAddr, n)
 	default:
 		// Internal invariant, unreachable because DMADir has only the two
 		// values above.
 		panic("cell: bad DMA direction")
 	}
 	return m.CostOnly(now, n)
-}
-
-// grow doubles the host backing, from minBacking, until it holds end
-// bytes, capped at the local-store size, keeping the bytes it held.
-func (m *MFC) grow(end uint64) {
-	n := max(uint64(len(*m.ls)), minBacking)
-	for n < end {
-		n *= 2
-	}
-	grown := make([]byte, min(n, uint64(m.size)))
-	copy(grown, *m.ls)
-	*m.ls = grown
 }
 
 // Latency is what a transfer of n bytes takes on an idle bus: command

@@ -15,7 +15,9 @@
 // a machine therefore costs the directory, not the memory size, and a
 // run pays host memory only for the 4 KB leaves it dirties. Paging is
 // invisible to the simulation — no simulated cost or statistic depends
-// on which pages are mapped.
+// on which pages are mapped. A local store's backing is paged the same
+// way, through a one-level Pages table (pages.go), and its DMA copies
+// page by page through the same loops.
 //
 // Address 0 is reserved as the null reference and is never handed out.
 package mem
@@ -35,19 +37,19 @@ type Addr = uint32
 // maps a few KB; a 64 KB directory entry keeps the directory of the
 // default 64 MB memory at 8 KB (128 KB for 1 GB).
 const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
+	PageShift = 12
+	PageSize  = 1 << PageShift
+	PageMask  = PageSize - 1
 	dirShift  = 16
-	dirLeaves = 1 << (dirShift - pageShift)
+	dirLeaves = 1 << (dirShift - PageShift)
 )
 
-// page is one host leaf page of simulated memory, and dirEntry the
-// leaves under one directory entry; nil means unmapped, which reads as
-// zero.
+// Page is one 4 KB host page of a paged store — a leaf of main memory,
+// or one entry of a local store's Pages; nil means unmapped, which
+// reads as zero. dirEntry is the leaves under one directory entry.
 type (
-	page     = *[pageSize]byte
-	dirEntry = *[dirLeaves]page
+	Page     = *[PageSize]byte
+	dirEntry = *[dirLeaves]Page
 )
 
 // Main is the machine's main memory.
@@ -80,35 +82,36 @@ func (m *Main) check(addr Addr, n uint32) {
 }
 
 // leaf returns the page holding addr, or nil if it is unmapped.
-func (m *Main) leaf(addr Addr) page {
+func (m *Main) leaf(addr Addr) Page {
 	if d := m.dir[addr>>dirShift]; d != nil {
-		return d[addr>>pageShift&(dirLeaves-1)]
+		return d[addr>>PageShift&(dirLeaves-1)]
 	}
 	return nil
 }
 
 // mapped returns the page holding addr, mapping it (and its directory
 // entry) on first write.
-func (m *Main) mapped(addr Addr) page {
+func (m *Main) mapped(addr Addr) Page {
 	d := m.dir[addr>>dirShift]
 	if d == nil {
-		d = new([dirLeaves]page)
+		d = new([dirLeaves]Page)
 		m.dir[addr>>dirShift] = d
 	}
-	p := &d[addr>>pageShift&(dirLeaves-1)]
+	p := &d[addr>>PageShift&(dirLeaves-1)]
 	if *p == nil {
-		*p = new([pageSize]byte)
+		*p = new([PageSize]byte)
 	}
 	return *p
 }
 
-// copyOut and copyIn move bytes page by page; they are the bulk
-// accessors' bodies and the slow path of a scalar access that straddles
-// a page boundary. Callers have bounds-checked the range.
+// copyOut, copyIn and zero move bytes page by page; they are the bulk
+// accessors' bodies, the slow path of a scalar access that straddles a
+// page boundary, and the main-memory side of a local store's DMA.
+// Callers have bounds-checked the range.
 func (m *Main) copyOut(addr Addr, dst []byte) {
 	for len(dst) > 0 {
-		off := addr & pageMask
-		n := min(len(dst), int(pageSize-off))
+		off := addr & PageMask
+		n := min(len(dst), int(PageSize-off))
 		if p := m.leaf(addr); p != nil {
 			copy(dst[:n], p[off:])
 		} else {
@@ -120,9 +123,20 @@ func (m *Main) copyOut(addr Addr, dst []byte) {
 
 func (m *Main) copyIn(addr Addr, src []byte) {
 	for len(src) > 0 {
-		off := addr & pageMask
+		off := addr & PageMask
 		n := copy(m.mapped(addr)[off:], src)
 		src, addr = src[n:], addr+uint32(n)
+	}
+}
+
+func (m *Main) zero(addr Addr, n uint32) {
+	for n > 0 {
+		off := addr & PageMask
+		k := min(n, PageSize-off)
+		if p := m.leaf(addr); p != nil {
+			clear(p[off : off+k])
+		}
+		addr, n = addr+k, n-k
 	}
 }
 
@@ -143,7 +157,7 @@ func (m *Main) Read8(addr Addr) uint8 {
 	m.check(addr, 1)
 	m.Reads++
 	if p := m.leaf(addr); p != nil {
-		return p[addr&pageMask]
+		return p[addr&PageMask]
 	}
 	return 0
 }
@@ -152,8 +166,8 @@ func (m *Main) Read8(addr Addr) uint8 {
 func (m *Main) Read16(addr Addr) uint16 {
 	m.check(addr, 2)
 	m.Reads++
-	off := addr & pageMask
-	if off > pageSize-2 {
+	off := addr & PageMask
+	if off > PageSize-2 {
 		return uint16(m.readStraddle(addr, 2))
 	}
 	if p := m.leaf(addr); p != nil {
@@ -166,8 +180,8 @@ func (m *Main) Read16(addr Addr) uint16 {
 func (m *Main) Read32(addr Addr) uint32 {
 	m.check(addr, 4)
 	m.Reads++
-	off := addr & pageMask
-	if off > pageSize-4 {
+	off := addr & PageMask
+	if off > PageSize-4 {
 		return uint32(m.readStraddle(addr, 4))
 	}
 	if p := m.leaf(addr); p != nil {
@@ -180,8 +194,8 @@ func (m *Main) Read32(addr Addr) uint32 {
 func (m *Main) Read64(addr Addr) uint64 {
 	m.check(addr, 8)
 	m.Reads++
-	off := addr & pageMask
-	if off > pageSize-8 {
+	off := addr & PageMask
+	if off > PageSize-8 {
 		return m.readStraddle(addr, 8)
 	}
 	if p := m.leaf(addr); p != nil {
@@ -194,14 +208,14 @@ func (m *Main) Read64(addr Addr) uint64 {
 func (m *Main) Write8(addr Addr, v uint8) {
 	m.check(addr, 1)
 	m.Writes++
-	m.mapped(addr)[addr&pageMask] = v
+	m.mapped(addr)[addr&PageMask] = v
 }
 
 // Write16 stores a little-endian 16-bit value.
 func (m *Main) Write16(addr Addr, v uint16) {
 	m.check(addr, 2)
 	m.Writes++
-	if off := addr & pageMask; off > pageSize-2 {
+	if off := addr & PageMask; off > PageSize-2 {
 		m.writeStraddle(addr, 2, uint64(v))
 	} else {
 		binary.LittleEndian.PutUint16(m.mapped(addr)[off:], v)
@@ -212,7 +226,7 @@ func (m *Main) Write16(addr Addr, v uint16) {
 func (m *Main) Write32(addr Addr, v uint32) {
 	m.check(addr, 4)
 	m.Writes++
-	if off := addr & pageMask; off > pageSize-4 {
+	if off := addr & PageMask; off > PageSize-4 {
 		m.writeStraddle(addr, 4, uint64(v))
 	} else {
 		binary.LittleEndian.PutUint32(m.mapped(addr)[off:], v)
@@ -223,7 +237,7 @@ func (m *Main) Write32(addr Addr, v uint32) {
 func (m *Main) Write64(addr Addr, v uint64) {
 	m.check(addr, 8)
 	m.Writes++
-	if off := addr & pageMask; off > pageSize-8 {
+	if off := addr & PageMask; off > PageSize-8 {
 		m.writeStraddle(addr, 8, v)
 	} else {
 		binary.LittleEndian.PutUint64(m.mapped(addr)[off:], v)
@@ -249,12 +263,5 @@ func (m *Main) WriteBytes(addr Addr, src []byte) {
 func (m *Main) Zero(addr Addr, n uint32) {
 	m.check(addr, n)
 	m.Writes++
-	for n > 0 {
-		off := addr & pageMask
-		k := min(n, pageSize-off)
-		if p := m.leaf(addr); p != nil {
-			clear(p[off : off+k])
-		}
-		addr, n = addr+k, n-k
-	}
+	m.zero(addr, n)
 }

@@ -121,7 +121,7 @@ func mappedDirs(m *Main) int {
 // TestStraddlingAccesses drives every accessor width across a leaf
 // boundary inside one directory entry at every split point, with each
 // combination of mapped and unmapped pages on the two sides.
-func TestStraddlingAccesses(t *testing.T) { testStraddle(t, 2*pageSize, 1) }
+func TestStraddlingAccesses(t *testing.T) { testStraddle(t, 2*PageSize, 1) }
 
 // TestStraddlingDirectoryBoundary does the same across a directory
 // boundary, where an unmapped side's whole directory entry is absent.
@@ -181,12 +181,12 @@ func b2i(b bool) int {
 // TestBulkAcrossPages moves blocks that cover a partial page, two whole
 // pages and another partial page, over mapped and unmapped memory.
 func TestBulkAcrossPages(t *testing.T) {
-	x := newModel(t, 8*pageSize)
-	src := make([]byte, 3*pageSize+500)
+	x := newModel(t, 8*PageSize)
+	src := make([]byte, 3*PageSize+500)
 	for i := range src {
 		src[i] = byte(i*7 + 1)
 	}
-	start := Addr(pageSize - 100)
+	start := Addr(PageSize - 100)
 	x.readBytes(start, uint32(len(src))) // all unmapped: zeros, and maps nothing
 	if got := mappedPages(x.m); got != 0 {
 		t.Fatalf("ReadBytes mapped %d pages", got)
@@ -196,11 +196,11 @@ func TestBulkAcrossPages(t *testing.T) {
 		t.Fatalf("WriteBytes over 5 pages mapped %d", got)
 	}
 	x.readBytes(start, uint32(len(src)))
-	x.readBytes(0, 8*pageSize) // mapped and unmapped pages interleaved
-	x.zero(start+50, 2*pageSize)
-	x.readBytes(0, 8*pageSize)
+	x.readBytes(0, 8*PageSize) // mapped and unmapped pages interleaved
+	x.zero(start+50, 2*PageSize)
+	x.readBytes(0, 8*PageSize)
 	x.read(start+49, 1)
-	x.read(start+50+2*pageSize, 1)
+	x.read(start+50+2*PageSize, 1)
 }
 
 // TestScatteredWritesMapOneLeafEach pins the host grain: each one-word
@@ -209,8 +209,8 @@ func TestBulkAcrossPages(t *testing.T) {
 func TestScatteredWritesMapOneLeafEach(t *testing.T) {
 	x := newModel(t, 8<<20)
 	addrs := []Addr{
-		0x10, pageSize, 3*pageSize + 8, 1<<dirShift - 8, 1 << dirShift,
-		5<<dirShift + 7*pageSize + 40, 100 << dirShift, 8<<20 - 8,
+		0x10, PageSize, 3*PageSize + 8, 1<<dirShift - 8, 1 << dirShift,
+		5<<dirShift + 7*PageSize + 40, 100 << dirShift, 8<<20 - 8,
 	}
 	dirs := map[Addr]bool{}
 	for i, a := range addrs {
@@ -223,7 +223,7 @@ func TestScatteredWritesMapOneLeafEach(t *testing.T) {
 	}
 	for _, a := range addrs {
 		x.read(a, 8)
-		x.read(a&^pageMask|pageSize/2, 8) // unwritten words of a mapped leaf read zero
+		x.read(a&^PageMask|PageSize/2, 8) // unwritten words of a mapped leaf read zero
 	}
 	if got := mappedPages(x.m); got != len(addrs) {
 		t.Fatalf("reads mapped leaves: %d mapped, want %d", got, len(addrs))
@@ -237,12 +237,12 @@ func TestZeroUnmappedAllocatesNothing(t *testing.T) {
 	m := NewMain(64 << 20)
 	allocs := testing.AllocsPerRun(10, func() {
 		m.Zero(16, 64<<20-16)
-		m.Zero(3*pageSize-8, 16)
+		m.Zero(3*PageSize-8, 16)
 	})
 	if allocs != 0 || mappedPages(m) != 0 {
 		t.Fatalf("Zero over unmapped memory: %v allocs, %d pages mapped", allocs, mappedPages(m))
 	}
-	if got := m.Read64(3*pageSize - 4); got != 0 {
+	if got := m.Read64(3*PageSize - 4); got != 0 {
 		t.Fatalf("unmapped memory reads %#x", got)
 	}
 }
@@ -250,7 +250,7 @@ func TestZeroUnmappedAllocatesNothing(t *testing.T) {
 // TestSizeNotPageMultiple checks the partial last page is addressable
 // to its final byte and no further.
 func TestSizeNotPageMultiple(t *testing.T) {
-	const size = 2*pageSize + 100
+	const size = 2*PageSize + 100
 	x := newModel(t, size)
 	if x.m.Size() != size {
 		t.Fatalf("Size() = %d, want %d", x.m.Size(), size)
@@ -258,7 +258,7 @@ func TestSizeNotPageMultiple(t *testing.T) {
 	x.write(size-8, 8, 0xfeedfacecafebeef)
 	x.read(size-8, 8)
 	x.write(size-1, 1, 0x5a)
-	x.readBytes(pageSize+1, pageSize+99)
+	x.readBytes(PageSize+1, PageSize+99)
 	x.zero(size-4, 4)
 	x.read(size-8, 8)
 	for name, access := range map[string]func(){
@@ -266,7 +266,7 @@ func TestSizeNotPageMultiple(t *testing.T) {
 		"Write8":     func() { x.m.Write8(size, 1) },
 		"Zero":       func() { x.m.Zero(size-1, 2) },
 		"ReadBytes":  func() { x.m.ReadBytes(size-1, make([]byte, 2)) },
-		"WriteBytes": func() { x.m.WriteBytes(pageSize, make([]byte, pageSize+101)) },
+		"WriteBytes": func() { x.m.WriteBytes(PageSize, make([]byte, PageSize+101)) },
 		"wrap":       func() { x.m.Read32(0xffffffff) },
 	} {
 		if mustPanic(access) == "" {
@@ -297,7 +297,7 @@ const fuzzSize = 2<<dirShift + 1000
 
 // fuzzLeaves is the number of leaves, the last one partial, fuzzSize
 // spans.
-const fuzzLeaves = (fuzzSize + pageSize - 1) / pageSize
+const fuzzLeaves = (fuzzSize + PageSize - 1) / PageSize
 
 // FuzzMainVsFlat decodes its input as a sequence of 12-byte operations,
 // applies each to a paged Main and to a flat reference, and requires
@@ -312,7 +312,7 @@ func FuzzMainVsFlat(f *testing.F) {
 	var src []byte
 	var touched [fuzzLeaves]bool
 	touch := func(addr, n uint32) {
-		for l := addr / pageSize; l*pageSize < addr+max(n, 1) && l < fuzzLeaves; l++ {
+		for l := addr / PageSize; l*PageSize < addr+max(n, 1) && l < fuzzLeaves; l++ {
 			touched[l] = true
 		}
 	}
@@ -321,7 +321,7 @@ func FuzzMainVsFlat(f *testing.F) {
 		defer func() { // also after a failed input, which the fuzzer reruns
 			for l, ok := range touched {
 				if ok {
-					clear(x.flat[l*pageSize : min((l+1)*pageSize, fuzzSize)])
+					clear(x.flat[l*PageSize : min((l+1)*PageSize, fuzzSize)])
 				}
 			}
 			touched = [fuzzLeaves]bool{}
@@ -333,7 +333,7 @@ func FuzzMainVsFlat(f *testing.F) {
 				// Within 8 bytes either side of a leaf boundary, or of a
 				// directory boundary when bit 1 is set.
 				if data[1]&2 == 0 {
-					addr = (k%(fuzzSize/pageSize)+1)*pageSize - 8 + a%16
+					addr = (k%(fuzzSize/PageSize)+1)*PageSize - 8 + a%16
 				} else {
 					addr = (k%(fuzzSize>>dirShift)+1)<<dirShift - 8 + a%16
 				}
@@ -379,8 +379,8 @@ func FuzzMainVsFlat(f *testing.F) {
 		absent := true
 		for l, ok := range touched {
 			if ok || absent {
-				lo := uint32(l) * pageSize
-				x.readBytes(lo, min(lo+pageSize, fuzzSize)-lo)
+				lo := uint32(l) * PageSize
+				x.readBytes(lo, min(lo+PageSize, fuzzSize)-lo)
 				absent = absent && ok
 			}
 		}

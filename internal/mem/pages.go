@@ -1,0 +1,70 @@
+package mem
+
+// Pages is a one-level table of 4 KB host pages: the host backing of a
+// store small enough that one load finds any byte's page — a core's
+// 256 KB local store is 64 entries. Like main memory, a page is mapped
+// by the first write that lands on it and reads as zero until then, so
+// a store holds host bytes only for the pages written to it. Main
+// memory keeps its two-level directory: at one level, booting a 64 MB
+// memory would allocate a 128 KB table.
+type Pages []Page
+
+// NewPages returns a table for a store of size bytes, with no page
+// mapped.
+func NewPages(size uint32) Pages {
+	return make(Pages, (uint64(size)+PageMask)>>PageShift)
+}
+
+// Map returns the page holding addr, mapping it on first write.
+func (p Pages) Map(addr uint32) Page {
+	pg := &p[addr>>PageShift]
+	if *pg == nil {
+		*pg = new([PageSize]byte)
+	}
+	return *pg
+}
+
+// Held returns the host bytes the table holds: PageSize for each mapped
+// page.
+func (p Pages) Held() int {
+	n := 0
+	for _, pg := range p {
+		if pg != nil {
+			n += PageSize
+		}
+	}
+	return n
+}
+
+// ReadPages copies n bytes of memory from addr into dst at at, page by
+// page, mapping each page of dst it fills. Like ReadBytes it counts one
+// read; it is a DMA get into a local store.
+func (m *Main) ReadPages(addr Addr, dst Pages, at, n uint32) {
+	m.check(addr, n)
+	m.Reads++
+	for n > 0 {
+		off := at & PageMask
+		k := min(n, PageSize-off)
+		m.copyOut(addr, dst.Map(at)[off:off+k])
+		addr, at, n = addr+k, at+k, n-k
+	}
+}
+
+// WritePages copies n bytes of src from at to memory at addr, page by
+// page. A page of src never written reads as zero, so its span of
+// memory is zeroed and nothing is mapped for it. Like WriteBytes it
+// counts one write; it is a DMA put out of a local store.
+func (m *Main) WritePages(addr Addr, src Pages, at, n uint32) {
+	m.check(addr, n)
+	m.Writes++
+	for n > 0 {
+		off := at & PageMask
+		k := min(n, PageSize-off)
+		if pg := src[at>>PageShift]; pg != nil {
+			m.copyIn(addr, pg[off:off+k])
+		} else {
+			m.zero(addr, k)
+		}
+		addr, at, n = addr+k, at+k, n-k
+	}
+}

@@ -154,28 +154,27 @@ type MethodCounters struct {
 	Invokes uint64
 }
 
-// FPShare returns the floating-point share of the method's cycles.
-func (m *MethodCounters) FPShare() float64 {
+// Busy returns the cycles the method has executed, over every class.
+func (m *MethodCounters) Busy() uint64 {
 	var busy uint64
 	for _, c := range m.Cycles {
 		busy += c
 	}
-	if busy == 0 {
-		return 0
-	}
-	return float64(m.Cycles[isa.ClassFloat]) / float64(busy)
+	return busy
 }
 
+// FPShare returns the floating-point share of the method's cycles.
+func (m *MethodCounters) FPShare() float64 { return m.share(isa.ClassFloat) }
+
 // MemShare returns the main-memory share of the method's cycles.
-func (m *MethodCounters) MemShare() float64 {
-	var busy uint64
-	for _, c := range m.Cycles {
-		busy += c
-	}
+func (m *MethodCounters) MemShare() float64 { return m.share(isa.ClassMainMem) }
+
+func (m *MethodCounters) share(class isa.OpClass) float64 {
+	busy := m.Busy()
 	if busy == 0 {
 		return 0
 	}
-	return float64(m.Cycles[isa.ClassMainMem]) / float64(busy)
+	return float64(m.Cycles[class]) / float64(busy)
 }
 
 // Monitor aggregates per-method counters indexed by global method ID;

@@ -152,12 +152,18 @@ func (p *MonitoringPolicy) PlaceThread(vm *VM, m *classfile.Method) isa.CoreKind
 	return vm.serviceKind()
 }
 
-// OnInvoke consults annotations first, then observed behaviour.
+// OnInvoke consults annotations first, then observed behaviour. A
+// callee whose observed invocation is shorter than the fixed price of
+// the round trip — a migration there and one back — stays on the
+// caller's kind: the move would cost more than the callee runs.
 func (p *MonitoringPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method, cur isa.CoreKind) isa.CoreKind {
 	if k, ok := annotationKind(vm, callee); ok {
 		return k
 	}
 	if k, ok := p.observedKind(vm, callee); ok {
+		if c := vm.Monitor.ByMethod[callee.ID]; c.Busy() < 2*migrationBaseCycles*c.Invokes {
+			return cur
+		}
 		return k
 	}
 	return cur
@@ -171,11 +177,7 @@ func (p *MonitoringPolicy) observedKind(vm *VM, m *classfile.Method) (isa.CoreKi
 	if c == nil {
 		return vm.serviceKind(), false
 	}
-	var total uint64
-	for _, cy := range c.Cycles {
-		total += cy
-	}
-	if total < monitorMinCycles {
+	if c.Busy() < monitorMinCycles {
 		return vm.serviceKind(), false
 	}
 	if c.FPShare() >= fpThreshold {

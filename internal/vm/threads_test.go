@@ -383,9 +383,10 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestMonitoringPolicyMigratesFPCode(t *testing.T) {
-	// Unannotated FP-heavy method: after enough observed cycles the
-	// monitoring policy should start placing it on SPEs (§6's proposal).
+// fpCallsProgram builds Hot.main, which calls the unannotated static
+// Hot.fp calls times; each call runs iters iterations of a
+// floating-point multiply, add and divide.
+func fpCallsProgram(iters, calls int32) *classfile.Program {
 	p := classfile.NewProgram()
 	Stdlib(p)
 	c := p.NewClass("Hot", nil)
@@ -397,7 +398,7 @@ func TestMonitoringPolicyMigratesFPCode(t *testing.T) {
 		a.StoreI(1)
 		a.Bind(loop)
 		a.LoadI(1)
-		a.ConstI(400)
+		a.ConstI(iters)
 		a.IfICmpGE(done)
 		a.LoadD(0)
 		a.ConstD(1.0000001)
@@ -423,7 +424,7 @@ func TestMonitoringPolicyMigratesFPCode(t *testing.T) {
 	a.StoreI(1)
 	a.Bind(loop)
 	a.LoadI(1)
-	a.ConstI(60)
+	a.ConstI(calls)
 	a.IfICmpGE(done)
 	a.LoadD(0)
 	a.InvokeStatic(fp)
@@ -434,10 +435,15 @@ func TestMonitoringPolicyMigratesFPCode(t *testing.T) {
 	a.ConstI(1)
 	a.Ret()
 	a.MustBuild()
+	return p
+}
 
+func TestMonitoringPolicyMigratesFPCode(t *testing.T) {
+	// Unannotated FP-heavy method: after enough observed cycles the
+	// monitoring policy should start placing it on SPEs (§6's proposal).
 	cfg := testConfig()
 	cfg.Policy = DefaultMonitoringPolicy()
-	vm, th := runMain(t, cfg, p, "Hot", "main")
+	vm, th := runMain(t, cfg, fpCallsProgram(400, 60), "Hot", "main")
 	if int32(uint32(th.Result)) != 1 {
 		t.Fatal("program failed")
 	}
@@ -450,6 +456,29 @@ func TestMonitoringPolicyMigratesFPCode(t *testing.T) {
 	}
 	if speFP == 0 {
 		t.Error("FP work never reached an SPE")
+	}
+}
+
+// TestMonitoringPolicyKeepsShortCallsHome: an FP-heavy callee whose
+// invocations are shorter than a migration there and back stays on its
+// caller's kind, however FP-heavy its observed cycles are. Moving it
+// would ping-pong the thread twice per call, as mpegaudio's Deq.pow43
+// did on ppe:1,spe:4,vpu:2 (81 625 migrations in one run).
+func TestMonitoringPolicyKeepsShortCallsHome(t *testing.T) {
+	cfg := testConfig()
+	cfg.Policy = DefaultMonitoringPolicy()
+	p := fpCallsProgram(4, 3000)
+	vm, th := runMain(t, cfg, p, "Hot", "main")
+	if int32(uint32(th.Result)) != 1 {
+		t.Fatal("program failed")
+	}
+	fp := vm.Monitor.ByMethod[p.Lookup("Hot").MethodByName("fp").ID]
+	if per := fp.Busy() / fp.Invokes; fp.Busy() < monitorMinCycles || per >= 2*migrationBaseCycles || fp.FPShare() < fpThreshold {
+		t.Fatalf("fp ran %d cycles, %d per call, FP share %.2f: the case needs a short, observed, FP-heavy callee",
+			fp.Busy(), per, fp.FPShare())
+	}
+	if n := vm.threads[0].Migrations; n != 0 {
+		t.Errorf("the thread migrated %d times for a callee shorter than the round trip", n)
 	}
 }
 
