@@ -17,10 +17,11 @@ type A1 struct {
 }
 
 // A1Row is one workload's series: performance relative to the 1 KB
-// default.
+// default. Valid reports every size's checksum matched its reference.
 type A1Row struct {
 	Workload string
 	RelPerf  []float64
+	Valid    bool
 }
 
 // A1Sizes are the block sizes swept (bytes); a1Default indexes the
@@ -45,9 +46,14 @@ func RunA1(opt Options) (*A1, error) {
 	out := &A1{SizesB: A1Sizes}
 	for _, r := range runs {
 		out.Rows = append(out.Rows, A1Row{Workload: r[0].Workload,
-			RelPerf: relativeTo(r[a1Default].Cycles, cyclesOf(r))})
+			RelPerf: relativeTo(r[a1Default].Cycles, cyclesOf(r)), Valid: allValid(r)})
 	}
 	return out, nil
+}
+
+// Check demands every run's checksum matched its reference.
+func (a *A1) Check(Options) error {
+	return checkValid("ablation A1", a.Rows, func(r A1Row) (string, bool) { return r.Workload, r.Valid })
 }
 
 // Table renders A1.
@@ -69,6 +75,7 @@ type A2 struct {
 	CyclesPerOp  []float64 // migrating (annotated) version
 	LocalCycles  []float64 // PPE-only version
 	BreakEvenOps int       // first K where migrating wins
+	Valid        bool      // every run returned its reference value
 }
 
 // A2Work are the per-call work sizes swept (inner loop iterations of
@@ -93,8 +100,9 @@ func RunA2(opt Options) (*A2, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &A2{WorkUnits: A2Work, BreakEvenOps: -1}
+	out := &A2{WorkUnits: A2Work, BreakEvenOps: -1, Valid: true}
 	for i, k := range A2Work {
+		out.Valid = out.Valid && allValid(runs[2*i]) && allValid(runs[2*i+1])
 		mig, loc := runs[2*i][0].Cycles, runs[2*i+1][0].Cycles
 		out.CyclesPerOp = append(out.CyclesPerOp, float64(mig)/calls)
 		out.LocalCycles = append(out.LocalCycles, float64(loc)/calls)
@@ -181,6 +189,20 @@ func (a *A2) Table() string {
 	return b.String()
 }
 
+// Check demands every run's checksum matched its reference and that
+// migrating wins at some work size: the round trip amortises.
+func (a *A2) Check(Options) error {
+	var problems []string
+	if !a.Valid {
+		problems = append(problems, "a run's checksum mismatch vs reference")
+	}
+	if a.BreakEvenOps < 0 {
+		problems = append(problems, fmt.Sprintf("no break-even: migrating never beat PPE-local up to %d work units",
+			a.WorkUnits[len(a.WorkUnits)-1]))
+	}
+	return gateError("ablation A2", problems)
+}
+
 // A3 explores the adaptive data/code cache split the paper proposes as
 // future work ("adaptive sizing of the code and data caches would likely
 // benefit many applications", §4): with a fixed 192 KB local-store
@@ -202,6 +224,9 @@ type A3Row struct {
 	// split; FinalSplit is where it settled.
 	Adaptive   float64
 	FinalSplit string
+	// Valid reports every split's checksum, and the controller's,
+	// matched the reference.
+	Valid bool
 }
 
 // a3Splits are (dataKB, codeKB) pairs summing to 192 KB; a3Default
@@ -235,7 +260,7 @@ func RunA3(opt Options) (*A3, error) {
 		baseline := static[a3Default].Cycles
 		row := A3Row{Workload: ast.Workload, RelPerf: relativeTo(baseline, cyclesOf(static)),
 			Adaptive:   float64(baseline) / float64(ast.Cycles),
-			FinalSplit: fmt.Sprintf("%d/%d", ast.DataCache>>10, ast.CodeCache>>10)}
+			FinalSplit: fmt.Sprintf("%d/%d", ast.DataCache>>10, ast.CodeCache>>10), Valid: allValid(r)}
 		best := 0
 		for i, rel := range row.RelPerf {
 			if rel > row.RelPerf[best] {
@@ -260,6 +285,11 @@ func (a *A3) Table() string {
 	return b.String()
 }
 
+// Check demands every run's checksum matched its reference.
+func (a *A3) Check(Options) error {
+	return checkValid("ablation A3", a.Rows, func(r A3Row) (string, bool) { return r.Workload, r.Valid })
+}
+
 // A4 measures what the paper's JMM coherence protocol (purge on
 // lock/volatile-read, flush on unlock/volatile-write, §3.2.1) costs, by
 // unsoundly disabling it. Checksum validity is reported: an invalid
@@ -269,13 +299,15 @@ type A4 struct {
 	Rows []A4Row
 }
 
-// A4Row is one workload's pair.
+// A4Row is one workload's pair. Valid is the coherent run's checksum
+// check; the unsound run's is UnsoundValid, which may fail.
 type A4Row struct {
 	Workload     string
 	CoherentCyc  uint64
 	UnsoundCyc   uint64
 	Overhead     float64 // coherent/unsound - 1
 	UnsoundValid bool
+	Valid        bool
 }
 
 // RunA4 runs each workload on 6 SPEs with and without coherence.
@@ -296,6 +328,7 @@ func RunA4(opt Options) (*A4, error) {
 			UnsoundCyc:   r[1].Cycles,
 			Overhead:     float64(r[0].Cycles)/float64(r[1].Cycles) - 1,
 			UnsoundValid: r[1].Valid,
+			Valid:        r[0].Valid,
 		})
 	}
 	return out, nil
@@ -312,4 +345,10 @@ func (a *A4) Table() string {
 			r.Workload, r.CoherentCyc, r.UnsoundCyc, 100*r.Overhead, r.UnsoundValid)
 	}
 	return b.String()
+}
+
+// Check demands every coherent run's checksum matched its reference;
+// an unsound run may miss it.
+func (a *A4) Check(Options) error {
+	return checkValid("ablation A4", a.Rows, func(r A4Row) (string, bool) { return r.Workload, r.Valid })
 }

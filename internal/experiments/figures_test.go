@@ -255,6 +255,19 @@ func TestCheckFailureArms(t *testing.T) {
 
 		{"invalid figure row", &Fig4a{Rows: []Fig4aRow{{Workload: "compress", Valid: true}, {Workload: "mpegaudio"}}},
 			Options{}, "mpegaudio: checksum mismatch"},
+
+		{"clean A1", &A1{Rows: []A1Row{{Workload: "compress", Valid: true}}}, Options{}, ""},
+		{"invalid A1 row", &A1{Rows: []A1Row{{Workload: "compress", Valid: true}, {Workload: "mpegaudio"}}},
+			Options{}, "ablation A1 gate:\n  mpegaudio: checksum mismatch"},
+		{"clean A2", &A2{WorkUnits: []int{1, 128}, BreakEvenOps: 128, Valid: true}, Options{}, ""},
+		{"invalid A2 run", &A2{WorkUnits: []int{1, 128}, BreakEvenOps: 128}, Options{}, "ablation A2 gate:\n  a run's checksum mismatch"},
+		{"A2 without a break-even", &A2{WorkUnits: []int{1, 128}, BreakEvenOps: -1, Valid: true},
+			Options{}, "no break-even: migrating never beat PPE-local up to 128 work units"},
+		{"clean A3", &A3{Rows: []A3Row{{Workload: "compress", Valid: true}}}, Options{}, ""},
+		{"invalid A3 row", &A3{Rows: []A3Row{{Workload: "mandelbrot"}}}, Options{}, "ablation A3 gate:\n  mandelbrot: checksum mismatch"},
+		{"unsound A4 arm invalid", &A4{Rows: []A4Row{{Workload: "compress", Valid: true}}}, Options{}, ""},
+		{"invalid coherent A4 arm", &A4{Rows: []A4Row{{Workload: "compress", UnsoundValid: true}}},
+			Options{}, "ablation A4 gate:\n  compress: checksum mismatch"},
 		{"invalid serve pass", &ServeSweep{Runs: []ServeRun{{Shedding: true}}},
 			Options{}, "shedding true"},
 	} {

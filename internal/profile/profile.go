@@ -1,13 +1,14 @@
-// Package profile accumulates the cycle and event statistics the
-// experiments report: per-core cycles bucketed by operation class (the
-// paper's Figure 5 breakdown), software-cache hit rates (Figures 6 and
-// 7), DMA traffic, migrations and GC activity. It also holds per-method
-// counters used by the runtime-monitoring placement policy (§3, §6).
+// Package profile holds CoreStats, what one simulated core did: its
+// cycles bucketed by operation class (the paper's Figure 5 breakdown),
+// idle time, retired and fast-forwarded instructions, software-cache
+// events (Figures 6 and 7), DMA traffic, steals and migrations. The
+// machine, the VM's report, the experiments and the benchmark read it.
+// The per-method profile the placement policies read is the VM's own
+// (internal/vm/ledger.go).
 package profile
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"herajvm/internal/isa"
@@ -143,85 +144,4 @@ func (s *CoreStats) String() string {
 	fmt.Fprintf(&b, " dcache=%.3f ccache=%.3f dma=%dB",
 		s.DataHitRate(), s.CodeHitRate(), s.DMABytes)
 	return b.String()
-}
-
-// MethodCounters tracks per-method executed-cycle composition for the
-// runtime-monitoring placement policy: methods with a high floating-point
-// share are SPE candidates; methods dominated by main-memory cycles are
-// PPE candidates (§4's conclusion).
-type MethodCounters struct {
-	Cycles  [isa.NumClasses]uint64
-	Invokes uint64
-}
-
-// Busy returns the cycles the method has executed, over every class.
-func (m *MethodCounters) Busy() uint64 {
-	var busy uint64
-	for _, c := range m.Cycles {
-		busy += c
-	}
-	return busy
-}
-
-// FPShare returns the floating-point share of the method's cycles.
-func (m *MethodCounters) FPShare() float64 { return m.share(isa.ClassFloat) }
-
-// MemShare returns the main-memory share of the method's cycles.
-func (m *MethodCounters) MemShare() float64 { return m.share(isa.ClassMainMem) }
-
-func (m *MethodCounters) share(class isa.OpClass) float64 {
-	busy := m.Busy()
-	if busy == 0 {
-		return 0
-	}
-	return float64(m.Cycles[class]) / float64(busy)
-}
-
-// Monitor aggregates per-method counters indexed by global method ID;
-// a method's entry is nil until it is first invoked.
-type Monitor struct {
-	ByMethod []*MethodCounters
-}
-
-// NewMonitor returns an empty monitor for a program of n methods.
-func NewMonitor(n int) *Monitor {
-	return &Monitor{ByMethod: make([]*MethodCounters, n)}
-}
-
-// Counters returns (creating if needed) the counters for a method.
-func (mn *Monitor) Counters(methodID int) *MethodCounters {
-	c := mn.ByMethod[methodID]
-	if c == nil {
-		c = &MethodCounters{}
-		mn.ByMethod[methodID] = c
-	}
-	return c
-}
-
-// Hottest returns up to n method IDs ordered by total cycles, hottest
-// first. Used by reports and the monitoring placement policy.
-func (mn *Monitor) Hottest(n int) []int {
-	var ids []int
-	for id, c := range mn.ByMethod {
-		if c != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		var a, b uint64
-		for _, c := range mn.ByMethod[ids[i]].Cycles {
-			a += c
-		}
-		for _, c := range mn.ByMethod[ids[j]].Cycles {
-			b += c
-		}
-		if a != b {
-			return a > b
-		}
-		return ids[i] < ids[j]
-	})
-	if len(ids) > n {
-		ids = ids[:n]
-	}
-	return ids
 }

@@ -3,7 +3,7 @@
 // machines must agree on everything observable: checksums, final clocks,
 // per-core per-class cycle counters, retired instructions, idle time,
 // branch-predictor counters, per-job cycles, the rendered per-core stat
-// strings and every method's monitor counters. This is the enforcement
+// strings and every method's ledger counters. This is the enforcement
 // of the memoization contract: fast-forwarding a block is an accounting
 // shortcut, never a semantics change.
 //
@@ -195,7 +195,7 @@ func TestDifferentialSuperblockSharedBodies(t *testing.T) {
 						continue
 					}
 					shared++
-					mc, tc := fast.Monitor.ByMethod[m.ID], fast.Monitor.ByMethod[tm.ID]
+					mc, tc := fast.Ledger()[m.ID], fast.Ledger()[tm.ID]
 					if mc == nil || tc == nil || mc == tc || mc.Invokes == 0 || tc.Invokes == 0 ||
 						mc.Cycles == ([isa.NumClasses]uint64{}) || tc.Cycles == ([isa.NumClasses]uint64{}) {
 						t.Errorf("%s and %s [%v] share a body but not counters of their own: %+v, %+v",
@@ -300,7 +300,7 @@ func runSpecOn(t *testing.T, spec workloads.Spec, shape string) (*classfile.Prog
 // sameMachine requires two runs of one program, fast path on (fast) and
 // off (slow), to agree on everything observable — the machine clock, each
 // core's counters and stat line, the branch predictors and every
-// method's monitor counters — and returns the instructions fast
+// method's ledger counters — and returns the instructions fast
 // fast-forwarded.
 func sameMachine(t *testing.T, fast, slow *vm.VM) (ff uint64) {
 	t.Helper()
@@ -332,13 +332,13 @@ func sameMachine(t *testing.T, fast, slow *vm.VM) (ff uint64) {
 	}
 	// Each method's class vector and invocation count, which the
 	// monitoring policy and the report read.
-	fm, sm := fast.Monitor.ByMethod, slow.Monitor.ByMethod
+	fm, sm := fast.Ledger(), slow.Ledger()
 	if len(fm) != len(sm) {
 		t.Errorf("monitored methods: fast=%d slow=%d", len(fm), len(sm))
 	}
 	for id := range min(len(fm), len(sm)) {
 		if (fm[id] == nil) != (sm[id] == nil) || fm[id] != nil && *fm[id] != *sm[id] {
-			t.Errorf("method %d: monitor counters fast=%+v slow=%+v", id, fm[id], sm[id])
+			t.Errorf("method %d: ledger counters fast=%+v slow=%+v", id, fm[id], sm[id])
 		}
 	}
 	return ff

@@ -40,8 +40,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 		}
 		// Every stepped instruction retires with its static cost.
 		in := f.CM.Code[f.PC]
-		core.Charge(in.Op.Class(), uint64(in.Cost))
-		f.chargeDyn(in.Op.Class(), uint64(in.Cost))
+		bill(core, f, in.Op.Class(), uint64(in.Cost))
 		core.Stats.Instrs++
 		if err := vm.step(core, t, f, in); err != nil {
 			vm.raise(core, t, err)
@@ -76,15 +75,6 @@ func (vm *VM) trapAt(f *Frame, kind, detail string) error {
 	return &TrapError{Kind: kind, Detail: detail, Method: sig, PC: pc}
 }
 
-// chargeDyn adds cycles the core was charged for one instruction — its
-// static cost, or dynamically determined cycles (cache misses, DMA
-// waits) — to the per-method monitor counters.
-func (f *Frame) chargeDyn(class isa.OpClass, n uint64) {
-	if f.ctr != nil {
-		f.ctr.Cycles[class] += n
-	}
-}
-
 // branch executes the conditional branch at f.PC: it decides the
 // outcome from the popped operands (a pushed first; b is unused by the
 // one-operand forms), applies the kind's branch model — a hardware
@@ -109,9 +99,7 @@ func (vm *VM) branch(core *cell.Core, f *Frame, op isa.Op, cond, target int32, a
 		miss = !core.BP.Predict(uint32(f.CM.M.ID)<<12^uint32(f.PC), taken)
 	}
 	if miss {
-		penalty := uint64(vm.compilers[core.Kind].Costs().BranchTakenExtra)
-		core.Charge(isa.ClassBranch, penalty)
-		f.chargeDyn(isa.ClassBranch, penalty)
+		bill(core, f, isa.ClassBranch, uint64(vm.compilers[core.Kind].Costs().BranchTakenExtra))
 	}
 	if taken {
 		f.PC = int(target)
@@ -378,9 +366,9 @@ func (vm *VM) memAccess(core *cell.Core, f *Frame, op isa.Op, a, b int32, x, y, 
 		var ok bool
 		if dc := vm.dcaches[core.Index]; dc != nil {
 			// The length word and the element in one cache call.
-			before := core.Now
-			raw, n, ok, core.Now = dc.AccessArray(before, arr, idx, k.Size(), op == isa.OpAStore, z)
-			f.chargeDyn(isa.ClassLocalMem, core.Now-before)
+			billLocalStore(core, f, func() {
+				raw, n, ok, core.Now = dc.AccessArray(core.Now, arr, idx, k.Size(), op == isa.OpAStore, z)
+			})
 		} else {
 			raw, n, ok = vm.hwArrayAccess(core, f, arr, idx, k.Size(), op == isa.OpAStore, z)
 		}
@@ -510,22 +498,11 @@ func (vm *VM) loadMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width 
 		if flags&isa.FlagVolatile != 0 {
 			vm.acquire(core, edgeVolatile) // observe other cores' writes
 		}
-		before := core.Now
 		var v uint64
-		v, core.Now = dc.ReadObject(core.Now, unit, unitSize, off, width)
-		f.chargeDyn(isa.ClassLocalMem, core.Now-before)
+		billLocalStore(core, f, func() { v, core.Now = dc.ReadObject(core.Now, unit, unitSize, off, width) })
 		return v
 	}
-	cycles, l1 := core.Mem.Access(unit+off, width)
-	class := isa.ClassLocalMem
-	if !l1 {
-		class = isa.ClassMainMem
-		core.Stats.DataMisses++
-	} else {
-		core.Stats.DataHits++
-	}
-	core.Charge(class, uint64(cycles))
-	f.chargeDyn(class, uint64(cycles))
+	hwAccess(core, f, unit+off, width)
 	return readMain(vm, unit+off, width)
 }
 
@@ -533,25 +510,28 @@ func (vm *VM) loadMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width 
 // flush-after-write on local-store kinds.
 func (vm *VM) storeMem(core *cell.Core, f *Frame, unit Ref, unitSize, off, width uint32, val uint64, flags int32) {
 	if dc := vm.dcaches[core.Index]; dc != nil {
-		before := core.Now
-		core.Now = dc.WriteObject(core.Now, unit, unitSize, off, width, val)
+		billLocalStore(core, f, func() { core.Now = dc.WriteObject(core.Now, unit, unitSize, off, width, val) })
 		if flags&isa.FlagVolatile != 0 {
-			vm.release(core, edgeVolatile) // publish this write
+			vm.release(core, edgeVolatile) // publish this write; the core alone pays
 		}
-		f.chargeDyn(isa.ClassLocalMem, core.Now-before)
 		return
 	}
-	cycles, l1 := core.Mem.Access(unit+off, width)
+	hwAccess(core, f, unit+off, width)
+	writeMain(vm, unit+off, width, val)
+}
+
+// hwAccess bills one access of width bytes at addr on a hardware-cached
+// core: an L1 hit as ClassLocalMem, a miss as ClassMainMem.
+func hwAccess(core *cell.Core, f *Frame, addr, width uint32) {
+	cycles, l1 := core.Mem.Access(addr, width)
 	class := isa.ClassLocalMem
-	if !l1 {
+	if l1 {
+		core.Stats.DataHits++
+	} else {
 		class = isa.ClassMainMem
 		core.Stats.DataMisses++
-	} else {
-		core.Stats.DataHits++
 	}
-	core.Charge(class, uint64(cycles))
-	f.chargeDyn(class, uint64(cycles))
-	writeMain(vm, unit+off, width, val)
+	bill(core, f, class, uint64(cycles))
 }
 
 func readMain(vm *VM, addr uint32, width uint32) uint64 {

@@ -30,10 +30,11 @@ import (
 // after it — because the memory system, the bus and the deadline all
 // read the clock. Everything else a block bills (its per-class cycle
 // vector, retired and fast-forwarded instructions, the block count, the
-// method's monitor counters) adds up in a chainBill and settles into
-// the core and the frame's counters once, when the chain ends. Nothing
-// reads those counters while a chain runs: the placement policies and
-// reports read them at scheduling and report time. The dynamic charges
+// method's ledger counters) adds up in a chainBill and settles into
+// the core and the frame's counters once, when the chain ends
+// (chainBill.settle, in ledger.go). Nothing reads those counters while
+// a chain runs: the placement policies and reports read them at
+// scheduling and report time. The dynamic charges
 // of memAccess and branch bill at once, as they do when stepping.
 
 // chainBill is what a chain of replayed blocks owes the core's and the
@@ -68,18 +69,6 @@ func (bill *chainBill) prefix(code []isa.Instr, b *jit.Superblock, bi int) {
 	bill.instrs += uint64(n)
 	bill.ffInstrs += uint64(n - bi - 1)
 	bill.blocks++
-}
-
-// settle pays the bill into the core's counters and the frame's
-// per-method monitor counters: the one place the replay writes a class
-// vector.
-func (bill *chainBill) settle(core *cell.Core, f *Frame) {
-	core.SettleFastForward(&bill.classes, bill.instrs, bill.ffInstrs, bill.blocks)
-	if f.ctr != nil {
-		for i, n := range &bill.classes {
-			f.ctr.Cycles[i] += n
-		}
-	}
 }
 
 // fastForward replays the superblock b, which starts at f.PC — its

@@ -231,7 +231,7 @@ func startBoundaryRun(t *testing.T, method string, disable bool) *boundaryRun {
 
 // diff names the first observable difference between a fast run and
 // its stepped twin: core stats (all but the fast-forward counters), the
-// clock, the method's monitor counters, the frame's PC, SP, live stack
+// clock, the method's ledger counters, the frame's PC, SP, live stack
 // and locals, and the thread's state and trap.
 func (r *boundaryRun) diff(o *boundaryRun) string {
 	rs, os := r.core.Stats, o.core.Stats

@@ -52,8 +52,7 @@ func (vm *VM) invoke(core *cell.Core, t *Thread, f *Frame, callee *classfile.Met
 	}
 
 	nf := t.newFrame(cm)
-	nf.ctr = vm.Monitor.Counters(callee.ID)
-	nf.ctr.Invokes++
+	vm.profileFrame(nf)
 
 	// A static synchronized callee locks its class's lock object,
 	// allocated on first use.

@@ -184,8 +184,7 @@ func (vm *VM) spawnKernelWorker(k *kernelLaunch, runM *classfile.Method, body Re
 	if compileCycles > 0 {
 		noteCompile(t)
 	}
-	f.ctr = vm.Monitor.Counters(runM.ID)
-	f.ctr.Invokes++
+	vm.profileFrame(f)
 	f.Locals[0] = uint64(body)
 	f.Locals[1] = uint64(uint32(chunk.From))
 	f.Locals[2] = uint64(uint32(chunk.To))

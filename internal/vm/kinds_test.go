@@ -61,23 +61,27 @@ func TestFloatIntensiveRoutesToVPU(t *testing.T) {
 	}
 }
 
-// FixedPolicy pins threads to the VPU like any other kind. (The exact
-// checksum is not asserted: pinning the main thread too means its final
-// unsynchronized static read may be stale under the software-cache
-// model, exactly as on a pinned SPE.)
+// FixedPolicy pins threads to the VPU like any other kind, given as a
+// value or as a pointer: the migration pass must not move a thread of
+// either off its kind. (The exact checksum is not asserted:
+// pinning the main thread too means its final unsynchronized static
+// read may be stale under the software-cache model, exactly as on a
+// pinned SPE.)
 func TestFixedPolicyOnVPU(t *testing.T) {
-	cfg := topoConfig(cell.Topology{{Kind: isa.PPE, Count: 1}, {Kind: isa.VPU, Count: 2}})
-	cfg.Policy = FixedPolicy{Kind: isa.VPU}
-	p := buildWorkerProgram(2, "")
-	vm, _ := runMain(t, cfg, p, "Main", "main")
-	if vm.Machine.InstrsOf(isa.VPU) == 0 {
-		t.Error("fixed-VPU policy never ran on the VPUs")
-	}
-	if vm.Machine.CoresOf(isa.PPE)[0].Stats.Instrs != 0 {
-		t.Error("pinned threads executed bytecode on the PPE")
-	}
-	if vm.serviceKind() != isa.PPE {
-		t.Errorf("service kind = %v, want PPE", vm.serviceKind())
+	for _, pol := range []Policy{FixedPolicy{Kind: isa.VPU}, &FixedPolicy{Kind: isa.VPU}} {
+		cfg := topoConfig(cell.Topology{{Kind: isa.PPE, Count: 1}, {Kind: isa.VPU, Count: 2}})
+		cfg.Policy = pol
+		p := buildWorkerProgram(2, "")
+		vm, _ := runMain(t, cfg, p, "Main", "main")
+		if vm.Machine.InstrsOf(isa.VPU) == 0 {
+			t.Errorf("%T: fixed-VPU policy never ran on the VPUs", pol)
+		}
+		if n := vm.Machine.CoresOf(isa.PPE)[0].Stats.Instrs; n != 0 {
+			t.Errorf("%T: pinned threads executed %d instructions on the PPE", pol, n)
+		}
+		if vm.serviceKind() != isa.PPE {
+			t.Errorf("service kind = %v, want PPE", vm.serviceKind())
+		}
 	}
 }
 

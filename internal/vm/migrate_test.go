@@ -329,6 +329,7 @@ func callAcross(t *testing.T, v *VM) *Thread {
 	th := v.newThread(&Job{}, "w")
 	th.Kind, th.CoreID, th.State = isa.SPE, 0, StateRunning
 	f := newFrame(cm)
+	v.profileFrame(f)
 	f.PC = 1 // past run's constant, on the call
 	f.push(retValue)
 	th.pushFrame(f)

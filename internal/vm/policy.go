@@ -119,7 +119,7 @@ func (p FixedPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method, cur i
 
 // MonitoringPolicy implements the paper's proposed runtime-monitoring
 // placement (§6): it watches per-method cycle composition gathered by
-// the profiler and migrates threads into methods whose observed
+// the ledger (ledger.go) and migrates threads into methods whose observed
 // behaviour clearly favours one core kind — the kind with the lowest
 // predicted cost for the dominant behaviour, not a hard-coded one.
 // Methods need monitorMinCycles of observation before a decision is
@@ -161,7 +161,7 @@ func (p *MonitoringPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method,
 		return k
 	}
 	if k, ok := p.observedKind(vm, callee); ok {
-		if c := vm.Monitor.ByMethod[callee.ID]; c.Busy() < 2*migrationBaseCycles*c.Invokes {
+		if c := vm.ledger[callee.ID]; c.Busy() < 2*migrationBaseCycles*c.Invokes {
 			return cur
 		}
 		return k
@@ -173,7 +173,7 @@ func (p *MonitoringPolicy) observedKind(vm *VM, m *classfile.Method) (isa.CoreKi
 	if len(vm.presentKinds) < 2 {
 		return vm.serviceKind(), false
 	}
-	c := vm.Monitor.ByMethod[m.ID]
+	c := vm.ledger[m.ID]
 	if c == nil {
 		return vm.serviceKind(), false
 	}

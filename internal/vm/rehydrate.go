@@ -159,8 +159,7 @@ func (vm *VM) Rehydrate(img *JobImage, arrival cell.Clock, _ JobSpec) (*Job, err
 			}
 			compileCycles += cycles
 			f := rehydrateFrame(cm, &fr)
-			f.ctr = vm.Monitor.Counters(m.ID)
-			f.ctr.Invokes++
+			vm.profileFrame(f)
 			t.pushFrame(f)
 		}
 

@@ -81,18 +81,13 @@ func (vm *VM) Report() string {
 		}
 	}
 
-	hot := vm.Monitor.Hottest(5)
+	hot := vm.ledger.hottest(5)
 	if len(hot) > 0 {
 		fmt.Fprintf(&b, "hottest methods:\n")
 		for _, id := range hot {
-			mth := vm.Prog.MethodByID(id)
-			ctr := vm.Monitor.ByMethod[id]
-			var mBusy uint64
-			for _, cy := range ctr.Cycles {
-				mBusy += cy
-			}
+			ctr := vm.ledger[id]
 			fmt.Fprintf(&b, "  %-40s %12d cycles, fp=%.2f mem=%.2f, %d invokes\n",
-				mth.Sig(), mBusy, ctr.FPShare(), ctr.MemShare(), ctr.Invokes)
+				vm.Prog.MethodByID(id).Sig(), ctr.Busy(), ctr.FPShare(), ctr.MemShare(), ctr.Invokes)
 		}
 	}
 	return b.String()

@@ -7,7 +7,6 @@ import (
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
 	"herajvm/internal/jit"
-	"herajvm/internal/profile"
 	"herajvm/internal/sched"
 )
 
@@ -114,8 +113,7 @@ func (vm *VM) startThread(job *Job, name string, entry *classfile.Method, readyA
 	if compileCycles > 0 {
 		noteCompile(t)
 	}
-	f.ctr = vm.Monitor.Counters(entry.ID)
-	f.ctr.Invokes++
+	vm.profileFrame(f)
 	copy(f.Locals, args)
 	t.pushFrame(f)
 	t.ReadyAt = readyAt + compileCycles
@@ -273,28 +271,19 @@ func (vm *VM) taskCost(task sched.Task, core *cell.Core) uint64 {
 	return uint64(float64(quantum * core.Kind.MigrateAffinity()))
 }
 
-// observedCounters returns the task's innermost profiled method
-// counters when behaviour-aware pricing applies: the task is a thread
-// with a profiled frame, and that method has cleared the observation
-// floor. Nil otherwise (including the nil probe tasks the admission
-// estimator passes).
-func (vm *VM) observedCounters(task sched.Task) *profile.MethodCounters {
+// observedCounters returns the counters of the task's innermost method
+// when behaviour-aware pricing applies: the task is a thread, and that
+// method has cleared the observation floor. Nil otherwise (including
+// the nil probe tasks the admission estimator passes).
+func (vm *VM) observedCounters(task sched.Task) *methodCounters {
 	t, ok := task.(*Thread)
 	if !ok || t == nil {
 		return nil
 	}
-	ctr := t.hotCounters()
-	if ctr == nil {
-		return nil
+	if ctr := t.top().ctr; ctr.Busy() >= behaviourMinCycles {
+		return ctr
 	}
-	var total uint64
-	for _, c := range ctr.Cycles {
-		total += c
-	}
-	if total < behaviourMinCycles {
-		return nil
-	}
-	return ctr
+	return nil
 }
 
 // recompileEstimate is the migration pass's feasibility-and-cost probe

@@ -6,7 +6,6 @@ import (
 	"herajvm/internal/cell"
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
-	"herajvm/internal/profile"
 )
 
 // framedThread makes a thread of a job of its own on kind's core
@@ -24,7 +23,9 @@ func framedThread(t *testing.T, vm *VM, name string, kind isa.CoreKind, coreID i
 			t.Fatal(err)
 		}
 		if k == kind {
-			th.pushFrame(newFrame(cm))
+			f := newFrame(cm)
+			vm.profileFrame(f)
+			th.pushFrame(f)
 		}
 	}
 	return th
@@ -165,7 +166,7 @@ func TestBehaviourCostPrefersVPUForFPHeavy(t *testing.T) {
 
 	mkThread := func(name string, fp, mem, other uint64) *Thread {
 		th := vm.newThread(&Job{}, name)
-		ctr := &profile.MethodCounters{}
+		ctr := &methodCounters{}
 		ctr.Cycles[isa.ClassFloat] = fp
 		ctr.Cycles[isa.ClassMainMem] = mem
 		ctr.Cycles[isa.ClassInt] = other
@@ -210,7 +211,7 @@ func TestBehaviourCostWithoutVPU(t *testing.T) {
 	spe := vm.Machine.CoreAt(isa.SPE, 0)
 	mk := func(fp, other uint64) *Thread {
 		th := vm.newThread(&Job{}, "fp")
-		ctr := &profile.MethodCounters{}
+		ctr := &methodCounters{}
 		ctr.Cycles[isa.ClassFloat] = fp
 		ctr.Cycles[isa.ClassInt] = other
 		th.pushFrame(&Frame{ctr: ctr})

@@ -6,7 +6,6 @@ import (
 	"herajvm/internal/cell"
 	"herajvm/internal/isa"
 	"herajvm/internal/jit"
-	"herajvm/internal/profile"
 )
 
 // ThreadState is a Java thread's lifecycle state.
@@ -51,9 +50,9 @@ type Frame struct {
 	// method (0 = none).
 	SyncObj Ref
 
-	// ctr accumulates this method's cycle composition for the
-	// runtime-monitoring placement policy.
-	ctr *profile.MethodCounters
+	// ctr is this method's ledger counters (ledger.go), attached before
+	// the frame first executes.
+	ctr *methodCounters
 
 	// vals is the array Locals and Stack are carved from; it outlives
 	// the activation on the thread's free list.
@@ -176,11 +175,6 @@ type Thread struct {
 }
 
 func (t *Thread) top() *Frame { return t.Frames[len(t.Frames)-1] }
-
-// hotCounters returns the profile counters of the thread's top frame —
-// the method whose observed behaviour the behaviour-aware task-cost
-// predictor prices placement by.
-func (t *Thread) hotCounters() *profile.MethodCounters { return t.top().ctr }
 
 // crossing reports whether t is queued on another kind than its top
 // frame was compiled for: a synchronized call that blocked at its

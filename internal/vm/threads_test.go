@@ -472,7 +472,7 @@ func TestMonitoringPolicyKeepsShortCallsHome(t *testing.T) {
 	if int32(uint32(th.Result)) != 1 {
 		t.Fatal("program failed")
 	}
-	fp := vm.Monitor.ByMethod[p.Lookup("Hot").MethodByName("fp").ID]
+	fp := vm.ledger[p.Lookup("Hot").MethodByName("fp").ID]
 	if per := fp.Busy() / fp.Invokes; fp.Busy() < monitorMinCycles || per >= 2*migrationBaseCycles || fp.FPShare() < fpThreshold {
 		t.Fatalf("fp ran %d cycles, %d per call, FP share %.2f: the case needs a short, observed, FP-heavy callee",
 			fp.Busy(), per, fp.FPShare())

@@ -12,7 +12,6 @@ import (
 	"herajvm/internal/isa"
 	"herajvm/internal/jit"
 	"herajvm/internal/mem"
-	"herajvm/internal/profile"
 	"herajvm/internal/sched"
 )
 
@@ -231,8 +230,8 @@ type VM struct {
 
 	natives map[string]*Native
 
-	policy  Policy
-	Monitor *profile.Monitor
+	policy Policy
+	ledger ledger
 
 	// svcBusy serialises the dedicated service-core syscall thread.
 	svcBusy cell.Clock
@@ -287,7 +286,7 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 		byJavaObj:    make(map[Ref]*Thread),
 		monitors:     make(map[Ref]*monitor),
 		natives:      make(map[string]*Native),
-		Monitor:      profile.NewMonitor(len(prog.Methods())),
+		ledger:       make(ledger, len(prog.Methods())),
 		ifaceMethods: make(map[int]*classfile.Method),
 		sbOff:        cfg.DisableSuperblocks,
 	}
@@ -421,8 +420,11 @@ func New(cfg Config, prog *classfile.Program) (*VM, error) {
 	vm.adapt = make([]adaptState, machine.NumCores())
 
 	vm.policy = cfg.Policy
-	if vm.policy == nil {
+	switch p := cfg.Policy.(type) {
+	case nil:
 		vm.policy = &AnnotationPolicy{}
+	case *FixedPolicy:
+		vm.policy = *p // the form recompileEstimate recognises as a pin
 	}
 
 	vm.stringCls = prog.Lookup("java/lang/String")

@@ -121,16 +121,21 @@ var seams = []struct {
 		[]string{"cmd", "internal", "examples", "hera.go"}, nil},
 	// "Superblock fast path": the replay clocks as it goes and bills a
 	// chain of blocks once, so a block keeps one class vector and the
-	// replay writes class vectors only where it settles a chain (a
-	// stepped instruction bills through chargeDyn).
+	// replay writes class vectors only where it settles a chain
+	// (chainBill.settle, in the ledger).
 	{"the replay keeps no per-segment vectors",
 		`FastForwardTail|\bSegs?\b|\bFirstLen\b|chargeVec`,
 		[]string{"."}, nil},
 	{"the replay writes class vectors only when it settles a chain",
 		`(Stats|ctr)\.Cycles\[`,
 		[]string{"internal/vm", "internal/cell"},
-		[]string{"internal/vm/exec.go:chargeDyn", "internal/vm/fastpath.go:settle",
-			"internal/cell/machine.go:SettleFastForward"}},
+		[]string{"internal/vm/ledger.go", "internal/cell/machine.go:SettleFastForward"}},
+	// "Cycle accounting": one per-method ledger. A frame is born
+	// profiled and bills its method through the ledger's functions
+	// alone, so nothing else writes a method's counters.
+	{"a method's counters are written only in internal/vm/ledger.go",
+		`ctr\.Cycles\[|\.Invokes\+\+|chargeDyn`,
+		[]string{"internal/vm"}, []string{"internal/vm/ledger.go"}},
 }
 
 // funcDecl captures the name of a top-level function or method.
