@@ -198,6 +198,23 @@ func TestCheckFailureArms(t *testing.T) {
 	fig7 := func(edit func(map[string]*CacheSweepRow)) *Fig7 {
 		return &Fig7{sweep("Figure 7", "compress", edit)}
 	}
+	// fig4a and fig4b are the Quick Figure 4 rows, after edit; fig4b's
+	// sweep stops at n SPEs.
+	fig4a := func(edit func([]Fig4aRow)) *Fig4a {
+		rows := []Fig4aRow{{Workload: "compress", OneSPE: 0.48, SixSPE: 2.85, Valid: true},
+			{Workload: "mpegaudio", OneSPE: 0.90, SixSPE: 5.31, Valid: true},
+			{Workload: "mandelbrot", OneSPE: 1.74, SixSPE: 9.85, Valid: true}}
+		edit(rows)
+		return &Fig4a{Rows: rows}
+	}
+	fig4b := func(n int, edit func([]Fig4bRow)) *Fig4b {
+		var rows []Fig4bRow
+		for _, w := range []string{"compress", "mpegaudio", "mandelbrot"} {
+			rows = append(rows, Fig4bRow{Workload: w, Scaling: []float64{1, 2, 3, 3.8, 4.7, 5.7}[:n], Valid: true})
+		}
+		edit(rows)
+		return &Fig4b{MaxSPEs: n, Rows: rows}
+	}
 	floor := Options{MinSpeedup: 2}
 	for _, tc := range []struct {
 		arm  string
@@ -255,6 +272,16 @@ func TestCheckFailureArms(t *testing.T) {
 
 		{"invalid figure row", &Fig4a{Rows: []Fig4aRow{{Workload: "compress", Valid: true}, {Workload: "mpegaudio"}}},
 			Options{}, "mpegaudio: checksum mismatch"},
+		{"clean figure 4(a)", fig4a(func([]Fig4aRow) {}), Options{}, ""},
+		{"figure 4(a) without compress and mandelbrot", &Fig4a{Rows: []Fig4aRow{{Workload: "mpegaudio", OneSPE: 1.2, Valid: true}}}, Options{}, ""},
+		{"compress fast on one SPE", fig4a(func(rows []Fig4aRow) { rows[0].OneSPE = 1 }),
+			Options{}, "compress: 1.00x on one SPE, want < 1x"},
+		{"mandelbrot slow on one SPE", fig4a(func(rows []Fig4aRow) { rows[2].OneSPE = 0.95 }),
+			Options{}, "mandelbrot: 0.95x on one SPE, want > 1x"},
+		{"clean figure 4(b)", fig4b(6, func([]Fig4bRow) {}), Options{}, ""},
+		{"figure 4(b) below six SPEs", fig4b(4, func([]Fig4bRow) {}), Options{}, ""},
+		{"mpegaudio flat on six SPEs", fig4b(6, func(rows []Fig4bRow) { rows[1].Scaling[5] = 4.9 }),
+			Options{}, "mpegaudio: 4.90x on six SPEs, want >= 5x"},
 
 		{"clean A1", &A1{Rows: []A1Row{{Workload: "compress", Valid: true}}}, Options{}, ""},
 		{"invalid A1 row", &A1{Rows: []A1Row{{Workload: "compress", Valid: true}, {Workload: "mpegaudio"}}},

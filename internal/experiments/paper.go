@@ -57,9 +57,21 @@ func (f *Fig4a) Table() string {
 	return b.String()
 }
 
-// Check demands every run's checksum matched its reference.
+// Check demands every run's checksum matched its reference and the
+// paper's Figure 4(a) ordering on one SPE: compress runs slower there
+// than on the PPE, mandelbrot faster. A run over a subset of the
+// workloads checks the rows it has.
 func (f *Fig4a) Check(Options) error {
-	return checkValid("figure 4(a)", f.Rows, func(r Fig4aRow) (string, bool) { return r.Workload, r.Valid })
+	problems := invalidRows(f.Rows, func(r Fig4aRow) (string, bool) { return r.Workload, r.Valid })
+	for _, r := range f.Rows {
+		switch {
+		case r.Workload == "compress" && r.OneSPE >= 1:
+			problems = append(problems, fmt.Sprintf("compress: %.2fx on one SPE, want < 1x", r.OneSPE))
+		case r.Workload == "mandelbrot" && r.OneSPE <= 1:
+			problems = append(problems, fmt.Sprintf("mandelbrot: %.2fx on one SPE, want > 1x", r.OneSPE))
+		}
+	}
+	return gateError("figure 4(a)", problems)
 }
 
 // Fig4b reproduces Figure 4(b): speedup on 1..6 SPEs relative to a
@@ -110,9 +122,18 @@ func (f *Fig4b) Table() string {
 	return b.String()
 }
 
-// Check demands every run's checksum matched its reference.
+// Check demands every run's checksum matched its reference and the
+// paper's Figure 4(b) scaling: every workload runs at least 5x its
+// one-SPE speed on six SPEs. A sweep that stops short of six SPEs
+// checks checksums only.
 func (f *Fig4b) Check(Options) error {
-	return checkValid("figure 4(b)", f.Rows, func(r Fig4bRow) (string, bool) { return r.Workload, r.Valid })
+	problems := invalidRows(f.Rows, func(r Fig4bRow) (string, bool) { return r.Workload, r.Valid })
+	for _, r := range f.Rows {
+		if len(r.Scaling) >= 6 && r.Scaling[5] < 5 {
+			problems = append(problems, fmt.Sprintf("%s: %.2fx on six SPEs, want >= 5x", r.Workload, r.Scaling[5]))
+		}
+	}
+	return gateError("figure 4(b)", problems)
 }
 
 // Fig5 reproduces Figure 5: the proportion of SPE cycles spent in each

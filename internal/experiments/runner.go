@@ -187,7 +187,8 @@ func paperBench(spec workloads.Spec, scale int) bench {
 }
 
 // arm is one machine declaration a bench runs on — one bar of a figure.
-// The programs are identical across a figure's arms; only this changes.
+// A bench's source and scale are fixed across a figure's arms; its
+// thread count is the arm's (threads).
 type arm struct {
 	// label names the arm in -v progress lines.
 	label string

@@ -13,8 +13,11 @@ import (
 // PPE-only hosts, the classic 1+6, multi-PPE symmetric machines and
 // SPE-heavy accelerators — and report completion time relative to the
 // single-PPE baseline. This is the "abstracting processor heterogeneity"
-// claim exercised end-to-end: the programs are identical across rows;
-// only the machine declaration changes.
+// claim exercised end-to-end: the workload source and scale are fixed
+// across the columns, but each column builds it with one worker thread
+// per core that hosts workers (Topology.DefaultWorkers), so the thread
+// count follows the machine. The sweep therefore cannot show one fixed
+// program slowing down on a larger machine.
 type TopologySweep struct {
 	Topologies []cell.Topology
 	Rows       []TopologySweepRow

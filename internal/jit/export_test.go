@@ -9,15 +9,35 @@ import (
 
 // EagerSuperblocks is the reference the on-demand lowering is tested
 // against: discovery as it was before blocks became pending, lowering
-// every suffix of every run on the spot into a dense per-index table
-// (Len 0 = no block), each in a fresh scratch — so comparing against it
-// also shows a reused scratch carries nothing from block to block. It
-// shares nothing with discoverSuperblocks and lowerBlock but the
-// admissibility predicates and microCompiler.compile. depths[p] is the
-// operand-stack depth a block at p is lowered for.
+// the suffix at every entry of every run on the spot into a dense
+// per-index table (Len 0 = no block), each in a fresh scratch — so
+// comparing against it also shows a reused scratch carries nothing from
+// block to block. An entry is a run's head, a jump target (collected
+// into a set from the branches, switch tables and handlers), or the
+// index just past a memory instruction. It shares nothing with
+// discoverSuperblocks and lowerBlock but the admissibility predicates
+// and microCompiler.compile. depths[p] is the operand-stack depth a
+// block at p is lowered for.
 func EagerSuperblocks(cm *CompiledMethod, depths []int) []Superblock {
 	code := cm.Code
 	sb := make([]Superblock, len(code))
+	target := make(map[int]bool)
+	for _, in := range code {
+		switch in.Op {
+		case isa.OpGoto:
+			target[int(in.A)] = true
+		case isa.OpIf, isa.OpIfCmpI, isa.OpIfCmpRef, isa.OpIfNull, isa.OpTableSwitch, isa.OpLookupSwitch:
+			target[int(in.B)] = true
+		}
+		if in.Op == isa.OpTableSwitch || in.Op == isa.OpLookupSwitch {
+			for _, t := range cm.Tables[in.C] {
+				target[int(t)] = true
+			}
+		}
+	}
+	for _, h := range cm.Handlers {
+		target[h.Target] = true
+	}
 	for s := 0; s < len(code); {
 		e := s
 		for e < len(code) && (pureOp(code[e].Op) || memOp(code[e].Op) ||
@@ -39,7 +59,8 @@ func EagerSuperblocks(cm *CompiledMethod, depths []int) []Superblock {
 		}
 		for p := e - 1; p >= s; p-- {
 			in := code[p]
-			if guardedDivOp(in.Op) || memOp(in.Op) {
+			if guardedDivOp(in.Op) || memOp(in.Op) ||
+				p > s && !target[p] && !memOp(code[p-1].Op) {
 				continue
 			}
 			mb, ok := new(microCompiler).compile(code[p:pe], term, int32(cm.M.MaxLocals+depths[p]))

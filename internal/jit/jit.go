@@ -13,10 +13,12 @@
 // a thread running on that core type" (§3.1). The VM asks each target's
 // Compiler for a method the first time a thread running on that core
 // kind invokes it. The same rule holds one level down: compiling a
-// method only marks where superblocks may start, and CompiledMethod.Block
-// lowers the one at a PC the first time a thread enters there. Both
-// happen once per distinct body: methods of one compiler whose bodies
-// lower alike (a serving VM's per-job class copies) share the lowering.
+// method only marks where superblocks may start — where control enters
+// a straight-line run: its head, a jump target, or just past a memory
+// instruction — and CompiledMethod.Block lowers the one at such a PC
+// the first time a thread enters there. Both happen once per distinct
+// body: methods of one compiler whose bodies lower alike (a serving VM's
+// per-job class copies) share the lowering.
 package jit
 
 import (
@@ -206,7 +208,7 @@ func (c *Compiler) intern(cm *CompiledMethod, h uint64) *body {
 		lowering:  &c.lowering,
 		next:      c.bodies[h],
 	}
-	bd.sbIdx = discoverSuperblocks(bd.code)
+	bd.sbIdx = discoverSuperblocks(bd.code, bd.tables, bd.handlers)
 	c.bodies[h] = bd
 	return bd
 }

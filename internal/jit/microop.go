@@ -155,8 +155,9 @@ func (c *microCompiler) fail() { c.ok = false }
 func (c *microCompiler) push(v sym) { c.vstack = append(c.vstack, v) }
 
 // pop fails the compile when the block would consume operands it did
-// not push (suffix blocks entered mid-expression do this; they get no
-// block and are stepped).
+// not push (a block entered mid-expression — a run's head after a
+// stepped instruction, a join's jump target, the index past a load —
+// can; it gets no block and is stepped).
 func (c *microCompiler) pop() sym {
 	if len(c.vstack) == 0 {
 		c.fail()

@@ -298,11 +298,13 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 	if budget := float64(unsafe.Sizeof(isa.Instr{})) * 1.5; float64(lower)/float64(instrs) > budget {
 		t.Errorf("lowering allocates %.1f B per instruction, want <= %.0f", float64(lower)/float64(instrs), budget)
 	}
-	// With every index probed — every suffix of every run, where a thread
-	// enters a handful: what a lowered block keeps, the Superblock and
-	// exact-size copies of its micro-ops, boundaries and segments. 3 599 B
-	// measured; it was 4 475 with the four deferred reference-flag lists
-	// beside them, which this budget does not fit.
+	// With every index probed — so every entry of every run (head, jump
+	// target, past a memory instruction) is lowered: what a lowered block
+	// keeps, the Superblock and exact-size copies of its micro-ops,
+	// boundaries and segments. 253 blocks of 4 254 micro-ops, 228 KB,
+	// 902 B a block measured; it was 4 475 B a block with the four
+	// deferred reference-flag lists beside them, which this budget does
+	// not fit.
 	blocks, ops := 0, 0
 	depths := stackDepths(methods)
 	probe := func(c *jit.Compiler, m *classfile.Method) error {

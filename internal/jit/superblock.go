@@ -199,14 +199,34 @@ func terminalOp(op isa.Op) bool {
 //
 // Within each maximal run [s, e) of pure and absorbable-memory
 // instructions — optionally extended through one terminating goto or
-// conditional branch — every admissible index p is left *pending* on
-// the suffix reaching the run's end (-(e-p)), so a thread whose quantum
-// expired mid-run resumes with a (shorter) block at its exact PC.
-// Nothing is lowered here: a thread enters a run at a handful of PCs,
-// and CompiledMethod.Block lowers the suffix at p the first time the
-// executor probes it.
-func discoverSuperblocks(code []isa.Instr) []int32 {
+// conditional branch — a block may start only where control enters the
+// run: its head s, a jump target (a goto or conditional target, a
+// switch entry or default, a handler), or the index just past an
+// absorbed memory instruction, where the replay hands back when a
+// quantum expires. Each such admissible index p is left *pending* on
+// the suffix reaching the run's end (-(e-p)); every other index is
+// none, and a thread resuming there (its quantum ran out before a block
+// fit) steps with the interpreter to the next entry. Nothing is lowered
+// here: CompiledMethod.Block lowers the suffix at p the first time the
+// executor probes it. The targets are marked in the index itself (1)
+// before the runs are walked, which overwrites every mark.
+func discoverSuperblocks(code []isa.Instr, tables [][]int32, handlers []CompiledHandler) []int32 {
 	idx := make([]int32, len(code))
+	for _, in := range code {
+		if t, _, ok := branchTarget(in); ok {
+			idx[t] = 1
+		} else if in.Op == isa.OpTableSwitch || in.Op == isa.OpLookupSwitch {
+			idx[in.B] = 1 // the default
+		}
+	}
+	for _, tab := range tables {
+		for _, t := range tab {
+			idx[t] = 1
+		}
+	}
+	for _, h := range handlers {
+		idx[h.Target] = 1
+	}
 	for s := 0; s < len(code); {
 		// Find the maximal run of in-context-admissible instructions.
 		e := s
@@ -215,6 +235,7 @@ func discoverSuperblocks(code []isa.Instr) []int32 {
 			e++
 		}
 		if e == s {
+			idx[s] = 0
 			s++
 			continue
 		}
@@ -222,11 +243,13 @@ func discoverSuperblocks(code []isa.Instr) []int32 {
 			e++
 		}
 		for p := s; p < e; p++ {
+			entered := p == s || idx[p] != 0 || memOp(code[p-1].Op)
+			idx[p] = 0
 			// A branch may land on a guarded div with an unproven divisor
 			// on the stack, and a memory instruction's operands come from
 			// before the entry; blocks run through both, but neither
 			// starts one.
-			if op := code[p].Op; !guardedDivOp(op) && !memOp(op) {
+			if op := code[p].Op; entered && !guardedDivOp(op) && !memOp(op) {
 				idx[p] = int32(p - e)
 			}
 		}
@@ -300,7 +323,7 @@ func (cm *CompiledMethod) Lowered(p int) *Superblock {
 // final segment, so the compiler receives it separately. When the
 // micro lowering bails (typically an instruction consuming operands
 // the suffix did not push) no block starts at p: the interpreter steps
-// until the next index whose suffix does lower.
+// until the next entry whose suffix does lower.
 func (cm *CompiledMethod) lowerBlock(p, sp int) *Superblock {
 	bd := cm.body
 	code := bd.code

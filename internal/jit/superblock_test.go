@@ -33,7 +33,7 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 // bytecode to verify, so its tests pass each index's depth by hand.
 func discovered(code []isa.Instr) *CompiledMethod {
 	return &CompiledMethod{M: &classfile.Method{MaxLocals: 4}, Code: code,
-		body: &body{code: code, maxLocals: 4, sbIdx: discoverSuperblocks(code), blocks: noBlocks, lowering: new(microCompiler)}}
+		body: &body{code: code, maxLocals: 4, sbIdx: discoverSuperblocks(code, nil, nil), blocks: noBlocks, lowering: new(microCompiler)}}
 }
 
 // depth returns the verifier's operand-stack depth at p, the one every
@@ -47,51 +47,60 @@ func depth(cm *CompiledMethod, p int) int {
 func blockAt(cm *CompiledMethod, p int) *Superblock { return cm.Block(p, depth(cm, p)) }
 
 // TestSuperblockSuffixRuns checks which indices of a pure straight-line
-// run get a block. A suffix the micro lowering cannot model — here,
-// one that consumes operands pushed before its entry — gets Len == 0
-// (the interpreter steps it); every index whose suffix does lower gets
-// a block reaching the run's end, with a cost vector that sums the
-// instructions' static costs and a stack delta matching the net effect.
+// run get a block: only those where control enters the run — its head
+// or a jump target — whose suffix the micro lowering can model. A
+// suffix that consumes operands pushed before its entry gets none (the
+// interpreter steps it), and so does every index control only falls
+// into. Each block reaches the run's end (its terminal included), with
+// a cost vector that sums the instructions' static costs and a stack
+// delta matching the net effect.
 func TestSuperblockSuffixRuns(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
-		a.ConstI(3) // lowers: the whole run
-		a.ConstI(4) // the add below pops the 3 pushed before this entry
-		a.AddI()    // pops both operands from before its entry
-		a.StoreI(0) // pops the sum from before its entry
-		a.LoadI(0)  // the first index after them whose suffix lowers
-		a.ConstI(1) // the add below pops the load from before this entry
-		a.AddI()    //
-		a.Ret()     // ends the run
+		els, join := a.NewLabel(), a.NewLabel()
+		a.ConstI(1)  // 0 head: lowers through the branch
+		a.StoreI(0)  // 1 fallen into: no entry
+		a.LoadI(0)   // 2 fallen into: no entry
+		a.IfEQ(els)  // 3
+		a.ConstI(3)  // 4 head: lowers through the goto
+		a.Goto(join) // 5
+		a.Bind(els)
+		a.ConstI(4) // 6 jump target: lowers to the return
+		a.Bind(join)
+		a.StoreI(0) // 7 jump target: pops the constant pushed before its entry
+		a.LoadI(0)  // 8 fallen into: no entry
+		a.ConstI(1) // 9
+		a.AddI()    // 10
+		a.Ret()     // 11 ends the run
 	})
-	ops := []isa.Op{isa.OpPushConst, isa.OpPushConst, isa.OpAddI, isa.OpStoreLocal,
-		isa.OpLoadLocal, isa.OpPushConst, isa.OpAddI, isa.OpReturn}
-	deltas := []int32{+1, +1, -1, -1, +1, +1, -1, 0} // each op's net stack effect
-	lowers := []bool{true, false, false, false, true, false, false, false}
+	ops := []isa.Op{isa.OpPushConst, isa.OpStoreLocal, isa.OpLoadLocal, isa.OpIf, isa.OpPushConst,
+		isa.OpGoto, isa.OpPushConst, isa.OpStoreLocal, isa.OpLoadLocal, isa.OpPushConst, isa.OpAddI, isa.OpReturn}
+	deltas := []int32{+1, -1, +1, -1, +1, 0, +1, -1, +1, +1, -1, 0} // each op's net stack effect
+	lens := []int{4, 0, 0, 0, 2, 0, 5, 0, 0, 0, 0, 0}               // the block at each index, 0 for none
+	targets := []int32{6, 0, 0, 0, 7, 0, 11}
 	if len(cm.body.sbIdx) != len(cm.Code) || len(cm.Code) != len(ops) {
 		t.Fatalf("block index length %d, code length %d, want both %d", len(cm.body.sbIdx), len(cm.Code), len(ops))
 	}
-	end := len(ops) - 1 // the OpReturn
 	for p, in := range cm.Code {
 		if in.Op != ops[p] {
 			t.Fatalf("pc %d: backend emitted %v, the test expects %v", p, in.Op, ops[p])
 		}
 		b := blockAt(cm, p)
-		if !lowers[p] {
+		if lens[p] == 0 {
 			if b != nil {
-				t.Errorf("pc %d: unlowerable suffix must not start a block: %+v", p, b)
+				t.Errorf("pc %d: no block may start here: %+v", p, b)
 			}
 			continue
 		}
-		if int(b.Len) != end-p {
-			t.Fatalf("pc %d: Len=%d want %d", p, b.Len, end-p)
+		if b == nil || int(b.Len) != lens[p] {
+			t.Fatalf("pc %d: block %+v, want Len %d", p, b, lens[p])
 		}
-		if int(b.Target) != end {
-			t.Fatalf("pc %d: Target=%d want %d", p, b.Target, end)
+		if b.Target != targets[p] {
+			t.Fatalf("pc %d: Target=%d want %d", p, b.Target, targets[p])
 		}
 		var cycles uint64
 		var classes [isa.NumClasses]uint64
 		var delta int32
-		for q := p; q < end; q++ {
+		for q := p; q < p+lens[p]; q++ {
 			cycles += uint64(cm.Code[q].Cost)
 			classes[cm.Code[q].Op.Class()] += uint64(cm.Code[q].Cost)
 			delta += deltas[q]
@@ -101,6 +110,50 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		}
 		if b.StackDelta != delta {
 			t.Fatalf("pc %d: StackDelta=%d want %d", p, b.StackDelta, delta)
+		}
+	}
+}
+
+// TestSuperblockEntries checks discovery leaves pending exactly the
+// indices where control enters a run: its head, a switch entry or
+// default, a handler, and the index past a memory instruction — here
+// each of them fallen into from the instruction before as well, so only
+// the rule can make it an entry. Pending is discovery's answer whether
+// or not the suffix there then lowers.
+func TestSuperblockEntries(t *testing.T) {
+	cm := sbMethod(t, func(a *classfile.Asm) {
+		c0, c1, def := a.NewLabel(), a.NewLabel(), a.NewLabel()
+		tryFrom, tryTo, handler := a.NewLabel(), a.NewLabel(), a.NewLabel()
+		a.ConstI(0) // 0 head
+		a.StoreI(0) // 1
+		a.LoadI(0)  // 2
+		a.TableSwitch(0, def, c0, c1)
+		a.Bind(c0)
+		a.Inc(0, 1) // 4 head
+		a.Bind(c1)
+		a.Inc(0, 2) // 5 switch entry
+		a.Bind(def)
+		a.Inc(0, 3) // 6 switch default
+		a.Bind(tryFrom)
+		a.ConstI(4)                   // 7
+		a.NewArray(classfile.ElemInt) // 8 ends the run
+		a.Bind(tryTo)
+		a.ArrayLen() // 9 a memory instruction starts no block
+		a.StoreI(0)  // 10 past a memory instruction
+		a.Null()     // 11
+		a.Bind(handler)
+		a.StoreRef(1) // 12 handler
+		a.LoadI(0)    // 13
+		a.Ret()       // 14
+		a.Catch(tryFrom, tryTo, handler, nil)
+	})
+	entries := map[int]bool{0: true, 4: true, 5: true, 6: true, 10: true, 12: true}
+	if len(cm.Code) != 15 {
+		t.Fatalf("%d instructions, the test expects 15", len(cm.Code))
+	}
+	for p, i := range cm.body.sbIdx {
+		if pending := i < 0; pending != entries[p] {
+			t.Errorf("pc %d (%v): pending %v, want %v", p, cm.Code[p].Op, pending, entries[p])
 		}
 	}
 }
@@ -266,31 +319,44 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 // TestSuperblockConditionalTermination checks a conditional branch
 // joins its preceding pure run as the terminal instruction: Len and
 // StackDelta count it, Target holds the taken destination, Cond the
-// condition code, and the branch alone also forms a Len-1 block.
+// condition code. A branch just past an absorbed memory instruction is
+// where the replay hands back at a quantum expiry, so the branch alone
+// also forms a Len-1 block there.
 func TestSuperblockConditionalTermination(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
-		done := a.NewLabel()
+		loop, done := a.NewLabel(), a.NewLabel()
+		a.ConstI(4)
+		a.NewArray(classfile.ElemInt)
+		a.StoreRef(1)
 		a.ConstI(0)
 		a.StoreI(0)
+		a.Bind(loop)
 		a.LoadI(0)
 		a.ConstI(10)
 		a.IfICmpGE(done)
+		a.LoadRef(1)
+		a.ArrayLen()
+		a.IfEQ(done)
 		a.Inc(0, 1)
+		a.Goto(loop)
 		a.Bind(done)
 		a.LoadI(0)
 		a.Ret()
 	})
-	brIdx := -1
+	brIdx, lenIdx := -1, -1
 	for i, in := range cm.Code {
-		if in.Op == isa.OpIfCmpI {
+		switch in.Op {
+		case isa.OpIfCmpI:
 			brIdx = i
+		case isa.OpArrayLen:
+			lenIdx = i
 		}
 	}
-	if brIdx < 0 {
-		t.Fatal("no conditional branch emitted")
+	if brIdx < 0 || lenIdx < 0 {
+		t.Fatal("no conditional branch or arraylength emitted")
 	}
-	b := blockAt(cm, brIdx-2) // the LoadI beginning the run
-	if int(b.Len) != 3 || b.End != EndIfCmpI {
+	b := blockAt(cm, brIdx-2) // the LoadI at the loop label
+	if b == nil || int(b.Len) != 3 || b.End != EndIfCmpI {
 		t.Fatalf("block %+v: want Len 3 ending in EndIfCmpI", b)
 	}
 	if b.Target != cm.Code[brIdx].B || b.Cond != cm.Code[brIdx].A {
@@ -300,8 +366,11 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if b.StackDelta != 0 {
 		t.Fatalf("StackDelta=%d want 0 (branch pops its operands)", b.StackDelta)
 	}
-	if lone := blockAt(cm, brIdx); lone.Len != 1 || lone.End != EndIfCmpI || lone.StackDelta != -2 {
-		t.Fatalf("branch-only block %+v: want Len 1, EndIfCmpI, StackDelta -2", lone)
+	if blockAt(cm, brIdx) != nil {
+		t.Fatalf("the branch control falls into starts a block: %+v", blockAt(cm, brIdx))
+	}
+	if lone := blockAt(cm, lenIdx+1); lone == nil || lone.Len != 1 || lone.End != EndIf || lone.StackDelta != -1 {
+		t.Fatalf("branch-only block %+v: want Len 1, EndIf, StackDelta -1", lone)
 	}
 }
 
@@ -310,14 +379,18 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 // fast-forward through their backedge.
 func TestSuperblockGotoTermination(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
-		loop, done := a.NewLabel(), a.NewLabel()
+		loop, latch, done := a.NewLabel(), a.NewLabel(), a.NewLabel()
 		a.ConstI(0)
 		a.StoreI(0)
 		a.Bind(loop)
 		a.LoadI(0)
 		a.ConstI(10)
 		a.IfICmpGE(done)
+		a.LoadI(0)
+		a.ConstI(5)
+		a.IfICmpLT(latch)
 		a.Inc(0, 1)
+		a.Bind(latch)
 		a.Goto(loop)
 		a.Bind(done)
 		a.LoadI(0)
@@ -336,14 +409,15 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	// conditional branch must run through the goto and land on its
 	// target.
 	body := blockAt(cm, gotoIdx-1) // the inc preceding the goto
-	if body.Len != 2 {
-		t.Fatalf("body block Len=%d want 2 (inc+goto)", body.Len)
+	if body == nil || body.Len != 2 {
+		t.Fatalf("body block %+v: want Len 2 (inc+goto)", body)
 	}
 	if body.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("body Target=%d want goto target %d", body.Target, cm.Code[gotoIdx].A)
 	}
-	// The goto alone is also a (Len 1) block.
-	if g := blockAt(cm, gotoIdx); g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
+	// The goto is the latch's jump target, so it alone is also a (Len 1)
+	// block.
+	if g := blockAt(cm, gotoIdx); g == nil || g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("goto block %+v", g)
 	}
 }

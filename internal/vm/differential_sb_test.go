@@ -216,7 +216,10 @@ func TestDifferentialSuperblockSharedBodies(t *testing.T) {
 // beside a PPE, and checks every block any kind lowered: a block addresses the frame's slots for the
 // operand-stack depth it was lowered at, so that depth must be the one
 // the verifier derives at the block's entry — the depth of every frame
-// that reaches it.
+// that reaches it. A block is entered at a nonempty stack only at a jump
+// target or past a memory instruction inside an expression, which not
+// every workload has, so the ternary guest joinProg holds the check to
+// at least one such block.
 func TestBlocksLoweredAtVerifierDepth(t *testing.T) {
 	specs := append(workloads.All(), workloads.Kernels()...)
 	for _, spec := range specs {
@@ -226,53 +229,186 @@ func TestBlocksLoweredAtVerifierDepth(t *testing.T) {
 			// whose lowering differs from the SPEs' the first one picks.
 			for _, shape := range []string{"ppe:1,spe:4,vpu:2", "ppe:1,vpu:2"} {
 				prog, machine := runSpecOn(t, spec, shape)
+				b, d := loweredAtVerifierDepth(t, prog, machine, shape)
+				blocks, deep = blocks+b, deep+d
+			}
+			if blocks == 0 {
+				t.Fatal("no block was lowered; the check is vacuous")
+			}
+			t.Logf("%d lowered blocks checked, %d entered with a nonempty operand stack", blocks, deep)
+		})
+	}
+	t.Run("join", func(t *testing.T) {
+		const shape = "ppe:1,spe:4,vpu:2"
+		prog := joinProg()
+		machine := runProgOn(t, prog, "Join", "join", shape)
+		blocks, deep := loweredAtVerifierDepth(t, prog, machine, shape)
+		if deep == 0 {
+			t.Fatalf("none of %d blocks was entered with a nonempty operand stack; the check is vacuous", blocks)
+		}
+		t.Logf("%d lowered blocks checked, %d entered with a nonempty operand stack", blocks, deep)
+	})
+}
+
+// TestLoweringIsLinearInCode runs the six workloads on the PS3 shape
+// and on a three-kind machine and holds what the run lowers to the code
+// it compiled: the instructions every lowered block covers, summed over
+// the distinct bodies each compiler holds, at most 1.25 times those
+// bodies' length. A block starts only where control enters a run, so the
+// blocks of one run overlap little; when every PC a quantum stopped on
+// started a block of its own, the ratio was 1.3 to 2.4.
+func TestLoweringIsLinearInCode(t *testing.T) {
+	specs := append(workloads.All(), workloads.Kernels()...)
+	for _, spec := range specs {
+		t.Run(spec.Name, func(t *testing.T) {
+			covered, code := 0, 0
+			for _, shape := range []string{"ppe:1,spe:6", "ppe:1,spe:4,vpu:2"} {
+				prog, machine := runSpecOn(t, spec, shape)
 				for _, kind := range isa.CoreKinds() {
 					c := machine.Compiler(kind)
 					if c == nil {
 						continue
 					}
-					for _, cls := range prog.Classes() {
-						for _, m := range cls.Methods {
-							cm := c.Lookup(m)
-							if cm == nil {
-								continue
-							}
-							for p := range cm.Code {
-								b := cm.Lowered(p)
-								if b == nil {
-									continue
-								}
-								blocks++
-								if b.EntrySP > 0 {
-									deep++
-								}
-								stack, _, err := classfile.KindsAt(m, p)
-								if err != nil || int(b.EntrySP) != len(stack) {
-									t.Fatalf("%s on %s [%v] pc %d: block lowered at depth %d, verifier depth %d (%v)",
-										m.Sig(), shape, kind, p, b.EntrySP, len(stack), err)
-								}
+					seen := make(map[*isa.Instr]bool)
+					for _, m := range prog.Methods() {
+						cm := c.Lookup(m)
+						if cm == nil || seen[&cm.Code[0]] {
+							continue
+						}
+						seen[&cm.Code[0]] = true
+						code += len(cm.Code)
+						for p := range cm.Code {
+							if b := cm.Lowered(p); b != nil {
+								covered += int(b.Len)
 							}
 						}
 					}
 				}
 			}
-			if deep == 0 {
-				t.Fatal("no block was entered with a nonempty operand stack; the check is vacuous")
+			ratio := float64(covered) / float64(code)
+			t.Logf("blocks cover %d instructions of %d compiled: %.2fx", covered, code, ratio)
+			if code == 0 || ratio > 1.25 {
+				t.Errorf("blocks cover %d instructions of %d compiled (%.2fx), want <= 1.25x", covered, code, ratio)
 			}
-			t.Logf("%d lowered blocks checked, %d entered with a nonempty operand stack", blocks, deep)
 		})
 	}
+}
+
+// loweredAtVerifierDepth checks every block machine lowered for a method
+// of prog against the verifier's depth at its entry, and counts the
+// blocks and those lowered at a nonempty stack.
+func loweredAtVerifierDepth(t *testing.T, prog *classfile.Program, machine *vm.VM, shape string) (blocks, deep int) {
+	t.Helper()
+	for _, kind := range isa.CoreKinds() {
+		c := machine.Compiler(kind)
+		if c == nil {
+			continue
+		}
+		for _, cls := range prog.Classes() {
+			for _, m := range cls.Methods {
+				cm := c.Lookup(m)
+				if cm == nil {
+					continue
+				}
+				for p := range cm.Code {
+					b := cm.Lowered(p)
+					if b == nil {
+						continue
+					}
+					blocks++
+					if b.EntrySP > 0 {
+						deep++
+					}
+					stack, _, err := classfile.KindsAt(m, p)
+					if err != nil || int(b.EntrySP) != len(stack) {
+						t.Fatalf("%s on %s [%v] pc %d: block lowered at depth %d, verifier depth %d (%v)",
+							m.Sig(), shape, kind, p, b.EntrySP, len(stack), err)
+					}
+				}
+			}
+		}
+	}
+	return blocks, deep
+}
+
+// joinProg is s += mix(i%2 == 0 ? a[i] : b[i], i+1) over 64 iterations:
+// the join of the ternary is the goto's target with s and the chosen
+// element on the stack, and the block there pushes i+1 and ends at the
+// call, so it lowers at depth 2.
+func joinProg() *classfile.Program {
+	p := classfile.NewProgram()
+	vm.Stdlib(p)
+	c := p.NewClass("Join", nil)
+	mix := c.NewMethod("mix", classfile.FlagStatic, classfile.Int, classfile.Int, classfile.Int)
+	{
+		a := mix.Asm()
+		a.LoadI(0)
+		a.LoadI(1)
+		a.XorI()
+		a.Ret()
+		a.MustBuild()
+	}
+	a := c.NewMethod("join", classfile.FlagStatic, classfile.Int).Asm()
+	const n = 64
+	for local := range 2 { // a and b, locals 0 and 1
+		a.ConstI(n)
+		a.NewArray(classfile.ElemInt)
+		a.StoreRef(local)
+	}
+	loop, odd, join, done := a.NewLabel(), a.NewLabel(), a.NewLabel(), a.NewLabel()
+	a.ConstI(0)
+	a.StoreI(2) // i
+	a.ConstI(0)
+	a.StoreI(3) // s
+	a.Bind(loop)
+	a.LoadI(2)
+	a.ConstI(n)
+	a.IfICmpGE(done)
+	a.LoadI(3)
+	a.LoadI(2)
+	a.ConstI(1)
+	a.AndI()
+	a.IfNE(odd)
+	a.LoadRef(0)
+	a.LoadI(2)
+	a.ALoad(classfile.ElemInt)
+	a.Goto(join)
+	a.Bind(odd)
+	a.LoadRef(1)
+	a.LoadI(2)
+	a.ALoad(classfile.ElemInt)
+	a.Bind(join)
+	a.LoadI(2)
+	a.ConstI(1)
+	a.AddI()
+	a.InvokeStatic(mix)
+	a.AddI()
+	a.StoreI(3)
+	a.Inc(2, 1)
+	a.Goto(loop)
+	a.Bind(done)
+	a.LoadI(3)
+	a.Ret()
+	a.MustBuild()
+	return p
 }
 
 // runSpecOn runs spec's main at 4 threads and scale 1 on the machine
 // shape to completion, and returns its program and machine.
 func runSpecOn(t *testing.T, spec workloads.Spec, shape string) (*classfile.Program, *vm.VM) {
 	t.Helper()
-	topo, err := cell.ParseTopology(shape)
+	prog, err := spec.Build(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := spec.Build(4, 1)
+	return prog, runProgOn(t, prog, spec.MainClass, "main", shape)
+}
+
+// runProgOn runs the static method class.method of prog as the one job
+// on the machine shape to completion, and returns the machine.
+func runProgOn(t *testing.T, prog *classfile.Program, class, method, shape string) *vm.VM {
+	t.Helper()
+	topo, err := cell.ParseTopology(shape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +420,7 @@ func runSpecOn(t *testing.T, spec workloads.Spec, shape string) (*classfile.Prog
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, _, err := machine.Submit(vm.JobSpec{Name: spec.Name, Class: spec.MainClass, Method: "main"})
+	job, _, err := machine.Submit(vm.JobSpec{Name: class, Class: class, Method: method})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +430,7 @@ func runSpecOn(t *testing.T, spec workloads.Spec, shape string) (*classfile.Prog
 	if err := job.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return prog, machine
+	return machine
 }
 
 // sameMachine requires two runs of one program, fast path on (fast) and

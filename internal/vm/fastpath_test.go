@@ -53,8 +53,8 @@ func hotLoopProg() *classfile.Program {
 
 	// shuffle is the same loop shape with Swap/DupX1/DupX2 in the body.
 	// Those are not pure ops: each ends a run, the interpreter steps it,
-	// and the next run's suffixes consume operands pushed before their
-	// entry — the route an unlowerable suffix takes.
+	// and the next run's head consumes operands pushed before its entry —
+	// the route an unlowerable suffix takes.
 	m = c.NewMethod("shuffle", classfile.FlagStatic, classfile.Int)
 	a = m.Asm()
 	loop, done = a.NewLabel(), a.NewLabel()

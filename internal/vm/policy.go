@@ -45,7 +45,7 @@ func (vm *VM) cheapestKind(score func(isa.CoreKind) float64) (isa.CoreKind, bool
 }
 
 // AnnotationPolicy is the paper's annotation-hint scheme (§3): explicit
-// RunOnSPE/RunOnPPE placement, with FloatIntensive sending the thread
+// RunOnSPE/RunOnPPE start placement, with FloatIntensive sending the thread
 // to the kind with the cheapest predicted floating point and
 // MemoryIntensive to the kind with the cheapest predicted memory
 // access. Unannotated code stays where it is.
@@ -70,10 +70,13 @@ func (AnnotationPolicy) OnInvoke(vm *VM, t *Thread, callee *classfile.Method, cu
 }
 
 // annotationKind maps a method's placement annotations to a core kind.
-// RunOnSPE/RunOnPPE are explicit pins to the named kind (ignored when
-// the machine lacks it); the behavioural hints pick the kind minimising
-// the predicted cost of the hinted behaviour, so a newly added kind
-// participates without the policy naming it.
+// RunOnSPE/RunOnPPE name the kind the method starts on, or is migrated
+// to when invoked (ignored when the machine lacks it): a start
+// placement, not a pin, since the scheduler's migration pass may move
+// the thread to another kind later like any other. The behavioural
+// hints pick the kind minimising the predicted cost of the hinted
+// behaviour, so a newly added kind participates without the policy
+// naming it.
 func annotationKind(vm *VM, m *classfile.Method) (isa.CoreKind, bool) {
 	switch {
 	case m.Annotations[classfile.AnnRunOnSPE]:
