@@ -18,6 +18,35 @@ func KindsAt(m *Method, bc int) (stack, locals []TypeKind, err error) {
 	return v.kindsAt(bc)
 }
 
+// Depths re-runs the verifier over a resolved method and returns the
+// operand-stack depth on entry to every bytecode index — KindsAt's stack
+// length, in one pass over the body — and -1 at an index no path
+// reaches. Like KindsAt it keeps nothing on the method.
+func Depths(m *Method) ([]int32, error) {
+	var v verifier
+	if err := v.run(m); err != nil {
+		return nil, err
+	}
+	depths := make([]int32, len(m.Code))
+	reached := false
+	for pc := range m.Code {
+		if v.leader[pc] != 0 {
+			reached = v.load(pc)
+		}
+		if !reached {
+			depths[pc] = -1
+			continue
+		}
+		depths[pc] = int32(len(v.stack))
+		if reached = !m.Code[pc].Op.EndsBlock(); reached {
+			if err := v.apply(pc, &m.Code[pc]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return depths, nil
+}
+
 // kindsAt answers KindsAt from a completed run, in the working state
 // (the next call overwrites what it returns): it walks back to the
 // leader whose block holds bc and replays the block from that leader's

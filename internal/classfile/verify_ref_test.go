@@ -49,6 +49,19 @@ func checkAgainstReference(t testing.TB, m *Method) {
 	if v.maxStack != ref.maxStack {
 		t.Errorf("%s: MaxStack %d, reference %d", m.Sig(), v.maxStack, ref.maxStack)
 	}
+	depths, err := Depths(m)
+	if err != nil {
+		t.Fatalf("%s: Depths: %v", m.Sig(), err)
+	}
+	for pc, d := range depths {
+		want := int32(-1)
+		if in := ref.in[pc]; in != nil {
+			want = int32(len(in.stack))
+		}
+		if d != want {
+			t.Errorf("%s: pc %d: Depths says %d, reference %d", m.Sig(), pc, d, want)
+		}
+	}
 	for pc := -1; pc <= len(m.Code); pc++ {
 		stack, locals, err := v.kindsAt(pc)
 		want := ref.in[pc]

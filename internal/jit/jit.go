@@ -12,18 +12,20 @@
 // compiled for a particular core architecture if it is to be executed by
 // a thread running on that core type" (§3.1). The VM asks each target's
 // Compiler for a method the first time a thread running on that core
-// kind invokes it. The same rule holds one level down: compiling a
-// method only marks where superblocks may start — where control enters
-// a straight-line run: its head, a jump target, or just past a memory
-// instruction — and CompiledMethod.Block lowers the one at such a PC
-// the first time a thread enters there. Both happen once per distinct
-// body: methods of one compiler whose bodies lower alike (a serving VM's
-// per-job class copies) share the lowering.
+// kind invokes it. What a compilation lowers beyond Code — the
+// superblocks at every point where control enters a straight-line run:
+// its head, a jump target, or just past a memory instruction — is a
+// function of the lowered body alone, so it is done once per distinct
+// body per process: the first compiler to lower a body publishes it,
+// complete, in one process-wide table, and every method of every VM
+// whose body lowers alike (a serving VM's per-job class copies, every
+// boot of a workload) shares it.
 package jit
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/isa"
@@ -40,7 +42,7 @@ type CompiledMethod struct {
 	// names the same point of the method in every compilation of it —
 	// which is what lets a frame move across kinds (migration) and across
 	// machines (hand-off) with its PC as it stands. It is the body's, so
-	// every method of the compiler with an equal body has the same slice.
+	// every method of the process with an equal body has the same slice.
 	Code []isa.Instr
 	// Tables holds switch jump tables and Keys the lookupswitch key sets,
 	// parallel to Tables (nil for a tableswitch); both are the body's,
@@ -52,8 +54,8 @@ type CompiledMethod struct {
 	Handlers []CompiledHandler
 	// body is the lowered body — Code, the superblock index and the
 	// blocks lowered from it — which this method shares with every
-	// method of its compiler whose lowering is equal (Compiler.intern);
-	// the executor reaches it only through Block, Next and Lowered.
+	// method of the process whose lowering is equal (share); the
+	// executor reaches it only through Block.
 	body *body
 	// Addr and Size locate the encoded code in simulated main memory's
 	// code region (an address range only: no byte is written there).
@@ -81,21 +83,11 @@ type Compiler struct {
 
 	compiled map[*classfile.Method]*CompiledMethod
 
-	// bodies indexes every distinct body this compiler has lowered by
-	// the hash of its Code, chained through body.next; code, tables and
-	// keys are the scratch lower writes a method into, cloned only when
-	// no body matches. All of it is the compiler's own — one per VM and
-	// kind — because a cluster shard is a VM on its own goroutine and
-	// lowering a block writes to the body every sharer reads.
-	bodies       map[uint64]*body
+	// code, tables and keys are the scratch lower writes a method into,
+	// cloned only when no published body matches; nest is StaticCost's.
 	code         []isa.Instr
 	tables, keys [][]int32
-	// nest is StaticCost's scratch.
-	nest []int32
-
-	// lowering is the scratch every block of this compiler's methods is
-	// lowered in (see microCompiler).
-	lowering microCompiler
+	nest         []int32
 
 	// Compiles and CodeBytes describe total compilation activity; the
 	// paper argues per-core lazy compilation keeps this near
@@ -114,12 +106,8 @@ func NewCompiler(target isa.CoreKind, _ *mem.Main, region *mem.Region) *Compiler
 		costs:    isa.Costs(target),
 		region:   region,
 		compiled: make(map[*classfile.Method]*CompiledMethod),
-		bodies:   make(map[uint64]*body),
 	}
 }
-
-// Target returns the compiler's core kind.
-func (c *Compiler) Target() isa.CoreKind { return c.target }
 
 // Costs exposes the backend cost table (the executor charges dynamic
 // branch penalties from it).
@@ -146,7 +134,6 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	if err != nil {
 		return nil, err
 	}
-	bd, h := c.find(cm)
 	// Give the code its own address range in the code region: the code
 	// cache bills transfers of these blocks but copies no bytes, so the
 	// range is never written. A method sharing a body still has a range
@@ -156,8 +143,9 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jit: code region full compiling %s: %w", m.Sig(), err)
 	}
-	if bd == nil {
-		bd = c.intern(cm, h)
+	bd, err := share(cm)
+	if err != nil {
+		return nil, fmt.Errorf("jit: %w", err)
 	}
 	cm.body, cm.Code, cm.Tables, cm.Keys = bd, bd.code, bd.tables, bd.keys
 	cm.Addr = addr
@@ -167,50 +155,87 @@ func (c *Compiler) Compile(m *classfile.Method) (*CompiledMethod, error) {
 	return cm, nil
 }
 
-// find returns the body this compiler already lowered that equals cm's
-// scratch lowering, or nil, and the hash it is (or will be) indexed
-// under. The hash covers Code and MaxLocals; a candidate must then match
-// everything lowering a block and the verifier's stack depths read:
-// every instruction, MaxLocals, the handler ranges and the switch tables.
-// Handler class IDs are not compared — they stay the method's own.
-func (c *Compiler) find(cm *CompiledMethod) (*body, uint64) {
-	h := uint64(14695981039346656037) ^ uint64(cm.M.MaxLocals)
-	for _, in := range cm.Code {
-		h = (h ^ uint64(in.Op) ^ uint64(in.Cost)<<8 ^ uint64(uint32(in.A))<<24) * 1099511628211
-		h = (h ^ uint64(uint32(in.B)) ^ uint64(uint32(in.C))<<32) * 1099511628211
-	}
-	for bd := c.bodies[h]; bd != nil; bd = bd.next {
-		if bd.maxLocals == int32(cm.M.MaxLocals) && slices.Equal(bd.code, cm.Code) &&
-			slices.EqualFunc(bd.handlers, cm.Handlers, sameRange) &&
-			slices.EqualFunc(bd.tables, cm.Tables, slices.Equal) &&
-			slices.EqualFunc(bd.keys, cm.Keys, slices.Equal) {
-			return bd, h
-		}
-	}
-	return nil, h
+// maxBodies bounds the body table. The bench's workloads hold from 68
+// (exec) to 517 (serve, whose per-job statics give each copy its own
+// operands) distinct bodies over every kind.
+const maxBodies = 1024
+
+// bodies is the process's one body table: every distinct body a compiler
+// of any VM has lowered, indexed by the hash of its Code and chained
+// through body.next, with n the bodies it holds. The mutex guards the
+// index and lowering, the scratch every new body's blocks are lowered in
+// (see microCompiler); a published body needs no lock, since nothing
+// writes to it. When the table is full the whole index is dropped, as
+// the paper's data cache flushes when it fills: a VM keeps the bodies
+// its methods already point at.
+var bodies struct {
+	sync.Mutex
+	index    map[uint64]*body
+	n        int
+	lowering microCompiler
 }
 
-// sameRange compares two handlers' ranges, not their class IDs.
-func sameRange(a, b CompiledHandler) bool {
-	return a.From == b.From && a.To == b.To && a.Target == b.Target
-}
-
-// intern registers cm's scratch lowering as a new body under hash h,
-// cloning the scratch and discovering where its superblocks may start.
-func (c *Compiler) intern(cm *CompiledMethod, h uint64) *body {
+// share returns the published body equal to cm's scratch lowering,
+// publishing a new one when none is.
+func share(cm *CompiledMethod) (*body, error) {
+	h := hash(cm)
+	bodies.Lock()
+	defer bodies.Unlock()
+	if bd := find(cm, h); bd != nil {
+		return bd, nil
+	}
+	depth, err := classfile.Depths(cm.M)
+	if err != nil {
+		return nil, err
+	}
 	bd := &body{
 		code:      slices.Clone(cm.Code),
 		tables:    slices.Clone(cm.Tables),
 		keys:      slices.Clone(cm.Keys),
 		handlers:  cm.Handlers,
 		maxLocals: int32(cm.M.MaxLocals),
-		blocks:    noBlocks,
-		lowering:  &c.lowering,
-		next:      c.bodies[h],
 	}
-	bd.sbIdx = discoverSuperblocks(bd.code, bd.tables, bd.handlers)
-	c.bodies[h] = bd
-	return bd
+	bd.lower(depth, &bodies.lowering)
+	if bodies.index == nil || bodies.n == maxBodies {
+		bodies.index, bodies.n = make(map[uint64]*body), 0
+	}
+	bd.next = bodies.index[h]
+	bodies.index[h] = bd
+	bodies.n++
+	return bd, nil
+}
+
+// hash is the key cm's scratch lowering is (or will be) indexed under:
+// its Code and MaxLocals.
+func hash(cm *CompiledMethod) uint64 {
+	h := uint64(14695981039346656037) ^ uint64(cm.M.MaxLocals)
+	for _, in := range cm.Code {
+		h = (h ^ uint64(in.Op) ^ uint64(in.Cost)<<8 ^ uint64(uint32(in.A))<<24) * 1099511628211
+		h = (h ^ uint64(uint32(in.B)) ^ uint64(uint32(in.C))<<32) * 1099511628211
+	}
+	return h
+}
+
+// find returns the published body under hash h that equals cm's scratch
+// lowering, or nil. A candidate must match everything lowering a block
+// and the verifier's stack depths read: every instruction, MaxLocals,
+// the handler ranges and the switch tables. Handler class IDs are not
+// compared — they stay the method's own. The caller holds the lock.
+func find(cm *CompiledMethod, h uint64) *body {
+	for bd := bodies.index[h]; bd != nil; bd = bd.next {
+		if bd.maxLocals == int32(cm.M.MaxLocals) && slices.Equal(bd.code, cm.Code) &&
+			slices.EqualFunc(bd.handlers, cm.Handlers, sameRange) &&
+			slices.EqualFunc(bd.tables, cm.Tables, slices.Equal) &&
+			slices.EqualFunc(bd.keys, cm.Keys, slices.Equal) {
+			return bd
+		}
+	}
+	return nil
+}
+
+// sameRange compares two handlers' ranges, not their class IDs.
+func sameRange(a, b CompiledHandler) bool {
+	return a.From == b.From && a.To == b.To && a.Target == b.Target
 }
 
 // LoopTrips is the trip count StaticCost assumes of every loop, and

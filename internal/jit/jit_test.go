@@ -62,13 +62,13 @@ func TestCompileLoopBothTargets(t *testing.T) {
 	for _, c := range []*Compiler{ppe, spe} {
 		cm, err := c.Compile(m)
 		if err != nil {
-			t.Fatalf("%v: %v", c.Target(), err)
+			t.Fatalf("%v: %v", c.target, err)
 		}
 		if len(cm.Code) != len(m.Code) {
-			t.Errorf("%v: %d machine instrs from %d bytecodes", c.Target(), len(cm.Code), len(m.Code))
+			t.Errorf("%v: %d machine instrs from %d bytecodes", c.target, len(cm.Code), len(m.Code))
 		}
 		if cm.Size == 0 || cm.Addr == 0 {
-			t.Errorf("%v: unsized or unplaced code", c.Target())
+			t.Errorf("%v: unsized or unplaced code", c.target)
 		}
 	}
 }
@@ -284,6 +284,24 @@ func TestNativeMethodRejected(t *testing.T) {
 	_ = p
 }
 
+// TestCompileRejectsUnverifiedBody: a body is published with the
+// verifier's depth at every index, so a method the verifier refuses —
+// here one never resolved, whose return pops an empty stack — compiles
+// to an error, and publishes nothing another method could find.
+func TestCompileRejectsUnverifiedBody(t *testing.T) {
+	_, spe, _ := newCompilers(t)
+	p := classfile.NewProgram()
+	m := p.NewClass("U", nil).NewMethod("u", classfile.FlagStatic, classfile.Int)
+	m.Asm().ConstI(1).Pop().Ret().MustBuild()
+	before := TableBodies()
+	if _, err := spe.Compile(m); err == nil || !strings.Contains(err.Error(), "verify") {
+		t.Errorf("compiling an unverifiable body: %v, want a verify error", err)
+	}
+	if spe.Lookup(m) != nil || TableBodies() != before {
+		t.Error("a refused body was registered or published")
+	}
+}
+
 func TestConstStrNeedsInterner(t *testing.T) {
 	_, spe, _ := newCompilers(t)
 	p := classfile.NewProgram()
@@ -390,11 +408,11 @@ func TestCompiledCodeGetsAddressesNotBytes(t *testing.T) {
 			s := span{cm.Addr, cm.Addr + cm.Size}
 			if cm.Size == 0 || s.from < c.region.Start || s.to > c.region.End {
 				t.Fatalf("%s on %s: code at [%#x,%#x) outside its region [%#x,%#x)",
-					m.Sig(), c.Target(), s.from, s.to, c.region.Start, c.region.End)
+					m.Sig(), c.target, s.from, s.to, c.region.Start, c.region.End)
 			}
 			for _, o := range spans {
 				if s.from < o.to && o.from < s.to {
-					t.Fatalf("%s on %s: code at [%#x,%#x) overlaps [%#x,%#x)", m.Sig(), c.Target(), s.from, s.to, o.from, o.to)
+					t.Fatalf("%s on %s: code at [%#x,%#x) overlaps [%#x,%#x)", m.Sig(), c.target, s.from, s.to, o.from, o.to)
 				}
 			}
 			spans = append(spans, s)

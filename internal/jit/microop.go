@@ -95,10 +95,8 @@ type sym struct {
 // microCompiler lowers one block at a time into buffers it keeps
 // between blocks: compile resets their lengths, builds into them and
 // hands back exact-size copies, so what a lowered block retains is its
-// own content and not the append-doubled capacity it was built in. Each
-// jit.Compiler owns one (a VM has one Compiler per kind and lowers on
-// one goroutine; cluster shards, each its own VM, lower in parallel —
-// which is why the buffers are not package-level).
+// own content and not the append-doubled capacity it was built in. The
+// process has one, the body table's, used under its lock (see bodies).
 //
 // The central invariant is that a
 // symSlot's slot index never exceeds its current stack position (new

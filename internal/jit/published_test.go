@@ -1,10 +1,9 @@
-// On-demand lowering against the eager reference, over real programs.
-// An external test package because workloads imports vm, which imports
-// jit.
+// Published bodies against the eager reference, over real programs,
+// and the body table shared by compilers and VMs. An external test
+// package because workloads imports vm, which imports jit.
 package jit_test
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -43,15 +42,18 @@ func workloadMethods(t testing.TB) []*classfile.Method {
 }
 
 // stackDepths returns, per method, the verifier's operand-stack depth
-// at each index: the depth of every frame that probes Block there (0
+// at each index: the depth of every frame that reaches Block there (-1
 // where no path reaches the index).
 func stackDepths(methods []*classfile.Method) map[*classfile.Method][]int {
 	depths := make(map[*classfile.Method][]int, len(methods))
 	for _, m := range methods {
 		d := make([]int, len(m.Code))
 		for p := range d {
-			stack, _, _ := classfile.KindsAt(m, p)
+			stack, _, err := classfile.KindsAt(m, p)
 			d[p] = len(stack)
+			if err != nil {
+				d[p] = -1
+			}
 		}
 		depths[m] = d
 	}
@@ -72,69 +74,57 @@ func newCompiler(kind isa.CoreKind) *jit.Compiler {
 	return c
 }
 
-// TestOnDemandBlocksEqualEager compiles every method of every workload
-// for every core kind and probes every instruction index in three
-// orders — ascending, descending and shuffled — each on a fresh
-// compilation. Whatever the order, Block(p) must be the block the eager
-// reference builds for p: a block is a function of (Code, p) and of
-// nothing a previous probe did. Lowered(p) must show nothing before the
-// probe and the probed block after it — on the first method of a body:
-// the programs share stdlib bodies, and a later method with an equal body
-// finds the blocks its first method's probes lowered.
-func TestOnDemandBlocksEqualEager(t *testing.T) {
+// TestPublishedBlocksEqualEager compiles every method of every workload
+// for every core kind on a cold body table and requires, at every index
+// of every published body, the block the eager reference builds there —
+// and Next at each block's successors to be the blocks there.
+func TestPublishedBlocksEqualEager(t *testing.T) {
 	methods := workloadMethods(t)
 	depths := stackDepths(methods)
-	rng := rand.New(rand.NewSource(14))
-	blocks, pending := 0, 0
+	blocks := 0
 	for _, kind := range []isa.CoreKind{isa.PPE, isa.SPE, isa.VPU} {
-		for order := 0; order < 3; order++ {
-			c := newCompiler(kind)
-			probed := make(map[*isa.Instr]bool)
-			for _, m := range methods {
-				cm, err := c.Compile(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh := !probed[&cm.Code[0]]
-				probed[&cm.Code[0]] = true
-				d := depths[m]
-				want := jit.EagerSuperblocks(cm, d)
-				visit := rng.Perm(len(cm.Code)) // order 2: shuffled
-				if order < 2 {
-					slices.Sort(visit)
-				}
-				if order == 1 {
-					slices.Reverse(visit)
-				}
-				pending += cm.PendingBlocks()
-				for _, p := range visit {
-					if b := cm.Lowered(p); fresh && b != nil {
-						t.Fatalf("%s [%v] pc %d: a block is lowered before its first probe", m.Sig(), kind, p)
+		jit.ResetBodies()
+		c := newCompiler(kind)
+		seen := make(map[*isa.Instr]bool)
+		for _, m := range methods {
+			cm, err := c.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[&cm.Code[0]] {
+				continue
+			}
+			seen[&cm.Code[0]] = true
+			want := jit.EagerSuperblocks(cm, depths[m])
+			for p := range cm.Code {
+				got := cm.Block(p)
+				if got == nil {
+					if want[p].Len != 0 {
+						t.Fatalf("%s [%v] pc %d: no block, eager %+v", m.Sig(), kind, p, want[p])
 					}
-					got := cm.Block(p, d[p])
-					if got != cm.Block(p, d[p]) || got != cm.Lowered(p) {
-						t.Fatalf("%s [%v] pc %d: a second probe, or Lowered, returned a different block", m.Sig(), kind, p)
-					}
-					if got == nil {
-						got = &jit.Superblock{} // the reference's "no block here"
-					} else if fresh {
-						blocks++
-					}
-					if !reflect.DeepEqual(*got, want[p]) {
-						t.Fatalf("%s [%v] pc %d (order %d):\non demand %+v\neager     %+v",
-							m.Sig(), kind, p, order, *got, want[p])
+					continue
+				}
+				blocks++
+				succ := []int{int(got.Target)}
+				if got.End != jit.EndFall {
+					succ = append(succ, p+int(got.Len))
+				}
+				for _, pc := range succ {
+					if got.Next(pc) != cm.Block(pc) {
+						t.Fatalf("%s [%v] pc %d: Next(%d) is not the block there", m.Sig(), kind, p, pc)
 					}
 				}
-				if n := cm.PendingBlocks(); n != 0 {
-					t.Fatalf("%s [%v]: %d entries still pending after every index was probed", m.Sig(), kind, n)
+				// Compare the content; the successor links are checked above.
+				if !reflect.DeepEqual(jit.Content(got), want[p]) {
+					t.Fatalf("%s [%v] pc %d:\npublished %+v\neager     %+v", m.Sig(), kind, p, *got, want[p])
 				}
 			}
 		}
 	}
-	if blocks == 0 || pending < blocks {
-		t.Fatalf("compared %d blocks from %d pending entries; the sweep is vacuous", blocks, pending)
+	if blocks == 0 {
+		t.Fatal("no block was published; the check is vacuous")
 	}
-	t.Logf("%d methods x 3 kinds x 3 orders: %d pending entries, %d lowered to blocks", len(methods), pending, blocks)
+	t.Logf("%d methods x 3 kinds: %d published blocks", len(methods), blocks)
 }
 
 // TestLowerIsOneToOne pins the statement migration and hand-off rest on:
@@ -246,12 +236,16 @@ func distinctBodies(methods []*classfile.Method) []*classfile.Method {
 }
 
 // TestCompileBytesPerInstruction bounds what lowering bytecode to Code
-// allocates, and what Compile allocates on top of it when no block is
-// ever probed: the block index is four bytes an instruction, and nothing
-// else may scale with the method (a dense Superblock table was 288).
+// allocates, what Compile allocates on top of it on a cold body table,
+// and what a method whose body is already published costs. Publishing a
+// body lowers its blocks, priced apart (RelowerBlocks lowers them again):
+// a block keeps its Superblock and exact-size copies of its micro-ops,
+// boundaries and segments; the rest of a new body — its Code, its
+// four-byte-an-instruction block index and the verifier's depths — may
+// not scale past 16 B an instruction (a dense Superblock table was 288).
 // Its last row compiles a second copy of every body, as each job's class
-// copy is on a serving VM: that shares the first copy's Code, index and
-// blocks, so it allocates none of them.
+// copy is on a serving VM and each boot of a workload is: that shares
+// the first copy's Code, index and blocks, so it allocates none of them.
 func TestCompileBytesPerInstruction(t *testing.T) {
 	methods := distinctBodies(workloadMethods(t))
 	allocated := func(c *jit.Compiler, methods []*classfile.Method, f func(*jit.Compiler, *classfile.Method) error) uint64 {
@@ -279,18 +273,31 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 	}
 	lower := allocated(warm(), methods, (*jit.Compiler).LowerOnly)
 	instrs := 0
+	var cms []*jit.CompiledMethod
+	jit.ResetBodies()
 	compile := allocated(warm(), methods, func(c *jit.Compiler, m *classfile.Method) error {
 		cm, err := c.Compile(m)
 		if err == nil {
 			instrs += len(cm.Code)
+			cms = append(cms, cm)
 		}
 		return err
 	})
-	per := (float64(compile) - float64(lower)) / float64(instrs)
-	t.Logf("%d methods, %d instructions: lowering %d B, Compile %d B, %.1f B per instruction on top", len(methods), instrs, lower, compile, per)
-	if per > 16 {
-		t.Errorf("Compile allocates %.1f B per instruction beyond the lowering to Code, want <= 16", per)
+	depths := make([][]int32, len(cms))
+	for i, cm := range cms {
+		d, err := classfile.Depths(cm.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depths[i] = d
+		jit.RelowerBlocks(cm, d) // warm the scratch
 	}
+	blocks, i := 0, 0
+	relower := allocated(nil, methods, func(*jit.Compiler, *classfile.Method) error {
+		blocks += jit.RelowerBlocks(cms[i], depths[i])
+		i++
+		return nil
+	})
 	// The lowering itself keeps an Instr per instruction, presized, and
 	// per method the CompiledMethod and its handlers — 22 B measured. It
 	// was 30 with the two 4-byte bytecode<->Code index maps (a bytecode
@@ -298,61 +305,52 @@ func TestCompileBytesPerInstruction(t *testing.T) {
 	if budget := float64(unsafe.Sizeof(isa.Instr{})) * 1.5; float64(lower)/float64(instrs) > budget {
 		t.Errorf("lowering allocates %.1f B per instruction, want <= %.0f", float64(lower)/float64(instrs), budget)
 	}
-	// With every index probed — so every entry of every run (head, jump
-	// target, past a memory instruction) is lowered: what a lowered block
-	// keeps, the Superblock and exact-size copies of its micro-ops,
-	// boundaries and segments. 253 blocks of 4 254 micro-ops, 228 KB,
-	// 902 B a block measured; it was 4 475 B a block with the four
-	// deferred reference-flag lists beside them, which this budget does
-	// not fit.
-	blocks, ops := 0, 0
-	depths := stackDepths(methods)
-	probe := func(c *jit.Compiler, m *classfile.Method) error {
-		cm, err := c.Compile(m)
-		if err == nil {
-			for p := range cm.Code {
-				if b := cm.Block(p, depths[m][p]); b != nil {
-					blocks++
-					ops += len(b.Micro) + len(b.Mats)
-				}
-			}
-		}
-		return err
+	per := (float64(compile) - float64(lower) - float64(relower)) / float64(instrs)
+	perBlock := float64(relower) / float64(blocks)
+	t.Logf("%d methods, %d instructions, %d blocks: lowering %d B; Compile %d B, of which blocks and index %d B (%.0f B a block), %.1f B per instruction besides",
+		len(methods), instrs, blocks, lower, compile, relower, perBlock, per)
+	if per > 16 {
+		t.Errorf("Compile allocates %.1f B per instruction beyond the lowering to Code and the blocks, want <= 16", per)
 	}
-	c := warm()
-	probed := allocated(c, methods, probe)
-	perBlock := (float64(probed) - float64(compile)) / float64(blocks)
-	t.Logf("%d blocks, %d micro-ops: %d B, %.0f B per lowered block", blocks, ops, probed-compile, perBlock)
+	// A block measured 902 B when blocks were lowered on demand (the
+	// index apart); it was 4 475 B with the four deferred
+	// reference-flag lists beside it, which this budget does not fit.
 	if perBlock > 3800 {
-		t.Errorf("a lowered block keeps %.0f B, want <= 3800", perBlock)
+		t.Errorf("a published block keeps %.0f B, want <= 3800", perBlock)
 	}
 	// A second copy keeps its CompiledMethod and handlers, about one byte
 	// an instruction; its own block index alone would be four.
 	again := distinctBodies(workloadMethods(t))
-	for i, m := range again {
-		depths[m] = depths[methods[i]]
-	}
-	second := allocated(c, again, probe)
+	second := allocated(warm(), again, func(c *jit.Compiler, m *classfile.Method) error {
+		cm, err := c.Compile(m)
+		if err == nil {
+			for p := range cm.Code {
+				cm.Block(p)
+			}
+		}
+		return err
+	})
 	if perCopy := float64(second) / float64(instrs); perCopy > 4 {
-		t.Errorf("compiling and probing a second copy of every body allocates %.1f B per instruction, want <= 4", perCopy)
+		t.Errorf("compiling a second copy of every body allocates %.1f B per instruction, want <= 4", perCopy)
 	} else {
 		t.Logf("a second copy of every body: %d B, %.1f B per instruction", second, perCopy)
 	}
 }
 
-// TestLoweringScratchNotShared lowers every block of every workload
-// method on two compilers at once — as two cluster shards do — and
-// requires equal blocks. Run under -race it also shows the lowering
-// scratch and the body index are per compiler: a buffer or a block table
-// shared between them is a data race. Compiling the same bodies, the two
-// must also share no Code slice.
-func TestLoweringScratchNotShared(t *testing.T) {
+// TestSharedBodiesConcurrentCompile compiles every workload method on
+// two compilers at once, from a cold body table — as two cluster shards
+// or two VMs on their own goroutines do — and requires both to end with
+// the same bodies: one Code slice and one set of blocks per distinct
+// body, whichever compiler published it. Run under -race it also shows
+// the table's lock covers publishing and that nothing writes to a body
+// after.
+func TestSharedBodiesConcurrentCompile(t *testing.T) {
 	methods := workloadMethods(t)
-	depths := stackDepths(methods)
-	var lowered [2][]*jit.Superblock
+	jit.ResetBodies()
+	var blocks [2][]*jit.Superblock
 	var code [2][]*isa.Instr
 	var wg sync.WaitGroup
-	for i := range lowered {
+	for i := range blocks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -365,48 +363,41 @@ func TestLoweringScratchNotShared(t *testing.T) {
 				}
 				code[i] = append(code[i], &cm.Code[0])
 				for p := range cm.Code {
-					lowered[i] = append(lowered[i], cm.Block(p, depths[m][p]))
+					b := cm.Block(p)
+					if b != nil {
+						b.Next(int(b.Target))
+					}
+					blocks[i] = append(blocks[i], b)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if len(lowered[0]) == 0 || !reflect.DeepEqual(lowered[0], lowered[1]) {
-		t.Fatalf("two compilers lowering the same %d methods concurrently disagree (%d and %d probes)",
-			len(methods), len(lowered[0]), len(lowered[1]))
-	}
-	for _, p := range code[1] {
-		if slices.Contains(code[0], p) {
-			t.Fatalf("two compilers share a Code slice at %p", p)
-		}
+	if !slices.Equal(code[0], code[1]) || !slices.Equal(blocks[0], blocks[1]) || !slices.ContainsFunc(blocks[0], func(b *jit.Superblock) bool { return b != nil }) {
+		t.Fatalf("two compilers compiling the same %d methods concurrently hold different bodies", len(methods))
 	}
 }
 
-// BenchmarkLower measures the lowering Compile defers: every method of
-// the paper programs compiled for the SPE outside the timer, then every
-// pending entry probed once — the most a run could ever ask for.
-// (Compile itself is the repository benchmark's
-// jit.compile_ns_per_method.)
+// BenchmarkLower measures what publishing the bodies costs: every method
+// of the paper programs compiled for the SPE on a cold body table, which
+// lowers every block a run could ask for. (Compile on a warm table is
+// the repository benchmark's jit.compile_ns_per_method.)
 func BenchmarkLower(b *testing.B) {
 	methods := workloadMethods(b)
-	depths := stackDepths(methods)
 	b.ReportAllocs()
 	blocks := 0
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		jit.ResetBodies()
 		c := newCompiler(isa.SPE)
-		cms := make([]*jit.CompiledMethod, len(methods))
-		for i, m := range methods {
+		b.StartTimer()
+		for _, m := range methods {
 			cm, err := c.Compile(m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cms[i] = cm
-		}
-		b.StartTimer()
-		for _, cm := range cms {
 			for p := range cm.Code {
-				if cm.Block(p, depths[cm.M][p]) != nil {
+				if cm.Block(p) != nil {
 					blocks++
 				}
 			}

@@ -55,12 +55,14 @@ func shareBody(c *classfile.Class, name string, v shareVariant) *classfile.Metho
 	return m
 }
 
-// TestEqualBodiesShare holds the interning rule: methods of one compiler
-// whose bodies are equal share one Code slice and one block table, so a
-// block lowered through either is the other's; a body that differs in
-// anything the key covers, or one lowered by another compiler, is its
-// own.
+// TestEqualBodiesShare holds the sharing rule: methods whose bodies are
+// equal share one Code slice and one block table — on one compiler, on
+// another VM's compiler of the same kind, on any compiler whose lowering
+// is equal — so a block read through one is the other's; a body that
+// differs in anything the key covers, or lowers differently on another
+// kind, is its own.
 func TestEqualBodiesShare(t *testing.T) {
+	ResetBodies()
 	ppe, spe, _ := newCompilers(t)
 	p := classfile.NewProgram()
 	ca, cb := p.NewClass("A", nil), p.NewClass("B", nil)
@@ -90,29 +92,16 @@ func TestEqualBodiesShare(t *testing.T) {
 	if a.Addr == b.Addr || a.M == b.M {
 		t.Fatalf("sharers must keep their own method and code address: %#x and %#x", a.Addr, b.Addr)
 	}
-	// Each probe, through either method, lowers for both.
-	var lowered [2]int
+	blocks := 0
 	for pc := range a.Code {
-		if a.body.sbIdx[pc] >= 0 {
-			continue // no pending entry here
-		}
-		first, other := a, b
-		if pc%2 == 1 {
-			first, other = b, a
-		}
-		if other.Lowered(pc) != nil {
-			t.Fatalf("pc %d: a block is lowered before its first probe", pc)
-		}
-		blk := blockAt(first, pc)
-		if other.Lowered(pc) != blk || blockAt(other, pc) != blk {
-			t.Fatalf("pc %d: the block lowered through one sharer is not the other's", pc)
-		}
-		if blk != nil {
-			lowered[pc%2]++
+		if blk := a.Block(pc); blk != b.Block(pc) {
+			t.Fatalf("pc %d: the sharers read different blocks", pc)
+		} else if blk != nil {
+			blocks++
 		}
 	}
-	if lowered[0] == 0 || lowered[1] == 0 {
-		t.Fatalf("blocks lowered through each sharer: %v; the check is vacuous", lowered)
+	if blocks == 0 {
+		t.Fatal("the shared body has no block; the check is vacuous")
 	}
 
 	// A variant gets a body of its own, and still does when the hash
@@ -122,24 +111,28 @@ func TestEqualBodiesShare(t *testing.T) {
 		if cm := compile(spe, m); cm.body == a.body || &cm.Code[0] == &a.Code[0] {
 			t.Errorf("%s: shares the base body", name)
 		}
-		_, c, _ := newCompilers(t)
-		bd := compile(c, base).body
-		low, err := c.lower(m)
+		low, err := spe.lower(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, h := c.find(low)
-		c.bodies[h] = bd
-		if cm := compile(c, m); cm.body == bd {
+		bodies.Lock()
+		h := hash(low)
+		saved := bodies.index[h]
+		bodies.index[h] = a.body
+		found := find(low, h)
+		bodies.index[h] = saved
+		bodies.Unlock()
+		if found == a.body {
 			t.Errorf("%s: shares the base body filed under its hash", name)
 		}
 	}
-	// Whatever the bodies, another compiler has its own: a second SPE
-	// compiler (another VM's) and the PPE's (another kind).
+	// A second SPE compiler — another VM's — shares the base body; the
+	// PPE's lowers it at other costs, so it has its own.
 	_, spe2, _ := newCompilers(t)
-	for _, c := range []*Compiler{spe2, ppe} {
-		if cm := compile(c, base); cm.body == a.body || &cm.Code[0] == &a.Code[0] {
-			t.Errorf("the %v compiler of another VM or kind shares the base body", c.Target())
-		}
+	if cm := compile(spe2, base); cm.body != a.body {
+		t.Error("another VM's SPE compiler does not share the base body")
+	}
+	if cm := compile(ppe, base); cm.body == a.body || &cm.Code[0] == &a.Code[0] {
+		t.Error("the PPE compiler shares the SPE's base body")
 	}
 }

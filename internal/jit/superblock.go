@@ -68,9 +68,9 @@ type Superblock struct {
 	Bounds []MemBound
 	Mats   []MicroOp
 
-	// taken and fall memoize the blocks at the two PCs the block can
+	// taken and fall are the blocks at the two PCs the block can
 	// continue at (Next): Target, and the fallthrough entry+Len of a
-	// conditional terminal. Only found blocks are kept; nil re-probes.
+	// conditional terminal; nil where none starts.
 	taken, fall *Superblock
 }
 
@@ -104,15 +104,14 @@ type MemBound struct {
 
 // End kinds. EndFall (the zero value) covers plain fallthrough and the
 // trailing unconditional goto; the conditional kinds are the four
-// conditional-branch opcodes themselves. A block never *contains* a
+// conditional-branch opcodes themselves; the two whose second operand
+// the executor reads have names. A block never *contains* a
 // branch — a conditional terminal is always its last instruction,
 // counted in Len, Cycles and StackDelta (the branch pops its operands).
 const (
 	EndFall     = isa.OpNop
-	EndIf       = isa.OpIf
 	EndIfCmpI   = isa.OpIfCmpI
 	EndIfCmpRef = isa.OpIfCmpRef
-	EndIfNull   = isa.OpIfNull
 )
 
 // pureOp reports whether op can always join a superblock: it cannot
@@ -195,7 +194,7 @@ func terminalOp(op isa.Op) bool {
 }
 
 // discoverSuperblocks marks, for every instruction index, whether a
-// superblock may start there, in the encoding of body.sbIdx.
+// superblock may start there, and where it ends.
 //
 // Within each maximal run [s, e) of pure and absorbable-memory
 // instructions — optionally extended through one terminating goto or
@@ -203,14 +202,16 @@ func terminalOp(op isa.Op) bool {
 // run: its head s, a jump target (a goto or conditional target, a
 // switch entry or default, a handler), or the index just past an
 // absorbed memory instruction, where the replay hands back when a
-// quantum expires. Each such admissible index p is left *pending* on
-// the suffix reaching the run's end (-(e-p)); every other index is
-// none, and a thread resuming there (its quantum ran out before a block
-// fit) steps with the interpreter to the next entry. Nothing is lowered
-// here: CompiledMethod.Block lowers the suffix at p the first time the
-// executor probes it. The targets are marked in the index itself (1)
-// before the runs are walked, which overwrites every mark.
-func discoverSuperblocks(code []isa.Instr, tables [][]int32, handlers []CompiledHandler) []int32 {
+// quantum expires. Each such entry p is marked with the negated length
+// of its block, p-end. A block at the head or a jump target reaches the
+// run's end; one just past a memory instruction ends at the next index
+// just past one at an empty operand stack (depth is the verifier's, per
+// index), or at e. Every other index is 0, and a thread resuming there
+// (its quantum ran out before a block fit) steps with the interpreter
+// to the next entry. body.lower turns each mark into a block or into 0.
+// The targets are marked in the index itself (1) before the runs are
+// walked, which overwrites every mark.
+func discoverSuperblocks(code []isa.Instr, tables [][]int32, handlers []CompiledHandler, depth []int32) []int32 {
 	idx := make([]int32, len(code))
 	for _, in := range code {
 		if t, _, ok := branchTarget(in); ok {
@@ -242,15 +243,32 @@ func discoverSuperblocks(code []isa.Instr, tables [][]int32, handlers []Compiled
 		if e < len(code) && terminalOp(code[e].Op) {
 			e++
 		}
-		for p := s; p < e; p++ {
-			entered := p == s || idx[p] != 0 || memOp(code[p-1].Op)
+		// next is the first index past p just after a memory
+		// instruction at an empty operand stack, e if there is none.
+		next := e
+		for p := e - 1; p >= s; p-- {
+			target := p == s || idx[p] != 0
 			idx[p] = 0
 			// A branch may land on a guarded div with an unproven divisor
 			// on the stack, and a memory instruction's operands come from
 			// before the entry; blocks run through both, but neither
 			// starts one.
-			if op := code[p].Op; entered && !guardedDivOp(op) && !memOp(op) {
-				idx[p] = int32(p - e)
+			op := code[p].Op
+			if (target || memOp(code[p-1].Op)) && !guardedDivOp(op) && !memOp(op) {
+				// A thread enters just past a memory instruction only to
+				// resume a run its quantum cut, so that block ends at next,
+				// where such a block starts again: they tile the run
+				// instead of each copying the rest of it. Every operand
+				// from before the entry is popped by then, so a tile
+				// lowers exactly when the suffix would.
+				end := e
+				if !target {
+					end = next
+				}
+				idx[p] = int32(p - end)
+			}
+			if memOp(op) && (p+1 == e || depth[p+1] == 0) {
+				next = p + 1
 			}
 		}
 		s = e
@@ -258,91 +276,81 @@ func discoverSuperblocks(code []isa.Instr, tables [][]int32, handlers []Compiled
 	return idx
 }
 
-// body is one distinct lowered method body of a compiler and the
-// superblocks lowered from it. Every CompiledMethod whose lowering is
-// equal points at the one body (Compiler.find has the key), so a block
-// any of them lowers is there for all: a block is a function of the
+// body is one distinct lowered method body and the superblocks lowered
+// from it. It is published in the process's body table (see bodies)
+// complete, and nothing writes to it after, so every CompiledMethod
+// whose lowering is equal — on any compiler of any VM — points at the
+// one body and reads it without a lock: a block is a function of the
 // body, its entry and the verifier's depth there, all equal across the
 // sharers, and names no method — the executor bills the running frame's
-// own. handlers, tables and keys complete the equality key.
+// own. handlers, tables and keys complete the equality key (find).
 type body struct {
 	code []isa.Instr
-	// sbIdx says, per instruction index, whether a superblock starts
-	// there: 0 none, negative pending (a block of that many instructions
-	// may start here and is lowered on its first probe), positive i the
-	// lowered blocks[i]. blocks[0] is nil, so "none" needs no branch of
-	// its own in Block. Four bytes an instruction, and a Superblock only
-	// for an entry a thread took. lowering is the owning Compiler's
-	// scratch.
+	// sbIdx says, per instruction index, which block starts there: 0
+	// none, i the blocks[i]. blocks[0] is nil, so "none" needs no branch
+	// of its own in Block. Four bytes an instruction.
 	sbIdx     []int32
 	blocks    []*Superblock
-	lowering  *microCompiler
 	maxLocals int32
 
 	handlers     []CompiledHandler
 	tables, keys [][]int32
-	// next is the next body under the same hash in Compiler.bodies.
+	// next is the next body under the same hash in the table.
 	next *body
 }
 
-// noBlocks is every body's block list before its first lowering:
-// position 0 alone, the nil block an sbIdx of 0 selects. Nothing writes
-// to it — its capacity is its length, so lowerBlock's first append
-// copies it — which is what lets every body share the one.
-var noBlocks = make([]*Superblock, 1)
-
-// Block returns the superblock starting at instruction index p, or nil
-// when none does, lowering a pending one on this first probe — from
-// whichever method sharing the body makes it — for a frame whose operand
-// stack is sp deep. It is the executor's only way to a block, so a block
-// no thread enters is never built; and since the verifier fixes the
-// depth at every index, a block's content is a pure function of
-// (Code, p), so the order of probes cannot change what any of them sees.
-// (Reading sbIdx[p] twice on one path keeps Block inside the inliner's
-// budget; the second read is the first's.)
-func (cm *CompiledMethod) Block(p, sp int) *Superblock {
-	if cm.body.sbIdx[p] < 0 {
-		return cm.lowerBlock(p, sp)
+// lower fills sbIdx and blocks: it lowers the block at every entry
+// discovery marks that a path reaches, for the verifier's depth there
+// (depth[p], -1 where no path reaches p), in mc, then links each block
+// to the blocks at its two successors.
+func (bd *body) lower(depth []int32, mc *microCompiler) {
+	bd.sbIdx = discoverSuperblocks(bd.code, bd.tables, bd.handlers, depth)
+	bd.blocks = []*Superblock{nil}
+	for p, mark := range bd.sbIdx {
+		bd.sbIdx[p] = 0
+		if mark >= 0 || depth[p] < 0 {
+			continue
+		}
+		if b := mc.block(bd.code, p, p-int(mark), depth[p], bd.maxLocals); b != nil {
+			bd.sbIdx[p] = int32(len(bd.blocks))
+			bd.blocks = append(bd.blocks, b)
+		}
 	}
-	return cm.body.blocks[cm.body.sbIdx[p]]
+	for p, i := range bd.sbIdx {
+		if b := bd.blocks[i]; b != nil {
+			b.taken = bd.blocks[bd.sbIdx[b.Target]]
+			if b.End != EndFall {
+				b.fall = bd.blocks[bd.sbIdx[p+int(b.Len)]]
+			}
+		}
+	}
 }
 
-// Lowered returns the block a probe has lowered at p, or nil when none
-// has (yet); it lowers nothing.
-func (cm *CompiledMethod) Lowered(p int) *Superblock {
-	return cm.body.blocks[max(cm.body.sbIdx[p], 0)]
-}
-
-// lowerBlock replaces the pending entry at index p with the block
-// covering code[p:e], its suffix of a discovered run (kept out of line
-// so Block inlines into the executor's dispatch). The replayable
+// block lowers code[p:e], the suffix of a discovered run at entry p, for
+// a frame whose operand stack is sp deep. The replayable
 // (micro-compilable) prefix [p, pe) excludes a trailing control
 // terminal: a goto has no data effect, and a conditional branch reads
 // the operands the replay leaves just above the block's final SP. The
 // terminal's cost and instruction count still belong to the block's
-// final segment, so the compiler receives it separately. When the
-// micro lowering bails (typically an instruction consuming operands
-// the suffix did not push) no block starts at p: the interpreter steps
-// until the next entry whose suffix does lower.
-func (cm *CompiledMethod) lowerBlock(p, sp int) *Superblock {
-	bd := cm.body
-	code := bd.code
-	e := p - int(bd.sbIdx[p])
+// final segment, so the compiler receives it separately. When the micro
+// lowering bails (typically an instruction consuming operands the
+// suffix did not push) block returns nil and no block starts at p: the
+// interpreter steps until the next entry whose suffix does lower.
+func (mc *microCompiler) block(code []isa.Instr, p, e int, sp, maxLocals int32) *Superblock {
 	pe := e
 	var term *isa.Instr
 	if terminalOp(code[e-1].Op) {
 		pe--
 		term = &code[pe]
 	}
-	mb, ok := bd.lowering.compile(code[p:pe], term, bd.maxLocals+int32(sp))
+	mb, ok := mc.compile(code[p:pe], term, maxLocals+sp)
 	if !ok {
-		bd.sbIdx[p] = 0
 		return nil
 	}
 	b := &Superblock{
 		Len: int32(e - p), Target: int32(pe),
 		Cycles: mb.FirstCycles, ClassCycles: mb.Class,
-		Micro: mb.Micro, StackDelta: mb.StackDelta, EntrySP: int32(sp),
+		Micro: mb.Micro, StackDelta: mb.StackDelta, EntrySP: sp,
 		Bounds: mb.Bounds, Mats: mb.Mats,
 	}
 	if term != nil {
@@ -352,24 +360,23 @@ func (cm *CompiledMethod) lowerBlock(p, sp int) *Superblock {
 			b.End, b.Target, b.Cond = term.Op, term.B, term.A
 		}
 	}
-	bd.sbIdx[p] = int32(len(bd.blocks))
-	bd.blocks = append(bd.blocks, b)
 	return b
+}
+
+// Block returns the superblock starting at instruction index p, or nil
+// when none does. It is the executor's only way into a chain of blocks;
+// since the body was published complete, it is two reads and no lock.
+func (cm *CompiledMethod) Block(p int) *Superblock {
+	return cm.body.blocks[cm.body.sbIdx[p]]
 }
 
 // Next returns the block starting at pc, which must be one of b's two
 // successors — its Target, or entry+Len after a conditional terminal —
-// or nil when none does; sp is the depth b leaves. A found block is
-// memoized on b, so a chain step skips the index; like a block, a
-// successor is a pure function of (Code, pc), so the memo never goes
-// stale.
-func (cm *CompiledMethod) Next(b *Superblock, pc, sp int) *Superblock {
-	memo := &b.fall
+// or nil when none does. Both were found when b's body was lowered, so
+// a chain step skips the index.
+func (b *Superblock) Next(pc int) *Superblock {
 	if int32(pc) == b.Target {
-		memo = &b.taken
+		return b.taken
 	}
-	if *memo == nil {
-		*memo = cm.Block(pc, sp)
-	}
-	return *memo
+	return b.fall
 }

@@ -29,22 +29,13 @@ func sbMethod(t *testing.T, build func(a *classfile.Asm)) *CompiledMethod {
 }
 
 // discovered wraps hand-written code the way Compile leaves a method:
-// discovery done, every block still pending behind Block. It has no
-// bytecode to verify, so its tests pass each index's depth by hand.
-func discovered(code []isa.Instr) *CompiledMethod {
-	return &CompiledMethod{M: &classfile.Method{MaxLocals: 4}, Code: code,
-		body: &body{code: code, maxLocals: 4, sbIdx: discoverSuperblocks(code, nil, nil), blocks: noBlocks, lowering: new(microCompiler)}}
+// every entry lowered, unpublished. It has no bytecode to verify, so its
+// tests pass each index's depth by hand.
+func discovered(code []isa.Instr, depth ...int32) *CompiledMethod {
+	bd := &body{code: code, maxLocals: 4}
+	bd.lower(depth, new(microCompiler))
+	return &CompiledMethod{M: &classfile.Method{MaxLocals: 4}, Code: code, body: bd}
 }
-
-// depth returns the verifier's operand-stack depth at p, the one every
-// frame reaching p has (0 where no path reaches p).
-func depth(cm *CompiledMethod, p int) int {
-	stack, _, _ := classfile.KindsAt(cm.M, p)
-	return len(stack)
-}
-
-// blockAt probes Block(p) at the verifier's depth, as the executor does.
-func blockAt(cm *CompiledMethod, p int) *Superblock { return cm.Block(p, depth(cm, p)) }
 
 // TestSuperblockSuffixRuns checks which indices of a pure straight-line
 // run get a block: only those where control enters the run — its head
@@ -84,7 +75,7 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 		if in.Op != ops[p] {
 			t.Fatalf("pc %d: backend emitted %v, the test expects %v", p, in.Op, ops[p])
 		}
-		b := blockAt(cm, p)
+		b := cm.Block(p)
 		if lens[p] == 0 {
 			if b != nil {
 				t.Errorf("pc %d: no block may start here: %+v", p, b)
@@ -114,12 +105,12 @@ func TestSuperblockSuffixRuns(t *testing.T) {
 	}
 }
 
-// TestSuperblockEntries checks discovery leaves pending exactly the
-// indices where control enters a run: its head, a switch entry or
-// default, a handler, and the index past a memory instruction — here
-// each of them fallen into from the instruction before as well, so only
-// the rule can make it an entry. Pending is discovery's answer whether
-// or not the suffix there then lowers.
+// TestSuperblockEntries checks discovery marks exactly the indices where
+// control enters a run: its head, a switch entry or default, a handler,
+// and the index past a memory instruction — here each of them fallen
+// into from the instruction before as well, so only the rule can make it
+// an entry. A mark is discovery's answer whether or not the suffix there
+// then lowers.
 func TestSuperblockEntries(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
 		c0, c1, def := a.NewLabel(), a.NewLabel(), a.NewLabel()
@@ -151,9 +142,13 @@ func TestSuperblockEntries(t *testing.T) {
 	if len(cm.Code) != 15 {
 		t.Fatalf("%d instructions, the test expects 15", len(cm.Code))
 	}
-	for p, i := range cm.body.sbIdx {
-		if pending := i < 0; pending != entries[p] {
-			t.Errorf("pc %d (%v): pending %v, want %v", p, cm.Code[p].Op, pending, entries[p])
+	depth, err := classfile.Depths(cm.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, i := range discoverSuperblocks(cm.Code, cm.Tables, cm.Handlers, depth) {
+		if entry := i < 0; entry != entries[p] {
+			t.Errorf("pc %d (%v): entry %v, want %v", p, cm.Code[p].Op, entry, entries[p])
 		}
 	}
 }
@@ -244,11 +239,11 @@ func TestSuperblockBoundaries(t *testing.T) {
 	for i, in := range cm.Code {
 		switch in.Op {
 		case isa.OpNewArray, isa.OpArrayLen, isa.OpReturn:
-			if b := blockAt(cm, i); b != nil {
+			if b := cm.Block(i); b != nil {
 				t.Errorf("%v at %d starts a block (Len=%d)", in.Op, i, b.Len)
 			}
 		}
-		if b := blockAt(cm, i); b != nil {
+		if b := cm.Block(i); b != nil {
 			for q := i; q < i+int(b.Len); q++ {
 				op := cm.Code[q].Op
 				last := q == i+int(b.Len)-1
@@ -278,11 +273,11 @@ func TestSuperblockMemoryAbsorption(t *testing.T) {
 		{Op: isa.OpAddI, Cost: 1},                         // second pure segment
 		{Op: isa.OpReturn, A: 1, Cost: 2},                 // ends the run
 	}
-	cm := discovered(code)
-	if cm.Block(2, 2) != nil {
-		t.Errorf("memory op must not start a block: %+v", cm.Block(2, 2))
+	cm := discovered(code, 0, 1, 2, 1, 2, 1)
+	if cm.Block(2) != nil {
+		t.Errorf("memory op must not start a block: %+v", cm.Block(2))
 	}
-	b := cm.Block(0, 0)
+	b := cm.Block(0)
 	if int(b.Len) != 5 {
 		t.Fatalf("block at 0 must absorb the load and run to the return: %+v", b)
 	}
@@ -355,7 +350,7 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if brIdx < 0 || lenIdx < 0 {
 		t.Fatal("no conditional branch or arraylength emitted")
 	}
-	b := blockAt(cm, brIdx-2) // the LoadI at the loop label
+	b := cm.Block(brIdx - 2) // the LoadI at the loop label
 	if b == nil || int(b.Len) != 3 || b.End != EndIfCmpI {
 		t.Fatalf("block %+v: want Len 3 ending in EndIfCmpI", b)
 	}
@@ -366,11 +361,11 @@ func TestSuperblockConditionalTermination(t *testing.T) {
 	if b.StackDelta != 0 {
 		t.Fatalf("StackDelta=%d want 0 (branch pops its operands)", b.StackDelta)
 	}
-	if blockAt(cm, brIdx) != nil {
-		t.Fatalf("the branch control falls into starts a block: %+v", blockAt(cm, brIdx))
+	if cm.Block(brIdx) != nil {
+		t.Fatalf("the branch control falls into starts a block: %+v", cm.Block(brIdx))
 	}
-	if lone := blockAt(cm, lenIdx+1); lone == nil || lone.Len != 1 || lone.End != EndIf || lone.StackDelta != -1 {
-		t.Fatalf("branch-only block %+v: want Len 1, EndIf, StackDelta -1", lone)
+	if lone := cm.Block(lenIdx + 1); lone == nil || lone.Len != 1 || lone.End != isa.OpIf || lone.StackDelta != -1 {
+		t.Fatalf("branch-only block %+v: want Len 1, OpIf, StackDelta -1", lone)
 	}
 }
 
@@ -408,7 +403,7 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	// The block starting at the loop-body instruction right after the
 	// conditional branch must run through the goto and land on its
 	// target.
-	body := blockAt(cm, gotoIdx-1) // the inc preceding the goto
+	body := cm.Block(gotoIdx - 1) // the inc preceding the goto
 	if body == nil || body.Len != 2 {
 		t.Fatalf("body block %+v: want Len 2 (inc+goto)", body)
 	}
@@ -417,16 +412,15 @@ func TestSuperblockGotoTermination(t *testing.T) {
 	}
 	// The goto is the latch's jump target, so it alone is also a (Len 1)
 	// block.
-	if g := blockAt(cm, gotoIdx); g == nil || g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
+	if g := cm.Block(gotoIdx); g == nil || g.Len != 1 || g.Target != cm.Code[gotoIdx].A {
 		t.Fatalf("goto block %+v", g)
 	}
 }
 
-// TestNextMemoizesSuccessors checks that Next finds the blocks at both
-// of a conditional block's successors, keeps what it found (a chain
-// step then skips the index), and re-probes a successor where no block
-// starts.
-func TestNextMemoizesSuccessors(t *testing.T) {
+// TestNextReadsSuccessors checks that Next returns the blocks at both of
+// a conditional block's successors — the blocks Block finds there — and
+// nil at a successor where no block starts.
+func TestNextReadsSuccessors(t *testing.T) {
 	cm := sbMethod(t, func(a *classfile.Asm) {
 		loop, done := a.NewLabel(), a.NewLabel()
 		a.ConstI(0)
@@ -442,27 +436,23 @@ func TestNextMemoizesSuccessors(t *testing.T) {
 		a.Ret()
 	})
 	head := 2 // the LoadI at the loop label
-	b := blockAt(cm, head)
+	b := cm.Block(head)
 	if b == nil || b.End != EndIfCmpI {
 		t.Fatalf("loop head block %+v: want one ending in EndIfCmpI", b)
 	}
 	ret := len(cm.Code) - 1
-	tail := blockAt(cm, ret-1) // the LoadI before the return
-	if got := cm.Next(tail, ret, depth(cm, ret)); got != nil || tail.taken != nil || tail.fall != nil {
-		t.Fatalf("no block starts at the return: Next = %+v, memo %p/%p", got, tail.taken, tail.fall)
+	tail := cm.Block(ret - 1) // the LoadI before the return
+	if got := tail.Next(ret); got != nil {
+		t.Fatalf("no block starts at the return: Next = %+v", got)
 	}
 	taken, fall := int(b.Target), head+int(b.Len)
 	for _, pc := range []int{taken, fall} {
-		want := blockAt(cm, pc)
+		want := cm.Block(pc)
 		if want == nil {
 			t.Fatalf("pc %d: no block to chain into", pc)
 		}
-		if got := cm.Next(b, pc, depth(cm, pc)); got != want {
+		if got := b.Next(pc); got != want {
 			t.Fatalf("pc %d: Next = %p, Block = %p", pc, got, want)
-		}
-		cm.body.sbIdx[pc] = 0 // a re-probe would now find nothing
-		if got := cm.Next(b, pc, depth(cm, pc)); got != want {
-			t.Fatalf("pc %d: Next re-probed instead of using its memo", pc)
 		}
 	}
 }
@@ -493,19 +483,19 @@ func TestSuperblockGuardedDivision(t *testing.T) {
 		t.Fatalf("want 2 divs, got %v", divs)
 	}
 	guarded, unguarded := divs[0], divs[1]
-	if blockAt(cm, guarded) != nil {
+	if cm.Block(guarded) != nil {
 		t.Errorf("guarded div must not start a block")
 	}
 	// The block from the start must cover the guarded div but stop
 	// before the unguarded one.
-	b := blockAt(cm, 0)
+	b := cm.Block(0)
 	if b.Len == 0 || 0+int(b.Len) <= guarded {
 		t.Errorf("block at 0 (Len=%d) should cover the guarded div at %d", b.Len, guarded)
 	}
 	if 0+int(b.Len) > unguarded {
 		t.Errorf("block at 0 (Len=%d) must stop before the unguarded div at %d", b.Len, unguarded)
 	}
-	if blockAt(cm, unguarded) != nil {
+	if cm.Block(unguarded) != nil {
 		t.Errorf("unguarded div must not start a block")
 	}
 }
@@ -519,11 +509,11 @@ func TestSuperblockZeroDivisorNotGuarded(t *testing.T) {
 		{Op: isa.OpDivI, Cost: 4},
 		{Op: isa.OpReturn, A: 1, Cost: 2},
 	}
-	cm := discovered(code)
-	if b := cm.Block(0, 0); int(b.Len) != 2 {
+	cm := discovered(code, 0, 1, 2, 1)
+	if b := cm.Block(0); int(b.Len) != 2 {
 		t.Errorf("run must end before the zero-divisor div: %+v", b)
 	}
-	if cm.Block(2, 2) != nil {
+	if cm.Block(2) != nil {
 		t.Errorf("zero-divisor div must not be in any block start")
 	}
 }

@@ -251,12 +251,14 @@ func TestBlocksLoweredAtVerifierDepth(t *testing.T) {
 }
 
 // TestLoweringIsLinearInCode runs the six workloads on the PS3 shape
-// and on a three-kind machine and holds what the run lowers to the code
-// it compiled: the instructions every lowered block covers, summed over
-// the distinct bodies each compiler holds, at most 1.25 times those
-// bodies' length. A block starts only where control enters a run, so the
-// blocks of one run overlap little; when every PC a quantum stopped on
-// started a block of its own, the ratio was 1.3 to 2.4.
+// and on a three-kind machine and holds the blocks of the bodies each
+// compiler holds to those bodies' length: the instructions every block
+// covers, summed over the distinct bodies, at most 1.25 times their
+// length. A block starts only where control enters a run, and one past
+// a memory op ends where the next such tile starts, so the blocks of one
+// run overlap little; when every PC a quantum stopped on started a block
+// of its own, the ratio was 1.3 to 2.4, and with every entry's block
+// running to the end of its run, 1.27 on compress.
 func TestLoweringIsLinearInCode(t *testing.T) {
 	specs := append(workloads.All(), workloads.Kernels()...)
 	for _, spec := range specs {
@@ -278,7 +280,7 @@ func TestLoweringIsLinearInCode(t *testing.T) {
 						seen[&cm.Code[0]] = true
 						code += len(cm.Code)
 						for p := range cm.Code {
-							if b := cm.Lowered(p); b != nil {
+							if b := cm.Block(p); b != nil {
 								covered += int(b.Len)
 							}
 						}
@@ -311,7 +313,7 @@ func loweredAtVerifierDepth(t *testing.T, prog *classfile.Program, machine *vm.V
 					continue
 				}
 				for p := range cm.Code {
-					b := cm.Lowered(p)
+					b := cm.Block(p)
 					if b == nil {
 						continue
 					}

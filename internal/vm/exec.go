@@ -33,7 +33,7 @@ func (vm *VM) execute(core *cell.Core, t *Thread, quantum uint64) {
 		// unchanged), apply it in one step. Any divergence falls through
 		// to step, which IS the reference semantics.
 		if !vm.sbOff {
-			if b := f.CM.Block(f.PC, f.SP); b != nil && int(b.EntrySP) == f.SP && core.Now+b.Cycles < deadline {
+			if b := f.CM.Block(f.PC); b != nil && int(b.EntrySP) == f.SP && core.Now+b.Cycles < deadline {
 				vm.fastForward(core, t, f, b, deadline)
 				continue
 			}

@@ -114,7 +114,7 @@ func (vm *VM) fastForward(core *cell.Core, t *Thread, f *Frame, b *jit.Superbloc
 		}
 
 		// Chain into the next block only under the executor's own guard.
-		nb := f.CM.Next(b, f.PC, f.SP)
+		nb := b.Next(f.PC)
 		if nb == nil || core.Now+nb.Cycles >= deadline {
 			bill.settle(core, f)
 			return

@@ -298,8 +298,7 @@ func TestReplayExitsAtEveryBoundary(t *testing.T) {
 		probe := startBoundaryRun(t, "loop0", false)
 		pcs := loads(probe)
 		entry := pcs[0] - 3 // LoadI acc; LoadRef arr; ConstI 1; ALoad
-		// At the loop head the operand stack is empty.
-		body := probe.f.CM.Block(entry, 0)
+		body := probe.f.CM.Block(entry)
 		if body == nil || len(body.Bounds) != 3 {
 			t.Fatalf("the loop body must be one block absorbing three loads: %+v", body)
 		}

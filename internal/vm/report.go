@@ -31,10 +31,6 @@ func (vm *VM) Report() string {
 		if st.StealsIn+st.StealsOut > 0 {
 			fmt.Fprintf(&b, " steals in/out=%d/%d", st.StealsIn, st.StealsOut)
 		}
-		if st.FastForwardedBlocks > 0 {
-			fmt.Fprintf(&b, " ff blocks/instrs=%d/%d",
-				st.FastForwardedBlocks, st.FastForwardedInstrs)
-		}
 		fmt.Fprintf(&b, "\n")
 	}
 

@@ -104,9 +104,10 @@ func TestRunUnknownEntry(t *testing.T) {
 	}
 }
 
-// TestReportFastForwardClause pins the per-core report line's
-// fast-forward clause format: printed after migrations/steals, only when
-// the core fast-forwarded at least one block.
+// TestReportFastForwardClause pins that the per-core report line carries
+// no fast-forward clause: the fast-forward counters are host-only (they
+// say which path ran, not what the machine did), so whatever they hold,
+// the report does not move.
 func TestReportFastForwardClause(t *testing.T) {
 	v, err := New(testConfig(), buildReportProgram())
 	if err != nil {
@@ -116,33 +117,13 @@ func TestReportFastForwardClause(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0 := v.Machine.Cores()[0]
-	c0.Stats.FastForwardedBlocks = 12
-	c0.Stats.FastForwardedInstrs = 345
-	rep := v.Report()
-	line := ""
-	for _, l := range strings.Split(rep, "\n") {
-		if strings.HasPrefix(l, "PPE") {
-			line = l
-			break
-		}
+	c0.Stats.FastForwardedBlocks, c0.Stats.FastForwardedInstrs = 0, 0
+	want := v.Report()
+	c0.Stats.FastForwardedBlocks, c0.Stats.FastForwardedInstrs = 12, 345
+	if got := v.Report(); got != want {
+		t.Errorf("the fast-forward counters moved the report:\n--- zero ---\n%s\n--- set ---\n%s", want, got)
 	}
-	if line == "" {
-		t.Fatalf("no PPE line in report:\n%s", rep)
-	}
-	if !strings.Contains(line, " ff blocks/instrs=12/345") {
-		t.Errorf("PPE line missing pinned ff clause: %q", line)
-	}
-	if !strings.Contains(line, "mig in/out=") ||
-		strings.Index(line, "mig in/out=") > strings.Index(line, "ff blocks/instrs=") {
-		t.Errorf("ff clause must follow the migration counters: %q", line)
-	}
-
-	// A core that never fast-forwarded must not print the clause.
-	c0.Stats.FastForwardedBlocks = 0
-	c0.Stats.FastForwardedInstrs = 0
-	for _, l := range strings.Split(v.Report(), "\n") {
-		if strings.HasPrefix(l, "PPE") && strings.Contains(l, "ff blocks/instrs") {
-			t.Errorf("ff clause printed with zero blocks: %q", l)
-		}
+	if strings.Contains(want, "ff ") {
+		t.Errorf("the report prints a fast-forward clause:\n%s", want)
 	}
 }
