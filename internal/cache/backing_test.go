@@ -26,10 +26,10 @@ func TestIdleLocalStoreHoldsNoBytes(t *testing.T) {
 	now, _ := ccs[0].EnsureMethod(0, 1, 0x1000, 64, 1, 0x8000, 16<<10)
 	_, _ = dcs[0].ReadObject(now, 0x20000, 64, 16, 8)
 	busy, idle := m.CoreAt(isa.SPE, 0), m.CoreAt(isa.SPE, 1)
-	if n := idle.LS.Held(); n != 0 {
+	if n := held(idle.LS); n != 0 {
 		t.Errorf("%s ran nothing but holds %d host bytes", idle, n)
 	}
-	if n := busy.LS.Held(); n != mem.PageSize {
+	if n := held(busy.LS); n != mem.PageSize {
 		t.Errorf("%s holds %d host bytes for one 64-byte fill and a 16 KB method, want one %d-byte page", busy, n, mem.PageSize)
 	}
 }
@@ -51,9 +51,9 @@ func TestCodeCacheMissCopiesNoBytes(t *testing.T) {
 	if cached {
 		t.Fatal("a cold code cache hit")
 	}
-	if core.LS.Held() != 0 || m.Mem.Reads != reads {
+	if held(core.LS) != 0 || m.Mem.Reads != reads {
 		t.Errorf("a code-cache miss backed %d local-store bytes and read main memory %d times",
-			core.LS.Held(), m.Mem.Reads-reads)
+			held(core.LS), m.Mem.Reads-reads)
 	}
 
 	// The copying transfer, on a twin machine: TOC lookup, TIB insert
@@ -111,20 +111,20 @@ func TestLocalStoreBackingTracksDataCache(t *testing.T) {
 				misses := core.Stats.DataMisses
 				_, now = dc.ReadObject(now, 0x10000+i*64, size, 0, 4)
 				if core.Stats.DataMisses != misses {
-					end := tc.base + dc.UsedBytes()
+					end := tc.base + dc.bump
 					for p := (end - size) / mem.PageSize; p*mem.PageSize < end; p++ {
 						filled[p] = true
 					}
 				}
-				if got := core.LS.Held(); got != len(filled)*mem.PageSize {
+				if got := held(core.LS); got != len(filled)*mem.PageSize {
 					t.Fatalf("after fill %d: %d host bytes for %d filled pages", i, got, len(filled))
 				}
 			}
 			if core.Stats.DataFlushes < 2 {
 				t.Fatalf("%d flushes: the fills never reached the cache's end", core.Stats.DataFlushes)
 			}
-			if region := DefaultDataCacheConfig().Size; core.LS.Held() > int(region) {
-				t.Fatalf("%d host bytes for a %d-byte cache region", core.LS.Held(), region)
+			if region := DefaultDataCacheConfig().Size; held(core.LS) > int(region) {
+				t.Fatalf("%d host bytes for a %d-byte cache region", held(core.LS), region)
 			}
 			t.Logf("%d pages for a %d KB cache region", len(filled), DefaultDataCacheConfig().Size>>10)
 		})
@@ -222,17 +222,29 @@ func TestLocalStoreAccessors(t *testing.T) {
 			t.Fatalf("an unwritten %d-byte word reads %#x", w, v)
 		}
 	}
-	if ls.Held() != 0 {
-		t.Fatalf("reads mapped %d bytes", ls.Held())
+	if held(ls) != 0 {
+		t.Fatalf("reads mapped %d bytes", held(ls))
 	}
 	writeLS(ls, 3*mem.PageSize-8, 8, 0x0102030405060708)
 	writeLS(ls, 3*mem.PageSize-12, 2, 0xbeef)
-	if v := readLS(ls, 3*mem.PageSize-8, 4); v != 0x05060708 || ls.Held() != mem.PageSize {
-		t.Fatalf("read %#x back with %d bytes held, want 0x05060708 on one page", v, ls.Held())
+	if v := readLS(ls, 3*mem.PageSize-8, 4); v != 0x05060708 || held(ls) != mem.PageSize {
+		t.Fatalf("read %#x back with %d bytes held, want 0x05060708 on one page", v, held(ls))
 	}
 	if v := readLS(ls, 3*mem.PageSize-12, 1); v != 0xef {
 		t.Fatalf("read byte %#x, want 0xef", v)
 	}
 	mustPanic(t, "bad access width", func() { readLS(ls, 3*mem.PageSize-8, 3) })
 	mustPanic(t, "bad access width", func() { writeLS(ls, 0, 16, 0) })
+}
+
+// held returns the host bytes a page table holds: PageSize for each
+// mapped page.
+func held(p mem.Pages) int {
+	n := 0
+	for _, pg := range p {
+		if pg != nil {
+			n += mem.PageSize
+		}
+	}
+	return n
 }

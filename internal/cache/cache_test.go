@@ -98,7 +98,7 @@ func TestDataCachePurgeInvalidatesButKeepsWrites(t *testing.T) {
 	obj := mem.Addr(0x9000)
 	now := dc.WriteObject(0, obj, 32, 16, 8, 0xfeedface)
 	now = dc.Purge(now)
-	if dc.Entries() != 0 {
+	if dc.live != 0 {
 		t.Error("purge must drop all entries")
 	}
 	// The thread's own write must have survived via write-back.
@@ -164,8 +164,8 @@ func TestDataCacheFlushWhenFull(t *testing.T) {
 	if dc.core.Stats.DataFlushes == 0 {
 		t.Error("filling the cache must flush it")
 	}
-	if dc.UsedBytes() > 8<<10 {
-		t.Errorf("bump pointer overran the region: %d", dc.UsedBytes())
+	if dc.bump > 8<<10 {
+		t.Errorf("bump pointer overran the region: %d", dc.bump)
 	}
 }
 
@@ -280,7 +280,7 @@ func TestCodeCacheOversizedMethodStreams(t *testing.T) {
 	if cached {
 		t.Error("oversized method must keep missing")
 	}
-	if cc.CachedMethods() != 0 {
+	if len(cc.methods) != 0 {
 		t.Error("oversized method must not be recorded")
 	}
 }

@@ -78,9 +78,6 @@ func NewCodeCache(cfg CodeCacheConfig, core *cell.Core, base uint32) *CodeCache 
 // Config returns the cache configuration.
 func (c *CodeCache) Config() CodeCacheConfig { return c.cfg }
 
-// CachedMethods returns how many methods are resident.
-func (c *CodeCache) CachedMethods() int { return len(c.methods) }
-
 // purge drops everything (code is never dirty, so nothing writes back).
 func (c *CodeCache) purge() {
 	clear(c.tibs)

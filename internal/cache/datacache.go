@@ -207,12 +207,6 @@ func NewDataCache(cfg DataCacheConfig, core *cell.Core, base uint32) *DataCache 
 // Config returns the cache's configuration.
 func (d *DataCache) Config() DataCacheConfig { return d.cfg }
 
-// Entries returns the number of live cache entries (for tests/reports).
-func (d *DataCache) Entries() int { return d.live }
-
-// UsedBytes returns the bump-allocated bytes.
-func (d *DataCache) UsedBytes() uint32 { return d.bump }
-
 // ensure returns the local-store address of the cached copy of
 // [mainAddr, mainAddr+size) and its slab index, transferring it in on a
 // miss. It advances and returns the core clock. The index lets write

@@ -351,9 +351,9 @@ func (x *cacheModel) apply(op int, unit, sizeClass, off, width uint32, val uint6
 	if billed, issued := x.dc.core.Stats.DMATransfers, x.dc.core.MFC.Transfers; billed != issued {
 		x.t.Fatalf("op %d: the cache billed %d DMA transfers of the %d its MFC issued", op, billed, issued)
 	}
-	if x.dc.Entries() != len(x.ref.order) || x.dc.UsedBytes() != x.ref.bump {
+	if x.dc.live != len(x.ref.order) || x.dc.bump != x.ref.bump {
 		x.t.Fatalf("op %d: %d entries %d bytes, reference %d/%d", op,
-			x.dc.Entries(), x.dc.UsedBytes(), len(x.ref.order), x.ref.bump)
+			x.dc.live, x.dc.bump, len(x.ref.order), x.ref.bump)
 	}
 	if !samePages(x.dc.core.LS, x.ref.ls) {
 		x.t.Fatalf("op %d at %#x size %d: the local store's pages differ from the flat reference", op, addr, size)
@@ -548,9 +548,9 @@ func TestAccessArrayMatchesTwoAccesses(t *testing.T) {
 			t.Fatalf("%s: counters\n%+v\ntwo accesses\n%+v", what, a.dc.core.Stats, b.dc.core.Stats)
 		case !equalPages(a.dc.core.LS, b.dc.core.LS):
 			t.Fatalf("%s: local store differs", what)
-		case a.dc.Entries() != b.dc.Entries() || a.dc.UsedBytes() != b.dc.UsedBytes():
+		case a.dc.live != b.dc.live || a.dc.bump != b.dc.bump:
 			t.Fatalf("%s: %d entries %d bytes, two accesses %d/%d", what,
-				a.dc.Entries(), a.dc.UsedBytes(), b.dc.Entries(), b.dc.UsedBytes())
+				a.dc.live, a.dc.bump, b.dc.live, b.dc.bump)
 		}
 	}
 	elem := func(arr mem.Addr, idx int32, store bool, val uint64) func(*side, bool) (uint64, uint32, bool) {
@@ -568,8 +568,8 @@ func TestAccessArrayMatchesTwoAccesses(t *testing.T) {
 	fill := func(used uint32) func(*side, bool) (uint64, uint32, bool) {
 		return func(s *side, _ bool) (uint64, uint32, bool) {
 			s.now = s.dc.Purge(s.now)
-			for a := mem.Addr(0x10000); s.dc.UsedBytes() < used; a += 1024 {
-				s.now = s.dc.WriteObject(s.now, a, min(1024, used-s.dc.UsedBytes()), 8, 8, uint64(a))
+			for a := mem.Addr(0x10000); s.dc.bump < used; a += 1024 {
+				s.now = s.dc.WriteObject(s.now, a, min(1024, used-s.dc.bump), 8, 8, uint64(a))
 			}
 			return 0, 0, true
 		}
@@ -587,16 +587,16 @@ func TestAccessArrayMatchesTwoAccesses(t *testing.T) {
 	step("fill to the brim", fill(8<<10))
 	f0 := flushes()
 	step("header fill flushes", elem(0x42000, 5, true, 0xbeef))
-	if flushes() != f0+1 || sides[0].dc.Entries() != 2 {
+	if flushes() != f0+1 || sides[0].dc.live != 2 {
 		t.Fatalf("the header's fill must flush once and leave header and block: %d flushes, %d entries",
-			flushes()-f0, sides[0].dc.Entries())
+			flushes()-f0, sides[0].dc.live)
 	}
 	step("fill to a header short", fill(8<<10-isa.HeaderBytes))
 	f0 = flushes()
 	step("element fill flushes", elem(0x44000, 600, true, 0xcafe))
-	if flushes() != f0+1 || sides[0].dc.Entries() != 1 {
+	if flushes() != f0+1 || sides[0].dc.live != 1 {
 		t.Fatalf("the element's fill must flush once and leave the block: %d flushes, %d entries",
-			flushes()-f0, sides[0].dc.Entries())
+			flushes()-f0, sides[0].dc.live)
 	}
 	step("fill to the brim again", fill(8<<10))
 	step("header fill flushes, then traps", elem(0x46000, 1000, false, 0))
@@ -654,8 +654,8 @@ func TestDataCacheProbeLength(t *testing.T) {
 				// min(stride, 1 KB) there stands for an array block too.
 				_, now = dc.ReadObject(now, tc.base+mem.Addr(i)*tc.stride, min(tc.stride, 1024), 0, 4)
 			}
-			if dc.Entries() != tc.n {
-				t.Fatalf("%d entries, want %d (the case must fit one generation)", dc.Entries(), tc.n)
+			if dc.live != tc.n {
+				t.Fatalf("%d entries, want %d (the case must fit one generation)", dc.live, tc.n)
 			}
 			total := 0
 			for i := 0; i < tc.n; i++ {

@@ -108,8 +108,8 @@ func TestStageCyclesPredictsAColdStage(t *testing.T) {
 	for _, c := range []struct{ size, budget uint32 }{{4096, 1 << 20}, {8192, 2048}, {1500, 4096}, {700, 512}} {
 		_, dc := newDC(t, 0)
 		cycles, want := dc.StageCycles(c.size, c.budget)
-		if dc.core.Stats.DMATransfers != 0 || dc.Entries() != 0 {
-			t.Fatalf("%+v: predicting moved %d transfers, %d entries", c, dc.core.Stats.DMATransfers, dc.Entries())
+		if dc.core.Stats.DMATransfers != 0 || dc.live != 0 {
+			t.Fatalf("%+v: predicting moved %d transfers, %d entries", c, dc.core.Stats.DMATransfers, dc.live)
 		}
 		now, staged := dc.StageArray(0, 0x8000, c.size, c.budget)
 		if staged != want || uint64(now) != cycles {

@@ -183,8 +183,8 @@ func TestMachineConstruction(t *testing.T) {
 	if ppe.Kind != isa.PPE || ppe.Mem == nil || ppe.BP == nil {
 		t.Error("PPE misconfigured")
 	}
-	if m.NumOf(isa.SPE) != 6 {
-		t.Fatalf("want 6 SPEs, got %d", m.NumOf(isa.SPE))
+	if len(m.ofKind(isa.SPE)) != 6 {
+		t.Fatalf("want 6 SPEs, got %d", len(m.ofKind(isa.SPE)))
 	}
 	for i, s := range m.CoresOf(isa.SPE) {
 		if s.Kind != isa.SPE || s.ID != i {
@@ -243,8 +243,8 @@ func TestMachineAsymmetricTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumOf(isa.PPE) != 2 || m.NumOf(isa.SPE) != 2 {
-		t.Fatalf("core counts: %d PPE, %d SPE", m.NumOf(isa.PPE), m.NumOf(isa.SPE))
+	if len(m.ofKind(isa.PPE)) != 2 || len(m.ofKind(isa.SPE)) != 2 {
+		t.Fatalf("core counts: %d PPE, %d SPE", len(m.ofKind(isa.PPE)), len(m.ofKind(isa.SPE)))
 	}
 	for i, p := range m.CoresOf(isa.PPE) {
 		if p.ID != i || p.Mem == nil || p.BP == nil || p.MFC != nil {
@@ -326,7 +326,7 @@ func TestCoreCharging(t *testing.T) {
 	c := &Core{Kind: isa.SPE}
 	c.Charge(isa.ClassFloat, 10)
 	c.Charge(isa.ClassMainMem, 5)
-	c.ChargeIdle(3)
+	c.AdvanceTo(c.Now + 3)
 	if c.Now != 18 {
 		t.Errorf("clock: got %d want 18", c.Now)
 	}

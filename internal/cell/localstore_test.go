@@ -23,7 +23,7 @@ func TestLocalStoreBackedOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range m.Cores() {
-		if n := c.LS.Held(); n != 0 {
+		if n := held(c.LS); n != 0 {
 			t.Fatalf("%s holds %d host bytes before any transfer", c, n)
 		}
 	}
@@ -45,14 +45,14 @@ func TestLocalStoreBackedOnDemand(t *testing.T) {
 		{200<<10 - 8, 8, 6},    // the store's last bytes
 	} {
 		now = spe.MFC.DMA(now, DMAGet, 0x1000, s.ls, s.n)
-		if got := spe.LS.Held(); got != s.pages*mem.PageSize {
+		if got := held(spe.LS); got != s.pages*mem.PageSize {
 			t.Fatalf("DMA to [%#x,%#x): %d host bytes, want %d pages", s.ls, s.ls+s.n, got, s.pages)
 		}
 	}
 	if got := string(spe.LS[0][:7]); got != "payload" {
 		t.Fatalf("later fills disturbed the first page: %q", got)
 	}
-	if other := m.CoreAt(isa.SPE, 1); other.LS.Held() != 0 {
+	if other := m.CoreAt(isa.SPE, 1); held(other.LS) != 0 {
 		t.Errorf("a DMA on %s backed %s's local store too", spe, other)
 	}
 }
@@ -80,8 +80,8 @@ func TestDMAStraddlesPages(t *testing.T) {
 	if !bytes.Equal(got, src) {
 		t.Fatal("the round trip through the local store changed the bytes")
 	}
-	if held := ls.Held(); held != 4*mem.PageSize {
-		t.Errorf("a 9000-byte fill from %#x holds %d bytes, want 4 pages", lsAt, held)
+	if n := held(ls); n != 4*mem.PageSize {
+		t.Errorf("a 9000-byte fill from %#x holds %d bytes, want 4 pages", lsAt, n)
 	}
 }
 
@@ -100,8 +100,8 @@ func TestDMAPutFromUnwrittenPage(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("main memory after the put: % x", got)
 	}
-	if held := ls.Held(); held != 0 {
-		t.Errorf("a put from an unwritten page mapped %d bytes", held)
+	if n := held(ls); n != 0 {
+		t.Errorf("a put from an unwritten page mapped %d bytes", n)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestDMAPastLocalStorePanics(t *testing.T) {
 		if s, _ := r.(string); !strings.Contains(s, "overruns local store") {
 			t.Fatalf("DMA past the local store: recovered %v, want an overrun panic", r)
 		}
-		if held := ls.Held(); held != mem.PageSize {
-			t.Errorf("the refused DMA left %d bytes mapped, want the one page", held)
+		if n := held(ls); n != mem.PageSize {
+			t.Errorf("the refused DMA left %d bytes mapped, want the one page", n)
 		}
 	}()
 	mfc.DMA(0, DMAPut, 0, 32<<10-64, 128)
@@ -131,8 +131,8 @@ func TestDMAEdges(t *testing.T) {
 	main := mem.NewMain(1 << 16)
 	ls := mem.NewPages(16 << 10)
 	mfc := NewMFC(DefaultMFCConfig(), NewEIB(DefaultEIBConfig()), main, ls, 16<<10)
-	if done := mfc.DMA(77, DMAGet, 0, 0, 0); done != 77 || mfc.Transfers != 0 || ls.Held() != 0 {
-		t.Errorf("an empty DMA finished at %d after %d transfers holding %d bytes", done, mfc.Transfers, ls.Held())
+	if done := mfc.DMA(77, DMAGet, 0, 0, 0); done != 77 || mfc.Transfers != 0 || held(ls) != 0 {
+		t.Errorf("an empty DMA finished at %d after %d transfers holding %d bytes", done, mfc.Transfers, held(ls))
 	}
 	if done, want := mfc.DMA(0, DMAGet, 0, 0, 512), mfc.Latency(512); done != want {
 		t.Errorf("a DMA on an idle bus finished at %d, Latency says %d", done, want)
@@ -143,4 +143,16 @@ func TestDMAEdges(t *testing.T) {
 		}
 	}()
 	mfc.DMA(0, DMAPut+1, 0, 0, 8)
+}
+
+// held returns the host bytes a page table holds: PageSize for each
+// mapped page.
+func held(p mem.Pages) int {
+	n := 0
+	for _, pg := range p {
+		if pg != nil {
+			n += mem.PageSize
+		}
+	}
+	return n
 }

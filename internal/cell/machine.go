@@ -122,13 +122,6 @@ func (c *Core) SettleFastForward(classes *[isa.NumClasses]uint64, instrs, ffInst
 	c.Stats.FastForwardedInstrs += ffInstrs
 }
 
-// ChargeIdle advances the clock without billing a work class (the core is
-// stalled waiting for something external, e.g. another core or GC).
-func (c *Core) ChargeIdle(n uint64) {
-	c.Now += n
-	c.Stats.Idle += n
-}
-
 // AdvanceTo moves the clock forward to at least t, billing the gap as
 // idle time. It never moves the clock backwards.
 func (c *Core) AdvanceTo(t Clock) {
@@ -231,25 +224,11 @@ func (m *Machine) ofKind(kind isa.CoreKind) []*Core {
 	return m.byKind[kind]
 }
 
-// NumOf returns how many cores of the kind the machine has.
-func (m *Machine) NumOf(kind isa.CoreKind) int { return len(m.ofKind(kind)) }
-
 // HasKind reports whether the machine has at least one core of the kind.
 func (m *Machine) HasKind(kind isa.CoreKind) bool { return len(m.ofKind(kind)) > 0 }
 
 // CoreAt returns core id of the given kind.
 func (m *Machine) CoreAt(kind isa.CoreKind, id int) *Core { return m.byKind[kind][id] }
-
-// InstrsOf returns the total instructions retired on cores of the kind
-// (the usual "did work land where we expected" probe in reports,
-// examples and tests).
-func (m *Machine) InstrsOf(kind isa.CoreKind) uint64 {
-	var n uint64
-	for _, c := range m.ofKind(kind) {
-		n += c.Stats.Instrs
-	}
-	return n
-}
 
 // Describe renders the machine's core mix, e.g. "1 PPE + 6 SPEs".
 func (m *Machine) Describe() string { return m.Cfg.Topology.Describe() }

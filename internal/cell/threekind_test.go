@@ -71,9 +71,9 @@ func TestThreeKindMachineConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumCores() != 7 || m.NumOf(isa.PPE) != 1 || m.NumOf(isa.SPE) != 4 || m.NumOf(isa.VPU) != 2 {
+	if m.NumCores() != 7 || len(m.ofKind(isa.PPE)) != 1 || len(m.ofKind(isa.SPE)) != 4 || len(m.ofKind(isa.VPU)) != 2 {
 		t.Fatalf("core counts: %d total, %d/%d/%d", m.NumCores(),
-			m.NumOf(isa.PPE), m.NumOf(isa.SPE), m.NumOf(isa.VPU))
+			len(m.ofKind(isa.PPE)), len(m.ofKind(isa.SPE)), len(m.ofKind(isa.VPU)))
 	}
 	ppe := m.CoresOf(isa.PPE)[0]
 	if ppe.Mem == nil || ppe.BP == nil || ppe.LS != nil || ppe.MFC != nil {

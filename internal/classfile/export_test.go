@@ -10,3 +10,6 @@ func (p *Program) Spare() []BC { return p.spare.code[:cap(p.spare.code)] }
 
 // SparePool is Spare for the constant-pool buffer.
 func (p *Program) SparePool() []any { return p.spare.pool[:cap(p.spare.pool)] }
+
+// ProgramOf returns the program that declared c.
+func ProgramOf(c *Class) *Program { return c.program }

@@ -5,22 +5,24 @@ import (
 	"slices"
 )
 
-// Stamp declares a copy of classes — classes of this program, built and
-// not yet resolved — each under the name rename gives it. The copy
+// Stamp declares in p a copy of classes — classes of any program, built
+// and not yet resolved — each under the name rename gives it. The copy
 // declares the same classes, fields and methods in the same order, so
 // it resolves to the IDs, slots and listings that building the classes
 // again under the new names would give. It shares what nothing writes
 // after Build: each body's Code, each method's Params and the *Switch
 // entries of its pool. It gets its own pools, handlers and annotations,
 // and its superclasses, interfaces, handler types and pool entries name
-// the copy's own class, field or method wherever the original names one
-// of classes; names outside classes are kept.
+// its own class, field or method wherever the original names one of
+// classes, and p's of the same name wherever it names another.
 func (p *Program) Stamp(classes []*Class, rename func(string) string) {
-	copies := make([]*Class, len(classes))
-	for i, c := range classes {
-		k := p.NewClass(rename(c.Name), c.Super)
+	copied := make(map[*Class]*Class, len(classes))
+	p.classes = slices.Grow(p.classes, len(classes))
+	for _, c := range classes {
+		k := p.NewClass(rename(c.Name), nil)
 		k.IsInterface = c.IsInterface
-		copies[i] = k
+		k.Methods = make([]*Method, 0, len(c.Methods))
+		copied[c] = k
 		for _, f := range c.Fields {
 			k.addField(f.Name, f.Type, false, f.Volatile)
 		}
@@ -33,31 +35,30 @@ func (p *Program) Stamp(classes []*Class, rename func(string) string) {
 			n.Annotations = maps.Clone(m.Annotations)
 		}
 	}
-	// mapped is the copy's own class, field or method standing where x
-	// stands in one of classes, or x itself when x is none of theirs.
+	// class is the copy's class where the original names c, and mapped
+	// the copy's class, field or method where it names x.
+	class := func(c *Class) *Class {
+		if k, ok := copied[c]; ok || c == nil {
+			return k
+		}
+		return p.Lookup(c.Name)
+	}
 	mapped := func(x any) any {
 		switch x := x.(type) {
 		case *Class:
-			if i := slices.Index(classes, x); i >= 0 {
-				return copies[i]
-			}
+			return class(x)
 		case *Field:
-			if i := slices.Index(classes, x.Class); i >= 0 {
-				if x.Static {
-					return copies[i].Statics[slices.Index(x.Class.Statics, x)]
-				}
-				return copies[i].Fields[slices.Index(x.Class.Fields, x)]
+			if x.Static {
+				return class(x.Class).Statics[slices.Index(x.Class.Statics, x)]
 			}
+			return class(x.Class).Fields[slices.Index(x.Class.Fields, x)]
 		case *Method:
-			if i := slices.Index(classes, x.Class); i >= 0 {
-				return copies[i].Methods[slices.Index(x.Class.Methods, x)]
-			}
+			return class(x.Class).Methods[slices.Index(x.Class.Methods, x)]
 		}
 		return x
 	}
-	class := func(c *Class) *Class { return mapped(c).(*Class) }
-	for ci, c := range classes {
-		k := copies[ci]
+	for _, c := range classes {
+		k := copied[c]
 		k.Super = class(c.Super)
 		for _, i := range c.Interfaces {
 			k.Interfaces = append(k.Interfaces, class(i))
@@ -79,4 +80,13 @@ func (p *Program) Stamp(classes []*Class, rename func(string) string) {
 			}
 		}
 	}
+}
+
+// Copy returns a program holding a copy of every class of p, built and
+// not yet resolved, as Stamp makes it.
+func (p *Program) Copy() *Program {
+	q := &Program{byName: make(map[string]*Class, len(p.classes))}
+	q.Stamp(p.classes, func(name string) string { return name })
+	q.Object = q.Lookup(p.Object.Name)
+	return q
 }

@@ -23,8 +23,8 @@ func (o Op) Arity() int {
 	return 2
 }
 
-// Eval computes one arithmetic opcode over raw 64-bit slots (Word
-// layout: an int in the low half, IEEE-754 bits for float and double).
+// Eval computes one arithmetic opcode over raw 64-bit slots (an int in
+// the low half, IEEE-754 bits for float and double).
 // a is the first operand pushed, b the second (the top of stack; unused
 // by one-operand opcodes); aux is the instruction's A operand, which
 // OpCmpF/OpCmpD return when either side is NaN (-1 for fcmpl/dcmpl, +1

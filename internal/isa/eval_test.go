@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Operand encoders for the table below (the Word layout Eval reads),
+// Operand encoders for the table below (the slot layout Eval reads),
 // kept apart from eval.go's own so a bug there cannot encode the
 // expectations the same wrong way.
 func wI(v int32) uint64   { return uint64(uint32(v)) }

@@ -41,8 +41,3 @@ func (i Instr) String() string {
 		return i.Op.String()
 	}
 }
-
-// Word is a raw 64-bit value slot as held in locals and on the operand
-// stack. Typed opcodes reinterpret the bits (int32 in the low half, raw
-// IEEE-754 bits for float/double, a 32-bit heap address for references).
-type Word = uint64

@@ -107,6 +107,14 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: OpAddI}, "addi"},
 		{Instr{Op: OpLoadLocal, A: 3}, "loadlocal    l3"},
 		{Instr{Op: OpGoto, A: 17}, "goto         @17"},
+		{Instr{Op: OpPushConst, A: 1, B: 2}, "pushconst    0x200000001"},
+		{Instr{Op: OpIncLocal, A: 2, B: -1}, "inclocal     l2, -1"},
+		{Instr{Op: OpIfCmpI, A: 1, B: 9}, "ifcmpi       c1, @9"},
+		{Instr{Op: OpCallVirtual, A: 4}, "callvirtual  #4"},
+		{Instr{Op: OpGetField, A: 24, B: 5}, "getfield     +24 (f0x5)"},
+		{Instr{Op: OpNew, A: 7}, "new          cls7"},
+		{Instr{Op: OpALoad, A: int32(ElemDouble)}, "aload        double"},
+		{Instr{Op: OpNewArray, A: 99}, "newarray     ?"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
@@ -123,5 +131,41 @@ func TestPushConstRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Objects are a header then 8-byte slots; arrays a header then elements
+// packed at their width, the whole rounded up to 8 bytes.
+func TestLayout(t *testing.T) {
+	if got := FieldOffset(2); got != HeaderBytes+2*SlotBytes {
+		t.Errorf("FieldOffset(2) = %d", got)
+	}
+	if got := ObjectBytes(3); got != HeaderBytes+3*SlotBytes {
+		t.Errorf("ObjectBytes(3) = %d", got)
+	}
+	if got := ArrayBytes(ElemByte, 3); got != 24 {
+		t.Errorf("ArrayBytes(byte, 3) = %d, want 24", got)
+	}
+	if got := ArrayBytes(ElemDouble, 2); got != 32 {
+		t.Errorf("ArrayBytes(double, 2) = %d, want 32", got)
+	}
+}
+
+// MemShape gives each of the seven memory opcodes its operand-stack
+// shape, and every other opcode none.
+func TestMemShape(t *testing.T) {
+	type shape struct {
+		pops  int
+		loads bool
+	}
+	want := map[Op]shape{
+		OpGetStatic: {0, true}, OpGetField: {1, true}, OpArrayLen: {1, true},
+		OpALoad: {2, true}, OpPutStatic: {1, false}, OpPutField: {2, false},
+		OpAStore: {3, false}, OpAddI: {0, false},
+	}
+	for op, w := range want {
+		if pops, loads := op.MemShape(); pops != w.pops || loads != w.loads {
+			t.Errorf("%v: MemShape %d, %v; want %d, %v", op, pops, loads, w.pops, w.loads)
+		}
 	}
 }

@@ -225,17 +225,3 @@ func (k CoreKind) MigrateAffinity() float64 {
 	}
 	return s.MigrateAffinity
 }
-
-// CodePressure is the kind's mean encoded instruction size in bytes —
-// how hard its compiled code presses on a code cache of a given size
-// (the SPE's inline cache probes and hint slots make it larger than the
-// PPE's; a wide vector ISA larger still).
-func (k CoreKind) CodePressure() float64 {
-	spec(k) // descriptive panic for unknown kinds
-	t := kindTables[k]
-	var total uint64
-	for o := Op(0); int(o) < NumOps; o++ {
-		total += uint64(t.OpSize[o])
-	}
-	return float64(total) / float64(NumOps)
-}

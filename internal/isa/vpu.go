@@ -73,7 +73,7 @@ func VPUCosts() *CostTable {
 	// Wide instruction words: 8-byte base encoding, with the same
 	// inline-software-cache and call-sequence expansions as the SPE,
 	// scaled up. This is what makes the VPU the heaviest code-cache
-	// client of the three kinds (CodePressure orders PPE < SPE < VPU).
+	// client of the three kinds (mean encoded size orders PPE < SPE < VPU).
 	for o := Op(0); int(o) < NumOps; o++ {
 		t.OpSize[o] = 8
 	}

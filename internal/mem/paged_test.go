@@ -245,6 +245,10 @@ func TestZeroUnmappedAllocatesNothing(t *testing.T) {
 	if got := m.Read64(3*PageSize - 4); got != 0 {
 		t.Fatalf("unmapped memory reads %#x", got)
 	}
+	at := Addr(5 * PageSize)
+	if m.Read8(at) != 0 || m.Read16(at) != 0 || m.Read32(at) != 0 || m.Read64(at) != 0 || mappedPages(m) != 0 {
+		t.Fatalf("reads of an unmapped page returned data or mapped %d pages", mappedPages(m))
+	}
 }
 
 // TestSizeNotPageMultiple checks the partial last page is addressable

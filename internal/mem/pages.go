@@ -24,18 +24,6 @@ func (p Pages) Map(addr uint32) Page {
 	return *pg
 }
 
-// Held returns the host bytes the table holds: PageSize for each mapped
-// page.
-func (p Pages) Held() int {
-	n := 0
-	for _, pg := range p {
-		if pg != nil {
-			n += PageSize
-		}
-	}
-	return n
-}
-
 // ReadPages copies n bytes of memory from addr into dst at at, page by
 // page, mapping each page of dst it fills. Like ReadBytes it counts one
 // read; it is a DMA get into a local store.

@@ -33,24 +33,14 @@ func (r *Region) Alloc(n, align uint32) (Addr, error) {
 	return base, nil
 }
 
-// Used returns the number of allocated bytes.
-func (r *Region) Used() uint32 { return r.next - r.Start }
-
-// Free returns the number of unallocated bytes.
-func (r *Region) Free() uint32 { return r.End - r.next }
-
-// Reset returns the region to empty. Used by tests.
-func (r *Region) Reset() { r.next = r.Start }
-
 // Contains reports whether addr falls inside the region.
 func (r *Region) Contains(addr Addr) bool { return addr >= r.Start && addr < r.End }
 
 // Layout carves an address space into named regions. It reserves the
 // first page so address 0 (null) is never valid.
 type Layout struct {
-	size    uint32
-	next    Addr
-	regions []*Region
+	size uint32
+	next Addr
 }
 
 // NewLayout begins a layout over a memory of the given size, reserving
@@ -70,17 +60,5 @@ func (l *Layout) Carve(name string, size uint32) (*Region, error) {
 	}
 	r := NewRegion(name, l.next, size)
 	l.next += size
-	l.regions = append(l.regions, r)
 	return r, nil
 }
-
-// CarveRest turns all remaining space into a final region.
-func (l *Layout) CarveRest(name string) *Region {
-	r := NewRegion(name, l.next, l.size-l.next)
-	l.next = l.size
-	l.regions = append(l.regions, r)
-	return r
-}
-
-// Regions returns the carved regions in address order.
-func (l *Layout) Regions() []*Region { return l.regions }

@@ -82,10 +82,6 @@ func (vm *VM) resizeLocalCaches(core *cell.Core, dataSize, codeSize uint32) {
 	vm.ccaches[core.Index] = cache.NewCodeCache(ccfg, core, dataSize)
 }
 
-// AdaptiveResizes reports how many times the i-th local-store core's
-// controller resized its caches (for reports and tests).
-func (vm *VM) AdaptiveResizes(i int) uint64 { return vm.adapt[vm.lsCores[i]].resizes }
-
 // CacheSplit returns the i-th local-store core's current (data, code)
 // cache sizes in bytes.
 func (vm *VM) CacheSplit(i int) (uint32, uint32) {

@@ -112,11 +112,6 @@ func (j *Job) KernelPool() isa.KindSet { return j.kernelPool }
 // Done reports whether every thread of the job has terminated.
 func (j *Job) Done() bool { return j.done }
 
-// Frozen reports whether the job was serialized off this machine by
-// Freeze. A frozen job never completes here; its continuation lives
-// in the JobImage the freeze produced.
-func (j *Job) Frozen() bool { return j.frozen }
-
 // Root returns the job's root thread (its Result holds the entry
 // method's return value once the job is done).
 func (j *Job) Root() *Thread { return j.root }

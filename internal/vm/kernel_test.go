@@ -371,7 +371,7 @@ func TestFreezeJobRefusesInFlightKernel(t *testing.T) {
 	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrNotFreezable) {
 		t.Fatalf("freeze mid-kernel: err = %v, want ErrNotFreezable", err)
 	}
-	if j.Frozen() {
+	if j.frozen {
 		t.Fatal("refused freeze left the job marked frozen")
 	}
 	if _, err := j.Wait(); err != nil {
@@ -416,8 +416,8 @@ func TestFreezeRefusesKernelLaunchedMidFreeze(t *testing.T) {
 	if _, err := v.Freeze(context.Background(), j); !errors.Is(err, ErrNotFreezable) || j.kernels == 0 {
 		t.Fatalf("freeze across the launch: err = %v with %d kernels in flight, want ErrNotFreezable", err, j.kernels)
 	}
-	if j.Frozen() || len(j.parked) != 0 {
-		t.Fatalf("refused freeze left frozen=%v, %d threads parked", j.Frozen(), len(j.parked))
+	if j.frozen || len(j.parked) != 0 {
+		t.Fatalf("refused freeze left frozen=%v, %d threads parked", j.frozen, len(j.parked))
 	}
 	if _, err := j.Wait(); err != nil {
 		t.Fatal(err)

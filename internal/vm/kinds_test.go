@@ -33,7 +33,7 @@ func TestThreeKindTopologyBootsAndSchedules(t *testing.T) {
 	if got := int32(uint32(th.Result)); got != 1000 {
 		t.Errorf("total = %d, want 1000", got)
 	}
-	if vm.Machine.InstrsOf(isa.SPE) == 0 {
+	if instrsOf(vm, isa.SPE) == 0 {
 		t.Error("RunOnSPE workers never ran on the SPEs")
 	}
 }
@@ -51,12 +51,12 @@ func TestFloatIntensiveRoutesToVPU(t *testing.T) {
 	if k := vm.placeKind(p.Lookup("Worker").MethodByName("run")); k != isa.VPU {
 		t.Errorf("FloatIntensive workers placed on %v, want the VPU", k)
 	}
-	if vm.Machine.InstrsOf(isa.VPU) == 0 {
+	if instrsOf(vm, isa.VPU) == 0 {
 		t.Error("FloatIntensive workers never ran on the VPUs")
 	}
 	// On the classic PS3 shape the same program lands on the SPEs.
 	vm2, _ := runMain(t, testConfig(), p, "Main", "main")
-	if vm2.Machine.InstrsOf(isa.SPE) == 0 {
+	if instrsOf(vm2, isa.SPE) == 0 {
 		t.Error("FloatIntensive workers never ran on the SPEs of a PS3 machine")
 	}
 }
@@ -73,7 +73,7 @@ func TestFixedPolicyOnVPU(t *testing.T) {
 		cfg.Policy = pol
 		p := buildWorkerProgram(2, "")
 		vm, _ := runMain(t, cfg, p, "Main", "main")
-		if vm.Machine.InstrsOf(isa.VPU) == 0 {
+		if instrsOf(vm, isa.VPU) == 0 {
 			t.Errorf("%T: fixed-VPU policy never ran on the VPUs", pol)
 		}
 		if n := vm.Machine.CoresOf(isa.PPE)[0].Stats.Instrs; n != 0 {
@@ -121,4 +121,13 @@ func TestCompilersFollowTopology(t *testing.T) {
 			t.Errorf("three-kind machine lacks a %v compiler", k)
 		}
 	}
+}
+
+// instrsOf returns the instructions retired on the VM's cores of kind.
+func instrsOf(v *VM, kind isa.CoreKind) uint64 {
+	var n uint64
+	for _, c := range v.Machine.CoresOf(kind) {
+		n += c.Stats.Instrs
+	}
+	return n
 }

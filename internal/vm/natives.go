@@ -78,9 +78,6 @@ func (c *NativeCtx) ReturnL(v int64) { c.retVal = uint64(v) }
 // ReturnD sets a double return value.
 func (c *NativeCtx) ReturnD(v float64) { c.retVal = f64bits(v) }
 
-// ReturnRef sets a reference return value.
-func (c *NativeCtx) ReturnRef(r Ref) { c.retVal = uint64(r) }
-
 // Charge bills extra cycles to the calling core (for natives whose cost
 // depends on their arguments, e.g. System.arraycopy).
 func (c *NativeCtx) Charge(class isa.OpClass, n uint64) { c.Core.Charge(class, n) }

@@ -179,8 +179,8 @@ func (vm *VM) jobFreezable(j *Job) bool {
 // returns the context's error. ErrJobDone means the job completed
 // first; ErrNotFreezable means the job is entangled with state outside
 // itself and stays put. On success the job is detached from this
-// machine: its threads leave the scheduler, Done stays false, Frozen
-// reports true, and Job.Wait returns ErrFrozen.
+// machine: its threads leave the scheduler, Done stays false and
+// Job.Wait returns ErrFrozen.
 func (vm *VM) Freeze(ctx context.Context, j *Job) (*JobImage, error) {
 	if j == nil {
 		return nil, fmt.Errorf("vm: freeze of nil job")

@@ -223,8 +223,8 @@ func TestFreezeRehydrateMidRun(t *testing.T) {
 			continue // job completed before this freeze point
 		}
 		froze++
-		if !srcJob.Frozen() || srcJob.Done() {
-			t.Fatalf("cycle %d: frozen job state: frozen=%v done=%v", cycle, srcJob.Frozen(), srcJob.Done())
+		if !srcJob.frozen || srcJob.Done() {
+			t.Fatalf("cycle %d: frozen job state: frozen=%v done=%v", cycle, srcJob.frozen, srcJob.Done())
 		}
 		if _, err := srcJob.Wait(); !errors.Is(err, ErrFrozen) {
 			t.Fatalf("cycle %d: Wait on frozen job = %v, want ErrFrozen", cycle, err)
@@ -347,7 +347,7 @@ func TestFreezeCtxCancelAborts(t *testing.T) {
 		default:
 			t.Fatalf("cycle %d: freeze under cancelled ctx: %v", cycle, err)
 		}
-		if j.Frozen() {
+		if j.frozen {
 			t.Fatal("job marked frozen after an aborted freeze")
 		}
 		if _, err := j.Wait(); err != nil {

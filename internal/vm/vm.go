@@ -183,7 +183,7 @@ type VM struct {
 	// dcaches/ccaches hold each local-store core's software caches,
 	// indexed by Core.Index (nil for hardware-cached cores); lsCores
 	// lists the local-store core indices in topology order, the ordinal
-	// AdaptiveResizes and CacheSplit take.
+	// CacheSplit takes.
 	dcaches []*cache.DataCache
 	ccaches []*cache.CodeCache
 	lsCores []int

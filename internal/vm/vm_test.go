@@ -725,7 +725,7 @@ func TestAdaptiveCacheControllerRebalances(t *testing.T) {
 	if th.Trap != nil {
 		t.Fatal(th.Trap)
 	}
-	if vmach.AdaptiveResizes(0) == 0 {
+	if vmach.adapt[vmach.lsCores[0]].resizes == 0 {
 		t.Fatal("controller never resized")
 	}
 	dataKB, codeKB := vmach.CacheSplit(0)

@@ -21,11 +21,14 @@
 // against the Go references. The data-parallel kernel workloads
 // (kernels.go) are Specs of the same type, built around a hera/Kernel
 // body instead of worker threads.
+//
+// A builder runs once per process for each distinct entry point, worker
+// count and scale, into a template that Build and BuildMix copy.
 package workloads
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 
 	"herajvm/internal/classfile"
 	"herajvm/internal/vm"
@@ -57,23 +60,74 @@ type Spec struct {
 }
 
 // Build constructs the program for the given worker count and scale: a
-// fresh stdlib-equipped program holding one copy of the workload.
+// fresh copy of the library and of the workload's template.
 func (s Spec) Build(threads, scale int) (*classfile.Program, error) {
-	p := stdlibProgram()
-	if err := s.buildInto(p, "", threads, scale); err != nil {
+	p := library().Copy()
+	if err := s.stampInto(p, "", threads, scale); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// buildInto adds one copy of the workload's classes to p, every class
-// name prefixed by prefix: "" for Build, mix entry i's JobPrefix in BuildMix.
+// stampInto adds to p, a copy of the library, a copy of the workload's
+// template classes, every class name prefixed by prefix: "" for Build,
+// mix entry i's JobPrefix in BuildMix.
+func (s Spec) stampInto(p *classfile.Program, prefix string, threads, scale int) error {
+	classes, err := s.templateOf(threads, scale)
+	if err != nil {
+		return err
+	}
+	p.Stamp(classes, namespace{prefix: prefix}.name)
+	return nil
+}
+
+// buildInto runs the workload's builder, adding one copy of its classes
+// to p under prefix.
 func (s Spec) buildInto(p *classfile.Program, prefix string, threads, scale int) error {
 	if s.build == nil {
 		return fmt.Errorf("workloads: %q has no builder", s.Name)
 	}
 	s.build(namespace{p: p, prefix: prefix, main: s.MainClass, scalar: s.ScalarClass}, threads, scale)
 	return nil
+}
+
+// templates holds, for the life of the process, the workload classes of
+// one built, unresolved program (the library, then those classes under
+// prefix "") per distinct key. Nothing writes to a template after it is
+// published. Publishing one past maxTemplates drops the map whole, as
+// the JIT's body table does (`herabench -fig all` publishes 33).
+var templates struct {
+	sync.Mutex
+	classes map[templateKey][]*classfile.Class
+}
+
+const maxTemplates = 64
+
+// templateKey is every Spec field a builder reads, and its arguments.
+type templateKey struct {
+	name, main, scalar string
+	threads, scale     int
+}
+
+// templateOf returns s's template classes for threads and scale, running
+// the builder the first time the process asks.
+func (s Spec) templateOf(threads, scale int) ([]*classfile.Class, error) {
+	k := templateKey{s.Name, s.MainClass, s.ScalarClass, threads, scale}
+	templates.Lock()
+	defer templates.Unlock()
+	if classes, ok := templates.classes[k]; ok {
+		return classes, nil
+	}
+	p := stdlibProgram()
+	n := len(p.Classes())
+	if err := s.buildInto(p, "", threads, scale); err != nil {
+		return nil, err
+	}
+	if templates.classes == nil || len(templates.classes) >= maxTemplates {
+		templates.classes = make(map[templateKey][]*classfile.Class)
+	}
+	templates.classes[k] = p.Classes()[n:]
+	return templates.classes[k], nil
 }
 
 // All returns the three paper workloads in the paper's order.
@@ -94,12 +148,15 @@ func ByName(name string) (Spec, error) {
 }
 
 // stdlibProgram returns a fresh program with the built-in library
-// installed — the base every workload build starts from.
+// installed — the base every template starts from.
 func stdlibProgram() *classfile.Program {
 	p := classfile.NewProgram()
 	vm.Stdlib(p)
 	return p
 }
+
+// library is the template every Build and BuildMix program starts from.
+var library = sync.OnceValue(stdlibProgram)
 
 // namespace is one copy of a workload in a program. Builders create
 // classes only through class, and name is the one place the job-copy
@@ -114,14 +171,6 @@ type namespace struct {
 
 // name is the copy's name for class.
 func (ns namespace) name(class string) string { return ns.prefix + class }
-
-// stamp declares the copy's classes from classes, the classes a builder
-// declared under prefix from for the same workload, worker count and
-// scale: the copy running the builder again would give, with the
-// bodies shared.
-func (ns namespace) stamp(classes []*classfile.Class, from string) {
-	ns.p.Stamp(classes, func(name string) string { return ns.name(strings.TrimPrefix(name, from)) })
-}
 
 // class declares the copy's class name.
 func (ns namespace) class(name string, super *classfile.Class) *classfile.Class {

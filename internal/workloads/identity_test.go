@@ -67,7 +67,12 @@ func writeSorted[V any](w io.Writer, m map[string]V) {
 
 // TestProgramIdentity: every workload builds, alone and as a two-copy
 // job mix, exactly the program it built when the hashes were taken.
-func TestProgramIdentity(t *testing.T) {
+func TestProgramIdentity(t *testing.T) { checkIdentity(t) }
+
+// checkIdentity holds Build(2, 1) and the two-entry BuildMix of every
+// workload to programIdentity.
+func checkIdentity(t *testing.T) {
+	t.Helper()
 	for name, want := range programIdentity {
 		s, err := ByName(name)
 		if err != nil {

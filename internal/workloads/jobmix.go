@@ -31,33 +31,18 @@ func (e MixEntry) MainClassOf(i int) string {
 // without sharing mutable statics. Entry i's entry point is
 // JobPrefix(i)+MainClass.
 //
-// A builder runs once per distinct workload, worker count and scale:
-// a later entry equal in those is stamped from the first one's classes
-// (classfile.Program.Stamp), so its methods share their bytecode and
-// differ only in the pools that name the entry's own classes. The
-// program is the one running every entry's builder would give.
+// Each entry is stamped from the process's template for its workload,
+// entry point, worker count and scale (classfile.Program.Stamp), so
+// its methods share their bytecode with every other copy of that
+// template and differ only in the pools that name the entry's own
+// classes. The program is the one running every entry's builder would
+// give.
 func BuildMix(entries []MixEntry) (*classfile.Program, error) {
-	type key struct {
-		name           string
-		threads, scale int
-	}
-	type built struct {
-		classes []*classfile.Class
-		prefix  string
-	}
-	p := stdlibProgram()
-	first := make(map[key]built)
+	p := library().Copy()
 	for i, e := range entries {
-		k := key{e.Spec.Name, e.Threads, e.Scale}
-		if b, ok := first[k]; ok {
-			namespace{p: p, prefix: JobPrefix(i)}.stamp(b.classes, b.prefix)
-			continue
-		}
-		n := len(p.Classes())
-		if err := e.Spec.buildInto(p, JobPrefix(i), e.Threads, e.Scale); err != nil {
+		if err := e.Spec.stampInto(p, JobPrefix(i), e.Threads, e.Scale); err != nil {
 			return nil, fmt.Errorf("workloads: mix entry %d (%s): %w", i, e.Spec.Name, err)
 		}
-		first[k] = built{p.Classes()[n:], JobPrefix(i)}
 	}
 	return p, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // buildEach is BuildMix as it was before entries shared bodies: every
-// entry's builder runs.
+// entry's builder runs, on a fresh library.
 func buildEach(t *testing.T, entries []MixEntry) *classfile.Program {
 	t.Helper()
 	p := stdlibProgram()
@@ -24,8 +24,9 @@ func buildEach(t *testing.T, entries []MixEntry) *classfile.Program {
 // and kernel workloads, at the same and at other worker counts and
 // scales — is the program running every entry's builder gives, listing
 // and resolved IDs and slots alike; an entry equal to an earlier one in
-// workload, threads and scale shares that entry's bytecode and has
-// pools of its own, naming its own classes.
+// workload, threads and scale is stamped from the same template, so it
+// shares that entry's bytecode and has pools of its own, naming its own
+// classes.
 func TestBuildMixStampsRepeatedEntries(t *testing.T) {
 	spec := func(name string) Spec {
 		s, err := ByName(name)
@@ -37,12 +38,12 @@ func TestBuildMixStampsRepeatedEntries(t *testing.T) {
 	compress, mpeg, matmul := spec("compress"), spec("mpegaudio"), spec("matmul")
 	entries := []MixEntry{
 		{compress, 2, 1}, {mpeg, 2, 1}, {matmul, 2, 1},
-		{compress, 2, 1}, // stamped from entry 0
-		{compress, 3, 1}, // other threads: built
-		{mpeg, 2, 2},     // other scale: built
-		{matmul, 2, 1},   // stamped from entry 2
-		{mpeg, 2, 1},     // stamped from entry 1
-		{compress, 3, 1}, // stamped from entry 4
+		{compress, 2, 1}, // entry 0's template
+		{compress, 3, 1}, // other threads: another template
+		{mpeg, 2, 2},     // other scale: another template
+		{matmul, 2, 1},   // entry 2's template
+		{mpeg, 2, 1},     // entry 1's template
+		{compress, 3, 1}, // entry 4's template
 	}
 	stampedFrom := map[int]int{3: 0, 6: 2, 7: 1, 8: 4}
 
