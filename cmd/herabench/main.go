@@ -2,10 +2,17 @@
 // (Figures 4(a), 4(b), 5, 6, 7), the repo's ablations (A1-A4) and the
 // reproduction's own sweeps as text tables. Every figure is one entry
 // of experiments.Figures(); after printing a figure's table herabench
-// runs its Check (every row valid / identical / matching, plus the
-// opt-in -minspeedup floor) and exits 1 if it fails. Every number it
-// prints is simulated, so any invocation replays byte for byte; host
-// time is measured by the repository benchmark (benchmark/README.md).
+// runs its Check (every row valid / identical / matching, and on the
+// figure's own defaults its claims, such as the kernels figure's 2x
+// matmul floor and serve's shedding at overload) and exits 1 if it
+// fails. Every number it prints is simulated, so any invocation replays
+// byte for byte; host time is measured by the repository benchmark
+// (benchmark/README.md).
+//
+// The serve and cluster figures are the simulator's serving front end:
+// -jobs, -cadence, -trace, -seed, -deadline, -maxpending and -workloads
+// script the arrivals, -topology sets the serve machine and -shards,
+// -stride and -handoff the cluster.
 //
 // Examples:
 //
@@ -14,7 +21,8 @@
 //	herabench -fig a3 -v      # ablation A3 with progress logging
 //	herabench -fig topo -topology "ppe:1,spe:6;ppe:1,spe:4,vpu:2"
 //	herabench -fig serve -trace bursty -jobs 40 -cadence 250000     # heavier churn
-//	herabench -fig kernels -minspeedup 2.0              # the replay gates' offload floor
+//	herabench -fig serve -workloads compress -topology ppe:1,spe:6  # one workload on the PS3 shape
+//	herabench -fig cluster -shards "ppe:1,spe:4,vpu:2;ppe:1,spe:6" -jobs 16
 //	herabench -fig cluster -handoff -timeout 10m -cpuprofile cpu.pprof
 //
 // README.md walks through every figure id and flag.
@@ -30,16 +38,18 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/experiments"
+	"herajvm/internal/workloads"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its process edges passed in, so tests can drive the
-// command: exit status 2 is a usage error, 1 a failed figure or gate.
+// command: exit status 2 is a usage error, 1 a failed figure or Check.
 func run(args []string, stdout, stderr io.Writer) int {
 	figures := experiments.Figures()
 	ids := make([]string, len(figures))
@@ -53,15 +63,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		full  = fs.Bool("full", false, "paper-shaped workload sizes (slower)")
 		topos = fs.String("topology", "",
 			`semicolon-separated machine shapes for the topo/kernels sweeps (the first one for serve), e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2"`)
-		jsonPath   = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
-		minSpeedup = fs.Float64("minspeedup", 0, "kernels: minimum matmul kernel-vs-scalar cycle speedup of the plan on every topology (lowest default shape: ppe:1,vpu:2 at 2.68x); exit 1 below it (0 = no floor)")
-		timeout    = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
-		cpuprof    = fs.String("cpuprofile", "", "write a CPU profile of the figure runs to this path")
-		memprof    = fs.String("memprofile", "", "write a heap profile (taken after the figure runs) to this path")
-		verb       = fs.Bool("v", false, "log per-run progress to stderr")
+		jsonPath = fs.String("json", "", "write the selected figure's result as JSON (the BENCH_*.json shape) to this path; needs a single -fig")
+		timeout  = fs.Duration("timeout", 0, "fail any figure still running after this long instead of hanging (0 = no limit)")
+		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the figure runs to this path")
+		memprof  = fs.String("memprofile", "", "write a heap profile (taken after the figure runs) to this path")
+		verb     = fs.Bool("v", false, "log per-run progress to stderr")
 	)
 	var opt experiments.Options
-	experiments.BindServeFlags(fs, &opt)
+	bindServeFlags(fs, &opt)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -81,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verb {
 		opt.Progress = stderr
 	}
-	opt.MinSpeedup = *minSpeedup
 	if *topos != "" {
 		list, err := cell.ParseTopologyList(*topos)
 		if err != nil {
@@ -106,19 +114,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonPath != "" && len(selected) > 1 {
 		return usage("-json writes one figure's result; select one with -fig")
 	}
-	// A gate flag must reach a figure whose Check reads it: silently
-	// ignoring one would report a gate as passed that never ran.
-	gates := map[string]bool{"minspeedup": *minSpeedup > 0, "handoff": opt.Handoff}
-	for _, name := range []string{"minspeedup", "handoff"} {
-		used := false
-		for _, f := range selected {
-			for _, g := range f.Gates {
-				used = used || g.Flag == name
-			}
-		}
-		if gates[name] && !used {
-			return usage("-%s applies to none of the selected figures", name)
-		}
+	// -handoff switches the cluster figure to its hand-off arm and its
+	// Check to the hand-off claims: ignoring it would report them held
+	// where they never ran.
+	if opt.Handoff && !slices.ContainsFunc(selected, func(f experiments.Figure) bool { return f.ID == "cluster" }) {
+		return usage("-handoff applies only to -fig cluster")
 	}
 
 	if *timeout > 0 {
@@ -174,12 +174,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-			for _, g := range f.Gates {
-				if gates[g.Flag] {
-					fmt.Fprintf(stdout, "%s gate: ok\n", g.Name)
-				}
-			}
 		}
 	}
 	return 0
+}
+
+// bindServeFlags registers the serve and cluster figures' flags on fs,
+// filling o as they parse. A zero value defers to each figure's default
+// and an empty list to its default mix or fleet; a list naming an
+// unknown workload or a malformed shape fails the parse.
+func bindServeFlags(fs *flag.FlagSet, o *experiments.Options) {
+	fs.IntVar(&o.ServeJobs, "jobs", 0, "serve: number of jobs the arrival trace emits (0 = default)")
+	fs.Uint64Var(&o.ServeCadence, "cadence", 0, "serve: mean inter-arrival gap in cycles (0 = default)")
+	fs.StringVar(&o.ServeTrace, "trace", "", "serve: arrival trace, one of "+strings.Join(experiments.Traces(), "|")+" (default poisson)")
+	fs.Uint64Var(&o.ServeSeed, "seed", 0, "serve: arrival-trace PRNG seed (0 = default)")
+	fs.Uint64Var(&o.ServeDeadline, "deadline", 0, "serve: per-job completion deadline in cycles relative to admission (0 = default)")
+	fs.IntVar(&o.ServeMaxPending, "maxpending", 0, "serve: admission queue-depth backstop for shedding runs (0 = default)")
+	// Kernel workloads (matmul, nbody, kmeans) are accepted and enter
+	// the mix as forRange launches.
+	fs.Func("workloads", `serve/cluster: comma-separated job-mix workloads, e.g. "compress,matmul,kmeans" ("" = the paper mix)`,
+		func(s string) error {
+			o.ServeWorkloads = nil
+			if s == "" {
+				return nil
+			}
+			for _, name := range strings.Split(s, ",") {
+				if _, err := workloads.ByName(name); err != nil {
+					return err
+				}
+				o.ServeWorkloads = append(o.ServeWorkloads, name)
+			}
+			return nil
+		})
+	fs.Func("shards", `cluster: semicolon-separated per-shard machine shapes, e.g. "ppe:1,spe:6;ppe:1,spe:4,vpu:2" ("" = four default serve shards)`,
+		func(s string) (err error) {
+			o.ShardTopos = nil
+			if s != "" {
+				o.ShardTopos, err = cell.ParseTopologyList(s)
+			}
+			return err
+		})
+	fs.Uint64Var(&o.EpochStride, "stride", 0, "cluster: epoch-barrier stride in cycles (0 = default)")
+	fs.BoolVar(&o.Handoff, "handoff", false,
+		"cluster: run the inter-shard hand-off arm (imbalanced fleet, hand-off off vs on, replay check)")
 }

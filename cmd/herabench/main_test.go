@@ -21,8 +21,9 @@ func herabench(args ...string) (status int, stdout, stderr string) {
 }
 
 // TestUsageErrors: every misuse exits 2 with a message before any
-// figure runs — an unknown figure, -json with more than one figure
-// selected, and a gate flag no selected figure consumes.
+// figure runs — an unknown figure or flag, -json with more than one
+// figure selected, -handoff without the cluster figure, and a serve
+// list naming an unknown workload or a malformed shape.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -30,15 +31,33 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-fig", "nope"}, `unknown figure "nope"`},
 		{[]string{"-fig", "all", "-json", filepath.Join(t.TempDir(), "x.json")}, "-json"},
-		{[]string{"-fig", "4a", "-minspeedup", "2"}, "-minspeedup"},
-		{[]string{"-fig", "cluster", "-minspeedup", "2"}, "-minspeedup"},
+		{[]string{"-fig", "kernels", "-minspeedup", "2"}, "flag provided but not defined: -minspeedup"},
+		{[]string{"-fig", "4a", "-minspeedup", "2"}, "flag provided but not defined: -minspeedup"},
 		{[]string{"-fig", "serve", "-handoff"}, "-handoff"},
 		{[]string{"-fig", "cluster", "-shards", "qpu:1"}, "-shards"},
+		{[]string{"-fig", "serve", "-workloads", "nosuch"}, `flag -workloads: workloads: unknown workload "nosuch"`},
 	} {
 		status, stdout, stderr := herabench(tc.args...)
 		if status != 2 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("herabench %v: status %d, stdout %q, stderr %q; want status 2 naming %s",
 				tc.args, status, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// TestEmptyListsMeanDefaults: an empty -workloads is the paper mix and
+// an empty -shards the default fleet, as their help says, so each run
+// prints what leaving the flag out prints (at the parent commit the
+// first failed its figure and the second its parse).
+func TestEmptyListsMeanDefaults(t *testing.T) {
+	for _, tc := range [][]string{
+		{"-fig", "serve", "-jobs", "3", "-workloads", ""},
+		{"-fig", "cluster", "-jobs", "2", "-shards", ""},
+	} {
+		status, stdout, stderr := herabench(tc...)
+		_, want, _ := herabench(tc[:4]...)
+		if status != 0 || stdout != want {
+			t.Errorf("herabench %q: status %d, stderr %q, stdout\n%s\nwant\n%s", tc, status, stderr, stdout, want)
 		}
 	}
 }

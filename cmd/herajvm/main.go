@@ -1,38 +1,21 @@
 // Command herajvm runs one of the paper's workloads on a configured
 // simulated Cell machine and prints the run's statistics: how the
 // runtime placed threads, what the software caches did, and where the
-// cycles went.
+// cycles went. It reaches the simulator through the public hera package
+// alone.
 //
 // Examples:
 //
-//	herajvm -workload mandelbrot -spes 6
-//	herajvm -workload compress -spes 1 -scale 2
-//	herajvm -workload mpegaudio -spes 0              # PPE only
-//	herajvm -workload compress -policy monitor       # runtime-monitoring placement
+//	herajvm -workload mandelbrot                             # the PS3 shape, ppe:1,spe:6
+//	herajvm -workload compress -topology ppe:1,spe:1 -scale 2
+//	herajvm -workload mpegaudio -topology ppe:1              # PPE only
+//	herajvm -workload compress -policy monitor               # runtime-monitoring placement
 //	herajvm -workload mandelbrot -topology ppe:2,spe:2       # asymmetric machine
 //	herajvm -workload mandelbrot -topology ppe:1,spe:4,vpu:2 # three core kinds
 //	herajvm -workload matmul -topology ppe:1,spe:4,vpu:2     # Parallel.forRange kernel launch
 //
-// With -jobs or -trace set, herajvm serves the workload open-loop
-// instead of running it once: jobs arrive on a seeded trace, each
-// carrying a deadline, and the report shows admission verdicts, shed
-// counts and latency percentiles. The -jobs/-cadence/-trace/-seed/
-// -deadline/-maxpending flags are shared with herabench and behave
-// identically:
-//
-//	herajvm -workload compress -trace poisson -jobs 12
-//	herajvm -workload mandelbrot -trace bursty -jobs 8 -seed 7
-//
-// With -shards set, the trace is served by a cluster instead of one
-// machine: each shard is a full System (its own topology and
-// admission pipeline) and a dispatcher routes every arrival to the
-// shard predicting the earliest completion, shedding only when no
-// shard can meet the deadline:
-//
-//	herajvm -workload compress -shards "ppe:1,spe:4,vpu:2;ppe:1,spe:6" -jobs 16
-//
-// A flag the selected mode does not read is a usage error, not a
-// silently ignored one.
+// Serving a trace of jobs, on one machine or on a cluster of them, is
+// herabench's: -fig serve and -fig cluster.
 package main
 
 import (
@@ -41,26 +24,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	hera "herajvm"
-	"herajvm/internal/experiments"
 )
-
-// modeFlags lists, per mode, the flags its code path reads. The
-// one-shot run configures one machine; serve mode plays a trace through
-// one System sized by experiments' serve defaults, cluster mode through
-// the -shards fleet — neither reads the one-shot machine knobs, and
-// only a cluster has an epoch stride or hand-off.
-var modeFlags = map[string][]string{
-	"one-shot": {"workload", "spes", "topology", "threads", "scale", "policy",
-		"datacache", "codecache", "clockhz", "report"},
-	"serve": {"workload", "spes", "topology",
-		"jobs", "cadence", "trace", "seed", "deadline", "maxpending", "workloads"},
-	"cluster": {"workload",
-		"jobs", "cadence", "trace", "seed", "deadline", "workloads", "shards", "stride", "handoff"},
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -72,8 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		workload = fs.String("workload", "mandelbrot",
 			"compress | mpegaudio | mandelbrot, or a kernel workload: matmul | nbody | kmeans")
-		spes     = fs.Int("spes", 6, "number of SPE cores beside one PPE (0 = run everything on the PPE)")
-		topology = fs.String("topology", "", `machine topology, e.g. "ppe:1,spe:6" (overrides -spes)`)
+		topology = fs.String("topology", hera.PS3Topology(6).String(), `machine topology, e.g. "ppe:1,spe:4,vpu:2" ("ppe:1" runs everything on the PPE)`)
 		threads  = fs.Int("threads", 0, "worker threads (default: one per worker core)")
 		scale    = fs.Int("scale", 0, "workload scale (default: workload-specific)")
 		policy   = fs.String("policy", "annotation", "annotation | monitor | <kind> (ppe, spe, vpu: pin all threads to that kind)")
@@ -82,8 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clockHz  = fs.Float64("clockhz", 3.2e9, "core clock rate in Hz for cycle-to-time conversion")
 		report   = fs.Bool("report", true, "print the machine report")
 	)
-	opt := experiments.Quick()
-	experiments.BindServeFlags(fs, &opt)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -94,22 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return status
 	}
-	mode := "one-shot"
-	switch {
-	case len(opt.ShardTopos) > 0:
-		mode = "cluster"
-	case opt.ServeJobs > 0 || opt.ServeTrace != "":
-		mode = "serve"
-	}
 	var usage error
 	fs.Visit(func(f *flag.Flag) {
-		if usage != nil {
-			return
-		}
-		if !slices.Contains(modeFlags[mode], f.Name) {
-			usage = fmt.Errorf("herajvm: -%s reaches nothing in %s mode, which reads only -%s",
-				f.Name, mode, strings.Join(modeFlags[mode], " -"))
-		}
 		// 0 means "use the default" only when left unset: an explicit
 		// non-positive count would reach the guest as a negative array size.
 		if (f.Name == "threads" && *threads <= 0) || (f.Name == "scale" && *scale <= 0) {
@@ -127,37 +76,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *scale == 0 {
 		*scale = spec.DefaultScale
 	}
-
-	topo := hera.PS3Topology(*spes)
-	if *topology != "" {
-		topo, err = hera.ParseTopology(*topology)
-		if err != nil {
-			return fail(2, err)
-		}
+	topo, err := hera.ParseTopology(*topology)
+	if err != nil {
+		return fail(2, err)
 	}
 	if *threads == 0 {
 		*threads = topo.DefaultWorkers()
-	}
-
-	// Serve mode: play an open-loop arrival trace of this workload
-	// through the admission pipeline instead of one one-shot run. With
-	// -shards the trace is dispatched across a cluster of Systems.
-	if mode != "one-shot" {
-		opt.Topologies = []hera.Topology{topo}
-		if len(opt.ServeWorkloads) == 0 {
-			opt.ServeWorkloads = []string{*workload}
-		}
-		var sweep experiments.Result
-		if mode == "cluster" {
-			sweep, err = experiments.RunCluster(opt)
-		} else {
-			sweep, err = experiments.RunServe(opt)
-		}
-		if err != nil {
-			return fail(1, err)
-		}
-		fmt.Fprint(stdout, sweep.Table())
-		return 0
 	}
 
 	cfg := hera.DefaultConfig()

@@ -74,9 +74,6 @@ func (c *HWCache) Access(addr uint32) bool {
 // HitCycles returns the configured hit latency.
 func (c *HWCache) HitCycles() uint32 { return c.cfg.HitCycles }
 
-// LineBytes returns the cache line size.
-func (c *HWCache) LineBytes() uint32 { return c.cfg.LineBytes }
-
 // HitRate returns hits/(hits+misses), or 1 with no accesses.
 func (c *HWCache) HitRate() float64 {
 	if c.Hits+c.Misses == 0 {

@@ -7,9 +7,10 @@ import (
 
 // Result is what every figure returns: something that renders itself.
 // Results with invariants also implement Check(Options) error — every
-// row valid, identical or matching, plus the opt-in floor Options
-// carries — which herabench runs after printing the table; the JSON
-// artifact is json.Marshal of the result itself.
+// row valid, identical or matching, and the figure's claims where the
+// Options leave it its own defaults — which herabench runs after
+// printing the table; the JSON artifact is json.Marshal of the result
+// itself.
 type Result interface{ Table() string }
 
 // Checker is a Result with invariants to assert.
@@ -20,18 +21,10 @@ type Checker interface{ Check(Options) error }
 type Figure struct {
 	ID, Doc string
 	Run     func(Options) (Result, error)
-	// Gates lists the opt-in gates of the figure's Check.
-	Gates []Gate
 }
 
-// Gate is one opt-in gate of a figure's Check: the herabench flag that
-// switches it on and the name its "<name> gate: ok" line carries.
-// herabench rejects a gate flag no selected figure lists.
-type Gate struct{ Flag, Name string }
-
-func figure[T Result](id, doc string, run func(Options) (T, error), gates ...Gate) Figure {
-	return Figure{ID: id, Doc: doc, Gates: gates,
-		Run: func(o Options) (Result, error) { return run(o) }}
+func figure[T Result](id, doc string, run func(Options) (T, error)) Figure {
+	return Figure{ID: id, Doc: doc, Run: func(o Options) (Result, error) { return run(o) }}
 }
 
 // Figures returns the registry in presentation order: the paper's
@@ -49,10 +42,8 @@ func Figures() []Figure {
 		figure("a4", "A4: cost of the JMM coherence protocol", RunA4),
 		figure("topo", "machine-topology sweep (-topology overrides the shapes)", RunTopologySweep),
 		figure("serve", "open-loop serving: trace-driven jobs, shedding off vs on", RunServe),
-		figure("cluster", "sharded serving: serial vs parallel advancement, hand-off arm", RunCluster,
-			Gate{"handoff", "cluster hand-off"}),
-		figure("kernels", "data-parallel offload: scalar vs Parallel.forRange", RunKernels,
-			Gate{"minspeedup", "kernel offload"}),
+		figure("cluster", "sharded serving: serial vs parallel advancement, hand-off arm", RunCluster),
+		figure("kernels", "data-parallel offload: scalar vs Parallel.forRange", RunKernels),
 	}
 }
 

@@ -215,7 +215,17 @@ func TestCheckFailureArms(t *testing.T) {
 		edit(rows)
 		return &Fig4b{MaxSPEs: n, Rows: rows}
 	}
-	floor := Options{MinSpeedup: 2}
+	// serve is the default overload sweep, shedding off then on, after
+	// edit.
+	serve := func(edit func(s *ServeSweep, off, on *ServeRun)) *ServeSweep {
+		s := &ServeSweep{Topology: DefaultServeTopology().String(), Script: serveDefaults, MaxPending: defaultServeMaxPending,
+			Runs: []ServeRun{{SLO: SLO{Completed: 15, Met: 5, Goodput: 170, AllValid: true}},
+				{Shedding: true, SLO: SLO{Completed: 6, Shed: 9, Met: 4, Goodput: 246, AllValid: true}}}}
+		s.Seed = defaultServeSeed
+		edit(s, &s.Runs[0], &s.Runs[1])
+		return s
+	}
+	var floor Options // the figures' own defaults: every claim held
 	for _, tc := range []struct {
 		arm  string
 		res  Checker
@@ -237,18 +247,34 @@ func TestCheckFailureArms(t *testing.T) {
 		{"kernels below floor", kernels(func(r *KernelsRow) { r.Speedup = 1.5 }), floor, "matmul on ppe:1,spe:4,vpu:2: speedup 1.50x"},
 		{"split no better than its best sub-machine", kernels(func(r *KernelsRow) { r.Pool, r.VsBest = "spe", 1 }), floor,
 			"matmul on ppe:1,spe:4,vpu:2: the spe plan takes 1.000x the cycles of the best sub-machine (at most 0.80x)"},
-		{"nbody split held too", kernels(func(r *KernelsRow) { r.Workload, r.VsBest = "nbody", 0.9 }), Options{},
+		{"nbody split held too", kernels(func(r *KernelsRow) { r.Workload, r.VsBest = "nbody", 0.9 }), floor,
 			"nbody on ppe:1,spe:4,vpu:2: the ppe+spe+vpu plan takes 0.900x"},
-		{"kmeans split not held", kernels(func(r *KernelsRow) { r.Workload, r.VsBest = "kmeans", 0.9 }), Options{}, ""},
+		{"kmeans split not held", func() *KernelsSweep {
+			s := kernels(func(*KernelsRow) {})
+			k := s.Rows[0]
+			k.Workload, k.VsBest = "kmeans", 0.9
+			s.Rows = append(s.Rows, k)
+			return s
+		}(), floor, ""},
+		{"kernels just at the floor", kernels(func(r *KernelsRow) { r.Speedup = 2 }), floor, ""},
+		{"floor held on a two-kind shape", kernels(func(r *KernelsRow) {
+			r.Topology, r.Pool, r.Staged, r.VsBest, r.Speedup = "ppe:1,vpu:2", "ppe+vpu", "vpu", 0.9, 1.99
+		}),
+			floor, "matmul on ppe:1,vpu:2: speedup 1.99x below the 2.00x floor"},
 		{"split not held off the figure's shapes", kernels(func(r *KernelsRow) { r.VsBest = 1 }),
-			Options{MinSpeedup: 2, Topologies: []cell.Topology{cell.PS3Topology(6)}}, ""},
+			Options{Topologies: []cell.Topology{cell.PS3Topology(6)}}, ""},
 		{"split not held below the default size", kernels(func(r *KernelsRow) { r.VsBest = 1 }),
-			Options{MinSpeedup: 2, ScaleOverride: map[string]int{"matmul": 1}}, ""},
+			Options{ScaleOverride: map[string]int{"matmul": 1}}, ""},
+		{"floor not held off the figure's shapes", kernels(func(r *KernelsRow) { r.Speedup = 1.5 }),
+			Options{Topologies: []cell.Topology{cell.PS3Topology(6)}}, ""},
+		{"floor not held below the default size", kernels(func(r *KernelsRow) { r.Speedup = 1.5 }),
+			Options{ScaleOverride: map[string]int{"matmul": 1}}, ""},
 		{"plan behind its best sub-machine", kernels(func(r *KernelsRow) { r.Topology, r.Pool, r.VsBest = "ppe:1,spe:6", "ppe+spe", 1.62 }), floor,
 			"matmul on ppe:1,spe:6: the ppe+spe plan takes 1.620x the cycles of the best sub-machine (at most 1.02x)"},
 		{"plan within slack", kernels(func(r *KernelsRow) { r.Topology, r.Pool, r.VsBest = "ppe:1,spe:6", "ppe+spe", 1.02 }), floor, ""},
 		{"floor never applied", kernels(func(r *KernelsRow) { r.Workload = "nbody" }), floor, "no matmul row ran"},
-		{"no floor, no matmul", kernels(func(r *KernelsRow) { r.Workload = "nbody" }), Options{}, ""},
+		{"no floor off the figure's shapes, no matmul", kernels(func(r *KernelsRow) { r.Workload = "nbody" }),
+			Options{Topologies: []cell.Topology{cell.PS3Topology(6)}}, ""},
 
 		{"clean figure 6", fig6(func(map[string]*CacheSweepRow) {}), Options{}, ""},
 		{"figure 6 without mpegaudio", fig6(func(rows map[string]*CacheSweepRow) { delete(rows, "mpegaudio") }), Options{}, ""},
@@ -296,7 +322,18 @@ func TestCheckFailureArms(t *testing.T) {
 		{"invalid coherent A4 arm", &A4{Rows: []A4Row{{Workload: "compress", UnsoundValid: true}}},
 			Options{}, "ablation A4 gate:\n  compress: checksum mismatch"},
 		{"invalid serve pass", &ServeSweep{Runs: []ServeRun{{Shedding: true}}},
-			Options{}, "shedding true"},
+			Options{}, "shedding true: a completed job's checksum diverged"},
+		{"clean serve overload", serve(func(_ *ServeSweep, _, _ *ServeRun) {}), Quick(), ""},
+		{"serve shed nothing", serve(func(_ *ServeSweep, _, on *ServeRun) { on.Shed, on.Completed = 0, 15 }), Quick(),
+			"shedding true: shed nothing at the default overload"},
+		{"serve shedding lost goodput", serve(func(_ *ServeSweep, off, _ *ServeRun) { off.Goodput = 250 }), Quick(),
+			"shedding true: goodput 246.00/s below the 250.00/s"},
+		{"serve shedding broke even", serve(func(_ *ServeSweep, off, _ *ServeRun) { off.Goodput = 246 }), Quick(), ""},
+		{"serve claim not held off its mix", serve(func(_ *ServeSweep, _, on *ServeRun) { on.Shed = 0 }),
+			func() Options { o := Quick(); o.ServeWorkloads = []string{"compress"}; return o }(), ""},
+		{"serve claim not held at other sizes", serve(func(_ *ServeSweep, _, on *ServeRun) { on.Shed = 0 }), Full(), ""},
+		{"serve claim not held off its script", serve(func(s *ServeSweep, _, on *ServeRun) { s.Cadence, on.Shed = 500_000, 0 }), Quick(), ""},
+		{"serve claim not held off its machine", serve(func(s *ServeSweep, _, on *ServeRun) { s.Topology, on.Shed = "ppe:1,spe:6", 0 }), Quick(), ""},
 	} {
 		err := tc.res.Check(tc.opt)
 		switch {

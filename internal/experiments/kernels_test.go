@@ -24,9 +24,9 @@ func kernelsQuickOpt() Options {
 // shapes and their three further sub-machines — stage tiles on every
 // local-store pool it ran on, divide by the one scalar run per kernel
 // (every default shape's PPE groups are ppe:1), and pass its
-// own gate at the CI floor: every shape within 1.02x of its best
-// sub-machine, and matmul and nbody on the three-kind shapes within
-// 0.80x.
+// own Check: matmul at least 2x its scalar twin on every shape, every
+// shape within 1.02x of its best sub-machine, and matmul and nbody on
+// the three-kind shapes within 0.80x.
 func TestRunKernelsDifferentialAndGate(t *testing.T) {
 	s, err := RunKernels(Options{})
 	if err != nil {
@@ -51,11 +51,8 @@ func TestRunKernelsDifferentialAndGate(t *testing.T) {
 				r.Workload, r.Topology, r.ScalarCycles, first.ScalarCycles)
 		}
 	}
-	if err := s.Check(Options{MinSpeedup: 2.0}); err != nil {
-		t.Errorf("gate failed at the 2.0x floor: %v", err)
-	}
-	if err := s.Check(Options{MinSpeedup: 1e9}); err == nil {
-		t.Error("gate passed an impossible floor")
+	if err := s.Check(Options{}); err != nil {
+		t.Errorf("gate failed at the figure's own sizes: %v", err)
 	}
 }
 

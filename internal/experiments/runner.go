@@ -76,10 +76,6 @@ type Options struct {
 	// context's error instead of hanging CI. herabench wires -timeout
 	// to it.
 	Ctx context.Context
-	// MinSpeedup is the opt-in floor the kernels figure's Check holds the
-	// matmul kernel-vs-scalar cycle ratio of every topology's plan to
-	// (0 = no floor; herabench -minspeedup).
-	MinSpeedup float64
 	// Progress, when non-nil, receives one line per completed run.
 	Progress io.Writer
 }

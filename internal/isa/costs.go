@@ -22,10 +22,9 @@ type CostTable struct {
 	// correct hint (the baseline compiler hints fall-through); on the PPE
 	// it models a mispredict charged probabilistically by the predictor.
 	BranchTakenExtra uint16
-	// MethodPrologueBytes/MethodPrologueCost model per-method entry
-	// (frame build) code.
+	// MethodPrologueBytes models the size of per-method entry (frame
+	// build) code.
 	MethodPrologueBytes uint16
-	MethodPrologueCost  uint16
 }
 
 func fill16(dst *[NumOps]uint16, v uint16, ops ...Op) {
@@ -87,7 +86,6 @@ func PPECosts() *CostTable {
 	t := &CostTable{
 		BranchTakenExtra:    4, // predictor resolves most; amortised penalty
 		MethodPrologueBytes: 32,
-		MethodPrologueCost:  6,
 	}
 	fill16(&t.OpCost, 3, stackOps...) // load-hit-store stalls in stack-shaped code
 	fill16(&t.OpCost, 1, intALU...)
@@ -150,7 +148,6 @@ func SPECosts() *CostTable {
 	t := &CostTable{
 		BranchTakenExtra:    18, // unhinted taken branch flushes the pipe
 		MethodPrologueBytes: 48,
-		MethodPrologueCost:  8,
 	}
 	fill16(&t.OpCost, 2, stackOps...)
 	fill16(&t.OpCost, 2, intALU...)

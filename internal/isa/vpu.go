@@ -35,7 +35,6 @@ func VPUCosts() *CostTable {
 	t := &CostTable{
 		BranchTakenExtra:    40, // divergence: taken branch drains the wide pipe
 		MethodPrologueBytes: 64,
-		MethodPrologueCost:  12,
 	}
 	fill16(&t.OpCost, 1, stackOps...) // wide register file, no stall
 	fill16(&t.OpCost, 2, intALU...)

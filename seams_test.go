@@ -80,6 +80,18 @@ var seams = []struct {
 	{"internal/experiments reads no host clock",
 		`^\s*(import\s+)?(\w+\s+)?"(time|runtime)"`,
 		[]string{"internal/experiments"}, nil},
+	// One front end per driver: herabench alone parses the figures'
+	// flags, herajvm runs one program through the public package, and a
+	// figure's claims live in its Check with no opt-in switch.
+	{"flags are parsed only under cmd/",
+		`^\s*(import\s+)?(\w+\s+)?"flag"`,
+		[]string{"internal", "hera.go"}, nil},
+	{"herajvm reaches the simulator through the hera package alone",
+		`"herajvm/internal/`,
+		[]string{"cmd/herajvm"}, nil},
+	{"no opt-in figure gate",
+		`MinSpeedup|minspeedup|\bGates?\b|gate: ok`,
+		[]string{"."}, nil},
 	{"no wall-clock column, and no knob to hide one",
 		`NoWall|nowall|Options\.Baseline|WallSecs|HostCPUs`,
 		[]string{"."}, nil},
