@@ -10,9 +10,10 @@
 // (benchmark/README.md).
 //
 // The serve and cluster figures are the simulator's serving front end:
-// -jobs, -cadence, -trace, -seed, -deadline, -maxpending and -workloads
-// script the arrivals, -topology sets the serve machine and -shards,
-// -stride and -handoff the cluster.
+// -jobs, -cadence, -trace, -seed, -deadline and -workloads script the
+// arrivals, -maxpending bounds serve's admission queue, -topology sets
+// the serve machine and -shards, -stride and -handoff the cluster. A
+// figure flag that no selected figure reads is a usage error.
 //
 // Examples:
 //
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *full {
 		sizes = experiments.Full()
 	}
-	opt.Threads, opt.MaxSPEs, opt.ScaleOverride = sizes.Threads, sizes.MaxSPEs, sizes.ScaleOverride
+	opt.ScaleOverride = sizes.ScaleOverride
 	if *verb {
 		opt.Progress = stderr
 	}
@@ -114,11 +115,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonPath != "" && len(selected) > 1 {
 		return usage("-json writes one figure's result; select one with -fig")
 	}
-	// -handoff switches the cluster figure to its hand-off arm and its
-	// Check to the hand-off claims: ignoring it would report them held
-	// where they never ran.
-	if opt.Handoff && !slices.ContainsFunc(selected, func(f experiments.Figure) bool { return f.ID == "cluster" }) {
-		return usage("-handoff applies only to -fig cluster")
+	// A figure flag no selected figure reads would be dropped without a
+	// word: -handoff, say, would report the hand-off claims held where
+	// they never ran.
+	var unread []string
+	fs.Visit(func(fl *flag.Flag) {
+		ids, ok := readers[fl.Name]
+		if ok && !slices.ContainsFunc(selected, func(f experiments.Figure) bool { return slices.Contains(ids, f.ID) }) {
+			unread = append(unread, fmt.Sprintf("-%s applies only to -fig %s", fl.Name, strings.Join(ids, " or ")))
+		}
+	})
+	if len(unread) > 0 {
+		return usage("%s", strings.Join(unread, "; "))
 	}
 
 	if *timeout > 0 {
@@ -179,16 +187,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// readers names the figures that read each figure flag; every other
+// flag applies to any figure. -fig all selects every reader.
+var readers = map[string][]string{
+	"topology": {"topo", "kernels", "serve"},
+
+	"jobs":      {"serve", "cluster"},
+	"cadence":   {"serve", "cluster"},
+	"trace":     {"serve", "cluster"},
+	"seed":      {"serve", "cluster"},
+	"deadline":  {"serve", "cluster"},
+	"workloads": {"serve", "cluster"},
+
+	"maxpending": {"serve"},
+
+	"shards":  {"cluster"},
+	"stride":  {"cluster"},
+	"handoff": {"cluster"},
+}
+
 // bindServeFlags registers the serve and cluster figures' flags on fs,
 // filling o as they parse. A zero value defers to each figure's default
 // and an empty list to its default mix or fleet; a list naming an
 // unknown workload or a malformed shape fails the parse.
 func bindServeFlags(fs *flag.FlagSet, o *experiments.Options) {
-	fs.IntVar(&o.ServeJobs, "jobs", 0, "serve: number of jobs the arrival trace emits (0 = default)")
-	fs.Uint64Var(&o.ServeCadence, "cadence", 0, "serve: mean inter-arrival gap in cycles (0 = default)")
-	fs.StringVar(&o.ServeTrace, "trace", "", "serve: arrival trace, one of "+strings.Join(experiments.Traces(), "|")+" (default poisson)")
-	fs.Uint64Var(&o.ServeSeed, "seed", 0, "serve: arrival-trace PRNG seed (0 = default)")
-	fs.Uint64Var(&o.ServeDeadline, "deadline", 0, "serve: per-job completion deadline in cycles relative to admission (0 = default)")
+	fs.IntVar(&o.ServeJobs, "jobs", 0, "serve/cluster: number of jobs the arrival trace emits (0 = default)")
+	fs.Uint64Var(&o.ServeCadence, "cadence", 0, "serve/cluster: mean inter-arrival gap in cycles (0 = default)")
+	fs.Func("trace", "serve/cluster: arrival trace, one of "+strings.Join(experiments.Traces(), "|")+" (default poisson)",
+		func(s string) error {
+			if s != "" && !slices.Contains(experiments.Traces(), s) {
+				return fmt.Errorf("unknown trace %q", s)
+			}
+			o.ServeTrace = s
+			return nil
+		})
+	fs.Uint64Var(&o.ServeSeed, "seed", 0, "serve/cluster: arrival-trace PRNG seed (0 = default)")
+	fs.Uint64Var(&o.ServeDeadline, "deadline", 0, "serve/cluster: per-job completion deadline in cycles relative to admission (0 = default)")
 	fs.IntVar(&o.ServeMaxPending, "maxpending", 0, "serve: admission queue-depth backstop for shedding runs (0 = default)")
 	// Kernel workloads (matmul, nbody, kmeans) are accepted and enter
 	// the mix as forRange launches.

@@ -22,8 +22,9 @@ func herabench(args ...string) (status int, stdout, stderr string) {
 
 // TestUsageErrors: every misuse exits 2 with a message before any
 // figure runs — an unknown figure or flag, -json with more than one
-// figure selected, -handoff without the cluster figure, and a serve
-// list naming an unknown workload or a malformed shape.
+// figure selected, a figure flag that no selected figure reads, an
+// unknown trace, and a serve list naming an unknown workload or a
+// malformed shape.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -34,6 +35,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-fig", "kernels", "-minspeedup", "2"}, "flag provided but not defined: -minspeedup"},
 		{[]string{"-fig", "4a", "-minspeedup", "2"}, "flag provided but not defined: -minspeedup"},
 		{[]string{"-fig", "serve", "-handoff"}, "-handoff"},
+		{[]string{"-fig", "a2", "-jobs", "3"}, "-jobs applies only to -fig serve or cluster"},
+		{[]string{"-fig", "topo", "-shards", "ppe:1"}, "-shards applies only to -fig cluster"},
+		{[]string{"-fig", "serve", "-stride", "5"}, "-stride applies only to -fig cluster"},
+		{[]string{"-fig", "4a", "-topology", "ppe:1"}, "-topology applies only to -fig topo or kernels or serve"},
+		{[]string{"-fig", "cluster", "-maxpending", "2"}, "-maxpending applies only to -fig serve"},
+		{[]string{"-fig", "serve", "-trace", "nosuch"}, `invalid value "nosuch" for flag -trace: unknown trace "nosuch"`},
 		{[]string{"-fig", "cluster", "-shards", "qpu:1"}, "-shards"},
 		{[]string{"-fig", "serve", "-workloads", "nosuch"}, `flag -workloads: workloads: unknown workload "nosuch"`},
 	} {
@@ -82,10 +89,10 @@ func TestHelpListsRegistry(t *testing.T) {
 	}
 }
 
-// TestFig4aMatchesGoldenAndWritesJSON drives one figure end to end:
-// its stdout is the first half of testdata/golden_fig4.txt, and -json
-// writes that figure's result (at the parent commit it wrote nothing
-// for any figure but four).
+// TestFig4aMatchesGoldenAndWritesJSON drives one figure end to end
+// through the command, which the goldens' in-process TestFigures does
+// not: its stdout is the first half of testdata/golden_fig4.txt, and
+// -json writes that figure's result.
 func TestFig4aMatchesGoldenAndWritesJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Figure-4(a) replay skipped in -short mode")

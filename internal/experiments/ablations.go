@@ -312,7 +312,7 @@ type A4Row struct {
 
 // RunA4 runs each workload on 6 SPEs with and without coherence.
 func RunA4(opt Options) (*A4, error) {
-	sound := ps3(opt.MaxSPEs, min(opt.Threads, opt.MaxSPEs))
+	sound := ps3(paperSPEs, paperSPEs)
 	unsound := sound
 	unsound.label += ", no coherence"
 	unsound.cfg.UnsafeNoCoherence = true

@@ -2,59 +2,87 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/vm"
 )
 
-// registrySizes are the smallest sizes every registry entry runs at.
-func registrySizes() Options {
-	opt := tiny()
-	for _, k := range []string{"matmul", "nbody", "kmeans"} {
-		opt.ScaleOverride[k] = 1
+// golden is one herabench invocation TestFigures holds to a checked-in
+// file: what it prints, Table()+"\n", is one section of testdata/<file>
+// at the repository root.
+type golden struct {
+	name string // the subtest
+	args string // herabench's arguments
+	fig  Figure
+	opt  Options
+	file string
+}
+
+// goldens lists every figure at herabench's default sizes, and the
+// cluster figure's hand-off arm after it. Figures 4(a) and 4(b) share
+// one file, as do 6 and 7, each in that order; every other run has its
+// own.
+func goldens() []golden {
+	var out []golden
+	for _, f := range Figures() {
+		file := "golden_fig" + f.ID + ".txt"
+		switch f.ID {
+		case "4a", "4b":
+			file = "golden_fig4.txt"
+		case "6", "7":
+			file = "golden_fig6_7.txt"
+		}
+		out = append(out, golden{f.ID, "-fig " + f.ID, f, Quick(), file})
+		if f.ID == "cluster" {
+			handoff := Quick()
+			handoff.Handoff = true
+			out = append(out, golden{"cluster-handoff", "-fig cluster -handoff", f, handoff, "golden_fig_cluster_handoff.txt"})
+		}
 	}
-	opt.ServeJobs, opt.ServeCadence = 6, 300_000
-	opt.ShardTopos = []cell.Topology{cell.PS3Topology(2), cell.PS3Topology(2)}
-	return opt
+	return out
 }
 
-// firstRuns memoizes one run of each figure at registrySizes, so
-// TestFigures and TestFiguresReplay share it, whichever a -run pattern
-// selects: under the race detector a pass over the registry is minutes.
-var firstRuns sync.Map // figure id -> func() (Result, error)
-
-func firstRun(f Figure) (Result, error) {
-	run, _ := firstRuns.LoadOrStore(f.ID,
-		sync.OnceValues(func() (Result, error) { return f.Run(registrySizes()) }))
-	return run.(func() (Result, error))()
-}
-
-// TestFigures drives the whole registry the way herabench does, at the
-// smallest sizes: ids are unique, and every figure runs, renders a
-// table, survives a JSON round trip, and passes its own Check.
+// TestFigures drives every figure the way herabench does, at its
+// default sizes: ids are unique, and every figure prints exactly its
+// checked-in golden section, survives a JSON round trip and passes its
+// own Check — where the kernels figure's 2x floor and serve's shedding
+// at its default overload apply. The runs share one process, its body
+// table and its workload templates, in parallel, so a figure that
+// depended on what ran before it, or on another's timing, would miss
+// its golden.
 func TestFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full registry replay skipped in -short mode")
+		t.Skip("golden figure replay skipped in -short mode")
 	}
-	opt := registrySizes()
 	seen := map[string]bool{}
 	for _, f := range Figures() {
 		if seen[f.ID] || f.ID == "" || f.ID == "all" || f.Doc == "" {
 			t.Errorf("figure %q: id must be unique, non-empty and not \"all\", with a description", f.ID)
 		}
 		seen[f.ID] = true
-		t.Run(f.ID, func(t *testing.T) {
-			res, err := firstRun(f)
+	}
+	cases := goldens()
+	sections := map[string][]string{} // golden file -> its sections' herabench arguments
+	for _, g := range cases {
+		sections[g.file] = append(sections[g.file], g.args)
+	}
+	for _, g := range cases {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			res, err := g.fig.Run(g.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Table() == "" {
-				t.Error("empty table")
-			}
+			checkGolden(t, g.file, slices.Index(sections[g.file], g.args), res.Table()+"\n",
+				regenerate(g.file, sections[g.file]))
+
 			first, err := json.Marshal(res)
 			if err != nil {
 				t.Fatal(err)
@@ -67,38 +95,51 @@ func TestFigures(t *testing.T) {
 				t.Errorf("JSON did not round-trip:\n%s\nvs\n%s", first, second)
 			}
 			if c, ok := res.(Checker); ok {
-				if err := c.Check(opt); err != nil {
+				if err := c.Check(g.opt); err != nil {
 					t.Errorf("Check on a clean run: %v", err)
 				}
+			}
+			// serve's Check holds its shedding claim only at the overload
+			// its default script makes, so that script must still make it.
+			if s, ok := res.(*ServeSweep); ok && !s.overloaded(g.opt) {
+				t.Errorf("the default sweep (%d jobs, gap %d, on %s) is not the overload its Check holds",
+					s.NumJobs, s.Cadence, s.Topology)
 			}
 		})
 	}
 }
 
-// TestFiguresReplay: a figure is a pure function of its options, so two
-// in-process runs of any registry entry render the same table with no
-// option set to make it so — the contract every replay gate and every
-// "byte-identical to the parent" check rests on. The figures replay in
-// parallel: they share nothing, which the race detector then checks too.
-func TestFiguresReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry replay skipped in -short mode")
+// regenerate is the shell command, run from the repository root, that
+// rewrites a golden file from the herabench runs its sections hold.
+func regenerate(file string, args []string) string {
+	cmds := make([]string, len(args))
+	for i, a := range args {
+		redirect := ">>"
+		if i == 0 {
+			redirect = ">"
+		}
+		cmds[i] = fmt.Sprintf("go run ./cmd/herabench %s %s testdata/%s", a, redirect, file)
 	}
-	for _, f := range Figures() {
-		t.Run(f.ID, func(t *testing.T) {
-			t.Parallel()
-			first, err := firstRun(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			second, err := f.Run(registrySizes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a, b := first.Table(), second.Table(); a != b {
-				t.Errorf("table not replayable:\n--- first ---\n%s--- second ---\n%s", a, b)
-			}
-		})
+	return strings.Join(cmds, " && ")
+}
+
+// checkGolden fails t unless got is section n of the golden file, whose
+// sections each end in a blank line. The message names the file and
+// regen, the command that rewrites it for a change meant to move it.
+func checkGolden(t *testing.T, file string, n int, got, regen string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", file))
+	if err != nil {
+		t.Fatalf("%v; write it from the repository root with\n\t%s", err, regen)
+	}
+	want := ""
+	if sections := strings.SplitAfter(string(raw), "\n\n"); n < len(sections) {
+		want = sections[n]
+	}
+	if got != want {
+		t.Errorf("output differs from section %d of testdata/%s; if the change is meant to move it, "+
+			"rewrite the file from the repository root with\n\t%s\n--- want ---\n%s--- got ---\n%s",
+			n+1, file, regen, want, got)
 	}
 }
 

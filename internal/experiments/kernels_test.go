@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,8 +12,7 @@ import (
 )
 
 // kernelsQuickOpt shrinks every kernel workload to scale 1 so the
-// figure smoke-tests quickly; the full-scale run is the bench gate's
-// job.
+// figure smoke-tests quickly; TestFigures runs it at its own sizes.
 func kernelsQuickOpt() Options {
 	return Options{ScaleOverride: map[string]int{"matmul": 1, "nbody": 1, "kmeans": 1}}
 }
@@ -227,36 +225,5 @@ func TestServeMixesKernelJobs(t *testing.T) {
 	}
 	if kernelJobs == 0 {
 		t.Error("no kernel jobs entered the serve mix")
-	}
-}
-
-// TestRunKernelsDeterministicReplay: the whole figure — table and JSON
-// bytes included — replays identically, the property the CI
-// double-replay diff gate asserts from the outside.
-func TestRunKernelsDeterministicReplay(t *testing.T) {
-	s1, err := RunKernels(kernelsQuickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := RunKernels(kernelsQuickOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Table() != s2.Table() {
-		t.Errorf("table drifted between replays:\n%s\nvs\n%s", s1.Table(), s2.Table())
-	}
-	j1, err := json.Marshal(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Error("JSON drifted between replays")
-	}
-	if !strings.Contains(s1.Table(), "matmul") || !strings.Contains(s1.Table(), "vpu") {
-		t.Errorf("table missing expected rows:\n%s", s1.Table())
 	}
 }

@@ -22,17 +22,21 @@ type Fig4aRow struct {
 	Workload  string
 	PPECycles uint64
 	OneSPE    float64 // speedup vs PPE on 1 SPE
-	SixSPE    float64 // speedup vs PPE on MaxSPEs SPEs
+	SixSPE    float64 // speedup vs PPE on paperSPEs SPEs
 	Valid     bool
 }
+
+// paperSPEs is the number of SPEs the PS3 gives a program, the paper's
+// largest machine.
+const paperSPEs = 6
 
 // RunFig4a executes the 3 workloads x {PPE, 1 SPE, 6 SPE} matrix.
 func RunFig4a(opt Options) (*Fig4a, error) {
 	// One benchmark thread per core context, as SPECjvm2008 does: a
-	// single thread on the (single-core) PPE and on one SPE, MaxSPEs
-	// threads across MaxSPEs SPEs. Total work is thread-independent.
+	// single thread on the (single-core) PPE and on one SPE, six
+	// threads across six SPEs. Total work is thread-independent.
 	runs, err := grid(opt, "fig4a", opt.benches(), []arm{
-		ps3(0, 1), ps3(1, 1), ps3(opt.MaxSPEs, min(opt.Threads, opt.MaxSPEs))})
+		ps3(0, 1), ps3(1, 1), ps3(paperSPEs, paperSPEs)})
 	if err != nil {
 		return nil, err
 	}
@@ -90,17 +94,18 @@ type Fig4bRow struct {
 	Valid    bool
 }
 
-// RunFig4b executes the 3 workloads x 1..MaxSPEs matrix.
+// RunFig4b executes the 3 workloads x 1..6 SPEs matrix, one thread
+// per SPE.
 func RunFig4b(opt Options) (*Fig4b, error) {
 	var arms []arm
-	for n := 1; n <= opt.MaxSPEs; n++ {
-		arms = append(arms, ps3(n, min(opt.Threads, n)))
+	for n := 1; n <= paperSPEs; n++ {
+		arms = append(arms, ps3(n, n))
 	}
 	runs, err := grid(opt, "fig4b", opt.benches(), arms)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig4b{MaxSPEs: opt.MaxSPEs}
+	out := &Fig4b{MaxSPEs: paperSPEs}
 	for _, r := range runs {
 		cycles := cyclesOf(r)
 		out.Rows = append(out.Rows, Fig4bRow{Workload: r[0].Workload, Cycles: cycles,

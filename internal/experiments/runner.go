@@ -28,14 +28,8 @@ import (
 
 // Options controls experiment scale.
 type Options struct {
-	// Threads caps the number of benchmark worker threads; each figure
-	// run uses min(Threads, cores) workers (SPECjvm2008-style: one
-	// benchmark thread per hardware context).
-	Threads int
 	// ScaleOverride overrides a workload's default scale when nonzero.
 	ScaleOverride map[string]int
-	// MaxSPEs bounds the machine (6 on a PS3).
-	MaxSPEs int
 	// Topologies overrides the machine shapes the topo and kernels
 	// sweeps visit, and its first entry the serve machine (nil keeps
 	// each figure's defaults). herabench fills it from the -topology
@@ -82,14 +76,12 @@ type Options struct {
 
 // Full returns the default experiment options (paper-shaped sizes).
 func Full() Options {
-	return Options{Threads: 6, MaxSPEs: 6}
+	return Options{}
 }
 
 // Quick returns reduced sizes for unit tests and smoke runs.
 func Quick() Options {
 	return Options{
-		Threads: 6,
-		MaxSPEs: 6,
 		ScaleOverride: map[string]int{
 			"compress":   2,
 			"mpegaudio":  4,

@@ -58,7 +58,7 @@ func TestStealSchedulerChecksumsAndDeterminism(t *testing.T) {
 // TestMigrateSchedulerChecksumsAndDeterminism: on two three-kind
 // machines, where the cost gate can move threads across kinds, every
 // workload keeps its checksum and replays bit for bit, migrations
-// included.
+// included. ppe:2,spe:2,vpu:2 is in no figure, so no golden holds it.
 func TestMigrateSchedulerChecksumsAndDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload replay skipped in -short mode")

@@ -15,8 +15,8 @@ import (
 // completions before submitting would hide queueing delay from the SLO
 // percentiles. Every generator draws from a splitmix64 PRNG seeded by
 // the caller, so a (trace, seed, jobs, gap) tuple names one exact
-// arrival script forever: double-replaying it is byte-identical, which
-// the CI determinism gate enforces.
+// arrival script forever: replaying it is byte-identical, which the
+// serve and cluster figures' goldens hold.
 
 // prng is a splitmix64 generator — tiny, fast, and fully specified, so
 // traces never depend on the Go runtime's rand internals.
