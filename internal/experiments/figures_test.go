@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"herajvm/internal/cell"
@@ -49,6 +50,30 @@ func goldens() []golden {
 	return out
 }
 
+// goldenNamed is the entry of goldens whose subtest is name.
+func goldenNamed(t *testing.T, name string) golden {
+	t.Helper()
+	for _, g := range goldens() {
+		if g.name == name {
+			return g
+		}
+	}
+	t.Fatalf("no golden run named %q", name)
+	return golden{}
+}
+
+// goldenRuns memoizes each golden's run, so TestFigures and the tests
+// that read one of its results (TestFigure4Golden,
+// TestServeSheddingPaysAtOverload) share it, whichever a -run pattern
+// selects: under the race detector a Quick pass is minutes.
+var goldenRuns sync.Map // golden name -> func() (Result, error)
+
+func runGolden(g golden) (Result, error) {
+	run, _ := goldenRuns.LoadOrStore(g.name,
+		sync.OnceValues(func() (Result, error) { return g.fig.Run(g.opt) }))
+	return run.(func() (Result, error))()
+}
+
 // TestFigures drives every figure the way herabench does, at its
 // default sizes: ids are unique, and every figure prints exactly its
 // checked-in golden section, survives a JSON round trip and passes its
@@ -76,7 +101,7 @@ func TestFigures(t *testing.T) {
 	for _, g := range cases {
 		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := g.fig.Run(g.opt)
+			res, err := runGolden(g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,11 +124,45 @@ func TestFigures(t *testing.T) {
 					t.Errorf("Check on a clean run: %v", err)
 				}
 			}
-			// serve's Check holds its shedding claim only at the overload
-			// its default script makes, so that script must still make it.
-			if s, ok := res.(*ServeSweep); ok && !s.overloaded(g.opt) {
-				t.Errorf("the default sweep (%d jobs, gap %d, on %s) is not the overload its Check holds",
-					s.NumJobs, s.Cadence, s.Topology)
+		})
+	}
+}
+
+// registrySizes are the smallest sizes every registry entry runs at.
+func registrySizes() Options {
+	opt := tiny()
+	for _, k := range []string{"matmul", "nbody", "kmeans"} {
+		opt.ScaleOverride[k] = 1
+	}
+	opt.ServeJobs, opt.ServeCadence = 6, 300_000
+	opt.ShardTopos = []cell.Topology{cell.PS3Topology(2), cell.PS3Topology(2)}
+	return opt
+}
+
+// TestFiguresReplay: a figure is a pure function of its options, so two
+// in-process runs of any registry entry render the same table with no
+// option set to make it so — the contract the goldens rest on. It runs
+// at the smallest sizes, which no golden holds, and both runs share one
+// process: a figure that read state an earlier run left behind would
+// differ here. The figures replay in parallel: they share nothing,
+// which the race detector then checks too.
+func TestFiguresReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry replay skipped in -short mode")
+	}
+	for _, f := range Figures() {
+		t.Run(f.ID, func(t *testing.T) {
+			t.Parallel()
+			first, err := f.Run(registrySizes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := f.Run(registrySizes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := first.Table(), second.Table(); a != b {
+				t.Errorf("table not replayable:\n--- first ---\n%s--- second ---\n%s", a, b)
 			}
 		})
 	}

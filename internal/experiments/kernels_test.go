@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -225,5 +226,36 @@ func TestServeMixesKernelJobs(t *testing.T) {
 	}
 	if kernelJobs == 0 {
 		t.Error("no kernel jobs entered the serve mix")
+	}
+}
+
+// TestRunKernelsDeterministicReplay: the whole figure at scale 1 —
+// table and JSON bytes included — replays identically. The golden
+// holds the table at the figure's own sizes, not the JSON.
+func TestRunKernelsDeterministicReplay(t *testing.T) {
+	s1, err := RunKernels(kernelsQuickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := RunKernels(kernelsQuickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s1.Table() != s2.Table() {
+		t.Errorf("table drifted between replays:\n%s\nvs\n%s", s1.Table(), s2.Table())
+	}
+	j1, err := json.Marshal(s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := json.Marshal(s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(j1) != string(j2) {
+		t.Error("JSON drifted between replays")
+	}
+	if !strings.Contains(s1.Table(), "matmul") || !strings.Contains(s1.Table(), "vpu") {
+		t.Errorf("table missing expected rows:\n%s", s1.Table())
 	}
 }

@@ -57,3 +57,46 @@ func TestServeChurnDriver(t *testing.T) {
 		t.Error("no migrations under churn on an imbalanced topology")
 	}
 }
+
+// TestServeReplayDeterminism replays the whole serve sweep and demands
+// byte-identical tables and per-job latencies — the job-session
+// determinism contract surfaced at the figure level. The per-job
+// latencies of every pass are in no printed table, so no golden holds
+// them.
+func TestServeReplayDeterminism(t *testing.T) {
+	a := runSmallServe(t)
+	b := runSmallServe(t)
+	if a.Table() != b.Table() {
+		t.Errorf("serve tables diverged:\n--- first ---\n%s--- second ---\n%s", a.Table(), b.Table())
+	}
+	for r := range a.Runs {
+		for i := range a.Runs[r].Jobs {
+			if a.Runs[r].Jobs[i].Cycles != b.Runs[r].Jobs[i].Cycles {
+				t.Errorf("shed=%v job %d latency diverged: %d vs %d", a.Runs[r].Shedding, i,
+					a.Runs[r].Jobs[i].Cycles, b.Runs[r].Jobs[i].Cycles)
+			}
+		}
+	}
+}
+
+// TestServeSheddingPaysAtOverload: the figure's default script is an
+// overload (arrivals far faster than service) on the kind-imbalanced
+// default machine, so its Check holds the claim that enabling the
+// admission pipeline — the deadline probe plus its queue-depth
+// backstop — sheds jobs and loses no goodput. Refusing work it cannot
+// serve in time is how an open-loop system protects the jobs it can.
+// The run is TestFigures/serve's own, shared through runGolden.
+func TestServeSheddingPaysAtOverload(t *testing.T) {
+	res, err := runGolden(goldenNamed(t, "serve"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.(*ServeSweep)
+	if !s.overloaded(Quick()) {
+		t.Fatalf("the default sweep (%d jobs, gap %d, on %s) is not the overload its Check holds",
+			s.NumJobs, s.Cadence, s.Topology)
+	}
+	if err := s.Check(Quick()); err != nil {
+		t.Error(err)
+	}
+}
