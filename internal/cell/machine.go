@@ -77,8 +77,9 @@ type Core struct {
 	// one-level table of 4 KB pages, 64 for a 256 KB store. A page is
 	// mapped by the first DMA that fills it and reads as zero until then,
 	// so the table holds the pages the data cache has filled and no more.
-	// Only the data cache reads it; the simulated size is
-	// MFC.LocalStoreSize.
+	// Only the data cache reads it, through this core, whose MFC owns the
+	// table: its pages go back to the page pool once the MFC is
+	// unreachable. The simulated size is MFC.LocalStoreSize.
 	LS mem.Pages
 	// MFC is the memory flow controller (local-store kinds only).
 	MFC *MFC

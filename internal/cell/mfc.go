@@ -53,9 +53,14 @@ type MFC struct {
 
 // NewMFC builds an MFC moving data between main and a local store of
 // size bytes whose host pages are ls (mem.NewPages(size)). A DMA maps
-// the pages it fills, so the table may start empty.
+// the pages it fills, so the table may start empty. The MFC owns ls:
+// every reader reaches the store through a core that holds its MFC, so
+// ls's pages go back to the page pool once the MFC is unreachable, and
+// ls may be given to no other MFC.
 func NewMFC(cfg MFCConfig, eib *EIB, main *mem.Main, ls mem.Pages, size uint32) *MFC {
-	return &MFC{cfg: cfg, eib: eib, main: main, ls: ls, size: size}
+	m := &MFC{cfg: cfg, eib: eib, main: main, ls: ls, size: size}
+	mem.OwnPages(m, ls)
+	return m
 }
 
 // LocalStoreSize returns the simulated size of the MFC's local store,

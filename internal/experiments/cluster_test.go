@@ -3,16 +3,17 @@ package experiments
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"herajvm/internal/cell"
 	"herajvm/internal/isa"
 )
 
-// runSmallCluster executes the cluster figure at a reduced size: two
-// small shards, 6 jobs, uniform arrivals.
-func runSmallCluster(t *testing.T) *ClusterSweep {
-	t.Helper()
+// smallCluster is the cluster figure at a reduced size: two small
+// shards, 6 jobs, uniform arrivals. It runs once, for TestClusterFigure
+// and TestClusterJSONShape alike, whichever a -run pattern selects.
+var smallCluster = sync.OnceValues(func() (*ClusterSweep, error) {
 	opt := Quick()
 	opt.ServeJobs = 6
 	opt.ServeCadence = 300_000
@@ -21,7 +22,12 @@ func runSmallCluster(t *testing.T) *ClusterSweep {
 		{{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 2}},
 		{{Kind: isa.PPE, Count: 1}, {Kind: isa.SPE, Count: 2}},
 	}
-	s, err := RunCluster(opt)
+	return RunCluster(opt)
+})
+
+func runSmallCluster(t *testing.T) *ClusterSweep {
+	t.Helper()
+	s, err := smallCluster()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,15 @@ func kernelsQuickOpt() Options {
 // (every default shape's PPE groups are ppe:1), and pass its
 // own Check: matmul at least 2x its scalar twin on every shape, every
 // shape within 1.02x of its best sub-machine, and matmul and nbody on
-// the three-kind shapes within 0.80x.
+// the three-kind shapes within 0.80x. The sweep is TestFigures/kernels'
+// own, shared through runGolden: the kernel workloads ignore Quick's
+// paper-scale overrides, so that run is RunKernels(Options{}).
 func TestRunKernelsDifferentialAndGate(t *testing.T) {
-	s, err := RunKernels(Options{})
+	res, err := runGolden(goldenNamed(t, "kernels"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := res.(*KernelsSweep)
 	if len(s.Rows) != 21 {
 		t.Fatalf("got %d rows, want 3 workloads x (4 shapes + 3 references)", len(s.Rows))
 	}

@@ -13,10 +13,14 @@
 // leaf pages beneath it. An entry and a leaf are allocated by the first
 // write that lands under them, and an absent one reads as zero. Booting
 // a machine therefore costs the directory, not the memory size, and a
-// run pays host memory only for the 4 KB leaves it dirties. Paging is
-// invisible to the simulation — no simulated cost or statistic depends
-// on which pages are mapped. A local store's backing is paged the same
-// way, through a one-level Pages table (pages.go), and its DMA copies
+// run pays host memory only for the 4 KB leaves it dirties — and not
+// even those when a dead machine's pages are there to reuse: once a
+// Main is unreachable its leaves go back, cleared, to a process-wide
+// pool that every new page is drawn from first. Paging is invisible to
+// the simulation — no simulated cost or statistic depends on which
+// pages are mapped, or where they came from. A local store's backing
+// is paged the same way, through a one-level Pages table (pages.go)
+// whose pages go back to the pool with its owner, and its DMA copies
 // page by page through the same loops.
 //
 // Address 0 is reserved as the null reference and is never handed out.
@@ -25,6 +29,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 )
 
 // Addr is a simulated 32-bit physical address. The PS3's Cell exposes
@@ -62,7 +67,8 @@ type Main struct {
 }
 
 // NewMain creates a main memory of the given size in bytes. No page is
-// mapped until it is written.
+// mapped until it is written, and the pages it maps go back to the page
+// pool once the memory is unreachable.
 func NewMain(size uint32) *Main {
 	return &Main{dir: make([]dirEntry, (uint64(size)+1<<dirShift-1)>>dirShift), size: size}
 }
@@ -81,7 +87,11 @@ func (m *Main) check(addr Addr, n uint32) {
 	}
 }
 
-// leaf returns the page holding addr, or nil if it is unmapped.
+// leaf returns the page holding addr, or nil if it is unmapped. A
+// caller that touches the page leaf or mapped returns calls
+// runtime.KeepAlive(m) once it is done: m's pages go back to the pool as
+// soon as m is unreachable, which can be before its method's last use of
+// a page.
 func (m *Main) leaf(addr Addr) Page {
 	if d := m.dir[addr>>dirShift]; d != nil {
 		return d[addr>>PageShift&(dirLeaves-1)]
@@ -90,16 +100,19 @@ func (m *Main) leaf(addr Addr) Page {
 }
 
 // mapped returns the page holding addr, mapping it (and its directory
-// entry) on first write.
+// entry) on first write. A new entry's leaves go back to the page pool
+// once m is unreachable: the entry is private to m, so no page escapes,
+// and a memory no one writes registers nothing.
 func (m *Main) mapped(addr Addr) Page {
 	d := m.dir[addr>>dirShift]
 	if d == nil {
 		d = new([dirLeaves]Page)
 		m.dir[addr>>dirShift] = d
+		onUnreachable(m, Pages.recycle, Pages(d[:]))
 	}
 	p := &d[addr>>PageShift&(dirLeaves-1)]
 	if *p == nil {
-		*p = new([PageSize]byte)
+		*p = newPage()
 	}
 	return *p
 }
@@ -119,6 +132,7 @@ func (m *Main) copyOut(addr Addr, dst []byte) {
 		}
 		dst, addr = dst[n:], addr+uint32(n)
 	}
+	runtime.KeepAlive(m)
 }
 
 func (m *Main) copyIn(addr Addr, src []byte) {
@@ -127,6 +141,7 @@ func (m *Main) copyIn(addr Addr, src []byte) {
 		n := copy(m.mapped(addr)[off:], src)
 		src, addr = src[n:], addr+uint32(n)
 	}
+	runtime.KeepAlive(m)
 }
 
 func (m *Main) zero(addr Addr, n uint32) {
@@ -138,6 +153,7 @@ func (m *Main) zero(addr Addr, n uint32) {
 		}
 		addr, n = addr+k, n-k
 	}
+	runtime.KeepAlive(m)
 }
 
 func (m *Main) readStraddle(addr Addr, n uint32) uint64 {
@@ -157,7 +173,9 @@ func (m *Main) Read8(addr Addr) uint8 {
 	m.check(addr, 1)
 	m.Reads++
 	if p := m.leaf(addr); p != nil {
-		return p[addr&PageMask]
+		v := p[addr&PageMask]
+		runtime.KeepAlive(m)
+		return v
 	}
 	return 0
 }
@@ -171,7 +189,9 @@ func (m *Main) Read16(addr Addr) uint16 {
 		return uint16(m.readStraddle(addr, 2))
 	}
 	if p := m.leaf(addr); p != nil {
-		return binary.LittleEndian.Uint16(p[off:])
+		v := binary.LittleEndian.Uint16(p[off:])
+		runtime.KeepAlive(m)
+		return v
 	}
 	return 0
 }
@@ -185,7 +205,9 @@ func (m *Main) Read32(addr Addr) uint32 {
 		return uint32(m.readStraddle(addr, 4))
 	}
 	if p := m.leaf(addr); p != nil {
-		return binary.LittleEndian.Uint32(p[off:])
+		v := binary.LittleEndian.Uint32(p[off:])
+		runtime.KeepAlive(m)
+		return v
 	}
 	return 0
 }
@@ -199,7 +221,9 @@ func (m *Main) Read64(addr Addr) uint64 {
 		return m.readStraddle(addr, 8)
 	}
 	if p := m.leaf(addr); p != nil {
-		return binary.LittleEndian.Uint64(p[off:])
+		v := binary.LittleEndian.Uint64(p[off:])
+		runtime.KeepAlive(m)
+		return v
 	}
 	return 0
 }
@@ -209,6 +233,7 @@ func (m *Main) Write8(addr Addr, v uint8) {
 	m.check(addr, 1)
 	m.Writes++
 	m.mapped(addr)[addr&PageMask] = v
+	runtime.KeepAlive(m)
 }
 
 // Write16 stores a little-endian 16-bit value.
@@ -220,6 +245,7 @@ func (m *Main) Write16(addr Addr, v uint16) {
 	} else {
 		binary.LittleEndian.PutUint16(m.mapped(addr)[off:], v)
 	}
+	runtime.KeepAlive(m)
 }
 
 // Write32 stores a little-endian 32-bit value.
@@ -231,6 +257,7 @@ func (m *Main) Write32(addr Addr, v uint32) {
 	} else {
 		binary.LittleEndian.PutUint32(m.mapped(addr)[off:], v)
 	}
+	runtime.KeepAlive(m)
 }
 
 // Write64 stores a little-endian 64-bit value.
@@ -242,6 +269,7 @@ func (m *Main) Write64(addr Addr, v uint64) {
 	} else {
 		binary.LittleEndian.PutUint64(m.mapped(addr)[off:], v)
 	}
+	runtime.KeepAlive(m)
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.

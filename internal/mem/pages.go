@@ -1,5 +1,7 @@
 package mem
 
+import "sync"
+
 // Pages is a one-level table of 4 KB host pages: the host backing of a
 // store small enough that one load finds any byte's page — a core's
 // 256 KB local store is 64 entries. Like main memory, a page is mapped
@@ -19,10 +21,43 @@ func NewPages(size uint32) Pages {
 func (p Pages) Map(addr uint32) Page {
 	pg := &p[addr>>PageShift]
 	if *pg == nil {
-		*pg = new([PageSize]byte)
+		*pg = newPage()
 	}
 	return *pg
 }
+
+// pool holds the cleared pages of tables whose owners are gone, for the
+// next table that maps one. The garbage collector bounds it: sync.Pool
+// drops what two cycles leave unused.
+var pool sync.Pool
+
+// newPage is the one place a page is made, for main memory's leaves and
+// a local store's pages alike: a recycled page when the pool has one, a
+// new one otherwise. Either reads as zero.
+func newPage() Page {
+	if pg, ok := pool.Get().(Page); ok {
+		return pg
+	}
+	return new([PageSize]byte)
+}
+
+// recycle clears each mapped page of p and returns it to the pool. It
+// runs once p's owner is unreachable, so nothing reads p again.
+func (p Pages) recycle() {
+	for _, pg := range p {
+		if pg != nil {
+			clear(pg[:])
+			pool.Put(pg)
+		}
+	}
+}
+
+// OwnPages returns p's pages to the pool once owner is unreachable.
+// owner must be the object through which every reader reaches p (a
+// local store's MFC, which its core holds), and p may have one owner:
+// a page is kept only in the table that mapped it, so a table handed
+// over twice would hand its pages out twice.
+func OwnPages[T any](owner *T, p Pages) { onUnreachable(owner, Pages.recycle, p) }
 
 // ReadPages copies n bytes of memory from addr into dst at at, page by
 // page, mapping each page of dst it fills. Like ReadBytes it counts one

@@ -142,6 +142,18 @@ var seams = []struct {
 		`(Stats|ctr)\.Cycles\[`,
 		[]string{"internal/vm", "internal/cell"},
 		[]string{"internal/vm/ledger.go", "internal/cell/machine.go:SettleFastForward"}},
+	// "Main memory is demand paged on the host": a page is made in one
+	// place, from the process's pool when it has one, and kept only in
+	// the table that mapped it; a table's pages go back to the pool only
+	// once its owner — a Main, or the MFC of a local store — is
+	// unreachable, registered where the owner makes the table.
+	{"a host page is made only by mem's newPage",
+		`new\(\[(mem\.)?PageSize\]byte\)|pool\.Get\(`,
+		[]string{"."}, []string{"internal/mem/pages.go:newPage"}},
+	{"a table's pages go back to the pool only when its owner is unreachable",
+		`pool\.Put\(|\.recycle\(|runtime\.AddCleanup|onUnreachable\(|OwnPages\(`,
+		[]string{"."}, []string{"internal/mem/pages.go:recycle", "internal/mem/pages.go:OwnPages",
+			"internal/mem/cleanup.go", "internal/mem/mem.go:mapped", "internal/cell/mfc.go:NewMFC"}},
 	// "Cycle accounting": one per-method ledger. A frame is born
 	// profiled and bills its method through the ledger's functions
 	// alone, so nothing else writes a method's counters.
